@@ -26,8 +26,6 @@ import (
 	"io"
 	"log"
 	"os"
-	"runtime"
-	"runtime/pprof"
 	"strings"
 	"text/tabwriter"
 	"time"
@@ -37,11 +35,13 @@ import (
 	"lazyrc/internal/causal"
 	"lazyrc/internal/check"
 	"lazyrc/internal/config"
+	"lazyrc/internal/exp"
 	"lazyrc/internal/machine"
 	"lazyrc/internal/mc"
+	"lazyrc/internal/perf"
+	"lazyrc/internal/runner"
 	"lazyrc/internal/sim"
 	"lazyrc/internal/telemetry"
-	"lazyrc/internal/trace"
 )
 
 func main() {
@@ -52,11 +52,9 @@ func main() {
 		proto      = flag.String("proto", "lrc", "protocol: "+strings.Join(lazyrc.Protocols(), ", "))
 		protosFlag = flag.String("protocols", "", "run -app once per protocol in this comma-separated list (\"all\" = every registered protocol) and print a comparison table; most single-run flags do not apply")
 		procs      = flag.Int("procs", 64, "number of processors")
-		scale      = flag.String("scale", "small", "input scale: tiny, small, medium, paper")
-		future     = flag.Bool("future", false, "use the §4.3 future-machine parameters")
+		scale      = flag.String("scale", "small", "input scale: tiny, small, medium, paper; the per-processor cache co-scales with it (paper §3), as in paperbench and lrcsimd")
+		future     = flag.Bool("future", false, "use the §4.3 future-machine parameters (the \"future\" preset)")
 		verify     = flag.Bool("verify", true, "verify the computation against a serial reference")
-		traceFile  = flag.String("trace", "", "write a JSON-lines protocol message trace to this file")
-		traceMax   = flag.Uint64("trace-max", 1_000_000, "cap on traced events")
 		contention = flag.Bool("contention", false, "print the per-resource contention report")
 		traffic    = flag.Bool("traffic", false, "print the per-message-kind traffic breakdown")
 		seed       = flag.Uint64("seed", 1, "random seed for seed-dependent subsystems (fault injection); the same seed replays the same schedule")
@@ -99,7 +97,12 @@ func main() {
 	}
 
 	if *validateM != "" {
-		hdr, err := telemetry.ValidateFile(*validateM)
+		f, err := os.Open(*validateM)
+		if err != nil {
+			log.Fatal(err)
+		}
+		hdr, err := telemetry.Validate(f)
+		f.Close()
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -113,110 +116,70 @@ func main() {
 		return
 	}
 
-	if *cpuprofile != "" {
-		f, err := os.Create(*cpuprofile)
-		if err != nil {
-			log.Fatal(err)
-		}
-		if err := pprof.StartCPUProfile(f); err != nil {
-			log.Fatal(err)
-		}
-		defer func() {
-			pprof.StopCPUProfile()
-			f.Close()
-		}()
+	stopProfiles, err := perf.StartProfiles(*cpuprofile, *memprofile)
+	if err != nil {
+		log.Fatal(err)
 	}
-	if *memprofile != "" {
-		defer func() {
-			f, err := os.Create(*memprofile)
-			if err != nil {
-				log.Fatal(err)
-			}
-			runtime.GC()
-			if err := pprof.WriteHeapProfile(f); err != nil {
-				log.Fatal(err)
-			}
-			f.Close()
-		}()
-	}
+	defer stopProfiles()
 
-	sc, err := lazyrc.ParseScale(*scale)
+	job, err := cellJob(*appName, *proto, *scale, *procs, *future, *seed)
 	if err != nil {
 		log.Fatal(err)
 	}
 
 	if *protosFlag != "" {
-		compareProtocols(*protosFlag, *appName, sc, *procs, *future, *seed, *verify)
+		compareProtocols(*protosFlag, job, *verify)
 		return
 	}
 
-	app, err := lazyrc.NewApp(*appName, sc)
+	switch {
+	case *doCheck && *checkEvery == 0:
+		log.Fatal("-check-every must be positive")
+	case (*metrics || *reportFile != "") && *metricsInt == 0:
+		log.Fatal("-metrics-interval must be positive")
+	case *oracle && *faultPlan == "":
+		log.Fatal("-oracle requires -faults")
+	}
+	app, err := lazyrc.NewApp(job.App, job.Scale)
 	if err != nil {
 		log.Fatal(err)
 	}
-	cfg := lazyrc.DefaultConfig(*procs)
-	if *future {
-		cfg = lazyrc.FutureConfig(*procs)
-	}
-	cfg.Seed = *seed
-	cfg.FaultSeed = *faultSeed
-	cfg.FaultPlan = *faultPlan
+	job.Cfg.FaultSeed = *faultSeed
+	job.Cfg.FaultPlan = *faultPlan
 
-	var tr *trace.Tracer
-	m, err := lazyrc.NewMachine(cfg, *proto)
-	if err != nil {
-		log.Fatal(err)
-	}
 	var auditor *check.Auditor
-	if *doCheck {
-		if *checkEvery == 0 {
-			log.Fatal("-check-every must be positive")
+	m, verr := apps.Run(job.Cfg, job.Proto, app, func(m *machine.Machine) {
+		if *doCheck {
+			auditor = check.New(m)
+			auditor.Start(*checkEvery)
 		}
-		auditor = check.New(m)
-		auditor.Start(*checkEvery)
-	}
-	if *watchdog > 0 {
-		m.EnableWatchdog(*watchdog, func(r sim.StallReport) {
-			fmt.Fprintln(os.Stderr, r)
-			m.Eng.Stop()
-		})
-	}
-	if *traceFile != "" {
-		f, err := os.Create(*traceFile)
-		if err != nil {
-			log.Fatal(err)
+		if *watchdog > 0 {
+			m.EnableWatchdog(*watchdog, func(r sim.StallReport) {
+				fmt.Fprintln(os.Stderr, r)
+				m.Eng.Stop()
+			})
 		}
-		defer f.Close()
-		tr = trace.New(f, trace.WithLimit(*traceMax))
-		tr.Attach(m)
-	}
-	if *metrics || *reportFile != "" {
-		if *metricsInt == 0 {
-			log.Fatal("-metrics-interval must be positive")
+		if *metrics || *reportFile != "" {
+			m.EnableMetrics(*metricsInt).SetMeta("scale", job.Scale.String())
 		}
-		reg := m.EnableMetrics(*metricsInt)
-		reg.SetMeta("app", app.Name())
-		reg.SetMeta("scale", sc.String())
+		if *spans || *critPath > 0 {
+			m.EnableSpans(true, *spansMax)
+		}
+		if *perfFlag {
+			m.EnablePerf()
+		}
+		if *progress > 0 {
+			enableProgress(m, *progress, *progTotal)
+		}
+	})
+	if m == nil {
+		log.Fatal(verr)
 	}
-	if *spans || *critPath > 0 {
-		m.EnableSpans(true, *spansMax)
-	}
-	if *perfFlag {
-		// After EnableSpans, so span bookkeeping lands in the causal phase.
-		m.EnablePerf()
-	}
-	if *progress > 0 {
-		enableProgress(m, *progress, *progTotal)
-	}
-	app.Setup(m)
-	m.Run(app.Worker)
 	if m.Eng.Stopped() {
 		log.Fatal("run aborted by the liveness watchdog")
 	}
-	if *verify {
-		if verr := app.Verify(); verr != nil {
-			log.Fatalf("verification failed: %v", verr)
-		}
+	if *verify && verr != nil {
+		log.Fatalf("verification failed: %v", verr)
 	}
 	if auditor != nil {
 		auditor.Final()
@@ -232,46 +195,17 @@ func main() {
 		fmt.Fprintln(os.Stderr, s)
 	}
 	if *oracle {
-		if *faultPlan == "" {
-			log.Fatal("-oracle requires -faults")
-		}
-		runOracle(cfg, *proto, *appName, sc, m)
-	}
-	if tr != nil {
-		if terr := tr.Err(); terr != nil {
-			log.Fatal(terr)
-		}
-		if tr.Truncated() {
-			fmt.Fprintf(os.Stderr, "warning: trace truncated at %d events (-trace-max); %d further events dropped\n",
-				tr.Events(), tr.Dropped())
-		}
-		fmt.Fprintf(os.Stderr, "traced %d events to %s\n", tr.Events(), *traceFile)
+		runOracle(job, m)
 	}
 	if *metrics {
-		f, err := os.Create(*metricsOut)
-		if err != nil {
-			log.Fatal(err)
-		}
-		if err := m.Tel.Export(f); err != nil {
-			f.Close()
-			log.Fatal(err)
-		}
-		if err := f.Close(); err != nil {
+		if err := perf.WriteFile(*metricsOut, m.Tel.Export); err != nil {
 			log.Fatal(err)
 		}
 		fmt.Fprintf(os.Stderr, "metrics: %d samples (%s) to %s\n", m.Tel.Samples(), telemetry.SchemaVersion, *metricsOut)
 	}
 	if *reportFile != "" {
-		f, err := os.Create(*reportFile)
-		if err != nil {
-			log.Fatal(err)
-		}
 		title := fmt.Sprintf("%s · %s · %d procs", app.Name(), *proto, *procs)
-		if err := m.Tel.WriteHTML(f, title); err != nil {
-			f.Close()
-			log.Fatal(err)
-		}
-		if err := f.Close(); err != nil {
+		if err := perf.WriteFile(*reportFile, func(w io.Writer) error { return m.Tel.WriteHTML(w, title) }); err != nil {
 			log.Fatal(err)
 		}
 		fmt.Fprintf(os.Stderr, "report: %s\n", *reportFile)
@@ -281,15 +215,10 @@ func main() {
 			fmt.Fprintf(os.Stderr, "warning: span store truncated: %d spans dropped (-spans-max)\n", d)
 		}
 		if *spans {
-			f, err := os.Create(*spansOut)
+			err := perf.WriteFile(*spansOut, func(w io.Writer) error {
+				return causal.WritePerfetto(w, m.Causal, machine.MsgKindName)
+			})
 			if err != nil {
-				log.Fatal(err)
-			}
-			if err := causal.WritePerfetto(f, m.Causal, machine.MsgKindName); err != nil {
-				f.Close()
-				log.Fatal(err)
-			}
-			if err := f.Close(); err != nil {
 				log.Fatal(err)
 			}
 			fmt.Fprintf(os.Stderr, "spans: %d spans (digest %s) to %s; open in ui.perfetto.dev\n",
@@ -297,7 +226,7 @@ func main() {
 		}
 	}
 
-	printReport(os.Stdout, m, app, sc, *proto, *procs, *contention, *traffic)
+	printReport(os.Stdout, m, app, job.Scale, *proto, *procs, *contention, *traffic)
 
 	if *perfFlag {
 		fmt.Println()
@@ -314,6 +243,22 @@ func main() {
 		fmt.Printf("top %d stall episodes\n", *critPath)
 		a.WriteTop(os.Stdout, *critPath)
 	}
+}
+
+// cellJob maps the run-selection flags onto the evaluation cell they
+// name, through the same exp.CellConfig derivation paperbench and
+// lrcsimd use — so the three tools report the same cell identically.
+func cellJob(app, proto, scale string, procs int, future bool, seed uint64) (runner.Job, error) {
+	sc, err := lazyrc.ParseScale(scale)
+	if err != nil {
+		return runner.Job{}, err
+	}
+	preset := "default"
+	if future {
+		preset = "future"
+	}
+	cfg, err := exp.CellConfig(preset, procs, sc, seed)
+	return runner.Job{App: app, Scale: sc, Proto: proto, Cfg: cfg}, err
 }
 
 // enableProgress schedules a self-rescheduling background engine event
@@ -348,99 +293,65 @@ func enableProgress(m *lazyrc.Machine, every int, total uint64) {
 	m.Eng.Background(pollCycles, tick)
 }
 
-// compareProtocols runs the application once per requested protocol —
-// fresh application instance and machine each time — and prints a
-// side-by-side table. Execution time is also shown normalized to the
-// "sc" run when sequential consistency is in the list (otherwise to the
-// first protocol), matching the paper's presentation.
-func compareProtocols(spec, appName string, sc lazyrc.Scale, procs int, future bool, seed uint64, verify bool) {
+// compareProtocols runs the job's cell once per requested protocol
+// through runner.Exec and prints the results side by side. Execution
+// time is also shown normalized to the "sc" run when sequential
+// consistency is in the list (otherwise to the first protocol),
+// matching the paper's presentation.
+func compareProtocols(spec string, job runner.Job, verify bool) {
 	protos, err := config.ParseProtocols(spec)
 	if err != nil {
 		log.Fatal(err)
 	}
-	type row struct {
-		proto              string
-		time               uint64
-		cpu, rd, wr, sy    uint64
-		missRate           float64
-		msgs, payloadBytes uint64
+	results := make([]*runner.Result, len(protos))
+	for i, p := range protos {
+		job.Proto = p
+		res := runner.Exec(job)
+		if res.Failed() {
+			log.Fatalf("%s: %s", p, res.Failure)
+		}
+		if verify && res.VerifyErr != "" {
+			log.Fatalf("%s: verification failed: %s", p, res.VerifyErr)
+		}
+		results[i] = res
 	}
-	rows := make([]row, 0, len(protos))
-	for _, p := range protos {
-		app, err := lazyrc.NewApp(appName, sc)
-		if err != nil {
-			log.Fatal(err)
-		}
-		cfg := lazyrc.DefaultConfig(procs)
-		if future {
-			cfg = lazyrc.FutureConfig(procs)
-		}
-		cfg.Seed = seed
-		m, err := lazyrc.RunApp(cfg, p, app)
-		if err != nil {
-			log.Fatalf("%s: %v", p, err)
-		}
-		if verify {
-			if verr := app.Verify(); verr != nil {
-				log.Fatalf("%s: verification failed: %v", p, verr)
-			}
-		}
-		r := row{proto: p, time: m.Stats.ExecutionTime(), missRate: m.Stats.MissRate()}
-		r.cpu, r.rd, r.wr, r.sy = m.Stats.Aggregate()
-		r.msgs, r.payloadBytes = m.Net.Stats()
-		rows = append(rows, r)
-	}
-	base := rows[0].time
-	for _, r := range rows {
-		if r.proto == "sc" {
-			base = r.time
+	base := results[0].ExecCycles
+	for _, r := range results {
+		if r.Proto == "sc" {
+			base = r.ExecCycles
 			break
 		}
 	}
-	fmt.Printf("application %s (%s), %d processors\n", appName, sc, procs)
+	fmt.Printf("application %s (%s), %d processors, %d KB caches\n", job.App, job.Scale, job.Cfg.Procs, job.Cfg.CacheSize>>10)
 	w := tabwriter.NewWriter(os.Stdout, 0, 8, 2, ' ', tabwriter.AlignRight)
 	fmt.Fprintln(w, "protocol\tcycles\tnorm\tcpu\tread\twrite\tsync\tmiss\tmsgs\tbytes\t")
-	for _, r := range rows {
+	for _, r := range results {
 		fmt.Fprintf(w, "%s\t%d\t%.3f\t%d\t%d\t%d\t%d\t%.2f%%\t%d\t%d\t\n",
-			r.proto, r.time, float64(r.time)/float64(base),
-			r.cpu, r.rd, r.wr, r.sy, 100*r.missRate, r.msgs, r.payloadBytes)
+			r.Proto, r.ExecCycles, float64(r.ExecCycles)/float64(base),
+			r.CPUCycles, r.ReadCycles, r.WriteCycles, r.SyncCycles, 100*r.MissRate, r.Msgs, r.Bytes)
 	}
 	w.Flush()
 }
 
-// runOracle re-runs the same application, seed, and protocol with fault
-// injection off and compares end states: the faulted run must have
-// completed like the reference, and — for workloads whose result is
-// independent of processor interleaving — produced a bit-identical
-// final memory image. A divergence means a fault leaked through the
-// reliable transport into application state.
-func runOracle(cfg lazyrc.Config, proto, appName string, sc lazyrc.Scale, faulted *lazyrc.Machine) {
-	ref, err := lazyrc.NewApp(appName, sc)
-	if err != nil {
-		log.Fatal(err)
+// runOracle re-runs the job with fault injection off and applies the
+// chaos soak's end-state verdict (exp.ChaosVerdict) to the faulted
+// machine: it must have completed like the reference, and — for
+// workloads whose result is independent of processor interleaving —
+// produced a bit-identical final memory image. A divergence means a
+// fault leaked through the reliable transport into application state.
+func runOracle(job runner.Job, faulted *machine.Machine) {
+	job.Cfg.FaultPlan = ""
+	ref := runner.Exec(job)
+	got := &runner.Result{Completed: faulted.Completed(), MemDigest: faulted.MemDigest()}
+	exact := !apps.TimingDependent(job.App)
+	if verdict, ok := exp.ChaosVerdict(ref, got, exact); !ok {
+		log.Fatalf("oracle: %s", verdict)
 	}
-	cfg.FaultPlan = ""
-	rm, err := lazyrc.RunApp(cfg, proto, ref)
-	if err != nil {
-		log.Fatal(err)
-	}
-	if verr := ref.Verify(); verr != nil {
-		log.Fatalf("oracle: fault-free reference failed verification: %v", verr)
-	}
-	if !rm.Completed() {
-		log.Fatal("oracle: fault-free reference did not complete")
-	}
-	if !faulted.Completed() {
-		log.Fatal("oracle: faulted run did not complete; reference did")
-	}
-	if !apps.TimingDependent(appName) {
-		if fd, rd := faulted.MemDigest(), rm.MemDigest(); fd != rd {
-			log.Fatalf("oracle: final memory diverged: faulted %s, fault-free %s", fd, rd)
-		}
+	if exact {
 		fmt.Fprintln(os.Stderr, "oracle: end state matches the fault-free run (completion + bit-identical memory)")
 		return
 	}
-	fmt.Fprintf(os.Stderr, "oracle: end state matches the fault-free run (completion; %s folds timing into its result, memory not compared)\n", appName)
+	fmt.Fprintf(os.Stderr, "oracle: end state matches the fault-free run (completion; %s folds timing into its result, memory not compared)\n", job.App)
 }
 
 // replay re-executes a recorded counterexample schedule and reports
@@ -481,6 +392,7 @@ func printReport(out io.Writer, m *lazyrc.Machine, app lazyrc.App, sc lazyrc.Sca
 	fmt.Fprintf(w, "application\t%s (%s)\n", app.Name(), sc)
 	fmt.Fprintf(w, "protocol\t%s\n", proto)
 	fmt.Fprintf(w, "processors\t%d\n", procs)
+	fmt.Fprintf(w, "cache\t%d KB per processor\n", m.Cfg.CacheSize>>10)
 	fmt.Fprintf(w, "execution time\t%d cycles\n", m.Stats.ExecutionTime())
 	cpu, rd, wr, sy := m.Stats.Aggregate()
 	total := cpu + rd + wr + sy
@@ -490,12 +402,11 @@ func printReport(out io.Writer, m *lazyrc.Machine, app lazyrc.App, sc lazyrc.Sca
 		fmt.Fprintf(w, "  read stall\t%d (%.1f%%)\n", rd, 100*float64(rd)/float64(total))
 		fmt.Fprintf(w, "  write stall\t%d (%.1f%%)\n", wr, 100*float64(wr)/float64(total))
 		fmt.Fprintf(w, "  sync stall\t%d (%.1f%%)\n", sy, 100*float64(sy)/float64(total))
-	}
-	// Utilization and imbalance are derived from per-processor accounted
-	// cycles and finish times. On a run that accounted no cycles (an
-	// aborted run, a replay) both derivations are zero-valued noise, so
-	// the lines are suppressed rather than printed as 0.0%.
-	if total > 0 {
+		// Utilization and imbalance are derived from per-processor
+		// accounted cycles and finish times. On a run that accounted no
+		// cycles (an aborted run, a replay) both derivations are
+		// zero-valued noise, so the lines are suppressed rather than
+		// printed as 0.0%.
 		var minU, maxU, sumU float64
 		for i := range m.Stats.Procs {
 			u := m.Stats.Procs[i].Utilization()
@@ -507,10 +418,8 @@ func printReport(out io.Writer, m *lazyrc.Machine, app lazyrc.App, sc lazyrc.Sca
 			}
 			sumU += u
 		}
-		if n := len(m.Stats.Procs); n > 0 {
-			fmt.Fprintf(w, "cpu utilization\t%.1f%% mean (%.1f%% min, %.1f%% max)\n",
-				100*sumU/float64(n), 100*minU, 100*maxU)
-		}
+		fmt.Fprintf(w, "cpu utilization\t%.1f%% mean (%.1f%% min, %.1f%% max)\n",
+			100*sumU/float64(len(m.Stats.Procs)), 100*minU, 100*maxU)
 	}
 	if imb := m.Stats.Imbalance(); imb > 0 {
 		fmt.Fprintf(w, "load imbalance\t%.3f (max/mean finish time)\n", imb)

@@ -6,31 +6,73 @@ import (
 	"testing"
 
 	"lazyrc"
+	"lazyrc/internal/apps"
+	"lazyrc/internal/config"
+	"lazyrc/internal/exp"
 )
 
 func tinyRun(t *testing.T, metrics, spans bool) *lazyrc.Machine {
 	t.Helper()
-	cfg := lazyrc.DefaultConfig(8)
-	m, err := lazyrc.NewMachine(cfg, "lrc")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if metrics {
-		m.EnableMetrics(5000)
-	}
-	if spans {
-		m.EnableSpans(true, 0)
-	}
 	app, err := lazyrc.NewApp("gauss", lazyrc.ScaleTiny)
 	if err != nil {
 		t.Fatal(err)
 	}
-	app.Setup(m)
-	m.Run(app.Worker)
-	if err := app.Verify(); err != nil {
+	m, err := apps.Run(lazyrc.DefaultConfig(8), "lrc", app, func(m *lazyrc.Machine) {
+		if metrics {
+			m.EnableMetrics(5000)
+		}
+		if spans {
+			m.EnableSpans(true, 0)
+		}
+	})
+	if err != nil {
 		t.Fatal(err)
 	}
 	return m
+}
+
+// TestCellMatchesBaseline pins the fidelity fix: the cell lrcsim's flags
+// name is the cell paperbench reports — cache co-scaled with -scale,
+// -future = the future preset — so for one tiny cell per protocol (and
+// one on the future machine) the execution time equals the committed
+// BENCH_baseline.json run.
+func TestCellMatchesBaseline(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs simulations")
+	}
+	base, err := exp.LoadReport("../../BENCH_baseline.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := map[string]uint64{}
+	for _, r := range base.Runs {
+		want[r.Config+"/"+r.App+"/"+r.Protocol] = r.ExecCycles
+	}
+	cells := [][2]string{{"future", "lrc"}}
+	for _, p := range config.ProtocolNames() {
+		cells = append(cells, [2]string{"default", p})
+	}
+	for _, c := range cells {
+		key := c[0] + "/gauss/" + c[1]
+		if want[key] == 0 {
+			t.Fatalf("baseline has no %s run", key)
+		}
+		job, err := cellJob("gauss", c[1], base.Scale, base.Procs, c[0] == "future", 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		app, err := apps.New(job.App, job.Scale)
+		if err != nil {
+			t.Fatal(err)
+		}
+		m, err := apps.Run(job.Cfg, job.Proto, app)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := m.Stats.ExecutionTime(); got != want[key] {
+			t.Errorf("%s: lrcsim runs %d cycles, baseline has %d", key, got, want[key])
+		}
+	}
 }
 
 func report(t *testing.T, m *lazyrc.Machine) string {

@@ -9,13 +9,14 @@
 // The evaluation matrix executes through internal/runner: simulations
 // run concurrently on -j workers, results are deduplicated by content
 // fingerprint (figures sharing a cell simulate it once), an optional
-// -cache file carries results across invocations (a warm rerun performs
+// -cache directory (the segment store lrcsimd also uses; one writer at
+// a time) carries results across invocations (a warm rerun performs
 // zero simulations), and -baseline gates the fresh report against a
 // committed reference. The rendered output is bit-identical for any -j.
 //
 // Usage:
 //
-//	paperbench [-scale small] [-procs 64] [-j N] [-cache results.jsonl]
+//	paperbench [-scale small] [-procs 64] [-j N] [-cache results.d]
 //	           [-baseline BENCH_baseline.json -tol 0] [targets...]
 //
 // Targets: table1 table2 table3 fig4 fig5 fig6 fig7 fig8 fig9 tardis
@@ -31,17 +32,19 @@ import (
 	"context"
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"os"
 	"runtime"
-	"runtime/pprof"
 	"time"
 
 	"lazyrc"
 	"lazyrc/internal/apps"
 	"lazyrc/internal/config"
 	"lazyrc/internal/exp"
+	"lazyrc/internal/perf"
 	"lazyrc/internal/runner"
+	"lazyrc/internal/store"
 )
 
 func main() {
@@ -54,7 +57,7 @@ func main() {
 		jsonOut    = flag.String("json", "", "also write a machine-readable report to this file")
 		seed       = flag.Uint64("seed", 1, "base random seed stamped into every run's configuration; a report plus its seed fully determines a replay")
 		workers    = flag.Int("j", runtime.GOMAXPROCS(0), "simulation worker count; results are bit-identical for any value")
-		cacheFile  = flag.String("cache", "", "content-addressed JSONL result store; fingerprint-identical runs are served from it instead of re-simulating")
+		cacheDir   = flag.String("cache", "", "content-addressed result store directory (single writer: a second paperbench or lrcsimd on the same directory is refused); fingerprint-identical runs are served from it instead of re-simulating")
 		baseline   = flag.String("baseline", "", "regression-gate baseline report (JSON); out-of-tolerance drift exits non-zero")
 		tol        = flag.Float64("tol", 0, "gate tolerance on cycle counts and traffic, in percent of the baseline value")
 		writeBase  = flag.String("write-baseline", "", "write the canonical (provenance-free) report to this file, for committing as the gate baseline")
@@ -78,7 +81,10 @@ func main() {
 		log.Fatal(err)
 	}
 
-	stopProfiles := startProfiles(*cpuprofile, *memprofile)
+	stopProfiles, err := perf.StartProfiles(*cpuprofile, *memprofile)
+	if err != nil {
+		log.Fatal(err)
+	}
 
 	scale, err := lazyrc.ParseScale(*scaleFlag)
 	if err != nil {
@@ -109,33 +115,26 @@ func main() {
 		stopProfiles()
 		os.Exit(code)
 	}
-	want := map[string]bool{}
-	for _, t := range targets {
-		want[t] = true
-	}
-	all := want["all"]
-
 	ctx := context.Background()
 
 	// The store is held as the concrete type for Close, but the runner
-	// takes the interface: pass untyped nil when no cache was requested so
-	// the runner's store==nil fast path applies (a typed-nil *runner.Store
-	// inside the interface would not compare equal to nil).
-	var store *runner.Store
+	// takes the interface: it stays an untyped nil when no cache was
+	// requested so the runner's store==nil fast path applies.
+	var cache *store.Store
 	var rstore runner.ResultStore
-	if *cacheFile != "" {
-		store, err = runner.OpenStore(*cacheFile)
+	if *cacheDir != "" {
+		cache, err = store.Open(*cacheDir)
 		if err != nil {
 			log.Fatal(err)
 		}
-		if n := store.Recovered(); n > 0 && !*quiet {
-			fmt.Fprintf(os.Stderr, "cache: skipped %d corrupt line(s) in %s; affected runs will re-simulate\n", n, *cacheFile)
+		if n := cache.Recovered(); n > 0 && !*quiet {
+			fmt.Fprintf(os.Stderr, "cache: skipped %d corrupt line(s) in %s; affected runs will re-simulate\n", n, *cacheDir)
 		}
-		rstore = store
+		rstore = cache
 	}
 	rn := runner.New(*workers, rstore)
 	if !*quiet {
-		rn.Progress = func(s string) { fmt.Fprintln(os.Stderr, s) }
+		rn.Emit = printEvent
 	}
 
 	e := exp.NewEvaluatorWith(scale, *procs, rn)
@@ -149,9 +148,6 @@ func main() {
 	}
 
 	start := time.Now()
-	emit := func(name, body string) {
-		fmt.Println(body)
-	}
 
 	// Fan the whole requested matrix out to the worker pool before any
 	// rendering: rendering then reads memoized cells in table order, so
@@ -173,69 +169,61 @@ func main() {
 	}
 	e.Prefetch(kept)
 
-	if all || want["table1"] {
-		emit("table1", exp.Table1(config.Default(*procs)))
-	}
-	if all || want["table2"] {
-		emit("table2", exp.Table2(e))
-	}
-	if all || want["table3"] {
-		emit("table3", exp.Table3(e))
-	}
-	if all || want["fig4"] {
-		emit("fig4", exp.Fig4(e))
-	}
-	if all || want["fig5"] {
-		emit("fig5", exp.Fig5(e))
-	}
-	if all || want["fig6"] {
-		emit("fig6", exp.Fig6(e))
-	}
-	if all || want["fig7"] {
-		emit("fig7", exp.Fig7(e))
-	}
-	if all || want["fig8"] {
-		emit("fig8", exp.Fig8(e))
-	}
-	if all || want["fig9"] {
-		emit("fig9", exp.Fig9(e))
-	}
-	if all || want["tardis"] {
-		emit("tardis", exp.TardisTable(e, protoList))
-	}
-	if all || want["sweep"] {
-		for _, sw := range exp.Sweeps() {
-			emit("sweep", exp.RunSweep(ctx, rn, scale, *procs, sw))
-		}
-	}
-	if all || want["mp3dquality"] {
-		emit("mp3dquality", exp.Mp3dQuality(scale, *procs))
-	}
-	if want["ablate"] {
-		for _, ab := range exp.Ablations() {
-			emit("ablate", exp.RunAblation(ctx, rn, scale, *procs, ab))
-		}
-	}
-	if want["dsm"] {
-		emit("dsm", exp.LazierUnderSoftwareCoherence(ctx, rn, scale, *procs, "locusroute"))
-	}
-	if want["scaling"] {
-		for _, app := range []string{"mp3d", "blu", "gauss"} {
-			emit("scaling", exp.RunScaling(ctx, rn, scale, app, exp.ScalingCounts))
-		}
-	}
+	// The targets in rendering order; inAll marks the ones "all" expands
+	// to (the paper's own tables and figures — the extensions are opt-in).
 	chaosFailed := false
-	if want["chaos"] {
-		body, err := exp.RunChaos(ctx, rn, scale, *procs, *seed, exp.AppOrder,
-			protoList, nil)
-		emit("chaos", body)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "paperbench: %v\n", err)
-			chaosFailed = true
+	renderers := []struct {
+		name   string
+		inAll  bool
+		render func()
+	}{
+		{"table1", true, func() { fmt.Println(exp.Table1(config.Default(*procs))) }},
+		{"table2", true, func() { fmt.Println(exp.Table2(e)) }},
+		{"table3", true, func() { fmt.Println(exp.Table3(e)) }},
+		{"fig4", true, func() { fmt.Println(exp.Fig4(e)) }},
+		{"fig5", true, func() { fmt.Println(exp.Fig5(e)) }},
+		{"fig6", true, func() { fmt.Println(exp.Fig6(e)) }},
+		{"fig7", true, func() { fmt.Println(exp.Fig7(e)) }},
+		{"fig8", true, func() { fmt.Println(exp.Fig8(e)) }},
+		{"fig9", true, func() { fmt.Println(exp.Fig9(e)) }},
+		{"tardis", true, func() { fmt.Println(exp.TardisTable(e, protoList)) }},
+		{"sweep", true, func() {
+			for _, sw := range exp.Sweeps() {
+				fmt.Println(exp.RunSweep(ctx, rn, scale, *procs, sw))
+			}
+		}},
+		{"mp3dquality", true, func() { fmt.Println(exp.Mp3dQuality(scale, *procs)) }},
+		{"ablate", false, func() {
+			for _, ab := range exp.Ablations() {
+				fmt.Println(exp.RunAblation(ctx, rn, scale, *procs, ab))
+			}
+		}},
+		{"dsm", false, func() { fmt.Println(exp.LazierUnderSoftwareCoherence(ctx, rn, scale, *procs, "locusroute")) }},
+		{"scaling", false, func() {
+			for _, app := range []string{"mp3d", "blu", "gauss"} {
+				fmt.Println(exp.RunScaling(ctx, rn, scale, app, exp.ScalingCounts))
+			}
+		}},
+		{"chaos", false, func() {
+			body, err := exp.RunChaos(ctx, rn, scale, *procs, *seed, exp.AppOrder, protoList)
+			fmt.Println(body)
+			if err != nil {
+				fmt.Fprintf(os.Stderr, "paperbench: %v\n", err)
+				chaosFailed = true
+			}
+		}},
+	}
+	want := map[string]bool{}
+	for _, t := range targets {
+		want[t] = true
+	}
+	for _, r := range renderers {
+		if want[r.name] || (r.inAll && want["all"]) {
+			r.render()
 		}
 	}
 	if *critPath {
-		emit("critical-path", exp.CriticalPath(scale, *procs, *seed, nil))
+		fmt.Println(exp.CriticalPath(scale, *procs, *seed))
 	}
 
 	exitCode := 0
@@ -251,7 +239,9 @@ func main() {
 		writeReport(*jsonOut, report)
 	}
 	if *reportOut != "" {
-		writeHTMLReport(*reportOut, report)
+		if err := perf.WriteFile(*reportOut, func(w io.Writer) error { return exp.WriteHTML(w, report) }); err != nil {
+			log.Fatal(err)
+		}
 		if !*quiet {
 			fmt.Fprintf(os.Stderr, "HTML report written to %s\n", *reportOut)
 		}
@@ -262,25 +252,11 @@ func main() {
 			fmt.Fprintf(os.Stderr, "baseline written to %s (%d runs)\n", *writeBase, len(report.Runs))
 		}
 	}
-	if *baseline != "" {
-		base, err := exp.LoadReport(*baseline)
-		if err != nil {
-			log.Fatal(err)
-		}
-		if viols := exp.Gate(base, report, *tol); len(viols) > 0 {
-			for _, v := range viols {
-				fmt.Fprintf(os.Stderr, "gate: %s\n", v)
-			}
-			fmt.Fprintf(os.Stderr, "gate: FAILED against %s: %d violation(s) at tolerance %.3f%%\n",
-				*baseline, len(viols), *tol)
-			exitCode = 1
-		} else if !*quiet {
-			fmt.Fprintf(os.Stderr, "gate: ok against %s (%d runs, tolerance %.3f%%)\n",
-				*baseline, len(base.Runs), *tol)
-		}
+	if *baseline != "" && !gate(*baseline, report, *tol, *quiet) {
+		exitCode = 1
 	}
-	if store != nil {
-		if err := store.Close(); err != nil {
+	if cache != nil {
+		if err := cache.Close(); err != nil {
 			fmt.Fprintf(os.Stderr, "paperbench: cache: %v\n", err)
 			exitCode = 1
 		}
@@ -300,62 +276,43 @@ func main() {
 // writeReport writes a report as indented JSON, fataling on any error
 // (paperbench output files are the whole point of the invocation).
 func writeReport(path string, r exp.Report) {
-	f, err := os.Create(path)
-	if err != nil {
-		log.Fatal(err)
-	}
-	if err := exp.WriteReportJSON(f, r); err != nil {
-		log.Fatal(err)
-	}
-	if err := f.Close(); err != nil {
+	if err := perf.WriteFile(path, func(w io.Writer) error { return exp.WriteReportJSON(w, r) }); err != nil {
 		log.Fatal(err)
 	}
 }
 
-// writeHTMLReport writes the evaluation as a self-contained HTML page.
-func writeHTMLReport(path string, r exp.Report) {
-	f, err := os.Create(path)
-	if err != nil {
-		log.Fatal(err)
-	}
-	if err := exp.WriteHTML(f, r); err != nil {
-		log.Fatal(err)
-	}
-	if err := f.Close(); err != nil {
-		log.Fatal(err)
+// printEvent is the per-job progress line, from the local runner's
+// lifecycle events and a remote daemon's SSE stream alike.
+func printEvent(ev runner.Event) {
+	switch ev.Kind {
+	case runner.EventRunning, runner.EventCached, runner.EventDone, runner.EventFailed:
+		line := fmt.Sprintf("%-9s %s/%s/%s", ev.Kind, ev.App, ev.Scale, ev.Proto)
+		if ev.Err != "" {
+			line += ": " + ev.Err
+		}
+		fmt.Fprintln(os.Stderr, line)
 	}
 }
 
-// startProfiles begins CPU profiling and arranges heap profiling; the
-// returned stop function flushes both. Kept out of defer chains so the
-// explicit os.Exit paths still flush profiles.
-func startProfiles(cpu, mem string) func() {
-	var cpuF *os.File
-	if cpu != "" {
-		f, err := os.Create(cpu)
-		if err != nil {
-			log.Fatal(err)
-		}
-		if err := pprof.StartCPUProfile(f); err != nil {
-			log.Fatal(err)
-		}
-		cpuF = f
+// gate runs the regression gate of report against the baseline file and
+// prints its verdict, reporting whether the report passed. The local
+// and -remote paths share it.
+func gate(baseline string, report exp.Report, tol float64, quiet bool) bool {
+	base, err := exp.LoadReport(baseline)
+	if err != nil {
+		log.Fatal(err)
 	}
-	return func() {
-		if cpuF != nil {
-			pprof.StopCPUProfile()
-			cpuF.Close()
+	if viols := exp.Gate(base, report, tol); len(viols) > 0 {
+		for _, v := range viols {
+			fmt.Fprintf(os.Stderr, "gate: %s\n", v)
 		}
-		if mem != "" {
-			f, err := os.Create(mem)
-			if err != nil {
-				log.Fatal(err)
-			}
-			runtime.GC()
-			if err := pprof.WriteHeapProfile(f); err != nil {
-				log.Fatal(err)
-			}
-			f.Close()
-		}
+		fmt.Fprintf(os.Stderr, "gate: FAILED against %s: %d violation(s) at tolerance %.3f%%\n",
+			baseline, len(viols), tol)
+		return false
 	}
+	if !quiet {
+		fmt.Fprintf(os.Stderr, "gate: ok against %s (%d runs, tolerance %.3f%%)\n",
+			baseline, len(base.Runs), tol)
+	}
+	return true
 }

@@ -13,6 +13,7 @@ package main
 
 import (
 	"fmt"
+	"io"
 	"log"
 	"os"
 	"time"
@@ -121,16 +122,11 @@ func runPerfPass(e *exp.Evaluator, scale apps.Scale, procs int, o perfOpts) int 
 		}
 	}
 	if o.report != "" {
-		f, err := os.Create(o.report)
-		if err != nil {
-			log.Fatal(err)
-		}
 		subtitle := fmt.Sprintf("scale %s · %d procs · %s", scale, procs, perf.HostString())
-		if err := perf.WriteHTML(f, subtitle, htmlCells, trend); err != nil {
-			f.Close()
-			log.Fatal(err)
-		}
-		if err := f.Close(); err != nil {
+		err := perf.WriteFile(o.report, func(w io.Writer) error {
+			return perf.WriteHTML(w, subtitle, htmlCells, trend)
+		})
+		if err != nil {
 			log.Fatal(err)
 		}
 		if !o.quiet {

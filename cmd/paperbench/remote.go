@@ -50,14 +50,9 @@ func runRemote(o remoteOpts) int {
 		fmt.Fprintf(os.Stderr, "sweep %s: %d cell(s), state %s\n", st.ID[:16], st.Jobs, st.State)
 	}
 
-	onEvent := func(ev runner.Event) {
-		if o.quiet {
-			return
-		}
-		switch ev.Kind {
-		case runner.EventRunning, runner.EventCached, runner.EventDone, runner.EventFailed:
-			fmt.Fprintf(os.Stderr, "%-9s %s/%s/%s\n", ev.Kind, ev.App, ev.Scale, ev.Proto)
-		}
+	var onEvent func(runner.Event)
+	if !o.quiet {
+		onEvent = printEvent
 	}
 	if !st.Terminal() {
 		if st, err = c.WaitSweep(ctx, st.ID, onEvent); err != nil {
@@ -114,21 +109,8 @@ func runRemote(o remoteOpts) int {
 			fmt.Fprintf(os.Stderr, "paperbench: fetched report: %v\n", err)
 			return 1
 		}
-		base, err := exp.LoadReport(o.baseline)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "paperbench: %v\n", err)
-			return 1
-		}
-		if viols := exp.Gate(base, rep, o.tol); len(viols) > 0 {
-			for _, v := range viols {
-				fmt.Fprintf(os.Stderr, "gate: %s\n", v)
-			}
-			fmt.Fprintf(os.Stderr, "gate: FAILED against %s: %d violation(s) at tolerance %.3f%%\n",
-				o.baseline, len(viols), o.tol)
+		if !gate(o.baseline, rep, o.tol, o.quiet) {
 			code = 1
-		} else if !o.quiet {
-			fmt.Fprintf(os.Stderr, "gate: ok against %s (%d runs, tolerance %.3f%%)\n",
-				o.baseline, len(base.Runs), o.tol)
 		}
 	}
 	return code

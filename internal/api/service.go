@@ -12,7 +12,6 @@ import (
 
 	"lazyrc/internal/apps"
 	"lazyrc/internal/bus"
-	"lazyrc/internal/config"
 	"lazyrc/internal/exp"
 	"lazyrc/internal/obs"
 	"lazyrc/internal/runner"
@@ -452,13 +451,8 @@ func (s *Service) runSweep(ctx context.Context, sw *sweepState, spec exp.Spec) {
 		e.Get(c[0], c[1], c[2])
 	}
 
-	var firstFail error
+	firstFail := e.VerifyAll()
 	canceled := ctx.Err() != nil
-	for _, r := range e.Runs() {
-		if r.VerifyErr != nil && firstFail == nil {
-			firstFail = fmt.Errorf("%s/%s/%s: %w", r.Config, r.App, r.Proto, r.VerifyErr)
-		}
-	}
 
 	// Render both report forms now, while the evaluator is hot: clients
 	// fetch bytes, never recompute. The stable form drops the runner's
@@ -615,12 +609,10 @@ func materializeJob(req JobRequest) (runner.Job, error) {
 	if procs == 0 {
 		procs = 64
 	}
-	cfg, err := config.Preset(req.Preset, procs)
+	cfg, err := exp.CellConfig(req.Preset, procs, scale, req.Seed)
 	if err != nil {
 		return runner.Job{}, err
 	}
-	cfg.CacheSize = exp.CacheForScale(scale)
-	cfg.Seed = req.Seed
 	if err := cfg.Validate(); err != nil {
 		return runner.Job{}, err
 	}

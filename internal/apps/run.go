@@ -5,72 +5,29 @@ import (
 
 	"lazyrc/internal/config"
 	"lazyrc/internal/machine"
-	"lazyrc/internal/telemetry"
 )
 
-// Run builds a machine with the given configuration and protocol,
-// executes the application on it, and verifies the result. The machine
-// is returned for statistics harvesting even when verification fails.
-func Run(cfg config.Config, protoName string, app App) (*machine.Machine, error) {
+// Run is the one path from a cell to a finished machine: it builds the
+// machine, hands it to each attach function in turn (observers —
+// EnableMetrics, EnableSpans, EnablePerf — and guards such as the
+// invariant auditor or a watchdog, in any order), then runs the
+// application's Setup, Worker and Verify. Every attachment is passive,
+// so the simulated run is identical with and without them. When metrics
+// were attached the registry's "app" meta entry is stamped here, so
+// every tool's export — and digest — carries it the same way.
+//
+// A nil machine means construction failed; otherwise the machine is
+// returned for statistics harvesting even when verification fails.
+func Run(cfg config.Config, protoName string, app App, attach ...func(*machine.Machine)) (*machine.Machine, error) {
 	m, err := machine.New(cfg, protoName)
 	if err != nil {
 		return nil, fmt.Errorf("apps: %w", err)
 	}
+	for _, a := range attach {
+		a(m)
+	}
+	m.Tel.SetMeta("app", app.Name())
 	app.Setup(m)
 	m.Run(app.Worker)
-	if err := app.Verify(); err != nil {
-		return m, err
-	}
-	return m, nil
-}
-
-// RunInstrumented is Run with cycle-domain telemetry enabled at the
-// given sampling interval. Telemetry is passive, so the simulated run is
-// identical to Run's; the registry (also available as m.Tel) additionally
-// carries the interval time series and latency histograms.
-func RunInstrumented(cfg config.Config, protoName string, app App, interval uint64) (*machine.Machine, *telemetry.Registry, error) {
-	m, err := machine.New(cfg, protoName)
-	if err != nil {
-		return nil, nil, fmt.Errorf("apps: %w", err)
-	}
-	reg := m.EnableMetrics(interval)
-	reg.SetMeta("app", app.Name())
-	app.Setup(m)
-	m.Run(app.Worker)
-	if err := app.Verify(); err != nil {
-		return m, reg, err
-	}
-	return m, reg, nil
-}
-
-// RunTraced is RunInstrumented with digest-only causal span tracing on
-// top: the run additionally carries a span-stream fingerprint
-// (m.Causal.Digest()) without retaining the span store, keeping memory
-// bounded for runner sweeps. Both instruments are passive, so the
-// simulated run is still identical to Run's.
-func RunTraced(cfg config.Config, protoName string, app App, interval uint64) (*machine.Machine, *telemetry.Registry, error) {
-	return RunTracedWith(cfg, protoName, app, interval, nil)
-}
-
-// RunTracedWith is RunTraced with a pre-run hook called after the machine
-// is fully instrumented but before the workload starts — the attachment
-// point for guards (invariant auditor, liveness watchdog) that need the
-// built machine. A nil preRun is RunTraced exactly.
-func RunTracedWith(cfg config.Config, protoName string, app App, interval uint64, preRun func(*machine.Machine)) (*machine.Machine, *telemetry.Registry, error) {
-	m, err := machine.New(cfg, protoName)
-	if err != nil {
-		return nil, nil, fmt.Errorf("apps: %w", err)
-	}
-	reg := m.EnableMetrics(interval)
-	reg.SetMeta("app", app.Name())
-	m.EnableSpans(false, 0)
-	if preRun != nil {
-		preRun(m)
-	}
-	app.Setup(m)
-	m.Run(app.Worker)
-	if err := app.Verify(); err != nil {
-		return m, reg, err
-	}
-	return m, reg, nil
+	return m, app.Verify()
 }

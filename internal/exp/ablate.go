@@ -43,8 +43,7 @@ func LazierUnderSoftwareCoherence(ctx context.Context, rn *runner.Runner, scale 
 	var jobs []runner.Job
 	for _, software := range []bool{false, true} {
 		for _, proto := range []string{"lrc", "lrc-ext"} {
-			cfg := config.Default(procs)
-			cfg.CacheSize = CacheForScale(scale)
+			cfg := mustCell("default", procs, scale, 0)
 			cfg.SoftwareCoherence = software
 			jobs = append(jobs, runner.Job{App: appName, Scale: scale, Proto: proto, Cfg: cfg})
 		}
@@ -151,8 +150,7 @@ func Ablations() []Ablation {
 func RunAblation(ctx context.Context, rn *runner.Runner, scale apps.Scale, procs int, ab Ablation) string {
 	jobs := make([]runner.Job, len(ab.Points))
 	for i, v := range ab.Points {
-		cfg := config.Default(procs)
-		cfg.CacheSize = CacheForScale(scale)
+		cfg := mustCell("default", procs, scale, 0)
 		ab.Mut(&cfg, v)
 		jobs[i] = runner.Job{App: ab.App, Scale: scale, Proto: ab.Proto, Cfg: cfg}
 	}

@@ -6,7 +6,6 @@ import (
 	"strings"
 
 	"lazyrc/internal/apps"
-	"lazyrc/internal/config"
 	"lazyrc/internal/runner"
 )
 
@@ -40,13 +39,9 @@ var DefaultChaosPlans = []ChaosPlan{
 //
 // The returned error is non-nil when any cell failed its oracle, so
 // callers (paperbench, CI) can turn a survived soak into an exit code.
-func RunChaos(ctx context.Context, rn *runner.Runner, scale apps.Scale, procs int, seed uint64, appNames, protos []string, plans []ChaosPlan) (string, error) {
-	if len(plans) == 0 {
-		plans = DefaultChaosPlans
-	}
-	base := config.Default(procs)
-	base.CacheSize = CacheForScale(scale)
-	base.Seed = seed
+func RunChaos(ctx context.Context, rn *runner.Runner, scale apps.Scale, procs int, seed uint64, appNames, protos []string) (string, error) {
+	plans := DefaultChaosPlans
+	base := mustCell("default", procs, scale, seed)
 
 	// One reference job plus len(plans) faulted jobs per cell, submitted
 	// in one batch so the pool interleaves them freely; rendering reads
@@ -87,8 +82,8 @@ func RunChaos(ctx context.Context, rn *runner.Runner, scale apps.Scale, procs in
 			i += stride
 			fmt.Fprintf(&b, "  %-12s %-8s", app, proto)
 			for k, fr := range faulted {
-				verdict := chaosVerdict(ref, fr, !apps.TimingDependent(app))
-				if strings.HasPrefix(verdict, "FAIL") {
+				verdict, ok := ChaosVerdict(ref, fr, !apps.TimingDependent(app))
+				if !ok {
 					failures = append(failures, fmt.Sprintf("%s/%s/%s: %s", app, proto, plans[k].Name, verdict))
 				}
 				fmt.Fprintf(&b, " %-24s", verdict)
@@ -107,28 +102,30 @@ func RunChaos(ctx context.Context, rn *runner.Runner, scale apps.Scale, procs in
 	return b.String(), nil
 }
 
-// chaosVerdict applies the end-state equivalence oracle to one faulted
-// run against its fault-free reference. exact additionally demands a
+// ChaosVerdict applies the end-state equivalence oracle to one faulted
+// run against its fault-free reference, returning the rendered verdict
+// and whether the faulted run passed. exact additionally demands a
 // bit-identical final memory image — sound only for workloads whose
-// result is independent of processor interleaving.
-func chaosVerdict(ref, faulted *runner.Result, exact bool) string {
+// result is independent of processor interleaving. lrcsim -oracle
+// applies the same verdict to a single run.
+func ChaosVerdict(ref, faulted *runner.Result, exact bool) (verdict string, ok bool) {
 	switch {
 	case ref.Failed():
-		return "FAIL ref: " + ref.Failure
+		return "FAIL ref: " + ref.Failure, false
 	case ref.VerifyErr != "":
-		return "FAIL ref: " + ref.VerifyErr
+		return "FAIL ref: " + ref.VerifyErr, false
 	case !ref.Completed:
-		return "FAIL ref incomplete"
+		return "FAIL ref incomplete", false
 	case faulted.Failed():
-		return "FAIL " + faulted.Failure
+		return "FAIL " + faulted.Failure, false
 	case faulted.CheckErr != "":
-		return "FAIL check: " + faulted.CheckErr
+		return "FAIL check: " + faulted.CheckErr, false
 	case faulted.VerifyErr != "":
-		return "FAIL verify: " + faulted.VerifyErr
+		return "FAIL verify: " + faulted.VerifyErr, false
 	case !faulted.Completed:
-		return "FAIL incomplete"
+		return "FAIL incomplete", false
 	case exact && faulted.MemDigest != ref.MemDigest:
-		return "FAIL memory diverged"
+		return "FAIL memory diverged", false
 	}
-	return fmt.Sprintf("ok (%d faulted, %d retx)", faulted.FaultsInjected, faulted.Retransmits)
+	return fmt.Sprintf("ok (%d faulted, %d retx)", faulted.FaultsInjected, faulted.Retransmits), true
 }

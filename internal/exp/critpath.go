@@ -21,13 +21,8 @@ import (
 //
 // Runs here retain the full span store, so they execute directly rather
 // than through the runner's digest-only result cache.
-func CriticalPath(scale apps.Scale, procs int, seed uint64, appNames []string) string {
-	if len(appNames) == 0 {
-		appNames = AppOrder
-	}
-	e := NewEvaluator(scale, procs)
-	e.Seed = seed
-	cfg := e.configFor("default")
+func CriticalPath(scale apps.Scale, procs int, seed uint64) string {
+	cfg := mustCell("default", procs, scale, seed)
 
 	var b strings.Builder
 	fmt.Fprintf(&b, "critical-path stall attribution (%s, %d procs; %% of each run's stall cycles)\n", scale, procs)
@@ -37,21 +32,15 @@ func CriticalPath(scale apps.Scale, procs int, seed uint64, appNames []string) s
 		fmt.Fprintf(tw, "%s\t", c)
 	}
 	fmt.Fprintln(tw)
-	for _, appName := range appNames {
+	for _, appName := range AppOrder {
 		for _, proto := range protoOrder {
 			app, err := apps.New(appName, scale)
 			if err != nil {
 				panic(fmt.Sprintf("critical-path: %v", err))
 			}
-			m, err := machine.New(cfg, proto)
+			m, err := apps.Run(cfg, proto, app, func(m *machine.Machine) { m.EnableSpans(true, 0) })
 			if err != nil {
-				panic(fmt.Sprintf("critical-path: %v", err))
-			}
-			m.EnableSpans(true, 0)
-			app.Setup(m)
-			m.Run(app.Worker)
-			if err := app.Verify(); err != nil {
-				panic(fmt.Sprintf("critical-path: %s/%s failed verification: %v", appName, proto, err))
+				panic(fmt.Sprintf("critical-path: %s/%s: %v", appName, proto, err))
 			}
 			a := causal.Analyze(m.Causal)
 			total := a.Total()

@@ -42,10 +42,6 @@ type Run struct {
 type Evaluator struct {
 	Scale apps.Scale
 	Procs int
-	// Progress, when non-nil, receives a line per fresh run. It is
-	// forwarded to the runner the evaluator creates; when the evaluator
-	// is built with NewEvaluatorWith, set Progress on the runner instead.
-	Progress func(string)
 	// Seed is stamped into every run's configuration so seed-dependent
 	// subsystems (fault injection) replay identically across evaluations.
 	Seed uint64
@@ -78,7 +74,6 @@ func NewEvaluatorWith(scale apps.Scale, procs int, r *runner.Runner) *Evaluator 
 func (e *Evaluator) engine() *runner.Runner {
 	if e.R == nil {
 		e.R = runner.New(1, nil)
-		e.R.Progress = e.Progress
 	}
 	return e.R
 }
@@ -91,19 +86,32 @@ func (e *Evaluator) ctx() context.Context {
 	return context.Background()
 }
 
-// configFor materializes a named machine configuration. The cache size
-// scales with the input scale, following the paper's own methodology
-// (§3): inputs were shrunk to keep simulation tractable and caches were
-// shrunk with them "in order to capture the effect of capacity and
-// conflict misses" — with full-size caches the data fits and the eviction
-// column of Table 2 (62.9% for barnes-hut!) vanishes.
-func (e *Evaluator) configFor(name string) config.Config {
-	c, err := config.Preset(name, e.Procs)
+// CellConfig derives the machine configuration of one evaluation cell
+// from (preset, procs, scale, seed) — the single derivation every tool
+// (paperbench, lrcsimd, lrcsim, the ablation/chaos/scaling extensions)
+// goes through, so the same cell is the same machine everywhere. The
+// cache size scales with the input scale, following the paper's own
+// methodology (§3): inputs were shrunk to keep simulation tractable and
+// caches were shrunk with them "in order to capture the effect of
+// capacity and conflict misses" — with full-size caches the data fits
+// and the eviction column of Table 2 (62.9% for barnes-hut!) vanishes.
+func CellConfig(preset string, procs int, scale apps.Scale, seed uint64) (config.Config, error) {
+	c, err := config.Preset(preset, procs)
+	if err != nil {
+		return config.Config{}, err
+	}
+	c.CacheSize = CacheForScale(scale)
+	c.Seed = seed
+	return c, nil
+}
+
+// mustCell is CellConfig for preset names fixed in this package's own
+// tables, where an unknown preset is a bug.
+func mustCell(preset string, procs int, scale apps.Scale, seed uint64) config.Config {
+	c, err := CellConfig(preset, procs, scale, seed)
 	if err != nil {
 		panic(fmt.Sprintf("exp: %v", err))
 	}
-	c.CacheSize = CacheForScale(e.Scale)
-	c.Seed = e.Seed
 	return c
 }
 
@@ -124,7 +132,7 @@ func CacheForScale(s apps.Scale) int {
 
 // Job materializes the runner job for one experiment cell.
 func (e *Evaluator) Job(cfgName, appName, proto string) runner.Job {
-	return runner.Job{App: appName, Scale: e.Scale, Proto: proto, Cfg: e.configFor(cfgName)}
+	return runner.Job{App: appName, Scale: e.Scale, Proto: proto, Cfg: mustCell(cfgName, e.Procs, e.Scale, e.Seed)}
 }
 
 // Get runs (or recalls) one experiment cell. The runner deduplicates by

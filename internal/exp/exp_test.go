@@ -9,6 +9,7 @@ import (
 	"lazyrc/internal/apps"
 	"lazyrc/internal/config"
 	"lazyrc/internal/runner"
+	"lazyrc/internal/store"
 )
 
 func tinyEvaluator() *Evaluator { return NewEvaluator(apps.Tiny, 8) }
@@ -159,11 +160,11 @@ func TestFutureFiguresAndReport(t *testing.T) {
 	if !strings.Contains(outT, "mp3d") || !strings.Contains(outO, "mp3d") {
 		t.Fatal("future renders incomplete")
 	}
+	rep := e.Report()
 	var buf strings.Builder
-	if err := e.WriteJSON(&buf); err != nil {
+	if err := WriteReportJSON(&buf, rep); err != nil {
 		t.Fatal(err)
 	}
-	rep := e.Report()
 	if rep.Procs != 4 || len(rep.Runs) == 0 {
 		t.Fatalf("report = %+v", rep)
 	}
@@ -311,10 +312,10 @@ func TestEvaluatorSharedStore(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs simulations")
 	}
-	path := t.TempDir() + "/results.jsonl"
+	dir := t.TempDir()
 	cells := TargetCells([]string{"table3"})
 
-	cold, err := runner.OpenStore(path)
+	cold, err := store.Open(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -325,10 +326,15 @@ func TestEvaluatorSharedStore(t *testing.T) {
 		t.Fatalf("cold run meta: %+v", m)
 	}
 
-	warm, err := runner.OpenStore(path)
+	if err := cold.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	warm, err := store.Open(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer warm.Close()
 	e2 := NewEvaluatorWith(apps.Tiny, 4, runner.New(4, warm))
 	e2.Prefetch(cells)
 	rep2 := reportBytes(t, e2)

@@ -7,6 +7,7 @@ import (
 	"sort"
 	"strings"
 
+	"lazyrc/internal/config"
 	"lazyrc/internal/telemetry"
 )
 
@@ -19,7 +20,7 @@ import (
 
 // protoOrder fixes both the column order and the categorical palette
 // slot of each protocol — color follows the protocol, never its rank.
-var protoOrder = []string{"sc", "erc", "lrc", "lrc-ext", "tardis", "tardis2"}
+var protoOrder = config.ProtocolNames()
 
 func protoSlot(proto string) int {
 	for i, p := range protoOrder {

@@ -111,11 +111,6 @@ func (e *Evaluator) Report() Report {
 	return rep
 }
 
-// WriteJSON writes the report as indented JSON.
-func (e *Evaluator) WriteJSON(w io.Writer) error {
-	return WriteReportJSON(w, e.Report())
-}
-
 // WriteReportJSON writes any report as indented JSON — the one encoding
 // used for -json output and committed baselines, so the two are
 // byte-comparable.

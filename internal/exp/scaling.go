@@ -6,7 +6,6 @@ import (
 	"strings"
 
 	"lazyrc/internal/apps"
-	"lazyrc/internal/config"
 	"lazyrc/internal/runner"
 )
 
@@ -21,8 +20,7 @@ import (
 func RunScaling(ctx context.Context, rn *runner.Runner, scale apps.Scale, appName string, counts []int) string {
 	jobs := make([]runner.Job, 0, 2*len(counts))
 	for _, np := range counts {
-		cfg := config.Default(np)
-		cfg.CacheSize = CacheForScale(scale)
+		cfg := mustCell("default", np, scale, 0)
 		jobs = append(jobs,
 			runner.Job{App: appName, Scale: scale, Proto: "erc", Cfg: cfg},
 			runner.Job{App: appName, Scale: scale, Proto: "lrc", Cfg: cfg})

@@ -63,6 +63,10 @@ func RunSweep(ctx context.Context, rn *runner.Runner, scale apps.Scale, procs in
 	// Plan the batch: two protocols per (app, point) cell, app-major, so
 	// cell (ai, pi) lands at results[(ai*len(Points)+pi)*2] (eager) and
 	// the slot after it (lazy).
+	//
+	// The sweeps deliberately keep the paper's full-size 128 KB cache at
+	// every input scale instead of the co-scaled CellConfig: the
+	// EXPERIMENTS.md §4.3 verdicts were measured that way.
 	var jobs []runner.Job
 	for _, appName := range SweepApps {
 		for _, v := range sw.Points {
@@ -105,7 +109,8 @@ func RunSweep(ctx context.Context, rn *runner.Runner, scale apps.Scale, procs in
 // within 6.7%. It runs its two specially constructed app instances
 // directly rather than through the runner: the StaleReads mutation is
 // not part of a Job spec, and caching a mutated run under the plain
-// mp3d fingerprint would poison the cache.
+// mp3d fingerprint would poison the cache. Like the sweeps it keeps the
+// full-size cache its EXPERIMENTS.md verdict was measured with.
 func Mp3dQuality(scale apps.Scale, procs int) string {
 	cfg := config.Default(procs)
 

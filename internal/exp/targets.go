@@ -66,11 +66,3 @@ func TargetCellsFor(targets, appNames []string) [][3]string {
 	}
 	return cells
 }
-
-// MatrixTargets returns the matrix-backed target names in planning order
-// (the submittable universe for sweep specs, excluding "all").
-func MatrixTargets() []string {
-	out := make([]string, len(matrixTargets))
-	copy(out, matrixTargets)
-	return out
-}

@@ -9,12 +9,13 @@ import (
 )
 
 // EnableMetrics attaches a telemetry registry to the machine, sampling
-// every interval simulated cycles. It must be called before Run. The
-// sampling tick is a background engine event — it never keeps the
-// simulation alive and never alters the timing of regular events, so
-// enabling metrics leaves every simulated cycle untouched and the
-// resulting series is a pure function of the run (byte-identical across
-// reruns, worker counts, and machines at a fixed seed).
+// every interval simulated cycles. It must be called before Run, in any
+// order relative to EnableSpans and EnablePerf. The sampling tick is a
+// background engine event — it never keeps the simulation alive and
+// never alters the timing of regular events, so enabling metrics leaves
+// every simulated cycle untouched and the resulting series is a pure
+// function of the run (byte-identical across reruns, worker counts, and
+// machines at a fixed seed).
 //
 // Sources wired here:
 //
@@ -150,8 +151,8 @@ func (m *Machine) EnableMetrics(interval uint64) *telemetry.Registry {
 	// Self-rescheduling background tick: background events never keep the
 	// simulation alive, so the tick dies with the last regular event and
 	// Run takes the closing sample. Sampling wall time is charged to the
-	// telemetry perf phase (m.Perf reads the profiler set by a later
-	// EnablePerf; nil stays a no-op).
+	// telemetry perf phase (m.Perf is read when the tick fires, so
+	// EnablePerf may come before or after; nil stays a no-op).
 	var tick func()
 	tick = func() {
 		prev := m.Perf.Enter(perf.PhaseTelemetry)

@@ -104,7 +104,12 @@ func TestMetricsHistogramsPopulated(t *testing.T) {
 	}
 	// lrc uses the coalescing buffer; every drained entry must have been
 	// observed for residency.
-	cb := m.Tel.HistogramByName("cb.residency")
+	var cb *telemetry.Histogram
+	m.Tel.VisitHistograms(func(h *telemetry.Histogram) {
+		if h.Name() == "cb.residency" {
+			cb = h
+		}
+	})
 	if cb.Count() == 0 {
 		t.Fatal("cb.residency empty after an lrc run")
 	}

@@ -5,12 +5,12 @@ import (
 )
 
 // EnablePerf attaches a wall-clock phase profiler to the machine. It
-// must be called before Run (and after EnableSpans if causal span
-// bookkeeping should be attributed to its own phase). Profiling is
-// strictly passive: every hook reads the host's monotonic clock and
-// touches no simulated state, so an instrumented run is bit-identical —
-// cycles, digests, stats — to an uninstrumented one (pinned by
-// TestPerfIsPassive).
+// must be called before Run, in any order relative to EnableMetrics and
+// EnableSpans: whichever comes later wires itself to the ones already
+// attached. Profiling is strictly passive: every hook reads the host's
+// monotonic clock and touches no simulated state, so an instrumented run
+// is bit-identical — cycles, digests, stats — to an uninstrumented one
+// (pinned by TestPerfIsPassive).
 //
 // Wired here:
 //
@@ -23,7 +23,8 @@ import (
 //     phase, cache-fill/commit paths to the memory/bus phase, and
 //     home-side directory service occupancy to the directory phase;
 //   - every node's directory table (entry lookups);
-//   - the causal tracer's span bookkeeping, when one is attached.
+//   - the causal tracer's span bookkeeping (EnableSpans does the same
+//     from its side when it runs second).
 //
 // Machine.Run brackets the whole execution with Begin/End; the fixed
 // profile is available from m.Perf.Snapshot() afterwards.

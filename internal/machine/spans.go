@@ -6,7 +6,8 @@ import (
 )
 
 // EnableSpans attaches a causal span tracer to the machine. It must be
-// called before Run. Like telemetry, tracing is strictly passive: the
+// called before Run, in any order relative to EnableMetrics and
+// EnablePerf. Like telemetry, tracing is strictly passive: the
 // tracer only reads cycle stamps the timing model already computed, so
 // enabling it leaves every simulated cycle, message, and stat
 // bit-identical to an untraced run (pinned by TestSpansArePassive).
@@ -37,6 +38,7 @@ func (m *Machine) EnableSpans(retain bool, limit int) *causal.Tracer {
 	m.Eng.SetTaskTracer(tr)
 	m.Net.SetCausal(tr)
 	m.Env.Causal = tr
+	tr.SetProfiler(m.Perf)
 	return tr
 }
 

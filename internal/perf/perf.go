@@ -62,9 +62,6 @@ func (p Phase) String() string {
 	return fmt.Sprintf("phase(%d)", uint8(p))
 }
 
-// PhaseNames returns the taxonomy in enum order.
-func PhaseNames() []string { return append([]string(nil), phaseNames[:]...) }
-
 // Profiler accumulates monotonic wall-clock time per phase. All methods
 // are safe on a nil receiver (free no-ops), so instrumented subsystems
 // call them unconditionally. A Profiler is single-threaded, like the
@@ -197,9 +194,6 @@ type Snapshot struct {
 	GCPauseNS  uint64 `json:"gc_pause_ns"`
 	GCCycles   uint64 `json:"gc_cycles"`
 }
-
-// Zero reports whether the snapshot carries no measurement.
-func (s Snapshot) Zero() bool { return s.WallNS == 0 && s.Cycles == 0 && s.Events == 0 }
 
 // Add folds another run's profile into s (used by the runner's Meta to
 // aggregate over a sweep's fresh executions). Throughput is recomputed

@@ -16,7 +16,7 @@ type EventKind string
 //	queued ──┬─(identical job already done or in flight)──► dedup
 //	         ├─(result found in the store)────────────────► cached
 //	         └─(worker slot acquired)─────────────────────► running
-//	running ──(heartbeat every HeartbeatEvery cycles)─────► running
+//	running ──(heartbeat, every DefaultHeartbeatEvery)────► running
 //	running ──┬────────────────────────────────────────────► done
 //	          ├─(panic / construction error)───────────────► failed
 //	          └─(submission context canceled)──────────────► canceled
@@ -58,7 +58,9 @@ type Event struct {
 	// execution time on done/failed. Provenance — it differs per host
 	// and run, so nothing deterministic may consume it.
 	WallNS int64 `json:"wall_ns,omitempty"`
-	// Err carries the failure text on failed and canceled events.
+	// Err carries the failure text on failed and canceled events, and a
+	// store-write complaint on a done event whose result could not be
+	// persisted.
 	Err string `json:"err,omitempty"`
 }
 

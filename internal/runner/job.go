@@ -1,7 +1,7 @@
 // Package runner is the experiment execution engine: it turns the
 // evaluation's (application × protocol × configuration) matrix into
 // fingerprinted jobs, executes them on a bounded worker pool with per-job
-// panic capture, reuses results through a content-addressed JSONL store,
+// panic capture, reuses results through a content-addressed ResultStore,
 // and gates fresh reports against a committed baseline.
 //
 // Every job is a pure function of its spec — the simulator is
@@ -16,7 +16,6 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
-	"fmt"
 
 	"lazyrc/internal/apps"
 	"lazyrc/internal/config"
@@ -67,9 +66,4 @@ func (j Job) Fingerprint() string {
 	h.Write([]byte{0})
 	h.Write(cfg)
 	return hex.EncodeToString(h.Sum(nil))
-}
-
-// String labels the job for progress lines.
-func (j Job) String() string {
-	return fmt.Sprintf("%s/%s (%s, %d procs)", j.App, j.Proto, j.Scale, j.Cfg.Procs)
 }

@@ -2,7 +2,7 @@ package runner
 
 import (
 	"context"
-	"fmt"
+	"maps"
 	"sync"
 	"time"
 
@@ -10,8 +10,9 @@ import (
 )
 
 // ResultStore is the persistence contract the runner reuses results
-// through: the flat JSONL Store in this package and the segment store in
-// internal/store both satisfy it. Implementations must be safe for
+// through. The segment store in internal/store is the one
+// implementation; the interface exists so this package need not import
+// it and tests can substitute a fake. Implementations must be safe for
 // concurrent use.
 type ResultStore interface {
 	// Get returns the stored result for a fingerprint. The returned
@@ -31,24 +32,15 @@ type ResultStore interface {
 // when requested concurrently) and reusing results from an optional
 // content-addressed store.
 type Runner struct {
-	// Progress, when non-nil, receives one line per job event (cache
-	// hit, simulation start, failure). Calls may come from concurrent
-	// workers; each call carries one complete line.
-	Progress func(string)
-
 	// Emit, when non-nil, receives every job lifecycle event (see
 	// EventKind for the state machine). Set before the first Do; calls
 	// may come from concurrent workers. The lrcsimd daemon points this
-	// at its pub-sub bus.
-	Emit func(Event)
-
-	// HeartbeatEvery is the simulated-cycle cadence of progress
-	// heartbeats from running jobs, delivered as EventHeartbeat through
-	// Emit. Zero selects DefaultHeartbeatEvery. Heartbeats (and the
+	// at its pub-sub bus; paperbench prints its progress lines from it.
+	// Running jobs additionally report an EventHeartbeat every
+	// DefaultHeartbeatEvery simulated cycles; heartbeats (and the
 	// cancellation poll that shares their timer) are background engine
-	// events and do not perturb the simulation: results are bit-identical
-	// with and without them.
-	HeartbeatEvery uint64
+	// events, so results are bit-identical with and without them.
+	Emit func(Event)
 
 	workers int
 	store   ResultStore
@@ -69,8 +61,8 @@ type Runner struct {
 // (how the results were obtained, not what they are) and are the only
 // fields that may differ between a -j 1 and a -j 8 run. Canceled counts
 // submissions abandoned by context cancellation — inherently volatile
-// (it depends on when the cancel landed) and therefore, like the wall
-// clock, excluded from Stable.
+// (it depends on when the cancel landed). Reports compared byte for byte
+// drop the whole record (exp.Report.Stable).
 type Meta struct {
 	Workers        int   `json:"workers"`
 	WallMS         int64 `json:"wall_ms"`
@@ -83,18 +75,8 @@ type Meta struct {
 
 	// Perf aggregates the wall-clock phase profiles of every fresh
 	// execution (cache hits contribute nothing — they did no simulated
-	// work). Volatile provenance like WallMS, so zeroed in Stable.
+	// work). Volatile provenance like WallMS.
 	Perf *perf.Snapshot `json:"perf,omitempty"`
-}
-
-// Stable returns a copy with the volatile fields zeroed — the form used
-// when byte-comparing reports across worker counts or machines.
-func (m Meta) Stable() Meta {
-	m.Workers = 0
-	m.WallMS = 0
-	m.Canceled = 0
-	m.Perf = nil
-	return m
 }
 
 // New returns a runner with the given concurrency (minimum 1) and an
@@ -114,9 +96,6 @@ func New(workers int, store ResultStore) *Runner {
 		inflight: make(map[string]chan struct{}),
 	}
 }
-
-// Workers reports the pool size.
-func (r *Runner) Workers() int { return r.workers }
 
 // PoolStats is a point-in-time view of the pool's wall-clock occupancy
 // — observability provenance, never part of a result. Queued counts
@@ -209,7 +188,6 @@ func (r *Runner) lead(ctx context.Context, fp string, job Job) *Result {
 		lookStart := time.Now()
 		if cached, ok := r.store.Get(fp); ok {
 			cached.Cached = true
-			r.note(fmt.Sprintf("cached  %s", job))
 			r.emit(EventCached, fp, job, cached.ExecCycles, time.Since(lookStart).Nanoseconds(), "")
 			r.account(func(m *Meta) { m.CacheHits++ })
 			return cached
@@ -224,12 +202,10 @@ func (r *Runner) lead(ctx context.Context, fp string, job Job) *Result {
 		r.account(func(m *Meta) { m.Canceled++ })
 		return res
 	}
-	r.note(fmt.Sprintf("running %s", job))
 	r.emit(EventRunning, fp, job, 0, 0, "")
 	hk := hooks{
-		ctx:   ctx,
-		every: r.HeartbeatEvery,
-		beat:  func(cycle uint64) { r.emit(EventHeartbeat, fp, job, cycle, 0, "") },
+		ctx:  ctx,
+		beat: func(cycle uint64) { r.emit(EventHeartbeat, fp, job, cycle, 0, "") },
 	}
 	if r.Emit == nil {
 		hk.beat = nil
@@ -241,17 +217,18 @@ func (r *Runner) lead(ctx context.Context, fp string, job Job) *Result {
 	r.account(func(m *Meta) { m.Simulated++ })
 	switch {
 	case res.Canceled:
-		r.note(fmt.Sprintf("canceled %s", job))
 		r.emit(EventCanceled, fp, job, 0, execNS, res.Failure)
 		r.account(func(m *Meta) { m.Canceled++ })
 	case res.Failed():
-		r.note(fmt.Sprintf("FAILED  %s: %s", job, res.Failure))
 		r.emit(EventFailed, fp, job, 0, execNS, res.Failure)
 		r.account(func(m *Meta) { m.FailedJobs++ })
 	default:
+		storeErr := ""
 		if r.store != nil {
+			// A failed write only costs a future cache hit: the result
+			// stands and the done event carries the complaint.
 			if err := r.store.Put(res); err != nil {
-				r.note(fmt.Sprintf("cache write failed: %v", err))
+				storeErr = "cache write failed: " + err.Error()
 			}
 		}
 		if res.Perf != nil {
@@ -263,7 +240,7 @@ func (r *Runner) lead(ctx context.Context, fp string, job Job) *Result {
 				m.Perf.Add(snap)
 			})
 		}
-		r.emit(EventDone, fp, job, res.ExecCycles, execNS, "")
+		r.emit(EventDone, fp, job, res.ExecCycles, execNS, storeErr)
 	}
 	return res
 }
@@ -287,11 +264,18 @@ func (r *Runner) DoAll(ctx context.Context, jobs []Job) []*Result {
 	return out
 }
 
-// Meta snapshots the execution record.
+// Meta snapshots the execution record. The snapshot is private to the
+// caller: Perf is a deep copy, so it neither aliases an earlier snapshot
+// nor races with a job finishing afterwards.
 func (r *Runner) Meta() Meta {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	m := r.meta
+	if m.Perf != nil {
+		cp := *m.Perf
+		cp.Phases = maps.Clone(cp.Phases)
+		m.Perf = &cp
+	}
 	m.Workers = r.workers
 	m.WallMS = time.Since(r.start).Milliseconds()
 	if r.store != nil {
@@ -304,16 +288,4 @@ func (r *Runner) account(f func(*Meta)) {
 	r.mu.Lock()
 	f(&r.meta)
 	r.mu.Unlock()
-}
-
-func (r *Runner) note(line string) {
-	if r.Progress == nil {
-		return
-	}
-	r.mu.Lock()
-	p := r.Progress
-	r.mu.Unlock()
-	if p != nil {
-		p(line)
-	}
 }

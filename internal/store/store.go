@@ -1,22 +1,25 @@
-// Package store is the daemon's persistent result database: an indexed,
-// append-only segment store keyed by job fingerprint, replacing the flat
-// JSONL cache file for long-running service use.
+// Package store is the persistent result database behind lrcsimd -store
+// and paperbench -cache: an indexed, append-only segment store keyed by
+// job fingerprint, and the one implementation of runner.ResultStore.
 //
 // Layout: a directory of numbered segment files (000001.seg, ...), each
-// a sequence of JSON lines in the same encoding as the runner's flat
-// cache — one runner.Result per line. Writes append to the newest
+// a sequence of JSON lines — one runner.Result per line — plus a LOCK
+// file. Writes go to offsets this process tracks in memory, so a
+// directory admits one open handle at a time: Open takes an exclusive
+// advisory lock on LOCK (released by Close, or by the kernel if the
+// process dies) and a second opener is refused instead of silently
+// overwriting the first one's lines. Writes append to the newest
 // segment and roll to a fresh one past a size threshold, so no file
 // grows without bound. An in-memory index maps fingerprint → (segment,
 // offset, length); reads are a single pread, and the store never holds
 // result payloads in memory.
 //
-// Recovery follows the runner cache's corrupt-line discipline: a line
-// that fails to parse — a torn write, a manual edit, a truncated tail —
-// is skipped and counted, never fatal. A torn tail on the newest segment
-// is additionally sealed with a newline so later appends cannot fuse
-// with the wreckage. When the same fingerprint appears more than once
-// (a re-put, or a crash between append and compaction), the latest line
-// wins.
+// Recovery is self-healing: a line that fails to parse — a torn write,
+// a manual edit, a truncated tail — is skipped and counted, never fatal.
+// A torn tail on the newest segment is additionally sealed with a
+// newline so later appends cannot fuse with the wreckage. When the same
+// fingerprint appears more than once (a re-put, or a crash between
+// append and compaction), the latest line wins.
 //
 // Compaction rewrites every live entry into one fresh segment and
 // deletes the rest. It is crash-safe by ordering: the compacted segment
@@ -27,12 +30,14 @@
 package store
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
 	"sort"
 	"sync"
+	"syscall"
 
 	"lazyrc/internal/runner"
 )
@@ -41,8 +46,11 @@ import (
 const DefaultSegmentBytes = 8 << 20
 
 // tmpName is the in-progress compaction file, ignored (and removed) on
-// open.
-const tmpName = "compact.tmp"
+// open; lockName is the file carrying the single-writer lock.
+const (
+	tmpName  = "compact.tmp"
+	lockName = "LOCK"
+)
 
 // loc addresses one result line inside a segment.
 type loc struct {
@@ -51,13 +59,12 @@ type loc struct {
 	n   int
 }
 
-// Store is the segment store. Safe for concurrent use within one
-// process; the on-disk format assumes a single writing process (the
-// daemon), unlike the flat JSONL cache which tolerates concurrent
-// appenders.
+// Store is the segment store. One handle is safe for concurrent use
+// within its process; the directory lock keeps every other handle out.
 type Store struct {
 	dir    string
 	maxSeg int64
+	lock   *os.File
 
 	mu          sync.Mutex
 	idx         map[string]loc
@@ -75,36 +82,36 @@ type Store struct {
 	closed      bool
 }
 
-// Option configures Open.
-type Option func(*Store)
+// Open loads (or creates) the store rooted at dir and locks it; it fails
+// if another handle — in this or any other process — holds the directory.
+func Open(dir string) (*Store, error) { return open(dir, DefaultSegmentBytes) }
 
-// WithSegmentBytes sets the active-segment roll-over threshold.
-func WithSegmentBytes(n int64) Option {
-	return func(s *Store) {
-		if n > 0 {
-			s.maxSeg = n
-		}
-	}
-}
-
-// Open loads (or creates) the store rooted at dir.
-func Open(dir string, opts ...Option) (*Store, error) {
+// open is Open with the active-segment roll-over threshold exposed (the
+// tests rotate at a few hundred bytes).
+func open(dir string, maxSeg int64) (*Store, error) {
 	s := &Store{
 		dir:    dir,
-		maxSeg: DefaultSegmentBytes,
+		maxSeg: maxSeg,
 		idx:    make(map[string]loc),
 		segs:   make(map[int]*os.File),
-	}
-	for _, o := range opts {
-		o(s)
 	}
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("store: creating %s: %w", dir, err)
 	}
+	lock, err := os.OpenFile(filepath.Join(dir, lockName), os.O_RDWR|os.O_CREATE, 0o644)
+	if err != nil {
+		return nil, fmt.Errorf("store: opening lock file: %w", err)
+	}
+	if err := syscall.Flock(int(lock.Fd()), syscall.LOCK_EX|syscall.LOCK_NB); err != nil {
+		lock.Close()
+		return nil, fmt.Errorf("store: %s is already open in another process or handle (single writer): %w", dir, err)
+	}
+	s.lock = lock
 	os.Remove(filepath.Join(dir, tmpName)) // abandoned compaction, if any
 
 	ids, err := segmentIDs(dir)
 	if err != nil {
+		s.closeAll()
 		return nil, err
 	}
 	if len(ids) == 0 {
@@ -189,16 +196,11 @@ func (s *Store) scanSegment(f *os.File, id int) (size int64, torn bool, err erro
 	}
 	off := int64(0)
 	for off < int64(len(data)) {
-		nl := int64(-1)
-		for i := off; i < int64(len(data)); i++ {
-			if data[i] == '\n' {
-				nl = i
-				break
-			}
-		}
-		if nl < 0 {
+		i := bytes.IndexByte(data[off:], '\n')
+		if i < 0 {
 			return off, true, nil // torn tail: bytes past off are incomplete
 		}
+		nl := off + int64(i)
 		line := data[off:nl]
 		if len(line) > 0 {
 			var r runner.Result
@@ -403,8 +405,8 @@ type Stats struct {
 	// compaction would reclaim (superseded lines, skipped garbage).
 	LiveBytes  int64 `json:"live_bytes"`
 	TotalBytes int64 `json:"total_bytes"`
-	// DroppedLines counts corrupt lines skipped while loading — the
-	// recovery counter the flat cache kept privately, surfaced.
+	// DroppedLines counts corrupt lines skipped while loading (what
+	// Recovered reports to the runner).
 	DroppedLines int `json:"dropped_lines"`
 	// Compactions counts Compact calls on this handle.
 	Compactions int `json:"compactions"`
@@ -451,8 +453,8 @@ func (s *Store) statsLocked() Stats {
 	}
 }
 
-// Close releases every segment handle, reporting any earlier write
-// error.
+// Close releases every segment handle and the directory lock, reporting
+// any earlier write error.
 func (s *Store) Close() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -467,6 +469,8 @@ func (s *Store) Close() error {
 	return err
 }
 
+// closeAll closes the segments and then the lock file, which drops the
+// lock.
 func (s *Store) closeAll() error {
 	var first error
 	for id, f := range s.segs {
@@ -474,6 +478,9 @@ func (s *Store) closeAll() error {
 			first = err
 		}
 		delete(s.segs, id)
+	}
+	if err := s.lock.Close(); err != nil && first == nil {
+		first = err
 	}
 	return first
 }

@@ -59,6 +59,38 @@ func TestRoundTripAcrossReopen(t *testing.T) {
 	}
 }
 
+// TestDirectoryIsSingleWriter pins the lock: a second Open of a held
+// directory is refused (it would otherwise overwrite the first handle's
+// lines at stale offsets), a failed Open leaves the holder working, and
+// the directory opens again once the holder closes.
+func TestDirectoryIsSingleWriter(t *testing.T) {
+	dir := t.TempDir()
+	s, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s2, err := Open(dir); err == nil {
+		s2.Close()
+		t.Fatal("second Open of a held directory succeeded")
+	} else if !strings.Contains(err.Error(), "already open") {
+		t.Fatalf("second Open failed with an unclear error: %v", err)
+	}
+	if err := s.Put(fakeResult("fp-1", 7)); err != nil {
+		t.Fatalf("holder broken by the refused Open: %v", err)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	s3, err := Open(dir)
+	if err != nil {
+		t.Fatalf("Open after Close: %v", err)
+	}
+	defer s3.Close()
+	if _, ok := s3.Get("fp-1"); !ok {
+		t.Fatal("entry lost across the lock hand-over")
+	}
+}
+
 func TestRefusesFailedResults(t *testing.T) {
 	s, err := Open(t.TempDir())
 	if err != nil {
@@ -102,7 +134,7 @@ func TestLatestPutWins(t *testing.T) {
 
 func TestSegmentRotation(t *testing.T) {
 	dir := t.TempDir()
-	s, err := Open(dir, WithSegmentBytes(256))
+	s, err := open(dir, 256)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,7 +153,7 @@ func TestSegmentRotation(t *testing.T) {
 		}
 	}
 	s.Close()
-	s2, err := Open(dir, WithSegmentBytes(256))
+	s2, err := open(dir, 256)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,7 +170,7 @@ func TestSegmentRotation(t *testing.T) {
 // round-trips the survivors into a single clean segment.
 func TestGarbageRecoveryAndCompaction(t *testing.T) {
 	dir := t.TempDir()
-	s, err := Open(dir, WithSegmentBytes(512))
+	s, err := open(dir, 512)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -171,7 +203,7 @@ func TestGarbageRecoveryAndCompaction(t *testing.T) {
 	f.WriteString("{\"fp\":\"torn-entry\"") // torn tail, no newline
 	f.Close()
 
-	s2, err := Open(dir, WithSegmentBytes(512))
+	s2, err := open(dir, 512)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,13 +2,11 @@ package telemetry
 
 import (
 	"bufio"
-	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
 	"io"
-	"os"
 )
 
 // SchemaVersion identifies the JSONL export format. Bump it whenever the
@@ -123,190 +121,143 @@ func (r *Registry) Digest() string {
 	}
 	h := sha256.New()
 	// Export to a hash never fails: every value is a plain scalar.
-	var buf bytes.Buffer
-	if err := r.Export(&buf); err != nil {
+	if err := r.Export(h); err != nil {
 		panic("telemetry: digest export failed: " + err.Error())
 	}
-	h.Write(buf.Bytes())
 	return hex.EncodeToString(h.Sum(nil))
 }
 
-// Validate reads a JSONL export and checks it against the schema: the
-// header must carry the current SchemaVersion and accurate counts, the
-// times line must be present with one timestamp per sample in strictly
-// increasing order, every series must carry exactly one point per
-// sample, and every histogram's bucket counts must sum to its count.
-// It returns the parsed header on success.
+// Validate reads a JSONL export and checks it against the schema: on top
+// of everything Load rejects, the header must carry accurate counts, the
+// tick timestamps must be strictly increasing with one per sample, every
+// series must carry exactly one point per sample, and every histogram's
+// bucket counts must sum to its count. It returns the parsed header
+// (also alongside an error, once the header itself parsed).
 func Validate(rd io.Reader) (Header, error) {
-	sc := bufio.NewScanner(rd)
-	sc.Buffer(make([]byte, 0, 1<<20), 64<<20)
-	if !sc.Scan() {
-		return Header{}, fmt.Errorf("telemetry: empty export")
+	reg, hdr, err := load(rd)
+	if err != nil {
+		return hdr, err
 	}
-	var hdr Header
-	if err := json.Unmarshal(sc.Bytes(), &hdr); err != nil {
-		return Header{}, fmt.Errorf("telemetry: parsing header: %w", err)
+	if len(reg.times) != hdr.Samples {
+		return hdr, fmt.Errorf("telemetry: %d timestamps, header says %d samples", len(reg.times), hdr.Samples)
 	}
-	if hdr.Schema != SchemaVersion {
-		return hdr, fmt.Errorf("telemetry: schema %q, want %q", hdr.Schema, SchemaVersion)
-	}
-	var (
-		nSeries, nHists int
-		sawTimes        bool
-	)
-	lineNo := 1
-	for sc.Scan() {
-		lineNo++
-		var probe struct {
-			Kind string `json:"kind"`
-		}
-		if err := json.Unmarshal(sc.Bytes(), &probe); err != nil {
-			return hdr, fmt.Errorf("telemetry: line %d: %w", lineNo, err)
-		}
-		switch probe.Kind {
-		case "times":
-			if sawTimes {
-				return hdr, fmt.Errorf("telemetry: line %d: duplicate times line", lineNo)
-			}
-			sawTimes = true
-			var tl timesLine
-			if err := json.Unmarshal(sc.Bytes(), &tl); err != nil {
-				return hdr, fmt.Errorf("telemetry: line %d: %w", lineNo, err)
-			}
-			if len(tl.Cycles) != hdr.Samples {
-				return hdr, fmt.Errorf("telemetry: line %d: %d timestamps, header says %d samples",
-					lineNo, len(tl.Cycles), hdr.Samples)
-			}
-			for i := 1; i < len(tl.Cycles); i++ {
-				if tl.Cycles[i] <= tl.Cycles[i-1] {
-					return hdr, fmt.Errorf("telemetry: line %d: timestamps not strictly increasing at index %d", lineNo, i)
-				}
-			}
-		case "series":
-			nSeries++
-			var sl seriesLine
-			if err := json.Unmarshal(sc.Bytes(), &sl); err != nil {
-				return hdr, fmt.Errorf("telemetry: line %d: %w", lineNo, err)
-			}
-			if sl.Mode != "level" && sl.Mode != "delta" {
-				return hdr, fmt.Errorf("telemetry: line %d: series %q has unknown mode %q", lineNo, sl.Name, sl.Mode)
-			}
-			if len(sl.Points) != hdr.Samples {
-				return hdr, fmt.Errorf("telemetry: line %d: series %q has %d points, header says %d samples",
-					lineNo, sl.Name, len(sl.Points), hdr.Samples)
-			}
-		case "hist":
-			nHists++
-			var hl histLine
-			if err := json.Unmarshal(sc.Bytes(), &hl); err != nil {
-				return hdr, fmt.Errorf("telemetry: line %d: %w", lineNo, err)
-			}
-			var sum uint64
-			for _, b := range hl.Buckets {
-				if b[0] >= HistBuckets {
-					return hdr, fmt.Errorf("telemetry: line %d: histogram %q bucket index %d out of range",
-						lineNo, hl.Name, b[0])
-				}
-				sum += b[1]
-			}
-			if sum != hl.Count {
-				return hdr, fmt.Errorf("telemetry: line %d: histogram %q buckets sum to %d, count is %d",
-					lineNo, hl.Name, sum, hl.Count)
-			}
-		default:
-			return hdr, fmt.Errorf("telemetry: line %d: unknown kind %q", lineNo, probe.Kind)
+	for i := 1; i < len(reg.times); i++ {
+		if reg.times[i] <= reg.times[i-1] {
+			return hdr, fmt.Errorf("telemetry: timestamps not strictly increasing at index %d", i)
 		}
 	}
-	if err := sc.Err(); err != nil {
-		return hdr, fmt.Errorf("telemetry: reading export: %w", err)
+	if len(reg.series) != hdr.Series {
+		return hdr, fmt.Errorf("telemetry: %d distinct series, header says %d", len(reg.series), hdr.Series)
 	}
-	if !sawTimes {
-		return hdr, fmt.Errorf("telemetry: export has no times line")
+	if len(reg.hists) != hdr.Hists {
+		return hdr, fmt.Errorf("telemetry: %d distinct histograms, header says %d", len(reg.hists), hdr.Hists)
 	}
-	if nSeries != hdr.Series {
-		return hdr, fmt.Errorf("telemetry: %d series lines, header says %d", nSeries, hdr.Series)
+	for _, s := range reg.series {
+		if len(s.pts) != hdr.Samples {
+			return hdr, fmt.Errorf("telemetry: series %q has %d points, header says %d samples",
+				s.name, len(s.pts), hdr.Samples)
+		}
 	}
-	if nHists != hdr.Hists {
-		return hdr, fmt.Errorf("telemetry: %d histogram lines, header says %d", nHists, hdr.Hists)
+	for _, h := range reg.hists {
+		var sum uint64
+		for _, c := range h.counts {
+			sum += c
+		}
+		if sum != h.count {
+			return hdr, fmt.Errorf("telemetry: histogram %q buckets sum to %d, count is %d", h.name, sum, h.count)
+		}
 	}
 	return hdr, nil
 }
 
-// ValidateFile validates the JSONL export at path.
-func ValidateFile(path string) (Header, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return Header{}, fmt.Errorf("telemetry: %w", err)
-	}
-	defer f.Close()
-	return Validate(f)
-}
-
 // Load reads a JSONL export back into a registry — the report renderer
 // and offline tooling work from files the same way they work from a live
-// registry. The export is validated structurally while loading.
+// registry. The export is checked structurally while loading: current
+// schema version, exactly one times line, known line kinds and series
+// modes, in-range bucket indexes. Validate adds the consistency checks.
 func Load(rd io.Reader) (*Registry, error) {
+	reg, _, err := load(rd)
+	return reg, err
+}
+
+// load is the one JSONL parser behind Load and Validate.
+func load(rd io.Reader) (*Registry, Header, error) {
 	sc := bufio.NewScanner(rd)
 	sc.Buffer(make([]byte, 0, 1<<20), 64<<20)
 	if !sc.Scan() {
-		return nil, fmt.Errorf("telemetry: empty export")
+		return nil, Header{}, fmt.Errorf("telemetry: empty export")
 	}
 	var hdr Header
 	if err := json.Unmarshal(sc.Bytes(), &hdr); err != nil {
-		return nil, fmt.Errorf("telemetry: parsing header: %w", err)
+		return nil, Header{}, fmt.Errorf("telemetry: parsing header: %w", err)
 	}
 	if hdr.Schema != SchemaVersion {
-		return nil, fmt.Errorf("telemetry: schema %q, want %q", hdr.Schema, SchemaVersion)
+		return nil, hdr, fmt.Errorf("telemetry: schema %q, want %q", hdr.Schema, SchemaVersion)
 	}
 	reg := NewRegistry(hdr.Interval)
 	for k, v := range hdr.Meta {
 		reg.SetMeta(k, v)
 	}
+	sawTimes := false
 	lineNo := 1
+	fail := func(err error) (*Registry, Header, error) {
+		return nil, hdr, fmt.Errorf("telemetry: line %d: %w", lineNo, err)
+	}
 	for sc.Scan() {
 		lineNo++
 		var probe struct {
 			Kind string `json:"kind"`
 		}
 		if err := json.Unmarshal(sc.Bytes(), &probe); err != nil {
-			return nil, fmt.Errorf("telemetry: line %d: %w", lineNo, err)
+			return fail(err)
 		}
 		switch probe.Kind {
 		case "times":
+			if sawTimes {
+				return fail(fmt.Errorf("duplicate times line"))
+			}
+			sawTimes = true
 			var tl timesLine
 			if err := json.Unmarshal(sc.Bytes(), &tl); err != nil {
-				return nil, fmt.Errorf("telemetry: line %d: %w", lineNo, err)
+				return fail(err)
 			}
 			reg.times = tl.Cycles
 		case "series":
 			var sl seriesLine
 			if err := json.Unmarshal(sc.Bytes(), &sl); err != nil {
-				return nil, fmt.Errorf("telemetry: line %d: %w", lineNo, err)
+				return fail(err)
 			}
-			mode := Level
-			if sl.Mode == "delta" {
+			var mode Mode
+			switch sl.Mode {
+			case "level":
+				mode = Level
+			case "delta":
 				mode = Delta
+			default:
+				return fail(fmt.Errorf("series %q has unknown mode %q", sl.Name, sl.Mode))
 			}
-			s := reg.Series(sl.Name, mode)
-			s.pts = sl.Points
+			reg.Series(sl.Name, mode).pts = sl.Points
 		case "hist":
 			var hl histLine
 			if err := json.Unmarshal(sc.Bytes(), &hl); err != nil {
-				return nil, fmt.Errorf("telemetry: line %d: %w", lineNo, err)
+				return fail(err)
 			}
 			h := reg.Histogram(hl.Name)
 			h.count, h.sum, h.min, h.max = hl.Count, hl.Sum, hl.Min, hl.Max
 			for _, b := range hl.Buckets {
 				if err := h.setBucket(b[0], b[1]); err != nil {
-					return nil, fmt.Errorf("telemetry: line %d: histogram %q: %w", lineNo, hl.Name, err)
+					return fail(fmt.Errorf("histogram %q: %w", hl.Name, err))
 				}
 			}
 		default:
-			return nil, fmt.Errorf("telemetry: line %d: unknown kind %q", lineNo, probe.Kind)
+			return fail(fmt.Errorf("unknown kind %q", probe.Kind))
 		}
 	}
 	if err := sc.Err(); err != nil {
-		return nil, fmt.Errorf("telemetry: reading export: %w", err)
+		return nil, hdr, fmt.Errorf("telemetry: reading export: %w", err)
 	}
-	return reg, nil
+	if !sawTimes {
+		return nil, hdr, fmt.Errorf("telemetry: export has no times line")
+	}
+	return reg, hdr, nil
 }

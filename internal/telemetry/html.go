@@ -109,9 +109,6 @@ func (d *HTMLDoc) Section(heading, inner string) {
 	d.body.WriteString(`<div class="card">` + "\n" + inner + "\n</div>\n")
 }
 
-// Raw appends pre-rendered HTML outside a card.
-func (d *HTMLDoc) Raw(inner string) { d.body.WriteString(inner) }
-
 // SetRefresh makes the page reload itself every n seconds (n <= 0
 // disables) — used by live dashboards; static reports leave it off.
 func (d *HTMLDoc) SetRefresh(n int) { d.refresh = n }

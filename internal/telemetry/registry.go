@@ -134,14 +134,6 @@ func (r *Registry) SetMeta(k, v string) {
 	r.meta[k] = v
 }
 
-// Meta returns the value recorded for key ("" when absent).
-func (r *Registry) Meta(k string) string {
-	if r == nil {
-		return ""
-	}
-	return r.meta[k]
-}
-
 // Series returns (creating on first use) the named series. Returns nil —
 // a working no-op instrument — on a nil registry. Registering the same
 // name twice returns the same series; the mode of the first registration
@@ -226,14 +218,6 @@ func (r *Registry) SeriesByName(name string) *Series {
 		return nil
 	}
 	return r.byName[name]
-}
-
-// HistogramByName returns the named histogram, or nil.
-func (r *Registry) HistogramByName(name string) *Histogram {
-	if r == nil {
-		return nil
-	}
-	return r.histBy[name]
 }
 
 // sortedSeries returns the series sorted by name — the canonical export
