@@ -44,43 +44,80 @@ import (
 	"lazyrc/internal/telemetry"
 )
 
+// The flags. Each is listed under exactly one heading of flagGroups, which
+// is the layout -h prints.
+var (
+	appName    = flag.String("app", "gauss", "application: "+strings.Join(lazyrc.AppNames(), ", "))
+	proto      = flag.String("proto", "lrc", "protocol: "+strings.Join(lazyrc.Protocols(), ", "))
+	protosFlag = flag.String("protocols", "", "run -app once per protocol in this comma-separated list (\"all\" = every registered protocol) and print a comparison table; most single-run flags do not apply")
+	procs      = flag.Int("procs", 64, "number of processors")
+	scale      = flag.String("scale", "small", "input scale: tiny, small, medium, paper; the per-processor cache co-scales with it (paper §3), as in paperbench and lrcsimd")
+	future     = flag.Bool("future", false, "use the §4.3 future-machine parameters (the \"future\" preset)")
+	verify     = flag.Bool("verify", true, "verify the computation against a serial reference")
+	contention = flag.Bool("contention", false, "print the per-resource contention report")
+	traffic    = flag.Bool("traffic", false, "print the per-message-kind traffic breakdown")
+	seed       = flag.Uint64("seed", 1, "random seed for seed-dependent subsystems (fault injection); the same seed replays the same schedule")
+	faultPlan  = flag.String("faults", "", "fault-injection plan for the interconnect, e.g. 'delay=0.05:1:64,dup=0.03:32,reorder=0.02:48' (see internal/faults.ParsePlan)")
+	faultSeed  = flag.Uint64("fault-seed", 0, "seed the fault injector independently of -seed (0: derive from -seed)")
+	oracle     = flag.Bool("oracle", false, "with -faults: also run the same seed fault-free and require the faulted run to reproduce its end state (completion, and bit-identical final memory for timing-independent apps); exit nonzero on divergence")
+	doCheck    = flag.Bool("check", false, "audit protocol invariants during and after the run; exit nonzero on any violation")
+	checkEvery = flag.Uint64("check-every", 5000, "cycles between invariant audits under -check")
+	watchdog   = flag.Uint64("watchdog", 0, "liveness watchdog probe interval in cycles (0: disabled); a stall aborts the run with a report; pick an interval far above the longest legitimate wait (e.g. 50000)")
+	cpuprofile = flag.String("cpuprofile", "", "write a CPU profile of the simulation to this file")
+	memprofile = flag.String("memprofile", "", "write a heap profile to this file at exit")
+	replayFile = flag.String("replay", "", "replay a model-checker counterexample schedule (JSON from lrccheck) instead of running an application")
+	metrics    = flag.Bool("metrics", false, "collect cycle-domain telemetry and write a JSONL export to -metrics-out")
+	metricsOut = flag.String("metrics-out", "metrics.jsonl", "telemetry JSONL output path (with -metrics)")
+	metricsInt = flag.Uint64("metrics-interval", 5000, "telemetry sampling interval in simulated cycles")
+	reportFile = flag.String("report", "", "write a self-contained HTML run report to this file (implies telemetry collection)")
+	validateM  = flag.String("validate-metrics", "", "validate a telemetry JSONL export against the current schema and exit")
+	spans      = flag.Bool("spans", false, "trace causal coherence-transaction spans and write a Perfetto/Chrome trace-event JSON to -spans-out")
+	spansOut   = flag.String("spans-out", "trace.json", "Perfetto trace JSON output path (with -spans)")
+	spansMax   = flag.Int("spans-max", 0, "cap on retained spans (0: default limit)")
+	critPath   = flag.Int("critical-path", 0, "print the critical-path stall attribution table and the N longest stall episodes (implies span collection)")
+	validateS  = flag.String("validate-spans", "", "validate a Perfetto trace JSON export against the trace-event schema and exit")
+	perfFlag   = flag.Bool("perf", false, "profile the simulator's wall-clock time by phase and print the breakdown after the report (passive: simulated results are unchanged)")
+	progress   = flag.Int("progress", 0, "print a one-line progress heartbeat to stderr every N wall-clock seconds (0: disabled)")
+	progTotal  = flag.Uint64("progress-total", 0, "expected total simulated cycles, for the -progress ETA estimate (0: no ETA)")
+)
+
+// flagGroups lays out -h: what to run, what to observe about the run,
+// what to do to it and check in it, how to profile the simulator itself,
+// and the modes that work on a file instead of running an application.
+var flagGroups = []struct {
+	heading string
+	flags   []string
+}{
+	{"Run", []string{"app", "proto", "protocols", "procs", "scale", "future", "verify", "seed"}},
+	{"Observers", []string{"contention", "traffic", "metrics", "metrics-out", "metrics-interval", "report",
+		"spans", "spans-out", "spans-max", "critical-path"}},
+	{"Faults & checks", []string{"faults", "fault-seed", "oracle", "check", "check-every", "watchdog"}},
+	{"Profiling", []string{"perf", "progress", "progress-total", "cpuprofile", "memprofile"}},
+	{"File tools", []string{"replay", "validate-metrics", "validate-spans"}},
+}
+
+// usage prints the flags group by group, each rendered as
+// flag.PrintDefaults would.
+func usage() {
+	w := flag.CommandLine.Output()
+	fmt.Fprintln(w, "Usage: lrcsim [flags]")
+	for _, g := range flagGroups {
+		fmt.Fprintf(w, "\n%s:\n", g.heading)
+		fs := flag.NewFlagSet(g.heading, flag.ContinueOnError)
+		fs.SetOutput(w)
+		for _, name := range g.flags {
+			f := flag.Lookup(name)
+			fs.Var(f.Value, f.Name, f.Usage)
+			fs.Lookup(name).DefValue = f.DefValue // not what an earlier argument set it to
+		}
+		fs.PrintDefaults()
+	}
+}
+
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("lrcsim: ")
-	var (
-		appName    = flag.String("app", "gauss", "application: "+strings.Join(lazyrc.AppNames(), ", "))
-		proto      = flag.String("proto", "lrc", "protocol: "+strings.Join(lazyrc.Protocols(), ", "))
-		protosFlag = flag.String("protocols", "", "run -app once per protocol in this comma-separated list (\"all\" = every registered protocol) and print a comparison table; most single-run flags do not apply")
-		procs      = flag.Int("procs", 64, "number of processors")
-		scale      = flag.String("scale", "small", "input scale: tiny, small, medium, paper; the per-processor cache co-scales with it (paper §3), as in paperbench and lrcsimd")
-		future     = flag.Bool("future", false, "use the §4.3 future-machine parameters (the \"future\" preset)")
-		verify     = flag.Bool("verify", true, "verify the computation against a serial reference")
-		contention = flag.Bool("contention", false, "print the per-resource contention report")
-		traffic    = flag.Bool("traffic", false, "print the per-message-kind traffic breakdown")
-		seed       = flag.Uint64("seed", 1, "random seed for seed-dependent subsystems (fault injection); the same seed replays the same schedule")
-		faultPlan  = flag.String("faults", "", "fault-injection plan for the interconnect, e.g. 'delay=0.05:1:64,dup=0.03:32,reorder=0.02:48' (see internal/faults.ParsePlan)")
-		faultSeed  = flag.Uint64("fault-seed", 0, "seed the fault injector independently of -seed (0: derive from -seed)")
-		oracle     = flag.Bool("oracle", false, "with -faults: also run the same seed fault-free and require the faulted run to reproduce its end state (completion, and bit-identical final memory for timing-independent apps); exit nonzero on divergence")
-		doCheck    = flag.Bool("check", false, "audit protocol invariants during and after the run; exit nonzero on any violation")
-		checkEvery = flag.Uint64("check-every", 5000, "cycles between invariant audits under -check")
-		watchdog   = flag.Uint64("watchdog", 0, "liveness watchdog probe interval in cycles (0: disabled); a stall aborts the run with a report; pick an interval far above the longest legitimate wait (e.g. 50000)")
-		cpuprofile = flag.String("cpuprofile", "", "write a CPU profile of the simulation to this file")
-		memprofile = flag.String("memprofile", "", "write a heap profile to this file at exit")
-		replayFile = flag.String("replay", "", "replay a model-checker counterexample schedule (JSON from lrccheck) instead of running an application")
-		metrics    = flag.Bool("metrics", false, "collect cycle-domain telemetry and write a JSONL export to -metrics-out")
-		metricsOut = flag.String("metrics-out", "metrics.jsonl", "telemetry JSONL output path (with -metrics)")
-		metricsInt = flag.Uint64("metrics-interval", 5000, "telemetry sampling interval in simulated cycles")
-		reportFile = flag.String("report", "", "write a self-contained HTML run report to this file (implies telemetry collection)")
-		validateM  = flag.String("validate-metrics", "", "validate a telemetry JSONL export against the current schema and exit")
-		spans      = flag.Bool("spans", false, "trace causal coherence-transaction spans and write a Perfetto/Chrome trace-event JSON to -spans-out")
-		spansOut   = flag.String("spans-out", "trace.json", "Perfetto trace JSON output path (with -spans)")
-		spansMax   = flag.Int("spans-max", 0, "cap on retained spans (0: default limit)")
-		critPath   = flag.Int("critical-path", 0, "print the critical-path stall attribution table and the N longest stall episodes (implies span collection)")
-		validateS  = flag.String("validate-spans", "", "validate a Perfetto trace JSON export against the trace-event schema and exit")
-		perfFlag   = flag.Bool("perf", false, "profile the simulator's wall-clock time by phase and print the breakdown after the report (passive: simulated results are unchanged)")
-		progress   = flag.Int("progress", 0, "print a one-line progress heartbeat to stderr every N wall-clock seconds (0: disabled)")
-		progTotal  = flag.Uint64("progress-total", 0, "expected total simulated cycles, for the -progress ETA estimate (0: no ETA)")
-	)
+	flag.Usage = usage
 	flag.Parse()
 
 	if *validateS != "" {

@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"flag"
 	"strings"
 	"testing"
 
@@ -133,5 +134,44 @@ func TestReportIdenticalAcrossInstrumentationMatrix(t *testing.T) {
 			t.Errorf("report differs with metrics=%v spans=%v:\n%s\nvs baseline:\n%s",
 				c.metrics, c.spans, out, base)
 		}
+	}
+}
+
+// TestEveryFlagInExactlyOneGroup keeps -h complete: a flag registered
+// without a heading would silently vanish from the usage text.
+func TestEveryFlagInExactlyOneGroup(t *testing.T) {
+	listed := map[string]int{}
+	for _, g := range flagGroups {
+		for _, name := range g.flags {
+			listed[name]++
+			if flag.Lookup(name) == nil {
+				t.Errorf("group %q lists -%s, which is not a registered flag", g.heading, name)
+			}
+		}
+	}
+	registered := 0
+	flag.VisitAll(func(f *flag.Flag) {
+		if strings.HasPrefix(f.Name, "test.") {
+			return
+		}
+		registered++
+		if listed[f.Name] != 1 {
+			t.Errorf("-%s is listed under %d headings, want exactly 1", f.Name, listed[f.Name])
+		}
+	})
+	if registered != 32 {
+		t.Errorf("%d flags registered, want 32: adding an option needs a reason (ROADMAP aim 2)", registered)
+	}
+	var out bytes.Buffer
+	flag.CommandLine.SetOutput(&out)
+	defer flag.CommandLine.SetOutput(nil)
+	usage()
+	for _, g := range flagGroups {
+		if !strings.Contains(out.String(), "\n"+g.heading+":\n") {
+			t.Errorf("usage text lacks the %q heading", g.heading)
+		}
+	}
+	if n := strings.Count(out.String(), "\n  -"); n != registered {
+		t.Errorf("usage text shows %d flags, want %d", n, registered)
 	}
 }

@@ -186,6 +186,11 @@ func (a *Auditor) Final() {
 				Invariant: "coalescing-buffer-empty",
 				Detail:    fmt.Sprintf("coalescing buffer holds %d entries at quiescence", n.CB.Len())})
 		}
+		if err := n.HomeResidual(); err != nil {
+			a.record(Violation{Time: now, Node: n.ID, Block: NoBlock, Final: true,
+				Invariant: "no-residual-home-service",
+				Detail:    err.Error()})
+		}
 	}
 }
 

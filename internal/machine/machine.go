@@ -61,8 +61,9 @@ type Machine struct {
 	protoName    string
 }
 
-// New builds a machine running the named protocol ("sc", "erc", "lrc",
-// "lrc-ext") with the given configuration.
+// New builds a machine running the named protocol (any of
+// protocol.Names: "sc", "erc", "lrc", "lrc-ext", "tardis", "tardis2")
+// with the given configuration.
 func New(cfg config.Config, protoName string) (*Machine, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -486,8 +487,10 @@ func (m *Machine) DumpState() string {
 }
 
 // CheckQuiescent verifies end-of-run invariants: every directory entry
-// validates, no transactions or buffered writes linger, and no
-// acknowledgements are outstanding. It returns the first violation.
+// and lease validates, no buffered writes or undelivered messages
+// linger, and no home has a request still in service or an episode
+// (grant, transfer, held drop, recall) still open. It returns the first
+// violation.
 func (m *Machine) CheckQuiescent() error {
 	for _, n := range m.Nodes {
 		var err error
@@ -520,8 +523,8 @@ func (m *Machine) CheckQuiescent() error {
 		if err != nil {
 			return err
 		}
-		if terr := n.TardisResidual(); terr != nil {
-			return fmt.Errorf("node %d: %w", n.ID, terr)
+		if herr := n.HomeResidual(); herr != nil {
+			return fmt.Errorf("node %d: %w", n.ID, herr)
 		}
 	}
 	if _, _, _, _, _, pending := m.Net.TransportStats(); pending > 0 {

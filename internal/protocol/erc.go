@@ -1,79 +1,25 @@
 package protocol
 
-import (
-	"lazyrc/internal/cache"
-	"lazyrc/internal/mesh"
-)
-
 // ERC is eager release consistency in the style of the DASH
 // implementation: an ownership-based write-back directory protocol in
 // which writes trigger invalidations immediately but execute in the
 // background of computation. The processor stalls only when its
-// (4-entry) write buffer overflows or when it reaches a release with
-// coherence transactions still outstanding.
-type ERC struct{ invalPaths }
+// (4-entry) write buffer overflows, on a read miss (possibly a 3-hop
+// owner forward), or when it reaches a release with coherence
+// transactions still outstanding.
+type ERC struct{ eagerPaths }
 
 var _ Protocol = (*ERC)(nil)
 
 // Name returns "erc".
 func (*ERC) Name() string { return "erc" }
 
-// Lazy reports false: the eager directory access cost applies.
-func (*ERC) Lazy() bool { return false }
-
-// WriteBack reports true: replaced dirty lines carry their data home.
-func (*ERC) WriteBack() bool { return true }
-
-// Deliver handles one coherence message.
-func (*ERC) Deliver(n *Node, m mesh.Msg) { eagerDeliver(n, m) }
-
-// CPURead performs a load, stalling on misses until the fill (possibly a
-// 3-hop owner forward) completes.
-func (*ERC) CPURead(n *Node, block uint64, word int) { lazyCPURead(n, block, word) }
-
 // CPUWrite performs a store: it enters the write buffer and the
 // processor moves on; ownership acquisition and invalidations proceed in
 // the background. The processor stalls only when the buffer is full.
 func (*ERC) CPUWrite(n *Node, block uint64, word int) {
-	for {
-		line := n.Cache.Lookup(block)
-		if line != nil && line.State == cache.ReadWrite {
-			n.commitWB(block, word)
-			return
-		}
-		allocated, ok := n.WB.Put(block, word)
-		if !ok {
-			n.stallWBFull()
-			continue
-		}
-		if !allocated {
-			return // coalesced into an entry whose transaction is in flight
-		}
-		if t := n.txn(block); t != nil {
-			// A fill is already in flight (merged read); the retirement
-			// logic takes over when it lands.
-			_ = t
-			return
-		}
-		upgrade := line != nil
-		n.countMiss(block, word, upgrade)
-		t := n.newTxn(block)
-		t.IsWrite = true
-		arg := uint64(0)
-		if line == nil {
-			arg = wantData
-			t.ExpectData = true
-		}
-		n.send(n.homeOf(block), MsgWriteReq, block, 0, arg, 0)
-		return
-	}
+	bufferedStore(n, block, word, eagerSendWriteReq)
 }
-
-// AcquireBegin is a no-op: eager protocols invalidate at write time.
-func (*ERC) AcquireBegin(n *Node) {}
-
-// AcquireEnd completes immediately: nothing is deferred to acquires.
-func (*ERC) AcquireEnd(n *Node, done func()) { done() }
 
 // Release stalls until the write buffer has drained, every outstanding
 // ownership/invalidation transaction has completed, and memory has

@@ -8,7 +8,6 @@ import (
 	"lazyrc/internal/causal"
 	"lazyrc/internal/directory"
 	"lazyrc/internal/mesh"
-	"lazyrc/internal/stats"
 )
 
 // This file implements the message handling shared by the two eager
@@ -21,38 +20,14 @@ import (
 // Unlike the lazy protocols, a write to a shared block invalidates every
 // other sharer immediately; the home collects the invalidation
 // acknowledgements and only then grants ownership. Requests that arrive
-// for a block whose collection (or forwarding) is still in progress are
-// deferred and replayed afterwards.
+// for a block whose collection (or forwarding) is still in progress wait
+// in the home's serializer (homeSerial) and are replayed afterwards.
 
 // eagerGrant records what the single waiting writer of a busy block is
 // owed when invalidation acknowledgements finish arriving.
 type eagerGrant struct {
 	writer   int
 	wantData bool
-}
-
-// eagerState is the per-node bookkeeping for the eager home side; it
-// lives on the Node but is only touched by these handlers.
-// xfer is a forwarded request whose service by the current owner is
-// pending. The home does not commit the directory change until the owner
-// confirms (XferDone) — a nacked transfer retries the original request
-// against then-current state — and defers all other requests for the
-// block meanwhile. This is the DASH-style discipline that keeps two
-// crossing ownership transfers from deadlocking or losing a copy.
-type xfer struct {
-	req      int
-	isWrite  bool
-	wantData bool
-}
-
-// pendingReq is a deferred request together with the completion time of
-// the memory access that was started speculatively when it first arrived.
-// The memory module is charged exactly once per request — re-charging on
-// every queue-service attempt would let the memory backlog outrun
-// simulated time under contention.
-type pendingReq struct {
-	m      mesh.Msg
-	memEnd uint64
 }
 
 // heldDrop is a copy-drop notification (eviction hint or write-back)
@@ -70,145 +45,166 @@ type heldDrop struct {
 	wb  bool // write-back (conditional owner removal) vs eviction hint
 }
 
+// eagerState is the per-node bookkeeping of the eager home's open
+// episodes; it lives on the Node but is only touched by these handlers.
+// A block with an open grant or xfer is in service in n.home throughout.
 type eagerState struct {
-	grants   map[uint64]eagerGrant
-	deferred map[uint64][]pendingReq
-	xfers    map[uint64]xfer
-	held     map[uint64][]heldDrop
-	// servicing marks blocks whose deferred-queue head is being
-	// re-processed. Queue service is strictly FIFO: while a queue or the
-	// servicing mark exists, newly arriving requests join the back —
-	// without this, a re-serviced request re-enters the protocol
-	// processor behind fresh arrivals and can be starved indefinitely.
-	servicing map[uint64]bool
+	grants map[uint64]eagerGrant
+	// xfers holds each forwarded request whose service by the current
+	// owner is pending. The home does not commit the directory change
+	// until the owner confirms (XferDone) — a nacked transfer retries the
+	// original request against then-current state — and defers all other
+	// requests for the block meanwhile. This is the DASH-style discipline
+	// that keeps two crossing ownership transfers from deadlocking or
+	// losing a copy.
+	xfers map[uint64]mesh.Msg
+	held  map[uint64][]heldDrop
 }
 
+// eager returns the eager home state, allocating it when the home
+// resolves its first request. AppendSnapshot encodes whether it exists,
+// so the point of first use is visible to the model checker's state
+// hash (TestExplorationGolden pins the resulting search).
 func (n *Node) eager() *eagerState {
 	if n.eagerHome == nil {
 		n.eagerHome = &eagerState{
-			grants:    make(map[uint64]eagerGrant),
-			deferred:  make(map[uint64][]pendingReq),
-			xfers:     make(map[uint64]xfer),
-			held:      make(map[uint64][]heldDrop),
-			servicing: make(map[uint64]bool),
+			grants: make(map[uint64]eagerGrant),
+			xfers:  make(map[uint64]mesh.Msg),
+			held:   make(map[uint64][]heldDrop),
 		}
 	}
 	return n.eagerHome
 }
 
-// eagerDeliver dispatches one message for an eager-protocol node.
-func eagerDeliver(n *Node, m mesh.Msg) {
-	switch MsgKind(m.Kind) {
-	case MsgReadReq:
-		eagerHomeRead(n, m)
-	case MsgWriteReq:
-		eagerHomeWrite(n, m)
-	case MsgInvalAck:
-		eagerHomeInvalAck(n, m)
-	case MsgWriteBack:
-		eagerHomeWriteBack(n, m)
-	case MsgSharingWB:
-		n.mergeHome(m.Addr, m.Vals, ^uint64(0))
-		n.memAccess(m.Size) // concurrent write-back; nobody waits
-	case MsgXferDone:
-		eagerXferDone(n, m)
-	case MsgFwdNack:
-		eagerFwdNack(n, m)
-	case MsgEvict:
-		eagerHomeEvict(n, m)
-	case MsgFwdRead, MsgFwdWrite:
-		eagerOwnerForward(n, m)
-	case MsgInval:
-		eagerInval(n, m)
-	case MsgReadReply:
-		eagerReadReply(n, m)
-	case MsgWriteData:
-		eagerWriteData(n, m)
-	case MsgWriteDone:
-		eagerWriteDone(n, m)
-	case MsgOwnerData:
-		eagerOwnerData(n, m)
-	case MsgWTAck:
-		n.wtPending--
-		n.checkDrain()
-	default:
-		panic(fmt.Sprintf("protocol: eager node %d got unexpected %v", n.ID, MsgKind(m.Kind)))
+// debug renders the open episodes, for stall diagnostics and the
+// end-of-run check.
+func (es *eagerState) debug(n *Node) string {
+	if es == nil {
+		return ""
 	}
+	s := ""
+	for b, g := range es.grants {
+		s += fmt.Sprintf(" grant{block %d writer %d want:%v acks:%d}", b, g.writer, g.wantData, n.Dir.Peek(b).PendingAcks)
+	}
+	for b, x := range es.xfers {
+		s += fmt.Sprintf(" xfer{block %d req %d %v}", b, x.Src, MsgKind(x.Kind))
+	}
+	for b, drops := range es.held {
+		s += fmt.Sprintf(" held{block %d n:%d}", b, len(drops))
+	}
+	return s
 }
 
-// eagerBusy reports whether block is mid-collection or mid-transfer.
-func eagerBusy(n *Node, block uint64) bool {
-	e := n.Dir.Peek(block)
-	if e == nil {
-		return false
+func (es *eagerState) appendSnapshot(s *snapBuf) {
+	for _, blk := range sortedKeys(s, es.grants) {
+		g := es.grants[blk]
+		s.u64(blk)
+		s.u64(uint64(g.writer))
+		s.bit(g.wantData)
 	}
-	es := n.eager()
-	_, collecting := es.grants[block]
-	_, transferring := es.xfers[block]
-	return collecting || transferring || e.PendingAcks > 0
-}
-
-// eagerAdmit decides whether a freshly arrived request may be processed
-// now; everything else joins the back of the block's queue, remembering
-// its already-started memory access.
-func eagerAdmit(n *Node, m mesh.Msg, memEnd uint64) bool {
-	es := n.eager()
-	if es.servicing[m.Addr] || eagerBusy(n, m.Addr) || len(es.deferred[m.Addr]) > 0 {
-		es.deferred[m.Addr] = append(es.deferred[m.Addr], pendingReq{m: m, memEnd: memEnd})
-		return false
+	s.end()
+	for _, blk := range sortedKeys(s, es.xfers) {
+		s.u64(blk)
+		s.msg(es.xfers[blk])
 	}
-	return true
-}
-
-// eagerUnbusy pops the head of block's deferred queue — if the block has
-// fully quiesced — and services it directly: protocol-processor occupancy
-// is charged again (the directory is re-read), the memory access is not.
-// The servicing mark keeps fresh arrivals from jumping the queue.
-func eagerUnbusy(n *Node, block uint64) {
-	es := n.eager()
-	if es.servicing[block] || eagerBusy(n, block) {
-		return
-	}
-	q := es.deferred[block]
-	if len(q) == 0 {
-		return
-	}
-	p := q[0]
-	if len(q) == 1 {
-		delete(es.deferred, block)
-	} else {
-		es.deferred[block] = q[1:]
-	}
-	es.servicing[block] = true
-	dirEnd := n.ppAcquire(causal.KindDir, block, n.dirCost())
-	n.Env.Eng.At(dirEnd, func() {
-		delete(es.servicing, block)
-		memEnd := maxTime(p.memEnd, n.now())
-		if MsgKind(p.m.Kind) == MsgReadReq {
-			eagerProcessRead(n, p.m, memEnd)
-		} else {
-			eagerProcessWrite(n, p.m, memEnd)
+	s.end()
+	for _, blk := range sortedKeys(s, es.held) {
+		s.u64(blk)
+		for _, d := range es.held[blk] {
+			s.u64(uint64(d.src))
+			s.bit(d.wb)
 		}
-	})
+		s.end()
+	}
+	s.end()
 }
 
-// eagerHomeRead serves a read request: memory supplies clean data; dirty
-// blocks are forwarded to their owner (the 3-hop transaction the lazy
-// protocol eliminates).
-func eagerHomeRead(n *Node, m mesh.Msg) {
-	memEnd := n.memAccess(n.lineBytes())
+// eagerDispatch is the eager family's message interface: home side
+// first, then the owner/sharer side, then the requester's replies.
+var eagerDispatch = dispatch{
+	MsgReadReq:   eagerHomeRequest,
+	MsgWriteReq:  eagerHomeRequest,
+	MsgInvalAck:  eagerHomeInvalAck,
+	MsgWriteBack: eagerHomeWriteBack,
+	MsgSharingWB: eagerHomeSharingWB,
+	MsgXferDone:  eagerXferDone,
+	MsgFwdNack:   eagerFwdNack,
+	MsgEvict:     eagerHomeEvict,
+
+	MsgFwdRead:  eagerOwnerForward,
+	MsgFwdWrite: eagerOwnerForward,
+	MsgInval:    eagerInval,
+
+	MsgReadReply: eagerFill,
+	MsgWriteData: eagerFill,
+	MsgOwnerData: eagerFill,
+	MsgWriteDone: eagerWriteDone,
+}.withShared()
+
+// eagerHomeRequest receives a read or ownership request: the memory
+// access for the data it may need starts at once, overlapped with the
+// directory read. Then the request resolves against the directory if its
+// block is idle; everything else joins the back of the block's queue,
+// remembering its already-started memory access.
+func eagerHomeRequest(n *Node, m mesh.Msg) {
+	var memEnd uint64
+	if MsgKind(m.Kind) == MsgReadReq || m.Arg&wantData != 0 {
+		memEnd = n.memAccess(n.lineBytes())
+	}
 	dirEnd := n.ppAcquire(causal.KindDir, m.Addr, n.dirCost())
 	n.Env.Eng.At(dirEnd, func() {
-		if !eagerAdmit(n, m, memEnd) {
-			return
+		if p := (pendingReq{m: m, memEnd: memEnd}); n.home.enter(p) {
+			eagerProcess(n, p)
 		}
-		eagerProcessRead(n, m, memEnd)
 	})
+}
+
+func eagerProcess(n *Node, p pendingReq) {
+	if MsgKind(p.m.Kind) == MsgReadReq {
+		eagerProcessRead(n, p.m, p.memEnd)
+	} else {
+		eagerProcessWrite(n, p.m, p.memEnd)
+	}
+}
+
+// eagerLeave ends a request's hold on block — it was answered, or its
+// transfer or collection closed — and services the head of the block's
+// queue directly: protocol-processor occupancy is charged again (the
+// directory is re-read), the memory access is not. Queue service is
+// strictly FIFO: the block stays in service on the head's behalf while
+// it is re-processed, so newly arriving requests join the back — without
+// this, a re-serviced request re-enters the protocol processor behind
+// fresh arrivals and can be starved indefinitely.
+func eagerLeave(n *Node, block uint64) {
+	p, ok := n.home.leave(block)
+	if !ok {
+		return
+	}
+	dirEnd := n.ppAcquire(causal.KindDir, block, n.dirCost())
+	n.Env.Eng.At(dirEnd, func() {
+		eagerProcess(n, pendingReq{m: p.m, memEnd: max(p.memEnd, n.now())})
+	})
+}
+
+// eagerGrantNow completes an ownership request nothing stands in the way
+// of: data from memory (ready at memEnd) if the writer asked for it, a
+// bare WriteDone otherwise. The block's hold ends with it.
+func eagerGrantNow(n *Node, writer int, block uint64, wantsData bool, memEnd uint64) {
+	if wantsData {
+		n.Env.Eng.At(max(n.now(), memEnd), func() {
+			n.sendData(writer, MsgWriteData, block, n.lineBytes(), uint64(directory.Dirty), 1, n.homeVals(block))
+		})
+	} else {
+		n.send(writer, MsgWriteDone, block, 0, 0, 0)
+	}
+	eagerLeave(n, block)
 }
 
 // eagerProcessRead resolves an admitted read request against the current
-// directory state.
+// directory state: memory supplies clean data; dirty blocks are forwarded
+// to their owner (the 3-hop transaction the lazy protocol eliminates).
 func eagerProcessRead(n *Node, m mesh.Msg, memEnd uint64) {
+	es := n.eager()
 	e := n.Dir.Entry(m.Addr)
 	switch e.State {
 	case directory.Dirty:
@@ -217,7 +213,7 @@ func eagerProcessRead(n *Node, m mesh.Msg, memEnd uint64) {
 			// Forward to the owner; it supplies the reader and writes
 			// the block back home concurrently. The directory commits
 			// when the owner confirms; the block is busy until then.
-			n.eager().xfers[m.Addr] = xfer{req: m.Src}
+			es.xfers[m.Addr] = m
 			n.send(owner, MsgFwdRead, m.Addr, 0, uint64(m.Src), 0)
 			return
 		}
@@ -231,35 +227,20 @@ func eagerProcessRead(n *Node, m mesh.Msg, memEnd uint64) {
 		e.Recompute()
 		n.Dir.Check(m.Addr, e)
 		st := uint64(e.State)
-		n.Env.Eng.At(maxTime(n.now(), memEnd), func() {
+		n.Env.Eng.At(max(n.now(), memEnd), func() {
 			n.sendData(m.Src, MsgReadReply, m.Addr, n.lineBytes(), st, 0, n.homeVals(m.Addr))
 		})
-		eagerUnbusy(n, m.Addr)
+		eagerLeave(n, m.Addr)
 	}
-}
-
-// eagerHomeWrite serves an ownership request: sharers are invalidated
-// immediately (their acknowledgements collected at the home), dirty
-// blocks are forwarded to the owner, and the requester becomes the sole
-// owner.
-func eagerHomeWrite(n *Node, m mesh.Msg) {
-	var memEnd uint64
-	if m.Arg&wantData != 0 {
-		memEnd = n.memAccess(n.lineBytes())
-	}
-	dirEnd := n.ppAcquire(causal.KindDir, m.Addr, n.dirCost())
-	n.Env.Eng.At(dirEnd, func() {
-		if !eagerAdmit(n, m, memEnd) {
-			return
-		}
-		eagerProcessWrite(n, m, memEnd)
-	})
 }
 
 // eagerProcessWrite resolves an admitted ownership request against the
-// current directory state.
+// current directory state: sharers are invalidated immediately (their
+// acknowledgements collected at the home), dirty blocks are forwarded to
+// the owner, and the requester becomes the sole owner.
 func eagerProcessWrite(n *Node, m mesh.Msg, memEnd uint64) {
 	wantsData := m.Arg&wantData != 0
+	es := n.eager()
 	e := n.Dir.Entry(m.Addr)
 	switch e.State {
 	case directory.Dirty:
@@ -268,21 +249,13 @@ func eagerProcessWrite(n *Node, m mesh.Msg, memEnd uint64) {
 			// The requester already owns the block at the directory
 			// (its copy died in a race it has not yet observed);
 			// complete with data so it can refill.
-			if wantsData {
-				at := maxTime(n.now(), memEnd)
-				n.Env.Eng.At(at, func() {
-					n.sendData(m.Src, MsgWriteData, m.Addr, n.lineBytes(), uint64(directory.Dirty), 1, n.homeVals(m.Addr))
-				})
-			} else {
-				n.send(m.Src, MsgWriteDone, m.Addr, 0, 0, 0)
-			}
-			eagerUnbusy(n, m.Addr)
+			eagerGrantNow(n, m.Src, m.Addr, wantsData, memEnd)
 			return
 		}
 		// Transfer ownership through the current owner; the directory
 		// commits when the owner confirms, and the block is busy until
 		// then.
-		n.eager().xfers[m.Addr] = xfer{req: m.Src, isWrite: true, wantData: wantsData}
+		es.xfers[m.Addr] = m
 		n.send(owner, MsgFwdWrite, m.Addr, 0, uint64(m.Src), 0)
 
 	case directory.Shared, directory.Uncached:
@@ -299,21 +272,13 @@ func eagerProcessWrite(n *Node, m mesh.Msg, memEnd uint64) {
 		e.State = directory.Dirty
 		n.Dir.Check(m.Addr, e)
 		if len(others) == 0 {
-			if wantsData {
-				at := maxTime(n.now(), memEnd)
-				n.Env.Eng.At(at, func() {
-					n.sendData(m.Src, MsgWriteData, m.Addr, n.lineBytes(), uint64(directory.Dirty), 1, n.homeVals(m.Addr))
-				})
-			} else {
-				n.send(m.Src, MsgWriteDone, m.Addr, 0, 0, 0)
-			}
-			eagerUnbusy(n, m.Addr)
+			eagerGrantNow(n, m.Src, m.Addr, wantsData, memEnd)
 			return
 		}
 		// Invalidate every other sharer and collect acks here.
 		dspEnd := n.ppAcquire(causal.KindFanout, m.Addr, uint64(len(others))*n.noticeCost())
 		e.PendingAcks = len(others)
-		n.eager().grants[m.Addr] = eagerGrant{writer: m.Src, wantData: wantsData}
+		es.grants[m.Addr] = eagerGrant{writer: m.Src, wantData: wantsData}
 		n.Env.Eng.At(dspEnd, func() {
 			for _, id := range others {
 				n.send(id, MsgInval, m.Addr, 0, 0, 0)
@@ -343,15 +308,11 @@ func eagerHomeInvalAck(n *Node, m mesh.Msg) {
 			panic(fmt.Sprintf("protocol: node %d ack collection without grant for block %d", n.ID, m.Addr))
 		}
 		delete(n.eager().grants, m.Addr)
+		var memEnd uint64
 		if g.wantData {
-			memEnd := n.memAccess(n.lineBytes())
-			n.Env.Eng.At(memEnd, func() {
-				n.sendData(g.writer, MsgWriteData, m.Addr, n.lineBytes(), uint64(directory.Dirty), 1, n.homeVals(m.Addr))
-			})
-		} else {
-			n.send(g.writer, MsgWriteDone, m.Addr, 0, 0, 0)
+			memEnd = n.memAccess(n.lineBytes())
 		}
-		eagerUnbusy(n, m.Addr)
+		eagerGrantNow(n, g.writer, m.Addr, g.wantData, memEnd)
 	})
 }
 
@@ -373,9 +334,14 @@ func eagerHomeWriteBack(n *Node, m mesh.Msg) {
 	n.Env.Eng.At(dirEnd, func() {
 		eagerDropOrHold(n, m.Addr, heldDrop{src: m.Src, wb: true})
 	})
-	n.Env.Eng.At(maxTime(dirEnd, memEnd), func() {
-		n.send(m.Src, MsgWTAck, m.Addr, 0, 0, 0)
-	})
+	n.ackWriteAt(max(dirEnd, memEnd), m)
+}
+
+// eagerHomeSharingWB absorbs the owner's concurrent write-back of a
+// block a third party read; nobody waits for it.
+func eagerHomeSharingWB(n *Node, m mesh.Msg) {
+	n.mergeHome(m.Addr, m.Vals, ^uint64(0))
+	n.memAccess(m.Size)
 }
 
 // eagerHomeEvict absorbs a clean-copy replacement hint. Like the
@@ -400,7 +366,7 @@ func eagerHomeEvict(n *Node, m mesh.Msg) {
 // does not dispute — they commute with it and apply immediately.
 func eagerDropOrHold(n *Node, block uint64, d heldDrop) {
 	es := n.eager()
-	if x, open := es.xfers[block]; open && x.req == d.src {
+	if x, open := es.xfers[block]; open && x.Src == d.src {
 		es.held[block] = append(es.held[block], d)
 		return
 	}
@@ -471,39 +437,45 @@ func eagerOwnerForward(n *Node, m mesh.Msg) {
 		} else {
 			// Yield the block entirely.
 			vals := n.copyVals(m.Addr)
-			if _, ok := n.Cache.Invalidate(m.Addr); ok {
-				n.Env.Class.Lose(n.ID, m.Addr, stats.LossCoherence, n.wordsPerLine())
-			}
+			n.loseCopy(m.Addr)
 			n.sendData(req, MsgOwnerData, m.Addr, n.lineBytes(), uint64(directory.Dirty), 1, vals)
 		}
 		n.send(m.Src, MsgXferDone, m.Addr, 0, 0, 0)
 	})
 }
 
-// eagerXferDone commits a confirmed ownership transfer in the directory
-// and releases the block's deferred requests.
-func eagerXferDone(n *Node, m mesh.Msg) {
+// eagerCloseXfer ends the transfer window the owner's reply m (XferDone
+// or FwdNack) answers and returns what was being transferred.
+func eagerCloseXfer(n *Node, m mesh.Msg) mesh.Msg {
 	es := n.eager()
 	x, ok := es.xfers[m.Addr]
 	if !ok {
-		panic(fmt.Sprintf("protocol: node %d XferDone without pending transfer (block %d)", n.ID, m.Addr))
+		panic(fmt.Sprintf("protocol: node %d %v without pending transfer (block %d)", n.ID, MsgKind(m.Kind), m.Addr))
 	}
 	delete(es.xfers, m.Addr)
+	return x
+}
+
+// eagerXferDone commits a confirmed ownership transfer in the directory
+// and releases the block's deferred requests.
+func eagerXferDone(n *Node, m mesh.Msg) {
+	x := eagerCloseXfer(n, m)
 	e := n.Dir.Entry(m.Addr)
-	if x.isWrite {
+	req := x.Src
+	if MsgKind(x.Kind) == MsgWriteReq {
 		e.Sharers.Clear()
 		e.Writers.Clear()
-		e.Sharers.Add(x.req)
-		e.Writers.Add(x.req)
+		e.Sharers.Add(req)
+		e.Writers.Add(req)
 		e.State = directory.Dirty
 	} else {
-		e.Sharers.Add(x.req) // the old owner keeps a read-only copy
+		e.Sharers.Add(req) // the old owner keeps a read-only copy
 		e.Writers.Clear()
 		e.Recompute()
 	}
 	n.Dir.Check(m.Addr, e)
 	eagerReleaseHeld(n, m.Addr)
-	eagerUnbusy(n, m.Addr)
+	eagerLeave(n, m.Addr)
 }
 
 // eagerFwdNack retries a request whose forwarded service failed. The
@@ -513,24 +485,10 @@ func eagerXferDone(n *Node, m mesh.Msg) {
 // restoring an owner the retry can be forwarded to — putting the retry
 // first instead starves the owner and livelocks.
 func eagerFwdNack(n *Node, m mesh.Msg) {
-	es := n.eager()
-	x, ok := es.xfers[m.Addr]
-	if !ok {
-		panic(fmt.Sprintf("protocol: node %d FwdNack without pending transfer (block %d)", n.ID, m.Addr))
-	}
-	delete(es.xfers, m.Addr)
+	x := eagerCloseXfer(n, m)
 	eagerReleaseHeld(n, m.Addr)
-	orig := mesh.Msg{Src: x.req, Dst: n.ID, Addr: m.Addr}
-	if x.isWrite {
-		orig.Kind = int(MsgWriteReq)
-		if x.wantData {
-			orig.Arg = wantData
-		}
-	} else {
-		orig.Kind = int(MsgReadReq)
-	}
-	es.deferred[m.Addr] = append(es.deferred[m.Addr], pendingReq{m: orig, memEnd: n.now()})
-	eagerUnbusy(n, m.Addr)
+	n.home.wait(pendingReq{m: x, memEnd: n.now()})
+	eagerLeave(n, m.Addr)
 }
 
 // eagerInval invalidates a (clean) sharer's copy immediately and
@@ -547,8 +505,8 @@ func eagerInval(n *Node, m mesh.Msg) {
 		// serialized after this collection at the home and must survive.
 		if t := n.txn(m.Addr); t != nil && t.ExpectData && !t.IsWrite && !t.Data.IsOpen() {
 			t.InvalidateOnFill = true
-		} else if _, ok := n.Cache.Invalidate(m.Addr); ok {
-			n.Env.Class.Lose(n.ID, m.Addr, stats.LossCoherence, n.wordsPerLine())
+		} else {
+			n.loseCopy(m.Addr)
 		}
 		n.send(m.Src, MsgInvalAck, m.Addr, 0, 0, 0)
 	})
@@ -556,60 +514,50 @@ func eagerInval(n *Node, m mesh.Msg) {
 
 // ---- Requester side ------------------------------------------------------
 
-func eagerReadReply(n *Node, m mesh.Msg) {
-	eagerFill(n, m.Addr, cache.ReadOnly, m.Vals)
+// eagerSendWriteReq opens an ownership transaction for block and asks
+// the home — for the data too when no copy is resident, for the upgrade
+// alone otherwise.
+func eagerSendWriteReq(n *Node, block uint64) *Txn {
+	t := n.newTxn(block)
+	t.IsWrite = true
+	arg := uint64(0)
+	if n.Cache.Lookup(block) == nil {
+		arg = wantData
+		t.ExpectData = true
+	}
+	n.send(n.homeOf(block), MsgWriteReq, block, 0, arg, 0)
+	return t
 }
 
-func eagerWriteData(n *Node, m mesh.Msg) {
-	eagerFill(n, m.Addr, cache.ReadWrite, m.Vals)
-}
-
-func eagerOwnerData(n *Node, m mesh.Msg) {
-	st := cache.ReadOnly
+// eagerFill completes a data reply (from the home's memory or from the
+// old owner) at the requester: the line lands read-write if the reply
+// grants ownership (Aux 1), read-only otherwise — unless a racing
+// invalidation marked the transaction, in which case it dies on arrival;
+// then any buffered stores for the block are resolved.
+func eagerFill(n *Node, m mesh.Msg) {
+	block, st := m.Addr, cache.ReadOnly
 	if m.Aux == 1 {
 		st = cache.ReadWrite
 	}
-	eagerFill(n, m.Addr, st, m.Vals)
-}
-
-// eagerFill completes a data reply at the requester: the line lands in
-// state st unless a racing invalidation or read-forward marked the
-// transaction, in which case it dies or demotes on arrival; then any
-// buffered stores for the block are resolved.
-func eagerFill(n *Node, block uint64, st cache.LineState, vals []uint64) {
-	t := n.txn(block)
-	if t == nil {
-		panic(fmt.Sprintf("protocol: node %d data reply without txn (block %d)", n.ID, block))
-	}
-	n.fillLine(block, st, vals, func() {
+	t := n.mustTxn(block, "data reply")
+	n.fillLine(block, st, m.Vals, func() {
 		t.Filled = true
 		inv := t.InvalidateOnFill
 		n.finishTxn(t)
 		if inv {
-			n.dropFilledCopyEager(block)
+			n.loseCopy(block) // the invalidation raced the fill
 		}
 		eagerRetireWB(n, block)
 	})
 }
 
 func eagerWriteDone(n *Node, m mesh.Msg) {
-	t := n.txn(m.Addr)
-	if t == nil {
-		panic(fmt.Sprintf("protocol: node %d write done without txn (block %d)", n.ID, m.Addr))
-	}
+	t := n.mustTxn(m.Addr, "write done")
 	if l := n.Cache.Lookup(m.Addr); l != nil && l.State == cache.ReadOnly {
 		n.Cache.Upgrade(m.Addr)
 	}
 	n.finishTxn(t)
 	eagerRetireWB(n, m.Addr)
-}
-
-// dropFilledCopyEager invalidates a copy whose invalidation raced its
-// fill.
-func (n *Node) dropFilledCopyEager(block uint64) {
-	if _, ok := n.Cache.Invalidate(block); ok {
-		n.Env.Class.Lose(n.ID, block, stats.LossCoherence, n.wordsPerLine())
-	}
 }
 
 // eagerRetireWB resolves a write-buffer entry once a transaction for its
@@ -632,8 +580,7 @@ func eagerRetireWB(n *Node, block uint64) {
 	case line != nil:
 		// Data arrived read-only (merged read); request ownership.
 		if n.txn(block) == nil {
-			n.newTxn(block).IsWrite = true
-			n.send(n.homeOf(block), MsgWriteReq, block, 0, 0, 0)
+			eagerSendWriteReq(n, block)
 		}
 	default:
 		if t := n.txn(block); t != nil {

@@ -39,34 +39,21 @@ type lazyNoticePolicy interface {
 	EagerNotices() bool
 }
 
-// lazyDeliver dispatches one message for a lazy-protocol node.
-func lazyDeliver(n *Node, m mesh.Msg) {
-	switch MsgKind(m.Kind) {
-	case MsgReadReq:
-		lazyHomeRead(n, m)
-	case MsgWriteReq:
-		lazyHomeWrite(n, m)
-	case MsgNoticeAck:
-		lazyHomeNoticeAck(n, m)
-	case MsgWriteThrough:
-		homeWriteThrough(n, m)
-	case MsgInvNotify, MsgEvict:
-		homeDropCopy(n, m)
-	case MsgReadReply:
-		lazyReadReply(n, m)
-	case MsgWriteData:
-		lazyWriteData(n, m)
-	case MsgWriteDone:
-		lazyWriteDone(n, m)
-	case MsgNotice:
-		lazyNotice(n, m)
-	case MsgWTAck:
-		n.wtPending--
-		n.checkDrain()
-	default:
-		panic(fmt.Sprintf("protocol: lazy node %d got unexpected %v", n.ID, MsgKind(m.Kind)))
-	}
-}
+// lazyDispatch is the lazy family's message interface: home side first,
+// then the requester's replies and the sharer's notice.
+var lazyDispatch = dispatch{
+	MsgReadReq:      lazyHomeRead,
+	MsgWriteReq:     lazyHomeWrite,
+	MsgNoticeAck:    lazyHomeNoticeAck,
+	MsgWriteThrough: homeWriteThrough,
+	MsgInvNotify:    homeDropCopy,
+	MsgEvict:        homeDropCopy,
+
+	MsgReadReply: lazyReadReply,
+	MsgWriteData: lazyWriteData,
+	MsgWriteDone: lazyWriteDone,
+	MsgNotice:    lazyNotice,
+}.withShared()
 
 // lazyHomeRead serves a read request at the home: directory transition at
 // the protocol processor, memory fetch in parallel, data reply at
@@ -104,7 +91,7 @@ func lazyHomeRead(n *Node, m mesh.Msg) {
 		// consumers re-fetch producer data at every acquire — a thrash
 		// the paper's miss rates (lazy never above eager) rule out.
 		n.Dir.Check(m.Addr, e)
-		at := maxTime(sendEnd, memEnd)
+		at := max(sendEnd, memEnd)
 		st := uint64(e.State)
 		n.Env.Eng.At(at, func() {
 			n.sendData(m.Src, MsgReadReply, m.Addr, n.lineBytes(), st, 0, n.homeVals(m.Addr))
@@ -160,7 +147,7 @@ func lazyHomeWrite(n *Node, m mesh.Msg) {
 			e.WaitingWriters = append(e.WaitingWriters, m.Src)
 		}
 		if wantsData {
-			at := maxTime(sendEnd, memEnd)
+			at := max(sendEnd, memEnd)
 			st := uint64(e.State)
 			aux := uint64(0)
 			if complete {
@@ -200,20 +187,15 @@ func lazyHomeNoticeAck(n *Node, m mesh.Msg) {
 }
 
 // homeWriteThrough merges coalesced dirty words into home memory and
-// acknowledges the writer. Shared with nothing eager: write-back
-// protocols use homeWriteBack.
+// acknowledges the writer.
 func homeWriteThrough(n *Node, m mesh.Msg) {
 	n.mergeHome(m.Addr, m.Vals, m.Arg)
-	ppEnd := n.ppAcquire(causal.KindDir, m.Addr, n.noticeCost())
-	memEnd := n.memAccess(m.Size)
-	n.Env.Eng.At(maxTime(ppEnd, memEnd), func() {
-		n.send(m.Src, MsgWTAck, m.Addr, 0, 0, 0)
-	})
+	n.ackWriteAt(n.absorbPayload(m), m)
 }
 
 // homeDropCopy removes a processor's copy from the directory (acquire
 // invalidation notification or eviction hint) and reverts the block's
-// state per the paper's rule. Shared by all protocols.
+// state per the paper's rule.
 func homeDropCopy(n *Node, m mesh.Msg) {
 	end := n.ppAcquire(causal.KindDir, m.Addr, n.dirCost())
 	n.Env.Eng.At(end, func() {
@@ -229,32 +211,13 @@ func homeDropCopy(n *Node, m mesh.Msg) {
 	})
 }
 
-// memAccess starts a memory-module access for b payload bytes now and
-// returns its completion time.
-func (n *Node) memAccess(b int) uint64 {
-	req := n.now()
-	start, end := n.Mem.Acquire(req, n.memCycles(b))
-	n.Env.Causal.Service(causal.KindMem, n.ID, 0, req, start, end)
-	return end
-}
-
-func maxTime(a, b uint64) uint64 {
-	if a > b {
-		return a
-	}
-	return b
-}
-
 // ---- Requester side ------------------------------------------------------
 
 // lazyReadReply installs read data. If the block is weak it is queued for
 // acquire-time invalidation immediately; if an invalidation arrived while
 // the fill was in flight, the copy is dropped as soon as it lands.
 func lazyReadReply(n *Node, m mesh.Msg) {
-	t := n.txn(m.Addr)
-	if t == nil {
-		panic(fmt.Sprintf("protocol: node %d read reply without txn (block %d)", n.ID, m.Addr))
-	}
+	t := n.mustTxn(m.Addr, "read reply")
 	n.fillLine(m.Addr, cache.ReadOnly, m.Vals, func() {
 		t.Filled = true
 		inv := t.InvalidateOnFill
@@ -270,10 +233,7 @@ func lazyReadReply(n *Node, m mesh.Msg) {
 // and completes the transaction if the home said no acknowledgements were
 // pending (aux == 1).
 func lazyWriteData(n *Node, m mesh.Msg) {
-	t := n.txn(m.Addr)
-	if t == nil {
-		panic(fmt.Sprintf("protocol: node %d write data without txn (block %d)", n.ID, m.Addr))
-	}
+	t := n.mustTxn(m.Addr, "write data")
 	n.fillLine(m.Addr, cache.ReadWrite, m.Vals, func() {
 		t.Filled = true
 		if directory.State(m.Arg) == directory.Weak {
@@ -299,10 +259,7 @@ func lazyWriteData(n *Node, m mesh.Msg) {
 // all notice acknowledgements. If the (smaller, faster) done message
 // overtook the data reply, completion is deferred to the fill.
 func lazyWriteDone(n *Node, m mesh.Msg) {
-	t := n.txn(m.Addr)
-	if t == nil {
-		panic(fmt.Sprintf("protocol: node %d write done without txn (block %d)", n.ID, m.Addr))
-	}
+	t := n.mustTxn(m.Addr, "write done")
 	// A writer of a weak block queues it for invalidation at its own
 	// next acquire: other writers' words may change under it.
 	if directory.State(m.Arg) == directory.Weak && n.Cache.Lookup(m.Addr) != nil {

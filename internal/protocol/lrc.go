@@ -3,7 +3,6 @@ package protocol
 import (
 	"lazyrc/internal/cache"
 	"lazyrc/internal/causal"
-	"lazyrc/internal/mesh"
 	"lazyrc/internal/stats"
 )
 
@@ -13,7 +12,7 @@ import (
 // Multiple processors may write a block concurrently; write-through
 // caches with a coalescing buffer keep memory current so the home never
 // forwards a read.
-type LRC struct{ invalPaths }
+type LRC struct{ lazyPaths }
 
 var _ Protocol = (*LRC)(nil)
 var _ lazyNoticePolicy = (*LRC)(nil)
@@ -21,55 +20,8 @@ var _ lazyNoticePolicy = (*LRC)(nil)
 // Name returns "lrc".
 func (*LRC) Name() string { return "lrc" }
 
-// Lazy reports true: this protocol pays the lazy directory access cost.
-func (*LRC) Lazy() bool { return true }
-
-// WriteBack reports false: the lazy protocols use write-through.
-func (*LRC) WriteBack() bool { return false }
-
 // EagerNotices reports true: notices go out at write time.
 func (*LRC) EagerNotices() bool { return true }
-
-// Deliver handles one coherence message.
-func (*LRC) Deliver(n *Node, m mesh.Msg) { lazyDeliver(n, m) }
-
-// CPURead performs a load. On a miss the processor stalls until the fill
-// completes; concurrent requests for the same block merge onto one
-// transaction.
-func (*LRC) CPURead(n *Node, block uint64, word int) { lazyCPURead(n, block, word) }
-
-// lazyCPURead is the blocking load path shared by the invalidation
-// protocols (the timestamp protocols use tardisCPURead):
-// miss, request, stall until the fill arrives (merging onto any
-// transaction already in flight for the block). An arriving fill
-// satisfies the load even if a racing invalidation dropped the copy in
-// the same instant.
-func lazyCPURead(n *Node, block uint64, word int) {
-	for {
-		if n.Cache.Lookup(block) != nil {
-			return
-		}
-		if t := n.txn(block); t != nil {
-			if !t.Data.IsOpen() {
-				n.PS.ReadStall += n.waitStall(&t.Data, t.CT, causal.StallRead, "merged read fill")
-				if t.Filled {
-					return
-				}
-			} else {
-				n.PS.ReadStall += n.waitStall(&t.Done, t.CT, causal.StallRead, "transaction completion")
-			}
-			continue
-		}
-		n.countMiss(block, word, false)
-		t := n.newTxn(block)
-		t.ExpectData = true
-		n.send(n.homeOf(block), MsgReadReq, block, 0, 0, 0)
-		n.PS.ReadStall += n.waitStall(&t.Data, t.CT, causal.StallRead, "read fill")
-		if t.Filled {
-			return
-		}
-	}
-}
 
 // CPUWrite performs a store. Stores to resident read-write lines commit
 // through the coalescing write-through path; stores to read-only lines
@@ -156,23 +108,6 @@ func lazyCPUWrite(n *Node, block uint64, word int, eager bool) {
 			return
 		}
 	}
-}
-
-// AcquireBegin starts invalidating lines for already-received notices,
-// overlapping the work with the synchronization latency itself (unless
-// the ablation knob NoAcquireOverlap defers it all to AcquireEnd).
-func (*LRC) AcquireBegin(n *Node) {
-	if !n.Env.Cfg.NoAcquireOverlap {
-		n.processPendInv()
-	}
-}
-
-// AcquireEnd invalidates lines whose notices arrived while the
-// synchronization operation was in flight; done runs when the protocol
-// processor finishes.
-func (*LRC) AcquireEnd(n *Node, done func()) {
-	end := n.processPendInv()
-	n.Env.Eng.At(end, done)
 }
 
 // Release flushes the coalescing buffer and stalls until the write

@@ -1,9 +1,6 @@
 package protocol
 
-import (
-	"lazyrc/internal/causal"
-	"lazyrc/internal/mesh"
-)
+import "lazyrc/internal/causal"
 
 // LRCExt is the lazier variant of §2: the protocol processor refrains
 // from sending write notices for as long as possible, buffering them
@@ -15,7 +12,7 @@ import (
 // As the paper shows, this wins on miss rate but moves the coherence
 // work into the critical path of the release, and loses to LRC on
 // overall execution time for all applications but fft.
-type LRCExt struct{ invalPaths }
+type LRCExt struct{ lazyPaths }
 
 var _ Protocol = (*LRCExt)(nil)
 var _ lazyNoticePolicy = (*LRCExt)(nil)
@@ -23,42 +20,14 @@ var _ lazyNoticePolicy = (*LRCExt)(nil)
 // Name returns "lrc-ext".
 func (*LRCExt) Name() string { return "lrc-ext" }
 
-// Lazy reports true: this protocol pays the lazy directory access cost.
-func (*LRCExt) Lazy() bool { return true }
-
-// WriteBack reports false: write-through with a coalescing buffer.
-func (*LRCExt) WriteBack() bool { return false }
-
 // EagerNotices reports false: notices are deferred to release time.
 func (*LRCExt) EagerNotices() bool { return false }
-
-// Deliver handles one coherence message (same handlers as LRC; the home
-// cannot tell the protocols apart).
-func (*LRCExt) Deliver(n *Node, m mesh.Msg) { lazyDeliver(n, m) }
-
-// CPURead performs a load, exactly as under LRC.
-func (*LRCExt) CPURead(n *Node, block uint64, word int) { lazyCPURead(n, block, word) }
 
 // CPUWrite performs a store. Unlike LRC, taking write permission on a
 // resident read-only line is purely local: no message leaves the node
 // until the next release (or until the block is evicted).
 func (*LRCExt) CPUWrite(n *Node, block uint64, word int) {
 	lazyCPUWrite(n, block, word, false)
-}
-
-// AcquireBegin starts invalidating lines for already-received notices
-// (unless the NoAcquireOverlap ablation defers them to AcquireEnd).
-func (*LRCExt) AcquireBegin(n *Node) {
-	if !n.Env.Cfg.NoAcquireOverlap {
-		n.processPendInv()
-	}
-}
-
-// AcquireEnd invalidates lines noticed while the synchronization
-// operation was in flight.
-func (*LRCExt) AcquireEnd(n *Node, done func()) {
-	end := n.processPendInv()
-	n.Env.Eng.At(end, done)
 }
 
 // Release posts every deferred write notice, flushes the coalescing

@@ -151,8 +151,10 @@ type Node struct {
 	releaseParked bool // CPU is parked in a release drain
 	wbParked      bool // CPU is parked on a full write buffer
 
-	seq *mesh.Sequencer // exactly-once in-order delivery under faults
+	seq      *mesh.Sequencer // exactly-once in-order delivery under faults
+	handlers *dispatch       // the protocol family's message handlers
 
+	home      homeSerial  // per-block request serialization for blocks homed here
 	eagerHome *eagerState // lazily allocated eager-protocol home state
 	tardis    *tardisNode // lazily allocated timestamp-protocol state
 
@@ -180,14 +182,16 @@ func NewNode(env *Env, id int, proto Protocol) *Node {
 		pendInvSet:  make(map[uint64]bool),
 		delayedSet:  make(map[uint64]bool),
 		seq:         mesh.NewSequencer(cfg.Procs),
+		handlers:    proto.handlers(),
 	}
 	n.sync.init()
 	env.Net.Handle(id, n.Deliver)
 	return n
 }
 
-// Deliver routes an arriving message: synchronization traffic to the sync
-// manager, coherence traffic to the protocol. Messages stamped with a
+// Deliver routes an arriving message to its handler in the family's
+// dispatch table (synchronization traffic reaches the sync manager
+// through the table's shared entries). Messages stamped with a
 // transport sequence number (fault injection active) first pass through
 // the node's sequencer, which suppresses duplicates and late
 // retransmitted originals and holds early arrivals until the gap fills —
@@ -200,11 +204,13 @@ func (n *Node) Deliver(m mesh.Msg) {
 func (n *Node) deliver(m mesh.Msg) {
 	prev := n.Env.Prof.Enter(perf.PhaseProtocol)
 	defer n.Env.Prof.Exit(prev)
-	if MsgKind(m.Kind).IsSync() {
-		n.deliverSync(m)
-		return
+	if uint(m.Kind) < uint(len(n.handlers)) {
+		if h := n.handlers[m.Kind]; h != nil {
+			h(n, m)
+			return
+		}
 	}
-	n.Proto.Deliver(n, m)
+	panic(fmt.Sprintf("protocol: %s node %d got unexpected %v", n.Proto.Name(), n.ID, MsgKind(m.Kind)))
 }
 
 // send dispatches a message from this node.
@@ -249,6 +255,16 @@ func (n *Node) busCycles(b int) uint64 {
 
 // txn returns the outstanding transaction for block, or nil.
 func (n *Node) txn(block uint64) *Txn { return n.outstanding[block] }
+
+// mustTxn returns the outstanding transaction a reply of the given kind
+// completes; a reply nobody asked for is a protocol bug.
+func (n *Node) mustTxn(block uint64, reply string) *Txn {
+	t := n.outstanding[block]
+	if t == nil {
+		panic(fmt.Sprintf("protocol: node %d %s without txn (block %d)", n.ID, reply, block))
+	}
+	return t
+}
 
 // newTxn allocates an outstanding-transaction record for block. A second
 // transaction for the same block is a protocol bug.
@@ -430,7 +446,7 @@ func (n *Node) evictVictim(v cache.Line) {
 // so the directory can drop the sharer.
 func (n *Node) evictInval(v cache.Line) {
 	block := v.Block
-	if v.Dirty != 0 && n.usesWriteBack() {
+	if v.Dirty != 0 && n.Proto.WriteBack() {
 		n.wtPending++
 		n.sendData(n.homeOf(block), MsgWriteBack, block, n.lineBytes(), v.Dirty, 0, n.copyVals(block))
 	} else {
@@ -438,7 +454,16 @@ func (n *Node) evictInval(v cache.Line) {
 	}
 }
 
-func (n *Node) usesWriteBack() bool { return n.Proto.WriteBack() }
+// loseCopy drops this node's copy of block to a coherence action (an
+// invalidation, a yielded ownership, an expired lease), recording the
+// loss for miss classification. It reports whether a copy was resident.
+func (n *Node) loseCopy(block uint64) bool {
+	_, ok := n.Cache.Invalidate(block)
+	if ok {
+		n.Env.Class.Lose(n.ID, block, stats.LossCoherence, n.wordsPerLine())
+	}
+	return ok
+}
 
 // ---- Write-through path (lazy protocols) --------------------------------
 
@@ -621,29 +646,7 @@ func (n *Node) Debug() string {
 	if n.wtPending > 0 {
 		s += fmt.Sprintf(" wt:%d", n.wtPending)
 	}
-	if n.eagerHome != nil {
-		for b, g := range n.eagerHome.grants {
-			e := n.Dir.Peek(b)
-			s += fmt.Sprintf(" grant{block %d writer %d want:%v acks:%d}", b, g.writer, g.wantData, e.PendingAcks)
-		}
-		for b, x := range n.eagerHome.xfers {
-			s += fmt.Sprintf(" xfer{block %d req %d write:%v}", b, x.req, x.isWrite)
-		}
-		for b, msgs := range n.eagerHome.deferred {
-			s += fmt.Sprintf(" deferred{block %d n:%d}", b, len(msgs))
-		}
-	}
-	if td := n.tardis; td != nil {
-		for b := range td.busy {
-			s += fmt.Sprintf(" tbusy{block %d}", b)
-		}
-		for b, msgs := range td.deferred {
-			s += fmt.Sprintf(" tdeferred{block %d n:%d}", b, len(msgs))
-		}
-		for b, rc := range td.recall {
-			s += fmt.Sprintf(" trecall{block %d owner %d}", b, rc.owner)
-		}
-	}
+	s += n.home.Debug() + n.eagerHome.debug(n) + n.tardis.debug()
 	return s
 }
 
@@ -686,27 +689,6 @@ func (n *Node) SeqParked() uint64 { return n.seq.Parked() }
 // node's sequencer — nonzero at quiescence means a message was lost and
 // never recovered.
 func (n *Node) SeqWaiting() int { return n.seq.Waiting() }
-
-// HomeBusy reports whether this node, as home, has transient protocol
-// machinery open for block — an eager ownership transfer or grant in
-// progress, deferred requests queued, or acknowledgements pending. While
-// any of it is open, directory state and remote caches may legitimately
-// disagree, so mid-run audits of the block must be skipped.
-func (n *Node) HomeBusy(block uint64) bool {
-	if n.eagerHome != nil {
-		if _, ok := n.eagerHome.grants[block]; ok {
-			return true
-		}
-		if _, ok := n.eagerHome.xfers[block]; ok {
-			return true
-		}
-		if len(n.eagerHome.deferred[block]) > 0 {
-			return true
-		}
-	}
-	e := n.Dir.Peek(block)
-	return e != nil && e.PendingAcks > 0
-}
 
 // countMiss classifies and tallies a miss by this processor on
 // (block, word).

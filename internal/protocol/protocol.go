@@ -11,7 +11,8 @@ import (
 // Protocol is the strategy implemented by each coherence protocol. The
 // CPU-side methods (CPURead, CPUWrite, ReadHit, WriteHit, AcquireBegin,
 // Release) run on the node's processor context and may park it;
-// AcquireEnd and Deliver run on the engine (event-handler) side.
+// AcquireEnd and the family's message handlers run on the engine
+// (event-handler) side.
 type Protocol interface {
 	// Name identifies the protocol ("sc", "erc", "lrc", "lrc-ext",
 	// "tardis", "tardis2").
@@ -63,8 +64,26 @@ type Protocol interface {
 	// rules, charging the wait to SyncStall.
 	Release(n *Node)
 
-	// Deliver handles a coherence message arriving at n.
-	Deliver(n *Node, m mesh.Msg)
+	// handlers returns the message dispatch table of the protocol's
+	// family; NewNode resolves it once.
+	handlers() *dispatch
+}
+
+// dispatch maps each message kind to the function that handles its
+// arrival at a node; a nil entry is a kind the family never sends. One
+// table per protocol family (eagerDispatch, lazyDispatch, tsDispatch) is
+// the whole of that family's message interface.
+type dispatch [numMsgKinds]func(*Node, mesh.Msg)
+
+// withShared completes a family's table with the kinds every family
+// handles alike: synchronization traffic goes to the sync manager, and a
+// write-through or write-back acknowledgement retires at its sender.
+func (d dispatch) withShared() *dispatch {
+	for k := MsgLockReq; k <= MsgFlagGo; k++ {
+		d[k] = (*Node).deliverSync
+	}
+	d[MsgWTAck] = wtAck
+	return &d
 }
 
 // releaseTimestamper is implemented by protocols that piggyback a
@@ -82,14 +101,52 @@ type acquireTimestamper interface {
 }
 
 // invalPaths supplies the invalidation protocols' (sc, erc, lrc,
-// lrc-ext) shared fast paths: any valid copy satisfies a load, stores
-// hit resident read-write lines, and evicted dirty lines follow the
-// write-back/write-through split.
+// lrc-ext) shared paths: any valid copy satisfies a load, stores hit
+// resident read-write lines, evicted dirty lines follow the
+// write-back/write-through split, and a load miss stalls until its fill.
 type invalPaths struct{}
 
 func (invalPaths) ReadHit(n *Node, block uint64) bool            { return true }
 func (invalPaths) WriteHit(n *Node, block uint64, word int) bool { return n.writeHitInval(block, word) }
 func (invalPaths) Evict(n *Node, v cache.Line)                   { n.evictInval(v) }
+func (invalPaths) CPURead(n *Node, block uint64, word int)       { invalCPURead(n, block, word) }
+
+// eagerPaths is the eager family (sc, erc): the ownership-based
+// write-back home of home_eager.go at the eager directory cost, and no
+// consistency work at acquires — coherence is kept at write time.
+type eagerPaths struct{ invalPaths }
+
+func (eagerPaths) Lazy() bool                      { return false }
+func (eagerPaths) WriteBack() bool                 { return true }
+func (eagerPaths) handlers() *dispatch             { return eagerDispatch }
+func (eagerPaths) AcquireBegin(n *Node)            {}
+func (eagerPaths) AcquireEnd(n *Node, done func()) { done() }
+
+// lazyPaths is the lazy family (lrc, lrc-ext): the multiple-writer
+// write-through home of home_lazy.go at the lazy directory cost, and
+// acquire-time invalidation of the lines write notices named.
+type lazyPaths struct{ invalPaths }
+
+func (lazyPaths) Lazy() bool          { return true }
+func (lazyPaths) WriteBack() bool     { return false }
+func (lazyPaths) handlers() *dispatch { return lazyDispatch }
+
+// AcquireBegin starts invalidating lines for already-received notices,
+// overlapping the work with the synchronization latency itself (unless
+// the ablation knob NoAcquireOverlap defers it all to AcquireEnd).
+func (lazyPaths) AcquireBegin(n *Node) {
+	if !n.Env.Cfg.NoAcquireOverlap {
+		n.processPendInv()
+	}
+}
+
+// AcquireEnd invalidates lines whose notices arrived while the
+// synchronization operation was in flight; done runs when the protocol
+// processor finishes.
+func (lazyPaths) AcquireEnd(n *Node, done func()) {
+	end := n.processPendInv()
+	n.Env.Eng.At(end, done)
+}
 
 // init registers every protocol with the config registry — the single
 // authoritative menu that CLIs, experiment targets, and the model

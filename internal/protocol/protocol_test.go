@@ -76,19 +76,24 @@ func TestMsgKindStrings(t *testing.T) {
 	}
 }
 
-// testEnv builds a bare n-node environment for white-box protocol tests.
-func testEnv(t *testing.T, n int, proto string) *Env {
-	t.Helper()
+// bareEnv builds an n-node environment with no nodes in it yet.
+func bareEnv(n int) *Env {
 	cfg := config.Default(n)
 	cfg.CheckInvariants = true
 	eng := sim.NewEngine()
-	env := &Env{
+	return &Env{
 		Eng:   eng,
 		Net:   mesh.New(eng, cfg),
 		Cfg:   cfg,
 		Stats: stats.NewMachine(n),
 		Class: stats.NewClassifier(n, cfg.WordsPerLine()),
 	}
+}
+
+// testEnv builds a bare n-node environment for white-box protocol tests.
+func testEnv(t *testing.T, n int, proto string) *Env {
+	t.Helper()
+	env := bareEnv(n)
 	for i := 0; i < n; i++ {
 		p, err := New(proto)
 		if err != nil {
@@ -276,5 +281,31 @@ func TestSyncGrantWithoutWaiterPanics(t *testing.T) {
 func TestNumMsgKindsMatchesNames(t *testing.T) {
 	if NumMsgKinds() != len(msgNames) {
 		t.Fatalf("NumMsgKinds = %d but %d names registered", NumMsgKinds(), len(msgNames))
+	}
+}
+
+// TestHomeResidualSeesEagerMachinery: a stranded deferred request and a
+// held copy-drop at an eager home are end-of-run errors (they used to be
+// invisible: only the timestamp homes were checked).
+func TestHomeResidualSeesEagerMachinery(t *testing.T) {
+	home := testEnv(t, 2, "erc").Nodes[0]
+	if err := home.HomeResidual(); err != nil {
+		t.Fatalf("idle home: %v", err)
+	}
+	home.home.enter(req(1, MsgWriteReq, 4))
+	home.home.enter(req(1, MsgReadReq, 4)) // deferred, never served
+	err := home.HomeResidual()
+	if err == nil || !strings.Contains(err.Error(), "block 4") || !strings.Contains(err.Error(), "waiting:1") {
+		t.Fatalf("stranded request: HomeResidual = %v", err)
+	}
+	if !home.HomeBusy(4) {
+		t.Error("block 4 in service but not HomeBusy")
+	}
+
+	home = testEnv(t, 2, "erc").Nodes[0]
+	home.eager().held[6] = append(home.eager().held[6], heldDrop{src: 1})
+	err = home.HomeResidual()
+	if err == nil || !strings.Contains(err.Error(), "block 6") || !strings.Contains(err.Error(), "held") {
+		t.Fatalf("held drop: HomeResidual = %v", err)
 	}
 }

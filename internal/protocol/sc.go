@@ -1,81 +1,23 @@
 package protocol
 
-import (
-	"lazyrc/internal/cache"
-	"lazyrc/internal/causal"
-	"lazyrc/internal/mesh"
-)
-
 // SC is the sequentially consistent directory protocol used as the
 // normalization baseline of every figure: the same ownership-based
 // directory as ERC, but the processor stalls on every read miss and on
 // every write until the access is globally performed. There is no write
 // buffer and no consistency work at synchronization operations.
-type SC struct{ invalPaths }
+type SC struct{ eagerPaths }
 
 var _ Protocol = (*SC)(nil)
 
 // Name returns "sc".
 func (*SC) Name() string { return "sc" }
 
-// Lazy reports false: the eager directory access cost applies.
-func (*SC) Lazy() bool { return false }
-
-// WriteBack reports true: replaced dirty lines carry their data home.
-func (*SC) WriteBack() bool { return true }
-
-// Deliver handles one coherence message (shared with ERC).
-func (*SC) Deliver(n *Node, m mesh.Msg) { eagerDeliver(n, m) }
-
-// CPURead performs a load, stalling on misses.
-func (*SC) CPURead(n *Node, block uint64, word int) { lazyCPURead(n, block, word) }
-
 // CPUWrite performs a store and stalls until ownership is granted and
 // all invalidations are acknowledged — the sequential-consistency cost
-// the relaxed protocols avoid. The store rides the write-buffer
-// retirement path (a one-deep MSHR here, not a relaxed write buffer) so
-// that it commits in the same event as the ownership grant; committing
-// only after the processor wakes would leave a window for a forwarded
-// request to steal the line first.
+// the relaxed protocols avoid.
 func (*SC) CPUWrite(n *Node, block uint64, word int) {
-	for {
-		line := n.Cache.Lookup(block)
-		if line != nil && line.State == cache.ReadWrite {
-			n.commitWB(block, word)
-			return
-		}
-		if t := n.txn(block); t != nil {
-			n.PS.WriteStall += n.waitStall(&t.Done, t.CT, causal.StallWrite, "write completion")
-			if n.WB.Find(block) == nil {
-				return // the grant handler committed the buffered store
-			}
-			continue
-		}
-		if _, ok := n.WB.Put(block, word); !ok {
-			n.stallWBFull()
-			continue
-		}
-		n.countMiss(block, word, line != nil)
-		t := n.newTxn(block)
-		t.IsWrite = true
-		arg := uint64(0)
-		if line == nil {
-			arg = wantData
-			t.ExpectData = true
-		}
-		n.send(n.homeOf(block), MsgWriteReq, block, 0, arg, 0)
-		n.PS.WriteStall += n.waitStall(&t.Done, t.CT, causal.StallWrite, "write completion")
-		if n.WB.Find(block) == nil {
-			return
-		}
-	}
+	stallingStore(n, block, word, eagerSendWriteReq, "write completion")
 }
-
-// AcquireBegin is a no-op: coherence is maintained on every access.
-func (*SC) AcquireBegin(n *Node) {}
-
-// AcquireEnd completes immediately.
-func (*SC) AcquireEnd(n *Node, done func()) { done() }
 
 // Release is a no-op: every write already performed globally.
 func (*SC) Release(n *Node) {}

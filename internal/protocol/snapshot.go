@@ -1,21 +1,25 @@
 package protocol
 
 import (
-	"sort"
+	"slices"
 
 	"lazyrc/internal/cache"
+	"lazyrc/internal/mesh"
 )
 
 // This file implements the canonical state snapshot the model checker
 // hashes for visited-state deduplication. Everything protocol-visible at
 // a node is encoded in a deterministic order: cache frames, buffered
 // writes, outstanding transactions, pending invalidations, deferred
-// notices, synchronization-object state, and the eager home machinery.
-// Two nodes in the same logical state produce identical bytes regardless
-// of the path that led there (map iteration never leaks into the
-// encoding).
+// notices, synchronization-object state, the home's request serializer,
+// and the family's home machinery. Two nodes in the same logical state
+// produce identical bytes regardless of the path that led there (map
+// iteration never leaks into the encoding).
 
-type snapBuf struct{ b []byte }
+type snapBuf struct {
+	b    []byte
+	keys []uint64 // sortedKeys scratch
+}
 
 func (s *snapBuf) u64(v uint64) {
 	s.b = append(s.b, byte(v), byte(v>>8), byte(v>>16), byte(v>>24),
@@ -30,15 +34,34 @@ func (s *snapBuf) bit(v bool) {
 	}
 }
 
-func sortedU64(m map[uint64]bool) []uint64 {
-	ks := make([]uint64, 0, len(m))
-	for k, v := range m {
-		if v {
-			ks = append(ks, k)
-		}
+// end closes a variable-length section (or one record of it).
+func (s *snapBuf) end() { s.u64(^uint64(0)) }
+
+// ids encodes a queue of node ids and closes it.
+func (s *snapBuf) ids(q []int) {
+	for _, id := range q {
+		s.u64(uint64(id))
 	}
-	sort.Slice(ks, func(i, j int) bool { return ks[i] < ks[j] })
-	return ks
+	s.end()
+}
+
+// msg encodes the fields of a held request that decide its service.
+func (s *snapBuf) msg(m mesh.Msg) {
+	s.u64(uint64(m.Kind))
+	s.u64(uint64(m.Src))
+	s.u64(m.Arg)
+	s.u64(m.Aux)
+}
+
+// sortedKeys returns m's keys in ascending order. The slice is s's
+// scratch: it is valid until the next call.
+func sortedKeys[V any](s *snapBuf, m map[uint64]V) []uint64 {
+	s.keys = s.keys[:0]
+	for k := range m {
+		s.keys = append(s.keys, k)
+	}
+	slices.Sort(s.keys)
+	return s.keys
 }
 
 // AppendSnapshot appends a canonical byte encoding of this node's
@@ -52,19 +75,14 @@ func (n *Node) AppendSnapshot(b []byte) []byte {
 		s.b = append(s.b, byte(l.State))
 		s.u64(l.Dirty)
 	})
-	s.u64(^uint64(0)) // section separator
+	s.end()
 
 	n.WB.Visit(func(e cache.WBEntry) { s.u64(e.Block); s.u64(e.Words) })
-	s.u64(^uint64(0))
+	s.end()
 	n.CB.Visit(func(e cache.CBEntry) { s.u64(e.Block); s.u64(e.Words) })
-	s.u64(^uint64(0))
+	s.end()
 
-	blocks := make([]uint64, 0, len(n.outstanding))
-	for blk := range n.outstanding {
-		blocks = append(blocks, blk)
-	}
-	sort.Slice(blocks, func(i, j int) bool { return blocks[i] < blocks[j] })
-	for _, blk := range blocks {
+	for _, blk := range sortedKeys(s, n.outstanding) {
 		t := n.outstanding[blk]
 		s.u64(blk)
 		s.bit(t.Data.IsOpen())
@@ -75,176 +93,52 @@ func (n *Node) AppendSnapshot(b []byte) []byte {
 		s.bit(t.Filled)
 		s.bit(t.DoneEarly)
 	}
-	s.u64(^uint64(0))
+	s.end()
 
 	for _, blk := range n.pendInv {
 		s.u64(blk)
 	}
-	s.u64(^uint64(0))
+	s.end()
 	for _, blk := range n.delayed {
 		s.u64(blk)
 	}
-	s.u64(^uint64(0))
+	s.end()
 	s.u64(uint64(n.wtPending))
 	s.bit(n.releaseParked)
 	s.bit(n.wbParked)
 	s.bit(n.sync.gate != nil)
 
-	ids := make([]uint64, 0, len(n.sync.locks))
-	for id := range n.sync.locks {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	for _, id := range ids {
+	for _, id := range sortedKeys(s, n.sync.locks) {
 		l := n.sync.locks[id]
 		s.u64(id)
 		s.bit(l.held)
 		s.u64(l.ts)
-		for _, q := range l.queue {
-			s.u64(uint64(q))
-		}
-		s.u64(^uint64(0))
+		s.ids(l.queue)
 	}
-	s.u64(^uint64(0))
-	ids = ids[:0]
-	for id := range n.sync.bars {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	for _, id := range ids {
+	s.end()
+	for _, id := range sortedKeys(s, n.sync.bars) {
 		bar := n.sync.bars[id]
 		s.u64(id)
 		s.u64(uint64(bar.arrived))
 		s.u64(bar.ts)
-		for _, w := range bar.waiting {
-			s.u64(uint64(w))
-		}
-		s.u64(^uint64(0))
+		s.ids(bar.waiting)
 	}
-	s.u64(^uint64(0))
-	ids = ids[:0]
-	for id := range n.sync.flags {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	for _, id := range ids {
+	s.end()
+	for _, id := range sortedKeys(s, n.sync.flags) {
 		f := n.sync.flags[id]
 		s.u64(id)
 		s.bit(f.set)
 		s.u64(f.ts)
-		for _, w := range f.waiters {
-			s.u64(uint64(w))
-		}
-		s.u64(^uint64(0))
+		s.ids(f.waiters)
 	}
-	s.u64(^uint64(0))
+	s.end()
 
+	n.home.appendSnapshot(s)
 	if es := n.eagerHome; es != nil {
-		blocks = blocks[:0]
-		for blk := range es.grants {
-			blocks = append(blocks, blk)
-		}
-		sort.Slice(blocks, func(i, j int) bool { return blocks[i] < blocks[j] })
-		for _, blk := range blocks {
-			g := es.grants[blk]
-			s.u64(blk)
-			s.u64(uint64(g.writer))
-			s.bit(g.wantData)
-		}
-		s.u64(^uint64(0))
-		blocks = blocks[:0]
-		for blk := range es.xfers {
-			blocks = append(blocks, blk)
-		}
-		sort.Slice(blocks, func(i, j int) bool { return blocks[i] < blocks[j] })
-		for _, blk := range blocks {
-			x := es.xfers[blk]
-			s.u64(blk)
-			s.u64(uint64(x.req))
-			s.bit(x.isWrite)
-			s.bit(x.wantData)
-		}
-		s.u64(^uint64(0))
-		blocks = blocks[:0]
-		for blk := range es.deferred {
-			if len(es.deferred[blk]) > 0 {
-				blocks = append(blocks, blk)
-			}
-		}
-		sort.Slice(blocks, func(i, j int) bool { return blocks[i] < blocks[j] })
-		for _, blk := range blocks {
-			s.u64(blk)
-			for _, p := range es.deferred[blk] {
-				s.u64(uint64(p.m.Kind))
-				s.u64(uint64(p.m.Src))
-				s.u64(p.m.Arg)
-			}
-			s.u64(^uint64(0))
-		}
-		s.u64(^uint64(0))
-		serv := make(map[uint64]bool, len(es.servicing))
-		for blk, v := range es.servicing {
-			serv[blk] = v
-		}
-		for _, blk := range sortedU64(serv) {
-			s.u64(blk)
-		}
-		s.u64(^uint64(0))
+		es.appendSnapshot(s)
 	}
-
 	if td := n.tardis; td != nil {
-		s.u64(td.pts)
-		s.u64(td.bts)
-		s.u64(td.rebases)
-		blocks = blocks[:0]
-		for blk := range td.leases {
-			blocks = append(blocks, blk)
-		}
-		sort.Slice(blocks, func(i, j int) bool { return blocks[i] < blocks[j] })
-		for _, blk := range blocks {
-			l := td.leases[blk]
-			s.u64(blk)
-			s.u64(l.wts)
-			s.u64(l.rts)
-		}
-		s.u64(^uint64(0))
-		for _, blk := range sortedU64(td.busy) {
-			s.u64(blk)
-		}
-		s.u64(^uint64(0))
-		blocks = blocks[:0]
-		for blk := range td.deferred {
-			if len(td.deferred[blk]) > 0 {
-				blocks = append(blocks, blk)
-			}
-		}
-		sort.Slice(blocks, func(i, j int) bool { return blocks[i] < blocks[j] })
-		for _, blk := range blocks {
-			s.u64(blk)
-			for _, m := range td.deferred[blk] {
-				s.u64(uint64(m.Kind))
-				s.u64(uint64(m.Src))
-				s.u64(m.Arg)
-				s.u64(m.Aux)
-			}
-			s.u64(^uint64(0))
-		}
-		s.u64(^uint64(0))
-		blocks = blocks[:0]
-		for blk := range td.recall {
-			blocks = append(blocks, blk)
-		}
-		sort.Slice(blocks, func(i, j int) bool { return blocks[i] < blocks[j] })
-		for _, blk := range blocks {
-			rc := td.recall[blk]
-			s.u64(blk)
-			s.u64(uint64(rc.owner))
-			s.u64(uint64(rc.pending.Kind))
-			s.u64(uint64(rc.pending.Src))
-			s.u64(rc.pending.Arg)
-			s.u64(rc.pending.Aux)
-		}
-		s.u64(^uint64(0))
+		td.appendSnapshot(s)
 	}
 	return s.b
 }

@@ -25,7 +25,6 @@ import (
 	"lazyrc/internal/cache"
 	"lazyrc/internal/causal"
 	"lazyrc/internal/mesh"
-	"lazyrc/internal/stats"
 )
 
 // tsLease is a node-side cached lease for one line: the version's write
@@ -35,9 +34,9 @@ type tsLease struct {
 }
 
 // tardisNode bundles the per-node state of the timestamp protocols:
-// requester-side logical clock and lease cache, and the home-side
-// serialization state for the blocks homed here. Allocated on first
-// touch; nil on nodes running invalidation protocols.
+// requester-side logical clock and lease cache, and the home's open
+// recall episodes for the blocks homed here. Allocated on first touch;
+// nil on nodes running invalidation protocols.
 type tardisNode struct {
 	pts     uint64 // program timestamp
 	bts     uint64 // compression base: leases store deltas from here
@@ -45,11 +44,9 @@ type tardisNode struct {
 
 	leases map[uint64]tsLease // cached leases by block
 
-	// Home side: per-block request serialization. The home services one
-	// request per block at a time; later arrivals queue in FIFO order.
-	busy     map[uint64]bool
-	deferred map[uint64][]mesh.Msg
-	recall   map[uint64]*tardisRecall
+	// Home side: the block of an open recall is in service in n.home
+	// on the pending request's behalf.
+	recall map[uint64]*tardisRecall
 }
 
 // tardisRecall is one open recall episode at a home: the owner has been
@@ -60,14 +57,15 @@ type tardisRecall struct {
 	pending mesh.Msg
 }
 
-// td returns the node's timestamp state, allocating it on first touch.
+// td returns the node's timestamp state, allocating it on first touch —
+// a load or store miss, a sync operation, or the first request served
+// as home. AppendSnapshot encodes whether it exists, so the point of
+// first touch is visible to the model checker's state hash.
 func (n *Node) td() *tardisNode {
 	if n.tardis == nil {
 		n.tardis = &tardisNode{
-			leases:   make(map[uint64]tsLease),
-			busy:     make(map[uint64]bool),
-			deferred: make(map[uint64][]mesh.Msg),
-			recall:   make(map[uint64]*tardisRecall),
+			leases: make(map[uint64]tsLease),
+			recall: make(map[uint64]*tardisRecall),
 		}
 	}
 	return n.tardis
@@ -217,30 +215,26 @@ func tardisCPURead(n *Node, block uint64, word int) {
 // tardisReadReply handles a data reply carrying a fresh lease (a read
 // miss fill, or a renewal whose cached copy turned out stale).
 func tardisReadReply(n *Node, m mesh.Msg) {
-	t := n.txn(m.Addr)
-	if t == nil {
-		panic("tardis: read reply without transaction")
-	}
+	t := n.mustTxn(m.Addr, "lease reply")
 	n.installLease(m.Addr, tsLease{wts: m.Arg, rts: m.Aux})
-	n.fillLine(m.Addr, cache.ReadOnly, m.Vals, func() {
-		t.Filled = true
-		n.finishTxn(t)
-		tardisRetireWB(n, m.Addr)
-	})
+	n.fillLine(m.Addr, cache.ReadOnly, m.Vals, func() { tardisComplete(n, t) })
+}
+
+// tardisComplete finishes a transaction whose lease (and data, if any
+// was due) has landed, then commits the block's buffered stores.
+func tardisComplete(n *Node, t *Txn) {
+	t.Filled = true
+	n.finishTxn(t)
+	tardisRetireWB(n, t.Block)
 }
 
 // tardisRenewAck handles the control-only renewal fast path: the cached
 // copy was current, only the lease end moved.
 func tardisRenewAck(n *Node, m mesh.Msg) {
-	t := n.txn(m.Addr)
-	if t == nil {
-		panic("tardis: renew ack without transaction")
-	}
+	t := n.mustTxn(m.Addr, "renew ack")
 	n.installLease(m.Addr, tsLease{wts: m.Arg, rts: m.Aux})
 	n.observe("lease-renew", m.Addr, m.Aux, m.Src)
-	t.Filled = true
-	n.finishTxn(t)
-	tardisRetireWB(n, m.Addr)
+	tardisComplete(n, t)
 }
 
 // ---- Store path ----------------------------------------------------------
@@ -268,18 +262,11 @@ func tardisSendWriteReq(n *Node, block uint64) *Txn {
 // copy current (Aux&1). The buffered store commits in the same event as
 // the grant.
 func tardisWriteReply(n *Node, m mesh.Msg) {
-	t := n.txn(m.Addr)
-	if t == nil {
-		panic("tardis: write reply without transaction")
-	}
+	t := n.mustTxn(m.Addr, "write grant")
 	n.installLease(m.Addr, tsLease{wts: m.Arg, rts: m.Arg})
 	n.bumpPTS(m.Arg)
 	if m.Aux&1 != 0 {
-		n.fillLine(m.Addr, cache.ReadWrite, m.Vals, func() {
-			t.Filled = true
-			n.finishTxn(t)
-			tardisRetireWB(n, m.Addr)
-		})
+		n.fillLine(m.Addr, cache.ReadWrite, m.Vals, func() { tardisComplete(n, t) })
 		return
 	}
 	// Control-only grant: upgrade the resident copy in place. The copy
@@ -290,9 +277,7 @@ func tardisWriteReply(n *Node, m mesh.Msg) {
 	if line := n.Cache.Lookup(m.Addr); line != nil {
 		n.Cache.Upgrade(m.Addr)
 	}
-	t.Filled = true
-	n.finishTxn(t)
-	tardisRetireWB(n, m.Addr)
+	tardisComplete(n, t)
 }
 
 // tardisRetireWB commits buffered stores for block once ownership and
@@ -359,9 +344,7 @@ func tardisYieldOrNack(n *Node, m mesh.Msg) {
 	td := n.td()
 	wts := td.leases[block].wts
 	vals := n.copyVals(block)
-	if _, ok := n.Cache.Invalidate(block); ok {
-		n.Env.Class.Lose(n.ID, block, stats.LossCoherence, n.wordsPerLine())
-	}
+	n.loseCopy(block)
 	delete(td.leases, block)
 	n.observe("lease-expire", block, td.pts, m.Src)
 	n.sendData(m.Src, MsgTYield, block, n.lineBytes(), ^uint64(0), wts, vals)
@@ -381,34 +364,53 @@ func tardisEvict(n *Node, v cache.Line) {
 	}
 }
 
-// TardisResidual reports leftover home-side timestamp machinery at the
-// end of a run: a busy block, deferred requests, or an open recall mean
-// a request was admitted and never finished service. Nil for nodes not
-// running a timestamp protocol.
-func (n *Node) TardisResidual() error {
-	td := n.tardis
+// debug renders the open recalls, for stall diagnostics and the
+// end-of-run check: the request a recall holds was admitted and never
+// finished service.
+func (td *tardisNode) debug() string {
 	if td == nil {
-		return nil
+		return ""
 	}
-	for b := range td.busy {
-		return fmt.Errorf("block %d still in home service at end of run", b)
-	}
-	for b, q := range td.deferred {
-		if len(q) > 0 {
-			return fmt.Errorf("block %d has %d deferred home request(s) at end of run", b, len(q))
-		}
-	}
+	s := ""
 	for b, rc := range td.recall {
-		return fmt.Errorf("block %d has an open recall of node %d at end of run", b, rc.owner)
+		s += fmt.Sprintf(" trecall{block %d owner %d}", b, rc.owner)
 	}
-	return nil
+	return s
+}
+
+func (td *tardisNode) appendSnapshot(s *snapBuf) {
+	s.u64(td.pts)
+	s.u64(td.bts)
+	s.u64(td.rebases)
+	for _, blk := range sortedKeys(s, td.leases) {
+		l := td.leases[blk]
+		s.u64(blk)
+		s.u64(l.wts)
+		s.u64(l.rts)
+	}
+	s.end()
+	for _, blk := range sortedKeys(s, td.recall) {
+		rc := td.recall[blk]
+		s.u64(blk)
+		s.u64(uint64(rc.owner))
+		s.msg(rc.pending)
+	}
+	s.end()
 }
 
 // ---- Shared protocol plumbing -------------------------------------------
 
-// tsPaths supplies the fast paths, eviction, message dispatch, and sync
-// timestamp piggybacking shared by both timestamp protocols.
+// tsPaths is the timestamp family (tardis, tardis2): the fast paths,
+// eviction, the lease home of tardis_home.go, and sync timestamp
+// piggybacking. Acquires do no consistency work unless the protocol
+// overrides AcquireEnd (tardis2's lease sweep).
 type tsPaths struct{}
+
+func (tsPaths) Lazy() bool                      { return false }
+func (tsPaths) WriteBack() bool                 { return true }
+func (tsPaths) handlers() *dispatch             { return tsDispatch }
+func (tsPaths) AcquireBegin(n *Node)            {}
+func (tsPaths) AcquireEnd(n *Node, done func()) { done() }
 
 func (tsPaths) ReadHit(n *Node, block uint64) bool            { return tardisReadHit(n, block) }
 func (tsPaths) WriteHit(n *Node, block uint64, word int) bool { return tardisWriteHit(n, block, word) }
@@ -428,31 +430,21 @@ func (tsPaths) AcquireTS(n *Node, ts uint64) {
 	}
 }
 
-func (tsPaths) Deliver(n *Node, m mesh.Msg) {
-	switch MsgKind(m.Kind) {
-	case MsgTReadReq, MsgTRenewReq, MsgTWriteReq:
-		tardisHomeRequest(n, m)
-	case MsgTWB:
-		tardisHomeWB(n, m)
-	case MsgTYield:
-		tardisHomeYield(n, m)
-	case MsgTNack:
-		tardisHomeNack(n, m)
-	case MsgTReadReply:
-		tardisReadReply(n, m)
-	case MsgTRenewAck:
-		tardisRenewAck(n, m)
-	case MsgTWriteReply:
-		tardisWriteReply(n, m)
-	case MsgTRecall:
-		tardisRecalled(n, m)
-	case MsgWTAck:
-		n.wtPending--
-		n.checkDrain()
-	default:
-		panic("tardis: unexpected message " + MsgKind(m.Kind).String())
-	}
-}
+// tsDispatch is the timestamp family's message interface: home side
+// first, then the requester's replies and the owner's recall.
+var tsDispatch = dispatch{
+	MsgTReadReq:  tardisHomeRequest,
+	MsgTRenewReq: tardisHomeRequest,
+	MsgTWriteReq: tardisHomeRequest,
+	MsgTWB:       tardisHomeWB,
+	MsgTYield:    tardisHomeYield,
+	MsgTNack:     tardisHomeNack,
+
+	MsgTReadReply:  tardisReadReply,
+	MsgTRenewAck:   tardisRenewAck,
+	MsgTWriteReply: tardisWriteReply,
+	MsgTRecall:     tardisRecalled,
+}.withShared()
 
 // ---- Tardis (sequentially consistent flavor) -----------------------------
 
@@ -461,40 +453,13 @@ func (tsPaths) Deliver(n *Node, m mesh.Msg) {
 // only in how readers learn about writes (lease expiry vs invalidation).
 type Tardis struct{ tsPaths }
 
-func (*Tardis) Name() string    { return "tardis" }
-func (*Tardis) Lazy() bool      { return false }
-func (*Tardis) WriteBack() bool { return true }
+func (*Tardis) Name() string { return "tardis" }
 
 // CPUWrite performs a stalling store, mirroring SC: the write buffer is
 // a one-deep MSHR, and the CPU parks until the grant commits the store.
 func (*Tardis) CPUWrite(n *Node, block uint64, word int) {
-	for {
-		if tardisWriteHit(n, block, word) {
-			return
-		}
-		if t := n.txn(block); t != nil {
-			n.PS.WriteStall += n.waitStall(&t.Done, t.CT, causal.StallWrite, "prior transaction")
-			if n.WB.Find(block) == nil {
-				return // a retirement committed our buffered store
-			}
-			continue
-		}
-		if _, ok := n.WB.Put(block, word); !ok {
-			n.stallWBFull()
-			continue
-		}
-		line := n.Cache.Lookup(block)
-		n.countMiss(block, word, line != nil)
-		t := tardisSendWriteReq(n, block)
-		n.PS.WriteStall += n.waitStall(&t.Done, t.CT, causal.StallWrite, "write completion")
-		if n.WB.Find(block) == nil {
-			return
-		}
-	}
+	stallingStore(n, block, word, tardisSendWriteReq, "prior transaction")
 }
-
-func (*Tardis) AcquireBegin(n *Node)            {}
-func (*Tardis) AcquireEnd(n *Node, done func()) { done() }
 
 // Release is a no-op, as under SC: every store already performed before
 // the program moved past it. In-flight eviction write-backs are safe to

@@ -14,44 +14,20 @@ import (
 
 	"lazyrc/internal/cache"
 	"lazyrc/internal/causal"
-	"lazyrc/internal/stats"
 )
 
 // Tardis2 is the relaxed flavor: buffered stores, releases that drain,
 // and an acquire-time lease-expiry sweep.
 type Tardis2 struct{ tsPaths }
 
-func (*Tardis2) Name() string    { return "tardis2" }
-func (*Tardis2) Lazy() bool      { return false }
-func (*Tardis2) WriteBack() bool { return true }
+func (*Tardis2) Name() string { return "tardis2" }
 
 // CPUWrite buffers the store and requests ownership without stalling,
 // mirroring ERC: the write buffer hides the grant latency, and the
 // store commits from the reply handler when ownership lands.
 func (*Tardis2) CPUWrite(n *Node, block uint64, word int) {
-	for {
-		if tardisWriteHit(n, block, word) {
-			return
-		}
-		allocated, ok := n.WB.Put(block, word)
-		if !ok {
-			n.stallWBFull()
-			continue
-		}
-		if !allocated {
-			return // coalesced into an entry already awaiting its grant
-		}
-		if n.txn(block) != nil {
-			return // retirement after the in-flight transaction commits it
-		}
-		line := n.Cache.Lookup(block)
-		n.countMiss(block, word, line != nil)
-		tardisSendWriteReq(n, block)
-		return
-	}
+	bufferedStore(n, block, word, tardisSendWriteReq)
 }
-
-func (*Tardis2) AcquireBegin(n *Node) {}
 
 // AcquireEnd sweeps the lease cache: AcquireTS has already folded the
 // grant's timestamp into pts, so any read copy whose lease ends before
@@ -85,8 +61,7 @@ func (*Tardis2) AcquireEnd(n *Node, done func()) {
 	}
 	sort.Slice(expired, func(i, j int) bool { return expired[i] < expired[j] })
 	for _, b := range expired {
-		if _, ok := n.Cache.Invalidate(b); ok {
-			n.Env.Class.Lose(n.ID, b, stats.LossCoherence, n.wordsPerLine())
+		if n.loseCopy(b) {
 			n.PS.InvalsAtAcquire++
 		}
 		delete(td.leases, b)

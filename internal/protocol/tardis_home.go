@@ -17,14 +17,9 @@ import (
 // tardisHomeRequest admits a lease request (read, renew, or write),
 // deferring it while the block is in service.
 func tardisHomeRequest(n *Node, m mesh.Msg) {
-	td := n.td()
-	b := m.Addr
-	if td.busy[b] {
-		td.deferred[b] = append(td.deferred[b], m)
-		return
+	if n.home.enter(pendingReq{m: m}) {
+		tardisHomeService(n, m)
 	}
-	td.busy[b] = true
-	tardisHomeService(n, m)
 }
 
 // tardisHomeService starts servicing one admitted request. An exclusive
@@ -32,9 +27,10 @@ func tardisHomeRequest(n *Node, m mesh.Msg) {
 // first recalls the owner.
 func tardisHomeService(n *Node, m mesh.Msg) {
 	b := m.Addr
+	td := n.td()
 	l := n.Dir.Lease(b)
 	if l.Owner != directory.NoOwner && l.Owner != m.Src {
-		n.td().recall[b] = &tardisRecall{owner: l.Owner, pending: m}
+		td.recall[b] = &tardisRecall{owner: l.Owner, pending: m}
 		owner := l.Owner
 		end := n.ppAcquire(causal.KindDir, b, n.dirCost())
 		n.Env.Eng.At(end, func() {
@@ -59,10 +55,8 @@ func tardisHomeService(n *Node, m mesh.Msg) {
 		} else {
 			tardisHomeRead(n, m) // copy stale: renewal becomes a refetch
 		}
-	case MsgTWriteReq:
+	default: // MsgTWriteReq: tsDispatch routes only these three kinds here
 		tardisHomeWrite(n, m)
-	default:
-		panic("tardis: unexpected home request " + MsgKind(m.Kind).String())
 	}
 }
 
@@ -89,7 +83,7 @@ func tardisHomeRead(n *Node, m mesh.Msg) {
 		extendLease(l, m.Arg, n.Env.Cfg.LeaseLen)
 		n.Dir.CheckLease(m.Addr, l)
 		wts, rts := l.Wts, l.Rts
-		n.Env.Eng.At(maxTime(n.now(), memEnd), func() {
+		n.Env.Eng.At(max(n.now(), memEnd), func() {
 			n.sendData(m.Src, MsgTReadReply, m.Addr, n.lineBytes(), wts, rts, n.homeVals(m.Addr))
 			tardisHomeNext(n, m.Addr)
 		})
@@ -134,7 +128,7 @@ func tardisHomeWrite(n *Node, m mesh.Msg) {
 		n.Dir.CheckLease(m.Addr, l)
 		at := n.now()
 		if wantsData {
-			at = maxTime(at, memEnd)
+			at = max(at, memEnd)
 		}
 		n.Env.Eng.At(at, func() {
 			if wantsData {
@@ -150,18 +144,9 @@ func tardisHomeWrite(n *Node, m mesh.Msg) {
 // tardisHomeNext closes one service slot for block: the oldest deferred
 // request enters service, or the block goes idle.
 func tardisHomeNext(n *Node, block uint64) {
-	td := n.td()
-	if q := td.deferred[block]; len(q) > 0 {
-		m := q[0]
-		if len(q) == 1 {
-			delete(td.deferred, block)
-		} else {
-			td.deferred[block] = q[1:]
-		}
-		tardisHomeService(n, m)
-		return
+	if next, ok := n.home.leave(block); ok {
+		tardisHomeService(n, next.m)
 	}
-	delete(td.busy, block)
 }
 
 // tardisAdoptOwnerCopy merges an owner's returned data (yield or
@@ -200,20 +185,14 @@ func tardisHomeEpisodeEnd(n *Node, block uint64) {
 // the protocol-processor notice overlap before the ack.
 func tardisHomeWB(n *Node, m mesh.Msg) {
 	tardisAdoptOwnerCopy(n, m)
-	ppEnd := n.ppAcquire(causal.KindDir, m.Addr, n.noticeCost())
-	memEnd := n.memAccess(m.Size)
-	n.Env.Eng.At(maxTime(ppEnd, memEnd), func() {
-		n.send(m.Src, MsgWTAck, m.Addr, 0, 0, 0)
-	})
+	n.ackWriteAt(n.absorbPayload(m), m)
 }
 
 // tardisHomeYield handles a recalled block's data: adopt the copy, then
 // serve the request the recall was holding.
 func tardisHomeYield(n *Node, m mesh.Msg) {
 	tardisAdoptOwnerCopy(n, m)
-	ppEnd := n.ppAcquire(causal.KindDir, m.Addr, n.noticeCost())
-	memEnd := n.memAccess(m.Size)
-	n.Env.Eng.At(maxTime(ppEnd, memEnd), func() {
+	n.Env.Eng.At(n.absorbPayload(m), func() {
 		tardisHomeEpisodeEnd(n, m.Addr)
 	})
 }
