@@ -38,7 +38,7 @@ type Network struct {
 
 	sent      uint64
 	bytesSent uint64
-	byKind    map[int]uint64
+	byKind    []uint64 // indexed by Msg.Kind, grown on demand
 
 	// Fault injection (nil = reliable fabric, the default). When an
 	// injector is attached every message is stamped with a transaction id
@@ -145,7 +145,6 @@ func New(eng *sim.Engine, cfg config.Config) *Network {
 		out:      make([]*sim.Resource, cfg.Procs),
 		handlers: make([]func(Msg), cfg.Procs),
 	}
-	n.byKind = make(map[int]uint64)
 	for i := range n.in {
 		n.in[i] = sim.NewResource(fmt.Sprintf("nic-in%d", i))
 		n.out[i] = sim.NewResource(fmt.Sprintf("nic-out%d", i))
@@ -315,8 +314,11 @@ func (n *Network) Send(m Msg) {
 			n.transmit(m, 0)
 			return
 		}
-		n.flightAdd(m)
-		n.eng.At(entry, func() { n.flightRemove(m); n.transmit(m, 0) })
+		// The closure takes a copy: capturing m itself, which Send assigns
+		// to, would move the parameter to the heap on every call.
+		held := m
+		n.flightAdd(held)
+		n.eng.At(entry, func() { n.flightRemove(held); n.transmit(held, 0) })
 		return
 	}
 	if n.inj == nil {
@@ -398,6 +400,9 @@ func (n *Network) transmit(m Msg, extra uint64) {
 	}
 	n.sent++
 	n.bytesSent += uint64(m.Size)
+	if m.Kind >= len(n.byKind) {
+		n.byKind = append(n.byKind, make([]uint64, m.Kind+1-len(n.byKind))...)
+	}
 	n.byKind[m.Kind]++
 	if n.Trace != nil {
 		n.Trace(m)
@@ -506,7 +511,12 @@ func (n *Network) Stats() (msgs, bytes uint64) { return n.sent, n.bytesSent }
 // KindCount returns how many messages of the given protocol kind were
 // sent — the per-transaction-type traffic breakdown behind the paper's
 // message-reduction argument.
-func (n *Network) KindCount(kind int) uint64 { return n.byKind[kind] }
+func (n *Network) KindCount(kind int) uint64 {
+	if kind < 0 || kind >= len(n.byKind) {
+		return 0
+	}
+	return n.byKind[kind]
+}
 
 // PortWaited returns the cumulative queueing delay observed at node id's
 // NIC ports — a contention indicator used by reports.

@@ -154,6 +154,37 @@ func TestStatsAccumulate(t *testing.T) {
 	}
 }
 
+func TestKindCount(t *testing.T) {
+	eng, n := net64(t)
+	n.Handle(1, func(Msg) {})
+	eng.At(0, func() {
+		n.Send(Msg{Src: 0, Dst: 1, Kind: 9})
+		n.Send(Msg{Src: 0, Dst: 1, Kind: 2})
+		n.Send(Msg{Src: 0, Dst: 1, Kind: 9})
+	})
+	eng.Run()
+	for kind, want := range map[int]uint64{-1: 0, 0: 0, 2: 1, 9: 2, 10: 0, 1000: 0} {
+		if got := n.KindCount(kind); got != want {
+			t.Errorf("KindCount(%d) = %d, want %d", kind, got, want)
+		}
+	}
+}
+
+func TestSendAllocatesOnlyTheDeliveryClosure(t *testing.T) {
+	// On the reliable fabric a cross-node message costs one object: the
+	// closure that carries it to the destination handler. In particular
+	// the Msg parameter itself must not move to the heap.
+	eng, n := net64(t)
+	n.Handle(1, func(Msg) {})
+	send := func() {
+		n.Send(Msg{Src: 0, Dst: 1, Kind: 3, Size: 128})
+		eng.Run()
+	}
+	if got := testing.AllocsPerRun(200, send); got != 1 {
+		t.Fatalf("cross-node Send + delivery allocates %v objects, want 1", got)
+	}
+}
+
 func TestTransferCycles(t *testing.T) {
 	_, n := net64(t)
 	for _, tc := range []struct {

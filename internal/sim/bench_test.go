@@ -1,25 +1,37 @@
 package sim
 
-import "testing"
+import (
+	"fmt"
+	"testing"
+)
 
 // BenchmarkEventHeapPushPop measures the scheduler's core data
 // structure: one push and one pop against a primed heap, the operation
-// pair every simulated event pays.
+// pair every simulated event pays. The sub-benchmarks hold the standing
+// population of a 4-processor machine (64), a 64-processor medium cell
+// (1 024) and a paper-scale one (16 384), so the sift depth is
+// representative of each; heapArity was chosen from these rows.
 //
 //	go test ./internal/sim -bench EventHeap -benchmem
 func BenchmarkEventHeapPushPop(b *testing.B) {
-	var h eventHeap
 	nop := func() {}
-	// Prime with a realistic standing population so the sift depth is
-	// representative (an idle heap would make both operations trivial).
-	for i := 0; i < 1024; i++ {
-		h.pushEv(event{at: Time(i*2654435761) % 1_000_000, seq: uint64(i), fn: nop})
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		h.pushEv(event{at: Time(i*40503) % 1_000_000, seq: uint64(1024 + i), fn: nop})
-		h.popMin()
+	for _, pop := range []int{64, 1024, 16384} {
+		b.Run(fmt.Sprintf("pop=%d", pop), func(b *testing.B) {
+			var h eventHeap
+			for i := 0; i < pop; i++ {
+				h.pushEv(event{at: Time(i*2654435761) % 1_000_000, seq: uint64(i), fn: nop})
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			// Each new event lands up to 1M cycles after the one just
+			// popped, as a rescheduling simulation's do: the population
+			// stands and the clock only moves forward.
+			var now Time
+			for i := 0; i < b.N; i++ {
+				h.pushEv(event{at: now + Time(i*40503)%1_000_000, seq: uint64(pop + i), fn: nop})
+				now = h.popMin().at
+			}
+		})
 	}
 }
 

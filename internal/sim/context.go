@@ -18,6 +18,11 @@ type Context struct {
 	resume chan struct{}
 	done   bool
 	parked bool
+	why    string // what the context is parked on; meaningful while parked
+
+	// run is transfer as a func value, built once so that scheduling a
+	// resumption allocates nothing.
+	run func()
 
 	// progress counts resumptions; the watchdog reads it to tell a
 	// context that is advancing from one that is wedged.
@@ -28,6 +33,7 @@ type Context struct {
 // simulated time. The name appears in deadlock reports.
 func (e *Engine) Spawn(name string, fn func(*Context)) *Context {
 	c := &Context{eng: e, name: name, resume: make(chan struct{})}
+	c.run = c.transfer
 	e.contexts = append(e.contexts, c)
 	go func() {
 		<-c.resume // wait for first transfer
@@ -35,7 +41,7 @@ func (e *Engine) Spawn(name string, fn func(*Context)) *Context {
 		c.done = true
 		e.yield <- struct{}{}
 	}()
-	e.At(e.now, func() { c.transfer() })
+	e.At(e.now, c.run)
 	return c
 }
 
@@ -71,7 +77,7 @@ func (c *Context) block() {
 // Sleep advances the context by d cycles of simulated time, letting other
 // activity proceed in between.
 func (c *Context) Sleep(d uint64) {
-	c.eng.After(d, func() { c.transfer() })
+	c.eng.After(d, c.run)
 	c.block()
 }
 
@@ -81,7 +87,8 @@ func (c *Context) Sleep(d uint64) {
 func (c *Context) Park(why string) uint64 {
 	start := c.eng.now
 	c.parked = true
-	c.eng.parked[c] = why
+	c.why = why
+	c.eng.nparked++
 	c.block()
 	return c.eng.now - start
 }
@@ -89,14 +96,7 @@ func (c *Context) Park(why string) uint64 {
 // Wake schedules the parked context to resume at the current simulated
 // time. It must be called from an event handler (engine goroutine), never
 // from another context's body, and panics if the context is not parked.
-func (c *Context) Wake() {
-	if !c.parked {
-		panic(fmt.Sprintf("sim: waking context %q which is not parked", c.name))
-	}
-	c.parked = false
-	delete(c.eng.parked, c)
-	c.eng.At(c.eng.now, func() { c.transfer() })
-}
+func (c *Context) Wake() { c.WakeAt(c.eng.now) }
 
 // WakeAt schedules the parked context to resume at absolute time t >= now.
 func (c *Context) WakeAt(t Time) {
@@ -104,8 +104,8 @@ func (c *Context) WakeAt(t Time) {
 		panic(fmt.Sprintf("sim: waking context %q which is not parked", c.name))
 	}
 	c.parked = false
-	delete(c.eng.parked, c)
-	c.eng.At(t, func() { c.transfer() })
+	c.eng.nparked--
+	c.eng.At(t, c.run)
 }
 
 // Parked reports whether the context is currently parked.

@@ -10,7 +10,6 @@
 package sim
 
 import (
-	"container/heap"
 	"fmt"
 	"sort"
 
@@ -36,25 +35,87 @@ type event struct {
 	at  Time
 	seq uint64
 	fn  func()
-	bg  bool // background events do not keep the simulation alive
+	ctx uint64 // causal context captured at scheduling time (0 with no tracer)
+	bg  bool   // background events do not keep the simulation alive
 }
 
+// before is the queue's total order: time, then scheduling order.
+func (a *event) before(b *event) bool {
+	return a.at < b.at || (a.at == b.at && a.seq < b.seq)
+}
+
+// heapArity is the fan-out of the event queue. Four children per node
+// halve the depth of a binary heap, so a push (one comparison per level)
+// gets cheaper, while the children a pop compares per level sit in
+// adjacent cache lines. On BenchmarkEventHeapPushPop arities 3 and 4 are
+// level and ahead of 2 and 8 at standing populations of 1 024 and 16 384
+// (nothing separates them at 64); 4 keeps the index arithmetic to shifts.
+const heapArity = 4
+
+// eventHeap is a d-ary min-heap on (at, seq) stored flat in a slice: the
+// children of slot i are slots i*heapArity+1 .. i*heapArity+heapArity.
+// (at, seq) is a total order, so the pop sequence is a function of the
+// pushed set alone, not of the heap's shape.
 type eventHeap []event
 
-func (h eventHeap) Len() int { return len(h) }
-func (h eventHeap) Less(i, j int) bool {
-	if h[i].at != h[j].at {
-		return h[i].at < h[j].at
+func (h eventHeap) peek() event   { return h[0] }
+func (h eventHeap) emptied() bool { return len(h) == 0 }
+
+// pushEv inserts e, moving a hole up from the new leaf until e's parent
+// is not after it.
+func (h *eventHeap) pushEv(e event) {
+	q := append(*h, event{})
+	i := len(q) - 1
+	for i > 0 {
+		p := (i - 1) / heapArity
+		if !e.before(&q[p]) {
+			break
+		}
+		q[i] = q[p]
+		i = p
 	}
-	return h[i].seq < h[j].seq
+	q[i] = e
+	*h = q
 }
-func (h eventHeap) Swap(i, j int)   { h[i], h[j] = h[j], h[i] }
-func (h *eventHeap) Push(x any)     { *h = append(*h, x.(event)) }
-func (h *eventHeap) Pop() any       { old := *h; n := len(old); e := old[n-1]; *h = old[:n-1]; return e }
-func (h eventHeap) peek() event     { return h[0] }
-func (h *eventHeap) popMin() event  { return heap.Pop(h).(event) }
-func (h *eventHeap) pushEv(e event) { heap.Push(h, e) }
-func (h eventHeap) emptied() bool   { return len(h) == 0 }
+
+// popMin removes and returns the minimum, moving a hole down from the
+// root until the former last element fits. The vacated last slot is
+// zeroed so the backing array does not keep a popped callback reachable.
+func (h *eventHeap) popMin() event {
+	q := *h
+	n := len(q) - 1
+	min, last := q[0], q[n]
+	q[n] = event{}
+	q = q[:n]
+	*h = q
+	if n == 0 {
+		return min
+	}
+	i := 0
+	for {
+		c := i*heapArity + 1
+		if c >= n {
+			break
+		}
+		end := c + heapArity
+		if end > n {
+			end = n
+		}
+		m := c
+		for j := c + 1; j < end; j++ {
+			if q[j].before(&q[m]) {
+				m = j
+			}
+		}
+		if !q[m].before(&last) {
+			break
+		}
+		q[i] = q[m]
+		i = m
+	}
+	q[i] = last
+	return min
+}
 
 // Engine is a deterministic discrete-event simulator.
 // The zero value is not usable; call NewEngine.
@@ -66,7 +127,7 @@ type Engine struct {
 	yield chan struct{} // contexts signal here when handing control back
 
 	contexts []*Context
-	parked   map[*Context]string // parked context -> wait reason
+	nparked  int // contexts currently parked
 
 	nEvents uint64 // total events executed, for diagnostics
 	nbg     int    // background events currently in the queue
@@ -81,11 +142,13 @@ type Engine struct {
 }
 
 // TaskTracer threads a causal context (a transaction id) through event
-// chains. When one is attached, every callback scheduled via At/After/
-// Background captures the context current at scheduling time and runs
-// with it restored — so a home-side continuation, and any message it
-// sends, inherit the transaction identity of the request that scheduled
-// it without the protocol code threading ids by hand. The tracer is
+// chains. When one is attached, every event scheduled via At/After/
+// Background carries the context current at scheduling time and its
+// callback runs with it restored — so a home-side continuation, and any
+// message it sends, inherit the transaction identity of the request that
+// scheduled it without the protocol code threading ids by hand. The
+// previous context is put back afterwards, which keeps nesting correct
+// when an event hands control to a coroutine. The tracer is
 // purely observational: it must not schedule events or touch simulated
 // state, so attaching one leaves the cycle-accurate schedule unchanged.
 type TaskTracer interface {
@@ -109,9 +172,11 @@ func (e *Engine) SetProfiler(p *perf.Profiler) { e.prof = p }
 // NewEngine returns an engine at time zero with an empty event queue.
 func NewEngine() *Engine {
 	return &Engine{
-		yield:  make(chan struct{}),
-		parked: map[*Context]string{},
-		events: make(eventHeap, 0, 1024),
+		yield: make(chan struct{}),
+		// Room for a 4-processor machine's standing population: the model
+		// checker builds one engine per schedule, and a 64-processor run
+		// doubles its way to a few thousand slots within its first cycles.
+		events: make(eventHeap, 0, 64),
 	}
 }
 
@@ -127,25 +192,18 @@ func (e *Engine) At(t Time, fn func()) {
 	if t < e.now {
 		panic(fmt.Sprintf("sim: scheduling event at %d before now %d", t, e.now))
 	}
-	e.seq++
-	e.events.pushEv(event{at: t, seq: e.seq, fn: e.wrap(fn)})
+	e.push(t, fn, false)
 }
 
-// wrap closes fn over the causal context current at scheduling time so
-// the callback (and everything it schedules in turn) runs under it. The
-// previous context is restored afterwards, which keeps nesting correct
-// when an event hands control to a coroutine that itself runs nested
-// events before yielding back.
-func (e *Engine) wrap(fn func()) func() {
-	if e.tracer == nil {
-		return fn
+// push stamps an event with the next sequence number and the causal
+// context current now, and queues it.
+func (e *Engine) push(t Time, fn func(), bg bool) {
+	e.seq++
+	ev := event{at: t, seq: e.seq, fn: fn, bg: bg}
+	if e.tracer != nil {
+		ev.ctx = e.tracer.Capture()
 	}
-	ctx := e.tracer.Capture()
-	return func() {
-		prev := e.tracer.Restore(ctx)
-		fn()
-		e.tracer.Restore(prev)
-	}
+	e.events.pushEv(ev)
 }
 
 // After schedules fn to run d cycles from now.
@@ -160,9 +218,8 @@ func (e *Engine) Background(t Time, fn func()) {
 	if t < e.now {
 		panic(fmt.Sprintf("sim: scheduling background event at %d before now %d", t, e.now))
 	}
-	e.seq++
 	e.nbg++
-	e.events.pushEv(event{at: t, seq: e.seq, fn: e.wrap(fn), bg: true})
+	e.push(t, fn, true)
 }
 
 // Pending returns the number of events currently queued.
@@ -215,22 +272,13 @@ func (e *Engine) Stopped() bool { return e.stopped }
 // finished. If the queue drains while contexts are still parked, the
 // simulation is deadlocked and Run panics with a per-context report.
 func (e *Engine) Run() {
-	for !e.events.emptied() && e.nbg < len(e.events) {
-		if e.stopped {
-			return
-		}
-		ev := e.popNext()
-		if ev.bg {
-			e.nbg--
-		}
-		e.now = ev.at
-		e.nEvents++
-		e.exec(ev)
+	for !e.stopped && !e.events.emptied() && e.nbg < len(e.events) {
+		e.step()
 	}
 	if e.stopped {
 		return
 	}
-	if len(e.parked) > 0 {
+	if e.nparked > 0 {
 		panic(e.deadlockReport())
 	}
 	for _, c := range e.contexts {
@@ -247,24 +295,30 @@ func (e *Engine) RunUntil(t Time) {
 		if e.stopped {
 			return
 		}
-		ev := e.popNext()
-		if ev.bg {
-			e.nbg--
-		}
-		e.now = ev.at
-		e.nEvents++
-		e.exec(ev)
+		e.step()
 	}
 	if e.now < t {
 		e.now = t
 	}
 }
 
+// step takes the next event off the queue, advances the clock to it and
+// runs it.
+func (e *Engine) step() {
+	ev := e.popNext()
+	if ev.bg {
+		e.nbg--
+	}
+	e.now = ev.at
+	e.nEvents++
+	e.exec(ev)
+}
+
 // exec runs one event, charging its wall time to the profiler's default
 // phase for its kind when a profiler is attached.
 func (e *Engine) exec(ev event) {
 	if e.prof == nil {
-		ev.fn()
+		e.call(ev)
 		return
 	}
 	ph := perf.PhaseDispatch
@@ -272,20 +326,33 @@ func (e *Engine) exec(ev event) {
 		ph = perf.PhaseBackground
 	}
 	prev := e.prof.Enter(ph)
-	ev.fn()
+	e.call(ev)
 	e.prof.Exit(prev)
 }
 
+// call runs the event's callback, under the causal context the event
+// carries when a tracer is attached.
+func (e *Engine) call(ev event) {
+	if e.tracer == nil {
+		ev.fn()
+		return
+	}
+	prev := e.tracer.Restore(ev.ctx)
+	ev.fn()
+	e.tracer.Restore(prev)
+}
+
 func (e *Engine) deadlockReport() string {
-	type row struct{ name, why string }
-	rows := make([]row, 0, len(e.parked))
-	for c, why := range e.parked {
-		rows = append(rows, row{c.name, why})
+	var rows []*Context
+	for _, c := range e.contexts {
+		if c.parked {
+			rows = append(rows, c)
+		}
 	}
 	sort.Slice(rows, func(i, j int) bool { return rows[i].name < rows[j].name })
 	s := fmt.Sprintf("sim: deadlock at time %d: %d context(s) parked with no pending events:", e.now, len(rows))
-	for _, r := range rows {
-		s += fmt.Sprintf("\n  %s: waiting for %s", r.name, r.why)
+	for _, c := range rows {
+		s += fmt.Sprintf("\n  %s: waiting for %s", c.name, c.why)
 	}
 	return s
 }

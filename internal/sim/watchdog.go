@@ -134,12 +134,11 @@ func (w *watchdog) report() StallReport {
 		if c.done {
 			continue
 		}
-		r.Contexts = append(r.Contexts, ContextStatus{
-			Name:       c.name,
-			Parked:     c.parked,
-			WaitReason: e.parked[c],
-			Progress:   c.progress,
-		})
+		st := ContextStatus{Name: c.name, Parked: c.parked, Progress: c.progress}
+		if c.parked {
+			st.WaitReason = c.why
+		}
+		r.Contexts = append(r.Contexts, st)
 	}
 	sort.Slice(r.Contexts, func(i, j int) bool { return r.Contexts[i].Name < r.Contexts[j].Name })
 	return r
