@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"lazyrc/internal/causal"
+	"lazyrc/internal/exp"
 	"lazyrc/internal/obs"
 	"lazyrc/internal/runner"
 	"lazyrc/internal/store"
@@ -321,6 +322,33 @@ func TestEndToEnd(t *testing.T) {
 	}
 	if got := jobsCounter(fams2, "cache_hit"); got < 6 {
 		t.Fatalf("warm exposition cache_hit=%v, want >= 6", got)
+	}
+
+	// --- A sweep cancelled mid-run: its jobs are stopped on the simulated
+	// clock with every processor context still blocked; the leak check
+	// below requires those contexts, and the machines they pin, gone. ---
+	long := exp.Spec{Targets: []string{"fig4"}, Apps: []string{"gauss", "fft"}, Scale: "small", Procs: 16, Seed: 2}
+	st4, err := d2.c.SubmitSweep(ctx, long)
+	if err != nil {
+		t.Fatal(err)
+	}
+	longID, cancelled := st4.ID, false
+	st4, err = d2.c.WaitSweep(ctx, longID, func(ev runner.Event) {
+		if ev.Kind == runner.EventRunning && !cancelled {
+			cancelled = true
+			if err := d2.c.CancelSweep(ctx, longID); err != nil {
+				t.Errorf("cancel: %v", err)
+			}
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st4.State != StateCanceled {
+		t.Fatalf("sweep cancelled at its first running job ended %s (%s)", st4.State, st4.Error)
+	}
+	if got := jobsCounter(scrapeMetrics(t, ctx, d2), "canceled"); got < 1 {
+		t.Fatalf("exposition canceled=%v after a cancelled sweep, want >= 1", got)
 	}
 
 	d2.stop(t)

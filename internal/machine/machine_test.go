@@ -1,6 +1,7 @@
 package machine
 
 import (
+	"strings"
 	"testing"
 
 	"lazyrc/internal/config"
@@ -258,4 +259,33 @@ func TestDeterminism(t *testing.T) {
 	if a, b := run(), run(); a != b {
 		t.Fatalf("nondeterministic execution: %d vs %d cycles", a, b)
 	}
+}
+
+// TestWorkerPanicCarriesMachineState: a panic on a processor context — an
+// application body, or protocol code running CPU-side — comes out of Run
+// on the caller's goroutine like a handler's, with the machine's in-flight
+// state appended.
+func TestWorkerPanicCarriesMachineState(t *testing.T) {
+	m := newTest(t, "lrc", 4, nil)
+	a := m.AllocF64(1024)
+	defer func() {
+		msg, _ := recover().(string)
+		if !strings.HasPrefix(msg, "worker crash\n") {
+			t.Fatalf("Run panicked with %.80q, want the worker's panic value first", msg)
+		}
+		// The other three processors were mid-miss when cpu0 crashed.
+		if !strings.Contains(msg, "node 1:") || !strings.Contains(msg, "txn{block") {
+			t.Fatalf("panic lacks the DumpState suffix: %q", msg)
+		}
+	}()
+	m.Run(func(p *Proc) {
+		if p.ID() == 0 {
+			p.ReadF64(a.At(0))
+			panic("worker crash")
+		}
+		for i := p.ID(); i < 1024; i += 4 {
+			p.ReadF64(a.At(i))
+		}
+	})
+	t.Fatal("Run returned")
 }

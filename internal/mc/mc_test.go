@@ -3,6 +3,7 @@ package mc
 import (
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 
 	"lazyrc/internal/config"
@@ -293,5 +294,27 @@ func TestTrackerSemantics(t *testing.T) {
 	}
 	if v := tr.Read(1, 5, 0); v != 0 {
 		t.Fatalf("unmasked word merged: %d", v)
+	}
+}
+
+// TestCPUSidePanicIsAViolation: a panic on a processor context (here the
+// harness's own load path indexing past the line; equally a protocol's
+// CPURead or Acquire) is a recorded violation of that schedule, like one
+// raised in a message handler — not the end of the exploration.
+func TestCPUSidePanicIsAViolation(t *testing.T) {
+	tc := &Test{
+		Name:  "word-out-of-line",
+		Procs: 2,
+		Vars:  []Var{{Name: "x", Line: 0, Word: 0}, {Name: "oob", Line: 0, Word: 2}},
+		Code:  [][]Op{{w(0, 1)}, {r(0), r(1)}},
+	}
+	for _, proto := range []string{"sc", "lrc", "tardis"} {
+		res, err := RunOnce(tc, RunConfig{Proto: proto}, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(res.Violations) != 1 || !strings.HasPrefix(res.Violations[0], "panic: runtime error: index out of range") {
+			t.Errorf("%s: violations = %q, want the CPU-side panic", proto, res.Violations)
+		}
 	}
 }

@@ -11,6 +11,7 @@ import (
 
 	"lazyrc/internal/apps"
 	"lazyrc/internal/config"
+	"lazyrc/internal/machine"
 )
 
 func tinyJob(app, proto string) Job {
@@ -78,6 +79,49 @@ func TestExecCapturesPanics(t *testing.T) {
 	}
 	if m := r.Meta(); m.FailedJobs != 2 {
 		t.Fatalf("failed jobs = %d, want 2", m.FailedJobs)
+	}
+}
+
+// TestExecCapturesAppBodyPanic: the panic that matters most is the one
+// raised where simulations spend their time — on a processor context, in
+// an application body or CPU-side protocol code. It must come back as a
+// failed-job record with the machine state attached, and the pool must
+// keep serving.
+func TestExecCapturesAppBodyPanic(t *testing.T) {
+	orig := simulate
+	defer func() { simulate = orig }()
+	simulate = func(j Job, res *Result, hk hooks) error {
+		if j.App != "fft" {
+			return orig(j, res, hk)
+		}
+		m, err := machine.New(j.Cfg, j.Proto)
+		if err != nil {
+			return err
+		}
+		a := m.AllocF64(64)
+		m.Run(func(p *machine.Proc) {
+			p.ReadF64(a.At(8 * p.ID()))
+			if p.ID() == 1 {
+				panic("app body crash")
+			}
+			p.ReadF64(a.At(8*p.ID() + 32))
+		})
+		return nil
+	}
+
+	r := New(2, nil)
+	results := r.DoAll(context.Background(), []Job{tinyJob("fft", "lrc"), tinyJob("gauss", "lrc")})
+	if crashed := results[0]; !crashed.Failed() || !strings.Contains(crashed.Failure, "panic: app body crash") {
+		t.Fatalf("app-body panic not captured: %+v", crashed)
+	}
+	if healthy := results[1]; healthy.Failed() || !healthy.Completed {
+		t.Fatalf("job beside the crashing one did not complete: %+v", healthy)
+	}
+	if res := r.Do(context.Background(), tinyJob("gauss", "erc")); res.Failed() || !res.Completed {
+		t.Fatalf("pool stopped serving after an app-body panic: %+v", res)
+	}
+	if m := r.Meta(); m.FailedJobs != 1 {
+		t.Fatalf("failed jobs = %d, want 1", m.FailedJobs)
 	}
 }
 

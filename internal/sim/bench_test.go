@@ -57,3 +57,36 @@ func BenchmarkEngineDispatch(b *testing.B) {
 		e.Run()
 	}
 }
+
+// BenchmarkContextHandoff measures the processor-context handoff, the
+// step every miss, sync operation and quantum of a simulated processor
+// takes: engine → context → engine, with the one or two events that
+// carry it. Sleep is a context rescheduling itself; ParkWake is a context
+// blocking until a handler wakes it.
+func BenchmarkContextHandoff(b *testing.B) {
+	b.Run("Sleep", func(b *testing.B) {
+		e := NewEngine()
+		e.Spawn("sleeper", func(c *Context) {
+			for i := 0; i < b.N; i++ {
+				c.Sleep(1)
+			}
+		})
+		b.ReportAllocs()
+		b.ResetTimer()
+		e.Run()
+	})
+	b.Run("ParkWake", func(b *testing.B) {
+		e := NewEngine()
+		var parker *Context
+		wake := func() { parker.Wake() }
+		parker = e.Spawn("parker", func(c *Context) {
+			for i := 0; i < b.N; i++ {
+				e.After(1, wake)
+				c.Park("the bench")
+			}
+		})
+		b.ReportAllocs()
+		b.ResetTimer()
+		e.Run()
+	})
+}

@@ -1,24 +1,46 @@
+//go:build go1.23
+
 package sim
 
-import "fmt"
+import (
+	"fmt"
+	"iter"
+)
 
-// Context is a coroutine-style simulated processor context. Its body runs
-// on its own goroutine but is strictly interleaved with the engine: at any
+// Context is a simulated processor context: a coroutine whose body runs
+// on a stack of its own, strictly interleaved with the engine. At any
 // instant either the engine (and its event handlers) or exactly one
-// context is executing.
+// context is executing, and control changes hands by a direct runtime
+// coroutine switch (iter.Pull) — no channel, no scheduler run queue, no
+// second OS thread.
 //
 // A context interacts with simulated time through Sleep and Park/Wake.
 // Park must only be called after the caller has arranged — directly or
 // through an event handler — for Wake to be invoked later; the engine
 // detects the alternative (all events drained, contexts still parked) and
 // panics with a deadlock report.
+//
+// Two contracts follow from the coroutine form. A panic raised by a body
+// (or by anything it calls) surfaces, with its original value, from the
+// event that resumed the context, and so from Engine.Run to Run's caller,
+// where it can be recovered like a handler's. And a body never outlives
+// its run: when Run returns or panics with a body unfinished (Stop, a
+// deadlock, a panic elsewhere), the body is unwound — its deferred calls
+// run, nothing after the Sleep or Park it was blocked in does — and its
+// stack is freed.
 type Context struct {
 	eng    *Engine
 	name   string
-	resume chan struct{}
 	done   bool
 	parked bool
 	why    string // what the context is parked on; meaningful while parked
+
+	// The coroutine, as iter.Pull hands it out: next runs the body until
+	// it blocks or returns, yield blocks it (false once stop has been
+	// called), stop ends it wherever it is.
+	next  func() (struct{}, bool)
+	yield func(struct{}) bool
+	stop  func()
 
 	// run is transfer as a func value, built once so that scheduling a
 	// resumption allocates nothing.
@@ -29,20 +51,33 @@ type Context struct {
 	progress uint64
 }
 
+// released is the panic value that unwinds a body whose coroutine was
+// stopped while blocked; it never leaves the coroutine.
+type released struct{}
+
 // Spawn creates a context executing fn, scheduled to start at the current
 // simulated time. The name appears in deadlock reports.
 func (e *Engine) Spawn(name string, fn func(*Context)) *Context {
-	c := &Context{eng: e, name: name, resume: make(chan struct{})}
+	c := &Context{eng: e, name: name}
 	c.run = c.transfer
-	e.contexts = append(e.contexts, c)
-	go func() {
-		<-c.resume // wait for first transfer
+	c.next, c.stop = iter.Pull(func(yield func(struct{}) bool) {
+		c.yield = yield
+		defer c.finish()
 		fn(c)
-		c.done = true
-		e.yield <- struct{}{}
-	}()
+	})
+	e.contexts = append(e.contexts, c)
 	e.At(e.now, c.run)
 	return c
+}
+
+// finish runs deferred under the body: it marks the context done however
+// the body ended, swallows the release unwind, and lets any other panic
+// continue into iter.Pull, which re-raises it in the engine.
+func (c *Context) finish() {
+	c.done = true
+	if p := recover(); p != nil && p != (released{}) {
+		panic(p)
+	}
 }
 
 // Name returns the context's diagnostic name.
@@ -55,23 +90,24 @@ func (c *Context) Engine() *Engine { return c.eng }
 // running.
 func (c *Context) Now() Time { return c.eng.now }
 
-// transfer hands control from the engine goroutine to the context and
-// blocks until the context yields back. It must run on the engine
-// goroutine (i.e., from an event handler).
+// transfer switches from the engine to the context and returns when the
+// context blocks or finishes; a panic in the body re-panics here. It must
+// run on the engine's side (i.e., from an event handler).
 func (c *Context) transfer() {
 	if c.done {
 		panic(fmt.Sprintf("sim: resuming finished context %q", c.name))
 	}
 	c.progress++
-	c.resume <- struct{}{}
-	<-c.eng.yield
+	c.next()
 }
 
-// block yields control to the engine and waits to be resumed. It must run
-// on the context's goroutine.
+// block switches back to the engine and returns when the context is next
+// resumed. It must run on the context's side. If the context is released
+// instead, block unwinds the body.
 func (c *Context) block() {
-	c.eng.yield <- struct{}{}
-	<-c.resume
+	if !c.yield(struct{}{}) {
+		panic(released{})
+	}
 }
 
 // Sleep advances the context by d cycles of simulated time, letting other
@@ -94,7 +130,7 @@ func (c *Context) Park(why string) uint64 {
 }
 
 // Wake schedules the parked context to resume at the current simulated
-// time. It must be called from an event handler (engine goroutine), never
+// time. It must be called from an event handler (the engine's side), never
 // from another context's body, and panics if the context is not parked.
 func (c *Context) Wake() { c.WakeAt(c.eng.now) }
 
@@ -115,5 +151,5 @@ func (c *Context) Parked() bool { return c.parked }
 // forward-progress measure.
 func (c *Context) Progress() uint64 { return c.progress }
 
-// Done reports whether the context body has returned.
+// Done reports whether the context body has returned or been released.
 func (c *Context) Done() bool { return c.done }

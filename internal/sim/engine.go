@@ -1,12 +1,16 @@
 // Package sim provides a deterministic discrete-event simulation engine
 // with coroutine-style processor contexts and FIFO occupancy resources.
 //
-// The engine and all event handlers run on a single goroutine; processor
-// contexts are goroutines that execute strictly one at a time, handing
-// control back to the engine whenever they block on simulated time. Events
-// with equal timestamps fire in scheduling order (a monotonically
-// increasing sequence number breaks ties), so a given program produces an
-// identical cycle-accurate schedule on every run.
+// The engine and all event handlers run on the goroutine that calls Run;
+// processor contexts are coroutines (iter.Pull) that the engine switches
+// into one at a time and that switch back whenever they block on
+// simulated time, so a whole simulation is one thread of control: no
+// channel, lock or scheduler wake-up sits between an event and the
+// context it resumes, a panic anywhere surfaces from Run, and no context
+// outlives Run (see Context). Events with equal timestamps fire in
+// scheduling order (a monotonically increasing sequence number breaks
+// ties), so a given program produces an identical cycle-accurate schedule
+// on every run.
 package sim
 
 import (
@@ -124,8 +128,6 @@ type Engine struct {
 	seq    uint64
 	events eventHeap
 
-	yield chan struct{} // contexts signal here when handing control back
-
 	contexts []*Context
 	nparked  int // contexts currently parked
 
@@ -172,7 +174,6 @@ func (e *Engine) SetProfiler(p *perf.Profiler) { e.prof = p }
 // NewEngine returns an engine at time zero with an empty event queue.
 func NewEngine() *Engine {
 	return &Engine{
-		yield: make(chan struct{}),
 		// Room for a 4-processor machine's standing population: the model
 		// checker builds one engine per schedule, and a 64-processor run
 		// doubles its way to a few thousand slots within its first cycles.
@@ -257,12 +258,14 @@ func (e *Engine) popNext() event {
 			e.events.pushEv(t) // seq is preserved: unchosen events keep their order
 		}
 	}
+	clear(e.tied) // the scratch must not keep callbacks that have run reachable
 	return chosen
 }
 
 // Stop makes Run return before the next event, without treating still-
 // parked contexts as a deadlock. A watchdog's stall handler calls it to
-// abort a wedged simulation after dumping its report.
+// abort a wedged simulation after dumping its report. Stopping is final:
+// Run releases the unfinished contexts on its way out.
 func (e *Engine) Stop() { e.stopped = true }
 
 // Stopped reports whether Stop has been called.
@@ -271,7 +274,13 @@ func (e *Engine) Stopped() bool { return e.stopped }
 // Run executes events until the queue drains and every context has
 // finished. If the queue drains while contexts are still parked, the
 // simulation is deadlocked and Run panics with a per-context report.
+//
+// However Run ends — normally, by Stop, with the deadlock panic, or with
+// a panic raised by a handler or a context body — it first releases every
+// context whose body has not returned, so an abandoned run leaves no
+// stack, and nothing those stacks reference, behind.
 func (e *Engine) Run() {
+	defer e.release()
 	for !e.stopped && !e.events.emptied() && e.nbg < len(e.events) {
 		e.step()
 	}
@@ -289,7 +298,8 @@ func (e *Engine) Run() {
 }
 
 // RunUntil executes events with timestamps <= t, then stops.
-// It does not treat remaining parked contexts as a deadlock.
+// It does not treat remaining parked contexts as a deadlock, and leaves
+// them blocked for a later RunUntil or Run to resume.
 func (e *Engine) RunUntil(t Time) {
 	for !e.events.emptied() && e.events.peek().at <= t {
 		if e.stopped {
@@ -340,6 +350,17 @@ func (e *Engine) call(ev event) {
 	prev := e.tracer.Restore(ev.ctx)
 	ev.fn()
 	e.tracer.Restore(prev)
+}
+
+// release ends every context whose body has not returned — blocked in
+// Sleep or Park, or never started — and frees its stack.
+func (e *Engine) release() {
+	for _, c := range e.contexts {
+		if !c.done {
+			c.done = true
+			c.stop()
+		}
+	}
 }
 
 func (e *Engine) deadlockReport() string {

@@ -213,26 +213,43 @@ func TestSchedulingAllocatesNothing(t *testing.T) {
 }
 
 func TestPoppedEventIsCollectable(t *testing.T) {
-	e := NewEngine()
-	collected := make(chan struct{})
-	func() {
-		big := new([1 << 16]byte)
-		runtime.SetFinalizer(big, func(*[1 << 16]byte) { close(collected) })
-		e.At(1, func() { big[0]++ })
-	}()
-	e.At(2, func() {})
-	e.RunUntil(1)
-	// The engine and its queue are still live; only the slot the popped
-	// event vacated could keep its callback, and what that closed over,
-	// reachable.
-	for i := 0; i < 20; i++ {
-		runtime.GC()
-		select {
-		case <-collected:
-			e.Run()
-			return
-		case <-time.After(10 * time.Millisecond):
-		}
+	for _, c := range []struct {
+		name    string
+		chooser Chooser // non-nil: the event is popped as one of a tied set
+	}{
+		{"heap minimum", nil},
+		{"chosen from a tie", &scriptChooser{picks: []int{2, 0}}},
+		{"left over from a tie", &scriptChooser{picks: []int{0, 0}}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			e := NewEngine()
+			e.SetChooser(c.chooser)
+			if c.chooser != nil {
+				e.At(1, func() {})
+				e.At(1, func() {})
+			}
+			collected := make(chan struct{})
+			func() {
+				big := new([1 << 16]byte)
+				runtime.SetFinalizer(big, func(*[1 << 16]byte) { close(collected) })
+				e.At(1, func() { big[0]++ })
+			}()
+			e.At(2, func() {})
+			e.RunUntil(1)
+			// The engine and its queue are still live; only the slot the
+			// popped event vacated, or the scratch a tied set was enumerated
+			// in, could keep its callback, and what that closed over,
+			// reachable.
+			for i := 0; i < 20; i++ {
+				runtime.GC()
+				select {
+				case <-collected:
+					e.Run()
+					return
+				case <-time.After(10 * time.Millisecond):
+				}
+			}
+			t.Fatal("the callback of an event already run is still reachable from the engine")
+		})
 	}
-	t.Fatal("the callback of an event already run is still reachable from the queue")
 }
