@@ -121,6 +121,7 @@ type Span struct {
 	// Class, on stall spans, is the stats bucket the cycles were charged
 	// to.
 	Class StallClass
+	open  bool // begun and not yet ended
 	// Node is the node the span's work happened at.
 	Node int32
 	// Peer is the other endpoint where one exists: the destination of a
@@ -162,27 +163,24 @@ type Tracer struct {
 	nextTID uint64
 	nextSID uint64
 
-	retain bool
-	limit  int
-	spans  []Span
-	open   map[uint64]int // open span id -> index in spans (retain mode)
+	limit int // retained-store cap; 0 in digest-only mode
+	spans []Span
 
-	// Digest-only mode keeps open spans aside instead of retaining the
-	// full store.
-	pending map[uint64]*Span
+	// Open spans with no place in the retained store — all of them in
+	// digest-only mode, the spill past the cap otherwise — wait in slab to
+	// close into the digest; free lists the slots that have. Spans are
+	// addressed by handle (see at): an open one costs no allocation or map.
+	slab  []Span
+	free  []uint32
+	nOpen int
 
 	hash    uint64 // running FNV-1a over closed spans, in close order
 	closed  uint64 // spans closed (folded into the digest)
 	dropped uint64 // spans not recorded because the retention cap was hit
 
-	// rootIDs maps an open transaction's TID to its root span id so
-	// EndTxn/EndSync can close by TID. O(open transactions).
-	rootIDs map[uint64]uint64
-
 	// prof, when non-nil, charges span bookkeeping wall time to the
 	// causal perf phase. Capture/Restore are NOT bracketed: they run on
-	// every event and a timestamp read there would cost more than the
-	// work measured.
+	// every event and do less work than the bracket.
 	prof *perf.Profiler
 }
 
@@ -197,13 +195,7 @@ func New(limit int) *Tracer {
 	if limit <= 0 {
 		limit = DefaultLimit
 	}
-	return &Tracer{
-		retain:  true,
-		limit:   limit,
-		open:    make(map[uint64]int),
-		pending: make(map[uint64]*Span),
-		hash:    fnvOffset,
-	}
+	return &Tracer{limit: limit, hash: fnvOffset}
 }
 
 // NewDigest returns a tracer in digest-only mode: spans are folded into a
@@ -211,32 +203,20 @@ func New(limit int) *Tracer {
 // bounded by the number of concurrently open spans. Used by the
 // experiment runner, which wants the determinism fingerprint but not the
 // store.
-func NewDigest() *Tracer {
-	return &Tracer{
-		pending: make(map[uint64]*Span),
-		hash:    fnvOffset,
-	}
-}
+func NewDigest() *Tracer { return &Tracer{hash: fnvOffset} }
 
 // SetProfiler attaches (or, with nil, detaches) a wall-clock phase
 // profiler charging span bookkeeping to the causal phase.
 func (t *Tracer) SetProfiler(p *perf.Profiler) {
-	if t == nil {
-		return
+	if t != nil {
+		t.prof = p
 	}
-	t.prof = p
 }
 
 // ---- Causal context (sim.TaskTracer) --------------------------------------
 
-// Capture returns the current causal context for an event being
-// scheduled.
-func (t *Tracer) Capture() uint64 {
-	if t == nil {
-		return 0
-	}
-	return t.cur
-}
+// Capture returns the causal context for an event being scheduled.
+func (t *Tracer) Capture() uint64 { return t.Current() }
 
 // Restore swaps ctx in as the current causal context and returns the
 // previous one. The engine brackets every event execution with a
@@ -261,145 +241,139 @@ func (t *Tracer) Current() uint64 {
 
 // ---- Span recording --------------------------------------------------------
 
-// beginOpen allocates an open span and returns its id. When the
-// retention cap is hit the span spills to the pending map: it is not
-// retained for export, but still closes into the digest so truncation
-// never changes the determinism fingerprint.
-func (t *Tracer) beginOpen(s Span) uint64 {
+// slabTag marks the handle of an open span held in the slab; without it
+// a handle is the span's position in the retained store, plus one.
+const slabTag = 1 << 63
+
+// at returns the span a handle addresses.
+func (t *Tracer) at(h uint64) *Span {
+	if h&slabTag != 0 {
+		return &t.slab[h&^slabTag]
+	}
+	return &t.spans[h-1]
+}
+
+// beginOpen stores a span to be ended later and returns its handle. Past
+// the retention cap the span spills to the slab: it is not retained for
+// export, but still closes into the digest, which truncation never changes.
+func (t *Tracer) beginOpen(s *Span) uint64 {
 	prev := t.prof.Enter(perf.PhaseCausal)
-	defer t.prof.Exit(prev)
 	t.nextSID++
 	s.ID = t.nextSID
-	if t.retain && len(t.spans) < t.limit {
-		t.spans = append(t.spans, s)
-		t.open[s.ID] = len(t.spans) - 1
-		return s.ID
+	s.open = true
+	t.nOpen++
+	var h uint64
+	if len(t.spans) < t.limit {
+		t.spans = append(t.spans, *s)
+		h = uint64(len(t.spans))
+	} else {
+		if t.limit > 0 {
+			t.dropped++
+		}
+		if n := len(t.free); n > 0 {
+			h = uint64(t.free[n-1])
+			t.free = t.free[:n-1]
+			t.slab[h] = *s
+		} else {
+			h = uint64(len(t.slab))
+			t.slab = append(t.slab, *s)
+		}
+		h |= slabTag
 	}
-	if t.retain {
-		t.dropped++
+	t.prof.Exit(prev)
+	return h
+}
+
+// release takes a span out of the open set; a slab slot becomes free.
+func (t *Tracer) release(h uint64, sp *Span) {
+	sp.open = false
+	t.nOpen--
+	if h&slabTag != 0 {
+		t.free = append(t.free, uint32(h&^slabTag))
 	}
-	cp := s
-	t.pending[s.ID] = &cp
-	return s.ID
 }
 
 // endOpen closes an open span at cycle end and folds it into the digest.
-func (t *Tracer) endOpen(id, end uint64) *Span {
-	if id == 0 {
+// It returns the span if retained, nil if discarded or not open.
+func (t *Tracer) endOpen(h, end uint64) *Span {
+	if t == nil || h == 0 {
+		return nil
+	}
+	sp := t.at(h)
+	if !sp.open {
 		return nil
 	}
 	prev := t.prof.Enter(perf.PhaseCausal)
-	defer t.prof.Exit(prev)
-	if idx, ok := t.open[id]; ok {
-		delete(t.open, id)
-		sp := &t.spans[idx]
-		sp.End = end
-		t.fold(sp)
-		return sp
-	}
-	sp, ok := t.pending[id]
-	if !ok {
-		return nil
-	}
-	delete(t.pending, id)
 	sp.End = end
 	t.fold(sp)
+	t.release(h, sp)
+	t.prof.Exit(prev)
+	if h&slabTag != 0 {
+		return nil
+	}
 	return sp
 }
 
-// record stores one already-complete span (begin and end both known at
-// record time, e.g. a network flight whose delivery the mesh resolved
-// eagerly).
-func (t *Tracer) record(s Span) {
+// record folds one already-complete span (e.g. a network flight whose
+// delivery the mesh resolved eagerly) and retains it if the store has room.
+func (t *Tracer) record(s *Span) {
 	prev := t.prof.Enter(perf.PhaseCausal)
-	defer t.prof.Exit(prev)
 	t.nextSID++
 	s.ID = t.nextSID
-	t.fold(&s)
-	if t.retain {
-		if len(t.spans) >= t.limit {
-			t.dropped++
-			return
-		}
-		t.spans = append(t.spans, s)
+	t.fold(s)
+	if len(t.spans) < t.limit {
+		t.spans = append(t.spans, *s)
+	} else if t.limit > 0 {
+		t.dropped++
 	}
+	t.prof.Exit(prev)
 }
 
 // BeginTxn opens a coherence-transaction root span at node for block and
 // makes the new TID the current causal context (the request message sent
 // next, and the whole event chain it triggers, inherit it). It returns
-// the TID.
-func (t *Tracer) BeginTxn(node int, block uint64, now uint64) uint64 {
-	if t == nil {
-		return 0
-	}
-	t.nextTID++
-	tid := t.nextTID
-	t.cur = tid
-	sid := t.beginOpen(Span{
-		TID: tid, Kind: KindTxn, Node: int32(node), Peer: -1, MsgKind: -1,
-		Block: block, Begin: now, End: now, Why: "txn",
-	})
-	t.noteRoot(tid, sid)
-	return tid
+// the TID and the root span's handle, which EndTxn takes.
+func (t *Tracer) BeginTxn(node int, block uint64, now uint64) (tid, root uint64) {
+	return t.beginRoot(KindTxn, node, block, 0, "txn", now)
 }
 
 // EndTxn closes a transaction's root span.
-func (t *Tracer) EndTxn(tid, now uint64) {
-	if t == nil || tid == 0 {
-		return
-	}
-	t.endOpen(t.rootSpan(tid), now)
-}
+func (t *Tracer) EndTxn(root, now uint64) { t.endOpen(root, now) }
 
 // BeginSync opens a synchronization-episode root span (op names the
 // operation: "lock-acquire", "lock-release", "barrier", "flag-set",
-// "flag-wait", "fence") and makes its TID current.
-func (t *Tracer) BeginSync(node int, obj uint64, op string, now uint64) uint64 {
-	if t == nil {
-		return 0
-	}
-	t.nextTID++
-	tid := t.nextTID
-	t.cur = tid
-	sid := t.beginOpen(Span{
-		TID: tid, Kind: KindSync, Node: int32(node), Peer: -1, MsgKind: -1,
-		Obj: obj, Begin: now, End: now, Why: op,
-	})
-	t.noteRoot(tid, sid)
-	return tid
+// "flag-wait", "fence") and makes its TID current. It returns the TID
+// and the root span's handle, which EndSync takes.
+func (t *Tracer) BeginSync(node int, obj uint64, op string, now uint64) (tid, root uint64) {
+	return t.beginRoot(KindSync, node, 0, obj, op, now)
 }
 
 // EndSync closes a synchronization episode's root span.
-func (t *Tracer) EndSync(tid, now uint64) {
-	if t == nil || tid == 0 {
-		return
-	}
-	t.endOpen(t.rootSpan(tid), now)
-}
+func (t *Tracer) EndSync(root, now uint64) { t.endOpen(root, now) }
 
-func (t *Tracer) noteRoot(tid, sid uint64) {
-	if t.rootIDs == nil {
-		t.rootIDs = make(map[uint64]uint64)
+// beginRoot opens the root span of a new transaction id.
+func (t *Tracer) beginRoot(kind Kind, node int, block, obj uint64, why string, now uint64) (tid, root uint64) {
+	if t == nil {
+		return 0, 0
 	}
-	t.rootIDs[tid] = sid
-}
-
-func (t *Tracer) rootSpan(tid uint64) uint64 {
-	sid := t.rootIDs[tid]
-	delete(t.rootIDs, tid)
-	return sid
+	t.nextTID++
+	tid = t.nextTID
+	t.cur = tid
+	return tid, t.beginOpen(&Span{
+		TID: tid, Kind: kind, Node: int32(node), Peer: -1, MsgKind: -1,
+		Block: block, Obj: obj, Begin: now, End: now, Why: why,
+	})
 }
 
 // BeginStall opens a CPU stall-episode span at node. tid is the
 // transaction the processor is stalled on when known (0 otherwise); the
 // waker's TID is captured at EndStall from the causal context the wake
-// event carried. Returns the span id to pass to EndStall.
+// event carried. Returns the span's handle to pass to EndStall.
 func (t *Tracer) BeginStall(node int, tid uint64, class StallClass, why string, now uint64) uint64 {
 	if t == nil {
 		return 0
 	}
-	return t.beginOpen(Span{
+	return t.beginOpen(&Span{
 		TID: tid, Kind: KindStall, Class: class, Node: int32(node),
 		Peer: -1, MsgKind: -1, Begin: now, End: now, Why: why,
 	})
@@ -408,26 +382,23 @@ func (t *Tracer) BeginStall(node int, tid uint64, class StallClass, why string, 
 // EndStall closes a stall episode, recording the current causal context
 // (the transaction whose completion event woke the processor) as the
 // episode's cause. Zero-length episodes are discarded: no cycles were
-// charged, so they carry no attribution weight.
-func (t *Tracer) EndStall(sid, now uint64) {
-	if t == nil || sid == 0 {
+// charged, so they carry no attribution weight. The cause is stamped
+// after the span has been folded: it reaches the retained store, where the
+// critical-path analyzer walks it, but not the digest (DESIGN.md §11).
+func (t *Tracer) EndStall(h, now uint64) {
+	if t == nil || h == 0 {
 		return
 	}
-	if idx, ok := t.open[sid]; ok && t.spans[idx].Begin == now {
-		// Drop the zero-length episode entirely: no cycles were charged.
-		delete(t.open, sid)
-		if last := len(t.spans) - 1; idx == last {
-			t.spans = t.spans[:last]
+	if sp := t.at(h); sp.open && sp.Begin == now {
+		t.release(h, sp)
+		if h == uint64(len(t.spans)) {
+			t.spans = t.spans[:h-1] // the store's last span: take it back
 		} else {
-			t.spans[idx].ID = 0 // tombstone; skipped by readers
+			sp.ID = 0 // tombstone; skipped by readers (and by no one in the slab)
 		}
 		return
 	}
-	if sp, ok := t.pending[sid]; ok && sp.Begin == now {
-		delete(t.pending, sid)
-		return
-	}
-	if sp := t.endOpen(sid, now); sp != nil {
+	if sp := t.endOpen(h, now); sp != nil {
 		sp.Cause = t.cur
 	}
 }
@@ -440,7 +411,7 @@ func (t *Tracer) Net(tid uint64, src, dst, msgKind int, block uint64, begin, end
 	if t == nil {
 		return
 	}
-	t.record(Span{
+	t.record(&Span{
 		TID: tid, Kind: KindNet, Node: int32(src), Peer: int32(dst),
 		MsgKind: int32(msgKind), Block: block, Begin: begin, End: end,
 		Wait: outWait, Wait2: inWait,
@@ -457,43 +428,27 @@ func (t *Tracer) Retransmit(tid uint64, src, dst, msgKind int, block uint64, las
 	if t == nil {
 		return
 	}
-	t.record(Span{
+	t.record(&Span{
 		TID: tid, Kind: KindRetx, Node: int32(src), Peer: int32(dst),
 		MsgKind: int32(msgKind), Block: block, Begin: lastSend, End: now,
 		Wait: uint64(attempt), Why: "retx",
 	})
 }
 
-// OpenStall describes one currently-open stall span — what a processor is
-// parked on right now, for watchdog reports.
-type OpenStall struct {
-	Node  int
-	TID   uint64
-	Class StallClass
-	Why   string
-	Begin uint64
-}
-
-// OpenStalls returns the currently-open stall episodes, ordered by begin
-// cycle then node (deterministic). Works in both retain and digest-only
-// modes.
-func (t *Tracer) OpenStalls() []OpenStall {
+// OpenStalls returns copies of the currently-open stall spans — what each
+// processor is parked on right now, for watchdog reports — ordered by
+// begin cycle then node (deterministic), in retain and digest-only modes.
+func (t *Tracer) OpenStalls() []Span {
 	if t == nil {
 		return nil
 	}
-	var out []OpenStall
-	add := func(s *Span) {
-		if s.Kind == KindStall {
-			out = append(out, OpenStall{
-				Node: int(s.Node), TID: s.TID, Class: s.Class, Why: s.Why, Begin: s.Begin,
-			})
+	var out []Span
+	for _, store := range [][]Span{t.spans, t.slab} {
+		for i := range store {
+			if s := &store[i]; s.open && s.Kind == KindStall {
+				out = append(out, *s)
+			}
 		}
-	}
-	for _, idx := range t.open {
-		add(&t.spans[idx])
-	}
-	for _, sp := range t.pending {
-		add(sp)
 	}
 	sort.Slice(out, func(i, j int) bool {
 		if out[i].Begin != out[j].Begin {
@@ -513,7 +468,7 @@ func (t *Tracer) Service(kind Kind, node int, block uint64, reqAt, start, end ui
 	if t == nil {
 		return
 	}
-	t.record(Span{
+	t.record(&Span{
 		TID: t.cur, Kind: kind, Node: int32(node), Peer: -1, MsgKind: -1,
 		Block: block, Begin: reqAt, End: end, Wait: start - reqAt,
 	})
@@ -545,10 +500,7 @@ func (t *Tracer) OpenCount() int {
 	if t == nil {
 		return 0
 	}
-	if t.retain {
-		return len(t.open)
-	}
-	return len(t.pending)
+	return t.nOpen
 }
 
 // Dropped returns the spans discarded because the retention cap was hit.

@@ -8,7 +8,7 @@ import (
 
 func TestNilTracerIsNoOp(t *testing.T) {
 	var tr *Tracer
-	if tid := tr.BeginTxn(0, 1, 10); tid != 0 {
+	if tid, root := tr.BeginTxn(0, 1, 10); tid != 0 || root != 0 {
 		t.Fatalf("nil BeginTxn returned %d", tid)
 	}
 	tr.EndTxn(0, 20)
@@ -25,7 +25,7 @@ func TestNilTracerIsNoOp(t *testing.T) {
 
 func TestTxnLifecycleAndContext(t *testing.T) {
 	tr := New(0)
-	tid := tr.BeginTxn(3, 0x40, 100)
+	tid, tidRoot := tr.BeginTxn(3, 0x40, 100)
 	if tid == 0 {
 		t.Fatal("no TID issued")
 	}
@@ -45,7 +45,7 @@ func TestTxnLifecycleAndContext(t *testing.T) {
 	}
 
 	tr.Service(KindDir, 1, 0x40, 110, 112, 120)
-	tr.EndTxn(tid, 200)
+	tr.EndTxn(tidRoot, 200)
 	if tr.OpenCount() != 0 {
 		t.Fatalf("%d spans still open", tr.OpenCount())
 	}
@@ -94,47 +94,135 @@ func TestZeroLengthStallDiscarded(t *testing.T) {
 	}
 }
 
-func TestDigestMatchesAcrossModes(t *testing.T) {
-	drive := func(tr *Tracer) {
-		tid := tr.BeginTxn(0, 0x80, 10)
-		tr.Net(tid, 0, 2, 3, 0x80, 12, 30, 1, 2)
-		tr.Service(KindMem, 2, 0x80, 30, 31, 55)
-		sid := tr.BeginStall(0, tid, StallRead, "read fill", 10)
-		tr.EndStall(sid, 60)
-		tr.EndTxn(tid, 60)
+// driveInterleaved plays a span stream in which spans of every kind are
+// open across each other and close out of opening order, with stalls that
+// are discarded, for rounds rounds. Handles of closed spans go out of use
+// every round, so a digest-only tracer serves most of the run from reused
+// slab slots.
+func driveInterleaved(tr *Tracer, rounds int) {
+	for r := 0; r < rounds; r++ {
+		at := uint64(100 * r)
+		t1, r1 := tr.BeginTxn(0, 0x80, at+10)
+		s1 := tr.BeginStall(0, t1, StallRead, "read fill", at+10)
+		t2, r2 := tr.BeginTxn(1, 0xc0, at+11)
+		tr.Net(t1, 0, 2, 3, 0x80, at+12, at+30, 1, 2)
+		y1, q1 := tr.BeginSync(2, 7, "lock-acquire", at+13)
+		s2 := tr.BeginStall(2, y1, StallSync, "lock 7 grant", at+13)
+		s0 := tr.BeginStall(1, t2, StallWrite, "write buffer slot", at+14)
+		tr.EndStall(s0, at+14) // zero length: discarded
+		tr.Restore(t1)
+		tr.Service(KindMem, 2, 0x80, at+30, at+31, at+55)
+		tr.Retransmit(t2, 1, 3, 4, 0xc0, at+15, at+40, 1+r%3)
+		tr.EndTxn(r2, at+45) // opened second, closed first
+		tr.EndStall(s1, at+60)
+		tr.EndTxn(r1, at+60)
+		tr.Restore(t2)
+		tr.EndStall(s2, at+70)
+		tr.EndSync(q1, at+71)
 	}
-	full, digest := New(0), NewDigest()
-	drive(full)
-	drive(digest)
-	if full.Digest() != digest.Digest() {
-		t.Fatalf("digest differs across modes: %q vs %q", full.Digest(), digest.Digest())
+}
+
+func TestDigestMatchesAcrossModes(t *testing.T) {
+	// capped retains the first five spans and spills the rest, open or
+	// complete, past its store.
+	full, capped, digest := New(0), New(5), NewDigest()
+	for _, tr := range []*Tracer{full, capped, digest} {
+		driveInterleaved(tr, 20)
+		if tr.OpenCount() != 0 {
+			t.Fatalf("%d spans left open", tr.OpenCount())
+		}
+	}
+	if full.Digest() != digest.Digest() || full.Digest() != capped.Digest() {
+		t.Fatalf("digest differs across modes: full %q, capped %q, digest-only %q",
+			full.Digest(), capped.Digest(), digest.Digest())
 	}
 	if digest.Spans() != nil {
 		t.Fatal("digest-only tracer retained spans")
 	}
-	if full.Count() != digest.Count() || full.Count() == 0 {
-		t.Fatalf("counts differ: %d vs %d", full.Count(), digest.Count())
+	if full.Count() != digest.Count() || full.Count() != 20*8 {
+		t.Fatalf("counts: full %d, digest-only %d, want %d", full.Count(), digest.Count(), 20*8)
+	}
+	if len(capped.Spans()) != 5 || capped.Dropped() != 20*9-5 {
+		t.Fatalf("capped tracer retained %d spans and dropped %d", len(capped.Spans()), capped.Dropped())
+	}
+	// Six spans are open at the deepest point of a round, and every round
+	// after the first reuses the slots the one before gave back.
+	if got := len(digest.slab); got != 6 {
+		t.Fatalf("digest-only slab grew to %d slots, want 6", got)
+	}
+
+	// The retained store is what the exporters and the analyzer read: ids
+	// in record order, the discarded stall gone, causes stamped.
+	var ids []uint64
+	for _, s := range full.Spans() {
+		if s.ID != 0 {
+			ids = append(ids, s.ID)
+		}
+		if s.Kind == KindStall && s.ID != 0 && s.Cause == 0 {
+			t.Fatalf("retained stall without a cause: %+v", s)
+		}
+	}
+	if len(ids) != 20*8 || ids[0] != 1 || ids[6] != 8 || ids[len(ids)-1] != 20*9 {
+		t.Fatalf("retained ids: %d spans, %v ...", len(ids), ids[:9])
 	}
 
 	// Any field perturbation must change the digest.
-	other := New(0)
-	tid := other.BeginTxn(0, 0x80, 10)
-	other.Net(tid, 0, 2, 3, 0x80, 12, 31, 1, 2) // end 30 -> 31
-	other.Service(KindMem, 2, 0x80, 30, 31, 55)
-	sid := other.BeginStall(0, tid, StallRead, "read fill", 10)
-	other.EndStall(sid, 60)
-	other.EndTxn(tid, 60)
-	if other.Digest() == full.Digest() {
+	other := NewDigest()
+	driveInterleaved(other, 19)
+	tid, root := other.BeginTxn(0, 0x80, 10)
+	other.Net(tid, 0, 2, 3, 0x80, 12, 31, 1, 2)
+	other.EndTxn(root, 60)
+	same := NewDigest()
+	driveInterleaved(same, 19)
+	tid, root = same.BeginTxn(0, 0x80, 10)
+	same.Net(tid, 0, 2, 3, 0x80, 12, 30, 1, 2) // end 31 -> 30
+	same.EndTxn(root, 60)
+	if other.Digest() == same.Digest() {
 		t.Fatal("digest insensitive to span content")
+	}
+}
+
+// In digest-only mode a span costs its fold: once the slab has grown to
+// the deepest nesting of the run, no span of any kind allocates.
+func TestDigestOnlySpansAllocateNothing(t *testing.T) {
+	tr := NewDigest()
+	driveInterleaved(tr, 1)
+	if allocs := testing.AllocsPerRun(100, func() { driveInterleaved(tr, 1) }); allocs != 0 {
+		t.Fatalf("digest-only tracer allocates %.1f objects per round of 9 spans, want 0", allocs)
+	}
+}
+
+// The watchdog asks what every processor is parked on, in either mode,
+// while other spans open and close around the stalls.
+func TestOpenStalls(t *testing.T) {
+	for name, tr := range map[string]*Tracer{"retain": New(0), "spill": New(1), "digest-only": NewDigest()} {
+		driveInterleaved(tr, 3)
+		tid, root := tr.BeginTxn(4, 0x40, 500)
+		late := tr.BeginStall(4, tid, StallRead, "read fill", 520)
+		early := tr.BeginStall(9, 0, StallSync, "barrier 2", 510)
+		gone := tr.BeginStall(5, 0, StallWrite, "write buffer slot", 505)
+		tr.EndStall(gone, 530)
+		got := tr.OpenStalls()
+		if len(got) != 2 ||
+			got[0].Node != 9 || got[0].TID != 0 || got[0].Class != StallSync || got[0].Why != "barrier 2" || got[0].Begin != 510 ||
+			got[1].Node != 4 || got[1].TID != tid || got[1].Class != StallRead || got[1].Why != "read fill" || got[1].Begin != 520 {
+			t.Fatalf("%s: open stalls %+v", name, got)
+		}
+		tr.EndStall(late, 600)
+		tr.EndStall(early, 600)
+		tr.EndTxn(root, 600)
+		if got := tr.OpenStalls(); len(got) != 0 || tr.OpenCount() != 0 {
+			t.Fatalf("%s: %d stalls and %d spans still open", name, len(got), tr.OpenCount())
+		}
 	}
 }
 
 func TestRetentionCapSpillsWithoutDigestDrift(t *testing.T) {
 	drive := func(tr *Tracer) {
 		for i := 0; i < 10; i++ {
-			tid := tr.BeginTxn(i%4, uint64(i)<<6, uint64(10*i))
+			_, tidRoot := tr.BeginTxn(i%4, uint64(i)<<6, uint64(10*i))
 			tr.Service(KindDir, 1, uint64(i)<<6, uint64(10*i), uint64(10*i+1), uint64(10*i+4))
-			tr.EndTxn(tid, uint64(10*i+9))
+			tr.EndTxn(tidRoot, uint64(10*i+9))
 		}
 	}
 	full, capped := New(0), New(5)
@@ -158,14 +246,14 @@ func TestAnalyzeCoverage(t *testing.T) {
 	tr := New(0)
 	// A read-miss transaction: txn root, net request, dir service with
 	// queueing, memory, net reply — stall covers it all plus slack.
-	tid := tr.BeginTxn(0, 0x100, 100)
+	tid, tidRoot := tr.BeginTxn(0, 0x100, 100)
 	sid := tr.BeginStall(0, tid, StallRead, "read fill", 100)
-	tr.Net(tid, 0, 3, 1, 0x100, 100, 120, 4, 2)       // port 100-104, wire 104-118, port 118-120
-	tr.Service(KindDir, 3, 0x100, 120, 130, 140)      // queue 120-130, service 130-140
-	tr.Service(KindMem, 3, 0x100, 140, 140, 180)      // pure service
-	tr.Net(tid, 3, 0, 2, 0x100, 180, 200, 0, 0)       // wire only
-	tr.EndStall(sid, 210)                             // 10 uncovered cycles at the tail
-	tr.EndTxn(tid, 210)
+	tr.Net(tid, 0, 3, 1, 0x100, 100, 120, 4, 2)  // port 100-104, wire 104-118, port 118-120
+	tr.Service(KindDir, 3, 0x100, 120, 130, 140) // queue 120-130, service 130-140
+	tr.Service(KindMem, 3, 0x100, 140, 140, 180) // pure service
+	tr.Net(tid, 3, 0, 2, 0x100, 180, 200, 0, 0)  // wire only
+	tr.EndStall(sid, 210)                        // 10 uncovered cycles at the tail
+	tr.EndTxn(tidRoot, 210)
 
 	a := Analyze(tr)
 	if got, want := a.Total(), uint64(110); got != want {
@@ -180,9 +268,9 @@ func TestAnalyzeCoverage(t *testing.T) {
 			t.Errorf("%s: attributed %d, want %d", c, got, want)
 		}
 	}
-	check(CauseNetPort, 6)    // 4 out + 2 in on the request
-	check(CauseNet, 34)       // 14 request wire + 20 reply wire
-	check(CauseDirQueue, 10)  // 120-130
+	check(CauseNetPort, 6)   // 4 out + 2 in on the request
+	check(CauseNet, 34)      // 14 request wire + 20 reply wire
+	check(CauseDirQueue, 10) // 120-130
 	check(CauseDirService, 10)
 	check(CauseMem, 40)
 	check(CauseOther, 10) // uncovered tail
@@ -209,16 +297,16 @@ func TestAnalyzeCauseChain(t *testing.T) {
 	// Releaser's sync episode does fan-out work; acquirer stalls on the
 	// lock. The wake event runs under the releaser's context, so the stall
 	// records it as Cause, and the analyzer pulls the releaser's spans in.
-	rel := tr.BeginSync(1, 7, "lock-release", 100)
-	acq := tr.BeginSync(0, 7, "lock-acquire", 100)
+	rel, relRoot := tr.BeginSync(1, 7, "lock-release", 100)
+	acq, acqRoot := tr.BeginSync(0, 7, "lock-acquire", 100)
 	sid := tr.BeginStall(0, acq, StallSync, "lock wait", 100)
 	tr.Restore(rel)
 	tr.Service(KindFanout, 1, 0, 120, 120, 160) // releaser's notice posting
-	tr.EndSync(rel, 160)
+	tr.EndSync(relRoot, 160)
 	// The grant delivery wakes the acquirer still under rel's context.
 	tr.EndStall(sid, 180)
 	tr.Restore(acq)
-	tr.EndSync(acq, 180)
+	tr.EndSync(acqRoot, 180)
 
 	a := Analyze(tr)
 	if got := a.ByCause[StallSync][CauseFanout]; got != 40 {
@@ -247,8 +335,8 @@ func TestTopNOrdering(t *testing.T) {
 		sid := tr.BeginStall(0, 0, StallRead, "read fill", begin)
 		tr.EndStall(sid, end)
 	}
-	mk(10, 30)  // 20
-	mk(50, 100) // 50
+	mk(10, 30)   // 20
+	mk(50, 100)  // 50
 	mk(200, 220) // 20, later begin
 	a := Analyze(tr)
 	top := a.TopN(2)
@@ -262,14 +350,14 @@ func TestTopNOrdering(t *testing.T) {
 
 func TestPerfettoRoundTrip(t *testing.T) {
 	tr := New(0)
-	tid := tr.BeginTxn(0, 0x40, 10)
+	tid, tidRoot := tr.BeginTxn(0, 0x40, 10)
 	tr.Net(tid, 0, 1, 2, 0x40, 12, 30, 1, 1)
 	tr.Service(KindDir, 1, 0x40, 30, 32, 40)
 	sid := tr.BeginStall(0, tid, StallRead, "read fill", 10)
 	tr.EndStall(sid, 60)
-	tr.EndTxn(tid, 60)
-	st := tr.BeginSync(0, 3, "barrier", 70)
-	tr.EndSync(st, 90)
+	tr.EndTxn(tidRoot, 60)
+	_, stRoot := tr.BeginSync(0, 3, "barrier", 70)
+	tr.EndSync(stRoot, 90)
 
 	var buf bytes.Buffer
 	if err := WritePerfetto(&buf, tr, func(k int) string { return "MsgKind" }); err != nil {
@@ -293,9 +381,9 @@ func TestPerfettoRoundTrip(t *testing.T) {
 func TestValidateTraceRejectsGarbage(t *testing.T) {
 	cases := []string{
 		`{}`,
-		`{"traceEvents": [{"ph":"X","pid":0,"tid":0,"ts":1,"dur":2}]}`,      // no name
-		`{"traceEvents": [{"name":"x","ph":"Q","pid":0,"tid":0,"ts":1}]}`,   // bad phase
-		`{"traceEvents": [{"name":"x","ph":"b","pid":0,"tid":0,"ts":1}]}`,   // async without id
+		`{"traceEvents": [{"ph":"X","pid":0,"tid":0,"ts":1,"dur":2}]}`,    // no name
+		`{"traceEvents": [{"name":"x","ph":"Q","pid":0,"tid":0,"ts":1}]}`, // bad phase
+		`{"traceEvents": [{"name":"x","ph":"b","pid":0,"tid":0,"ts":1}]}`, // async without id
 		`not json`,
 	}
 	for _, c := range cases {

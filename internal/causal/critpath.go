@@ -285,7 +285,7 @@ func fallbackCause(stall *Span) Cause {
 // cause; uncovered cycles fall back to wb-drain / serialization / other.
 func Analyze(t *Tracer) *Attribution {
 	a := &Attribution{}
-	if t == nil || !t.retain {
+	if t == nil || t.limit == 0 {
 		return a
 	}
 	byTID := t.byTID()

@@ -217,12 +217,12 @@ func TestPerfettoExportValidates(t *testing.T) {
 func TestSpansDisabledNoAllocs(t *testing.T) {
 	var tr *causal.Tracer
 	allocs := testing.AllocsPerRun(100, func() {
-		tid := tr.BeginTxn(1, 42, 10)
+		tid, tidRoot := tr.BeginTxn(1, 42, 10)
 		sid := tr.BeginStall(1, tid, causal.StallRead, "read fill", 10)
 		tr.Net(tid, 0, 1, 2, 42, 10, 20, 0, 0)
 		tr.Service(causal.KindDir, 1, 42, 10, 12, 20)
 		tr.EndStall(sid, 20)
-		tr.EndTxn(tid, 20)
+		tr.EndTxn(tidRoot, 20)
 		_ = tr.Capture()
 		tr.Restore(0)
 		_ = tr.Current()

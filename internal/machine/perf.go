@@ -7,27 +7,19 @@ import (
 // EnablePerf attaches a wall-clock phase profiler to the machine. It
 // must be called before Run, in any order relative to EnableMetrics and
 // EnableSpans: whichever comes later wires itself to the ones already
-// attached. Profiling is strictly passive: every hook reads the host's
-// monotonic clock and touches no simulated state, so an instrumented run
-// is bit-identical — cycles, digests, stats — to an uninstrumented one
-// (pinned by TestPerfIsPassive).
+// attached. Profiling is strictly passive: every hook touches only the
+// profiler's own state, so an instrumented run is bit-identical —
+// cycles, digests, stats — to an uninstrumented one (pinned by
+// TestPerfIsPassive). It is also cheap: the host clock is read only in
+// one event of perf.Stride and in background events; everywhere else a
+// hook is two tests (BenchmarkSimPerf states the measured cost).
 //
-// Wired here:
-//
-//   - the engine run loop, which charges each event to the dispatch
-//     phase (background phase for observer events) — the catch-all that
-//     also absorbs coroutine handoff and application compute;
-//   - the mesh, narrowing routing/transport/delivery work to the mesh
-//     phase;
-//   - the protocol Env, narrowing message handling to the protocol
-//     phase, cache-fill/commit paths to the memory/bus phase, and
-//     home-side directory service occupancy to the directory phase;
-//   - every node's directory table (entry lookups);
-//   - the causal tracer's span bookkeeping (EnableSpans does the same
-//     from its side when it runs second).
-//
-// Machine.Run brackets the whole execution with Begin/End; the fixed
-// profile is available from m.Perf.Snapshot() afterwards.
+// Wired here: the engine run loop (timed-event selection; queue, frontend
+// and the dispatch/background residual), the mesh, the protocol Env
+// (protocol, membus, directory), every node's directory table, and the
+// causal tracer (EnableSpans does the same when it runs second).
+// Machine.Run brackets the execution with Begin/End; m.Perf.Snapshot()
+// has the profile afterwards.
 func (m *Machine) EnablePerf() *perf.Profiler {
 	p := perf.New()
 	m.Perf = p

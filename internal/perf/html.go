@@ -75,8 +75,13 @@ func phaseStack(cells []CellPerf) string {
 				any = true
 			}
 		}
-		if any {
-			series = append(series, telemetry.ChartSeries{Label: ph.String(), Slot: int(ph), Points: pts})
+		if n := len(series); any && n < 8 {
+			series = append(series, telemetry.ChartSeries{Label: ph.String(), Slot: n, Points: pts})
+		} else if any { // the palette has eight slots: the last phases share one
+			series[7].Label += "+" + ph.String()
+			for i, v := range pts {
+				series[7].Points[i] += v
+			}
 		}
 	}
 	var b strings.Builder

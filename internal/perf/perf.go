@@ -1,6 +1,6 @@
 // Package perf is the simulator's wall-clock observability plane: a
-// phase profiler and throughput accountant measuring how real time is
-// spent producing simulated time. It is the strict complement of
+// sampling phase profiler and throughput accountant measuring how real
+// time is spent producing simulated time. It is the strict complement of
 // internal/telemetry — telemetry samples the simulated clock and is part
 // of a run's result identity, perf samples the host's monotonic clock
 // and is pure provenance (excluded from fingerprints, digests, and
@@ -11,18 +11,18 @@
 // events and mutates no simulated state, so a profiled run is
 // bit-identical to an unprofiled one (pinned by TestPerfIsPassive).
 //
-// Attribution model: the profiler keeps one current phase; subsystems
-// switch it at their choke points (mesh send/delivery, protocol message
-// dispatch, directory lookups, memory/bus modeling, the telemetry
-// sampling tick, causal span recording) and restore the previous phase
-// on exit. Wall time no subsystem claims — the event heap, coroutine
-// switches, application compute — accrues to the engine's default phase
-// (dispatch for regular events, background for watchdog/observer
-// events).
+// Attribution model (DESIGN.md §16): the engine times one event in every
+// Stride, from before it leaves the queue until its callback returns, and
+// every background event. Inside a timed event the profiler keeps one
+// current phase, which subsystems switch at their choke points and
+// restore on exit; outside one the same brackets test a flag and return.
+// End spreads the exact wall time over the phases in the proportions the
+// timed events showed: only the split between phases is an estimate.
 package perf
 
 import (
 	"fmt"
+	"math/bits"
 	"runtime"
 	"sort"
 	"strings"
@@ -32,25 +32,29 @@ import (
 // Phase names one wall-clock cost center of the simulation loop.
 type Phase uint8
 
-// The phase taxonomy. PhaseDispatch is the engine's default charge —
-// event-heap maintenance, coroutine handoff, and application compute
-// not claimed by a deeper subsystem; PhaseBackground is the same
-// default for background (observer) events.
+// The phase taxonomy, the observers' phases last. PhaseDispatch is the
+// engine's default charge for an event's callback — handler code no deeper
+// subsystem claims — and PhaseBackground the same for background
+// (observer) events. PhaseQueue is the event heap (pop and push),
+// PhaseFrontend the time inside a processor context: the switch, the
+// application, the protocol's CPU side.
 const (
 	PhaseDispatch Phase = iota
+	PhaseQueue
+	PhaseFrontend
 	PhaseMesh
 	PhaseProtocol
 	PhaseDirectory
 	PhaseMemBus
-	PhaseTelemetry
 	PhaseCausal
+	PhaseTelemetry
 	PhaseBackground
 	NumPhases
 )
 
 var phaseNames = [NumPhases]string{
-	"dispatch", "mesh", "protocol", "directory",
-	"membus", "telemetry", "causal", "background",
+	"dispatch", "queue", "frontend", "mesh", "protocol",
+	"directory", "membus", "causal", "telemetry", "background",
 }
 
 // String returns the phase's stable name (used as JSON keys in
@@ -62,23 +66,32 @@ func (p Phase) String() string {
 	return fmt.Sprintf("phase(%d)", uint8(p))
 }
 
-// Profiler accumulates monotonic wall-clock time per phase. All methods
-// are safe on a nil receiver (free no-ops), so instrumented subsystems
-// call them unconditionally. A Profiler is single-threaded, like the
-// engine loop it observes.
+// Stride is the sampling period: the engine times the events whose
+// ordinal is a multiple of it — under 0.1 clock reads per event, ~13 000
+// samples from a medium cell. It is prime so the sample cannot lock onto
+// the power-of-two rhythms of the machine (every 64th event of 64
+// processors resuming together is the same processor doing the same thing).
+const Stride = 127
+
+// Profiler estimates wall-clock time per phase from timed events. All
+// methods are safe on a nil receiver (free no-ops), so instrumented
+// subsystems call them unconditionally. A Profiler is single-threaded,
+// like the engine loop it observes.
 type Profiler struct {
-	base    time.Time
-	lastNS  int64
-	cur     Phase
-	phaseNS [NumPhases]int64
+	now func() int64 // monotonic ns since Begin; tests substitute a fake clock
 
-	startAllocs uint64
-	startBytes  uint64
-	startPause  uint64
-	startGC     uint32
+	timed  bool  // inside a timed event: Enter/Exit read the clock
+	cur    Phase // current phase; meaningful while timed
+	lastNS int64 // clock at the last charge
 
-	snap  Snapshot
-	ended bool
+	// ns[0] accumulates the stride's events, a sample; ns[1] the background
+	// events, all timed and so exact as measured. exact indexes ns.
+	ns     [2][NumPhases]int64
+	exact  int
+	nTimed uint64
+
+	start runtime.MemStats // allocator baseline, read by Begin
+	snap  Snapshot         // fixed by End; its Phases map is nil until then
 }
 
 // New returns an idle profiler. Call Begin immediately before the run
@@ -90,76 +103,108 @@ func (p *Profiler) Begin() {
 	if p == nil {
 		return
 	}
-	var ms runtime.MemStats
-	runtime.ReadMemStats(&ms)
-	p.startAllocs = ms.Mallocs
-	p.startBytes = ms.TotalAlloc
-	p.startPause = ms.PauseTotalNs
-	p.startGC = ms.NumGC
-	p.base = time.Now()
-	p.lastNS = 0
-	p.cur = PhaseDispatch
+	runtime.ReadMemStats(&p.start)
+	if p.now == nil {
+		base := time.Now()
+		p.now = func() int64 { return int64(time.Since(base)) }
+	}
 }
 
-// Enter charges the elapsed interval to the current phase, switches to
-// ph, and returns the previous phase so the caller can restore it with
-// Exit. Nil-safe and allocation-free.
-func (p *Profiler) Enter(ph Phase) Phase {
-	if p == nil {
-		return PhaseDispatch
-	}
-	now := int64(time.Since(p.base))
-	p.phaseNS[p.cur] += now - p.lastNS
+// move books the time since the last move to the current phase, makes ph
+// current and returns the phase that was. It stays out of line so that
+// Enter inlines into every bracket as little more than its two tests.
+//
+//go:noinline
+func (p *Profiler) move(ph Phase) Phase {
+	now := p.now()
+	p.ns[p.exact][p.cur] += now - p.lastNS
 	p.lastNS = now
 	prev := p.cur
 	p.cur = ph
 	return prev
 }
 
-// Exit restores the phase a matching Enter returned.
-func (p *Profiler) Exit(prev Phase) {
-	if p == nil {
+// Start begins timing the engine's current event in phase ph or, when it
+// is being timed already, moves it to ph (Engine.step has the sequence).
+// What is measured of a PhaseBackground event is exact, not a sample.
+func (p *Profiler) Start(ph Phase) {
+	if ph == PhaseBackground {
+		p.exact = 1
+	}
+	if p.timed {
+		p.move(ph)
 		return
 	}
-	now := int64(time.Since(p.base))
-	p.phaseNS[p.cur] += now - p.lastNS
-	p.lastNS = now
-	p.cur = prev
+	p.lastNS, p.timed, p.cur = p.now(), true, ph
 }
 
-// End stops the clock, folds the final interval, and fixes the snapshot.
-// cycles and events are the run's final simulated cycle and executed
-// event count (the throughput denominators come from them).
+// Stop ends the timing Start began, after the event's callback returned.
+func (p *Profiler) Stop() {
+	p.move(PhaseDispatch)
+	p.timed, p.exact = false, 0
+	p.nTimed++
+}
+
+// Enter switches to ph and returns the previous phase for the matching
+// Exit. Outside a timed event it does nothing. Nil-safe, allocation-free.
+func (p *Profiler) Enter(ph Phase) Phase {
+	if p == nil || !p.timed {
+		return PhaseDispatch
+	}
+	return p.move(ph)
+}
+
+// Exit restores the phase a matching Enter returned.
+func (p *Profiler) Exit(prev Phase) { p.Enter(prev) }
+
+// End stops the clock and fixes the snapshot. cycles and events are the
+// run's final simulated cycle and executed event count (the throughput
+// denominators come from them). Of the exact wall time, what the
+// background events took is known phase by phase; the rest is divided in
+// the proportions of the sampled events' phase times, rounded down, and
+// the remainder goes to dispatch, so the phases always sum to WallNS.
 func (p *Profiler) End(cycles, events uint64) {
-	if p == nil || p.ended {
+	if p == nil || p.snap.Phases != nil {
 		return
 	}
-	p.Enter(PhaseDispatch) // flush the open interval
+	wall := p.now()
 	var ms runtime.MemStats
 	runtime.ReadMemStats(&ms)
 
 	s := Snapshot{
-		WallNS:     p.lastNS,
-		Cycles:     cycles,
-		Events:     events,
-		Allocs:     ms.Mallocs - p.startAllocs,
-		AllocBytes: ms.TotalAlloc - p.startBytes,
-		GCPauseNS:  ms.PauseTotalNs - p.startPause,
-		GCCycles:   uint64(ms.NumGC - p.startGC),
-		Phases:     make(map[string]int64, NumPhases),
+		WallNS:      wall,
+		Cycles:      cycles,
+		Events:      events,
+		TimedEvents: p.nTimed,
+		Allocs:      ms.Mallocs - p.start.Mallocs,
+		AllocBytes:  ms.TotalAlloc - p.start.TotalAlloc,
+		GCPauseNS:   ms.PauseTotalNs - p.start.PauseTotalNs,
+		GCCycles:    uint64(ms.NumGC - p.start.NumGC),
+		Phases:      make(map[string]int64, NumPhases),
 	}
-	for ph := Phase(0); ph < NumPhases; ph++ {
-		if p.phaseNS[ph] != 0 {
-			s.Phases[ph.String()] = p.phaseNS[ph]
+	est := p.ns[1]
+	rest, sampled := wall, int64(0) // rest: what the background events did not take
+	for ph := range est {
+		rest -= est[ph]
+		sampled += p.ns[0][ph]
+	}
+	left := rest
+	if sampled > 0 {
+		for ph, ns := range p.ns[0] {
+			hi, lo := bits.Mul64(uint64(rest), uint64(ns))
+			q, _ := bits.Div64(hi, lo, uint64(sampled))
+			est[ph] += int64(q)
+			left -= int64(q)
 		}
 	}
-	if s.WallNS > 0 {
-		sec := float64(s.WallNS) / 1e9
-		s.CyclesPerSec = float64(cycles) / sec
-		s.EventsPerSec = float64(events) / sec
+	est[PhaseDispatch] += left
+	for ph, ns := range est {
+		if ns != 0 {
+			s.Phases[Phase(ph).String()] = ns
+		}
 	}
+	s.setRates()
 	p.snap = s
-	p.ended = true
 }
 
 // Snapshot returns the profile fixed by End (the zero Snapshot before
@@ -183,9 +228,11 @@ type Snapshot struct {
 	CyclesPerSec float64 `json:"cycles_per_sec"`
 	EventsPerSec float64 `json:"events_per_sec"`
 
-	// Phases maps phase name -> accumulated nanoseconds (zero phases
-	// omitted). Keys are the Phase.String() names.
-	Phases map[string]int64 `json:"phase_ns,omitempty"`
+	// Phases maps Phase.String() name -> nanoseconds (zero phases omitted),
+	// summing to WallNS: an estimate from TimedEvents of the Events (see
+	// Profiler.End). Everything else in the snapshot is exact.
+	Phases      map[string]int64 `json:"phase_ns,omitempty"`
+	TimedEvents uint64           `json:"timed_events"`
 
 	// Allocator deltas over the run: heap objects, heap bytes, total GC
 	// stop-the-world pause time, and completed GC cycles.
@@ -202,6 +249,7 @@ func (s *Snapshot) Add(o Snapshot) {
 	s.WallNS += o.WallNS
 	s.Cycles += o.Cycles
 	s.Events += o.Events
+	s.TimedEvents += o.TimedEvents
 	s.Allocs += o.Allocs
 	s.AllocBytes += o.AllocBytes
 	s.GCPauseNS += o.GCPauseNS
@@ -212,6 +260,11 @@ func (s *Snapshot) Add(o Snapshot) {
 	for k, v := range o.Phases {
 		s.Phases[k] += v
 	}
+	s.setRates()
+}
+
+// setRates derives the throughput rates from the totals.
+func (s *Snapshot) setRates() {
 	if s.WallNS > 0 {
 		sec := float64(s.WallNS) / 1e9
 		s.CyclesPerSec = float64(s.Cycles) / sec
@@ -219,41 +272,25 @@ func (s *Snapshot) Add(o Snapshot) {
 	}
 }
 
-// PhaseRow is one line of the rendered phase table.
-type PhaseRow struct {
-	Name string
-	NS   int64
-	Pct  float64
-}
-
-// PhaseTable returns the phase breakdown in taxonomy order, percentages
-// of the measured wall time, zero phases omitted.
-func (s Snapshot) PhaseTable() []PhaseRow {
-	rows := make([]PhaseRow, 0, len(s.Phases))
-	for ph := Phase(0); ph < NumPhases; ph++ {
-		ns, ok := s.Phases[ph.String()]
-		if !ok {
-			continue
-		}
-		r := PhaseRow{Name: ph.String(), NS: ns}
-		if s.WallNS > 0 {
-			r.Pct = 100 * float64(ns) / float64(s.WallNS)
-		}
-		rows = append(rows, r)
-	}
-	sort.SliceStable(rows, func(i, j int) bool { return rows[i].NS > rows[j].NS })
-	return rows
-}
-
 // Table renders the profile as an aligned text block: throughput
-// headline, phase breakdown, allocator deltas.
+// headline, phase breakdown (largest first, percentages of the wall
+// time), allocator deltas.
 func (s Snapshot) Table() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "wall time            %s\n", time.Duration(s.WallNS))
 	fmt.Fprintf(&b, "simulated cycles     %d (%.2f Mcycles/s)\n", s.Cycles, s.CyclesPerSec/1e6)
 	fmt.Fprintf(&b, "engine events        %d (%.2f Mevents/s)\n", s.Events, s.EventsPerSec/1e6)
-	for _, r := range s.PhaseTable() {
-		fmt.Fprintf(&b, "  phase %-12s %14s  %5.1f%%\n", r.Name, time.Duration(r.NS).String(), r.Pct)
+	fmt.Fprintf(&b, "phase shares sampled over %d of %d events\n", s.TimedEvents, s.Events)
+	names := make([]string, 0, len(s.Phases))
+	for ph := Phase(0); ph < NumPhases; ph++ {
+		if _, ok := s.Phases[ph.String()]; ok {
+			names = append(names, ph.String())
+		}
+	}
+	sort.SliceStable(names, func(i, j int) bool { return s.Phases[names[i]] > s.Phases[names[j]] })
+	for _, name := range names {
+		ns := s.Phases[name]
+		fmt.Fprintf(&b, "  phase %-12s %14s  %5.1f%%\n", name, time.Duration(ns), 100*float64(ns)/float64(s.WallNS))
 	}
 	fmt.Fprintf(&b, "heap allocations     %d objects, %d bytes\n", s.Allocs, s.AllocBytes)
 	fmt.Fprintf(&b, "gc                   %d cycle(s), %s total pause\n", s.GCCycles, time.Duration(s.GCPauseNS))

@@ -42,38 +42,214 @@ func TestEnabledProfilerZeroAllocHotPath(t *testing.T) {
 	if allocs != 0 {
 		t.Fatalf("enabled Enter/Exit allocates %.1f objects per run, want 0", allocs)
 	}
+	allocs = testing.AllocsPerRun(1000, func() {
+		p.Start(PhaseQueue)
+		p.Start(PhaseDispatch)
+		prev := p.Enter(PhaseProtocol)
+		p.Exit(prev)
+		p.Stop()
+	})
+	if allocs != 0 {
+		t.Fatalf("a timed event allocates %.1f objects per run, want 0", allocs)
+	}
 }
 
-// Every nanosecond measured must land in exactly one phase: the phase
-// breakdown sums to the wall time regardless of nesting pattern.
-func TestPhaseAccountingSumsToWall(t *testing.T) {
-	p := New()
-	p.Begin()
-	for i := 0; i < 100; i++ {
-		a := p.Enter(PhaseMesh)
-		b := p.Enter(PhaseProtocol) // nested switch
-		c := p.Enter(PhaseDirectory)
-		p.Exit(c)
-		p.Exit(b)
-		p.Exit(a)
-	}
-	bg := p.Enter(PhaseBackground)
-	p.Exit(bg)
-	p.End(1000, 500)
+// fakeClock is a test clock the profiler reads instead of the host's: it
+// counts the reads and is advanced by hand, so a test knows how long each
+// phase really took.
+type fakeClock struct {
+	ns    int64
+	reads int
+}
 
-	s := p.Snapshot()
+func (c *fakeClock) profiler() *Profiler {
+	p := New()
+	p.now = func() int64 { c.reads++; return c.ns }
+	p.Begin()
+	return p
+}
+
+// event plays one engine event the way Engine.stepTimed does — the n-th
+// of the run, background or not — spending queueNS taking it off the
+// queue and then running body.
+func (c *fakeClock) event(p *Profiler, n uint64, background bool, queueNS int64, body func()) {
+	timed := n%Stride == 0
+	if timed {
+		p.Start(PhaseQueue)
+	}
+	c.ns += queueNS
+	switch {
+	case background:
+		p.Start(PhaseBackground)
+	case timed:
+		p.Start(PhaseDispatch)
+	default:
+		body()
+		return
+	}
+	body()
+	p.Stop()
+}
+
+func sumPhases(s Snapshot) int64 {
 	var sum int64
 	for _, ns := range s.Phases {
 		sum += ns
 	}
-	if sum != s.WallNS {
+	return sum
+}
+
+// Every nanosecond measured must land in exactly one phase: the phase
+// breakdown sums to the wall time regardless of nesting pattern, of how
+// many events were timed, and of what the division left over.
+func TestPhaseAccountingSumsToWall(t *testing.T) {
+	var c fakeClock
+	p := c.profiler()
+	for n := uint64(0); n < 1000; n++ {
+		c.event(p, n, n%97 == 3, 7, func() {
+			a := p.Enter(PhaseMesh)
+			c.ns += 11
+			b := p.Enter(PhaseProtocol) // nested switch
+			c.ns += 13
+			d := p.Enter(PhaseDirectory)
+			c.ns += 3
+			p.Exit(d)
+			p.Exit(b)
+			c.ns += 5
+			p.Exit(a)
+		})
+	}
+	p.End(1000, 1000)
+
+	s := p.Snapshot()
+	if s.WallNS != c.ns {
+		t.Fatalf("wall %d, clock at %d", s.WallNS, c.ns)
+	}
+	if sum := sumPhases(s); sum != s.WallNS {
 		t.Fatalf("phase sum %d != wall %d", sum, s.WallNS)
 	}
-	if s.Cycles != 1000 || s.Events != 500 {
+	if s.Cycles != 1000 || s.Events != 1000 {
 		t.Fatalf("throughput denominators not recorded: %+v", s)
 	}
 	if s.WallNS > 0 && s.CyclesPerSec <= 0 {
 		t.Fatalf("cycles/sec not computed: %+v", s)
+	}
+	// Events 0, 127, ..., 889 by the stride and the 11 background ones
+	// (3, 100, ..., 973), none of them both.
+	if s.TimedEvents != 8+11 {
+		t.Fatalf("timed %d events, want 19", s.TimedEvents)
+	}
+
+	// With no event timed, all of the wall time is the residual.
+	c = fakeClock{}
+	p = c.profiler()
+	a := p.Enter(PhaseMesh)
+	c.ns += 500
+	p.Exit(a)
+	p.End(1, 1)
+	if s := p.Snapshot(); s.WallNS != 500 || s.Phases["dispatch"] != 500 || len(s.Phases) != 1 {
+		t.Fatalf("untimed run: %+v", s)
+	}
+}
+
+// Two kinds of event, each wholly in one phase, split the run's time 3:1.
+// Which events the stride happens to pick now matters, and the estimate
+// must still land within five points of the truth — when the kinds come
+// in no order, and when they come in the rhythm of a 64-processor machine
+// (32 of one, then 32 of the other), which a stride of 64 would sample on
+// one side only.
+func TestSampledSharesEstimateKnownSplit(t *testing.T) {
+	const events = 100000
+	for name, isMesh := range map[string]func(n uint64) bool{
+		"irregular": func(n uint64) bool { return (n*0x9e3779b97f4a7c15)>>63 == 0 },
+		"period 64": func(n uint64) bool { return n%64 < 32 },
+	} {
+		var c fakeClock
+		p := c.profiler()
+		var mesh, protocol int64
+		for n := uint64(0); n < events; n++ {
+			c.event(p, n, false, 0, func() {
+				if isMesh(n) {
+					prev := p.Enter(PhaseMesh)
+					c.ns += 30
+					mesh += 30
+					p.Exit(prev)
+				} else {
+					prev := p.Enter(PhaseProtocol)
+					c.ns += 10
+					protocol += 10
+					p.Exit(prev)
+				}
+			})
+		}
+		p.End(events, events)
+		s := p.Snapshot()
+		if sum := sumPhases(s); sum != s.WallNS {
+			t.Fatalf("%s: phase sum %d != wall %d", name, sum, s.WallNS)
+		}
+		for phase, truth := range map[string]int64{"mesh": mesh, "protocol": protocol} {
+			got := 100 * float64(s.Phases[phase]) / float64(s.WallNS)
+			want := 100 * float64(truth) / float64(s.WallNS)
+			if want < 24 || want > 76 || got < want-5 || got > want+5 {
+				t.Errorf("%s: %s estimated at %.1f%% of wall, truly %.1f%%", name, phase, got, want)
+			}
+		}
+		if want := uint64((events + Stride - 1) / Stride); s.TimedEvents != want {
+			t.Fatalf("%s: timed %d events, want %d", name, s.TimedEvents, want)
+		}
+	}
+}
+
+// Background events are all timed, so what they cost is reported as
+// measured, not scaled up by the sampling ratio, however rare they are.
+func TestBackgroundEventsAreExact(t *testing.T) {
+	var c fakeClock
+	p := c.profiler()
+	var telemetry int64
+	for n := uint64(0); n < 10000; n++ {
+		if n%2500 == 1 { // four heavy ticks, none on the stride
+			c.event(p, n, true, 1, func() {
+				prev := p.Enter(PhaseTelemetry)
+				c.ns += 40000
+				telemetry += 40000
+				p.Exit(prev)
+				c.ns += 100
+			})
+			continue
+		}
+		c.event(p, n, false, 1, func() { c.ns += 50 })
+	}
+	p.End(10000, 10000)
+	s := p.Snapshot()
+	if s.Phases["telemetry"] != telemetry {
+		t.Fatalf("telemetry phase %d ns, spent %d", s.Phases["telemetry"], telemetry)
+	}
+	if s.Phases["background"] != 4*100 {
+		t.Fatalf("background phase %d ns, spent 400", s.Phases["background"])
+	}
+	if sum := sumPhases(s); sum != s.WallNS {
+		t.Fatalf("phase sum %d != wall %d", sum, s.WallNS)
+	}
+}
+
+// The budget: with four brackets inside every event the profiler reads
+// the clock less than once in ten events.
+func TestClockReadsPerEvent(t *testing.T) {
+	var c fakeClock
+	p := c.profiler()
+	const events = 10000
+	for n := uint64(0); n < events; n++ {
+		c.event(p, n, false, 1, func() {
+			for _, ph := range []Phase{PhaseQueue, PhaseMesh, PhaseProtocol, PhaseCausal} {
+				prev := p.Enter(ph)
+				c.ns++
+				p.Exit(prev)
+			}
+		})
+	}
+	p.End(events, events)
+	if perEvent := float64(c.reads) / events; perEvent > 0.1 {
+		t.Fatalf("%d clock reads over %d events (%.3f per event), want <= 0.1", c.reads, events, perEvent)
 	}
 }
 

@@ -113,8 +113,8 @@ type Txn struct {
 	DoneEarly bool
 	// CT is the causal transaction id assigned at creation when tracing
 	// is enabled (0 otherwise). Messages and stall episodes on this
-	// transaction's chain reference it.
-	CT uint64
+	// transaction's chain reference it; finishTxn closes its root span.
+	CT, ctRoot uint64
 }
 
 // Node is one processor node: CPU-side cache structures, the protocol
@@ -273,7 +273,7 @@ func (n *Node) newTxn(block uint64) *Txn {
 		panic(fmt.Sprintf("protocol: node %d duplicate txn for block %d", n.ID, block))
 	}
 	t := &Txn{Block: block}
-	t.CT = n.Env.Causal.BeginTxn(n.ID, block, n.now())
+	t.CT, t.ctRoot = n.Env.Causal.BeginTxn(n.ID, block, n.now())
 	n.outstanding[block] = t
 	n.nOutstanding++
 	return t
@@ -287,7 +287,7 @@ func (n *Node) finishTxn(t *Txn) {
 	}
 	delete(n.outstanding, t.Block)
 	n.nOutstanding--
-	n.Env.Causal.EndTxn(t.CT, n.now())
+	n.Env.Causal.EndTxn(t.ctRoot, n.now())
 	if !t.Data.IsOpen() {
 		t.Data.Open()
 	}

@@ -94,22 +94,22 @@ func (s *syncNode) flag(id uint64) *flagState {
 // LockAcquire performs an acquire on the lock with the given home and id.
 func (n *Node) LockAcquire(home int, id uint64) {
 	n.observe("acquire", 0, id, -1)
-	st := n.Env.Causal.BeginSync(n.ID, id, "lock-acquire", n.now())
+	st, root := n.Env.Causal.BeginSync(n.ID, id, "lock-acquire", n.now())
 	n.Proto.AcquireBegin(n)
 	g := &sim.Gate{}
 	n.sync.gate = g
 	n.send(home, MsgLockReq, 0, 0, 0, id)
 	n.PS.SyncStall += n.waitStall(g, st, causal.StallSync, fmt.Sprintf("lock %d grant", id))
-	n.Env.Causal.EndSync(st, n.now())
+	n.Env.Causal.EndSync(root, n.now())
 }
 
 // LockRelease performs a release on the lock.
 func (n *Node) LockRelease(home int, id uint64) {
 	n.observe("release", 0, id, -1)
-	st := n.Env.Causal.BeginSync(n.ID, id, "lock-release", n.now())
+	_, root := n.Env.Causal.BeginSync(n.ID, id, "lock-release", n.now())
 	n.Proto.Release(n)
 	n.send(home, MsgLockFree, n.releaseTS(), 0, 0, id)
-	n.Env.Causal.EndSync(st, n.now())
+	n.Env.Causal.EndSync(root, n.now())
 }
 
 // BarrierWait joins a barrier of the given party count: arrival has
@@ -117,34 +117,34 @@ func (n *Node) LockRelease(home int, id uint64) {
 func (n *Node) BarrierWait(home int, id uint64, parties int) {
 	n.observe("release", 0, id, -1)
 	n.observe("acquire", 0, id, -1)
-	st := n.Env.Causal.BeginSync(n.ID, id, "barrier", n.now())
+	st, root := n.Env.Causal.BeginSync(n.ID, id, "barrier", n.now())
 	n.Proto.Release(n)
 	g := &sim.Gate{}
 	n.sync.gate = g
 	n.send(home, MsgBarArrive, n.releaseTS(), 0, uint64(parties), id)
 	n.PS.SyncStall += n.waitStall(g, st, causal.StallSync, fmt.Sprintf("barrier %d", id))
-	n.Env.Causal.EndSync(st, n.now())
+	n.Env.Causal.EndSync(root, n.now())
 }
 
 // FlagSet sets a one-shot flag (release semantics), waking all waiters.
 func (n *Node) FlagSet(home int, id uint64) {
 	n.observe("release", 0, id, -1)
-	st := n.Env.Causal.BeginSync(n.ID, id, "flag-set", n.now())
+	_, root := n.Env.Causal.BeginSync(n.ID, id, "flag-set", n.now())
 	n.Proto.Release(n)
 	n.send(home, MsgFlagSet, n.releaseTS(), 0, 0, id)
-	n.Env.Causal.EndSync(st, n.now())
+	n.Env.Causal.EndSync(root, n.now())
 }
 
 // FlagWait blocks until the flag has been set (acquire semantics).
 func (n *Node) FlagWait(home int, id uint64) {
 	n.observe("acquire", 0, id, -1)
-	st := n.Env.Causal.BeginSync(n.ID, id, "flag-wait", n.now())
+	st, root := n.Env.Causal.BeginSync(n.ID, id, "flag-wait", n.now())
 	n.Proto.AcquireBegin(n)
 	g := &sim.Gate{}
 	n.sync.gate = g
 	n.send(home, MsgFlagWait, 0, 0, 0, id)
 	n.PS.SyncStall += n.waitStall(g, st, causal.StallSync, fmt.Sprintf("flag %d", id))
-	n.Env.Causal.EndSync(st, n.now())
+	n.Env.Causal.EndSync(root, n.now())
 }
 
 // Fence forces the protocol processor to process pending invalidations
@@ -155,11 +155,11 @@ func (n *Node) FlagWait(home int, id uint64) {
 // Under the eager protocols it is a no-op. It returns when the local
 // invalidation work has finished.
 func (n *Node) Fence() {
-	st := n.Env.Causal.BeginSync(n.ID, 0, "fence", n.now())
+	st, root := n.Env.Causal.BeginSync(n.ID, 0, "fence", n.now())
 	g := &sim.Gate{}
 	n.Proto.AcquireEnd(n, func() { g.Open() })
 	n.PS.SyncStall += n.waitStall(g, st, causal.StallSync, "fence")
-	n.Env.Causal.EndSync(st, n.now())
+	n.Env.Causal.EndSync(root, n.now())
 }
 
 // releaseTS returns the logical timestamp a release-class sync message

@@ -218,9 +218,9 @@ var simulate = func(j Job, res *Result, hk hooks) error {
 		// Every runner execution carries all three observers: the metrics
 		// and span digests are part of the result, and the perf snapshot
 		// (passive — pinned by TestPerfIsPassive — at the cost of two
-		// MemStats reads plus nanosecond-scale phase switches) feeds the
-		// runner's throughput meta, the live daemon gauges, and
-		// paperbench's trend/gate machinery.
+		// MemStats reads plus clock reads in one event of perf.Stride,
+		// about 4 % of a bare run) feeds the runner's throughput meta, the
+		// live daemon gauges, and paperbench's trend/gate machinery.
 		m.EnableMetrics(metricsInterval)
 		m.EnableSpans(false, 0)
 		m.EnablePerf()

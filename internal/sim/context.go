@@ -5,6 +5,8 @@ package sim
 import (
 	"fmt"
 	"iter"
+
+	"lazyrc/internal/perf"
 )
 
 // Context is a simulated processor context: a coroutine whose body runs
@@ -92,13 +94,20 @@ func (c *Context) Now() Time { return c.eng.now }
 
 // transfer switches from the engine to the context and returns when the
 // context blocks or finishes; a panic in the body re-panics here. It must
-// run on the engine's side (i.e., from an event handler).
+// run on the engine's side (i.e., from an event handler); the time until
+// it returns is the profiler's frontend phase.
 func (c *Context) transfer() {
 	if c.done {
 		panic(fmt.Sprintf("sim: resuming finished context %q", c.name))
 	}
 	c.progress++
+	if c.eng.prof == nil {
+		c.next()
+		return
+	}
+	prev := c.eng.prof.Enter(perf.PhaseFrontend)
 	c.next()
+	c.eng.prof.Exit(prev)
 }
 
 // block switches back to the engine and returns when the context is next

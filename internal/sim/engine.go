@@ -165,10 +165,9 @@ type TaskTracer interface {
 func (e *Engine) SetTaskTracer(t TaskTracer) { e.tracer = t }
 
 // SetProfiler attaches (or, with nil, detaches) a wall-clock phase
-// profiler. The run loop charges each event's execution to the dispatch
-// phase (background phase for background events); instrumented
-// subsystems narrow the attribution from inside the event. Purely
-// observational — the simulated schedule is unchanged.
+// profiler: step picks the events it times, instrumented subsystems narrow
+// the attribution inside them. Purely observational — the simulated
+// schedule is unchanged.
 func (e *Engine) SetProfiler(p *perf.Profiler) { e.prof = p }
 
 // NewEngine returns an engine at time zero with an empty event queue.
@@ -204,7 +203,13 @@ func (e *Engine) push(t Time, fn func(), bg bool) {
 	if e.tracer != nil {
 		ev.ctx = e.tracer.Capture()
 	}
+	if e.prof == nil {
+		e.events.pushEv(ev)
+		return
+	}
+	prev := e.prof.Enter(perf.PhaseQueue)
 	e.events.pushEv(ev)
+	e.prof.Exit(prev)
 }
 
 // After schedules fn to run d cycles from now.
@@ -313,31 +318,31 @@ func (e *Engine) RunUntil(t Time) {
 }
 
 // step takes the next event off the queue, advances the clock to it and
-// runs it.
+// runs it. With a profiler attached, every perf.Stride-th event is timed
+// from before it leaves the queue to after its callback, as a sample of
+// all of them; background events — the telemetry tick, watchdog and
+// cancellation polls — are too few and too heavy to sample, so each one
+// is timed, from the moment the pop shows what it is.
 func (e *Engine) step() {
+	timed := e.prof != nil && e.nEvents%perf.Stride == 0
+	if timed {
+		e.prof.Start(perf.PhaseQueue)
+	}
 	ev := e.popNext()
+	ph := perf.PhaseDispatch
 	if ev.bg {
 		e.nbg--
+		ph, timed = perf.PhaseBackground, e.prof != nil
+	}
+	if timed {
+		e.prof.Start(ph)
 	}
 	e.now = ev.at
 	e.nEvents++
-	e.exec(ev)
-}
-
-// exec runs one event, charging its wall time to the profiler's default
-// phase for its kind when a profiler is attached.
-func (e *Engine) exec(ev event) {
-	if e.prof == nil {
-		e.call(ev)
-		return
-	}
-	ph := perf.PhaseDispatch
-	if ev.bg {
-		ph = perf.PhaseBackground
-	}
-	prev := e.prof.Enter(ph)
 	e.call(ev)
-	e.prof.Exit(prev)
+	if timed {
+		e.prof.Stop()
+	}
 }
 
 // call runs the event's callback, under the causal context the event

@@ -7,6 +7,8 @@ import (
 	"strings"
 	"testing"
 	"testing/quick"
+
+	"lazyrc/internal/perf"
 )
 
 func TestEventOrdering(t *testing.T) {
@@ -372,5 +374,56 @@ func TestCounterPending(t *testing.T) {
 	c.Add(2)
 	if c.Pending() != 2 {
 		t.Fatalf("pending = %d", c.Pending())
+	}
+}
+
+// With a profiler attached the engine times one event in every
+// perf.Stride and every background event, whatever the events do, and
+// the schedule is the one an unprofiled engine produces.
+func TestProfilerTimesTheStrideAndEveryBackgroundEvent(t *testing.T) {
+	const sleeps, polls = 1000, 7
+	run := func(p *perf.Profiler) (order []int, events uint64) {
+		e := NewEngine()
+		e.SetProfiler(p)
+		e.Spawn("worker", func(c *Context) {
+			for i := 0; i < sleeps; i++ {
+				c.Sleep(3)
+				order = append(order, i)
+			}
+		})
+		for i := 1; i <= polls; i++ {
+			i := i
+			e.Background(Time(400*i)+1, func() { order = append(order, -i) })
+		}
+		p.Begin()
+		e.Run()
+		p.End(e.Now(), e.Events())
+		return order, e.Events()
+	}
+	bare, _ := run(nil)
+	p := perf.New()
+	profiled, events := run(p)
+	if fmt.Sprint(bare) != fmt.Sprint(profiled) {
+		t.Fatal("attaching a profiler changed the schedule")
+	}
+
+	s := p.Snapshot()
+	if events != sleeps+1+polls || s.Events != events {
+		t.Fatalf("%d events executed, snapshot says %d, want %d", events, s.Events, sleeps+1+polls)
+	}
+	if min, max := events/perf.Stride+polls-1, events/perf.Stride+1+polls; s.TimedEvents < min || s.TimedEvents > max {
+		t.Fatalf("timed %d of %d events, want %d..%d", s.TimedEvents, events, min, max)
+	}
+	var sum int64
+	for _, ns := range s.Phases {
+		sum += ns
+	}
+	if sum != s.WallNS {
+		t.Fatalf("phase sum %d != wall %d", sum, s.WallNS)
+	}
+	for _, phase := range []string{"queue", "frontend", "background"} {
+		if s.Phases[phase] <= 0 {
+			t.Errorf("phase %q never accrued time: %v", phase, s.Phases)
+		}
 	}
 }
