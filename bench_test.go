@@ -35,6 +35,26 @@ func evaluator(b *testing.B) *exp.Evaluator {
 	return exp.NewEvaluator(benchScale, benchProcs)
 }
 
+// figure runs the bench applications under the given protocols plus the
+// SC run every figure normalizes to, and returns the report view the
+// figure's quantities are read from.
+func figure(b *testing.B, cfgName string, protos ...string) *exp.View {
+	b.Helper()
+	var cells [][3]string
+	for _, app := range benchApps {
+		for _, proto := range append([]string{"sc"}, protos...) {
+			cells = append(cells, [3]string{cfgName, app, proto})
+		}
+	}
+	e := evaluator(b)
+	e.Prefetch(cells)
+	rep := e.Report()
+	if err := rep.Err(); err != nil {
+		b.Fatal(err)
+	}
+	return rep.View()
+}
+
 func BenchmarkTable1Config(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		cfg := lazyrc.DefaultConfig(64)
@@ -50,8 +70,8 @@ func BenchmarkTable2MissClassification(b *testing.B) {
 		e := evaluator(b)
 		for _, app := range benchApps {
 			r := e.Get("default", app, "erc")
-			if r.VerifyErr != nil {
-				b.Fatal(r.VerifyErr)
+			if err := r.Err(); err != nil {
+				b.Fatal(err)
 			}
 			b.ReportMetric(100*r.MissShares[lazyrc.FalseShare], app+"_false_pct")
 			b.ReportMetric(100*r.MissShares[lazyrc.Eviction], app+"_evict_pct")
@@ -73,20 +93,20 @@ func BenchmarkTable3MissRates(b *testing.B) {
 
 func BenchmarkFig4LazyVsEager(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		e := evaluator(b)
+		v := figure(b, "default", "erc", "lrc")
 		for _, app := range benchApps {
-			b.ReportMetric(e.Normalized("default", app, "erc"), app+"_erc")
-			b.ReportMetric(e.Normalized("default", app, "lrc"), app+"_lrc")
+			b.ReportMetric(v.Normalized("default", app, "erc"), app+"_erc")
+			b.ReportMetric(v.Normalized("default", app, "lrc"), app+"_lrc")
 		}
 	}
 }
 
 func BenchmarkFig5OverheadBreakdown(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		e := evaluator(b)
+		v := figure(b, "default", "lrc", "erc")
 		for _, app := range benchApps {
 			for _, proto := range []string{"lrc", "erc"} {
-				cpu, rd, wr, sy := e.OverheadShares("default", app, proto)
+				cpu, rd, wr, sy, _ := v.OverheadShares("default", app, proto)
 				b.ReportMetric(100*cpu, app+"_"+proto+"_cpu_pct")
 				b.ReportMetric(100*rd, app+"_"+proto+"_read_pct")
 				b.ReportMetric(100*wr, app+"_"+proto+"_write_pct")
@@ -98,20 +118,20 @@ func BenchmarkFig5OverheadBreakdown(b *testing.B) {
 
 func BenchmarkFig6LazyVsLazier(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		e := evaluator(b)
+		v := figure(b, "default", "lrc", "lrc-ext")
 		for _, app := range benchApps {
-			b.ReportMetric(e.Normalized("default", app, "lrc"), app+"_lrc")
-			b.ReportMetric(e.Normalized("default", app, "lrc-ext"), app+"_lrcext")
+			b.ReportMetric(v.Normalized("default", app, "lrc"), app+"_lrc")
+			b.ReportMetric(v.Normalized("default", app, "lrc-ext"), app+"_lrcext")
 		}
 	}
 }
 
 func BenchmarkFig7LazierBreakdown(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		e := evaluator(b)
+		v := figure(b, "default", "lrc", "lrc-ext")
 		for _, app := range benchApps {
 			for _, proto := range []string{"lrc", "lrc-ext"} {
-				_, _, _, sy := e.OverheadShares("default", app, proto)
+				_, _, _, sy, _ := v.OverheadShares("default", app, proto)
 				b.ReportMetric(100*sy, app+"_"+proto+"_sync_pct")
 			}
 		}
@@ -120,21 +140,21 @@ func BenchmarkFig7LazierBreakdown(b *testing.B) {
 
 func BenchmarkFig8FutureMachine(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		e := evaluator(b)
+		v := figure(b, "future", "erc", "lrc", "lrc-ext")
 		for _, app := range benchApps {
-			b.ReportMetric(e.Normalized("future", app, "erc"), app+"_erc")
-			b.ReportMetric(e.Normalized("future", app, "lrc"), app+"_lrc")
-			b.ReportMetric(e.Normalized("future", app, "lrc-ext"), app+"_lrcext")
+			b.ReportMetric(v.Normalized("future", app, "erc"), app+"_erc")
+			b.ReportMetric(v.Normalized("future", app, "lrc"), app+"_lrc")
+			b.ReportMetric(v.Normalized("future", app, "lrc-ext"), app+"_lrcext")
 		}
 	}
 }
 
 func BenchmarkFig9FutureBreakdown(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		e := evaluator(b)
+		v := figure(b, "future", "lrc", "erc")
 		for _, app := range benchApps {
 			for _, proto := range []string{"lrc", "erc"} {
-				_, rd, _, sy := e.OverheadShares("future", app, proto)
+				_, rd, _, sy, _ := v.OverheadShares("future", app, proto)
 				b.ReportMetric(100*rd, app+"_"+proto+"_read_pct")
 				b.ReportMetric(100*sy, app+"_"+proto+"_sync_pct")
 			}

@@ -14,6 +14,11 @@
 // zero simulations), and -baseline gates the fresh report against a
 // committed reference. The rendered output is bit-identical for any -j.
 //
+// Every matrix target is rendered from one exp.Report, and it does not
+// matter where the report came from: evaluated here, or — with -remote —
+// by a running lrcsimd daemon. From the report on, the two modes share
+// one tail (print, -json, -report, -write-baseline, -baseline).
+//
 // Usage:
 //
 //	paperbench [-scale small] [-procs 64] [-j N] [-cache results.d]
@@ -30,16 +35,16 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
-	"log"
 	"os"
 	"runtime"
 	"time"
 
 	"lazyrc"
-	"lazyrc/internal/apps"
+	"lazyrc/internal/api"
 	"lazyrc/internal/config"
 	"lazyrc/internal/exp"
 	"lazyrc/internal/perf"
@@ -47,272 +52,263 @@ import (
 	"lazyrc/internal/store"
 )
 
-func main() {
-	log.SetFlags(0)
-	log.SetPrefix("paperbench: ")
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+// run is the whole command: it parses args, obtains the evaluation's
+// report (locally or from a daemon), renders and writes what was asked
+// for, and returns the exit code.
+func run(args []string, stdout, stderr io.Writer) (code int) {
+	fs := flag.NewFlagSet("paperbench", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		scaleFlag  = flag.String("scale", "small", "input scale: tiny, small, medium, paper")
-		procs      = flag.Int("procs", 64, "number of processors")
-		quiet      = flag.Bool("q", false, "suppress per-run progress")
-		jsonOut    = flag.String("json", "", "also write a machine-readable report to this file")
-		seed       = flag.Uint64("seed", 1, "base random seed stamped into every run's configuration; a report plus its seed fully determines a replay")
-		workers    = flag.Int("j", runtime.GOMAXPROCS(0), "simulation worker count; results are bit-identical for any value")
-		cacheDir   = flag.String("cache", "", "content-addressed result store directory (single writer: a second paperbench or lrcsimd on the same directory is refused); fingerprint-identical runs are served from it instead of re-simulating")
-		baseline   = flag.String("baseline", "", "regression-gate baseline report (JSON); out-of-tolerance drift exits non-zero")
-		tol        = flag.Float64("tol", 0, "gate tolerance on cycle counts and traffic, in percent of the baseline value")
-		writeBase  = flag.String("write-baseline", "", "write the canonical (provenance-free) report to this file, for committing as the gate baseline")
-		reportOut  = flag.String("report", "", "write a self-contained HTML report of the evaluation to this file")
-		critPath   = flag.Bool("critical-path", false, "also print the per-app per-protocol critical-path stall attribution table (runs span-traced simulations outside the result cache)")
-		cpuprofile = flag.String("cpuprofile", "", "write a CPU profile to this file")
-		memprofile = flag.String("memprofile", "", "write a heap profile to this file at exit")
-		remote     = flag.String("remote", "", "submit the evaluation to a running lrcsimd daemon at this base URL (e.g. http://127.0.0.1:7077) instead of simulating locally; matrix targets only, -j and -cache are the daemon's concern")
-		protoFlag  = flag.String("protocols", "all", "comma-separated protocol subset for the tardis target and the chaos soak (\"all\" = every registered protocol)")
-		perfTrend  = flag.String("perf-trend", "PERF_trend.json", "committed cycles/sec trend file for the -perf-write / -perf-gate pass")
-		perfWrite  = flag.Bool("perf-write", false, "measure host throughput for every (app, protocol) cell serially and append the result as a new entry in -perf-trend")
-		perfGate   = flag.Bool("perf-gate", false, "measure host throughput and fail on cells slower than the latest -perf-trend entry beyond -perf-tol")
-		perfTol    = flag.Float64("perf-tol", 50, "perf gate tolerance on cycles/sec regressions, in percent of the baseline; wall-clock timings wobble with host load, so the default is deliberately generous — tighten it on a quiet, pinned machine")
-		perfReport = flag.String("perf-report", "", "write a self-contained HTML performance report (phase breakdown + trend) to this file")
-		perfReps   = flag.Int("perf-reps", 3, "executions per cell in the perf pass; the fastest is recorded (best-of-N damps host noise)")
+		scaleFlag  = fs.String("scale", "small", "input scale: tiny, small, medium, paper")
+		procs      = fs.Int("procs", 64, "number of processors")
+		quiet      = fs.Bool("q", false, "suppress per-run progress")
+		jsonOut    = fs.String("json", "", "also write a machine-readable report to this file")
+		seed       = fs.Uint64("seed", 1, "base random seed stamped into every run's configuration; a report plus its seed fully determines a replay")
+		workers    = fs.Int("j", runtime.GOMAXPROCS(0), "simulation worker count; results are bit-identical for any value")
+		cacheDir   = fs.String("cache", "", "content-addressed result store directory (single writer: a second paperbench or lrcsimd on the same directory is refused); fingerprint-identical runs are served from it instead of re-simulating")
+		baseline   = fs.String("baseline", "", "regression-gate baseline report (JSON); out-of-tolerance drift exits non-zero")
+		tol        = fs.Float64("tol", 0, "gate tolerance on cycle counts and traffic, in percent of the baseline value")
+		writeBase  = fs.String("write-baseline", "", "write the canonical (provenance-free) report to this file, for committing as the gate baseline")
+		reportOut  = fs.String("report", "", "write a self-contained HTML report of the evaluation to this file")
+		critPath   = fs.Bool("critical-path", false, "also print the per-app per-protocol critical-path stall attribution table (runs span-traced simulations outside the result cache)")
+		cpuprofile = fs.String("cpuprofile", "", "write a CPU profile to this file")
+		memprofile = fs.String("memprofile", "", "write a heap profile to this file at exit")
+		remote     = fs.String("remote", "", "have a running lrcsimd daemon at this base URL (e.g. http://127.0.0.1:7077) evaluate the matrix instead of simulating locally; matrix targets only, -j and -cache are the daemon's concern")
+		protoFlag  = fs.String("protocols", "all", "comma-separated protocol subset for the tardis target and the chaos soak (\"all\" = every registered protocol)")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
+	fail := func(err error) int {
+		fmt.Fprintf(stderr, "paperbench: %v\n", err)
+		return 1
+	}
+	// note prints a progress or provenance line unless -q.
+	note := func(format string, a ...any) {
+		if !*quiet {
+			fmt.Fprintf(stderr, format, a...)
+		}
+	}
+	var progress func(runner.Event)
+	if !*quiet {
+		progress = func(ev runner.Event) { printEvent(stderr, ev) }
+	}
 
 	protoList, err := config.ParseProtocols(*protoFlag)
 	if err != nil {
-		log.Fatal(err)
+		return fail(err)
 	}
-
-	stopProfiles, err := perf.StartProfiles(*cpuprofile, *memprofile)
-	if err != nil {
-		log.Fatal(err)
-	}
-
 	scale, err := lazyrc.ParseScale(*scaleFlag)
 	if err != nil {
-		log.Fatal(err)
+		return fail(err)
 	}
-	targets := flag.Args()
-	perfO := perfOpts{
-		trendPath: *perfTrend, write: *perfWrite, gate: *perfGate,
-		tolPct: *perfTol, report: *perfReport, reps: *perfReps,
-		protos: protoList, quiet: *quiet,
-	}
+	targets := fs.Args()
 	if len(targets) == 0 {
-		if perfO.active() {
-			// A bare perf invocation measures throughput only; ask for
-			// explicit targets (or "all") to also render the figures.
-			targets = nil
-		} else {
-			targets = []string{"all"}
-		}
-	}
-	if *remote != "" {
-		code := runRemote(remoteOpts{
-			base: *remote, targets: targets, scale: *scaleFlag,
-			procs: *procs, seed: *seed, quiet: *quiet,
-			jsonOut: *jsonOut, reportOut: *reportOut,
-			baseline: *baseline, tol: *tol,
-		})
-		stopProfiles()
-		os.Exit(code)
-	}
-	ctx := context.Background()
-
-	// The store is held as the concrete type for Close, but the runner
-	// takes the interface: it stays an untyped nil when no cache was
-	// requested so the runner's store==nil fast path applies.
-	var cache *store.Store
-	var rstore runner.ResultStore
-	if *cacheDir != "" {
-		cache, err = store.Open(*cacheDir)
-		if err != nil {
-			log.Fatal(err)
-		}
-		if n := cache.Recovered(); n > 0 && !*quiet {
-			fmt.Fprintf(os.Stderr, "cache: skipped %d corrupt line(s) in %s; affected runs will re-simulate\n", n, *cacheDir)
-		}
-		rstore = cache
-	}
-	rn := runner.New(*workers, rstore)
-	if !*quiet {
-		rn.Emit = printEvent
-	}
-
-	e := exp.NewEvaluatorWith(scale, *procs, rn)
-	e.Seed = *seed
-
-	// The perf pass runs first, before any worker-pool fan-out, so its
-	// serial timings are not polluted by concurrent simulations.
-	perfCode := 0
-	if perfO.active() {
-		perfCode = runPerfPass(e, scale, *procs, perfO)
-	}
-
-	start := time.Now()
-
-	// Fan the whole requested matrix out to the worker pool before any
-	// rendering: rendering then reads memoized cells in table order, so
-	// the output is deterministic while the simulations were not. A
-	// narrowed -protocols drops only the timestamp-protocol cells — the
-	// invalidation-protocol cells are shared with the paper figures and
-	// would be simulated anyway.
-	protoSet := map[string]bool{}
-	for _, p := range protoList {
-		protoSet[p] = true
-	}
-	cells := exp.TargetCells(targets)
-	kept := cells[:0]
-	for _, c := range cells {
-		if (c[2] == "tardis" || c[2] == "tardis2") && !protoSet[c[2]] {
-			continue
-		}
-		kept = append(kept, c)
-	}
-	e.Prefetch(kept)
-
-	// The targets in rendering order; inAll marks the ones "all" expands
-	// to (the paper's own tables and figures — the extensions are opt-in).
-	chaosFailed := false
-	renderers := []struct {
-		name   string
-		inAll  bool
-		render func()
-	}{
-		{"table1", true, func() { fmt.Println(exp.Table1(config.Default(*procs))) }},
-		{"table2", true, func() { fmt.Println(exp.Table2(e)) }},
-		{"table3", true, func() { fmt.Println(exp.Table3(e)) }},
-		{"fig4", true, func() { fmt.Println(exp.Fig4(e)) }},
-		{"fig5", true, func() { fmt.Println(exp.Fig5(e)) }},
-		{"fig6", true, func() { fmt.Println(exp.Fig6(e)) }},
-		{"fig7", true, func() { fmt.Println(exp.Fig7(e)) }},
-		{"fig8", true, func() { fmt.Println(exp.Fig8(e)) }},
-		{"fig9", true, func() { fmt.Println(exp.Fig9(e)) }},
-		{"tardis", true, func() { fmt.Println(exp.TardisTable(e, protoList)) }},
-		{"sweep", true, func() {
-			for _, sw := range exp.Sweeps() {
-				fmt.Println(exp.RunSweep(ctx, rn, scale, *procs, sw))
-			}
-		}},
-		{"mp3dquality", true, func() { fmt.Println(exp.Mp3dQuality(scale, *procs)) }},
-		{"ablate", false, func() {
-			for _, ab := range exp.Ablations() {
-				fmt.Println(exp.RunAblation(ctx, rn, scale, *procs, ab))
-			}
-		}},
-		{"dsm", false, func() { fmt.Println(exp.LazierUnderSoftwareCoherence(ctx, rn, scale, *procs, "locusroute")) }},
-		{"scaling", false, func() {
-			for _, app := range []string{"mp3d", "blu", "gauss"} {
-				fmt.Println(exp.RunScaling(ctx, rn, scale, app, exp.ScalingCounts))
-			}
-		}},
-		{"chaos", false, func() {
-			body, err := exp.RunChaos(ctx, rn, scale, *procs, *seed, exp.AppOrder, protoList)
-			fmt.Println(body)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "paperbench: %v\n", err)
-				chaosFailed = true
-			}
-		}},
+		targets = []string{"all"}
 	}
 	want := map[string]bool{}
 	for _, t := range targets {
 		want[t] = true
 	}
-	for _, r := range renderers {
-		if want[r.name] || (r.inAll && want["all"]) {
-			r.render()
+	stopProfiles, err := perf.StartProfiles(*cpuprofile, *memprofile)
+	if err != nil {
+		return fail(err)
+	}
+	defer stopProfiles()
+	ctx := context.Background()
+	start := time.Now()
+
+	// Obtain the report. Remotely the daemon owns execution: the sweep's
+	// cells carry the fingerprints a local run would, so a store warmed
+	// locally serves the remote submission and vice versa.
+	var rep exp.Report
+	var e *exp.Evaluator // nil under -remote
+	if *remote != "" {
+		spec := exp.Spec{Targets: targets, Scale: *scaleFlag, Procs: *procs, Seed: *seed}
+		if _, err := spec.Normalize(); err != nil {
+			fmt.Fprintf(stderr, "paperbench: -remote accepts matrix targets only: %v\n", err)
+			return 2
+		}
+		if rep, err = fetchRemote(ctx, &api.Client{Base: *remote}, spec, progress, note); err != nil {
+			return fail(err)
+		}
+	} else {
+		// The runner takes the store as an interface: it stays an untyped
+		// nil when no cache was requested so the runner's store==nil fast
+		// path applies.
+		var rstore runner.ResultStore
+		if *cacheDir != "" {
+			cache, err := store.Open(*cacheDir)
+			if err != nil {
+				return fail(err)
+			}
+			defer func() {
+				if err := cache.Close(); err != nil {
+					fmt.Fprintf(stderr, "paperbench: cache: %v\n", err)
+					code = 1
+				}
+			}()
+			if n := cache.Recovered(); n > 0 {
+				note("cache: skipped %d corrupt line(s) in %s; affected runs will re-simulate\n", n, *cacheDir)
+			}
+			rstore = cache
+		}
+		e = exp.NewEvaluatorWith(scale, *procs, runner.New(*workers, rstore))
+		e.R.Emit = progress
+		e.Seed = *seed
+
+		// Fan the whole requested matrix out to the worker pool before any
+		// rendering: the report then lists memoized cells in key order, so
+		// the output is deterministic while the simulations were not. A
+		// narrowed -protocols drops only the timestamp-protocol cells — the
+		// invalidation-protocol cells are shared with the paper figures and
+		// would be simulated anyway.
+		protoSet := map[string]bool{}
+		for _, p := range protoList {
+			protoSet[p] = true
+		}
+		var cells [][3]string
+		for _, c := range exp.TargetCells(targets) {
+			if (c[2] == "tardis" || c[2] == "tardis2") && !protoSet[c[2]] {
+				continue
+			}
+			cells = append(cells, c)
+		}
+		e.Prefetch(cells)
+		rep = e.Report()
+		if want["table1"] || want["all"] {
+			fmt.Fprintln(stdout, exp.Table1(config.Default(*procs)))
 		}
 	}
-	if *critPath {
-		fmt.Println(exp.CriticalPath(scale, *procs, *seed))
+
+	// The matrix targets, from the report — the same bytes whichever
+	// branch above produced it.
+	view := rep.View()
+	for _, t := range exp.MatrixTargets {
+		if !want[t] && !want["all"] {
+			continue
+		}
+		out, err := exp.Render(t, view, protoList)
+		if err != nil {
+			return fail(err)
+		}
+		fmt.Fprintln(stdout, out)
 	}
 
-	exitCode := 0
-	if chaosFailed || perfCode != 0 {
-		exitCode = 1
+	if e != nil {
+		// The targets that simulate outside the matrix, in rendering order;
+		// inAll marks the ones "all" expands to (the paper's own sweeps —
+		// the extensions are opt-in).
+		rn := e.R
+		extras := []struct {
+			name   string
+			inAll  bool
+			render func()
+		}{
+			{"sweep", true, func() {
+				for _, sw := range exp.Sweeps() {
+					fmt.Fprintln(stdout, exp.RunSweep(ctx, rn, scale, *procs, sw))
+				}
+			}},
+			{"mp3dquality", true, func() { fmt.Fprintln(stdout, exp.Mp3dQuality(scale, *procs)) }},
+			{"ablate", false, func() {
+				for _, ab := range exp.Ablations() {
+					fmt.Fprintln(stdout, exp.RunAblation(ctx, rn, scale, *procs, ab))
+				}
+			}},
+			{"dsm", false, func() {
+				fmt.Fprintln(stdout, exp.LazierUnderSoftwareCoherence(ctx, rn, scale, *procs, "locusroute"))
+			}},
+			{"scaling", false, func() {
+				for _, app := range []string{"mp3d", "blu", "gauss"} {
+					fmt.Fprintln(stdout, exp.RunScaling(ctx, rn, scale, app, exp.ScalingCounts))
+				}
+			}},
+			{"chaos", false, func() {
+				body, err := exp.RunChaos(ctx, rn, scale, *procs, *seed, exp.AppOrder, protoList)
+				fmt.Fprintln(stdout, body)
+				if err != nil {
+					code = fail(err)
+				}
+			}},
+		}
+		for _, x := range extras {
+			if want[x.name] || (x.inAll && want["all"]) {
+				x.render()
+			}
+		}
+		if *critPath {
+			fmt.Fprintln(stdout, exp.CriticalPath(scale, *procs, *seed))
+		}
+		rep = e.Report() // the runner's record now covers the extras too
 	}
-	if err := e.VerifyAll(); err != nil {
-		fmt.Fprintf(os.Stderr, "paperbench: a run failed verification: %v\n", err)
-		exitCode = 1
+
+	// One tail: verdict, files, gate.
+	if err := rep.Err(); err != nil {
+		fmt.Fprintf(stderr, "paperbench: a run failed verification: %v\n", err)
+		code = 1
 	}
-	report := e.Report()
 	if *jsonOut != "" {
-		writeReport(*jsonOut, report)
+		if err := writeReport(*jsonOut, rep); err != nil {
+			return fail(err)
+		}
 	}
 	if *reportOut != "" {
-		if err := perf.WriteFile(*reportOut, func(w io.Writer) error { return exp.WriteHTML(w, report) }); err != nil {
-			log.Fatal(err)
+		if err := perf.WriteFile(*reportOut, func(w io.Writer) error { return exp.WriteHTML(w, rep) }); err != nil {
+			return fail(err)
 		}
-		if !*quiet {
-			fmt.Fprintf(os.Stderr, "HTML report written to %s\n", *reportOut)
-		}
+		note("HTML report written to %s\n", *reportOut)
 	}
 	if *writeBase != "" {
-		writeReport(*writeBase, report.Stable())
-		if !*quiet {
-			fmt.Fprintf(os.Stderr, "baseline written to %s (%d runs)\n", *writeBase, len(report.Runs))
+		if err := writeReport(*writeBase, rep.Stable()); err != nil {
+			return fail(err)
+		}
+		note("baseline written to %s (%d runs)\n", *writeBase, len(rep.Runs))
+	}
+	if *baseline != "" {
+		base, err := exp.LoadReport(*baseline)
+		if err != nil {
+			return fail(err)
+		}
+		if viols := exp.Gate(base, rep, *tol); len(viols) > 0 {
+			for _, v := range viols {
+				fmt.Fprintf(stderr, "gate: %s\n", v)
+			}
+			fmt.Fprintf(stderr, "gate: FAILED against %s: %d violation(s) at tolerance %.3f%%\n",
+				*baseline, len(viols), *tol)
+			code = 1
+		} else {
+			note("gate: ok against %s (%d runs, tolerance %.3f%%)\n", *baseline, len(base.Runs), *tol)
 		}
 	}
-	if *baseline != "" && !gate(*baseline, report, *tol, *quiet) {
-		exitCode = 1
-	}
-	if cache != nil {
-		if err := cache.Close(); err != nil {
-			fmt.Fprintf(os.Stderr, "paperbench: cache: %v\n", err)
-			exitCode = 1
-		}
-	}
-	if !*quiet {
-		m := rn.Meta()
-		fmt.Fprintf(os.Stderr, "total wall-clock: %.1fs (scale %s, %d procs, %d workers; %d simulated, %d cache hits, %d failed)\n",
-			time.Since(start).Seconds(), apps.Scale(scale), *procs, m.Workers,
+	if e != nil {
+		m := e.R.Meta()
+		note("total wall-clock: %.1fs (scale %s, %d procs, %d workers; %d simulated, %d cache hits, %d failed)\n",
+			time.Since(start).Seconds(), scale, *procs, m.Workers,
 			m.Simulated, m.CacheHits, m.FailedJobs)
 	}
-	stopProfiles()
-	if exitCode != 0 {
-		os.Exit(exitCode)
-	}
+	return code
 }
 
-// writeReport writes a report as indented JSON, fataling on any error
-// (paperbench output files are the whole point of the invocation).
-func writeReport(path string, r exp.Report) {
-	if err := perf.WriteFile(path, func(w io.Writer) error { return exp.WriteReportJSON(w, r) }); err != nil {
-		log.Fatal(err)
-	}
+// writeReport writes a report as indented JSON.
+func writeReport(path string, r exp.Report) error {
+	return perf.WriteFile(path, func(w io.Writer) error { return exp.WriteReportJSON(w, r) })
 }
 
 // printEvent is the per-job progress line, from the local runner's
 // lifecycle events and a remote daemon's SSE stream alike.
-func printEvent(ev runner.Event) {
+func printEvent(w io.Writer, ev runner.Event) {
 	switch ev.Kind {
 	case runner.EventRunning, runner.EventCached, runner.EventDone, runner.EventFailed:
 		line := fmt.Sprintf("%-9s %s/%s/%s", ev.Kind, ev.App, ev.Scale, ev.Proto)
 		if ev.Err != "" {
 			line += ": " + ev.Err
 		}
-		fmt.Fprintln(os.Stderr, line)
+		fmt.Fprintln(w, line)
 	}
-}
-
-// gate runs the regression gate of report against the baseline file and
-// prints its verdict, reporting whether the report passed. The local
-// and -remote paths share it.
-func gate(baseline string, report exp.Report, tol float64, quiet bool) bool {
-	base, err := exp.LoadReport(baseline)
-	if err != nil {
-		log.Fatal(err)
-	}
-	if viols := exp.Gate(base, report, tol); len(viols) > 0 {
-		for _, v := range viols {
-			fmt.Fprintf(os.Stderr, "gate: %s\n", v)
-		}
-		fmt.Fprintf(os.Stderr, "gate: FAILED against %s: %d violation(s) at tolerance %.3f%%\n",
-			baseline, len(viols), tol)
-		return false
-	}
-	if !quiet {
-		fmt.Fprintf(os.Stderr, "gate: ok against %s (%d runs, tolerance %.3f%%)\n",
-			baseline, len(base.Runs), tol)
-	}
-	return true
 }

@@ -1,0 +1,126 @@
+package main
+
+import (
+	"bytes"
+	"context"
+	"net/http/httptest"
+	"os"
+	"path/filepath"
+	"strings"
+	"testing"
+
+	"lazyrc/internal/api"
+)
+
+// paperbench runs the command in process and returns what it printed and
+// its exit code.
+func paperbench(args ...string) (stdout, stderr string, code int) {
+	var out, errOut bytes.Buffer
+	code = run(args, &out, &errOut)
+	return out.String(), errOut.String(), code
+}
+
+// TestFlagCount pins the option surface: 16 flags, none of them the
+// deleted perf pass's.
+func TestFlagCount(t *testing.T) {
+	_, usage, code := paperbench("-h")
+	if code != 0 {
+		t.Fatalf("-h exited %d", code)
+	}
+	n := 0
+	for _, line := range strings.Split(usage, "\n") {
+		if strings.HasPrefix(line, "  -") {
+			n++
+			if strings.HasPrefix(line, "  -perf-") {
+				t.Errorf("the perf pass is back: %s", line)
+			}
+		}
+	}
+	if n != 16 {
+		t.Errorf("%d flags registered, want 16: adding an option needs a reason (ROADMAP aim 2)\n%s", n, usage)
+	}
+}
+
+// TestLocalAndRemoteShareOneTail: the same invocation evaluated locally
+// and by a daemon prints the same tables, writes the same baseline, and
+// reaches the same gate verdict — everything after "obtain a report" is
+// one code path.
+func TestLocalAndRemoteShareOneTail(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs simulations")
+	}
+	svc := api.NewService(2, nil, nil)
+	defer svc.Close(context.Background())
+	ts := httptest.NewServer(api.NewServer(svc))
+	defer ts.Close()
+
+	dir := t.TempDir()
+	file := func(name string) string { return filepath.Join(dir, name) }
+	read := func(name string) []byte {
+		t.Helper()
+		b, err := os.ReadFile(file(name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b
+	}
+	common := []string{"-scale", "tiny", "-procs", "4", "-q"}
+	targets := []string{"fig4", "table3"}
+	invoke := func(remote bool, extra ...string) (string, string, int) {
+		args := append([]string{}, common...)
+		if remote {
+			args = append(args, "-remote", ts.URL)
+		}
+		return paperbench(append(append(args, extra...), targets...)...)
+	}
+
+	localOut, localErr, code := invoke(false, "-write-baseline", file("local.json"), "-report", file("local.html"))
+	if code != 0 {
+		t.Fatalf("local run exited %d: %s", code, localErr)
+	}
+	remoteOut, remoteErr, code := invoke(true, "-write-baseline", file("remote.json"), "-report", file("remote.html"), "-json", file("remote.full.json"))
+	if code != 0 {
+		t.Fatalf("remote run exited %d: %s", code, remoteErr)
+	}
+	if !strings.Contains(localOut, "Figure 4:") || !strings.Contains(localOut, "Table 3:") {
+		t.Fatalf("local run did not print the requested targets:\n%s", localOut)
+	}
+	if localOut != remoteOut {
+		t.Fatalf("-remote prints differently from local:\n--- local\n%s--- remote\n%s", localOut, remoteOut)
+	}
+	if !bytes.Equal(read("local.json"), read("remote.json")) {
+		t.Fatal("-write-baseline differs between local and -remote")
+	}
+	if !bytes.Equal(read("local.html"), read("remote.html")) {
+		t.Fatal("-report differs between local and -remote")
+	}
+	// A daemon's report is already the stable form: -json is the baseline.
+	if !bytes.Equal(read("remote.json"), read("remote.full.json")) {
+		t.Fatal("-remote -json differs from the stable report")
+	}
+
+	// The gate: both pass against the baseline just written at -tol 0,
+	// both fail — with the same violation — against a doctored one.
+	doctored := bytes.Replace(read("local.json"), []byte(`"exec_cycles": `), []byte(`"exec_cycles": 1`), 1)
+	if err := os.WriteFile(file("doctored.json"), doctored, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, remote := range []bool{false, true} {
+		if _, stderr, code := invoke(remote, "-baseline", file("local.json"), "-tol", "0"); code != 0 {
+			t.Fatalf("remote=%v: gate against its own baseline exited %d: %s", remote, code, stderr)
+		}
+		_, stderr, code := invoke(remote, "-baseline", file("doctored.json"), "-tol", "0")
+		if code != 1 || !strings.Contains(stderr, "gate: FAILED") || !strings.Contains(stderr, "exec_cycles") {
+			t.Fatalf("remote=%v: gate against a doctored baseline exited %d: %s", remote, code, stderr)
+		}
+	}
+}
+
+// TestRemoteTakesMatrixTargetsOnly: what needs local simulation outside
+// the matrix is refused before anything is submitted.
+func TestRemoteTakesMatrixTargetsOnly(t *testing.T) {
+	_, stderr, code := paperbench("-remote", "http://127.0.0.1:1", "-scale", "tiny", "-q", "ablate")
+	if code != 2 || !strings.Contains(stderr, "matrix targets only") {
+		t.Fatalf("-remote ablate exited %d: %s", code, stderr)
+	}
+}

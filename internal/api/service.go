@@ -12,6 +12,7 @@ import (
 
 	"lazyrc/internal/apps"
 	"lazyrc/internal/bus"
+	"lazyrc/internal/config"
 	"lazyrc/internal/exp"
 	"lazyrc/internal/obs"
 	"lazyrc/internal/runner"
@@ -79,12 +80,11 @@ type sweepState struct {
 	// reqID is the submitting request's ID, stamped into every
 	// lifecycle log line so one grep follows the request end to end.
 	reqID string
-	// fps is the sweep's cell identity set; doneFPs the subset that has
-	// reached a terminal state. Counter attribution stops at the first
-	// terminal event per fingerprint, so the evaluator's post-sweep memo
-	// reads (which re-submit every cell and resolve as dedup) do not
-	// double-count.
-	fps     map[string]bool
+	// jobs is the sweep's expansion, computed once at submission: every
+	// cell's runner job by fingerprint (the cell identity set events are
+	// attributed by, and what a trace request re-executes). doneFPs is
+	// the subset that has reached a terminal state; it backs Completed.
+	jobs    map[string]runner.Job
 	doneFPs map[string]bool
 	cancel  context.CancelFunc
 	done    chan struct{}
@@ -284,7 +284,12 @@ func (s *Service) onEvent(ev runner.Event) {
 	s.trackRate(ev)
 	for _, id := range s.order {
 		sw := s.sweeps[id]
-		if sw.status.Terminal() || !sw.fps[ev.FP] || sw.doneFPs[ev.FP] {
+		// Terminal first: the scan visits every sweep ever registered, and
+		// a finished one must cost a field read, not a map lookup.
+		if sw.status.Terminal() || sw.doneFPs[ev.FP] {
+			continue
+		}
+		if _, mine := sw.jobs[ev.FP]; !mine {
 			continue
 		}
 		switch ev.Kind {
@@ -348,13 +353,14 @@ func (s *Service) trackRate(ev runner.Event) {
 // into every lifecycle log line; it does NOT bound the sweep's
 // execution — the sweep outlives the request.
 func (s *Service) SubmitSweep(submitCtx context.Context, spec exp.Spec) (SweepStatus, bool, error) {
-	norm, err := spec.Normalize()
+	norm, e, cells, err := spec.Expand()
 	if err != nil {
 		return SweepStatus{}, false, err
 	}
-	jobs, err := norm.Jobs()
-	if err != nil {
-		return SweepStatus{}, false, err
+	jobs := make(map[string]runner.Job, len(cells))
+	for _, c := range cells {
+		j := e.Job(c[0], c[1], c[2])
+		jobs[j.Fingerprint()] = j
 	}
 	id := norm.ID()
 	reqID := obs.RequestID(submitCtx)
@@ -378,13 +384,10 @@ func (s *Service) SubmitSweep(submitCtx context.Context, spec exp.Spec) (SweepSt
 			Jobs:  len(jobs),
 		},
 		reqID:   reqID,
-		fps:     make(map[string]bool, len(jobs)),
+		jobs:    jobs,
 		doneFPs: make(map[string]bool, len(jobs)),
 		cancel:  cancel,
 		done:    make(chan struct{}),
-	}
-	for _, j := range jobs {
-		sw.fps[j.Fingerprint()] = true
 	}
 	s.sweeps[id] = sw
 	s.order = append(s.order, id)
@@ -394,7 +397,8 @@ func (s *Service) SubmitSweep(submitCtx context.Context, spec exp.Spec) (SweepSt
 
 	s.log.Info("sweep submitted", "sweep", id, "jobs", len(jobs), "request_id", reqID)
 	s.persistSweeps()
-	go s.runSweep(ctx, sw, norm)
+	e.R, e.Ctx = s.rn, ctx
+	go s.runSweep(ctx, sw, e, cells)
 	return st, true, nil
 }
 
@@ -417,8 +421,9 @@ func (s *Service) persistSweeps() {
 	_ = s.st.SaveSweeps(specs)
 }
 
-// runSweep executes one sweep to a terminal state.
-func (s *Service) runSweep(ctx context.Context, sw *sweepState, spec exp.Spec) {
+// runSweep executes one sweep to a terminal state: the cells go to the
+// pool once, and the report is assembled from what came back.
+func (s *Service) runSweep(ctx context.Context, sw *sweepState, e *exp.Evaluator, cells [][3]string) {
 	defer s.wg.Done()
 	defer close(sw.done)
 
@@ -427,40 +432,16 @@ func (s *Service) runSweep(ctx context.Context, sw *sweepState, spec exp.Spec) {
 	sw.startedAt = time.Now()
 	s.mu.Unlock()
 
-	fail := func(err error) {
-		s.mu.Lock()
-		defer s.mu.Unlock()
-		sw.status.State = StateFailed
-		sw.status.Error = err.Error()
-	}
-
-	e, err := spec.Evaluator()
-	if err != nil {
-		fail(err)
-		return
-	}
-	e.R = s.rn
-	e.Ctx = ctx
-
-	// Fan the whole matrix out to the pool, then read every cell into the
-	// evaluator's memo (in-process dedup makes the reads free) so the
-	// report renders from a complete, deterministic cell set.
-	cells := spec.Cells()
 	e.Prefetch(cells)
-	for _, c := range cells {
-		e.Get(c[0], c[1], c[2])
-	}
-
-	firstFail := e.VerifyAll()
 	canceled := ctx.Err() != nil
 
-	// Render both report forms now, while the evaluator is hot: clients
-	// fetch bytes, never recompute. The stable form drops the runner's
-	// volatile provenance, so a warm re-submission (or a re-submission
-	// after a daemon restart over the same store) serves bit-identical
-	// bytes.
+	// Render both report forms now: clients fetch bytes, never
+	// recompute. The stable form drops the runner's volatile provenance,
+	// so a warm re-submission (or a re-submission after a daemon restart
+	// over the same store) serves bit-identical bytes.
 	var jsonBuf, htmlBuf bytes.Buffer
 	rep := e.Report().Stable()
+	firstFail := rep.Err()
 	jsonErr := exp.WriteReportJSON(&jsonBuf, rep)
 	htmlErr := exp.WriteHTML(&htmlBuf, rep)
 
@@ -555,8 +536,8 @@ func (s *Service) sweepFPs(id string) (map[string]bool, error) {
 	if !ok {
 		return nil, ErrNotFound
 	}
-	fps := make(map[string]bool, len(sw.fps))
-	for fp := range sw.fps {
+	fps := make(map[string]bool, len(sw.jobs))
+	for fp := range sw.jobs {
 		fps[fp] = true
 	}
 	return fps, nil
@@ -604,6 +585,9 @@ func materializeJob(req JobRequest) (runner.Job, error) {
 	}
 	if _, err := apps.New(req.App, scale); err != nil {
 		return runner.Job{}, err
+	}
+	if _, ok := config.ProtocolInfoFor(req.Proto); !ok {
+		return runner.Job{}, fmt.Errorf("api: unknown protocol %q (want one of %v)", req.Proto, config.ProtocolNames())
 	}
 	procs := req.Procs
 	if procs == 0 {
@@ -757,20 +741,9 @@ func (s *Service) jobFor(fp string) (runner.Job, error) {
 	if js, ok := s.jobs[fp]; ok {
 		return js.job, nil
 	}
-	// A sweep cell: reconstruct the job from any sweep containing it.
 	for _, id := range s.order {
-		sw := s.sweeps[id]
-		if !sw.fps[fp] {
-			continue
-		}
-		jobs, err := sw.status.Spec.Jobs()
-		if err != nil {
-			continue
-		}
-		for _, j := range jobs {
-			if j.Fingerprint() == fp {
-				return j, nil
-			}
+		if j, ok := s.sweeps[id].jobs[fp]; ok {
+			return j, nil
 		}
 	}
 	return runner.Job{}, ErrNotFound

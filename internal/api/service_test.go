@@ -178,20 +178,62 @@ func TestSubmitRejectsBadSpecs(t *testing.T) {
 	if _, _, err := svc.SubmitJob(context.Background(), JobRequest{App: "doom", Proto: "lrc"}); err == nil {
 		t.Fatal("unknown app accepted")
 	}
-	// Protocol names are validated at simulation time; a bad one must
-	// fail the job rather than wedge it.
-	st, _, err := svc.SubmitJob(context.Background(), JobRequest{App: "gauss", Scale: "tiny", Proto: "warp", Procs: 4})
-	if err != nil {
-		return // rejected up front: also fine
+	// What the machine would refuse at run time is refused at submission:
+	// an unregistered protocol, a machine envelope no cell can be built on.
+	if _, _, err := svc.SubmitJob(context.Background(), JobRequest{App: "gauss", Scale: "tiny", Proto: "warp", Procs: 4}); err == nil || !strings.Contains(err.Error(), "warp") {
+		t.Fatalf("unknown protocol: %v", err)
 	}
-	donec, derr := svc.JobDone(st.FP)
-	if derr != nil {
-		t.Fatal(derr)
+	if _, _, err := svc.SubmitSweep(context.Background(), exp.Spec{Targets: []string{"fig4"}, Scale: "tiny", Procs: -3}); err == nil {
+		t.Fatal("sweep on a negative processor count accepted")
 	}
-	<-donec
-	st, _ = svc.Job(st.FP)
-	if st.State != StateFailed {
-		t.Fatalf("bad protocol job state %s, want failed", st.State)
+	if n := len(svc.Sweeps()) + len(svc.Jobs()); n != 0 {
+		t.Fatalf("%d rejected submissions left a record behind", n)
+	}
+}
+
+// TestSweepCountersAreTruthful: a sweep submits each of its cells to the
+// runner exactly once, so the lifecycle counters say what happened — a
+// lone cold sweep queues as many jobs as it has and deduplicates nothing;
+// a second sweep overlapping it deduplicates exactly the overlap.
+func TestSweepCountersAreTruthful(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs simulations")
+	}
+	svc := NewService(2, nil, nil)
+	defer svc.Close(context.Background())
+	run := func(target string) SweepStatus {
+		t.Helper()
+		st, created, err := svc.SubmitSweep(context.Background(),
+			exp.Spec{Targets: []string{target}, Apps: []string{"gauss"}, Scale: "tiny", Procs: 4, Seed: 1})
+		if err != nil || !created {
+			t.Fatalf("submit %s: created=%v err=%v", target, created, err)
+		}
+		done, err := svc.SweepDone(st.ID)
+		if err != nil {
+			t.Fatal(err)
+		}
+		<-done
+		if st, err = svc.Sweep(st.ID); err != nil || st.State != StateDone {
+			t.Fatalf("sweep %s: %+v, %v", target, st, err)
+		}
+		return st
+	}
+	counter := func(kind string) int { return int(svc.jobEvents.With(kind).Value()) }
+
+	cold := run("fig4") // gauss under sc, erc, lrc
+	if cold.Jobs != 3 || cold.Executed != 3 || cold.Deduped != 0 || cold.Completed != 3 {
+		t.Fatalf("lone cold sweep: %+v", cold)
+	}
+	if q, d := counter("queued"), counter("deduped"); q != cold.Jobs || d != 0 {
+		t.Fatalf("lone cold sweep of %d jobs: queued=%d deduped=%d, want %d and 0", cold.Jobs, q, d, cold.Jobs)
+	}
+
+	over := run("fig6") // gauss under sc, lrc, lrc-ext: sc and lrc overlap
+	if over.Jobs != 3 || over.Executed != 1 || over.Deduped != 2 || over.Completed != 3 {
+		t.Fatalf("overlapping sweep: %+v", over)
+	}
+	if q, d := counter("queued"), counter("deduped"); q != 6 || d != 2 {
+		t.Fatalf("after the overlapping sweep: queued=%d deduped=%d, want 6 and 2", q, d)
 	}
 }
 

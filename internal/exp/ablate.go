@@ -27,7 +27,7 @@ type Ablation struct {
 	Mut    func(*config.Config, int)
 	Label  func(int) string
 	// Metric extracts the reported quantity from a run.
-	Metric func(*Run) float64
+	Metric func(*runner.Result) float64
 	Unit   string
 }
 
@@ -80,7 +80,7 @@ func firstErr(results ...*runner.Result) error {
 
 // Ablations returns the ablation suite.
 func Ablations() []Ablation {
-	execTime := func(r *Run) float64 { return float64(r.ExecTime) }
+	execTime := func(r *runner.Result) float64 { return float64(r.ExecCycles) }
 	return []Ablation{
 		{
 			Name:   "coalescing buffer depth (lazy write-through traffic control)",
@@ -166,7 +166,7 @@ func RunAblation(ctx context.Context, rn *runner.Runner, scale apps.Scale, procs
 			fmt.Fprintf(&b, "  %-14s failed: %v\n", ab.Label(v), err)
 			continue
 		}
-		val := ab.Metric(runFromResult(res, "ablation"))
+		val := ab.Metric(res)
 		rel := ""
 		if base < 0 {
 			base = val

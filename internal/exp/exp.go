@@ -9,31 +9,14 @@ package exp
 import (
 	"context"
 	"fmt"
-	"sort"
 
 	"lazyrc/internal/apps"
 	"lazyrc/internal/config"
 	"lazyrc/internal/runner"
-	"lazyrc/internal/stats"
 )
 
 // AppOrder lists the applications in the paper's table order.
 var AppOrder = []string{"barnes-hut", "blu", "cholesky", "fft", "gauss", "locusroute", "mp3d"}
-
-// Run captures one (application, protocol, configuration) execution.
-type Run struct {
-	App, Proto, Config string
-
-	ExecTime               uint64
-	CPU, Read, Write, Sync uint64 // aggregate cycles across processors
-	MissRate               float64
-	MissShares             [stats.NumMissKinds]float64
-	Msgs, Bytes            uint64
-	MetricsDigest          string
-	Spans                  uint64
-	SpanDigest             string
-	VerifyErr              error
-}
 
 // Evaluator runs and memoizes experiments at one scale and machine size.
 // Execution is delegated to a runner.Runner, which deduplicates cells
@@ -53,7 +36,20 @@ type Evaluator struct {
 	// cancelled sweep stops simulating promptly. Nil means Background.
 	Ctx context.Context
 
-	runs map[string]*Run
+	runs map[string]memoRun // by cellKey
+}
+
+// memoRun is one memoized cell: the result and the preset name it ran
+// under (a result records its full configuration, not the name).
+type memoRun struct {
+	config string
+	res    *runner.Result
+}
+
+// cellKey is the identity of a (config, app, protocol) cell in the
+// evaluator's memo and a report's view; reports list runs in its order.
+func cellKey(cfgName, appName, proto string) string {
+	return cfgName + "/" + appName + "/" + proto
 }
 
 // NewEvaluator returns an evaluator for the given scale and machine size
@@ -66,7 +62,7 @@ func NewEvaluator(scale apps.Scale, procs int) *Evaluator {
 // NewEvaluatorWith returns an evaluator that executes through the given
 // runner (nil behaves like NewEvaluator).
 func NewEvaluatorWith(scale apps.Scale, procs int, r *runner.Runner) *Evaluator {
-	return &Evaluator{Scale: scale, Procs: procs, R: r, runs: make(map[string]*Run)}
+	return &Evaluator{Scale: scale, Procs: procs, R: r, runs: make(map[string]memoRun)}
 }
 
 // engine returns the evaluator's runner, creating a serial one on first
@@ -135,101 +131,34 @@ func (e *Evaluator) Job(cfgName, appName, proto string) runner.Job {
 	return runner.Job{App: appName, Scale: e.Scale, Proto: proto, Cfg: mustCell(cfgName, e.Procs, e.Scale, e.Seed)}
 }
 
-// Get runs (or recalls) one experiment cell. The runner deduplicates by
-// content fingerprint, so a cell already simulated by Prefetch — or by a
-// previous process sharing the result store — is served without
-// re-simulation. A crashed run surfaces as a Run whose VerifyErr carries
-// the failure, not as a panic of the whole evaluation.
-func (e *Evaluator) Get(cfgName, appName, proto string) *Run {
-	key := cfgName + "/" + appName + "/" + proto
-	if r, ok := e.runs[key]; ok {
-		return r
+// Get runs (or recalls) one experiment cell. A cell Prefetch already
+// resolved is served from the memo without touching the runner; any
+// other goes through runner.Do, which deduplicates by content
+// fingerprint and reuses a result store shared with previous processes.
+// A crashed run surfaces as a result whose Err carries the failure, not
+// as a panic of the whole evaluation.
+func (e *Evaluator) Get(cfgName, appName, proto string) *runner.Result {
+	key := cellKey(cfgName, appName, proto)
+	if m, ok := e.runs[key]; ok {
+		return m.res
 	}
 	res := e.engine().Do(e.ctx(), e.Job(cfgName, appName, proto))
-	r := runFromResult(res, cfgName)
-	e.runs[key] = r
-	return r
-}
-
-// runFromResult converts a runner result into the evaluator's Run form.
-func runFromResult(res *runner.Result, cfgName string) *Run {
-	r := &Run{
-		App: res.App, Proto: res.Proto, Config: cfgName,
-		ExecTime: res.ExecCycles,
-		CPU:      res.CPUCycles, Read: res.ReadCycles,
-		Write: res.WriteCycles, Sync: res.SyncCycles,
-		MissRate:   res.MissRate,
-		MissShares: res.MissShares,
-		Msgs:       res.Msgs, Bytes: res.Bytes,
-		MetricsDigest: res.MetricsDigest,
-		Spans:         res.Spans,
-		SpanDigest:    res.SpanDigest,
-	}
-	if err := res.Err(); err != nil {
-		r.VerifyErr = err
-	}
-	return r
+	e.runs[key] = memoRun{cfgName, res}
+	return res
 }
 
 // Prefetch simulates the given (config, app, protocol) cells through the
-// runner's worker pool. Rendering afterwards reads every cell from the
-// in-process memo, so table and figure order stays deterministic while
-// the simulations themselves ran concurrently.
+// runner's worker pool and memoizes what comes back, so the report (and
+// any Get) afterwards reads every cell from the memo: table and figure
+// order stays deterministic while the simulations themselves ran
+// concurrently, and no cell is submitted to the runner twice.
 func (e *Evaluator) Prefetch(cells [][3]string) {
 	jobs := make([]runner.Job, len(cells))
 	for i, c := range cells {
 		jobs[i] = e.Job(c[0], c[1], c[2])
 	}
-	e.engine().DoAll(e.ctx(), jobs)
-}
-
-// Runs returns all memoized runs, sorted by key (for reports).
-func (e *Evaluator) Runs() []*Run {
-	keys := make([]string, 0, len(e.runs))
-	for k := range e.runs {
-		keys = append(keys, k)
+	for i, res := range e.engine().DoAll(e.ctx(), jobs) {
+		c := cells[i]
+		e.runs[cellKey(c[0], c[1], c[2])] = memoRun{c[0], res}
 	}
-	sort.Strings(keys)
-	out := make([]*Run, len(keys))
-	for i, k := range keys {
-		out[i] = e.runs[k]
-	}
-	return out
-}
-
-// Normalized returns the run's execution time normalized to the
-// sequentially consistent run of the same application and configuration
-// — the unit line of the paper's figures.
-func (e *Evaluator) Normalized(cfgName, appName, proto string) float64 {
-	sc := e.Get(cfgName, appName, "sc")
-	r := e.Get(cfgName, appName, proto)
-	if sc.ExecTime == 0 {
-		return 0
-	}
-	return float64(r.ExecTime) / float64(sc.ExecTime)
-}
-
-// OverheadShares returns the run's aggregate cpu/read/write/sync cycles
-// as fractions of the SC run's total aggregate cycles (the presentation
-// of Figures 5, 7 and 9).
-func (e *Evaluator) OverheadShares(cfgName, appName, proto string) (cpu, read, write, sync float64) {
-	sc := e.Get(cfgName, appName, "sc")
-	total := float64(sc.CPU + sc.Read + sc.Write + sc.Sync)
-	if total == 0 {
-		return
-	}
-	r := e.Get(cfgName, appName, proto)
-	return float64(r.CPU) / total, float64(r.Read) / total,
-		float64(r.Write) / total, float64(r.Sync) / total
-}
-
-// VerifyAll re-checks that every memoized run verified; the first failure
-// is returned.
-func (e *Evaluator) VerifyAll() error {
-	for _, r := range e.Runs() {
-		if r.VerifyErr != nil {
-			return fmt.Errorf("%s/%s/%s: %w", r.Config, r.App, r.Proto, r.VerifyErr)
-		}
-	}
-	return nil
 }

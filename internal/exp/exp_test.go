@@ -3,7 +3,10 @@ package exp
 import (
 	"bytes"
 	"context"
+	"fmt"
+	"os"
 	"strings"
+	"sync"
 	"testing"
 
 	"lazyrc/internal/apps"
@@ -21,23 +24,56 @@ func TestEvaluatorMemoizes(t *testing.T) {
 	if r1 != r2 {
 		t.Fatal("identical cell re-ran instead of memoizing")
 	}
-	if r1.ExecTime == 0 {
+	if r1.ExecCycles == 0 {
 		t.Fatal("zero execution time")
 	}
-	if len(e.Runs()) != 1 {
-		t.Fatalf("runs = %d, want 1", len(e.Runs()))
+	rep := e.Report()
+	if len(rep.Runs) != 1 {
+		t.Fatalf("runs = %d, want 1", len(rep.Runs))
 	}
-	if err := e.VerifyAll(); err != nil {
+	if err := rep.Err(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestPrefetchFillsTheMemo: after Prefetch, reading a prefetched cell (and
+// assembling the report) must not go back to the runner — the counting
+// Emit sees exactly one queued event per cell, from the prefetch itself.
+func TestPrefetchFillsTheMemo(t *testing.T) {
+	cells := TargetCellsFor([]string{"table3"}, []string{"gauss"})
+	var mu sync.Mutex
+	queued := 0
+	rn := runner.New(2, nil)
+	rn.Emit = func(ev runner.Event) {
+		if ev.Kind == runner.EventQueued {
+			mu.Lock()
+			queued++
+			mu.Unlock()
+		}
+	}
+	e := NewEvaluatorWith(apps.Tiny, 4, rn)
+	e.Prefetch(cells)
+	for _, c := range cells {
+		if e.Get(c[0], c[1], c[2]).ExecCycles == 0 {
+			t.Fatalf("cell %v: zero execution time", c)
+		}
+	}
+	if rep := e.Report(); len(rep.Runs) != len(cells) {
+		t.Fatalf("report has %d runs, want %d", len(rep.Runs), len(cells))
+	}
+	if queued != len(cells) {
+		t.Fatalf("runner saw %d submissions for %d prefetched cells", queued, len(cells))
 	}
 }
 
 func TestNormalizedBaselineIsOne(t *testing.T) {
 	e := tinyEvaluator()
-	if got := e.Normalized("default", "fft", "sc"); got != 1.0 {
+	e.Prefetch([][3]string{{"default", "fft", "sc"}, {"default", "fft", "lrc"}})
+	v := e.Report().View()
+	if got := v.Normalized("default", "fft", "sc"); got != 1.0 {
 		t.Fatalf("sc normalized to itself = %v, want 1", got)
 	}
-	lrc := e.Normalized("default", "fft", "lrc")
+	lrc := v.Normalized("default", "fft", "lrc")
 	if lrc <= 0 || lrc > 1.5 {
 		t.Fatalf("lrc normalized time = %v, implausible", lrc)
 	}
@@ -45,7 +81,15 @@ func TestNormalizedBaselineIsOne(t *testing.T) {
 
 func TestOverheadSharesSumNearTotal(t *testing.T) {
 	e := tinyEvaluator()
-	cpu, rd, wr, sy := e.OverheadShares("default", "gauss", "sc")
+	e.Get("default", "gauss", "sc")
+	v := e.Report().View()
+	cpu, rd, wr, sy, ok := v.OverheadShares("default", "gauss", "sc")
+	if !ok {
+		t.Fatal("no SC run to normalise to")
+	}
+	if _, _, _, _, ok := v.OverheadShares("future", "gauss", "sc"); ok {
+		t.Fatal("shares reported against an SC run the report lacks")
+	}
 	total := cpu + rd + wr + sy
 	// SC's own shares must sum to exactly 1 (they are its total).
 	if total < 0.999 || total > 1.001 {
@@ -77,13 +121,16 @@ func TestTableAndFigureRendering(t *testing.T) {
 		t.Skip("runs the 8-proc tiny matrix")
 	}
 	e := tinyEvaluator()
-	out := Table2(e) + Table3(e) + Fig4(e) + Fig5(e) + Fig6(e) + Fig7(e)
+	targets := []string{"table2", "table3", "fig4", "fig5", "fig6", "fig7"}
+	e.Prefetch(TargetCells(targets))
+	rep := e.Report()
+	out := renderAll(t, rep, targets)
 	for _, app := range AppOrder {
 		if !strings.Contains(out, app) {
 			t.Errorf("rendered tables missing %s", app)
 		}
 	}
-	if err := e.VerifyAll(); err != nil {
+	if err := rep.Err(); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -153,14 +200,21 @@ func TestFutureFiguresAndReport(t *testing.T) {
 		t.Skip("runs simulations")
 	}
 	e := NewEvaluator(apps.Tiny, 4)
-	// Restrict to one app to keep the future matrix cheap: render the
+	// Two plotted protocols keep the future matrix cheap: render the
 	// future figures through the shared helpers directly.
-	outT := figTime(e, "future", "future time", []string{"erc", "lrc"})
-	outO := figOverhead(e, "future", "future overhead", []string{"lrc"})
+	var cells [][3]string
+	for _, app := range AppOrder {
+		for _, p := range []string{"sc", "erc", "lrc"} {
+			cells = append(cells, [3]string{"future", app, p})
+		}
+	}
+	e.Prefetch(cells)
+	rep := e.Report()
+	outT := figTime(rep.View(), "future", "future time", []string{"erc", "lrc"})
+	outO := figOverhead(rep.View(), "future", "future overhead", []string{"lrc"})
 	if !strings.Contains(outT, "mp3d") || !strings.Contains(outO, "mp3d") {
 		t.Fatal("future renders incomplete")
 	}
-	rep := e.Report()
 	var buf strings.Builder
 	if err := WriteReportJSON(&buf, rep); err != nil {
 		t.Fatal(err)
@@ -262,6 +316,21 @@ func TestTargetCells(t *testing.T) {
 	}
 }
 
+// renderAll renders the named matrix targets from a report, in order.
+func renderAll(t *testing.T, rep Report, targets []string) string {
+	t.Helper()
+	var b strings.Builder
+	v := rep.View()
+	for _, target := range targets {
+		out, err := Render(target, v, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fmt.Fprintln(&b, out)
+	}
+	return b.String()
+}
+
 // reportBytes renders a report for byte comparison across worker counts:
 // runner provenance (worker count, wall time) is dropped, every result
 // field is kept.
@@ -282,9 +351,7 @@ func TestParallelSerialDeterminism(t *testing.T) {
 		t.Skip("runs the tiny matrix twice")
 	}
 	targets := []string{"table2", "table3", "fig4", "fig6", "fig8"}
-	render := func(e *Evaluator) string {
-		return Table2(e) + Table3(e) + Fig4(e) + Fig6(e) + Fig8(e)
-	}
+	render := func(e *Evaluator) string { return renderAll(t, e.Report(), targets) }
 
 	serial := NewEvaluatorWith(apps.Tiny, 4, runner.New(1, nil))
 	serial.Prefetch(TargetCells(targets))
@@ -344,5 +411,41 @@ func TestEvaluatorSharedStore(t *testing.T) {
 	}
 	if !bytes.Equal(rep1, rep2) {
 		t.Fatal("cache-served report differs from the simulated one")
+	}
+}
+
+// TestStoredReportRendersGolden renders every matrix target from the
+// committed baseline report — no simulation — and compares the bytes with
+// what `paperbench -scale tiny -q table2 … tardis` printed when the
+// baseline was current (testdata/paperbench_tiny.golden). It pins the
+// text renderings and that a stored report re-renders the paper's tables.
+func TestStoredReportRendersGolden(t *testing.T) {
+	rep, err := LoadReport("../../BENCH_baseline.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := os.ReadFile("testdata/paperbench_tiny.golden")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := renderAll(t, rep, MatrixTargets); got != string(want) {
+		t.Fatalf("renderings of BENCH_baseline.json drifted from testdata/paperbench_tiny.golden:\n%s", got)
+	}
+
+	// A report lacking a cell a target reads is an error naming the cell.
+	var short Report
+	for _, r := range rep.Runs {
+		if r.Config != "default" || r.App != "gauss" || r.Protocol != "sc" {
+			short.Runs = append(short.Runs, r)
+		}
+	}
+	if _, err := Render("fig4", short.View(), nil); err == nil || !strings.Contains(err.Error(), "default/gauss/sc") {
+		t.Fatalf("fig4 from a report without default/gauss/sc: %v", err)
+	}
+	if _, err := Render("table2", short.View(), nil); err != nil {
+		t.Fatalf("table2 does not read the missing cell: %v", err)
+	}
+	if _, err := Render("sweep", short.View(), nil); err == nil {
+		t.Fatal("non-matrix target rendered")
 	}
 }

@@ -33,7 +33,7 @@ func Gate(baseline, fresh Report, tolPct float64) []string {
 		return v
 	}
 
-	key := func(r ReportRun) string { return r.Config + "/" + r.App + "/" + r.Protocol }
+	key := func(r ReportRun) string { return cellKey(r.Config, r.App, r.Protocol) }
 	freshBy := map[string]ReportRun{}
 	for _, r := range fresh.Runs {
 		freshBy[key(r)] = r

@@ -223,51 +223,36 @@ func WriteHTML(w io.Writer, rep Report) error {
 	sub := fmt.Sprintf("scale %s · %d processors · %d runs", rep.Scale, rep.Procs, len(rep.Runs))
 	doc := telemetry.NewHTMLDoc("Lazy release consistency · evaluation report", sub)
 
-	// Index default-config runs by app and protocol.
-	type cell = ReportRun
-	byApp := map[string]map[string]cell{}
+	// The charts cover the default machine: one group per application
+	// present, one column per protocol present.
+	v := rep.View()
 	var appNames []string
+	seen := map[string]bool{}
 	for _, r := range rep.Runs {
-		if r.Config != "default" {
-			continue
-		}
-		if byApp[r.App] == nil {
-			byApp[r.App] = map[string]cell{}
+		if r.Config == "default" && !seen[r.App] {
+			seen[r.App] = true
 			appNames = append(appNames, r.App)
 		}
-		byApp[r.App][r.Protocol] = r
 	}
 	sort.Strings(appNames)
 
-	// Normalized execution time (Figure 4's shape): one column per
-	// protocol per app, normalized to the app's SC run.
+	// Normalized execution time (Figure 4's shape) and the cycle
+	// breakdown (Figure 5's), both relative to the app's SC run.
 	var normGroups, stackGroups []columnGroup
 	for _, app := range appNames {
-		cells := byApp[app]
-		sc, hasSC := cells["sc"]
 		ng := columnGroup{label: app}
 		sg := columnGroup{label: app}
 		for _, p := range protoOrder {
-			r, ok := cells[p]
+			if _, ok := v.Run("default", app, p); !ok {
+				continue
+			}
+			ng.stacks = append(ng.stacks, []float64{v.Normalized("default", app, p)})
+			ng.protos = append(ng.protos, p)
+			cpu, rd, wr, sy, ok := v.OverheadShares("default", app, p)
 			if !ok {
 				continue
 			}
-			norm := 0.0
-			if hasSC && sc.ExecCycles > 0 {
-				norm = float64(r.ExecCycles) / float64(sc.ExecCycles)
-			}
-			ng.stacks = append(ng.stacks, []float64{norm})
-			ng.protos = append(ng.protos, p)
-			scTotal := float64(sc.CPUCycles + sc.ReadCycles + sc.WriteCycles + sc.SyncCycles)
-			if !hasSC || scTotal == 0 {
-				continue
-			}
-			sg.stacks = append(sg.stacks, []float64{
-				float64(r.CPUCycles) / scTotal,
-				float64(r.ReadCycles) / scTotal,
-				float64(r.WriteCycles) / scTotal,
-				float64(r.SyncCycles) / scTotal,
-			})
+			sg.stacks = append(sg.stacks, []float64{cpu, rd, wr, sy})
 			sg.protos = append(sg.protos, p)
 		}
 		if len(ng.stacks) > 0 {

@@ -37,33 +37,32 @@ func Table1(c config.Config) string {
 	return b.String()
 }
 
-// Table2 renders the classification of misses under eager release
+// table2 renders the classification of misses under eager release
 // consistency (the paper's "Figure 2" table).
-func Table2(e *Evaluator) string {
+func table2(v *View) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "Table 2: classification of misses under eager release consistency (%%)\n")
 	fmt.Fprintf(&b, "  %-12s %8s %8s %8s %9s %8s\n", "Application", "Cold", "True", "False", "Eviction", "Write")
 	for _, app := range AppOrder {
-		r := e.Get("default", app, "erc")
-		s := r.MissShares
+		s := v.cell("default", app, "erc").MissShares
 		fmt.Fprintf(&b, "  %-12s %7.1f%% %7.1f%% %7.1f%% %8.1f%% %7.1f%%\n", app,
-			100*s[stats.Cold], 100*s[stats.TrueShare], 100*s[stats.FalseShare],
-			100*s[stats.Eviction], 100*s[stats.WriteMiss])
+			s[stats.Cold.String()], s[stats.TrueShare.String()], s[stats.FalseShare.String()],
+			s[stats.Eviction.String()], s[stats.WriteMiss.String()])
 	}
 	return b.String()
 }
 
-// Table3 renders the miss rates under the three relaxed implementations
+// table3 renders the miss rates under the three relaxed implementations
 // (the paper's "Figure 3" table).
-func Table3(e *Evaluator) string {
+func table3(v *View) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "Table 3: miss rates under eager, lazy, and lazy-ext release consistency\n")
 	fmt.Fprintf(&b, "  %-12s %8s %8s %9s\n", "Application", "Eager", "Lazy", "Lazy-ext")
 	for _, app := range AppOrder {
 		fmt.Fprintf(&b, "  %-12s %7.2f%% %7.2f%% %8.2f%%\n", app,
-			100*e.Get("default", app, "erc").MissRate,
-			100*e.Get("default", app, "lrc").MissRate,
-			100*e.Get("default", app, "lrc-ext").MissRate)
+			v.cell("default", app, "erc").MissRatePct,
+			v.cell("default", app, "lrc").MissRatePct,
+			v.cell("default", app, "lrc-ext").MissRatePct)
 	}
 	return b.String()
 }
@@ -96,7 +95,7 @@ func bar(v, max float64, width int) string {
 // figTime renders a normalized-execution-time figure for a protocol set,
 // as numbers plus bars (the paper presents these as bar charts; the '|'
 // tick marks the sequentially consistent baseline).
-func figTime(e *Evaluator, cfgName, title string, protos []string) string {
+func figTime(v *View, cfgName, title string, protos []string) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "%s\n(execution time normalized to sequential consistency = 1.00)\n", title)
 	const scaleMax = 1.25
@@ -106,22 +105,22 @@ func figTime(e *Evaluator, cfgName, title string, protos []string) string {
 			if i == 0 {
 				label = app
 			}
-			v := e.Normalized(cfgName, app, p)
-			fmt.Fprintf(&b, "  %-12s %-8s %6.3f  %s\n", label, p, v, bar(v, scaleMax, 40))
+			t := v.Normalized(cfgName, app, p)
+			fmt.Fprintf(&b, "  %-12s %-8s %6.3f  %s\n", label, p, t, bar(t, scaleMax, 40))
 		}
 	}
 	return b.String()
 }
 
 // figOverhead renders an overhead-breakdown figure for a protocol set.
-func figOverhead(e *Evaluator, cfgName, title string, protos []string) string {
+func figOverhead(v *View, cfgName, title string, protos []string) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "%s\n(aggregate cycles as %% of the sequentially consistent total)\n", title)
 	fmt.Fprintf(&b, "  %-12s %-8s %8s %8s %8s %8s %8s\n",
 		"Application", "Protocol", "CPU", "Read", "Write", "Sync", "Total")
 	for _, app := range AppOrder {
 		for _, p := range protos {
-			cpu, rd, wr, sy := e.OverheadShares(cfgName, app, p)
+			cpu, rd, wr, sy, _ := v.OverheadShares(cfgName, app, p)
 			fmt.Fprintf(&b, "  %-12s %-8s %7.1f%% %7.1f%% %7.1f%% %7.1f%% %7.1f%%\n",
 				app, p, 100*cpu, 100*rd, 100*wr, 100*sy, 100*(cpu+rd+wr+sy))
 		}
@@ -129,60 +128,60 @@ func figOverhead(e *Evaluator, cfgName, title string, protos []string) string {
 	return b.String()
 }
 
-// Fig4 renders Figure 4: lazy vs. eager release consistency on the
+// fig4 renders Figure 4: lazy vs. eager release consistency on the
 // default machine.
-func Fig4(e *Evaluator) string {
-	return figTime(e, "default",
+func fig4(v *View) string {
+	return figTime(v, "default",
 		"Figure 4: normalized execution time, lazy vs. eager release consistency",
 		[]string{"erc", "lrc"})
 }
 
-// Fig5 renders Figure 5: the overhead breakdown for lazy, eager, and SC.
-func Fig5(e *Evaluator) string {
-	return figOverhead(e, "default",
+// fig5 renders Figure 5: the overhead breakdown for lazy, eager, and SC.
+func fig5(v *View) string {
+	return figOverhead(v, "default",
 		"Figure 5: overhead analysis for lazy-release, eager-release, and sequential consistency",
 		[]string{"lrc", "erc", "sc"})
 }
 
-// Fig6 renders Figure 6: the basic lazy protocol vs. its lazier variant.
-func Fig6(e *Evaluator) string {
-	return figTime(e, "default",
+// fig6 renders Figure 6: the basic lazy protocol vs. its lazier variant.
+func fig6(v *View) string {
+	return figTime(v, "default",
 		"Figure 6: normalized execution time, lazy vs. lazy-extended consistency",
 		[]string{"lrc", "lrc-ext"})
 }
 
-// Fig7 renders Figure 7: the overhead breakdown for the two lazy
+// fig7 renders Figure 7: the overhead breakdown for the two lazy
 // variants against SC.
-func Fig7(e *Evaluator) string {
-	return figOverhead(e, "default",
+func fig7(v *View) string {
+	return figOverhead(v, "default",
 		"Figure 7: overhead analysis for lazy, lazy-extended, and sequential consistency",
 		[]string{"lrc", "lrc-ext", "sc"})
 }
 
-// Fig8 renders Figure 8: performance trends on the future machine
+// fig8 renders Figure 8: performance trends on the future machine
 // (40-cycle memory startup, 4 bytes/cycle bandwidth, 256-byte lines).
-func Fig8(e *Evaluator) string {
-	return figTime(e, "future",
+func fig8(v *View) string {
+	return figTime(v, "future",
 		"Figure 8: performance trends for lazy, lazier, and eager release consistency (future machine)",
 		[]string{"erc", "lrc", "lrc-ext"})
 }
 
-// Fig9 renders Figure 9: the future machine's overhead breakdown for the
+// fig9 renders Figure 9: the future machine's overhead breakdown for the
 // paper's four protocols.
-func Fig9(e *Evaluator) string {
-	return figOverhead(e, "future",
+func fig9(v *View) string {
+	return figOverhead(v, "future",
 		"Figure 9: performance trends, overhead analysis (future machine)",
 		[]string{"lrc", "lrc-ext", "erc", "sc"})
 }
 
-// TardisTable renders the timestamp-coherence comparison (extension
+// tardisTable renders the timestamp-coherence comparison (extension
 // beyond the paper): every requested protocol on the default machine,
 // with normalized time, miss rate, and total interconnect traffic. The
 // traffic columns are the point — the timestamp protocols replace
 // invalidation and write-notice fan-out with leases that expire locally,
 // so their message counts isolate what coherence enforcement itself
 // costs on the wire.
-func TardisTable(e *Evaluator, protos []string) string {
+func tardisTable(v *View, protos []string) string {
 	if len(protos) == 0 {
 		protos = targetProtos["tardis"].protos
 	}
@@ -196,9 +195,9 @@ func TardisTable(e *Evaluator, protos []string) string {
 			if i == 0 {
 				label = app
 			}
-			r := e.Get("default", app, p)
+			r := v.cell("default", app, p)
 			fmt.Fprintf(&b, "  %-12s %-8s %10.3f %8.2f%% %12d %14d\n",
-				label, p, e.Normalized("default", app, p), 100*r.MissRate, r.Msgs, r.Bytes)
+				label, p, v.Normalized("default", app, p), r.MissRatePct, r.NetworkMsgs, r.NetworkBytes)
 		}
 	}
 	return b.String()

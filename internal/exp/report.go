@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"sort"
 
 	"lazyrc/internal/runner"
 	"lazyrc/internal/stats"
@@ -69,46 +70,133 @@ type ReportRun struct {
 	Error    string `json:"error,omitempty"`
 }
 
-// Report assembles the machine-readable report from all memoized runs,
-// stamped with the runner's execution record.
+// Report assembles the report of every memoized run, in cell-key order,
+// stamped with the runner's execution record. It is the one place a
+// runner.Result becomes a ReportRun; text tables, JSON, HTML and the gate
+// all read the report, never the results.
 func (e *Evaluator) Report() Report {
 	rep := Report{Scale: e.Scale.String(), Procs: e.Procs}
 	if e.R != nil {
 		meta := e.R.Meta()
 		rep.Runner = &meta
 	}
-	for _, r := range e.Runs() {
+	keys := make([]string, 0, len(e.runs))
+	for k := range e.runs {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	for _, k := range keys {
+		m := e.runs[k]
+		res := m.res
 		rr := ReportRun{
-			Config:     r.Config,
-			App:        r.App,
-			Protocol:   r.Proto,
-			ExecCycles: r.ExecTime,
-			CPUCycles:  r.CPU, ReadCycles: r.Read,
-			WriteCycles: r.Write, SyncCycles: r.Sync,
-			MissRatePct:  100 * r.MissRate,
-			NetworkMsgs:  r.Msgs,
-			NetworkBytes: r.Bytes,
-			MetricsDigest: r.MetricsDigest,
-			Spans:         r.Spans,
-			SpanDigest:    r.SpanDigest,
-			Verified:     r.VerifyErr == nil,
-			MissShares:   map[string]float64{},
+			Config:     m.config,
+			App:        res.App,
+			Protocol:   res.Proto,
+			ExecCycles: res.ExecCycles,
+			CPUCycles:  res.CPUCycles, ReadCycles: res.ReadCycles,
+			WriteCycles: res.WriteCycles, SyncCycles: res.SyncCycles,
+			MissRatePct:   100 * res.MissRate,
+			NetworkMsgs:   res.Msgs,
+			NetworkBytes:  res.Bytes,
+			MetricsDigest: res.MetricsDigest,
+			Spans:         res.Spans,
+			SpanDigest:    res.SpanDigest,
+			MissShares:    map[string]float64{},
 		}
-		if r.VerifyErr != nil {
-			rr.Error = r.VerifyErr.Error()
+		if err := res.Err(); err != nil {
+			rr.Error = err.Error()
 		}
-		for k := stats.MissKind(0); k < stats.NumMissKinds; k++ {
-			rr.MissShares[k.String()] = 100 * r.MissShares[k]
-		}
-		// Attach the normalized time when the SC baseline is memoized
-		// (without forcing new runs).
-		scKey := r.Config + "/" + r.App + "/sc"
-		if sc, ok := e.runs[scKey]; ok && sc.ExecTime > 0 {
-			rr.Normalized = float64(r.ExecTime) / float64(sc.ExecTime)
+		rr.Verified = rr.Error == ""
+		for kind := stats.MissKind(0); kind < stats.NumMissKinds; kind++ {
+			rr.MissShares[kind.String()] = 100 * res.MissShares[kind]
 		}
 		rep.Runs = append(rep.Runs, rr)
 	}
+	// The normalized time is attached wherever the SC baseline was run
+	// too (it stays zero, and off the wire, otherwise).
+	v := rep.View()
+	for i := range rep.Runs {
+		r := &rep.Runs[i]
+		r.Normalized = v.Normalized(r.Config, r.App, r.Protocol)
+	}
 	return rep
+}
+
+// Err returns the first run, in report order, that crashed or failed
+// its numerical verification, or nil when every run verified.
+func (r Report) Err() error {
+	for _, run := range r.Runs {
+		if !run.Verified {
+			return fmt.Errorf("%s/%s/%s: %s", run.Config, run.App, run.Protocol, run.Error)
+		}
+	}
+	return nil
+}
+
+// View is a report indexed by (config, app, protocol) — what every
+// rendering of the evaluation (text tables, HTML charts, the report's own
+// normalized column) reads through, and the one place the paper's
+// SC-normalisation arithmetic is written. Not safe for concurrent use:
+// lookups on behalf of a renderer remember the cells they missed.
+type View struct {
+	runs    map[string]*ReportRun
+	missing []string // cell keys asked for and absent, for Render to name
+}
+
+// View indexes the report's runs. The view reads the report's own run
+// slice, so it must not outlive a mutation of it.
+func (r Report) View() *View {
+	v := &View{runs: make(map[string]*ReportRun, len(r.Runs))}
+	for i := range r.Runs {
+		run := &r.Runs[i]
+		v.runs[cellKey(run.Config, run.App, run.Protocol)] = run
+	}
+	return v
+}
+
+// Run returns one cell's measurements and whether the report has it.
+func (v *View) Run(cfgName, appName, proto string) (ReportRun, bool) {
+	if r, ok := v.runs[cellKey(cfgName, appName, proto)]; ok {
+		return *r, true
+	}
+	return ReportRun{}, false
+}
+
+// cell is Run for the arithmetic and the renderers: a cell the report
+// lacks reads as zero and is remembered.
+func (v *View) cell(cfgName, appName, proto string) ReportRun {
+	r, ok := v.Run(cfgName, appName, proto)
+	if !ok {
+		v.missing = append(v.missing, cellKey(cfgName, appName, proto))
+	}
+	return r
+}
+
+// Normalized returns the run's execution time normalized to the
+// sequentially consistent run of the same application and configuration
+// — the unit line of the paper's figures. Zero when the report has no
+// (or a failed) SC run to divide by.
+func (v *View) Normalized(cfgName, appName, proto string) float64 {
+	sc := v.cell(cfgName, appName, "sc")
+	if sc.ExecCycles == 0 {
+		return 0
+	}
+	return float64(v.cell(cfgName, appName, proto).ExecCycles) / float64(sc.ExecCycles)
+}
+
+// OverheadShares returns the run's aggregate cpu/read/write/sync cycles
+// as fractions of the SC run's total aggregate cycles (the presentation
+// of Figures 5, 7 and 9). ok is false, and the shares zero, when the
+// report has no (or a failed) SC run to divide by.
+func (v *View) OverheadShares(cfgName, appName, proto string) (cpu, read, write, sync float64, ok bool) {
+	sc := v.cell(cfgName, appName, "sc")
+	total := float64(sc.CPUCycles + sc.ReadCycles + sc.WriteCycles + sc.SyncCycles)
+	if total == 0 {
+		return
+	}
+	r := v.cell(cfgName, appName, proto)
+	return float64(r.CPUCycles) / total, float64(r.ReadCycles) / total,
+		float64(r.WriteCycles) / total, float64(r.SyncCycles) / total, true
 }
 
 // WriteReportJSON writes any report as indented JSON — the one encoding

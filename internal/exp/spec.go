@@ -14,8 +14,8 @@ import (
 // Spec is a serializable description of one evaluation sweep — the unit a
 // client submits to the lrcsimd experiment service. It names what to run
 // (matrix targets and applications) and the machine envelope (scale,
-// processor count, seed); the service expands it into runner jobs via the
-// same TargetCellsFor/Evaluator path paperbench uses, so a submitted
+// processor count, seed); Expand turns it into cells and an evaluator by
+// the same TargetCellsFor/Evaluator path paperbench uses, so a submitted
 // sweep and a local paperbench invocation of the same shape produce the
 // same job fingerprints and therefore share the result store.
 type Spec struct {
@@ -37,30 +37,33 @@ type Spec struct {
 // Normalize validates the spec and returns its canonical form: defaults
 // filled in, targets and apps sorted and deduplicated, "all" collapsed.
 // Two specs that expand to the same evaluation normalize identically, so
-// Normalize().ID() is a stable sweep identity.
+// Normalize().ID() is a stable sweep identity. The machine envelope is
+// validated here too, so a spec no cell of which could be constructed
+// is refused at submission instead of running as a sweep of failures.
 func (s Spec) Normalize() (Spec, error) {
 	n := Spec{Scale: s.Scale, Procs: s.Procs, Seed: s.Seed}
 	if n.Scale == "" {
 		n.Scale = "small"
 	}
-	if _, err := apps.ParseScale(n.Scale); err != nil {
+	scale, err := apps.ParseScale(n.Scale)
+	if err != nil {
 		return Spec{}, err
 	}
 	if n.Procs == 0 {
 		n.Procs = 64
 	}
-	if n.Procs < 0 {
-		return Spec{}, fmt.Errorf("exp: negative proc count %d", n.Procs)
+	if err := mustCell("default", n.Procs, scale, n.Seed).Validate(); err != nil {
+		return Spec{}, err
 	}
 
 	known := map[string]bool{"all": true}
-	for _, t := range matrixTargets {
+	for _, t := range MatrixTargets {
 		known[t] = true
 	}
 	all := len(s.Targets) == 0
 	for _, t := range s.Targets {
 		if !known[t] {
-			return Spec{}, fmt.Errorf("exp: unknown sweep target %q (want all or one of %v)", t, matrixTargets)
+			return Spec{}, fmt.Errorf("exp: unknown sweep target %q (want all or one of %v)", t, MatrixTargets)
 		}
 		if t == "all" {
 			all = true
@@ -115,48 +118,32 @@ func (s Spec) ID() string {
 	return hex.EncodeToString(sum[:])
 }
 
-// Cells expands the normalized spec into its (config, app, protocol)
-// cells. Call on a normalized spec; an invalid spec yields no cells.
-func (s Spec) Cells() [][3]string {
+// Expand validates the spec and expands it, once: its canonical form,
+// the (config, app, protocol) cells it names in planning order, and the
+// evaluator (no runner attached; set R and Ctx before use) that
+// materializes and runs them.
+func (s Spec) Expand() (Spec, *Evaluator, [][3]string, error) {
 	n, err := s.Normalize()
 	if err != nil {
-		return nil
+		return Spec{}, nil, nil, err
 	}
-	return TargetCellsFor(n.Targets, n.Apps)
+	scale, _ := apps.ParseScale(n.Scale) // Normalize parsed it
+	e := NewEvaluator(scale, n.Procs)
+	e.Seed = n.Seed
+	return n, e, TargetCellsFor(n.Targets, n.Apps), nil
 }
 
 // Jobs materializes the runner jobs of every cell, in cell order. The
 // fingerprints of these jobs are the sweep's result identity: they match
 // a paperbench run at the same scale/procs/seed exactly.
 func (s Spec) Jobs() ([]runner.Job, error) {
-	n, err := s.Normalize()
+	_, e, cells, err := s.Expand()
 	if err != nil {
 		return nil, err
 	}
-	e, err := n.Evaluator()
-	if err != nil {
-		return nil, err
-	}
-	cells := TargetCellsFor(n.Targets, n.Apps)
 	jobs := make([]runner.Job, len(cells))
 	for i, c := range cells {
 		jobs[i] = e.Job(c[0], c[1], c[2])
 	}
 	return jobs, nil
-}
-
-// Evaluator builds an evaluator for the spec (no runner attached; set R
-// and Ctx before use).
-func (s Spec) Evaluator() (*Evaluator, error) {
-	n, err := s.Normalize()
-	if err != nil {
-		return nil, err
-	}
-	sc, err := apps.ParseScale(n.Scale)
-	if err != nil {
-		return nil, err
-	}
-	e := NewEvaluator(sc, n.Procs)
-	e.Seed = n.Seed
-	return e, nil
 }

@@ -42,6 +42,15 @@ func TestSpecRejectsUnknownNames(t *testing.T) {
 	if _, err := (Spec{Scale: "galactic"}).Normalize(); err == nil {
 		t.Fatal("unknown scale accepted")
 	}
+	// The machine envelope is checked with the names: what no cell could
+	// be constructed on is refused, what the machine accepts (any
+	// positive count lays out as a w×h mesh) is not.
+	if _, err := (Spec{Procs: -3}).Normalize(); err == nil {
+		t.Fatal("negative processor count accepted")
+	}
+	if _, err := (Spec{Procs: 3}).Normalize(); err != nil {
+		t.Fatalf("3 processors (a 3×1 mesh every app runs on) refused: %v", err)
+	}
 }
 
 func TestSpecJobsMatchPaperbenchFingerprints(t *testing.T) {

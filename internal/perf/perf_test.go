@@ -1,7 +1,6 @@
 package perf
 
 import (
-	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -291,112 +290,6 @@ func TestTableRendersAllPhases(t *testing.T) {
 	for _, want := range []string{"dispatch", "mesh", "membus", "simulated cycles", "gc"} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("table missing %q:\n%s", want, out)
-		}
-	}
-}
-
-func TestTrendRoundTrip(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "trend.json")
-
-	// Missing file bootstraps an empty trend for the pinning.
-	tr, err := LoadTrend(path, "tiny", 64)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(tr.Entries) != 0 || tr.Scale != "tiny" || tr.Procs != 64 {
-		t.Fatalf("bootstrap trend wrong: %+v", tr)
-	}
-
-	cells := []TrendCell{
-		{App: "gauss", Proto: "lrc", Cycles: 1000, WallNS: 1e6, CyclesPerSec: 1e9},
-		{App: "fft", Proto: "sc", Cycles: 2000, WallNS: 2e6, CyclesPerSec: 1e9},
-	}
-	tr.Entries = append(tr.Entries, NewEntry("2026-08-08T00:00:00Z", cells))
-	if err := SaveTrend(path, tr); err != nil {
-		t.Fatal(err)
-	}
-
-	back, err := LoadTrend(path, "tiny", 64)
-	if err != nil {
-		t.Fatal(err)
-	}
-	e, ok := back.Latest()
-	if !ok || len(e.Cells) != 2 {
-		t.Fatalf("round trip lost cells: %+v", back)
-	}
-	// NewEntry sorts cells (app, proto) for stable committed diffs.
-	if e.Cells[0].App != "fft" || e.Cells[1].App != "gauss" {
-		t.Fatalf("cells not sorted: %+v", e.Cells)
-	}
-}
-
-func TestGateTrend(t *testing.T) {
-	base := NewEntry("2026-08-08T00:00:00Z", []TrendCell{
-		{App: "gauss", Proto: "lrc", CyclesPerSec: 1000},
-		{App: "fft", Proto: "sc", CyclesPerSec: 2000},
-	})
-
-	// Within tolerance and faster both pass.
-	ok := []TrendCell{
-		{App: "gauss", Proto: "lrc", CyclesPerSec: 910}, // -9% < 10%
-		{App: "fft", Proto: "sc", CyclesPerSec: 9000},   // faster is always fine
-	}
-	if v := GateTrend(base, ok, 10); len(v) != 0 {
-		t.Fatalf("unexpected violations: %v", v)
-	}
-
-	// Beyond tolerance fails, missing cell fails, extra cell passes free.
-	bad := []TrendCell{
-		{App: "gauss", Proto: "lrc", CyclesPerSec: 500}, // -50%
-		{App: "blu", Proto: "erc", CyclesPerSec: 1},     // not in baseline
-	}
-	v := GateTrend(base, bad, 10)
-	if len(v) != 2 {
-		t.Fatalf("want 2 violations (regression + missing), got %v", v)
-	}
-	joined := strings.Join(v, "\n")
-	if !strings.Contains(joined, "gauss/lrc") || !strings.Contains(joined, "fft/sc") {
-		t.Fatalf("violations missing expected cells: %v", v)
-	}
-
-	// Zero tolerance: any slowdown fails.
-	if v := GateTrend(base, []TrendCell{
-		{App: "gauss", Proto: "lrc", CyclesPerSec: 999.9},
-		{App: "fft", Proto: "sc", CyclesPerSec: 2000},
-	}, 0); len(v) != 1 {
-		t.Fatalf("zero tolerance should flag any slowdown, got %v", v)
-	}
-}
-
-func TestLoadTrendRejectsWrongVersion(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "trend.json")
-	if err := SaveTrend(path, &Trend{Version: "bogus-v9", Scale: "tiny", Procs: 64}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := LoadTrend(path, "tiny", 64); err == nil {
-		t.Fatal("wrong version accepted")
-	}
-}
-
-func TestWriteHTML(t *testing.T) {
-	cells := []CellPerf{
-		{App: "gauss", Proto: "lrc", Snap: Snapshot{WallNS: 1e9, Cycles: 1e6, CyclesPerSec: 1e6,
-			Phases: map[string]int64{"dispatch": 6e8, "mesh": 4e8}}},
-		{App: "fft", Proto: "sc", Snap: Snapshot{WallNS: 2e9, Cycles: 2e6, CyclesPerSec: 1e6,
-			Phases: map[string]int64{"dispatch": 1e9, "protocol": 1e9}}},
-	}
-	trend := &Trend{Version: trendVersion, Scale: "tiny", Procs: 64,
-		Entries: []TrendEntry{NewEntry("2026-08-08T00:00:00Z", []TrendCell{
-			{App: "gauss", Proto: "lrc", CyclesPerSec: 1e6},
-		})}}
-	var b strings.Builder
-	if err := WriteHTML(&b, "test", cells, trend); err != nil {
-		t.Fatal(err)
-	}
-	out := b.String()
-	for _, want := range []string{"<html", "gauss", "Throughput by cell", "phase breakdown", "trend"} {
-		if !strings.Contains(out, want) {
-			t.Fatalf("report missing %q", want)
 		}
 	}
 }

@@ -219,8 +219,8 @@ var simulate = func(j Job, res *Result, hk hooks) error {
 		// and span digests are part of the result, and the perf snapshot
 		// (passive — pinned by TestPerfIsPassive — at the cost of two
 		// MemStats reads plus clock reads in one event of perf.Stride,
-		// about 4 % of a bare run) feeds the runner's throughput meta, the
-		// live daemon gauges, and paperbench's trend/gate machinery.
+		// about 4 % of a bare run) feeds the runner's throughput meta —
+		// report provenance and /api/v1/stats, which bench/ reads.
 		m.EnableMetrics(metricsInterval)
 		m.EnableSpans(false, 0)
 		m.EnablePerf()

@@ -133,9 +133,9 @@ func (d *HTMLDoc) Render(w io.Writer) error {
 	return err
 }
 
-// ChartSeries is one named series handed to a chart renderer, bound to a
+// chartSeries is one named series handed to a chart renderer, bound to a
 // categorical palette slot (0-based, fixed order — never cycled).
-type ChartSeries struct {
+type chartSeries struct {
 	Label  string
 	Slot   int
 	Points []float64
@@ -247,7 +247,7 @@ func chartFrame(b *strings.Builder, times []uint64, ymax float64, yUnit string) 
 }
 
 // legendHTML renders the legend row (always present for ≥2 series).
-func legendHTML(series []ChartSeries) string {
+func legendHTML(series []chartSeries) string {
 	if len(series) < 2 {
 		return ""
 	}
@@ -262,7 +262,7 @@ func legendHTML(series []ChartSeries) string {
 }
 
 // tableHTML renders the <details> data-table view backing a chart.
-func tableHTML(times []uint64, series []ChartSeries) string {
+func tableHTML(times []uint64, series []chartSeries) string {
 	var b strings.Builder
 	b.WriteString("<details><summary>Data table</summary><table><tr><th>cycle</th>")
 	for _, s := range series {
@@ -284,9 +284,9 @@ func tableHTML(times []uint64, series []ChartSeries) string {
 	return b.String()
 }
 
-// LineChart renders a multi-series line chart (2px lines, hover titles on
+// lineChart renders a multi-series line chart (2px lines, hover titles on
 // ≥8px invisible hit targets, legend, table view) as a card-ready fragment.
-func LineChart(times []uint64, series []ChartSeries, yUnit string) string {
+func lineChart(times []uint64, series []chartSeries, yUnit string) string {
 	ymax := 0.0
 	for _, s := range series {
 		for _, v := range s.Points {
@@ -328,10 +328,10 @@ func LineChart(times []uint64, series []ChartSeries, yUnit string) string {
 	return b.String()
 }
 
-// StackedAreaChart renders series stacked bottom-up in slot order: fills
+// stackedAreaChart renders series stacked bottom-up in slot order: fills
 // at 35% opacity separated by their own 2px boundary lines in the full
 // series hue, hover titles carrying the per-series value, legend, table.
-func StackedAreaChart(times []uint64, series []ChartSeries, yUnit string) string {
+func stackedAreaChart(times []uint64, series []chartSeries, yUnit string) string {
 	n := len(times)
 	totals := make([]float64, n)
 	for _, s := range series {
@@ -521,17 +521,17 @@ func (r *Registry) seriesMatching(prefix string) (labels []string, rows [][]floa
 	return labels, rows
 }
 
-// chartSeriesFor builds ChartSeries from named registry series, assigning
+// chartSeriesFor builds chartSeries from named registry series, assigning
 // palette slots in the order given. Series absent from the registry are
 // skipped (their slot is skipped with them: color follows the entity).
-func (r *Registry) chartSeriesFor(names []string, labels []string) []ChartSeries {
-	var out []ChartSeries
+func (r *Registry) chartSeriesFor(names []string, labels []string) []chartSeries {
+	var out []chartSeries
 	for i, name := range names {
 		s := r.SeriesByName(name)
 		if s == nil {
 			continue
 		}
-		out = append(out, ChartSeries{Label: labels[i], Slot: i, Points: s.Points()})
+		out = append(out, chartSeries{Label: labels[i], Slot: i, Points: s.Points()})
 	}
 	return out
 }
@@ -561,14 +561,14 @@ func (r *Registry) WriteHTML(w io.Writer, title string) error {
 		[]string{"stall.cpu", "stall.read", "stall.write", "stall.sync"},
 		[]string{"busy", "read stall", "write stall", "sync stall"})
 	if len(breakdown) > 0 {
-		doc.Section("Cycle breakdown per interval", StackedAreaChart(times, breakdown, "cycles"))
+		doc.Section("Cycle breakdown per interval", stackedAreaChart(times, breakdown, "cycles"))
 	}
 
 	traffic := r.chartSeriesFor(
 		[]string{"net.msgs", "net.bytes"},
 		[]string{"messages", "bytes"})
 	if len(traffic) > 0 {
-		doc.Section("Network traffic per interval", LineChart(times, traffic, "per interval"))
+		doc.Section("Network traffic per interval", lineChart(times, traffic, "per interval"))
 	}
 
 	if labels, rows := r.seriesMatching("net.out_busy."); len(labels) > 0 {
@@ -588,14 +588,14 @@ func (r *Registry) WriteHTML(w io.Writer, title string) error {
 		[]string{"proto.pending_notices", "proto.acquire_waiters"},
 		[]string{"pending notices", "acquire waiters"})
 	if len(proto) > 0 {
-		doc.Section("Protocol occupancy at sample", LineChart(times, proto, "count"))
+		doc.Section("Protocol occupancy at sample", lineChart(times, proto, "count"))
 	}
 
 	dir := r.chartSeriesFor(
 		[]string{"dir.uncached", "dir.shared", "dir.dirty", "dir.weak"},
 		[]string{"uncached", "shared", "dirty", "weak"})
 	if len(dir) > 0 {
-		doc.Section("Directory state mix at sample", StackedAreaChart(times, dir, "blocks"))
+		doc.Section("Directory state mix at sample", stackedAreaChart(times, dir, "blocks"))
 	}
 
 	var hists []*Histogram

@@ -80,10 +80,10 @@ func TestFacadeConfigs(t *testing.T) {
 func TestEvaluatorThroughFacade(t *testing.T) {
 	e := lazyrc.NewEvaluator(lazyrc.ScaleTiny, 4)
 	r := e.Get("default", "fft", "lrc")
-	if r.VerifyErr != nil {
-		t.Fatal(r.VerifyErr)
+	if err := r.Err(); err != nil {
+		t.Fatal(err)
 	}
-	if r.ExecTime == 0 || r.MissRate <= 0 {
+	if r.ExecCycles == 0 || r.MissRate <= 0 {
 		t.Fatalf("implausible run: %+v", r)
 	}
 }
