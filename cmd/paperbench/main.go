@@ -14,10 +14,13 @@
 // zero simulations), and -baseline gates the fresh report against a
 // committed reference. The rendered output is bit-identical for any -j.
 //
-// Every matrix target is rendered from one exp.Report, and it does not
-// matter where the report came from: evaluated here, or — with -remote —
-// by a running lrcsimd daemon. From the report on, the two modes share
-// one tail (print, -json, -report, -write-baseline, -baseline).
+// Every number printed is rendered from one exp.Report — the paper's
+// matrix and the studies (sweep, ablate, dsm, scaling) alike — and it
+// does not matter where the report came from: evaluated here, or — with
+// -remote — by a running lrcsimd daemon. From the report on, the two
+// modes share one tail (print, -json, -report, -write-baseline,
+// -baseline). Only table1 (constants), mp3dquality (a mutated app
+// instance) and chaos (an oracle over faulted runs) need this process.
 //
 // Usage:
 //
@@ -25,12 +28,13 @@
 //	           [-baseline BENCH_baseline.json -tol 0] [targets...]
 //
 // Targets: table1 table2 table3 fig4 fig5 fig6 fig7 fig8 fig9 tardis
-// sweep mp3dquality all (default: all); extensions: ablate, scaling,
-// dsm, chaos (the lossy-interconnect soak: every app × protocol under
-// message loss and link outages, gated on the end-state equivalence
-// oracle). The tardis target compares the timestamp-coherence protocols
-// against the invalidation protocols; -protocols narrows the protocol
-// set it and the chaos soak cover.
+// sweep mp3dquality all (default: all); extensions: ablate, dsm,
+// scaling, chaos (the lossy-interconnect soak: every app × protocol
+// under message loss and link outages, gated on the end-state
+// equivalence oracle). An unknown target is refused. The tardis target
+// compares the timestamp-coherence protocols against the invalidation
+// protocols; -protocols narrows the protocol set it and the chaos soak
+// cover.
 package main
 
 import (
@@ -41,6 +45,7 @@ import (
 	"io"
 	"os"
 	"runtime"
+	"slices"
 	"time"
 
 	"lazyrc"
@@ -75,7 +80,7 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 		critPath   = fs.Bool("critical-path", false, "also print the per-app per-protocol critical-path stall attribution table (runs span-traced simulations outside the result cache)")
 		cpuprofile = fs.String("cpuprofile", "", "write a CPU profile to this file")
 		memprofile = fs.String("memprofile", "", "write a heap profile to this file at exit")
-		remote     = fs.String("remote", "", "have a running lrcsimd daemon at this base URL (e.g. http://127.0.0.1:7077) evaluate the matrix instead of simulating locally; matrix targets only, -j and -cache are the daemon's concern")
+		remote     = fs.String("remote", "", "have a running lrcsimd daemon at this base URL (e.g. http://127.0.0.1:7077) evaluate the report's cells instead of simulating locally; -j and -cache are the daemon's concern")
 		protoFlag  = fs.String("protocols", "all", "comma-separated protocol subset for the tardis target and the chaos soak (\"all\" = every registered protocol)")
 	)
 	if err := fs.Parse(args); err != nil {
@@ -107,13 +112,30 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 	if err != nil {
 		return fail(err)
 	}
-	targets := fs.Args()
-	if len(targets) == 0 {
-		targets = []string{"all"}
+	// The targets, validated once: exp's target table plus the local ones
+	// no report carries, because they need this process — constants of the
+	// flags' machine, a mutated app instance, an oracle over faulted runs.
+	// "all" is the paper's evaluation (Table 1, the matrix, the §4.3 sweeps
+	// and the §4.2 quality check); the extensions are opt-in.
+	local := []string{"table1", "mp3dquality", "chaos"}
+	valid := slices.Concat([]string{"all"}, local, exp.Targets)
+	all := slices.Concat([]string{"table1", "mp3dquality", "sweep"}, exp.MatrixTargets)
+	named := fs.Args()
+	if len(named) == 0 {
+		named = []string{"all"}
 	}
 	want := map[string]bool{}
-	for _, t := range targets {
+	for _, t := range named {
+		if !slices.Contains(valid, t) {
+			fmt.Fprintf(stderr, "paperbench: unknown target %q (want any of %v)\n", t, valid)
+			return 2
+		}
 		want[t] = true
+		if t == "all" {
+			for _, a := range all {
+				want[a] = true
+			}
+		}
 	}
 	stopProfiles, err := perf.StartProfiles(*cpuprofile, *memprofile)
 	if err != nil {
@@ -128,12 +150,22 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 	// locally serves the remote submission and vice versa.
 	var rep exp.Report
 	var e *exp.Evaluator // nil under -remote
+	// targets are the requested ones a report carries, in rendering order.
+	targets := slices.DeleteFunc(slices.Clone(exp.Targets), func(t string) bool { return !want[t] })
 	if *remote != "" {
-		spec := exp.Spec{Targets: targets, Scale: *scaleFlag, Procs: *procs, Seed: *seed}
-		if _, err := spec.Normalize(); err != nil {
-			fmt.Fprintf(stderr, "paperbench: -remote accepts matrix targets only: %v\n", err)
-			return 2
+		// A local target is refused when asked for by name, and named as
+		// skipped when it came with "all".
+		for _, t := range local {
+			if slices.Contains(named, t) {
+				fmt.Fprintf(stderr, "paperbench: -remote cannot evaluate %s: it runs in this process, outside any report\n", t)
+				return 2
+			}
+			if want[t] {
+				fmt.Fprintf(stderr, "paperbench: -remote skips %s (local only)\n", t)
+				want[t] = false
+			}
 		}
+		spec := exp.Spec{Targets: targets, Scale: *scaleFlag, Procs: *procs, Seed: *seed}
 		if rep, err = fetchRemote(ctx, &api.Client{Base: *remote}, spec, progress, note); err != nil {
 			return fail(err)
 		}
@@ -162,7 +194,7 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 		e.R.Emit = progress
 		e.Seed = *seed
 
-		// Fan the whole requested matrix out to the worker pool before any
+		// Fan every requested cell out to the worker pool before any
 		// rendering: the report then lists memoized cells in key order, so
 		// the output is deterministic while the simulations were not. A
 		// narrowed -protocols drops only the timestamp-protocol cells — the
@@ -173,7 +205,7 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 			protoSet[p] = true
 		}
 		var cells [][3]string
-		for _, c := range exp.TargetCells(targets) {
+		for _, c := range exp.TargetCells(targets, nil) {
 			if (c[2] == "tardis" || c[2] == "tardis2") && !protoSet[c[2]] {
 				continue
 			}
@@ -181,71 +213,40 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 		}
 		e.Prefetch(cells)
 		rep = e.Report()
-		if want["table1"] || want["all"] {
-			fmt.Fprintln(stdout, exp.Table1(config.Default(*procs)))
-		}
 	}
 
-	// The matrix targets, from the report — the same bytes whichever
-	// branch above produced it.
+	// Everything from the report is the same bytes whichever branch above
+	// produced it; the local targets print at their places in the paper's
+	// order (Table 1 first, §4.2 after §4.3's sweeps, the soak last).
+	if want["table1"] {
+		fmt.Fprintln(stdout, exp.Table1(config.Default(*procs)))
+	}
 	view := rep.View()
-	for _, t := range exp.MatrixTargets {
-		if !want[t] && !want["all"] {
-			continue
-		}
-		out, err := exp.Render(t, view, protoList)
-		if err != nil {
-			return fail(err)
-		}
-		fmt.Fprintln(stdout, out)
-	}
-
-	if e != nil {
-		// The targets that simulate outside the matrix, in rendering order;
-		// inAll marks the ones "all" expands to (the paper's own sweeps —
-		// the extensions are opt-in).
-		rn := e.R
-		extras := []struct {
-			name   string
-			inAll  bool
-			render func()
-		}{
-			{"sweep", true, func() {
-				for _, sw := range exp.Sweeps() {
-					fmt.Fprintln(stdout, exp.RunSweep(ctx, rn, scale, *procs, sw))
-				}
-			}},
-			{"mp3dquality", true, func() { fmt.Fprintln(stdout, exp.Mp3dQuality(scale, *procs)) }},
-			{"ablate", false, func() {
-				for _, ab := range exp.Ablations() {
-					fmt.Fprintln(stdout, exp.RunAblation(ctx, rn, scale, *procs, ab))
-				}
-			}},
-			{"dsm", false, func() {
-				fmt.Fprintln(stdout, exp.LazierUnderSoftwareCoherence(ctx, rn, scale, *procs, "locusroute"))
-			}},
-			{"scaling", false, func() {
-				for _, app := range []string{"mp3d", "blu", "gauss"} {
-					fmt.Fprintln(stdout, exp.RunScaling(ctx, rn, scale, app, exp.ScalingCounts))
-				}
-			}},
-			{"chaos", false, func() {
-				body, err := exp.RunChaos(ctx, rn, scale, *procs, *seed, exp.AppOrder, protoList)
-				fmt.Fprintln(stdout, body)
-				if err != nil {
-					code = fail(err)
-				}
-			}},
-		}
-		for _, x := range extras {
-			if want[x.name] || (x.inAll && want["all"]) {
-				x.render()
+	for _, t := range exp.Targets {
+		if want[t] {
+			out, err := exp.Render(t, view, protoList)
+			if err != nil {
+				return fail(err)
 			}
+			fmt.Fprintln(stdout, out)
 		}
+		if t == "sweep" && want["mp3dquality"] {
+			fmt.Fprintln(stdout, exp.Mp3dQuality(scale, *procs))
+		}
+	}
+	if want["chaos"] {
+		body, err := exp.RunChaos(ctx, e.R, scale, *procs, *seed, exp.AppOrder, protoList)
+		fmt.Fprintln(stdout, body)
+		if err != nil {
+			code = fail(err)
+		}
+	}
+	if e != nil {
 		if *critPath {
 			fmt.Fprintln(stdout, exp.CriticalPath(scale, *procs, *seed))
 		}
-		rep = e.Report() // the runner's record now covers the extras too
+		meta := e.R.Meta() // the runner's record now covers the chaos soak too
+		rep.Runner = &meta
 	}
 
 	// One tail: verdict, files, gate.
@@ -287,7 +288,7 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 		}
 	}
 	if e != nil {
-		m := e.R.Meta()
+		m := rep.Runner
 		note("total wall-clock: %.1fs (scale %s, %d procs, %d workers; %d simulated, %d cache hits, %d failed)\n",
 			time.Since(start).Seconds(), scale, *procs, m.Workers,
 			m.Simulated, m.CacheHits, m.FailedJobs)

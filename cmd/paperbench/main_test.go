@@ -65,7 +65,7 @@ func TestLocalAndRemoteShareOneTail(t *testing.T) {
 		return b
 	}
 	common := []string{"-scale", "tiny", "-procs", "4", "-q"}
-	targets := []string{"fig4", "table3"}
+	targets := []string{"fig4", "table3", "sweep", "dsm"}
 	invoke := func(remote bool, extra ...string) (string, string, int) {
 		args := append([]string{}, common...)
 		if remote {
@@ -82,8 +82,13 @@ func TestLocalAndRemoteShareOneTail(t *testing.T) {
 	if code != 0 {
 		t.Fatalf("remote run exited %d: %s", code, remoteErr)
 	}
-	if !strings.Contains(localOut, "Figure 4:") || !strings.Contains(localOut, "Table 3:") {
-		t.Fatalf("local run did not print the requested targets:\n%s", localOut)
+	for _, heading := range []string{"Table 3:", "Figure 4:", "Sensitivity: cache line size", "DSM contrast:"} {
+		if !strings.Contains(localOut, heading) {
+			t.Fatalf("local run did not print %q:\n%s", heading, localOut)
+		}
+	}
+	if !bytes.Contains(read("local.json"), []byte(`"config": "line=256"`)) {
+		t.Fatal("the baseline lacks the study cells")
 	}
 	if localOut != remoteOut {
 		t.Fatalf("-remote prints differently from local:\n--- local\n%s--- remote\n%s", localOut, remoteOut)
@@ -116,11 +121,35 @@ func TestLocalAndRemoteShareOneTail(t *testing.T) {
 	}
 }
 
-// TestRemoteTakesMatrixTargetsOnly: what needs local simulation outside
-// the matrix is refused before anything is submitted.
-func TestRemoteTakesMatrixTargetsOnly(t *testing.T) {
-	_, stderr, code := paperbench("-remote", "http://127.0.0.1:1", "-scale", "tiny", "-q", "ablate")
-	if code != 2 || !strings.Contains(stderr, "matrix targets only") {
-		t.Fatalf("-remote ablate exited %d: %s", code, stderr)
+// TestRemoteRefusesLocalTargets: what runs in this process, outside any
+// report, is refused by name before anything is submitted and named as
+// skipped when it came with "all"; every other target is the daemon's.
+func TestRemoteRefusesLocalTargets(t *testing.T) {
+	const nobody = "http://127.0.0.1:1" // refused connections, were anything submitted
+	for _, target := range []string{"mp3dquality", "chaos", "table1"} {
+		_, stderr, code := paperbench("-remote", nobody, "-scale", "tiny", "-q", "fig4", target)
+		if code != 2 || !strings.Contains(stderr, "cannot evaluate "+target) {
+			t.Errorf("-remote %s exited %d: %s", target, code, stderr)
+		}
+	}
+	for _, target := range []string{"ablate", "scaling", "all"} {
+		_, stderr, code := paperbench("-remote", nobody, "-scale", "tiny", "-q", target)
+		if code != 1 || !strings.Contains(stderr, "submit:") {
+			t.Errorf("-remote %s was not submitted (exit %d): %s", target, code, stderr)
+		}
+		if skips := strings.Contains(stderr, "skips table1") && strings.Contains(stderr, "skips mp3dquality"); skips != (target == "all") {
+			t.Errorf("-remote %s: skipped targets named = %v: %s", target, skips, stderr)
+		}
+	}
+}
+
+// TestUnknownTargetIsRefused: a mistyped target exits 2 naming the valid
+// ones before anything runs, locally and under -remote alike.
+func TestUnknownTargetIsRefused(t *testing.T) {
+	for _, mode := range [][]string{nil, {"-remote", "http://127.0.0.1:1"}} {
+		stdout, stderr, code := paperbench(append(mode, "-scale", "tiny", "-q", "fig4", "fig44")...)
+		if code != 2 || stdout != "" || !strings.Contains(stderr, `unknown target "fig44"`) || !strings.Contains(stderr, "scaling") {
+			t.Errorf("%v fig44 exited %d, printed %q: %s", mode, code, stdout, stderr)
+		}
 	}
 }

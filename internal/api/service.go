@@ -102,7 +102,6 @@ type jobState struct {
 	reqID  string
 	status JobStatus
 	cancel context.CancelFunc
-	done   chan struct{}
 }
 
 // NewService builds a service executing on a pool of the given size,
@@ -638,7 +637,6 @@ func (s *Service) SubmitJob(submitCtx context.Context, req JobRequest) (JobStatu
 			Proto: job.Proto,
 		},
 		cancel: cancel,
-		done:   make(chan struct{}),
 	}
 	s.jobs[fp] = js
 	s.jobOrder = append(s.jobOrder, fp)
@@ -649,7 +647,6 @@ func (s *Service) SubmitJob(submitCtx context.Context, req JobRequest) (JobStatu
 	s.log.Info("job submitted", "fp", fp, "app", job.App, "proto", job.Proto, "request_id", reqID)
 	go func() {
 		defer s.wg.Done()
-		defer close(js.done)
 		s.mu.Lock()
 		js.status.State = StateRunning
 		s.mu.Unlock()
@@ -720,17 +717,6 @@ func (s *Service) CancelJob(fp string) error {
 	}
 	js.cancel()
 	return nil
-}
-
-// JobDone returns a channel closed when the job reaches a terminal state.
-func (s *Service) JobDone(fp string) (<-chan struct{}, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	js, ok := s.jobs[fp]
-	if !ok {
-		return nil, ErrNotFound
-	}
-	return js.done, nil
 }
 
 // jobFor returns the runner job of a known fingerprint (for trace

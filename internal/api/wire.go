@@ -81,8 +81,9 @@ type JobRequest struct {
 	// Scale is the input scale name; empty means small.
 	Scale string `json:"scale,omitempty"`
 	Proto string `json:"proto"`
-	// Preset is the machine preset name (config.Presets); empty means
-	// default.
+	// Preset is the cell's variant name as exp.CellConfig resolves it: a
+	// machine preset (config.Presets) or a study row such as line=256;
+	// empty means default.
 	Preset string `json:"preset,omitempty"`
 	// Procs is the machine size; zero means 64.
 	Procs int    `json:"procs,omitempty"`

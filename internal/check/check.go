@@ -65,22 +65,18 @@ type Auditor struct {
 	m    *machine.Machine
 	lazy bool
 
-	// MaxViolations bounds how many violations are recorded (the first
-	// one is almost always the informative one; the rest are usually its
-	// fallout). Default 16.
-	MaxViolations int
-
-	// OnViolation, when non-nil, observes each recorded violation as it
-	// is found — e.g. to stop the simulation on the first one.
-	OnViolation func(Violation)
-
 	violations []Violation
 	epochs     uint64
 }
 
+// maxViolations bounds how many violations are recorded (the first one
+// is almost always the informative one; the rest are usually its
+// fallout).
+const maxViolations = 16
+
 // New returns an auditor for m.
 func New(m *machine.Machine) *Auditor {
-	return &Auditor{m: m, lazy: m.Nodes[0].Proto.Lazy(), MaxViolations: 16}
+	return &Auditor{m: m, lazy: m.Nodes[0].Proto.Lazy()}
 }
 
 // Start schedules an epoch audit every `every` cycles for the rest of the
@@ -116,12 +112,8 @@ func (a *Auditor) Err() error {
 }
 
 func (a *Auditor) record(v Violation) {
-	if len(a.violations) >= a.MaxViolations {
-		return
-	}
-	a.violations = append(a.violations, v)
-	if a.OnViolation != nil {
-		a.OnViolation(v)
+	if len(a.violations) < maxViolations {
+		a.violations = append(a.violations, v)
 	}
 }
 

@@ -39,17 +39,17 @@ type Evaluator struct {
 	runs map[string]memoRun // by cellKey
 }
 
-// memoRun is one memoized cell: the result and the preset name it ran
+// memoRun is one memoized cell: the result and the variant name it ran
 // under (a result records its full configuration, not the name).
 type memoRun struct {
-	config string
-	res    *runner.Result
+	variant string
+	res     *runner.Result
 }
 
-// cellKey is the identity of a (config, app, protocol) cell in the
+// cellKey is the identity of a (variant, app, protocol) cell in the
 // evaluator's memo and a report's view; reports list runs in its order.
-func cellKey(cfgName, appName, proto string) string {
-	return cfgName + "/" + appName + "/" + proto
+func cellKey(variant, appName, proto string) string {
+	return variant + "/" + appName + "/" + proto
 }
 
 // NewEvaluator returns an evaluator for the given scale and machine size
@@ -83,28 +83,38 @@ func (e *Evaluator) ctx() context.Context {
 }
 
 // CellConfig derives the machine configuration of one evaluation cell
-// from (preset, procs, scale, seed) — the single derivation every tool
-// (paperbench, lrcsimd, lrcsim, the ablation/chaos/scaling extensions)
-// goes through, so the same cell is the same machine everywhere. The
-// cache size scales with the input scale, following the paper's own
-// methodology (§3): inputs were shrunk to keep simulation tractable and
-// caches were shrunk with them "in order to capture the effect of
-// capacity and conflict misses" — with full-size caches the data fits
-// and the eviction column of Table 2 (62.9% for barnes-hut!) vanishes.
-func CellConfig(preset string, procs int, scale apps.Scale, seed uint64) (config.Config, error) {
-	c, err := config.Preset(preset, procs)
+// from (variant, procs, scale, seed) — the single derivation every tool
+// (paperbench, lrcsimd, lrcsim, the chaos soak) goes through, so the
+// same cell is the same machine everywhere. A variant is a preset
+// ("default", "future") or a study row the target table declares
+// (line=256, first-touch, procs=16, ...), which derives from the default
+// cell. The cache size scales with the input scale, following the
+// paper's own methodology (§3): inputs were shrunk to keep simulation
+// tractable and caches were shrunk with them "in order to capture the
+// effect of capacity and conflict misses" — with full-size caches the
+// data fits and the eviction column of Table 2 (62.9% for barnes-hut!)
+// vanishes.
+func CellConfig(variant string, procs int, scale apps.Scale, seed uint64) (config.Config, error) {
+	derive, study := studyVariants[variant]
+	if study {
+		variant = "default"
+	}
+	c, err := config.Preset(variant, procs)
 	if err != nil {
-		return config.Config{}, err
+		return config.Config{}, fmt.Errorf("%w, or a row of %v such as line=256", err, Targets[len(MatrixTargets):])
 	}
 	c.CacheSize = CacheForScale(scale)
 	c.Seed = seed
+	if study {
+		derive(&c)
+	}
 	return c, nil
 }
 
-// mustCell is CellConfig for preset names fixed in this package's own
-// tables, where an unknown preset is a bug.
-func mustCell(preset string, procs int, scale apps.Scale, seed uint64) config.Config {
-	c, err := CellConfig(preset, procs, scale, seed)
+// mustCell is CellConfig for variant names fixed in this package's own
+// tables, where an unknown one is a bug.
+func mustCell(variant string, procs int, scale apps.Scale, seed uint64) config.Config {
+	c, err := CellConfig(variant, procs, scale, seed)
 	if err != nil {
 		panic(fmt.Sprintf("exp: %v", err))
 	}
@@ -127,8 +137,8 @@ func CacheForScale(s apps.Scale) int {
 }
 
 // Job materializes the runner job for one experiment cell.
-func (e *Evaluator) Job(cfgName, appName, proto string) runner.Job {
-	return runner.Job{App: appName, Scale: e.Scale, Proto: proto, Cfg: mustCell(cfgName, e.Procs, e.Scale, e.Seed)}
+func (e *Evaluator) Job(variant, appName, proto string) runner.Job {
+	return runner.Job{App: appName, Scale: e.Scale, Proto: proto, Cfg: mustCell(variant, e.Procs, e.Scale, e.Seed)}
 }
 
 // Get runs (or recalls) one experiment cell. A cell Prefetch already
@@ -137,28 +147,40 @@ func (e *Evaluator) Job(cfgName, appName, proto string) runner.Job {
 // fingerprint and reuses a result store shared with previous processes.
 // A crashed run surfaces as a result whose Err carries the failure, not
 // as a panic of the whole evaluation.
-func (e *Evaluator) Get(cfgName, appName, proto string) *runner.Result {
-	key := cellKey(cfgName, appName, proto)
+func (e *Evaluator) Get(variant, appName, proto string) *runner.Result {
+	key := cellKey(variant, appName, proto)
 	if m, ok := e.runs[key]; ok {
 		return m.res
 	}
-	res := e.engine().Do(e.ctx(), e.Job(cfgName, appName, proto))
-	e.runs[key] = memoRun{cfgName, res}
+	res := e.engine().Do(e.ctx(), e.Job(variant, appName, proto))
+	e.runs[key] = memoRun{variant, res}
 	return res
 }
 
-// Prefetch simulates the given (config, app, protocol) cells through the
-// runner's worker pool and memoizes what comes back, so the report (and
-// any Get) afterwards reads every cell from the memo: table and figure
-// order stays deterministic while the simulations themselves ran
-// concurrently, and no cell is submitted to the runner twice.
+// Prefetch simulates the given (variant, app, protocol) cells through
+// the runner's worker pool and memoizes what comes back, so the report
+// (and any Get) afterwards reads every cell from the memo: table and
+// figure order stays deterministic while the simulations themselves ran
+// concurrently, and no job is submitted to the runner twice — cells
+// whose variants derive the same machine (cb=16 is the default one) are
+// one job, whose result each of them reads, so a sweep's event stream
+// carries one lifecycle per fingerprint.
 func (e *Evaluator) Prefetch(cells [][3]string) {
-	jobs := make([]runner.Job, len(cells))
+	jobs := make([]runner.Job, 0, len(cells))
+	index := make(map[runner.Job]int, len(cells)) // job -> its index in jobs
+	slot := make([]int, len(cells))               // cell -> its job's index
 	for i, c := range cells {
-		jobs[i] = e.Job(c[0], c[1], c[2])
+		j := e.Job(c[0], c[1], c[2])
+		k, ok := index[j]
+		if !ok {
+			k = len(jobs)
+			index[j] = k
+			jobs = append(jobs, j)
+		}
+		slot[i] = k
 	}
-	for i, res := range e.engine().DoAll(e.ctx(), jobs) {
-		c := cells[i]
-		e.runs[cellKey(c[0], c[1], c[2])] = memoRun{c[0], res}
+	results := e.engine().DoAll(e.ctx(), jobs)
+	for i, c := range cells {
+		e.runs[cellKey(c[0], c[1], c[2])] = memoRun{c[0], results[slot[i]]}
 	}
 }

@@ -2,7 +2,6 @@ package exp
 
 import (
 	"bytes"
-	"context"
 	"fmt"
 	"os"
 	"strings"
@@ -40,7 +39,7 @@ func TestEvaluatorMemoizes(t *testing.T) {
 // assembling the report) must not go back to the runner — the counting
 // Emit sees exactly one queued event per cell, from the prefetch itself.
 func TestPrefetchFillsTheMemo(t *testing.T) {
-	cells := TargetCellsFor([]string{"table3"}, []string{"gauss"})
+	cells := TargetCells([]string{"table3"}, []string{"gauss"})
 	var mu sync.Mutex
 	queued := 0
 	rn := runner.New(2, nil)
@@ -122,7 +121,7 @@ func TestTableAndFigureRendering(t *testing.T) {
 	}
 	e := tinyEvaluator()
 	targets := []string{"table2", "table3", "fig4", "fig5", "fig6", "fig7"}
-	e.Prefetch(TargetCells(targets))
+	e.Prefetch(TargetCells(targets, nil))
 	rep := e.Report()
 	out := renderAll(t, rep, targets)
 	for _, app := range AppOrder {
@@ -136,53 +135,58 @@ func TestTableAndFigureRendering(t *testing.T) {
 }
 
 func TestSweepsAreWellFormed(t *testing.T) {
-	sweeps := Sweeps()
 	if len(sweeps) != 3 {
 		t.Fatalf("sweeps = %d, want 3 (latency, bandwidth, line size)", len(sweeps))
 	}
 	for _, sw := range sweeps {
-		if len(sw.Points) < 2 {
-			t.Errorf("%s: fewer than 2 points", sw.Name)
+		if len(sw.points) < 2 {
+			t.Errorf("%s: fewer than 2 points", sw.title)
 		}
-		for _, v := range sw.Points {
-			cfg := config.Default(4)
-			sw.Mut(&cfg, v)
-			if err := cfg.Validate(); err != nil {
-				t.Errorf("%s point %d produces invalid config: %v", sw.Name, v, err)
-			}
-			if sw.Label(v) == "" {
-				t.Errorf("%s point %d has empty label", sw.Name, v)
+		for _, p := range sw.points {
+			cfg := studyCell(t, sw, p)
+			if cfg.CacheSize != config.Default(4).CacheSize {
+				t.Errorf("%s: %s runs a %d-byte cache, want the paper's", sw.title, p.variant, cfg.CacheSize)
 			}
 		}
 	}
 }
 
 func TestAblationsAreWellFormed(t *testing.T) {
-	for _, ab := range Ablations() {
-		for _, v := range ab.Points {
-			cfg := config.Default(4)
-			ab.Mut(&cfg, v)
-			if err := cfg.Validate(); err != nil {
-				t.Errorf("%s point %d produces invalid config: %v", ab.Name, v, err)
+	for _, study := range [][]block{ablations, dsmContrast, scaling} {
+		for _, b := range study {
+			for _, p := range b.points {
+				if cfg := studyCell(t, b, p); cfg.CacheSize != CacheForScale(apps.Tiny) {
+					t.Errorf("%s: %s runs a %d-byte cache, want the co-scaled one", b.title, p.variant, cfg.CacheSize)
+				}
 			}
 		}
 	}
 }
 
-func TestRunAblationExecutes(t *testing.T) {
-	if testing.Short() {
-		t.Skip("runs simulations")
+// studyCell derives one study point's machine through CellConfig and
+// checks the point is well formed: labelled, valid, and registered under
+// its variant name with the derivation its own row declares (two rows
+// sharing a name must not disagree about the machine).
+func studyCell(t *testing.T, b block, p point) config.Config {
+	t.Helper()
+	cfg, err := CellConfig(p.variant, 4, apps.Tiny, 1)
+	if err != nil {
+		t.Fatalf("%s: %v", b.title, err)
 	}
-	var ab Ablation
-	for _, a := range Ablations() {
-		if strings.Contains(a.Name, "acquire-time") { // two cheap points
-			ab = a
-		}
+	if err := cfg.Validate(); err != nil {
+		t.Errorf("%s: %s is an invalid machine: %v", b.title, p.variant, err)
 	}
-	out := RunAblation(context.Background(), runner.New(2, nil), apps.Tiny, 4, ab)
-	if !strings.Contains(out, "overlapped") || !strings.Contains(out, "after grant") {
-		t.Fatalf("ablation output malformed:\n%s", out)
+	if p.label == "" {
+		t.Errorf("%s: %s has no label", b.title, p.variant)
 	}
+	want := mustCell("default", 4, apps.Tiny, 1)
+	if p.derive != nil {
+		p.derive(&want)
+	}
+	if cfg != want {
+		t.Errorf("%s: CellConfig(%s) = %+v, but the row derives %+v", b.title, p.variant, cfg, want)
+	}
+	return cfg
 }
 
 func TestMp3dQualityReport(t *testing.T) {
@@ -210,8 +214,8 @@ func TestFutureFiguresAndReport(t *testing.T) {
 	}
 	e.Prefetch(cells)
 	rep := e.Report()
-	outT := figTime(rep.View(), "future", "future time", []string{"erc", "lrc"})
-	outO := figOverhead(rep.View(), "future", "future overhead", []string{"lrc"})
+	outT := figTime("future", "future time", "erc", "lrc")(rep.View(), block{})
+	outO := figOverhead("future", "future overhead", "lrc")(rep.View(), block{})
 	if !strings.Contains(outT, "mp3d") || !strings.Contains(outO, "mp3d") {
 		t.Fatal("future renders incomplete")
 	}
@@ -235,22 +239,6 @@ func TestFutureFiguresAndReport(t *testing.T) {
 	}
 }
 
-func TestRunSweepExecutes(t *testing.T) {
-	if testing.Short() {
-		t.Skip("runs simulations")
-	}
-	sw := Sweep{
-		Name:   "line size (test)",
-		Mut:    func(c *config.Config, v int) { c.LineSize = v },
-		Points: []int{64, 128},
-		Label:  func(v int) string { return "x" },
-	}
-	out := RunSweep(context.Background(), runner.New(4, nil), apps.Tiny, 4, sw)
-	if !strings.Contains(out, "mp3d") || !strings.Contains(out, "gauss") {
-		t.Fatalf("sweep output malformed:\n%s", out)
-	}
-}
-
 func TestBarRendering(t *testing.T) {
 	if got := len(bar(0.5, 1.0, 10)); got != 10 {
 		t.Fatalf("bar width = %d", got)
@@ -263,29 +251,8 @@ func TestBarRendering(t *testing.T) {
 	}
 }
 
-func TestRunScalingExecutes(t *testing.T) {
-	if testing.Short() {
-		t.Skip("runs simulations")
-	}
-	out := RunScaling(context.Background(), runner.New(2, nil), apps.Tiny, "fft", []int{2, 4})
-	if !strings.Contains(out, "ratio") || !strings.Contains(out, "fft") {
-		t.Fatalf("scaling output malformed:\n%s", out)
-	}
-}
-
-func TestLazierUnderSoftwareCoherence(t *testing.T) {
-	if testing.Short() {
-		t.Skip("runs simulations")
-	}
-	out := LazierUnderSoftwareCoherence(context.Background(), runner.New(4, nil), apps.Tiny, 8, "locusroute")
-	if !strings.Contains(out, "hardware protocol processor") ||
-		!strings.Contains(out, "software coherence") {
-		t.Fatalf("DSM contrast output malformed:\n%s", out)
-	}
-}
-
 func TestTargetCells(t *testing.T) {
-	all := TargetCells([]string{"all"})
+	all := TargetCells([]string{"all"}, nil)
 	if len(all) == 0 {
 		t.Fatal("no cells for 'all'")
 	}
@@ -301,7 +268,7 @@ func TestTargetCells(t *testing.T) {
 		t.Fatalf("all target cells = %d, want %d", len(all), want)
 	}
 	// fig4 needs the SC baseline even though it only plots erc and lrc.
-	fig4 := TargetCells([]string{"fig4"})
+	fig4 := TargetCells([]string{"fig4"}, nil)
 	var hasSC bool
 	for _, c := range fig4 {
 		if c[2] == "sc" {
@@ -311,12 +278,23 @@ func TestTargetCells(t *testing.T) {
 	if !hasSC {
 		t.Fatal("fig4 cells omit the sc normalization baseline")
 	}
-	if got := TargetCells([]string{"sweep", "mp3dquality"}); len(got) != 0 {
-		t.Fatalf("non-matrix targets expanded to %d cells, want 0", len(got))
+	// The studies are targets like any other: 10 sweep points × 3 apps ×
+	// {erc, lrc}; 16 ablation points; 2 machines × {lrc, lrc-ext}; 3 sizes
+	// × 3 apps × {erc, lrc}. What no report carries expands to nothing.
+	for target, want := range map[string]int{"sweep": 60, "ablate": 16, "dsm": 4, "scaling": 18, "mp3dquality": 0} {
+		if got := TargetCells([]string{target}, nil); len(got) != want {
+			t.Errorf("%s expands to %d cells, want %d", target, len(got), want)
+		}
+	}
+	// A restricted sweep keeps the study applications inside the subset.
+	for _, c := range TargetCells([]string{"sweep", "scaling"}, []string{"gauss", "fft"}) {
+		if c[1] != "gauss" {
+			t.Fatalf("restricted to gauss and fft, the studies still read %v", c)
+		}
 	}
 }
 
-// renderAll renders the named matrix targets from a report, in order.
+// renderAll renders the named targets from a report, in order.
 func renderAll(t *testing.T, rep Report, targets []string) string {
 	t.Helper()
 	var b strings.Builder
@@ -354,11 +332,11 @@ func TestParallelSerialDeterminism(t *testing.T) {
 	render := func(e *Evaluator) string { return renderAll(t, e.Report(), targets) }
 
 	serial := NewEvaluatorWith(apps.Tiny, 4, runner.New(1, nil))
-	serial.Prefetch(TargetCells(targets))
+	serial.Prefetch(TargetCells(targets, nil))
 	serialOut := render(serial)
 
 	parallel := NewEvaluatorWith(apps.Tiny, 4, runner.New(8, nil))
-	parallel.Prefetch(TargetCells(targets))
+	parallel.Prefetch(TargetCells(targets, nil))
 	parallelOut := render(parallel)
 
 	if serialOut != parallelOut {
@@ -367,9 +345,9 @@ func TestParallelSerialDeterminism(t *testing.T) {
 	if !bytes.Equal(reportBytes(t, serial), reportBytes(t, parallel)) {
 		t.Fatal("JSON reports differ between -j 1 and -j 8")
 	}
-	if m := parallel.R.Meta(); m.Simulated != len(TargetCells(targets)) {
+	if m := parallel.R.Meta(); m.Simulated != len(TargetCells(targets, nil)) {
 		t.Fatalf("parallel runner simulated %d jobs, want %d (dedup broken?)",
-			m.Simulated, len(TargetCells(targets)))
+			m.Simulated, len(TargetCells(targets, nil)))
 	}
 }
 
@@ -380,7 +358,7 @@ func TestEvaluatorSharedStore(t *testing.T) {
 		t.Skip("runs simulations")
 	}
 	dir := t.TempDir()
-	cells := TargetCells([]string{"table3"})
+	cells := TargetCells([]string{"table3"}, nil)
 
 	cold, err := store.Open(dir)
 	if err != nil {
@@ -445,7 +423,111 @@ func TestStoredReportRendersGolden(t *testing.T) {
 	if _, err := Render("table2", short.View(), nil); err != nil {
 		t.Fatalf("table2 does not read the missing cell: %v", err)
 	}
-	if _, err := Render("sweep", short.View(), nil); err == nil {
-		t.Fatal("non-matrix target rendered")
+	if _, err := Render("mp3dquality", short.View(), nil); err == nil {
+		t.Fatal("a target no report carries rendered")
+	}
+}
+
+// TestStoredStudiesRenderGolden is TestStoredReportRendersGolden for the
+// studies: BENCH_studies.json re-renders, with no simulation, the bytes
+// `paperbench -scale tiny -q sweep ablate dsm scaling` printed before the
+// studies joined the report (testdata/paperbench_tiny_studies.golden was
+// captured from the four deleted drivers). A study cell that did not
+// verify prints "failed" in its slot and fails the report.
+func TestStoredStudiesRenderGolden(t *testing.T) {
+	rep, err := LoadReport("../../BENCH_studies.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := os.ReadFile("testdata/paperbench_tiny_studies.golden")
+	if err != nil {
+		t.Fatal(err)
+	}
+	studies := Targets[len(MatrixTargets):]
+	if got := renderAll(t, rep, studies); got != string(want) {
+		t.Fatalf("renderings of BENCH_studies.json drifted from testdata/paperbench_tiny_studies.golden:\n%s", got)
+	}
+	if err := rep.Err(); err != nil {
+		t.Fatal(err)
+	}
+
+	for i := range rep.Runs {
+		if r := &rep.Runs[i]; r.Protocol == "lrc" && (r.Config == "line=256" && r.App == "gauss" ||
+			r.Config == "first-touch" || r.Config == "software-coherence" || r.Config == "procs=16" && r.App == "blu") {
+			r.Verified, r.Error = false, "verification: residual too large"
+		}
+	}
+	if err := rep.Err(); err == nil || !strings.Contains(err.Error(), "first-touch/mp3d/lrc: verification") {
+		t.Fatalf("a report with unverified study cells passes: %v", err)
+	}
+	got := strings.Split(renderAll(t, rep, studies), "\n")
+	golden := strings.Split(string(want), "\n")
+	changed := map[string]string{}
+	for i, line := range golden {
+		if got[i] != line {
+			changed[line] = got[i]
+		}
+	}
+	for was, now := range map[string]string{
+		"  gauss                 1.036          0.965          0.919": "  gauss                 1.036          0.965         failed",
+		"  first touch            926718 cycles  (+91.9%)":            "  first touch    failed: verification: residual too large",
+		"  software coherence (no overlap)    0.934":                  "  software coherence (no overlap)    failed: verification: residual too large",
+		"      16         522461         460213    0.881":             "      16 failed: verification: residual too large",
+	} {
+		if changed[was] != now {
+			t.Errorf("line %q rendered as %q, want %q", was, changed[was], now)
+		}
+	}
+	if len(changed) != 4 {
+		t.Errorf("%d lines changed, want the 4 unverified slots: %q", len(changed), changed)
+	}
+}
+
+// TestStudyCellsShareMatrixJobs: the seed reaches study cells, so a study
+// point that is the default machine (cb=16) is the job the matrix runs —
+// prefetching fig4 and ablate together executes default/blu/lrc once,
+// and both cells report it.
+func TestStudyCellsShareMatrixJobs(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs simulations")
+	}
+	rn := runner.New(2, nil)
+	e := NewEvaluatorWith(apps.Tiny, 4, rn)
+	e.Seed = 3
+	shared := e.Job("default", "blu", "lrc").Fingerprint()
+	if fp := e.Job("cb=16", "blu", "lrc").Fingerprint(); fp != shared {
+		t.Fatalf("cb=16 is fingerprint %s, default is %s", fp, shared)
+	}
+	var mu sync.Mutex
+	executed := map[string]int{}
+	rn.Emit = func(ev runner.Event) {
+		if ev.Kind == runner.EventRunning {
+			mu.Lock()
+			executed[ev.FP]++
+			mu.Unlock()
+		}
+	}
+	cells := TargetCells([]string{"fig4", "ablate"}, nil)
+	e.Prefetch(cells)
+	if executed[shared] != 1 {
+		t.Fatalf("default/blu/lrc executed %d times, want once", executed[shared])
+	}
+	// 21 fig4 cells + 16 ablation cells, of which the two "default" rows
+	// are fig4's cells and cb=16, wb=4, dir-lrc=25 fig4's machines.
+	if len(cells) != 35 || len(executed) != 32 {
+		t.Fatalf("%d cells ran as %d jobs, want 35 as 32", len(cells), len(executed))
+	}
+	rep := e.Report()
+	if err := rep.Err(); err != nil {
+		t.Fatal(err)
+	}
+	v := rep.View()
+	a, _ := v.Run("default", "blu", "lrc")
+	b, ok := v.Run("cb=16", "blu", "lrc")
+	if !ok || a.ExecCycles != b.ExecCycles || len(rep.Runs) != len(cells) {
+		t.Fatalf("report of %d runs: default/blu/lrc = %d cycles, cb=16/blu/lrc = %d", len(rep.Runs), a.ExecCycles, b.ExecCycles)
+	}
+	if out := renderAll(t, rep, []string{"ablate"}); !strings.Contains(out, "overlapped") || !strings.Contains(out, "after grant") {
+		t.Fatalf("ablation output malformed:\n%s", out)
 	}
 }

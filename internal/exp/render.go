@@ -39,7 +39,7 @@ func Table1(c config.Config) string {
 
 // table2 renders the classification of misses under eager release
 // consistency (the paper's "Figure 2" table).
-func table2(v *View) string {
+func table2(v *View, _ block) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "Table 2: classification of misses under eager release consistency (%%)\n")
 	fmt.Fprintf(&b, "  %-12s %8s %8s %8s %9s %8s\n", "Application", "Cold", "True", "False", "Eviction", "Write")
@@ -54,7 +54,7 @@ func table2(v *View) string {
 
 // table3 renders the miss rates under the three relaxed implementations
 // (the paper's "Figure 3" table).
-func table3(v *View) string {
+func table3(v *View, _ block) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "Table 3: miss rates under eager, lazy, and lazy-ext release consistency\n")
 	fmt.Fprintf(&b, "  %-12s %8s %8s %9s\n", "Application", "Eager", "Lazy", "Lazy-ext")
@@ -92,105 +92,61 @@ func bar(v, max float64, width int) string {
 	return string(out)
 }
 
-// figTime renders a normalized-execution-time figure for a protocol set,
-// as numbers plus bars (the paper presents these as bar charts; the '|'
-// tick marks the sequentially consistent baseline).
-func figTime(v *View, cfgName, title string, protos []string) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "%s\n(execution time normalized to sequential consistency = 1.00)\n", title)
-	const scaleMax = 1.25
-	for _, app := range AppOrder {
-		for i, p := range protos {
-			label := ""
-			if i == 0 {
-				label = app
+// figTime is the renderer of a normalized-execution-time figure: the
+// plotted protocols on one preset machine, as numbers plus bars (the
+// paper presents these as bar charts; the '|' tick marks the
+// sequentially consistent baseline).
+func figTime(preset, title string, plotted ...string) func(*View, block) string {
+	return func(v *View, _ block) string {
+		var b strings.Builder
+		fmt.Fprintf(&b, "%s\n(execution time normalized to sequential consistency = 1.00)\n", title)
+		const scaleMax = 1.25
+		for _, app := range AppOrder {
+			for i, p := range plotted {
+				label := ""
+				if i == 0 {
+					label = app
+				}
+				t := v.Normalized(preset, app, p)
+				fmt.Fprintf(&b, "  %-12s %-8s %6.3f  %s\n", label, p, t, bar(t, scaleMax, 40))
 			}
-			t := v.Normalized(cfgName, app, p)
-			fmt.Fprintf(&b, "  %-12s %-8s %6.3f  %s\n", label, p, t, bar(t, scaleMax, 40))
 		}
+		return b.String()
 	}
-	return b.String()
 }
 
-// figOverhead renders an overhead-breakdown figure for a protocol set.
-func figOverhead(v *View, cfgName, title string, protos []string) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "%s\n(aggregate cycles as %% of the sequentially consistent total)\n", title)
-	fmt.Fprintf(&b, "  %-12s %-8s %8s %8s %8s %8s %8s\n",
-		"Application", "Protocol", "CPU", "Read", "Write", "Sync", "Total")
-	for _, app := range AppOrder {
-		for _, p := range protos {
-			cpu, rd, wr, sy, _ := v.OverheadShares(cfgName, app, p)
-			fmt.Fprintf(&b, "  %-12s %-8s %7.1f%% %7.1f%% %7.1f%% %7.1f%% %7.1f%%\n",
-				app, p, 100*cpu, 100*rd, 100*wr, 100*sy, 100*(cpu+rd+wr+sy))
+// figOverhead is the renderer of an overhead-breakdown figure.
+func figOverhead(preset, title string, plotted ...string) func(*View, block) string {
+	return func(v *View, _ block) string {
+		var b strings.Builder
+		fmt.Fprintf(&b, "%s\n(aggregate cycles as %% of the sequentially consistent total)\n", title)
+		fmt.Fprintf(&b, "  %-12s %-8s %8s %8s %8s %8s %8s\n",
+			"Application", "Protocol", "CPU", "Read", "Write", "Sync", "Total")
+		for _, app := range AppOrder {
+			for _, p := range plotted {
+				cpu, rd, wr, sy, _ := v.OverheadShares(preset, app, p)
+				fmt.Fprintf(&b, "  %-12s %-8s %7.1f%% %7.1f%% %7.1f%% %7.1f%% %7.1f%%\n",
+					app, p, 100*cpu, 100*rd, 100*wr, 100*sy, 100*(cpu+rd+wr+sy))
+			}
 		}
+		return b.String()
 	}
-	return b.String()
-}
-
-// fig4 renders Figure 4: lazy vs. eager release consistency on the
-// default machine.
-func fig4(v *View) string {
-	return figTime(v, "default",
-		"Figure 4: normalized execution time, lazy vs. eager release consistency",
-		[]string{"erc", "lrc"})
-}
-
-// fig5 renders Figure 5: the overhead breakdown for lazy, eager, and SC.
-func fig5(v *View) string {
-	return figOverhead(v, "default",
-		"Figure 5: overhead analysis for lazy-release, eager-release, and sequential consistency",
-		[]string{"lrc", "erc", "sc"})
-}
-
-// fig6 renders Figure 6: the basic lazy protocol vs. its lazier variant.
-func fig6(v *View) string {
-	return figTime(v, "default",
-		"Figure 6: normalized execution time, lazy vs. lazy-extended consistency",
-		[]string{"lrc", "lrc-ext"})
-}
-
-// fig7 renders Figure 7: the overhead breakdown for the two lazy
-// variants against SC.
-func fig7(v *View) string {
-	return figOverhead(v, "default",
-		"Figure 7: overhead analysis for lazy, lazy-extended, and sequential consistency",
-		[]string{"lrc", "lrc-ext", "sc"})
-}
-
-// fig8 renders Figure 8: performance trends on the future machine
-// (40-cycle memory startup, 4 bytes/cycle bandwidth, 256-byte lines).
-func fig8(v *View) string {
-	return figTime(v, "future",
-		"Figure 8: performance trends for lazy, lazier, and eager release consistency (future machine)",
-		[]string{"erc", "lrc", "lrc-ext"})
-}
-
-// fig9 renders Figure 9: the future machine's overhead breakdown for the
-// paper's four protocols.
-func fig9(v *View) string {
-	return figOverhead(v, "future",
-		"Figure 9: performance trends, overhead analysis (future machine)",
-		[]string{"lrc", "lrc-ext", "erc", "sc"})
 }
 
 // tardisTable renders the timestamp-coherence comparison (extension
-// beyond the paper): every requested protocol on the default machine,
+// beyond the paper): every protocol of its block on the default machine,
 // with normalized time, miss rate, and total interconnect traffic. The
 // traffic columns are the point — the timestamp protocols replace
 // invalidation and write-notice fan-out with leases that expire locally,
 // so their message counts isolate what coherence enforcement itself
 // costs on the wire.
-func tardisTable(v *View, protos []string) string {
-	if len(protos) == 0 {
-		protos = targetProtos["tardis"].protos
-	}
+func tardisTable(v *View, t block) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "Timestamp coherence: invalidation vs. lease protocols (default machine)\n")
 	fmt.Fprintf(&b, "  %-12s %-8s %10s %9s %12s %14s\n",
 		"Application", "Protocol", "Normalized", "MissRate", "Messages", "Bytes")
 	for _, app := range AppOrder {
-		for i, p := range protos {
+		for i, p := range t.protos {
 			label := ""
 			if i == 0 {
 				label = app

@@ -89,7 +89,7 @@ func (e *Evaluator) Report() Report {
 		m := e.runs[k]
 		res := m.res
 		rr := ReportRun{
-			Config:     m.config,
+			Config:     m.variant,
 			App:        res.App,
 			Protocol:   res.Proto,
 			ExecCycles: res.ExecCycles,
@@ -139,6 +139,8 @@ func (r Report) Err() error {
 // SC-normalisation arithmetic is written. Not safe for concurrent use:
 // lookups on behalf of a renderer remember the cells they missed.
 type View struct {
+	scale   string // the report's evaluation point, for study headings
+	procs   int
 	runs    map[string]*ReportRun
 	missing []string // cell keys asked for and absent, for Render to name
 }
@@ -146,7 +148,7 @@ type View struct {
 // View indexes the report's runs. The view reads the report's own run
 // slice, so it must not outlive a mutation of it.
 func (r Report) View() *View {
-	v := &View{runs: make(map[string]*ReportRun, len(r.Runs))}
+	v := &View{scale: r.Scale, procs: r.Procs, runs: make(map[string]*ReportRun, len(r.Runs))}
 	for i := range r.Runs {
 		run := &r.Runs[i]
 		v.runs[cellKey(run.Config, run.App, run.Protocol)] = run

@@ -5,6 +5,7 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
+	"slices"
 	"sort"
 
 	"lazyrc/internal/apps"
@@ -13,16 +14,17 @@ import (
 
 // Spec is a serializable description of one evaluation sweep — the unit a
 // client submits to the lrcsimd experiment service. It names what to run
-// (matrix targets and applications) and the machine envelope (scale,
-// processor count, seed); Expand turns it into cells and an evaluator by
-// the same TargetCellsFor/Evaluator path paperbench uses, so a submitted
+// (targets and applications) and the machine envelope (scale, processor
+// count, seed); Expand turns it into cells and an evaluator by
+// the same TargetCells/Evaluator path paperbench uses, so a submitted
 // sweep and a local paperbench invocation of the same shape produce the
 // same job fingerprints and therefore share the result store.
 type Spec struct {
-	// Targets are matrix-backed paperbench targets (table2..fig9, or
-	// "all"). Empty means "all".
+	// Targets are the paperbench targets a report carries (Targets), or
+	// "all" for the paper's matrix (MatrixTargets); the studies are named
+	// explicitly. Empty means "all".
 	Targets []string `json:"targets,omitempty"`
-	// Apps restricts the matrix to these applications. Empty means the
+	// Apps restricts every target to these applications. Empty means the
 	// paper's full application set.
 	Apps []string `json:"apps,omitempty"`
 	// Scale is the input scale name (tiny, small, medium, paper). Empty
@@ -35,11 +37,12 @@ type Spec struct {
 }
 
 // Normalize validates the spec and returns its canonical form: defaults
-// filled in, targets and apps sorted and deduplicated, "all" collapsed.
-// Two specs that expand to the same evaluation normalize identically, so
-// Normalize().ID() is a stable sweep identity. The machine envelope is
-// validated here too, so a spec no cell of which could be constructed
-// is refused at submission instead of running as a sweep of failures.
+// filled in, targets and apps sorted and deduplicated, "all" absorbing
+// the matrix targets it covers. Two specs that expand to the same
+// evaluation normalize identically, so Normalize().ID() is a stable
+// sweep identity. The machine envelope is validated here too, so a spec
+// no cell of which could be constructed is refused at submission instead
+// of running as a sweep of failures.
 func (s Spec) Normalize() (Spec, error) {
 	n := Spec{Scale: s.Scale, Procs: s.Procs, Seed: s.Seed}
 	if n.Scale == "" {
@@ -56,24 +59,21 @@ func (s Spec) Normalize() (Spec, error) {
 		return Spec{}, err
 	}
 
-	known := map[string]bool{"all": true}
-	for _, t := range MatrixTargets {
-		known[t] = true
-	}
-	all := len(s.Targets) == 0
-	for _, t := range s.Targets {
-		if !known[t] {
-			return Spec{}, fmt.Errorf("exp: unknown sweep target %q (want all or one of %v)", t, MatrixTargets)
-		}
-		if t == "all" {
-			all = true
-		}
-	}
+	all := len(s.Targets) == 0 || slices.Contains(s.Targets, "all")
 	if all {
 		n.Targets = []string{"all"}
-	} else {
-		n.Targets = dedupSorted(s.Targets)
 	}
+	for _, t := range s.Targets {
+		switch {
+		case t == "all" || all && slices.Contains(MatrixTargets, t):
+			// "all" stands for the matrix targets it covers
+		case !slices.Contains(Targets, t):
+			return Spec{}, fmt.Errorf("exp: unknown sweep target %q (want all or one of %v)", t, Targets)
+		default:
+			n.Targets = append(n.Targets, t)
+		}
+	}
+	n.Targets = dedupSorted(n.Targets)
 
 	knownApp := map[string]bool{}
 	for _, a := range apps.Names() {
@@ -119,7 +119,7 @@ func (s Spec) ID() string {
 }
 
 // Expand validates the spec and expands it, once: its canonical form,
-// the (config, app, protocol) cells it names in planning order, and the
+// the (variant, app, protocol) cells it names in planning order, and the
 // evaluator (no runner attached; set R and Ctx before use) that
 // materializes and runs them.
 func (s Spec) Expand() (Spec, *Evaluator, [][3]string, error) {
@@ -130,7 +130,7 @@ func (s Spec) Expand() (Spec, *Evaluator, [][3]string, error) {
 	scale, _ := apps.ParseScale(n.Scale) // Normalize parsed it
 	e := NewEvaluator(scale, n.Procs)
 	e.Seed = n.Seed
-	return n, e, TargetCellsFor(n.Targets, n.Apps), nil
+	return n, e, TargetCells(n.Targets, n.Apps), nil
 }
 
 // Jobs materializes the runner jobs of every cell, in cell order. The

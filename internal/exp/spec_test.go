@@ -25,6 +25,18 @@ func TestSpecNormalizeAndID(t *testing.T) {
 		t.Fatalf("zero spec normalized to %+v", n)
 	}
 
+	// "all" stays the paper's matrix — stored sweep IDs and the benchmark's
+	// 70-job expansion depend on it — and absorbs the matrix targets named
+	// beside it, but not a study.
+	jobs, err := (Spec{Targets: []string{"all"}, Scale: "tiny"}).Jobs()
+	if err != nil || len(jobs) != 70 {
+		t.Fatalf(`"all" expands to %d jobs (%v), want the matrix's 70`, len(jobs), err)
+	}
+	n, err = (Spec{Targets: []string{"sweep", "all", "fig4"}}).Normalize()
+	if err != nil || len(n.Targets) != 2 || n.Targets[0] != "all" || n.Targets[1] != "sweep" {
+		t.Fatalf(`{sweep, all, fig4} normalized to %v (%v), want [all sweep]`, n.Targets, err)
+	}
+
 	// Naming every application is canonically the same as naming none.
 	full := Spec{Apps: append([]string(nil), AppOrder...)}
 	if full.ID() != (Spec{}).ID() {
@@ -68,7 +80,7 @@ func TestSpecJobsMatchPaperbenchFingerprints(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cells := TargetCellsFor(n.Targets, n.Apps)
+	cells := TargetCells(n.Targets, n.Apps)
 	if len(jobs) != len(cells) || len(jobs) == 0 {
 		t.Fatalf("jobs = %d, cells = %d", len(jobs), len(cells))
 	}
@@ -81,8 +93,8 @@ func TestSpecJobsMatchPaperbenchFingerprints(t *testing.T) {
 }
 
 func TestTargetCellsForSubsetsApps(t *testing.T) {
-	all := TargetCellsFor([]string{"fig4"}, nil)
-	sub := TargetCellsFor([]string{"fig4"}, []string{"gauss"})
+	all := TargetCells([]string{"fig4"}, nil)
+	sub := TargetCells([]string{"fig4"}, []string{"gauss"})
 	if len(sub) >= len(all) || len(sub) == 0 {
 		t.Fatalf("subset sizes: sub=%d all=%d", len(sub), len(all))
 	}

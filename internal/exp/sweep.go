@@ -1,97 +1,65 @@
 package exp
 
 import (
-	"context"
 	"fmt"
 	"strings"
 
 	"lazyrc/internal/apps"
 	"lazyrc/internal/config"
-	"lazyrc/internal/runner"
 )
 
-// Sweep reproduces the §4.3 sensitivity experiments in which memory
+// sweeps reproduces the §4.3 sensitivity experiments in which memory
 // latency, bandwidth, and cache line size vary: for each point it reports
 // the lazy protocol's execution time relative to eager release
 // consistency. The paper's findings: higher latency and bandwidth shrink
 // (but do not close) the gap; longer lines widen it by inducing more
-// false sharing.
-type Sweep struct {
-	Name   string
-	Mut    func(*config.Config, int)
-	Points []int
-	Label  func(int) string
+// false sharing. The workloads are the three whose behaviour §4.3
+// discusses: one false-sharing-bound, one migratory, one with no false
+// sharing.
+var sweeps = []block{
+	{
+		title:  "memory startup latency",
+		points: intPoints("memsetup", "%d cycles", func(c *config.Config, v int) { paperCache(c); c.MemSetup = uint64(v) }, 10, 20, 40, 80),
+		apps:   sweepApps, protos: eagerLazy,
+	},
+	{
+		title:  "memory/network bandwidth",
+		points: intPoints("bw", "%d bytes/cycle", func(c *config.Config, v int) { paperCache(c); c.MemBW, c.NetBW, c.BusBW = v, v, v }, 1, 2, 4),
+		apps:   sweepApps, protos: eagerLazy,
+	},
+	{
+		title:  "cache line size",
+		points: intPoints("line", "%d bytes", func(c *config.Config, v int) { paperCache(c); c.LineSize = v }, 64, 128, 256),
+		apps:   sweepApps, protos: eagerLazy,
+	},
 }
 
-// Sweeps returns the three §4.3 parameter sweeps.
-func Sweeps() []Sweep {
-	return []Sweep{
-		{
-			Name:   "memory startup latency",
-			Mut:    func(c *config.Config, v int) { c.MemSetup = uint64(v) },
-			Points: []int{10, 20, 40, 80},
-			Label:  func(v int) string { return fmt.Sprintf("%d cycles", v) },
-		},
-		{
-			Name: "memory/network bandwidth",
-			Mut: func(c *config.Config, v int) {
-				c.MemBW, c.NetBW, c.BusBW = v, v, v
-			},
-			Points: []int{1, 2, 4},
-			Label:  func(v int) string { return fmt.Sprintf("%d bytes/cycle", v) },
-		},
-		{
-			Name:   "cache line size",
-			Mut:    func(c *config.Config, v int) { c.LineSize = v },
-			Points: []int{64, 128, 256},
-			Label:  func(v int) string { return fmt.Sprintf("%d bytes", v) },
-		},
-	}
-}
+var (
+	sweepApps = []string{"mp3d", "locusroute", "gauss"}
+	eagerLazy = []string{"erc", "lrc"}
+)
 
-// SweepApps are the workloads the sensitivity study runs (the three whose
-// behaviour §4.3 discusses: one false-sharing-bound, one migratory, one
-// with no false sharing).
-var SweepApps = []string{"mp3d", "locusroute", "gauss"}
+// paperCache pins the paper's full-size 128 KB cache: the sweeps
+// deliberately keep it at every input scale instead of the co-scaled
+// CellConfig one, because the EXPERIMENTS.md §4.3 verdicts were measured
+// that way.
+func paperCache(c *config.Config) { c.CacheSize = CacheForScale(apps.Paper) }
 
-// RunSweep renders one sweep: the lazy/eager execution-time ratio per
-// application per point. All (app × point × protocol) runs are submitted
-// to the runner as one batch, so they execute concurrently on its worker
-// pool — and any point shared with another figure or a previous process
-// (via the runner's store) is never simulated twice.
-func RunSweep(ctx context.Context, rn *runner.Runner, scale apps.Scale, procs int, sw Sweep) string {
-	// Plan the batch: two protocols per (app, point) cell, app-major, so
-	// cell (ai, pi) lands at results[(ai*len(Points)+pi)*2] (eager) and
-	// the slot after it (lazy).
-	//
-	// The sweeps deliberately keep the paper's full-size 128 KB cache at
-	// every input scale instead of the co-scaled CellConfig: the
-	// EXPERIMENTS.md §4.3 verdicts were measured that way.
-	var jobs []runner.Job
-	for _, appName := range SweepApps {
-		for _, v := range sw.Points {
-			cfg := config.Default(procs)
-			sw.Mut(&cfg, v)
-			jobs = append(jobs,
-				runner.Job{App: appName, Scale: scale, Proto: "erc", Cfg: cfg},
-				runner.Job{App: appName, Scale: scale, Proto: "lrc", Cfg: cfg})
-		}
-	}
-	results := rn.DoAll(ctx, jobs)
-
+// sweepTable renders one sweep: the lazy/eager execution-time ratio per
+// application per point.
+func sweepTable(v *View, sw block) string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "Sensitivity: %s (lazy execution time / eager execution time)\n", sw.Name)
+	fmt.Fprintf(&b, "Sensitivity: %s (lazy execution time / eager execution time)\n", sw.title)
 	fmt.Fprintf(&b, "  %-12s", "Application")
-	for _, v := range sw.Points {
-		fmt.Fprintf(&b, " %14s", sw.Label(v))
+	for _, p := range sw.points {
+		fmt.Fprintf(&b, " %14s", p.label)
 	}
 	fmt.Fprintln(&b)
-	for ai, appName := range SweepApps {
+	for _, appName := range sw.apps {
 		fmt.Fprintf(&b, "  %-12s", appName)
-		for pi := range sw.Points {
-			base := (ai*len(sw.Points) + pi) * 2
-			eager, lazy := results[base], results[base+1]
-			if eager.Failed() || lazy.Failed() || eager.ExecCycles == 0 {
+		for _, p := range sw.points {
+			eager, lazy := v.cell(p.variant, appName, "erc"), v.cell(p.variant, appName, "lrc")
+			if !eager.Verified || !lazy.Verified || eager.ExecCycles == 0 {
 				fmt.Fprintf(&b, " %14s", "failed")
 				continue
 			}

@@ -1,67 +1,141 @@
 package exp
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+	"strings"
 
-// targetProtos maps each matrix-backed paperbench target to the machine
-// configuration and protocol set its rendering reads. The normalized-time
-// figures divide by the SC run, so "sc" is part of their read set even
-// when it is not a plotted bar.
-var targetProtos = map[string]struct {
-	cfg    string
+	"lazyrc/internal/config"
+)
+
+// point is one machine a target evaluates: the variant that names it —
+// the first element of the cell key, resolved by CellConfig — the label
+// a study table prints for it, and how it derives from the default cell
+// (nil for the presets, which config.Preset resolves).
+type point struct {
+	variant string
+	label   string
+	derive  func(*config.Config)
+}
+
+// intPoints is the usual study axis: one integer knob swept over vals,
+// with variants named key=val.
+func intPoints(key, label string, set func(*config.Config, int), vals ...int) []point {
+	pts := make([]point, len(vals))
+	for i, v := range vals {
+		pts[i] = point{fmt.Sprintf("%s=%d", key, v), fmt.Sprintf(label, v), func(c *config.Config) { set(c, v) }}
+	}
+	return pts
+}
+
+// block is a cross product of cells, points × apps × protocols: the read
+// set of a matrix target, or one table of a study (which titles it).
+type block struct {
+	title  string
+	points []point
+	apps   []string // nil: every application evaluated
 	protos []string
-}{
-	"table2": {"default", []string{"erc"}},
-	"table3": {"default", []string{"erc", "lrc", "lrc-ext"}},
-	"fig4":   {"default", []string{"sc", "erc", "lrc"}},
-	"fig5":   {"default", []string{"sc", "erc", "lrc"}},
-	"fig6":   {"default", []string{"sc", "lrc", "lrc-ext"}},
-	"fig7":   {"default", []string{"sc", "lrc", "lrc-ext"}},
-	"fig8":   {"future", []string{"sc", "erc", "lrc", "lrc-ext"}},
-	"fig9":   {"future", []string{"sc", "erc", "lrc", "lrc-ext"}},
-	"tardis": {"default", []string{"sc", "erc", "lrc", "lrc-ext", "tardis", "tardis2"}},
 }
 
-// MatrixTargets lists the matrix-backed targets in planning and
-// rendering order — a stable order keeps the job submission sequence
-// (and therefore progress output under -j 1) deterministic.
-var MatrixTargets = []string{
-	"table2", "table3", "fig4", "fig5", "fig6", "fig7", "fig8", "fig9",
-	"tardis",
+// target is one paperbench target a report carries: the cells its
+// rendering reads, as blocks, and the renderer of one block over a report
+// view (a study prints one table per block). inAll marks the paper's
+// matrix, which is what a Spec's "all" (and its absence of targets)
+// means; the studies are named explicitly.
+type target struct {
+	name   string
+	inAll  bool
+	blocks []block
+	table  func(*View, block) string
 }
 
-// TargetCells expands the requested paperbench targets ("all" or any of
-// table2..fig9; non-matrix targets such as sweeps are ignored) into the
-// deduplicated list of (config, app, protocol) cells their rendering
-// consumes, in a deterministic order suitable for Evaluator.Prefetch.
-func TargetCells(targets []string) [][3]string {
-	return TargetCellsFor(targets, AppOrder)
+// targets is the target table, in planning and rendering order — a
+// stable order keeps the job submission sequence (and therefore progress
+// output under -j 1) deterministic. The normalized-time figures divide
+// by the SC run, so "sc" is part of their read set even when it is not a
+// plotted bar.
+var targets = []target{
+	{"table2", true, matrix("default", "erc"), table2},
+	{"table3", true, matrix("default", "erc", "lrc", "lrc-ext"), table3},
+	{"fig4", true, matrix("default", "sc", "erc", "lrc"), figTime("default",
+		"Figure 4: normalized execution time, lazy vs. eager release consistency", "erc", "lrc")},
+	{"fig5", true, matrix("default", "sc", "erc", "lrc"), figOverhead("default",
+		"Figure 5: overhead analysis for lazy-release, eager-release, and sequential consistency", "lrc", "erc", "sc")},
+	{"fig6", true, matrix("default", "sc", "lrc", "lrc-ext"), figTime("default",
+		"Figure 6: normalized execution time, lazy vs. lazy-extended consistency", "lrc", "lrc-ext")},
+	{"fig7", true, matrix("default", "sc", "lrc", "lrc-ext"), figOverhead("default",
+		"Figure 7: overhead analysis for lazy, lazy-extended, and sequential consistency", "lrc", "lrc-ext", "sc")},
+	{"fig8", true, matrix("future", "sc", "erc", "lrc", "lrc-ext"), figTime("future",
+		"Figure 8: performance trends for lazy, lazier, and eager release consistency (future machine)", "erc", "lrc", "lrc-ext")},
+	{"fig9", true, matrix("future", "sc", "erc", "lrc", "lrc-ext"), figOverhead("future",
+		"Figure 9: performance trends, overhead analysis (future machine)", "lrc", "lrc-ext", "erc", "sc")},
+	{"tardis", true, matrix("default", "sc", "erc", "lrc", "lrc-ext", "tardis", "tardis2"), tardisTable},
+	{"sweep", false, sweeps, sweepTable},
+	{"ablate", false, ablations, ablationTable},
+	{"dsm", false, dsmContrast, dsmTable},
+	{"scaling", false, scaling, scalingTable},
 }
 
-// TargetCellsFor is TargetCells restricted to a subset of applications —
-// the expansion used by submitted sweep specs, which may scope the matrix
-// to a few apps. An empty app list means the full AppOrder.
-func TargetCellsFor(targets, appNames []string) [][3]string {
-	if len(appNames) == 0 {
-		appNames = AppOrder
-	}
-	want := map[string]bool{}
+// matrix is the read set of a paper table or figure: every application
+// under the given protocols on one preset machine.
+func matrix(preset string, protos ...string) []block {
+	return []block{{points: []point{{variant: preset}}, protos: protos}}
+}
+
+// Targets lists every target a report carries, in rendering order;
+// MatrixTargets is its prefix that "all" expands to, the paper's matrix.
+var Targets, MatrixTargets []string
+
+// studyVariants resolves, for CellConfig, every variant the target table
+// declares a derivation for.
+var studyVariants = map[string]func(*config.Config){}
+
+func init() {
 	for _, t := range targets {
-		want[t] = true
+		Targets = append(Targets, t.name)
+		if t.inAll {
+			MatrixTargets = append(MatrixTargets, t.name)
+		}
+		for _, b := range t.blocks {
+			for _, p := range b.points {
+				if p.derive != nil {
+					studyVariants[p.variant] = p.derive
+				}
+			}
+		}
 	}
-	all := want["all"]
+}
+
+// TargetCells expands the requested targets ("all" or any of Targets;
+// other names are ignored) into the deduplicated list of (variant, app,
+// protocol) cells their rendering consumes, in a deterministic order
+// suitable for Evaluator.Prefetch. A non-empty appNames restricts the
+// expansion to those applications — submitted sweep specs may scope the
+// evaluation to a few (a study keeps those of its own it shares with the
+// subset).
+func TargetCells(names, appNames []string) [][3]string {
 	seen := map[[3]string]bool{}
 	var cells [][3]string
-	for _, t := range MatrixTargets {
-		if !all && !want[t] {
+	for _, t := range targets {
+		if !slices.Contains(names, t.name) && !(t.inAll && slices.Contains(names, "all")) {
 			continue
 		}
-		spec := targetProtos[t]
-		for _, app := range appNames {
-			for _, proto := range spec.protos {
-				cell := [3]string{spec.cfg, app, proto}
-				if !seen[cell] {
-					seen[cell] = true
-					cells = append(cells, cell)
+		for _, b := range t.blocks {
+			if b.apps == nil {
+				b.apps = AppOrder
+			}
+			for _, p := range b.points {
+				for _, app := range b.apps {
+					if len(appNames) > 0 && !slices.Contains(appNames, app) {
+						continue
+					}
+					for _, proto := range b.protos {
+						cell := [3]string{p.variant, app, proto}
+						if !seen[cell] {
+							seen[cell] = true
+							cells = append(cells, cell)
+						}
+					}
 				}
 			}
 		}
@@ -69,40 +143,29 @@ func TargetCellsFor(targets, appNames []string) [][3]string {
 	return cells
 }
 
-// Render renders one matrix target as text from a report view — the same
-// bytes whether the report was just evaluated, fetched from a daemon or
-// loaded from a file. protos narrows the tardis table (nil means its
-// full protocol set); the paper's own tables ignore it. A report that
-// lacks a cell the target reads is an error naming the cell, never a
-// table of zeros.
-func Render(target string, v *View, protos []string) (string, error) {
-	v.missing = v.missing[:0]
-	var out string
-	switch target {
-	case "table2":
-		out = table2(v)
-	case "table3":
-		out = table3(v)
-	case "fig4":
-		out = fig4(v)
-	case "fig5":
-		out = fig5(v)
-	case "fig6":
-		out = fig6(v)
-	case "fig7":
-		out = fig7(v)
-	case "fig8":
-		out = fig8(v)
-	case "fig9":
-		out = fig9(v)
-	case "tardis":
-		out = tardisTable(v, protos)
-	default:
-		return "", fmt.Errorf("exp: %q is not a matrix target (want one of %v)", target, MatrixTargets)
+// Render renders one target as text from a report view — the same bytes
+// whether the report was just evaluated, fetched from a daemon or loaded
+// from a file. A non-empty protos replaces the protocol set of the tardis
+// table; every other target ignores it. A report that lacks a cell the
+// target reads is an error naming the cell, never a table of zeros.
+func Render(name string, v *View, protos []string) (string, error) {
+	for _, t := range targets {
+		if t.name != name {
+			continue
+		}
+		v.missing = v.missing[:0]
+		tables := make([]string, len(t.blocks))
+		for i, b := range t.blocks {
+			if name == "tardis" && len(protos) > 0 {
+				b.protos = protos
+			}
+			tables[i] = t.table(v, b)
+		}
+		if len(v.missing) > 0 {
+			return "", fmt.Errorf("exp: %s reads cell %s, which the report lacks (%d missing lookups in all)",
+				name, v.missing[0], len(v.missing))
+		}
+		return strings.Join(tables, "\n"), nil // a blank line between a study's tables
 	}
-	if len(v.missing) > 0 {
-		return "", fmt.Errorf("exp: %s reads cell %s, which the report lacks (%d missing lookups in all)",
-			target, v.missing[0], len(v.missing))
-	}
-	return out, nil
+	return "", fmt.Errorf("exp: no report carries target %q (want one of %v)", name, Targets)
 }

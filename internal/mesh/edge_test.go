@@ -65,10 +65,8 @@ func TestTransferCyclesEdgeCases(t *testing.T) {
 	}
 }
 
-// TestSelfSendLoopback pins both self-send modes: without LocalLoopback a
-// node-local message is delivered instantly and pays no port occupancy;
-// with it, the message pays NIC serialization like remote traffic (zero
-// hops, so only streaming time).
+// TestSelfSendLoopback pins self-sends: a node-local message stays off
+// the network — it is delivered instantly and pays no port occupancy.
 func TestSelfSendLoopback(t *testing.T) {
 	t.Run("off", func(t *testing.T) {
 		eng := sim.NewEngine()
@@ -82,21 +80,6 @@ func TestSelfSendLoopback(t *testing.T) {
 		}
 		if n.PortBusy(3) != 0 {
 			t.Fatalf("local delivery occupied NIC ports for %d cycles, want 0", n.PortBusy(3))
-		}
-	})
-	t.Run("on", func(t *testing.T) {
-		eng := sim.NewEngine()
-		n := New(eng, config.Default(8))
-		n.LocalLoopback = true
-		var at sim.Time
-		n.Handle(3, func(Msg) { at = eng.Now() })
-		eng.At(50, func() { n.Send(Msg{Src: 3, Dst: 3, Size: 128}) })
-		eng.Run()
-		if at != 50+64 { // 0 hops, 128 bytes at 2 B/cycle
-			t.Fatalf("loopback delivery at %d, want %d", at, 50+64)
-		}
-		if n.PortBusy(3) == 0 {
-			t.Fatal("loopback delivery did not occupy NIC ports")
 		}
 	})
 }

@@ -66,11 +66,6 @@ type Network struct {
 	// folded into machine state hashes for visited-state dedup.
 	flightSum, flightXor, flightN uint64
 
-	// LocalLoopback controls whether a node sending to itself still
-	// pays NIC and hop costs. Hardware handles node-local protocol
-	// operations without touching the network; keep false.
-	LocalLoopback bool
-
 	// Trace, when non-nil, observes every message at send time —
 	// debugging and the protocolwalk example.
 	Trace func(Msg)
@@ -272,8 +267,7 @@ func (n *Network) TransferCycles(size int) uint64 {
 // port, applies hop latency and payload streaming time, acquires the
 // receiver's input port, and schedules the destination's handler at the
 // delivery time. Node-local messages invoke the handler immediately
-// (hardware keeps local protocol transitions off the network) unless
-// LocalLoopback is set.
+// (hardware keeps local protocol transitions off the network).
 func (n *Network) Send(m Msg) {
 	if n.handlers[m.Dst] == nil {
 		panic(fmt.Sprintf("mesh: no handler on node %d (Network.Finalize not called or node never registered)", m.Dst))
@@ -283,7 +277,7 @@ func (n *Network) Send(m Msg) {
 	if n.causal != nil {
 		m.CT = n.causal.Current()
 	}
-	if m.Src == m.Dst && !n.LocalLoopback {
+	if m.Src == m.Dst {
 		// Node-local protocol transitions never touch the network and are
 		// subject to neither injection nor exploration.
 		n.transmit(m, 0)
@@ -407,7 +401,7 @@ func (n *Network) transmit(m Msg, extra uint64) {
 	if n.Trace != nil {
 		n.Trace(m)
 	}
-	if m.Src == m.Dst && !n.LocalLoopback {
+	if m.Src == m.Dst {
 		n.flightAdd(m)
 		n.eng.At(n.eng.Now(), func() {
 			p := n.prof.Enter(perf.PhaseMesh)

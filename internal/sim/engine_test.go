@@ -209,40 +209,6 @@ func TestGateDoubleOpenPanics(t *testing.T) {
 	g.Open()
 }
 
-func TestCounter(t *testing.T) {
-	var c Counter
-	c.Add(3)
-	opened := false
-	c.Gate().Subscribe(func() { opened = true })
-	c.Done()
-	c.Done()
-	if opened {
-		t.Fatal("gate opened early")
-	}
-	c.Done()
-	if !opened {
-		t.Fatal("gate not opened at zero")
-	}
-}
-
-func TestCounterSettleWithNoWork(t *testing.T) {
-	var c Counter
-	c.Settle()
-	if !c.Gate().IsOpen() {
-		t.Fatal("settle with no work should open gate")
-	}
-}
-
-func TestCounterDoneBelowZeroPanics(t *testing.T) {
-	var c Counter
-	defer func() {
-		if recover() == nil {
-			t.Fatal("Done below zero did not panic")
-		}
-	}()
-	c.Done()
-}
-
 func TestResourceFIFO(t *testing.T) {
 	r := NewResource("mem")
 	s, e := r.Acquire(100, 10)
@@ -366,14 +332,6 @@ func TestResourceAccessors(t *testing.T) {
 	r.Acquire(5, 10)
 	if r.FreeAt() != 15 {
 		t.Fatalf("FreeAt = %d", r.FreeAt())
-	}
-}
-
-func TestCounterPending(t *testing.T) {
-	var c Counter
-	c.Add(2)
-	if c.Pending() != 2 {
-		t.Fatalf("pending = %d", c.Pending())
 	}
 }
 

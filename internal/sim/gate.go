@@ -59,51 +59,3 @@ func (g *Gate) Subscribe(fn func()) {
 	}
 	g.actions = append(g.actions, fn)
 }
-
-// Counter is a countdown latch: it opens an underlying gate when Add'ed
-// work reaches zero. Used for ack collection (invalidations, write
-// notices, write-through drains).
-type Counter struct {
-	n    int
-	gate Gate
-}
-
-// Add increases outstanding work by d (d may be negative via Done only).
-func (c *Counter) Add(d int) {
-	if d < 0 {
-		panic("sim: Counter.Add with negative delta; use Done")
-	}
-	if c.gate.open {
-		panic("sim: Counter.Add after completion")
-	}
-	c.n += d
-}
-
-// Done retires one unit of work, opening the gate when none remain.
-// Calling Done more times than Add panics.
-func (c *Counter) Done() {
-	c.n--
-	if c.n < 0 {
-		panic("sim: Counter.Done below zero")
-	}
-	if c.n == 0 {
-		c.gate.Open()
-	}
-}
-
-// Pending returns the outstanding count.
-func (c *Counter) Pending() int { return c.n }
-
-// Gate returns the underlying completion gate. Note that a Counter whose
-// count never rose above zero has not opened its gate; call Settle to
-// open it if nothing is outstanding.
-func (c *Counter) Gate() *Gate { return &c.gate }
-
-// Settle opens the gate immediately if no work is outstanding and the
-// gate has not already fired. It is a convenience for "wait for all acks,
-// of which there may be none".
-func (c *Counter) Settle() {
-	if c.n == 0 && !c.gate.open {
-		c.gate.Open()
-	}
-}
