@@ -7,9 +7,10 @@
 //
 //	lrcsim -app mp3d -proto lrc -procs 64 -scale small
 //
-// With -protocols it runs the same application once per protocol in the
-// list ("all" expands to every registered protocol) and prints a
-// side-by-side comparison table instead of the single-run report:
+// With -protocols it evaluates the same application once per protocol in
+// the list ("all" expands to every registered protocol) — the cells
+// preset/app/protocol paperbench and lrcsimd name — and prints them as
+// the generic cell table instead of the single-run report:
 //
 //	lrcsim -app gauss -protocols lrc,tardis,tardis2
 //
@@ -39,7 +40,6 @@ import (
 	"lazyrc/internal/machine"
 	"lazyrc/internal/mc"
 	"lazyrc/internal/perf"
-	"lazyrc/internal/runner"
 	"lazyrc/internal/sim"
 	"lazyrc/internal/telemetry"
 )
@@ -159,15 +159,25 @@ func main() {
 	}
 	defer stopProfiles()
 
-	job, err := cellJob(*appName, *proto, *scale, *procs, *future, *seed)
+	// The run-selection flags name an evaluation cell, preset/app/proto at
+	// (scale, procs, seed), resolved by the evaluator paperbench and
+	// lrcsimd use — so the three tools report the same cell identically.
+	sc, err := lazyrc.ParseScale(*scale)
 	if err != nil {
 		log.Fatal(err)
 	}
+	preset := "default"
+	if *future {
+		preset = "future"
+	}
+	e := exp.NewEvaluator(sc, *procs)
+	e.Seed = *seed
 
 	if *protosFlag != "" {
-		compareProtocols(*protosFlag, job, *verify)
+		protocolTable(e, preset, *appName, *protosFlag)
 		return
 	}
+	job := e.Job(preset, *appName, *proto)
 
 	switch {
 	case *doCheck && *checkEvery == 0:
@@ -232,7 +242,7 @@ func main() {
 		fmt.Fprintln(os.Stderr, s)
 	}
 	if *oracle {
-		runOracle(job, m)
+		runOracle(e, preset, job.App, job.Proto, m)
 	}
 	if *metrics {
 		if err := perf.WriteFile(*metricsOut, m.Tel.Export); err != nil {
@@ -282,105 +292,70 @@ func main() {
 	}
 }
 
-// cellJob maps the run-selection flags onto the evaluation cell they
-// name, through the same exp.CellConfig derivation paperbench and
-// lrcsimd use — so the three tools report the same cell identically.
-func cellJob(app, proto, scale string, procs int, future bool, seed uint64) (runner.Job, error) {
-	sc, err := lazyrc.ParseScale(scale)
-	if err != nil {
-		return runner.Job{}, err
-	}
-	preset := "default"
-	if future {
-		preset = "future"
-	}
-	cfg, err := exp.CellConfig(preset, procs, sc, seed)
-	return runner.Job{App: app, Scale: sc, Proto: proto, Cfg: cfg}, err
-}
-
-// enableProgress schedules a self-rescheduling background engine event
-// that prints a one-line heartbeat to stderr whenever at least every
-// wall-clock seconds have passed since the last line: current simulated
-// cycle, mean simulation speed so far, and — when the caller supplied an
-// expected total via -progress-total — a naive ETA. Background events
-// never keep the simulation alive or perturb regular-event timing, so
-// the heartbeat is passive: results are bit-identical with and without
-// it.
+// enableProgress prints a one-line heartbeat to stderr whenever at least
+// every wall-clock seconds have passed since the last line: current
+// simulated cycle, mean simulation speed so far, and — when the caller
+// supplied an expected total via -progress-total — a naive ETA. The wall
+// clock is polled from a background engine event, so the heartbeat is
+// passive: results are bit-identical with and without it.
 func enableProgress(m *lazyrc.Machine, every int, total uint64) {
 	const pollCycles = 1 << 16 // wall-clock check cadence in simulated cycles
 	interval := time.Duration(every) * time.Second
 	start := time.Now()
 	last := start
-	var tick func()
-	tick = func() {
-		if now := time.Now(); now.Sub(last) >= interval {
-			last = now
-			cyc := m.Eng.Now()
-			elapsed := now.Sub(start).Seconds()
-			rate := float64(cyc) / elapsed
-			line := fmt.Sprintf("progress: cycle %d, %.2f Mcycles/s", cyc, rate/1e6)
-			if total > cyc && rate > 0 {
-				eta := time.Duration(float64(total-cyc) / rate * float64(time.Second))
-				line += fmt.Sprintf(", ETA %s", eta.Round(time.Second))
-			}
-			fmt.Fprintln(os.Stderr, line)
+	m.Eng.Every(pollCycles, func() {
+		now := time.Now()
+		if now.Sub(last) < interval {
+			return
 		}
-		m.Eng.Background(m.Eng.Now()+pollCycles, tick)
-	}
-	m.Eng.Background(pollCycles, tick)
+		last = now
+		cyc := m.Eng.Now()
+		elapsed := now.Sub(start).Seconds()
+		rate := float64(cyc) / elapsed
+		line := fmt.Sprintf("progress: cycle %d, %.2f Mcycles/s", cyc, rate/1e6)
+		if total > cyc && rate > 0 {
+			eta := time.Duration(float64(total-cyc) / rate * float64(time.Second))
+			line += fmt.Sprintf(", ETA %s", eta.Round(time.Second))
+		}
+		fmt.Fprintln(os.Stderr, line)
+	})
 }
 
-// compareProtocols runs the job's cell once per requested protocol
-// through runner.Exec and prints the results side by side. Execution
-// time is also shown normalized to the "sc" run when sequential
-// consistency is in the list (otherwise to the first protocol),
-// matching the paper's presentation.
-func compareProtocols(spec string, job runner.Job, verify bool) {
+// protocolTable evaluates the cells preset/app/p, one per requested
+// protocol, and prints them as exp's generic cell table (normalized to
+// the "sc" run when sequential consistency is in the list).
+func protocolTable(e *exp.Evaluator, preset, app, spec string) {
 	protos, err := config.ParseProtocols(spec)
 	if err != nil {
 		log.Fatal(err)
 	}
-	results := make([]*runner.Result, len(protos))
+	cells := make([][3]string, len(protos))
 	for i, p := range protos {
-		job.Proto = p
-		res := runner.Exec(job)
-		if res.Failed() {
-			log.Fatalf("%s: %s", p, res.Failure)
-		}
-		if verify && res.VerifyErr != "" {
-			log.Fatalf("%s: verification failed: %s", p, res.VerifyErr)
-		}
-		results[i] = res
+		cells[i] = [3]string{preset, app, p}
 	}
-	base := results[0].ExecCycles
-	for _, r := range results {
-		if r.Proto == "sc" {
-			base = r.ExecCycles
-			break
-		}
+	e.Prefetch(cells)
+	rep := e.Report()
+	out, _ := exp.CellTable(rep.View(), cells) // no cell can be missing: all were just evaluated
+	fmt.Print(out)
+	if err := rep.Err(); err != nil {
+		log.Fatal(err)
 	}
-	fmt.Printf("application %s (%s), %d processors, %d KB caches\n", job.App, job.Scale, job.Cfg.Procs, job.Cfg.CacheSize>>10)
-	w := tabwriter.NewWriter(os.Stdout, 0, 8, 2, ' ', tabwriter.AlignRight)
-	fmt.Fprintln(w, "protocol\tcycles\tnorm\tcpu\tread\twrite\tsync\tmiss\tmsgs\tbytes\t")
-	for _, r := range results {
-		fmt.Fprintf(w, "%s\t%d\t%.3f\t%d\t%d\t%d\t%d\t%.2f%%\t%d\t%d\t\n",
-			r.Proto, r.ExecCycles, float64(r.ExecCycles)/float64(base),
-			r.CPUCycles, r.ReadCycles, r.WriteCycles, r.SyncCycles, 100*r.MissRate, r.Msgs, r.Bytes)
-	}
-	w.Flush()
 }
 
-// runOracle re-runs the job with fault injection off and applies the
-// chaos soak's end-state verdict (exp.ChaosVerdict) to the faulted
+// runOracle evaluates the cell fault-free at the same seed and applies
+// the chaos soak's end-state verdict (exp.ChaosVerdict) to the faulted
 // machine: it must have completed like the reference, and — for
 // workloads whose result is independent of processor interleaving —
 // produced a bit-identical final memory image. A divergence means a
 // fault leaked through the reliable transport into application state.
-func runOracle(job runner.Job, faulted *machine.Machine) {
-	job.Cfg.FaultPlan = ""
-	ref := runner.Exec(job)
-	got := &runner.Result{Completed: faulted.Completed(), MemDigest: faulted.MemDigest()}
-	exact := !apps.TimingDependent(job.App)
+func runOracle(e *exp.Evaluator, preset, app, proto string, faulted *machine.Machine) {
+	e.Get(preset, app, proto)
+	ref, _ := e.Report().View().Run(preset, app, proto)
+	got := exp.ReportRun{MemDigest: faulted.MemDigest(), Verified: faulted.Completed()}
+	if !got.Verified {
+		got.Error = "incomplete"
+	}
+	exact := !apps.TimingDependent(app)
 	if verdict, ok := exp.ChaosVerdict(ref, got, exact); !ok {
 		log.Fatalf("oracle: %s", verdict)
 	}
@@ -388,7 +363,7 @@ func runOracle(job runner.Job, faulted *machine.Machine) {
 		fmt.Fprintln(os.Stderr, "oracle: end state matches the fault-free run (completion + bit-identical memory)")
 		return
 	}
-	fmt.Fprintf(os.Stderr, "oracle: end state matches the fault-free run (completion; %s folds timing into its result, memory not compared)\n", job.App)
+	fmt.Fprintf(os.Stderr, "oracle: end state matches the fault-free run (completion; %s folds timing into its result, memory not compared)\n", app)
 }
 
 // replay re-executes a recorded counterexample schedule and reports

@@ -49,6 +49,12 @@ func TestCellMatchesBaseline(t *testing.T) {
 	for _, r := range base.Runs {
 		want[r.Config+"/"+r.App+"/"+r.Protocol] = r.ExecCycles
 	}
+	scale, err := lazyrc.ParseScale(base.Scale)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e := exp.NewEvaluator(scale, base.Procs) // as main builds it from -scale, -procs and -seed
+	e.Seed = 1
 	cells := [][2]string{{"future", "lrc"}}
 	for _, p := range config.ProtocolNames() {
 		cells = append(cells, [2]string{"default", p})
@@ -58,10 +64,7 @@ func TestCellMatchesBaseline(t *testing.T) {
 		if want[key] == 0 {
 			t.Fatalf("baseline has no %s run", key)
 		}
-		job, err := cellJob("gauss", c[1], base.Scale, base.Procs, c[0] == "future", 1)
-		if err != nil {
-			t.Fatal(err)
-		}
+		job := e.Job(c[0], "gauss", c[1])
 		app, err := apps.New(job.App, job.Scale)
 		if err != nil {
 			t.Fatal(err)

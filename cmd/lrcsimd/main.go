@@ -1,11 +1,11 @@
 // Command lrcsimd is the simulator as a service: a long-running daemon
-// that accepts simulation jobs and paper-evaluation sweeps over
-// HTTP/JSON, executes them on a shared worker pool, deduplicates
-// identical submissions by content fingerprint, persists every result in
-// an indexed segment store (so a re-submitted experiment — even across
-// daemon restarts — is served without re-simulation), streams job
-// lifecycle events to any number of clients over SSE, and serves
-// rendered HTML reports and Perfetto traces live.
+// that accepts evaluation sweeps — the paper's matrix down to a single
+// cell — over HTTP/JSON, executes them on a shared worker pool,
+// deduplicates identical submissions by content fingerprint, persists
+// every result in an indexed segment store (so a re-submitted experiment
+// — even across daemon restarts — is served without re-simulation),
+// streams job lifecycle events to any number of clients over SSE, and
+// serves rendered HTML reports and Perfetto traces live.
 //
 // Usage:
 //

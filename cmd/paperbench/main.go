@@ -15,12 +15,14 @@
 // committed reference. The rendered output is bit-identical for any -j.
 //
 // Every number printed is rendered from one exp.Report — the paper's
-// matrix and the studies (sweep, ablate, dsm, scaling) alike — and it
-// does not matter where the report came from: evaluated here, or — with
-// -remote — by a running lrcsimd daemon. From the report on, the two
-// modes share one tail (print, -json, -report, -write-baseline,
-// -baseline). Only table1 (constants), mp3dquality (a mutated app
-// instance) and chaos (an oracle over faulted runs) need this process.
+// matrix, the studies (sweep, ablate, dsm, scaling) and the chaos soak
+// alike — and it does not matter where the report came from: evaluated
+// here, or — with -remote — by a running lrcsimd daemon, from the same
+// exp.Spec. From the report on, the two modes share one tail (print,
+// -json, -report, -write-baseline, -baseline). Only table1 (constants of
+// the flags' machine), mp3dquality (a mutated app instance, which no job
+// can spell) and -critical-path (the retained span store, up to 8 Mi
+// spans a cell) need this process and stay outside the report.
 //
 // Usage:
 //
@@ -31,10 +33,11 @@
 // sweep mp3dquality all (default: all); extensions: ablate, dsm,
 // scaling, chaos (the lossy-interconnect soak: every app × protocol
 // under message loss and link outages, gated on the end-state
-// equivalence oracle). An unknown target is refused. The tardis target
-// compares the timestamp-coherence protocols against the invalidation
-// protocols; -protocols narrows the protocol set it and the chaos soak
-// cover.
+// equivalence oracle); and any cell by its key variant/app/protocol
+// (default/gauss/lrc, line=256/mp3d/erc), printed as one generic table.
+// An unknown target is refused. The tardis target compares the
+// timestamp-coherence protocols against the invalidation protocols;
+// -protocols narrows the protocol set it and the chaos soak cover.
 package main
 
 import (
@@ -46,6 +49,7 @@ import (
 	"os"
 	"runtime"
 	"slices"
+	"strings"
 	"time"
 
 	"lazyrc"
@@ -80,7 +84,7 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 		critPath   = fs.Bool("critical-path", false, "also print the per-app per-protocol critical-path stall attribution table (runs span-traced simulations outside the result cache)")
 		cpuprofile = fs.String("cpuprofile", "", "write a CPU profile to this file")
 		memprofile = fs.String("memprofile", "", "write a heap profile to this file at exit")
-		remote     = fs.String("remote", "", "have a running lrcsimd daemon at this base URL (e.g. http://127.0.0.1:7077) evaluate the report's cells instead of simulating locally; -j and -cache are the daemon's concern")
+		remote     = fs.String("remote", "", "have a running lrcsimd daemon at this base URL (e.g. http://127.0.0.1:7077) evaluate the targets instead of simulating locally (all but table1 and mp3dquality, which need this process); -j and -cache are the daemon's concern")
 		protoFlag  = fs.String("protocols", "all", "comma-separated protocol subset for the tardis target and the chaos soak (\"all\" = every registered protocol)")
 	)
 	if err := fs.Parse(args); err != nil {
@@ -112,29 +116,34 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 	if err != nil {
 		return fail(err)
 	}
-	// The targets, validated once: exp's target table plus the local ones
-	// no report carries, because they need this process — constants of the
-	// flags' machine, a mutated app instance, an oracle over faulted runs.
-	// "all" is the paper's evaluation (Table 1, the matrix, the §4.3 sweeps
-	// and the §4.2 quality check); the extensions are opt-in.
-	local := []string{"table1", "mp3dquality", "chaos"}
-	valid := slices.Concat([]string{"all"}, local, exp.Targets)
-	all := slices.Concat([]string{"table1", "mp3dquality", "sweep"}, exp.MatrixTargets)
-	named := fs.Args()
+	// The targets. "all" is the paper's evaluation — Table 1, the matrix,
+	// the §4.3 sweeps and the §4.2 quality check; the extensions and cells
+	// are opt-in. Those a report carries make up the spec, whose
+	// validation is theirs; the local ones need this process.
+	local := []string{"table1", "mp3dquality"}
+	named := slices.Clone(fs.Args()) // appended to, and filtered in place, below
 	if len(named) == 0 {
 		named = []string{"all"}
 	}
+	if slices.Contains(named, "all") {
+		named = append(named, "table1", "mp3dquality", "sweep")
+	}
 	want := map[string]bool{}
+	spec := exp.Spec{Scale: *scaleFlag, Procs: *procs, Seed: *seed}
 	for _, t := range named {
-		if !slices.Contains(valid, t) {
-			fmt.Fprintf(stderr, "paperbench: unknown target %q (want any of %v)\n", t, valid)
-			return 2
-		}
 		want[t] = true
-		if t == "all" {
-			for _, a := range all {
-				want[a] = true
-			}
+		if !slices.Contains(local, t) {
+			spec.Targets = append(spec.Targets, t)
+		}
+	}
+	// Asking for local targets alone evaluates nothing (an empty target
+	// list would be the spec's default, "all").
+	var e *exp.Evaluator // nil when nothing is evaluated here
+	var cells [][3]string
+	if len(spec.Targets) > 0 {
+		if spec, e, cells, err = spec.Expand(); err != nil {
+			fmt.Fprintf(stderr, "paperbench: %v\n", err)
+			return 2
 		}
 	}
 	stopProfiles, err := perf.StartProfiles(*cpuprofile, *memprofile)
@@ -148,15 +157,13 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 	// Obtain the report. Remotely the daemon owns execution: the sweep's
 	// cells carry the fingerprints a local run would, so a store warmed
 	// locally serves the remote submission and vice versa.
-	var rep exp.Report
-	var e *exp.Evaluator // nil under -remote
-	// targets are the requested ones a report carries, in rendering order.
-	targets := slices.DeleteFunc(slices.Clone(exp.Targets), func(t string) bool { return !want[t] })
+	rep := exp.Report{Scale: scale.String(), Procs: *procs}
+	var rn *runner.Runner // nil under -remote
 	if *remote != "" {
 		// A local target is refused when asked for by name, and named as
 		// skipped when it came with "all".
 		for _, t := range local {
-			if slices.Contains(named, t) {
+			if slices.Contains(fs.Args(), t) {
 				fmt.Fprintf(stderr, "paperbench: -remote cannot evaluate %s: it runs in this process, outside any report\n", t)
 				return 2
 			}
@@ -165,7 +172,6 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 				want[t] = false
 			}
 		}
-		spec := exp.Spec{Targets: targets, Scale: *scaleFlag, Procs: *procs, Seed: *seed}
 		if rep, err = fetchRemote(ctx, &api.Client{Base: *remote}, spec, progress, note); err != nil {
 			return fail(err)
 		}
@@ -190,62 +196,58 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 			}
 			rstore = cache
 		}
-		e = exp.NewEvaluatorWith(scale, *procs, runner.New(*workers, rstore))
-		e.R.Emit = progress
-		e.Seed = *seed
-
-		// Fan every requested cell out to the worker pool before any
-		// rendering: the report then lists memoized cells in key order, so
-		// the output is deterministic while the simulations were not. A
-		// narrowed -protocols drops only the timestamp-protocol cells — the
-		// invalidation-protocol cells are shared with the paper figures and
-		// would be simulated anyway.
-		protoSet := map[string]bool{}
-		for _, p := range protoList {
-			protoSet[p] = true
+		rn = runner.New(*workers, rstore)
+		rn.Emit = progress
+		if e != nil {
+			// Fan the spec's cells out to the worker pool before any
+			// rendering: the report lists them in key order, so the output
+			// is deterministic while the simulations were not. A narrowed
+			// -protocols drops what only the tables it narrows read: the
+			// timestamp protocols' cells and the faulted machines'.
+			soak := exp.TargetCells([]string{"chaos"}, nil)
+			cells = slices.DeleteFunc(cells, func(c [3]string) bool {
+				narrowed := c[2] == "tardis" || c[2] == "tardis2" || c[0] != "default" && slices.Contains(soak, c)
+				return narrowed && !slices.Contains(protoList, c[2])
+			})
+			e.R = rn
+			e.Prefetch(cells)
+			rep = e.Report()
 		}
-		var cells [][3]string
-		for _, c := range exp.TargetCells(targets, nil) {
-			if (c[2] == "tardis" || c[2] == "tardis2") && !protoSet[c[2]] {
-				continue
-			}
-			cells = append(cells, c)
-		}
-		e.Prefetch(cells)
-		rep = e.Report()
 	}
 
 	// Everything from the report is the same bytes whichever branch above
 	// produced it; the local targets print at their places in the paper's
-	// order (Table 1 first, §4.2 after §4.3's sweeps, the soak last).
+	// order (Table 1 first, §4.2 after §4.3's sweeps), the cells last.
 	if want["table1"] {
 		fmt.Fprintln(stdout, exp.Table1(config.Default(*procs)))
 	}
 	view := rep.View()
-	for _, t := range exp.Targets {
-		if want[t] {
-			out, err := exp.Render(t, view, protoList)
-			if err != nil {
-				return fail(err)
-			}
+	// A rendering that is also an error (a soak with a diverged cell) is
+	// printed and fails the run.
+	render := func(out string, err error) {
+		if out != "" {
 			fmt.Fprintln(stdout, out)
+		}
+		if err != nil {
+			code = fail(err)
+		}
+	}
+	for _, t := range exp.Targets {
+		if want[t] || want["all"] && slices.Contains(exp.MatrixTargets, t) {
+			render(exp.Render(t, view, protoList))
 		}
 		if t == "sweep" && want["mp3dquality"] {
 			fmt.Fprintln(stdout, exp.Mp3dQuality(scale, *procs))
 		}
 	}
-	if want["chaos"] {
-		body, err := exp.RunChaos(ctx, e.R, scale, *procs, *seed, exp.AppOrder, protoList)
-		fmt.Fprintln(stdout, body)
-		if err != nil {
-			code = fail(err)
-		}
+	if keys := slices.DeleteFunc(named, func(t string) bool { return !strings.Contains(t, "/") }); len(keys) > 0 {
+		render(exp.CellTable(view, exp.TargetCells(keys, nil)))
 	}
-	if e != nil {
+	if rn != nil {
 		if *critPath {
 			fmt.Fprintln(stdout, exp.CriticalPath(scale, *procs, *seed))
 		}
-		meta := e.R.Meta() // the runner's record now covers the chaos soak too
+		meta := rn.Meta()
 		rep.Runner = &meta
 	}
 
@@ -287,7 +289,7 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 			note("gate: ok against %s (%d runs, tolerance %.3f%%)\n", *baseline, len(base.Runs), *tol)
 		}
 	}
-	if e != nil {
+	if rn != nil {
 		m := rep.Runner
 		note("total wall-clock: %.1fs (scale %s, %d procs, %d workers; %d simulated, %d cache hits, %d failed)\n",
 			time.Since(start).Seconds(), scale, *procs, m.Workers,

@@ -65,7 +65,7 @@ func TestLocalAndRemoteShareOneTail(t *testing.T) {
 		return b
 	}
 	common := []string{"-scale", "tiny", "-procs", "4", "-q"}
-	targets := []string{"fig4", "table3", "sweep", "dsm"}
+	targets := []string{"fig4", "table3", "sweep", "dsm", "chaos", "default/gauss/sc", "line=256/gauss/lrc"}
 	invoke := func(remote bool, extra ...string) (string, string, int) {
 		args := append([]string{}, common...)
 		if remote {
@@ -82,13 +82,16 @@ func TestLocalAndRemoteShareOneTail(t *testing.T) {
 	if code != 0 {
 		t.Fatalf("remote run exited %d: %s", code, remoteErr)
 	}
-	for _, heading := range []string{"Table 3:", "Figure 4:", "Sensitivity: cache line size", "DSM contrast:"} {
+	for _, heading := range []string{"Table 3:", "Figure 4:", "Sensitivity: cache line size", "DSM contrast:",
+		"all 126 faulted runs matched", "Cells: tiny inputs, 4 procs", "line=256  gauss       lrc"} {
 		if !strings.Contains(localOut, heading) {
 			t.Fatalf("local run did not print %q:\n%s", heading, localOut)
 		}
 	}
-	if !bytes.Contains(read("local.json"), []byte(`"config": "line=256"`)) {
-		t.Fatal("the baseline lacks the study cells")
+	for _, cfg := range []string{"line=256", "storm"} {
+		if !bytes.Contains(read("local.json"), []byte(`"config": "`+cfg+`"`)) {
+			t.Fatalf("the baseline lacks the %s cells", cfg)
+		}
 	}
 	if localOut != remoteOut {
 		t.Fatalf("-remote prints differently from local:\n--- local\n%s--- remote\n%s", localOut, remoteOut)
@@ -123,16 +126,17 @@ func TestLocalAndRemoteShareOneTail(t *testing.T) {
 
 // TestRemoteRefusesLocalTargets: what runs in this process, outside any
 // report, is refused by name before anything is submitted and named as
-// skipped when it came with "all"; every other target is the daemon's.
+// skipped when it came with "all"; every other target — the soak and a
+// cell key included — is the daemon's.
 func TestRemoteRefusesLocalTargets(t *testing.T) {
 	const nobody = "http://127.0.0.1:1" // refused connections, were anything submitted
-	for _, target := range []string{"mp3dquality", "chaos", "table1"} {
+	for _, target := range []string{"mp3dquality", "table1"} {
 		_, stderr, code := paperbench("-remote", nobody, "-scale", "tiny", "-q", "fig4", target)
 		if code != 2 || !strings.Contains(stderr, "cannot evaluate "+target) {
 			t.Errorf("-remote %s exited %d: %s", target, code, stderr)
 		}
 	}
-	for _, target := range []string{"ablate", "scaling", "all"} {
+	for _, target := range []string{"ablate", "scaling", "chaos", "future/fft/erc", "all"} {
 		_, stderr, code := paperbench("-remote", nobody, "-scale", "tiny", "-q", target)
 		if code != 1 || !strings.Contains(stderr, "submit:") {
 			t.Errorf("-remote %s was not submitted (exit %d): %s", target, code, stderr)
@@ -151,5 +155,19 @@ func TestUnknownTargetIsRefused(t *testing.T) {
 		if code != 2 || stdout != "" || !strings.Contains(stderr, `unknown target "fig44"`) || !strings.Contains(stderr, "scaling") {
 			t.Errorf("%v fig44 exited %d, printed %q: %s", mode, code, stdout, stderr)
 		}
+		// A cell key is checked element by element.
+		stdout, stderr, code = paperbench(append(mode, "-scale", "tiny", "-q", "default/gauss/warp")...)
+		if code != 2 || stdout != "" || !strings.Contains(stderr, `"default/gauss/warp"`) || !strings.Contains(stderr, `unknown protocol "warp"`) {
+			t.Errorf("%v default/gauss/warp exited %d, printed %q: %s", mode, code, stdout, stderr)
+		}
+	}
+}
+
+// TestLocalTargetsAloneEvaluateNothing: table1 by itself is not the
+// spec's default of "all".
+func TestLocalTargetsAloneEvaluateNothing(t *testing.T) {
+	stdout, stderr, code := paperbench("-scale", "tiny", "-procs", "4", "table1")
+	if code != 0 || !strings.Contains(stdout, "Table 1:") || !strings.Contains(stderr, "0 simulated, 0 cache hits") {
+		t.Errorf("table1 alone exited %d, printed %q: %s", code, stdout, stderr)
 	}
 }

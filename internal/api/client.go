@@ -149,8 +149,16 @@ func (c *Client) SweepHTML(ctx context.Context, id string) ([]byte, error) {
 	return c.raw(ctx, "/api/v1/sweeps/"+id+"/report.html")
 }
 
-// JobTrace fetches a job's Perfetto trace (the daemon re-runs the job
-// with span retention).
+// SweepCells fetches a sweep's expansion: the fingerprint of every cell
+// it names, by cell key (variant/app/protocol).
+func (c *Client) SweepCells(ctx context.Context, id string) (map[string]string, error) {
+	var cells map[string]string
+	err := c.do(ctx, http.MethodGet, "/api/v1/sweeps/"+id+"/cells", nil, &cells)
+	return cells, err
+}
+
+// JobTrace fetches the Perfetto trace of a cell some sweep names, by its
+// fingerprint (the daemon re-runs it with span retention).
 func (c *Client) JobTrace(ctx context.Context, fp string) ([]byte, error) {
 	return c.raw(ctx, "/api/v1/jobs/"+fp+"/trace")
 }
@@ -173,18 +181,11 @@ func (c *Client) raw(ctx context.Context, path string) ([]byte, error) {
 	return io.ReadAll(resp.Body)
 }
 
-// SubmitJob submits one job (idempotent on the job's fingerprint).
-func (c *Client) SubmitJob(ctx context.Context, req JobRequest) (JobStatus, error) {
-	var st JobStatus
-	err := c.do(ctx, http.MethodPost, "/api/v1/jobs", req, &st)
-	return st, err
-}
-
-// Job fetches one job's status by fingerprint.
-func (c *Client) Job(ctx context.Context, fp string) (JobStatus, error) {
-	var st JobStatus
-	err := c.do(ctx, http.MethodGet, "/api/v1/jobs/"+fp, nil, &st)
-	return st, err
+// Job fetches a stored result by fingerprint.
+func (c *Client) Job(ctx context.Context, fp string) (*runner.Result, error) {
+	var res runner.Result
+	err := c.do(ctx, http.MethodGet, "/api/v1/jobs/"+fp, nil, &res)
+	return &res, err
 }
 
 // Stats fetches the daemon's counters.
@@ -192,24 +193,6 @@ func (c *Client) Stats(ctx context.Context) (StatsResponse, error) {
 	var st StatsResponse
 	err := c.do(ctx, http.MethodGet, "/api/v1/stats", nil, &st)
 	return st, err
-}
-
-// WaitJob polls a job until it reaches a terminal state.
-func (c *Client) WaitJob(ctx context.Context, fp string) (JobStatus, error) {
-	for {
-		st, err := c.Job(ctx, fp)
-		if err != nil {
-			return st, err
-		}
-		if st.Terminal() {
-			return st, nil
-		}
-		select {
-		case <-ctx.Done():
-			return st, ctx.Err()
-		case <-time.After(50 * time.Millisecond):
-		}
-	}
 }
 
 // WaitSweep follows a sweep's SSE stream until the terminal "sweep"

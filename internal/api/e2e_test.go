@@ -3,9 +3,12 @@ package api
 import (
 	"bytes"
 	"context"
+	"encoding/json"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"runtime"
+	"strings"
 	"testing"
 	"time"
 
@@ -171,35 +174,91 @@ func TestEndToEnd(t *testing.T) {
 		t.Fatal("same-daemon resubmission served different report bytes")
 	}
 
-	// --- Direct job submission shares the store with sweep cells. ---
-	jreq := JobRequest{App: "gauss", Scale: "tiny", Proto: "lrc", Procs: 4, Seed: 1}
-	js, err := d1.c.SubmitJob(ctx, jreq)
-	if err != nil {
-		t.Fatal(err)
-	}
-	js, err = d1.c.WaitJob(ctx, js.FP)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if js.State != StateDone || js.Result == nil {
-		t.Fatalf("job: %+v", js)
-	}
-	if !js.Result.Cached && !js.Cached {
-		// The sweep already simulated this exact cell; the job must have
-		// been resolved without a fresh run (memo or store).
-		if m := d1.svc.Runner().Meta(); m.Simulated != 6 {
-			t.Fatalf("direct job re-simulated a sweep cell: %+v", m)
+	// --- A single simulation is a one-cell sweep: created, idempotent,
+	// and — the wider sweep having run the cell — resolved without a new
+	// simulation. Its fingerprint, listed by the cells route, is the key
+	// of the stored result and of the trace. ---
+	cell := exp.Spec{Targets: []string{"default/gauss/lrc"}, Scale: "tiny", Procs: 4, Seed: 1}
+	post := func(spec exp.Spec) (int, SweepStatus) {
+		t.Helper()
+		body, _ := json.Marshal(spec)
+		resp, err := d1.ts.Client().Post(d1.ts.URL+"/api/v1/sweeps", "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
 		}
+		defer resp.Body.Close()
+		var st SweepStatus
+		if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
+			t.Fatal(err)
+		}
+		return resp.StatusCode, st
 	}
-	jobFP := js.FP
+	code, cs := post(cell)
+	if code != http.StatusCreated || cs.Jobs != 1 || cs.ID != cell.ID() {
+		t.Fatalf("one-cell sweep: %d %+v", code, cs)
+	}
+	cellID := cs.ID
+	if cs, err = d1.c.WaitSweep(ctx, cellID, nil); err != nil || cs.State != StateDone || cs.Executed != 0 || cs.Deduped != 1 {
+		t.Fatalf("one-cell sweep over a cell fig4 ran: %+v, %v", cs, err)
+	}
+	if code, cs = post(cell); code != http.StatusOK || cs.ID != cellID || cs.State != StateDone {
+		t.Fatalf("one-cell sweep resubmitted: %d %+v", code, cs)
+	}
+	if m := d1.svc.Runner().Meta(); m.Simulated != 6 {
+		t.Fatalf("the one-cell sweep re-simulated a sweep cell: %+v", m)
+	}
+	cells, err := d1.c.SweepCells(ctx, cellID)
+	if err != nil || len(cells) != 1 || cells["default/gauss/lrc"] == "" {
+		t.Fatalf("cells of the one-cell sweep: %v, %v", cells, err)
+	}
+	jobFP := cells["default/gauss/lrc"]
+	if wide, err := d1.c.SweepCells(ctx, sweepID); err != nil || len(wide) != 6 || wide["default/gauss/lrc"] != jobFP {
+		t.Fatalf("cells of the fig4 sweep: %v, %v", wide, err)
+	}
+	cellRep, err := d1.c.SweepReport(ctx, cellID)
+	if err != nil || !bytes.Contains(cellRep, []byte(`"protocol": "lrc"`)) {
+		t.Fatalf("one-cell report: %s, %v", cellRep, err)
+	}
+	if res, err := d1.c.Job(ctx, jobFP); err != nil || res.Fingerprint != jobFP || res.App != "gauss" || res.ExecCycles == 0 {
+		t.Fatalf("stored result by fingerprint: %+v, %v", res, err)
+	}
+	if _, err := d1.c.Job(ctx, "feedface"); err == nil || !strings.Contains(err.Error(), "404") {
+		t.Fatalf("unknown fingerprint: %v", err)
+	}
 
-	// --- Live Perfetto trace export for a known job. ---
+	// --- Live Perfetto trace export for a cell a sweep names. ---
 	trace, err := d1.c.JobTrace(ctx, jobFP)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if n, err := causal.ValidateTrace(trace); err != nil || n == 0 {
 		t.Fatalf("trace invalid (%d events): %v", n, err)
+	}
+
+	// --- Hostile bodies are refused before anything is decoded into a
+	// sweep: oversize (413) and a field the spec does not have (400,
+	// naming it — a mistyped "seed" must not run as seed 0); both count
+	// as 4xx on the submission route. ---
+	for _, bad := range []struct {
+		body string
+		code int
+		says string
+	}{
+		{`{"targets":["fig4"],"scale":"tiny","procs":4,"sede":7}`, http.StatusBadRequest, `"sede"`},
+		{`{"targets":["` + strings.Repeat("x", maxBodyBytes) + `"]}`, http.StatusRequestEntityTooLarge, "too large"},
+	} {
+		resp, err := d1.ts.Client().Post(d1.ts.URL+"/api/v1/sweeps", "application/json", strings.NewReader(bad.body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		msg, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != bad.code || !strings.Contains(string(msg), bad.says) {
+			t.Fatalf("%d-byte body answered %d %q, want %d naming %s", len(bad.body), resp.StatusCode, msg, bad.code, bad.says)
+		}
+	}
+	if all, err := d1.c.Sweeps(ctx); err != nil || len(all) != 2 {
+		t.Fatalf("refused bodies left a sweep behind: %v, %v", all, err)
 	}
 
 	stats, err := d1.c.Stats(ctx)
@@ -231,6 +290,15 @@ func TestEndToEnd(t *testing.T) {
 	}
 	if got := jobsCounter(fams, "cache_hit"); got != 0 {
 		t.Fatalf("cold exposition cache_hit=%v, want 0", got)
+	}
+	refused := 0.0
+	for _, sm := range fams["lrcsimd_http_requests_total"].Samples {
+		if sm.Label("route") == "POST /api/v1/sweeps" && sm.Label("code") == "4xx" {
+			refused = sm.Value
+		}
+	}
+	if refused != 2 {
+		t.Fatalf("exposition counts %v refused submissions, want 2", refused)
 	}
 
 	// --- Every response carries X-Request-Id; a supplied ID is echoed. ---
@@ -272,8 +340,16 @@ func TestEndToEnd(t *testing.T) {
 	if _, err := d2.c.Sweep(ctx, sweepID); err != nil {
 		t.Fatalf("sweep not restored from persisted registry: %v", err)
 	}
-	if all, err := d2.c.Sweeps(ctx); err != nil || len(all) != 1 || all[0].ID != sweepID {
+	if all, err := d2.c.Sweeps(ctx); err != nil || len(all) != 2 || all[0].ID != sweepID || all[1].ID != cellID {
 		t.Fatalf("restored sweep list: %v, %v", all, err)
+	}
+	// The one-cell sweep is restored like any other — which a job never
+	// was — with the report it had.
+	if cs, err = d2.c.WaitSweep(ctx, cellID, nil); err != nil || cs.State != StateDone || cs.Executed != 0 {
+		t.Fatalf("restored one-cell sweep: %+v, %v", cs, err)
+	}
+	if again, err := d2.c.SweepReport(ctx, cellID); err != nil || !bytes.Equal(again, cellRep) {
+		t.Fatalf("one-cell report drifted across restart (%v):\n%s", err, again)
 	}
 
 	st3, err := d2.c.SubmitSweep(ctx, spec)
@@ -301,17 +377,10 @@ func TestEndToEnd(t *testing.T) {
 		t.Fatalf("report bytes drifted across restart:\n%s\n---\n%s", rep1, rep3)
 	}
 
-	// The direct job's result survives as a store lookup with the same
-	// fingerprint, even though this daemon never ran it.
-	js2, err := d2.c.Job(ctx, jobFP)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if js2.State != StateDone || !js2.Cached || js2.Result == nil {
-		t.Fatalf("restarted job lookup: %+v", js2)
-	}
-	if js2.Result.Fingerprint != jobFP {
-		t.Fatal("job fingerprint drifted across restart")
+	// The cell's result is a store lookup under the same fingerprint,
+	// though this daemon never ran it.
+	if res, err := d2.c.Job(ctx, jobFP); err != nil || res.Fingerprint != jobFP {
+		t.Fatalf("stored result after restart: %+v, %v", res, err)
 	}
 
 	// --- Warm-restart exposition: the boot replay is pure cache — zero

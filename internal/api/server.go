@@ -26,19 +26,20 @@ import (
 //	GET    /api/v1/sweeps               list sweeps
 //	GET    /api/v1/sweeps/{id}          one sweep's status
 //	DELETE /api/v1/sweeps/{id}          cancel a sweep
+//	GET    /api/v1/sweeps/{id}/cells    the sweep's cell key → fingerprint map
 //	GET    /api/v1/sweeps/{id}/events   SSE: the sweep's job events + final status
 //	GET    /api/v1/sweeps/{id}/report.json  stable report (finished sweeps)
 //	GET    /api/v1/sweeps/{id}/report.html  HTML report (finished sweeps)
-//	POST   /api/v1/jobs                 submit a JobRequest   → JobStatus
-//	GET    /api/v1/jobs                 list jobs
-//	GET    /api/v1/jobs/{fp}            one job's status (or a store lookup)
-//	DELETE /api/v1/jobs/{fp}            cancel a job
-//	GET    /api/v1/jobs/{fp}/trace      Perfetto trace (re-runs the job traced)
+//	GET    /api/v1/jobs/{fp}            a stored result by fingerprint
+//	GET    /api/v1/jobs/{fp}/trace      Perfetto trace (re-runs a sweep's cell traced)
 //	GET    /api/v1/events               SSE: the global job event firehose
 //
+// A sweep is the one unit of submission: a single simulation is the
+// sweep whose only target is its cell key ({"targets":["default/gauss/lrc"]}).
 // Submissions are deduplicated by content identity, so the API is safe
 // to retry: re-POSTing a spec returns the existing record (200) instead
-// of creating a duplicate (201).
+// of creating a duplicate (201). A body over maxBodyBytes is refused
+// (413), as is one with a field exp.Spec does not have (400, naming it).
 //
 // Every response carries an X-Request-Id header (echoed from the
 // request or generated), every request produces one structured log
@@ -82,16 +83,14 @@ func NewServer(s *Service) http.Handler {
 
 	mux.HandleFunc("POST /api/v1/compact", func(w http.ResponseWriter, r *http.Request) {
 		st, err := s.Compact()
-		if err != nil {
-			httpError(w, err)
-			return
-		}
-		writeJSON(w, http.StatusOK, st)
+		answer(w, st, err)
 	})
 
 	mux.HandleFunc("POST /api/v1/sweeps", func(w http.ResponseWriter, r *http.Request) {
 		var spec exp.Spec
-		if err := json.NewDecoder(r.Body).Decode(&spec); err != nil {
+		dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
+		dec.DisallowUnknownFields() // a mistyped "seed" must not run as seed 0
+		if err := dec.Decode(&spec); err != nil {
 			httpError(w, fmt.Errorf("api: bad sweep spec: %w", err))
 			return
 		}
@@ -113,11 +112,7 @@ func NewServer(s *Service) http.Handler {
 
 	mux.HandleFunc("GET /api/v1/sweeps/{id}", func(w http.ResponseWriter, r *http.Request) {
 		st, err := s.Sweep(r.PathValue("id"))
-		if err != nil {
-			httpError(w, err)
-			return
-		}
-		writeJSON(w, http.StatusOK, st)
+		answer(w, st, err)
 	})
 
 	mux.HandleFunc("DELETE /api/v1/sweeps/{id}", func(w http.ResponseWriter, r *http.Request) {
@@ -126,6 +121,11 @@ func NewServer(s *Service) http.Handler {
 			return
 		}
 		w.WriteHeader(http.StatusNoContent)
+	})
+
+	mux.HandleFunc("GET /api/v1/sweeps/{id}/cells", func(w http.ResponseWriter, r *http.Request) {
+		cells, err := s.SweepCells(r.PathValue("id"))
+		answer(w, cells, err)
 	})
 
 	mux.HandleFunc("GET /api/v1/sweeps/{id}/events", func(w http.ResponseWriter, r *http.Request) {
@@ -152,43 +152,9 @@ func NewServer(s *Service) http.Handler {
 		w.Write(b)
 	})
 
-	mux.HandleFunc("POST /api/v1/jobs", func(w http.ResponseWriter, r *http.Request) {
-		var req JobRequest
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-			httpError(w, fmt.Errorf("api: bad job request: %w", err))
-			return
-		}
-		st, created, err := s.SubmitJob(r.Context(), req)
-		if err != nil {
-			httpError(w, err)
-			return
-		}
-		code := http.StatusOK
-		if created {
-			code = http.StatusCreated
-		}
-		writeJSON(w, code, st)
-	})
-
-	mux.HandleFunc("GET /api/v1/jobs", func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, http.StatusOK, s.Jobs())
-	})
-
 	mux.HandleFunc("GET /api/v1/jobs/{fp}", func(w http.ResponseWriter, r *http.Request) {
-		st, err := s.Job(r.PathValue("fp"))
-		if err != nil {
-			httpError(w, err)
-			return
-		}
-		writeJSON(w, http.StatusOK, st)
-	})
-
-	mux.HandleFunc("DELETE /api/v1/jobs/{fp}", func(w http.ResponseWriter, r *http.Request) {
-		if err := s.CancelJob(r.PathValue("fp")); err != nil {
-			httpError(w, err)
-			return
-		}
-		w.WriteHeader(http.StatusNoContent)
+		res, err := s.Job(r.PathValue("fp"))
+		answer(w, res, err)
 	})
 
 	mux.HandleFunc("GET /api/v1/jobs/{fp}/trace", func(w http.ResponseWriter, r *http.Request) {
@@ -241,12 +207,12 @@ func serveFirehose(s *Service, w http.ResponseWriter, r *http.Request) {
 // sweep finished receives just the terminal event.
 func serveSweepEvents(s *Service, w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
-	fps, err := s.sweepFPs(id)
+	sw, err := s.lookup(id)
 	if err != nil {
 		httpError(w, err)
 		return
 	}
-	done, _ := s.SweepDone(id)
+	mine := func(ev runner.Event) bool { _, ok := sw.jobs[ev.FP]; return ok }
 	fl, ok := sseStart(w)
 	if !ok {
 		return
@@ -269,19 +235,19 @@ func serveSweepEvents(s *Service, w http.ResponseWriter, r *http.Request) {
 			if !ok {
 				return
 			}
-			if !fps[ev.FP] {
+			if !mine(ev) {
 				continue
 			}
 			if err := sseEvent(w, fl, "job", ev); err != nil {
 				return
 			}
-		case <-done:
+		case <-sw.done:
 			// Drain what the bus already delivered, then finish with the
 			// terminal status.
 			for {
 				select {
 				case ev, ok := <-sub.C():
-					if ok && fps[ev.FP] {
+					if ok && mine(ev) {
 						sseEvent(w, fl, "job", ev)
 						continue
 					}
@@ -299,8 +265,8 @@ func serveSweepEvents(s *Service, w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// serveTrace re-runs a known job with span retention enabled and writes
-// the Perfetto trace. Tracing is passive (results stay bit-identical),
+// serveTrace re-runs a cell some sweep names with span retention enabled
+// and writes the Perfetto trace. Tracing is passive (results stay bit-identical),
 // but retaining spans costs memory, so traces are produced on demand
 // rather than stored.
 func serveTrace(s *Service, w http.ResponseWriter, r *http.Request) {
@@ -324,6 +290,10 @@ func serveTrace(s *Service, w http.ResponseWriter, r *http.Request) {
 }
 
 const sseBuffer = 1024
+
+// maxBodyBytes bounds a request body: the largest legitimate one, a spec
+// naming every target, application and a few hundred cells, is a few KB.
+const maxBodyBytes = 1 << 20
 
 // sseStart switches the response into SSE mode.
 func sseStart(w http.ResponseWriter) (http.Flusher, bool) {
@@ -354,6 +324,16 @@ func sseEvent(w http.ResponseWriter, fl http.Flusher, name string, v any) error 
 	return nil
 }
 
+// answer writes what a service call returned: its value as JSON, or its
+// error under the status httpError maps it to.
+func answer(w http.ResponseWriter, v any, err error) {
+	if err != nil {
+		httpError(w, err)
+		return
+	}
+	writeJSON(w, http.StatusOK, v)
+}
+
 // writeJSON writes an indented JSON response.
 func writeJSON(w http.ResponseWriter, code int, v any) {
 	w.Header().Set("Content-Type", "application/json")
@@ -366,7 +346,10 @@ func writeJSON(w http.ResponseWriter, code int, v any) {
 // httpError maps service errors onto status codes.
 func httpError(w http.ResponseWriter, err error) {
 	code := http.StatusBadRequest
+	var tooBig *http.MaxBytesError
 	switch {
+	case errors.As(err, &tooBig):
+		code = http.StatusRequestEntityTooLarge
 	case errors.Is(err, ErrNotFound):
 		code = http.StatusNotFound
 	case errors.Is(err, ErrDraining):

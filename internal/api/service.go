@@ -7,12 +7,11 @@ import (
 	"errors"
 	"fmt"
 	"log/slog"
+	"strings"
 	"sync"
 	"time"
 
-	"lazyrc/internal/apps"
 	"lazyrc/internal/bus"
-	"lazyrc/internal/config"
 	"lazyrc/internal/exp"
 	"lazyrc/internal/obs"
 	"lazyrc/internal/runner"
@@ -22,13 +21,14 @@ import (
 // ErrDraining is returned by submissions after shutdown has begun.
 var ErrDraining = errors.New("api: daemon is draining")
 
-// ErrNotFound is returned for unknown sweep or job identities.
+// ErrNotFound is returned for unknown sweep identities and fingerprints.
 var ErrNotFound = errors.New("api: not found")
 
 // Service is the daemon's core: it owns the runner pool, the persistent
-// result store, and the event bus, and it tracks every submitted sweep
-// and job. HTTP handlers and tests talk to it directly; it has no
-// transport dependencies of its own.
+// result store, and the event bus, and it tracks every submitted sweep —
+// the one unit of submission: a single simulation is a sweep whose only
+// target is its cell key. HTTP handlers and tests talk to it directly;
+// it has no transport dependencies of its own.
 type Service struct {
 	rn *runner.Runner
 	st *store.Store // nil when running without persistence
@@ -56,8 +56,6 @@ type Service struct {
 	draining bool
 	sweeps   map[string]*sweepState
 	order    []string // sweep IDs in first-submission order
-	jobs     map[string]*jobState
-	jobOrder []string // job fingerprints in first-submission order
 	// rates tracks per-fingerprint heartbeat progress of running jobs,
 	// feeding the lrcsimd_sim_cycles_per_second gauge. Wall-clock
 	// observability only.
@@ -80,10 +78,13 @@ type sweepState struct {
 	// reqID is the submitting request's ID, stamped into every
 	// lifecycle log line so one grep follows the request end to end.
 	reqID string
-	// jobs is the sweep's expansion, computed once at submission: every
-	// cell's runner job by fingerprint (the cell identity set events are
-	// attributed by, and what a trace request re-executes). doneFPs is
-	// the subset that has reached a terminal state; it backs Completed.
+	// cells, fps and jobs are the sweep's expansion, computed once at
+	// submission: the cells, the fingerprint of each, and every runner
+	// job by fingerprint (the identity set events are attributed by, and
+	// what a trace request re-executes). doneFPs is the subset that has
+	// reached a terminal state; it backs Completed.
+	cells   [][3]string
+	fps     []string
 	jobs    map[string]runner.Job
 	doneFPs map[string]bool
 	cancel  context.CancelFunc
@@ -96,18 +97,10 @@ type sweepState struct {
 	reportHTML []byte // self-contained HTML rendering
 }
 
-// jobState is one directly submitted job's record.
-type jobState struct {
-	job    runner.Job
-	reqID  string
-	status JobStatus
-	cancel context.CancelFunc
-}
-
 // NewService builds a service executing on a pool of the given size,
 // persisting through st (nil disables persistence) and logging through
-// logger (nil discards). The bus, runner, and job registry start empty;
-// the sweep registry is reloaded from the store's persisted sidecar,
+// logger (nil discards). The bus and runner start empty; the sweep
+// registry is reloaded from the store's persisted sidecar,
 // resurrecting every sweep a previous daemon incarnation accepted — the
 // re-runs resolve from the result store, so a warm boot restores
 // finished reports without simulating. Close tears everything down.
@@ -130,7 +123,6 @@ func NewService(workers int, st *store.Store, logger *slog.Logger) *Service {
 		runCtx: ctx,
 		cancel: cancel,
 		sweeps: make(map[string]*sweepState),
-		jobs:   make(map[string]*jobState),
 		rates:  make(map[string]*jobRate),
 	}
 	s.registerMetrics()
@@ -194,8 +186,6 @@ func (s *Service) registerMetrics() {
 
 	s.reg.GaugeFunc("lrcsimd_sweeps", "Sweeps registered (all states).",
 		func() float64 { s.mu.Lock(); defer s.mu.Unlock(); return float64(len(s.sweeps)) })
-	s.reg.GaugeFunc("lrcsimd_submitted_jobs", "Directly submitted jobs registered (all states).",
-		func() float64 { s.mu.Lock(); defer s.mu.Unlock(); return float64(len(s.jobs)) })
 	s.reg.GaugeFunc("lrcsimd_uptime_seconds", "Seconds since the service was constructed.",
 		func() float64 { return time.Since(s.start).Seconds() })
 
@@ -356,10 +346,12 @@ func (s *Service) SubmitSweep(submitCtx context.Context, spec exp.Spec) (SweepSt
 	if err != nil {
 		return SweepStatus{}, false, err
 	}
+	fps := make([]string, len(cells))
 	jobs := make(map[string]runner.Job, len(cells))
-	for _, c := range cells {
+	for i, c := range cells {
 		j := e.Job(c[0], c[1], c[2])
-		jobs[j.Fingerprint()] = j
+		fps[i] = j.Fingerprint()
+		jobs[fps[i]] = j
 	}
 	id := norm.ID()
 	reqID := obs.RequestID(submitCtx)
@@ -383,6 +375,8 @@ func (s *Service) SubmitSweep(submitCtx context.Context, spec exp.Spec) (SweepSt
 			Jobs:  len(jobs),
 		},
 		reqID:   reqID,
+		cells:   cells,
+		fps:     fps,
 		jobs:    jobs,
 		doneFPs: make(map[string]bool, len(jobs)),
 		cancel:  cancel,
@@ -502,44 +496,42 @@ func (s *Service) Sweeps() []SweepStatus {
 	return out
 }
 
+// lookup returns a sweep's record. Its status is read under s.mu; what
+// submission fixed (cells, fps, jobs, cancel, done) needs no lock.
+func (s *Service) lookup(id string) (*sweepState, error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	sw, ok := s.sweeps[id]
+	if !ok {
+		return nil, ErrNotFound
+	}
+	return sw, nil
+}
+
 // CancelSweep cancels a sweep's submission context. In-flight
 // simulations stop cooperatively; already-terminal sweeps are unchanged.
 func (s *Service) CancelSweep(id string) error {
-	s.mu.Lock()
-	sw, ok := s.sweeps[id]
-	s.mu.Unlock()
-	if !ok {
-		return ErrNotFound
+	sw, err := s.lookup(id)
+	if err == nil {
+		sw.cancel()
 	}
-	sw.cancel()
-	return nil
+	return err
 }
 
-// SweepDone returns a channel closed when the sweep reaches a terminal
-// state.
-func (s *Service) SweepDone(id string) (<-chan struct{}, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	sw, ok := s.sweeps[id]
-	if !ok {
-		return nil, ErrNotFound
+// SweepCells returns the sweep's expansion: the fingerprint of every cell
+// it names, by cell key (variant/app/protocol). A fingerprint is what job
+// events carry and what the store, a trace request and GET
+// /api/v1/jobs/{fp} are keyed by.
+func (s *Service) SweepCells(id string) (map[string]string, error) {
+	sw, err := s.lookup(id)
+	if err != nil {
+		return nil, err
 	}
-	return sw.done, nil
-}
-
-// sweepFPs snapshots a sweep's cell identity set (for SSE filtering).
-func (s *Service) sweepFPs(id string) (map[string]bool, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	sw, ok := s.sweeps[id]
-	if !ok {
-		return nil, ErrNotFound
+	cells := make(map[string]string, len(sw.cells))
+	for i, c := range sw.cells {
+		cells[strings.Join(c[:], "/")] = sw.fps[i]
 	}
-	fps := make(map[string]bool, len(sw.jobs))
-	for fp := range sw.jobs {
-		fps[fp] = true
-	}
-	return fps, nil
+	return cells, nil
 }
 
 // SweepReport returns the finished sweep's stable report JSON.
@@ -553,11 +545,9 @@ func (s *Service) SweepHTML(id string) ([]byte, error) {
 }
 
 func (s *Service) sweepBytes(id string, pick func(*sweepState) []byte) ([]byte, error) {
-	s.mu.Lock()
-	sw, ok := s.sweeps[id]
-	s.mu.Unlock()
-	if !ok {
-		return nil, ErrNotFound
+	sw, err := s.lookup(id)
+	if err != nil {
+		return nil, err
 	}
 	select {
 	case <-sw.done:
@@ -571,162 +561,23 @@ func (s *Service) sweepBytes(id string, pick func(*sweepState) []byte) ([]byte, 
 	return b, nil
 }
 
-// materializeJob turns a wire job request into a runner job, using the
-// exact configuration path sweep cells use so fingerprints coincide.
-func materializeJob(req JobRequest) (runner.Job, error) {
-	scaleName := req.Scale
-	if scaleName == "" {
-		scaleName = "small"
-	}
-	scale, err := apps.ParseScale(scaleName)
-	if err != nil {
-		return runner.Job{}, err
-	}
-	if _, err := apps.New(req.App, scale); err != nil {
-		return runner.Job{}, err
-	}
-	if _, ok := config.ProtocolInfoFor(req.Proto); !ok {
-		return runner.Job{}, fmt.Errorf("api: unknown protocol %q (want one of %v)", req.Proto, config.ProtocolNames())
-	}
-	procs := req.Procs
-	if procs == 0 {
-		procs = 64
-	}
-	cfg, err := exp.CellConfig(req.Preset, procs, scale, req.Seed)
-	if err != nil {
-		return runner.Job{}, err
-	}
-	if err := cfg.Validate(); err != nil {
-		return runner.Job{}, err
-	}
-	return runner.Job{App: req.App, Scale: scale, Proto: req.Proto, Cfg: cfg}, nil
-}
-
-// SubmitJob registers one job for execution and returns its status.
-// Like sweeps, submission is singleflight on the job's fingerprint. The
-// bool reports whether this call created the job. submitCtx carries the
-// submitting request's ID for lifecycle log lines; it does not bound
-// execution.
-func (s *Service) SubmitJob(submitCtx context.Context, req JobRequest) (JobStatus, bool, error) {
-	job, err := materializeJob(req)
-	if err != nil {
-		return JobStatus{}, false, err
-	}
-	fp := job.Fingerprint()
-	reqID := obs.RequestID(submitCtx)
-
-	s.mu.Lock()
-	if js, ok := s.jobs[fp]; ok {
-		st := js.status
-		s.mu.Unlock()
-		return st, false, nil
-	}
-	if s.draining {
-		s.mu.Unlock()
-		return JobStatus{}, false, ErrDraining
-	}
-	ctx, cancel := context.WithCancel(s.runCtx)
-	js := &jobState{
-		job:   job,
-		reqID: reqID,
-		status: JobStatus{
-			FP:    fp,
-			State: StateQueued,
-			App:   job.App,
-			Scale: job.Scale.String(),
-			Proto: job.Proto,
-		},
-		cancel: cancel,
-	}
-	s.jobs[fp] = js
-	s.jobOrder = append(s.jobOrder, fp)
-	st := js.status
-	s.wg.Add(1)
-	s.mu.Unlock()
-
-	s.log.Info("job submitted", "fp", fp, "app", job.App, "proto", job.Proto, "request_id", reqID)
-	go func() {
-		defer s.wg.Done()
-		s.mu.Lock()
-		js.status.State = StateRunning
-		s.mu.Unlock()
-		res := s.rn.Do(ctx, job)
-		s.mu.Lock()
-		switch {
-		case res.Canceled:
-			js.status.State = StateCanceled
-			js.status.Error = res.Failure
-		case res.Failed():
-			js.status.State = StateFailed
-			js.status.Error = res.Failure
-		default:
-			js.status.State = StateDone
-			js.status.Cached = res.Cached
-			js.status.Result = res
+// Job returns the stored result of a fingerprint — whichever sweep,
+// paperbench run or earlier daemon incarnation put it in the persistent
+// store.
+func (s *Service) Job(fp string) (*runner.Result, error) {
+	if s.st != nil {
+		if res, ok := s.st.Get(fp); ok {
+			return res, nil
 		}
-		state := js.status.State
-		s.mu.Unlock()
-		s.log.Info("job finished",
-			"fp", fp, "state", string(state), "cached", res.Cached,
-			"request_id", reqID)
-	}()
-	return st, true, nil
-}
-
-// Job returns a job's current status.
-func (s *Service) Job(fp string) (JobStatus, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	js, ok := s.jobs[fp]
-	if !ok {
-		// A job never submitted through this daemon may still live in the
-		// persistent store (written by paperbench or a prior daemon);
-		// serve it as done/cached.
-		if s.st != nil {
-			if res, ok := s.st.Get(fp); ok {
-				return JobStatus{
-					FP: fp, State: StateDone, App: res.App,
-					Scale: res.Scale, Proto: res.Proto,
-					Cached: true, Result: res,
-				}, nil
-			}
-		}
-		return JobStatus{}, ErrNotFound
 	}
-	return js.status, nil
+	return nil, ErrNotFound
 }
 
-// Jobs lists all directly submitted jobs in first-submission order.
-func (s *Service) Jobs() []JobStatus {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := make([]JobStatus, len(s.jobOrder))
-	for i, fp := range s.jobOrder {
-		out[i] = s.jobs[fp].status
-	}
-	return out
-}
-
-// CancelJob cancels a directly submitted job.
-func (s *Service) CancelJob(fp string) error {
-	s.mu.Lock()
-	js, ok := s.jobs[fp]
-	s.mu.Unlock()
-	if !ok {
-		return ErrNotFound
-	}
-	js.cancel()
-	return nil
-}
-
-// jobFor returns the runner job of a known fingerprint (for trace
-// re-execution).
+// jobFor returns the runner job of a fingerprint some sweep names (for
+// trace re-execution).
 func (s *Service) jobFor(fp string) (runner.Job, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if js, ok := s.jobs[fp]; ok {
-		return js.job, nil
-	}
 	for _, id := range s.order {
 		if j, ok := s.sweeps[id].jobs[fp]; ok {
 			return j, nil
@@ -747,7 +598,6 @@ func (s *Service) Stats() StatsResponse {
 	}
 	s.mu.Lock()
 	resp.Sweeps = len(s.sweeps)
-	resp.Jobs = len(s.jobs)
 	s.mu.Unlock()
 	return resp
 }
@@ -761,7 +611,7 @@ func (s *Service) Compact() (store.Stats, error) {
 }
 
 // Drain stops accepting new submissions and waits for in-flight sweeps
-// and jobs to finish. If ctx expires first, everything still running is
+// to finish. If ctx expires first, everything still running is
 // canceled (cooperatively, on the simulated clock) and Drain waits for
 // the abandoned work to unwind before returning ctx's error.
 func (s *Service) Drain(ctx context.Context) error {

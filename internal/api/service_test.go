@@ -143,12 +143,12 @@ func TestSweepCancellation(t *testing.T) {
 	if err := svc.CancelSweep(st.ID); err != nil {
 		t.Fatal(err)
 	}
-	done, err := svc.SweepDone(st.ID)
+	sw, err := svc.lookup(st.ID)
 	if err != nil {
 		t.Fatal(err)
 	}
 	select {
-	case <-done:
+	case <-sw.done:
 	case <-time.After(60 * time.Second):
 		t.Fatal("canceled sweep did not terminate")
 	}
@@ -175,18 +175,18 @@ func TestSubmitRejectsBadSpecs(t *testing.T) {
 	if _, _, err := svc.SubmitSweep(context.Background(), exp.Spec{Targets: []string{"fig99"}}); err == nil {
 		t.Fatal("unknown target accepted")
 	}
-	if _, _, err := svc.SubmitJob(context.Background(), JobRequest{App: "doom", Proto: "lrc"}); err == nil {
+	if _, _, err := svc.SubmitSweep(context.Background(), exp.Spec{Targets: []string{"default/doom/lrc"}}); err == nil {
 		t.Fatal("unknown app accepted")
 	}
 	// What the machine would refuse at run time is refused at submission:
 	// an unregistered protocol, a machine envelope no cell can be built on.
-	if _, _, err := svc.SubmitJob(context.Background(), JobRequest{App: "gauss", Scale: "tiny", Proto: "warp", Procs: 4}); err == nil || !strings.Contains(err.Error(), "warp") {
+	if _, _, err := svc.SubmitSweep(context.Background(), exp.Spec{Targets: []string{"default/gauss/warp"}, Scale: "tiny", Procs: 4}); err == nil || !strings.Contains(err.Error(), "warp") {
 		t.Fatalf("unknown protocol: %v", err)
 	}
 	if _, _, err := svc.SubmitSweep(context.Background(), exp.Spec{Targets: []string{"fig4"}, Scale: "tiny", Procs: -3}); err == nil {
 		t.Fatal("sweep on a negative processor count accepted")
 	}
-	if n := len(svc.Sweeps()) + len(svc.Jobs()); n != 0 {
+	if n := len(svc.Sweeps()); n != 0 {
 		t.Fatalf("%d rejected submissions left a record behind", n)
 	}
 }
@@ -208,11 +208,11 @@ func TestSweepCountersAreTruthful(t *testing.T) {
 		if err != nil || !created {
 			t.Fatalf("submit %s: created=%v err=%v", target, created, err)
 		}
-		done, err := svc.SweepDone(st.ID)
+		sw, err := svc.lookup(st.ID)
 		if err != nil {
 			t.Fatal(err)
 		}
-		<-done
+		<-sw.done
 		if st, err = svc.Sweep(st.ID); err != nil || st.State != StateDone {
 			t.Fatalf("sweep %s: %+v, %v", target, st, err)
 		}
@@ -308,11 +308,11 @@ func TestRequestIDThreading(t *testing.T) {
 		t.Fatalf("response echoed request ID %q, want trace-me-42", got)
 	}
 
-	done, err := svc.SweepDone(st.ID)
+	sw, err := svc.lookup(st.ID)
 	if err != nil {
 		t.Fatal(err)
 	}
-	<-done
+	<-sw.done
 
 	logs := buf.String()
 	for _, want := range []string{

@@ -1,9 +1,9 @@
 // Package api is the lrcsimd experiment service: a long-running daemon
-// that accepts simulation jobs and evaluation sweeps over HTTP/JSON,
-// executes them on the shared runner pool (deduplicated by content
-// fingerprint, served from the persistent segment store when possible),
-// streams job lifecycle events to any number of clients over SSE, and
-// serves rendered reports and Perfetto traces live.
+// that accepts evaluation sweeps — down to a single cell — over
+// HTTP/JSON, executes them on the shared runner pool (deduplicated by
+// content fingerprint, served from the persistent segment store when
+// possible), streams job lifecycle events to any number of clients over
+// SSE, and serves rendered reports and Perfetto traces live.
 //
 // The package splits into the wire types (this file), the Service (the
 // daemon's state machine: sweep registry, submission singleflight, event
@@ -18,8 +18,8 @@ import (
 	"lazyrc/internal/store"
 )
 
-// Sweep and job states. Lifecycle: queued → running → one of the
-// terminal states. A sweep is "failed" when any of its jobs crashed,
+// Sweep states. Lifecycle: queued → running → one of the terminal
+// states. A sweep is "failed" when any of its jobs crashed,
 // "canceled" when its submission context died first, "done" otherwise
 // (including runs with verification errors, which are deterministic
 // results, not failures — they surface per-run in the report).
@@ -71,52 +71,10 @@ func (s SweepStatus) Terminal() bool {
 	return s.State == StateDone || s.State == StateFailed || s.State == StateCanceled
 }
 
-// JobRequest is the wire form of one directly submitted simulation job.
-// The machine configuration travels as a preset name plus the scale-
-// derived cache size, exactly the materialization the sweep path uses —
-// so a directly submitted job and the same cell inside a sweep share one
-// fingerprint and therefore one cached result.
-type JobRequest struct {
-	App string `json:"app"`
-	// Scale is the input scale name; empty means small.
-	Scale string `json:"scale,omitempty"`
-	Proto string `json:"proto"`
-	// Preset is the cell's variant name as exp.CellConfig resolves it: a
-	// machine preset (config.Presets) or a study row such as line=256;
-	// empty means default.
-	Preset string `json:"preset,omitempty"`
-	// Procs is the machine size; zero means 64.
-	Procs int    `json:"procs,omitempty"`
-	Seed  uint64 `json:"seed,omitempty"`
-}
-
-// JobStatus is the wire form of one submitted job.
-type JobStatus struct {
-	// FP is the job's content fingerprint — its identity everywhere:
-	// the dedup key, the store key, and the URL path element.
-	FP    string `json:"fp"`
-	State string `json:"state"`
-	App   string `json:"app"`
-	Scale string `json:"scale"`
-	Proto string `json:"proto"`
-	// Cached marks a result served from the persistent store.
-	Cached bool `json:"cached,omitempty"`
-	// Result is the full measurement record, present once terminal
-	// (absent on failed/canceled jobs, whose Error explains why).
-	Result *runner.Result `json:"result,omitempty"`
-	Error  string         `json:"error,omitempty"`
-}
-
-// Terminal reports whether the job has finished.
-func (s JobStatus) Terminal() bool {
-	return s.State == StateDone || s.State == StateFailed || s.State == StateCanceled
-}
-
 // StatsResponse is the daemon's observability snapshot.
 type StatsResponse struct {
 	Runner runner.Meta  `json:"runner"`
 	Bus    bus.Stats    `json:"bus"`
 	Store  *store.Stats `json:"store,omitempty"`
 	Sweeps int          `json:"sweeps"`
-	Jobs   int          `json:"jobs"`
 }

@@ -31,7 +31,8 @@ import (
 type Violation struct {
 	// Time is the simulated time of the audit that caught it.
 	Time uint64
-	// Node is the home node whose directory the violation concerns.
+	// Node is the home node whose directory the violation concerns, or
+	// NoNode for a check of the machine as a whole.
 	Node int
 	// Block is the coherence block, or NoBlock for machine-level checks.
 	Block uint64
@@ -43,12 +44,19 @@ type Violation struct {
 	Final bool
 }
 
-// NoBlock marks a violation not tied to a single coherence block.
-const NoBlock = ^uint64(0)
+// NoBlock marks a violation not tied to a single coherence block, NoNode
+// one not tied to a single node.
+const (
+	NoBlock = ^uint64(0)
+	NoNode  = -1
+)
 
 // String renders the violation.
 func (v Violation) String() string {
-	where := fmt.Sprintf("node %d", v.Node)
+	where := "machine"
+	if v.Node != NoNode {
+		where = fmt.Sprintf("node %d", v.Node)
+	}
 	if v.Block != NoBlock {
 		where += fmt.Sprintf(" block %d", v.Block)
 	}
@@ -82,20 +90,7 @@ func New(m *machine.Machine) *Auditor {
 // Start schedules an epoch audit every `every` cycles for the rest of the
 // run. Audits are background events: they never keep the simulation
 // alive. Call before Machine.Run.
-func (a *Auditor) Start(every uint64) {
-	if every == 0 {
-		panic("check: audit interval must be positive")
-	}
-	eng := a.m.Eng
-	var tick func()
-	tick = func() {
-		a.Epoch()
-		if !eng.Stopped() {
-			eng.Background(eng.Now()+every, tick)
-		}
-	}
-	eng.Background(eng.Now()+every, tick)
-}
+func (a *Auditor) Start(every uint64) { a.m.Eng.Every(every, a.Epoch) }
 
 // Epochs returns the number of epoch audits performed.
 func (a *Auditor) Epochs() uint64 { return a.epochs }
@@ -147,9 +142,12 @@ func (a *Auditor) Epoch() {
 	}
 }
 
-// Final performs the strict quiescence audit after Machine.Run: exact
-// directory/cache agreement, no residual transactions, buffered writes,
-// or pending acknowledgements anywhere.
+// Final is the one end-of-run audit, run after Machine.Run: exact
+// directory/cache agreement with no acknowledgement still being
+// collected, and everything the machine demands of itself at quiescence
+// (Machine.CheckQuiescent: no residual transaction, buffered write,
+// parked or undelivered message, invalid lease or home still in service),
+// whose first breach is recorded as a violation like any other.
 func (a *Auditor) Final() {
 	now := a.m.Eng.Now()
 	for _, home := range a.m.Nodes {
@@ -157,32 +155,9 @@ func (a *Auditor) Final() {
 			a.checkEntry(now, home.ID, block, home.Dir.Peek(block), true)
 		}
 	}
-	for _, n := range a.m.Nodes {
-		if c := n.OutstandingCount(); c != 0 {
-			a.record(Violation{Time: now, Node: n.ID, Block: NoBlock, Final: true,
-				Invariant: "no-residual-txns",
-				Detail:    fmt.Sprintf("%d coherence transaction(s) still outstanding at quiescence", c)})
-		}
-		if c := n.WTPendingCount(); c != 0 {
-			a.record(Violation{Time: now, Node: n.ID, Block: NoBlock, Final: true,
-				Invariant: "no-residual-writes",
-				Detail:    fmt.Sprintf("%d write-through/write-back ack(s) still pending at quiescence", c)})
-		}
-		if !n.WB.Empty() {
-			a.record(Violation{Time: now, Node: n.ID, Block: NoBlock, Final: true,
-				Invariant: "write-buffer-empty",
-				Detail:    fmt.Sprintf("write buffer holds %d entries at quiescence", n.WB.Len())})
-		}
-		if !n.CB.Empty() {
-			a.record(Violation{Time: now, Node: n.ID, Block: NoBlock, Final: true,
-				Invariant: "coalescing-buffer-empty",
-				Detail:    fmt.Sprintf("coalescing buffer holds %d entries at quiescence", n.CB.Len())})
-		}
-		if err := n.HomeResidual(); err != nil {
-			a.record(Violation{Time: now, Node: n.ID, Block: NoBlock, Final: true,
-				Invariant: "no-residual-home-service",
-				Detail:    err.Error()})
-		}
+	if err := a.m.CheckQuiescent(); err != nil {
+		a.record(Violation{Time: now, Node: NoNode, Block: NoBlock, Final: true,
+			Invariant: "machine-quiescent", Detail: err.Error()})
 	}
 }
 

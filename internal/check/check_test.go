@@ -6,6 +6,7 @@ import (
 
 	"lazyrc/internal/apps"
 	"lazyrc/internal/config"
+	"lazyrc/internal/directory"
 	"lazyrc/internal/machine"
 )
 
@@ -94,6 +95,44 @@ func TestCatchesCorruptedDirectory(t *testing.T) {
 	}
 	if !strings.Contains(v.String(), "writers not a subset of sharers") {
 		t.Fatalf("violation lacks the structural detail: %s", v)
+	}
+}
+
+// TestFinalIsTheWholeQuiescenceAudit: Final covers what only
+// Machine.CheckQuiescent used to — a tool that calls Final alone (lrcsim
+// -check) rejects a lease whose write timestamp ran past its read lease.
+func TestFinalIsTheWholeQuiescenceAudit(t *testing.T) {
+	m, err := machine.New(config.Default(8), "tardis")
+	if err != nil {
+		t.Fatal(err)
+	}
+	app := apps.NewGauss(apps.Tiny)
+	app.Setup(m)
+	m.Run(app.Worker)
+	clean := New(m)
+	clean.Final()
+	if err := clean.Err(); err != nil {
+		t.Fatalf("violations on a clean run:\n%v", err)
+	}
+
+	doctored := false
+	for _, n := range m.Nodes {
+		n.Dir.VisitLeases(func(_ uint64, l *directory.Lease) {
+			if !doctored {
+				l.Wts, doctored = l.Rts+1, true
+			}
+		})
+	}
+	if !doctored {
+		t.Fatal("a tardis run left no lease to doctor")
+	}
+	a := New(m)
+	a.Final()
+	if len(a.Violations()) != 1 {
+		t.Fatalf("violations = %v, want the doctored lease alone", a.Violations())
+	}
+	if v := a.Violations()[0]; !v.Final || v.Node != NoNode || v.Invariant != "machine-quiescent" || !strings.Contains(v.String(), "lease wts") {
+		t.Fatalf("unexpected violation: %s", v)
 	}
 }
 

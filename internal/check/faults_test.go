@@ -59,9 +59,6 @@ func runOne(t *testing.T, app apps.App, cfg config.Config, proto string, expectF
 	if err := a.Err(); err != nil {
 		t.Fatalf("invariant violations under %s:\n%v", proto, err)
 	}
-	if err := m.CheckQuiescent(); err != nil {
-		t.Fatal(err)
-	}
 	if expectFaults {
 		reordered, delayed, duped, dropped := m.Net.FaultStats()
 		if delayed == 0 || duped == 0 {

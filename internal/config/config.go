@@ -188,11 +188,12 @@ func Future(n int) Config {
 func Presets() []string { return []string{"default", "future"} }
 
 // Preset returns a named machine preset — the serialization-friendly
-// form used by submitted job and sweep specs, where a client names the
-// machine ("default", "future") instead of shipping a parameter table.
+// form used by cell keys and submitted sweep specs, where a client names
+// the machine ("default", "future") instead of shipping a parameter
+// table. A machine has one name: the empty string is not one.
 func Preset(name string, procs int) (Config, error) {
 	switch name {
-	case "", "default":
+	case "default":
 		return Default(procs), nil
 	case "future":
 		return Future(procs), nil

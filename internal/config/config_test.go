@@ -111,8 +111,11 @@ func TestPresetNames(t *testing.T) {
 			t.Fatalf("preset %q invalid: %v", name, err)
 		}
 	}
-	if c, err := Preset("", 16); err != nil || c != Default(16) {
-		t.Fatalf("empty preset: %+v, %v", c, err)
+	if c, err := Preset("default", 16); err != nil || c != Default(16) {
+		t.Fatalf("default preset: %+v, %v", c, err)
+	}
+	if _, err := Preset("", 16); err == nil {
+		t.Fatal("the empty name is a second name for the default machine")
 	}
 	if c, err := Preset("future", 16); err != nil || c != Future(16) {
 		t.Fatalf("future preset: %+v, %v", c, err)

@@ -53,16 +53,10 @@ func cellKey(variant, appName, proto string) string {
 }
 
 // NewEvaluator returns an evaluator for the given scale and machine size
-// (the paper evaluates 64 processors). Runs execute serially; use
-// NewEvaluatorWith to share a worker pool and result cache.
+// (the paper evaluates 64 processors). Runs execute serially; set R to
+// share a worker pool and result cache.
 func NewEvaluator(scale apps.Scale, procs int) *Evaluator {
-	return NewEvaluatorWith(scale, procs, nil)
-}
-
-// NewEvaluatorWith returns an evaluator that executes through the given
-// runner (nil behaves like NewEvaluator).
-func NewEvaluatorWith(scale apps.Scale, procs int, r *runner.Runner) *Evaluator {
-	return &Evaluator{Scale: scale, Procs: procs, R: r, runs: make(map[string]memoRun)}
+	return &Evaluator{Scale: scale, Procs: procs, runs: make(map[string]memoRun)}
 }
 
 // engine returns the evaluator's runner, creating a serial one on first

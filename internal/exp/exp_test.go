@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"os"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -15,6 +16,13 @@ import (
 )
 
 func tinyEvaluator() *Evaluator { return NewEvaluator(apps.Tiny, 8) }
+
+// evaluatorOn is a tiny 4-processor evaluator executing through rn.
+func evaluatorOn(rn *runner.Runner) *Evaluator {
+	e := NewEvaluator(apps.Tiny, 4)
+	e.R = rn
+	return e
+}
 
 func TestEvaluatorMemoizes(t *testing.T) {
 	e := tinyEvaluator()
@@ -50,7 +58,7 @@ func TestPrefetchFillsTheMemo(t *testing.T) {
 			mu.Unlock()
 		}
 	}
-	e := NewEvaluatorWith(apps.Tiny, 4, rn)
+	e := evaluatorOn(rn)
 	e.Prefetch(cells)
 	for _, c := range cells {
 		if e.Get(c[0], c[1], c[2]).ExecCycles == 0 {
@@ -331,11 +339,11 @@ func TestParallelSerialDeterminism(t *testing.T) {
 	targets := []string{"table2", "table3", "fig4", "fig6", "fig8"}
 	render := func(e *Evaluator) string { return renderAll(t, e.Report(), targets) }
 
-	serial := NewEvaluatorWith(apps.Tiny, 4, runner.New(1, nil))
+	serial := evaluatorOn(runner.New(1, nil))
 	serial.Prefetch(TargetCells(targets, nil))
 	serialOut := render(serial)
 
-	parallel := NewEvaluatorWith(apps.Tiny, 4, runner.New(8, nil))
+	parallel := evaluatorOn(runner.New(8, nil))
 	parallel.Prefetch(TargetCells(targets, nil))
 	parallelOut := render(parallel)
 
@@ -364,7 +372,7 @@ func TestEvaluatorSharedStore(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e1 := NewEvaluatorWith(apps.Tiny, 4, runner.New(4, cold))
+	e1 := evaluatorOn(runner.New(4, cold))
 	e1.Prefetch(cells)
 	rep1 := reportBytes(t, e1)
 	if m := e1.R.Meta(); m.Simulated == 0 || m.CacheHits != 0 {
@@ -380,7 +388,7 @@ func TestEvaluatorSharedStore(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer warm.Close()
-	e2 := NewEvaluatorWith(apps.Tiny, 4, runner.New(4, warm))
+	e2 := evaluatorOn(runner.New(4, warm))
 	e2.Prefetch(cells)
 	rep2 := reportBytes(t, e2)
 	if m := e2.R.Meta(); m.Simulated != 0 || m.CacheHits != len(cells) {
@@ -443,7 +451,7 @@ func TestStoredStudiesRenderGolden(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	studies := Targets[len(MatrixTargets):]
+	studies := []string{"sweep", "ablate", "dsm", "scaling"}
 	if got := renderAll(t, rep, studies); got != string(want) {
 		t.Fatalf("renderings of BENCH_studies.json drifted from testdata/paperbench_tiny_studies.golden:\n%s", got)
 	}
@@ -483,6 +491,79 @@ func TestStoredStudiesRenderGolden(t *testing.T) {
 	}
 }
 
+// TestStoredSoakRendersGolden is the same for the chaos soak, whose
+// rendering is a verdict: testdata/chaos_tiny4.json (`paperbench -scale
+// tiny -procs 4 -q -protocols lrc,tardis2 -write-baseline … chaos`)
+// re-renders, with no simulation, the table the deleted driver printed for
+// that invocation (testdata/paperbench_tiny_chaos.golden, less the seed
+// in its title, which a report does not carry). A faulted run whose
+// final memory differs from its fault-free reference fails its slot and
+// the rendering — unless the application folds timing into its result.
+func TestStoredSoakRendersGolden(t *testing.T) {
+	rep, err := LoadReport("testdata/chaos_tiny4.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := os.ReadFile("testdata/paperbench_tiny_chaos.golden")
+	if err != nil {
+		t.Fatal(err)
+	}
+	protos := []string{"lrc", "tardis2"}
+	got, err := Render("chaos", rep.View(), protos)
+	if err != nil || got+"\n" != string(want) {
+		t.Fatalf("rendering of testdata/chaos_tiny4.json drifted from testdata/paperbench_tiny_chaos.golden (%v):\n%s", err, got)
+	}
+	if err := rep.Err(); err != nil {
+		t.Fatal(err)
+	}
+	// The stored report holds the protocols it was narrowed to.
+	if _, err := Render("chaos", rep.View(), nil); err == nil || !strings.Contains(err.Error(), "drop2/barnes-hut/sc") {
+		t.Fatalf("the unnarrowed soak from a narrowed report: %v", err)
+	}
+
+	for i := range rep.Runs {
+		if r := &rep.Runs[i]; r.Config == "storm" && r.Protocol == "lrc" && (r.App == "fft" || r.App == "mp3d") {
+			r.MemDigest = "0000" + r.MemDigest[4:]
+		}
+	}
+	doctored, err := Render("chaos", rep.View(), protos)
+	if err == nil || !strings.Contains(err.Error(), "1 cell(s) failed the end-state oracle (first: fft/lrc/storm: FAIL memory diverged)") {
+		t.Fatalf("a soak with a diverged memory image passes: %v", err)
+	}
+	var changed []string
+	golden := strings.Split(got, "\n")
+	for i, line := range strings.Split(doctored, "\n") {
+		if i >= len(golden) || line != golden[i] {
+			changed = append(changed, line)
+		}
+	}
+	if want := []string{
+		"  fft          lrc      ok (368 faulted, 368 retx) ok (2044 faulted, 2044 retx) FAIL memory diverged    ",
+		"FAILED: 1 cell(s) diverged",
+		"  fft/lrc/storm: FAIL memory diverged",
+		"",
+	}; !slices.Equal(changed, want) {
+		t.Fatalf("the doctored soak changed lines %q, want %q", changed, want)
+	}
+
+	// What the runner's guards and a processor that never finished leave
+	// in a stored result reaches the verdict, and the exit code, as the
+	// run's error.
+	e := NewEvaluator(apps.Tiny, 4)
+	e.runs["drop2/fft/lrc"] = memoRun{"drop2", &runner.Result{App: "fft", Proto: "lrc", Completed: true, CheckErr: "watchdog: stall"}}
+	e.runs["drop2/fft/sc"] = memoRun{"drop2", &runner.Result{App: "fft", Proto: "sc", VerifyErr: "residual too large"}}
+	e.runs["storm/fft/lrc"] = memoRun{"storm", &runner.Result{App: "fft", Proto: "lrc"}}
+	guarded := e.Report()
+	for i, want := range []string{"check: watchdog: stall", "residual too large", "incomplete: a processor never finished"} {
+		if r := guarded.Runs[i]; r.Verified || r.Error != want {
+			t.Errorf("%s/%s/%s reports verified=%v, error %q, want %q", r.Config, r.App, r.Protocol, r.Verified, r.Error, want)
+		}
+	}
+	if err := guarded.Err(); err == nil || !strings.Contains(err.Error(), "drop2/fft/lrc: check: watchdog: stall") {
+		t.Fatalf("a report with a tripped watchdog passes: %v", err)
+	}
+}
+
 // TestStudyCellsShareMatrixJobs: the seed reaches study cells, so a study
 // point that is the default machine (cb=16) is the job the matrix runs —
 // prefetching fig4 and ablate together executes default/blu/lrc once,
@@ -492,7 +573,7 @@ func TestStudyCellsShareMatrixJobs(t *testing.T) {
 		t.Skip("runs simulations")
 	}
 	rn := runner.New(2, nil)
-	e := NewEvaluatorWith(apps.Tiny, 4, rn)
+	e := evaluatorOn(rn)
 	e.Seed = 3
 	shared := e.Job("default", "blu", "lrc").Fingerprint()
 	if fp := e.Job("cb=16", "blu", "lrc").Fingerprint(); fp != shared {

@@ -108,6 +108,12 @@ func Gate(baseline, fresh Report, tolPct float64) []string {
 			fail("%s: span digest changed: %s -> %s (causal event-stream drift)",
 				k, short(base.SpanDigest), short(run.SpanDigest))
 		}
+		// The memory digest is the run's end state: the image a faulted
+		// run must reproduce. Same both-sides rule as the two digests above.
+		if base.MemDigest != "" && run.MemDigest != "" && base.MemDigest != run.MemDigest {
+			fail("%s: memory digest changed: %s -> %s (final memory image drift)",
+				k, short(base.MemDigest), short(run.MemDigest))
+		}
 		if base.Verified && !run.Verified {
 			fail("%s: run no longer verifies: %s", k, run.Error)
 		}

@@ -66,6 +66,18 @@ type ReportRun struct {
 	Spans      uint64 `json:"spans,omitempty"`
 	SpanDigest string `json:"span_digest,omitempty"`
 
+	// What the chaos soak's end-state verdict reads (ChaosVerdict): the
+	// fingerprint of the final shared-memory image (empty in reports older
+	// than the soak's joining them), and how many messages a fault plan
+	// faulted and the transport retransmitted (zero on a reliable fabric).
+	MemDigest      string `json:"mem_digest,omitempty"`
+	FaultsInjected uint64 `json:"faults_injected,omitempty"`
+	Retransmits    uint64 `json:"retransmits,omitempty"`
+
+	// Verified is false, and Error says why, for a run that crashed,
+	// tripped the invariant auditor or the watchdog (faulted runs are
+	// guarded), failed its numerical verification, or left a processor
+	// unfinished.
 	Verified bool   `json:"verified"`
 	Error    string `json:"error,omitempty"`
 }
@@ -102,6 +114,7 @@ func (e *Evaluator) Report() Report {
 			Spans:         res.Spans,
 			SpanDigest:    res.SpanDigest,
 			MissShares:    map[string]float64{},
+			MemDigest:     res.MemDigest, FaultsInjected: res.FaultsInjected, Retransmits: res.Retransmits,
 		}
 		if err := res.Err(); err != nil {
 			rr.Error = err.Error()
@@ -122,8 +135,8 @@ func (e *Evaluator) Report() Report {
 	return rep
 }
 
-// Err returns the first run, in report order, that crashed or failed
-// its numerical verification, or nil when every run verified.
+// Err returns the first run, in report order, that did not verify (see
+// ReportRun.Verified), or nil when every run did.
 func (r Report) Err() error {
 	for _, run := range r.Runs {
 		if !run.Verified {
@@ -139,10 +152,12 @@ func (r Report) Err() error {
 // SC-normalisation arithmetic is written. Not safe for concurrent use:
 // lookups on behalf of a renderer remember the cells they missed.
 type View struct {
-	scale   string // the report's evaluation point, for study headings
-	procs   int
-	runs    map[string]*ReportRun
-	missing []string // cell keys asked for and absent, for Render to name
+	scale string // the report's evaluation point, for study headings
+	procs int
+	runs  map[string]*ReportRun
+	// What the renderer at work found wrong, for Render to name: cell keys
+	// asked for and absent, and soak cells that failed their verdict.
+	missing, failures []string
 }
 
 // View indexes the report's runs. The view reads the report's own run

@@ -9,6 +9,7 @@ import (
 	"sort"
 
 	"lazyrc/internal/apps"
+	"lazyrc/internal/config"
 	"lazyrc/internal/runner"
 )
 
@@ -20,9 +21,11 @@ import (
 // sweep and a local paperbench invocation of the same shape produce the
 // same job fingerprints and therefore share the result store.
 type Spec struct {
-	// Targets are the paperbench targets a report carries (Targets), or
-	// "all" for the paper's matrix (MatrixTargets); the studies are named
-	// explicitly. Empty means "all".
+	// Targets are the paperbench targets a report carries (Targets), "all"
+	// for the paper's matrix (MatrixTargets; the studies and the soak are
+	// named explicitly), or cell keys — variant/app/protocol, one
+	// simulation each, such as default/gauss/lrc or line=256/mp3d/erc.
+	// Empty means "all".
 	Targets []string `json:"targets,omitempty"`
 	// Apps restricts every target to these applications. Empty means the
 	// paper's full application set.
@@ -35,6 +38,11 @@ type Spec struct {
 	// Seed is the base random seed stamped into every run.
 	Seed uint64 `json:"seed,omitempty"`
 }
+
+// maxProcs bounds the machine a spec, which is outside input, may ask
+// for: laying one out on the mesh, let alone building one per cell, costs
+// time and memory that grow with its size. The paper's has 64 processors.
+const maxProcs = 1024
 
 // Normalize validates the spec and returns its canonical form: defaults
 // filled in, targets and apps sorted and deduplicated, "all" absorbing
@@ -55,6 +63,9 @@ func (s Spec) Normalize() (Spec, error) {
 	if n.Procs == 0 {
 		n.Procs = 64
 	}
+	if n.Procs > maxProcs {
+		return Spec{}, fmt.Errorf("exp: %d processors is more than a spec may ask for (%d)", n.Procs, maxProcs)
+	}
 	if err := mustCell("default", n.Procs, scale, n.Seed).Validate(); err != nil {
 		return Spec{}, err
 	}
@@ -63,25 +74,40 @@ func (s Spec) Normalize() (Spec, error) {
 	if all {
 		n.Targets = []string{"all"}
 	}
+	appNames := apps.Names()
+	checkApp := func(a string) error {
+		if !slices.Contains(appNames, a) {
+			return fmt.Errorf("exp: unknown application %q (want one of %v)", a, appNames)
+		}
+		return nil
+	}
 	for _, t := range s.Targets {
+		cell, isCell := parseCell(t)
 		switch {
 		case t == "all" || all && slices.Contains(MatrixTargets, t):
-			// "all" stands for the matrix targets it covers
+			continue // "all" stands for the matrix targets it covers
+		case isCell:
+			// Checked element by element, the way the cell will be built.
+			_, err := CellConfig(cell[0], n.Procs, scale, n.Seed)
+			if err == nil {
+				err = checkApp(cell[1])
+			}
+			if _, ok := config.ProtocolInfoFor(cell[2]); err == nil && !ok {
+				err = fmt.Errorf("exp: unknown protocol %q (want one of %v)", cell[2], config.ProtocolNames())
+			}
+			if err != nil {
+				return Spec{}, fmt.Errorf("exp: target %q: %w", t, err)
+			}
 		case !slices.Contains(Targets, t):
-			return Spec{}, fmt.Errorf("exp: unknown sweep target %q (want all or one of %v)", t, Targets)
-		default:
-			n.Targets = append(n.Targets, t)
+			return Spec{}, fmt.Errorf("exp: unknown target %q (want all, one of %v, or a cell variant/app/protocol such as default/gauss/lrc)", t, Targets)
 		}
+		n.Targets = append(n.Targets, t)
 	}
 	n.Targets = dedupSorted(n.Targets)
 
-	knownApp := map[string]bool{}
-	for _, a := range apps.Names() {
-		knownApp[a] = true
-	}
 	for _, a := range s.Apps {
-		if !knownApp[a] {
-			return Spec{}, fmt.Errorf("exp: unknown application %q (want one of %v)", a, apps.Names())
+		if err := checkApp(a); err != nil {
+			return Spec{}, err
 		}
 	}
 	n.Apps = dedupSorted(s.Apps)

@@ -1,6 +1,8 @@
 package exp
 
 import (
+	"encoding/json"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -44,6 +46,100 @@ func TestSpecNormalizeAndID(t *testing.T) {
 	}
 }
 
+// TestCellTargets: a cell key is a target. It normalises, expands to the
+// one cell it names — the job Evaluator.Job builds, so it shares stored
+// results with every table that reads the cell — and is refused, by
+// name, when any element of it is unknown. Specs without cell keys keep
+// the identity they had before cell keys existed.
+func TestCellTargets(t *testing.T) {
+	spec := Spec{Targets: []string{"default/gauss/lrc"}, Scale: "tiny", Procs: 4, Seed: 7}
+	n, e, cells, err := spec.Expand()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(n.Targets) != 1 || n.Targets[0] != "default/gauss/lrc" || len(cells) != 1 || cells[0] != [3]string{"default", "gauss", "lrc"} {
+		t.Fatalf("normalized to %v, expanded to %v", n.Targets, cells)
+	}
+	jobs, err := spec.Jobs()
+	if err != nil || len(jobs) != 1 {
+		t.Fatalf("jobs: %v, %v", jobs, err)
+	}
+	if want := e.Job("default", "gauss", "lrc").Fingerprint(); jobs[0].Fingerprint() != want {
+		t.Fatalf("cell target fingerprint %s, evaluator's %s", jobs[0].Fingerprint(), want)
+	}
+	// Beside a table that reads the cell it adds nothing; a study row is
+	// a cell like any other; "all" does not absorb a cell.
+	if got := TargetCells([]string{"fig4", "default/gauss/lrc"}, nil); len(got) != 21 {
+		t.Fatalf("fig4 plus one of its cells expands to %d cells, want 21", len(got))
+	}
+	n, err = Spec{Targets: []string{"line=256/mp3d/erc", "all", "fig4", "line=256/mp3d/erc"}}.Normalize()
+	if err != nil || len(n.Targets) != 2 || n.Targets[0] != "all" || n.Targets[1] != "line=256/mp3d/erc" {
+		t.Fatalf("normalized to %v (%v), want [all line=256/mp3d/erc]", n.Targets, err)
+	}
+	if (Spec{Targets: []string{"default/gauss/lrc"}}).ID() == (Spec{Targets: []string{"default/gauss/erc"}}).ID() {
+		t.Fatal("two cells share a sweep identity")
+	}
+
+	for _, bad := range []string{"line=256/gauss/warp", "nosuch/gauss/lrc", "default/doom/lrc", "/gauss/lrc", "a/b", "a/b/c/d"} {
+		if _, err := (Spec{Targets: []string{"fig4", bad}}).Normalize(); err == nil || !strings.Contains(err.Error(), `"`+bad+`"`) {
+			t.Errorf("target %q: %v, want a refusal naming it", bad, err)
+		}
+	}
+
+	const pinned = "b8f5866b036c5cb10eb0b06dc5ca8f98cedea6fbe89b214cf965db5330ee2d01"
+	if id := (Spec{Targets: []string{"fig4", "fig6"}, Scale: "tiny", Procs: 64, Seed: 1}).ID(); id != pinned {
+		t.Fatalf("the ID of {fig4, fig6, tiny, 64, 1} moved to %s: stored sweep registries key on it", id)
+	}
+}
+
+// FuzzSpecNormalize: a spec arrives as bytes from outside the program
+// (POST /api/v1/sweeps, the store's sweep registry). Whatever decodes,
+// Normalize must not panic on; what it accepts it must leave alone the
+// second time, under the same ID, and every cell of the expansion must be
+// one CellConfig can build.
+func FuzzSpecNormalize(f *testing.F) {
+	for _, seed := range []string{
+		`{}`,
+		`{"targets":["fig4","fig6"],"scale":"tiny","procs":64,"seed":1}`,
+		`{"targets":["default/gauss/lrc"],"scale":"tiny","procs":4,"seed":7}`,
+		`{"targets":["all","sweep","fig4","fig4","line=256/mp3d/erc","procs=4/blu/lrc"],"apps":["fft","fft","gauss"]}`,
+		`{"targets":["chaos","storm/fft/tardis2"],"apps":["barnes-hut","blu","cholesky","fft","gauss","locusroute","mp3d"]}`,
+		`{"targets":["a/b","//","/gauss/lrc","default/gauss/lrc/"],"procs":-3}`,
+		`{"targets":["fig4"],"scale":"galactic"}`,
+		`{"targets":["fig4"],"scale":"tiny","procs":9223372036854775807,"seed":18446744073709551615}`,
+		`{"targets":[""],"apps":[""]}`,
+		`[1,2`,
+	} {
+		f.Add([]byte(seed))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var spec Spec
+		if json.Unmarshal(data, &spec) != nil {
+			return
+		}
+		n, err := spec.Normalize()
+		if err != nil {
+			return
+		}
+		again, err := n.Normalize()
+		if err != nil || !reflect.DeepEqual(n, again) {
+			t.Fatalf("Normalize is not idempotent: %+v -> %+v (%v)", n, again, err)
+		}
+		if spec.ID() != n.ID() {
+			t.Fatalf("ID moved under Normalize: %+v", spec)
+		}
+		_, e, cells, err := spec.Expand()
+		if err != nil {
+			t.Fatalf("Normalize accepted what Expand refuses: %v", err)
+		}
+		for _, c := range cells {
+			if _, err := CellConfig(c[0], e.Procs, e.Scale, e.Seed); err != nil {
+				t.Fatalf("cell %v of %+v: %v", c, n, err)
+			}
+		}
+	})
+}
+
 func TestSpecRejectsUnknownNames(t *testing.T) {
 	if _, err := (Spec{Targets: []string{"fig99"}}).Normalize(); err == nil || !strings.Contains(err.Error(), "fig99") {
 		t.Fatalf("unknown target accepted: %v", err)
@@ -59,6 +155,12 @@ func TestSpecRejectsUnknownNames(t *testing.T) {
 	// positive count lays out as a w×h mesh) is not.
 	if _, err := (Spec{Procs: -3}).Normalize(); err == nil {
 		t.Fatal("negative processor count accepted")
+	}
+	// A machine too large to lay out, let alone build, is refused before
+	// anything is (FuzzSpecNormalize found the mesh layout of 2^63-1
+	// processors taking minutes).
+	if _, err := (Spec{Procs: 1 << 40}).Normalize(); err == nil {
+		t.Fatal("a 2^40-processor machine accepted")
 	}
 	if _, err := (Spec{Procs: 3}).Normalize(); err != nil {
 		t.Fatalf("3 processors (a 3×1 mesh every app runs on) refused: %v", err)

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"slices"
 	"strings"
+	"text/tabwriter"
 
 	"lazyrc/internal/config"
 )
@@ -37,11 +38,12 @@ type block struct {
 	protos []string
 }
 
-// target is one paperbench target a report carries: the cells its
+// target is one named paperbench target a report carries: the cells its
 // rendering reads, as blocks, and the renderer of one block over a report
 // view (a study prints one table per block). inAll marks the paper's
 // matrix, which is what a Spec's "all" (and its absence of targets)
-// means; the studies are named explicitly.
+// means; the studies and the soak are named explicitly. The other kind
+// of target, a cell key, names one simulation and needs no row here.
 type target struct {
 	name   string
 	inAll  bool
@@ -74,6 +76,7 @@ var targets = []target{
 	{"ablate", false, ablations, ablationTable},
 	{"dsm", false, dsmContrast, dsmTable},
 	{"scaling", false, scaling, scalingTable},
+	{"chaos", false, soak, soakTable},
 }
 
 // matrix is the read set of a paper table or figure: every application
@@ -106,16 +109,33 @@ func init() {
 	}
 }
 
-// TargetCells expands the requested targets ("all" or any of Targets;
-// other names are ignored) into the deduplicated list of (variant, app,
-// protocol) cells their rendering consumes, in a deterministic order
-// suitable for Evaluator.Prefetch. A non-empty appNames restricts the
-// expansion to those applications — submitted sweep specs may scope the
+// parseCell splits a cell key, variant/app/protocol: the name of one
+// simulation in a Spec, a report and the daemon's cells route.
+func parseCell(key string) (cell [3]string, ok bool) {
+	parts := strings.Split(key, "/")
+	if len(parts) != len(cell) {
+		return cell, false
+	}
+	return [3]string(parts), true
+}
+
+// TargetCells expands the requested targets ("all", any of Targets, or a
+// cell key; other names are ignored) into the deduplicated list of
+// (variant, app, protocol) cells their rendering consumes, in a
+// deterministic order suitable for Evaluator.Prefetch: table order, then
+// the cell keys as given. A non-empty appNames restricts the named
+// targets to those applications — submitted sweep specs may scope the
 // evaluation to a few (a study keeps those of its own it shares with the
-// subset).
+// subset); a cell key names its application itself.
 func TargetCells(names, appNames []string) [][3]string {
 	seen := map[[3]string]bool{}
 	var cells [][3]string
+	add := func(cell [3]string) {
+		if !seen[cell] {
+			seen[cell] = true
+			cells = append(cells, cell)
+		}
+	}
 	for _, t := range targets {
 		if !slices.Contains(names, t.name) && !(t.inAll && slices.Contains(names, "all")) {
 			continue
@@ -130,33 +150,36 @@ func TargetCells(names, appNames []string) [][3]string {
 						continue
 					}
 					for _, proto := range b.protos {
-						cell := [3]string{p.variant, app, proto}
-						if !seen[cell] {
-							seen[cell] = true
-							cells = append(cells, cell)
-						}
+						add([3]string{p.variant, app, proto})
 					}
 				}
 			}
 		}
 	}
+	for _, name := range names {
+		if cell, ok := parseCell(name); ok {
+			add(cell)
+		}
+	}
 	return cells
 }
 
-// Render renders one target as text from a report view — the same bytes
-// whether the report was just evaluated, fetched from a daemon or loaded
-// from a file. A non-empty protos replaces the protocol set of the tardis
-// table; every other target ignores it. A report that lacks a cell the
-// target reads is an error naming the cell, never a table of zeros.
+// Render renders one named target as text from a report view — the same
+// bytes whether the report was just evaluated, fetched from a daemon or
+// loaded from a file. A non-empty protos replaces the protocol set of the
+// tardis table and the chaos soak; every other target ignores it. A
+// report that lacks a cell the target reads is an error naming the cell,
+// never a table of zeros; a soak in which a faulted run diverged from its
+// fault-free reference is the rendered verdicts and an error.
 func Render(name string, v *View, protos []string) (string, error) {
 	for _, t := range targets {
 		if t.name != name {
 			continue
 		}
-		v.missing = v.missing[:0]
+		v.missing, v.failures = v.missing[:0], v.failures[:0]
 		tables := make([]string, len(t.blocks))
 		for i, b := range t.blocks {
-			if name == "tardis" && len(protos) > 0 {
+			if (name == "tardis" || name == "chaos") && len(protos) > 0 {
 				b.protos = protos
 			}
 			tables[i] = t.table(v, b)
@@ -165,7 +188,39 @@ func Render(name string, v *View, protos []string) (string, error) {
 			return "", fmt.Errorf("exp: %s reads cell %s, which the report lacks (%d missing lookups in all)",
 				name, v.missing[0], len(v.missing))
 		}
-		return strings.Join(tables, "\n"), nil // a blank line between a study's tables
+		out := strings.Join(tables, "\n") // a blank line between a study's tables
+		if len(v.failures) > 0 {
+			return out, fmt.Errorf("exp: %s: %d cell(s) failed the end-state oracle (first: %s)",
+				name, len(v.failures), v.failures[0])
+		}
+		return out, nil
 	}
 	return "", fmt.Errorf("exp: no report carries target %q (want one of %v)", name, Targets)
+}
+
+// CellTable renders the given cells as the one generic table — what a
+// cell-key target prints, and lrcsim -protocols: one row of measurements
+// per cell, the execution time also normalized to the SC run of the same
+// variant and application where the report has one. A cell the report
+// lacks is an error naming it.
+func CellTable(v *View, cells [][3]string) (string, error) {
+	var b strings.Builder
+	fmt.Fprintf(&b, "Cells: %s inputs, %d procs\n", v.scale, v.procs)
+	w := tabwriter.NewWriter(&b, 0, 8, 2, ' ', tabwriter.AlignRight)
+	fmt.Fprintln(w, "variant\tapp\tprotocol\tcycles\tnorm\tcpu\tread\twrite\tsync\tmiss\tmsgs\tbytes\t")
+	for _, c := range cells {
+		r, ok := v.Run(c[0], c[1], c[2])
+		if !ok {
+			return "", fmt.Errorf("exp: the report lacks cell %s", cellKey(c[0], c[1], c[2]))
+		}
+		norm := "-"
+		if r.Normalized > 0 {
+			norm = fmt.Sprintf("%.3f", r.Normalized)
+		}
+		fmt.Fprintf(w, "%s\t%s\t%s\t%d\t%s\t%d\t%d\t%d\t%d\t%.2f%%\t%d\t%d\t\n",
+			r.Config, r.App, r.Protocol, r.ExecCycles, norm,
+			r.CPUCycles, r.ReadCycles, r.WriteCycles, r.SyncCycles, r.MissRatePct, r.NetworkMsgs, r.NetworkBytes)
+	}
+	w.Flush()
+	return b.String(), nil
 }

@@ -487,10 +487,10 @@ func (m *Machine) DumpState() string {
 }
 
 // CheckQuiescent verifies end-of-run invariants: every directory entry
-// and lease validates, no buffered writes or undelivered messages
-// linger, and no home has a request still in service or an episode
-// (grant, transfer, held drop, recall) still open. It returns the first
-// violation.
+// and lease validates, no coherence transaction, buffered or
+// unacknowledged write or undelivered message lingers, and no home has a
+// request still in service or an episode (grant, transfer, held drop,
+// recall) still open. It returns the first violation.
 func (m *Machine) CheckQuiescent() error {
 	for _, n := range m.Nodes {
 		var err error
@@ -503,6 +503,12 @@ func (m *Machine) CheckQuiescent() error {
 		})
 		if err != nil {
 			return err
+		}
+		if c := n.OutstandingCount(); c != 0 {
+			return fmt.Errorf("node %d: %d coherence transaction(s) still outstanding at end of run", n.ID, c)
+		}
+		if c := n.WTPendingCount(); c != 0 {
+			return fmt.Errorf("node %d: %d write-through/write-back ack(s) still pending at end of run", n.ID, c)
 		}
 		if !n.WB.Empty() {
 			return fmt.Errorf("node %d: write buffer not empty at end of run", n.ID)

@@ -148,18 +148,14 @@ func (m *Machine) EnableMetrics(interval uint64) *telemetry.Registry {
 		dirWeak.Set(float64(dir[3]))
 	})
 
-	// Self-rescheduling background tick: background events never keep the
-	// simulation alive, so the tick dies with the last regular event and
-	// Run takes the closing sample. Sampling wall time is charged to the
-	// telemetry perf phase (m.Perf is read when the tick fires, so
+	// The tick is a background event: it dies with the last regular event
+	// and Run takes the closing sample. Sampling wall time is charged to
+	// the telemetry perf phase (m.Perf is read when the tick fires, so
 	// EnablePerf may come before or after; nil stays a no-op).
-	var tick func()
-	tick = func() {
+	m.Eng.Every(interval, func() {
 		prev := m.Perf.Enter(perf.PhaseTelemetry)
 		reg.Sample(m.Eng.Now())
 		m.Perf.Exit(prev)
-		m.Eng.Background(m.Eng.Now()+interval, tick)
-	}
-	m.Eng.Background(interval, tick)
+	})
 	return reg
 }

@@ -32,7 +32,7 @@ type RunConfig struct {
 	// Mutation names a deliberate protocol bug to inject (config.Mutations).
 	Mutation string
 	// Audit runs the protocol-invariant auditor at every scheduler choice
-	// point and at quiescence.
+	// point as well as at quiescence, where it always runs.
 	Audit bool
 }
 
@@ -203,8 +203,9 @@ func RunOnce(t *Test, rc RunConfig, prefix []int) (*RunResult, error) {
 		max = DefaultMaxChoices
 	}
 	rec := &recorder{m: m, prefix: prefix, max: max}
+	aud := check.New(m)
 	if rc.Audit {
-		rec.aud = check.New(m)
+		rec.aud = aud
 	}
 	m.Eng.SetChooser(rec)
 	if err := m.Net.SetExplorer(meshFacet{rec}, menu); err != nil {
@@ -268,14 +269,11 @@ func RunOnce(t *Test, rc RunConfig, prefix []int) (*RunResult, error) {
 					fmt.Sprintf("deadlock: processor %d never finished its program", id))
 			}
 		}
-		if rec.aud != nil && len(res.Violations) == 0 {
-			rec.aud.Final()
-			for _, v := range rec.aud.Violations() {
+		if len(res.Violations) == 0 {
+			aud.Final()
+			for _, v := range aud.Violations() {
 				res.Violations = append(res.Violations, v.String())
 			}
-		}
-		if err := m.CheckQuiescent(); err != nil && len(res.Violations) == 0 {
-			res.Violations = append(res.Violations, fmt.Sprintf("quiescence: %v", err))
 		}
 	}
 

@@ -107,14 +107,19 @@ type Result struct {
 // possibly with a verification error).
 func (r *Result) Failed() bool { return r.Failure != "" }
 
-// Err folds both failure modes into one error: nil for a clean run, the
-// failure for a crashed job, the verification error otherwise.
+// Err folds every way a run can fail into one error: nil for a clean
+// run, else the failure of a crashed job, what a guard of a faulted one
+// found, the verification error, or that a processor never finished.
 func (r *Result) Err() error {
 	switch {
 	case r.Failure != "":
 		return errors.New(r.Failure)
+	case r.CheckErr != "":
+		return errors.New("check: " + r.CheckErr)
 	case r.VerifyErr != "":
 		return errors.New(r.VerifyErr)
+	case !r.Completed:
+		return errors.New("incomplete: a processor never finished")
 	}
 	return nil
 }
@@ -163,18 +168,16 @@ func (h hooks) canceled() bool {
 	return h.ctx != nil && h.ctx.Err() != nil
 }
 
-// install attaches the poll/heartbeat background prober to a built
-// machine. It reschedules itself every cancelPollEvery cycles; when the
-// context dies it stops the engine instead of rescheduling, and every
-// `every` cycles it reports the current cycle through beat.
+// install attaches the background prober to a built machine: every
+// cancelPollEvery cycles it stops the engine if the context died (which
+// ends the polling), and every `every` cycles it reports the cycle to beat.
 func (h hooks) install(m *machine.Machine) {
 	every := h.every
 	if every == 0 {
 		every = DefaultHeartbeatEvery
 	}
-	var nextBeat uint64 = every
-	var tick func()
-	tick = func() {
+	nextBeat := every
+	m.Eng.Every(cancelPollEvery, func() {
 		if h.canceled() {
 			m.Eng.Stop()
 			return
@@ -186,9 +189,7 @@ func (h hooks) install(m *machine.Machine) {
 				nextBeat += every
 			}
 		}
-		m.Eng.Background(now+cancelPollEvery, tick)
-	}
-	m.Eng.Background(m.Eng.Now()+cancelPollEvery, tick)
+	})
 }
 
 // canceledResult is the record returned for a submission abandoned
@@ -277,10 +278,6 @@ var simulate = func(j Job, res *Result, hk hooks) error {
 			res.CheckErr = "watchdog: " + stalled
 		case aud.Err() != nil:
 			res.CheckErr = aud.Err().Error()
-		default:
-			if qerr := m.CheckQuiescent(); qerr != nil {
-				res.CheckErr = qerr.Error()
-			}
 		}
 	}
 	return nil

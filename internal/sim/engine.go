@@ -228,6 +228,25 @@ func (e *Engine) Background(t Time, fn func()) {
 	e.push(t, fn, true)
 }
 
+// Every runs fn as a background event every interval cycles from now on,
+// first at now+interval — the one periodic primitive the observers
+// (telemetry tick, audit epochs, watchdog, cancellation poll, progress
+// line) share. Like any background event it never keeps the simulation
+// alive; once the engine is stopped it is not rescheduled.
+func (e *Engine) Every(interval uint64, fn func()) {
+	if interval == 0 {
+		panic("sim: periodic interval must be positive")
+	}
+	var tick func()
+	tick = func() {
+		fn()
+		if !e.stopped {
+			e.Background(e.now+interval, tick)
+		}
+	}
+	e.Background(e.now+interval, tick)
+}
+
 // Pending returns the number of events currently queued.
 func (e *Engine) Pending() int { return len(e.events) }
 

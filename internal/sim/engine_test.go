@@ -3,6 +3,7 @@ package sim
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -112,6 +113,44 @@ func TestRunUntil(t *testing.T) {
 	if n != 10 {
 		t.Fatalf("events run = %d, want 10", n)
 	}
+}
+
+// TestEvery pins the periodic primitive's three properties: it first
+// fires one interval from the moment it is armed and every interval
+// after, it never keeps a simulation alive, and a stopped engine does not
+// reschedule it.
+func TestEvery(t *testing.T) {
+	e := NewEngine()
+	var fired []Time
+	e.At(7, func() { e.Every(10, func() { fired = append(fired, e.Now()) }) })
+	e.At(40, func() {})
+	e.Run()
+	if want := []Time{17, 27, 37}; !slices.Equal(fired, want) {
+		t.Fatalf("fired at %v, want %v (armed at 7, last regular event at 40)", fired, want)
+	}
+	if e.Pending() != 1 || e.nbg != 1 {
+		t.Fatalf("%d pending, %d background after Run, want the one rescheduled tick", e.Pending(), e.nbg)
+	}
+
+	e = NewEngine()
+	n := 0
+	e.Every(10, func() {
+		if n++; n == 2 {
+			e.Stop()
+		}
+	})
+	e.At(100, func() {})
+	e.Run()
+	if n != 2 || e.Now() != 20 || e.nbg != 0 {
+		t.Fatalf("%d firings, now %d, %d background queued; want 2, 20 and none after Stop", n, e.Now(), e.nbg)
+	}
+
+	defer func() {
+		if recover() == nil {
+			t.Fatal("a zero interval would spin at one instant; want a panic")
+		}
+	}()
+	e.Every(0, func() {})
 }
 
 func TestContextSleepInterleaving(t *testing.T) {

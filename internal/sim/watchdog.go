@@ -88,11 +88,8 @@ type watchdog struct {
 // tens of thousands for heavily synchronized workloads. Too small an
 // interval reports ordinary memory latency as a stall.
 func (e *Engine) Watchdog(interval uint64, onStall func(StallReport)) {
-	if interval == 0 {
-		panic("sim: watchdog interval must be positive")
-	}
 	w := &watchdog{eng: e, interval: interval, onStall: onStall, last: map[*Context]uint64{}}
-	e.Background(e.now+interval, w.probe)
+	e.Every(interval, w.probe)
 }
 
 func (w *watchdog) probe() {
@@ -122,9 +119,6 @@ func (w *watchdog) probe() {
 		w.last[c] = c.progress
 	}
 	w.primed = true
-	if !e.stopped {
-		e.Background(e.now+w.interval, w.probe)
-	}
 }
 
 func (w *watchdog) report() StallReport {
