@@ -33,8 +33,11 @@ type Network struct {
 	in  []*sim.Resource // per-node receive ports
 	out []*sim.Resource // per-node send ports
 
-	handlers  []func(Msg)
-	finalized bool
+	handlers []func(Msg)
+
+	// Messages in flight; a delivery event carries the handle of its own.
+	flights  sim.Slab[Msg]
+	delivery sim.Kind
 
 	sent      uint64
 	bytesSent uint64
@@ -140,6 +143,7 @@ func New(eng *sim.Engine, cfg config.Config) *Network {
 		out:      make([]*sim.Resource, cfg.Procs),
 		handlers: make([]func(Msg), cfg.Procs),
 	}
+	n.delivery = eng.Register(perf.PhaseMesh, n.deliver)
 	for i := range n.in {
 		n.in[i] = sim.NewResource(fmt.Sprintf("nic-in%d", i))
 		n.out[i] = sim.NewResource(fmt.Sprintf("nic-out%d", i))
@@ -170,7 +174,6 @@ func (n *Network) Finalize() error {
 	if len(missing) > 0 {
 		return fmt.Errorf("mesh: %d node(s) have no delivery handler: %v", len(missing), missing)
 	}
-	n.finalized = true
 	return nil
 }
 
@@ -232,8 +235,9 @@ func (n *Network) SetExplorer(ch sim.Chooser, menu []uint64) error {
 func (n *Network) SetCausal(t *causal.Tracer) { n.causal = t }
 
 // SetProfiler attaches (or, with nil, detaches) a wall-clock phase
-// profiler: Send/dispatch/transmit wall time is charged to the mesh
-// phase (delivery handlers re-attribute themselves).
+// profiler: Send's wall time is charged to the mesh phase, which a
+// delivery event starts in by its kind (delivery handlers re-attribute
+// themselves).
 func (n *Network) SetProfiler(p *perf.Profiler) { n.prof = p }
 
 // Hops returns the XY-routing distance between two nodes.
@@ -266,7 +270,8 @@ func (n *Network) TransferCycles(size int) uint64 {
 // Send routes m from m.Src to m.Dst: it acquires the sender's output
 // port, applies hop latency and payload streaming time, acquires the
 // receiver's input port, and schedules the destination's handler at the
-// delivery time. Node-local messages invoke the handler immediately
+// delivery time. Node-local messages reach the handler in an event of
+// their own at the current instant, with no port or wire in between
 // (hardware keeps local protocol transitions off the network).
 func (n *Network) Send(m Msg) {
 	if n.handlers[m.Dst] == nil {
@@ -311,8 +316,8 @@ func (n *Network) Send(m Msg) {
 		// The closure takes a copy: capturing m itself, which Send assigns
 		// to, would move the parameter to the heap on every call.
 		held := m
-		n.flightAdd(held)
-		n.eng.At(entry, func() { n.flightRemove(held); n.transmit(held, 0) })
+		n.flightAdd(&held)
+		n.eng.At(entry, func() { n.flightRemove(&held); n.transmit(held, 0) })
 		return
 	}
 	if n.inj == nil {
@@ -335,8 +340,6 @@ func (n *Network) Send(m Msg) {
 // through the fault injector: it may be dropped outright — the timeout
 // timer recovers it — held back, jittered, or duplicated.
 func (n *Network) dispatch(m Msg) {
-	prev := n.prof.Enter(perf.PhaseMesh)
-	defer n.prof.Exit(prev)
 	f := n.inj.Decide(m.Kind, m.Src, m.Dst, m.Size, n.eng.Now())
 	if f.Drop {
 		n.injDropped++
@@ -381,13 +384,8 @@ func (n *Network) dispatch(m Msg) {
 // transmit puts one message (or injected duplicate) on the wire: port
 // occupancy, hop latency, payload streaming, plus extra injected in-flight
 // latency. With the transport engaged, a message whose route crosses a
-// downed link is lost before it occupies any port, a message arriving
-// inside the destination's brownout window is lost at the door, and a
-// delivered message settles its transport ledger entry (the implicit,
-// zero-cost ack).
+// downed link is lost before it occupies any port.
 func (n *Network) transmit(m Msg, extra uint64) {
-	prev := n.prof.Enter(perf.PhaseMesh)
-	defer n.prof.Exit(prev)
 	if m.Src != m.Dst && n.routeDown(m.Src, m.Dst, n.eng.Now()) {
 		n.tr.outageDrops++
 		return
@@ -402,13 +400,7 @@ func (n *Network) transmit(m Msg, extra uint64) {
 		n.Trace(m)
 	}
 	if m.Src == m.Dst {
-		n.flightAdd(m)
-		n.eng.At(n.eng.Now(), func() {
-			p := n.prof.Enter(perf.PhaseMesh)
-			n.flightRemove(m)
-			n.handlers[m.Dst](m)
-			n.prof.Exit(p)
-		})
+		n.post(n.eng.Now(), &m)
 		return
 	}
 	ser := n.TransferCycles(m.Size)
@@ -422,25 +414,40 @@ func (n *Network) transmit(m Msg, extra uint64) {
 	n.tel.observe(m.Kind, deliver-n.eng.Now())
 	n.causal.Net(m.CT, m.Src, m.Dst, m.Kind, m.Addr,
 		n.eng.Now(), deliver, sendStart-n.eng.Now(), deliver-rawArrival)
+	n.post(deliver, &m)
+}
+
+// post parks m until its delivery event at time t.
+func (n *Network) post(t sim.Time, m *Msg) {
 	n.flightAdd(m)
-	n.eng.At(deliver, func() {
-		p := n.prof.Enter(perf.PhaseMesh)
-		defer n.prof.Exit(p)
-		n.flightRemove(m)
-		if n.tr != nil {
-			if n.tr.plan.NodeBrowned(m.Dst, n.eng.Now()) {
-				n.tr.brownDrops++
-				return
-			}
-			n.tr.ack(m)
+	slot := n.flights.Alloc()
+	*n.flights.At(slot) = *m
+	n.eng.Post(t, n.delivery, slot)
+}
+
+// deliver is the delivery event of the message parked under slot, copied
+// out and freed before the handler runs: the handler may Send, and that
+// may grow the slab or reuse the slot. With the transport engaged, a
+// cross-node message arriving inside the destination's brownout window is
+// lost at the door, and a delivered one settles its ledger entry (the
+// implicit, zero-cost ack).
+func (n *Network) deliver(slot uint32) {
+	m := *n.flights.At(slot)
+	n.flights.Free(slot)
+	n.flightRemove(&m)
+	if n.tr != nil && m.Src != m.Dst {
+		if n.tr.plan.NodeBrowned(m.Dst, n.eng.Now()) {
+			n.tr.brownDrops++
+			return
 		}
-		n.handlers[m.Dst](m)
-	})
+		n.tr.ack(m)
+	}
+	n.handlers[m.Dst](m)
 }
 
 // msgHash is an FNV-1a fingerprint of a message's protocol-visible
 // content (not its TID, which depends on send order alone).
-func msgHash(m Msg) uint64 {
+func msgHash(m *Msg) uint64 {
 	h := uint64(14695981039346656037)
 	mix := func(v uint64) {
 		for i := 0; i < 8; i++ {
@@ -464,7 +471,7 @@ func msgHash(m Msg) uint64 {
 
 // flightAdd/flightRemove maintain the in-flight multiset digest. Only an
 // explorer needs it; the ledger stays zero-cost otherwise.
-func (n *Network) flightAdd(m Msg) {
+func (n *Network) flightAdd(m *Msg) {
 	if n.exp == nil {
 		return
 	}
@@ -474,7 +481,7 @@ func (n *Network) flightAdd(m Msg) {
 	n.flightN++
 }
 
-func (n *Network) flightRemove(m Msg) {
+func (n *Network) flightRemove(m *Msg) {
 	if n.exp == nil {
 		return
 	}

@@ -1,8 +1,10 @@
 package mesh
 
 import (
+	"runtime"
 	"testing"
 	"testing/quick"
+	"time"
 
 	"lazyrc/internal/config"
 	"lazyrc/internal/sim"
@@ -170,18 +172,86 @@ func TestKindCount(t *testing.T) {
 	}
 }
 
-func TestSendAllocatesOnlyTheDeliveryClosure(t *testing.T) {
-	// On the reliable fabric a cross-node message costs one object: the
-	// closure that carries it to the destination handler. In particular
-	// the Msg parameter itself must not move to the heap.
+func TestSendAllocatesNothing(t *testing.T) {
+	// On the reliable fabric a message costs no object, cross-node or
+	// node-local: it waits for its delivery event in the network's slab,
+	// and the event carries the slot. In particular the Msg parameter
+	// itself must not move to the heap.
+	eng, n := net64(t)
+	n.Handle(0, func(Msg) {})
+	n.Handle(1, func(Msg) {})
+	for _, c := range []struct {
+		name string
+		dst  int
+	}{{"cross-node", 1}, {"node-local", 0}} {
+		send := func() {
+			n.Send(Msg{Src: 0, Dst: c.dst, Kind: 3, Size: 128})
+			eng.Run()
+		}
+		if got := testing.AllocsPerRun(200, send); got != 0 {
+			t.Errorf("%s Send + delivery allocates %v objects, want 0", c.name, got)
+		}
+	}
+}
+
+func TestDeliveredValsAreCollectable(t *testing.T) {
+	// A delivered message's slot is zeroed when it is freed, so the data
+	// words it carried are not kept reachable by the slab — neither while
+	// the slot is vacant nor after a later message reuses it.
 	eng, n := net64(t)
 	n.Handle(1, func(Msg) {})
-	send := func() {
-		n.Send(Msg{Src: 0, Dst: 1, Kind: 3, Size: 128})
-		eng.Run()
+	collected := make(chan struct{})
+	func() {
+		vals := make([]uint64, 1<<13)
+		runtime.SetFinalizer(&vals[0], func(*uint64) { close(collected) })
+		n.Send(Msg{Src: 0, Dst: 1, Size: 128, Vals: vals})
+	}()
+	n.Send(Msg{Src: 0, Dst: 1}) // reuses nothing yet: both are in flight, the slab is live
+	delivered := 0
+	n.handlers[1] = func(Msg) { delivered++ }
+	eng.RunUntil(100)
+	if delivered != 2 {
+		t.Fatalf("%d of 2 messages delivered by cycle 100", delivered)
 	}
-	if got := testing.AllocsPerRun(200, send); got != 1 {
-		t.Fatalf("cross-node Send + delivery allocates %v objects, want 1", got)
+	for i := 0; i < 20; i++ {
+		runtime.GC()
+		select {
+		case <-collected:
+			return
+		case <-time.After(10 * time.Millisecond):
+		}
+	}
+	t.Fatal("the data words of a delivered message are still reachable from the network")
+}
+
+func TestHandlerMaySendWhileTheSlabGrows(t *testing.T) {
+	// deliver copies the message out and frees its slot before the
+	// handler runs: a handler that fans out far enough to move the slab,
+	// reusing the slot it was delivered from, still sees its own message
+	// and every send arrives intact.
+	eng, n := net64(t)
+	var got []uint64
+	n.Handle(1, func(m Msg) {
+		if m.Addr != 7 {
+			t.Errorf("fan-out handler got Addr %d, want 7", m.Addr)
+		}
+		for i := uint64(0); i < 100; i++ {
+			n.Send(Msg{Src: 1, Dst: 2, Addr: 100 + i})
+		}
+		if m.Addr != 7 || m.Src != 0 {
+			t.Errorf("message changed under the handler: %+v", m)
+		}
+	})
+	n.Handle(2, func(m Msg) { got = append(got, m.Addr) })
+	n.Send(Msg{Src: 0, Dst: 1, Addr: 7})
+	eng.Run()
+	if len(got) != 100 {
+		t.Fatalf("%d of 100 fanned-out messages arrived", len(got))
+	}
+	for i, a := range got {
+		if a != 100+uint64(i) {
+			t.Fatalf("arrival %d carries Addr %d, want %d (pairwise FIFO)", i, a, 100+i)
+		}
 	}
 }
 

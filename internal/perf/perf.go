@@ -14,8 +14,9 @@
 // Attribution model (DESIGN.md §16): the engine times one event in every
 // Stride, from before it leaves the queue until its callback returns, and
 // every background event. Inside a timed event the profiler keeps one
-// current phase, which subsystems switch at their choke points and
-// restore on exit; outside one the same brackets test a flag and return.
+// current phase, at first its kind's, which subsystems switch at their
+// choke points and restore on exit; outside one the same brackets test a
+// flag and return.
 // End spreads the exact wall time over the phases in the proportions the
 // timed events showed: only the split between phases is an estimate.
 package perf
@@ -32,12 +33,12 @@ import (
 // Phase names one wall-clock cost center of the simulation loop.
 type Phase uint8
 
-// The phase taxonomy, the observers' phases last. PhaseDispatch is the
-// engine's default charge for an event's callback — handler code no deeper
-// subsystem claims — and PhaseBackground the same for background
-// (observer) events. PhaseQueue is the event heap (pop and push),
-// PhaseFrontend the time inside a processor context: the switch, the
-// application, the protocol's CPU side.
+// The phase taxonomy, the observers' phases last. A timed event starts in
+// the phase its kind was registered with (sim.Engine.Register):
+// PhaseDispatch is that of a plain func() event — timers, held or faulted
+// sends — and PhaseBackground that of the observers' periodic ticks.
+// PhaseQueue is the event queue (pop and push), PhaseFrontend a resumed
+// processor context: the switch, the application, the protocol's CPU side.
 const (
 	PhaseDispatch Phase = iota
 	PhaseQueue

@@ -161,6 +161,17 @@ func (n *Node) memAccess(b int) uint64 {
 	return end
 }
 
+// afterDir starts the home's service of the request m: the memory fetch,
+// if the reply will carry the line, overlaps the directory access, after
+// which then runs, given the time the fetch ends (0 without one).
+func (n *Node) afterDir(m mesh.Msg, fetch bool, then func(*Node, mesh.Msg, uint64)) {
+	var memEnd uint64
+	if fetch {
+		memEnd = n.memAccess(n.lineBytes())
+	}
+	n.at(n.ppAcquire(causal.KindDir, m.Addr, n.dirCost()), then, m, memEnd)
+}
+
 // absorbPayload charges the home for a data message whose values were
 // already merged at delivery: the protocol processor takes the notice
 // while the memory module writes m's payload, and the later of the two
@@ -174,9 +185,7 @@ func (n *Node) absorbPayload(m mesh.Msg) uint64 {
 // ackWriteAt acknowledges the write-through or write-back m at time at,
 // once home memory has absorbed it.
 func (n *Node) ackWriteAt(at uint64, m mesh.Msg) {
-	n.Env.Eng.At(at, func() {
-		n.send(m.Src, MsgWTAck, m.Addr, 0, 0, 0)
-	})
+	n.replyAt(at, n.msg(m.Src, MsgWTAck, m.Addr, 0, 0, 0))
 }
 
 // wtAck retires one write-through or write-back at its sender.

@@ -124,16 +124,16 @@ func (es *eagerState) appendSnapshot(s *snapBuf) {
 var eagerDispatch = dispatch{
 	MsgReadReq:   eagerHomeRequest,
 	MsgWriteReq:  eagerHomeRequest,
-	MsgInvalAck:  eagerHomeInvalAck,
+	MsgInvalAck:  afterPP(causal.KindAck, (*Node).noticeCost, eagerHomeInvalAck),
 	MsgWriteBack: eagerHomeWriteBack,
 	MsgSharingWB: eagerHomeSharingWB,
 	MsgXferDone:  eagerXferDone,
 	MsgFwdNack:   eagerFwdNack,
-	MsgEvict:     eagerHomeEvict,
+	MsgEvict:     afterPP(causal.KindDir, (*Node).dirCost, eagerHomeDrop),
 
-	MsgFwdRead:  eagerOwnerForward,
-	MsgFwdWrite: eagerOwnerForward,
-	MsgInval:    eagerInval,
+	MsgFwdRead:  afterPP(causal.KindNotice, (*Node).noticeCost, eagerOwnerForward),
+	MsgFwdWrite: afterPP(causal.KindNotice, (*Node).noticeCost, eagerOwnerForward),
+	MsgInval:    afterPP(causal.KindNotice, (*Node).noticeCost, eagerInval),
 
 	MsgReadReply: eagerFill,
 	MsgWriteData: eagerFill,
@@ -147,23 +147,22 @@ var eagerDispatch = dispatch{
 // block is idle; everything else joins the back of the block's queue,
 // remembering its already-started memory access.
 func eagerHomeRequest(n *Node, m mesh.Msg) {
-	var memEnd uint64
-	if MsgKind(m.Kind) == MsgReadReq || m.Arg&wantData != 0 {
-		memEnd = n.memAccess(n.lineBytes())
-	}
-	dirEnd := n.ppAcquire(causal.KindDir, m.Addr, n.dirCost())
-	n.Env.Eng.At(dirEnd, func() {
-		if p := (pendingReq{m: m, memEnd: memEnd}); n.home.enter(p) {
-			eagerProcess(n, p)
-		}
-	})
+	n.afterDir(m, MsgKind(m.Kind) == MsgReadReq || m.Arg&wantData != 0, eagerHomeAdmit)
 }
 
-func eagerProcess(n *Node, p pendingReq) {
-	if MsgKind(p.m.Kind) == MsgReadReq {
-		eagerProcessRead(n, p.m, p.memEnd)
+// eagerHomeAdmit takes the request m, whose memory access (if any) ends
+// at memEnd, to the serializer once the directory has been read.
+func eagerHomeAdmit(n *Node, m mesh.Msg, memEnd uint64) {
+	if n.home.enter(pendingReq{m: m, memEnd: memEnd}) {
+		eagerProcess(n, m, memEnd)
+	}
+}
+
+func eagerProcess(n *Node, m mesh.Msg, memEnd uint64) {
+	if MsgKind(m.Kind) == MsgReadReq {
+		eagerProcessRead(n, m, memEnd)
 	} else {
-		eagerProcessWrite(n, p.m, p.memEnd)
+		eagerProcessWrite(n, m, memEnd)
 	}
 }
 
@@ -181,9 +180,7 @@ func eagerLeave(n *Node, block uint64) {
 		return
 	}
 	dirEnd := n.ppAcquire(causal.KindDir, block, n.dirCost())
-	n.Env.Eng.At(dirEnd, func() {
-		eagerProcess(n, pendingReq{m: p.m, memEnd: max(p.memEnd, n.now())})
-	})
+	n.at(dirEnd, eagerProcess, p.m, p.memEnd)
 }
 
 // eagerGrantNow completes an ownership request nothing stands in the way
@@ -191,9 +188,8 @@ func eagerLeave(n *Node, block uint64) {
 // bare WriteDone otherwise. The block's hold ends with it.
 func eagerGrantNow(n *Node, writer int, block uint64, wantsData bool, memEnd uint64) {
 	if wantsData {
-		n.Env.Eng.At(max(n.now(), memEnd), func() {
-			n.sendData(writer, MsgWriteData, block, n.lineBytes(), uint64(directory.Dirty), 1, n.homeVals(block))
-		})
+		n.replyAt(max(n.now(), memEnd),
+			n.msg(writer, MsgWriteData, block, n.lineBytes(), uint64(directory.Dirty), 1))
 	} else {
 		n.send(writer, MsgWriteDone, block, 0, 0, 0)
 	}
@@ -226,10 +222,8 @@ func eagerProcessRead(n *Node, m mesh.Msg, memEnd uint64) {
 		e.Sharers.Add(m.Src)
 		e.Recompute()
 		n.Dir.Check(m.Addr, e)
-		st := uint64(e.State)
-		n.Env.Eng.At(max(n.now(), memEnd), func() {
-			n.sendData(m.Src, MsgReadReply, m.Addr, n.lineBytes(), st, 0, n.homeVals(m.Addr))
-		})
+		n.replyAt(max(n.now(), memEnd),
+			n.msg(m.Src, MsgReadReply, m.Addr, n.lineBytes(), uint64(e.State), 0))
 		eagerLeave(n, m.Addr)
 	}
 }
@@ -292,28 +286,25 @@ func eagerProcessWrite(n *Node, m mesh.Msg, memEnd uint64) {
 
 // eagerHomeInvalAck counts one invalidation acknowledgement; the last one
 // releases the waiting writer and replays deferred requests.
-func eagerHomeInvalAck(n *Node, m mesh.Msg) {
-	end := n.ppAcquire(causal.KindAck, m.Addr, n.noticeCost())
-	n.Env.Eng.At(end, func() {
-		e := n.Dir.Entry(m.Addr)
-		e.PendingAcks--
-		if e.PendingAcks < 0 {
-			panic(fmt.Sprintf("protocol: node %d negative inval acks for block %d", n.ID, m.Addr))
-		}
-		if e.PendingAcks > 0 {
-			return
-		}
-		g, ok := n.eager().grants[m.Addr]
-		if !ok {
-			panic(fmt.Sprintf("protocol: node %d ack collection without grant for block %d", n.ID, m.Addr))
-		}
-		delete(n.eager().grants, m.Addr)
-		var memEnd uint64
-		if g.wantData {
-			memEnd = n.memAccess(n.lineBytes())
-		}
-		eagerGrantNow(n, g.writer, m.Addr, g.wantData, memEnd)
-	})
+func eagerHomeInvalAck(n *Node, m mesh.Msg, _ uint64) {
+	e := n.Dir.Entry(m.Addr)
+	e.PendingAcks--
+	if e.PendingAcks < 0 {
+		panic(fmt.Sprintf("protocol: node %d negative inval acks for block %d", n.ID, m.Addr))
+	}
+	if e.PendingAcks > 0 {
+		return
+	}
+	g, ok := n.eager().grants[m.Addr]
+	if !ok {
+		panic(fmt.Sprintf("protocol: node %d ack collection without grant for block %d", n.ID, m.Addr))
+	}
+	delete(n.eager().grants, m.Addr)
+	var memEnd uint64
+	if g.wantData {
+		memEnd = n.memAccess(n.lineBytes())
+	}
+	eagerGrantNow(n, g.writer, m.Addr, g.wantData, memEnd)
 }
 
 // eagerHomeWriteBack absorbs a replaced dirty block. The owner check
@@ -331,10 +322,14 @@ func eagerHomeWriteBack(n *Node, m mesh.Msg) {
 	n.mergeHome(m.Addr, m.Vals, ^uint64(0))
 	memEnd := n.memAccess(n.lineBytes())
 	dirEnd := n.ppAcquire(causal.KindDir, m.Addr, n.dirCost())
-	n.Env.Eng.At(dirEnd, func() {
-		eagerDropOrHold(n, m.Addr, heldDrop{src: m.Src, wb: true})
-	})
+	n.at(dirEnd, eagerHomeDrop, m, 0)
 	n.ackWriteAt(max(dirEnd, memEnd), m)
+}
+
+// eagerHomeDrop commits the copy drop that the write-back or replacement
+// hint m announces — or holds it, if the block's transfer is still pending.
+func eagerHomeDrop(n *Node, m mesh.Msg, _ uint64) {
+	eagerDropOrHold(n, m.Addr, heldDrop{src: m.Src, wb: MsgKind(m.Kind) == MsgWriteBack})
 }
 
 // eagerHomeSharingWB absorbs the owner's concurrent write-back of a
@@ -342,16 +337,6 @@ func eagerHomeWriteBack(n *Node, m mesh.Msg) {
 func eagerHomeSharingWB(n *Node, m mesh.Msg) {
 	n.mergeHome(m.Addr, m.Vals, ^uint64(0))
 	n.memAccess(m.Size)
-}
-
-// eagerHomeEvict absorbs a clean-copy replacement hint. Like the
-// write-back above, the directory mutation commits at dirEnd — and is
-// held if the block's ownership transfer is still pending.
-func eagerHomeEvict(n *Node, m mesh.Msg) {
-	end := n.ppAcquire(causal.KindDir, m.Addr, n.dirCost())
-	n.Env.Eng.At(end, func() {
-		eagerDropOrHold(n, m.Addr, heldDrop{src: m.Src})
-	})
 }
 
 // eagerDropOrHold applies one copy-drop notification to the directory —
@@ -416,32 +401,29 @@ func eagerReleaseHeld(n *Node, block uint64) {
 // retries the original request against then-current state, exactly as
 // DASH retries forwarded requests. Waiting at the owner instead would
 // let two crossing transfers deadlock.
-func eagerOwnerForward(n *Node, m mesh.Msg) {
-	end := n.ppAcquire(causal.KindNotice, m.Addr, n.noticeCost())
-	n.Env.Eng.At(end, func() {
-		req := int(m.Arg)
-		// NACK when the copy is gone — or when this node's own access to
-		// the block is still pending (the fill landed but the store that
-		// motivated it has not committed): yielding now would let the
-		// block ping-pong without any processor making progress.
-		if n.Cache.Lookup(m.Addr) == nil || n.txn(m.Addr) != nil {
-			n.send(m.Src, MsgFwdNack, m.Addr, 0, 0, 0)
-			return
-		}
-		if MsgKind(m.Kind) == MsgFwdRead {
-			vals := n.copyVals(m.Addr)
-			n.Cache.Downgrade(m.Addr)
-			// Concurrent sharing write-back to the home's memory.
-			n.sendData(m.Src, MsgSharingWB, m.Addr, n.lineBytes(), 0, 0, vals)
-			n.sendData(req, MsgOwnerData, m.Addr, n.lineBytes(), uint64(directory.Shared), 0, vals)
-		} else {
-			// Yield the block entirely.
-			vals := n.copyVals(m.Addr)
-			n.loseCopy(m.Addr)
-			n.sendData(req, MsgOwnerData, m.Addr, n.lineBytes(), uint64(directory.Dirty), 1, vals)
-		}
-		n.send(m.Src, MsgXferDone, m.Addr, 0, 0, 0)
-	})
+func eagerOwnerForward(n *Node, m mesh.Msg, _ uint64) {
+	req := int(m.Arg)
+	// NACK when the copy is gone — or when this node's own access to
+	// the block is still pending (the fill landed but the store that
+	// motivated it has not committed): yielding now would let the
+	// block ping-pong without any processor making progress.
+	if n.Cache.Lookup(m.Addr) == nil || n.txn(m.Addr) != nil {
+		n.send(m.Src, MsgFwdNack, m.Addr, 0, 0, 0)
+		return
+	}
+	if MsgKind(m.Kind) == MsgFwdRead {
+		vals := n.copyVals(m.Addr)
+		n.Cache.Downgrade(m.Addr)
+		// Concurrent sharing write-back to the home's memory.
+		n.sendData(m.Src, MsgSharingWB, m.Addr, n.lineBytes(), 0, 0, vals)
+		n.sendData(req, MsgOwnerData, m.Addr, n.lineBytes(), uint64(directory.Shared), 0, vals)
+	} else {
+		// Yield the block entirely.
+		vals := n.copyVals(m.Addr)
+		n.loseCopy(m.Addr)
+		n.sendData(req, MsgOwnerData, m.Addr, n.lineBytes(), uint64(directory.Dirty), 1, vals)
+	}
+	n.send(m.Src, MsgXferDone, m.Addr, 0, 0, 0)
 }
 
 // eagerCloseXfer ends the transfer window the owner's reply m (XferDone
@@ -494,22 +476,19 @@ func eagerFwdNack(n *Node, m mesh.Msg) {
 // eagerInval invalidates a (clean) sharer's copy immediately and
 // acknowledges the collecting home. Copies still in flight are flagged to
 // die on arrival.
-func eagerInval(n *Node, m mesh.Msg) {
-	end := n.ppAcquire(causal.KindNotice, m.Addr, n.noticeCost())
-	n.Env.Eng.At(end, func() {
-		// A data fill still in flight dies on arrival; a present copy
-		// dies now — including one with an outstanding upgrade request,
-		// which lost the ownership race and will be re-resolved when the
-		// home replays it.
-		// A pending write-miss fill is left alone: its grant is
-		// serialized after this collection at the home and must survive.
-		if t := n.txn(m.Addr); t != nil && t.ExpectData && !t.IsWrite && !t.Data.IsOpen() {
-			t.InvalidateOnFill = true
-		} else {
-			n.loseCopy(m.Addr)
-		}
-		n.send(m.Src, MsgInvalAck, m.Addr, 0, 0, 0)
-	})
+func eagerInval(n *Node, m mesh.Msg, _ uint64) {
+	// A data fill still in flight dies on arrival; a present copy
+	// dies now — including one with an outstanding upgrade request,
+	// which lost the ownership race and will be re-resolved when the
+	// home replays it.
+	// A pending write-miss fill is left alone: its grant is
+	// serialized after this collection at the home and must survive.
+	if t := n.txn(m.Addr); t != nil && t.ExpectData && !t.IsWrite && !t.Data.IsOpen() {
+		t.InvalidateOnFill = true
+	} else {
+		n.loseCopy(m.Addr)
+	}
+	n.send(m.Src, MsgInvalAck, m.Addr, 0, 0, 0)
 }
 
 // ---- Requester side ------------------------------------------------------
@@ -535,20 +514,23 @@ func eagerSendWriteReq(n *Node, block uint64) *Txn {
 // invalidation marked the transaction, in which case it dies on arrival;
 // then any buffered stores for the block are resolved.
 func eagerFill(n *Node, m mesh.Msg) {
-	block, st := m.Addr, cache.ReadOnly
+	st := cache.ReadOnly
 	if m.Aux == 1 {
 		st = cache.ReadWrite
 	}
-	t := n.mustTxn(block, "data reply")
-	n.fillLine(block, st, m.Vals, func() {
-		t.Filled = true
-		inv := t.InvalidateOnFill
-		n.finishTxn(t)
-		if inv {
-			n.loseCopy(block) // the invalidation raced the fill
-		}
-		eagerRetireWB(n, block)
-	})
+	n.mustTxn(m.Addr, "data reply")
+	n.fillLine(m, st, eagerFilled)
+}
+
+func eagerFilled(n *Node, m mesh.Msg, _ uint64) {
+	t := n.mustTxn(m.Addr, "data fill")
+	t.Filled = true
+	inv := t.InvalidateOnFill
+	n.finishTxn(t)
+	if inv {
+		n.loseCopy(m.Addr) // the invalidation raced the fill
+	}
+	eagerRetireWB(n, m.Addr)
 }
 
 func eagerWriteDone(n *Node, m mesh.Msg) {

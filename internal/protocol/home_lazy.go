@@ -44,15 +44,15 @@ type lazyNoticePolicy interface {
 var lazyDispatch = dispatch{
 	MsgReadReq:      lazyHomeRead,
 	MsgWriteReq:     lazyHomeWrite,
-	MsgNoticeAck:    lazyHomeNoticeAck,
+	MsgNoticeAck:    afterPP(causal.KindAck, (*Node).noticeCost, lazyHomeNoticeAck),
 	MsgWriteThrough: homeWriteThrough,
-	MsgInvNotify:    homeDropCopy,
-	MsgEvict:        homeDropCopy,
+	MsgInvNotify:    afterPP(causal.KindDir, (*Node).dirCost, homeDropCopy),
+	MsgEvict:        afterPP(causal.KindDir, (*Node).dirCost, homeDropCopy),
 
 	MsgReadReply: lazyReadReply,
 	MsgWriteData: lazyWriteData,
 	MsgWriteDone: lazyWriteDone,
-	MsgNotice:    lazyNotice,
+	MsgNotice:    afterPP(causal.KindNotice, (*Node).noticeCost, lazyNotice),
 }.withShared()
 
 // lazyHomeRead serves a read request at the home: directory transition at
@@ -61,42 +61,41 @@ var lazyDispatch = dispatch{
 // so a requester joining a weak block knows to invalidate it at its next
 // acquire.
 func lazyHomeRead(n *Node, m mesh.Msg) {
-	memEnd := n.memAccess(n.lineBytes())
-	dirEnd := n.ppAcquire(causal.KindDir, m.Addr, n.dirCost())
-	n.Env.Eng.At(dirEnd, func() {
-		e := n.Dir.Entry(m.Addr)
-		was := e.State
-		e.Sharers.Add(m.Src)
-		sendEnd := n.now()
-		if was == directory.Dirty && !e.Writers.Has(m.Src) {
-			// Read of a dirty block: it becomes weak, and the current
-			// writer is notified (the one read-triggered notice case).
-			writer := e.Writers.Only()
-			if !e.Notified.Has(writer) {
-				dspEnd := n.ppAcquire(causal.KindFanout, m.Addr, n.noticeCost())
-				sendEnd = dspEnd
-				e.Notified.Add(writer)
-				e.PendingAcks++
-				n.observe("wn-send", m.Addr, 0, writer)
-				n.send(writer, MsgNotice, m.Addr, 0, 0, 0)
-			}
+	n.afterDir(m, true, lazyHomeReadDir)
+}
+
+// lazyHomeReadDir is the directory transition of the read request m,
+// whose memory fetch ends at memEnd.
+func lazyHomeReadDir(n *Node, m mesh.Msg, memEnd uint64) {
+	e := n.Dir.Entry(m.Addr)
+	was := e.State
+	e.Sharers.Add(m.Src)
+	sendEnd := n.now()
+	if was == directory.Dirty && !e.Writers.Has(m.Src) {
+		// Read of a dirty block: it becomes weak, and the current
+		// writer is notified (the one read-triggered notice case).
+		writer := e.Writers.Only()
+		if !e.Notified.Has(writer) {
+			dspEnd := n.ppAcquire(causal.KindFanout, m.Addr, n.noticeCost())
+			sendEnd = dspEnd
+			e.Notified.Add(writer)
+			e.PendingAcks++
+			n.observe("wn-send", m.Addr, 0, writer)
+			n.send(writer, MsgNotice, m.Addr, 0, 0, 0)
 		}
-		e.Recompute()
-		// A reader joining a weak block is NOT marked notified and will
-		// not invalidate its fresh copy at its next acquire: its data is
-		// current as of this fetch, and any writer's next announcement
-		// (which must follow the writer's own acquire-time invalidation,
-		// since the writer was notified when the block went weak) sends
-		// the reader a notice then. Marking readers here would make
-		// consumers re-fetch producer data at every acquire — a thrash
-		// the paper's miss rates (lazy never above eager) rule out.
-		n.Dir.Check(m.Addr, e)
-		at := max(sendEnd, memEnd)
-		st := uint64(e.State)
-		n.Env.Eng.At(at, func() {
-			n.sendData(m.Src, MsgReadReply, m.Addr, n.lineBytes(), st, 0, n.homeVals(m.Addr))
-		})
-	})
+	}
+	e.Recompute()
+	// A reader joining a weak block is NOT marked notified and will
+	// not invalidate its fresh copy at its next acquire: its data is
+	// current as of this fetch, and any writer's next announcement
+	// (which must follow the writer's own acquire-time invalidation,
+	// since the writer was notified when the block went weak) sends
+	// the reader a notice then. Marking readers here would make
+	// consumers re-fetch producer data at every acquire — a thrash
+	// the paper's miss rates (lazy never above eager) rule out.
+	n.Dir.Check(m.Addr, e)
+	n.replyAt(max(sendEnd, memEnd),
+		n.msg(m.Src, MsgReadReply, m.Addr, n.lineBytes(), uint64(e.State), 0))
 }
 
 // lazyHomeWrite serves a write request: the requester becomes a writer;
@@ -104,86 +103,75 @@ func lazyHomeRead(n *Node, m mesh.Msg) {
 // acknowledgements the home collects before declaring the write globally
 // performed.
 func lazyHomeWrite(n *Node, m mesh.Msg) {
-	wantsData := m.Arg&wantData != 0
-	var memEnd uint64
-	if wantsData {
-		memEnd = n.memAccess(n.lineBytes())
+	n.afterDir(m, m.Arg&wantData != 0, lazyHomeWriteDir)
+}
+
+// lazyHomeWriteDir is the directory transition of the write request m;
+// if it asked for data, the memory fetch ends at memEnd.
+func lazyHomeWriteDir(n *Node, m mesh.Msg, memEnd uint64) {
+	e := n.Dir.Entry(m.Addr)
+	e.Sharers.Add(m.Src)
+	e.Writers.Add(m.Src)
+	e.Recompute()
+
+	// Dispatch notices to not-yet-notified sharers other than the
+	// requester.
+	var targets []int
+	if e.State == directory.Weak {
+		e.Sharers.Visit(func(id int) {
+			if id != m.Src && !e.Notified.Has(id) {
+				targets = append(targets, id)
+			}
+		})
+		e.Notified.Add(m.Src) // learns weakness from the reply
 	}
-	dirEnd := n.ppAcquire(causal.KindDir, m.Addr, n.dirCost())
-	n.Env.Eng.At(dirEnd, func() {
-		e := n.Dir.Entry(m.Addr)
-		e.Sharers.Add(m.Src)
-		e.Writers.Add(m.Src)
-		e.Recompute()
+	sendEnd := n.now()
+	if len(targets) > 0 {
+		// The one case the paper prices specially: directory access
+		// plus per-sharer dispatch cost.
+		dspEnd := n.ppAcquire(causal.KindFanout, m.Addr, uint64(len(targets))*n.noticeCost())
+		sendEnd = dspEnd
+		for _, id := range targets {
+			e.Notified.Add(id)
+			e.PendingAcks++
+			n.observe("wn-send", m.Addr, 0, id)
+			n.send(id, MsgNotice, m.Addr, 0, 0, 0)
+		}
+	}
+	n.Dir.Check(m.Addr, e)
 
-		// Dispatch notices to not-yet-notified sharers other than the
-		// requester.
-		var targets []int
-		if e.State == directory.Weak {
-			e.Sharers.Visit(func(id int) {
-				if id != m.Src && !e.Notified.Has(id) {
-					targets = append(targets, id)
-				}
-			})
-			e.Notified.Add(m.Src) // learns weakness from the reply
+	complete := e.PendingAcks == 0
+	if !complete {
+		e.WaitingWriters = append(e.WaitingWriters, m.Src)
+	}
+	if m.Arg&wantData != 0 {
+		aux := uint64(0)
+		if complete {
+			aux = 1
 		}
-		sendEnd := n.now()
-		if len(targets) > 0 {
-			// The one case the paper prices specially: directory access
-			// plus per-sharer dispatch cost.
-			dspEnd := n.ppAcquire(causal.KindFanout, m.Addr, uint64(len(targets))*n.noticeCost())
-			sendEnd = dspEnd
-			for _, id := range targets {
-				e.Notified.Add(id)
-				e.PendingAcks++
-				n.observe("wn-send", m.Addr, 0, id)
-				n.send(id, MsgNotice, m.Addr, 0, 0, 0)
-			}
-		}
-		n.Dir.Check(m.Addr, e)
-
-		complete := e.PendingAcks == 0
-		if !complete {
-			e.WaitingWriters = append(e.WaitingWriters, m.Src)
-		}
-		if wantsData {
-			at := max(sendEnd, memEnd)
-			st := uint64(e.State)
-			aux := uint64(0)
-			if complete {
-				aux = 1
-			}
-			n.Env.Eng.At(at, func() {
-				n.sendData(m.Src, MsgWriteData, m.Addr, n.lineBytes(), st, aux, n.homeVals(m.Addr))
-			})
-		} else if complete {
-			st := uint64(e.State)
-			n.Env.Eng.At(sendEnd, func() {
-				n.send(m.Src, MsgWriteDone, m.Addr, 0, st, 0)
-			})
-		}
-	})
+		n.replyAt(max(sendEnd, memEnd),
+			n.msg(m.Src, MsgWriteData, m.Addr, n.lineBytes(), uint64(e.State), aux))
+	} else if complete {
+		n.replyAt(sendEnd, n.msg(m.Src, MsgWriteDone, m.Addr, 0, uint64(e.State), 0))
+	}
 }
 
 // lazyHomeNoticeAck collects one notice acknowledgement; when the set
 // completes, every writer that was told to wait is released at once.
-func lazyHomeNoticeAck(n *Node, m mesh.Msg) {
-	end := n.ppAcquire(causal.KindAck, m.Addr, n.noticeCost())
-	n.Env.Eng.At(end, func() {
-		e := n.Dir.Entry(m.Addr)
-		e.PendingAcks--
-		if e.PendingAcks < 0 {
-			panic(fmt.Sprintf("protocol: node %d negative pending acks for block %d", n.ID, m.Addr))
+func lazyHomeNoticeAck(n *Node, m mesh.Msg, _ uint64) {
+	e := n.Dir.Entry(m.Addr)
+	e.PendingAcks--
+	if e.PendingAcks < 0 {
+		panic(fmt.Sprintf("protocol: node %d negative pending acks for block %d", n.ID, m.Addr))
+	}
+	if e.PendingAcks == 0 {
+		writers := e.WaitingWriters
+		e.WaitingWriters = nil
+		st := uint64(e.State)
+		for _, w := range writers {
+			n.send(w, MsgWriteDone, m.Addr, 0, st, 0)
 		}
-		if e.PendingAcks == 0 {
-			writers := e.WaitingWriters
-			e.WaitingWriters = nil
-			st := uint64(e.State)
-			for _, w := range writers {
-				n.send(w, MsgWriteDone, m.Addr, 0, st, 0)
-			}
-		}
-	})
+	}
 }
 
 // homeWriteThrough merges coalesced dirty words into home memory and
@@ -196,19 +184,16 @@ func homeWriteThrough(n *Node, m mesh.Msg) {
 // homeDropCopy removes a processor's copy from the directory (acquire
 // invalidation notification or eviction hint) and reverts the block's
 // state per the paper's rule.
-func homeDropCopy(n *Node, m mesh.Msg) {
-	end := n.ppAcquire(causal.KindDir, m.Addr, n.dirCost())
-	n.Env.Eng.At(end, func() {
-		e := n.Dir.Peek(m.Addr)
-		if e == nil {
-			return
-		}
-		e.Sharers.Remove(m.Src)
-		e.Writers.Remove(m.Src)
-		e.Notified.Remove(m.Src)
-		e.Recompute()
-		n.Dir.Check(m.Addr, e)
-	})
+func homeDropCopy(n *Node, m mesh.Msg, _ uint64) {
+	e := n.Dir.Peek(m.Addr)
+	if e == nil {
+		return
+	}
+	e.Sharers.Remove(m.Src)
+	e.Writers.Remove(m.Src)
+	e.Notified.Remove(m.Src)
+	e.Recompute()
+	n.Dir.Check(m.Addr, e)
 }
 
 // ---- Requester side ------------------------------------------------------
@@ -217,42 +202,48 @@ func homeDropCopy(n *Node, m mesh.Msg) {
 // acquire-time invalidation immediately; if an invalidation arrived while
 // the fill was in flight, the copy is dropped as soon as it lands.
 func lazyReadReply(n *Node, m mesh.Msg) {
-	t := n.mustTxn(m.Addr, "read reply")
-	n.fillLine(m.Addr, cache.ReadOnly, m.Vals, func() {
-		t.Filled = true
-		inv := t.InvalidateOnFill
-		n.finishTxn(t) // reads complete at fill
-		lazyRetireWB(n, m.Addr)
-		if inv {
-			n.dropFilledCopy(m.Addr)
-		}
-	})
+	n.mustTxn(m.Addr, "read reply")
+	n.fillLine(m, cache.ReadOnly, lazyReadFilled)
+}
+
+func lazyReadFilled(n *Node, m mesh.Msg, _ uint64) {
+	t := n.mustTxn(m.Addr, "read fill")
+	t.Filled = true
+	inv := t.InvalidateOnFill
+	n.finishTxn(t) // reads complete at fill
+	lazyRetireWB(n, m.Addr)
+	if inv {
+		n.dropFilledCopy(m.Addr)
+	}
 }
 
 // lazyWriteData installs write-miss data, applies the buffered stores,
 // and completes the transaction if the home said no acknowledgements were
 // pending (aux == 1).
 func lazyWriteData(n *Node, m mesh.Msg) {
-	t := n.mustTxn(m.Addr, "write data")
-	n.fillLine(m.Addr, cache.ReadWrite, m.Vals, func() {
-		t.Filled = true
-		if directory.State(m.Arg) == directory.Weak {
-			n.addPendInv(m.Addr)
-		}
-		inv := t.InvalidateOnFill
-		if m.Aux == 1 || t.DoneEarly {
-			n.finishTxn(t)
-		} else if !t.Data.IsOpen() {
-			t.Data.Open()
-		}
-		if inv {
-			n.dropFilledCopy(m.Addr)
-		}
-		// The line may have been evicted by a conflicting fill (or
-		// dropped above) between data arrival and bus completion;
-		// lazyRetireWB re-checks its state and restarts if necessary.
-		lazyRetireWB(n, m.Addr)
-	})
+	n.mustTxn(m.Addr, "write data")
+	n.fillLine(m, cache.ReadWrite, lazyWriteFilled)
+}
+
+func lazyWriteFilled(n *Node, m mesh.Msg, _ uint64) {
+	t := n.mustTxn(m.Addr, "write fill")
+	t.Filled = true
+	if directory.State(m.Arg) == directory.Weak {
+		n.addPendInv(m.Addr)
+	}
+	inv := t.InvalidateOnFill
+	if m.Aux == 1 || t.DoneEarly {
+		n.finishTxn(t)
+	} else if !t.Data.IsOpen() {
+		t.Data.Open()
+	}
+	if inv {
+		n.dropFilledCopy(m.Addr)
+	}
+	// The line may have been evicted by a conflicting fill (or
+	// dropped above) between data arrival and bus completion;
+	// lazyRetireWB re-checks its state and restarts if necessary.
+	lazyRetireWB(n, m.Addr)
 }
 
 // lazyWriteDone completes a write transaction once the home has collected
@@ -275,16 +266,13 @@ func lazyWriteDone(n *Node, m mesh.Msg) {
 // lazyNotice processes an incoming write notice: the block joins the
 // acquire-time invalidation set (it remains readable until then) and the
 // collecting home is acknowledged.
-func lazyNotice(n *Node, m mesh.Msg) {
-	end := n.ppAcquire(causal.KindNotice, m.Addr, n.noticeCost())
-	n.Env.Eng.At(end, func() {
-		n.PS.NoticesIn++
-		if n.Cache.Lookup(m.Addr) != nil || n.txn(m.Addr) != nil {
-			n.observe("wn-apply", m.Addr, 0, m.Src)
-			n.addPendInv(m.Addr)
-		}
-		n.send(m.Src, MsgNoticeAck, m.Addr, 0, 0, 0)
-	})
+func lazyNotice(n *Node, m mesh.Msg, _ uint64) {
+	n.PS.NoticesIn++
+	if n.Cache.Lookup(m.Addr) != nil || n.txn(m.Addr) != nil {
+		n.observe("wn-apply", m.Addr, 0, m.Src)
+		n.addPendInv(m.Addr)
+	}
+	n.send(m.Src, MsgNoticeAck, m.Addr, 0, 0, 0)
 }
 
 // dropFilledCopy invalidates a copy the moment its (already stale) fill

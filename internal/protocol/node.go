@@ -44,6 +44,40 @@ type Env struct {
 
 	// pageHome is the FirstTouch page-placement table (-1 = untouched).
 	pageHome []int
+
+	// conts parks the continuations Node.at has scheduled; an event of
+	// contKind carries the handle.
+	conts    sim.Slab[cont]
+	contKind sim.Kind
+}
+
+// cont is a parked continuation: the second half of a message handler,
+// due once the protocol processor, memory or bus has been occupied.
+type cont struct {
+	fn func(*Node, mesh.Msg, uint64)
+	n  *Node
+	m  mesh.Msg
+	x  uint64
+}
+
+// at schedules fn(n, m, x) for time t without allocating. fn is a
+// top-level function like the dispatch tables' handlers; m is usually the
+// message whose handling it continues and x the one scalar the first half
+// computed for it (when the memory access it started ends; 0 if none).
+func (n *Node) at(t sim.Time, fn func(*Node, mesh.Msg, uint64), m mesh.Msg, x uint64) {
+	env := n.Env
+	slot := env.conts.Alloc()
+	c := env.conts.At(slot)
+	c.fn, c.n, c.m, c.x = fn, n, m, x
+	env.Eng.Post(t, env.contKind, slot)
+}
+
+// runCont is the contKind event: it copies the continuation out and frees
+// its slot before running it, as it may schedule others.
+func (e *Env) runCont(slot uint32) {
+	c := *e.conts.At(slot)
+	e.conts.Free(slot)
+	c.fn(c.n, c.m, c.x)
 }
 
 // HomeOf returns the home node of a coherence block. Shared pages are
@@ -186,6 +220,9 @@ func NewNode(env *Env, id int, proto Protocol) *Node {
 	}
 	n.sync.init()
 	env.Net.Handle(id, n.Deliver)
+	if env.contKind == 0 { // the machine's first node
+		env.contKind = env.Eng.Register(perf.PhaseProtocol, env.runCont)
+	}
 	return n
 }
 
@@ -213,27 +250,42 @@ func (n *Node) deliver(m mesh.Msg) {
 	panic(fmt.Sprintf("protocol: %s node %d got unexpected %v", n.Proto.Name(), n.ID, MsgKind(m.Kind)))
 }
 
-// send dispatches a message from this node.
-func (n *Node) send(dst int, kind MsgKind, block uint64, size int, arg, aux uint64) {
-	n.Env.Net.Send(mesh.Msg{
+// msg builds a message from this node.
+func (n *Node) msg(dst int, kind MsgKind, block uint64, size int, arg, aux uint64) mesh.Msg {
+	return mesh.Msg{
 		Src: n.ID, Dst: dst, Kind: int(kind), Size: size,
 		Addr: block, Arg: arg, Aux: aux,
-	})
+	}
+}
+
+// send dispatches a message from this node.
+func (n *Node) send(dst int, kind MsgKind, block uint64, size int, arg, aux uint64) {
+	n.Env.Net.Send(n.msg(dst, kind, block, size, arg, aux))
 }
 
 // sendData dispatches a payload-bearing message carrying a value snapshot
 // for the data tracker (vals is nil when no tracker is attached).
 func (n *Node) sendData(dst int, kind MsgKind, block uint64, size int, arg, aux uint64, vals []uint64) {
-	n.Env.Net.Send(mesh.Msg{
-		Src: n.ID, Dst: dst, Kind: int(kind), Size: size,
-		Addr: block, Arg: arg, Aux: aux, Vals: vals,
-	})
+	m := n.msg(dst, kind, block, size, arg, aux)
+	m.Vals = vals
+	n.Env.Net.Send(m)
+}
+
+// replyAt dispatches m, a home's reply built now, at time t; one with a
+// payload carries home memory's line as it is then.
+func (n *Node) replyAt(t sim.Time, m mesh.Msg) { n.at(t, sendReply, m, 0) }
+
+func sendReply(n *Node, m mesh.Msg, _ uint64) {
+	if m.Size > 0 {
+		m.Vals = n.homeVals(m.Addr)
+	}
+	n.Env.Net.Send(m)
 }
 
 func (n *Node) now() sim.Time       { return n.Env.Eng.Now() }
 func (n *Node) homeOf(b uint64) int { return n.Env.HomeOf(b) }
 func (n *Node) lineBytes() int      { return n.Env.Cfg.LineSize }
-func (n *Node) wordsPerLine() int   { return n.Env.Cfg.WordsPerLine() }
+func (n *Node) wordsPerLine() int   { return n.Env.Cfg.LineSize / config.WordSize }
 func (n *Node) noticeCost() uint64  { return n.Env.Cfg.NoticeCost }
 
 // dirCost returns the home directory access cost for this node's
@@ -388,27 +440,28 @@ func (n *Node) stallWBFull() {
 
 // ---- Cache fills and evictions -----------------------------------------
 
-// fillLine installs block (state st) when its data message has arrived:
-// the line streams over the node bus, the victim (if any) is processed,
-// and at bus completion fn runs (protocols open the transaction's Data
-// gate there). vals is the data snapshot the message carried (nil without
-// a value tracker). Must be called from an event handler at data arrival
-// time.
-func (n *Node) fillLine(block uint64, st cache.LineState, vals []uint64, fn func()) {
+// fillLine installs the block of the data message m (state st) on its
+// arrival: the line streams over the node bus, the victim (if any) is
+// processed, and at bus completion filled(n, m, 0) runs (protocols open
+// the transaction's Data gate there; m is without its data snapshot by
+// then). Must be called from an event handler at data arrival time.
+func (n *Node) fillLine(m mesh.Msg, st cache.LineState, filled func(*Node, mesh.Msg, uint64)) {
 	prev := n.Env.Prof.Enter(perf.PhaseMemBus)
 	defer n.Env.Prof.Exit(prev)
+	block := m.Addr
 	victim, evicted := n.Cache.Fill(block, st)
 	if evicted {
 		n.evictVictim(victim)
 	}
-	if n.Env.Mem != nil && vals != nil {
-		n.Env.Mem.Fill(n.ID, block, vals)
+	if n.Env.Mem != nil && m.Vals != nil {
+		n.Env.Mem.Fill(n.ID, block, m.Vals)
 	}
 	n.Env.Class.Fill(n.ID, block, n.wordsPerLine())
 	req := n.now()
 	start, end := n.Bus.Acquire(req, n.busCycles(n.lineBytes()))
 	n.Env.Causal.Service(causal.KindBus, n.ID, block, req, start, end)
-	n.Env.Eng.At(end, fn)
+	m.Vals = nil
+	n.at(end, filled, m, 0)
 }
 
 // evictVictim handles a conflict/capacity replacement: pending coalesced

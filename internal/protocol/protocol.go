@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"lazyrc/internal/cache"
+	"lazyrc/internal/causal"
 	"lazyrc/internal/config"
 	"lazyrc/internal/mesh"
 )
@@ -74,6 +75,13 @@ type Protocol interface {
 // table per protocol family (eagerDispatch, lazyDispatch, tsDispatch) is
 // the whole of that family's message interface.
 type dispatch [numMsgKinds]func(*Node, mesh.Msg)
+
+// afterPP returns the handler of a message that first occupies the
+// protocol processor: cost(n) cycles of the given kind are charged for
+// its block on arrival, and then runs when they end.
+func afterPP(kind causal.Kind, cost func(*Node) uint64, then func(*Node, mesh.Msg, uint64)) func(*Node, mesh.Msg) {
+	return func(n *Node, m mesh.Msg) { n.at(n.ppAcquire(kind, m.Addr, cost(n)), then, m, 0) }
+}
 
 // withShared completes a family's table with the kinds every family
 // handles alike: synchronization traffic goes to the sync manager, and a

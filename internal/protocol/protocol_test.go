@@ -265,7 +265,7 @@ func TestLockFreeWithoutHoldPanics(t *testing.T) {
 			t.Fatal("freeing an un-held lock did not panic")
 		}
 	}()
-	env.Nodes[0].handleSync(mesh.Msg{Kind: int(MsgLockFree), Aux: 3, Src: 1})
+	handleSync(env.Nodes[0], mesh.Msg{Kind: int(MsgLockFree), Aux: 3, Src: 1}, 0)
 }
 
 func TestSyncGrantWithoutWaiterPanics(t *testing.T) {
@@ -275,7 +275,7 @@ func TestSyncGrantWithoutWaiterPanics(t *testing.T) {
 			t.Fatal("grant with no waiter did not panic")
 		}
 	}()
-	env.Nodes[0].handleSync(mesh.Msg{Kind: int(MsgLockGrant), Aux: 3, Src: 1})
+	handleSync(env.Nodes[0], mesh.Msg{Kind: int(MsgLockGrant), Aux: 3, Src: 1}, 0)
 }
 
 func TestNumMsgKindsMatchesNames(t *testing.T) {
@@ -307,5 +307,63 @@ func TestHomeResidualSeesEagerMachinery(t *testing.T) {
 	err = home.HomeResidual()
 	if err == nil || !strings.Contains(err.Error(), "block 6") || !strings.Contains(err.Error(), "held") {
 		t.Fatalf("held drop: HomeResidual = %v", err)
+	}
+}
+
+// TestMissAllocatesOnlyTheTxn pins what a miss costs the allocator, end to
+// end, on a warmed 4-processor machine: the requester's Txn and nothing
+// else — the messages wait in the mesh's slab, the home's and the
+// requester's second halves in the environment's, and the events carry
+// slots. Node 1 alternates between two blocks that share a cache frame
+// (both homed at node 0), so every access misses, evicts the other block
+// and tells the home: an LRC read miss is a request, a data reply, a fill
+// and an eviction hint; an ERC write miss an ownership request, a data
+// reply, a fill and a dirty write-back with its acknowledgement.
+func TestMissAllocatesOnlyTheTxn(t *testing.T) {
+	for _, c := range []struct {
+		proto string
+		miss  func(n *Node, block uint64)
+	}{
+		{"lrc", func(n *Node, block uint64) { n.Proto.CPURead(n, block, 0) }},
+		{"erc", func(n *Node, block uint64) {
+			n.Proto.CPUWrite(n, block, 0)
+			n.Proto.Release(n) // returns once the write has performed
+		}},
+	} {
+		env := testEnv(t, 4, c.proto)
+		n := env.Nodes[1]
+		blocks := [2]uint64{0, uint64(env.Cfg.Lines())}
+		if env.HomeOf(blocks[0]) != 0 || env.HomeOf(blocks[1]) != 0 {
+			t.Fatalf("blocks %v are not both homed at node 0", blocks)
+		}
+		n.CPU = env.Eng.Spawn("cpu1", func(ctx *sim.Context) {
+			for {
+				c.miss(n, blocks[0])
+				c.miss(n, blocks[1])
+				ctx.Park("the next round")
+			}
+		})
+		round := func() {
+			if !n.CPU.Parked() {
+				t.Fatalf("%s: round still running at cycle %d", c.proto, env.Eng.Now())
+			}
+			n.CPU.Wake()
+			env.Eng.RunUntil(env.Eng.Now() + 10_000)
+		}
+		env.Eng.RunUntil(10_000)
+		for i := 0; i < 4; i++ { // warm: directory entries, classifier tracks, maps, slabs
+			round()
+		}
+		misses := n.PS.Misses
+		if got := testing.AllocsPerRun(50, round); got != 2 {
+			t.Errorf("%s: a round of two misses allocates %v objects, want 2 (one Txn each)", c.proto, got)
+		}
+		var delta uint64
+		for k, v := range n.PS.Misses {
+			delta += v - misses[k]
+		}
+		if delta != 2*51 {
+			t.Errorf("%s: %d misses counted over 51 rounds, want 102", c.proto, delta)
+		}
 	}
 }

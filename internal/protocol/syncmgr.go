@@ -178,10 +178,10 @@ func (n *Node) releaseTS() uint64 {
 // requests, requester side for grants).
 func (n *Node) deliverSync(m mesh.Msg) {
 	end := n.ppAcquire(causal.KindDir, 0, n.noticeCost())
-	n.Env.Eng.At(end, func() { n.handleSync(m) })
+	n.at(end, handleSync, m, 0)
 }
 
-func (n *Node) handleSync(m mesh.Msg) {
+func handleSync(n *Node, m mesh.Msg, _ uint64) {
 	id := m.Aux
 	switch MsgKind(m.Kind) {
 	case MsgLockReq:

@@ -215,9 +215,14 @@ func tardisCPURead(n *Node, block uint64, word int) {
 // tardisReadReply handles a data reply carrying a fresh lease (a read
 // miss fill, or a renewal whose cached copy turned out stale).
 func tardisReadReply(n *Node, m mesh.Msg) {
-	t := n.mustTxn(m.Addr, "lease reply")
+	n.mustTxn(m.Addr, "lease reply")
 	n.installLease(m.Addr, tsLease{wts: m.Arg, rts: m.Aux})
-	n.fillLine(m.Addr, cache.ReadOnly, m.Vals, func() { tardisComplete(n, t) })
+	n.fillLine(m, cache.ReadOnly, tardisFilled)
+}
+
+// tardisFilled is the bus completion of the data reply m.
+func tardisFilled(n *Node, m mesh.Msg, _ uint64) {
+	tardisComplete(n, n.mustTxn(m.Addr, "fill"))
 }
 
 // tardisComplete finishes a transaction whose lease (and data, if any
@@ -266,7 +271,7 @@ func tardisWriteReply(n *Node, m mesh.Msg) {
 	n.installLease(m.Addr, tsLease{wts: m.Arg, rts: m.Arg})
 	n.bumpPTS(m.Arg)
 	if m.Aux&1 != 0 {
-		n.fillLine(m.Addr, cache.ReadWrite, m.Vals, func() { tardisComplete(n, t) })
+		n.fillLine(m, cache.ReadWrite, tardisFilled)
 		return
 	}
 	// Control-only grant: upgrade the resident copy in place. The copy
@@ -307,24 +312,18 @@ func tardisRetireWB(n *Node, block uint64) {
 
 // ---- Recall (owner side) -------------------------------------------------
 
-// tardisRecalled handles the home's request to yield an owned block: the
-// protocol processor takes the notice, the copy is dropped, and its data
-// travels home. A recall that finds no copy nacks — the owner's eviction
-// write-back is already on the wire ahead of the nack (same FIFO
-// channel), so the home always merges the data before trusting memory.
-func tardisRecalled(n *Node, m mesh.Msg) {
-	end := n.ppAcquire(causal.KindDir, m.Addr, n.noticeCost())
-	n.Env.Eng.At(end, func() { tardisYieldOrNack(n, m) })
-}
-
-// tardisYieldOrNack answers a recall once the protocol processor has
-// taken the notice. An ownership grant whose fill is still in flight —
+// tardisYieldOrNack answers the home's request to yield an owned block,
+// once the protocol processor has taken the notice: the copy is dropped
+// and its data travels home. A recall that finds no copy nacks — the
+// owner's eviction write-back is already on the wire ahead of the nack
+// (same FIFO channel), so the home always merges the data before trusting
+// memory. An ownership grant whose fill is still in flight —
 // the line sits in the cache read-write but the transaction is open —
 // holds the recall until the fill lands: answering early would yield a
 // copy missing the very store the grant was for, and the write requester
 // behind the recall would restart into the same race, livelocking two
 // contending writers.
-func tardisYieldOrNack(n *Node, m mesh.Msg) {
+func tardisYieldOrNack(n *Node, m mesh.Msg, _ uint64) {
 	block := m.Addr
 	line := n.Cache.Lookup(block)
 	if line == nil || line.State != cache.ReadWrite {
@@ -334,7 +333,7 @@ func tardisYieldOrNack(n *Node, m mesh.Msg) {
 		return
 	}
 	if t := n.txn(block); t != nil {
-		t.Done.Subscribe(func() { tardisYieldOrNack(n, m) })
+		t.Done.Subscribe(func() { tardisYieldOrNack(n, m, 0) })
 		return
 	}
 	// When resumed from the Done subscription this runs ahead of the
@@ -443,7 +442,7 @@ var tsDispatch = dispatch{
 	MsgTReadReply:  tardisReadReply,
 	MsgTRenewAck:   tardisRenewAck,
 	MsgTWriteReply: tardisWriteReply,
-	MsgTRecall:     tardisRecalled,
+	MsgTRecall:     afterPP(causal.KindDir, (*Node).noticeCost, tardisYieldOrNack),
 }.withShared()
 
 // ---- Tardis (sequentially consistent flavor) -----------------------------

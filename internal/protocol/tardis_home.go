@@ -31,11 +31,8 @@ func tardisHomeService(n *Node, m mesh.Msg) {
 	l := n.Dir.Lease(b)
 	if l.Owner != directory.NoOwner && l.Owner != m.Src {
 		td.recall[b] = &tardisRecall{owner: l.Owner, pending: m}
-		owner := l.Owner
 		end := n.ppAcquire(causal.KindDir, b, n.dirCost())
-		n.Env.Eng.At(end, func() {
-			n.send(owner, MsgTRecall, b, 0, 0, 0)
-		})
+		n.replyAt(end, n.msg(l.Owner, MsgTRecall, b, 0, 0, 0))
 		return
 	}
 	if l.Owner == m.Src {
@@ -76,18 +73,22 @@ func extendLease(l *directory.Lease, pts, leaseLen uint64) {
 // access and directory occupancy overlap; the data reply carries the
 // version's wts and the extended lease.
 func tardisHomeRead(n *Node, m mesh.Msg) {
-	memEnd := n.memAccess(n.lineBytes())
-	dirEnd := n.ppAcquire(causal.KindDir, m.Addr, n.dirCost())
-	n.Env.Eng.At(dirEnd, func() {
-		l := n.Dir.Lease(m.Addr)
-		extendLease(l, m.Arg, n.Env.Cfg.LeaseLen)
-		n.Dir.CheckLease(m.Addr, l)
-		wts, rts := l.Wts, l.Rts
-		n.Env.Eng.At(max(n.now(), memEnd), func() {
-			n.sendData(m.Src, MsgTReadReply, m.Addr, n.lineBytes(), wts, rts, n.homeVals(m.Addr))
-			tardisHomeNext(n, m.Addr)
-		})
-	})
+	n.afterDir(m, true, tardisHomeReadDir)
+}
+
+func tardisHomeReadDir(n *Node, m mesh.Msg, memEnd uint64) {
+	l := n.Dir.Lease(m.Addr)
+	extendLease(l, m.Arg, n.Env.Cfg.LeaseLen)
+	n.Dir.CheckLease(m.Addr, l)
+	n.at(max(n.now(), memEnd), tardisHomeReply,
+		n.msg(m.Src, MsgTReadReply, m.Addr, n.lineBytes(), l.Wts, l.Rts), 0)
+}
+
+// tardisHomeReply sends the reply that ends a request's service and moves
+// to the block's next request.
+func tardisHomeReply(n *Node, reply mesh.Msg, _ uint64) {
+	sendReply(n, reply, 0)
+	tardisHomeNext(n, reply.Addr)
 }
 
 // tardisHomeRenew serves the renewal fast path: the requester's copy is
@@ -95,15 +96,16 @@ func tardisHomeRead(n *Node, m mesh.Msg) {
 // memory access or data transfer happens at all — the traffic the
 // invalidation protocols can never avoid.
 func tardisHomeRenew(n *Node, m mesh.Msg) {
-	dirEnd := n.ppAcquire(causal.KindDir, m.Addr, n.dirCost())
-	n.Env.Eng.At(dirEnd, func() {
-		l := n.Dir.Lease(m.Addr)
-		extendLease(l, m.Arg, n.Env.Cfg.LeaseLen)
-		n.Dir.CheckLease(m.Addr, l)
-		n.observe("lease-renew", m.Addr, l.Rts, m.Src)
-		n.send(m.Src, MsgTRenewAck, m.Addr, 0, l.Wts, l.Rts)
-		tardisHomeNext(n, m.Addr)
-	})
+	n.afterDir(m, false, tardisHomeRenewDir)
+}
+
+func tardisHomeRenewDir(n *Node, m mesh.Msg, _ uint64) {
+	l := n.Dir.Lease(m.Addr)
+	extendLease(l, m.Arg, n.Env.Cfg.LeaseLen)
+	n.Dir.CheckLease(m.Addr, l)
+	n.observe("lease-renew", m.Addr, l.Rts, m.Src)
+	n.send(m.Src, MsgTRenewAck, m.Addr, 0, l.Wts, l.Rts)
+	tardisHomeNext(n, m.Addr)
 }
 
 // tardisHomeWrite grants exclusive ownership at ts = max(pts, rts+1) —
@@ -111,34 +113,25 @@ func tardisHomeRenew(n *Node, m mesh.Msg) {
 // could serve, which is why nobody needs to be invalidated. Data rides
 // along only if the requester has no copy or its copy's wts is stale.
 func tardisHomeWrite(n *Node, m mesh.Msg) {
+	wts := n.Dir.Lease(m.Addr).Wts
+	n.afterDir(m, m.Aux&1 != 0 || (m.Aux&2 != 0 && m.Aux>>2 != wts), tardisHomeWriteDir)
+}
+
+// tardisHomeWriteDir grants the write request m; data rides along iff a
+// memory access was started for it (memEnd, when it ends, is then nonzero).
+func tardisHomeWriteDir(n *Node, m mesh.Msg, memEnd uint64) {
 	l := n.Dir.Lease(m.Addr)
-	wantsData := m.Aux&1 != 0 || (m.Aux&2 != 0 && m.Aux>>2 != l.Wts)
-	var memEnd uint64
-	if wantsData {
-		memEnd = n.memAccess(n.lineBytes())
+	ts := m.Arg
+	if l.Rts+1 > ts {
+		ts = l.Rts + 1
 	}
-	dirEnd := n.ppAcquire(causal.KindDir, m.Addr, n.dirCost())
-	n.Env.Eng.At(dirEnd, func() {
-		l := n.Dir.Lease(m.Addr)
-		ts := m.Arg
-		if l.Rts+1 > ts {
-			ts = l.Rts + 1
-		}
-		l.Wts, l.Rts, l.Owner = ts, ts, m.Src
-		n.Dir.CheckLease(m.Addr, l)
-		at := n.now()
-		if wantsData {
-			at = max(at, memEnd)
-		}
-		n.Env.Eng.At(at, func() {
-			if wantsData {
-				n.sendData(m.Src, MsgTWriteReply, m.Addr, n.lineBytes(), ts, 1, n.homeVals(m.Addr))
-			} else {
-				n.send(m.Src, MsgTWriteReply, m.Addr, 0, ts, 0)
-			}
-			tardisHomeNext(n, m.Addr)
-		})
-	})
+	l.Wts, l.Rts, l.Owner = ts, ts, m.Src
+	n.Dir.CheckLease(m.Addr, l)
+	reply := n.msg(m.Src, MsgTWriteReply, m.Addr, 0, ts, 0)
+	if memEnd != 0 {
+		reply.Size, reply.Aux = n.lineBytes(), 1
+	}
+	n.at(max(n.now(), memEnd), tardisHomeReply, reply, 0)
 }
 
 // tardisHomeNext closes one service slot for block: the oldest deferred
@@ -168,16 +161,17 @@ func tardisAdoptOwnerCopy(n *Node, m mesh.Msg) {
 	n.Dir.CheckLease(m.Addr, l)
 }
 
-// tardisHomeEpisodeEnd resumes the request that triggered a recall (or,
-// if none is open, just releases the service slot).
-func tardisHomeEpisodeEnd(n *Node, block uint64) {
+// tardisHomeEpisodeEnd resumes the request that triggered the recall the
+// owner's yield or nack m answers (or, if none is open, just releases
+// the service slot).
+func tardisHomeEpisodeEnd(n *Node, m mesh.Msg, _ uint64) {
 	td := n.td()
-	if rc := td.recall[block]; rc != nil {
-		delete(td.recall, block)
+	if rc := td.recall[m.Addr]; rc != nil {
+		delete(td.recall, m.Addr)
 		tardisHomeService(n, rc.pending)
 		return
 	}
-	tardisHomeNext(n, block)
+	tardisHomeNext(n, m.Addr)
 }
 
 // tardisHomeWB handles an evicted owned block's data arriving home.
@@ -192,9 +186,7 @@ func tardisHomeWB(n *Node, m mesh.Msg) {
 // serve the request the recall was holding.
 func tardisHomeYield(n *Node, m mesh.Msg) {
 	tardisAdoptOwnerCopy(n, m)
-	n.Env.Eng.At(n.absorbPayload(m), func() {
-		tardisHomeEpisodeEnd(n, m.Addr)
-	})
+	n.at(n.absorbPayload(m), tardisHomeEpisodeEnd, m, 0)
 }
 
 // tardisHomeNack handles a recall that found no copy: the owner's
@@ -208,7 +200,5 @@ func tardisHomeNack(n *Node, m mesh.Msg) {
 		n.Dir.CheckLease(m.Addr, l)
 	}
 	end := n.ppAcquire(causal.KindDir, m.Addr, n.noticeCost())
-	n.Env.Eng.At(end, func() {
-		tardisHomeEpisodeEnd(n, m.Addr)
-	})
+	n.at(end, tardisHomeEpisodeEnd, m, 0)
 }

@@ -5,8 +5,6 @@ package sim
 import (
 	"fmt"
 	"iter"
-
-	"lazyrc/internal/perf"
 )
 
 // Context is a simulated processor context: a coroutine whose body runs
@@ -32,6 +30,7 @@ import (
 // stack is freed.
 type Context struct {
 	eng    *Engine
+	id     uint32 // index in eng.contexts: the argument of a resume event
 	name   string
 	done   bool
 	parked bool
@@ -43,10 +42,6 @@ type Context struct {
 	next  func() (struct{}, bool)
 	yield func(struct{}) bool
 	stop  func()
-
-	// run is transfer as a func value, built once so that scheduling a
-	// resumption allocates nothing.
-	run func()
 
 	// progress counts resumptions; the watchdog reads it to tell a
 	// context that is advancing from one that is wedged.
@@ -60,15 +55,14 @@ type released struct{}
 // Spawn creates a context executing fn, scheduled to start at the current
 // simulated time. The name appears in deadlock reports.
 func (e *Engine) Spawn(name string, fn func(*Context)) *Context {
-	c := &Context{eng: e, name: name}
-	c.run = c.transfer
+	c := &Context{eng: e, id: uint32(len(e.contexts)), name: name}
 	c.next, c.stop = iter.Pull(func(yield func(struct{}) bool) {
 		c.yield = yield
 		defer c.finish()
 		fn(c)
 	})
 	e.contexts = append(e.contexts, c)
-	e.At(e.now, c.run)
+	e.Post(e.now, kindResume, c.id)
 	return c
 }
 
@@ -93,21 +87,15 @@ func (c *Context) Engine() *Engine { return c.eng }
 func (c *Context) Now() Time { return c.eng.now }
 
 // transfer switches from the engine to the context and returns when the
-// context blocks or finishes; a panic in the body re-panics here. It must
-// run on the engine's side (i.e., from an event handler); the time until
-// it returns is the profiler's frontend phase.
+// context blocks or finishes; a panic in the body re-panics here. It is
+// what a resume event does, so the time until it returns is the
+// profiler's frontend phase.
 func (c *Context) transfer() {
 	if c.done {
 		panic(fmt.Sprintf("sim: resuming finished context %q", c.name))
 	}
 	c.progress++
-	if c.eng.prof == nil {
-		c.next()
-		return
-	}
-	prev := c.eng.prof.Enter(perf.PhaseFrontend)
 	c.next()
-	c.eng.prof.Exit(prev)
 }
 
 // block switches back to the engine and returns when the context is next
@@ -122,7 +110,7 @@ func (c *Context) block() {
 // Sleep advances the context by d cycles of simulated time, letting other
 // activity proceed in between.
 func (c *Context) Sleep(d uint64) {
-	c.eng.After(d, c.run)
+	c.eng.Post(c.eng.now+d, kindResume, c.id)
 	c.block()
 }
 
@@ -150,7 +138,7 @@ func (c *Context) WakeAt(t Time) {
 	}
 	c.parked = false
 	c.eng.nparked--
-	c.eng.At(t, c.run)
+	c.eng.Post(t, kindResume, c.id)
 }
 
 // Parked reports whether the context is currently parked.

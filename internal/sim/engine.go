@@ -26,7 +26,7 @@ type Time = uint64
 // Chooser resolves scheduling nondeterminism at an enumerated choice
 // point with n >= 2 alternatives, returning an index in [0, n). The
 // engine consults it whenever several events are enabled at the same
-// simulated instant, instead of committing to scheduling (heap) order;
+// simulated instant, instead of committing to scheduling (seq) order;
 // the mesh consults it to pick per-message delivery delays. A model
 // checker implements Chooser to explore the space of legal schedules and
 // to replay a recorded one; with no chooser attached the engine's
@@ -35,12 +35,33 @@ type Chooser interface {
 	Choose(n int) int
 }
 
+// Kind says what an event does when it fires. Kind 0 is the escape hatch,
+// an arbitrary func(); any other names a handler its owner registered
+// once and carries a 32-bit argument for it — typically a Slab handle — so
+// that scheduling the event allocates nothing. Two are the engine's own:
+// resuming contexts[arg], and the tick of tickers[arg].
+type Kind uint8
+
+const (
+	kindFunc Kind = iota
+	kindResume
+	kindTick
+	builtinKinds
+)
+
+// kindInfo is a kind's handler and the phase a timed event of it starts in.
+type kindInfo struct {
+	fn    func(arg uint32)
+	phase perf.Phase
+}
+
 type event struct {
-	at  Time
-	seq uint64
-	fn  func()
-	ctx uint64 // causal context captured at scheduling time (0 with no tracer)
-	bg  bool   // background events do not keep the simulation alive
+	at   Time
+	seq  uint64
+	fn   func() // kindFunc only
+	ctx  uint64 // causal context captured at scheduling time (0 with no tracer)
+	arg  uint32
+	kind Kind
 }
 
 // before is the queue's total order: time, then scheduling order.
@@ -48,95 +69,33 @@ func (a *event) before(b *event) bool {
 	return a.at < b.at || (a.at == b.at && a.seq < b.seq)
 }
 
-// heapArity is the fan-out of the event queue. Four children per node
-// halve the depth of a binary heap, so a push (one comparison per level)
-// gets cheaper, while the children a pop compares per level sit in
-// adjacent cache lines. On BenchmarkEventHeapPushPop arities 3 and 4 are
-// level and ahead of 2 and 8 at standing populations of 1 024 and 16 384
-// (nothing separates them at 64); 4 keeps the index arithmetic to shifts.
-const heapArity = 4
-
-// eventHeap is a d-ary min-heap on (at, seq) stored flat in a slice: the
-// children of slot i are slots i*heapArity+1 .. i*heapArity+heapArity.
-// (at, seq) is a total order, so the pop sequence is a function of the
-// pushed set alone, not of the heap's shape.
-type eventHeap []event
-
-func (h eventHeap) peek() event   { return h[0] }
-func (h eventHeap) emptied() bool { return len(h) == 0 }
-
-// pushEv inserts e, moving a hole up from the new leaf until e's parent
-// is not after it.
-func (h *eventHeap) pushEv(e event) {
-	q := append(*h, event{})
-	i := len(q) - 1
-	for i > 0 {
-		p := (i - 1) / heapArity
-		if !e.before(&q[p]) {
-			break
-		}
-		q[i] = q[p]
-		i = p
-	}
-	q[i] = e
-	*h = q
-}
-
-// popMin removes and returns the minimum, moving a hole down from the
-// root until the former last element fits. The vacated last slot is
-// zeroed so the backing array does not keep a popped callback reachable.
-func (h *eventHeap) popMin() event {
-	q := *h
-	n := len(q) - 1
-	min, last := q[0], q[n]
-	q[n] = event{}
-	q = q[:n]
-	*h = q
-	if n == 0 {
-		return min
-	}
-	i := 0
-	for {
-		c := i*heapArity + 1
-		if c >= n {
-			break
-		}
-		end := c + heapArity
-		if end > n {
-			end = n
-		}
-		m := c
-		for j := c + 1; j < end; j++ {
-			if q[j].before(&q[m]) {
-				m = j
-			}
-		}
-		if !q[m].before(&last) {
-			break
-		}
-		q[i] = q[m]
-		i = m
-	}
-	q[i] = last
-	return min
+// ticker is one Every registration.
+type ticker struct {
+	interval uint64
+	fn       func()
 }
 
 // Engine is a deterministic discrete-event simulator.
 // The zero value is not usable; call NewEngine.
 type Engine struct {
-	now    Time
-	seq    uint64
-	events eventHeap
+	now Time
+	seq uint64
+	q   eventQueue
+
+	// An array (a new engine is one allocation): the built-in kinds, the
+	// mesh's delivery, the protocol's continuation, and room for three.
+	kinds  [8]kindInfo
+	nkinds Kind
 
 	contexts []*Context
 	nparked  int // contexts currently parked
+	tickers  []ticker
 
 	nEvents uint64 // total events executed, for diagnostics
-	nbg     int    // background events currently in the queue
+	nbg     int    // background events (ticks) currently in the queue
 	stopped bool   // set by Stop; Run returns early
 
 	chooser Chooser // nil: deterministic seq-order tie-break
-	tied    []event // scratch for same-instant choice enumeration
 
 	tracer TaskTracer // nil: no causal-context propagation
 
@@ -144,9 +103,9 @@ type Engine struct {
 }
 
 // TaskTracer threads a causal context (a transaction id) through event
-// chains. When one is attached, every event scheduled via At/After/
-// Background carries the context current at scheduling time and its
-// callback runs with it restored — so a home-side continuation, and any
+// chains. When one is attached, every event, of whatever kind, carries
+// the context current at scheduling time and its handler runs with it
+// restored — so a home-side continuation, and any
 // message it sends, inherit the transaction identity of the request that
 // scheduled it without the protocol code threading ids by hand. The
 // previous context is put back afterwards, which keeps nesting correct
@@ -170,14 +129,23 @@ func (e *Engine) SetTaskTracer(t TaskTracer) { e.tracer = t }
 // schedule is unchanged.
 func (e *Engine) SetProfiler(p *perf.Profiler) { e.prof = p }
 
-// NewEngine returns an engine at time zero with an empty event queue.
+// NewEngine returns an engine at time zero with an empty event queue: one
+// allocation, whose node slab and far heap grow on demand — the model
+// checker builds one per schedule for machines that queue a dozen events;
+// a 64-processor cell's 64–255 are a few doublings away.
 func NewEngine() *Engine {
-	return &Engine{
-		// Room for a 4-processor machine's standing population: the model
-		// checker builds one engine per schedule, and a 64-processor run
-		// doubles its way to a few thousand slots within its first cycles.
-		events: make(eventHeap, 0, 64),
-	}
+	e := &Engine{nkinds: builtinKinds}
+	e.kinds[kindResume].phase = perf.PhaseFrontend
+	e.kinds[kindTick].phase = perf.PhaseBackground
+	return e
+}
+
+// Register adds an event kind, once, when its owner is wired to the engine:
+// an event posted with it calls handler(arg), a timed one starts in phase.
+func (e *Engine) Register(phase perf.Phase, handler func(arg uint32)) Kind {
+	e.kinds[e.nkinds] = kindInfo{handler, phase} // a full table is a wiring bug: let it panic
+	e.nkinds++
+	return e.nkinds - 1
 }
 
 // Now returns the current simulated time.
@@ -189,102 +157,67 @@ func (e *Engine) Events() uint64 { return e.nEvents }
 // At schedules fn to run at absolute time t. Scheduling in the past
 // panics: it would silently corrupt causality.
 func (e *Engine) At(t Time, fn func()) {
-	if t < e.now {
-		panic(fmt.Sprintf("sim: scheduling event at %d before now %d", t, e.now))
-	}
-	e.push(t, fn, false)
+	e.push(event{at: t, fn: fn})
+}
+
+// Post schedules an event of a registered kind at absolute time t; the
+// kind's handler receives arg. Like At, it panics on a time in the past.
+func (e *Engine) Post(t Time, k Kind, arg uint32) {
+	e.push(event{at: t, kind: k, arg: arg})
 }
 
 // push stamps an event with the next sequence number and the causal
 // context current now, and queues it.
-func (e *Engine) push(t Time, fn func(), bg bool) {
+func (e *Engine) push(ev event) {
+	if ev.at < e.now {
+		panic(fmt.Sprintf("sim: scheduling event at %d before now %d", ev.at, e.now))
+	}
 	e.seq++
-	ev := event{at: t, seq: e.seq, fn: fn, bg: bg}
+	ev.seq = e.seq
 	if e.tracer != nil {
 		ev.ctx = e.tracer.Capture()
 	}
-	if e.prof == nil {
-		e.events.pushEv(ev)
-		return
+	if ev.kind == kindTick {
+		e.nbg++
 	}
-	prev := e.prof.Enter(perf.PhaseQueue)
-	e.events.pushEv(ev)
+	prev := e.prof.Enter(perf.PhaseQueue) // two tests on an untimed event
+	e.q.push(&ev)
 	e.prof.Exit(prev)
 }
 
 // After schedules fn to run d cycles from now.
 func (e *Engine) After(d uint64, fn func()) { e.At(e.now+d, fn) }
 
-// Background schedules fn at absolute time t as a background event.
-// Background events — watchdog probes, invariant-checker epochs — do not
-// keep the simulation alive: Run returns (and discards them) once only
-// background events remain, so a periodic observer may reschedule itself
-// unconditionally without preventing termination.
-func (e *Engine) Background(t Time, fn func()) {
-	if t < e.now {
-		panic(fmt.Sprintf("sim: scheduling background event at %d before now %d", t, e.now))
-	}
-	e.nbg++
-	e.push(t, fn, true)
-}
-
 // Every runs fn as a background event every interval cycles from now on,
 // first at now+interval — the one periodic primitive the observers
 // (telemetry tick, audit epochs, watchdog, cancellation poll, progress
-// line) share. Like any background event it never keeps the simulation
-// alive; once the engine is stopped it is not rescheduled.
+// line) share. Ticks are the background events: they do not keep the
+// simulation alive — Run returns (and discards them) once only they
+// remain — and once the engine is stopped they are not rescheduled.
 func (e *Engine) Every(interval uint64, fn func()) {
 	if interval == 0 {
 		panic("sim: periodic interval must be positive")
 	}
-	var tick func()
-	tick = func() {
-		fn()
-		if !e.stopped {
-			e.Background(e.now+interval, tick)
-		}
-	}
-	e.Background(e.now+interval, tick)
+	e.tickers = append(e.tickers, ticker{interval, fn})
+	e.push(event{at: e.now + interval, kind: kindTick, arg: uint32(len(e.tickers) - 1)})
 }
 
-// Pending returns the number of events currently queued.
-func (e *Engine) Pending() int { return len(e.events) }
+// tick fires the i-th Every registration and schedules its next firing.
+func (e *Engine) tick(i uint32) {
+	t := e.tickers[i] // a copy: fn may call Every and move the table
+	t.fn()
+	if !e.stopped {
+		e.push(event{at: e.now + t.interval, kind: kindTick, arg: i})
+	}
+}
 
-// SetChooser attaches (or, with nil, detaches) a scheduling chooser.
-// With a chooser attached, whenever two or more events are enabled at
-// the same simulated instant the engine enumerates them (in scheduling
-// order) and lets the chooser pick which fires next, rather than
-// committing to seq order. Attach before Run; the schedule is a pure
-// function of the chooser's answers, so replaying the same answers
-// reproduces the run exactly.
+// SetChooser attaches (or, with nil, detaches) a scheduling chooser. With
+// one attached, whenever two or more events are queued at the earliest
+// instant the engine offers them, in scheduling order, as a choice point
+// and fires the one picked; the others keep their order. Attach before
+// Run; the schedule is a pure function of the chooser's answers, so
+// replaying the same answers reproduces the run exactly.
 func (e *Engine) SetChooser(c Chooser) { e.chooser = c }
-
-// popNext removes and returns the next event to execute. With no chooser
-// (or a single enabled event) this is the deterministic heap minimum;
-// with a chooser and several events tied at the minimum timestamp, the
-// tied set is enumerated as a choice point.
-func (e *Engine) popNext() event {
-	ev := e.events.popMin()
-	if e.chooser == nil || e.events.emptied() || e.events.peek().at != ev.at {
-		return ev
-	}
-	e.tied = append(e.tied[:0], ev)
-	for !e.events.emptied() && e.events.peek().at == ev.at {
-		e.tied = append(e.tied, e.events.popMin())
-	}
-	pick := e.chooser.Choose(len(e.tied))
-	if pick < 0 || pick >= len(e.tied) {
-		panic(fmt.Sprintf("sim: chooser picked %d of %d alternatives", pick, len(e.tied)))
-	}
-	chosen := e.tied[pick]
-	for i, t := range e.tied {
-		if i != pick {
-			e.events.pushEv(t) // seq is preserved: unchosen events keep their order
-		}
-	}
-	clear(e.tied) // the scratch must not keep callbacks that have run reachable
-	return chosen
-}
 
 // Stop makes Run return before the next event, without treating still-
 // parked contexts as a deadlock. A watchdog's stall handler calls it to
@@ -305,7 +238,7 @@ func (e *Engine) Stopped() bool { return e.stopped }
 // stack, and nothing those stacks reference, behind.
 func (e *Engine) Run() {
 	defer e.release()
-	for !e.stopped && !e.events.emptied() && e.nbg < len(e.events) {
+	for !e.stopped && e.nbg < e.q.len() {
 		e.step()
 	}
 	if e.stopped {
@@ -325,7 +258,7 @@ func (e *Engine) Run() {
 // It does not treat remaining parked contexts as a deadlock, and leaves
 // them blocked for a later RunUntil or Run to resume.
 func (e *Engine) RunUntil(t Time) {
-	for !e.events.emptied() && e.events.peek().at <= t {
+	for e.q.len() > 0 && e.q.minAt() <= t {
 		if e.stopped {
 			return
 		}
@@ -338,42 +271,59 @@ func (e *Engine) RunUntil(t Time) {
 
 // step takes the next event off the queue, advances the clock to it and
 // runs it. With a profiler attached, every perf.Stride-th event is timed
-// from before it leaves the queue to after its callback, as a sample of
-// all of them; background events — the telemetry tick, watchdog and
-// cancellation polls — are too few and too heavy to sample, so each one
-// is timed, from the moment the pop shows what it is.
+// from before it leaves the queue to after its handler, as a sample of
+// all of them, in its kind's phase (dispatch for a plain func()); ticks —
+// telemetry, watchdog and cancellation polls — are too few and too heavy
+// to sample, so each one is timed, from the moment the pop shows it.
 func (e *Engine) step() {
 	timed := e.prof != nil && e.nEvents%perf.Stride == 0
 	if timed {
 		e.prof.Start(perf.PhaseQueue)
 	}
-	ev := e.popNext()
-	ph := perf.PhaseDispatch
-	if ev.bg {
+	pick := 0
+	if e.chooser != nil {
+		if n := e.q.tied(); n > 1 {
+			if pick = e.chooser.Choose(n); pick < 0 || pick >= n {
+				panic(fmt.Sprintf("sim: chooser picked %d of %d alternatives", pick, n))
+			}
+		}
+	}
+	var ev event
+	e.q.take(pick, &ev) // the (at, seq) minimum, with no chooser
+	if ev.kind == kindTick {
 		e.nbg--
-		ph, timed = perf.PhaseBackground, e.prof != nil
+		timed = e.prof != nil
 	}
 	if timed {
-		e.prof.Start(ph)
+		e.prof.Start(e.kinds[ev.kind].phase)
 	}
 	e.now = ev.at
 	e.nEvents++
-	e.call(ev)
+	if e.tracer == nil {
+		e.call(&ev)
+	} else {
+		// The handler runs under the causal context the event carries.
+		prev := e.tracer.Restore(ev.ctx)
+		e.call(&ev)
+		e.tracer.Restore(prev)
+	}
 	if timed {
 		e.prof.Stop()
 	}
 }
 
-// call runs the event's callback, under the causal context the event
-// carries when a tracer is attached.
-func (e *Engine) call(ev event) {
-	if e.tracer == nil {
+// call dispatches the event on its kind.
+func (e *Engine) call(ev *event) {
+	switch ev.kind {
+	case kindFunc:
 		ev.fn()
-		return
+	case kindResume:
+		e.contexts[ev.arg].transfer()
+	case kindTick:
+		e.tick(ev.arg)
+	default:
+		e.kinds[ev.kind].fn(ev.arg)
 	}
-	prev := e.tracer.Restore(ev.ctx)
-	ev.fn()
-	e.tracer.Restore(prev)
 }
 
 // release ends every context whose body has not returned — blocked in

@@ -113,6 +113,31 @@ func TestRunUntil(t *testing.T) {
 	if n != 10 {
 		t.Fatalf("events run = %d, want 10", n)
 	}
+
+	// RunUntil moves the clock past the queue's whole window without
+	// popping anything (the queue's base stays at 100, the last pop);
+	// events scheduled from there — at the clock, inside what is now the
+	// window of the clock but not of the base, and far ahead — still fire
+	// in (time, scheduling) order.
+	jump := Time(200 + 5*wheelSize)
+	e.RunUntil(jump)
+	if e.Now() != jump || e.q.len() != 0 {
+		t.Fatalf("now = %d with %d pending, want %d and none", e.Now(), e.q.len(), jump)
+	}
+	var order []int
+	for i, d := range []Time{3 * wheelSize, 7, 0, 7, wheelSize - 1, 0, wheelSize} {
+		i := i
+		e.At(jump+d, func() { order = append(order, i) })
+	}
+	e.RunUntil(jump + 7)
+	if fmt.Sprint(order) != "[2 5 1 3]" {
+		t.Fatalf("order up to now+7 = %v, want [2 5 1 3]", order)
+	}
+	e.At(jump+wheelSize-1, func() { order = append(order, 7) })
+	e.Run()
+	if fmt.Sprint(order) != "[2 5 1 3 4 7 6 0]" {
+		t.Fatalf("order = %v, want [2 5 1 3 4 7 6 0]", order)
+	}
 }
 
 // TestEvery pins the periodic primitive's three properties: it first
@@ -128,8 +153,8 @@ func TestEvery(t *testing.T) {
 	if want := []Time{17, 27, 37}; !slices.Equal(fired, want) {
 		t.Fatalf("fired at %v, want %v (armed at 7, last regular event at 40)", fired, want)
 	}
-	if e.Pending() != 1 || e.nbg != 1 {
-		t.Fatalf("%d pending, %d background after Run, want the one rescheduled tick", e.Pending(), e.nbg)
+	if e.q.len() != 1 || e.nbg != 1 {
+		t.Fatalf("%d pending, %d background after Run, want the one rescheduled tick", e.q.len(), e.nbg)
 	}
 
 	e = NewEngine()
@@ -388,10 +413,8 @@ func TestProfilerTimesTheStrideAndEveryBackgroundEvent(t *testing.T) {
 				order = append(order, i)
 			}
 		})
-		for i := 1; i <= polls; i++ {
-			i := i
-			e.Background(Time(400*i)+1, func() { order = append(order, -i) })
-		}
+		poll := 0
+		e.Every(401, func() { poll++; order = append(order, -poll) })
 		p.Begin()
 		e.Run()
 		p.End(e.Now(), e.Events())

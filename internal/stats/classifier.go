@@ -8,7 +8,10 @@ package stats
 // separating true from false sharing.
 type Classifier struct {
 	nprocs int
-	blocks map[uint64]*blockTrack
+	// blocks is indexed by block number — dense: blocks number a shared
+	// address space that grows from 0 — and holds the nseen ever touched.
+	blocks []*blockTrack
+	nseen  int
 
 	ver uint64 // global committed-write version counter
 }
@@ -29,13 +32,13 @@ type copyTrack struct {
 // NewClassifier returns a classifier for nprocs processors and
 // wordsPerLine-word coherence blocks.
 func NewClassifier(nprocs, wordsPerLine int) *Classifier {
-	return &Classifier{
-		nprocs: nprocs,
-		blocks: make(map[uint64]*blockTrack),
-	}
+	return &Classifier{nprocs: nprocs}
 }
 
 func (c *Classifier) track(block uint64, words int) *blockTrack {
+	if block >= uint64(len(c.blocks)) {
+		c.blocks = append(c.blocks, make([]*blockTrack, block+1-uint64(len(c.blocks)))...)
+	}
 	b := c.blocks[block]
 	if b == nil {
 		b = &blockTrack{
@@ -47,6 +50,7 @@ func (c *Classifier) track(block uint64, words int) *blockTrack {
 			b.wordWriter[i] = -1
 		}
 		c.blocks[block] = b
+		c.nseen++
 	}
 	if len(b.wordVer) < words { // line-size change between runs is a bug
 		panic("stats: inconsistent words-per-line")
@@ -115,4 +119,4 @@ func (c *Classifier) Classify(proc int, block uint64, word, wordsPerLine int, up
 }
 
 // Blocks returns how many distinct blocks the classifier has seen.
-func (c *Classifier) Blocks() int { return len(c.blocks) }
+func (c *Classifier) Blocks() int { return c.nseen }
