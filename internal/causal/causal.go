@@ -17,6 +17,7 @@ package causal
 
 import (
 	"fmt"
+	"math/bits"
 	"sort"
 
 	"lazyrc/internal/perf"
@@ -174,7 +175,7 @@ type Tracer struct {
 	free  []uint32
 	nOpen int
 
-	hash    uint64 // running FNV-1a over closed spans, in close order
+	hash    uint64 // running digest over closed spans, in close order
 	closed  uint64 // spans closed (folded into the digest)
 	dropped uint64 // spans not recorded because the retention cap was hit
 
@@ -195,7 +196,7 @@ func New(limit int) *Tracer {
 	if limit <= 0 {
 		limit = DefaultLimit
 	}
-	return &Tracer{limit: limit, hash: fnvOffset}
+	return &Tracer{limit: limit, hash: digestSeed}
 }
 
 // NewDigest returns a tracer in digest-only mode: spans are folded into a
@@ -203,7 +204,7 @@ func New(limit int) *Tracer {
 // bounded by the number of concurrently open spans. Used by the
 // experiment runner, which wants the determinism fingerprint but not the
 // store.
-func NewDigest() *Tracer { return &Tracer{hash: fnvOffset} }
+func NewDigest() *Tracer { return &Tracer{hash: digestSeed} }
 
 // SetProfiler attaches (or, with nil, detaches) a wall-clock phase
 // profiler charging span bookkeeping to the causal phase.
@@ -294,24 +295,19 @@ func (t *Tracer) release(h uint64, sp *Span) {
 }
 
 // endOpen closes an open span at cycle end and folds it into the digest.
-// It returns the span if retained, nil if discarded or not open.
-func (t *Tracer) endOpen(h, end uint64) *Span {
+func (t *Tracer) endOpen(h, end uint64) {
 	if t == nil || h == 0 {
-		return nil
+		return
 	}
 	sp := t.at(h)
 	if !sp.open {
-		return nil
+		return
 	}
 	prev := t.prof.Enter(perf.PhaseCausal)
 	sp.End = end
 	t.fold(sp)
 	t.release(h, sp)
 	t.prof.Exit(prev)
-	if h&slabTag != 0 {
-		return nil
-	}
-	return sp
 }
 
 // record folds one already-complete span (e.g. a network flight whose
@@ -383,23 +379,22 @@ func (t *Tracer) BeginStall(node int, tid uint64, class StallClass, why string, 
 // (the transaction whose completion event woke the processor) as the
 // episode's cause. Zero-length episodes are discarded: no cycles were
 // charged, so they carry no attribution weight. The cause is stamped
-// after the span has been folded: it reaches the retained store, where the
-// critical-path analyzer walks it, but not the digest (DESIGN.md §11).
+// before the span is folded, so who woke whom is part of the digest.
 func (t *Tracer) EndStall(h, now uint64) {
 	if t == nil || h == 0 {
 		return
 	}
-	if sp := t.at(h); sp.open && sp.Begin == now {
-		t.release(h, sp)
-		if h == uint64(len(t.spans)) {
-			t.spans = t.spans[:h-1] // the store's last span: take it back
-		} else {
-			sp.ID = 0 // tombstone; skipped by readers (and by no one in the slab)
-		}
-		return
-	}
-	if sp := t.endOpen(h, now); sp != nil {
+	switch sp := t.at(h); {
+	case !sp.open: // already ended
+	case sp.Begin != now:
 		sp.Cause = t.cur
+		t.endOpen(h, now)
+	case h == uint64(len(t.spans)): // zero length, the store's last span: take it back
+		t.release(h, sp)
+		t.spans = t.spans[:h-1]
+	default: // zero length: a tombstone readers skip (and no one reads the slab)
+		t.release(h, sp)
+		sp.ID = 0
 	}
 }
 
@@ -511,8 +506,8 @@ func (t *Tracer) Dropped() uint64 {
 	return t.dropped
 }
 
-// Digest returns the run's span-stream fingerprint: an FNV-1a fold of
-// every span's content in close order plus the total count, rendered as
+// Digest returns the run's span-stream fingerprint: every closed span
+// folded in close order (see fold) plus the total count, rendered as
 // "<count>-<hash>". The simulation is single-threaded and deterministic,
 // so the digest is identical across repeated runs, worker counts, and
 // machines — and is compared by the experiment regression gate.
@@ -523,38 +518,52 @@ func (t *Tracer) Digest() string {
 	return fmt.Sprintf("%d-%016x", t.closed, t.hash)
 }
 
+// digestSeed starts the digest and the second lane of every fold;
+// digestMul is mix's odd multiplier (2^64 over the golden ratio).
 const (
-	fnvOffset = uint64(14695981039346656037)
-	fnvPrime  = uint64(1099511628211)
+	digestSeed = uint64(14695981039346656037)
+	digestMul  = uint64(0x9e3779b97f4a7c15)
 )
 
+// fold mixes one closed span into the digest, a 64-bit word per step, in
+// the record layout of DESIGN.md §11 (a format: changing it re-pins every
+// stored digest). Words alternate between two lanes — a continues the
+// running state, b starts from the seed — joined by a last step, so a span
+// adds a chain of six dependent multiplies, not eleven.
 func (t *Tracer) fold(s *Span) {
 	t.closed++
-	h := t.hash
-	mix := func(v uint64) {
-		for i := 0; i < 8; i++ {
-			h ^= v & 0xff
-			h *= fnvPrime
-			v >>= 8
+	why := s.Why
+	a, b := t.hash, digestSeed
+	a = mix(a, s.TID)
+	b = mix(b, s.Cause)
+	a = mix(a, uint64(s.Kind)|uint64(s.Class)<<8|uint64(uint32(s.MsgKind))<<16|uint64(len(why))<<48)
+	b = mix(b, uint64(uint32(s.Node))|uint64(uint32(s.Peer))<<32)
+	a = mix(a, s.Block)
+	b = mix(b, s.Obj)
+	a = mix(a, s.Begin)
+	b = mix(b, s.End)
+	a = mix(a, s.Wait)
+	b = mix(b, s.Wait2)
+	for ; len(why) >= 8; why = why[8:] {
+		b = mix(b, uint64(why[0])|uint64(why[1])<<8|uint64(why[2])<<16|uint64(why[3])<<24|
+			uint64(why[4])<<32|uint64(why[5])<<40|uint64(why[6])<<48|uint64(why[7])<<56)
+	}
+	if len(why) > 0 {
+		var v uint64
+		for i := 0; i < len(why); i++ {
+			v |= uint64(why[i]) << (8 * i)
 		}
+		b = mix(b, v)
 	}
-	mix(s.TID)
-	mix(s.Cause)
-	mix(uint64(s.Kind)<<16 | uint64(s.Class)<<8)
-	mix(uint64(uint32(s.Node)))
-	mix(uint64(uint32(s.Peer)))
-	mix(uint64(uint32(s.MsgKind)))
-	mix(s.Block)
-	mix(s.Obj)
-	mix(s.Begin)
-	mix(s.End)
-	mix(s.Wait)
-	mix(s.Wait2)
-	for _, c := range []byte(s.Why) {
-		h ^= uint64(c)
-		h *= fnvPrime
-	}
-	t.hash = h
+	t.hash = mix(a, b)
+}
+
+// mix is the digest's step: xor the word in, swap the halves to bring the
+// high bits down, multiply by an odd constant to carry the low ones up. A
+// bijection of the state for a given word and of the word for a given
+// state: streams that differ in one word stay different by construction.
+func mix(h, v uint64) uint64 {
+	return bits.RotateLeft64(h^v, 32) * digestMul
 }
 
 // byTID returns retained spans grouped by TID (tombstones skipped),

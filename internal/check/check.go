@@ -19,7 +19,6 @@ package check
 
 import (
 	"fmt"
-	"sort"
 
 	"lazyrc/internal/cache"
 	"lazyrc/internal/directory"
@@ -130,16 +129,7 @@ func (a *Auditor) blockBusy(block uint64, home *protocol.Node) bool {
 // entry must validate structurally and agree with the caches.
 func (a *Auditor) Epoch() {
 	a.epochs++
-	now := a.m.Eng.Now()
-	for _, home := range a.m.Nodes {
-		for _, block := range sortedBlocks(home.Dir) {
-			e := home.Dir.Peek(block)
-			if a.blockBusy(block, home) {
-				continue
-			}
-			a.checkEntry(now, home.ID, block, e, false)
-		}
-	}
+	a.audit(false)
 }
 
 // Final is the one end-of-run audit, run after Machine.Run: exact
@@ -149,15 +139,32 @@ func (a *Auditor) Epoch() {
 // parked or undelivered message, invalid lease or home still in service),
 // whose first breach is recorded as a violation like any other.
 func (a *Auditor) Final() {
+	a.audit(true)
+	if err := a.m.CheckQuiescent(); err != nil {
+		a.record(Violation{Time: a.m.Eng.Now(), Node: NoNode, Block: NoBlock, Final: true,
+			Invariant: "machine-quiescent", Detail: err.Error()})
+	}
+}
+
+// audit checks every home's entries — all of them at quiescence, the ones
+// not busy mid-run — and then the home's per-state counts (kept at the
+// transitions; what telemetry samples) against a recount of the entries,
+// busy ones included: a count moves with its entry's state.
+func (a *Auditor) audit(final bool) {
 	now := a.m.Eng.Now()
 	for _, home := range a.m.Nodes {
-		for _, block := range sortedBlocks(home.Dir) {
-			a.checkEntry(now, home.ID, block, home.Dir.Peek(block), true)
+		var recount [4]int
+		for _, block := range home.Dir.Blocks() {
+			e := home.Dir.Peek(block)
+			recount[e.State]++
+			if final || !a.blockBusy(block, home) {
+				a.checkEntry(now, home.ID, block, e, final)
+			}
 		}
-	}
-	if err := a.m.CheckQuiescent(); err != nil {
-		a.record(Violation{Time: now, Node: NoNode, Block: NoBlock, Final: true,
-			Invariant: "machine-quiescent", Detail: err.Error()})
+		if kept := home.Dir.StateCounts(); kept != recount {
+			a.record(Violation{Time: now, Node: home.ID, Block: NoBlock, Final: final, Invariant: "dir-state-counts",
+				Detail: fmt.Sprintf("directory keeps %v blocks per state, its entries recount to %v", kept, recount)})
+		}
 	}
 }
 
@@ -203,11 +210,4 @@ func (a *Auditor) checkEntry(now uint64, homeID int, block uint64, e *directory.
 	if !a.lazy && rw > 1 {
 		v("single-writer", fmt.Sprintf("%d writable copies of the block exist under an eager protocol", rw))
 	}
-}
-
-func sortedBlocks(d *directory.Directory) []uint64 {
-	blocks := make([]uint64, 0, d.Len())
-	d.Visit(func(b uint64, _ *directory.Entry) { blocks = append(blocks, b) })
-	sort.Slice(blocks, func(i, j int) bool { return blocks[i] < blocks[j] })
-	return blocks
 }

@@ -61,7 +61,7 @@ func TestCatchesCorruptedDirectory(t *testing.T) {
 	var block uint64
 	found := false
 	for _, n := range m.Nodes {
-		for _, b := range sortedBlocks(n.Dir) {
+		for _, b := range n.Dir.Blocks() {
 			e := n.Dir.Peek(b)
 			for p := 0; p < cfg.Procs && !found; p++ {
 				if !e.Sharers.Has(p) {
@@ -95,6 +95,33 @@ func TestCatchesCorruptedDirectory(t *testing.T) {
 	}
 	if !strings.Contains(v.String(), "writers not a subset of sharers") {
 		t.Fatalf("violation lacks the structural detail: %s", v)
+	}
+}
+
+// TestCatchesStateWrittenBehindTheCounts: a State written around
+// Recompute leaves the per-state counts telemetry samples out of step with
+// the entries. The audit names the entry's own broken structure
+// first and the home's counts after it.
+func TestCatchesStateWrittenBehindTheCounts(t *testing.T) {
+	m, err := machine.New(config.Default(8), "erc")
+	if err != nil {
+		t.Fatal(err)
+	}
+	app := apps.NewGauss(apps.Tiny)
+	app.Setup(m)
+	m.Run(app.Worker)
+
+	home := m.Nodes[0]
+	block := home.Dir.Blocks()[0]
+	e := home.Dir.Peek(block)
+	e.State = (e.State + 1) % 4
+
+	a := New(m)
+	a.Final()
+	v := a.Violations()
+	if len(v) < 2 || v[0].Invariant != "directory-structure" || v[0].Block != block ||
+		v[1].Invariant != "dir-state-counts" || v[1].Node != home.ID || v[1].Block != NoBlock || !v[1].Final {
+		t.Fatalf("violations = %v, want the entry's structure, then node %d's counts", v, home.ID)
 	}
 }
 

@@ -12,8 +12,9 @@
 package directory
 
 import (
+	"encoding/binary"
 	"fmt"
-	"sort"
+	"slices"
 
 	"lazyrc/internal/perf"
 )
@@ -33,23 +34,20 @@ const (
 	Weak
 )
 
+var stateNames = [...]string{"UNCACHED", "SHARED", "DIRTY", "WEAK"}
+
 // String returns the state mnemonic.
 func (s State) String() string {
-	switch s {
-	case Uncached:
-		return "UNCACHED"
-	case Shared:
-		return "SHARED"
-	case Dirty:
-		return "DIRTY"
-	case Weak:
-		return "WEAK"
+	if int(s) < len(stateNames) {
+		return stateNames[s]
 	}
 	return fmt.Sprintf("State(%d)", uint8(s))
 }
 
 // Entry is one block's directory record.
 type Entry struct {
+	// State starts Uncached and is written by Recompute alone, which moves
+	// the owning directory's per-state counts with it.
 	State State
 	// Sharers is the set of processors holding a copy.
 	Sharers ProcSet
@@ -66,6 +64,10 @@ type Entry struct {
 	// processors to acknowledge once collection completes.
 	PendingAcks    int
 	WaitingWriters []int
+
+	// counts is the owning directory's per-state tally; nil for an entry
+	// built outside a directory.
+	counts *[4]int
 }
 
 // Directory is the home-node side table for the blocks homed at one node.
@@ -76,6 +78,9 @@ type Directory struct {
 	// leases is the timestamp protocols' home-side table (see lease.go);
 	// empty under the invalidation protocols.
 	leases map[uint64]*Lease
+	// counts[s] is the number of entries in state s, kept at the
+	// transitions (Entry.Recompute). Derived: not part of AppendSnapshot.
+	counts [4]int
 
 	// check enables invariant verification after mutations.
 	check bool
@@ -105,7 +110,9 @@ func (d *Directory) Entry(block uint64) *Entry {
 			Sharers:  NewProcSet(d.nprocs),
 			Writers:  NewProcSet(d.nprocs),
 			Notified: NewProcSet(d.nprocs),
+			counts:   &d.counts,
 		}
+		d.counts[Uncached]++
 		d.entries[block] = e
 	}
 	return e
@@ -114,19 +121,21 @@ func (d *Directory) Entry(block uint64) *Entry {
 // Peek returns the record for block without creating it.
 func (d *Directory) Peek(block uint64) *Entry { return d.entries[block] }
 
-// Len returns the number of blocks with directory records.
-func (d *Directory) Len() int { return len(d.entries) }
+// Blocks returns the blocks with directory records in ascending order.
+func (d *Directory) Blocks() []uint64 { return sortedKeys(d.entries) }
+
+func sortedKeys[V any](m map[uint64]V) []uint64 {
+	keys := make([]uint64, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
+	}
+	slices.Sort(keys)
+	return keys
+}
 
 // StateCounts returns how many recorded blocks sit in each state, indexed
-// by State. Counting is order-independent, so the result is deterministic
-// despite map iteration.
-func (d *Directory) StateCounts() [4]int {
-	var counts [4]int
-	for _, e := range d.entries {
-		counts[e.State]++
-	}
-	return counts
-}
+// by State.
+func (d *Directory) StateCounts() [4]int { return d.counts }
 
 // Check verifies e's invariants if checking is enabled, panicking with a
 // description on violation. Protocols call it after each transition.
@@ -172,28 +181,33 @@ func (e *Entry) Validate() error {
 	return nil
 }
 
-// Recompute derives the correct state from the sharer/writer sets after a
-// removal (acquire-time invalidation or eviction) and clears stale
-// notified bits when the block leaves Weak. It returns the new state.
+// Recompute derives the state from the sharer/writer sets after any change
+// to them — the one place State is written, so the directory's per-state
+// counts move here — and clears stale notified bits when the block leaves
+// Weak. It returns the new state.
 // This implements the paper's rule: "If a block no longer has any
 // processors writing it, it reverts to the shared state; if it has no
 // processors sharing it at all, it reverts to the uncached state."
 func (e *Entry) Recompute() State {
 	ns, nw := e.Sharers.Len(), e.Writers.Len()
+	s := Weak
 	switch {
 	case ns == 0:
-		e.State = Uncached
+		s = Uncached
 	case nw == 0:
-		e.State = Shared
+		s = Shared
 	case ns == 1:
-		e.State = Dirty
-	default:
-		e.State = Weak
+		s = Dirty
 	}
-	if e.State != Weak {
+	if e.counts != nil {
+		e.counts[e.State]--
+		e.counts[s]++
+	}
+	e.State = s
+	if s != Weak {
 		e.Notified.Clear()
 	}
-	return e.State
+	return s
 }
 
 // Visit iterates all entries in unspecified order. Use only for
@@ -211,15 +225,8 @@ func (d *Directory) Visit(fn func(block uint64, e *Entry)) {
 // Two directories in the same logical state produce identical bytes, so
 // the encoding is usable for visited-state hashing.
 func (d *Directory) AppendSnapshot(b []byte) []byte {
-	blocks := make([]uint64, 0, len(d.entries))
-	for blk := range d.entries {
-		blocks = append(blocks, blk)
-	}
-	sort.Slice(blocks, func(i, j int) bool { return blocks[i] < blocks[j] })
-	put := func(v uint64) {
-		b = append(b, byte(v), byte(v>>8), byte(v>>16), byte(v>>24),
-			byte(v>>32), byte(v>>40), byte(v>>48), byte(v>>56))
-	}
+	blocks := d.Blocks()
+	put := func(v uint64) { b = binary.LittleEndian.AppendUint64(b, v) }
 	put(uint64(len(blocks)))
 	for _, blk := range blocks {
 		e := d.entries[blk]

@@ -102,7 +102,7 @@ func TestDirectoryEntryCreationAndPeek(t *testing.T) {
 		t.Fatal("peek created an entry")
 	}
 	e := d.Entry(7)
-	if e.State != Uncached || d.Len() != 1 {
+	if e.State != Uncached || len(d.Blocks()) != 1 {
 		t.Fatalf("fresh entry = %+v", e)
 	}
 	if d.Entry(7) != e {
@@ -241,6 +241,43 @@ func TestRecomputePropertyNeverInvalid(t *testing.T) {
 			}
 			e.Recompute()
 			if e.Validate() != nil {
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestStateCountsMatchRecount: the counts a directory keeps at its
+// transitions equal a recount of its entries after every step of arbitrary
+// add / remove / writer / Recompute sequences over a few blocks, first
+// touches and no-op transitions included.
+func TestStateCountsMatchRecount(t *testing.T) {
+	type op struct {
+		Block, ID     uint8
+		Remove, Write bool
+	}
+	f := func(ops []op) bool {
+		d := New(16, true)
+		for _, o := range ops {
+			e, id := d.Entry(uint64(o.Block%5)), int(o.ID)%16
+			if o.Remove {
+				e.Sharers.Remove(id)
+				e.Writers.Remove(id)
+			} else {
+				e.Sharers.Add(id)
+				if o.Write {
+					e.Writers.Add(id)
+				}
+			}
+			e.Recompute()
+			var want [4]int
+			d.Visit(func(_ uint64, e *Entry) { want[e.State]++ })
+			if d.StateCounts() != want {
+				t.Logf("after %+v: counts %v, entries recount to %v", o, d.StateCounts(), want)
 				return false
 			}
 		}

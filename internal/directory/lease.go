@@ -1,8 +1,8 @@
 package directory
 
 import (
+	"encoding/binary"
 	"fmt"
-	"sort"
 )
 
 // This file holds the home-side state of the timestamp protocols
@@ -91,15 +91,8 @@ func (d *Directory) ValidateLease(l *Lease) error {
 // AppendSnapshot for the entry map. Nodes running invalidation
 // protocols have an empty table and contribute only the zero count.
 func (d *Directory) AppendLeaseSnapshot(b []byte) []byte {
-	blocks := make([]uint64, 0, len(d.leases))
-	for blk := range d.leases {
-		blocks = append(blocks, blk)
-	}
-	sort.Slice(blocks, func(i, j int) bool { return blocks[i] < blocks[j] })
-	put := func(v uint64) {
-		b = append(b, byte(v), byte(v>>8), byte(v>>16), byte(v>>24),
-			byte(v>>32), byte(v>>40), byte(v>>48), byte(v>>56))
-	}
+	blocks := sortedKeys(d.leases)
+	put := func(v uint64) { b = binary.LittleEndian.AppendUint64(b, v) }
 	put(uint64(len(blocks)))
 	for _, blk := range blocks {
 		l := d.leases[blk]

@@ -3,8 +3,10 @@ package exp
 import (
 	"encoding/json"
 	"fmt"
+	"math"
 	"os"
 	"sort"
+	"strings"
 )
 
 // Gate diffs a fresh report against a committed baseline and returns one
@@ -88,31 +90,29 @@ func Gate(baseline, fresh Report, tolPct float64) []string {
 					k, kind, base.MissShares[kind], run.MissShares[kind])
 			}
 		}
-		// The telemetry digest fingerprints the run's whole cycle-domain
-		// shape — when cycles were spent, where traffic flowed — so it
-		// catches compensating drifts that leave end-of-run totals inside
-		// tolerance. Compared only when both sides carry one, so
-		// pre-telemetry baselines still gate on the scalar fields.
-		if base.MetricsDigest != "" && run.MetricsDigest != "" &&
-			base.MetricsDigest != run.MetricsDigest {
-			fail("%s: metrics digest changed: %s -> %s (telemetry shape drift)",
-				k, short(base.MetricsDigest), short(run.MetricsDigest))
+		// Three digests ride on a run: telemetry (the cycle-domain shape, so
+		// compensating drifts inside tolerance still fail), spans (the causal
+		// event stream: every transaction, stall and flight with its stamps
+		// and its waker) and memory (the end state a faulted run must
+		// reproduce). A baseline that predates one gates on the scalars
+		// alone; one the baseline has and the fresh run lost is a violation —
+		// an observer was dropped from the run.
+		changed := func(name, b, f string) bool {
+			if f == "" && b != "" {
+				fail("%s: %s digest missing from the fresh run (the baseline carries one)", k, name)
+			}
+			return b != "" && f != "" && b != f
 		}
-		// The span digest fingerprints the run's causal event stream —
-		// every coherence transaction, stall episode, and message flight
-		// with its cycle stamps — so it catches protocol-behaviour drift
-		// that neither the scalar totals nor the sampled telemetry see.
-		// Same both-sides rule as the metrics digest.
-		if base.SpanDigest != "" && run.SpanDigest != "" &&
-			base.SpanDigest != run.SpanDigest {
-			fail("%s: span digest changed: %s -> %s (causal event-stream drift)",
-				k, short(base.SpanDigest), short(run.SpanDigest))
+		if changed("metrics", base.MetricsDigest, run.MetricsDigest) {
+			fail("%s: metrics digest changed: %.12s -> %.12s (telemetry shape drift)",
+				k, base.MetricsDigest, run.MetricsDigest)
 		}
-		// The memory digest is the run's end state: the image a faulted
-		// run must reproduce. Same both-sides rule as the two digests above.
-		if base.MemDigest != "" && run.MemDigest != "" && base.MemDigest != run.MemDigest {
-			fail("%s: memory digest changed: %s -> %s (final memory image drift)",
-				k, short(base.MemDigest), short(run.MemDigest))
+		if changed("span", base.SpanDigest, run.SpanDigest) {
+			fail("%s: span digest changed: %s", k, spanDigestDelta(base.SpanDigest, run.SpanDigest))
+		}
+		if changed("memory", base.MemDigest, run.MemDigest) {
+			fail("%s: memory digest changed: %.12s -> %.12s (final memory image drift)",
+				k, base.MemDigest, run.MemDigest)
 		}
 		if base.Verified && !run.Verified {
 			fail("%s: run no longer verifies: %s", k, run.Error)
@@ -121,12 +121,16 @@ func Gate(baseline, fresh Report, tolPct float64) []string {
 	return v
 }
 
-// short abbreviates a hex digest for violation messages.
-func short(d string) string {
-	if len(d) > 12 {
-		return d[:12]
+// spanDigestDelta words the difference between two "<count>-<hash>" span
+// digests: a moved count means spans appeared or vanished, the hash alone
+// that stamps or causes moved.
+func spanDigestDelta(base, fresh string) string {
+	bn, bh, _ := strings.Cut(base, "-")
+	fn, fh, _ := strings.Cut(fresh, "-")
+	if bn != fn {
+		return fmt.Sprintf("spans %s -> %s, hash %s -> %s (spans appeared or vanished)", bn, fn, bh, fh)
 	}
-	return d
+	return fmt.Sprintf("%s spans, hash %s -> %s (stamps or causes moved)", bn, bh, fh)
 }
 
 // outOfTolerance reports whether f deviates from b by more than tolPct
@@ -138,15 +142,7 @@ func outOfTolerance(b, f uint64, tolPct float64) bool {
 	if b == 0 {
 		return true
 	}
-	return pctAbsDelta(b, f) > tolPct
-}
-
-func pctAbsDelta(b, f uint64) float64 {
-	d := pctDelta(b, f)
-	if d < 0 {
-		return -d
-	}
-	return d
+	return math.Abs(pctDelta(b, f)) > tolPct
 }
 
 func pctDelta(b, f uint64) float64 {

@@ -140,3 +140,58 @@ func TestLoadReportRoundTrip(t *testing.T) {
 		t.Fatal("missing baseline did not error")
 	}
 }
+
+// TestGateDigests: a digest that differs is a violation, a digest the
+// baseline carries and the fresh run lost is one too (an observer dropped
+// from the run must not pass -tol 0 on empty strings), and a baseline that
+// predates a digest still gates on the scalars alone.
+func TestGateDigests(t *testing.T) {
+	withDigests := func(metrics, span, mem string) Report {
+		r := gateReport(1000, 0)
+		r.Runs[0].MetricsDigest, r.Runs[0].SpanDigest, r.Runs[0].MemDigest = metrics, span, mem
+		return r
+	}
+	const metrics, mem = "3f7a90c1d2e4b5a6978812345678", "b1946ac92492d2347c6235b4d261"
+	base := withDigests(metrics, "1611295-9c0f3a5577aa01fe", mem)
+	if v := Gate(base, base, 0); len(v) != 0 {
+		t.Fatalf("identical digests failed the gate: %v", v)
+	}
+	if v := Gate(gateReport(1000, 0), base, 0); len(v) != 0 {
+		t.Fatalf("a baseline without digests failed a fresh run that has them: %v", v)
+	}
+
+	v := Gate(base, gateReport(1000, 0), 0)
+	if len(v) != 3 {
+		t.Fatalf("a fresh run that lost all three digests: %d violations, want 3: %v", len(v), v)
+	}
+	for i, name := range []string{"metrics", "span", "memory"} {
+		if !strings.Contains(v[i], name+" digest missing from the fresh run") {
+			t.Errorf("violation %d = %q, want the lost %s digest", i, v[i], name)
+		}
+	}
+
+	for _, tc := range []struct {
+		name  string
+		fresh Report
+		want  []string
+	}{
+		{"metrics", withDigests("00"+metrics[2:], base.Runs[0].SpanDigest, mem),
+			[]string{"metrics digest changed: 3f7a90c1d2e4 -> 007a90c1d2e4"}},
+		{"memory", withDigests(metrics, base.Runs[0].SpanDigest, "00"+mem[2:]),
+			[]string{"memory digest changed: b1946ac92492 -> 00946ac92492"}},
+		{"span hash", withDigests(metrics, "1611295-9c0f3a5577aa01ff", mem),
+			[]string{"1611295 spans, hash 9c0f3a5577aa01fe -> 9c0f3a5577aa01ff", "stamps or causes moved"}},
+		{"span count", withDigests(metrics, "1611297-0123456789abcdef", mem),
+			[]string{"spans 1611295 -> 1611297", "hash 9c0f3a5577aa01fe -> 0123456789abcdef", "appeared or vanished"}},
+	} {
+		v := Gate(base, tc.fresh, 0)
+		if len(v) != 1 {
+			t.Fatalf("%s: %d violations, want 1: %v", tc.name, len(v), v)
+		}
+		for _, want := range tc.want {
+			if !strings.Contains(v[0], want) {
+				t.Errorf("%s: violation %q lacks %q", tc.name, v[0], want)
+			}
+		}
+	}
+}

@@ -279,9 +279,9 @@ func WriteHTML(w io.Writer, rep Report) error {
 		if !r.Verified {
 			ok = "NO"
 		}
-		fmt.Fprintf(&b, "<tr><td>%s</td><td>%s</td><td>%s</td><td>%d</td><td>%d</td><td>%d</td><td>%.3f</td><td>%s</td><td>%s</td></tr>\n",
+		fmt.Fprintf(&b, "<tr><td>%s</td><td>%s</td><td>%s</td><td>%d</td><td>%d</td><td>%d</td><td>%.3f</td><td>%s</td><td>%.12s</td></tr>\n",
 			html.EscapeString(r.Config), html.EscapeString(r.App), html.EscapeString(r.Protocol),
-			r.ExecCycles, r.NetworkMsgs, r.NetworkBytes, r.MissRatePct, ok, html.EscapeString(short(r.MetricsDigest)))
+			r.ExecCycles, r.NetworkMsgs, r.NetworkBytes, r.MissRatePct, ok, html.EscapeString(r.MetricsDigest))
 	}
 	b.WriteString("</table>\n")
 	doc.Section("All runs", b.String())

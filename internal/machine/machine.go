@@ -493,16 +493,10 @@ func (m *Machine) DumpState() string {
 // recall) still open. It returns the first violation.
 func (m *Machine) CheckQuiescent() error {
 	for _, n := range m.Nodes {
-		var err error
-		n.Dir.Visit(func(block uint64, e *directory.Entry) {
-			if err == nil {
-				if verr := e.Validate(); verr != nil {
-					err = fmt.Errorf("node %d block %d: %w", n.ID, block, verr)
-				}
+		for _, block := range n.Dir.Blocks() {
+			if err := n.Dir.Peek(block).Validate(); err != nil {
+				return fmt.Errorf("node %d block %d: %w", n.ID, block, err)
 			}
-		})
-		if err != nil {
-			return err
 		}
 		if c := n.OutstandingCount(); c != 0 {
 			return fmt.Errorf("node %d: %d coherence transaction(s) still outstanding at end of run", n.ID, c)
@@ -519,6 +513,7 @@ func (m *Machine) CheckQuiescent() error {
 		if w := n.SeqWaiting(); w > 0 {
 			return fmt.Errorf("node %d: %d arrival(s) still parked in the delivery sequencer (a lost message was never recovered)", n.ID, w)
 		}
+		var err error
 		n.Dir.VisitLeases(func(block uint64, l *directory.Lease) {
 			if err == nil {
 				if verr := n.Dir.ValidateLease(l); verr != nil {

@@ -73,10 +73,10 @@ func (m *Machine) EnableMetrics(interval uint64) *telemetry.Registry {
 	netBytes := reg.Series("net.bytes", telemetry.Delta)
 	pendNotices := reg.Series("proto.pending_notices", telemetry.Level)
 	acqWaiters := reg.Series("proto.acquire_waiters", telemetry.Level)
-	dirUncached := reg.Series("dir.uncached", telemetry.Level)
-	dirShared := reg.Series("dir.shared", telemetry.Level)
-	dirDirty := reg.Series("dir.dirty", telemetry.Level)
-	dirWeak := reg.Series("dir.weak", telemetry.Level)
+	var dirStates [4]*telemetry.Series // indexed by directory.State
+	for st, name := range [4]string{"dir.uncached", "dir.shared", "dir.dirty", "dir.weak"} {
+		dirStates[st] = reg.Series(name, telemetry.Level)
+	}
 
 	// Transport series exist only when the reliable-delivery transport is
 	// engaged (a fault injector is attached): the registry digest folds
@@ -135,17 +135,15 @@ func (m *Machine) EnableMetrics(interval uint64) *telemetry.Registry {
 			if n.SyncWaiting() {
 				waiters++
 			}
-			c := n.Dir.StateCounts()
-			for s := range dir {
-				dir[s] += c[s]
+			for st, c := range n.Dir.StateCounts() {
+				dir[st] += c
 			}
 		}
 		pendNotices.Set(float64(notices))
 		acqWaiters.Set(float64(waiters))
-		dirUncached.Set(float64(dir[0]))
-		dirShared.Set(float64(dir[1]))
-		dirDirty.Set(float64(dir[2]))
-		dirWeak.Set(float64(dir[3]))
+		for st, c := range dir {
+			dirStates[st].Set(float64(c))
+		}
 	})
 
 	// The tick is a background event: it dies with the last regular event

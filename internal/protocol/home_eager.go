@@ -263,7 +263,7 @@ func eagerProcessWrite(n *Node, m mesh.Msg, memEnd uint64) {
 		e.Writers.Clear()
 		e.Sharers.Add(m.Src)
 		e.Writers.Add(m.Src)
-		e.State = directory.Dirty
+		e.Recompute() // one sharer, writing: Dirty
 		n.Dir.Check(m.Addr, e)
 		if len(others) == 0 {
 			eagerGrantNow(n, m.Src, m.Addr, wantsData, memEnd)
@@ -449,7 +449,7 @@ func eagerXferDone(n *Node, m mesh.Msg) {
 		e.Writers.Clear()
 		e.Sharers.Add(req)
 		e.Writers.Add(req)
-		e.State = directory.Dirty
+		e.Recompute() // one sharer, writing: Dirty
 	} else {
 		e.Sharers.Add(req) // the old owner keeps a read-only copy
 		e.Writers.Clear()

@@ -1,6 +1,7 @@
 package protocol
 
 import (
+	"encoding/binary"
 	"slices"
 
 	"lazyrc/internal/cache"
@@ -21,10 +22,7 @@ type snapBuf struct {
 	keys []uint64 // sortedKeys scratch
 }
 
-func (s *snapBuf) u64(v uint64) {
-	s.b = append(s.b, byte(v), byte(v>>8), byte(v>>16), byte(v>>24),
-		byte(v>>32), byte(v>>40), byte(v>>48), byte(v>>56))
-}
+func (s *snapBuf) u64(v uint64) { s.b = binary.LittleEndian.AppendUint64(s.b, v) }
 
 func (s *snapBuf) bit(v bool) {
 	if v {

@@ -31,7 +31,10 @@ import (
 // v4: results grew the end-state fields (memory digest, completion,
 // invariant-check outcome) and transport counters; cached v3 results
 // lack them and must be recomputed.
-const fingerprintVersion = "lazyrc-job-v4"
+// v5: span digest v2 — a word-wise fold over a packed record that now
+// covers Span.Cause (DESIGN.md §11). Every span_digest changed while the
+// simulation did not, so a v4 result must never be served beside a v5 one.
+const fingerprintVersion = "lazyrc-job-v5"
 
 // Job is one simulation to run: an application at a scale, a protocol,
 // and a fully materialized machine configuration. Two jobs with the same
