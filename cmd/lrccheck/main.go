@@ -10,7 +10,6 @@
 // Usage:
 //
 //	lrccheck                          # full corpus, all protocols
-//	lrccheck -smoke                   # reduced budgets (CI tier)
 //	lrccheck -proto lrc -test mp-stale -mutate skip-acquire-inval -out /tmp/cx
 //
 // Violations exit nonzero and, with -out, write one replayable schedule
@@ -44,7 +43,6 @@ func main() {
 		maxRuns    = flag.Int("max-runs", 2000, "schedule budget per (test, protocol) pair")
 		maxStates  = flag.Int("max-states", 100000, "expanded-state budget per (test, protocol) pair")
 		mutate     = flag.String("mutate", "", "inject a deliberate protocol bug ("+strings.Join(config.Mutations(), ", ")+") — the checker must catch it")
-		smoke      = flag.Bool("smoke", false, "CI tier: reduced budgets (max-runs 150, max-choices 32)")
 		noAudit    = flag.Bool("no-audit", false, "skip per-choice-point invariant audits (outcome conformance only)")
 		outDir     = flag.String("out", "", "write counterexample schedules (JSON, replayable with 'lrcsim -replay') to this directory")
 		verbose    = flag.Bool("v", false, "print per-run outcome histograms")
@@ -90,10 +88,6 @@ func main() {
 			log.Fatal(err)
 		}
 		tests = []*mc.Test{t}
-	}
-	if *smoke {
-		*maxRuns = 150
-		*maxChoices = 32
 	}
 	if *outDir != "" {
 		if err := os.MkdirAll(*outDir, 0o755); err != nil {

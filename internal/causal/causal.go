@@ -17,9 +17,9 @@ package causal
 
 import (
 	"fmt"
-	"math/bits"
 	"sort"
 
+	"lazyrc/internal/fold"
 	"lazyrc/internal/perf"
 )
 
@@ -196,7 +196,7 @@ func New(limit int) *Tracer {
 	if limit <= 0 {
 		limit = DefaultLimit
 	}
-	return &Tracer{limit: limit, hash: digestSeed}
+	return &Tracer{limit: limit, hash: fold.Seed}
 }
 
 // NewDigest returns a tracer in digest-only mode: spans are folded into a
@@ -204,7 +204,7 @@ func New(limit int) *Tracer {
 // bounded by the number of concurrently open spans. Used by the
 // experiment runner, which wants the determinism fingerprint but not the
 // store.
-func NewDigest() *Tracer { return &Tracer{hash: digestSeed} }
+func NewDigest() *Tracer { return &Tracer{hash: fold.Seed} }
 
 // SetProfiler attaches (or, with nil, detaches) a wall-clock phase
 // profiler charging span bookkeeping to the causal phase.
@@ -518,13 +518,6 @@ func (t *Tracer) Digest() string {
 	return fmt.Sprintf("%d-%016x", t.closed, t.hash)
 }
 
-// digestSeed starts the digest and the second lane of every fold;
-// digestMul is mix's odd multiplier (2^64 over the golden ratio).
-const (
-	digestSeed = uint64(14695981039346656037)
-	digestMul  = uint64(0x9e3779b97f4a7c15)
-)
-
 // fold mixes one closed span into the digest, a 64-bit word per step, in
 // the record layout of DESIGN.md §11 (a format: changing it re-pins every
 // stored digest). Words alternate between two lanes — a continues the
@@ -533,19 +526,19 @@ const (
 func (t *Tracer) fold(s *Span) {
 	t.closed++
 	why := s.Why
-	a, b := t.hash, digestSeed
-	a = mix(a, s.TID)
-	b = mix(b, s.Cause)
-	a = mix(a, uint64(s.Kind)|uint64(s.Class)<<8|uint64(uint32(s.MsgKind))<<16|uint64(len(why))<<48)
-	b = mix(b, uint64(uint32(s.Node))|uint64(uint32(s.Peer))<<32)
-	a = mix(a, s.Block)
-	b = mix(b, s.Obj)
-	a = mix(a, s.Begin)
-	b = mix(b, s.End)
-	a = mix(a, s.Wait)
-	b = mix(b, s.Wait2)
+	a, b := t.hash, fold.Seed
+	a = fold.Mix(a, s.TID)
+	b = fold.Mix(b, s.Cause)
+	a = fold.Mix(a, uint64(s.Kind)|uint64(s.Class)<<8|uint64(uint32(s.MsgKind))<<16|uint64(len(why))<<48)
+	b = fold.Mix(b, uint64(uint32(s.Node))|uint64(uint32(s.Peer))<<32)
+	a = fold.Mix(a, s.Block)
+	b = fold.Mix(b, s.Obj)
+	a = fold.Mix(a, s.Begin)
+	b = fold.Mix(b, s.End)
+	a = fold.Mix(a, s.Wait)
+	b = fold.Mix(b, s.Wait2)
 	for ; len(why) >= 8; why = why[8:] {
-		b = mix(b, uint64(why[0])|uint64(why[1])<<8|uint64(why[2])<<16|uint64(why[3])<<24|
+		b = fold.Mix(b, uint64(why[0])|uint64(why[1])<<8|uint64(why[2])<<16|uint64(why[3])<<24|
 			uint64(why[4])<<32|uint64(why[5])<<40|uint64(why[6])<<48|uint64(why[7])<<56)
 	}
 	if len(why) > 0 {
@@ -553,17 +546,9 @@ func (t *Tracer) fold(s *Span) {
 		for i := 0; i < len(why); i++ {
 			v |= uint64(why[i]) << (8 * i)
 		}
-		b = mix(b, v)
+		b = fold.Mix(b, v)
 	}
-	t.hash = mix(a, b)
-}
-
-// mix is the digest's step: xor the word in, swap the halves to bring the
-// high bits down, multiply by an odd constant to carry the low ones up. A
-// bijection of the state for a given word and of the word for a given
-// state: streams that differ in one word stay different by construction.
-func mix(h, v uint64) uint64 {
-	return bits.RotateLeft64(h^v, 32) * digestMul
+	t.hash = fold.Mix(a, b)
 }
 
 // byTID returns retained spans grouped by TID (tombstones skipped),

@@ -154,11 +154,10 @@ func (a *Auditor) audit(final bool) {
 	now := a.m.Eng.Now()
 	for _, home := range a.m.Nodes {
 		var recount [4]int
-		for _, block := range home.Dir.Blocks() {
-			e := home.Dir.Peek(block)
-			recount[e.State]++
-			if final || !a.blockBusy(block, home) {
-				a.checkEntry(now, home.ID, block, e, final)
+		for _, r := range home.Dir.Entries() {
+			recount[r.State]++
+			if final || !a.blockBusy(r.Block, home) {
+				a.checkEntry(now, home.ID, r.Block, r.Entry, final)
 			}
 		}
 		if kept := home.Dir.StateCounts(); kept != recount {

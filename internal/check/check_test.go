@@ -61,20 +61,13 @@ func TestCatchesCorruptedDirectory(t *testing.T) {
 	var block uint64
 	found := false
 	for _, n := range m.Nodes {
-		for _, b := range n.Dir.Blocks() {
-			e := n.Dir.Peek(b)
+		for _, r := range n.Dir.Entries() {
 			for p := 0; p < cfg.Procs && !found; p++ {
-				if !e.Sharers.Has(p) {
-					e.Writers.Add(p)
-					homeID, block, found = n.ID, b, true
+				if !r.Sharers.Has(p) {
+					r.Writers.Add(p)
+					homeID, block, found = n.ID, r.Block, true
 				}
 			}
-			if found {
-				break
-			}
-		}
-		if found {
-			break
 		}
 	}
 	if !found {
@@ -112,8 +105,8 @@ func TestCatchesStateWrittenBehindTheCounts(t *testing.T) {
 	m.Run(app.Worker)
 
 	home := m.Nodes[0]
-	block := home.Dir.Blocks()[0]
-	e := home.Dir.Peek(block)
+	first := home.Dir.Entries()[0]
+	block, e := first.Block, first.Entry
 	e.State = (e.State + 1) % 4
 
 	a := New(m)

@@ -12,10 +12,11 @@
 package directory
 
 import (
-	"encoding/binary"
+	"cmp"
 	"fmt"
 	"slices"
 
+	"lazyrc/internal/fold"
 	"lazyrc/internal/perf"
 )
 
@@ -79,8 +80,10 @@ type Directory struct {
 	// empty under the invalidation protocols.
 	leases map[uint64]*Lease
 	// counts[s] is the number of entries in state s, kept at the
-	// transitions (Entry.Recompute). Derived: not part of AppendSnapshot.
+	// transitions (Entry.Recompute). Derived: not part of Fold.
 	counts [4]int
+	// sorted is what Entries returns, until entries grows past it.
+	sorted []BlockEntry
 
 	// check enables invariant verification after mutations.
 	check bool
@@ -121,16 +124,24 @@ func (d *Directory) Entry(block uint64) *Entry {
 // Peek returns the record for block without creating it.
 func (d *Directory) Peek(block uint64) *Entry { return d.entries[block] }
 
-// Blocks returns the blocks with directory records in ascending order.
-func (d *Directory) Blocks() []uint64 { return sortedKeys(d.entries) }
+// BlockEntry is an entry with the block it records.
+type BlockEntry struct {
+	Block uint64
+	*Entry
+}
 
-func sortedKeys[V any](m map[uint64]V) []uint64 {
-	keys := make([]uint64, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
+// Entries returns every record in ascending block order. The slice is the
+// directory's own and must not be written to; records are never removed,
+// so it is rebuilt only after Entry has added one.
+func (d *Directory) Entries() []BlockEntry {
+	if len(d.sorted) != len(d.entries) {
+		d.sorted = d.sorted[:0]
+		for b, e := range d.entries {
+			d.sorted = append(d.sorted, BlockEntry{b, e})
+		}
+		slices.SortFunc(d.sorted, func(x, y BlockEntry) int { return cmp.Compare(x.Block, y.Block) })
 	}
-	slices.Sort(keys)
-	return keys
+	return d.sorted
 }
 
 // StateCounts returns how many recorded blocks sit in each state, indexed
@@ -210,37 +221,33 @@ func (e *Entry) Recompute() State {
 	return s
 }
 
-// Visit iterates all entries in unspecified order. Use only for
-// diagnostics and end-of-run invariant sweeps, never for simulated
-// behaviour (ordering nondeterminism).
-func (d *Directory) Visit(fn func(block uint64, e *Entry)) {
-	for b, e := range d.entries {
-		fn(b, e)
-	}
-}
-
-// AppendSnapshot appends a canonical byte encoding of the directory's
-// state to b — entries in ascending block order, each with its state,
-// sharer/writer/notified sets, pending-ack count, and waiting writers.
-// Two directories in the same logical state produce identical bytes, so
-// the encoding is usable for visited-state hashing.
-func (d *Directory) AppendSnapshot(b []byte) []byte {
-	blocks := d.Blocks()
-	put := func(v uint64) { b = binary.LittleEndian.AppendUint64(b, v) }
-	put(uint64(len(blocks)))
-	for _, blk := range blocks {
-		e := d.entries[blk]
-		put(blk)
-		b = append(b, byte(e.State))
-		for _, s := range []*ProcSet{&e.Sharers, &e.Writers, &e.Notified} {
-			put(uint64(s.Len()))
-			s.Visit(func(id int) { put(uint64(id)) })
+// Fold adds the directory's state to recs for visited-state hashing, one
+// record per entry (block, state, the sharer, writer and notified sets,
+// the pending-ack count and the waiting writers in queue order) and one
+// per lease (lease.go). Records fold in no order, so two directories in
+// the same logical state fold alike whatever order their records were
+// created in. (The entries are walked through Entries for its slice, not
+// for its order: ranging over a small map costs several times as much.)
+func (d *Directory) Fold(recs *fold.Bag) {
+	for _, e := range d.Entries() {
+		r := fold.Record(fold.DirEntry, e.Block)
+		r.Word(uint64(e.State))
+		for _, s := range [...]*ProcSet{&e.Sharers, &e.Writers, &e.Notified} {
+			for _, w := range s.words {
+				r.Word(w)
+			}
 		}
-		put(uint64(e.PendingAcks))
-		put(uint64(len(e.WaitingWriters)))
+		r.Word(uint64(e.PendingAcks))
 		for _, w := range e.WaitingWriters {
-			put(uint64(w))
+			r.Word(uint64(w))
 		}
+		recs.Add(r)
 	}
-	return b
+	for blk, l := range d.leases {
+		r := fold.Record(fold.DirLease, blk)
+		r.Word(l.Wts)
+		r.Word(l.Rts)
+		r.Word(uint64(int64(l.Owner)))
+		recs.Add(r)
+	}
 }

@@ -1,6 +1,7 @@
 package directory
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -102,7 +103,7 @@ func TestDirectoryEntryCreationAndPeek(t *testing.T) {
 		t.Fatal("peek created an entry")
 	}
 	e := d.Entry(7)
-	if e.State != Uncached || len(d.Blocks()) != 1 {
+	if e.State != Uncached || d.StateCounts() != [4]int{Uncached: 1} {
 		t.Fatalf("fresh entry = %+v", e)
 	}
 	if d.Entry(7) != e {
@@ -275,7 +276,9 @@ func TestStateCountsMatchRecount(t *testing.T) {
 			}
 			e.Recompute()
 			var want [4]int
-			d.Visit(func(_ uint64, e *Entry) { want[e.State]++ })
+			for _, r := range d.Entries() {
+				want[r.State]++
+			}
 			if d.StateCounts() != want {
 				t.Logf("after %+v: counts %v, entries recount to %v", o, d.StateCounts(), want)
 				return false
@@ -313,13 +316,26 @@ func TestStateString(t *testing.T) {
 	}
 }
 
+// TestDirectoryVisit: ascending block order, whatever the creation
+// order, and a record added after one listing shows in the next.
 func TestDirectoryVisit(t *testing.T) {
 	d := New(4, false)
-	d.Entry(1)
+	listed := func() (blocks []uint64) {
+		for _, r := range d.Entries() {
+			if r.Entry != d.Peek(r.Block) {
+				t.Fatalf("block %d listed with another block's record", r.Block)
+			}
+			blocks = append(blocks, r.Block)
+		}
+		return blocks
+	}
 	d.Entry(9)
-	seen := map[uint64]bool{}
-	d.Visit(func(b uint64, e *Entry) { seen[b] = true })
-	if len(seen) != 2 || !seen[1] || !seen[9] {
-		t.Fatalf("visited %v", seen)
+	d.Entry(1)
+	if got := listed(); !slices.Equal(got, []uint64{1, 9}) {
+		t.Fatalf("listed %v, want [1 9]", got)
+	}
+	d.Entry(4)
+	if got := listed(); !slices.Equal(got, []uint64{1, 4, 9}) {
+		t.Fatalf("listed %v, want [1 4 9]", got)
 	}
 }

@@ -1,9 +1,6 @@
 package directory
 
-import (
-	"encoding/binary"
-	"fmt"
-)
+import "fmt"
 
 // This file holds the home-side state of the timestamp protocols
 // (tardis, tardis2). Where the invalidation protocols track *who* has a
@@ -84,22 +81,4 @@ func (d *Directory) ValidateLease(l *Lease) error {
 		return fmt.Errorf("lease owner %d out of range [0,%d)", l.Owner, d.nprocs)
 	}
 	return nil
-}
-
-// AppendLeaseSnapshot appends a canonical byte encoding of the lease
-// table to b — records in ascending block order — mirroring
-// AppendSnapshot for the entry map. Nodes running invalidation
-// protocols have an empty table and contribute only the zero count.
-func (d *Directory) AppendLeaseSnapshot(b []byte) []byte {
-	blocks := sortedKeys(d.leases)
-	put := func(v uint64) { b = binary.LittleEndian.AppendUint64(b, v) }
-	put(uint64(len(blocks)))
-	for _, blk := range blocks {
-		l := d.leases[blk]
-		put(blk)
-		put(l.Wts)
-		put(l.Rts)
-		put(uint64(int64(l.Owner)))
-	}
-	return b
 }

@@ -1,6 +1,10 @@
 package directory
 
-import "testing"
+import (
+	"testing"
+
+	"lazyrc/internal/fold"
+)
 
 // Table-driven coverage of the home-side lease state machine the
 // timestamp protocols (tardis, tardis2) drive: each transition is
@@ -178,13 +182,22 @@ func TestLeaseTableLifecycle(t *testing.T) {
 		t.Fatalf("lease count = %d, want 2", d.LeaseCount())
 	}
 
-	// The snapshot is canonical: two directories with the same records
-	// touched in different orders encode identically.
+	// The fold is canonical: two directories with the same records
+	// touched in different orders fold alike, and one changed field shows.
 	e := New(2, true)
 	e.Lease(3).Wts = 1
 	e.Lease(3).Rts = 2
 	e.Lease(9)
-	if string(d.AppendLeaseSnapshot(nil)) != string(e.AppendLeaseSnapshot(nil)) {
-		t.Fatal("lease snapshot depends on touch order")
+	if foldSum(d) != foldSum(e) {
+		t.Fatal("lease fold depends on touch order")
 	}
+	e.Lease(9).Owner = 1
+	if foldSum(d) == foldSum(e) {
+		t.Fatal("lease fold ignores the owner")
+	}
+}
+
+func foldSum(d *Directory) (recs fold.Bag) {
+	d.Fold(&recs)
+	return recs
 }

@@ -450,30 +450,10 @@ func (m *Machine) stallNotes() []string {
 	return notes
 }
 
-// StateHash returns an FNV-1a fingerprint of the machine's canonical
-// protocol state: every node's caches, buffers, transactions, and sync
-// objects, every directory, and the digest of messages in flight.
-// Simulated time is deliberately excluded — the model checker uses the
-// hash to recognize logically identical states reached along different
-// schedules, a (conservative-in-coverage) pruning heuristic.
-func (m *Machine) StateHash() uint64 {
-	b := make([]byte, 0, 4096)
-	for _, n := range m.Nodes {
-		b = n.AppendSnapshot(b)
-		b = n.Dir.AppendSnapshot(b)
-		b = n.Dir.AppendLeaseSnapshot(b)
-	}
-	h := uint64(14695981039346656037)
-	for _, c := range b {
-		h ^= uint64(c)
-		h *= 1099511628211
-	}
-	for v := m.Net.InFlightDigest(); v != 0; v >>= 8 {
-		h ^= v & 0xff
-		h *= 1099511628211
-	}
-	return h
-}
+// StateHash returns a fingerprint of the machine's canonical protocol
+// state, simulated time excluded (protocol.Env.StateHash): the model
+// checker's key for a visited state.
+func (m *Machine) StateHash() uint64 { return m.Env.StateHash() }
 
 // DumpState renders per-node protocol state for deadlock diagnostics.
 func (m *Machine) DumpState() string {
@@ -493,9 +473,9 @@ func (m *Machine) DumpState() string {
 // recall) still open. It returns the first violation.
 func (m *Machine) CheckQuiescent() error {
 	for _, n := range m.Nodes {
-		for _, block := range n.Dir.Blocks() {
-			if err := n.Dir.Peek(block).Validate(); err != nil {
-				return fmt.Errorf("node %d block %d: %w", n.ID, block, err)
+		for _, r := range n.Dir.Entries() {
+			if err := r.Validate(); err != nil {
+				return fmt.Errorf("node %d block %d: %w", n.ID, r.Block, err)
 			}
 		}
 		if c := n.OutstandingCount(); c != 0 {

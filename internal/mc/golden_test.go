@@ -9,10 +9,9 @@ import (
 	"lazyrc/internal/config"
 )
 
-// smokeBudget is lrccheck -smoke's budget for proto.
-func smokeBudget(proto, mutation string) ExploreConfig {
+// withBug is lrccheck's default budget for proto with a bug injected.
+func withBug(proto, mutation string) ExploreConfig {
 	ec := DefaultExplore(proto)
-	ec.MaxRuns, ec.MaxChoices = 150, 32
 	ec.Mutation = mutation
 	return ec
 }
@@ -50,8 +49,8 @@ func runsToCatch(t *testing.T, tc *Test, ec ExploreConfig) int {
 
 // TestExplorationGolden pins the size of the search itself — schedules
 // run, states expanded, and choice points along the default schedule,
-// per litmus test and protocol at the -smoke budgets — plus how many
-// schedules each injected bug survives. The state hash prunes the search,
+// per litmus test and protocol at lrccheck's default budgets, where no
+// pair is truncated — plus how many schedules each injected bug survives. The state hash prunes the search,
 // so these counts move whenever the protocol-visible state encoding (or
 // the event structure of a handler) changes; a refactor must leave them
 // alone, and a deliberate change regenerates testdata/exploration.golden
@@ -63,7 +62,7 @@ func TestExplorationGolden(t *testing.T) {
 	var b strings.Builder
 	for _, proto := range allProtos {
 		for _, tc := range Tests() {
-			ec := smokeBudget(proto, "")
+			ec := DefaultExplore(proto)
 			rep, err := Explore(tc, ec)
 			if err != nil {
 				t.Fatalf("%s/%s: %v", proto, tc.Name, err)
@@ -84,7 +83,7 @@ func TestExplorationGolden(t *testing.T) {
 		}
 		for _, tc := range Tests() {
 			fmt.Fprintf(&b, "%s %s %s caught-at=%d\n", mut, tc.Name, proto,
-				runsToCatch(t, tc, smokeBudget(proto, mut)))
+				runsToCatch(t, tc, withBug(proto, mut)))
 		}
 	}
 	want, err := os.ReadFile("testdata/exploration.golden")

@@ -15,8 +15,9 @@ import (
 // nondeterministic choices the simulator asks about — which tied event
 // fires first, which delivery delay a message takes — so replaying the
 // same choice list reproduces the run byte for byte. The recorder also
-// notes each choice point's arity and machine state hash, which is all
-// the explorer needs to enumerate sibling schedules and prune revisits.
+// notes each choice point's arity and, past the prefix, its machine state
+// hash, which is all the explorer needs to enumerate sibling schedules and
+// prune revisits.
 
 // RunConfig parameterizes a single checked run.
 type RunConfig struct {
@@ -84,7 +85,9 @@ type RunResult struct {
 	Outcome string
 	// Taken, Arity, and Hashes describe the recorded choice points: the
 	// answer given, the number of alternatives, and the machine state
-	// hash at the moment of the choice.
+	// hash at the moment of the choice — 0 inside the prefix: the hash
+	// keys the siblings the explorer queues, and the run that produced
+	// the prefix queued those, so a schedule hashes its new suffix only.
 	Taken  []int
 	Arity  []int
 	Hashes []uint64
@@ -108,11 +111,7 @@ type recorder struct {
 	aud    *check.Auditor
 	prefix []int
 	max    int
-
-	taken  []int
-	arity  []int
-	hashes []uint64
-	total  int
+	res    *RunResult // Taken, Arity, Hashes and Choices are the recorder's
 }
 
 func (r *recorder) Choose(n int) int {
@@ -123,12 +122,12 @@ func (r *recorder) Choose(n int) int {
 }
 
 func (r *recorder) choose(n int) int {
-	idx := r.total
-	r.total++
+	idx := r.res.Choices
+	r.res.Choices++
 	if idx >= r.max {
 		return 0
 	}
-	pick := 0
+	pick, hash := 0, uint64(0)
 	if idx < len(r.prefix) {
 		pick = r.prefix[idx]
 		if pick < 0 || pick >= n {
@@ -136,10 +135,12 @@ func (r *recorder) choose(n int) int {
 			// run's arity; clamp and record what actually happened.
 			pick = 0
 		}
+	} else {
+		hash = r.m.StateHash()
 	}
-	r.taken = append(r.taken, pick)
-	r.arity = append(r.arity, n)
-	r.hashes = append(r.hashes, r.m.StateHash())
+	r.res.Taken = append(r.res.Taken, pick)
+	r.res.Arity = append(r.res.Arity, n)
+	r.res.Hashes = append(r.res.Hashes, hash)
 	return pick
 }
 
@@ -202,7 +203,8 @@ func RunOnce(t *Test, rc RunConfig, prefix []int) (*RunResult, error) {
 	if max <= 0 {
 		max = DefaultMaxChoices
 	}
-	rec := &recorder{m: m, prefix: prefix, max: max}
+	res := &RunResult{}
+	rec := &recorder{m: m, prefix: prefix, max: max, res: res}
 	aud := check.New(m)
 	if rc.Audit {
 		rec.aud = aud
@@ -225,7 +227,6 @@ func RunOnce(t *Test, rc RunConfig, prefix []int) (*RunResult, error) {
 	}
 	flags := m.NewFlags(t.Flags)
 
-	res := &RunResult{}
 	regs := make([][]uint64, t.Procs)
 	done := make([]bool, t.Procs)
 
@@ -278,10 +279,6 @@ func RunOnce(t *Test, rc RunConfig, prefix []int) (*RunResult, error) {
 	}
 
 	res.Outcome = formatOutcome(regs)
-	res.Taken = rec.taken
-	res.Arity = rec.arity
-	res.Hashes = rec.hashes
-	res.Choices = rec.total
 	res.FinalHash = m.StateHash()
 	return res, nil
 }

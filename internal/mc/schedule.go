@@ -12,9 +12,10 @@ import (
 // `lrcsim -replay` re-executes it, verifying the outcome and final state
 // hash match byte for byte.
 
-// ScheduleVersion is bumped whenever the machine construction or choice
-// semantics change incompatibly.
-const ScheduleVersion = 1
+// ScheduleVersion is bumped whenever the machine construction, the choice
+// semantics or the state hash a schedule records change incompatibly
+// (2: the streaming fold of internal/fold replaced the FNV byte image).
+const ScheduleVersion = 2
 
 // Schedule is the serialized form of a (usually violating) run.
 type Schedule struct {

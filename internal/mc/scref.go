@@ -1,7 +1,9 @@
 package mc
 
 import (
+	"encoding/binary"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -16,19 +18,38 @@ import (
 // Test's declared DRF flag, so a mislabeled test cannot silently weaken
 // the conformance check.
 
-// scState is the complete SC machine state during enumeration.
-type scState struct {
-	t     *Test
-	pc    []int
-	mem   []uint64 // per-variable value
-	locks []int    // -1 free, else owner
-	flags []bool
-	regs  [][]uint64
+// vclock is a vector clock, one lane per processor (validateTest bounds
+// Procs by maxProcs). An array, so assignment copies it.
+type vclock [maxProcs]uint32
 
-	// happens-before machinery for race detection
-	procVC [][]uint32
-	lockVC [][]uint32
-	flagVC [][]uint32
+const maxProcs = 4
+
+func (c *vclock) join(o vclock) {
+	for i, v := range o {
+		c[i] = max(c[i], v)
+	}
+}
+
+// scState is the complete SC machine state during enumeration. A state is
+// cloned once per successor, so the layout keeps a clone to four
+// allocations: the scalars share one array, the vector clocks another,
+// and the inner slices of regs and accesses are shared between a state
+// and its clones — step appends to a clipped slice, which copies it, and
+// never writes through one.
+type scState struct {
+	t *Test
+	// scalars backs pc, mem, locks and flags.
+	scalars []uint64
+	pc      []uint64 // per-processor program counter
+	mem     []uint64 // per-variable value
+	locks   []uint64 // 0 free, else owner+1
+	flags   []uint64 // 0 clear, 1 set
+	regs    [][]uint64
+
+	// happens-before machinery for race detection: vcs backs the
+	// processors', locks' and flags' vector clocks.
+	vcs                    []vclock
+	procVC, lockVC, flagVC []vclock
 	// accesses[v] records every access to variable v with the accessor's
 	// vector clock at access time.
 	accesses [][]scAccess
@@ -37,98 +58,91 @@ type scState struct {
 type scAccess struct {
 	proc  int
 	write bool
-	vc    []uint32
+	vc    vclock
 }
 
 func newSCState(t *Test) *scState {
 	s := &scState{
 		t:        t,
-		pc:       make([]int, t.Procs),
-		mem:      make([]uint64, len(t.Vars)),
-		locks:    make([]int, t.Locks),
-		flags:    make([]bool, t.Flags),
+		scalars:  make([]uint64, t.Procs+len(t.Vars)+t.Locks+t.Flags),
 		regs:     make([][]uint64, t.Procs),
-		procVC:   make([][]uint32, t.Procs),
-		lockVC:   make([][]uint32, t.Locks),
-		flagVC:   make([][]uint32, t.Flags),
+		vcs:      make([]vclock, t.Procs+t.Locks+t.Flags),
 		accesses: make([][]scAccess, len(t.Vars)),
 	}
-	for i := range s.locks {
-		s.locks[i] = -1
-	}
-	for i := range s.procVC {
-		s.procVC[i] = make([]uint32, t.Procs)
-	}
-	for i := range s.lockVC {
-		s.lockVC[i] = make([]uint32, t.Procs)
-	}
-	for i := range s.flagVC {
-		s.flagVC[i] = make([]uint32, t.Procs)
-	}
+	s.view()
 	return s
 }
 
+// view points the named slices into their backing arrays.
+func (s *scState) view() {
+	t, sc := s.t, s.scalars
+	s.pc, sc = sc[:t.Procs], sc[t.Procs:]
+	s.mem, sc = sc[:len(t.Vars)], sc[len(t.Vars):]
+	s.locks, s.flags = sc[:t.Locks], sc[t.Locks:]
+	s.procVC, s.lockVC, s.flagVC = s.vcs[:t.Procs], s.vcs[t.Procs:t.Procs+t.Locks], s.vcs[t.Procs+t.Locks:]
+}
+
 func (s *scState) clone() *scState {
-	c := &scState{t: s.t}
-	c.pc = append([]int(nil), s.pc...)
-	c.mem = append([]uint64(nil), s.mem...)
-	c.locks = append([]int(nil), s.locks...)
-	c.flags = append([]bool(nil), s.flags...)
-	c.regs = make([][]uint64, len(s.regs))
-	for i := range s.regs {
-		c.regs[i] = append([]uint64(nil), s.regs[i]...)
+	c := &scState{
+		t:        s.t,
+		scalars:  slices.Clone(s.scalars),
+		regs:     slices.Clone(s.regs),
+		vcs:      slices.Clone(s.vcs),
+		accesses: slices.Clone(s.accesses),
 	}
-	cloneVCs := func(vcs [][]uint32) [][]uint32 {
-		out := make([][]uint32, len(vcs))
-		for i := range vcs {
-			out[i] = append([]uint32(nil), vcs[i]...)
-		}
-		return out
-	}
-	c.procVC = cloneVCs(s.procVC)
-	c.lockVC = cloneVCs(s.lockVC)
-	c.flagVC = cloneVCs(s.flagVC)
-	c.accesses = make([][]scAccess, len(s.accesses))
-	for i := range s.accesses {
-		c.accesses[i] = append([]scAccess(nil), s.accesses[i]...)
-	}
+	c.view()
 	return c
 }
 
-// key serializes everything that can influence the remaining execution
-// (including recorded registers and the happens-before state, so the race
-// verdict stays exact under memoization).
-func (s *scState) key() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "%v|%v|%v|%v|%v", s.pc, s.mem, s.locks, s.flags, s.regs)
-	fmt.Fprintf(&b, "|%v|%v|%v", s.procVC, s.lockVC, s.flagVC)
-	for v := range s.accesses {
-		for _, a := range s.accesses[v] {
-			fmt.Fprintf(&b, "|%d,%d,%t,%v", v, a.proc, a.write, a.vc)
+// appendKey appends a serialization of everything that can influence the
+// remaining execution (including recorded registers and the
+// happens-before state, so the race verdict stays exact under
+// memoization). The test fixes every length but the registers', written
+// ahead of their elements, and the access lists', which come last with
+// each access tagged by its variable; with prefix-free varints that makes
+// the key injective.
+func (s *scState) appendKey(b []byte) []byte {
+	vc := func(c vclock) {
+		for _, v := range c {
+			b = binary.AppendUvarint(b, uint64(v))
 		}
 	}
-	return b.String()
-}
-
-func joinVC(dst, src []uint32) {
-	for i := range dst {
-		if src[i] > dst[i] {
-			dst[i] = src[i]
+	for _, v := range s.scalars {
+		b = binary.AppendUvarint(b, v)
+	}
+	for _, rs := range s.regs {
+		b = binary.AppendUvarint(b, uint64(len(rs)))
+		for _, v := range rs {
+			b = binary.AppendUvarint(b, v)
 		}
 	}
+	for _, c := range s.vcs {
+		vc(c)
+	}
+	for v, as := range s.accesses {
+		for _, a := range as {
+			tag := byte(a.proc) << 1
+			if a.write {
+				tag |= 1
+			}
+			b = append(b, byte(v), tag)
+			vc(a.vc)
+		}
+	}
+	return b
 }
 
 // enabled reports whether proc p's next op can execute.
 func (s *scState) enabled(p int) bool {
-	if s.pc[p] >= len(s.t.Code[p]) {
+	if int(s.pc[p]) >= len(s.t.Code[p]) {
 		return false
 	}
 	op := s.t.Code[p][s.pc[p]]
 	switch op.Kind {
 	case OpAcquire:
-		return s.locks[op.Obj] == -1
+		return s.locks[op.Obj] == 0
 	case OpWaitFlag:
-		return s.flags[op.Obj]
+		return s.flags[op.Obj] != 0
 	}
 	return true
 }
@@ -140,16 +154,16 @@ func (s *scState) step(p int) (raced bool) {
 	s.pc[p]++
 	switch op.Kind {
 	case OpAcquire:
-		s.locks[op.Obj] = p
-		joinVC(s.procVC[p], s.lockVC[op.Obj])
+		s.locks[op.Obj] = uint64(p) + 1
+		s.procVC[p].join(s.lockVC[op.Obj])
 	case OpRelease:
-		s.locks[op.Obj] = -1
-		joinVC(s.lockVC[op.Obj], s.procVC[p])
+		s.locks[op.Obj] = 0
+		s.lockVC[op.Obj].join(s.procVC[p])
 	case OpSetFlag:
-		s.flags[op.Obj] = true
-		joinVC(s.flagVC[op.Obj], s.procVC[p])
+		s.flags[op.Obj] = 1
+		s.flagVC[op.Obj].join(s.procVC[p])
 	case OpWaitFlag:
-		joinVC(s.procVC[p], s.flagVC[op.Obj])
+		s.procVC[p].join(s.flagVC[op.Obj])
 	case OpRead, OpWrite:
 		write := op.Kind == OpWrite
 		for _, prev := range s.accesses[op.Var] {
@@ -163,12 +177,11 @@ func (s *scState) step(p int) (raced bool) {
 				raced = true
 			}
 		}
-		s.accesses[op.Var] = append(s.accesses[op.Var],
-			scAccess{proc: p, write: write, vc: append([]uint32(nil), s.procVC[p]...)})
+		s.accesses[op.Var] = append(slices.Clip(s.accesses[op.Var]), scAccess{proc: p, write: write, vc: s.procVC[p]})
 		if write {
 			s.mem[op.Var] = op.Val
 		} else {
-			s.regs[p] = append(s.regs[p], s.mem[op.Var])
+			s.regs[p] = append(slices.Clip(s.regs[p]), s.mem[op.Var])
 		}
 		s.procVC[p][p]++
 	}
@@ -177,7 +190,7 @@ func (s *scState) step(p int) (raced bool) {
 
 func (s *scState) done() bool {
 	for p := range s.pc {
-		if s.pc[p] < len(s.t.Code[p]) {
+		if int(s.pc[p]) < len(s.t.Code[p]) {
 			return false
 		}
 	}
@@ -217,16 +230,17 @@ func SCOutcomes(t *Test) (*SCResult, error) {
 	res := &SCResult{}
 	outcomes := map[string]bool{}
 	visited := map[string]bool{}
+	var key []byte // reused: a state's key is looked up and stored before the search descends
 	var dfs func(s *scState) error
 	dfs = func(s *scState) error {
-		k := s.key()
-		if visited[k] {
+		key = s.appendKey(key[:0])
+		if visited[string(key)] {
 			return nil
 		}
 		if len(visited) >= scStateCap {
 			return fmt.Errorf("mc: SC enumeration of %q exceeded %d states", t.Name, scStateCap)
 		}
-		visited[k] = true
+		visited[string(key)] = true
 		if s.done() {
 			outcomes[formatOutcome(s.regs)] = true
 			return nil
@@ -289,8 +303,8 @@ func formatOutcome(regs [][]uint64) string {
 
 // validateTest checks structural sanity of a litmus test.
 func validateTest(t *Test) error {
-	if t.Procs < 2 || t.Procs > 4 {
-		return fmt.Errorf("mc: test %q: Procs %d out of range [2,4]", t.Name, t.Procs)
+	if t.Procs < 2 || t.Procs > maxProcs {
+		return fmt.Errorf("mc: test %q: Procs %d out of range [2,%d]", t.Name, t.Procs, maxProcs)
 	}
 	if len(t.Code) != t.Procs {
 		return fmt.Errorf("mc: test %q: %d programs for %d procs", t.Name, len(t.Code), t.Procs)

@@ -6,6 +6,7 @@ import (
 
 	"lazyrc/internal/config"
 	"lazyrc/internal/faults"
+	"lazyrc/internal/fold"
 	"lazyrc/internal/sim"
 )
 
@@ -153,7 +154,7 @@ func TestExplorerPreservesFIFO(t *testing.T) {
 // hashes of quiescent machines would depend on traffic history.
 func TestExplorerInFlightDigestBalances(t *testing.T) {
 	const procs = 4
-	empty := func() uint64 {
+	empty := func() fold.Bag {
 		eng := sim.NewEngine()
 		n := New(eng, config.Default(procs))
 		ch := &lcgChooser{state: 7}
@@ -173,6 +174,6 @@ func TestExplorerInFlightDigestBalances(t *testing.T) {
 	eng.SetChooser(ch)
 	eng.Run()
 	if got := n.InFlightDigest(); got != empty {
-		t.Fatalf("drained network digest %#x, want empty-set digest %#x", got, empty)
+		t.Fatalf("drained network digest %v, want empty-set digest %v", got, empty)
 	}
 }

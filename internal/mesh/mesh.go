@@ -17,6 +17,7 @@ import (
 	"lazyrc/internal/causal"
 	"lazyrc/internal/config"
 	"lazyrc/internal/faults"
+	"lazyrc/internal/fold"
 	"lazyrc/internal/perf"
 	"lazyrc/internal/sim"
 )
@@ -67,7 +68,7 @@ type Network struct {
 	// In-flight message ledger, maintained only under an explorer: an
 	// order-independent digest over messages sent but not yet delivered,
 	// folded into machine state hashes for visited-state dedup.
-	flightSum, flightXor, flightN uint64
+	flight fold.Bag
 
 	// Trace, when non-nil, observes every message at send time —
 	// debugging and the protocolwalk example.
@@ -445,66 +446,38 @@ func (n *Network) deliver(slot uint32) {
 	n.handlers[m.Dst](m)
 }
 
-// msgHash is an FNV-1a fingerprint of a message's protocol-visible
-// content (not its TID, which depends on send order alone).
-func msgHash(m *Msg) uint64 {
-	h := uint64(14695981039346656037)
-	mix := func(v uint64) {
-		for i := 0; i < 8; i++ {
-			h ^= v & 0xff
-			h *= 1099511628211
-			v >>= 8
-		}
-	}
-	mix(uint64(m.Src))
-	mix(uint64(m.Dst))
-	mix(uint64(m.Kind))
-	mix(uint64(m.Size))
-	mix(m.Addr)
-	mix(m.Arg)
-	mix(m.Aux)
+// msgHash is the record of a message's protocol-visible content (not its
+// TID, Seq or CT, which depend on send order alone).
+func msgHash(m *Msg) fold.Rec {
+	r := fold.Record(fold.Flight, m.Addr)
+	r.Word(uint64(uint32(m.Src)) | uint64(uint32(m.Dst))<<32)
+	r.Word(uint64(uint32(m.Kind)) | uint64(uint32(m.Size))<<32)
+	r.Word(m.Arg)
+	r.Word(m.Aux)
 	for _, v := range m.Vals {
-		mix(v)
+		r.Word(v)
 	}
-	return h
+	return r
 }
 
 // flightAdd/flightRemove maintain the in-flight multiset digest. Only an
 // explorer needs it; the ledger stays zero-cost otherwise.
 func (n *Network) flightAdd(m *Msg) {
-	if n.exp == nil {
-		return
+	if n.exp != nil {
+		n.flight.Add(msgHash(m))
 	}
-	h := msgHash(m)
-	n.flightSum += h
-	n.flightXor ^= h
-	n.flightN++
 }
 
 func (n *Network) flightRemove(m *Msg) {
-	if n.exp == nil {
-		return
+	if n.exp != nil {
+		n.flight.Remove(msgHash(m))
 	}
-	h := msgHash(m)
-	n.flightSum -= h
-	n.flightXor ^= h
-	n.flightN--
 }
 
 // InFlightDigest returns an order-independent digest of the messages
 // currently sent but undelivered (plus their count), for folding into a
-// whole-machine state hash. Zero-valued without an explorer attached.
-func (n *Network) InFlightDigest() uint64 {
-	h := uint64(14695981039346656037)
-	for _, v := range [3]uint64{n.flightN, n.flightSum, n.flightXor} {
-		for i := 0; i < 8; i++ {
-			h ^= v & 0xff
-			h *= 1099511628211
-			v >>= 8
-		}
-	}
-	return h
-}
+// whole-machine state hash. Empty without an explorer attached.
+func (n *Network) InFlightDigest() fold.Bag { return n.flight }
 
 // Stats returns the total messages and payload bytes sent.
 func (n *Network) Stats() (msgs, bytes uint64) { return n.sent, n.bytesSent }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"lazyrc/internal/causal"
+	"lazyrc/internal/fold"
 	"lazyrc/internal/mesh"
 )
 
@@ -112,17 +113,15 @@ func (h *homeSerial) Debug() string {
 	return s
 }
 
-// appendSnapshot encodes the blocks in service and their queues in
-// ascending block order, whatever order they were entered in.
-func (h *homeSerial) appendSnapshot(s *snapBuf) {
-	for _, block := range sortedKeys(s, h.q) {
-		s.u64(block)
-		for _, p := range h.q[block] {
-			s.msg(p.m)
+// fold adds a record per block in service, its queue in order.
+func (h *homeSerial) fold(recs *fold.Bag) {
+	for block, q := range h.q {
+		r := fold.Record(fold.Serving, block)
+		for i := range q {
+			foldMsg(&r, &q[i].m)
 		}
-		s.end()
+		recs.Add(r)
 	}
-	s.end()
 }
 
 // HomeBusy reports whether this node, as home, has transient protocol

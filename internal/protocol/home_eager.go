@@ -7,6 +7,7 @@ import (
 	"lazyrc/internal/cache"
 	"lazyrc/internal/causal"
 	"lazyrc/internal/directory"
+	"lazyrc/internal/fold"
 	"lazyrc/internal/mesh"
 )
 
@@ -62,7 +63,7 @@ type eagerState struct {
 }
 
 // eager returns the eager home state, allocating it when the home
-// resolves its first request. AppendSnapshot encodes whether it exists,
+// resolves its first request. Node.fold folds in whether it exists,
 // so the point of first use is visible to the model checker's state
 // hash (TestExplorationGolden pins the resulting search).
 func (n *Node) eager() *eagerState {
@@ -95,28 +96,24 @@ func (es *eagerState) debug(n *Node) string {
 	return s
 }
 
-func (es *eagerState) appendSnapshot(s *snapBuf) {
-	for _, blk := range sortedKeys(s, es.grants) {
-		g := es.grants[blk]
-		s.u64(blk)
-		s.u64(uint64(g.writer))
-		s.bit(g.wantData)
+func (es *eagerState) fold(recs *fold.Bag) {
+	for blk, g := range es.grants {
+		r := fold.Record(fold.Grant, blk)
+		r.Word(uint64(g.writer)<<1 | bit(g.wantData))
+		recs.Add(r)
 	}
-	s.end()
-	for _, blk := range sortedKeys(s, es.xfers) {
-		s.u64(blk)
-		s.msg(es.xfers[blk])
+	for blk, x := range es.xfers {
+		r := fold.Record(fold.Xfer, blk)
+		foldMsg(&r, &x)
+		recs.Add(r)
 	}
-	s.end()
-	for _, blk := range sortedKeys(s, es.held) {
-		s.u64(blk)
-		for _, d := range es.held[blk] {
-			s.u64(uint64(d.src))
-			s.bit(d.wb)
+	for blk, drops := range es.held {
+		r := fold.Record(fold.Held, blk)
+		for _, d := range drops {
+			r.Word(uint64(d.src)<<1 | bit(d.wb))
 		}
-		s.end()
+		recs.Add(r)
 	}
-	s.end()
 }
 
 // eagerDispatch is the eager family's message interface: home side

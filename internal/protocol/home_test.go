@@ -1,12 +1,12 @@
 package protocol
 
 import (
-	"bytes"
 	"fmt"
 	"strings"
 	"testing"
 
 	"lazyrc/internal/directory"
+	"lazyrc/internal/fold"
 	"lazyrc/internal/mesh"
 	"lazyrc/internal/sim"
 )
@@ -90,11 +90,17 @@ func TestHomeSerialMisusePanics(t *testing.T) {
 	}
 }
 
-// TestHomeSerialSnapshotCanonical: the encoding depends on which blocks
-// are in service and on each block's queue order, never on the order the
-// blocks were entered in.
+// foldSum is the fold of one piece of state's records.
+func foldSum(into func(*fold.Bag)) (recs fold.Bag) {
+	into(&recs)
+	return recs
+}
+
+// TestHomeSerialSnapshotCanonical: the fold depends on which blocks are in
+// service and on each block's queue order, never on the order the blocks
+// were entered in.
 func TestHomeSerialSnapshotCanonical(t *testing.T) {
-	build := func(blocks ...uint64) []byte {
+	build := func(blocks ...uint64) fold.Bag {
 		var h homeSerial
 		for _, b := range blocks {
 			h.enter(req(1, MsgReadReq, b))
@@ -103,28 +109,20 @@ func TestHomeSerialSnapshotCanonical(t *testing.T) {
 			h.enter(req(2, MsgWriteReq, b))
 			h.enter(req(3, MsgReadReq, b))
 		}
-		s := &snapBuf{}
-		h.appendSnapshot(s)
-		return s.b
+		return foldSum(h.fold)
 	}
-	a, b := build(3, 40, 7), build(40, 7, 3)
-	if !bytes.Equal(a, b) {
-		t.Fatal("snapshot depends on the order blocks entered service")
+	if build(3, 40, 7) != build(40, 7, 3) {
+		t.Fatal("fold depends on the order blocks entered service")
 	}
-	var h homeSerial
+	var h, ref homeSerial
 	for _, src := range []int{1, 3, 2} { // same blocks, block 3's queue reordered
 		h.enter(req(src, MsgReadReq, 3))
 	}
-	s := &snapBuf{}
-	h.appendSnapshot(s)
-	var ref homeSerial
 	for _, src := range []int{1, 2, 3} {
 		ref.enter(req(src, MsgReadReq, 3))
 	}
-	r := &snapBuf{}
-	ref.appendSnapshot(r)
-	if bytes.Equal(s.b, r.b) {
-		t.Fatal("snapshot ignores queue order")
+	if foldSum(h.fold) == foldSum(ref.fold) {
+		t.Fatal("fold ignores queue order")
 	}
 }
 
@@ -199,7 +197,7 @@ func TestEagerHeldDropAppliesAfterXferDone(t *testing.T) {
 	s.makeDirty(1)
 	s.send(2, MsgReadReq, 0)
 	s.expect("FwdRead>1")
-	before := s.home.AppendSnapshot(nil)
+	before := foldSum(s.home.eagerHome.fold)
 
 	s.send(2, MsgEvict, 0) // node 2 got the owner's data and already replaced it
 	s.expect()
@@ -210,8 +208,8 @@ func TestEagerHeldDropAppliesAfterXferDone(t *testing.T) {
 	if d := s.home.Debug(); !strings.Contains(d, "held{block 0 n:1}") || !strings.Contains(d, "serving{block 0") {
 		t.Errorf("Debug = %q, want the held drop and the in-service mark", d)
 	}
-	if bytes.Equal(before, s.home.AppendSnapshot(nil)) {
-		t.Error("snapshot does not see the held drop")
+	if before == foldSum(s.home.eagerHome.fold) {
+		t.Error("fold does not see the held drop")
 	}
 	s.send(3, MsgEvict, 0) // a third party's drop commutes with the commit: applied at once
 	s.expect()

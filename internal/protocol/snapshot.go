@@ -1,142 +1,117 @@
 package protocol
 
 import (
-	"encoding/binary"
-	"slices"
-
 	"lazyrc/internal/cache"
+	"lazyrc/internal/fold"
 	"lazyrc/internal/mesh"
 )
 
-// This file implements the canonical state snapshot the model checker
-// hashes for visited-state deduplication. Everything protocol-visible at
-// a node is encoded in a deterministic order: cache frames, buffered
-// writes, outstanding transactions, pending invalidations, deferred
-// notices, synchronization-object state, the home's request serializer,
-// and the family's home machinery. Two nodes in the same logical state
-// produce identical bytes regardless of the path that led there (map
-// iteration never leaks into the encoding).
+// This file folds the machine's state into the hash the model checker
+// keys visited states by. Everything protocol-visible at a node goes in:
+// cache frames, buffered writes, outstanding transactions, pending
+// invalidations, deferred notices, synchronization-object state, the
+// home's request serializer, the family's home machinery, and the
+// directory. Slices are queues and fold in order, as words; every map
+// folds as one record per key, which the hash gathers in no order, so
+// two nodes in the same logical state fold alike regardless of the path
+// that led there (map iteration never leaks into the hash) and a hash
+// sorts no keys and allocates nothing.
 
-type snapBuf struct {
-	b    []byte
-	keys []uint64 // sortedKeys scratch
+// StateHash returns a fingerprint of the machine's canonical protocol
+// state: every node's, and the messages in flight. Simulated time is
+// deliberately excluded — the model checker uses the hash to recognize
+// logically identical states reached along different schedules, a
+// (conservative-in-coverage) pruning heuristic.
+func (e *Env) StateHash() uint64 {
+	h := fold.Rec(fold.Seed)
+	for _, n := range e.Nodes {
+		var recs fold.Bag
+		n.fold(&h, &recs)
+		h.Bag(recs)
+	}
+	h.Bag(e.Net.InFlightDigest())
+	return h.Sum()
 }
 
-func (s *snapBuf) u64(v uint64) { s.b = binary.LittleEndian.AppendUint64(s.b, v) }
-
-func (s *snapBuf) bit(v bool) {
+func bit(v bool) uint64 {
 	if v {
-		s.b = append(s.b, 1)
-	} else {
-		s.b = append(s.b, 0)
+		return 1
 	}
+	return 0
 }
 
-// end closes a variable-length section (or one record of it).
-func (s *snapBuf) end() { s.u64(^uint64(0)) }
+// foldMsg folds the fields of a held request that decide its service.
+func foldMsg(r *fold.Rec, m *mesh.Msg) {
+	r.Word(uint64(uint32(m.Kind)) | uint64(uint32(m.Src))<<32)
+	r.Word(m.Arg)
+	r.Word(m.Aux)
+}
 
-// ids encodes a queue of node ids and closes it.
-func (s *snapBuf) ids(q []int) {
-	for _, id := range q {
-		s.u64(uint64(id))
+// syncRec is the record of one synchronization object: its state word,
+// its timestamp and the nodes queued on it, in order.
+func syncRec(s fold.Section, id, state, ts uint64, waiting []int) fold.Rec {
+	r := fold.Record(s, id)
+	r.Word(state)
+	r.Word(ts)
+	for _, w := range waiting {
+		r.Word(uint64(w))
 	}
-	s.end()
+	return r
 }
 
-// msg encodes the fields of a held request that decide its service.
-func (s *snapBuf) msg(m mesh.Msg) {
-	s.u64(uint64(m.Kind))
-	s.u64(uint64(m.Src))
-	s.u64(m.Arg)
-	s.u64(m.Aux)
-}
-
-// sortedKeys returns m's keys in ascending order. The slice is s's
-// scratch: it is valid until the next call.
-func sortedKeys[V any](s *snapBuf, m map[uint64]V) []uint64 {
-	s.keys = s.keys[:0]
-	for k := range m {
-		s.keys = append(s.keys, k)
-	}
-	slices.Sort(s.keys)
-	return s.keys
-}
-
-// AppendSnapshot appends a canonical byte encoding of this node's
-// protocol state to b and returns the extended slice.
-func (n *Node) AppendSnapshot(b []byte) []byte {
-	s := &snapBuf{b: b}
-	s.u64(uint64(n.ID))
+// fold folds this node's protocol state and directory: what is ordered
+// into h, a record per key of every map into recs.
+func (n *Node) fold(h *fold.Rec, recs *fold.Bag) {
+	h.Word(uint64(n.ID))
 
 	n.Cache.VisitValid(func(l *cache.Line) {
-		s.u64(l.Block)
-		s.b = append(s.b, byte(l.State))
-		s.u64(l.Dirty)
+		h.Word(l.Block)
+		h.Word(uint64(l.State))
+		h.Word(l.Dirty)
 	})
-	s.end()
+	h.End()
 
-	n.WB.Visit(func(e cache.WBEntry) { s.u64(e.Block); s.u64(e.Words) })
-	s.end()
-	n.CB.Visit(func(e cache.CBEntry) { s.u64(e.Block); s.u64(e.Words) })
-	s.end()
+	n.WB.Visit(func(e cache.WBEntry) { h.Word(e.Block); h.Word(e.Words) })
+	h.End()
+	n.CB.Visit(func(e cache.CBEntry) { h.Word(e.Block); h.Word(e.Words) })
+	h.End()
 
-	for _, blk := range sortedKeys(s, n.outstanding) {
-		t := n.outstanding[blk]
-		s.u64(blk)
-		s.bit(t.Data.IsOpen())
-		s.bit(t.Done.IsOpen())
-		s.bit(t.InvalidateOnFill)
-		s.bit(t.ExpectData)
-		s.bit(t.IsWrite)
-		s.bit(t.Filled)
-		s.bit(t.DoneEarly)
+	for blk, t := range n.outstanding {
+		r := fold.Record(fold.Txn, blk)
+		r.Word(bit(t.Data.IsOpen()) | bit(t.Done.IsOpen())<<1 | bit(t.InvalidateOnFill)<<2 |
+			bit(t.ExpectData)<<3 | bit(t.IsWrite)<<4 | bit(t.Filled)<<5 | bit(t.DoneEarly)<<6)
+		recs.Add(r)
 	}
-	s.end()
 
-	for _, blk := range n.pendInv {
-		s.u64(blk)
+	for _, q := range [...][]uint64{n.pendInv, n.delayed} {
+		for _, blk := range q {
+			h.Word(blk)
+		}
+		h.End()
 	}
-	s.end()
-	for _, blk := range n.delayed {
-		s.u64(blk)
-	}
-	s.end()
-	s.u64(uint64(n.wtPending))
-	s.bit(n.releaseParked)
-	s.bit(n.wbParked)
-	s.bit(n.sync.gate != nil)
+	h.Word(uint64(n.wtPending))
+	// A family's home state is allocated at first use, and whether it
+	// exists yet is part of the state: the point of first use is visible
+	// to the search (TestExplorationGolden pins it).
+	h.Word(bit(n.releaseParked) | bit(n.wbParked)<<1 | bit(n.sync.gate != nil)<<2 |
+		bit(n.eagerHome != nil)<<3 | bit(n.tardis != nil)<<4)
 
-	for _, id := range sortedKeys(s, n.sync.locks) {
-		l := n.sync.locks[id]
-		s.u64(id)
-		s.bit(l.held)
-		s.u64(l.ts)
-		s.ids(l.queue)
+	for id, l := range n.sync.locks {
+		recs.Add(syncRec(fold.Lock, id, bit(l.held), l.ts, l.queue))
 	}
-	s.end()
-	for _, id := range sortedKeys(s, n.sync.bars) {
-		bar := n.sync.bars[id]
-		s.u64(id)
-		s.u64(uint64(bar.arrived))
-		s.u64(bar.ts)
-		s.ids(bar.waiting)
+	for id, b := range n.sync.bars {
+		recs.Add(syncRec(fold.Barrier, id, uint64(b.arrived), b.ts, b.waiting))
 	}
-	s.end()
-	for _, id := range sortedKeys(s, n.sync.flags) {
-		f := n.sync.flags[id]
-		s.u64(id)
-		s.bit(f.set)
-		s.u64(f.ts)
-		s.ids(f.waiters)
+	for id, f := range n.sync.flags {
+		recs.Add(syncRec(fold.Flag, id, bit(f.set), f.ts, f.waiters))
 	}
-	s.end()
 
-	n.home.appendSnapshot(s)
+	n.home.fold(recs)
 	if es := n.eagerHome; es != nil {
-		es.appendSnapshot(s)
+		es.fold(recs)
 	}
 	if td := n.tardis; td != nil {
-		td.appendSnapshot(s)
+		td.fold(h, recs)
 	}
-	return s.b
+	n.Dir.Fold(recs)
 }

@@ -24,6 +24,7 @@ import (
 
 	"lazyrc/internal/cache"
 	"lazyrc/internal/causal"
+	"lazyrc/internal/fold"
 	"lazyrc/internal/mesh"
 )
 
@@ -59,7 +60,7 @@ type tardisRecall struct {
 
 // td returns the node's timestamp state, allocating it on first touch —
 // a load or store miss, a sync operation, or the first request served
-// as home. AppendSnapshot encodes whether it exists, so the point of
+// as home. Node.fold folds in whether it exists, so the point of
 // first touch is visible to the model checker's state hash.
 func (n *Node) td() *tardisNode {
 	if n.tardis == nil {
@@ -377,24 +378,22 @@ func (td *tardisNode) debug() string {
 	return s
 }
 
-func (td *tardisNode) appendSnapshot(s *snapBuf) {
-	s.u64(td.pts)
-	s.u64(td.bts)
-	s.u64(td.rebases)
-	for _, blk := range sortedKeys(s, td.leases) {
-		l := td.leases[blk]
-		s.u64(blk)
-		s.u64(l.wts)
-		s.u64(l.rts)
+func (td *tardisNode) fold(h *fold.Rec, recs *fold.Bag) {
+	h.Word(td.pts)
+	h.Word(td.bts)
+	h.Word(td.rebases)
+	for blk, l := range td.leases {
+		r := fold.Record(fold.NodeLease, blk)
+		r.Word(l.wts)
+		r.Word(l.rts)
+		recs.Add(r)
 	}
-	s.end()
-	for _, blk := range sortedKeys(s, td.recall) {
-		rc := td.recall[blk]
-		s.u64(blk)
-		s.u64(uint64(rc.owner))
-		s.msg(rc.pending)
+	for blk, rc := range td.recall {
+		r := fold.Record(fold.Recall, blk)
+		r.Word(uint64(rc.owner))
+		foldMsg(&r, &rc.pending)
+		recs.Add(r)
 	}
-	s.end()
 }
 
 // ---- Shared protocol plumbing -------------------------------------------
