@@ -7,6 +7,7 @@ import (
 	"errors"
 	"fmt"
 	"log/slog"
+	"slices"
 	"strings"
 	"sync"
 	"time"
@@ -56,6 +57,13 @@ type Service struct {
 	draining bool
 	sweeps   map[string]*sweepState
 	order    []string // sweep IDs in first-submission order
+	// live indexes the sweeps not yet terminal by each fingerprint they
+	// contain: a job event is folded into these and no others, so its
+	// cost does not grow with the sweeps ever registered.
+	live map[string][]*sweepState
+	// saving serializes registry writes, so the last one to land carries
+	// every sweep registered before it.
+	saving sync.Mutex
 	// rates tracks per-fingerprint heartbeat progress of running jobs,
 	// feeding the lrcsimd_sim_cycles_per_second gauge. Wall-clock
 	// observability only.
@@ -78,6 +86,9 @@ type sweepState struct {
 	// reqID is the submitting request's ID, stamped into every
 	// lifecycle log line so one grep follows the request end to end.
 	reqID string
+	// doc is the normalized spec's canonical JSON (exp.Spec.Canonical),
+	// kept from submission: the registry writes these bytes as they are.
+	doc []byte
 	// cells, fps and jobs are the sweep's expansion, computed once at
 	// submission: the cells, the fingerprint of each, and every runner
 	// job by fingerprint (the identity set events are attributed by, and
@@ -123,6 +134,7 @@ func NewService(workers int, st *store.Store, logger *slog.Logger) *Service {
 		runCtx: ctx,
 		cancel: cancel,
 		sweeps: make(map[string]*sweepState),
+		live:   make(map[string][]*sweepState),
 		rates:  make(map[string]*jobRate),
 	}
 	s.registerMetrics()
@@ -131,12 +143,17 @@ func NewService(workers int, st *store.Store, logger *slog.Logger) *Service {
 		// Resurrection submissions carry a synthetic request ID so their
 		// lifecycle log lines are distinguishable from client traffic.
 		bootCtx := obs.WithRequestID(context.Background(), "boot")
-		for _, raw := range st.Sweeps() {
+		loaded := st.Sweeps()
+		for _, raw := range loaded {
 			var spec exp.Spec
-			if err := json.Unmarshal(raw, &spec); err != nil {
-				continue // schema drift: skip, the registry rewrites on next submit
+			if json.Unmarshal(raw, &spec) == nil { // schema drift: skip
+				s.submit(bootCtx, spec, false) // a spec that no longer validates is dropped
 			}
-			s.SubmitSweep(bootCtx, spec) // a spec that no longer validates is dropped
+		}
+		// The registry is rewritten only if resurrection changed it: a
+		// spec dropped, a duplicate merged, or a canonical form moved.
+		if !slices.EqualFunc(loaded, s.registry(), func(a, b json.RawMessage) bool { return bytes.Equal(a, b) }) {
+			s.persistSweeps()
 		}
 	}
 	return s
@@ -271,14 +288,8 @@ func (s *Service) onEvent(ev runner.Event) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.trackRate(ev)
-	for _, id := range s.order {
-		sw := s.sweeps[id]
-		// Terminal first: the scan visits every sweep ever registered, and
-		// a finished one must cost a field read, not a map lookup.
-		if sw.status.Terminal() || sw.doneFPs[ev.FP] {
-			continue
-		}
-		if _, mine := sw.jobs[ev.FP]; !mine {
+	for _, sw := range s.live[ev.FP] {
+		if sw.doneFPs[ev.FP] {
 			continue
 		}
 		switch ev.Kind {
@@ -342,18 +353,29 @@ func (s *Service) trackRate(ev runner.Event) {
 // into every lifecycle log line; it does NOT bound the sweep's
 // execution — the sweep outlives the request.
 func (s *Service) SubmitSweep(submitCtx context.Context, spec exp.Spec) (SweepStatus, bool, error) {
+	return s.submit(submitCtx, spec, true)
+}
+
+// submit is SubmitSweep; persist false skips the registry write, which
+// boot resurrection makes once, after the loop, and only if it changed.
+func (s *Service) submit(submitCtx context.Context, spec exp.Spec, persist bool) (SweepStatus, bool, error) {
 	norm, e, cells, err := spec.Expand()
 	if err != nil {
 		return SweepStatus{}, false, err
 	}
+	id, doc := norm.Canonical()
+	if st, err := s.Sweep(id); err == nil {
+		return st, false, nil // a resubmission costs no fingerprint
+	}
+	// Each cell is fingerprinted here, once: the keyed jobs carry their
+	// fingerprints into the runner through the evaluator's Prefetch.
 	fps := make([]string, len(cells))
 	jobs := make(map[string]runner.Job, len(cells))
 	for i, c := range cells {
-		j := e.Job(c[0], c[1], c[2])
+		j := e.CellJob(c[0], c[1], c[2])
 		fps[i] = j.Fingerprint()
 		jobs[fps[i]] = j
 	}
-	id := norm.ID()
 	reqID := obs.RequestID(submitCtx)
 
 	s.mu.Lock()
@@ -375,6 +397,7 @@ func (s *Service) SubmitSweep(submitCtx context.Context, spec exp.Spec) (SweepSt
 			Jobs:  len(jobs),
 		},
 		reqID:   reqID,
+		doc:     doc,
 		cells:   cells,
 		fps:     fps,
 		jobs:    jobs,
@@ -384,34 +407,46 @@ func (s *Service) SubmitSweep(submitCtx context.Context, spec exp.Spec) (SweepSt
 	}
 	s.sweeps[id] = sw
 	s.order = append(s.order, id)
+	for fp := range jobs {
+		s.live[fp] = append(s.live[fp], sw)
+	}
 	st := sw.status
 	s.wg.Add(1)
 	s.mu.Unlock()
 
 	s.log.Info("sweep submitted", "sweep", id, "jobs", len(jobs), "request_id", reqID)
-	s.persistSweeps()
+	if persist {
+		s.persistSweeps()
+	}
 	e.R, e.Ctx = s.rn, ctx
 	go s.runSweep(ctx, sw, e, cells)
 	return st, true, nil
 }
 
 // persistSweeps rewrites the store's sweep registry sidecar from the
-// current submission order. Best-effort: persistence failing must not
-// fail the submission that triggered it (the sweep still runs; only
-// restart recovery is degraded).
+// current submission order, from the canonical documents the sweeps kept:
+// nothing is re-encoded. Best-effort: persistence failing must not fail
+// the submission that triggered it (the sweep still runs; only restart
+// recovery is degraded).
 func (s *Service) persistSweeps() {
 	if s.st == nil {
 		return
 	}
+	s.saving.Lock()
+	defer s.saving.Unlock()
+	_ = s.st.SaveSweeps(s.registry())
+}
+
+// registry lists the registered sweeps' canonical documents in
+// submission order.
+func (s *Service) registry() []json.RawMessage {
 	s.mu.Lock()
-	specs := make([]json.RawMessage, 0, len(s.order))
-	for _, id := range s.order {
-		if b, err := json.Marshal(s.sweeps[id].status.Spec); err == nil {
-			specs = append(specs, b)
-		}
+	defer s.mu.Unlock()
+	docs := make([]json.RawMessage, len(s.order))
+	for i, id := range s.order {
+		docs[i] = s.sweeps[id].doc
 	}
-	s.mu.Unlock()
-	_ = s.st.SaveSweeps(specs)
+	return docs
 }
 
 // runSweep executes one sweep to a terminal state: the cells go to the
@@ -439,6 +474,7 @@ func (s *Service) runSweep(ctx context.Context, sw *sweepState, e *exp.Evaluator
 	htmlErr := exp.WriteHTML(&htmlBuf, rep)
 
 	s.mu.Lock()
+	s.retire(sw)
 	sw.reportJSON = jsonBuf.Bytes()
 	sw.reportHTML = htmlBuf.Bytes()
 	wall := time.Since(sw.startedAt)
@@ -472,6 +508,20 @@ func (s *Service) runSweep(ctx context.Context, sw *sweepState, e *exp.Evaluator
 		"executed", st.Executed, "from_cache", st.FromCache,
 		"deduped", st.Deduped, "failed", st.Failed,
 		"request_id", sw.reqID)
+}
+
+// retire removes a sweep that is turning terminal from the live index.
+// Every job event of its own reached it before Prefetch returned; what
+// follows belongs to other sweeps. Caller holds s.mu.
+func (s *Service) retire(sw *sweepState) {
+	for fp := range sw.jobs {
+		rest := slices.DeleteFunc(s.live[fp], func(o *sweepState) bool { return o == sw })
+		if len(rest) == 0 {
+			delete(s.live, fp)
+		} else {
+			s.live[fp] = rest
+		}
+	}
 }
 
 // Sweep returns a sweep's current status.

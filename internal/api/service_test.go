@@ -7,6 +7,8 @@ import (
 	"log/slog"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
@@ -15,6 +17,7 @@ import (
 	"lazyrc/internal/exp"
 	"lazyrc/internal/obs"
 	"lazyrc/internal/runner"
+	"lazyrc/internal/store"
 )
 
 // tinySpec is the test sweep: fig4 over two applications at tiny scale
@@ -235,6 +238,12 @@ func TestSweepCountersAreTruthful(t *testing.T) {
 	if q, d := counter("queued"), counter("deduped"); q != 6 || d != 2 {
 		t.Fatalf("after the overlapping sweep: queued=%d deduped=%d, want 6 and 2", q, d)
 	}
+	// A finished sweep leaves the event fan-out index.
+	svc.mu.Lock()
+	defer svc.mu.Unlock()
+	if len(svc.live) != 0 {
+		t.Fatalf("finished sweeps still indexed under %d fingerprints", len(svc.live))
+	}
 }
 
 // TestDrainRefusesNewWork: after Drain begins, submissions are rejected
@@ -349,4 +358,106 @@ func (s *syncLogBuffer) String() string {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.b.String()
+}
+
+// TestBootRegistryWrites: resurrection writes the sweep registry at most
+// once, and only when it changed. 500 registered sweeps come back with
+// the file untouched — same inode, same bytes — and a submission after
+// boot appends exactly its own spec. A registry with a duplicate, a spec
+// that no longer validates and a document that is no spec at all is
+// rewritten to the sweeps that came back.
+func TestBootRegistryWrites(t *testing.T) {
+	if testing.Short() {
+		t.Skip("boots 500 sweeps")
+	}
+	specDoc := func(seed uint64) json.RawMessage {
+		n, err := exp.Spec{Targets: []string{"default/gauss/sc"}, Scale: "tiny", Procs: 4, Seed: seed}.Normalize()
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := json.Marshal(n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b
+	}
+	docs := make([]json.RawMessage, 500)
+	for i := range docs {
+		docs[i] = specDoc(uint64(i + 1))
+	}
+	registry := func(docs []json.RawMessage) []byte {
+		b, err := json.Marshal(docs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return append(b, '\n')
+	}
+	// boot starts a service over a registry file holding raw, checks it
+	// resurrected want sweeps, and returns the service, its store and
+	// whether the file was replaced.
+	boot := func(dir string, raw []byte, want int) (*Service, *store.Store, bool) {
+		t.Helper()
+		path := filepath.Join(dir, "sweeps.json")
+		if err := os.WriteFile(path, raw, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		before, err := os.Stat(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		st, err := store.Open(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		svc := NewService(1, st, nil)
+		if n := len(svc.Sweeps()); n != want {
+			t.Fatalf("booted %d sweeps, want %d", n, want)
+		}
+		after, err := os.Stat(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return svc, st, !os.SameFile(before, after) || !after.ModTime().Equal(before.ModTime())
+	}
+	shutdown := func(svc *Service, st *store.Store) {
+		ctx, cancel := context.WithCancel(context.Background())
+		cancel() // the resurrected sweeps are not the point: stop them
+		svc.Close(ctx)
+		if err := st.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	fileIs := func(dir string, want []byte) {
+		t.Helper()
+		got, err := os.ReadFile(filepath.Join(dir, "sweeps.json"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Fatalf("registry file:\n%s\nwant:\n%s", got, want)
+		}
+	}
+
+	dir := t.TempDir()
+	svc, st, rewritten := boot(dir, registry(docs), len(docs))
+	if rewritten {
+		t.Fatal("a boot that dropped nothing rewrote the registry")
+	}
+	fileIs(dir, registry(docs))
+	extra := exp.Spec{Targets: []string{"default/gauss/sc"}, Scale: "tiny", Procs: 4, Seed: 9999}
+	if _, created, err := svc.SubmitSweep(context.Background(), extra); err != nil || !created {
+		t.Fatalf("submit after boot: created=%v err=%v", created, err)
+	}
+	fileIs(dir, registry(append(docs[:len(docs):len(docs)], specDoc(9999))))
+	shutdown(svc, st)
+
+	dir = t.TempDir()
+	dirty := append([]json.RawMessage{docs[0], json.RawMessage(`[1]`)}, docs...)
+	dirty = append(dirty, json.RawMessage(`{"targets":["fig99"]}`))
+	svc, st, rewritten = boot(dir, registry(dirty), len(docs))
+	if !rewritten {
+		t.Fatal("a boot that dropped specs left the registry as it was")
+	}
+	fileIs(dir, registry(docs))
+	shutdown(svc, st)
 }

@@ -36,7 +36,8 @@ type Evaluator struct {
 	// cancelled sweep stops simulating promptly. Nil means Background.
 	Ctx context.Context
 
-	runs map[string]memoRun // by cellKey
+	runs map[string]memoRun    // by cellKey
+	jobs map[string]runner.Job // keyed jobs (CellJob) by cellKey
 }
 
 // memoRun is one memoized cell: the result and the variant name it ran
@@ -56,7 +57,7 @@ func cellKey(variant, appName, proto string) string {
 // (the paper evaluates 64 processors). Runs execute serially; set R to
 // share a worker pool and result cache.
 func NewEvaluator(scale apps.Scale, procs int) *Evaluator {
-	return &Evaluator{Scale: scale, Procs: procs, runs: make(map[string]memoRun)}
+	return &Evaluator{Scale: scale, Procs: procs, runs: make(map[string]memoRun), jobs: make(map[string]runner.Job)}
 }
 
 // engine returns the evaluator's runner, creating a serial one on first
@@ -135,6 +136,20 @@ func (e *Evaluator) Job(variant, appName, proto string) runner.Job {
 	return runner.Job{App: appName, Scale: e.Scale, Proto: proto, Cfg: mustCell(variant, e.Procs, e.Scale, e.Seed)}
 }
 
+// CellJob is Job keyed (runner.Job.Keyed) and memoized: a cell is
+// fingerprinted on its first request, so a submitter listing a sweep's
+// fingerprints and the Prefetch that runs it hash each cell once between
+// them.
+func (e *Evaluator) CellJob(variant, appName, proto string) runner.Job {
+	key := cellKey(variant, appName, proto)
+	j, ok := e.jobs[key]
+	if !ok {
+		j = e.Job(variant, appName, proto).Keyed()
+		e.jobs[key] = j
+	}
+	return j
+}
+
 // Get runs (or recalls) one experiment cell. A cell Prefetch already
 // resolved is served from the memo without touching the runner; any
 // other goes through runner.Do, which deduplicates by content
@@ -161,14 +176,14 @@ func (e *Evaluator) Get(variant, appName, proto string) *runner.Result {
 // carries one lifecycle per fingerprint.
 func (e *Evaluator) Prefetch(cells [][3]string) {
 	jobs := make([]runner.Job, 0, len(cells))
-	index := make(map[runner.Job]int, len(cells)) // job -> its index in jobs
-	slot := make([]int, len(cells))               // cell -> its job's index
+	index := make(map[string]int, len(cells)) // fingerprint -> its job's index in jobs
+	slot := make([]int, len(cells))           // cell -> its job's index
 	for i, c := range cells {
-		j := e.Job(c[0], c[1], c[2])
-		k, ok := index[j]
+		j := e.CellJob(c[0], c[1], c[2])
+		k, ok := index[j.Fingerprint()]
 		if !ok {
 			k = len(jobs)
-			index[j] = k
+			index[j.Fingerprint()] = k
 			jobs = append(jobs, j)
 		}
 		slot[i] = k

@@ -4,7 +4,9 @@ import (
 	"fmt"
 	"html"
 	"io"
+	"slices"
 	"sort"
+	"strconv"
 	"strings"
 
 	"lazyrc/internal/config"
@@ -34,14 +36,14 @@ func protoSlot(proto string) int {
 // breakdownLabels names the four cycle categories in stack order.
 var breakdownLabels = [4]string{"busy", "read stall", "write stall", "sync stall"}
 
-func fmtVal(v float64) string {
+func writeVal(b *strings.Builder, v float64) {
 	switch {
 	case v == 0:
-		return "0"
+		b.WriteByte('0')
 	case v >= 100:
-		return fmt.Sprintf("%.0f", v)
+		telemetry.Fixedf(b, "%.0f", v)
 	default:
-		return fmt.Sprintf("%.2f", v)
+		telemetry.Fixedf(b, "%.2f", v)
 	}
 }
 
@@ -92,17 +94,18 @@ func groupedColumns(groups []columnGroup, segLabels []string, yUnit string) stri
 		v := step * float64(g)
 		y := padT + plotH*(1-v/yTop)
 		if g > 0 {
-			fmt.Fprintf(&b, `<line x1="%.1f" y1="%.1f" x2="%.1f" y2="%.1f" stroke="var(--grid)" stroke-width="1"/>`+"\n",
+			telemetry.Fixedf(&b, `<line x1="%.1f" y1="%.1f" x2="%.1f" y2="%.1f" stroke="var(--grid)" stroke-width="1"/>`+"\n",
 				padL, y, padL+plotW, y)
 		}
-		fmt.Fprintf(&b, `<text x="%.1f" y="%.1f" font-size="11" fill="var(--text-muted)" text-anchor="end">%s</text>`+"\n",
-			padL-6, y+4, fmtVal(v))
+		telemetry.Fixedf(&b, `<text x="%.1f" y="%.1f" font-size="11" fill="var(--text-muted)" text-anchor="end">`, padL-6, y+4)
+		writeVal(&b, v)
+		b.WriteString("</text>\n")
 	}
-	fmt.Fprintf(&b, `<line x1="%.1f" y1="%.1f" x2="%.1f" y2="%.1f" stroke="var(--baseline)" stroke-width="1"/>`+"\n",
+	telemetry.Fixedf(&b, `<line x1="%.1f" y1="%.1f" x2="%.1f" y2="%.1f" stroke="var(--baseline)" stroke-width="1"/>`+"\n",
 		padL, padT+plotH, padL+plotW, padT+plotH)
 	if yUnit != "" {
-		fmt.Fprintf(&b, `<text x="%.1f" y="%.1f" font-size="11" fill="var(--text-muted)">%s</text>`+"\n",
-			padL, padT-2, html.EscapeString(yUnit))
+		telemetry.Fixedf(&b, `<text x="%.1f" y="%.1f" font-size="11" fill="var(--text-muted)">`, padL, padT-2)
+		b.WriteString(html.EscapeString(yUnit) + "</text>\n")
 	}
 
 	groupW := plotW / float64(len(groups))
@@ -138,28 +141,37 @@ func groupedColumns(groups []columnGroup, segLabels []string, yUnit string) stri
 				if !isTop && gapH > 2 {
 					gapH -= 2
 				}
-				label := g.label
-				segName := g.protos[ci]
-				if len(st) > 1 {
-					segName = g.protos[ci] + " " + segLabels[si]
-				}
+				end := "</title></rect>\n"
 				if isTop && gapH > 4 {
 					r := 4.0
 					cw := colW - 2
-					fmt.Fprintf(&b, `<path d="M%.1f %.1f L%.1f %.1f Q%.1f %.1f %.1f %.1f L%.1f %.1f Q%.1f %.1f %.1f %.1f L%.1f %.1f Z" fill="var(--s%d)"><title>%s · %s: %s</title></path>`+"\n",
+					telemetry.Fixedf(&b, `<path d="M%.1f %.1f L%.1f %.1f Q%.1f %.1f %.1f %.1f L%.1f %.1f Q%.1f %.1f %.1f %.1f L%.1f %.1f Z" fill="var(--s`,
 						x, yTopSeg+gapH, x, yTopSeg+r, x, yTopSeg, x+r, yTopSeg,
-						x+cw-r, yTopSeg, x+cw, yTopSeg, x+cw, yTopSeg+r, x+cw, yTopSeg+gapH,
-						slot, html.EscapeString(label), html.EscapeString(segName), fmtVal(v))
+						x+cw-r, yTopSeg, x+cw, yTopSeg, x+cw, yTopSeg+r, x+cw, yTopSeg+gapH)
+					end = "</title></path>\n"
 				} else {
-					fmt.Fprintf(&b, `<rect x="%.1f" y="%.1f" width="%.1f" height="%.1f" fill="var(--s%d)"><title>%s · %s: %s</title></rect>`+"\n",
-						x, yTopSeg, colW-2, gapH, slot,
-						html.EscapeString(label), html.EscapeString(segName), fmtVal(v))
+					telemetry.Fixedf(&b, `<rect x="%.1f" y="%.1f" width="%.1f" height="%.1f" fill="var(--s`,
+						x, yTopSeg, colW-2, gapH)
 				}
+				// The hover title: app · protocol[ segment]: value.
+				b.WriteString(strconv.Itoa(slot))
+				b.WriteString(`)"><title>`)
+				b.WriteString(html.EscapeString(g.label))
+				b.WriteString(" · ")
+				b.WriteString(html.EscapeString(g.protos[ci]))
+				if len(st) > 1 {
+					b.WriteString(" ")
+					b.WriteString(html.EscapeString(segLabels[si]))
+				}
+				b.WriteString(": ")
+				writeVal(&b, v)
+				b.WriteString(end)
 				cum += v
 			}
 		}
-		fmt.Fprintf(&b, `<text x="%.1f" y="%.1f" font-size="11" fill="var(--text-secondary)" text-anchor="middle">%s</text>`+"\n",
-			padL+float64(gi)*groupW+groupW/2, h-10, html.EscapeString(g.label))
+		telemetry.Fixedf(&b, `<text x="%.1f" y="%.1f" font-size="11" fill="var(--text-secondary)" text-anchor="middle">`,
+			padL+float64(gi)*groupW+groupW/2, h-10)
+		b.WriteString(html.EscapeString(g.label) + "</text>\n")
 	}
 	b.WriteString("</svg>\n")
 
@@ -188,9 +200,11 @@ func groupedColumns(groups []columnGroup, segLabels []string, yUnit string) stri
 		b.WriteString("</tr>\n")
 		for _, g := range groups {
 			for ci, st := range g.stacks {
-				fmt.Fprintf(&b, "<tr><td>%s</td><td>%s</td>", html.EscapeString(g.label), html.EscapeString(g.protos[ci]))
+				b.WriteString("<tr><td>" + html.EscapeString(g.label) + "</td><td>" + html.EscapeString(g.protos[ci]) + "</td>")
 				for _, v := range st {
-					fmt.Fprintf(&b, "<td>%s</td>", fmtVal(v))
+					b.WriteString("<td>")
+					writeVal(&b, v)
+					b.WriteString("</td>")
 				}
 				b.WriteString("</tr>\n")
 			}
@@ -201,15 +215,15 @@ func groupedColumns(groups []columnGroup, segLabels []string, yUnit string) stri
 		}
 		b.WriteString("</tr>\n")
 		for _, g := range groups {
-			fmt.Fprintf(&b, "<tr><td>%s</td>", html.EscapeString(g.label))
+			b.WriteString("<tr><td>" + html.EscapeString(g.label) + "</td>")
 			for _, p := range protoOrder {
-				cell := "–"
-				for ci, gp := range g.protos {
-					if gp == p {
-						cell = fmtVal(g.stacks[ci][0])
-					}
+				b.WriteString("<td>")
+				if ci := slices.Index(g.protos, p); ci >= 0 {
+					writeVal(&b, g.stacks[ci][0])
+				} else {
+					b.WriteString("–")
 				}
-				fmt.Fprintf(&b, "<td>%s</td>", cell)
+				b.WriteString("</td>")
 			}
 			b.WriteString("</tr>\n")
 		}
@@ -274,14 +288,26 @@ func WriteHTML(w io.Writer, rep Report) error {
 	// Full measurements table, every config.
 	var b strings.Builder
 	b.WriteString("<table><tr><th>config</th><th>app</th><th>protocol</th><th>exec cycles</th><th>msgs</th><th>bytes</th><th>miss %</th><th>verified</th><th>metrics digest</th></tr>\n")
+	var num [20]byte
 	for _, r := range rep.Runs {
 		ok := "yes"
 		if !r.Verified {
 			ok = "NO"
 		}
-		fmt.Fprintf(&b, "<tr><td>%s</td><td>%s</td><td>%s</td><td>%d</td><td>%d</td><td>%d</td><td>%.3f</td><td>%s</td><td>%.12s</td></tr>\n",
-			html.EscapeString(r.Config), html.EscapeString(r.App), html.EscapeString(r.Protocol),
-			r.ExecCycles, r.NetworkMsgs, r.NetworkBytes, r.MissRatePct, ok, html.EscapeString(r.MetricsDigest))
+		b.WriteString("<tr>")
+		for _, s := range [...]string{r.Config, r.App, r.Protocol} {
+			b.WriteString("<td>")
+			b.WriteString(html.EscapeString(s))
+			b.WriteString("</td>")
+		}
+		for _, n := range [...]uint64{r.ExecCycles, r.NetworkMsgs, r.NetworkBytes} {
+			b.WriteString("<td>")
+			b.Write(strconv.AppendUint(num[:0], n, 10))
+			b.WriteString("</td>")
+		}
+		telemetry.Fixedf(&b, "<td>%.3f</td><td>", r.MissRatePct)
+		b.WriteString(ok)
+		fmt.Fprintf(&b, "</td><td>%.12s</td></tr>\n", html.EscapeString(r.MetricsDigest))
 	}
 	b.WriteString("</table>\n")
 	doc.Section("All runs", b.String())

@@ -139,9 +139,17 @@ func (s Spec) ID() string {
 	if err != nil {
 		n = s // an invalid spec still hashes deterministically
 	}
-	b, _ := json.Marshal(n)
-	sum := sha256.Sum256(b)
-	return hex.EncodeToString(sum[:])
+	id, _ := n.Canonical()
+	return id
+}
+
+// Canonical returns the ID of a spec Normalize returned and the canonical
+// JSON document it hashes — what the daemon's sweep registry stores. It
+// does not normalize again.
+func (s Spec) Canonical() (id string, doc []byte) {
+	doc, _ = json.Marshal(s)
+	sum := sha256.Sum256(doc)
+	return hex.EncodeToString(sum[:]), doc
 }
 
 // Expand validates the spec and expands it, once: its canonical form,

@@ -110,18 +110,19 @@ func TestFinalizeReportsAllUnhandledNodes(t *testing.T) {
 	}
 }
 
-// TestInjectedDuplicateSharesTID verifies duplicates carry the original's
-// transaction id and arrive later.
-func TestInjectedDuplicateSharesTID(t *testing.T) {
+// TestInjectedDuplicateSharesSeq verifies duplicates carry the original's
+// channel identity (Src, Seq) and arrive later.
+func TestInjectedDuplicateSharesSeq(t *testing.T) {
 	eng := sim.NewEngine()
 	n := New(eng, config.Default(8))
 	type arrival struct {
-		tid uint64
+		src int
+		seq uint64
 		at  sim.Time
 	}
 	var got []arrival
 	for i := range 8 {
-		n.Handle(i, func(m Msg) { got = append(got, arrival{m.TID, eng.Now()}) })
+		n.Handle(i, func(m Msg) { got = append(got, arrival{m.Src, m.Seq, eng.Now()}) })
 	}
 	// dup=1 duplicates every message deterministically.
 	plan, err := faults.ParsePlan("dup=1:16")
@@ -136,8 +137,9 @@ func TestInjectedDuplicateSharesTID(t *testing.T) {
 	if len(got) != 2 {
 		t.Fatalf("%d deliveries, want original + duplicate", len(got))
 	}
-	if got[0].tid == 0 || got[0].tid != got[1].tid {
-		t.Fatalf("duplicate TID %d != original TID %d (or unstamped)", got[1].tid, got[0].tid)
+	if got[0].seq == 0 || got[0].seq != got[1].seq || got[0].src != got[1].src {
+		t.Fatalf("duplicate (src %d, seq %d) != original (src %d, seq %d) (or unstamped)",
+			got[1].src, got[1].seq, got[0].src, got[0].seq)
 	}
 	if got[1].at <= got[0].at {
 		t.Fatalf("duplicate at %d not after original at %d", got[1].at, got[0].at)

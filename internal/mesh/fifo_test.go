@@ -18,9 +18,11 @@ import (
 // delivery-delay choices combined with engine event-tie choices.
 
 // delivery is one observed handler invocation.
+// stamp is the transport's channel sequence number (Msg.Seq, 0 without
+// an injector): with src it identifies a message and its duplicates.
 type delivery struct {
 	src, seq int
-	tid      uint64
+	stamp    uint64
 }
 
 // fifoWorkload drives a burst-heavy traffic pattern over every ordered
@@ -31,7 +33,7 @@ func fifoWorkload(eng *sim.Engine, n *Network, procs int) [][]delivery {
 	for id := 0; id < procs; id++ {
 		id := id
 		n.Handle(id, func(m Msg) {
-			got[id] = append(got[id], delivery{src: m.Src, seq: int(m.Arg), tid: m.TID})
+			got[id] = append(got[id], delivery{src: m.Src, seq: int(m.Arg), stamp: m.Seq})
 		})
 	}
 	sizes := []int{0, 0, 32, 128}
@@ -61,18 +63,19 @@ func fifoWorkload(eng *sim.Engine, n *Network, procs int) [][]delivery {
 }
 
 // checkPairFIFO asserts that, per (src, dst) pair, first deliveries (the
-// injector may duplicate; receivers deduplicate on TID) arrive in send
+// injector may duplicate; receivers deduplicate on (Src, Seq)) arrive in send
 // order with none missing.
 func checkPairFIFO(t *testing.T, got [][]delivery, procs int, label string) {
 	t.Helper()
 	for dst := range got {
 		next := make([]int, procs) // expected seq per source
-		seen := map[uint64]bool{}
+		seen := map[[2]uint64]bool{}
 		for _, d := range got[dst] {
-			if d.tid != 0 && seen[d.tid] {
+			id := [2]uint64{uint64(d.src), d.stamp}
+			if d.stamp != 0 && seen[id] {
 				continue // injected duplicate
 			}
-			seen[d.tid] = true
+			seen[id] = true
 			if d.seq != next[d.src] {
 				t.Fatalf("%s: dst %d got seq %d from src %d, want %d — per-(src,dst) FIFO violated",
 					label, dst, d.seq, d.src, next[d.src])

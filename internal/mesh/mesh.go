@@ -45,14 +45,13 @@ type Network struct {
 	byKind    []uint64 // indexed by Msg.Kind, grown on demand
 
 	// Fault injection (nil = reliable fabric, the default). When an
-	// injector is attached every message is stamped with a transaction id
-	// and a per-channel sequence number, the reliable-delivery transport
+	// injector is attached every message is stamped with a per-channel
+	// sequence number, the reliable-delivery transport
 	// (tr, see transport.go) retransmits losses end-to-end, and lastEntry
 	// serializes per-(src,dst) network entry so injected reordering never
 	// violates the pairwise FIFO guarantee the protocols assume.
 	inj       *faults.Injector
 	tr        *transport
-	nextTID   uint64
 	lastEntry []sim.Time // nprocs*nprocs, indexed src*nprocs+dst
 
 	injReordered, injDelayed, injDuped, injDropped uint64
@@ -110,22 +109,18 @@ type Msg struct {
 	// tracker can follow which write's data each copy actually holds.
 	Vals []uint64
 
-	// TID is the network-assigned transaction id, stamped only when fault
-	// injection is active (0 otherwise). An injected duplicate carries its
-	// original's TID.
-	TID uint64
-
 	// Seq is the reliable-transport sequence number on the message's
 	// (src,dst) channel, stamped (1-based) only when fault injection is
 	// active; retransmissions and injected duplicates carry the
 	// original's Seq, and receivers run stamped messages through a
-	// Sequencer for exactly-once in-order delivery. Like TID it depends
-	// on dynamic send order, so it is excluded from msgHash.
+	// Sequencer for exactly-once in-order delivery; (Src, Seq) identifies
+	// a message on its channel. It depends on dynamic send order, so it is
+	// excluded from msgHash.
 	Seq uint64
 
 	// CT is the causal transaction id threaded through the message,
 	// stamped at Send from the tracer's current context when causal
-	// tracing is enabled (0 otherwise). Like TID it depends on dynamic
+	// tracing is enabled (0 otherwise). Like Seq it depends on dynamic
 	// send order, so it is excluded from msgHash.
 	CT uint64
 }
@@ -146,8 +141,8 @@ func New(eng *sim.Engine, cfg config.Config) *Network {
 	}
 	n.delivery = eng.Register(perf.PhaseMesh, n.deliver)
 	for i := range n.in {
-		n.in[i] = sim.NewResource(fmt.Sprintf("nic-in%d", i))
-		n.out[i] = sim.NewResource(fmt.Sprintf("nic-out%d", i))
+		n.in[i] = new(sim.Resource)
+		n.out[i] = new(sim.Resource)
 	}
 	return n
 }
@@ -325,11 +320,9 @@ func (n *Network) Send(m Msg) {
 		n.transmit(m, 0)
 		return
 	}
-	// Stamp identity once — the transaction id and the channel sequence
-	// number — then enter the ledger and dispatch through the injector.
-	// Retransmissions re-enter via dispatch with the same stamps.
-	n.nextTID++
-	m.TID = n.nextTID
+	// Stamp identity once — the channel sequence number — then enter the
+	// ledger and dispatch through the injector. Retransmissions re-enter
+	// via dispatch with the same stamp.
 	pair := m.Src*n.nprocs + m.Dst
 	n.tr.seq[pair]++
 	m.Seq = n.tr.seq[pair]
@@ -447,7 +440,7 @@ func (n *Network) deliver(slot uint32) {
 }
 
 // msgHash is the record of a message's protocol-visible content (not its
-// TID, Seq or CT, which depend on send order alone).
+// Seq or CT, which depend on send order alone).
 func msgHash(m *Msg) fold.Rec {
 	r := fold.Record(fold.Flight, m.Addr)
 	r.Word(uint64(uint32(m.Src)) | uint64(uint32(m.Dst))<<32)

@@ -206,9 +206,9 @@ func NewNode(env *Env, id int, proto Protocol) *Node {
 		Cache: cache.New(cfg.Lines()),
 		WB:    cache.NewWriteBuffer(cfg.WBEntries),
 		CB:    cache.NewCoalescingBuffer(cfg.CBEntries),
-		PP:    sim.NewResource(fmt.Sprintf("pp%d", id)),
-		Mem:   sim.NewResource(fmt.Sprintf("mem%d", id)),
-		Bus:   sim.NewResource(fmt.Sprintf("bus%d", id)),
+		PP:    new(sim.Resource),
+		Mem:   new(sim.Resource),
+		Bus:   new(sim.Resource),
 		Dir:   directory.New(cfg.Procs, cfg.CheckInvariants),
 		PS:    &env.Stats.Procs[id],
 

@@ -44,6 +44,17 @@ type Job struct {
 	Scale apps.Scale    `json:"scale"`
 	Proto string        `json:"proto"`
 	Cfg   config.Config `json:"cfg"`
+
+	fp string // the fingerprint a keyed job carries (Keyed); empty otherwise
+}
+
+// Keyed returns the job carrying its fingerprint, computed once here:
+// Fingerprint — and so a Runner executing the job, and the result it
+// records — reads it instead of hashing the configuration again. A keyed
+// job is passed along, never edited; derive variants from an unkeyed one.
+func (j Job) Keyed() Job {
+	j.fp = j.Fingerprint()
+	return j
 }
 
 // Fingerprint returns the job's content hash: a hex SHA-256 over a
@@ -53,20 +64,21 @@ type Job struct {
 // encoding and therefore retires all previously cached results — the
 // conservative direction for a result cache.
 func (j Job) Fingerprint() string {
+	if j.fp != "" {
+		return j.fp
+	}
 	cfg, err := json.Marshal(j.Cfg)
 	if err != nil {
 		// config.Config is a plain struct of scalars; Marshal cannot fail.
 		panic("runner: encoding config: " + err.Error())
 	}
-	h := sha256.New()
-	h.Write([]byte(fingerprintVersion))
-	h.Write([]byte{0})
-	h.Write([]byte(j.App))
-	h.Write([]byte{0})
-	h.Write([]byte(j.Scale.String()))
-	h.Write([]byte{0})
-	h.Write([]byte(j.Proto))
-	h.Write([]byte{0})
-	h.Write(cfg)
-	return hex.EncodeToString(h.Sum(nil))
+	scale := j.Scale.String()
+	enc := make([]byte, 0, len(fingerprintVersion)+len(j.App)+len(scale)+len(j.Proto)+len(cfg)+4)
+	for _, field := range [...]string{fingerprintVersion, j.App, scale, j.Proto} {
+		enc = append(append(enc, field...), 0)
+	}
+	sum := sha256.Sum256(append(enc, cfg...))
+	var hx [2 * sha256.Size]byte
+	hex.Encode(hx[:], sum[:])
+	return string(hx[:])
 }

@@ -274,7 +274,7 @@ func TestGateDoubleOpenPanics(t *testing.T) {
 }
 
 func TestResourceFIFO(t *testing.T) {
-	r := NewResource("mem")
+	r := new(Resource)
 	s, e := r.Acquire(100, 10)
 	if s != 100 || e != 110 {
 		t.Fatalf("first acquire = [%d,%d), want [100,110)", s, e)
@@ -293,7 +293,7 @@ func TestResourceFIFO(t *testing.T) {
 }
 
 func TestResourceWindow(t *testing.T) {
-	r := NewResource("nic")
+	r := new(Resource)
 	// Uncontended: completes exactly at natural end.
 	if end := r.AcquireWindow(100, 20); end != 100 {
 		t.Fatalf("uncontended window end = %d, want 100", end)
@@ -312,7 +312,7 @@ func TestResourceMonotonicProperty(t *testing.T) {
 		At  uint16
 		Dur uint8
 	}) bool {
-		r := NewResource("x")
+		r := new(Resource)
 		lastEnd := Time(0)
 		for _, q := range reqs {
 			s, e := r.Acquire(Time(q.At), uint64(q.Dur)+1)
@@ -335,7 +335,7 @@ func TestDeterminism(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		e := NewEngine()
 		var trace strings.Builder
-		res := NewResource("shared")
+		res := new(Resource)
 		for i := 0; i < 8; i++ {
 			name := fmt.Sprintf("p%d", i)
 			jitter := uint64(rng.Intn(20))
@@ -389,10 +389,7 @@ func TestWakeAt(t *testing.T) {
 }
 
 func TestResourceAccessors(t *testing.T) {
-	r := NewResource("mem0")
-	if r.Name() != "mem0" {
-		t.Fatal("name wrong")
-	}
+	r := new(Resource)
 	r.Acquire(5, 10)
 	if r.FreeAt() != 15 {
 		t.Fatalf("FreeAt = %d", r.FreeAt())

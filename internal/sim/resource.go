@@ -8,8 +8,9 @@ package sim
 // Because the whole simulation is single-threaded and deterministic,
 // occupancy can be resolved eagerly at request time: the caller schedules
 // its continuation at the returned end time.
+//
+// The zero value is a resource free at time zero.
 type Resource struct {
-	name   string
 	freeAt Time
 
 	// Busy accumulates total occupied cycles, Waited total queueing
@@ -19,12 +20,6 @@ type Resource struct {
 	waited uint64
 	uses   uint64
 }
-
-// NewResource returns a named resource that is free at time zero.
-func NewResource(name string) *Resource { return &Resource{name: name} }
-
-// Name returns the resource's diagnostic name.
-func (r *Resource) Name() string { return r.name }
 
 // Acquire reserves the resource for dur cycles starting no earlier than
 // at. It returns the actual [start, end) occupancy interval.

@@ -1,6 +1,7 @@
 package store
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -410,5 +411,72 @@ func TestSweepRegistryCorruptSidecarDropped(t *testing.T) {
 	}
 	if s.Recovered() == 0 {
 		t.Fatal("corrupt sidecar not counted as recovered garbage")
+	}
+}
+
+// TestSaveSweepsIsMarshal: the registry joins the documents it is given
+// without re-encoding them, and the file is still byte for byte what
+// json.Marshal of the list (plus a newline) was.
+func TestSaveSweepsIsMarshal(t *testing.T) {
+	s, err := Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	doc := func(v any) json.RawMessage {
+		b, err := json.Marshal(v)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b
+	}
+	for _, specs := range [][]json.RawMessage{
+		nil,
+		{},
+		{doc(map[string]any{"targets": []string{"fig4"}, "scale": "tiny", "procs": 4, "seed": 1})},
+		{doc(map[string]any{"apps": []string{"<gauss&>"}}), doc(map[string]any{}), doc(map[string]any{"seed": uint64(1) << 63})},
+	} {
+		if err := s.SaveSweeps(specs); err != nil {
+			t.Fatal(err)
+		}
+		want := doc(append([]json.RawMessage{}, specs...))
+		got, err := os.ReadFile(filepath.Join(s.dir, sweepsName))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if string(got) != string(want)+"\n" {
+			t.Fatalf("registry file %q, json.Marshal says %q", got, want)
+		}
+	}
+}
+
+// TestLeftoverSweepsTmpIgnored: a crash between creating the registry's
+// temp file and renaming it leaves sweeps.json.tmp of any length behind;
+// opening ignores it, the registry is the last one installed, and the
+// next save replaces the leftover.
+func TestLeftoverSweepsTmpIgnored(t *testing.T) {
+	for _, n := range []int{0, 1, 7, 4096} {
+		dir := t.TempDir()
+		installed := []byte(`[{"scale":"tiny"}]` + "\n")
+		if err := os.WriteFile(filepath.Join(dir, sweepsName), installed, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dir, sweepsTmp), bytes.Repeat([]byte(`[{"x`), n)[:n], 0o644); err != nil {
+			t.Fatal(err)
+		}
+		s, err := Open(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := s.Sweeps(); len(got) != 1 || string(got[0]) != `{"scale":"tiny"}` || s.Recovered() != 0 {
+			t.Fatalf("%d-byte leftover: registry %s, %d recovered", n, got, s.Recovered())
+		}
+		if err := s.SaveSweeps(nil); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := os.Stat(filepath.Join(dir, sweepsTmp)); !os.IsNotExist(err) {
+			t.Fatalf("%d-byte leftover survived a save: %v", n, err)
+		}
+		s.Close()
 	}
 }

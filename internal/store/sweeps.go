@@ -18,17 +18,20 @@ const (
 )
 
 // SaveSweeps atomically replaces the sweep registry sidecar with the
-// given spec documents, preserving order. The write is tmp + fsync +
-// rename, so a crash leaves either the old registry or the new one,
-// never a torn file.
+// given spec documents, preserving order. Each must be compact JSON as
+// json.Marshal writes it; the documents are joined as they are, so the
+// file is byte for byte json.Marshal of the list without re-encoding it.
+// The write is tmp + fsync + rename, so a crash leaves either the old
+// registry or the new one, never a torn file.
 func (s *Store) SaveSweeps(specs []json.RawMessage) error {
-	if specs == nil {
-		specs = []json.RawMessage{}
+	data := []byte{'['}
+	for i, spec := range specs {
+		if i > 0 {
+			data = append(data, ',')
+		}
+		data = append(data, spec...)
 	}
-	data, err := json.Marshal(specs)
-	if err != nil {
-		return fmt.Errorf("store: encoding sweep registry: %w", err)
-	}
+	data = append(data, "]\n"...)
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {
@@ -39,7 +42,7 @@ func (s *Store) SaveSweeps(specs []json.RawMessage) error {
 	if err != nil {
 		return fmt.Errorf("store: creating %s: %w", sweepsTmp, err)
 	}
-	if _, err := f.Write(append(data, '\n')); err != nil {
+	if _, err := f.Write(data); err != nil {
 		f.Close()
 		os.Remove(tmp)
 		return fmt.Errorf("store: writing sweep registry: %w", err)

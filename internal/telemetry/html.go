@@ -5,6 +5,7 @@ import (
 	"html"
 	"io"
 	"math"
+	"strconv"
 	"strings"
 )
 
@@ -106,7 +107,9 @@ func (d *HTMLDoc) Section(heading, inner string) {
 	if heading != "" {
 		fmt.Fprintf(&d.body, "<h2>%s</h2>\n", html.EscapeString(heading))
 	}
-	d.body.WriteString(`<div class="card">` + "\n" + inner + "\n</div>\n")
+	d.body.WriteString(`<div class="card">` + "\n")
+	d.body.WriteString(inner)
+	d.body.WriteString("\n</div>\n")
 }
 
 // SetRefresh makes the page reload itself every n seconds (n <= 0
@@ -127,10 +130,66 @@ func (d *HTMLDoc) Render(w io.Writer) error {
 	if d.subtitle != "" {
 		fmt.Fprintf(&b, "<p class=\"sub\">%s</p>\n", html.EscapeString(d.subtitle))
 	}
-	b.WriteString(d.body.String())
-	b.WriteString("</body>\n</html>\n")
-	_, err := io.WriteString(w, b.String())
-	return err
+	// Head, body and tail go out as they are: the body is most of the
+	// page, and copying it into one string first would double the bytes.
+	for _, part := range [...]string{b.String(), d.body.String(), "</body>\n</html>\n"} {
+		if _, err := io.WriteString(w, part); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// fixedScale holds the powers of ten AppendFixed rounds at in float64.
+var fixedScale = [...]float64{1, 10, 100, 1e3, 1e4, 1e5, 1e6}
+
+// AppendFixed appends v with prec digits after the point, byte for byte
+// what fmt's %.*f (strconv's 'f' format) prints. Both of those take the
+// multiprecision path for any explicit 'f' precision; here |v|·10^prec
+// is rounded in float64 instead, which is exact while the product is
+// below 1e9 (half an ulp is then under 1e-7) and its fraction is not
+// within 1e-6 of a .5 tie. Everything else — near-ties, NaN, ±Inf, huge
+// magnitudes, prec outside 0–6 — falls back to strconv.
+func AppendFixed(dst []byte, v float64, prec int) []byte {
+	if prec < 0 || prec >= len(fixedScale) {
+		return strconv.AppendFloat(dst, v, 'f', prec, 64)
+	}
+	scaled := math.Abs(v) * fixedScale[prec]
+	whole := math.Floor(scaled)
+	frac := scaled - whole
+	if !(scaled < 1e9) || math.Abs(frac-0.5) < 1e-6 {
+		return strconv.AppendFloat(dst, v, 'f', prec, 64)
+	}
+	r := uint64(whole)
+	if frac > 0.5 {
+		r++
+	}
+	if math.Signbit(v) {
+		dst = append(dst, '-') // as strconv: -0.01 at one digit is "-0.0"
+	}
+	unit := uint64(fixedScale[prec])
+	dst = strconv.AppendUint(dst, r/unit, 10)
+	if prec > 0 {
+		dst = append(dst, '.')
+		for d := unit / 10; d > 0; d /= 10 {
+			dst = append(dst, byte('0'+r%unit/d%10))
+		}
+	}
+	return dst
+}
+
+// Fixedf writes format to b with its %.Nf verbs (N one digit) replaced,
+// in order, by vs through AppendFixed: what fmt.Fprintf prints for float
+// arguments, without boxing them. format must hold a verb per value.
+func Fixedf(b *strings.Builder, format string, vs ...float64) {
+	var num [32]byte
+	for _, v := range vs {
+		i := strings.Index(format, "%.")
+		b.WriteString(format[:i])
+		b.Write(AppendFixed(num[:0], v, int(format[i+2]-'0')))
+		format = format[i+4:]
+	}
+	b.WriteString(format)
 }
 
 // chartSeries is one named series handed to a chart renderer, bound to a
@@ -148,21 +207,55 @@ func slotVar(slot int) string {
 	return fmt.Sprintf("var(--s%d)", slot+1)
 }
 
-// fmtNum renders a value compactly for labels and tables.
-func fmtNum(v float64) string {
+// writeNum writes a value compactly for labels and tables.
+func writeNum(b *strings.Builder, v float64) {
 	switch {
 	case v == 0:
-		return "0"
+		b.WriteByte('0')
 	case math.Abs(v) >= 1e9:
-		return fmt.Sprintf("%.1fG", v/1e9)
+		Fixedf(b, "%.1fG", v/1e9)
 	case math.Abs(v) >= 1e6:
-		return fmt.Sprintf("%.1fM", v/1e6)
+		Fixedf(b, "%.1fM", v/1e6)
 	case math.Abs(v) >= 1e4:
-		return fmt.Sprintf("%.1fk", v/1e3)
+		Fixedf(b, "%.1fk", v/1e3)
 	case v == math.Trunc(v):
-		return fmt.Sprintf("%.0f", v)
+		Fixedf(b, "%.0f", v)
 	default:
-		return fmt.Sprintf("%.2f", v)
+		Fixedf(b, "%.2f", v)
+	}
+}
+
+// writeCell writes a value as one table cell.
+func writeCell(b *strings.Builder, v float64) {
+	b.WriteString("<td>")
+	writeNum(b, v)
+	b.WriteString("</td>")
+}
+
+// writeTitle closes an SVG element's opening tag with a hover title
+// "label @ cycle: value" and closes the element (end is its closing tag).
+func writeTitle(b *strings.Builder, label string, cycle uint64, v float64, unit, end string) {
+	b.WriteString("><title>" + html.EscapeString(label) + " @ " + strconv.FormatUint(cycle, 10) + ": ")
+	writeNum(b, v)
+	b.WriteString(unit + "</title>" + end + "\n")
+}
+
+// writeLabel writes an axis label at (x, y); attrs are the <text> tag's
+// remaining attributes.
+func writeLabel(b *strings.Builder, x, y float64, attrs string, v float64) {
+	Fixedf(b, `<text x="%.1f" y="%.1f" font-size="11" fill="var(--text-muted)" `, x, y)
+	b.WriteString(attrs + ">")
+	writeNum(b, v)
+	b.WriteString("</text>\n")
+}
+
+// writeVertex writes one vertex of an SVG path's d attribute: a moveto
+// for the first, a space-separated lineto after it.
+func writeVertex(b *strings.Builder, first bool, x, y float64) {
+	if first {
+		Fixedf(b, "M%.1f %.1f", x, y)
+	} else {
+		Fixedf(b, " L%.1f %.1f", x, y)
 	}
 }
 
@@ -220,13 +313,12 @@ func chartFrame(b *strings.Builder, times []uint64, ymax float64, yUnit string) 
 		v := ymax * float64(g) / float64(gridN)
 		y := yScale(v, ymax)
 		if g > 0 { // baseline drawn separately
-			fmt.Fprintf(b, `<line x1="%.1f" y1="%.1f" x2="%.1f" y2="%.1f" stroke="var(--grid)" stroke-width="1"/>`+"\n",
+			Fixedf(b, `<line x1="%.1f" y1="%.1f" x2="%.1f" y2="%.1f" stroke="var(--grid)" stroke-width="1"/>`+"\n",
 				padL, y, padL+plotW, y)
 		}
-		fmt.Fprintf(b, `<text x="%.1f" y="%.1f" font-size="11" fill="var(--text-muted)" text-anchor="end">%s</text>`+"\n",
-			padL-6, y+4, fmtNum(v))
+		writeLabel(b, padL-6, y+4, `text-anchor="end"`, v)
 	}
-	fmt.Fprintf(b, `<line x1="%.1f" y1="%.1f" x2="%.1f" y2="%.1f" stroke="var(--baseline)" stroke-width="1"/>`+"\n",
+	Fixedf(b, `<line x1="%.1f" y1="%.1f" x2="%.1f" y2="%.1f" stroke="var(--baseline)" stroke-width="1"/>`+"\n",
 		padL, padT+plotH, padL+plotW, padT+plotH)
 	n := len(times)
 	if n > 0 {
@@ -235,14 +327,12 @@ func chartFrame(b *strings.Builder, times []uint64, ymax float64, yUnit string) 
 			step = 1
 		}
 		for i := 0; i < n; i += step {
-			x := xScale(i, n)
-			fmt.Fprintf(b, `<text x="%.1f" y="%.1f" font-size="11" fill="var(--text-muted)" text-anchor="middle">%s</text>`+"\n",
-				x, padT+plotH+16, fmtNum(float64(times[i])))
+			writeLabel(b, xScale(i, n), padT+plotH+16, `text-anchor="middle"`, float64(times[i]))
 		}
 	}
 	if yUnit != "" {
-		fmt.Fprintf(b, `<text x="%.1f" y="%.1f" font-size="11" fill="var(--text-muted)">%s</text>`+"\n",
-			padL, padT-1, html.EscapeString(yUnit))
+		Fixedf(b, `<text x="%.1f" y="%.1f" font-size="11" fill="var(--text-muted)">`, padL, padT-1)
+		b.WriteString(html.EscapeString(yUnit) + "</text>\n")
 	}
 }
 
@@ -276,7 +366,7 @@ func tableHTML(times []uint64, series []chartSeries) string {
 			if i < len(s.Points) {
 				v = s.Points[i]
 			}
-			fmt.Fprintf(&b, "<td>%s</td>", fmtNum(v))
+			writeCell(&b, v)
 		}
 		b.WriteString("</tr>\n")
 	}
@@ -301,16 +391,11 @@ func lineChart(times []uint64, series []chartSeries, yUnit string) string {
 	chartFrame(&b, times, ymax, yUnit)
 	n := len(times)
 	for _, s := range series {
-		var path strings.Builder
+		b.WriteString(`<path d="`)
 		for i, v := range s.Points {
-			cmd := "L"
-			if i == 0 {
-				cmd = "M"
-			}
-			fmt.Fprintf(&path, "%s%.1f %.1f ", cmd, xScale(i, n), yScale(v, ymax))
+			writeVertex(&b, i == 0, xScale(i, n), yScale(v, ymax))
 		}
-		fmt.Fprintf(&b, `<path d="%s" fill="none" stroke="%s" stroke-width="2" stroke-linejoin="round" stroke-linecap="round"/>`+"\n",
-			strings.TrimSpace(path.String()), slotVar(s.Slot))
+		b.WriteString(`" fill="none" stroke="` + slotVar(s.Slot) + `" stroke-width="2" stroke-linejoin="round" stroke-linecap="round"/>` + "\n")
 	}
 	// Hover layer: one invisible circle per point with a <title> tooltip.
 	for _, s := range series {
@@ -318,8 +403,8 @@ func lineChart(times []uint64, series []chartSeries, yUnit string) string {
 			if i >= n {
 				break
 			}
-			fmt.Fprintf(&b, `<circle cx="%.1f" cy="%.1f" r="6" fill="transparent"><title>%s @ %d: %s</title></circle>`+"\n",
-				xScale(i, n), yScale(v, ymax), html.EscapeString(s.Label), times[i], fmtNum(v))
+			Fixedf(&b, `<circle cx="%.1f" cy="%.1f" r="6" fill="transparent"`, xScale(i, n), yScale(v, ymax))
+			writeTitle(&b, s.Label, times[i], v, "", "</circle>")
 		}
 	}
 	b.WriteString("</svg>\n")
@@ -360,38 +445,28 @@ func stackedAreaChart(times []uint64, series []chartSeries, yUnit string) string
 			top[i] = base[i] + v
 		}
 		// Fill: wash between base and top.
-		var path strings.Builder
+		b.WriteString(`<path d="`)
 		for i := 0; i < n; i++ {
-			cmd := "L"
-			if i == 0 {
-				cmd = "M"
-			}
-			fmt.Fprintf(&path, "%s%.1f %.1f ", cmd, xScale(i, n), yScale(top[i], ymax))
+			writeVertex(&b, i == 0, xScale(i, n), yScale(top[i], ymax))
 		}
 		for i := n - 1; i >= 0; i-- {
-			fmt.Fprintf(&path, "L%.1f %.1f ", xScale(i, n), yScale(base[i], ymax))
+			writeVertex(&b, false, xScale(i, n), yScale(base[i], ymax))
 		}
-		fmt.Fprintf(&b, `<path d="%sZ" fill="%s" fill-opacity="0.35" stroke="none"/>`+"\n",
-			strings.TrimSpace(path.String()), slotVar(s.Slot))
+		b.WriteString(`Z" fill="` + slotVar(s.Slot) + `" fill-opacity="0.35" stroke="none"/>` + "\n")
 		// Boundary line in the full hue.
-		var line strings.Builder
+		b.WriteString(`<path d="`)
 		for i := 0; i < n; i++ {
-			cmd := "L"
-			if i == 0 {
-				cmd = "M"
-			}
-			fmt.Fprintf(&line, "%s%.1f %.1f ", cmd, xScale(i, n), yScale(top[i], ymax))
+			writeVertex(&b, i == 0, xScale(i, n), yScale(top[i], ymax))
 		}
-		fmt.Fprintf(&b, `<path d="%s" fill="none" stroke="%s" stroke-width="2" stroke-linejoin="round"/>`+"\n",
-			strings.TrimSpace(line.String()), slotVar(s.Slot))
+		b.WriteString(`" fill="none" stroke="` + slotVar(s.Slot) + `" stroke-width="2" stroke-linejoin="round"/>` + "\n")
 		// Hover layer on the boundary.
 		for i := 0; i < n; i++ {
 			v := 0.0
 			if i < len(s.Points) {
 				v = s.Points[i]
 			}
-			fmt.Fprintf(&b, `<circle cx="%.1f" cy="%.1f" r="6" fill="transparent"><title>%s @ %d: %s</title></circle>`+"\n",
-				xScale(i, n), yScale(top[i], ymax), html.EscapeString(s.Label), times[i], fmtNum(v))
+			Fixedf(&b, `<circle cx="%.1f" cy="%.1f" r="6" fill="transparent"`, xScale(i, n), yScale(top[i], ymax))
+			writeTitle(&b, s.Label, times[i], v, "", "</circle>")
 		}
 		base = top
 	}
@@ -433,8 +508,8 @@ func Heatmap(rowLabels []string, colTimes []uint64, values [][]float64, unit str
 	fmt.Fprintf(&b, `<svg viewBox="0 0 %g %g" width="100%%" role="img">`+"\n", w, h)
 	for r := 0; r < rows; r++ {
 		y := padT + float64(r)*(cellH+gap)
-		fmt.Fprintf(&b, `<text x="%.1f" y="%.1f" font-size="11" fill="var(--text-secondary)" text-anchor="end">%s</text>`+"\n",
-			labelW-6, y+cellH-4, html.EscapeString(rowLabels[r]))
+		Fixedf(&b, `<text x="%.1f" y="%.1f" font-size="11" fill="var(--text-secondary)" text-anchor="end">`, labelW-6, y+cellH-4)
+		b.WriteString(html.EscapeString(rowLabels[r]) + "</text>\n")
 		for c := 0; c < cols; c++ {
 			v := 0.0
 			if r < len(values) && c < len(values[r]) {
@@ -444,9 +519,9 @@ func Heatmap(rowLabels []string, colTimes []uint64, values [][]float64, unit str
 			if v == 0 {
 				op = 0.04
 			}
-			fmt.Fprintf(&b, `<rect x="%.1f" y="%.1f" width="%.1f" height="%.1f" rx="2" fill="var(--s1)" fill-opacity="%.3f"><title>%s @ %d: %s%s</title></rect>`+"\n",
-				labelW+float64(c)*cw, y, cw-gap, cellH, op,
-				html.EscapeString(rowLabels[r]), colTimes[c], fmtNum(v), unit)
+			Fixedf(&b, `<rect x="%.1f" y="%.1f" width="%.1f" height="%.1f" rx="2" fill="var(--s1)" fill-opacity="%.3f"`,
+				labelW+float64(c)*cw, y, cw-gap, cellH, op)
+			writeTitle(&b, rowLabels[r], colTimes[c], v, unit, "</rect>")
 		}
 	}
 	// X ticks under the grid.
@@ -455,9 +530,7 @@ func Heatmap(rowLabels []string, colTimes []uint64, values [][]float64, unit str
 		step = 1
 	}
 	for c := 0; c < cols; c += step {
-		x := labelW + (float64(c)+0.5)*cw
-		fmt.Fprintf(&b, `<text x="%.1f" y="%.1f" font-size="11" fill="var(--text-muted)" text-anchor="middle">%s</text>`+"\n",
-			x, h-8, fmtNum(float64(colTimes[c])))
+		writeLabel(&b, labelW+(float64(c)+0.5)*cw, h-8, `text-anchor="middle"`, float64(colTimes[c]))
 	}
 	b.WriteString("</svg>\n")
 	// Table view.
@@ -473,7 +546,7 @@ func Heatmap(rowLabels []string, colTimes []uint64, values [][]float64, unit str
 			if r < len(values) && c < len(values[r]) {
 				v = values[r][c]
 			}
-			fmt.Fprintf(&b, "<td>%s</td>", fmtNum(v))
+			writeCell(&b, v)
 		}
 		b.WriteString("</tr>\n")
 	}
@@ -489,9 +562,11 @@ func QuantileTable(hists []*Histogram) string {
 		if h.Count() == 0 {
 			continue
 		}
-		fmt.Fprintf(&b, "<tr><td>%s</td><td>%d</td><td>%s</td><td>%s</td><td>%s</td><td>%s</td><td>%d</td></tr>\n",
-			html.EscapeString(h.Name()), h.Count(), fmtNum(h.Mean()),
-			fmtNum(h.Quantile(0.50)), fmtNum(h.Quantile(0.90)), fmtNum(h.Quantile(0.99)), h.Max())
+		fmt.Fprintf(&b, "<tr><td>%s</td><td>%d</td>", html.EscapeString(h.Name()), h.Count())
+		for _, v := range [...]float64{h.Mean(), h.Quantile(0.50), h.Quantile(0.90), h.Quantile(0.99)} {
+			writeCell(&b, v)
+		}
+		fmt.Fprintf(&b, "<td>%d</td></tr>\n", h.Max())
 	}
 	b.WriteString("</table>\n")
 	return b.String()

@@ -2,6 +2,7 @@ package telemetry
 
 import (
 	"bytes"
+	"fmt"
 	"math"
 	"strings"
 	"testing"
@@ -344,5 +345,41 @@ func BenchmarkObserveDisabled(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		h.Observe(uint64(i))
+	}
+}
+
+// FuzzFixed: the report's number appender prints what fmt prints, byte
+// for byte, at every precision it serves fast (0–6) — ties, negative
+// zero, NaN, infinities and magnitudes past its integer path included.
+func FuzzFixed(f *testing.F) {
+	for _, v := range []float64{0.05, 0.15, 2.675, 1e-7, math.Copysign(0, -1), math.NaN(),
+		math.Inf(1), math.Inf(-1), 1e300, -0.05, -2.5, -1234.5678, 0.5, 1.5, 999999999.5, 42} {
+		for prec := uint8(0); prec <= 3; prec++ {
+			f.Add(v, prec)
+		}
+	}
+	f.Fuzz(func(t *testing.T, v float64, prec uint8) {
+		p := int(prec % 7)
+		if got, want := string(AppendFixed(nil, v, p)), fmt.Sprintf("%.*f", p, v); got != want {
+			t.Fatalf("AppendFixed(%v, %d) = %q, fmt says %q", v, p, got, want)
+		}
+	})
+}
+
+// TestFixedMatchesFmt sweeps the values a chart actually formats — a
+// coordinate grid in tenths and hundredths, each nudged onto and off its
+// .5 ties — through Fixedf against fmt.Sprintf.
+func TestFixedMatchesFmt(t *testing.T) {
+	var b strings.Builder
+	for i := -20000; i <= 20000; i++ {
+		for _, v := range []float64{float64(i) / 100, float64(i)/100 + 0.005, float64(i)/1000 + 0.0005, float64(i) * 48.37} {
+			for _, w := range []float64{v, math.Nextafter(v, math.Inf(1)), math.Nextafter(v, math.Inf(-1))} {
+				b.Reset()
+				Fixedf(&b, "x%.0f %.1f,%.2f|%.3f", w, w, w, w)
+				if want := fmt.Sprintf("x%.0f %.1f,%.2f|%.3f", w, w, w, w); b.String() != want {
+					t.Fatalf("Fixedf(%v) = %q, fmt says %q", w, b.String(), want)
+				}
+			}
+		}
 	}
 }
