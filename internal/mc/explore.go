@@ -15,7 +15,9 @@ import (
 // its pruning: two schedules reaching the same protocol state offer the
 // same futures, so only the first is expanded (coverage-conservative:
 // the hash folds in every cache, buffer, directory, and in-flight
-// message, but a collision could in principle hide a state).
+// message, but a collision could in principle hide a state). The runs
+// themselves may execute ahead of the search, on other cores
+// (frontier.go); the search consumes their results in its own order.
 
 // ExploreConfig bounds one exploration.
 type ExploreConfig struct {
@@ -116,6 +118,11 @@ func judge(res *RunResult, oracle *SCResult, checkOutcome bool) []string {
 // the checker itself could not run (bad test, bad config) — protocol
 // violations are reported in the Report, not as errors.
 func Explore(t *Test, ec ExploreConfig) (*Report, error) {
+	// The root schedule is queued before the oracle is consulted, so a
+	// helper runs it meanwhile.
+	frontier := newFrontier(t, ec.RunConfig)
+	defer frontier.close()
+	frontier.push([]int{})
 	oracle, err := SCOutcomes(t)
 	if err != nil {
 		return nil, err
@@ -137,19 +144,16 @@ func Explore(t *Test, ec ExploreConfig) (*Report, error) {
 		OutcomeChecked: checkOutcome,
 	}
 
-	frontier := [][]int{{}}
 	expanded := map[uint64]bool{}
 	seenReasons := map[string]bool{}
+	var siblings [][]int
 
-	for len(frontier) > 0 {
+	for frontier.len() > 0 {
 		if rep.Runs >= ec.MaxRuns {
 			rep.Truncated = true
 			break
 		}
-		prefix := frontier[len(frontier)-1]
-		frontier = frontier[:len(frontier)-1]
-
-		res, err := RunOnce(t, ec.RunConfig, prefix)
+		prefix, res, err := frontier.pop()
 		if err != nil {
 			return nil, err
 		}
@@ -167,6 +171,7 @@ func Explore(t *Test, ec ExploreConfig) (*Report, error) {
 
 		// Queue sibling schedules at every unexpanded choice point this
 		// run passed through.
+		siblings = siblings[:0]
 		for i := len(prefix); i < len(res.Arity); i++ {
 			h := res.Hashes[i]
 			if expanded[h] {
@@ -181,9 +186,10 @@ func Explore(t *Test, ec ExploreConfig) (*Report, error) {
 				branch := make([]int, i+1)
 				copy(branch, res.Taken[:i])
 				branch[i] = alt
-				frontier = append(frontier, branch)
+				siblings = append(siblings, branch)
 			}
 		}
+		frontier.push(siblings...)
 	}
 	rep.States = len(expanded)
 	sortOutcomeless(rep)

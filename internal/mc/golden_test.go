@@ -60,19 +60,16 @@ func TestExplorationGolden(t *testing.T) {
 		t.Skip("exploration corpus skipped in -short")
 	}
 	var b strings.Builder
-	for _, proto := range allProtos {
-		for _, tc := range Tests() {
-			ec := DefaultExplore(proto)
-			rep, err := Explore(tc, ec)
-			if err != nil {
-				t.Fatalf("%s/%s: %v", proto, tc.Name, err)
-			}
-			first, err := RunOnce(tc, ec.RunConfig, nil)
-			if err != nil {
-				t.Fatalf("%s/%s: %v", proto, tc.Name, err)
-			}
-			fmt.Fprintf(&b, "%s %s runs=%d states=%d choices=%d\n", tc.Name, proto, rep.Runs, rep.States, first.Choices)
+	reps := corpusAtDefaults(t)
+	for i, p := range corpusPairs() {
+		if p.ec.Mutation != "" {
+			break
 		}
+		first, err := RunOnce(p.tc, p.ec.RunConfig, nil)
+		if err != nil {
+			t.Fatalf("%s/%s: %v", p.ec.Proto, p.tc.Name, err)
+		}
+		fmt.Fprintf(&b, "%s %s runs=%d states=%d choices=%d\n", p.tc.Name, p.ec.Proto, reps[i].Runs, reps[i].States, first.Choices)
 	}
 	// Each injected bug runs on the first protocol it breaks.
 	mutated := map[string]string{"skip-acquire-inval": "lrc", "skip-lease-renewal": "tardis"}

@@ -88,26 +88,23 @@ func exploreBudget(proto string) ExploreConfig {
 }
 
 // TestConformanceCorpus is the headline acceptance check: every protocol,
-// explored over every litmus test, produces only allowed outcomes and no
-// invariant violations.
+// explored over every litmus test at lrccheck's default budgets, produces
+// only allowed outcomes and no invariant violations.
 func TestConformanceCorpus(t *testing.T) {
 	if testing.Short() {
 		t.Skip("exploration corpus skipped in -short")
 	}
-	for _, proto := range allProtos {
-		for _, tc := range Tests() {
-			rep, err := Explore(tc, exploreBudget(proto))
-			if err != nil {
-				t.Fatalf("%s/%s: %v", proto, tc.Name, err)
-			}
-			if rep.Violating() {
-				cx := rep.Counterexamples[0]
-				t.Errorf("%s/%s: violation %v (schedule %v, outcome %q)",
-					proto, tc.Name, cx.Reasons, cx.Schedule, cx.Outcome)
-			}
-			if rep.Runs < 2 {
-				t.Errorf("%s/%s: explorer found no nondeterminism (%d run)", proto, tc.Name, rep.Runs)
-			}
+	reps := corpusAtDefaults(t)
+	for i, p := range corpusPairs() {
+		if p.ec.Mutation != "" {
+			break
+		}
+		if rep := reps[i]; rep.Violating() {
+			cx := rep.Counterexamples[0]
+			t.Errorf("%s/%s: violation %v (schedule %v, outcome %q)",
+				p.ec.Proto, p.tc.Name, cx.Reasons, cx.Schedule, cx.Outcome)
+		} else if rep.Runs < 2 {
+			t.Errorf("%s/%s: explorer found no nondeterminism (%d run)", p.ec.Proto, p.tc.Name, rep.Runs)
 		}
 	}
 }

@@ -203,7 +203,13 @@ func RunOnce(t *Test, rc RunConfig, prefix []int) (*RunResult, error) {
 	if max <= 0 {
 		max = DefaultMaxChoices
 	}
-	res := &RunResult{}
+	// The choice record is sized once, to the recorded-choice bound but no
+	// further than the default's: a schedule read from a file may claim
+	// any bound, and past this capacity append grows the record as the
+	// run actually needs it.
+	n := min(max, DefaultMaxChoices)
+	picks := make([]int, 2*n)
+	res := &RunResult{Taken: picks[:0:n], Arity: picks[n:n], Hashes: make([]uint64, 0, n)}
 	rec := &recorder{m: m, prefix: prefix, max: max, res: res}
 	aud := check.New(m)
 	if rc.Audit {

@@ -74,13 +74,22 @@ func LoadSchedule(path string) (*Schedule, error) {
 	if err != nil {
 		return nil, err
 	}
-	var s Schedule
-	if err := json.Unmarshal(b, &s); err != nil {
+	s, err := ParseSchedule(b)
+	if err != nil {
 		return nil, fmt.Errorf("mc: %s: %w", path, err)
 	}
+	return s, nil
+}
+
+// ParseSchedule decodes a schedule's JSON and refuses any version but
+// this build's.
+func ParseSchedule(b []byte) (*Schedule, error) {
+	var s Schedule
+	if err := json.Unmarshal(b, &s); err != nil {
+		return nil, err
+	}
 	if s.Version != ScheduleVersion {
-		return nil, fmt.Errorf("mc: %s: schedule version %d, this build replays version %d",
-			path, s.Version, ScheduleVersion)
+		return nil, fmt.Errorf("schedule version %d, this build replays version %d", s.Version, ScheduleVersion)
 	}
 	return &s, nil
 }

@@ -69,8 +69,8 @@ type Network struct {
 	// folded into machine state hashes for visited-state dedup.
 	flight fold.Bag
 
-	// Trace, when non-nil, observes every message at send time —
-	// debugging and the protocolwalk example.
+	// Trace, when non-nil, observes every message at send time, for
+	// debugging.
 	Trace func(Msg)
 
 	// tel, when non-nil, feeds per-kind latency histograms (see
@@ -198,6 +198,11 @@ func (n *Network) SetInjector(inj *faults.Injector) error {
 	return nil
 }
 
+// MaxExploreDelay bounds an explorer's menu delays. It is far longer than
+// any explored run, and far enough below 2⁶⁴ that adding it to the
+// current cycle cannot wrap.
+const MaxExploreDelay uint64 = 1 << 32
+
 // SetExplorer attaches a schedule explorer: every cross-node message asks
 // the chooser to pick a pre-entry delay from menu (sorted candidate
 // delays; a menu of one is no choice point at all). Entry times are
@@ -205,7 +210,8 @@ func (n *Network) SetInjector(inj *faults.Injector) error {
 // reordering, so no explored schedule can violate pairwise FIFO delivery.
 // Pass a nil chooser to detach. Exploration and fault injection are
 // mutually exclusive: the injector consumes seeded randomness, which
-// would make the chooser's answer stream non-replayable.
+// would make the chooser's answer stream non-replayable. A delay above
+// MaxExploreDelay is refused: Send adds it to the current cycle.
 func (n *Network) SetExplorer(ch sim.Chooser, menu []uint64) error {
 	if ch == nil {
 		n.exp, n.expMenu = nil, nil
@@ -213,6 +219,11 @@ func (n *Network) SetExplorer(ch sim.Chooser, menu []uint64) error {
 	}
 	if n.inj != nil {
 		return fmt.Errorf("mesh: fault injector and schedule explorer are mutually exclusive")
+	}
+	for _, d := range menu {
+		if d > MaxExploreDelay {
+			return fmt.Errorf("mesh: explorer delay %d exceeds the %d-cycle bound", d, MaxExploreDelay)
+		}
 	}
 	if len(menu) == 0 {
 		menu = []uint64{0}

@@ -32,7 +32,7 @@
 //	})
 //	fmt.Println(m.Stats.ExecutionTime())
 //
-// See the examples directory for runnable programs and cmd/paperbench
+// See examples/falsesharing for a runnable program and cmd/paperbench
 // for the paper's full evaluation.
 package lazyrc
 
