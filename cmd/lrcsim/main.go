@@ -114,48 +114,61 @@ func usage() {
 	}
 }
 
-func main() {
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+// run is the whole command: it parses args, runs what they ask for, and
+// returns the exit code. The Go profiles are finished on every path out,
+// a failed run's included.
+func run(args []string, stdout, stderr io.Writer) int {
 	log.SetFlags(0)
 	log.SetPrefix("lrcsim: ")
+	log.SetOutput(stderr)
+	flag.CommandLine.SetOutput(stderr)
 	flag.Usage = usage
-	flag.Parse()
+	flag.CommandLine.Parse(args) // exits 2 on a bad flag, 0 on -h
+	fail := func(v ...any) int {
+		log.Print(v...)
+		return 1
+	}
 
 	if *validateS != "" {
 		data, err := os.ReadFile(*validateS)
 		if err != nil {
-			log.Fatal(err)
+			return fail(err)
 		}
 		n, err := causal.ValidateTrace(data)
 		if err != nil {
-			log.Fatal(err)
+			return fail(err)
 		}
-		fmt.Printf("%s: valid trace-event JSON: %d events\n", *validateS, n)
-		return
+		fmt.Fprintf(stdout, "%s: valid trace-event JSON: %d events\n", *validateS, n)
+		return 0
 	}
 
 	if *validateM != "" {
 		f, err := os.Open(*validateM)
 		if err != nil {
-			log.Fatal(err)
+			return fail(err)
 		}
 		hdr, err := telemetry.Validate(f)
 		f.Close()
 		if err != nil {
-			log.Fatal(err)
+			return fail(err)
 		}
-		fmt.Printf("%s: valid %s export: %d samples every %d cycles, %d series, %d histograms\n",
+		fmt.Fprintf(stdout, "%s: valid %s export: %d samples every %d cycles, %d series, %d histograms\n",
 			*validateM, hdr.Schema, hdr.Samples, hdr.Interval, hdr.Series, hdr.Hists)
-		return
+		return 0
 	}
 
 	if *replayFile != "" {
-		replay(*replayFile)
-		return
+		if err := replay(stdout, *replayFile); err != nil {
+			return fail(err)
+		}
+		return 0
 	}
 
 	stopProfiles, err := perf.StartProfiles(*cpuprofile, *memprofile)
 	if err != nil {
-		log.Fatal(err)
+		return fail(err)
 	}
 	defer stopProfiles()
 
@@ -164,7 +177,7 @@ func main() {
 	// lrcsimd use — so the three tools report the same cell identically.
 	sc, err := lazyrc.ParseScale(*scale)
 	if err != nil {
-		log.Fatal(err)
+		return fail(err)
 	}
 	preset := "default"
 	if *future {
@@ -174,22 +187,24 @@ func main() {
 	e.Seed = *seed
 
 	if *protosFlag != "" {
-		protocolTable(e, preset, *appName, *protosFlag)
-		return
+		if err := protocolTable(stdout, e, preset, *appName, *protosFlag); err != nil {
+			return fail(err)
+		}
+		return 0
 	}
 	job := e.Job(preset, *appName, *proto)
 
 	switch {
 	case *doCheck && *checkEvery == 0:
-		log.Fatal("-check-every must be positive")
+		return fail("-check-every must be positive")
 	case (*metrics || *reportFile != "") && *metricsInt == 0:
-		log.Fatal("-metrics-interval must be positive")
+		return fail("-metrics-interval must be positive")
 	case *oracle && *faultPlan == "":
-		log.Fatal("-oracle requires -faults")
+		return fail("-oracle requires -faults")
 	}
 	app, err := lazyrc.NewApp(job.App, job.Scale)
 	if err != nil {
-		log.Fatal(err)
+		return fail(err)
 	}
 	job.Cfg.FaultSeed = *faultSeed
 	job.Cfg.FaultPlan = *faultPlan
@@ -202,7 +217,7 @@ func main() {
 		}
 		if *watchdog > 0 {
 			m.EnableWatchdog(*watchdog, func(r sim.StallReport) {
-				fmt.Fprintln(os.Stderr, r)
+				fmt.Fprintln(stderr, r)
 				m.Eng.Stop()
 			})
 		}
@@ -216,80 +231,85 @@ func main() {
 			m.EnablePerf()
 		}
 		if *progress > 0 {
-			enableProgress(m, *progress, *progTotal)
+			enableProgress(stderr, m, *progress, *progTotal)
 		}
 	})
 	if m == nil {
-		log.Fatal(verr)
+		return fail(verr)
 	}
 	if m.Eng.Stopped() {
-		log.Fatal("run aborted by the liveness watchdog")
+		return fail("run aborted by the liveness watchdog")
 	}
 	if *verify && verr != nil {
-		log.Fatalf("verification failed: %v", verr)
+		return fail("verification failed: ", verr)
 	}
 	if auditor != nil {
 		auditor.Final()
 		if cerr := auditor.Err(); cerr != nil {
 			for _, v := range auditor.Violations() {
-				fmt.Fprintln(os.Stderr, v)
+				fmt.Fprintln(stderr, v)
 			}
-			log.Fatalf("invariant check failed: %v", cerr)
+			return fail("invariant check failed: ", cerr)
 		}
-		fmt.Fprintf(os.Stderr, "check: %d epoch audits + final audit, 0 violations\n", auditor.Epochs())
+		fmt.Fprintf(stderr, "check: %d epoch audits + final audit, 0 violations\n", auditor.Epochs())
 	}
 	if s := m.FaultReport(); s != "" {
-		fmt.Fprintln(os.Stderr, s)
+		fmt.Fprintln(stderr, s)
 	}
 	if *oracle {
-		runOracle(e, preset, job.App, job.Proto, m)
+		verdict, err := runOracle(e, preset, job.App, job.Proto, m)
+		if err != nil {
+			return fail(err)
+		}
+		fmt.Fprintln(stderr, verdict)
 	}
 	if *metrics {
 		if err := perf.WriteFile(*metricsOut, m.Tel.Export); err != nil {
-			log.Fatal(err)
+			return fail(err)
 		}
-		fmt.Fprintf(os.Stderr, "metrics: %d samples (%s) to %s\n", m.Tel.Samples(), telemetry.SchemaVersion, *metricsOut)
+		fmt.Fprintf(stderr, "metrics: %d samples (%s) to %s\n", m.Tel.Samples(), telemetry.SchemaVersion, *metricsOut)
 	}
 	if *reportFile != "" {
 		title := fmt.Sprintf("%s · %s · %d procs", app.Name(), *proto, *procs)
 		if err := perf.WriteFile(*reportFile, func(w io.Writer) error { return m.Tel.WriteHTML(w, title) }); err != nil {
-			log.Fatal(err)
+			return fail(err)
 		}
-		fmt.Fprintf(os.Stderr, "report: %s\n", *reportFile)
+		fmt.Fprintf(stderr, "report: %s\n", *reportFile)
 	}
 	if m.Causal != nil {
 		if d := m.Causal.Dropped(); d > 0 {
-			fmt.Fprintf(os.Stderr, "warning: span store truncated: %d spans dropped (-spans-max)\n", d)
+			fmt.Fprintf(stderr, "warning: span store truncated: %d spans dropped (-spans-max)\n", d)
 		}
 		if *spans {
 			err := perf.WriteFile(*spansOut, func(w io.Writer) error {
 				return causal.WritePerfetto(w, m.Causal, machine.MsgKindName)
 			})
 			if err != nil {
-				log.Fatal(err)
+				return fail(err)
 			}
-			fmt.Fprintf(os.Stderr, "spans: %d spans (digest %s) to %s; open in ui.perfetto.dev\n",
+			fmt.Fprintf(stderr, "spans: %d spans (digest %s) to %s; open in ui.perfetto.dev\n",
 				m.Causal.Count(), m.Causal.Digest(), *spansOut)
 		}
 	}
 
-	printReport(os.Stdout, m, app, job.Scale, *proto, *procs, *contention, *traffic)
+	printReport(stdout, m, app, job.Scale, *proto, *procs, *contention, *traffic)
 
 	if *perfFlag {
-		fmt.Println()
-		fmt.Println("wall-clock phase profile (host time, not simulated cycles)")
-		fmt.Print(m.Perf.Snapshot().Table())
+		fmt.Fprintln(stdout)
+		fmt.Fprintln(stdout, "wall-clock phase profile (host time, not simulated cycles)")
+		fmt.Fprint(stdout, m.Perf.Snapshot().Table())
 	}
 
 	if *critPath > 0 {
 		a := causal.Analyze(m.Causal)
-		fmt.Println()
-		fmt.Println("critical-path stall attribution (cycles by protocol cause)")
-		a.WriteTable(os.Stdout)
-		fmt.Println()
-		fmt.Printf("top %d stall episodes\n", *critPath)
-		a.WriteTop(os.Stdout, *critPath)
+		fmt.Fprintln(stdout)
+		fmt.Fprintln(stdout, "critical-path stall attribution (cycles by protocol cause)")
+		a.WriteTable(stdout)
+		fmt.Fprintln(stdout)
+		fmt.Fprintf(stdout, "top %d stall episodes\n", *critPath)
+		a.WriteTop(stdout, *critPath)
 	}
+	return 0
 }
 
 // enableProgress prints a one-line heartbeat to stderr whenever at least
@@ -298,7 +318,7 @@ func main() {
 // supplied an expected total via -progress-total — a naive ETA. The wall
 // clock is polled from a background engine event, so the heartbeat is
 // passive: results are bit-identical with and without it.
-func enableProgress(m *lazyrc.Machine, every int, total uint64) {
+func enableProgress(stderr io.Writer, m *lazyrc.Machine, every int, total uint64) {
 	const pollCycles = 1 << 16 // wall-clock check cadence in simulated cycles
 	interval := time.Duration(every) * time.Second
 	start := time.Now()
@@ -317,17 +337,17 @@ func enableProgress(m *lazyrc.Machine, every int, total uint64) {
 			eta := time.Duration(float64(total-cyc) / rate * float64(time.Second))
 			line += fmt.Sprintf(", ETA %s", eta.Round(time.Second))
 		}
-		fmt.Fprintln(os.Stderr, line)
+		fmt.Fprintln(stderr, line)
 	})
 }
 
 // protocolTable evaluates the cells preset/app/p, one per requested
 // protocol, and prints them as exp's generic cell table (normalized to
 // the "sc" run when sequential consistency is in the list).
-func protocolTable(e *exp.Evaluator, preset, app, spec string) {
+func protocolTable(stdout io.Writer, e *exp.Evaluator, preset, app, spec string) error {
 	protos, err := config.ParseProtocols(spec)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	cells := make([][3]string, len(protos))
 	for i, p := range protos {
@@ -336,10 +356,8 @@ func protocolTable(e *exp.Evaluator, preset, app, spec string) {
 	e.Prefetch(cells)
 	rep := e.Report()
 	out, _ := exp.CellTable(rep.View(), cells) // no cell can be missing: all were just evaluated
-	fmt.Print(out)
-	if err := rep.Err(); err != nil {
-		log.Fatal(err)
-	}
+	fmt.Fprint(stdout, out)
+	return rep.Err()
 }
 
 // runOracle evaluates the cell fault-free at the same seed and applies
@@ -348,7 +366,8 @@ func protocolTable(e *exp.Evaluator, preset, app, spec string) {
 // workloads whose result is independent of processor interleaving —
 // produced a bit-identical final memory image. A divergence means a
 // fault leaked through the reliable transport into application state.
-func runOracle(e *exp.Evaluator, preset, app, proto string, faulted *machine.Machine) {
+// It returns the verdict line, or the divergence as an error.
+func runOracle(e *exp.Evaluator, preset, app, proto string, faulted *machine.Machine) (string, error) {
 	e.Get(preset, app, proto)
 	ref, _ := e.Report().View().Run(preset, app, proto)
 	got := exp.ReportRun{MemDigest: faulted.MemDigest(), Verified: faulted.Completed()}
@@ -357,45 +376,45 @@ func runOracle(e *exp.Evaluator, preset, app, proto string, faulted *machine.Mac
 	}
 	exact := !apps.TimingDependent(app)
 	if verdict, ok := exp.ChaosVerdict(ref, got, exact); !ok {
-		log.Fatalf("oracle: %s", verdict)
+		return "", fmt.Errorf("oracle: %s", verdict)
 	}
 	if exact {
-		fmt.Fprintln(os.Stderr, "oracle: end state matches the fault-free run (completion + bit-identical memory)")
-		return
+		return "oracle: end state matches the fault-free run (completion + bit-identical memory)", nil
 	}
-	fmt.Fprintf(os.Stderr, "oracle: end state matches the fault-free run (completion; %s folds timing into its result, memory not compared)\n", app)
+	return fmt.Sprintf("oracle: end state matches the fault-free run (completion; %s folds timing into its result, memory not compared)", app), nil
 }
 
 // replay re-executes a recorded counterexample schedule and reports
 // whether it reproduced the recorded run exactly.
-func replay(path string) {
+func replay(stdout io.Writer, path string) error {
 	s, err := mc.LoadSchedule(path)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
-	fmt.Printf("replaying %s: test %s, protocol %s, %d choices", path, s.Test, s.Proto, len(s.Choices))
+	fmt.Fprintf(stdout, "replaying %s: test %s, protocol %s, %d choices", path, s.Test, s.Proto, len(s.Choices))
 	if s.Mutation != "" {
-		fmt.Printf(", mutation %s", s.Mutation)
+		fmt.Fprintf(stdout, ", mutation %s", s.Mutation)
 	}
-	fmt.Println()
+	fmt.Fprintln(stdout)
 	res, err := mc.Replay(s)
 	if err != nil {
 		if res != nil {
-			fmt.Printf("outcome %q (recorded %q)\n", res.Outcome, s.Outcome)
+			fmt.Fprintf(stdout, "outcome %q (recorded %q)\n", res.Outcome, s.Outcome)
 		}
-		log.Fatal(err)
+		return err
 	}
-	fmt.Printf("reproduced: outcome %q, final state hash %#x, %d choice points\n",
+	fmt.Fprintf(stdout, "reproduced: outcome %q, final state hash %#x, %d choice points\n",
 		res.Outcome, res.FinalHash, res.Choices)
 	for _, r := range s.Reasons {
-		fmt.Printf("recorded violation: %s\n", r)
+		fmt.Fprintf(stdout, "recorded violation: %s\n", r)
 	}
 	for _, v := range res.Violations {
-		fmt.Printf("reproduced violation: %s\n", v)
+		fmt.Fprintf(stdout, "reproduced violation: %s\n", v)
 	}
 	if len(s.Allowed) > 0 {
-		fmt.Printf("SC-allowed outcomes: %v\n", s.Allowed)
+		fmt.Fprintf(stdout, "SC-allowed outcomes: %v\n", s.Allowed)
 	}
+	return nil
 }
 
 func printReport(out io.Writer, m *lazyrc.Machine, app lazyrc.App, sc lazyrc.Scale, proto string, procs int, contention, traffic bool) {

@@ -3,6 +3,8 @@ package main
 import (
 	"bytes"
 	"flag"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -176,5 +178,34 @@ func TestEveryFlagInExactlyOneGroup(t *testing.T) {
 	}
 	if n := strings.Count(out.String(), "\n  -"); n != registered {
 		t.Errorf("usage text shows %d flags, want %d", n, registered)
+	}
+}
+
+// TestFailedRunKeepsItsProfiles: a run that ends in an error — here the
+// watchdog aborting it at a 1-cycle probe interval — still finishes the
+// CPU profile (gzip-compressed protobuf, so it starts 1f 8b) and writes
+// the heap profile: the failed run is the one most worth profiling.
+func TestFailedRunKeepsItsProfiles(t *testing.T) {
+	dir := t.TempDir()
+	cpu, mem := filepath.Join(dir, "c.out"), filepath.Join(dir, "m.out")
+	t.Cleanup(func() {
+		for _, name := range []string{"cpuprofile", "memprofile", "watchdog", "app", "scale", "procs"} {
+			flag.Set(name, flag.Lookup(name).DefValue)
+		}
+	})
+	var stdout, stderr bytes.Buffer
+	code := run([]string{"-app", "gauss", "-scale", "tiny", "-procs", "4",
+		"-cpuprofile", cpu, "-memprofile", mem, "-watchdog", "1"}, &stdout, &stderr)
+	if code != 1 || !strings.Contains(stderr.String(), "aborted by the liveness watchdog") {
+		t.Fatalf("exit %d, stderr:\n%s", code, stderr.String())
+	}
+	for _, path := range []string{cpu, mem} {
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(data) < 2 || data[0] != 0x1f || data[1] != 0x8b {
+			t.Errorf("%s: %d bytes, not a gzip-compressed profile", filepath.Base(path), len(data))
+		}
 	}
 }

@@ -20,7 +20,6 @@ import (
 	"sort"
 
 	"lazyrc/internal/fold"
-	"lazyrc/internal/perf"
 )
 
 // Kind classifies one span.
@@ -157,6 +156,10 @@ func (s *Span) Dur() uint64 { return s.End - s.Begin }
 // event chain — a home-side continuation, and the reply it sends, inherit
 // the TID of the request that triggered them without any hand-threading.
 //
+// A span is folded into the digest when it closes and, while the store is
+// under its cap, retained then too: the retained spans are always a prefix
+// of the digested stream, in the same order.
+//
 // All methods are safe on a nil receiver (no-ops), so instrumentation
 // sites cost one nil check when tracing is disabled.
 type Tracer struct {
@@ -164,28 +167,21 @@ type Tracer struct {
 	nextTID uint64
 	nextSID uint64
 
-	limit int // retained-store cap; 0 in digest-only mode
-	spans []Span
-
-	// Open spans with no place in the retained store — all of them in
-	// digest-only mode, the spill past the cap otherwise — wait in slab to
-	// close into the digest; free lists the slots that have. Spans are
-	// addressed by handle (see at): an open one costs no allocation or map.
+	// Open spans wait in slab, addressed by handle = slot + 1 (0 is the nil
+	// handle), until they close; free lists the slots that have. An open
+	// span costs no allocation or map.
 	slab  []Span
 	free  []uint32
 	nOpen int
 
+	limit   int    // retained-store cap; 0 in digest-only mode
+	spans   []Span // the first limit closed spans, in close order
 	hash    uint64 // running digest over closed spans, in close order
 	closed  uint64 // spans closed (folded into the digest)
-	dropped uint64 // spans not recorded because the retention cap was hit
-
-	// prof, when non-nil, charges span bookkeeping wall time to the
-	// causal perf phase. Capture/Restore are NOT bracketed: they run on
-	// every event and do less work than the bracket.
-	prof *perf.Profiler
+	dropped uint64 // closed spans not retained because the cap was hit
 }
 
-// DefaultLimit caps retained spans; beyond it new spans are counted as
+// DefaultLimit caps retained spans; spans closing beyond it are counted as
 // dropped (the digest still folds them, so determinism survives
 // truncation).
 const DefaultLimit = 8 << 20
@@ -205,14 +201,6 @@ func New(limit int) *Tracer {
 // experiment runner, which wants the determinism fingerprint but not the
 // store.
 func NewDigest() *Tracer { return &Tracer{hash: fold.Seed} }
-
-// SetProfiler attaches (or, with nil, detaches) a wall-clock phase
-// profiler charging span bookkeeping to the causal phase.
-func (t *Tracer) SetProfiler(p *perf.Profiler) {
-	if t != nil {
-		t.prof = p
-	}
-}
 
 // ---- Causal context (sim.TaskTracer) --------------------------------------
 
@@ -242,87 +230,59 @@ func (t *Tracer) Current() uint64 {
 
 // ---- Span recording --------------------------------------------------------
 
-// slabTag marks the handle of an open span held in the slab; without it
-// a handle is the span's position in the retained store, plus one.
-const slabTag = 1 << 63
-
-// at returns the span a handle addresses.
-func (t *Tracer) at(h uint64) *Span {
-	if h&slabTag != 0 {
-		return &t.slab[h&^slabTag]
-	}
-	return &t.spans[h-1]
-}
-
-// beginOpen stores a span to be ended later and returns its handle. Past
-// the retention cap the span spills to the slab: it is not retained for
-// export, but still closes into the digest, which truncation never changes.
-func (t *Tracer) beginOpen(s *Span) uint64 {
-	prev := t.prof.Enter(perf.PhaseCausal)
+// open parks a span to be ended later in the slab and returns its handle.
+func (t *Tracer) open(s *Span) uint64 {
 	t.nextSID++
 	s.ID = t.nextSID
 	s.open = true
 	t.nOpen++
-	var h uint64
-	if len(t.spans) < t.limit {
-		t.spans = append(t.spans, *s)
-		h = uint64(len(t.spans))
-	} else {
-		if t.limit > 0 {
-			t.dropped++
-		}
-		if n := len(t.free); n > 0 {
-			h = uint64(t.free[n-1])
-			t.free = t.free[:n-1]
-			t.slab[h] = *s
-		} else {
-			h = uint64(len(t.slab))
-			t.slab = append(t.slab, *s)
-		}
-		h |= slabTag
+	if n := len(t.free); n > 0 {
+		slot := t.free[n-1]
+		t.free = t.free[:n-1]
+		t.slab[slot] = *s
+		return uint64(slot) + 1
 	}
-	t.prof.Exit(prev)
-	return h
+	t.slab = append(t.slab, *s)
+	return uint64(len(t.slab))
 }
 
-// release takes a span out of the open set; a slab slot becomes free.
-func (t *Tracer) release(h uint64, sp *Span) {
+// release takes an open span out of the slab, freeing its slot; nil
+// when the handle is nil or its span already ended.
+func (t *Tracer) release(h uint64) *Span {
+	if t == nil || h == 0 || !t.slab[h-1].open {
+		return nil
+	}
+	sp := &t.slab[h-1]
 	sp.open = false
 	t.nOpen--
-	if h&slabTag != 0 {
-		t.free = append(t.free, uint32(h&^slabTag))
-	}
+	t.free = append(t.free, uint32(h-1))
+	return sp
 }
 
-// endOpen closes an open span at cycle end and folds it into the digest.
+// endOpen closes an open span at cycle end.
 func (t *Tracer) endOpen(h, end uint64) {
-	if t == nil || h == 0 {
-		return
+	if sp := t.release(h); sp != nil {
+		sp.End = end
+		t.close(sp)
 	}
-	sp := t.at(h)
-	if !sp.open {
-		return
-	}
-	prev := t.prof.Enter(perf.PhaseCausal)
-	sp.End = end
-	t.fold(sp)
-	t.release(h, sp)
-	t.prof.Exit(prev)
 }
 
-// record folds one already-complete span (e.g. a network flight whose
-// delivery the mesh resolved eagerly) and retains it if the store has room.
+// record closes one already-complete span (e.g. a network flight whose
+// delivery the mesh resolved eagerly).
 func (t *Tracer) record(s *Span) {
-	prev := t.prof.Enter(perf.PhaseCausal)
 	t.nextSID++
 	s.ID = t.nextSID
+	t.close(s)
+}
+
+// close folds a span into the digest and retains it if the store has room.
+func (t *Tracer) close(s *Span) {
 	t.fold(s)
 	if len(t.spans) < t.limit {
 		t.spans = append(t.spans, *s)
 	} else if t.limit > 0 {
 		t.dropped++
 	}
-	t.prof.Exit(prev)
 }
 
 // BeginTxn opens a coherence-transaction root span at node for block and
@@ -355,7 +315,7 @@ func (t *Tracer) beginRoot(kind Kind, node int, block, obj uint64, why string, n
 	t.nextTID++
 	tid = t.nextTID
 	t.cur = tid
-	return tid, t.beginOpen(&Span{
+	return tid, t.open(&Span{
 		TID: tid, Kind: kind, Node: int32(node), Peer: -1, MsgKind: -1,
 		Block: block, Obj: obj, Begin: now, End: now, Why: why,
 	})
@@ -369,7 +329,7 @@ func (t *Tracer) BeginStall(node int, tid uint64, class StallClass, why string, 
 	if t == nil {
 		return 0
 	}
-	return t.beginOpen(&Span{
+	return t.open(&Span{
 		TID: tid, Kind: KindStall, Class: class, Node: int32(node),
 		Peer: -1, MsgKind: -1, Begin: now, End: now, Why: why,
 	})
@@ -381,20 +341,9 @@ func (t *Tracer) BeginStall(node int, tid uint64, class StallClass, why string, 
 // charged, so they carry no attribution weight. The cause is stamped
 // before the span is folded, so who woke whom is part of the digest.
 func (t *Tracer) EndStall(h, now uint64) {
-	if t == nil || h == 0 {
-		return
-	}
-	switch sp := t.at(h); {
-	case !sp.open: // already ended
-	case sp.Begin != now:
-		sp.Cause = t.cur
-		t.endOpen(h, now)
-	case h == uint64(len(t.spans)): // zero length, the store's last span: take it back
-		t.release(h, sp)
-		t.spans = t.spans[:h-1]
-	default: // zero length: a tombstone readers skip (and no one reads the slab)
-		t.release(h, sp)
-		sp.ID = 0
+	if sp := t.release(h); sp != nil && sp.Begin != now {
+		sp.End, sp.Cause = now, t.cur
+		t.close(sp)
 	}
 }
 
@@ -432,17 +381,15 @@ func (t *Tracer) Retransmit(tid uint64, src, dst, msgKind int, block uint64, las
 
 // OpenStalls returns copies of the currently-open stall spans — what each
 // processor is parked on right now, for watchdog reports — ordered by
-// begin cycle then node (deterministic), in retain and digest-only modes.
+// begin cycle then node (deterministic).
 func (t *Tracer) OpenStalls() []Span {
 	if t == nil {
 		return nil
 	}
 	var out []Span
-	for _, store := range [][]Span{t.spans, t.slab} {
-		for i := range store {
-			if s := &store[i]; s.open && s.Kind == KindStall {
-				out = append(out, *s)
-			}
+	for _, s := range t.slab {
+		if s.open && s.Kind == KindStall {
+			out = append(out, s)
 		}
 	}
 	sort.Slice(out, func(i, j int) bool {
@@ -471,8 +418,8 @@ func (t *Tracer) Service(kind Kind, node int, block uint64, reqAt, start, end ui
 
 // ---- Store accessors -------------------------------------------------------
 
-// Spans returns the retained span store in record order. Entries with
-// ID == 0 are discarded zero-length stalls and must be skipped. Nil in
+// Spans returns the retained span store in close order: the first spans
+// of the digested stream, all of them unless Dropped is nonzero. Nil in
 // digest-only mode.
 func (t *Tracer) Spans() []Span {
 	if t == nil {
@@ -498,7 +445,7 @@ func (t *Tracer) OpenCount() int {
 	return t.nOpen
 }
 
-// Dropped returns the spans discarded because the retention cap was hit.
+// Dropped returns the closed spans not retained because the cap was hit.
 func (t *Tracer) Dropped() uint64 {
 	if t == nil {
 		return 0
@@ -551,15 +498,11 @@ func (t *Tracer) fold(s *Span) {
 	t.hash = fold.Mix(a, b)
 }
 
-// byTID returns retained spans grouped by TID (tombstones skipped),
-// with each group in record order.
+// byTID returns retained spans grouped by TID, each group in close order.
 func (t *Tracer) byTID() map[uint64][]*Span {
 	m := make(map[uint64][]*Span)
 	for i := range t.spans {
 		s := &t.spans[i]
-		if s.ID == 0 {
-			continue
-		}
 		m[s.TID] = append(m[s.TID], s)
 	}
 	return m

@@ -2,6 +2,8 @@ package causal
 
 import (
 	"bytes"
+	"fmt"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -71,10 +73,8 @@ func TestZeroLengthStallDiscarded(t *testing.T) {
 	tr := New(0)
 	sid := tr.BeginStall(0, 1, StallRead, "read fill", 50)
 	tr.EndStall(sid, 50) // zero length
-	for _, s := range tr.Spans() {
-		if s.ID != 0 {
-			t.Fatalf("zero-length stall retained: %+v", s)
-		}
+	if len(tr.Spans()) != 0 || tr.Count() != 0 {
+		t.Fatalf("zero-length stall retained: %+v", tr.Spans())
 	}
 	if tr.OpenCount() != 0 {
 		t.Fatal("discarded stall left open")
@@ -85,7 +85,7 @@ func TestZeroLengthStallDiscarded(t *testing.T) {
 	tr.EndStall(sid, 90)
 	var st *Span
 	for i := range tr.spans {
-		if tr.spans[i].Kind == KindStall && tr.spans[i].ID != 0 {
+		if tr.spans[i].Kind == KindStall {
 			st = &tr.spans[i]
 		}
 	}
@@ -123,8 +123,7 @@ func driveInterleaved(tr *Tracer, rounds int) {
 }
 
 func TestDigestMatchesAcrossModes(t *testing.T) {
-	// capped retains the first five spans and spills the rest, open or
-	// complete, past its store.
+	// capped retains the first five spans to close and drops the rest.
 	full, capped, digest := New(0), New(5), NewDigest()
 	for _, tr := range []*Tracer{full, capped, digest} {
 		driveInterleaved(tr, 20)
@@ -142,28 +141,29 @@ func TestDigestMatchesAcrossModes(t *testing.T) {
 	if full.Count() != digest.Count() || full.Count() != 20*8 {
 		t.Fatalf("counts: full %d, digest-only %d, want %d", full.Count(), digest.Count(), 20*8)
 	}
-	if len(capped.Spans()) != 5 || capped.Dropped() != 20*9-5 {
+	if len(capped.Spans()) != 5 || capped.Dropped() != 20*8-5 {
 		t.Fatalf("capped tracer retained %d spans and dropped %d", len(capped.Spans()), capped.Dropped())
 	}
 	// Six spans are open at the deepest point of a round, and every round
 	// after the first reuses the slots the one before gave back.
-	if got := len(digest.slab); got != 6 {
-		t.Fatalf("digest-only slab grew to %d slots, want 6", got)
+	for _, tr := range []*Tracer{full, digest} {
+		if got := len(tr.slab); got != 6 {
+			t.Fatalf("slab grew to %d slots, want 6", got)
+		}
 	}
 
-	// The retained store is what the exporters and the analyzer read: ids
-	// in record order, the discarded stall gone, causes stamped.
+	// The retained store is what the exporters and the analyzer read: in
+	// close order, each span with the id it opened with, the discarded
+	// stall (id 7) gone, causes stamped.
 	var ids []uint64
 	for _, s := range full.Spans() {
-		if s.ID != 0 {
-			ids = append(ids, s.ID)
-		}
-		if s.Kind == KindStall && s.ID != 0 && s.Cause == 0 {
+		ids = append(ids, s.ID)
+		if s.Kind == KindStall && s.Cause == 0 {
 			t.Fatalf("retained stall without a cause: %+v", s)
 		}
 	}
-	if len(ids) != 20*8 || ids[0] != 1 || ids[6] != 8 || ids[len(ids)-1] != 20*9 {
-		t.Fatalf("retained ids: %d spans, %v ...", len(ids), ids[:9])
+	if got := fmt.Sprint(ids[:9]); len(ids) != 20*8 || got != "[4 8 9 3 2 1 6 5 13]" {
+		t.Fatalf("retained ids: %d spans, %s ...", len(ids), got)
 	}
 
 	// Any field perturbation must change the digest.
@@ -179,6 +179,29 @@ func TestDigestMatchesAcrossModes(t *testing.T) {
 	same.EndTxn(root, 60)
 	if other.Digest() == same.Digest() {
 		t.Fatal("digest insensitive to span content")
+	}
+}
+
+// The retained store is the digested stream: re-folding Spans() in order
+// from the seed reproduces Digest() for a store that kept every span, and
+// a capped store holds that stream's first spans. The spans close out of
+// open order, so a store kept in open order fails both.
+func TestRetainedIsDigestedStream(t *testing.T) {
+	full, capped := New(0), New(7)
+	driveInterleaved(full, 20)
+	driveInterleaved(capped, 20)
+	refold := NewDigest()
+	for _, s := range full.Spans() {
+		refold.fold(&s)
+	}
+	if refold.Digest() != full.Digest() {
+		t.Fatalf("re-folding the retained spans gives %s, the tracer's digest is %s", refold.Digest(), full.Digest())
+	}
+	if !reflect.DeepEqual(capped.Spans(), full.Spans()[:7]) {
+		t.Fatalf("capped store %+v\nis not the digested prefix %+v", capped.Spans(), full.Spans()[:7])
+	}
+	if capped.Dropped() != full.Count()-7 || capped.Digest() != full.Digest() {
+		t.Fatalf("capped: %d dropped of %d, digest %s vs %s", capped.Dropped(), full.Count(), capped.Digest(), full.Digest())
 	}
 }
 

@@ -133,7 +133,7 @@ type Attribution struct {
 	// attributed to that cause.
 	ByCause [NumStallClasses][NumCauses]uint64
 	// Episodes lists every stall episode with its segment attribution,
-	// in record order.
+	// in close order.
 	Episodes []Episode
 }
 
@@ -169,35 +169,31 @@ func (a *Attribution) CauseTotal(cause Cause) uint64 {
 }
 
 // TopN returns the n longest stall episodes, longest first (ties broken
-// by begin cycle, then record order, for determinism).
+// by begin cycle, then open order, for determinism).
 func (a *Attribution) TopN(n int) []*Episode {
-	idx := make([]int, len(a.Episodes))
-	for i := range idx {
-		idx[i] = i
+	out := make([]*Episode, len(a.Episodes))
+	for i := range out {
+		out[i] = &a.Episodes[i]
 	}
-	sort.SliceStable(idx, func(x, y int) bool {
-		ex, ey := &a.Episodes[idx[x]], &a.Episodes[idx[y]]
+	sort.Slice(out, func(x, y int) bool {
+		ex, ey := out[x], out[y]
 		if ex.Dur() != ey.Dur() {
 			return ex.Dur() > ey.Dur()
 		}
-		return ex.Span.Begin < ey.Span.Begin
+		if ex.Span.Begin != ey.Span.Begin {
+			return ex.Span.Begin < ey.Span.Begin
+		}
+		return ex.Span.ID < ey.Span.ID
 	})
-	if n > len(idx) {
-		n = len(idx)
-	}
-	out := make([]*Episode, n)
-	for i := 0; i < n; i++ {
-		out[i] = &a.Episodes[idx[i]]
-	}
-	return out
+	return out[:min(n, len(out))]
 }
 
 // candidate is a clipped covering interval competing for stall cycles.
 type candidate struct {
 	begin, end uint64
 	cause      Cause
-	prio       int // lower wins
-	order      int // record order, tie-break
+	prio       int    // lower wins
+	order      uint64 // tie-break: the stalled-on chain first, then open order
 	node       int32
 	block      uint64
 }
@@ -228,7 +224,7 @@ var causePrio = [NumCauses]int{
 
 // spanCandidates converts one protocol-work span into attribution
 // candidates, splitting queueing from service where the span records it.
-func spanCandidates(s *Span, out []candidate, order int) []candidate {
+func spanCandidates(s *Span, out []candidate, order uint64) []candidate {
 	add := func(b, e uint64, c Cause) []candidate {
 		if e <= b {
 			return out
@@ -291,7 +287,7 @@ func Analyze(t *Tracer) *Attribution {
 	byTID := t.byTID()
 	for i := range t.spans {
 		s := &t.spans[i]
-		if s.ID == 0 || s.Kind != KindStall || s.End <= s.Begin {
+		if s.Kind != KindStall {
 			continue
 		}
 		ep := analyzeEpisode(s, byTID)
@@ -306,8 +302,7 @@ func Analyze(t *Tracer) *Attribution {
 // analyzeEpisode partitions one stall window among its covering spans.
 func analyzeEpisode(stall *Span, byTID map[uint64][]*Span) Episode {
 	var cands []candidate
-	order := 0
-	collect := func(tid uint64) {
+	collect := func(tid, rank uint64) {
 		if tid == 0 {
 			return
 		}
@@ -318,13 +313,12 @@ func analyzeEpisode(stall *Span, byTID map[uint64][]*Span) Episode {
 			if s.End <= stall.Begin || s.Begin >= stall.End {
 				continue
 			}
-			cands = spanCandidates(s, cands, order)
-			order++
+			cands = spanCandidates(s, cands, rank|s.ID)
 		}
 	}
-	collect(stall.TID)
+	collect(stall.TID, 0)
 	if stall.Cause != stall.TID {
-		collect(stall.Cause)
+		collect(stall.Cause, 1<<63)
 	}
 
 	fb := fallbackCause(stall)

@@ -112,9 +112,6 @@ func WritePerfetto(w io.Writer, t *Tracer, msgKindName func(int) string) error {
 
 		for i := range t.spans {
 			s := &t.spans[i]
-			if s.ID == 0 {
-				continue
-			}
 			pid := int64(s.Node)
 			switch s.Kind {
 			case KindTxn, KindSync:

@@ -17,7 +17,6 @@ import (
 	"slices"
 
 	"lazyrc/internal/fold"
-	"lazyrc/internal/perf"
 )
 
 // State is the global state of a coherence block.
@@ -87,10 +86,6 @@ type Directory struct {
 
 	// check enables invariant verification after mutations.
 	check bool
-
-	// prof, when non-nil, charges entry lookups/creation to the perf
-	// directory phase. Passive.
-	prof *perf.Profiler
 }
 
 // New returns an empty directory for a machine with nprocs processors.
@@ -98,15 +93,9 @@ func New(nprocs int, check bool) *Directory {
 	return &Directory{nprocs: nprocs, entries: make(map[uint64]*Entry), check: check}
 }
 
-// SetProfiler attaches (or, with nil, detaches) a wall-clock phase
-// profiler charging directory work to the directory phase.
-func (d *Directory) SetProfiler(p *perf.Profiler) { d.prof = p }
-
 // Entry returns the record for block, creating an Uncached entry on first
 // touch.
 func (d *Directory) Entry(block uint64) *Entry {
-	prev := d.prof.Enter(perf.PhaseDirectory)
-	defer d.prof.Exit(prev)
 	e := d.entries[block]
 	if e == nil {
 		e = &Entry{

@@ -6,11 +6,10 @@
 // SplitMix64 stream to turn the per-message rules into concrete Fault
 // decisions.
 //
-// Loss is only survivable when an end-to-end retry exists. The mesh's
-// reliable-delivery transport (mesh/transport.go) retries every message
-// kind, so a plan attached through it may drop anything; validating a
-// plan in an environment without such a transport (retryable == nil)
-// still rejects drops.
+// Loss is only survivable when an end-to-end retry exists. The mesh
+// attaches a plan only through its reliable-delivery transport
+// (mesh/transport.go), which retries every message kind, so a plan may
+// drop anything.
 //
 // Determinism: the injector consumes its random stream in Decide-call
 // order, and Decide is called from the (single-threaded, deterministic)
@@ -89,11 +88,8 @@ type Rule struct {
 	ReorderProb float64
 	ReorderMax  uint64
 
-	// DropProb is the chance the message is silently discarded. Dropping
-	// requires an end-to-end retry; the mesh's reliable-delivery
-	// transport provides one for every kind, so any plan it validates may
-	// drop anything. Validating with retryable == nil (no transport)
-	// rejects drops.
+	// DropProb is the chance the message is silently discarded; the mesh's
+	// reliable-delivery transport retransmits it.
 	DropProb float64
 }
 
@@ -104,7 +100,7 @@ func (r Rule) Zero() bool {
 
 func (r Rule) validate() error {
 	for _, p := range []float64{r.DelayProb, r.DupProb, r.ReorderProb, r.DropProb} {
-		if p < 0 || p > 1 {
+		if !(p >= 0 && p <= 1) { // NaN included
 			return fmt.Errorf("faults: probability %v outside [0,1]", p)
 		}
 	}
@@ -219,31 +215,18 @@ func (p Plan) NodeBrowned(node int, now uint64) bool {
 	return false
 }
 
-// Validate checks probabilities, windows, and outage schedules, and —
-// given the set of retryable message kinds — rejects drop rules, outages,
-// and brownouts in environments where no end-to-end retry could recover
-// the loss (retryable == nil). The mesh validates with every kind
-// retryable: its transport retries everything.
-func (p Plan) Validate(retryable func(kind int) bool) error {
+// Validate checks probabilities, windows, and outage schedules.
+func (p Plan) Validate() error {
 	if err := p.Default.validate(); err != nil {
 		return err
 	}
-	if p.Default.DropProb > 0 && retryable == nil {
-		return fmt.Errorf("faults: default rule drops messages but no end-to-end retry exists")
-	}
-	kinds := make([]int, 0, len(p.ByKind))
-	for k := range p.ByKind {
-		kinds = append(kinds, k)
-	}
-	sort.Ints(kinds)
-	for _, k := range kinds {
-		r := p.ByKind[k]
-		if err := r.validate(); err != nil {
+	for _, k := range sortedKinds(p.ByKind) {
+		if err := p.ByKind[k].validate(); err != nil {
 			return fmt.Errorf("faults: kind %s: %w", kindLabel(k), err)
 		}
-		if r.DropProb > 0 && (retryable == nil || !retryable(k)) {
-			return fmt.Errorf("faults: kind %s has drop probability %v but no retry exists for it", kindLabel(k), r.DropProb)
-		}
+	}
+	if p.Until != 0 && p.From >= p.Until {
+		return fmt.Errorf("faults: window [%d,%d) is empty", p.From, p.Until)
 	}
 	for _, o := range p.Outages {
 		if o.A < 0 || o.B < 0 || o.A == o.B {
@@ -251,9 +234,6 @@ func (p Plan) Validate(retryable func(kind int) bool) error {
 		}
 		if o.Len == 0 {
 			return fmt.Errorf("faults: outage %s has a zero-length window", o)
-		}
-		if retryable == nil {
-			return fmt.Errorf("faults: outage %s loses messages but no end-to-end retry exists", o)
 		}
 	}
 	for _, b := range p.Brownouts {
@@ -263,9 +243,6 @@ func (p Plan) Validate(retryable func(kind int) bool) error {
 		if b.Len == 0 {
 			return fmt.Errorf("faults: brownout %s has a zero-length window", b)
 		}
-		if retryable == nil {
-			return fmt.Errorf("faults: brownout %s loses messages but no end-to-end retry exists", b)
-		}
 	}
 	return nil
 }
@@ -274,27 +251,28 @@ func (p Plan) Validate(retryable func(kind int) bool) error {
 // the identical float64.
 func fmtProb(p float64) string { return strconv.FormatFloat(p, 'g', -1, 64) }
 
-// appendRule renders one rule's settings as plan items.
+// appendRule renders one rule's settings as plan items: each setting with
+// a nonzero field, magnitudes explicit.
 func appendRule(items []string, r Rule) []string {
-	if r.DelayProb > 0 {
+	if r.DelayProb != 0 || r.DelayMin != 0 || r.DelayMax != 0 {
 		items = append(items, fmt.Sprintf("delay=%s:%d:%d", fmtProb(r.DelayProb), r.DelayMin, r.DelayMax))
 	}
-	if r.DupProb > 0 {
+	if r.DupProb != 0 || r.DupDelayMax != 0 {
 		items = append(items, fmt.Sprintf("dup=%s:%d", fmtProb(r.DupProb), r.DupDelayMax))
 	}
-	if r.ReorderProb > 0 {
+	if r.ReorderProb != 0 || r.ReorderMax != 0 {
 		items = append(items, fmt.Sprintf("reorder=%s:%d", fmtProb(r.ReorderProb), r.ReorderMax))
 	}
-	if r.DropProb > 0 {
+	if r.DropProb != 0 {
 		items = append(items, fmt.Sprintf("drop=%s", fmtProb(r.DropProb)))
 	}
 	return items
 }
 
 // String renders the plan in the textual format ParsePlan accepts, so
-// ParsePlan(p.String()) reproduces p (kind overrides sorted by kind;
-// entirely zero overrides are omitted, as are zero magnitudes attached to
-// zero probabilities). Kind prefixes use registered mnemonics when
+// ParsePlan(p.String()) reproduces p (kind overrides sorted by kind; an
+// entirely zero override, which exempts its kind from the default, renders
+// as "KIND:drop=0"). Kind prefixes use registered mnemonics when
 // available, raw integers otherwise — ParsePlan accepts both.
 func (p Plan) String() string {
 	var items []string
@@ -312,21 +290,16 @@ func (p Plan) String() string {
 	if clauses[0] == "" {
 		clauses = clauses[:0]
 	}
-	kinds := make([]int, 0, len(p.ByKind))
-	for k := range p.ByKind {
-		kinds = append(kinds, k)
-	}
-	sort.Ints(kinds)
-	for _, k := range kinds {
-		r := p.ByKind[k]
-		if r.Zero() {
-			continue
+	for _, k := range sortedKinds(p.ByKind) {
+		rule := appendRule(nil, p.ByKind[k])
+		if len(rule) == 0 {
+			rule = []string{"drop=0"}
 		}
 		prefix := strconv.Itoa(k)
 		if kindNamer != nil {
 			prefix = kindNamer(k)
 		}
-		clauses = append(clauses, prefix+":"+strings.Join(appendRule(nil, r), ","))
+		clauses = append(clauses, prefix+":"+strings.Join(rule, ","))
 	}
 	return strings.Join(clauses, ";")
 }
@@ -349,7 +322,8 @@ func (p Plan) String() string {
 //	drop=P              drop with probability P (the mesh transport
 //	                    retransmits until delivered)
 //	window=FROM:UNTIL   inject only within [FROM,UNTIL) simulated cycles
-//	                    (top level; UNTIL=0 means unbounded)
+//	                    (top level; UNTIL=0 means unbounded, otherwise
+//	                    FROM < UNTIL)
 //	down=A-B:FROM:LEN   the mesh link between adjacent nodes A and B is
 //	                    down for [FROM,FROM+LEN) cycles (top level;
 //	                    repeatable)
@@ -402,7 +376,7 @@ func ParsePlan(s string) (Plan, error) {
 			args := strings.Split(val, ":")
 			prob := func() (float64, error) {
 				f, err := strconv.ParseFloat(args[0], 64)
-				if err != nil || f < 0 || f > 1 {
+				if err != nil || !(f >= 0 && f <= 1) { // NaN included
 					return 0, fmt.Errorf("faults: %s probability %q not in [0,1]", key, args[0])
 				}
 				return f, nil
@@ -525,13 +499,8 @@ func ParsePlan(s string) (Plan, error) {
 			p.Default = r
 		}
 	}
-	if err := p.Default.validate(); err != nil {
+	if err := p.Validate(); err != nil {
 		return Plan{}, err
-	}
-	for _, k := range sortedKinds(p.ByKind) {
-		if err := p.ByKind[k].validate(); err != nil {
-			return Plan{}, fmt.Errorf("faults: kind %s: %w", kindLabel(k), err)
-		}
 	}
 	return p, nil
 }
@@ -592,10 +561,8 @@ func (in *Injector) Seed() uint64 { return in.seed }
 // Plan returns the injector's plan.
 func (in *Injector) Plan() Plan { return in.plan }
 
-// Validate checks the plan against the set of retryable message kinds.
-func (in *Injector) Validate(retryable func(kind int) bool) error {
-	return in.plan.Validate(retryable)
-}
+// Validate checks the injector's plan.
+func (in *Injector) Validate() error { return in.plan.Validate() }
 
 // Decide draws the fault decision for one message. It must be called in
 // deterministic (engine) order; the decision stream is a pure function of

@@ -110,6 +110,7 @@ func TestParsePlanDefaults(t *testing.T) {
 		"down=0:100:50", "down=0-1:100", "down=a-1:100:50", "down=0-b:100:50",
 		"7:down=0-1:100:50", "brown=2:100", "brown=x:100:50", "3:brown=2:100:50",
 		"7:drop=0.1;7:dup=0.2", "NoSuchKind:drop=0.1",
+		"window=9:3", "window=5:5", "drop=NaN", "down=1-1:100:50", "brown=3:100:0",
 	} {
 		if _, err := ParsePlan(bad); err == nil {
 			t.Errorf("ParsePlan(%q) accepted", bad)
@@ -153,6 +154,9 @@ func TestPlanStringRoundTrip(t *testing.T) {
 		"drop=0.1;down=0-1:20000:5000;brown=2:40000:3000",
 		"drop=0.02,delay=0.125:1:7;down=3-7:1:2;down=0-1:9:9;brown=0:5:5;brown=15:1:100",
 		"dup=0.333;2:reorder=0.75:9",
+		"drop=0.1;3:drop=0",        // kind 3 exempt from the default
+		"delay=0;4:dup=0:7",        // zero probabilities, magnitudes kept
+		"window=100:0;5:delay=0.5", // an unbounded window
 	}
 	// A seeded generator widens the corpus beyond the hand-picked cases.
 	rng := NewRNG(42)
@@ -232,50 +236,40 @@ func TestKindNameRegistration(t *testing.T) {
 		t.Fatal("unregistered mnemonic accepted")
 	}
 	// Validation errors name the kind.
-	if err := p.Validate(nil); err == nil || !strings.Contains(err.Error(), "WriteReq(2)") {
+	p.ByKind[2] = Rule{DropProb: 2}
+	if err := p.Validate(); err == nil || !strings.Contains(err.Error(), "WriteReq(2)") {
 		t.Fatalf("validation error lacks the kind mnemonic: %v", err)
 	}
 }
 
-func TestValidateRejectsUnprotectedDrops(t *testing.T) {
-	p, err := ParsePlan("3:drop=0.5")
-	if err != nil {
-		t.Fatal(err)
+// FuzzParsePlan: a plan ParsePlan accepts renders to text that parses
+// back to the same plan — the documented ParsePlan(p.String()) round trip,
+// for any bytes.
+//
+//	go test ./internal/faults -run '^$' -fuzz FuzzParsePlan -fuzztime 10s
+func FuzzParsePlan(f *testing.F) {
+	for _, s := range []string{
+		"drop=0.1;3:drop=0", // a kind exempt from the default
+		"window=9:3",        // an empty window, rejected
+		"delay=0:5:9,dup=0,reorder=0:7",
+		"delay=0.1:2:64,dup=0.05:32,reorder=0.02:48,window=100:5000;7:delay=0.5:1:16;9:drop=0.25",
+		"drop=0.1;down=0-1:20000:5000;brown=2:40000:3000",
+	} {
+		f.Add(s)
 	}
-	if err := p.Validate(nil); err == nil {
-		t.Fatal("drop with no end-to-end retry accepted")
-	}
-	if err := p.Validate(func(k int) bool { return k == 3 }); err != nil {
-		t.Fatalf("drop on a retryable kind rejected: %v", err)
-	}
-	if err := p.Validate(func(k int) bool { return k == 4 }); err == nil {
-		t.Fatal("drop on a non-retryable kind accepted")
-	}
-	// A dropping default rule is legal under universal retry (the mesh
-	// transport) and illegal without one.
-	p, err = ParsePlan("drop=0.5")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := p.Validate(func(int) bool { return true }); err != nil {
-		t.Fatalf("dropping default rejected despite universal retry: %v", err)
-	}
-	if err := p.Validate(nil); err == nil {
-		t.Fatal("dropping default accepted with no retry at all")
-	}
-	// Scheduled losses need a retry too.
-	for _, s := range []string{"down=0-1:100:50", "brown=3:100:50"} {
+	f.Fuzz(func(t *testing.T, s string) {
 		p, err := ParsePlan(s)
 		if err != nil {
-			t.Fatal(err)
+			return
 		}
-		if err := p.Validate(nil); err == nil {
-			t.Fatalf("%q accepted with no retry", s)
+		q, err := ParsePlan(p.String())
+		if err != nil {
+			t.Fatalf("ParsePlan(%q) rendered as %q, which does not parse: %v", s, p.String(), err)
 		}
-		if err := p.Validate(func(int) bool { return true }); err != nil {
-			t.Fatalf("%q rejected despite retry: %v", s, err)
+		if !reflect.DeepEqual(p, q) {
+			t.Fatalf("round trip changed the plan:\n source %q\n render %q\n before %+v\n after  %+v", s, p.String(), p, q)
 		}
-	}
+	})
 }
 
 func TestDecideIsSeedDeterministic(t *testing.T) {

@@ -3,7 +3,6 @@ package machine
 import (
 	"fmt"
 
-	"lazyrc/internal/perf"
 	"lazyrc/internal/protocol"
 	"lazyrc/internal/telemetry"
 )
@@ -147,13 +146,7 @@ func (m *Machine) EnableMetrics(interval uint64) *telemetry.Registry {
 	})
 
 	// The tick is a background event: it dies with the last regular event
-	// and Run takes the closing sample. Sampling wall time is charged to
-	// the telemetry perf phase (m.Perf is read when the tick fires, so
-	// EnablePerf may come before or after; nil stays a no-op).
-	m.Eng.Every(interval, func() {
-		prev := m.Perf.Enter(perf.PhaseTelemetry)
-		reg.Sample(m.Eng.Now())
-		m.Perf.Exit(prev)
-	})
+	// and Run takes the closing sample.
+	m.Eng.Every(interval, func() { reg.Sample(m.Eng.Now()) })
 	return reg
 }

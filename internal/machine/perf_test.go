@@ -69,8 +69,11 @@ func TestPerfIsPassive(t *testing.T) {
 }
 
 // TestPerfProfileIsPopulated: the profiled run actually measured
-// something — wall time accrued, the headline phases are present, and
-// the throughput rates are consistent with the simulated cycle count.
+// something — wall time accrued, throughput rates are consistent with the
+// simulated cycle count, and the phases are exactly those the machine's
+// event kinds were registered with, summing to the wall time. Every kind
+// but the plain func() events (dispatch, which a fault-free run may never
+// time) is sure to be sampled.
 func TestPerfProfileIsPopulated(t *testing.T) {
 	m := runGaussProfiled(t, "lrc", true)
 	snap := m.Perf.Snapshot()
@@ -90,9 +93,15 @@ func TestPerfProfileIsPopulated(t *testing.T) {
 	if sum != snap.WallNS {
 		t.Fatalf("phase sum %d != wall %d", sum, snap.WallNS)
 	}
-	for _, phase := range []string{"dispatch", "mesh", "protocol", "membus", "telemetry", "causal"} {
-		if snap.Phases[phase] <= 0 {
-			t.Fatalf("phase %q never accrued time: %v", phase, snap.Phases)
+	kinds := map[string]bool{"dispatch": false, "queue": true, "frontend": true, "mesh": true, "protocol": true, "background": true}
+	for phase, ns := range snap.Phases {
+		if _, ok := kinds[phase]; !ok || ns <= 0 {
+			t.Errorf("phase %q (%d ns) is not a registered kind's: %v", phase, ns, snap.Phases)
+		}
+	}
+	for phase, sure := range kinds {
+		if _, ok := snap.Phases[phase]; sure && !ok {
+			t.Errorf("phase %q never accrued time: %v", phase, snap.Phases)
 		}
 	}
 }

@@ -38,7 +38,6 @@ func (m *Machine) EnableSpans(retain bool, limit int) *causal.Tracer {
 	m.Eng.SetTaskTracer(tr)
 	m.Net.SetCausal(tr)
 	m.Env.Causal = tr
-	tr.SetProfiler(m.Perf)
 	return tr
 }
 

@@ -190,19 +190,15 @@ func TestInjectionPreservesPairwiseFIFO(t *testing.T) {
 	}
 }
 
-// TestDropsAllowedUnderTransport verifies the drop safety interlock: the
-// mesh's reliable transport makes every kind retryable, so SetInjector
-// accepts drops anywhere — including as the default rule — while a bare
-// plan validated with no retry still rejects them.
+// TestDropsAllowedUnderTransport: the mesh's reliable transport makes
+// every kind retryable, so SetInjector accepts drops anywhere — including
+// as the default rule.
 func TestDropsAllowedUnderTransport(t *testing.T) {
 	eng := sim.NewEngine()
 	n := New(eng, config.Default(8))
 	plan, err := faults.ParsePlan("drop=0.5;5:drop=0.9")
 	if err != nil {
 		t.Fatal(err)
-	}
-	if err := plan.Validate(nil); err == nil {
-		t.Fatal("plan with drops validated without any end-to-end retry")
 	}
 	if err := n.SetInjector(faults.NewInjector(1, plan)); err != nil {
 		t.Fatalf("SetInjector rejected a dropping plan despite the transport: %v", err)

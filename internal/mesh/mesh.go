@@ -82,10 +82,6 @@ type Network struct {
 	// wire flight. Passive: it reads timestamps the timing model already
 	// computed.
 	causal *causal.Tracer
-
-	// prof, when non-nil, charges routing/transport wall time to the
-	// mesh phase. Passive: never touches simulated state.
-	prof *perf.Profiler
 }
 
 // Msg is one network message. Protocol packages define the meaning of
@@ -184,7 +180,7 @@ func (n *Network) SetInjector(inj *faults.Injector) error {
 		if n.exp != nil {
 			return fmt.Errorf("mesh: fault injector and schedule explorer are mutually exclusive")
 		}
-		if err := inj.Validate(func(int) bool { return true }); err != nil {
+		if err := inj.Validate(); err != nil {
 			return err
 		}
 		if n.lastEntry == nil {
@@ -241,12 +237,6 @@ func (n *Network) SetExplorer(ch sim.Chooser, menu []uint64) error {
 // tracer's current context and every wire flight records a net span.
 func (n *Network) SetCausal(t *causal.Tracer) { n.causal = t }
 
-// SetProfiler attaches (or, with nil, detaches) a wall-clock phase
-// profiler: Send's wall time is charged to the mesh phase, which a
-// delivery event starts in by its kind (delivery handlers re-attribute
-// themselves).
-func (n *Network) SetProfiler(p *perf.Profiler) { n.prof = p }
-
 // Hops returns the XY-routing distance between two nodes.
 func (n *Network) Hops(a, b int) uint64 {
 	ax, ay := a%n.w, a/n.w
@@ -284,8 +274,6 @@ func (n *Network) Send(m Msg) {
 	if n.handlers[m.Dst] == nil {
 		panic(fmt.Sprintf("mesh: no handler on node %d (Network.Finalize not called or node never registered)", m.Dst))
 	}
-	prev := n.prof.Enter(perf.PhaseMesh)
-	defer n.prof.Exit(prev)
 	if n.causal != nil {
 		m.CT = n.causal.Current()
 	}

@@ -7,18 +7,17 @@
 // committed baselines, and different on every machine and every rerun).
 //
 // The profiler follows the same passivity bar as telemetry and causal
-// tracing: every hook is a nil-receiver no-op, enabling it schedules no
-// events and mutates no simulated state, so a profiled run is
-// bit-identical to an unprofiled one (pinned by TestPerfIsPassive).
+// tracing: enabling it schedules no events and mutates no simulated
+// state, so a profiled run is bit-identical to an unprofiled one (pinned
+// by TestPerfIsPassive).
 //
 // Attribution model (DESIGN.md §16): the engine times one event in every
 // Stride, from before it leaves the queue until its callback returns, and
-// every background event. Inside a timed event the profiler keeps one
-// current phase, at first its kind's, which subsystems switch at their
-// choke points and restore on exit; outside one the same brackets test a
-// flag and return.
-// End spreads the exact wall time over the phases in the proportions the
-// timed events showed: only the split between phases is an estimate.
+// every background event. The pop is charged to the queue phase and the
+// rest of the event to the phase its kind was registered with; no other
+// subsystem reads the clock. End spreads the exact wall time over the
+// phases in the proportions the timed events showed: only the split
+// between phases is an estimate.
 package perf
 
 import (
@@ -33,29 +32,25 @@ import (
 // Phase names one wall-clock cost center of the simulation loop.
 type Phase uint8
 
-// The phase taxonomy, the observers' phases last. A timed event starts in
-// the phase its kind was registered with (sim.Engine.Register):
-// PhaseDispatch is that of a plain func() event — timers, held or faulted
-// sends — and PhaseBackground that of the observers' periodic ticks.
-// PhaseQueue is the event queue (pop and push), PhaseFrontend a resumed
-// processor context: the switch, the application, the protocol's CPU side.
+// The phase taxonomy. PhaseQueue is the pop of a timed event; the rest of
+// it goes to the phase its kind was registered with (sim.Engine.Register):
+// PhaseDispatch for a plain func() event — timers, held or faulted sends —
+// PhaseFrontend for a resumed processor context (the switch, the
+// application, the protocol's CPU side), PhaseMesh for a delivery and the
+// receiving node's handler, PhaseProtocol for a protocol continuation, and
+// PhaseBackground for the observers' periodic ticks.
 const (
 	PhaseDispatch Phase = iota
 	PhaseQueue
 	PhaseFrontend
 	PhaseMesh
 	PhaseProtocol
-	PhaseDirectory
-	PhaseMemBus
-	PhaseCausal
-	PhaseTelemetry
 	PhaseBackground
 	NumPhases
 )
 
 var phaseNames = [NumPhases]string{
-	"dispatch", "queue", "frontend", "mesh", "protocol",
-	"directory", "membus", "causal", "telemetry", "background",
+	"dispatch", "queue", "frontend", "mesh", "protocol", "background",
 }
 
 // String returns the phase's stable name (used as JSON keys in
@@ -74,14 +69,13 @@ func (p Phase) String() string {
 // processors resuming together is the same processor doing the same thing).
 const Stride = 127
 
-// Profiler estimates wall-clock time per phase from timed events. All
-// methods are safe on a nil receiver (free no-ops), so instrumented
-// subsystems call them unconditionally. A Profiler is single-threaded,
-// like the engine loop it observes.
+// Profiler estimates wall-clock time per phase from timed events. Begin,
+// End and Snapshot are safe on a nil receiver. A Profiler is
+// single-threaded, like the engine loop it observes.
 type Profiler struct {
 	now func() int64 // monotonic ns since Begin; tests substitute a fake clock
 
-	timed  bool  // inside a timed event: Enter/Exit read the clock
+	timed  bool  // inside a timed event
 	cur    Phase // current phase; meaningful while timed
 	lastNS int64 // clock at the last charge
 
@@ -111,52 +105,27 @@ func (p *Profiler) Begin() {
 	}
 }
 
-// move books the time since the last move to the current phase, makes ph
-// current and returns the phase that was. It stays out of line so that
-// Enter inlines into every bracket as little more than its two tests.
-//
-//go:noinline
-func (p *Profiler) move(ph Phase) Phase {
-	now := p.now()
-	p.ns[p.exact][p.cur] += now - p.lastNS
-	p.lastNS = now
-	prev := p.cur
-	p.cur = ph
-	return prev
-}
-
 // Start begins timing the engine's current event in phase ph or, when it
-// is being timed already, moves it to ph (Engine.step has the sequence).
-// What is measured of a PhaseBackground event is exact, not a sample.
+// is being timed already, charges the time so far to the phase it was in
+// and moves it to ph (Engine.step has the sequence). What is measured of a
+// PhaseBackground event is exact, not a sample.
 func (p *Profiler) Start(ph Phase) {
 	if ph == PhaseBackground {
 		p.exact = 1
 	}
+	now := p.now()
 	if p.timed {
-		p.move(ph)
-		return
+		p.ns[p.exact][p.cur] += now - p.lastNS
 	}
-	p.lastNS, p.timed, p.cur = p.now(), true, ph
+	p.lastNS, p.timed, p.cur = now, true, ph
 }
 
 // Stop ends the timing Start began, after the event's callback returned.
 func (p *Profiler) Stop() {
-	p.move(PhaseDispatch)
+	p.ns[p.exact][p.cur] += p.now() - p.lastNS
 	p.timed, p.exact = false, 0
 	p.nTimed++
 }
-
-// Enter switches to ph and returns the previous phase for the matching
-// Exit. Outside a timed event it does nothing. Nil-safe, allocation-free.
-func (p *Profiler) Enter(ph Phase) Phase {
-	if p == nil || !p.timed {
-		return PhaseDispatch
-	}
-	return p.move(ph)
-}
-
-// Exit restores the phase a matching Enter returned.
-func (p *Profiler) Exit(prev Phase) { p.Enter(prev) }
 
 // End stops the clock and fixes the snapshot. cycles and events are the
 // run's final simulated cycle and executed event count (the throughput

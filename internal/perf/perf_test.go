@@ -5,29 +5,14 @@ import (
 	"testing"
 )
 
-// The nil profiler is the disabled path: every hook must be a free no-op.
+// The nil profiler is the disabled path: what the machine calls on it
+// around a run must be a free no-op.
 func TestNilProfilerIsNoOp(t *testing.T) {
 	var p *Profiler
 	p.Begin()
-	prev := p.Enter(PhaseMesh)
-	if prev != PhaseDispatch {
-		t.Fatalf("nil Enter returned %v, want dispatch", prev)
-	}
-	p.Exit(prev)
 	p.End(100, 200)
 	if s := p.Snapshot(); s.WallNS != 0 || s.Cycles != 0 || s.Events != 0 {
 		t.Fatalf("nil profiler produced a non-zero snapshot: %+v", s)
-	}
-}
-
-func TestNilProfilerZeroAlloc(t *testing.T) {
-	var p *Profiler
-	allocs := testing.AllocsPerRun(1000, func() {
-		prev := p.Enter(PhaseProtocol)
-		p.Exit(prev)
-	})
-	if allocs != 0 {
-		t.Fatalf("nil Enter/Exit allocates %.1f objects per run, want 0", allocs)
 	}
 }
 
@@ -35,17 +20,8 @@ func TestEnabledProfilerZeroAllocHotPath(t *testing.T) {
 	p := New()
 	p.Begin()
 	allocs := testing.AllocsPerRun(1000, func() {
-		prev := p.Enter(PhaseProtocol)
-		p.Exit(prev)
-	})
-	if allocs != 0 {
-		t.Fatalf("enabled Enter/Exit allocates %.1f objects per run, want 0", allocs)
-	}
-	allocs = testing.AllocsPerRun(1000, func() {
 		p.Start(PhaseQueue)
-		p.Start(PhaseDispatch)
-		prev := p.Enter(PhaseProtocol)
-		p.Exit(prev)
+		p.Start(PhaseProtocol)
 		p.Stop()
 	})
 	if allocs != 0 {
@@ -68,26 +44,25 @@ func (c *fakeClock) profiler() *Profiler {
 	return p
 }
 
-// event plays one engine event the way Engine.stepTimed does — the n-th
-// of the run, background or not — spending queueNS taking it off the
-// queue and then running body.
-func (c *fakeClock) event(p *Profiler, n uint64, background bool, queueNS int64, body func()) {
+// event plays one engine event the way Engine.step does — the n-th of the
+// run, of a kind registered with phase ph — spending queueNS taking it off
+// the queue and bodyNS running it.
+func (c *fakeClock) event(p *Profiler, n uint64, ph Phase, queueNS, bodyNS int64) {
 	timed := n%Stride == 0
 	if timed {
 		p.Start(PhaseQueue)
 	}
 	c.ns += queueNS
-	switch {
-	case background:
-		p.Start(PhaseBackground)
-	case timed:
-		p.Start(PhaseDispatch)
-	default:
-		body()
-		return
+	if ph == PhaseBackground {
+		timed = true
 	}
-	body()
-	p.Stop()
+	if timed {
+		p.Start(ph)
+	}
+	c.ns += bodyNS
+	if timed {
+		p.Stop()
+	}
 }
 
 func sumPhases(s Snapshot) int64 {
@@ -99,24 +74,17 @@ func sumPhases(s Snapshot) int64 {
 }
 
 // Every nanosecond measured must land in exactly one phase: the phase
-// breakdown sums to the wall time regardless of nesting pattern, of how
+// breakdown sums to the wall time regardless of the kinds' phases, of how
 // many events were timed, and of what the division left over.
 func TestPhaseAccountingSumsToWall(t *testing.T) {
 	var c fakeClock
 	p := c.profiler()
 	for n := uint64(0); n < 1000; n++ {
-		c.event(p, n, n%97 == 3, 7, func() {
-			a := p.Enter(PhaseMesh)
-			c.ns += 11
-			b := p.Enter(PhaseProtocol) // nested switch
-			c.ns += 13
-			d := p.Enter(PhaseDirectory)
-			c.ns += 3
-			p.Exit(d)
-			p.Exit(b)
-			c.ns += 5
-			p.Exit(a)
-		})
+		ph := Phase(n % uint64(PhaseBackground)) // every regular kind's phase
+		if n%97 == 3 {
+			ph = PhaseBackground
+		}
+		c.event(p, n, ph, 7, int64(11+n%13))
 	}
 	p.End(1000, 1000)
 
@@ -142,21 +110,19 @@ func TestPhaseAccountingSumsToWall(t *testing.T) {
 	// With no event timed, all of the wall time is the residual.
 	c = fakeClock{}
 	p = c.profiler()
-	a := p.Enter(PhaseMesh)
 	c.ns += 500
-	p.Exit(a)
 	p.End(1, 1)
 	if s := p.Snapshot(); s.WallNS != 500 || s.Phases["dispatch"] != 500 || len(s.Phases) != 1 {
 		t.Fatalf("untimed run: %+v", s)
 	}
 }
 
-// Two kinds of event, each wholly in one phase, split the run's time 3:1.
-// Which events the stride happens to pick now matters, and the estimate
-// must still land within five points of the truth — when the kinds come
-// in no order, and when they come in the rhythm of a 64-processor machine
-// (32 of one, then 32 of the other), which a stride of 64 would sample on
-// one side only.
+// Two kinds of event, each wholly in its own phase, split the run's time
+// 3:1. Which events the stride happens to pick now matters, and the
+// estimate must still land within five points of the truth — when the
+// kinds come in no order, and when they come in the rhythm of a
+// 64-processor machine (32 of one, then 32 of the other), which a stride
+// of 64 would sample on one side only.
 func TestSampledSharesEstimateKnownSplit(t *testing.T) {
 	const events = 100000
 	for name, isMesh := range map[string]func(n uint64) bool{
@@ -167,19 +133,13 @@ func TestSampledSharesEstimateKnownSplit(t *testing.T) {
 		p := c.profiler()
 		var mesh, protocol int64
 		for n := uint64(0); n < events; n++ {
-			c.event(p, n, false, 0, func() {
-				if isMesh(n) {
-					prev := p.Enter(PhaseMesh)
-					c.ns += 30
-					mesh += 30
-					p.Exit(prev)
-				} else {
-					prev := p.Enter(PhaseProtocol)
-					c.ns += 10
-					protocol += 10
-					p.Exit(prev)
-				}
-			})
+			if isMesh(n) {
+				c.event(p, n, PhaseMesh, 0, 30)
+				mesh += 30
+			} else {
+				c.event(p, n, PhaseProtocol, 0, 10)
+				protocol += 10
+			}
 		}
 		p.End(events, events)
 		s := p.Snapshot()
@@ -204,47 +164,31 @@ func TestSampledSharesEstimateKnownSplit(t *testing.T) {
 func TestBackgroundEventsAreExact(t *testing.T) {
 	var c fakeClock
 	p := c.profiler()
-	var telemetry int64
 	for n := uint64(0); n < 10000; n++ {
 		if n%2500 == 1 { // four heavy ticks, none on the stride
-			c.event(p, n, true, 1, func() {
-				prev := p.Enter(PhaseTelemetry)
-				c.ns += 40000
-				telemetry += 40000
-				p.Exit(prev)
-				c.ns += 100
-			})
+			c.event(p, n, PhaseBackground, 1, 40100)
 			continue
 		}
-		c.event(p, n, false, 1, func() { c.ns += 50 })
+		c.event(p, n, PhaseProtocol, 1, 50)
 	}
 	p.End(10000, 10000)
 	s := p.Snapshot()
-	if s.Phases["telemetry"] != telemetry {
-		t.Fatalf("telemetry phase %d ns, spent %d", s.Phases["telemetry"], telemetry)
-	}
-	if s.Phases["background"] != 4*100 {
-		t.Fatalf("background phase %d ns, spent 400", s.Phases["background"])
+	if s.Phases["background"] != 4*40100 {
+		t.Fatalf("background phase %d ns, spent %d", s.Phases["background"], 4*40100)
 	}
 	if sum := sumPhases(s); sum != s.WallNS {
 		t.Fatalf("phase sum %d != wall %d", sum, s.WallNS)
 	}
 }
 
-// The budget: with four brackets inside every event the profiler reads
-// the clock less than once in ten events.
+// The budget: the profiler reads the clock less than once in ten events,
+// three times in each timed one.
 func TestClockReadsPerEvent(t *testing.T) {
 	var c fakeClock
 	p := c.profiler()
 	const events = 10000
 	for n := uint64(0); n < events; n++ {
-		c.event(p, n, false, 1, func() {
-			for _, ph := range []Phase{PhaseQueue, PhaseMesh, PhaseProtocol, PhaseCausal} {
-				prev := p.Enter(ph)
-				c.ns++
-				p.Exit(prev)
-			}
-		})
+		c.event(p, n, PhaseMesh, 1, 4)
 	}
 	p.End(events, events)
 	if perEvent := float64(c.reads) / events; perEvent > 0.1 {
@@ -285,9 +229,9 @@ func TestSnapshotAdd(t *testing.T) {
 
 func TestTableRendersAllPhases(t *testing.T) {
 	s := Snapshot{WallNS: 2e9, Cycles: 1e6, Events: 5e5, CyclesPerSec: 5e5,
-		Phases: map[string]int64{"dispatch": 1e9, "mesh": 5e8, "membus": 5e8}}
+		Phases: map[string]int64{"dispatch": 1e9, "mesh": 5e8, "protocol": 5e8}}
 	out := s.Table()
-	for _, want := range []string{"dispatch", "mesh", "membus", "simulated cycles", "gc"} {
+	for _, want := range []string{"dispatch", "mesh", "protocol", "simulated cycles", "gc"} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("table missing %q:\n%s", want, out)
 		}

@@ -38,10 +38,6 @@ type Env struct {
 	// already computed — and all hooks are nil-receiver no-ops.
 	Causal *causal.Tracer
 
-	// Prof, when non-nil, charges protocol-handler and memory/bus wall
-	// time to the perf phases. Passive like Causal; nil hooks are no-ops.
-	Prof *perf.Profiler
-
 	// pageHome is the FirstTouch page-placement table (-1 = untouched).
 	pageHome []int
 
@@ -239,8 +235,6 @@ func (n *Node) Deliver(m mesh.Msg) {
 }
 
 func (n *Node) deliver(m mesh.Msg) {
-	prev := n.Env.Prof.Enter(perf.PhaseProtocol)
-	defer n.Env.Prof.Exit(prev)
 	if uint(m.Kind) < uint(len(n.handlers)) {
 		if h := n.handlers[m.Kind]; h != nil {
 			h(n, m)
@@ -381,13 +375,7 @@ func (n *Node) parkStall(tid uint64, class causal.StallClass, why string) uint64
 // ppAcquire charges the protocol processor and records a causal service
 // span of the given kind covering both the queueing and the occupancy.
 // It returns the completion time, like PP.Acquire's second result.
-// Wall-clock-wise it is the protocol's single choke point for home-side
-// directory service, so KindDir occupancy charges the directory phase.
 func (n *Node) ppAcquire(kind causal.Kind, block uint64, cost uint64) uint64 {
-	if kind == causal.KindDir {
-		prev := n.Env.Prof.Enter(perf.PhaseDirectory)
-		defer n.Env.Prof.Exit(prev)
-	}
 	req := n.now()
 	start, end := n.PP.Acquire(req, cost)
 	n.Env.Causal.Service(kind, n.ID, block, req, start, end)
@@ -446,8 +434,6 @@ func (n *Node) stallWBFull() {
 // the transaction's Data gate there; m is without its data snapshot by
 // then). Must be called from an event handler at data arrival time.
 func (n *Node) fillLine(m mesh.Msg, st cache.LineState, filled func(*Node, mesh.Msg, uint64)) {
-	prev := n.Env.Prof.Enter(perf.PhaseMemBus)
-	defer n.Env.Prof.Exit(prev)
 	block := m.Addr
 	victim, evicted := n.Cache.Fill(block, st)
 	if evicted {
@@ -525,8 +511,6 @@ func (n *Node) loseCopy(block uint64) bool {
 // committed-write stream, and the coalescing buffer (possibly draining
 // its oldest entry on capacity pressure).
 func (n *Node) commitWT(block uint64, word int) {
-	prev := n.Env.Prof.Enter(perf.PhaseMemBus)
-	defer n.Env.Prof.Exit(prev)
 	n.Cache.MarkDirty(block, word)
 	n.Env.Class.CommitWrite(n.ID, block, word, n.wordsPerLine())
 	if n.Env.Mem != nil {
@@ -542,8 +526,6 @@ func (n *Node) commitWT(block uint64, word int) {
 // committed-write stream. The data travels home only on eviction or
 // ownership transfer.
 func (n *Node) commitWB(block uint64, word int) {
-	prev := n.Env.Prof.Enter(perf.PhaseMemBus)
-	defer n.Env.Prof.Exit(prev)
 	n.Cache.MarkDirty(block, word)
 	n.Env.Class.CommitWrite(n.ID, block, word, n.wordsPerLine())
 	if n.Env.Mem != nil {

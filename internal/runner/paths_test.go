@@ -13,9 +13,9 @@ import (
 // apps.Run bare, apps.Run with metrics + spans + perf attached in every
 // one of the 3! orders, and runner.Exec — agree bit for bit on execution
 // time, network traffic and the final memory image, and (where the
-// observers are attached) on the telemetry and span digests. Every
-// attach order must also land span bookkeeping in the causal perf phase:
-// the observers wire themselves to each other whichever comes first.
+// observers are attached) on the telemetry and span digests. No observer
+// is wired to another, so every attach order also profiles the telemetry
+// tick, like any background event, in the background phase.
 func TestRunPathsAgree(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs simulations")
@@ -72,8 +72,8 @@ func TestRunPathsAgree(t *testing.T) {
 			if got := m.Causal.Digest(); got != want.SpanDigest {
 				t.Errorf("span digest %s, runner.Exec has %s", got, want.SpanDigest)
 			}
-			if ns := m.Perf.Snapshot().Phases["causal"]; ns <= 0 {
-				t.Errorf("causal perf phase = %d ns, want > 0", ns)
+			if ns := m.Perf.Snapshot().Phases["background"]; ns <= 0 {
+				t.Errorf("background perf phase = %d ns, want > 0", ns)
 			}
 		})
 	}

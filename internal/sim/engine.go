@@ -124,9 +124,8 @@ type TaskTracer interface {
 func (e *Engine) SetTaskTracer(t TaskTracer) { e.tracer = t }
 
 // SetProfiler attaches (or, with nil, detaches) a wall-clock phase
-// profiler: step picks the events it times, instrumented subsystems narrow
-// the attribution inside them. Purely observational — the simulated
-// schedule is unchanged.
+// profiler: step picks the events it times and charges each to its kind's
+// phase. Purely observational — the simulated schedule is unchanged.
 func (e *Engine) SetProfiler(p *perf.Profiler) { e.prof = p }
 
 // NewEngine returns an engine at time zero with an empty event queue: one
@@ -180,9 +179,7 @@ func (e *Engine) push(ev event) {
 	if ev.kind == kindTick {
 		e.nbg++
 	}
-	prev := e.prof.Enter(perf.PhaseQueue) // two tests on an untimed event
 	e.q.push(&ev)
-	e.prof.Exit(prev)
 }
 
 // After schedules fn to run d cycles from now.
@@ -272,7 +269,8 @@ func (e *Engine) RunUntil(t Time) {
 // step takes the next event off the queue, advances the clock to it and
 // runs it. With a profiler attached, every perf.Stride-th event is timed
 // from before it leaves the queue to after its handler, as a sample of
-// all of them, in its kind's phase (dispatch for a plain func()); ticks —
+// all of them: the pop in the queue phase, the rest in its kind's phase
+// (dispatch for a plain func(), whatever it pushes included); ticks —
 // telemetry, watchdog and cancellation polls — are too few and too heavy
 // to sample, so each one is timed, from the moment the pop shows it.
 func (e *Engine) step() {
