@@ -16,6 +16,7 @@ import "lazyrc/internal/telemetry"
 type CoalescingBuffer struct {
 	cap     int
 	entries []CBEntry
+	drained []CBEntry // the last DrainAll's entries; their storage is reused
 
 	merges    uint64 // writes absorbed into an existing entry
 	inserts   uint64 // new entries created
@@ -90,7 +91,7 @@ func (b *CoalescingBuffer) Put(block uint64, word int) (drained CBEntry, drain b
 	}
 	if len(b.entries) >= b.cap {
 		drained = b.entries[0]
-		b.entries = b.entries[1:]
+		b.entries = b.entries[:copy(b.entries, b.entries[1:])]
 		b.capDrains++
 		drain = true
 		b.observeDrain(drained)
@@ -138,10 +139,10 @@ func (b *CoalescingBuffer) Remove(block uint64) (e CBEntry, present bool) {
 }
 
 // DrainAll removes and returns every entry in FIFO order — the release-
-// point flush.
+// point flush. The slice is good until the next DrainAll.
 func (b *CoalescingBuffer) DrainAll() []CBEntry {
 	out := b.entries
-	b.entries = nil
+	b.entries, b.drained = b.drained[:0], out
 	for _, e := range out {
 		b.observeDrain(e)
 	}

@@ -17,6 +17,7 @@ import "lazyrc/internal/causal"
 // satisfies the load even if a racing invalidation dropped the copy in
 // the same instant.
 func invalCPURead(n *Node, block uint64, word int) {
+	n.reclaimTxns()
 	for {
 		if n.Cache.Lookup(block) != nil {
 			return
@@ -52,6 +53,7 @@ func invalCPURead(n *Node, block uint64, word int) {
 // priorWhy names the stall behind a transaction already in flight for
 // the block.
 func stallingStore(n *Node, block uint64, word int, request func(*Node, uint64) *Txn, priorWhy string) {
+	n.reclaimTxns()
 	for {
 		if n.Proto.WriteHit(n, block, word) {
 			return
@@ -81,6 +83,7 @@ func stallingStore(n *Node, block uint64, word int, request func(*Node, uint64) 
 // store commits from the reply handler's retirement when the grant
 // lands. The processor stalls only when the buffer is full.
 func bufferedStore(n *Node, block uint64, word int, request func(*Node, uint64) *Txn) {
+	n.reclaimTxns()
 	for {
 		if n.Proto.WriteHit(n, block, word) {
 			return

@@ -45,6 +45,9 @@ type homeSerial struct {
 	// q has a key per block in service; the value is that block's
 	// waiters, oldest first.
 	q map[uint64][]pendingReq
+	// spare holds the emptied queues of blocks gone idle, storage the
+	// next block to enter service reuses.
+	spare [][]pendingReq
 }
 
 // enter claims p's block for p and reports true, or — the block being in
@@ -58,7 +61,11 @@ func (h *homeSerial) enter(p pendingReq) bool {
 	if h.q == nil {
 		h.q = make(map[uint64][]pendingReq)
 	}
-	h.q[block] = nil
+	var q []pendingReq
+	if k := len(h.spare); k > 0 {
+		q, h.spare = h.spare[k-1], h.spare[:k-1]
+	}
+	h.q[block] = q
 	return true
 }
 
@@ -82,10 +89,16 @@ func (h *homeSerial) leave(block uint64) (next pendingReq, ok bool) {
 	}
 	if len(q) == 0 {
 		delete(h.q, block)
+		if cap(q) > 0 {
+			h.spare = append(h.spare, q)
+		}
 		return pendingReq{}, false
 	}
-	h.q[block] = q[1:]
-	return q[0], true
+	next = q[0]
+	k := copy(q, q[1:])
+	q[k] = pendingReq{}
+	h.q[block] = q[:k]
+	return next, true
 }
 
 // inService reports whether block is held by a request.

@@ -29,6 +29,8 @@ import (
 type eagerGrant struct {
 	writer   int
 	wantData bool
+	// invals lists the sharers to invalidate until the fan-out sends.
+	invals []int
 }
 
 // heldDrop is a copy-drop notification (eviction hint or write-back)
@@ -60,6 +62,8 @@ type eagerState struct {
 	// losing a copy.
 	xfers map[uint64]mesh.Msg
 	held  map[uint64][]heldDrop
+	// spare holds sent fan-outs' target lists, storage for the next.
+	spare [][]int
 }
 
 // eager returns the eager home state, allocating it when the home
@@ -251,6 +255,9 @@ func eagerProcessWrite(n *Node, m mesh.Msg, memEnd uint64) {
 
 	case directory.Shared, directory.Uncached:
 		var others []int
+		if k := len(es.spare); k > 0 {
+			others, es.spare = es.spare[k-1], es.spare[:k-1]
+		}
 		e.Sharers.Visit(func(id int) {
 			if id != m.Src {
 				others = append(others, id)
@@ -263,22 +270,35 @@ func eagerProcessWrite(n *Node, m mesh.Msg, memEnd uint64) {
 		e.Recompute() // one sharer, writing: Dirty
 		n.Dir.Check(m.Addr, e)
 		if len(others) == 0 {
+			if cap(others) > 0 {
+				es.spare = append(es.spare, others)
+			}
 			eagerGrantNow(n, m.Src, m.Addr, wantsData, memEnd)
 			return
 		}
 		// Invalidate every other sharer and collect acks here.
 		dspEnd := n.ppAcquire(causal.KindFanout, m.Addr, uint64(len(others))*n.noticeCost())
 		e.PendingAcks = len(others)
-		es.grants[m.Addr] = eagerGrant{writer: m.Src, wantData: wantsData}
-		n.Env.Eng.At(dspEnd, func() {
-			for _, id := range others {
-				n.send(id, MsgInval, m.Addr, 0, 0, 0)
-			}
-		})
+		es.grants[m.Addr] = eagerGrant{writer: m.Src, wantData: wantsData, invals: others}
+		n.at(dspEnd, eagerSendInvals, m, 0)
 
 	default:
 		panic(fmt.Sprintf("protocol: eager home write in state %v", e.State))
 	}
+}
+
+// eagerSendInvals sends the invalidations of the grant the write request m
+// opened, once the protocol processor has dispatched them. No ack can
+// close the grant before they leave.
+func eagerSendInvals(n *Node, m mesh.Msg, _ uint64) {
+	es := n.eager()
+	g := es.grants[m.Addr]
+	for _, id := range g.invals {
+		n.send(id, MsgInval, m.Addr, 0, 0, 0)
+	}
+	es.spare = append(es.spare, g.invals[:0])
+	g.invals = nil
+	es.grants[m.Addr] = g
 }
 
 // eagerHomeInvalAck counts one invalidation acknowledgement; the last one

@@ -116,7 +116,7 @@ func lazyHomeWriteDir(n *Node, m mesh.Msg, memEnd uint64) {
 
 	// Dispatch notices to not-yet-notified sharers other than the
 	// requester.
-	var targets []int
+	targets := n.fanout[:0]
 	if e.State == directory.Weak {
 		e.Sharers.Visit(func(id int) {
 			if id != m.Src && !e.Notified.Has(id) {
@@ -139,6 +139,7 @@ func lazyHomeWriteDir(n *Node, m mesh.Msg, memEnd uint64) {
 		}
 	}
 	n.Dir.Check(m.Addr, e)
+	n.fanout = targets
 
 	complete := e.PendingAcks == 0
 	if !complete {
@@ -283,7 +284,7 @@ func (n *Node) dropFilledCopy(block uint64) {
 			n.sendWriteThrough(e)
 		}
 		n.removeDelayed(block)
-		n.Env.Class.Lose(n.ID, block, stats.LossCoherence, n.wordsPerLine())
+		n.Env.Class.Lose(n.ID, block, stats.LossCoherence)
 		n.send(n.homeOf(block), MsgInvNotify, block, 0, 0, 0)
 	}
 }

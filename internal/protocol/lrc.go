@@ -35,6 +35,7 @@ func (p *LRC) CPUWrite(n *Node, block uint64, word int) {
 // lazyCPUWrite implements the store path for both lazy protocols;
 // eager selects the notice policy.
 func lazyCPUWrite(n *Node, block uint64, word int, eager bool) {
+	n.reclaimTxns()
 	for {
 		line := n.Cache.Lookup(block)
 		switch {

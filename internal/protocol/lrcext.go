@@ -36,12 +36,7 @@ func (*LRCExt) CPUWrite(n *Node, block uint64, word int) {
 // where the lazier protocol pays: work LRC overlapped with computation
 // lands in the critical path of the release.
 func (*LRCExt) Release(n *Node) {
-	blocks := append([]uint64(nil), n.delayed...)
-	n.delayed = n.delayed[:0]
-	for _, b := range blocks {
-		delete(n.delayedSet, b)
-	}
-	if len(blocks) > 0 {
+	if blocks := n.takeDelayed(); len(blocks) > 0 {
 		// Posting occupies the protocol processor per notice.
 		n.ppAcquire(causal.KindFanout, 0, uint64(len(blocks))*n.noticeCost())
 		for _, b := range blocks {
@@ -56,10 +51,7 @@ func (*LRCExt) Release(n *Node) {
 		}
 		// Stores retiring during the drain may have deposited fresh
 		// coalesced words or deferred notices; post and flush again.
-		more := append([]uint64(nil), n.delayed...)
-		n.delayed = n.delayed[:0]
-		for _, b := range more {
-			delete(n.delayedSet, b)
+		for _, b := range n.takeDelayed() {
 			n.postNotice(b)
 		}
 	}

@@ -170,13 +170,17 @@ type Node struct {
 
 	outstanding  map[uint64]*Txn
 	nOutstanding int
-	wtPending    int // write-throughs / write-backs awaiting memory acks
+	txnRetired   []*Txn // finished since the CPU entered its current access
+	txnSpare     []*Txn // finished before it: free for newTxn
+	wtPending    int    // write-throughs / write-backs awaiting memory acks
 
 	pendInv    []uint64 // blocks to invalidate at the next acquire (FIFO)
 	pendInvSet map[uint64]bool
 
 	delayed    []uint64 // lazier protocol: unposted write notices (FIFO)
 	delayedSet map[uint64]bool
+	posting    []uint64 // the notices takeDelayed last handed out
+	fanout     []int    // a home's notice targets, storage for the next
 
 	releaseParked bool // CPU is parked in a release drain
 	wbParked      bool // CPU is parked on a full write buffer
@@ -279,7 +283,6 @@ func sendReply(n *Node, m mesh.Msg, _ uint64) {
 func (n *Node) now() sim.Time       { return n.Env.Eng.Now() }
 func (n *Node) homeOf(b uint64) int { return n.Env.HomeOf(b) }
 func (n *Node) lineBytes() int      { return n.Env.Cfg.LineSize }
-func (n *Node) wordsPerLine() int   { return n.Env.Cfg.LineSize / config.WordSize }
 func (n *Node) noticeCost() uint64  { return n.Env.Cfg.NoticeCost }
 
 // dirCost returns the home directory access cost for this node's
@@ -312,13 +315,20 @@ func (n *Node) mustTxn(block uint64, reply string) *Txn {
 	return t
 }
 
-// newTxn allocates an outstanding-transaction record for block. A second
-// transaction for the same block is a protocol bug.
+// newTxn opens an outstanding-transaction record for block, reusing a
+// spare one when there is one. A second transaction for the same block is
+// a protocol bug.
 func (n *Node) newTxn(block uint64) *Txn {
 	if n.outstanding[block] != nil {
 		panic(fmt.Sprintf("protocol: node %d duplicate txn for block %d", n.ID, block))
 	}
-	t := &Txn{Block: block}
+	var t *Txn
+	if k := len(n.txnSpare); k > 0 {
+		t, n.txnSpare = n.txnSpare[k-1], n.txnSpare[:k-1]
+	} else {
+		t = new(Txn)
+	}
+	*t = Txn{Block: block}
 	t.CT, t.ctRoot = n.Env.Causal.BeginTxn(n.ID, block, n.now())
 	n.outstanding[block] = t
 	n.nOutstanding++
@@ -326,7 +336,10 @@ func (n *Node) newTxn(block uint64) *Txn {
 }
 
 // finishTxn completes a transaction: opens Done (if still closed),
-// removes it, and re-evaluates any release drain.
+// removes it, and re-evaluates any release drain. The record retires: the
+// CPU may still hold it — a woken load reads t.Filled after its wait, and
+// a Done subscriber may open a transaction before that load resumes — so
+// it becomes spare only once the CPU enters its next access (reclaimTxns).
 func (n *Node) finishTxn(t *Txn) {
 	if n.outstanding[t.Block] != t {
 		panic(fmt.Sprintf("protocol: node %d finishing unknown txn for block %d", n.ID, t.Block))
@@ -340,7 +353,16 @@ func (n *Node) finishTxn(t *Txn) {
 	if !t.Done.IsOpen() {
 		t.Done.Open()
 	}
+	n.txnRetired = append(n.txnRetired, t)
 	n.checkDrain()
+}
+
+// reclaimTxns makes the records retired so far spare. Every CPU-side
+// access path (load, store) calls it on entry, when the CPU holds no
+// record from an earlier access.
+func (n *Node) reclaimTxns() {
+	n.txnSpare = append(n.txnSpare, n.txnRetired...)
+	n.txnRetired = n.txnRetired[:0]
 }
 
 // ---- Causal-tracing brackets --------------------------------------------
@@ -442,7 +464,7 @@ func (n *Node) fillLine(m mesh.Msg, st cache.LineState, filled func(*Node, mesh.
 	if n.Env.Mem != nil && m.Vals != nil {
 		n.Env.Mem.Fill(n.ID, block, m.Vals)
 	}
-	n.Env.Class.Fill(n.ID, block, n.wordsPerLine())
+	n.Env.Class.Fill(n.ID, block)
 	req := n.now()
 	start, end := n.Bus.Acquire(req, n.busCycles(n.lineBytes()))
 	n.Env.Causal.Service(causal.KindBus, n.ID, block, req, start, end)
@@ -456,7 +478,7 @@ func (n *Node) fillLine(m mesh.Msg, st cache.LineState, filled func(*Node, mesh.
 // dirty data home instead of a hint.
 func (n *Node) evictVictim(v cache.Line) {
 	block := v.Block
-	n.Env.Class.Lose(n.ID, block, stats.LossEviction, n.wordsPerLine())
+	n.Env.Class.Lose(n.ID, block, stats.LossEviction)
 	if n.pendInvSet[block] {
 		// The paper: no need to keep invalidate-set entries for lines
 		// dropped from the cache.
@@ -499,7 +521,7 @@ func (n *Node) evictInval(v cache.Line) {
 func (n *Node) loseCopy(block uint64) bool {
 	_, ok := n.Cache.Invalidate(block)
 	if ok {
-		n.Env.Class.Lose(n.ID, block, stats.LossCoherence, n.wordsPerLine())
+		n.Env.Class.Lose(n.ID, block, stats.LossCoherence)
 	}
 	return ok
 }
@@ -512,7 +534,7 @@ func (n *Node) loseCopy(block uint64) bool {
 // its oldest entry on capacity pressure).
 func (n *Node) commitWT(block uint64, word int) {
 	n.Cache.MarkDirty(block, word)
-	n.Env.Class.CommitWrite(n.ID, block, word, n.wordsPerLine())
+	n.Env.Class.CommitWrite(n.ID, block, word)
 	if n.Env.Mem != nil {
 		n.Env.Mem.Commit(n.ID, block, word)
 	}
@@ -527,7 +549,7 @@ func (n *Node) commitWT(block uint64, word int) {
 // ownership transfer.
 func (n *Node) commitWB(block uint64, word int) {
 	n.Cache.MarkDirty(block, word)
-	n.Env.Class.CommitWrite(n.ID, block, word, n.wordsPerLine())
+	n.Env.Class.CommitWrite(n.ID, block, word)
 	if n.Env.Mem != nil {
 		n.Env.Mem.Commit(n.ID, block, word)
 	}
@@ -612,7 +634,7 @@ func (n *Node) processPendInv() sim.Time {
 				n.sendWriteThrough(e)
 			}
 			n.removeDelayed(block)
-			n.Env.Class.Lose(n.ID, block, stats.LossCoherence, n.wordsPerLine())
+			n.Env.Class.Lose(n.ID, block, stats.LossCoherence)
 			n.PS.InvalsAtAcquire++
 			n.observe("inv-acquire", block, 0, -1)
 			n.send(n.homeOf(block), MsgInvNotify, block, 0, 0, 0)
@@ -634,6 +656,17 @@ func (n *Node) addDelayed(block uint64) {
 	}
 	n.delayedSet[block] = true
 	n.delayed = append(n.delayed, block)
+}
+
+// takeDelayed empties the deferred notices and returns them in order; the
+// slice is good until the next call, whose storage it becomes.
+func (n *Node) takeDelayed() []uint64 {
+	blocks := n.delayed
+	n.delayed, n.posting = n.posting[:0], blocks
+	for _, b := range blocks {
+		delete(n.delayedSet, b)
+	}
+	return blocks
 }
 
 func (n *Node) removeDelayed(block uint64) {
@@ -728,6 +761,6 @@ func (n *Node) SeqWaiting() int { return n.seq.Waiting() }
 // countMiss classifies and tallies a miss by this processor on
 // (block, word).
 func (n *Node) countMiss(block uint64, word int, upgradeOnly bool) {
-	k := n.Env.Class.Classify(n.ID, block, word, n.wordsPerLine(), upgradeOnly)
+	k := n.Env.Class.Classify(n.ID, block, word, upgradeOnly)
 	n.PS.Misses[k]++
 }

@@ -178,6 +178,7 @@ func tardisWriteHit(n *Node, block uint64, word int) bool {
 // outstanding transaction, renew an expired lease (control-only when the
 // copy is provably current), or fetch the line with a fresh lease.
 func tardisCPURead(n *Node, block uint64, word int) {
+	n.reclaimTxns()
 	td := n.td()
 	for {
 		if tardisReadHit(n, block) {

@@ -7,107 +7,137 @@ package stats
 // while the local copy was away — the touch-based criterion for
 // separating true from false sharing.
 type Classifier struct {
-	nprocs int
+	nprocs, words int
 	// blocks is indexed by block number — dense: blocks number a shared
 	// address space that grows from 0 — and holds the nseen ever touched.
 	blocks []*blockTrack
 	nseen  int
 
 	ver uint64 // global committed-write version counter
+
+	// arena is the storage the next tracks are carved from, as many
+	// blocks' worth at a time as were seen so far (1 to maxTrackChunk), so
+	// a litmus machine touching three blocks does not pay for a 64p cell's.
+	arena struct {
+		tracks []blockTrack
+		words  []wordTrack
+		copies []copyTrack
+	}
 }
+
+const maxTrackChunk = 64
 
 type blockTrack struct {
-	wordVer    []uint64 // last committed-write version per word
-	wordWriter []int32  // last committed writer per word (-1 none)
-	copies     []copyTrack
+	words  []wordTrack
+	copies []copyTrack
 }
 
-type copyTrack struct {
-	everCached bool
-	valid      bool
-	fillVer    uint64
-	loss       LossReason
+// wordTrack is a word's last committed write: its version and its writer
+// (-1 none).
+type wordTrack struct {
+	ver    uint64
+	writer int32
 }
+
+// copyTrack is one processor's copy of a block in one word: the version
+// committed when it was last filled (the low verBits; 2⁶⁰ committed writes
+// are out of any run's reach), whether it is valid, why it last went away,
+// and whether it was ever cached.
+type copyTrack uint64
+
+const (
+	verBits             = 60
+	validBit  copyTrack = 1 << verBits
+	lossShift           = verBits + 1 // two bits of LossReason
+	lossMask  copyTrack = 3 << lossShift
+	cachedBit copyTrack = 1 << 63
+)
+
+func (cp copyTrack) fillVer() uint64  { return uint64(cp &^ (cachedBit | lossMask | validBit)) }
+func (cp copyTrack) loss() LossReason { return LossReason(cp & lossMask >> lossShift) }
 
 // NewClassifier returns a classifier for nprocs processors and
 // wordsPerLine-word coherence blocks.
 func NewClassifier(nprocs, wordsPerLine int) *Classifier {
-	return &Classifier{nprocs: nprocs}
+	return &Classifier{nprocs: nprocs, words: wordsPerLine}
 }
 
-func (c *Classifier) track(block uint64, words int) *blockTrack {
+func (c *Classifier) track(block uint64) *blockTrack {
 	if block >= uint64(len(c.blocks)) {
 		c.blocks = append(c.blocks, make([]*blockTrack, block+1-uint64(len(c.blocks)))...)
 	}
 	b := c.blocks[block]
 	if b == nil {
-		b = &blockTrack{
-			wordVer:    make([]uint64, words),
-			wordWriter: make([]int32, words),
-			copies:     make([]copyTrack, c.nprocs),
-		}
-		for i := range b.wordWriter {
-			b.wordWriter[i] = -1
-		}
+		b = c.newTrack()
 		c.blocks[block] = b
 		c.nseen++
 	}
-	if len(b.wordVer) < words { // line-size change between runs is a bug
-		panic("stats: inconsistent words-per-line")
+	return b
+}
+
+// newTrack carves a fresh block's track from the arena.
+func (c *Classifier) newTrack() *blockTrack {
+	a := &c.arena
+	if len(a.tracks) == 0 {
+		chunk := min(max(c.nseen, 1), maxTrackChunk)
+		a.tracks = make([]blockTrack, chunk)
+		a.words = make([]wordTrack, chunk*c.words)
+		a.copies = make([]copyTrack, chunk*c.nprocs)
+	}
+	b := &a.tracks[0]
+	a.tracks = a.tracks[1:]
+	b.words, a.words = a.words[:c.words:c.words], a.words[c.words:]
+	b.copies, a.copies = a.copies[:c.nprocs:c.nprocs], a.copies[c.nprocs:]
+	for i := range b.words {
+		b.words[i].writer = -1
 	}
 	return b
 }
 
 // CommitWrite records a committed write by proc to word of block.
-func (c *Classifier) CommitWrite(proc int, block uint64, word, wordsPerLine int) {
-	b := c.track(block, wordsPerLine)
+func (c *Classifier) CommitWrite(proc int, block uint64, word int) {
+	b := c.track(block)
 	c.ver++
-	b.wordVer[word] = c.ver
-	b.wordWriter[word] = int32(proc)
+	b.words[word] = wordTrack{c.ver, int32(proc)}
 }
 
 // Fill records that proc's copy of block became valid now.
-func (c *Classifier) Fill(proc int, block uint64, wordsPerLine int) {
-	b := c.track(block, wordsPerLine)
-	cp := &b.copies[proc]
-	cp.everCached = true
-	cp.valid = true
-	cp.fillVer = c.ver
-	cp.loss = LossNone
+func (c *Classifier) Fill(proc int, block uint64) {
+	b := c.track(block)
+	b.copies[proc] = cachedBit | validBit | copyTrack(c.ver)
 }
 
 // Lose records that proc's copy of block went away for the given reason.
 // Losing an invalid copy is a no-op (e.g., a notice for a block that was
 // already evicted).
-func (c *Classifier) Lose(proc int, block uint64, reason LossReason, wordsPerLine int) {
-	b := c.track(block, wordsPerLine)
+func (c *Classifier) Lose(proc int, block uint64, reason LossReason) {
+	b := c.track(block)
 	cp := &b.copies[proc]
-	if !cp.valid {
+	if *cp&validBit == 0 {
 		return
 	}
-	cp.valid = false
-	cp.loss = reason
+	*cp = *cp&^(validBit|lossMask) | copyTrack(reason)<<lossShift
 }
 
 // Classify categorizes a data miss by proc on (block, word).
 // upgradeOnly marks a write that found the block cached but not writable
 // (a write-permission miss; no data transfer).
-func (c *Classifier) Classify(proc int, block uint64, word, wordsPerLine int, upgradeOnly bool) MissKind {
+func (c *Classifier) Classify(proc int, block uint64, word int, upgradeOnly bool) MissKind {
 	if upgradeOnly {
 		return WriteMiss
 	}
-	b := c.track(block, wordsPerLine)
-	cp := &b.copies[proc]
-	if !cp.everCached {
+	b := c.track(block)
+	cp := b.copies[proc]
+	if cp&cachedBit == 0 {
 		return Cold
 	}
-	switch cp.loss {
+	switch cp.loss() {
 	case LossEviction:
 		return Eviction
 	case LossCoherence:
 		// True sharing iff the touched word was committed by another
 		// processor after our copy was last current.
-		if b.wordVer[word] > cp.fillVer && b.wordWriter[word] != int32(proc) {
+		if w := b.words[word]; w.ver > cp.fillVer() && w.writer != int32(proc) {
 			return TrueShare
 		}
 		return FalseShare

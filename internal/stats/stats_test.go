@@ -112,75 +112,75 @@ const wpl = 16 // words per 128-byte line
 func TestClassifierColdAndEviction(t *testing.T) {
 	c := NewClassifier(4, wpl)
 	// First touch: cold.
-	if k := c.Classify(0, 100, 0, wpl, false); k != Cold {
+	if k := c.Classify(0, 100, 0, false); k != Cold {
 		t.Fatalf("first touch = %v, want Cold", k)
 	}
-	c.Fill(0, 100, wpl)
+	c.Fill(0, 100)
 	// Lost to replacement: eviction.
-	c.Lose(0, 100, LossEviction, wpl)
-	if k := c.Classify(0, 100, 0, wpl, false); k != Eviction {
+	c.Lose(0, 100, LossEviction)
+	if k := c.Classify(0, 100, 0, false); k != Eviction {
 		t.Fatalf("after eviction = %v, want Eviction", k)
 	}
 }
 
 func TestClassifierTrueVsFalseSharing(t *testing.T) {
 	c := NewClassifier(4, wpl)
-	c.Fill(0, 100, wpl)
-	c.Fill(1, 100, wpl)
+	c.Fill(0, 100)
+	c.Fill(1, 100)
 	// Proc 1 writes word 5; proc 0 is invalidated.
-	c.CommitWrite(1, 100, 5, wpl)
-	c.Lose(0, 100, LossCoherence, wpl)
+	c.CommitWrite(1, 100, 5)
+	c.Lose(0, 100, LossCoherence)
 	// Proc 0 re-misses touching word 5 → true sharing.
-	if k := c.Classify(0, 100, 5, wpl, false); k != TrueShare {
+	if k := c.Classify(0, 100, 5, false); k != TrueShare {
 		t.Fatalf("touch modified word = %v, want TrueShare", k)
 	}
 	// Touching an untouched word → false sharing.
-	if k := c.Classify(0, 100, 2, wpl, false); k != FalseShare {
+	if k := c.Classify(0, 100, 2, false); k != FalseShare {
 		t.Fatalf("touch unmodified word = %v, want FalseShare", k)
 	}
 }
 
 func TestClassifierOwnWritesDoNotLookLikeTrueSharing(t *testing.T) {
 	c := NewClassifier(4, wpl)
-	c.Fill(0, 100, wpl)
-	c.CommitWrite(0, 100, 3, wpl) // own write
-	c.Fill(1, 100, wpl)
-	c.CommitWrite(1, 100, 9, wpl) // other's write to word 9
-	c.Lose(0, 100, LossCoherence, wpl)
+	c.Fill(0, 100)
+	c.CommitWrite(0, 100, 3) // own write
+	c.Fill(1, 100)
+	c.CommitWrite(1, 100, 9) // other's write to word 9
+	c.Lose(0, 100, LossCoherence)
 	// Re-miss touching our own word 3: the version is newer than fillVer
 	// but the writer was us → false sharing.
-	if k := c.Classify(0, 100, 3, wpl, false); k != FalseShare {
+	if k := c.Classify(0, 100, 3, false); k != FalseShare {
 		t.Fatalf("touch own word = %v, want FalseShare", k)
 	}
 }
 
 func TestClassifierUpgradeIsWriteMiss(t *testing.T) {
 	c := NewClassifier(4, wpl)
-	c.Fill(0, 100, wpl)
-	if k := c.Classify(0, 100, 0, wpl, true); k != WriteMiss {
+	c.Fill(0, 100)
+	if k := c.Classify(0, 100, 0, true); k != WriteMiss {
 		t.Fatalf("upgrade = %v, want WriteMiss", k)
 	}
 }
 
 func TestClassifierRefillResetsWindow(t *testing.T) {
 	c := NewClassifier(4, wpl)
-	c.Fill(0, 100, wpl)
-	c.CommitWrite(1, 100, 5, wpl)
-	c.Lose(0, 100, LossCoherence, wpl)
-	c.Fill(0, 100, wpl) // refetched: sees word 5's new value
-	c.Lose(0, 100, LossCoherence, wpl)
+	c.Fill(0, 100)
+	c.CommitWrite(1, 100, 5)
+	c.Lose(0, 100, LossCoherence)
+	c.Fill(0, 100) // refetched: sees word 5's new value
+	c.Lose(0, 100, LossCoherence)
 	// No writes since refill → false sharing even on word 5.
-	if k := c.Classify(0, 100, 5, wpl, false); k != FalseShare {
+	if k := c.Classify(0, 100, 5, false); k != FalseShare {
 		t.Fatalf("after refill = %v, want FalseShare", k)
 	}
 }
 
 func TestClassifierLoseInvalidIsNoop(t *testing.T) {
 	c := NewClassifier(4, wpl)
-	c.Fill(0, 100, wpl)
-	c.Lose(0, 100, LossEviction, wpl)
-	c.Lose(0, 100, LossCoherence, wpl) // stale notice after eviction
-	if k := c.Classify(0, 100, 0, wpl, false); k != Eviction {
+	c.Fill(0, 100)
+	c.Lose(0, 100, LossEviction)
+	c.Lose(0, 100, LossCoherence) // stale notice after eviction
+	if k := c.Classify(0, 100, 0, false); k != Eviction {
 		t.Fatalf("loss reason overwritten: %v, want Eviction", k)
 	}
 }
@@ -200,15 +200,15 @@ func TestClassifierCategoriesAreTotalProperty(t *testing.T) {
 			p, b, w := int(o.Proc)%8, uint64(o.Block%16), int(o.Word)%wpl
 			switch o.Kind % 4 {
 			case 0:
-				c.Fill(p, b, wpl)
+				c.Fill(p, b)
 			case 1:
-				c.Lose(p, b, LossEviction, wpl)
+				c.Lose(p, b, LossEviction)
 			case 2:
-				c.Lose(p, b, LossCoherence, wpl)
+				c.Lose(p, b, LossCoherence)
 			case 3:
-				c.CommitWrite(p, b, w, wpl)
+				c.CommitWrite(p, b, w)
 			}
-			k := c.Classify(p, b, w, wpl, false)
+			k := c.Classify(p, b, w, false)
 			if k >= NumMissKinds || k == WriteMiss {
 				return false
 			}
@@ -222,9 +222,9 @@ func TestClassifierCategoriesAreTotalProperty(t *testing.T) {
 
 func TestClassifierBlocks(t *testing.T) {
 	c := NewClassifier(2, wpl)
-	c.Fill(0, 1, wpl)
-	c.Fill(0, 2, wpl)
-	c.Fill(1, 1, wpl)
+	c.Fill(0, 1)
+	c.Fill(0, 2)
+	c.Fill(1, 1)
 	if c.Blocks() != 2 {
 		t.Fatalf("Blocks = %d, want 2", c.Blocks())
 	}

@@ -7,6 +7,8 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
+	"strconv"
 )
 
 // SchemaVersion identifies the JSONL export format. Bump it whenever the
@@ -25,7 +27,10 @@ type Header struct {
 	Meta     map[string]string `json:"meta,omitempty"`
 }
 
-// timesLine is the tick-timestamp line (exactly one per export).
+// timesLine is the tick-timestamp line (exactly one per export). Export
+// writes it and the series lines with appendTimes and appendSeries, byte
+// for byte what encoding/json writes for these structs; Load reads them
+// with encoding/json.
 type timesLine struct {
 	Kind   string   `json:"kind"`
 	Cycles []uint64 `json:"cycles"`
@@ -58,7 +63,8 @@ type histLine struct {
 // times line, one line per series (sorted by name), one line per
 // histogram (sorted by name). The byte stream is canonical — a pure
 // function of the collected data — so its SHA-256 is a meaningful
-// shape fingerprint.
+// shape fingerprint. The times and series lines, nearly all of its bytes,
+// are appended with strconv rather than reflected over.
 func (r *Registry) Export(w io.Writer) error {
 	if r == nil {
 		return fmt.Errorf("telemetry: exporting a nil registry")
@@ -79,22 +85,15 @@ func (r *Registry) Export(w io.Writer) error {
 	if err := enc.Encode(hdr); err != nil {
 		return fmt.Errorf("telemetry: encoding header: %w", err)
 	}
-	times := r.times
-	if times == nil {
-		times = []uint64{}
-	}
-	if err := enc.Encode(timesLine{Kind: "times", Cycles: times}); err != nil {
-		return fmt.Errorf("telemetry: encoding times: %w", err)
-	}
+	// A write error sticks in bw, and Flush returns it.
+	line := appendTimes(make([]byte, 0, 4096), r.times)
+	bw.Write(line)
 	for _, s := range r.sortedSeries() {
-		pts := s.pts
-		if pts == nil {
-			pts = []float64{}
-		}
-		line := seriesLine{Kind: "series", Name: s.name, Mode: s.mode.String(), Points: pts}
-		if err := enc.Encode(line); err != nil {
+		var err error
+		if line, err = appendSeries(line[:0], s); err != nil {
 			return fmt.Errorf("telemetry: encoding series %q: %w", s.name, err)
 		}
+		bw.Write(line)
 	}
 	for _, h := range r.sortedHists() {
 		line := histLine{
@@ -108,6 +107,73 @@ func (r *Registry) Export(w io.Writer) error {
 		}
 	}
 	return bw.Flush()
+}
+
+// appendTimes appends the times line.
+func appendTimes(b []byte, times []uint64) []byte {
+	b = append(b, `{"kind":"times","cycles":[`...)
+	for i, t := range times {
+		if i > 0 {
+			b = append(b, ',')
+		}
+		b = strconv.AppendUint(b, t, 10)
+	}
+	return append(b, "]}\n"...)
+}
+
+// appendSeries appends s's line. A point JSON cannot carry (NaN, ±Inf) is
+// an error, as it is to encoding/json.
+func appendSeries(b []byte, s *Series) ([]byte, error) {
+	b = append(b, `{"kind":"series","name":`...)
+	b = appendString(b, s.name)
+	b = append(b, `,"mode":"`...)
+	b = append(b, s.mode.String()...)
+	b = append(b, `","points":[`...)
+	for _, c := range s.chunks {
+		for _, v := range c {
+			if math.IsNaN(v) || math.IsInf(v, 0) {
+				return b, fmt.Errorf("unsupported value %v", v)
+			}
+			b = append(appendFloat(b, v), ',')
+		}
+	}
+	if s.n > 0 {
+		b = b[:len(b)-1] // the last comma
+	}
+	return append(b, "]}\n"...), nil
+}
+
+// appendFloat appends v as encoding/json writes a float64: the shortest
+// representation that round-trips, in exponent form outside [1e-6, 1e21)
+// with a one-digit negative exponent written without its leading zero.
+func appendFloat(b []byte, v float64) []byte {
+	abs := math.Abs(v)
+	f := byte('f')
+	if abs != 0 && (abs < 1e-6 || abs >= 1e21) {
+		f = 'e'
+	}
+	b = strconv.AppendFloat(b, v, f, -1, 64)
+	if f == 'e' {
+		if n := len(b); n >= 4 && b[n-4] == 'e' && b[n-3] == '-' && b[n-2] == '0' {
+			b[n-2] = b[n-1]
+			b = b[:n-1]
+		}
+	}
+	return b
+}
+
+// appendString appends s as a JSON string. Names are plain ASCII; anything
+// encoding/json would escape goes through it.
+func appendString(b []byte, s string) []byte {
+	for i := 0; i < len(s); i++ {
+		if c := s[i]; c < 0x20 || c >= 0x7f || c == '"' || c == '\\' || c == '<' || c == '>' || c == '&' {
+			q, _ := json.Marshal(s) // a string always marshals
+			return append(b, q...)
+		}
+	}
+	b = append(b, '"')
+	b = append(b, s...)
+	return append(b, '"')
 }
 
 // Digest returns the hex SHA-256 of the canonical export — the shape
@@ -153,9 +219,9 @@ func Validate(rd io.Reader) (Header, error) {
 		return hdr, fmt.Errorf("telemetry: %d distinct histograms, header says %d", len(reg.hists), hdr.Hists)
 	}
 	for _, s := range reg.series {
-		if len(s.pts) != hdr.Samples {
+		if s.n != hdr.Samples {
 			return hdr, fmt.Errorf("telemetry: series %q has %d points, header says %d samples",
-				s.name, len(s.pts), hdr.Samples)
+				s.name, s.n, hdr.Samples)
 		}
 	}
 	for _, h := range reg.hists {
@@ -173,8 +239,9 @@ func Validate(rd io.Reader) (Header, error) {
 // Load reads a JSONL export back into a registry — the report renderer
 // and offline tooling work from files the same way they work from a live
 // registry. The export is checked structurally while loading: current
-// schema version, exactly one times line, known line kinds and series
-// modes, in-range bucket indexes. Validate adds the consistency checks.
+// schema version, exactly one times line, one line per series or
+// histogram name, known line kinds and series modes, in-range bucket
+// indexes. Validate adds the consistency checks.
 func Load(rd io.Reader) (*Registry, error) {
 	reg, _, err := load(rd)
 	return reg, err
@@ -236,11 +303,18 @@ func load(rd io.Reader) (*Registry, Header, error) {
 			default:
 				return fail(fmt.Errorf("series %q has unknown mode %q", sl.Name, sl.Mode))
 			}
-			reg.Series(sl.Name, mode).pts = sl.Points
+			if reg.byName[sl.Name] != nil {
+				return fail(fmt.Errorf("duplicate series %q", sl.Name))
+			}
+			s := reg.Series(sl.Name, mode)
+			s.chunks, s.n = [][]float64{sl.Points}, len(sl.Points)
 		case "hist":
 			var hl histLine
 			if err := json.Unmarshal(sc.Bytes(), &hl); err != nil {
 				return fail(err)
+			}
+			if reg.histBy[hl.Name] != nil {
+				return fail(fmt.Errorf("duplicate histogram %q", hl.Name))
 			}
 			h := reg.Histogram(hl.Name)
 			h.count, h.sum, h.min, h.max = hl.Count, hl.Sum, hl.Min, hl.Max

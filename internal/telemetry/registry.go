@@ -32,8 +32,18 @@ type Series struct {
 	mode Mode
 	cur  float64
 	prev float64
-	pts  []float64
+	// chunks hold the points, oldest first. A full chunk is followed by
+	// one of half the points stored so far (firstChunk to maxChunk): earlier
+	// points are never copied, a short run holds a short chunk, and at most
+	// a third of the storage is vacant.
+	chunks [][]float64
+	n      int // points
 }
+
+const (
+	firstChunk = 16
+	maxChunk   = 4096
+)
 
 // Name returns the series name.
 func (s *Series) Name() string {
@@ -67,23 +77,37 @@ func (s *Series) Add(v float64) {
 	s.cur += v
 }
 
-// Points returns the sampled points (one per registry tick).
+// Points returns a copy of the sampled points (one per registry tick).
 func (s *Series) Points() []float64 {
-	if s == nil {
+	if s == nil || s.n == 0 {
 		return nil
 	}
-	return s.pts
+	out := make([]float64, 0, s.n)
+	for _, c := range s.chunks {
+		out = append(out, c...)
+	}
+	return out
 }
 
 // sample appends the tick's point according to the series mode.
 func (s *Series) sample() {
-	switch s.mode {
-	case Delta:
-		s.pts = append(s.pts, s.cur-s.prev)
+	v := s.cur
+	if s.mode == Delta {
+		v -= s.prev
 		s.prev = s.cur
-	default:
-		s.pts = append(s.pts, s.cur)
 	}
+	s.push(v)
+}
+
+// push appends one point.
+func (s *Series) push(v float64) {
+	k := len(s.chunks) - 1
+	if k < 0 || len(s.chunks[k]) == cap(s.chunks[k]) {
+		s.chunks = append(s.chunks, make([]float64, 0, min(max(s.n/2, firstChunk), maxChunk)))
+		k++
+	}
+	s.chunks[k] = append(s.chunks[k], v)
+	s.n++
 }
 
 // Registry owns a run's instruments: named series sampled into aligned

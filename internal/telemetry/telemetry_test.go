@@ -2,6 +2,7 @@ package telemetry
 
 import (
 	"bytes"
+	"encoding/json"
 	"fmt"
 	"math"
 	"strings"
@@ -292,6 +293,158 @@ func TestValidateRejectsBadInput(t *testing.T) {
 	}
 }
 
+// dupInput is a valid two-sample export with extra appended.
+func dupInput(extra string) string {
+	return `{"schema":"` + SchemaVersion + `","interval":1,"samples":1,"series":1,"hists":1}` + "\n" +
+		`{"kind":"times","cycles":[1]}` + "\n" +
+		`{"kind":"series","name":"a","mode":"level","points":[1]}` + "\n" +
+		`{"kind":"hist","name":"h","count":1,"sum":1,"min":1,"max":1,"buckets":[[1,1]],"p50":1,"p90":1,"p99":1}` + "\n" +
+		extra
+}
+
+func TestValidateRejectsDuplicateSeries(t *testing.T) {
+	if _, err := Validate(strings.NewReader(dupInput(""))); err != nil {
+		t.Fatalf("the input without the duplicate: %v", err)
+	}
+	in := dupInput(`{"kind":"series","name":"a","mode":"delta","points":[2]}` + "\n")
+	_, err := Validate(strings.NewReader(in))
+	if err == nil || !strings.Contains(err.Error(), "line 5") || !strings.Contains(err.Error(), `duplicate series "a"`) {
+		t.Fatalf("Validate = %v, want the duplicate series at line 5", err)
+	}
+}
+
+func TestValidateRejectsDuplicateHistogram(t *testing.T) {
+	in := dupInput(`{"kind":"hist","name":"h","count":0,"sum":0,"min":0,"max":0,"p50":0,"p90":0,"p99":0}` + "\n")
+	_, err := Validate(strings.NewReader(in))
+	if err == nil || !strings.Contains(err.Error(), "line 5") || !strings.Contains(err.Error(), `duplicate histogram "h"`) {
+		t.Fatalf("Validate = %v, want the duplicate histogram at line 5", err)
+	}
+}
+
+// TestSeriesStorage: points sampled across several chunks come back in
+// order, -0 stays -0, and the series line is encoding/json's.
+func TestSeriesStorage(t *testing.T) {
+	r := NewRegistry(1)
+	s := r.Series("x", Level)
+	var want []float64
+	for i := 0; i < 3000; i++ {
+		v := float64(i % 7)
+		switch {
+		case i%500 < 100:
+			v = 0 // long zero runs
+		case i%11 == 0:
+			v = math.Copysign(0, -1)
+		case i%13 == 0:
+			v = 1e-7 * float64(i)
+		}
+		s.Set(v)
+		r.Sample(uint64(i + 1))
+		want = append(want, v)
+	}
+	got := s.Points()
+	if len(got) != len(want) {
+		t.Fatalf("%d points, want %d", len(got), len(want))
+	}
+	for i := range want {
+		if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+			t.Fatalf("point %d = %v, want %v", i, got[i], want[i])
+		}
+	}
+	var a, b bytes.Buffer
+	if err := r.Export(&a); err != nil {
+		t.Fatal(err)
+	}
+	if err := refExport(r, &b); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(a.Bytes(), b.Bytes()) {
+		t.Fatal("Export differs from encoding/json's bytes")
+	}
+}
+
+// TestExportRefusesNonFinite: a point JSON cannot carry fails the export,
+// as it fails encoding/json.
+func TestExportRefusesNonFinite(t *testing.T) {
+	r := NewRegistry(1)
+	r.Series("x", Level).Set(math.Inf(1))
+	r.Sample(1)
+	if err := r.Export(&bytes.Buffer{}); err == nil {
+		t.Fatal("exported +Inf")
+	}
+}
+
+// FuzzAppendFloat: the series appender writes every finite float64 as
+// json.Marshal does.
+func FuzzAppendFloat(f *testing.F) {
+	for _, v := range []float64{0, math.Copysign(0, -1), 5e-324, -5e-324, 2.2250738585072009e-308,
+		math.SmallestNonzeroFloat64, 1e-6, math.Nextafter(1e-6, 0), 1e-7, 9.99e-7, 1e21,
+		math.Nextafter(1e21, 0), 1e20, 1 << 53, 1<<53 + 1, 1<<53 - 1, -(1<<53 + 1), 0.1, 123456789,
+		math.MaxFloat64, -math.MaxFloat64, 1e-100, 1.5e300} {
+		f.Add(math.Float64bits(v))
+	}
+	f.Fuzz(func(t *testing.T, bits uint64) {
+		v := math.Float64frombits(bits)
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			return
+		}
+		want, err := json.Marshal(v)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := appendFloat(nil, v); string(got) != string(want) {
+			t.Fatalf("appendFloat(%v) = %s, json.Marshal says %s", v, got, want)
+		}
+	})
+}
+
+// FuzzValidate: bytes Validate accepts reload and re-export as a fixed
+// point, and every accepted line is one record of the export (a repeated
+// series or histogram line used to be folded into the first silently).
+func FuzzValidate(f *testing.F) {
+	var buf bytes.Buffer
+	if err := buildRegistry().Export(&buf); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(buf.Bytes())
+	f.Add([]byte(dupInput("")))
+	f.Add([]byte(dupInput(`{"kind":"series","name":"a","mode":"delta","points":[2]}` + "\n")))
+	f.Add([]byte(dupInput(`{"kind":"hist","name":"h","count":0,"sum":0,"min":0,"max":0,"p50":0,"p90":0,"p99":0}` + "\n")))
+	f.Fuzz(func(t *testing.T, in []byte) {
+		hdr, err := Validate(bytes.NewReader(in))
+		if err != nil {
+			return
+		}
+		lines := bytes.Count(in, []byte("\n"))
+		if len(in) > 0 && in[len(in)-1] != '\n' {
+			lines++
+		}
+		if want := 2 + hdr.Series + hdr.Hists; lines != want {
+			t.Fatalf("accepted %d lines for %d series and %d histograms", lines, hdr.Series, hdr.Hists)
+		}
+		reg, err := Load(bytes.NewReader(in))
+		if err != nil {
+			t.Fatalf("Validate accepts what Load refuses: %v", err)
+		}
+		var once, twice bytes.Buffer
+		if err := reg.Export(&once); err != nil {
+			t.Fatalf("re-export: %v", err)
+		}
+		if _, err := Validate(bytes.NewReader(once.Bytes())); err != nil {
+			t.Fatalf("the re-export does not validate: %v", err)
+		}
+		again, err := Load(bytes.NewReader(once.Bytes()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := again.Export(&twice); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(once.Bytes(), twice.Bytes()) {
+			t.Fatalf("export → load → export moved:\n%s\n%s", once.Bytes(), twice.Bytes())
+		}
+	})
+}
+
 func TestWriteHTML(t *testing.T) {
 	r := buildRegistry()
 	// Add the series the report sections look for.
@@ -299,7 +452,7 @@ func TestWriteHTML(t *testing.T) {
 		s := r.Series(name, Delta)
 		// Backfill points so lengths align with the 5 samples.
 		for j := 0; j < 5; j++ {
-			s.pts = append(s.pts, float64(i+j))
+			s.push(float64(i + j))
 		}
 	}
 	var buf bytes.Buffer
