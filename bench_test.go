@@ -61,7 +61,9 @@ func BenchmarkTable1Config(b *testing.B) {
 		if err := cfg.Validate(); err != nil {
 			b.Fatal(err)
 		}
-		_ = exp.Table1(cfg)
+		if _, err := exp.Render("table1", exp.Report{Procs: cfg.Procs}.View(), nil); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 
@@ -195,9 +197,14 @@ func BenchmarkSweepSensitivity(b *testing.B) {
 
 func BenchmarkMp3dQuality(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		out := exp.Mp3dQuality(benchScale, benchProcs)
-		if len(out) == 0 {
-			b.Fatal("empty quality report")
+		e := evaluator(b)
+		e.Prefetch(exp.TargetCells([]string{"mp3dquality"}, nil))
+		rep := e.Report()
+		if err := rep.Err(); err != nil {
+			b.Fatal(err)
+		}
+		if out, err := exp.Render("mp3dquality", rep.View(), nil); err != nil || len(out) == 0 {
+			b.Fatalf("quality report %q: %v", out, err)
 		}
 	}
 }

@@ -40,6 +40,7 @@ import (
 	"lazyrc/internal/machine"
 	"lazyrc/internal/mc"
 	"lazyrc/internal/perf"
+	"lazyrc/internal/runner"
 	"lazyrc/internal/sim"
 	"lazyrc/internal/telemetry"
 )
@@ -68,7 +69,7 @@ var (
 	replayFile = flag.String("replay", "", "replay a model-checker counterexample schedule (JSON from lrccheck) instead of running an application")
 	metrics    = flag.Bool("metrics", false, "collect cycle-domain telemetry and write a JSONL export to -metrics-out")
 	metricsOut = flag.String("metrics-out", "metrics.jsonl", "telemetry JSONL output path (with -metrics)")
-	metricsInt = flag.Uint64("metrics-interval", 5000, "telemetry sampling interval in simulated cycles")
+	metricsInt = flag.Uint64("metrics-interval", runner.MetricsInterval, "telemetry sampling interval in simulated cycles (the default is the runner's, so the export hashes to the cell's metrics_digest)")
 	reportFile = flag.String("report", "", "write a self-contained HTML run report to this file (implies telemetry collection)")
 	validateM  = flag.String("validate-metrics", "", "validate a telemetry JSONL export against the current schema and exit")
 	spans      = flag.Bool("spans", false, "trace causal coherence-transaction spans and write a Perfetto/Chrome trace-event JSON to -spans-out")
@@ -222,7 +223,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 			})
 		}
 		if *metrics || *reportFile != "" {
-			m.EnableMetrics(*metricsInt).SetMeta("scale", job.Scale.String())
+			m.EnableMetrics(*metricsInt)
 		}
 		if *spans || *critPath > 0 {
 			m.EnableSpans(true, *spansMax)
@@ -270,7 +271,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stderr, "metrics: %d samples (%s) to %s\n", m.Tel.Samples(), telemetry.SchemaVersion, *metricsOut)
 	}
 	if *reportFile != "" {
-		title := fmt.Sprintf("%s · %s · %d procs", app.Name(), *proto, *procs)
+		title := fmt.Sprintf("%s · %s · %d procs · %s", app.Name(), *proto, *procs, job.Scale)
 		if err := perf.WriteFile(*reportFile, func(w io.Writer) error { return m.Tel.WriteHTML(w, title) }); err != nil {
 			return fail(err)
 		}

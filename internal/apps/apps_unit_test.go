@@ -284,7 +284,8 @@ func TestMp3dVelocitySums(t *testing.T) {
 	w := NewMp3d(Tiny)
 	m := newMachine(t, 4)
 	w.Setup(m)
-	sx, sy := w.VelocitySums()
+	v := w.Answer()
+	sx, sy := v[0], v[1]
 	if sx <= 0 {
 		t.Fatalf("wind-axis momentum %v should be positive", sx)
 	}

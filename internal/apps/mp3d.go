@@ -28,11 +28,9 @@ type Mp3d struct {
 	cells machine.I64
 	bar   *machine.Barrier
 
-	// StaleReads emulates the lazy protocol's data propagation for the
-	// §4.2 quality-of-solution experiment: cell reads see the value as
-	// of the previous step.
-	StaleReads bool
-	prevCells  []int64
+	// prevCells, allocated only on a machine with StaleDensity set, keeps
+	// the densities of the previous step for the collision phase to read.
+	prevCells []int64
 }
 
 // NewMp3d returns the workload at the given scale.
@@ -62,7 +60,9 @@ func (w *Mp3d) Setup(m *machine.Machine) {
 	w.vy = m.AllocF64(w.np)
 	w.cells = m.AllocI64(w.rows * w.cols * cellWords)
 	w.bar = m.NewBarrier(m.Cfg.Procs)
-	w.prevCells = make([]int64, w.rows*w.cols)
+	if m.Cfg.StaleDensity {
+		w.prevCells = make([]int64, w.rows*w.cols)
+	}
 	rng := lcg(8086)
 	nprocs := m.Cfg.Procs
 	for i := 0; i < w.np; i++ {
@@ -118,7 +118,7 @@ func (w *Mp3d) Worker(p *machine.Proc) {
 		ncells := w.rows * w.cols
 		clo, chi := me*ncells/nprocs, (me+1)*ncells/nprocs
 		for c := clo; c < chi; c++ {
-			if w.StaleReads {
+			if w.prevCells != nil {
 				w.prevCells[c] = w.cells.Peek(c * cellWords)
 			}
 			p.WriteI64(w.cellAt(c, 0), 0)
@@ -162,7 +162,7 @@ func (w *Mp3d) Worker(p *machine.Proc) {
 		for i := lo; i < hi; i++ {
 			c := w.cellOf(p.ReadF64(w.x.At(i)), p.ReadF64(w.y.At(i)))
 			var occ int64
-			if w.StaleReads {
+			if w.prevCells != nil {
 				occ = w.prevCells[c]
 				p.Compute(1)
 			} else {
@@ -179,14 +179,15 @@ func (w *Mp3d) Worker(p *machine.Proc) {
 	}
 }
 
-// VelocitySums returns the cumulative velocity vector over all particles
-// — the paper's §4.2 quality-of-solution metric.
-func (w *Mp3d) VelocitySums() (sx, sy float64) {
+// Answer returns the cumulative velocity vector over all particles, X
+// then Y — the paper's §4.2 quality-of-solution metric.
+func (w *Mp3d) Answer() []float64 {
+	var sx, sy float64
 	for i := 0; i < w.np; i++ {
 		sx += w.vx.Peek(i)
 		sy += w.vy.Peek(i)
 	}
-	return
+	return []float64{sx, sy}
 }
 
 // Verify performs structural checks: the races make exact trajectories

@@ -106,6 +106,12 @@ type Config struct {
 	// acquisition".
 	NoAcquireOverlap bool
 
+	// StaleDensity is the §4.2 quality-of-solution emulation of lazily
+	// propagated data: mp3d's collision phase reads each cell's density as
+	// of the previous step instead of the current one. The other
+	// applications ignore it.
+	StaleDensity bool
+
 	// CheckInvariants enables continuous directory/protocol invariant
 	// checking (panics on violation). Intended for tests.
 	CheckInvariants bool

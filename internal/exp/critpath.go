@@ -5,27 +5,25 @@ import (
 	"strings"
 	"text/tabwriter"
 
-	"lazyrc/internal/apps"
 	"lazyrc/internal/causal"
-	"lazyrc/internal/machine"
+	"lazyrc/internal/runner"
 )
 
 // CriticalPath renders the per-protocol per-app stall attribution table
 // for `paperbench -critical-path`: for every (application, protocol)
-// cell it runs a span-traced simulation, attributes every stalled cycle
-// to its protocol cause with the critical-path analyzer, and prints the
-// cause shares of total stall time. This is the transaction-granularity
-// mirror of the paper's Figure 5/7 overhead breakdowns — instead of
-// "write stall grew" it shows *which* protocol resource the cycles
-// queued behind.
+// cell of the evaluator's default machine it runs a span-traced
+// simulation, attributes every stalled cycle to its protocol cause with
+// the critical-path analyzer, and prints the cause shares of total stall
+// time. This is the transaction-granularity mirror of the paper's Figure
+// 5/7 overhead breakdowns — instead of "write stall grew" it shows
+// *which* protocol resource the cycles queued behind.
 //
-// Runs here retain the full span store, so they execute directly rather
-// than through the runner's digest-only result cache.
-func CriticalPath(scale apps.Scale, procs int, seed uint64) string {
-	cfg := mustCell("default", procs, scale, seed)
-
+// Runs here retain the full span store, so they execute through
+// runner.ExecTraced — the execution the daemon's trace download serves —
+// rather than through the runner's digest-only result cache.
+func (e *Evaluator) CriticalPath() string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "critical-path stall attribution (%s, %d procs; %% of each run's stall cycles)\n", scale, procs)
+	fmt.Fprintf(&b, "critical-path stall attribution (%s, %d procs; %% of each run's stall cycles)\n", e.Scale, e.Procs)
 	tw := tabwriter.NewWriter(&b, 0, 8, 1, ' ', tabwriter.AlignRight)
 	fmt.Fprintf(tw, "app\tproto\tstall\t")
 	for c := causal.Cause(0); c < causal.NumCauses; c++ {
@@ -34,11 +32,7 @@ func CriticalPath(scale apps.Scale, procs int, seed uint64) string {
 	fmt.Fprintln(tw)
 	for _, appName := range AppOrder {
 		for _, proto := range protoOrder {
-			app, err := apps.New(appName, scale)
-			if err != nil {
-				panic(fmt.Sprintf("critical-path: %v", err))
-			}
-			m, err := apps.Run(cfg, proto, app, func(m *machine.Machine) { m.EnableSpans(true, 0) })
+			m, err := runner.ExecTraced(e.Job("default", appName, proto))
 			if err != nil {
 				panic(fmt.Sprintf("critical-path: %s/%s: %v", appName, proto, err))
 			}

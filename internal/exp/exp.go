@@ -96,7 +96,7 @@ func CellConfig(variant string, procs int, scale apps.Scale, seed uint64) (confi
 	}
 	c, err := config.Preset(variant, procs)
 	if err != nil {
-		return config.Config{}, fmt.Errorf("%w, or a row of %v such as line=256", err, Targets[len(MatrixTargets):])
+		return config.Config{}, fmt.Errorf("%w, or a study's variant such as line=256", err)
 	}
 	c.CacheSize = CacheForScale(scale)
 	c.Seed = seed

@@ -114,8 +114,13 @@ func TestCacheForScale(t *testing.T) {
 	}
 }
 
+// TestTable1Rendering: Table 1 renders from a report that carries no
+// run — the constants of the report's default machine.
 func TestTable1Rendering(t *testing.T) {
-	out := Table1(config.Default(64))
+	out, err := Render("table1", Report{Scale: "tiny", Procs: 64}.View(), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, want := range []string{"128 bytes", "128 Kbytes", "20 cycles", "25 cycles", "15 cycles"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("Table1 missing %q:\n%s", want, out)
@@ -146,7 +151,7 @@ func TestSweepsAreWellFormed(t *testing.T) {
 	if len(sweeps) != 3 {
 		t.Fatalf("sweeps = %d, want 3 (latency, bandwidth, line size)", len(sweeps))
 	}
-	for _, sw := range sweeps {
+	for _, sw := range append(slices.Clone(sweeps), quality...) { // §4.2 keeps §4.3's cache
 		if len(sw.points) < 2 {
 			t.Errorf("%s: fewer than 2 points", sw.title)
 		}
@@ -197,13 +202,32 @@ func studyCell(t *testing.T, b block, p point) config.Config {
 	return cfg
 }
 
+// TestMp3dQualityReport: the §4.2 check is two cells of a report, mp3d
+// under SC on the paper's cache with fresh and with stale densities, and
+// renders from their answers; a workload without an answer reports none.
 func TestMp3dQualityReport(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs simulations")
 	}
-	out := Mp3dQuality(apps.Tiny, 4)
-	if !strings.Contains(out, "X") || !strings.Contains(out, "divergence") {
-		t.Fatalf("quality report malformed:\n%s", out)
+	e := NewEvaluator(apps.Tiny, 4)
+	e.Prefetch(TargetCells([]string{"mp3dquality"}, nil))
+	rep := e.Report()
+	if err := rep.Err(); err != nil {
+		t.Fatal(err)
+	}
+	fresh, stale := rep.Runs[0], rep.Runs[1]
+	if fresh.Config != "fresh-density" || stale.Config != "stale-density" || len(fresh.Answer) != 2 || len(stale.Answer) != 2 {
+		t.Fatalf("quality cells %s and %s carry answers %v and %v", fresh.Config, stale.Config, fresh.Answer, stale.Answer)
+	}
+	if fresh.Answer[0] == stale.Answer[0] {
+		t.Fatalf("stale densities left the answer unchanged: %v", fresh.Answer)
+	}
+	out, err := Render("mp3dquality", rep.View(), nil)
+	if err != nil || !strings.Contains(out, "X") || !strings.Contains(out, "divergence") || strings.Contains(out, "failed") {
+		t.Fatalf("quality report malformed (%v):\n%s", err, out)
+	}
+	if res := runner.Exec(e.Job("default", "gauss", "sc")); res.Answer != nil {
+		t.Fatalf("gauss reported answer %v", res.Answer)
 	}
 }
 
@@ -288,8 +312,9 @@ func TestTargetCells(t *testing.T) {
 	}
 	// The studies are targets like any other: 10 sweep points × 3 apps ×
 	// {erc, lrc}; 16 ablation points; 2 machines × {lrc, lrc-ext}; 3 sizes
-	// × 3 apps × {erc, lrc}. What no report carries expands to nothing.
-	for target, want := range map[string]int{"sweep": 60, "ablate": 16, "dsm": 4, "scaling": 18, "mp3dquality": 0} {
+	// × 3 apps × {erc, lrc}; fresh and stale mp3d under SC. Table 1 reads
+	// no cell.
+	for target, want := range map[string]int{"sweep": 60, "ablate": 16, "dsm": 4, "scaling": 18, "mp3dquality": 2, "table1": 0} {
 		if got := TargetCells([]string{target}, nil); len(got) != want {
 			t.Errorf("%s expands to %d cells, want %d", target, len(got), want)
 		}
@@ -431,8 +456,8 @@ func TestStoredReportRendersGolden(t *testing.T) {
 	if _, err := Render("table2", short.View(), nil); err != nil {
 		t.Fatalf("table2 does not read the missing cell: %v", err)
 	}
-	if _, err := Render("mp3dquality", short.View(), nil); err == nil {
-		t.Fatal("a target no report carries rendered")
+	if _, err := Render("mp3dquality", short.View(), nil); err == nil || !strings.Contains(err.Error(), "fresh-density/mp3d/sc") {
+		t.Fatalf("mp3dquality from a report without its cells: %v", err)
 	}
 }
 
@@ -440,7 +465,8 @@ func TestStoredReportRendersGolden(t *testing.T) {
 // studies: BENCH_studies.json re-renders, with no simulation, the bytes
 // `paperbench -scale tiny -q sweep ablate dsm scaling` printed before the
 // studies joined the report (testdata/paperbench_tiny_studies.golden was
-// captured from the four deleted drivers). A study cell that did not
+// captured from the four deleted study functions), and the §4.2 check from its two
+// cells. A study cell that did not
 // verify prints "failed" in its slot and fails the report.
 func TestStoredStudiesRenderGolden(t *testing.T) {
 	rep, err := LoadReport("../../BENCH_studies.json")
@@ -457,6 +483,16 @@ func TestStoredStudiesRenderGolden(t *testing.T) {
 	}
 	if err := rep.Err(); err != nil {
 		t.Fatal(err)
+	}
+	// The §4.2 check re-renders what the deleted exp.Mp3dQuality printed
+	// for `paperbench -scale tiny -procs 64 -q mp3dquality`.
+	const quality = `mp3d quality of solution (cumulative velocity vector after tiny run)
+  axis   immediate        stale (lazy)     divergence
+  X       113.40002       120.69889        6.44%
+  Y       -29.97770       -33.45090       11.59%
+`
+	if got := renderAll(t, rep, []string{"mp3dquality"}); got != quality+"\n" {
+		t.Fatalf("mp3dquality from BENCH_studies.json drifted:\n%s", got)
 	}
 
 	for i := range rep.Runs {

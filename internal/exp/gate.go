@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"os"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -21,7 +22,8 @@ import (
 //     baseline value (a zero baseline value must stay zero);
 //   - the miss classification is structural, not a performance number:
 //     any changed miss-rate or miss-share tally fails regardless of
-//     tolerance, as does a run that no longer verifies.
+//     tolerance, as does a changed answer vector (where the baseline
+//     carries one) or a run that no longer verifies.
 //
 // The simulator is deterministic, so on an unchanged tree even
 // tolPct = 0 passes; any failure is a real behavioural change.
@@ -89,6 +91,10 @@ func Gate(baseline, fresh Report, tolPct float64) []string {
 				fail("%s: %s miss share changed: %.6f%% -> %.6f%%",
 					k, kind, base.MissShares[kind], run.MissShares[kind])
 			}
+		}
+		// So is the answer, where the baseline carries one.
+		if base.Answer != nil && !slices.Equal(base.Answer, run.Answer) {
+			fail("%s: answer changed: %v -> %v", k, base.Answer, run.Answer)
 		}
 		// Three digests ride on a run: telemetry (the cycle-domain shape, so
 		// compensating drifts inside tolerance still fail), spans (the causal

@@ -195,3 +195,26 @@ func TestGateDigests(t *testing.T) {
 		}
 	}
 }
+
+// TestGateAnswer: the answer vector is compared exactly, whatever the
+// tolerance, wherever the baseline carries one; a baseline without one
+// gates on the scalars alone.
+func TestGateAnswer(t *testing.T) {
+	withAnswer := func(answer ...float64) Report {
+		r := gateReport(1000, 0)
+		r.Runs[0].Answer = answer
+		return r
+	}
+	base := withAnswer(113.40002, -31.93188)
+	if v := Gate(base, withAnswer(113.40002, -31.93188), 100); len(v) != 0 {
+		t.Fatalf("an identical answer failed the gate: %v", v)
+	}
+	if v := Gate(gateReport(1000, 0), base, 0); len(v) != 0 {
+		t.Fatalf("a baseline without an answer failed a fresh run that has one: %v", v)
+	}
+	for _, fresh := range []Report{withAnswer(113.40002, -31.931880000001), withAnswer(113.40002), gateReport(1000, 0)} {
+		if v := Gate(base, fresh, 100); len(v) != 1 || !strings.Contains(v[0], "answer changed: [113.40002 -31.93188] -> ") {
+			t.Errorf("answer %v against %v: %v", fresh.Runs[0].Answer, base.Runs[0].Answer, v)
+		}
+	}
+}

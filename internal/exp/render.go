@@ -8,9 +8,10 @@ import (
 	"lazyrc/internal/stats"
 )
 
-// Table1 renders the system-constant table (Table 1 of the paper) for a
-// configuration.
-func Table1(c config.Config) string {
+// table1 renders the system-constant table (Table 1 of the paper): the
+// constants of the report's default machine, which no cell reads.
+func table1(v *View, _ block) string {
+	c := config.Default(v.procs)
 	var b strings.Builder
 	fmt.Fprintf(&b, "Table 1: system parameters (%d processors)\n", c.Procs)
 	rows := []struct {

@@ -74,6 +74,11 @@ type ReportRun struct {
 	FaultsInjected uint64 `json:"faults_injected,omitempty"`
 	Retransmits    uint64 `json:"retransmits,omitempty"`
 
+	// Answer is the application's solution vector (runner.Result.Answer),
+	// absent for workloads that report none: what the §4.2 quality check
+	// compares.
+	Answer []float64 `json:"answer,omitempty"`
+
 	// Verified is false, and Error says why, for a run that crashed,
 	// tripped the invariant auditor or the watchdog (faulted runs are
 	// guarded), failed its numerical verification, or left a processor
@@ -115,6 +120,7 @@ func (e *Evaluator) Report() Report {
 			SpanDigest:    res.SpanDigest,
 			MissShares:    map[string]float64{},
 			MemDigest:     res.MemDigest, FaultsInjected: res.FaultsInjected, Retransmits: res.Retransmits,
+			Answer: res.Answer,
 		}
 		if err := res.Err(); err != nil {
 			rr.Error = err.Error()

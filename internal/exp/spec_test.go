@@ -86,9 +86,22 @@ func TestCellTargets(t *testing.T) {
 		}
 	}
 
-	const pinned = "b8f5866b036c5cb10eb0b06dc5ca8f98cedea6fbe89b214cf965db5330ee2d01"
-	if id := (Spec{Targets: []string{"fig4", "fig6"}, Scale: "tiny", Procs: 64, Seed: 1}).ID(); id != pinned {
-		t.Fatalf("the ID of {fig4, fig6, tiny, 64, 1} moved to %s: stored sweep registries key on it", id)
+	// Stored sweep registries key on the ID, so new targets (table1 and
+	// mp3dquality joining the table) must not move a spec that validated
+	// before them.
+	for want, spec := range map[string]Spec{
+		"b8f5866b036c5cb10eb0b06dc5ca8f98cedea6fbe89b214cf965db5330ee2d01": {Targets: []string{"fig4", "fig6"}, Scale: "tiny", Procs: 64, Seed: 1},
+		"cae2545e4fc1a367608d69c1179b950a7b1f4b81345bdd01dfd7e8c914884621": {},
+		"bdd3ed059f36f1964de7b56dbe9a48fe854d301091e97a440d2b56628a96745d": {Targets: []string{"all"}, Scale: "tiny", Procs: 4, Seed: 1},
+		"adefca2f69dd36243d673f44478a40f7d54bb8aa0347f1699ea4848378689f5b": {Targets: []string{"all", "sweep"}, Scale: "tiny", Procs: 4, Seed: 1},
+		"5512cc25ecc20251cfd451f257cefa460c1da09d54f1ffbf2cef2004fd0a5cc4": {Targets: []string{"sweep", "ablate", "dsm", "scaling"}, Scale: "tiny", Procs: 64, Seed: 1},
+		"af8e87a072b45c6d0649133138638cedeb24b56cdf365543305bf54bf6fcbcab": {Targets: []string{"chaos"}, Scale: "tiny", Procs: 16, Seed: 1},
+		"b62247c7e50f2154f9cf93a08c051f4ba20d723c20de5379322be646f46c185d": {Targets: []string{"fig4"}, Apps: []string{"gauss"}, Scale: "tiny", Procs: 4, Seed: 1},
+		"833b538dd4427243ff6f50eb3da524758a4c0592bb9aa28accbbe7921c511e06": {Targets: []string{"default/gauss/lrc"}, Scale: "tiny", Procs: 4, Seed: 1},
+	} {
+		if id := spec.ID(); id != want {
+			t.Errorf("the ID of %+v moved to %s: stored sweep registries key on it", spec, id)
+		}
 	}
 }
 

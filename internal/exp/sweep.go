@@ -2,6 +2,7 @@ package exp
 
 import (
 	"fmt"
+	"math"
 	"strings"
 
 	"lazyrc/internal/apps"
@@ -39,10 +40,10 @@ var (
 	eagerLazy = []string{"erc", "lrc"}
 )
 
-// paperCache pins the paper's full-size 128 KB cache: the sweeps
-// deliberately keep it at every input scale instead of the co-scaled
-// CellConfig one, because the EXPERIMENTS.md §4.3 verdicts were measured
-// that way.
+// paperCache pins the paper's full-size 128 KB cache: the sweeps and the
+// quality check deliberately keep it at every input scale instead of the
+// co-scaled CellConfig one, because the EXPERIMENTS.md §4.3 and §4.2
+// verdicts were measured that way.
 func paperCache(c *config.Config) { c.CacheSize = CacheForScale(apps.Paper) }
 
 // sweepTable renders one sweep: the lazy/eager execution-time ratio per
@@ -70,43 +71,36 @@ func sweepTable(v *View, sw block) string {
 	return b.String()
 }
 
-// Mp3dQuality reproduces the §4.2 quality-of-solution experiment: the
-// cumulative per-axis velocity vector of mp3d run with immediate
-// visibility (the SC execution) versus with stale, lazily propagated cell
-// densities. The paper found the Y and Z components within 0.1% and X
-// within 6.7%. It runs its two specially constructed app instances
-// directly rather than through the runner: the StaleReads mutation is
-// not part of a Job spec, and caching a mutated run under the plain
-// mp3d fingerprint would poison the cache. Like the sweeps it keeps the
-// full-size cache its EXPERIMENTS.md verdict was measured with.
-func Mp3dQuality(scale apps.Scale, procs int) string {
-	cfg := config.Default(procs)
+// quality is the §4.2 quality-of-solution experiment: mp3d's answer, the
+// cumulative per-axis velocity vector, with each cell density read as it
+// stands (the SC execution) and as of the previous step (stale, lazily
+// propagated data). The paper found the Y and Z components within 0.1%
+// and X within 6.7%.
+var quality = []block{{
+	points: []point{
+		{"fresh-density", "immediate", paperCache},
+		{"stale-density", "stale (lazy)", func(c *config.Config) { paperCache(c); c.StaleDensity = true }},
+	},
+	apps: []string{"mp3d"}, protos: []string{"sc"},
+}}
 
-	run := func(stale bool) (sx, sy float64) {
-		app := apps.NewMp3d(scale)
-		app.StaleReads = stale
-		if _, err := apps.Run(cfg, "sc", app); err != nil {
-			panic(fmt.Sprintf("mp3d quality run: %v", err))
-		}
-		return app.VelocitySums()
-	}
-	fx, fy := run(false) // fresh: sequentially consistent data propagation
-	lx, ly := run(true)  // stale: lazy-protocol-like propagation
-
-	rel := func(a, b float64) float64 {
-		if a == 0 {
-			return 0
-		}
-		d := (b - a) / a
-		if d < 0 {
-			d = -d
-		}
-		return 100 * d
-	}
+// qualityTable renders the two answers and their per-axis divergence.
+func qualityTable(v *View, q block) string {
+	fresh, stale := v.cell(q.points[0].variant, "mp3d", "sc"), v.cell(q.points[1].variant, "mp3d", "sc")
 	var b strings.Builder
-	fmt.Fprintf(&b, "mp3d quality of solution (cumulative velocity vector after %s run)\n", scale)
-	fmt.Fprintf(&b, "  axis   immediate        stale (lazy)     divergence\n")
-	fmt.Fprintf(&b, "  X    %12.5f    %12.5f    %8.2f%%\n", fx, lx, rel(fx, lx))
-	fmt.Fprintf(&b, "  Y    %12.5f    %12.5f    %8.2f%%\n", fy, ly, rel(fy, ly))
+	fmt.Fprintf(&b, "mp3d quality of solution (cumulative velocity vector after %s run)\n", v.scale)
+	fmt.Fprintf(&b, "  axis   %-17s%-17sdivergence\n", q.points[0].label, q.points[1].label)
+	for i, axis := range []string{"X", "Y"} {
+		if !fresh.Verified || !stale.Verified || len(fresh.Answer) <= i || len(stale.Answer) <= i {
+			fmt.Fprintf(&b, "  %s    %12s\n", axis, "failed")
+			continue
+		}
+		f, l := fresh.Answer[i], stale.Answer[i]
+		div := 0.0
+		if f != 0 {
+			div = 100 * math.Abs((l-f)/f)
+		}
+		fmt.Fprintf(&b, "  %s    %12.5f    %12.5f    %8.2f%%\n", axis, f, l, div)
+	}
 	return b.String()
 }

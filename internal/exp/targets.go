@@ -40,10 +40,11 @@ type block struct {
 
 // target is one named paperbench target a report carries: the cells its
 // rendering reads, as blocks, and the renderer of one block over a report
-// view (a study prints one table per block). inAll marks the paper's
-// matrix, which is what a Spec's "all" (and its absence of targets)
-// means; the studies and the soak are named explicitly. The other kind
-// of target, a cell key, names one simulation and needs no row here.
+// view (a study prints one table per block; Table 1 is one empty block,
+// reading no cell). inAll marks the paper's matrix, which is what a
+// Spec's "all" (and its absence of targets) means; Table 1, the studies
+// and the soak are named explicitly. The other kind of target, a cell
+// key, names one simulation and needs no row here.
 type target struct {
 	name   string
 	inAll  bool
@@ -57,6 +58,7 @@ type target struct {
 // by the SC run, so "sc" is part of their read set even when it is not a
 // plotted bar.
 var targets = []target{
+	{"table1", false, []block{{}}, table1},
 	{"table2", true, matrix("default", "erc"), table2},
 	{"table3", true, matrix("default", "erc", "lrc", "lrc-ext"), table3},
 	{"fig4", true, matrix("default", "sc", "erc", "lrc"), figTime("default",
@@ -73,6 +75,7 @@ var targets = []target{
 		"Figure 9: performance trends, overhead analysis (future machine)", "lrc", "lrc-ext", "erc", "sc")},
 	{"tardis", true, matrix("default", "sc", "erc", "lrc", "lrc-ext", "tardis", "tardis2"), tardisTable},
 	{"sweep", false, sweeps, sweepTable},
+	{"mp3dquality", false, quality, qualityTable},
 	{"ablate", false, ablations, ablationTable},
 	{"dsm", false, dsmContrast, dsmTable},
 	{"scaling", false, scaling, scalingTable},
@@ -86,7 +89,7 @@ func matrix(preset string, protos ...string) []block {
 }
 
 // Targets lists every target a report carries, in rendering order;
-// MatrixTargets is its prefix that "all" expands to, the paper's matrix.
+// MatrixTargets are those "all" expands to, the paper's matrix.
 var Targets, MatrixTargets []string
 
 // studyVariants resolves, for CellConfig, every variant the target table

@@ -44,9 +44,6 @@ import (
 //     when the transport is active so the zero-fault export shape — and
 //     its pinned baseline digest — is untouched.
 func (m *Machine) EnableMetrics(interval uint64) *telemetry.Registry {
-	if interval == 0 {
-		interval = 5000
-	}
 	reg := telemetry.NewRegistry(interval)
 	m.Tel = reg
 	reg.SetMeta("protocol", m.protoName)

@@ -34,7 +34,9 @@ import (
 // v5: span digest v2 — a word-wise fold over a packed record that now
 // covers Span.Cause (DESIGN.md §11). Every span_digest changed while the
 // simulation did not, so a v4 result must never be served beside a v5 one.
-const fingerprintVersion = "lazyrc-job-v5"
+// v6: results grew the application's answer vector; cached v5 results
+// lack it and must be recomputed.
+const fingerprintVersion = "lazyrc-job-v6"
 
 // Job is one simulation to run: an application at a scale, a protocol,
 // and a fully materialized machine configuration. Two jobs with the same

@@ -27,7 +27,7 @@ func TestRunPathsAgree(t *testing.T) {
 	}
 
 	observers := map[string]func(*machine.Machine){
-		"metrics": func(m *machine.Machine) { m.EnableMetrics(metricsInterval) },
+		"metrics": func(m *machine.Machine) { m.EnableMetrics(MetricsInterval) },
 		"spans":   func(m *machine.Machine) { m.EnableSpans(false, 0) },
 		"perf":    func(m *machine.Machine) { m.EnablePerf() },
 	}

@@ -38,7 +38,7 @@ type Result struct {
 	Bytes uint64 `json:"network_bytes"`
 
 	// MetricsDigest is the SHA-256 of the run's canonical telemetry
-	// export (fixed sampling interval; see metricsInterval). Telemetry is
+	// export (fixed sampling interval; see MetricsInterval). Telemetry is
 	// cycle-domain and engine-driven, so the digest is identical across
 	// worker counts and machines — the regression gate compares it to
 	// catch shape drift that end-of-run totals would miss.
@@ -75,6 +75,11 @@ type Result struct {
 	FaultsInjected uint64 `json:"faults_injected,omitempty"`
 	Retransmits    uint64 `json:"retransmits,omitempty"`
 	DupSuppressed  uint64 `json:"dup_suppressed,omitempty"`
+
+	// Answer is the solution vector of an application that reports one
+	// (an Answer method: mp3d's velocity sums, the §4.2 quality metric),
+	// nil for the others.
+	Answer []float64 `json:"answer,omitempty"`
 
 	// VerifyErr records a deterministic numerical-verification failure.
 	// Such results are still cacheable: the same job always fails the
@@ -124,10 +129,11 @@ func (r *Result) Err() error {
 	return nil
 }
 
-// metricsInterval is the fixed telemetry sampling interval for runner
-// jobs. Part of the result contract: changing it changes every metrics
-// digest, so bump fingerprintVersion with it.
-const metricsInterval = 4096
+// MetricsInterval is the fixed telemetry sampling interval for runner
+// jobs, and lrcsim's default, so its export of a cell hashes to the
+// cell's metrics digest. Part of the result contract: changing it changes
+// every metrics digest, so bump fingerprintVersion with it.
+const MetricsInterval = 4096
 
 // Guard cadences for faulted jobs: invariant audits every checkEpoch
 // cycles, and a liveness watchdog that stops a run making no progress for
@@ -222,7 +228,7 @@ var simulate = func(j Job, res *Result, hk hooks) error {
 		// MemStats reads plus clock reads in one event of perf.Stride,
 		// about 4 % of a bare run) feeds the runner's throughput meta —
 		// report provenance and /api/v1/stats, which bench/ reads.
-		m.EnableMetrics(metricsInterval)
+		m.EnableMetrics(MetricsInterval)
 		m.EnableSpans(false, 0)
 		m.EnablePerf()
 		// Faulted jobs run guarded: a protocol-invariant auditor audits
@@ -271,6 +277,9 @@ var simulate = func(j Job, res *Result, hk hooks) error {
 	res.FaultsInjected = reord + delay + dup + drop + outage + brown
 	res.Retransmits = retx
 	res.DupSuppressed = m.DuplicatesIgnored()
+	if a, ok := app.(interface{ Answer() []float64 }); ok {
+		res.Answer = a.Answer()
+	}
 	if aud != nil {
 		aud.Final()
 		switch {
