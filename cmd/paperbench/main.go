@@ -29,14 +29,15 @@
 //	           [-baseline BENCH_baseline.json -tol 0] [targets...]
 //
 // Targets: table1 table2 table3 fig4 fig5 fig6 fig7 fig8 fig9 tardis
-// sweep mp3dquality all (default: all); extensions: ablate, dsm,
-// scaling, chaos (the lossy-interconnect soak: every app × protocol
-// under message loss and link outages, gated on the end-state
-// equivalence oracle); and any cell by its key variant/app/protocol
-// (default/gauss/lrc, line=256/mp3d/erc), printed as one generic table.
-// An unknown target is refused. The tardis target compares the
-// timestamp-coherence protocols against the invalidation protocols;
-// -protocols narrows the protocol set it and the chaos soak cover.
+// sweep mp3dquality all (default: all); claims (the paper's conclusions
+// as a Markdown table of verdicts); extensions: ablate, dsm, scaling,
+// chaos (the lossy-interconnect soak: every app × protocol under message
+// loss and link outages, gated on the end-state equivalence oracle); and
+// any cell by its key variant/app/protocol (default/gauss/lrc,
+// line=256/mp3d/erc), printed as one generic table. An unknown target is
+// refused. The tardis target compares the timestamp-coherence protocols
+// with the invalidation protocols; -protocols narrows the protocol set it
+// and the chaos soak cover.
 package main
 
 import (

@@ -65,7 +65,7 @@ func TestLocalAndRemoteShareOneTail(t *testing.T) {
 		return b
 	}
 	common := []string{"-scale", "tiny", "-procs", "4", "-q"}
-	targets := []string{"table1", "fig4", "table3", "sweep", "mp3dquality", "dsm", "chaos", "default/gauss/sc", "line=256/gauss/lrc"}
+	targets := []string{"table1", "fig4", "table3", "sweep", "mp3dquality", "dsm", "chaos", "claims", "default/gauss/sc", "line=256/gauss/lrc"}
 	invoke := func(remote bool, extra ...string) (string, string, int) {
 		args := append([]string{}, common...)
 		if remote {
@@ -83,7 +83,7 @@ func TestLocalAndRemoteShareOneTail(t *testing.T) {
 		t.Fatalf("remote run exited %d: %s", code, remoteErr)
 	}
 	for _, heading := range []string{"Table 1:", "Table 3:", "Figure 4:", "Sensitivity: cache line size", "mp3d quality of solution", "DSM contrast:",
-		"all 126 faulted runs matched", "Cells: tiny inputs, 4 procs", "line=256  gauss       lrc"} {
+		"all 126 faulted runs matched", "| claim (tiny inputs, 4 procs) |", "Cells: tiny inputs, 4 procs", "line=256  gauss       lrc"} {
 		if !strings.Contains(localOut, heading) {
 			t.Fatalf("local run did not print %q:\n%s", heading, localOut)
 		}

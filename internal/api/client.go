@@ -9,7 +9,6 @@ import (
 	"io"
 	"net/http"
 	"strings"
-	"time"
 
 	"lazyrc/internal/exp"
 	"lazyrc/internal/obs"
@@ -95,21 +94,6 @@ func (c *Client) Readyz(ctx context.Context) error {
 // Metrics fetches the daemon's Prometheus text exposition.
 func (c *Client) Metrics(ctx context.Context) ([]byte, error) {
 	return c.raw(ctx, "/metrics")
-}
-
-// WaitHealthy polls the liveness endpoint until the daemon answers or
-// ctx expires — the startup handshake for tests and scripts.
-func (c *Client) WaitHealthy(ctx context.Context) error {
-	for {
-		if err := c.Health(ctx); err == nil {
-			return nil
-		}
-		select {
-		case <-ctx.Done():
-			return fmt.Errorf("api: daemon at %s never became healthy: %w", c.Base, ctx.Err())
-		case <-time.After(25 * time.Millisecond):
-		}
-	}
 }
 
 // SubmitSweep submits a sweep spec (idempotent: an identical spec

@@ -105,7 +105,7 @@ func TestEndToEnd(t *testing.T) {
 	baseline := runtime.NumGoroutine()
 
 	d1 := startDaemon(t, dir, 4)
-	if err := d1.c.WaitHealthy(ctx); err != nil {
+	if err := d1.c.Health(ctx); err != nil {
 		t.Fatal(err)
 	}
 
@@ -157,7 +157,7 @@ func TestEndToEnd(t *testing.T) {
 	if st2.ID != sweepID || st2.State != StateDone {
 		t.Fatalf("resubmission: %+v", st2)
 	}
-	if m := d1.svc.Runner().Meta(); m.Simulated != 6 {
+	if m := d1.svc.rn.Meta(); m.Simulated != 6 {
 		t.Fatalf("resubmission simulated: %+v", m)
 	}
 	rep2, err := d1.c.SweepReport(ctx, sweepID)
@@ -198,7 +198,7 @@ func TestEndToEnd(t *testing.T) {
 	if code, cs = post(cell); code != http.StatusOK || cs.ID != cellID || cs.State != StateDone {
 		t.Fatalf("one-cell sweep resubmitted: %d %+v", code, cs)
 	}
-	if m := d1.svc.Runner().Meta(); m.Simulated != 6 {
+	if m := d1.svc.rn.Meta(); m.Simulated != 6 {
 		t.Fatalf("the one-cell sweep re-simulated a sweep cell: %+v", m)
 	}
 	cells, err := d1.c.SweepCells(ctx, cellID)
@@ -342,7 +342,7 @@ func TestEndToEnd(t *testing.T) {
 	// --- Restart on the same store directory: the resubmitted sweep is
 	// served entirely from persistence, fingerprints stable. ---
 	d2 := startDaemon(t, dir, 2)
-	if err := d2.c.WaitHealthy(ctx); err != nil {
+	if err := d2.c.Health(ctx); err != nil {
 		t.Fatal(err)
 	}
 
@@ -382,7 +382,7 @@ func TestEndToEnd(t *testing.T) {
 	if st3.State != StateDone || st3.Executed != 0 || st3.FromCache+st3.Deduped != st3.Jobs {
 		t.Fatalf("warm restart counters: %+v", st3)
 	}
-	if m := d2.svc.Runner().Meta(); m.Simulated != 0 {
+	if m := d2.svc.rn.Meta(); m.Simulated != 0 {
 		t.Fatalf("warm restart runner: %+v", m)
 	}
 	rep3, err := d2.c.SweepReport(ctx, sweepID)

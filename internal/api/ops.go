@@ -18,7 +18,7 @@ import (
 // reports read as one product; the data underneath is strictly the
 // wall-clock plane.
 func serveOps(s *Service, w http.ResponseWriter) {
-	snap := indexSnapshot(s.Registry().Snapshot())
+	snap := indexSnapshot(s.reg.Snapshot())
 
 	doc := telemetry.NewHTMLDoc("lrcsimd ops",
 		"live daemon state · reloads every 5 s · scrape /metrics for history")
@@ -30,7 +30,7 @@ func serveOps(s *Service, w http.ResponseWriter) {
 		ready = "DRAINING (readyz → 503)"
 	}
 	doc.Section("Service", telemetry.MetaTable([][2]string{
-		{"build", s.Build().String()},
+		{"build", s.build.String()},
 		{"uptime", time.Since(s.start).Truncate(time.Second).String()},
 		{"workers", fmt.Sprintf("%d", s.rn.Pool().Workers)},
 		{"readiness", ready},

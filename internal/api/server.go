@@ -63,7 +63,7 @@ func NewServer(s *Service) http.Handler {
 		fmt.Fprintln(w, "ready")
 	})
 
-	mux.Handle("GET /metrics", s.Registry().Handler())
+	mux.Handle("GET /metrics", s.reg.Handler())
 	mux.HandleFunc("GET /ops", func(w http.ResponseWriter, r *http.Request) {
 		serveOps(s, w)
 	})
@@ -174,7 +174,7 @@ func NewServer(s *Service) http.Handler {
 		}
 		return "unrouted"
 	}
-	return s.HTTPMetrics().Middleware(mux, route, s.Logger())
+	return s.httpm.Middleware(mux, route, s.log)
 }
 
 // serveFirehose streams every job lifecycle event as SSE until the

@@ -229,24 +229,6 @@ func (s *Service) registerMetrics() {
 		func() float64 { return float64(s.st.Stats().DroppedLines) })
 }
 
-// Runner exposes the shared pool (tests inspect its Meta).
-func (s *Service) Runner() *runner.Runner { return s.rn }
-
-// Registry exposes the metrics registry (the /metrics and /ops
-// endpoints render from it).
-func (s *Service) Registry() *obs.Registry { return s.reg }
-
-// Logger exposes the structured logger the HTTP middleware shares.
-func (s *Service) Logger() *slog.Logger { return s.log }
-
-// HTTPMetrics exposes the per-route HTTP families for the server
-// middleware. Registered once in NewService so binding multiple servers
-// to one service cannot double-register.
-func (s *Service) HTTPMetrics() *obs.HTTPMetrics { return s.httpm }
-
-// Build exposes the binary's build identity.
-func (s *Service) Build() obs.BuildInfo { return s.build }
-
 // Draining reports whether shutdown has begun — the readiness signal:
 // /readyz turns 503 the moment this turns true, while /healthz stays
 // 200 until the process exits.

@@ -122,7 +122,7 @@ func TestSweepSingleflight(t *testing.T) {
 			t.Fatalf("fingerprint %s executed %d times, want exactly 1", fp, n)
 		}
 	}
-	if m := svc.Runner().Meta(); m.Simulated != 6 {
+	if m := svc.rn.Meta(); m.Simulated != 6 {
 		t.Fatalf("runner simulated %d jobs, want 6: %+v", m.Simulated, m)
 	}
 }

@@ -43,7 +43,7 @@ func TestWriteBufferRetireOrder(t *testing.T) {
 	w.Put(1, 0)
 	w.Put(2, 0)
 	w.Put(3, 0)
-	if w.Oldest().Block != 1 {
+	if w.entries[0].Block != 1 {
 		t.Fatal("oldest wrong")
 	}
 	e := w.Retire(2)
@@ -151,7 +151,7 @@ func TestWriteBufferNeverExceedsCapProperty(t *testing.T) {
 			block := uint64(o % 32)
 			if _, ok := w.Put(block, int(o%8)); !ok {
 				// Full: retire the oldest to make room, as a protocol would.
-				w.Retire(w.Oldest().Block)
+				w.Retire(w.entries[0].Block)
 				if _, ok := w.Put(block, int(o%8)); !ok {
 					return false
 				}

@@ -119,14 +119,6 @@ func (w *WriteBuffer) Visit(fn func(WBEntry)) {
 	}
 }
 
-// Oldest returns the oldest entry, or nil if empty.
-func (w *WriteBuffer) Oldest() *WBEntry {
-	if len(w.entries) == 0 {
-		return nil
-	}
-	return &w.entries[0]
-}
-
 // Stats returns stores presented, stores coalesced, and full stalls.
 func (w *WriteBuffer) Stats() (total, coalesced, stalls uint64) {
 	return w.total, w.coalesced, w.stalls

@@ -313,8 +313,9 @@ func TestTargetCells(t *testing.T) {
 	// The studies are targets like any other: 10 sweep points × 3 apps ×
 	// {erc, lrc}; 16 ablation points; 2 machines × {lrc, lrc-ext}; 3 sizes
 	// × 3 apps × {erc, lrc}; fresh and stale mp3d under SC. Table 1 reads
-	// no cell.
-	for target, want := range map[string]int{"sweep": 60, "ablate": 16, "dsm": 4, "scaling": 18, "mp3dquality": 2, "table1": 0} {
+	// no cell. The claims read the default machine under every protocol and
+	// storm's, three line sizes of locusroute and the §4.2 pair.
+	for target, want := range map[string]int{"sweep": 60, "ablate": 16, "dsm": 4, "scaling": 18, "mp3dquality": 2, "table1": 0, "claims": 92} {
 		if got := TargetCells([]string{target}, nil); len(got) != want {
 			t.Errorf("%s expands to %d cells, want %d", target, len(got), want)
 		}

@@ -91,16 +91,25 @@ func qualityTable(v *View, q block) string {
 	fmt.Fprintf(&b, "mp3d quality of solution (cumulative velocity vector after %s run)\n", v.scale)
 	fmt.Fprintf(&b, "  axis   %-17s%-17sdivergence\n", q.points[0].label, q.points[1].label)
 	for i, axis := range []string{"X", "Y"} {
-		if !fresh.Verified || !stale.Verified || len(fresh.Answer) <= i || len(stale.Answer) <= i {
+		div, ok := divergence(fresh, stale, i)
+		if !ok {
 			fmt.Fprintf(&b, "  %s    %12s\n", axis, "failed")
 			continue
 		}
-		f, l := fresh.Answer[i], stale.Answer[i]
-		div := 0.0
-		if f != 0 {
-			div = 100 * math.Abs((l-f)/f)
-		}
-		fmt.Fprintf(&b, "  %s    %12.5f    %12.5f    %8.2f%%\n", axis, f, l, div)
+		fmt.Fprintf(&b, "  %s    %12.5f    %12.5f    %8.2f%%\n", axis, fresh.Answer[i], stale.Answer[i], div)
 	}
 	return b.String()
+}
+
+// divergence is how far, in percent, the stale run's answer moved from
+// the fresh run's on axis i; ok is false when either run failed or lacks
+// that axis.
+func divergence(fresh, stale ReportRun, i int) (div float64, ok bool) {
+	if !fresh.Verified || !stale.Verified || len(fresh.Answer) <= i || len(stale.Answer) <= i {
+		return 0, false
+	}
+	if f := fresh.Answer[i]; f != 0 {
+		div = 100 * math.Abs((stale.Answer[i]-f)/f)
+	}
+	return div, true
 }

@@ -30,12 +30,14 @@ func intPoints(key, label string, set func(*config.Config, int), vals ...int) []
 }
 
 // block is a cross product of cells, points × apps × protocols: the read
-// set of a matrix target, or one table of a study (which titles it).
+// set of a matrix target, one table of a study (which titles it), or a
+// claim (titled by its sentence), whose check reads the verdict.
 type block struct {
 	title  string
 	points []point
 	apps   []string // nil: every application evaluated
 	protos []string
+	check  func(*View, block) (verdict, read string)
 }
 
 // target is one named paperbench target a report carries: the cells its
@@ -80,6 +82,7 @@ var targets = []target{
 	{"dsm", false, dsmContrast, dsmTable},
 	{"scaling", false, scaling, scalingTable},
 	{"chaos", false, soak, soakTable},
+	{"claims", false, claims, claimRow},
 }
 
 // matrix is the read set of a paper table or figure: every application
@@ -191,7 +194,11 @@ func Render(name string, v *View, protos []string) (string, error) {
 			return "", fmt.Errorf("exp: %s reads cell %s, which the report lacks (%d missing lookups in all)",
 				name, v.missing[0], len(v.missing))
 		}
-		out := strings.Join(tables, "\n") // a blank line between a study's tables
+		sep := "\n" // a blank line between a study's tables; a claim is a row
+		if name == "claims" {
+			sep, tables[0] = "", fmt.Sprintf("| claim (%s inputs, %d procs) | measured | verdict |\n|---|---|---|\n", v.scale, v.procs)+tables[0]
+		}
+		out := strings.Join(tables, sep)
 		if len(v.failures) > 0 {
 			return out, fmt.Errorf("exp: %s: %d cell(s) failed the end-state oracle (first: %s)",
 				name, len(v.failures), v.failures[0])

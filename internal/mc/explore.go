@@ -12,12 +12,12 @@ import (
 // the explorer then queues sibling schedules — the same prefix with one
 // alternative answer — for every choice point whose machine state it has
 // not expanded before. Hashing states at choice points gives the search
-// its pruning: two schedules reaching the same protocol state offer the
-// same futures, so only the first is expanded (coverage-conservative:
-// the hash folds in every cache, buffer, directory, and in-flight
-// message, but a collision could in principle hide a state). The runs
-// themselves may execute ahead of the search, on other cores
-// (frontier.go); the search consumes their results in its own order.
+// its pruning: of schedules that hash the same, only the first is
+// expanded. That is not coverage-conservative: the hash folds in every
+// cache, buffer, directory and in-flight message, but no processor's
+// program position or registers, so a schedule differing only there is
+// skipped though its futures differ. Runs may execute ahead of the search
+// on other cores (frontier.go); the search consumes them in its own order.
 
 // ExploreConfig bounds one exploration.
 type ExploreConfig struct {

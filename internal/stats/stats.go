@@ -86,18 +86,6 @@ type Proc struct {
 // Refs returns total references issued.
 func (p *Proc) Refs() uint64 { return p.Reads + p.Writes }
 
-// DataMisses returns misses that transfer data (everything but the
-// write-permission misses).
-func (p *Proc) DataMisses() uint64 {
-	var n uint64
-	for k := MissKind(0); k < NumMissKinds; k++ {
-		if k != WriteMiss {
-			n += p.Misses[k]
-		}
-	}
-	return n
-}
-
 // TotalMisses returns all misses including write-permission misses.
 func (p *Proc) TotalMisses() uint64 {
 	var n uint64

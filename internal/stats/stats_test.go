@@ -26,9 +26,6 @@ func TestProcDerivedCounters(t *testing.T) {
 	if p.Refs() != 100 {
 		t.Fatalf("refs = %d", p.Refs())
 	}
-	if p.DataMisses() != 5 {
-		t.Fatalf("data misses = %d, want 5", p.DataMisses())
-	}
 	if p.TotalMisses() != 10 {
 		t.Fatalf("total misses = %d, want 10", p.TotalMisses())
 	}

@@ -29,7 +29,7 @@ type Header struct {
 
 // timesLine is the tick-timestamp line (exactly one per export). Export
 // writes it and the series lines with appendTimes and appendSeries, byte
-// for byte what encoding/json writes for these structs; Load reads them
+// for byte what encoding/json writes for these structs; load reads them
 // with encoding/json.
 type timesLine struct {
 	Kind   string   `json:"kind"`
@@ -194,7 +194,7 @@ func (r *Registry) Digest() string {
 }
 
 // Validate reads a JSONL export and checks it against the schema: on top
-// of everything Load rejects, the header must carry accurate counts, the
+// of everything load rejects, the header must carry accurate counts, the
 // tick timestamps must be strictly increasing with one per sample, every
 // series must carry exactly one point per sample, and every histogram's
 // bucket counts must sum to its count. It returns the parsed header
@@ -236,18 +236,12 @@ func Validate(rd io.Reader) (Header, error) {
 	return hdr, nil
 }
 
-// Load reads a JSONL export back into a registry — the report renderer
+// load reads a JSONL export back into a registry — the report renderer
 // and offline tooling work from files the same way they work from a live
 // registry. The export is checked structurally while loading: current
 // schema version, exactly one times line, one line per series or
 // histogram name, known line kinds and series modes, in-range bucket
 // indexes. Validate adds the consistency checks.
-func Load(rd io.Reader) (*Registry, error) {
-	reg, _, err := load(rd)
-	return reg, err
-}
-
-// load is the one JSONL parser behind Load and Validate.
 func load(rd io.Reader) (*Registry, Header, error) {
 	sc := bufio.NewScanner(rd)
 	sc.Buffer(make([]byte, 0, 1<<20), 64<<20)

@@ -107,27 +107,6 @@ func (h *Histogram) Mean() float64 {
 	return float64(h.sum) / float64(h.count)
 }
 
-// Merge adds other's samples into h. Either receiver or argument may be
-// nil (a no-op). Quantiles of the merged histogram are exactly what a
-// single histogram fed both streams would report — buckets, count, sum,
-// min, and max all combine losslessly.
-func (h *Histogram) Merge(other *Histogram) {
-	if h == nil || other == nil || other.count == 0 {
-		return
-	}
-	if h.count == 0 || other.min < h.min {
-		h.min = other.min
-	}
-	if other.max > h.max {
-		h.max = other.max
-	}
-	for i := range h.counts {
-		h.counts[i] += other.counts[i]
-	}
-	h.count += other.count
-	h.sum += other.sum
-}
-
 // bucketBounds returns the value range [lo, hi] covered by bucket i.
 func bucketBounds(i int) (lo, hi uint64) {
 	if i == 0 {

@@ -74,49 +74,6 @@ func TestHistogramQuantileOrdering(t *testing.T) {
 	}
 }
 
-func TestHistogramMerge(t *testing.T) {
-	// Merge must equal a single histogram fed both streams.
-	a, b, both := NewHistogram("a"), NewHistogram("b"), NewHistogram("both")
-	for v := uint64(1); v <= 500; v++ {
-		a.Observe(v)
-		both.Observe(v)
-	}
-	for v := uint64(400); v <= 2000; v += 3 {
-		b.Observe(v)
-		both.Observe(v)
-	}
-	a.Merge(b)
-	if a.Count() != both.Count() || a.Sum() != both.Sum() || a.Min() != both.Min() || a.Max() != both.Max() {
-		t.Fatalf("merged summary differs: %d/%d/%d/%d vs %d/%d/%d/%d",
-			a.Count(), a.Sum(), a.Min(), a.Max(), both.Count(), both.Sum(), both.Min(), both.Max())
-	}
-	for _, q := range []float64{0.1, 0.5, 0.9, 0.99} {
-		if ga, gb := a.Quantile(q), both.Quantile(q); ga != gb {
-			t.Fatalf("Quantile(%v): merged %v vs direct %v", q, ga, gb)
-		}
-	}
-	if a.counts != both.counts {
-		t.Fatal("merged buckets differ from direct buckets")
-	}
-}
-
-func TestHistogramMergeEmpty(t *testing.T) {
-	a := NewHistogram("a")
-	a.Observe(7)
-	a.Merge(NewHistogram("empty")) // no-op
-	if a.Count() != 1 || a.Min() != 7 || a.Max() != 7 {
-		t.Fatalf("merge with empty changed state: %d/%d/%d", a.Count(), a.Min(), a.Max())
-	}
-	empty := NewHistogram("e2")
-	empty.Merge(a)
-	if empty.Count() != 1 || empty.Min() != 7 || empty.Max() != 7 {
-		t.Fatalf("empty.Merge(a) = %d/%d/%d, want 1/7/7", empty.Count(), empty.Min(), empty.Max())
-	}
-	a.Merge(nil) // must not panic
-	var nilH *Histogram
-	nilH.Merge(a) // must not panic
-}
-
 func TestDisabledPathZeroAllocs(t *testing.T) {
 	var (
 		h *Histogram
@@ -257,7 +214,7 @@ func TestExportValidateRoundtrip(t *testing.T) {
 		t.Fatalf("meta = %v", hdr.Meta)
 	}
 
-	loaded, err := Load(bytes.NewReader(buf.Bytes()))
+	loaded, _, err := load(bytes.NewReader(buf.Bytes()))
 	if err != nil {
 		t.Fatalf("load: %v", err)
 	}
@@ -421,7 +378,7 @@ func FuzzValidate(f *testing.F) {
 		if want := 2 + hdr.Series + hdr.Hists; lines != want {
 			t.Fatalf("accepted %d lines for %d series and %d histograms", lines, hdr.Series, hdr.Hists)
 		}
-		reg, err := Load(bytes.NewReader(in))
+		reg, _, err := load(bytes.NewReader(in))
 		if err != nil {
 			t.Fatalf("Validate accepts what Load refuses: %v", err)
 		}
@@ -432,7 +389,7 @@ func FuzzValidate(f *testing.F) {
 		if _, err := Validate(bytes.NewReader(once.Bytes())); err != nil {
 			t.Fatalf("the re-export does not validate: %v", err)
 		}
-		again, err := Load(bytes.NewReader(once.Bytes()))
+		again, _, err := load(bytes.NewReader(once.Bytes()))
 		if err != nil {
 			t.Fatal(err)
 		}
