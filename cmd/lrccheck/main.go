@@ -3,7 +3,7 @@
 // interleavings (plus delivery-delay choices) of each tiny program,
 // compares every observed register outcome against the sequentially
 // consistent oracle, and audits protocol invariants at every choice
-// point. For data-race-free programs every registered protocol —
+// point. For data-race-free programs every protocol —
 // invalidation-based and timestamp-based alike — must produce only
 // SC-allowed outcomes; the SC protocol must for racy ones too.
 //

@@ -12,7 +12,6 @@ import (
 
 	"lazyrc"
 	"lazyrc/internal/apps"
-	"lazyrc/internal/config"
 	"lazyrc/internal/exp"
 )
 
@@ -40,7 +39,7 @@ func tinyRun(t *testing.T, metrics, spans bool) *lazyrc.Machine {
 // cell paperbench reports — cache co-scaled with -scale, -future = the
 // future preset — and that lrcsim observes it as the runner does: for one
 // tiny cell per protocol (and one on the future machine) the execution
-// time equals the committed BENCH_baseline.json run, the -metrics export
+// time equals the committed BENCH_baseline.json run, the -metrics-out export
 // hashes to its metrics_digest and the printed span digest is its
 // span_digest.
 func TestCellMatchesBaseline(t *testing.T) {
@@ -58,12 +57,12 @@ func TestCellMatchesBaseline(t *testing.T) {
 	dir := t.TempDir()
 	metricsFile, traceFile := filepath.Join(dir, "m.jsonl"), filepath.Join(dir, "t.json")
 	t.Cleanup(func() {
-		for _, name := range []string{"app", "proto", "future", "scale", "procs", "metrics", "metrics-out", "spans", "spans-out"} {
+		for _, name := range []string{"app", "proto", "future", "scale", "procs", "metrics-out", "spans-out"} {
 			flag.Set(name, flag.Lookup(name).DefValue)
 		}
 	})
 	cells := [][2]string{{"future", "lrc"}}
-	for _, p := range config.ProtocolNames() {
+	for _, p := range lazyrc.Protocols() {
 		cells = append(cells, [2]string{"default", p})
 	}
 	for _, c := range cells {
@@ -75,7 +74,7 @@ func TestCellMatchesBaseline(t *testing.T) {
 		var stdout, stderr bytes.Buffer
 		code := run([]string{"-app", "gauss", "-proto", c[1], "-future=" + fmt.Sprint(c[0] == "future"),
 			"-scale", base.Scale, "-procs", fmt.Sprint(base.Procs), "-seed", "1",
-			"-metrics", "-metrics-out", metricsFile, "-spans", "-spans-out", traceFile}, &stdout, &stderr)
+			"-metrics-out", metricsFile, "-spans-out", traceFile}, &stdout, &stderr)
 		if code != 0 {
 			t.Fatalf("%s: exit %d: %s", key, code, stderr.String())
 		}
@@ -87,7 +86,7 @@ func TestCellMatchesBaseline(t *testing.T) {
 			t.Fatal(err)
 		}
 		if sum := fmt.Sprintf("%x", sha256.Sum256(export)); sum != w.MetricsDigest {
-			t.Errorf("%s: the -metrics export hashes to %s, the baseline's metrics_digest is %s", key, sum, w.MetricsDigest)
+			t.Errorf("%s: the -metrics-out export hashes to %s, the baseline's metrics_digest is %s", key, sum, w.MetricsDigest)
 		}
 		if digest := "(digest " + w.SpanDigest + ")"; !strings.Contains(stderr.String(), digest) {
 			t.Errorf("%s: lrcsim printed no span %s: %s", key, digest, stderr.String())
@@ -127,7 +126,7 @@ func TestReportSuppressesDerivedLinesWithoutData(t *testing.T) {
 }
 
 // TestReportIdenticalAcrossInstrumentationMatrix runs the same workload
-// under every combination of the -metrics and -spans flags and requires
+// under every combination of telemetry and span collection and requires
 // the printed summary to be byte-identical: both instruments are
 // passive, so no flag combination may change a reported number — and a
 // real run always carries the utilization and imbalance lines.
@@ -178,8 +177,8 @@ func TestEveryFlagInExactlyOneGroup(t *testing.T) {
 			t.Errorf("-%s is listed under %d headings, want exactly 1", f.Name, listed[f.Name])
 		}
 	})
-	if registered != 32 {
-		t.Errorf("%d flags registered, want 32: adding an option needs a reason (ROADMAP aim 2)", registered)
+	if registered != 26 {
+		t.Errorf("%d flags registered, want 26: adding an option needs a reason (ROADMAP aim 2)", registered)
 	}
 	var out bytes.Buffer
 	flag.CommandLine.SetOutput(&out)
@@ -192,6 +191,49 @@ func TestEveryFlagInExactlyOneGroup(t *testing.T) {
 	}
 	if n := strings.Count(out.String(), "\n  -"); n != registered {
 		t.Errorf("usage text shows %d flags, want %d", n, registered)
+	}
+}
+
+// TestOneNamePerProtocol: a protocol has one name, the one its cells
+// carry; the old alias "lrcext" is refused with the six that exist.
+func TestOneNamePerProtocol(t *testing.T) {
+	t.Cleanup(func() {
+		for _, name := range []string{"app", "proto", "scale", "procs"} {
+			flag.Set(name, flag.Lookup(name).DefValue)
+		}
+	})
+	var stdout, stderr bytes.Buffer
+	code := run([]string{"-app", "gauss", "-proto", "lrcext", "-scale", "tiny", "-procs", "4"}, &stdout, &stderr)
+	if code == 0 || stdout.Len() > 0 {
+		t.Fatalf("-proto lrcext: exit %d, stdout:\n%s", code, stdout.String())
+	}
+	for _, p := range lazyrc.Protocols() {
+		if !strings.Contains(stderr.String(), p) {
+			t.Errorf("-proto lrcext: the error does not name %s: %s", p, stderr.String())
+		}
+	}
+}
+
+// TestPositionalArgumentsRefused: every setting is a flag, so a word
+// after them (a forgotten -proto, a stray word) is refused by name
+// rather than ignored while the default runs.
+func TestPositionalArgumentsRefused(t *testing.T) {
+	t.Cleanup(func() {
+		for _, name := range []string{"app", "scale", "procs"} {
+			flag.Set(name, flag.Lookup(name).DefValue)
+		}
+	})
+	for _, extra := range [][]string{{"lrc"}, {"stray", "words"}} {
+		var stdout, stderr bytes.Buffer
+		code := run(append([]string{"-app", "gauss", "-scale", "tiny", "-procs", "4"}, extra...), &stdout, &stderr)
+		if code != 2 || stdout.Len() > 0 {
+			t.Errorf("%q: exit %d, want 2; stdout:\n%s", extra, code, stdout.String())
+		}
+		for _, word := range extra {
+			if !strings.Contains(stderr.String(), word) {
+				t.Errorf("%q: the error does not name %q: %s", extra, word, stderr.String())
+			}
+		}
 	}
 }
 

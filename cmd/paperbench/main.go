@@ -53,9 +53,9 @@ import (
 	"time"
 
 	"lazyrc/internal/api"
-	"lazyrc/internal/config"
 	"lazyrc/internal/exp"
 	"lazyrc/internal/perf"
+	"lazyrc/internal/protocol"
 	"lazyrc/internal/runner"
 	"lazyrc/internal/store"
 )
@@ -84,7 +84,7 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 		cpuprofile = fs.String("cpuprofile", "", "write a CPU profile to this file")
 		memprofile = fs.String("memprofile", "", "write a heap profile to this file at exit")
 		remote     = fs.String("remote", "", "have a running lrcsimd daemon at this base URL (e.g. http://127.0.0.1:7077) evaluate the targets instead of simulating locally; -j and -cache are the daemon's concern")
-		protoFlag  = fs.String("protocols", "all", "comma-separated protocol subset for the tardis target and the chaos soak (\"all\" = every registered protocol)")
+		protoFlag  = fs.String("protocols", "all", "comma-separated protocol subset for the tardis target and the chaos soak (\"all\" = every protocol)")
 	)
 	if err := fs.Parse(args); err != nil {
 		if errors.Is(err, flag.ErrHelp) {
@@ -107,7 +107,7 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 		progress = func(ev runner.Event) { printEvent(stderr, ev) }
 	}
 
-	protoList, err := config.ParseProtocols(*protoFlag)
+	protoList, err := protocol.Parse(*protoFlag)
 	if err != nil {
 		return fail(err)
 	}

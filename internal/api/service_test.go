@@ -182,7 +182,7 @@ func TestSubmitRejectsBadSpecs(t *testing.T) {
 		t.Fatal("unknown app accepted")
 	}
 	// What the machine would refuse at run time is refused at submission:
-	// an unregistered protocol, a machine envelope no cell can be built on.
+	// an unknown protocol, a machine envelope no cell can be built on.
 	if _, _, err := svc.SubmitSweep(context.Background(), exp.Spec{Targets: []string{"default/gauss/warp"}, Scale: "tiny", Procs: 4}); err == nil || !strings.Contains(err.Error(), "warp") {
 		t.Fatalf("unknown protocol: %v", err)
 	}

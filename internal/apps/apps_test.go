@@ -4,16 +4,17 @@ import (
 	"testing"
 
 	"lazyrc/internal/config"
+	"lazyrc/internal/protocol"
 	"lazyrc/internal/stats"
 )
 
 // TestEveryAppVerifiesUnderEveryProtocol is the central correctness gate:
 // all seven workloads, at Tiny scale, must produce verified results under
-// every registered protocol, leave the directories consistent, and drain
+// every protocol, leave the directories consistent, and drain
 // every buffer.
 func TestEveryAppVerifiesUnderEveryProtocol(t *testing.T) {
 	for _, name := range Names() {
-		for _, proto := range config.ProtocolNames() {
+		for _, proto := range protocol.Names() {
 			name, proto := name, proto
 			t.Run(name+"/"+proto, func(t *testing.T) {
 				t.Parallel()
@@ -50,7 +51,7 @@ func TestEveryAppVerifiesUnderEveryProtocol(t *testing.T) {
 // evaluation uses — so eviction/invalidation/fill races get exercised.
 func TestAppsUnderEvictionPressure(t *testing.T) {
 	for _, name := range Names() {
-		for _, proto := range config.ProtocolNames() {
+		for _, proto := range protocol.Names() {
 			name, proto := name, proto
 			t.Run(name+"/"+proto, func(t *testing.T) {
 				t.Parallel()

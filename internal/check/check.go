@@ -86,6 +86,10 @@ func New(m *machine.Machine) *Auditor {
 	return &Auditor{m: m, lazy: m.Nodes[0].Proto.Lazy()}
 }
 
+// Epoch is the cycle interval between the epoch audits of a checked run:
+// lrcsim -check's and the runner's guarded faulted jobs'.
+const Epoch = 10000
+
 // Start schedules an epoch audit every `every` cycles for the rest of the
 // run. Audits are background events: they never keep the simulation
 // alive. Call before Machine.Run.

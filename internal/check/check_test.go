@@ -8,9 +8,10 @@ import (
 	"lazyrc/internal/config"
 	"lazyrc/internal/directory"
 	"lazyrc/internal/machine"
+	"lazyrc/internal/protocol"
 )
 
-var protocols = config.ProtocolNames()
+var protocols = protocol.Names()
 
 // TestCleanRunHasNoViolations audits a full workload under every protocol,
 // both with periodic epoch audits and the strict quiescence audit: a

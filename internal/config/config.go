@@ -122,11 +122,6 @@ type Config struct {
 	// in reports so any run can be replayed exactly.
 	Seed uint64
 
-	// FaultSeed, when nonzero, seeds the fault injector's random stream
-	// independently of Seed — hold the workload seed fixed and sweep fault
-	// schedules, or vice versa. Zero means derive from Seed.
-	FaultSeed uint64
-
 	// FaultPlan is the textual fault-injection plan applied to the
 	// interconnect (see faults.ParsePlan for the format, e.g.
 	// "delay=0.05:1:64,dup=0.03:32"). Empty disables injection, leaving

@@ -6,6 +6,7 @@ import (
 
 	"lazyrc/internal/apps"
 	"lazyrc/internal/config"
+	"lazyrc/internal/protocol"
 )
 
 // soak is the lossy-interconnect survival matrix: each (application ×
@@ -23,7 +24,7 @@ var soak = []block{{
 		faultPlan("drop10", "drop=0.1"),
 		faultPlan("storm", "drop=0.1;down=0-1:20000:5000;brown=2:40000:3000"),
 	},
-	protos: protoOrder,
+	protos: protocol.Names(),
 }}
 
 // faultPlan is the point that runs the default machine under a

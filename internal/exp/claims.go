@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"lazyrc/internal/apps"
+	"lazyrc/internal/protocol"
 )
 
 // claims are the paper's conclusions as predicates over a report: a block
@@ -70,7 +71,7 @@ var claims = []block{
 			return judge(x <= xWithin && y <= yWithin, x > 0), fmt.Sprintf("X %.2f %%, Y %.2f %%", x, y)
 		}},
 	{title: "every protocol survives storm with its fault-free end state",
-		points: []point{soak[0].points[0], soak[0].points[3]}, protos: protoOrder,
+		points: []point{soak[0].points[0], soak[0].points[3]}, protos: protocol.Names(),
 		check: func(v *View, b block) (string, string) {
 			n, total, read := 0, len(AppOrder)*len(b.protos), ""
 			for _, app := range AppOrder {

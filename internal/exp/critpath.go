@@ -6,6 +6,7 @@ import (
 	"text/tabwriter"
 
 	"lazyrc/internal/causal"
+	"lazyrc/internal/protocol"
 	"lazyrc/internal/runner"
 )
 
@@ -31,7 +32,7 @@ func (e *Evaluator) CriticalPath() string {
 	}
 	fmt.Fprintln(tw)
 	for _, appName := range AppOrder {
-		for _, proto := range protoOrder {
+		for _, proto := range protocol.Names() {
 			m, err := runner.ExecTraced(e.Job("default", appName, proto))
 			if err != nil {
 				panic(fmt.Sprintf("critical-path: %s/%s: %v", appName, proto, err))

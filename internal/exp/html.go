@@ -9,7 +9,7 @@ import (
 	"strconv"
 	"strings"
 
-	"lazyrc/internal/config"
+	"lazyrc/internal/protocol"
 	"lazyrc/internal/telemetry"
 )
 
@@ -20,17 +20,14 @@ import (
 // builder, so styling (palette slots, light/dark, chrome tokens) is
 // defined in exactly one place.
 
-// protoOrder fixes both the column order and the categorical palette
-// slot of each protocol — color follows the protocol, never its rank.
-var protoOrder = config.ProtocolNames()
-
-func protoSlot(proto string) int {
-	for i, p := range protoOrder {
-		if p == proto {
-			return i
-		}
+// protoSlot is the categorical palette slot of a protocol, its place in
+// names, the evaluation order (which is also the column order): color
+// follows the protocol, never its rank.
+func protoSlot(names []string, proto string) int {
+	if i := slices.Index(names, proto); i >= 0 {
+		return i
 	}
-	return len(protoOrder)
+	return len(names)
 }
 
 // breakdownLabels names the four cycle categories in stack order.
@@ -70,6 +67,7 @@ func groupedColumns(groups []columnGroup, segLabels []string, yUnit string) stri
 		colMax = 24.0
 	)
 	plotW, plotH := w-padL-padR, h-padT-padB
+	names := protocol.Names()
 	ymax := 0.0
 	for _, g := range groups {
 		for _, st := range g.stacks {
@@ -132,7 +130,7 @@ func groupedColumns(groups []columnGroup, segLabels []string, yUnit string) stri
 				yTopSeg := yBase - plotH*(cum+v)/yTop
 				slot := si + 1
 				if len(st) == 1 {
-					slot = protoSlot(g.protos[ci]) + 1
+					slot = protoSlot(names, g.protos[ci]) + 1
 				}
 				// Only the stack's top edge gets the 4px rounded data end;
 				// interior segments stay square with a 2px surface gap.
@@ -183,9 +181,9 @@ func groupedColumns(groups []columnGroup, segLabels []string, yUnit string) stri
 				i+1, html.EscapeString(l))
 		}
 	} else {
-		for _, p := range protoOrder {
+		for i, p := range names {
 			fmt.Fprintf(&b, `<span class="key"><span class="swatch" style="background:var(--s%d)"></span>%s</span>`,
-				protoSlot(p)+1, html.EscapeString(p))
+				i+1, html.EscapeString(p))
 		}
 	}
 	b.WriteString("</div>\n")
@@ -210,13 +208,13 @@ func groupedColumns(groups []columnGroup, segLabels []string, yUnit string) stri
 			}
 		}
 	} else {
-		for _, p := range protoOrder {
+		for _, p := range names {
 			fmt.Fprintf(&b, "<th>%s</th>", html.EscapeString(p))
 		}
 		b.WriteString("</tr>\n")
 		for _, g := range groups {
 			b.WriteString("<tr><td>" + html.EscapeString(g.label) + "</td>")
-			for _, p := range protoOrder {
+			for _, p := range names {
 				b.WriteString("<td>")
 				if ci := slices.Index(g.protos, p); ci >= 0 {
 					writeVal(&b, g.stacks[ci][0])
@@ -253,10 +251,11 @@ func WriteHTML(w io.Writer, rep Report) error {
 	// Normalized execution time (Figure 4's shape) and the cycle
 	// breakdown (Figure 5's), both relative to the app's SC run.
 	var normGroups, stackGroups []columnGroup
+	names := protocol.Names()
 	for _, app := range appNames {
 		ng := columnGroup{label: app}
 		sg := columnGroup{label: app}
-		for _, p := range protoOrder {
+		for _, p := range names {
 			if _, ok := v.Run("default", app, p); !ok {
 				continue
 			}

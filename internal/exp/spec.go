@@ -9,7 +9,7 @@ import (
 	"sort"
 
 	"lazyrc/internal/apps"
-	"lazyrc/internal/config"
+	"lazyrc/internal/protocol"
 	"lazyrc/internal/runner"
 )
 
@@ -92,8 +92,8 @@ func (s Spec) Normalize() (Spec, error) {
 			if err == nil {
 				err = checkApp(cell[1])
 			}
-			if _, ok := config.ProtocolInfoFor(cell[2]); err == nil && !ok {
-				err = fmt.Errorf("exp: unknown protocol %q (want one of %v)", cell[2], config.ProtocolNames())
+			if err == nil && !slices.Contains(protocol.Names(), cell[2]) {
+				err = fmt.Errorf("exp: unknown protocol %q (want one of %v)", cell[2], protocol.Names())
 			}
 			if err != nil {
 				return Spec{}, fmt.Errorf("exp: target %q: %w", t, err)

@@ -209,7 +209,7 @@ func Render(name string, v *View, protos []string) (string, error) {
 }
 
 // CellTable renders the given cells as the one generic table — what a
-// cell-key target prints, and lrcsim -protocols: one row of measurements
+// cell-key target prints: one row of measurements
 // per cell, the execution time also normalized to the SC run of the same
 // variant and application where the report has one. A cell the report
 // lacks is an error naming it.

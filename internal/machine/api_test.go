@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"lazyrc/internal/config"
+	"lazyrc/internal/protocol"
 )
 
 func TestSnapshotRestore(t *testing.T) {
@@ -91,6 +92,25 @@ func TestFenceIsNoOpUnderEagerProtocols(t *testing.T) {
 				t.Errorf("%s: fence stalled", proto)
 			}
 		})
+	}
+}
+
+// TestEveryProtocolBuilds: each name on the menu builds a machine that
+// runs that protocol at every node.
+func TestEveryProtocolBuilds(t *testing.T) {
+	for _, name := range protocol.Names() {
+		m, err := New(config.Default(4), name)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if m.Protocol() != name {
+			t.Errorf("%s: Protocol() = %q", name, m.Protocol())
+		}
+		for _, n := range m.Nodes {
+			if n.Proto.Name() != name {
+				t.Errorf("%s: node %d runs %q", name, n.ID, n.Proto.Name())
+			}
+		}
 	}
 }
 

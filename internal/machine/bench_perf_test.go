@@ -9,7 +9,7 @@ import (
 	"lazyrc/internal/machine"
 )
 
-// protocols is every registered coherence protocol, in registry order.
+// protocols is every coherence protocol, in evaluation order.
 var protocols = []string{"sc", "erc", "lrc", "lrc-ext", "tardis", "tardis2"}
 
 // BenchmarkProtocolDispatch runs one full tiny gauss simulation per

@@ -8,9 +8,10 @@ import (
 	"lazyrc/internal/causal"
 	"lazyrc/internal/config"
 	"lazyrc/internal/machine"
+	"lazyrc/internal/protocol"
 )
 
-var allProtos = config.ProtocolNames()
+var allProtos = protocol.Names()
 
 func runGaussSpans(t *testing.T, proto string, spans bool) *machine.Machine {
 	t.Helper()

@@ -68,6 +68,10 @@ func New(cfg config.Config, protoName string) (*Machine, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
+	p, err := protocol.New(protoName)
+	if err != nil {
+		return nil, err
+	}
 	eng := sim.NewEngine()
 	net := mesh.New(eng, cfg)
 	st := stats.NewMachine(cfg.Procs)
@@ -78,11 +82,7 @@ func New(cfg config.Config, protoName string) (*Machine, error) {
 		Stats: st, Class: cl, protoName: protoName,
 	}
 	m.Nodes = make([]*protocol.Node, cfg.Procs)
-	for i := 0; i < cfg.Procs; i++ {
-		p, err := protocol.New(protoName)
-		if err != nil {
-			return nil, err
-		}
+	for i := range m.Nodes {
 		m.Nodes[i] = protocol.NewNode(env, i, p)
 	}
 	env.Nodes = m.Nodes
@@ -94,11 +94,7 @@ func New(cfg config.Config, protoName string) (*Machine, error) {
 		if err != nil {
 			return nil, err
 		}
-		seed := cfg.FaultSeed
-		if seed == 0 {
-			seed = cfg.Seed
-		}
-		if err := net.SetInjector(faults.NewInjector(seed, plan)); err != nil {
+		if err := net.SetInjector(faults.NewInjector(cfg.Seed, plan)); err != nil {
 			return nil, err
 		}
 	}

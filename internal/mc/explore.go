@@ -4,7 +4,7 @@ import (
 	"fmt"
 	"sort"
 
-	"lazyrc/internal/config"
+	"lazyrc/internal/protocol"
 )
 
 // This file is the model checker proper: a stateless-search DFS over
@@ -131,7 +131,7 @@ func Explore(t *Test, ec ExploreConfig) (*Report, error) {
 	// programs; racy litmus tests still run (invariants, deadlock) but
 	// their outcomes are merely recorded. The SC-strict protocols (sc,
 	// tardis) owe SC semantics to every program.
-	checkOutcome := t.DRF || config.ProtocolSCStrict(ec.Proto)
+	checkOutcome := t.DRF || protocol.SCStrict(ec.Proto)
 	if ec.MaxRuns <= 0 {
 		ec.MaxRuns = 2000
 	}

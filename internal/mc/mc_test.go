@@ -6,7 +6,7 @@ import (
 	"strings"
 	"testing"
 
-	"lazyrc/internal/config"
+	"lazyrc/internal/protocol"
 )
 
 func TestSCOracle(t *testing.T) {
@@ -77,9 +77,9 @@ func TestOracleValidatesDRFLabels(t *testing.T) {
 	}
 }
 
-// allProtos is the full registry menu — sc, erc, lrc, lrc-ext, tardis,
-// tardis2 — so the conformance corpus covers every registered protocol.
-var allProtos = config.ProtocolNames()
+// allProtos is the whole protocol table — sc, erc, lrc, lrc-ext, tardis,
+// tardis2 — so the conformance corpus covers every protocol.
+var allProtos = protocol.Names()
 
 func exploreBudget(proto string) ExploreConfig {
 	ec := DefaultExplore(proto)

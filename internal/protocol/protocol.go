@@ -2,10 +2,10 @@ package protocol
 
 import (
 	"fmt"
+	"strings"
 
 	"lazyrc/internal/cache"
 	"lazyrc/internal/causal"
-	"lazyrc/internal/config"
 	"lazyrc/internal/mesh"
 )
 
@@ -156,40 +156,84 @@ func (lazyPaths) AcquireEnd(n *Node, done func()) {
 	n.Env.Eng.At(end, done)
 }
 
-// init registers every protocol with the config registry — the single
-// authoritative menu that CLIs, experiment targets, and the model
-// checker resolve names against. Registration order is presentation
-// order.
-func init() {
-	for _, p := range []config.ProtocolInfo{
-		{Name: "sc", Doc: "sequentially consistent write-back invalidation", SCStrict: true,
-			New: func() any { return &SC{} }},
-		{Name: "erc", Doc: "eager release consistency (invalidate at release)",
-			New: func() any { return &ERC{} }},
-		{Name: "lrc", Doc: "lazy release consistency (invalidate at acquire)", Lazy: true,
-			New: func() any { return &LRC{} }},
-		{Name: "lrc-ext", Doc: "lazier release consistency (delayed write notices)", Lazy: true,
-			New: func() any { return &LRCExt{} }},
-		{Name: "tardis", Doc: "timestamp coherence with logical leases (SC, no invalidations)", SCStrict: true,
-			New: func() any { return &Tardis{} }},
-		{Name: "tardis2", Doc: "relaxed timestamp coherence (buffered stores, acquire-time lease sweep)",
-			New: func() any { return &Tardis2{} }},
-	} {
-		config.RegisterProtocol(p)
-	}
+// table is the menu of protocols, in evaluation order: every CLI,
+// experiment target, litmus sweep and machine resolves a protocol name
+// against it. The values hold no state (a node's state is its Node), so
+// every node running a protocol shares the one value here. scStrict marks
+// the protocols that promise sequentially consistent outcomes even for
+// racy programs; the relaxed ones owe them only to data-race-free ones.
+var table = [...]struct {
+	p        Protocol
+	scStrict bool
+}{
+	{&SC{}, true},
+	{&ERC{}, false},
+	{&LRC{}, false},
+	{&LRCExt{}, false},
+	{&Tardis{}, true},
+	{&Tardis2{}, false},
 }
 
-// New returns the protocol implementation registered under name.
+// New returns the protocol named name.
 func New(name string) (Protocol, error) {
-	if name == "lrcext" { // historical alias
-		name = "lrc-ext"
+	for _, e := range table {
+		if e.p.Name() == name {
+			return e.p, nil
+		}
 	}
-	info, ok := config.ProtocolInfoFor(name)
-	if !ok {
-		return nil, fmt.Errorf("protocol: unknown protocol %q (want %v)", name, Names())
-	}
-	return info.New().(Protocol), nil
+	return nil, fmt.Errorf("protocol: unknown protocol %q (want %v)", name, Names())
 }
 
 // Names lists the available protocols in evaluation order.
-func Names() []string { return config.ProtocolNames() }
+func Names() []string {
+	names := make([]string, len(table))
+	for i, e := range table {
+		names[i] = e.p.Name()
+	}
+	return names
+}
+
+// SCStrict reports whether name promises SC outcomes for racy programs.
+// An unknown name is judged strict, so a typo'd protocol fails loudly
+// against the oracle rather than silently passing.
+func SCStrict(name string) bool {
+	for _, e := range table {
+		if e.p.Name() == name {
+			return e.scStrict
+		}
+	}
+	return true
+}
+
+// Parse resolves a comma-separated protocol list, "all" (or an empty
+// list) standing for every protocol. The names come back once each and
+// in evaluation order however the list ordered them, so the tables and
+// digests built from them do not depend on it; an unknown name is an
+// error.
+func Parse(spec string) ([]string, error) {
+	if spec == "" {
+		spec = "all"
+	}
+	want := map[string]bool{}
+	for _, raw := range strings.Split(spec, ",") {
+		switch name := strings.TrimSpace(raw); name {
+		case "all":
+			for _, n := range Names() {
+				want[n] = true
+			}
+		case "":
+		default:
+			if _, err := New(name); err != nil {
+				return nil, err
+			}
+			want[name] = true
+		}
+	}
+	var names []string
+	for _, n := range Names() {
+		if want[n] {
+			names = append(names, n)
+		}
+	}
+	return names, nil
+}

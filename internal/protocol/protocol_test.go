@@ -1,6 +1,7 @@
 package protocol
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
@@ -21,11 +22,46 @@ func TestRegistry(t *testing.T) {
 			t.Errorf("New(%q).Name() = %q", name, p.Name())
 		}
 	}
-	if _, err := New("mesi"); err == nil {
-		t.Fatal("unknown protocol accepted")
+	// One name per protocol: no alias resolves, the old "lrcext" included.
+	for _, name := range []string{"mesi", "lrcext", "LRC", ""} {
+		if p, err := New(name); err == nil {
+			t.Errorf("New(%q) = %s, want an error", name, p.Name())
+		}
 	}
-	if p, err := New("lrcext"); err != nil || p.Name() != "lrc-ext" {
-		t.Fatalf("alias lrcext: %v, %v", p, err)
+}
+
+func TestParse(t *testing.T) {
+	all := []string{"sc", "erc", "lrc", "lrc-ext", "tardis", "tardis2"}
+	if !slices.Equal(Names(), all) {
+		t.Fatalf("Names() = %v, want %v", Names(), all)
+	}
+	for _, tc := range []struct {
+		spec string
+		want []string
+	}{
+		{"", all},
+		{"all", all},
+		{"lrc,all", all},
+		{"lrc,lrc, lrc", []string{"lrc"}},
+		{"tardis2,lrc,sc", []string{"sc", "lrc", "tardis2"}},
+		{"lrc-ext, erc,,", []string{"erc", "lrc-ext"}},
+	} {
+		got, err := Parse(tc.spec)
+		if err != nil || !slices.Equal(got, tc.want) {
+			t.Errorf("Parse(%q) = %v, %v; want %v", tc.spec, got, err, tc.want)
+		}
+	}
+	for _, spec := range []string{"mesi", "lrc,lrcext", "all,Lrc"} {
+		_, err := Parse(spec)
+		if err == nil {
+			t.Errorf("Parse(%q) accepted an unknown protocol", spec)
+			continue
+		}
+		for _, name := range all {
+			if !strings.Contains(err.Error(), name) {
+				t.Errorf("Parse(%q): %q does not name %s", spec, err, name)
+			}
+		}
 	}
 }
 

@@ -135,14 +135,11 @@ func (r *Result) Err() error {
 // every metrics digest, so bump fingerprintVersion with it.
 const MetricsInterval = 4096
 
-// Guard cadences for faulted jobs: invariant audits every checkEpoch
-// cycles, and a liveness watchdog that stops a run making no progress for
-// watchdogQuiet cycles (a lost message the transport failed to recover
+// watchdogQuiet guards faulted jobs, beside the invariant audits every
+// check.Epoch cycles: a liveness watchdog stops a run making no progress
+// for this many cycles (a lost message the transport failed to recover
 // would otherwise hang the sweep).
-const (
-	checkEpoch    = 10000
-	watchdogQuiet = 200000
-)
+const watchdogQuiet = 200000
 
 // cancelPollEvery is the simulated-cycle cadence at which a hooked run
 // checks its submission context; DefaultHeartbeatEvery is the default
@@ -239,7 +236,7 @@ var simulate = func(j Job, res *Result, hk hooks) error {
 		// runner byte for byte).
 		if j.Cfg.FaultPlan != "" {
 			aud = check.New(m)
-			aud.Start(checkEpoch)
+			aud.Start(check.Epoch)
 			m.EnableWatchdog(watchdogQuiet, func(r sim.StallReport) {
 				if stalled == "" {
 					stalled = r.String()

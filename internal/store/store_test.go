@@ -480,3 +480,56 @@ func TestLeftoverSweepsTmpIgnored(t *testing.T) {
 		s.Close()
 	}
 }
+
+// FuzzOpen: recovery survives any bytes in a segment. Open does not
+// panic, every fingerprint it indexed reads back as a result carrying
+// that fingerprint, and a Put after it — behind the seal of a torn tail,
+// if the bytes end in one — survives Close and a reopen beside every
+// entry recovered the first time.
+func FuzzOpen(f *testing.F) {
+	line, err := json.Marshal(fakeResult("fp-1", 1234))
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(append(line, '\n'))
+	f.Add(line) // a torn tail
+	f.Add([]byte("garbage\n{\"fp\":\"fp-2\"}\n\n{\"fp\":\"fp-2\",\"exec_cycles\":7}\n{\"fp\""))
+	f.Add([]byte{})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		dir := t.TempDir()
+		if err := os.WriteFile(filepath.Join(dir, segName(1)), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		s, err := Open(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var recovered []string
+		for fp := range s.idx {
+			recovered = append(recovered, fp)
+			if r, ok := s.Get(fp); !ok || r.Fingerprint != fp {
+				t.Fatalf("indexed %q, Get returns %+v, %v", fp, r, ok)
+			}
+		}
+		want := fakeResult("fuzz-put", 42)
+		if err := s.Put(want); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.Close(); err != nil {
+			t.Fatal(err)
+		}
+		s2, err := Open(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer s2.Close()
+		if got, ok := s2.Get(want.Fingerprint); !ok || !reflect.DeepEqual(got, want) {
+			t.Fatalf("the Put after recovery reads back as %+v, %v; want %+v", got, ok, want)
+		}
+		for _, fp := range recovered {
+			if _, ok := s2.Get(fp); !ok {
+				t.Errorf("%q recovered at the first open, lost at the second", fp)
+			}
+		}
+	})
+}
