@@ -45,7 +45,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		testFlag   = fs.String("test", "all", "litmus test name or 'all' (see -list)")
 		list       = fs.Bool("list", false, "list the litmus corpus and exit")
 		menuFlag   = fs.String("menu", "", "comma-separated delivery-delay menu in cycles (default '0,3')")
-		planFlag   = fs.String("menu-from-plan", "", "derive the delay menu from a fault-injection plan (internal/faults syntax)")
 		maxChoices = fs.Int("max-choices", mc.DefaultMaxChoices, "recorded choice points per run (beyond: first alternative)")
 		maxRuns    = fs.Int("max-runs", 2000, "schedule budget per (test, protocol) pair")
 		maxStates  = fs.Int("max-states", 100000, "expanded-state budget per (test, protocol) pair")
@@ -72,18 +71,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 0
 	}
 
-	menu := []uint64(nil)
-	if *planFlag != "" {
-		m, err := mc.MenuFromPlan(*planFlag)
-		if err != nil {
-			return fail(2, "%v", err)
-		}
-		menu = m
-	}
+	var menu []uint64
 	if *menuFlag != "" {
-		if menu != nil {
-			return fail(2, "-menu and -menu-from-plan are mutually exclusive")
-		}
 		for _, f := range strings.Split(*menuFlag, ",") {
 			d, err := strconv.ParseUint(strings.TrimSpace(f), 10, 64)
 			if err != nil {

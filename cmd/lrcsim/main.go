@@ -9,7 +9,8 @@
 //
 // Every setting is a flag; a word after them is refused. Telemetry and
 // span tracing are collected when their files are named (-metrics-out,
-// -spans-out).
+// -spans-out); the trace carries the telemetry series as counter tracks,
+// so spans and series share one cycle axis.
 //
 // The run is the cell preset/app/protocol that paperbench and lrcsimd
 // name; to compare protocols on one application, name their cells to
@@ -67,9 +68,8 @@ var (
 	memprofile = flag.String("memprofile", "", "write a heap profile to this file at exit")
 	replayFile = flag.String("replay", "", "replay a model-checker counterexample schedule (JSON from lrccheck) instead of running an application")
 	metricsOut = flag.String("metrics-out", "", fmt.Sprintf("collect cycle-domain telemetry, sampled every %d cycles as for a stored cell (so the export hashes to its metrics_digest), and write the JSONL export to this file", runner.MetricsInterval))
-	reportFile = flag.String("report", "", "write a self-contained HTML run report to this file (implies telemetry collection)")
 	validateM  = flag.String("validate-metrics", "", "validate a telemetry JSONL export against the current schema and exit")
-	spansOut   = flag.String("spans-out", "", "trace causal coherence-transaction spans and write them to this file as Perfetto/Chrome trace-event JSON")
+	spansOut   = flag.String("spans-out", "", fmt.Sprintf("trace causal coherence-transaction spans and write them, with the telemetry series (sampled every %d cycles) as counter tracks, to this file as Perfetto/Chrome trace-event JSON", runner.MetricsInterval))
 	spansMax   = flag.Int("spans-max", 0, "cap on retained spans (0: default limit)")
 	critPath   = flag.Int("critical-path", 0, "print the critical-path stall attribution table and the N longest stall episodes (implies span collection)")
 	validateS  = flag.String("validate-spans", "", "validate a Perfetto trace JSON export against the trace-event schema and exit")
@@ -86,7 +86,7 @@ var flagGroups = []struct {
 	flags   []string
 }{
 	{"Run", []string{"app", "proto", "procs", "scale", "future", "verify", "seed"}},
-	{"Observers", []string{"contention", "traffic", "metrics-out", "report", "spans-out", "spans-max", "critical-path"}},
+	{"Observers", []string{"contention", "traffic", "metrics-out", "spans-out", "spans-max", "critical-path"}},
 	{"Faults & checks", []string{"faults", "oracle", "check", "watchdog"}},
 	{"Profiling", []string{"perf", "progress", "progress-total", "cpuprofile", "memprofile"}},
 	{"File tools", []string{"replay", "validate-metrics", "validate-spans"}},
@@ -208,7 +208,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 				m.Eng.Stop()
 			})
 		}
-		if *metricsOut != "" || *reportFile != "" {
+		if *metricsOut != "" || *spansOut != "" {
 			m.EnableMetrics(runner.MetricsInterval)
 		}
 		if *spansOut != "" || *critPath > 0 {
@@ -256,22 +256,12 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 		fmt.Fprintf(stderr, "metrics: %d samples (%s) to %s\n", m.Tel.Samples(), telemetry.SchemaVersion, *metricsOut)
 	}
-	if *reportFile != "" {
-		title := fmt.Sprintf("%s · %s · %d procs · %s", app.Name(), *proto, *procs, job.Scale)
-		if err := perf.WriteFile(*reportFile, func(w io.Writer) error { return m.Tel.WriteHTML(w, title) }); err != nil {
-			return fail(err)
-		}
-		fmt.Fprintf(stderr, "report: %s\n", *reportFile)
-	}
 	if m.Causal != nil {
 		if d := m.Causal.Dropped(); d > 0 {
 			fmt.Fprintf(stderr, "warning: span store truncated: %d spans dropped (-spans-max)\n", d)
 		}
 		if *spansOut != "" {
-			err := perf.WriteFile(*spansOut, func(w io.Writer) error {
-				return causal.WritePerfetto(w, m.Causal, machine.MsgKindName)
-			})
-			if err != nil {
+			if err := perf.WriteFile(*spansOut, m.WritePerfetto); err != nil {
 				return fail(err)
 			}
 			fmt.Fprintf(stderr, "spans: %d spans (digest %s) to %s; open in ui.perfetto.dev\n",

@@ -2,17 +2,24 @@ package main
 
 import (
 	"bytes"
+	"context"
 	"crypto/sha256"
+	"encoding/json"
 	"flag"
 	"fmt"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"sort"
+	"strconv"
 	"strings"
 	"testing"
 
 	"lazyrc"
+	"lazyrc/internal/api"
 	"lazyrc/internal/apps"
 	"lazyrc/internal/exp"
+	"lazyrc/internal/store"
 )
 
 func tinyRun(t *testing.T, metrics, spans bool) *lazyrc.Machine {
@@ -177,8 +184,8 @@ func TestEveryFlagInExactlyOneGroup(t *testing.T) {
 			t.Errorf("-%s is listed under %d headings, want exactly 1", f.Name, listed[f.Name])
 		}
 	})
-	if registered != 26 {
-		t.Errorf("%d flags registered, want 26: adding an option needs a reason (ROADMAP aim 2)", registered)
+	if registered != 25 {
+		t.Errorf("%d flags registered, want 25: adding an option needs a reason (ROADMAP aim 2)", registered)
 	}
 	var out bytes.Buffer
 	flag.CommandLine.SetOutput(&out)
@@ -263,5 +270,179 @@ func TestFailedRunKeepsItsProfiles(t *testing.T) {
 		if len(data) < 2 || data[0] != 0x1f || data[1] != 0x8b {
 			t.Errorf("%s: %d bytes, not a gzip-compressed profile", filepath.Base(path), len(data))
 		}
+	}
+}
+
+// TestOneTimeline: -spans-out writes one timeline, the spans and every
+// telemetry series of the run on one cycle axis. The trace validates;
+// each series of the -metrics-out export is exactly one counter track,
+// which read back at the points' stamps (a level point at its sample, a
+// delta point at the start of its interval) gives every point; without
+// the counters and the machine process's name its events are the
+// span-only trace of the cell, byte for byte, in order; and the
+// daemon's trace download for the cell is the same file.
+func TestOneTimeline(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs simulations")
+	}
+	t.Cleanup(func() {
+		for _, name := range []string{"app", "proto", "scale", "procs", "metrics-out", "spans-out", "validate-spans"} {
+			flag.Set(name, flag.Lookup(name).DefValue)
+		}
+	})
+	dir := t.TempDir()
+	traceFile, metricsFile := filepath.Join(dir, "t.json"), filepath.Join(dir, "m.jsonl")
+	var stdout, stderr bytes.Buffer
+	if code := run([]string{"-app", "gauss", "-proto", "lrc", "-procs", "16", "-scale", "tiny",
+		"-spans-out", traceFile, "-metrics-out", metricsFile}, &stdout, &stderr); code != 0 {
+		t.Fatalf("exit %d: %s", code, stderr.String())
+	}
+	if code := run([]string{"-validate-spans", traceFile}, &stdout, &stderr); code != 0 {
+		t.Fatalf("-validate-spans: exit %d: %s", code, stderr.String())
+	}
+	trace, err := os.ReadFile(traceFile)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// The export: its sample times and series.
+	export, err := os.ReadFile(metricsFile)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var times []uint64
+	type series struct {
+		Name, Mode string
+		Points     []float64
+	}
+	var all []series
+	for _, line := range bytes.Split(bytes.TrimSpace(export), []byte("\n")) {
+		var l struct {
+			Kind   string
+			Cycles []uint64
+			series
+		}
+		if err := json.Unmarshal(line, &l); err != nil {
+			t.Fatal(err)
+		}
+		switch l.Kind {
+		case "times":
+			times = l.Cycles
+		case "series":
+			all = append(all, l.series)
+		}
+	}
+
+	// The trace: counter tracks by (pid, name, mode), the rest in order.
+	var doc struct{ TraceEvents []json.RawMessage }
+	if err := json.Unmarshal(trace, &doc); err != nil {
+		t.Fatal(err)
+	}
+	type stamp struct {
+		ts uint64
+		v  float64
+	}
+	tracks := map[string][]stamp{}
+	const nodes = 16
+	spansOnly := sha256.New()
+	for _, raw := range doc.TraceEvents {
+		var ev struct {
+			Name string
+			Ph   string
+			Ts   uint64
+			Pid  int
+			Args map[string]any
+		}
+		if err := json.Unmarshal(raw, &ev); err != nil {
+			t.Fatal(err)
+		}
+		switch {
+		case ev.Ph == "C":
+			if len(ev.Args) != 1 {
+				t.Fatalf("counter event with %d values: %s", len(ev.Args), raw)
+			}
+			for mode, v := range ev.Args {
+				key := fmt.Sprintf("%d %s %s", ev.Pid, ev.Name, mode)
+				tracks[key] = append(tracks[key], stamp{ev.Ts, v.(float64)})
+			}
+		case ev.Ph == "M" && ev.Pid == nodes:
+			if ev.Name != "process_name" || ev.Args["name"] != "machine" {
+				t.Errorf("machine process metadata: %s", raw)
+			}
+		default:
+			spansOnly.Write(raw)
+			spansOnly.Write([]byte("\n"))
+		}
+	}
+	if len(tracks) != len(all) {
+		t.Errorf("%d counter tracks for %d series", len(tracks), len(all))
+	}
+	for _, s := range all {
+		pid, name := nodes, s.Name
+		if i := strings.LastIndexByte(name, '.'); i >= 0 {
+			if n, err := strconv.Atoi(name[i+1:]); err == nil {
+				pid, name = n, name[:i]
+			}
+		}
+		track, ok := tracks[fmt.Sprintf("%d %s %s", pid, name, s.Mode)]
+		if !ok {
+			t.Errorf("series %s has no counter track", s.Name)
+			continue
+		}
+		for i, want := range s.Points {
+			at := times[i]
+			if s.Mode == "delta" {
+				at = 0
+				if i > 0 {
+					at = times[i-1]
+				}
+			}
+			j := sort.Search(len(track), func(j int) bool { return track[j].ts > at }) - 1
+			if j < 0 || track[j].v != want {
+				t.Fatalf("series %s point %d (%v) does not read back at cycle %d: %v", s.Name, i, want, at, track)
+			}
+		}
+	}
+	// The parent change's -spans-out trace of the cell, event by event.
+	const spanTrace = "81e9e16e7a37189604991e3e3c0196c92302f72a2fcdb0bf422d1f98b41e15fc"
+	if got := fmt.Sprintf("%x", spansOnly.Sum(nil)); got != spanTrace {
+		t.Errorf("the span events hash to %s, the span-only trace's to %s", got, spanTrace)
+	}
+
+	// The daemon's trace download of the same cell.
+	st, err := store.Open(filepath.Join(dir, "store"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	svc := api.NewService(1, st, nil)
+	ts := httptest.NewServer(api.NewServer(svc))
+	defer func() {
+		if err := svc.Close(context.Background()); err != nil {
+			t.Error(err)
+		}
+		ts.Close()
+		if err := st.Close(); err != nil {
+			t.Error(err)
+		}
+	}()
+	c := &api.Client{Base: ts.URL, HTTPClient: ts.Client()}
+	ctx := context.Background()
+	sw, err := c.SubmitSweep(ctx, exp.Spec{Targets: []string{"default/gauss/lrc"}, Scale: "tiny", Procs: nodes, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sw, err = c.WaitSweep(ctx, sw.ID, nil); err != nil || sw.State != api.StateDone {
+		t.Fatalf("sweep: %+v, %v", sw, err)
+	}
+	cells, err := c.SweepCells(ctx, sw.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	served, err := c.JobTrace(ctx, cells["default/gauss/lrc"])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(served, trace) {
+		t.Errorf("the daemon's trace of the cell (%d bytes) differs from -spans-out's (%d bytes)", len(served), len(trace))
 	}
 }

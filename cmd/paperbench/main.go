@@ -26,7 +26,7 @@
 // Usage:
 //
 //	paperbench [-scale small] [-procs 64] [-j N] [-cache results.d]
-//	           [-baseline BENCH_baseline.json -tol 0] [targets...]
+//	           [-baseline BENCH_baseline.json] [targets...]
 //
 // Targets: table1 table2 table3 fig4 fig5 fig6 fig7 fig8 fig9 tardis
 // sweep mp3dquality all (default: all); claims (the paper's conclusions
@@ -76,8 +76,7 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 		seed       = fs.Uint64("seed", 1, "base random seed stamped into every run's configuration; a report plus its seed fully determines a replay")
 		workers    = fs.Int("j", runtime.GOMAXPROCS(0), "simulation worker count; results are bit-identical for any value")
 		cacheDir   = fs.String("cache", "", "content-addressed result store directory (single writer: a second paperbench or lrcsimd on the same directory is refused); fingerprint-identical runs are served from it instead of re-simulating")
-		baseline   = fs.String("baseline", "", "regression-gate baseline report (JSON); out-of-tolerance drift exits non-zero")
-		tol        = fs.Float64("tol", 0, "gate tolerance on cycle counts and traffic, in percent of the baseline value")
+		baseline   = fs.String("baseline", "", "regression-gate baseline report (JSON); any drift exits non-zero")
 		writeBase  = fs.String("write-baseline", "", "write the canonical (provenance-free) report to this file, for committing as the gate baseline")
 		reportOut  = fs.String("report", "", "write a self-contained HTML report of the evaluation to this file")
 		critPath   = fs.Bool("critical-path", false, "also print the per-app per-protocol critical-path stall attribution table (runs span-traced simulations in this process, outside the result cache; not with -remote)")
@@ -236,15 +235,14 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 		if err != nil {
 			return fail(err)
 		}
-		if viols := exp.Gate(base, rep, *tol); len(viols) > 0 {
+		if viols := exp.Gate(base, rep); len(viols) > 0 {
 			for _, v := range viols {
 				fmt.Fprintf(stderr, "gate: %s\n", v)
 			}
-			fmt.Fprintf(stderr, "gate: FAILED against %s: %d violation(s) at tolerance %.3f%%\n",
-				*baseline, len(viols), *tol)
+			fmt.Fprintf(stderr, "gate: FAILED against %s: %d violation(s)\n", *baseline, len(viols))
 			code = 1
 		} else {
-			note("gate: ok against %s (%d runs, tolerance %.3f%%)\n", *baseline, len(base.Runs), *tol)
+			note("gate: ok against %s (%d runs)\n", *baseline, len(base.Runs))
 		}
 	}
 	if m := rep.Runner; m != nil { // a local evaluation's

@@ -20,7 +20,7 @@ func paperbench(args ...string) (stdout, stderr string, code int) {
 	return out.String(), errOut.String(), code
 }
 
-// TestFlagCount pins the option surface: 16 flags, none of them the
+// TestFlagCount pins the option surface: 15 flags, none of them the
 // deleted perf pass's.
 func TestFlagCount(t *testing.T) {
 	_, usage, code := paperbench("-h")
@@ -36,8 +36,8 @@ func TestFlagCount(t *testing.T) {
 			}
 		}
 	}
-	if n != 16 {
-		t.Errorf("%d flags registered, want 16: adding an option needs a reason (ROADMAP aim 2)\n%s", n, usage)
+	if n != 15 {
+		t.Errorf("%d flags registered, want 15: adding an option needs a reason (ROADMAP aim 2)\n%s", n, usage)
 	}
 }
 
@@ -107,17 +107,17 @@ func TestLocalAndRemoteShareOneTail(t *testing.T) {
 		t.Fatal("-remote -json differs from the stable report")
 	}
 
-	// The gate: both pass against the baseline just written at -tol 0,
+	// The gate: both pass against the baseline just written,
 	// both fail — with the same violation — against a doctored one.
 	doctored := bytes.Replace(read("local.json"), []byte(`"exec_cycles": `), []byte(`"exec_cycles": 1`), 1)
 	if err := os.WriteFile(file("doctored.json"), doctored, 0o644); err != nil {
 		t.Fatal(err)
 	}
 	for _, remote := range []bool{false, true} {
-		if _, stderr, code := invoke(remote, "-baseline", file("local.json"), "-tol", "0"); code != 0 {
+		if _, stderr, code := invoke(remote, "-baseline", file("local.json")); code != 0 {
 			t.Fatalf("remote=%v: gate against its own baseline exited %d: %s", remote, code, stderr)
 		}
-		_, stderr, code := invoke(remote, "-baseline", file("doctored.json"), "-tol", "0")
+		_, stderr, code := invoke(remote, "-baseline", file("doctored.json"))
 		if code != 1 || !strings.Contains(stderr, "gate: FAILED") || !strings.Contains(stderr, "exec_cycles") {
 			t.Fatalf("remote=%v: gate against a doctored baseline exited %d: %s", remote, code, stderr)
 		}

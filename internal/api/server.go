@@ -7,9 +7,7 @@ import (
 	"net/http"
 	"net/http/pprof"
 
-	"lazyrc/internal/causal"
 	"lazyrc/internal/exp"
-	"lazyrc/internal/machine"
 	"lazyrc/internal/runner"
 )
 
@@ -265,10 +263,12 @@ func serveSweepEvents(s *Service, w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// serveTrace re-runs a cell some sweep names with span retention enabled
-// and writes the Perfetto trace. Tracing is passive (results stay bit-identical),
-// but retaining spans costs memory, so traces are produced on demand
-// rather than stored.
+// serveTrace re-runs a cell some sweep names with span retention and
+// telemetry enabled and writes the Perfetto trace, spans and counter
+// tracks — the bytes lrcsim -spans-out writes for the cell. Both
+// observers are passive (results stay bit-identical), but retaining
+// spans costs memory, so traces are produced on demand rather than
+// stored.
 func serveTrace(s *Service, w http.ResponseWriter, r *http.Request) {
 	fp := r.PathValue("fp")
 	job, err := s.jobFor(fp)
@@ -283,7 +283,7 @@ func serveTrace(s *Service, w http.ResponseWriter, r *http.Request) {
 	}
 	w.Header().Set("Content-Type", "application/json")
 	w.Header().Set("Content-Disposition", fmt.Sprintf("attachment; filename=%q", fp[:min(16, len(fp))]+".perfetto.json"))
-	if err := causal.WritePerfetto(w, m.Causal, machine.MsgKindName); err != nil {
+	if err := m.WritePerfetto(w); err != nil {
 		// Headers are gone; nothing to do but drop the connection.
 		return
 	}

@@ -1,18 +1,17 @@
 package apps
 
 import (
-	"fmt"
 	"testing"
 
+	"lazyrc/internal/causal"
 	"lazyrc/internal/config"
 	"lazyrc/internal/machine"
-	"lazyrc/internal/mesh"
 	"lazyrc/internal/protocol"
 )
 
-// TestMp3dERCTrace is a diagnostic harness: it runs mp3d under ERC with a
-// message trace and, on deadlock, prints the tail of the trace for the
-// blocks that still have outstanding transactions.
+// TestMp3dERCTrace is a diagnostic harness: it runs mp3d under ERC with
+// the span store retained and, on deadlock, prints the last net spans of
+// the block that still has outstanding transactions.
 func TestMp3dERCTrace(t *testing.T) {
 	app := NewMp3d(Tiny)
 	cfg := config.Default(8)
@@ -21,18 +20,15 @@ func TestMp3dERCTrace(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var trace []string
-	m.Net.Trace = func(msg mesh.Msg) {
-		trace = append(trace, fmt.Sprintf("%7d %d->%d %-12v blk%-5d arg%d aux%d",
-			m.Eng.Now(), msg.Src, msg.Dst, protocol.MsgKind(msg.Kind), msg.Addr, msg.Arg, msg.Aux))
-	}
+	m.EnableSpans(true, 0)
 	defer func() {
 		if r := recover(); r != nil {
-			// Print the last messages mentioning the stuck block.
+			// Print the last messages about the stuck block.
+			spans := m.Causal.Spans()
 			shown := 0
-			for i := len(trace) - 1; i >= 0 && shown < 60; i-- {
-				if containsBlk(trace[i], "blk64 ") {
-					t.Log(trace[i])
+			for i := len(spans) - 1; i >= 0 && shown < 60; i-- {
+				if s := spans[i]; s.Kind == causal.KindNet && s.Block == 64 {
+					t.Logf("%7d %d->%d %-12v blk%d", s.Begin, s.Node, s.Peer, protocol.MsgKind(s.MsgKind), s.Block)
 					shown++
 				}
 			}
@@ -41,13 +37,4 @@ func TestMp3dERCTrace(t *testing.T) {
 	}()
 	app.Setup(m)
 	m.Run(app.Worker)
-}
-
-func containsBlk(s, sub string) bool {
-	for i := 0; i+len(sub) <= len(s); i++ {
-		if s[i:i+len(sub)] == sub {
-			return true
-		}
-	}
-	return false
 }

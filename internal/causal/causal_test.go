@@ -2,10 +2,14 @@ package causal
 
 import (
 	"bytes"
+	"encoding/json"
 	"fmt"
+	"io"
 	"reflect"
 	"strings"
 	"testing"
+
+	"lazyrc/internal/telemetry"
 )
 
 func TestNilTracerIsNoOp(t *testing.T) {
@@ -383,7 +387,7 @@ func TestPerfettoRoundTrip(t *testing.T) {
 	tr.EndSync(stRoot, 90)
 
 	var buf bytes.Buffer
-	if err := WritePerfetto(&buf, tr, func(k int) string { return "MsgKind" }); err != nil {
+	if err := WritePerfetto(&buf, tr, nil, 2, func(k int) string { return "MsgKind" }); err != nil {
 		t.Fatal(err)
 	}
 	n, err := ValidateTrace(buf.Bytes())
@@ -404,9 +408,12 @@ func TestPerfettoRoundTrip(t *testing.T) {
 func TestValidateTraceRejectsGarbage(t *testing.T) {
 	cases := []string{
 		`{}`,
-		`{"traceEvents": [{"ph":"X","pid":0,"tid":0,"ts":1,"dur":2}]}`,    // no name
-		`{"traceEvents": [{"name":"x","ph":"Q","pid":0,"tid":0,"ts":1}]}`, // bad phase
-		`{"traceEvents": [{"name":"x","ph":"b","pid":0,"tid":0,"ts":1}]}`, // async without id
+		`{"traceEvents": [{"ph":"X","pid":0,"tid":0,"ts":1,"dur":2}]}`,                         // no name
+		`{"traceEvents": [{"name":"x","ph":"Q","pid":0,"tid":0,"ts":1}]}`,                      // bad phase
+		`{"traceEvents": [{"name":"x","ph":"b","pid":0,"tid":0,"ts":1}]}`,                      // async without id
+		`{"traceEvents": [{"name":"x","ph":"C","pid":0,"tid":0,"ts":-1,"args":{"level":1}}]}`,  // counter before 0
+		`{"traceEvents": [{"name":"x","ph":"C","pid":0,"tid":0,"ts":1}]}`,                      // counter without a value
+		`{"traceEvents": [{"name":"x","ph":"C","pid":0,"tid":0,"ts":1,"args":{"level":"1"}}]}`, // counter with a string
 		`not json`,
 	}
 	for _, c := range cases {
@@ -414,4 +421,90 @@ func TestValidateTraceRejectsGarbage(t *testing.T) {
 			t.Errorf("accepted invalid trace: %s", c)
 		}
 	}
+}
+
+// seededTrace writes the trace of a tiny run data scripts: one to four
+// nodes; per byte (the first 32) a transaction with its message,
+// directory service and stall, then a sample of a level series per node,
+// a machine-wide delta series and a series whose numeric suffix names no
+// node.
+func seededTrace(w io.Writer, data []byte) error {
+	data = data[:min(len(data), 32)]
+	nodes := 1
+	if len(data) > 0 {
+		nodes += int(data[0] % 4)
+	}
+	tr := New(0)
+	reg := telemetry.NewRegistry(16)
+	depth := make([]*telemetry.Series, nodes)
+	for i := range depth {
+		depth[i] = reg.Series(fmt.Sprintf("wb.depth.%03d", i), telemetry.Level)
+	}
+	msgs := reg.Series("net.msgs", telemetry.Delta)
+	odd := reg.Series("x.999", telemetry.Level)
+	now := uint64(0)
+	for i, b := range data {
+		src, dst, d := i%nodes, int(b)%nodes, uint64(b%9)
+		block := uint64(b) << 7
+		tid, root := tr.BeginTxn(src, block, now)
+		tr.Net(tid, src, dst, int(b%5), block, now+1, now+2+d, uint64(b%2), 0)
+		tr.Service(KindDir, dst, block, now+2+d, now+3+d, now+4+d)
+		sid := tr.BeginStall(src, tid, StallClass(b%3), "miss", now)
+		tr.EndStall(sid, now+5+d)
+		tr.EndTxn(root, now+5+d)
+		depth[dst].Set(float64(b % 3))
+		msgs.Add(float64(b % 2))
+		odd.Set(-float64(b) / 7)
+		now += 6 + d
+		reg.Sample(now)
+	}
+	return WritePerfetto(w, tr, reg, nodes, nil)
+}
+
+// FuzzValidateTrace: the validator never panics and an accepted input's
+// event count is its traceEvents length; every trace WritePerfetto writes
+// for a tiny run the input seeds, counter tracks included, is accepted;
+// and that trace with a counter event appended that has a negative ts,
+// no value or a string for one is refused.
+func FuzzValidateTrace(f *testing.F) {
+	f.Add([]byte(`{"traceEvents":[]}`))
+	f.Add([]byte(`{"traceEvents":[{"name":"wb.depth","ph":"C","ts":4096,"pid":0,"tid":0,"args":{"level":2}}]}`))
+	f.Add([]byte(`{"traceEvents":[{"name":"c","ph":"C","ts":-1,"pid":0,"tid":0,"args":{"level":2}}]}`))
+	f.Add([]byte(`{"traceEvents":[{"name":"c","ph":"C","ts":1,"pid":0,"tid":0,"args":{"level":"2"}}]}`))
+	f.Add([]byte{3, 0, 1, 2, 250, 7, 9, 9})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if n, err := ValidateTrace(data); err == nil {
+			var doc struct{ TraceEvents []json.RawMessage }
+			if err := json.Unmarshal(data, &doc); err != nil || n != len(doc.TraceEvents) {
+				t.Fatalf("accepted with %d events, traceEvents holds %d (%v)", n, len(doc.TraceEvents), err)
+			}
+		}
+
+		var buf bytes.Buffer
+		if err := seededTrace(&buf, data); err != nil {
+			t.Fatal(err)
+		}
+		n, err := ValidateTrace(buf.Bytes())
+		if err != nil {
+			t.Fatalf("a written trace is refused: %v\n%s", err, buf.Bytes())
+		}
+		if len(data) > 0 && !bytes.Contains(buf.Bytes(), []byte(`"ph":"C"`)) {
+			t.Fatalf("a run with %d samples wrote no counter event", len(data))
+		}
+
+		head := bytes.TrimSuffix(buf.Bytes(), []byte("\n]}\n"))
+		if n > 0 {
+			head = append(head, ',')
+		}
+		for _, bad := range []string{
+			fmt.Sprintf(`{"name":"c","ph":"C","ts":-%d,"pid":0,"tid":0,"args":{"level":1}}`, 1+len(data)),
+			`{"name":"c","ph":"C","ts":1,"pid":0,"tid":0}`,
+			`{"name":"c","ph":"C","ts":1,"pid":0,"tid":0,"args":{"level":"1"}}`,
+		} {
+			trace := append(append(head[:len(head):len(head)], bad...), "]}"...)
+			if _, err := ValidateTrace(trace); err == nil {
+				t.Fatalf("accepted a bad counter event: %s", bad)
+			}
+		}
+	})
 }

@@ -5,6 +5,10 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"strconv"
+	"strings"
+
+	"lazyrc/internal/telemetry"
 )
 
 // Perfetto export: the retained span store rendered as Chrome
@@ -22,6 +26,14 @@ import (
 //   - every message is an async net event plus a flow-event pair
 //     (ph s at the send on the source node, ph f at the delivery on the
 //     destination) so cross-node causality draws as arrows.
+//   - every telemetry series is one counter track (ph C), written after
+//     the spans: a series named ….NNN on node NNN's process under the
+//     name without the suffix, any other on one "machine" process (pid =
+//     node count). The args key is the series mode, so a track reads
+//     "wb.depth level" or "stall.sync delta". A level point is stamped at
+//     its sample, a delta point at the start of the interval it counts
+//     (0 for the first), and an event is written only where the value
+//     changes — reading a track back at those stamps gives every point.
 //
 // Timestamps are simulated cycles written as microseconds; absolute
 // wall-time is meaningless in a simulator, so 1 cycle renders as 1 us.
@@ -56,11 +68,12 @@ var laneNames = map[int64]string{
 	laneMem: "mem",
 }
 
-// WritePerfetto renders the tracer's retained spans as trace-event JSON.
+// WritePerfetto renders the tracer's retained spans and the registry's
+// series, sampled on a machine of nodes nodes, as trace-event JSON.
 // msgKindName labels net spans with the protocol message mnemonic (nil:
-// numeric kinds). Only retaining tracers can export; a digest-only or
-// nil tracer writes an empty trace.
-func WritePerfetto(w io.Writer, t *Tracer, msgKindName func(int) string) error {
+// numeric kinds). Only retaining tracers export spans; a digest-only or
+// nil tracer, like a nil registry, contributes no events.
+func WritePerfetto(w io.Writer, t *Tracer, reg *telemetry.Registry, nodes int, msgKindName func(int) string) error {
 	bw := bufio.NewWriterSize(w, 1<<16)
 	if _, err := bw.WriteString(`{"displayTimeUnit":"ms","traceEvents":[`); err != nil {
 		return err
@@ -76,21 +89,25 @@ func WritePerfetto(w io.Writer, t *Tracer, msgKindName func(int) string) error {
 		bw.Write(raw)
 	}
 
+	seenLane := make(map[[2]int64]bool)
+	process := func(pid int64, name string) {
+		if !seenLane[[2]int64{pid, -1}] {
+			seenLane[[2]int64{pid, -1}] = true
+			emit(traceEvent{
+				Name: "process_name", Ph: "M", Pid: pid, Tid: 0,
+				Args: map[string]interface{}{"name": name},
+			})
+		}
+	}
+
 	if t != nil {
-		seenLane := make(map[[2]int64]bool)
 		meta := func(pid, tid int64) {
 			key := [2]int64{pid, tid}
 			if seenLane[key] {
 				return
 			}
 			seenLane[key] = true
-			if !seenLane[[2]int64{pid, -1}] {
-				seenLane[[2]int64{pid, -1}] = true
-				emit(traceEvent{
-					Name: "process_name", Ph: "M", Pid: pid, Tid: 0,
-					Args: map[string]interface{}{"name": fmt.Sprintf("node%d", pid)},
-				})
-			}
+			process(pid, fmt.Sprintf("node%d", pid))
 			emit(traceEvent{
 				Name: "thread_name", Ph: "M", Pid: pid, Tid: tid,
 				Args: map[string]interface{}{
@@ -209,17 +226,53 @@ func WritePerfetto(w io.Writer, t *Tracer, msgKindName func(int) string) error {
 		}
 	}
 
+	times := reg.Times()
+	starts := append([]uint64{0}, times...) // where each sample's interval began
+	reg.VisitSeries(func(s *telemetry.Series) {
+		name, pid := counterTrack(s.Name(), nodes)
+		if pid == int64(nodes) {
+			process(pid, "machine")
+		} else {
+			process(pid, fmt.Sprintf("node%d", pid))
+		}
+		stamps := times
+		if s.Mode() == telemetry.Delta {
+			stamps = starts
+		}
+		key := s.Mode().String()
+		points := s.Points()
+		for i, v := range points {
+			if i == 0 || v != points[i-1] {
+				emit(traceEvent{Name: name, Ph: "C", Ts: stamps[i], Pid: pid,
+					Args: map[string]interface{}{key: v}})
+			}
+		}
+	})
+
 	if _, err := bw.WriteString("\n]}\n"); err != nil {
 		return err
 	}
 	return bw.Flush()
 }
 
+// counterTrack places a telemetry series: one named ….NNN, NNN a node
+// index, is that node's counter under the name without the suffix; any
+// other is the machine's, on the process after the nodes'.
+func counterTrack(series string, nodes int) (name string, pid int64) {
+	if i := strings.LastIndexByte(series, '.'); i >= 0 {
+		if n, err := strconv.Atoi(series[i+1:]); err == nil && n >= 0 && n < nodes {
+			return series[:i], int64(n)
+		}
+	}
+	return series, int64(nodes)
+}
+
 // ValidateTrace checks data against a minimal trace-event schema: a JSON
 // object whose traceEvents member is an array of events, each carrying a
 // known phase, a name, numeric pid/tid, a non-negative ts on timed
-// phases, a non-negative dur on complete events, and an id on
-// async/flow events. It returns the event count on success.
+// phases, a non-negative dur on complete events, an id on async/flow
+// events, and args of numbers only, at least one, on counter events. It
+// returns the event count on success.
 func ValidateTrace(data []byte) (int, error) {
 	var top struct {
 		TraceEvents []json.RawMessage `json:"traceEvents"`
@@ -232,13 +285,14 @@ func ValidateTrace(data []byte) (int, error) {
 	}
 	for i, raw := range top.TraceEvents {
 		var ev struct {
-			Name *string  `json:"name"`
-			Ph   string   `json:"ph"`
-			Ts   *float64 `json:"ts"`
-			Dur  *float64 `json:"dur"`
-			Pid  *float64 `json:"pid"`
-			Tid  *float64 `json:"tid"`
-			ID   string   `json:"id"`
+			Name *string        `json:"name"`
+			Ph   string         `json:"ph"`
+			Ts   *float64       `json:"ts"`
+			Dur  *float64       `json:"dur"`
+			Pid  *float64       `json:"pid"`
+			Tid  *float64       `json:"tid"`
+			ID   string         `json:"id"`
+			Args map[string]any `json:"args"`
 		}
 		if err := json.Unmarshal(raw, &ev); err != nil {
 			return 0, fmt.Errorf("event %d: %w", i, err)
@@ -265,6 +319,18 @@ func ValidateTrace(data []byte) (int, error) {
 			}
 			if ev.ID == "" {
 				return 0, fmt.Errorf("event %d (%s): %s event needs an id", i, *ev.Name, ev.Ph)
+			}
+		case "C":
+			if ev.Ts == nil || *ev.Ts < 0 {
+				return 0, fmt.Errorf("event %d (%s): counter event needs ts >= 0", i, *ev.Name)
+			}
+			if len(ev.Args) == 0 {
+				return 0, fmt.Errorf("event %d (%s): counter event needs a value in args", i, *ev.Name)
+			}
+			for k, v := range ev.Args {
+				if _, ok := v.(float64); !ok {
+					return 0, fmt.Errorf("event %d (%s): counter value %q is not a number", i, *ev.Name, k)
+				}
 			}
 		default:
 			return 0, fmt.Errorf("event %d (%s): unknown phase %q", i, *ev.Name, ev.Ph)

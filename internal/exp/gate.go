@@ -3,7 +3,6 @@ package exp
 import (
 	"encoding/json"
 	"fmt"
-	"math"
 	"os"
 	"slices"
 	"sort"
@@ -11,23 +10,20 @@ import (
 )
 
 // Gate diffs a fresh report against a committed baseline and returns one
-// violation string per out-of-tolerance difference (empty means the gate
-// passes). The semantics:
+// violation string per difference (empty means the gate passes). The
+// simulator is deterministic, so the comparison is exact:
 //
 //   - the evaluation point (scale, processor count) and the run set must
-//     match exactly — a disappeared or newly appeared cell is drift, not
-//     noise;
-//   - cycle counts (execution time, the cpu/read/write/sync breakdown)
-//     and network traffic may move by at most tolPct percent of the
-//     baseline value (a zero baseline value must stay zero);
-//   - the miss classification is structural, not a performance number:
-//     any changed miss-rate or miss-share tally fails regardless of
-//     tolerance, as does a changed answer vector (where the baseline
-//     carries one) or a run that no longer verifies.
+//     match — a disappeared or newly appeared cell is drift, not noise;
+//   - every cycle count (execution time, the cpu/read/write/sync
+//     breakdown), the network traffic, the miss classification, the
+//     answer vector (where the baseline carries one) and the three
+//     digests must be equal, and a run that verified must still verify.
 //
-// The simulator is deterministic, so on an unchanged tree even
-// tolPct = 0 passes; any failure is a real behavioural change.
-func Gate(baseline, fresh Report, tolPct float64) []string {
+// Any failure is a real behavioural change. The trailing arguments are
+// ignored: they are the tolerance an older signature took, still accepted
+// so that three-argument callers such as the benchmark module compile.
+func Gate(baseline, fresh Report, _ ...float64) []string {
 	var v []string
 	fail := func(format string, args ...any) { v = append(v, fmt.Sprintf(format, args...)) }
 
@@ -65,9 +61,8 @@ func Gate(baseline, fresh Report, tolPct float64) []string {
 			continue
 		}
 		cycles := func(name string, b, f uint64) {
-			if outOfTolerance(b, f, tolPct) {
-				fail("%s: %s %d -> %d (%+.3f%%, tolerance %.3f%%)",
-					k, name, b, f, pctDelta(b, f), tolPct)
+			if b != f {
+				fail("%s: %s %d -> %d (%+.3f%%)", k, name, b, f, pctDelta(b, f))
 			}
 		}
 		cycles("exec_cycles", base.ExecCycles, run.ExecCycles)
@@ -97,7 +92,7 @@ func Gate(baseline, fresh Report, tolPct float64) []string {
 			fail("%s: answer changed: %v -> %v", k, base.Answer, run.Answer)
 		}
 		// Three digests ride on a run: telemetry (the cycle-domain shape, so
-		// compensating drifts inside tolerance still fail), spans (the causal
+		// drifts that cancel out in the totals still fail), spans (the causal
 		// event stream: every transaction, stall and flight with its stamps
 		// and its waker) and memory (the end state a faulted run must
 		// reproduce). A baseline that predates one gates on the scalars
@@ -137,18 +132,6 @@ func spanDigestDelta(base, fresh string) string {
 		return fmt.Sprintf("spans %s -> %s, hash %s -> %s (spans appeared or vanished)", bn, fn, bh, fh)
 	}
 	return fmt.Sprintf("%s spans, hash %s -> %s (stamps or causes moved)", bn, bh, fh)
-}
-
-// outOfTolerance reports whether f deviates from b by more than tolPct
-// percent of b. A zero baseline admits only zero.
-func outOfTolerance(b, f uint64, tolPct float64) bool {
-	if b == f {
-		return false
-	}
-	if b == 0 {
-		return true
-	}
-	return math.Abs(pctDelta(b, f)) > tolPct
 }
 
 func pctDelta(b, f uint64) float64 {

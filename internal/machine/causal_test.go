@@ -196,7 +196,7 @@ func TestSpanDigestDeterministic(t *testing.T) {
 func TestPerfettoExportValidates(t *testing.T) {
 	m := runGaussSpans(t, "lrc", true)
 	var buf bytes.Buffer
-	if err := causal.WritePerfetto(&buf, m.Causal, machine.MsgKindName); err != nil {
+	if err := m.WritePerfetto(&buf); err != nil {
 		t.Fatal(err)
 	}
 	n, err := causal.ValidateTrace(buf.Bytes())

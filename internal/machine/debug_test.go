@@ -1,10 +1,9 @@
 package machine
 
 import (
-	"fmt"
 	"testing"
 
-	"lazyrc/internal/mesh"
+	"lazyrc/internal/causal"
 	"lazyrc/internal/protocol"
 )
 
@@ -15,20 +14,16 @@ func TestRacyCountersERC(t *testing.T) {
 	for _, proto := range []string{"sc", "erc"} {
 		m := newTest(t, proto, 8, nil)
 		a := m.AllocI64(8)
-		trace := make([]string, 0, 4096)
 		if testing.Verbose() {
-			orig := m.Nodes // capture for homes
-			_ = orig
-			m.Net.Trace = func(msg mesh.Msg) {
-				trace = append(trace, fmt.Sprintf("%6d %d->%d %v blk%d arg%d aux%d",
-					m.Eng.Now(), msg.Src, msg.Dst, protocol.MsgKind(msg.Kind), msg.Addr, msg.Arg, msg.Aux))
-			}
+			m.EnableSpans(true, 0)
 		}
 		func() {
 			defer func() {
 				if r := recover(); r != nil {
-					for _, l := range trace {
-						t.Log(l)
+					for _, s := range m.Causal.Spans() {
+						if s.Kind == causal.KindNet {
+							t.Logf("%6d %d->%d %v blk%d", s.Begin, s.Node, s.Peer, protocol.MsgKind(s.MsgKind), s.Block)
+						}
 					}
 					t.Fatalf("%s: %v", proto, r)
 				}

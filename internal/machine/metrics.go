@@ -3,7 +3,6 @@ package machine
 import (
 	"fmt"
 
-	"lazyrc/internal/protocol"
 	"lazyrc/internal/telemetry"
 )
 
@@ -21,8 +20,8 @@ import (
 //   - stall.{cpu,read,write,sync}: interval deltas of the four
 //     machine-wide cycle categories (the paper's cost breakdown).
 //   - net.{msgs,bytes}: interval deltas of network traffic.
-//   - net.{in_busy,out_busy}.NNN: per-node NIC-port occupancy deltas —
-//     the link-utilization heatmap.
+//   - net.{in_busy,out_busy}.NNN: per-node NIC-port occupancy deltas
+//     (link utilization).
 //   - net.backlog.NNN: cycles of work already committed to each node's
 //     NIC ports at the sample point (queue depth).
 //   - wb.depth.NNN / cb.depth.NNN: write-buffer and coalescing-buffer
@@ -51,7 +50,7 @@ func (m *Machine) EnableMetrics(interval uint64) *telemetry.Registry {
 	reg.SetMeta("line_size", fmt.Sprintf("%d", m.Cfg.LineSize))
 	reg.SetMeta("seed", fmt.Sprintf("%d", m.Cfg.Seed))
 
-	m.Net.EnableTelemetry(reg, func(k int) string { return protocol.MsgKind(k).String() })
+	m.Net.EnableTelemetry(reg, msgKindName)
 
 	clock := func() uint64 { return m.Eng.Now() }
 	wbResid := reg.Histogram("wb.residency")

@@ -1,6 +1,8 @@
 package machine
 
 import (
+	"io"
+
 	"lazyrc/internal/causal"
 	"lazyrc/internal/protocol"
 )
@@ -41,5 +43,12 @@ func (m *Machine) EnableSpans(retain bool, limit int) *causal.Tracer {
 	return tr
 }
 
-// MsgKindName labels a mesh message kind for trace export.
-func MsgKindName(k int) string { return protocol.MsgKind(k).String() }
+// WritePerfetto writes the run's timeline as trace-event JSON: the
+// retained spans and, when metrics are enabled, every telemetry series
+// as a counter track on the same cycle axis (causal.WritePerfetto).
+func (m *Machine) WritePerfetto(w io.Writer) error {
+	return causal.WritePerfetto(w, m.Causal, m.Tel, len(m.Nodes), msgKindName)
+}
+
+// msgKindName labels a mesh message kind in traces and telemetry.
+func msgKindName(k int) string { return protocol.MsgKind(k).String() }

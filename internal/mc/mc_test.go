@@ -256,17 +256,6 @@ func TestReplayIsDeterministic(t *testing.T) {
 	}
 }
 
-func TestMenuFromPlan(t *testing.T) {
-	menu, err := MenuFromPlan("delay=0.05:1:7,reorder=0.03:4")
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := []uint64{0, 1, 4, 7}
-	if !reflect.DeepEqual(menu, want) {
-		t.Fatalf("menu = %v, want %v", menu, want)
-	}
-}
-
 func TestTrackerSemantics(t *testing.T) {
 	tr := NewTracker(2)
 	if v := tr.Read(0, 5, 1); v != 0 {

@@ -2,11 +2,9 @@ package mc
 
 import (
 	"fmt"
-	"sort"
 
 	"lazyrc/internal/check"
 	"lazyrc/internal/config"
-	"lazyrc/internal/faults"
 	"lazyrc/internal/machine"
 )
 
@@ -45,39 +43,6 @@ func DefaultMenu() []uint64 { return []uint64{0, 3} }
 
 // DefaultMaxChoices is the default recorded-choice bound.
 const DefaultMaxChoices = 64
-
-// MenuFromPlan derives a delivery-delay menu from a fault-injection plan
-// (faults.ParsePlan syntax), so the checker explores the same delay and
-// reorder magnitudes the chaos harness injects randomly.
-func MenuFromPlan(s string) ([]uint64, error) {
-	p, err := faults.ParsePlan(s)
-	if err != nil {
-		return nil, err
-	}
-	set := map[uint64]bool{0: true}
-	add := func(r faults.Rule) {
-		if r.DelayProb > 0 {
-			set[r.DelayMin] = true
-			set[r.DelayMax] = true
-		}
-		if r.ReorderProb > 0 && r.ReorderMax > 0 {
-			set[r.ReorderMax] = true
-		}
-		if r.DupProb > 0 && r.DupDelayMax > 0 {
-			set[r.DupDelayMax] = true
-		}
-	}
-	add(p.Default)
-	for _, r := range p.ByKind {
-		add(r)
-	}
-	menu := make([]uint64, 0, len(set))
-	for d := range set {
-		menu = append(menu, d)
-	}
-	sort.Slice(menu, func(i, j int) bool { return menu[i] < menu[j] })
-	return menu, nil
-}
 
 // RunResult is the outcome of one schedule.
 type RunResult struct {

@@ -69,10 +69,6 @@ type Network struct {
 	// folded into machine state hashes for visited-state dedup.
 	flight fold.Bag
 
-	// Trace, when non-nil, observes every message at send time, for
-	// debugging.
-	Trace func(Msg)
-
 	// tel, when non-nil, feeds per-kind latency histograms (see
 	// telemetry.go). Collection is passive: it never changes timing.
 	tel *telemetrySink
@@ -389,9 +385,6 @@ func (n *Network) transmit(m Msg, extra uint64) {
 		n.byKind = append(n.byKind, make([]uint64, m.Kind+1-len(n.byKind))...)
 	}
 	n.byKind[m.Kind]++
-	if n.Trace != nil {
-		n.Trace(m)
-	}
 	if m.Src == m.Dst {
 		n.post(n.eng.Now(), &m)
 		return

@@ -66,7 +66,7 @@ func (t *telemetrySink) observeRetx(depth, lat uint64) {
 
 // PortBusyInOut returns the cumulative occupancy of node id's receive and
 // send NIC ports separately — the telemetry sampler splits directions so
-// the link-utilization heatmap can show asymmetric traffic.
+// each node's net.in_busy and net.out_busy tracks show asymmetric traffic.
 func (n *Network) PortBusyInOut(id int) (in, out uint64) {
 	return n.in[id].Busy(), n.out[id].Busy()
 }

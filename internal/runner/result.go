@@ -294,13 +294,15 @@ var simulate = func(j Job, res *Result, hk hooks) error {
 // run yields a failed-job record, not a dead sweep.
 func Exec(j Job) *Result { return execWith(j, hooks{}) }
 
-// ExecTraced re-runs a job with full causal-span retention and returns
-// the finished machine, for on-demand trace export (the lrcsimd trace
-// endpoint). Tracing is passive — the simulated schedule is bit-identical
-// to an untraced run — but retained spans cost memory, so this path is
-// separate from the cached result pipeline. A verification failure still
-// yields the machine (the trace is what explains it); a panic is
-// returned as an error, not propagated.
+// ExecTraced re-runs a job with full causal-span retention and telemetry
+// sampled every MetricsInterval cycles, as lrcsim -spans-out does, and
+// returns the finished machine, for on-demand trace export (the lrcsimd
+// trace endpoint, Machine.WritePerfetto). Both observers are passive —
+// the simulated schedule is bit-identical to an unobserved run — but
+// retained spans cost memory, so this path is separate from the cached
+// result pipeline. A verification failure still yields the machine (the
+// trace is what explains it); a panic is returned as an error, not
+// propagated.
 func ExecTraced(j Job) (m *machine.Machine, err error) {
 	defer func() {
 		if p := recover(); p != nil {
@@ -311,7 +313,10 @@ func ExecTraced(j Job) (m *machine.Machine, err error) {
 	if err != nil {
 		return nil, err
 	}
-	m, err = apps.Run(j.Cfg, j.Proto, app, func(m *machine.Machine) { m.EnableSpans(true, 0) })
+	m, err = apps.Run(j.Cfg, j.Proto, app, func(m *machine.Machine) {
+		m.EnableMetrics(MetricsInterval)
+		m.EnableSpans(true, 0)
+	})
 	if m == nil {
 		return nil, err
 	}

@@ -99,14 +99,6 @@ func (h *Histogram) Max() uint64 {
 	return h.max
 }
 
-// Mean returns the arithmetic mean of observed samples (0 when empty).
-func (h *Histogram) Mean() float64 {
-	if h == nil || h.count == 0 {
-		return 0
-	}
-	return float64(h.sum) / float64(h.count)
-}
-
 // bucketBounds returns the value range [lo, hi] covered by bucket i.
 func bucketBounds(i int) (lo, hi uint64) {
 	if i == 0 {

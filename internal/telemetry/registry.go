@@ -141,14 +141,6 @@ func NewRegistry(interval uint64) *Registry {
 	}
 }
 
-// Interval returns the sampling interval in simulated cycles.
-func (r *Registry) Interval() uint64 {
-	if r == nil {
-		return 0
-	}
-	return r.interval
-}
-
 // SetMeta records a run-metadata key (application, protocol, seed...)
 // for the export header. Safe on a nil registry.
 func (r *Registry) SetMeta(k, v string) {

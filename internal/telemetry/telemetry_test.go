@@ -23,9 +23,6 @@ func TestHistogramBasics(t *testing.T) {
 	if h.Min() != 0 || h.Max() != 1000 {
 		t.Fatalf("min/max = %d/%d, want 0/1000", h.Min(), h.Max())
 	}
-	if got := h.Mean(); math.Abs(got-1106.0/6) > 1e-9 {
-		t.Fatalf("mean = %v", got)
-	}
 }
 
 func TestHistogramQuantileEmpty(t *testing.T) {
@@ -400,46 +397,6 @@ func FuzzValidate(f *testing.F) {
 			t.Fatalf("export → load → export moved:\n%s\n%s", once.Bytes(), twice.Bytes())
 		}
 	})
-}
-
-func TestWriteHTML(t *testing.T) {
-	r := buildRegistry()
-	// Add the series the report sections look for.
-	for i, name := range []string{"stall.read", "stall.write", "stall.sync", "net.out_busy.000", "net.out_busy.001"} {
-		s := r.Series(name, Delta)
-		// Backfill points so lengths align with the 5 samples.
-		for j := 0; j < 5; j++ {
-			s.push(float64(i + j))
-		}
-	}
-	var buf bytes.Buffer
-	if err := r.WriteHTML(&buf, "test run"); err != nil {
-		t.Fatalf("WriteHTML: %v", err)
-	}
-	out := buf.String()
-	for _, want := range []string{
-		"<!DOCTYPE html>", "test run", "Cycle breakdown", "Link utilization",
-		"Latency quantiles", "net.lat.RdReq", "prefers-color-scheme: dark",
-		"Data table", "<svg",
-	} {
-		if !strings.Contains(out, want) {
-			t.Errorf("report missing %q", want)
-		}
-	}
-	// Self-contained: no external references.
-	for _, banned := range []string{"http://", "https://", "<script", "src="} {
-		if strings.Contains(out, banned) {
-			t.Errorf("report contains external reference %q", banned)
-		}
-	}
-	// Deterministic render.
-	var buf2 bytes.Buffer
-	if err := r.WriteHTML(&buf2, "test run"); err != nil {
-		t.Fatalf("WriteHTML: %v", err)
-	}
-	if !bytes.Equal(buf.Bytes(), buf2.Bytes()) {
-		t.Fatal("HTML render not deterministic")
-	}
 }
 
 func BenchmarkObserveEnabled(b *testing.B) {
