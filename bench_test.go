@@ -18,6 +18,7 @@ import (
 	"lazyrc/internal/apps"
 	"lazyrc/internal/config"
 	"lazyrc/internal/exp"
+	"lazyrc/internal/stats"
 )
 
 const (
@@ -75,8 +76,8 @@ func BenchmarkTable2MissClassification(b *testing.B) {
 			if err := r.Err(); err != nil {
 				b.Fatal(err)
 			}
-			b.ReportMetric(100*r.MissShares[lazyrc.FalseShare], app+"_false_pct")
-			b.ReportMetric(100*r.MissShares[lazyrc.Eviction], app+"_evict_pct")
+			b.ReportMetric(100*r.MissShares[stats.FalseShare], app+"_false_pct")
+			b.ReportMetric(100*r.MissShares[stats.Eviction], app+"_evict_pct")
 		}
 	}
 }

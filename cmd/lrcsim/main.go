@@ -33,62 +33,53 @@ import (
 	"os"
 	"strings"
 	"text/tabwriter"
-	"time"
 
-	"lazyrc"
 	"lazyrc/internal/apps"
 	"lazyrc/internal/causal"
-	"lazyrc/internal/check"
 	"lazyrc/internal/exp"
 	"lazyrc/internal/machine"
 	"lazyrc/internal/mc"
 	"lazyrc/internal/perf"
+	"lazyrc/internal/protocol"
 	"lazyrc/internal/runner"
-	"lazyrc/internal/sim"
+	"lazyrc/internal/stats"
 	"lazyrc/internal/telemetry"
 )
 
 // The flags. Each is listed under exactly one heading of flagGroups, which
 // is the layout -h prints.
 var (
-	appName    = flag.String("app", "gauss", "application: "+strings.Join(lazyrc.AppNames(), ", "))
-	proto      = flag.String("proto", "lrc", "protocol: "+strings.Join(lazyrc.Protocols(), ", "))
+	appName    = flag.String("app", "gauss", "application: "+strings.Join(apps.Names(), ", "))
+	proto      = flag.String("proto", "lrc", "protocol: "+strings.Join(protocol.Names(), ", "))
 	procs      = flag.Int("procs", 64, "number of processors")
 	scale      = flag.String("scale", "small", "input scale: tiny, small, medium, paper; the per-processor cache co-scales with it (paper §3), as in paperbench and lrcsimd")
 	future     = flag.Bool("future", false, "use the §4.3 future-machine parameters (the \"future\" preset)")
-	verify     = flag.Bool("verify", true, "verify the computation against a serial reference")
 	contention = flag.Bool("contention", false, "print the per-resource contention report")
 	traffic    = flag.Bool("traffic", false, "print the per-message-kind traffic breakdown")
 	seed       = flag.Uint64("seed", 1, "seed of the fault injector (-faults); the same seed replays the same schedule")
-	faultPlan  = flag.String("faults", "", "fault-injection plan for the interconnect, e.g. 'delay=0.05:1:64,dup=0.03:32,reorder=0.02:48' (see internal/faults.ParsePlan)")
-	oracle     = flag.Bool("oracle", false, "with -faults: also run the same seed fault-free and require the faulted run to reproduce its end state (completion, and bit-identical final memory for timing-independent apps); exit nonzero on divergence")
-	doCheck    = flag.Bool("check", false, fmt.Sprintf("audit protocol invariants every %d cycles and after the run; exit nonzero on any violation", check.Epoch))
-	watchdog   = flag.Uint64("watchdog", 0, "liveness watchdog probe interval in cycles (0: disabled); a stall aborts the run with a report; pick an interval far above the longest legitimate wait (e.g. 50000)")
+	faultPlan  = flag.String("faults", "", "fault-injection plan for the interconnect, e.g. 'delay=0.05:1:64,dup=0.03:32,reorder=0.02:48' (see internal/faults.ParsePlan); the run is guarded and judged as the chaos soak's cells are")
 	cpuprofile = flag.String("cpuprofile", "", "write a CPU profile of the simulation to this file")
 	memprofile = flag.String("memprofile", "", "write a heap profile to this file at exit")
 	replayFile = flag.String("replay", "", "replay a model-checker counterexample schedule (JSON from lrccheck) instead of running an application")
-	metricsOut = flag.String("metrics-out", "", fmt.Sprintf("collect cycle-domain telemetry, sampled every %d cycles as for a stored cell (so the export hashes to its metrics_digest), and write the JSONL export to this file", runner.MetricsInterval))
+	metricsOut = flag.String("metrics-out", "", fmt.Sprintf("write the run's cycle-domain telemetry, sampled every %d cycles as for a stored cell (so the export hashes to its metrics_digest), to this file as JSONL", runner.MetricsInterval))
 	validateM  = flag.String("validate-metrics", "", "validate a telemetry JSONL export against the current schema and exit")
 	spansOut   = flag.String("spans-out", "", fmt.Sprintf("trace causal coherence-transaction spans and write them, with the telemetry series (sampled every %d cycles) as counter tracks, to this file as Perfetto/Chrome trace-event JSON", runner.MetricsInterval))
-	spansMax   = flag.Int("spans-max", 0, "cap on retained spans (0: default limit)")
-	critPath   = flag.Int("critical-path", 0, "print the critical-path stall attribution table and the N longest stall episodes (implies span collection)")
+	critPath   = flag.Int("critical-path", 0, "print the critical-path stall attribution table and the N longest stall episodes (implies span retention)")
 	validateS  = flag.String("validate-spans", "", "validate a Perfetto trace JSON export against the trace-event schema and exit")
-	perfFlag   = flag.Bool("perf", false, "profile the simulator's wall-clock time by phase and print the breakdown after the report (passive: simulated results are unchanged)")
-	progress   = flag.Int("progress", 0, "print a one-line progress heartbeat to stderr every N wall-clock seconds (0: disabled)")
-	progTotal  = flag.Uint64("progress-total", 0, "expected total simulated cycles, for the -progress ETA estimate (0: no ETA)")
+	perfFlag   = flag.Bool("perf", false, "print the simulator's wall-clock time by phase after the report (passive: simulated results are unchanged)")
 )
 
 // flagGroups lays out -h: what to run, what to observe about the run,
-// what to do to it and check in it, how to profile the simulator itself,
-// and the modes that work on a file instead of running an application.
+// what to do to it, how to profile the simulator itself, and the modes
+// that work on a file instead of running an application.
 var flagGroups = []struct {
 	heading string
 	flags   []string
 }{
-	{"Run", []string{"app", "proto", "procs", "scale", "future", "verify", "seed"}},
-	{"Observers", []string{"contention", "traffic", "metrics-out", "spans-out", "spans-max", "critical-path"}},
-	{"Faults & checks", []string{"faults", "oracle", "check", "watchdog"}},
-	{"Profiling", []string{"perf", "progress", "progress-total", "cpuprofile", "memprofile"}},
+	{"Run", []string{"app", "proto", "procs", "scale", "future", "seed"}},
+	{"Observers", []string{"contention", "traffic", "metrics-out", "spans-out", "critical-path"}},
+	{"Faults", []string{"faults"}},
+	{"Profiling", []string{"perf", "cpuprofile", "memprofile"}},
 	{"File tools", []string{"replay", "validate-metrics", "validate-spans"}},
 }
 
@@ -174,8 +165,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 
 	// The run-selection flags name an evaluation cell, preset/app/proto at
 	// (scale, procs, seed), resolved by the evaluator paperbench and
-	// lrcsimd use — so the three tools report the same cell identically.
-	sc, err := lazyrc.ParseScale(*scale)
+	// lrcsimd use, and the runner executes it as it does theirs — so the
+	// three tools report the same cell identically.
+	sc, err := apps.ParseScale(*scale)
 	if err != nil {
 		return fail(err)
 	}
@@ -185,66 +177,18 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	e := exp.NewEvaluator(sc, *procs)
 	e.Seed = *seed
-
 	job := e.Job(preset, *appName, *proto)
-	if *oracle && *faultPlan == "" {
-		return fail("-oracle requires -faults")
-	}
-	app, err := lazyrc.NewApp(job.App, job.Scale)
-	if err != nil {
-		return fail(err)
-	}
 	job.Cfg.FaultPlan = *faultPlan
 
-	var auditor *check.Auditor
-	m, verr := apps.Run(job.Cfg, job.Proto, app, func(m *machine.Machine) {
-		if *doCheck {
-			auditor = check.New(m)
-			auditor.Start(check.Epoch)
-		}
-		if *watchdog > 0 {
-			m.EnableWatchdog(*watchdog, func(r sim.StallReport) {
-				fmt.Fprintln(stderr, r)
-				m.Eng.Stop()
-			})
-		}
-		if *metricsOut != "" || *spansOut != "" {
-			m.EnableMetrics(runner.MetricsInterval)
-		}
-		if *spansOut != "" || *critPath > 0 {
-			m.EnableSpans(true, *spansMax)
-		}
-		if *perfFlag {
-			m.EnablePerf()
-		}
-		if *progress > 0 {
-			enableProgress(stderr, m, *progress, *progTotal)
-		}
-	})
-	if m == nil {
-		return fail(verr)
-	}
-	if m.Eng.Stopped() {
-		return fail("run aborted by the liveness watchdog")
-	}
-	if *verify && verr != nil {
-		return fail("verification failed: ", verr)
-	}
-	if auditor != nil {
-		auditor.Final()
-		if cerr := auditor.Err(); cerr != nil {
-			for _, v := range auditor.Violations() {
-				fmt.Fprintln(stderr, v)
-			}
-			return fail("invariant check failed: ", cerr)
-		}
-		fmt.Fprintf(stderr, "check: %d epoch audits + final audit, 0 violations\n", auditor.Epochs())
+	m, res := runner.ExecTraced(job, *spansOut != "" || *critPath > 0)
+	if err := res.Err(); err != nil {
+		return fail(err)
 	}
 	if s := m.FaultReport(); s != "" {
 		fmt.Fprintln(stderr, s)
 	}
-	if *oracle {
-		verdict, err := runOracle(e, preset, job.App, job.Proto, m)
+	if *faultPlan != "" {
+		verdict, err := oracle(e, preset, res)
 		if err != nil {
 			return fail(err)
 		}
@@ -256,25 +200,23 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 		fmt.Fprintf(stderr, "metrics: %d samples (%s) to %s\n", m.Tel.Samples(), telemetry.SchemaVersion, *metricsOut)
 	}
-	if m.Causal != nil {
-		if d := m.Causal.Dropped(); d > 0 {
-			fmt.Fprintf(stderr, "warning: span store truncated: %d spans dropped (-spans-max)\n", d)
+	if d := m.Causal.Dropped(); d > 0 {
+		fmt.Fprintf(stderr, "warning: span store truncated: %d spans dropped\n", d)
+	}
+	if *spansOut != "" {
+		if err := perf.WriteFile(*spansOut, m.WritePerfetto); err != nil {
+			return fail(err)
 		}
-		if *spansOut != "" {
-			if err := perf.WriteFile(*spansOut, m.WritePerfetto); err != nil {
-				return fail(err)
-			}
-			fmt.Fprintf(stderr, "spans: %d spans (digest %s) to %s; open in ui.perfetto.dev\n",
-				m.Causal.Count(), m.Causal.Digest(), *spansOut)
-		}
+		fmt.Fprintf(stderr, "spans: %d spans (digest %s) to %s; open in ui.perfetto.dev\n",
+			m.Causal.Count(), m.Causal.Digest(), *spansOut)
 	}
 
-	printReport(stdout, m, app, job.Scale, *proto, *procs, *contention, *traffic)
+	printReport(stdout, m, res, *contention, *traffic)
 
 	if *perfFlag {
 		fmt.Fprintln(stdout)
 		fmt.Fprintln(stdout, "wall-clock phase profile (host time, not simulated cycles)")
-		fmt.Fprint(stdout, m.Perf.Snapshot().Table())
+		fmt.Fprint(stdout, res.Perf.Table())
 	}
 
 	if *critPath > 0 {
@@ -289,57 +231,25 @@ func run(args []string, stdout, stderr io.Writer) int {
 	return 0
 }
 
-// enableProgress prints a one-line heartbeat to stderr whenever at least
-// every wall-clock seconds have passed since the last line: current
-// simulated cycle, mean simulation speed so far, and — when the caller
-// supplied an expected total via -progress-total — a naive ETA. The wall
-// clock is polled from a background engine event, so the heartbeat is
-// passive: results are bit-identical with and without it.
-func enableProgress(stderr io.Writer, m *lazyrc.Machine, every int, total uint64) {
-	const pollCycles = 1 << 16 // wall-clock check cadence in simulated cycles
-	interval := time.Duration(every) * time.Second
-	start := time.Now()
-	last := start
-	m.Eng.Every(pollCycles, func() {
-		now := time.Now()
-		if now.Sub(last) < interval {
-			return
-		}
-		last = now
-		cyc := m.Eng.Now()
-		elapsed := now.Sub(start).Seconds()
-		rate := float64(cyc) / elapsed
-		line := fmt.Sprintf("progress: cycle %d, %.2f Mcycles/s", cyc, rate/1e6)
-		if total > cyc && rate > 0 {
-			eta := time.Duration(float64(total-cyc) / rate * float64(time.Second))
-			line += fmt.Sprintf(", ETA %s", eta.Round(time.Second))
-		}
-		fmt.Fprintln(stderr, line)
-	})
-}
-
-// runOracle evaluates the cell fault-free at the same seed and applies
-// the chaos soak's end-state verdict (exp.ChaosVerdict) to the faulted
-// machine: it must have completed like the reference, and — for
-// workloads whose result is independent of processor interleaving —
-// produced a bit-identical final memory image. A divergence means a
-// fault leaked through the reliable transport into application state.
-// It returns the verdict line, or the divergence as an error.
-func runOracle(e *exp.Evaluator, preset, app, proto string, faulted *machine.Machine) (string, error) {
-	e.Get(preset, app, proto)
-	ref, _ := e.Report().View().Run(preset, app, proto)
-	got := exp.ReportRun{MemDigest: faulted.MemDigest(), Verified: faulted.Completed()}
-	if !got.Verified {
-		got.Error = "incomplete"
-	}
-	exact := !apps.TimingDependent(app)
+// oracle evaluates the cell fault-free at the same seed and applies the
+// chaos soak's end-state verdict (exp.ChaosVerdict) to the faulted run,
+// which already completed and verified: for workloads whose result is
+// independent of processor interleaving it must have produced a
+// bit-identical final memory image. A divergence means a fault leaked
+// through the reliable transport into application state. It returns the
+// verdict line, or the divergence as an error.
+func oracle(e *exp.Evaluator, preset string, faulted *runner.Result) (string, error) {
+	e.Get(preset, faulted.App, faulted.Proto)
+	ref, _ := e.Report().View().Run(preset, faulted.App, faulted.Proto)
+	got := exp.ReportRun{MemDigest: faulted.MemDigest, Verified: true}
+	exact := !apps.TimingDependent(faulted.App)
 	if verdict, ok := exp.ChaosVerdict(ref, got, exact); !ok {
 		return "", fmt.Errorf("oracle: %s", verdict)
 	}
 	if exact {
 		return "oracle: end state matches the fault-free run (completion + bit-identical memory)", nil
 	}
-	return fmt.Sprintf("oracle: end state matches the fault-free run (completion; %s folds timing into its result, memory not compared)", app), nil
+	return fmt.Sprintf("oracle: end state matches the fault-free run (completion; %s folds timing into its result, memory not compared)", faulted.App), nil
 }
 
 // replay re-executes a recorded counterexample schedule and reports
@@ -375,12 +285,14 @@ func replay(stdout io.Writer, path string) error {
 	return nil
 }
 
-func printReport(out io.Writer, m *lazyrc.Machine, app lazyrc.App, sc lazyrc.Scale, proto string, procs int, contention, traffic bool) {
+// printReport prints the run's statistics block from the finished machine
+// and the cell its result names.
+func printReport(out io.Writer, m *machine.Machine, res *runner.Result, contention, traffic bool) {
 	w := tabwriter.NewWriter(out, 0, 8, 2, ' ', 0)
 	defer w.Flush()
-	fmt.Fprintf(w, "application\t%s (%s)\n", app.Name(), sc)
-	fmt.Fprintf(w, "protocol\t%s\n", proto)
-	fmt.Fprintf(w, "processors\t%d\n", procs)
+	fmt.Fprintf(w, "application\t%s (%s)\n", res.App, res.Scale)
+	fmt.Fprintf(w, "protocol\t%s\n", res.Proto)
+	fmt.Fprintf(w, "processors\t%d\n", m.Cfg.Procs)
 	fmt.Fprintf(w, "cache\t%d KB per processor\n", m.Cfg.CacheSize>>10)
 	fmt.Fprintf(w, "execution time\t%d cycles\n", m.Stats.ExecutionTime())
 	cpu, rd, wr, sy := m.Stats.Aggregate()
@@ -416,8 +328,8 @@ func printReport(out io.Writer, m *lazyrc.Machine, app lazyrc.App, sc lazyrc.Sca
 	fmt.Fprintf(w, "miss rate\t%.3f%%\n", 100*m.Stats.MissRate())
 	shares := m.Stats.MissShares()
 	fmt.Fprintf(w, "  cold/true/false/evict/write\t%.1f%% / %.1f%% / %.1f%% / %.1f%% / %.1f%%\n",
-		100*shares[lazyrc.Cold], 100*shares[lazyrc.TrueShare], 100*shares[lazyrc.FalseShare],
-		100*shares[lazyrc.Eviction], 100*shares[lazyrc.WriteMiss])
+		100*shares[stats.Cold], 100*shares[stats.TrueShare], 100*shares[stats.FalseShare],
+		100*shares[stats.Eviction], 100*shares[stats.WriteMiss])
 	msgs, bytes := m.Net.Stats()
 	fmt.Fprintf(w, "network\t%d messages, %d payload bytes\n", msgs, bytes)
 	fmt.Fprintf(w, "shared footprint\t%d bytes\n", m.Footprint())

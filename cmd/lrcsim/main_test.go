@@ -15,20 +15,23 @@ import (
 	"strings"
 	"testing"
 
-	"lazyrc"
 	"lazyrc/internal/api"
 	"lazyrc/internal/apps"
+	"lazyrc/internal/config"
 	"lazyrc/internal/exp"
+	"lazyrc/internal/machine"
+	"lazyrc/internal/protocol"
+	"lazyrc/internal/runner"
 	"lazyrc/internal/store"
 )
 
-func tinyRun(t *testing.T, metrics, spans bool) *lazyrc.Machine {
+func tinyRun(t *testing.T, metrics, spans bool) *machine.Machine {
 	t.Helper()
-	app, err := lazyrc.NewApp("gauss", lazyrc.ScaleTiny)
+	app, err := apps.New("gauss", apps.Tiny)
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, err := apps.Run(lazyrc.DefaultConfig(8), "lrc", app, func(m *lazyrc.Machine) {
+	m, err := apps.Run(config.Default(8), "lrc", app, func(m *machine.Machine) {
 		if metrics {
 			m.EnableMetrics(5000)
 		}
@@ -44,71 +47,83 @@ func tinyRun(t *testing.T, metrics, spans bool) *lazyrc.Machine {
 
 // TestCellMatchesBaseline pins that the cell lrcsim's flags name is the
 // cell paperbench reports — cache co-scaled with -scale, -future = the
-// future preset — and that lrcsim observes it as the runner does: for one
-// tiny cell per protocol (and one on the future machine) the execution
-// time equals the committed BENCH_baseline.json run, the -metrics-out export
-// hashes to its metrics_digest and the printed span digest is its
-// span_digest.
+// future preset, -faults = a soak plan's variant — and that lrcsim runs
+// it as the runner does: for one tiny cell per protocol (and one on the
+// future machine) of BENCH_baseline.json, and the soak's storm cell of
+// fft under lrc-ext from BENCH_chaos.json, the execution time equals the
+// committed run, the -metrics-out export hashes to its metrics_digest
+// and the printed span digest is its span_digest. The faulted run is
+// also judged as the soak judges it, against the fault-free cell.
 func TestCellMatchesBaseline(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs simulations")
 	}
+	type cell struct {
+		rep  exp.Report
+		key  string   // preset/app/protocol in rep
+		args []string // the lrcsim flags naming it
+	}
+	var cells []cell
 	base, err := exp.LoadReport("../../BENCH_baseline.json")
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := map[string]exp.ReportRun{}
-	for _, r := range base.Runs {
-		want[r.Config+"/"+r.App+"/"+r.Protocol] = r
+	at := []string{"-scale", base.Scale, "-procs", fmt.Sprint(base.Procs), "-seed", "1"}
+	cells = append(cells, cell{base, "future/gauss/lrc", append([]string{"-app", "gauss", "-proto", "lrc", "-future"}, at...)})
+	for _, p := range protocol.Names() {
+		cells = append(cells, cell{base, "default/gauss/" + p, append([]string{"-app", "gauss", "-proto", p}, at...)})
 	}
+	chaos, err := exp.LoadReport("../../BENCH_chaos.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	const storm = "drop=0.1;down=0-1:20000:5000;brown=2:40000:3000" // the soak's storm plan
+	cells = append(cells, cell{chaos, "storm/fft/lrc-ext", []string{"-app", "fft", "-proto", "lrc-ext",
+		"-scale", chaos.Scale, "-procs", fmt.Sprint(chaos.Procs), "-seed", "1", "-faults", storm}})
+
 	dir := t.TempDir()
 	metricsFile, traceFile := filepath.Join(dir, "m.jsonl"), filepath.Join(dir, "t.json")
 	t.Cleanup(func() {
-		for _, name := range []string{"app", "proto", "future", "scale", "procs", "metrics-out", "spans-out"} {
+		for _, name := range []string{"app", "proto", "future", "scale", "procs", "faults", "metrics-out", "spans-out"} {
 			flag.Set(name, flag.Lookup(name).DefValue)
 		}
 	})
-	cells := [][2]string{{"future", "lrc"}}
-	for _, p := range lazyrc.Protocols() {
-		cells = append(cells, [2]string{"default", p})
-	}
 	for _, c := range cells {
-		key := c[0] + "/gauss/" + c[1]
-		w, ok := want[key]
+		k := strings.Split(c.key, "/")
+		w, ok := c.rep.View().Run(k[0], k[1], k[2])
 		if !ok {
-			t.Fatalf("baseline has no %s run", key)
+			t.Fatalf("report has no %s run", c.key)
+		}
+		for _, name := range []string{"future", "faults"} {
+			flag.Set(name, flag.Lookup(name).DefValue)
 		}
 		var stdout, stderr bytes.Buffer
-		code := run([]string{"-app", "gauss", "-proto", c[1], "-future=" + fmt.Sprint(c[0] == "future"),
-			"-scale", base.Scale, "-procs", fmt.Sprint(base.Procs), "-seed", "1",
-			"-metrics-out", metricsFile, "-spans-out", traceFile}, &stdout, &stderr)
+		code := run(append(c.args, "-metrics-out", metricsFile, "-spans-out", traceFile), &stdout, &stderr)
 		if code != 0 {
-			t.Fatalf("%s: exit %d: %s", key, code, stderr.String())
+			t.Fatalf("%s: exit %d: %s", c.key, code, stderr.String())
 		}
 		if line := fmt.Sprintf("execution time %d cycles", w.ExecCycles); !strings.Contains(strings.Join(strings.Fields(stdout.String()), " "), line) {
-			t.Errorf("%s: lrcsim printed no %q:\n%s", key, line, stdout.String())
+			t.Errorf("%s: lrcsim printed no %q:\n%s", c.key, line, stdout.String())
 		}
 		export, err := os.ReadFile(metricsFile)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if sum := fmt.Sprintf("%x", sha256.Sum256(export)); sum != w.MetricsDigest {
-			t.Errorf("%s: the -metrics-out export hashes to %s, the baseline's metrics_digest is %s", key, sum, w.MetricsDigest)
+			t.Errorf("%s: the -metrics-out export hashes to %s, the report's metrics_digest is %s", c.key, sum, w.MetricsDigest)
 		}
 		if digest := "(digest " + w.SpanDigest + ")"; !strings.Contains(stderr.String(), digest) {
-			t.Errorf("%s: lrcsim printed no span %s: %s", key, digest, stderr.String())
+			t.Errorf("%s: lrcsim printed no span %s: %s", c.key, digest, stderr.String())
+		}
+		if verdict := "end state matches the fault-free run"; k[0] == "storm" && !strings.Contains(stderr.String(), verdict) {
+			t.Errorf("%s: lrcsim printed no %q: %s", c.key, verdict, stderr.String())
 		}
 	}
 }
 
-func report(t *testing.T, m *lazyrc.Machine) string {
-	t.Helper()
-	app, err := lazyrc.NewApp("gauss", lazyrc.ScaleTiny)
-	if err != nil {
-		t.Fatal(err)
-	}
+func report(m *machine.Machine) string {
 	var buf bytes.Buffer
-	printReport(&buf, m, app, lazyrc.ScaleTiny, "lrc", 8, false, false)
+	printReport(&buf, m, &runner.Result{App: "gauss", Scale: "tiny", Proto: "lrc"}, false, false)
 	return buf.String()
 }
 
@@ -117,11 +132,11 @@ func report(t *testing.T, m *lazyrc.Machine) string {
 // accounted no cycles (nothing ran), the cpu-utilization and
 // load-imbalance lines are suppressed instead of rendering as 0.0%.
 func TestReportSuppressesDerivedLinesWithoutData(t *testing.T) {
-	m, err := lazyrc.NewMachine(lazyrc.DefaultConfig(8), "lrc")
+	m, err := machine.New(config.Default(8), "lrc")
 	if err != nil {
 		t.Fatal(err)
 	}
-	out := report(t, m)
+	out := report(m)
 	for _, banned := range []string{"cpu utilization", "load imbalance"} {
 		if strings.Contains(out, banned) {
 			t.Errorf("report shows %q with no accounted cycles:\n%s", banned, out)
@@ -145,7 +160,7 @@ func TestReportIdenticalAcrossInstrumentationMatrix(t *testing.T) {
 	for _, c := range []struct{ metrics, spans bool }{
 		{false, false}, {true, false}, {false, true}, {true, true},
 	} {
-		out := report(t, tinyRun(t, c.metrics, c.spans))
+		out := report(tinyRun(t, c.metrics, c.spans))
 		if base == "" {
 			base = out
 			for _, want := range []string{"cpu utilization", "load imbalance"} {
@@ -184,8 +199,8 @@ func TestEveryFlagInExactlyOneGroup(t *testing.T) {
 			t.Errorf("-%s is listed under %d headings, want exactly 1", f.Name, listed[f.Name])
 		}
 	})
-	if registered != 25 {
-		t.Errorf("%d flags registered, want 25: adding an option needs a reason (ROADMAP aim 2)", registered)
+	if registered != 18 {
+		t.Errorf("%d flags registered, want 18: adding an option needs a reason (ROADMAP aim 2)", registered)
 	}
 	var out bytes.Buffer
 	flag.CommandLine.SetOutput(&out)
@@ -214,7 +229,7 @@ func TestOneNamePerProtocol(t *testing.T) {
 	if code == 0 || stdout.Len() > 0 {
 		t.Fatalf("-proto lrcext: exit %d, stdout:\n%s", code, stdout.String())
 	}
-	for _, p := range lazyrc.Protocols() {
+	for _, p := range protocol.Names() {
 		if !strings.Contains(stderr.String(), p) {
 			t.Errorf("-proto lrcext: the error does not name %s: %s", p, stderr.String())
 		}
@@ -245,21 +260,23 @@ func TestPositionalArgumentsRefused(t *testing.T) {
 }
 
 // TestFailedRunKeepsItsProfiles: a run that ends in an error — here the
-// watchdog aborting it at a 1-cycle probe interval — still finishes the
-// CPU profile (gzip-compressed protobuf, so it starts 1f 8b) and writes
-// the heap profile: the failed run is the one most worth profiling.
+// liveness watchdog every faulted run carries, stopping a run whose node
+// 0 drops everything it receives — is one recorded failure, not a
+// panic, and still finishes the CPU profile (gzip-compressed protobuf,
+// so it starts 1f 8b) and writes the heap profile: the failed run is
+// the one most worth profiling.
 func TestFailedRunKeepsItsProfiles(t *testing.T) {
 	dir := t.TempDir()
 	cpu, mem := filepath.Join(dir, "c.out"), filepath.Join(dir, "m.out")
 	t.Cleanup(func() {
-		for _, name := range []string{"cpuprofile", "memprofile", "watchdog", "app", "scale", "procs"} {
+		for _, name := range []string{"cpuprofile", "memprofile", "faults", "app", "scale", "procs"} {
 			flag.Set(name, flag.Lookup(name).DefValue)
 		}
 	})
 	var stdout, stderr bytes.Buffer
 	code := run([]string{"-app", "gauss", "-scale", "tiny", "-procs", "4",
-		"-cpuprofile", cpu, "-memprofile", mem, "-watchdog", "1"}, &stdout, &stderr)
-	if code != 1 || !strings.Contains(stderr.String(), "aborted by the liveness watchdog") {
+		"-cpuprofile", cpu, "-memprofile", mem, "-faults", "brown=0:0:100000000"}, &stdout, &stderr)
+	if code != 1 || stdout.Len() > 0 || strings.Count(stderr.String(), "lrcsim: ") != 1 || !strings.Contains(stderr.String(), "lrcsim: check: watchdog: ") {
 		t.Fatalf("exit %d, stderr:\n%s", code, stderr.String())
 	}
 	for _, path := range []string{cpu, mem} {

@@ -205,7 +205,7 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 		render(exp.CellTable(view, exp.TargetCells(keys, nil)))
 	}
 	if *critPath {
-		fmt.Fprintln(stdout, e.CriticalPath())
+		render(e.CriticalPath())
 	}
 
 	// One tail: verdict, files, gate.

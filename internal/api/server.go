@@ -263,12 +263,12 @@ func serveSweepEvents(s *Service, w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// serveTrace re-runs a cell some sweep names with span retention and
-// telemetry enabled and writes the Perfetto trace, spans and counter
-// tracks — the bytes lrcsim -spans-out writes for the cell. Both
-// observers are passive (results stay bit-identical), but retaining
-// spans costs memory, so traces are produced on demand rather than
-// stored.
+// serveTrace re-runs a cell some sweep names through the runner's
+// execution body with span retention and writes the Perfetto trace,
+// spans and counter tracks — the bytes lrcsim -spans-out writes for the
+// cell. The observers are passive (results stay bit-identical), but
+// retaining spans costs memory, so traces are produced on demand rather
+// than stored.
 func serveTrace(s *Service, w http.ResponseWriter, r *http.Request) {
 	fp := r.PathValue("fp")
 	job, err := s.jobFor(fp)
@@ -276,9 +276,9 @@ func serveTrace(s *Service, w http.ResponseWriter, r *http.Request) {
 		httpError(w, err)
 		return
 	}
-	m, rerr := runner.ExecTraced(job)
-	if rerr != nil {
-		httpError(w, fmt.Errorf("api: trace run failed: %w", rerr))
+	m, res := runner.ExecTraced(job, true)
+	if m == nil {
+		httpError(w, fmt.Errorf("api: trace run failed: %s", res.Failure))
 		return
 	}
 	w.Header().Set("Content-Type", "application/json")

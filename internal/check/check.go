@@ -87,7 +87,7 @@ func New(m *machine.Machine) *Auditor {
 }
 
 // Epoch is the cycle interval between the epoch audits of a checked run:
-// lrcsim -check's and the runner's guarded faulted jobs'.
+// the runner's guarded faulted jobs'.
 const Epoch = 10000
 
 // Start schedules an epoch audit every `every` cycles for the rest of the

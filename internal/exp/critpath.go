@@ -21,8 +21,9 @@ import (
 //
 // Runs here retain the full span store, so they execute through
 // runner.ExecTraced — the execution the daemon's trace download serves —
-// rather than through the runner's digest-only result cache.
-func (e *Evaluator) CriticalPath() string {
+// rather than through the runner's digest-only result cache. A cell
+// that crashes is an error naming it.
+func (e *Evaluator) CriticalPath() (string, error) {
 	var b strings.Builder
 	fmt.Fprintf(&b, "critical-path stall attribution (%s, %d procs; %% of each run's stall cycles)\n", e.Scale, e.Procs)
 	tw := tabwriter.NewWriter(&b, 0, 8, 1, ' ', tabwriter.AlignRight)
@@ -33,9 +34,9 @@ func (e *Evaluator) CriticalPath() string {
 	fmt.Fprintln(tw)
 	for _, appName := range AppOrder {
 		for _, proto := range protocol.Names() {
-			m, err := runner.ExecTraced(e.Job("default", appName, proto))
-			if err != nil {
-				panic(fmt.Sprintf("critical-path: %s/%s: %v", appName, proto, err))
+			m, res := runner.ExecTraced(e.Job("default", appName, proto), true)
+			if m == nil {
+				return "", fmt.Errorf("critical-path: default/%s/%s: %s", appName, proto, res.Failure)
 			}
 			a := causal.Analyze(m.Causal)
 			total := a.Total()
@@ -51,5 +52,5 @@ func (e *Evaluator) CriticalPath() string {
 		}
 	}
 	tw.Flush()
-	return b.String()
+	return b.String(), nil
 }

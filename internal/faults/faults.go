@@ -1,10 +1,9 @@
 // Package faults provides deterministic, seed-replayable fault injection
-// for the simulated interconnect. A Plan describes, per message kind, the
-// probability and magnitude of injected extra delay (in-flight jitter),
-// duplication, reordering, and loss, plus scheduled link-outage windows
-// and per-node receive brownouts; an Injector draws from a seeded
-// SplitMix64 stream to turn the per-message rules into concrete Fault
-// decisions.
+// for the simulated interconnect. A Plan describes the probability and
+// magnitude of injected extra delay (in-flight jitter), duplication,
+// reordering, and loss, plus scheduled link-outage windows and per-node
+// receive brownouts; an Injector draws from a seeded SplitMix64 stream to
+// turn the rule into a concrete Fault decision per message.
 //
 // Loss is only survivable when an end-to-end retry exists. The mesh
 // attaches a plan only through its reliable-delivery transport
@@ -21,27 +20,19 @@ package faults
 
 import (
 	"fmt"
-	"sort"
 	"strconv"
 	"strings"
 )
 
-// kindNamer and kindParser map protocol message kinds to and from their
-// mnemonics in plan text and error messages. The protocol package
-// registers them at init; the indirection keeps this package free of a
-// protocol dependency (protocol imports mesh imports faults).
-var (
-	kindNamer  func(int) string
-	kindParser func(string) (int, bool)
-)
+// kindNamer maps protocol message kinds to their mnemonics in the
+// transport's error messages. The protocol package registers it at init;
+// the indirection keeps this package free of a protocol dependency
+// (protocol imports mesh imports faults).
+var kindNamer func(int) string
 
-// RegisterKindNames installs the message-kind naming functions: name
-// renders a kind for error messages and Plan.String, parse resolves a
-// mnemonic in plan text back to its kind. Either may be nil to leave the
-// raw-integer behaviour.
-func RegisterKindNames(name func(int) string, parse func(string) (int, bool)) {
-	kindNamer, kindParser = name, parse
-}
+// RegisterKindName installs the message-kind naming function (nil leaves
+// the raw-integer behaviour).
+func RegisterKindName(name func(int) string) { kindNamer = name }
 
 // KindName renders a message kind with the registered namer, falling back
 // to the raw integer.
@@ -52,18 +43,9 @@ func KindName(k int) string {
 	return strconv.Itoa(k)
 }
 
-// kindLabel renders a message kind for error messages: "WriteReq(2)" when
-// a namer is registered, "2" otherwise.
-func kindLabel(k int) string {
-	if kindNamer != nil {
-		return fmt.Sprintf("%s(%d)", kindNamer(k), k)
-	}
-	return strconv.Itoa(k)
-}
-
-// Rule gives the injection probabilities and magnitudes for one message
-// kind (or for all kinds, as Plan.Default). All probabilities are in
-// [0, 1]; all magnitudes are in simulated cycles.
+// Rule gives the injection probabilities and magnitudes every message is
+// drawn against. All probabilities are in [0, 1]; all magnitudes are in
+// simulated cycles.
 type Rule struct {
 	// DelayProb is the chance of adding in-flight latency jitter, drawn
 	// uniformly from [DelayMin, DelayMax]. Jitter shifts a message's
@@ -148,49 +130,22 @@ func (b Brownout) String() string {
 	return fmt.Sprintf("brown=%d:%d:%d", b.Node, b.From, b.Len)
 }
 
-// Plan is a complete fault-injection schedule description: a default rule,
-// per-message-kind overrides, scheduled link outages and node brownouts,
-// and an optional active window in simulated time.
+// Plan is a complete fault-injection schedule description: the
+// probabilistic rule every message is drawn against, and scheduled link
+// outages and node brownouts.
 type Plan struct {
-	Default Rule
-	ByKind  map[int]Rule
+	Rule Rule
 
 	// Outages and Brownouts are scheduled deterministic failures,
-	// independent of the probabilistic rules and of the From/Until
-	// window (each carries its own window).
+	// independent of the probabilistic rule (each carries its own
+	// window).
 	Outages   []Outage
 	Brownouts []Brownout
-
-	// From and Until bound the window of simulated time in which the
-	// probabilistic rules inject; Until == 0 means unbounded.
-	From, Until uint64
 }
 
 // Empty reports whether the plan injects nothing anywhere.
 func (p Plan) Empty() bool {
-	if !p.Default.Zero() || len(p.Outages) > 0 || len(p.Brownouts) > 0 {
-		return false
-	}
-	for _, r := range p.ByKind {
-		if !r.Zero() {
-			return false
-		}
-	}
-	return true
-}
-
-// RuleFor returns the rule applying to the given message kind.
-func (p Plan) RuleFor(kind int) Rule {
-	if r, ok := p.ByKind[kind]; ok {
-		return r
-	}
-	return p.Default
-}
-
-// Active reports whether the plan's probabilistic rules inject at
-// simulated time now.
-func (p Plan) Active(now uint64) bool {
-	return now >= p.From && (p.Until == 0 || now < p.Until)
+	return p.Rule.Zero() && len(p.Outages) == 0 && len(p.Brownouts) == 0
 }
 
 // LinkDown reports whether the undirected link between adjacent nodes a
@@ -215,18 +170,10 @@ func (p Plan) NodeBrowned(node int, now uint64) bool {
 	return false
 }
 
-// Validate checks probabilities, windows, and outage schedules.
+// Validate checks probabilities, delay windows, and outage schedules.
 func (p Plan) Validate() error {
-	if err := p.Default.validate(); err != nil {
+	if err := p.Rule.validate(); err != nil {
 		return err
-	}
-	for _, k := range sortedKinds(p.ByKind) {
-		if err := p.ByKind[k].validate(); err != nil {
-			return fmt.Errorf("faults: kind %s: %w", kindLabel(k), err)
-		}
-	}
-	if p.Until != 0 && p.From >= p.Until {
-		return fmt.Errorf("faults: window [%d,%d) is empty", p.From, p.Until)
 	}
 	for _, o := range p.Outages {
 		if o.A < 0 || o.B < 0 || o.A == o.B {
@@ -270,48 +217,24 @@ func appendRule(items []string, r Rule) []string {
 }
 
 // String renders the plan in the textual format ParsePlan accepts, so
-// ParsePlan(p.String()) reproduces p (kind overrides sorted by kind; an
-// entirely zero override, which exempts its kind from the default, renders
-// as "KIND:drop=0"). Kind prefixes use registered mnemonics when
-// available, raw integers otherwise — ParsePlan accepts both.
+// ParsePlan(p.String()) reproduces p.
 func (p Plan) String() string {
-	var items []string
-	items = appendRule(items, p.Default)
-	if p.From != 0 || p.Until != 0 {
-		items = append(items, fmt.Sprintf("window=%d:%d", p.From, p.Until))
-	}
+	items := appendRule(nil, p.Rule)
 	for _, o := range p.Outages {
 		items = append(items, o.String())
 	}
 	for _, b := range p.Brownouts {
 		items = append(items, b.String())
 	}
-	clauses := []string{strings.Join(items, ",")}
-	if clauses[0] == "" {
-		clauses = clauses[:0]
-	}
-	for _, k := range sortedKinds(p.ByKind) {
-		rule := appendRule(nil, p.ByKind[k])
-		if len(rule) == 0 {
-			rule = []string{"drop=0"}
-		}
-		prefix := strconv.Itoa(k)
-		if kindNamer != nil {
-			prefix = kindNamer(k)
-		}
-		clauses = append(clauses, prefix+":"+strings.Join(rule, ","))
-	}
-	return strings.Join(clauses, ";")
+	return strings.Join(items, ",")
 }
 
 // ParsePlan parses the textual plan format used by the FaultPlan
 // configuration knob and the -faults command-line flag.
 //
-// A plan is a semicolon-separated list of clauses. The first clause
-// without a "KIND:" prefix is the default rule; a clause prefixed with a
-// message kind — its mnemonic (see protocol.MsgName) or raw integer —
-// overrides the default for that kind. Each clause is a comma-separated
-// list of settings:
+// A plan is a semicolon-separated list of clauses, each a comma-separated
+// list of settings; at most one clause sets the rule (delay, dup, reorder,
+// drop), which applies to every message:
 //
 //	delay=P[:MIN:MAX]   extra in-flight latency with probability P,
 //	                    uniform in [MIN,MAX] cycles (default 1:64)
@@ -321,46 +244,25 @@ func (p Plan) String() string {
 //	                    cycles (default 64); per-(src,dst) FIFO preserved
 //	drop=P              drop with probability P (the mesh transport
 //	                    retransmits until delivered)
-//	window=FROM:UNTIL   inject only within [FROM,UNTIL) simulated cycles
-//	                    (top level; UNTIL=0 means unbounded, otherwise
-//	                    FROM < UNTIL)
 //	down=A-B:FROM:LEN   the mesh link between adjacent nodes A and B is
-//	                    down for [FROM,FROM+LEN) cycles (top level;
-//	                    repeatable)
+//	                    down for [FROM,FROM+LEN) cycles (repeatable)
 //	brown=NODE:FROM:LEN node NODE drops everything it receives during
-//	                    [FROM,FROM+LEN) cycles (top level; repeatable)
+//	                    [FROM,FROM+LEN) cycles (repeatable)
 //
 // Example: "drop=0.1,delay=0.05:1:64;down=0-1:20000:5000" drops a tenth
 // of all traffic, jitters some of the rest, and takes the 0–1 link down
 // for 5000 cycles.
 func ParsePlan(s string) (Plan, error) {
-	p := Plan{ByKind: map[int]Rule{}}
+	var p Plan
 	s = strings.TrimSpace(s)
 	if s == "" {
 		return p, nil
 	}
-	seenDefault := false
+	seenRule := false
 	for _, clause := range strings.Split(s, ";") {
 		clause = strings.TrimSpace(clause)
 		if clause == "" {
 			return Plan{}, fmt.Errorf("faults: empty clause (stray %q?)", ";")
-		}
-		kind := -1
-		if i := strings.Index(clause, ":"); i > 0 && !strings.Contains(clause[:i], "=") {
-			prefix := strings.TrimSpace(clause[:i])
-			if k, err := strconv.Atoi(prefix); err == nil {
-				kind = k
-				clause = clause[i+1:]
-			} else if kindParser != nil {
-				k, ok := kindParser(prefix)
-				if !ok {
-					return Plan{}, fmt.Errorf("faults: unknown message kind %q", prefix)
-				}
-				kind = k
-				clause = clause[i+1:]
-			} else {
-				return Plan{}, fmt.Errorf("faults: unknown message kind %q (no kind names registered)", prefix)
-			}
 		}
 		var r Rule
 		ruleItems := false // clause carries delay/dup/reorder/drop settings
@@ -425,23 +327,7 @@ func ParsePlan(s string) (Plan, error) {
 				if r.DropProb, err = prob(); err != nil {
 					return Plan{}, err
 				}
-			case "window":
-				if kind >= 0 {
-					return Plan{}, fmt.Errorf("faults: window applies to the whole plan, not kind %s", kindLabel(kind))
-				}
-				if len(args) != 2 {
-					return Plan{}, fmt.Errorf("faults: window wants FROM:UNTIL, got %q", val)
-				}
-				if p.From, err = cyc(0, 0); err != nil {
-					return Plan{}, err
-				}
-				if p.Until, err = cyc(1, 0); err != nil {
-					return Plan{}, err
-				}
 			case "down":
-				if kind >= 0 {
-					return Plan{}, fmt.Errorf("faults: down applies to the whole plan, not kind %s", kindLabel(kind))
-				}
 				if len(args) != 3 {
 					return Plan{}, fmt.Errorf("faults: down wants A-B:FROM:LEN, got %q", val)
 				}
@@ -464,9 +350,6 @@ func ParsePlan(s string) (Plan, error) {
 				}
 				p.Outages = append(p.Outages, o)
 			case "brown":
-				if kind >= 0 {
-					return Plan{}, fmt.Errorf("faults: brown applies to the whole plan, not kind %s", kindLabel(kind))
-				}
 				if len(args) != 3 {
 					return Plan{}, fmt.Errorf("faults: brown wants NODE:FROM:LEN, got %q", val)
 				}
@@ -482,36 +365,21 @@ func ParsePlan(s string) (Plan, error) {
 				}
 				p.Brownouts = append(p.Brownouts, br)
 			default:
-				return Plan{}, fmt.Errorf("faults: unknown setting %q (want delay, dup, reorder, drop, window, down, or brown)", key)
+				return Plan{}, fmt.Errorf("faults: unknown setting %q (want delay, dup, reorder, drop, down, or brown)", key)
 			}
 		}
-		switch {
-		case kind >= 0:
-			if _, dup := p.ByKind[kind]; dup {
-				return Plan{}, fmt.Errorf("faults: duplicate clause for kind %s", kindLabel(kind))
+		if ruleItems {
+			if seenRule {
+				return Plan{}, fmt.Errorf("faults: more than one clause sets the rule")
 			}
-			p.ByKind[kind] = r
-		case ruleItems:
-			if seenDefault {
-				return Plan{}, fmt.Errorf("faults: more than one default clause")
-			}
-			seenDefault = true
-			p.Default = r
+			seenRule = true
+			p.Rule = r
 		}
 	}
 	if err := p.Validate(); err != nil {
 		return Plan{}, err
 	}
 	return p, nil
-}
-
-func sortedKinds(m map[int]Rule) []int {
-	ks := make([]int, 0, len(m))
-	for k := range m {
-		ks = append(ks, k)
-	}
-	sort.Ints(ks)
-	return ks
 }
 
 func maxU64(a, b uint64) uint64 {
@@ -567,12 +435,9 @@ func (in *Injector) Validate() error { return in.plan.Validate() }
 // Decide draws the fault decision for one message. It must be called in
 // deterministic (engine) order; the decision stream is a pure function of
 // the injector's seed and the call sequence.
-func (in *Injector) Decide(kind, src, dst, size int, now uint64) Fault {
+func (in *Injector) Decide() Fault {
 	var f Fault
-	if !in.plan.Active(now) {
-		return f
-	}
-	r := in.plan.RuleFor(kind)
+	r := in.plan.Rule
 	if r.Zero() {
 		return f
 	}

@@ -58,11 +58,11 @@ func TestRNGStreamIsStable(t *testing.T) {
 }
 
 func TestParsePlanRoundTrip(t *testing.T) {
-	p, err := ParsePlan("delay=0.1:2:64,dup=0.05:32,reorder=0.02:48,window=100:5000;7:delay=0.5:1:16;9:drop=0.25")
+	p, err := ParsePlan("delay=0.1:2:64,dup=0.05:32,reorder=0.02:48")
 	if err != nil {
 		t.Fatal(err)
 	}
-	d := p.Default
+	d := p.Rule
 	if d.DelayProb != 0.1 || d.DelayMin != 2 || d.DelayMax != 64 {
 		t.Fatalf("delay rule = %+v", d)
 	}
@@ -72,45 +72,33 @@ func TestParsePlanRoundTrip(t *testing.T) {
 	if d.ReorderProb != 0.02 || d.ReorderMax != 48 {
 		t.Fatalf("reorder rule = %+v", d)
 	}
-	if p.From != 100 || p.Until != 5000 {
-		t.Fatalf("window = [%d,%d)", p.From, p.Until)
-	}
-	if r := p.RuleFor(7); r.DelayProb != 0.5 || r.DelayMax != 16 {
-		t.Fatalf("kind-7 override = %+v", r)
-	}
-	if r := p.RuleFor(9); r.DropProb != 0.25 {
-		t.Fatalf("kind-9 override = %+v", r)
-	}
-	if r := p.RuleFor(3); r != d {
-		t.Fatalf("unlisted kind does not fall back to default: %+v", r)
-	}
-	if !p.Active(100) || p.Active(99) || p.Active(5000) {
-		t.Fatal("window activity wrong at its boundaries")
-	}
 }
 
 func TestParsePlanDefaults(t *testing.T) {
-	p, err := ParsePlan("delay=0.1;dup=0.2") // second default clause
+	p, err := ParsePlan("delay=0.1;dup=0.2") // a second clause setting the rule
 	if err == nil {
-		t.Fatal("two default clauses accepted")
+		t.Fatal("two rule clauses accepted")
 	}
 	p, err = ParsePlan("delay=0.1,dup=0.2")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if p.Default.DelayMin != 1 || p.Default.DelayMax != 64 || p.Default.DupDelayMax != 32 {
-		t.Fatalf("defaulted magnitudes = %+v", p.Default)
+	if p.Rule.DelayMin != 1 || p.Rule.DelayMax != 64 || p.Rule.DupDelayMax != 32 {
+		t.Fatalf("defaulted magnitudes = %+v", p.Rule)
 	}
 	if p, err = ParsePlan(""); err != nil || !p.Empty() {
 		t.Fatalf("empty plan: %+v, %v", p, err)
 	}
 	for _, bad := range []string{
-		"delay=1.5", "delay", "frob=0.1", "delay=0.1:9:3", "7:window=1:2", "dup=x",
-		"drop=0.1;;delay=0.2", "drop=-0.1", "drop=0.1,", "window=1",
+		"delay=1.5", "delay", "frob=0.1", "delay=0.1:9:3", "dup=x",
+		"drop=0.1;;delay=0.2", "drop=-0.1", "drop=0.1,",
 		"down=0:100:50", "down=0-1:100", "down=a-1:100:50", "down=0-b:100:50",
-		"7:down=0-1:100:50", "brown=2:100", "brown=x:100:50", "3:brown=2:100:50",
-		"7:drop=0.1;7:dup=0.2", "NoSuchKind:drop=0.1",
-		"window=9:3", "window=5:5", "drop=NaN", "down=1-1:100:50", "brown=3:100:0",
+		"brown=2:100", "brown=x:100:50",
+		"drop=NaN", "down=1-1:100:50", "brown=3:100:0",
+		// A plan has one rule, for every message, at all times: per-kind
+		// clauses and an injection window are not part of the language.
+		"window=100:5000", "drop=0.1,window=1:2", "7:drop=0.1", "drop=0.1;3:drop=0",
+		"WriteReq:drop=0.5", "7:down=0-1:100:50", "3:brown=2:100:50",
 	} {
 		if _, err := ParsePlan(bad); err == nil {
 			t.Errorf("ParsePlan(%q) accepted", bad)
@@ -132,14 +120,6 @@ func TestParsePlanSchedules(t *testing.T) {
 	if !p.NodeBrowned(2, 40000) || p.NodeBrowned(2, 43000) || p.NodeBrowned(3, 40000) {
 		t.Fatal("NodeBrowned wrong at window boundaries")
 	}
-	// Scheduled losses are independent of the probabilistic window.
-	p, err = ParsePlan("window=100:200,down=0-1:500:50")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if p.Active(500) || !p.LinkDown(0, 1, 500) {
-		t.Fatal("outage must cover times outside the probabilistic window")
-	}
 }
 
 // TestPlanStringRoundTrip: ParsePlan(p.String()) must reproduce p for a
@@ -150,13 +130,12 @@ func TestPlanStringRoundTrip(t *testing.T) {
 	corpus := []string{
 		"",
 		"drop=0.1",
-		"delay=0.1:2:64,dup=0.05:32,reorder=0.02:48,window=100:5000;7:delay=0.5:1:16;9:drop=0.25",
+		"delay=0.1:2:64,dup=0.05:32,reorder=0.02:48",
 		"drop=0.1;down=0-1:20000:5000;brown=2:40000:3000",
 		"drop=0.02,delay=0.125:1:7;down=3-7:1:2;down=0-1:9:9;brown=0:5:5;brown=15:1:100",
-		"dup=0.333;2:reorder=0.75:9",
-		"drop=0.1;3:drop=0",        // kind 3 exempt from the default
-		"delay=0;4:dup=0:7",        // zero probabilities, magnitudes kept
-		"window=100:0;5:delay=0.5", // an unbounded window
+		"dup=0.333,reorder=0.75:9",
+		"delay=0,dup=0:7",       // zero probabilities, magnitudes kept
+		"down=0-1:5:5;drop=0.5", // the rule in a later clause
 	}
 	// A seeded generator widens the corpus beyond the hand-picked cases.
 	rng := NewRNG(42)
@@ -168,14 +147,11 @@ func TestPlanStringRoundTrip(t *testing.T) {
 			items = append(items, fmt.Sprintf("delay=%s:%d:%d", fmtProb(float64(rng.Uint64n(999)+1)/1000), lo, lo+rng.Uint64n(100)))
 		}
 		if rng.Uint64n(2) == 0 {
-			items = append(items, fmt.Sprintf("window=%d:%d", rng.Uint64n(100), 1000+rng.Uint64n(1000)))
+			items = append(items, fmt.Sprintf("dup=%s", fmtProb(float64(rng.Uint64n(999)+1)/1000)))
 		}
 		s := strings.Join(items, ",")
 		if rng.Uint64n(2) == 0 {
 			s += fmt.Sprintf(";down=%d-%d:%d:%d", rng.Uint64n(8), 8+rng.Uint64n(8), rng.Uint64n(10000), 1+rng.Uint64n(10000))
-		}
-		if rng.Uint64n(2) == 0 {
-			s += fmt.Sprintf(";%d:dup=%s", 1+rng.Uint64n(12), fmtProb(float64(rng.Uint64n(999)+1)/1000))
 		}
 		corpus = append(corpus, s)
 	}
@@ -198,47 +174,18 @@ func TestPlanStringRoundTrip(t *testing.T) {
 	}
 }
 
-// TestKindNameRegistration: registered mnemonics parse in plan text and
-// render in errors and String; unregistering restores raw integers.
+// TestKindNameRegistration: a registered namer renders message kinds in
+// the transport's errors; unregistering restores raw integers. Names are
+// not plan text: a kind-prefixed clause is refused.
 func TestKindNameRegistration(t *testing.T) {
-	names := map[int]string{2: "WriteReq", 5: "Inval"}
-	RegisterKindNames(
-		func(k int) string {
-			if n, ok := names[k]; ok {
-				return n
-			}
-			return fmt.Sprintf("kind%d", k)
-		},
-		func(s string) (int, bool) {
-			for k, n := range names {
-				if n == s {
-					return k, true
-				}
-			}
-			return 0, false
-		},
-	)
-	defer RegisterKindNames(nil, nil)
-	p, err := ParsePlan("WriteReq:drop=0.5;Inval:dup=0.25")
-	if err != nil {
-		t.Fatal(err)
+	RegisterKindName(func(k int) string { return fmt.Sprintf("kind%d", k) })
+	got := KindName(2)
+	RegisterKindName(nil)
+	if got != "kind2" || KindName(2) != "2" {
+		t.Fatalf("KindName(2) = %q registered, %q not", got, KindName(2))
 	}
-	if p.ByKind[2].DropProb != 0.5 || p.ByKind[5].DupProb != 0.25 {
-		t.Fatalf("mnemonic clauses misassigned: %+v", p.ByKind)
-	}
-	if s := p.String(); s != "WriteReq:drop=0.5;Inval:dup=0.25:32" {
-		t.Fatalf("String with names = %q", s)
-	}
-	if q, err := ParsePlan(p.String()); err != nil || !reflect.DeepEqual(p, q) {
-		t.Fatalf("named plan does not round-trip: %+v vs %+v (%v)", p, q, err)
-	}
-	if _, err := ParsePlan("ReadReq:drop=0.1"); err == nil {
-		t.Fatal("unregistered mnemonic accepted")
-	}
-	// Validation errors name the kind.
-	p.ByKind[2] = Rule{DropProb: 2}
-	if err := p.Validate(); err == nil || !strings.Contains(err.Error(), "WriteReq(2)") {
-		t.Fatalf("validation error lacks the kind mnemonic: %v", err)
+	if _, err := ParsePlan("kind2:drop=0.5"); err == nil {
+		t.Fatal("a kind-prefixed clause was accepted")
 	}
 }
 
@@ -249,10 +196,10 @@ func TestKindNameRegistration(t *testing.T) {
 //	go test ./internal/faults -run '^$' -fuzz FuzzParsePlan -fuzztime 10s
 func FuzzParsePlan(f *testing.F) {
 	for _, s := range []string{
-		"drop=0.1;3:drop=0", // a kind exempt from the default
-		"window=9:3",        // an empty window, rejected
+		"drop=0.1,dup=0:7",  // a zero probability with its magnitude
+		"drop=0.1;3:drop=0", // a kind-prefixed clause, rejected
 		"delay=0:5:9,dup=0,reorder=0:7",
-		"delay=0.1:2:64,dup=0.05:32,reorder=0.02:48,window=100:5000;7:delay=0.5:1:16;9:drop=0.25",
+		"delay=0.1:2:64,dup=0.05:32,reorder=0.02:48",
 		"drop=0.1;down=0-1:20000:5000;brown=2:40000:3000",
 	} {
 		f.Add(s)
@@ -280,8 +227,8 @@ func TestDecideIsSeedDeterministic(t *testing.T) {
 	a, b := NewInjector(11, plan), NewInjector(11, plan)
 	faulted := 0
 	for i := 0; i < 5000; i++ {
-		fa := a.Decide(i%8, 0, 1, 0, uint64(i))
-		fb := b.Decide(i%8, 0, 1, 0, uint64(i))
+		fa := a.Decide()
+		fb := b.Decide()
 		if fa != fb {
 			t.Fatalf("same-seed injectors diverged at decision %d: %+v vs %+v", i, fa, fb)
 		}
@@ -305,28 +252,11 @@ func TestDecideIsSeedDeterministic(t *testing.T) {
 	c := NewInjector(12, plan)
 	diverged := false
 	for i := 0; i < 5000 && !diverged; i++ {
-		if c.Decide(i%8, 0, 1, 0, uint64(i)) != a.Decide(i%8, 0, 1, 0, uint64(i)) {
+		if c.Decide() != a.Decide() {
 			diverged = true
 		}
 	}
 	if !diverged {
 		t.Fatal("different seeds produced identical fault schedules")
-	}
-}
-
-func TestDecideRespectsWindow(t *testing.T) {
-	plan, err := ParsePlan("dup=1,window=100:200")
-	if err != nil {
-		t.Fatal(err)
-	}
-	in := NewInjector(1, plan)
-	if f := in.Decide(0, 0, 1, 0, 50); f.Duplicate {
-		t.Fatal("fault injected before the window opens")
-	}
-	if f := in.Decide(0, 0, 1, 0, 150); !f.Duplicate {
-		t.Fatal("no fault inside the window at probability 1")
-	}
-	if f := in.Decide(0, 0, 1, 0, 200); f.Duplicate {
-		t.Fatal("fault injected after the window closes")
 	}
 }

@@ -329,7 +329,7 @@ func (n *Network) Send(m Msg) {
 // through the fault injector: it may be dropped outright — the timeout
 // timer recovers it — held back, jittered, or duplicated.
 func (n *Network) dispatch(m Msg) {
-	f := n.inj.Decide(m.Kind, m.Src, m.Dst, m.Size, n.eng.Now())
+	f := n.inj.Decide()
 	if f.Drop {
 		n.injDropped++
 		return

@@ -125,6 +125,58 @@ func TestParserRejectsViolations(t *testing.T) {
 	}
 }
 
+// FuzzParseExposition: ParseExposition survives any bytes (it reads the
+// live /metrics endpoint in tests, and a format oracle that panics is no
+// oracle), and the writer's output for a registry built from fuzzed
+// label values and sample values parses back with every value intact.
+//
+//	go test ./internal/obs -run '^$' -fuzz FuzzParseExposition -fuzztime 10s
+func FuzzParseExposition(f *testing.F) {
+	f.Add("# TYPE x counter\nx 1\n", "a", `we"ird\lane`+"\n", -2.5, 0.05)
+	f.Add("# TYPE h histogram\nh_bucket{le=\"+Inf\"} 3\nh_count 3\nh_sum 1", "", "", math.Inf(1), math.NaN())
+	f.Add("# TYPE x counter\nx{l=\"a\\", "}", "\\\"", 1e300, -0.0)
+	f.Fuzz(func(t *testing.T, text, a, b string, gauge, observed float64) {
+		ParseExposition(strings.NewReader(text))
+
+		r := NewRegistry()
+		r.GaugeVec("fuzz_level", "Fuzzed gauge.", "a", "b").With(a, b).Set(gauge)
+		r.HistogramVec("fuzz_seconds", "Fuzzed histogram.", []float64{0.1, 1}, "a").With(b).Observe(observed)
+		var buf bytes.Buffer
+		if err := r.WriteExposition(&buf); err != nil {
+			t.Fatal(err)
+		}
+		fams, err := ParseExposition(bytes.NewReader(buf.Bytes()))
+		if err != nil {
+			t.Fatalf("exposition does not parse: %v\n%s", err, buf.String())
+		}
+		same := func(x, y float64) bool { return x == y || math.IsNaN(x) && math.IsNaN(y) }
+		level := fams["fuzz_level"]
+		if level == nil || len(level.Samples) != 1 {
+			t.Fatalf("gauge family: %+v\n%s", level, buf.String())
+		}
+		if s := level.Samples[0]; s.Label("a") != a || s.Label("b") != b || !same(s.Value, gauge) {
+			t.Fatalf("gauge reads back as %+v, wrote a=%q b=%q %v", s, a, b, gauge)
+		}
+		hist := fams["fuzz_seconds"]
+		if hist == nil || len(hist.Samples) != 5 {
+			t.Fatalf("histogram family: %+v\n%s", hist, buf.String())
+		}
+		for _, s := range hist.Samples {
+			want := 1.0
+			switch {
+			case s.Name == "fuzz_seconds_sum":
+				want = observed
+			case s.Name == "fuzz_seconds_bucket" && s.Label("le") == "0.1" && !(observed <= 0.1),
+				s.Name == "fuzz_seconds_bucket" && s.Label("le") == "1" && !(observed <= 1):
+				want = 0
+			}
+			if s.Label("a") != b || !same(s.Value, want) {
+				t.Fatalf("histogram sample %+v, want a=%q value %v", s, b, want)
+			}
+		}
+	})
+}
+
 func TestCounterRefusesDecrease(t *testing.T) {
 	r := NewRegistry()
 	c := r.Counter("c_total", "")

@@ -186,26 +186,14 @@ const wantData = 1
 func NumMsgKinds() int { return int(numMsgKinds) }
 
 // MsgName returns the mnemonic for a raw message-kind integer — the form
-// fault plans and error messages use.
+// error messages use.
 func MsgName(kind int) string { return MsgKind(kind).String() }
 
-// MsgKindByName resolves a mnemonic (as printed by MsgName) back to its
-// kind. The second result is false for unknown names.
-func MsgKindByName(name string) (int, bool) {
-	for k, n := range msgNames {
-		if n == name {
-			return k, true
-		}
-	}
-	return 0, false
-}
-
-// The faults package renders and parses plans in terms of message kinds
-// but cannot import this package (protocol imports mesh imports faults);
-// register the naming functions with it instead, so plan text and
-// validation errors speak mnemonics.
+// The faults package names message kinds in the transport's error
+// messages but cannot import this package (protocol imports mesh imports
+// faults); register the naming function with it instead.
 func init() {
-	faults.RegisterKindNames(MsgName, MsgKindByName)
+	faults.RegisterKindName(MsgName)
 }
 
 // IsSync reports whether the kind is synchronization traffic.

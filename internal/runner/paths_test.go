@@ -1,7 +1,9 @@
 package runner
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"fmt"
 	"testing"
 
@@ -9,13 +11,14 @@ import (
 	"lazyrc/internal/machine"
 )
 
-// TestRunPathsAgree pins that the three surviving ways to run a cell —
-// apps.Run bare, apps.Run with metrics + spans + perf attached in every
-// one of the 3! orders, and runner.Exec — agree bit for bit on execution
-// time, network traffic and the final memory image, and (where the
-// observers are attached) on the telemetry and span digests. No observer
-// is wired to another, so every attach order also profiles the telemetry
-// tick, like any background event, in the background phase.
+// TestRunPathsAgree pins that apps.Run bare, apps.Run with metrics +
+// spans + perf attached in every one of the 3! orders, and runner.Exec
+// agree bit for bit on execution time, network traffic and the final
+// memory image, and (where the observers are attached) on the telemetry
+// and span digests. No observer is wired to another, so every attach
+// order also profiles the telemetry tick, like any background event, in
+// the background phase. ExecTraced with retained spans is the same
+// execution body, so its result serializes as Exec's does.
 func TestRunPathsAgree(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs simulations")
@@ -24,6 +27,13 @@ func TestRunPathsAgree(t *testing.T) {
 	want := Exec(job)
 	if err := want.Err(); err != nil {
 		t.Fatal(err)
+	}
+
+	m, traced := ExecTraced(job, true)
+	a, _ := json.Marshal(want)
+	b, _ := json.Marshal(traced)
+	if m == nil || m.Causal.Count() != traced.Spans || !bytes.Equal(a, b) {
+		t.Errorf("ExecTraced (machine %v) differs from Exec:\n%s\n%s", m != nil, b, a)
 	}
 
 	observers := map[string]func(*machine.Machine){

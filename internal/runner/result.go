@@ -129,9 +129,9 @@ func (r *Result) Err() error {
 	return nil
 }
 
-// MetricsInterval is the fixed telemetry sampling interval for runner
-// jobs, and lrcsim's default, so its export of a cell hashes to the
-// cell's metrics digest. Part of the result contract: changing it changes
+// MetricsInterval is the fixed telemetry sampling interval of every
+// execution, so lrcsim's export of a cell hashes to the cell's metrics
+// digest. Part of the result contract: changing it changes
 // every metrics digest, so bump fingerprintVersion with it.
 const MetricsInterval = 4096
 
@@ -208,25 +208,26 @@ func canceledResult(fp string, j Job, cause error) *Result {
 	}
 }
 
-// simulate executes one job and fills in its measurements. It is a
-// package variable so tests can substitute a crashing body to exercise
-// panic capture.
-var simulate = func(j Job, res *Result, hk hooks) error {
+// simulate executes one job, fills in its measurements and returns the
+// finished machine. retain keeps every causal span for export; otherwise
+// the tracer keeps only the digest. It is a package variable so tests can
+// substitute a crashing body to exercise panic capture.
+var simulate = func(j Job, res *Result, hk hooks, retain bool) (*machine.Machine, error) {
 	app, err := apps.New(j.App, j.Scale)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	var aud *check.Auditor
 	var stalled string
 	m, verr := apps.Run(j.Cfg, j.Proto, app, func(m *machine.Machine) {
-		// Every runner execution carries all three observers: the metrics
-		// and span digests are part of the result, and the perf snapshot
+		// Every execution carries all three observers: the metrics and
+		// span digests are part of the result, and the perf snapshot
 		// (passive — pinned by TestPerfIsPassive — at the cost of two
 		// MemStats reads plus clock reads in one event of perf.Stride,
 		// about 4 % of a bare run) feeds the runner's throughput meta —
 		// report provenance and /api/v1/stats, which bench/ reads.
 		m.EnableMetrics(MetricsInterval)
-		m.EnableSpans(false, 0)
+		m.EnableSpans(retain, 0)
 		m.EnablePerf()
 		// Faulted jobs run guarded: a protocol-invariant auditor audits
 		// every epoch and at quiescence, and a watchdog converts a
@@ -252,7 +253,7 @@ var simulate = func(j Job, res *Result, hk hooks) error {
 		// No machine means construction failed (unknown protocol, bad
 		// config): an execution failure, not a deterministic
 		// verification result.
-		return verr
+		return nil, verr
 	}
 	if verr != nil {
 		res.VerifyErr = verr.Error()
@@ -286,49 +287,38 @@ var simulate = func(j Job, res *Result, hk hooks) error {
 			res.CheckErr = aud.Err().Error()
 		}
 	}
-	return nil
+	return m, nil
 }
 
 // Exec runs one job synchronously. A panic anywhere inside the
 // simulation is captured into the result's Failure field — one crashing
 // run yields a failed-job record, not a dead sweep.
-func Exec(j Job) *Result { return execWith(j, hooks{}) }
-
-// ExecTraced re-runs a job with full causal-span retention and telemetry
-// sampled every MetricsInterval cycles, as lrcsim -spans-out does, and
-// returns the finished machine, for on-demand trace export (the lrcsimd
-// trace endpoint, Machine.WritePerfetto). Both observers are passive —
-// the simulated schedule is bit-identical to an unobserved run — but
-// retained spans cost memory, so this path is separate from the cached
-// result pipeline. A verification failure still yields the machine (the
-// trace is what explains it); a panic is returned as an error, not
-// propagated.
-func ExecTraced(j Job) (m *machine.Machine, err error) {
-	defer func() {
-		if p := recover(); p != nil {
-			m, err = nil, fmt.Errorf("panic: %v", p)
-		}
-	}()
-	app, err := apps.New(j.App, j.Scale)
-	if err != nil {
-		return nil, err
-	}
-	m, err = apps.Run(j.Cfg, j.Proto, app, func(m *machine.Machine) {
-		m.EnableMetrics(MetricsInterval)
-		m.EnableSpans(true, 0)
-	})
-	if m == nil {
-		return nil, err
-	}
-	return m, nil
+func Exec(j Job) *Result {
+	_, res := execWith(j, hooks{}, false)
+	return res
 }
 
-// execWith is Exec with the runner's per-execution hooks: a cancellation
-// context polled on the simulated clock and a heartbeat callback. A run
-// stopped by cancellation is marked Canceled (unless it had already
-// completed — a cancel that races a clean finish keeps the result).
-func execWith(j Job, hk hooks) *Result {
-	res := &Result{
+// ExecTraced runs a job as Exec does — the same observers, and the same
+// guards for a faulted job — and also returns the finished machine, for
+// what a result does not carry: the report lrcsim prints, the exports it
+// writes, the daemon's trace download (Machine.WritePerfetto). retain
+// keeps every causal span (costly in memory, so the stored-result path
+// does not); the span digest is the same either way. The machine is nil
+// only when the run crashed or could not be built, and Result.Failure
+// says why; a verification failure still yields it (the trace is what
+// explains it).
+func ExecTraced(j Job, retain bool) (*machine.Machine, *Result) {
+	return execWith(j, hooks{}, retain)
+}
+
+// execWith is the one execution body: Exec with the runner's
+// per-execution hooks — a cancellation context polled on the simulated
+// clock and a heartbeat callback — and the span retention of ExecTraced.
+// A run stopped by cancellation is marked Canceled (unless it had
+// already completed — a cancel that races a clean finish keeps the
+// result).
+func execWith(j Job, hk hooks, retain bool) (m *machine.Machine, res *Result) {
+	res = &Result{
 		Fingerprint: j.Fingerprint(),
 		App:         j.App,
 		Scale:       j.Scale.String(),
@@ -340,7 +330,8 @@ func execWith(j Job, hk hooks) *Result {
 				res.Failure = fmt.Sprintf("panic: %v", p)
 			}
 		}()
-		if err := simulate(j, res, hk); err != nil {
+		var err error
+		if m, err = simulate(j, res, hk, retain); err != nil {
 			res.Failure = err.Error()
 		}
 	}()
@@ -349,5 +340,5 @@ func execWith(j Job, hk hooks) *Result {
 		res.Failure = "canceled: " + hk.ctx.Err().Error()
 		res.VerifyErr, res.CheckErr = "", ""
 	}
-	return res
+	return m, res
 }

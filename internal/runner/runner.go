@@ -211,7 +211,7 @@ func (r *Runner) lead(ctx context.Context, fp string, job Job) *Result {
 		hk.beat = nil
 	}
 	execStart := time.Now()
-	res := execWith(job, hk)
+	_, res := execWith(job, hk, false)
 	execNS := time.Since(execStart).Nanoseconds()
 	<-r.sem
 	r.account(func(m *Meta) { m.Simulated++ })

@@ -61,7 +61,7 @@ func TestExecCapturesErrors(t *testing.T) {
 func TestExecCapturesPanics(t *testing.T) {
 	orig := simulate
 	defer func() { simulate = orig }()
-	simulate = func(j Job, res *Result, hk hooks) error { panic("simulated crash") }
+	simulate = func(j Job, res *Result, hk hooks, retain bool) (*machine.Machine, error) { panic("simulated crash") }
 
 	res := Exec(tinyJob("gauss", "lrc"))
 	if !res.Failed() || !strings.Contains(res.Failure, "simulated crash") {
@@ -90,13 +90,13 @@ func TestExecCapturesPanics(t *testing.T) {
 func TestExecCapturesAppBodyPanic(t *testing.T) {
 	orig := simulate
 	defer func() { simulate = orig }()
-	simulate = func(j Job, res *Result, hk hooks) error {
+	simulate = func(j Job, res *Result, hk hooks, retain bool) (*machine.Machine, error) {
 		if j.App != "fft" {
-			return orig(j, res, hk)
+			return orig(j, res, hk, retain)
 		}
 		m, err := machine.New(j.Cfg, j.Proto)
 		if err != nil {
-			return err
+			return nil, err
 		}
 		a := m.AllocF64(64)
 		m.Run(func(p *machine.Proc) {
@@ -106,7 +106,7 @@ func TestExecCapturesAppBodyPanic(t *testing.T) {
 			}
 			p.ReadF64(a.At(8*p.ID() + 32))
 		})
-		return nil
+		return m, nil
 	}
 
 	r := New(2, nil)
@@ -151,7 +151,7 @@ func TestRunnerConcurrencyBound(t *testing.T) {
 	var mu sync.Mutex
 	active, peak := 0, 0
 	gate := make(chan struct{})
-	simulate = func(j Job, res *Result, hk hooks) error {
+	simulate = func(j Job, res *Result, hk hooks, retain bool) (*machine.Machine, error) {
 		mu.Lock()
 		active++
 		if active > peak {
@@ -162,7 +162,7 @@ func TestRunnerConcurrencyBound(t *testing.T) {
 		mu.Lock()
 		active--
 		mu.Unlock()
-		return nil
+		return nil, nil
 	}
 
 	r := New(2, nil)
@@ -299,10 +299,10 @@ func TestDoAllReturnsPromptlyOnCancel(t *testing.T) {
 	orig := simulate
 	defer func() { simulate = orig }()
 	started := make(chan struct{}, 16)
-	simulate = func(j Job, res *Result, hk hooks) error {
+	simulate = func(j Job, res *Result, hk hooks, retain bool) (*machine.Machine, error) {
 		started <- struct{}{}
 		<-hk.ctx.Done() // cooperative: block until canceled
-		return nil
+		return nil, nil
 	}
 
 	r := New(2, nil)
@@ -379,11 +379,11 @@ func TestHookedExecIsByteIdentical(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	var beats []uint64
-	hooked := execWith(job, hooks{
+	_, hooked := execWith(job, hooks{
 		ctx:   ctx,
 		every: 8192,
 		beat:  func(c uint64) { beats = append(beats, c) },
-	})
+	}, false)
 	a, _ := json.Marshal(plain)
 	b, _ := json.Marshal(hooked)
 	if !bytes.Equal(a, b) {
