@@ -62,7 +62,6 @@ var (
 	memprofile = flag.String("memprofile", "", "write a heap profile to this file at exit")
 	replayFile = flag.String("replay", "", "replay a model-checker counterexample schedule (JSON from lrccheck) instead of running an application")
 	metricsOut = flag.String("metrics-out", "", fmt.Sprintf("write the run's cycle-domain telemetry, sampled every %d cycles as for a stored cell (so the export hashes to its metrics_digest), to this file as JSONL", runner.MetricsInterval))
-	validateM  = flag.String("validate-metrics", "", "validate a telemetry JSONL export against the current schema and exit")
 	spansOut   = flag.String("spans-out", "", fmt.Sprintf("trace causal coherence-transaction spans and write them, with the telemetry series (sampled every %d cycles) as counter tracks, to this file as Perfetto/Chrome trace-event JSON", runner.MetricsInterval))
 	critPath   = flag.Int("critical-path", 0, "print the critical-path stall attribution table and the N longest stall episodes (implies span retention)")
 	validateS  = flag.String("validate-spans", "", "validate a Perfetto trace JSON export against the trace-event schema and exit")
@@ -80,7 +79,7 @@ var flagGroups = []struct {
 	{"Observers", []string{"contention", "traffic", "metrics-out", "spans-out", "critical-path"}},
 	{"Faults", []string{"faults"}},
 	{"Profiling", []string{"perf", "cpuprofile", "memprofile"}},
-	{"File tools", []string{"replay", "validate-metrics", "validate-spans"}},
+	{"File tools", []string{"replay", "validate-spans"}},
 }
 
 // usage prints the flags group by group, each rendered as
@@ -132,21 +131,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 			return fail(err)
 		}
 		fmt.Fprintf(stdout, "%s: valid trace-event JSON: %d events\n", *validateS, n)
-		return 0
-	}
-
-	if *validateM != "" {
-		f, err := os.Open(*validateM)
-		if err != nil {
-			return fail(err)
-		}
-		hdr, err := telemetry.Validate(f)
-		f.Close()
-		if err != nil {
-			return fail(err)
-		}
-		fmt.Fprintf(stdout, "%s: valid %s export: %d samples every %d cycles, %d series, %d histograms\n",
-			*validateM, hdr.Schema, hdr.Samples, hdr.Interval, hdr.Series, hdr.Hists)
 		return 0
 	}
 

@@ -199,8 +199,8 @@ func TestEveryFlagInExactlyOneGroup(t *testing.T) {
 			t.Errorf("-%s is listed under %d headings, want exactly 1", f.Name, listed[f.Name])
 		}
 	})
-	if registered != 18 {
-		t.Errorf("%d flags registered, want 18: adding an option needs a reason (ROADMAP aim 2)", registered)
+	if registered != 17 {
+		t.Errorf("%d flags registered, want 17: adding an option needs a reason (ROADMAP aim 2)", registered)
 	}
 	var out bytes.Buffer
 	flag.CommandLine.SetOutput(&out)

@@ -4,7 +4,7 @@
 // deduplicates identical submissions by content fingerprint, persists
 // every result in an indexed segment store (so a re-submitted experiment
 // — even across daemon restarts — is served without re-simulation),
-// streams job lifecycle events to any number of clients over SSE, and
+// streams each sweep's job lifecycle events to its clients over SSE, and
 // serves rendered HTML reports and Perfetto traces live.
 //
 // Usage:

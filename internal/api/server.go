@@ -16,7 +16,6 @@ import (
 //	GET    /healthz                     liveness probe (200 until the process dies)
 //	GET    /readyz                      readiness probe (503 once draining)
 //	GET    /metrics                     Prometheus text exposition
-//	GET    /ops                         live operational dashboard (HTML)
 //	GET    /debug/pprof/...             runtime profiling
 //	GET    /api/v1/stats                runner/store/bus counters
 //	POST   /api/v1/compact              store compaction pass
@@ -30,7 +29,6 @@ import (
 //	GET    /api/v1/sweeps/{id}/report.html  HTML report (finished sweeps)
 //	GET    /api/v1/jobs/{fp}            a stored result by fingerprint
 //	GET    /api/v1/jobs/{fp}/trace      Perfetto trace (re-runs a sweep's cell traced)
-//	GET    /api/v1/events               SSE: the global job event firehose
 //
 // A sweep is the one unit of submission: a single simulation is the
 // sweep whose only target is its cell key ({"targets":["default/gauss/lrc"]}).
@@ -62,9 +60,6 @@ func NewServer(s *Service) http.Handler {
 	})
 
 	mux.Handle("GET /metrics", s.reg.Handler())
-	mux.HandleFunc("GET /ops", func(w http.ResponseWriter, r *http.Request) {
-		serveOps(s, w)
-	})
 
 	// pprof must be registered on this mux explicitly: the daemon serves
 	// its own mux, not http.DefaultServeMux, so the package's init-time
@@ -159,10 +154,6 @@ func NewServer(s *Service) http.Handler {
 		serveTrace(s, w, r)
 	})
 
-	mux.HandleFunc("GET /api/v1/events", func(w http.ResponseWriter, r *http.Request) {
-		serveFirehose(s, w, r)
-	})
-
 	// The middleware labels each request with the mux's route pattern
 	// ("GET /api/v1/sweeps/{id}"), not the raw path, so metric
 	// cardinality stays bounded no matter what clients request.
@@ -175,32 +166,8 @@ func NewServer(s *Service) http.Handler {
 	return s.httpm.Middleware(mux, route, s.log)
 }
 
-// serveFirehose streams every job lifecycle event as SSE until the
-// client disconnects or the daemon shuts its bus down.
-func serveFirehose(s *Service, w http.ResponseWriter, r *http.Request) {
-	fl, ok := sseStart(w)
-	if !ok {
-		return
-	}
-	sub := s.Subscribe(sseBuffer)
-	defer sub.Close()
-	for {
-		select {
-		case ev, ok := <-sub.C():
-			if !ok {
-				return
-			}
-			if err := sseEvent(w, fl, "job", ev); err != nil {
-				return
-			}
-		case <-r.Context().Done():
-			return
-		}
-	}
-}
-
 // serveSweepEvents streams one sweep's job events (filtered from the
-// firehose by the sweep's cell fingerprints) and finishes with a "sweep"
+// bus by the sweep's cell fingerprints) and finishes with a "sweep"
 // event carrying the terminal status. A subscriber arriving after the
 // sweep finished receives just the terminal event.
 func serveSweepEvents(s *Service, w http.ResponseWriter, r *http.Request) {
@@ -240,18 +207,22 @@ func serveSweepEvents(s *Service, w http.ResponseWriter, r *http.Request) {
 				return
 			}
 		case <-sw.done:
-			// Drain what the bus already delivered, then finish with the
-			// terminal status.
+			// Drain what the bus already delivered, skipping other
+			// sweeps' events rather than stopping at the first, then
+			// finish with the terminal status.
+		drain:
 			for {
 				select {
 				case ev, ok := <-sub.C():
-					if ok && mine(ev) {
+					if !ok {
+						break drain
+					}
+					if mine(ev) {
 						sseEvent(w, fl, "job", ev)
-						continue
 					}
 				default:
+					break drain
 				}
-				break
 			}
 			if st, err := s.Sweep(id); err == nil {
 				sseEvent(w, fl, "sweep", st)

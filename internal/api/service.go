@@ -42,7 +42,6 @@ type Service struct {
 	reg   *obs.Registry
 	log   *slog.Logger
 	httpm *obs.HTTPMetrics
-	build obs.BuildInfo
 	start time.Time
 
 	jobEvents  *obs.CounterVec // runner lifecycle events by kind
@@ -165,7 +164,7 @@ func NewService(workers int, st *store.Store, logger *slog.Logger) *Service {
 // exposition. Wall-clock plane only — nothing here observes simulated
 // time.
 func (s *Service) registerMetrics() {
-	s.build = obs.RegisterBuildInfo(s.reg, "lrcsimd")
+	obs.RegisterBuildInfo(s.reg, "lrcsimd")
 	s.httpm = obs.NewHTTPMetrics(s.reg, "lrcsimd")
 
 	s.jobEvents = s.reg.CounterVec("lrcsimd_jobs_total",

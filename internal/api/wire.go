@@ -2,8 +2,8 @@
 // that accepts evaluation sweeps — down to a single cell — over
 // HTTP/JSON, executes them on the shared runner pool (deduplicated by
 // content fingerprint, served from the persistent segment store when
-// possible), streams job lifecycle events to any number of clients over
-// SSE, and serves rendered reports and Perfetto traces live.
+// possible), streams each sweep's job lifecycle events over SSE, and
+// serves rendered reports and Perfetto traces live.
 //
 // The package splits into the wire types (this file), the Service (the
 // daemon's state machine: sweep registry, submission singleflight, event

@@ -25,7 +25,7 @@ func TestExpositionRoundTrip(t *testing.T) {
 	g.With("a").Set(3)
 	g.With(`we"ird\lane` + "\n").Set(-2.5)
 	r.GaugeFunc("test_fn", "Func-backed.", func() float64 { return 7 })
-	h := r.Histogram("test_latency_seconds", "Latency.", []float64{0.01, 0.1, 1})
+	h := r.HistogramVec("test_latency_seconds", "Latency.", []float64{0.01, 0.1, 1}).With()
 	for _, v := range []float64{0.005, 0.05, 0.05, 0.5, 5} {
 		h.Observe(v)
 	}
@@ -87,7 +87,7 @@ func TestExpositionDeterministic(t *testing.T) {
 	for _, k := range []string{"z", "m", "a", "q"} {
 		v.With(k).Inc()
 	}
-	r.Gauge("b", "B.").Set(1)
+	r.GaugeVec("b", "B.").With().Set(1)
 	var one, two bytes.Buffer
 	r.WriteExposition(&one)
 	r.WriteExposition(&two)
@@ -196,24 +196,6 @@ func TestDuplicateRegistrationPanics(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("x_total", "")
 	r.Counter("x_total", "")
-}
-
-func TestQuantile(t *testing.T) {
-	h := newHistogram([]float64{1, 2, 4}, nil)
-	// 100 observations uniform in (0,4]: 25 per unit.
-	for i := 1; i <= 100; i++ {
-		h.Observe(float64(i) * 0.04)
-	}
-	s := h.sample()
-	if q := Quantile(s.Buckets, 0.5); math.Abs(q-2) > 0.1 {
-		t.Fatalf("p50 = %g, want ~2", q)
-	}
-	if q := Quantile(s.Buckets, 0.95); math.Abs(q-3.8) > 0.2 {
-		t.Fatalf("p95 = %g, want ~3.8", q)
-	}
-	if !math.IsNaN(Quantile(nil, 0.5)) {
-		t.Fatal("empty quantile not NaN")
-	}
 }
 
 // TestMiddleware: request IDs are accepted/generated/echoed, metrics

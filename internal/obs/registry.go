@@ -10,7 +10,7 @@ import (
 
 // This file is the metrics registry: named families of counters,
 // gauges, and histograms (optionally labeled, optionally func-backed)
-// snapshotted deterministically for exposition and the ops dashboard.
+// snapshotted deterministically for exposition.
 // It implements just enough of the Prometheus data model to be scraped
 // by a real Prometheus — no external dependency, no global state.
 
@@ -145,11 +145,6 @@ func (r *Registry) CounterVec(name, help string, labels ...string) *CounterVec {
 	return &CounterVec{f: r.register(name, help, KindCounter, labels, nil, nil)}
 }
 
-// Gauge registers an unlabeled gauge.
-func (r *Registry) Gauge(name, help string) *Gauge {
-	return r.register(name, help, KindGauge, nil, nil, nil).child(nil).(*Gauge)
-}
-
 // GaugeVec registers a labeled gauge family.
 func (r *Registry) GaugeVec(name, help string, labels ...string) *GaugeVec {
 	return &GaugeVec{f: r.register(name, help, KindGauge, labels, nil, nil)}
@@ -169,13 +164,8 @@ func (r *Registry) CounterFunc(name, help string, fn func() float64) {
 	r.register(name, help, KindCounter, nil, nil, fn)
 }
 
-// Histogram registers an unlabeled wall-clock histogram with the given
+// HistogramVec registers a wall-clock histogram family with the given
 // upper bounds (ascending; +Inf is implicit).
-func (r *Registry) Histogram(name, help string, buckets []float64) *Histogram {
-	return r.register(name, help, KindHistogram, nil, normBuckets(buckets), nil).child(nil).(*Histogram)
-}
-
-// HistogramVec registers a labeled histogram family.
 func (r *Registry) HistogramVec(name, help string, buckets []float64, labels ...string) *HistogramVec {
 	return &HistogramVec{f: r.register(name, help, KindHistogram, labels, normBuckets(buckets), nil)}
 }
@@ -361,8 +351,8 @@ type Family struct {
 }
 
 // Snapshot captures every family, sorted by name, with samples sorted
-// by label values — the deterministic order both the exposition writer
-// and the ops dashboard render from. Func-backed families are evaluated
+// by label values — the deterministic order the exposition writer
+// renders from. Func-backed families are evaluated
 // here, on the scraper's clock.
 func (r *Registry) Snapshot() []Family {
 	r.mu.Lock()
@@ -409,33 +399,4 @@ func (b byKey) Less(i, j int) bool { return b.keys[i] < b.keys[j] }
 func (b byKey) Swap(i, j int) {
 	b.keys[i], b.keys[j] = b.keys[j], b.keys[i]
 	b.ms[i], b.ms[j] = b.ms[j], b.ms[i]
-}
-
-// Quantile estimates the q-quantile (0..1) of a cumulative bucket
-// snapshot by linear interpolation within the containing bucket — the
-// same estimate PromQL's histogram_quantile computes. Returns NaN with
-// no observations.
-func Quantile(buckets []Bucket, q float64) float64 {
-	if len(buckets) == 0 || buckets[len(buckets)-1].Count == 0 {
-		return math.NaN()
-	}
-	total := buckets[len(buckets)-1].Count
-	rank := q * float64(total)
-	for i, b := range buckets {
-		if float64(b.Count) >= rank {
-			lo, loCount := 0.0, uint64(0)
-			if i > 0 {
-				lo, loCount = buckets[i-1].LE, buckets[i-1].Count
-			}
-			if math.IsInf(b.LE, 1) {
-				return lo // open-ended bucket: report its lower bound
-			}
-			inBucket := float64(b.Count - loCount)
-			if inBucket == 0 {
-				return b.LE
-			}
-			return lo + (b.LE-lo)*((rank-float64(loCount))/inBucket)
-		}
-	}
-	return buckets[len(buckets)-1].LE
 }

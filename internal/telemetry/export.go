@@ -13,8 +13,8 @@ import (
 
 // SchemaVersion identifies the JSONL export format. Bump it whenever the
 // line shapes, the series naming convention, or the digest definition
-// changes: consumers (the CI validator, the regression gate) refuse
-// mismatched versions instead of misreading them.
+// changes: the header carries it, so a consumer can refuse a version it
+// does not know instead of misreading it.
 const SchemaVersion = "lazyrc-metrics-v1"
 
 // Header is the first line of every export.
@@ -25,23 +25,6 @@ type Header struct {
 	Series   int               `json:"series"`
 	Hists    int               `json:"hists"`
 	Meta     map[string]string `json:"meta,omitempty"`
-}
-
-// timesLine is the tick-timestamp line (exactly one per export). Export
-// writes it and the series lines with appendTimes and appendSeries, byte
-// for byte what encoding/json writes for these structs; load reads them
-// with encoding/json.
-type timesLine struct {
-	Kind   string   `json:"kind"`
-	Cycles []uint64 `json:"cycles"`
-}
-
-// seriesLine is one time series.
-type seriesLine struct {
-	Kind   string    `json:"kind"`
-	Name   string    `json:"name"`
-	Mode   string    `json:"mode"`
-	Points []float64 `json:"points"`
 }
 
 // histLine is one histogram with its sparse log₂ buckets and
@@ -191,141 +174,4 @@ func (r *Registry) Digest() string {
 		panic("telemetry: digest export failed: " + err.Error())
 	}
 	return hex.EncodeToString(h.Sum(nil))
-}
-
-// Validate reads a JSONL export and checks it against the schema: on top
-// of everything load rejects, the header must carry accurate counts, the
-// tick timestamps must be strictly increasing with one per sample, every
-// series must carry exactly one point per sample, and every histogram's
-// bucket counts must sum to its count. It returns the parsed header
-// (also alongside an error, once the header itself parsed).
-func Validate(rd io.Reader) (Header, error) {
-	reg, hdr, err := load(rd)
-	if err != nil {
-		return hdr, err
-	}
-	if len(reg.times) != hdr.Samples {
-		return hdr, fmt.Errorf("telemetry: %d timestamps, header says %d samples", len(reg.times), hdr.Samples)
-	}
-	for i := 1; i < len(reg.times); i++ {
-		if reg.times[i] <= reg.times[i-1] {
-			return hdr, fmt.Errorf("telemetry: timestamps not strictly increasing at index %d", i)
-		}
-	}
-	if len(reg.series) != hdr.Series {
-		return hdr, fmt.Errorf("telemetry: %d distinct series, header says %d", len(reg.series), hdr.Series)
-	}
-	if len(reg.hists) != hdr.Hists {
-		return hdr, fmt.Errorf("telemetry: %d distinct histograms, header says %d", len(reg.hists), hdr.Hists)
-	}
-	for _, s := range reg.series {
-		if s.n != hdr.Samples {
-			return hdr, fmt.Errorf("telemetry: series %q has %d points, header says %d samples",
-				s.name, s.n, hdr.Samples)
-		}
-	}
-	for _, h := range reg.hists {
-		var sum uint64
-		for _, c := range h.counts {
-			sum += c
-		}
-		if sum != h.count {
-			return hdr, fmt.Errorf("telemetry: histogram %q buckets sum to %d, count is %d", h.name, sum, h.count)
-		}
-	}
-	return hdr, nil
-}
-
-// load reads a JSONL export back into a registry — the report renderer
-// and offline tooling work from files the same way they work from a live
-// registry. The export is checked structurally while loading: current
-// schema version, exactly one times line, one line per series or
-// histogram name, known line kinds and series modes, in-range bucket
-// indexes. Validate adds the consistency checks.
-func load(rd io.Reader) (*Registry, Header, error) {
-	sc := bufio.NewScanner(rd)
-	sc.Buffer(make([]byte, 0, 1<<20), 64<<20)
-	if !sc.Scan() {
-		return nil, Header{}, fmt.Errorf("telemetry: empty export")
-	}
-	var hdr Header
-	if err := json.Unmarshal(sc.Bytes(), &hdr); err != nil {
-		return nil, Header{}, fmt.Errorf("telemetry: parsing header: %w", err)
-	}
-	if hdr.Schema != SchemaVersion {
-		return nil, hdr, fmt.Errorf("telemetry: schema %q, want %q", hdr.Schema, SchemaVersion)
-	}
-	reg := NewRegistry(hdr.Interval)
-	for k, v := range hdr.Meta {
-		reg.SetMeta(k, v)
-	}
-	sawTimes := false
-	lineNo := 1
-	fail := func(err error) (*Registry, Header, error) {
-		return nil, hdr, fmt.Errorf("telemetry: line %d: %w", lineNo, err)
-	}
-	for sc.Scan() {
-		lineNo++
-		var probe struct {
-			Kind string `json:"kind"`
-		}
-		if err := json.Unmarshal(sc.Bytes(), &probe); err != nil {
-			return fail(err)
-		}
-		switch probe.Kind {
-		case "times":
-			if sawTimes {
-				return fail(fmt.Errorf("duplicate times line"))
-			}
-			sawTimes = true
-			var tl timesLine
-			if err := json.Unmarshal(sc.Bytes(), &tl); err != nil {
-				return fail(err)
-			}
-			reg.times = tl.Cycles
-		case "series":
-			var sl seriesLine
-			if err := json.Unmarshal(sc.Bytes(), &sl); err != nil {
-				return fail(err)
-			}
-			var mode Mode
-			switch sl.Mode {
-			case "level":
-				mode = Level
-			case "delta":
-				mode = Delta
-			default:
-				return fail(fmt.Errorf("series %q has unknown mode %q", sl.Name, sl.Mode))
-			}
-			if reg.byName[sl.Name] != nil {
-				return fail(fmt.Errorf("duplicate series %q", sl.Name))
-			}
-			s := reg.Series(sl.Name, mode)
-			s.chunks, s.n = [][]float64{sl.Points}, len(sl.Points)
-		case "hist":
-			var hl histLine
-			if err := json.Unmarshal(sc.Bytes(), &hl); err != nil {
-				return fail(err)
-			}
-			if reg.histBy[hl.Name] != nil {
-				return fail(fmt.Errorf("duplicate histogram %q", hl.Name))
-			}
-			h := reg.Histogram(hl.Name)
-			h.count, h.sum, h.min, h.max = hl.Count, hl.Sum, hl.Min, hl.Max
-			for _, b := range hl.Buckets {
-				if err := h.setBucket(b[0], b[1]); err != nil {
-					return fail(fmt.Errorf("histogram %q: %w", hl.Name, err))
-				}
-			}
-		default:
-			return fail(fmt.Errorf("unknown kind %q", probe.Kind))
-		}
-	}
-	if err := sc.Err(); err != nil {
-		return nil, hdr, fmt.Errorf("telemetry: reading export: %w", err)
-	}
-	if !sawTimes {
-		return nil, hdr, fmt.Errorf("telemetry: export has no times line")
-	}
-	return reg, hdr, nil
 }

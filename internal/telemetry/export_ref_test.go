@@ -6,6 +6,21 @@ import (
 	"io"
 )
 
+// timesLine and seriesLine are the tick-timestamp line (one per export)
+// and a series line as encoding/json writes them; Export appends the same
+// bytes with strconv.
+type timesLine struct {
+	Kind   string   `json:"kind"`
+	Cycles []uint64 `json:"cycles"`
+}
+
+type seriesLine struct {
+	Kind   string    `json:"kind"`
+	Name   string    `json:"name"`
+	Mode   string    `json:"mode"`
+	Points []float64 `json:"points"`
+}
+
 // RefExport is refExport, for the tests outside the package.
 var RefExport = refExport
 

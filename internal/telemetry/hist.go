@@ -17,10 +17,7 @@
 //     state; enabling metrics never changes a single simulated cycle.
 package telemetry
 
-import (
-	"fmt"
-	"math/bits"
-)
+import "math/bits"
 
 // HistBuckets is the number of log₂ buckets a histogram carries: bucket 0
 // holds exact zeros and bucket i (i ≥ 1) holds values in [2^(i-1), 2^i).
@@ -166,13 +163,4 @@ func (h *Histogram) Buckets() [][2]uint64 {
 		}
 	}
 	return out
-}
-
-// setBucket restores one sparse bucket (used by the JSONL reader).
-func (h *Histogram) setBucket(i uint64, c uint64) error {
-	if i >= HistBuckets {
-		return fmt.Errorf("telemetry: bucket index %d out of range", i)
-	}
-	h.counts[i] = c
-	return nil
 }

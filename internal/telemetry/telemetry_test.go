@@ -164,6 +164,21 @@ func buildRegistry() *Registry {
 }
 
 func TestExportDigestDeterministic(t *testing.T) {
+	// The header line states the schema, the counts and the meta.
+	var buf bytes.Buffer
+	if err := buildRegistry().Export(&buf); err != nil {
+		t.Fatal(err)
+	}
+	line, _, _ := bytes.Cut(buf.Bytes(), []byte("\n"))
+	var hdr Header
+	if err := json.Unmarshal(line, &hdr); err != nil {
+		t.Fatalf("header: %v", err)
+	}
+	if hdr.Schema != SchemaVersion || hdr.Interval != 100 || hdr.Samples != 5 || hdr.Series != 2 || hdr.Hists != 1 ||
+		len(hdr.Meta) != 2 || hdr.Meta["app"] != "gauss" {
+		t.Fatalf("header = %+v", hdr)
+	}
+
 	d1 := buildRegistry().Digest()
 	d2 := buildRegistry().Digest()
 	if d1 == "" || d1 != d2 {
@@ -191,87 +206,6 @@ func TestExportDigestDeterministic(t *testing.T) {
 	r2.Histogram("net.lat.RdReq").Observe(9999)
 	if r2.Digest() == d1 {
 		t.Fatal("digest unchanged after extra observation")
-	}
-}
-
-func TestExportValidateRoundtrip(t *testing.T) {
-	r := buildRegistry()
-	var buf bytes.Buffer
-	if err := r.Export(&buf); err != nil {
-		t.Fatalf("export: %v", err)
-	}
-	hdr, err := Validate(bytes.NewReader(buf.Bytes()))
-	if err != nil {
-		t.Fatalf("validate: %v", err)
-	}
-	if hdr.Schema != SchemaVersion || hdr.Samples != 5 || hdr.Series != 2 || hdr.Hists != 1 {
-		t.Fatalf("header = %+v", hdr)
-	}
-	if hdr.Meta["app"] != "gauss" {
-		t.Fatalf("meta = %v", hdr.Meta)
-	}
-
-	loaded, _, err := load(bytes.NewReader(buf.Bytes()))
-	if err != nil {
-		t.Fatalf("load: %v", err)
-	}
-	var buf2 bytes.Buffer
-	if err := loaded.Export(&buf2); err != nil {
-		t.Fatalf("re-export: %v", err)
-	}
-	if !bytes.Equal(buf.Bytes(), buf2.Bytes()) {
-		t.Fatal("export → load → export is not byte-identical")
-	}
-}
-
-func TestValidateRejectsBadInput(t *testing.T) {
-	cases := map[string]string{
-		"empty":        "",
-		"wrong schema": `{"schema":"other-v9","interval":1,"samples":0,"series":0,"hists":0}` + "\n" + `{"kind":"times","cycles":[]}` + "\n",
-		"no times":     `{"schema":"` + SchemaVersion + `","interval":1,"samples":0,"series":0,"hists":0}` + "\n",
-		"series count mismatch": `{"schema":"` + SchemaVersion + `","interval":1,"samples":0,"series":2,"hists":0}` + "\n" +
-			`{"kind":"times","cycles":[]}` + "\n",
-		"point count mismatch": `{"schema":"` + SchemaVersion + `","interval":1,"samples":2,"series":1,"hists":0}` + "\n" +
-			`{"kind":"times","cycles":[1,2]}` + "\n" +
-			`{"kind":"series","name":"x","mode":"level","points":[1]}` + "\n",
-		"non-increasing times": `{"schema":"` + SchemaVersion + `","interval":1,"samples":2,"series":0,"hists":0}` + "\n" +
-			`{"kind":"times","cycles":[5,5]}` + "\n",
-		"bucket sum mismatch": `{"schema":"` + SchemaVersion + `","interval":1,"samples":0,"series":0,"hists":1}` + "\n" +
-			`{"kind":"times","cycles":[]}` + "\n" +
-			`{"kind":"hist","name":"h","count":3,"sum":1,"min":1,"max":1,"buckets":[[1,1]],"p50":1,"p90":1,"p99":1}` + "\n",
-	}
-	for name, in := range cases {
-		if _, err := Validate(strings.NewReader(in)); err == nil {
-			t.Errorf("%s: validate accepted bad input", name)
-		}
-	}
-}
-
-// dupInput is a valid two-sample export with extra appended.
-func dupInput(extra string) string {
-	return `{"schema":"` + SchemaVersion + `","interval":1,"samples":1,"series":1,"hists":1}` + "\n" +
-		`{"kind":"times","cycles":[1]}` + "\n" +
-		`{"kind":"series","name":"a","mode":"level","points":[1]}` + "\n" +
-		`{"kind":"hist","name":"h","count":1,"sum":1,"min":1,"max":1,"buckets":[[1,1]],"p50":1,"p90":1,"p99":1}` + "\n" +
-		extra
-}
-
-func TestValidateRejectsDuplicateSeries(t *testing.T) {
-	if _, err := Validate(strings.NewReader(dupInput(""))); err != nil {
-		t.Fatalf("the input without the duplicate: %v", err)
-	}
-	in := dupInput(`{"kind":"series","name":"a","mode":"delta","points":[2]}` + "\n")
-	_, err := Validate(strings.NewReader(in))
-	if err == nil || !strings.Contains(err.Error(), "line 5") || !strings.Contains(err.Error(), `duplicate series "a"`) {
-		t.Fatalf("Validate = %v, want the duplicate series at line 5", err)
-	}
-}
-
-func TestValidateRejectsDuplicateHistogram(t *testing.T) {
-	in := dupInput(`{"kind":"hist","name":"h","count":0,"sum":0,"min":0,"max":0,"p50":0,"p90":0,"p99":0}` + "\n")
-	_, err := Validate(strings.NewReader(in))
-	if err == nil || !strings.Contains(err.Error(), "line 5") || !strings.Contains(err.Error(), `duplicate histogram "h"`) {
-		t.Fatalf("Validate = %v, want the duplicate histogram at line 5", err)
 	}
 }
 
@@ -347,54 +281,6 @@ func FuzzAppendFloat(f *testing.F) {
 		}
 		if got := appendFloat(nil, v); string(got) != string(want) {
 			t.Fatalf("appendFloat(%v) = %s, json.Marshal says %s", v, got, want)
-		}
-	})
-}
-
-// FuzzValidate: bytes Validate accepts reload and re-export as a fixed
-// point, and every accepted line is one record of the export (a repeated
-// series or histogram line used to be folded into the first silently).
-func FuzzValidate(f *testing.F) {
-	var buf bytes.Buffer
-	if err := buildRegistry().Export(&buf); err != nil {
-		f.Fatal(err)
-	}
-	f.Add(buf.Bytes())
-	f.Add([]byte(dupInput("")))
-	f.Add([]byte(dupInput(`{"kind":"series","name":"a","mode":"delta","points":[2]}` + "\n")))
-	f.Add([]byte(dupInput(`{"kind":"hist","name":"h","count":0,"sum":0,"min":0,"max":0,"p50":0,"p90":0,"p99":0}` + "\n")))
-	f.Fuzz(func(t *testing.T, in []byte) {
-		hdr, err := Validate(bytes.NewReader(in))
-		if err != nil {
-			return
-		}
-		lines := bytes.Count(in, []byte("\n"))
-		if len(in) > 0 && in[len(in)-1] != '\n' {
-			lines++
-		}
-		if want := 2 + hdr.Series + hdr.Hists; lines != want {
-			t.Fatalf("accepted %d lines for %d series and %d histograms", lines, hdr.Series, hdr.Hists)
-		}
-		reg, _, err := load(bytes.NewReader(in))
-		if err != nil {
-			t.Fatalf("Validate accepts what Load refuses: %v", err)
-		}
-		var once, twice bytes.Buffer
-		if err := reg.Export(&once); err != nil {
-			t.Fatalf("re-export: %v", err)
-		}
-		if _, err := Validate(bytes.NewReader(once.Bytes())); err != nil {
-			t.Fatalf("the re-export does not validate: %v", err)
-		}
-		again, _, err := load(bytes.NewReader(once.Bytes()))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := again.Export(&twice); err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(once.Bytes(), twice.Bytes()) {
-			t.Fatalf("export → load → export moved:\n%s\n%s", once.Bytes(), twice.Bytes())
 		}
 	})
 }
