@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"runtime"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -40,34 +41,54 @@ func startDaemon(t *testing.T, dir string, workers int) *daemon {
 	return &daemon{st: st, svc: svc, ts: ts, c: &Client{Base: ts.URL, HTTPClient: hc}}
 }
 
-// scrapeMetrics fetches /metrics through the typed client and parses it
-// with the strict exposition parser — every scrape in the e2e test is
-// also a format-validity check.
-func scrapeMetrics(t *testing.T, ctx context.Context, d *daemon) map[string]*obs.ParsedFamily {
+// exposition is a scraped /metrics page: the families its TYPE lines
+// declare and its sample lines as written. (The format itself is held to
+// a strict parser in internal/obs, against WriteExposition.)
+type exposition struct {
+	families map[string]bool
+	samples  []string
+}
+
+// scrapeMetrics fetches /metrics through the typed client.
+func scrapeMetrics(t *testing.T, ctx context.Context, d *daemon) exposition {
 	t.Helper()
 	raw, err := d.c.Metrics(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
-	fams, err := obs.ParseExposition(bytes.NewReader(raw))
-	if err != nil {
-		t.Fatalf("exposition does not parse: %v\n%s", err, raw)
+	e := exposition{families: map[string]bool{}}
+	for _, line := range strings.Split(string(raw), "\n") {
+		if f := strings.Fields(line); len(f) == 4 && f[0] == "#" && f[1] == "TYPE" {
+			e.families[f[2]] = true
+		} else if line != "" && !strings.HasPrefix(line, "#") {
+			e.samples = append(e.samples, line)
+		}
 	}
-	return fams
+	return e
 }
 
-// jobsCounter reads one kind's value from lrcsimd_jobs_total.
-func jobsCounter(fams map[string]*obs.ParsedFamily, kind string) float64 {
-	f, ok := fams["lrcsimd_jobs_total"]
-	if !ok {
-		return -1
-	}
-	for _, sm := range f.Samples {
-		if sm.Label("kind") == kind {
-			return sm.Value
+// value reads the first sample of family name that carries every given
+// label (`key="value"`), or -1 if there is none.
+func (e exposition) value(name string, labels ...string) float64 {
+	for _, s := range e.samples {
+		i := strings.LastIndexByte(s, ' ')
+		if i < 0 || (s[:i] != name && !strings.HasPrefix(s, name+"{")) {
+			continue
+		}
+		all := true
+		for _, l := range labels {
+			all = all && strings.Contains(s[:i], l)
+		}
+		if v, err := strconv.ParseFloat(s[i+1:], 64); all && err == nil {
+			return v
 		}
 	}
 	return -1
+}
+
+// jobsCounter reads one kind's value from lrcsimd_jobs_total.
+func jobsCounter(e exposition, kind string) float64 {
+	return e.value("lrcsimd_jobs_total", `kind="`+kind+`"`)
 }
 
 // stop tears the incarnation down in daemon order: drain the service,
@@ -285,7 +306,7 @@ func TestEndToEnd(t *testing.T) {
 		"lrcsimd_bus_published_total",
 		"lrcsimd_store_entries",
 	} {
-		if _, ok := fams[name]; !ok {
+		if !fams.families[name] {
 			t.Fatalf("exposition missing family %s", name)
 		}
 	}
@@ -295,12 +316,7 @@ func TestEndToEnd(t *testing.T) {
 	if got := jobsCounter(fams, "cache_hit"); got != 0 {
 		t.Fatalf("cold exposition cache_hit=%v, want 0", got)
 	}
-	refused := 0.0
-	for _, sm := range fams["lrcsimd_http_requests_total"].Samples {
-		if sm.Label("route") == "POST /api/v1/sweeps" && sm.Label("code") == "4xx" {
-			refused = sm.Value
-		}
-	}
+	refused := fams.value("lrcsimd_http_requests_total", `route="POST /api/v1/sweeps"`, `code="4xx"`)
 	if refused != 2 {
 		t.Fatalf("exposition counts %v refused submissions, want 2", refused)
 	}

@@ -63,10 +63,15 @@ func New(nLines int) *Cache {
 		panic("cache: need at least one line")
 	}
 	c := &Cache{nLines: uint64(nLines), lines: make([]Line, nLines)}
-	for i := range c.lines {
-		c.lines[i].State = Invalid
-	}
+	c.Reset()
 	return c
+}
+
+// Reset empties the cache, as New returns it: every frame Invalid, the
+// counters zero.
+func (c *Cache) Reset() {
+	clear(c.lines) // Invalid is the zero state
+	c.fills, c.evictions, c.invalidations = 0, 0, 0
 }
 
 // Lines returns the number of frames.

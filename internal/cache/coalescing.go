@@ -51,7 +51,16 @@ func NewCoalescingBuffer(capacity int) *CoalescingBuffer {
 	if capacity < 1 {
 		panic("cache: coalescing buffer needs capacity >= 1")
 	}
-	return &CoalescingBuffer{cap: capacity}
+	b := &CoalescingBuffer{cap: capacity}
+	b.Reset()
+	return b
+}
+
+// Reset empties the buffer and zeroes its counters, as
+// NewCoalescingBuffer returns it; attached telemetry stays.
+func (b *CoalescingBuffer) Reset() {
+	b.entries, b.drained = b.entries[:0], b.drained[:0]
+	b.merges, b.inserts, b.capDrains = 0, 0, 0
 }
 
 // EnableTelemetry stamps entries with their allocation cycle (via clock)

@@ -39,7 +39,16 @@ func NewWriteBuffer(capacity int) *WriteBuffer {
 	if capacity < 1 {
 		panic("cache: write buffer needs capacity >= 1")
 	}
-	return &WriteBuffer{cap: capacity}
+	w := &WriteBuffer{cap: capacity}
+	w.Reset()
+	return w
+}
+
+// Reset empties the buffer and zeroes its counters, as NewWriteBuffer
+// returns it; attached telemetry stays.
+func (w *WriteBuffer) Reset() {
+	w.entries = w.entries[:0]
+	w.stalls, w.coalesced, w.total = 0, 0, 0
 }
 
 // EnableTelemetry stamps entries with their allocation cycle (via clock)

@@ -83,7 +83,15 @@ const maxViolations = 16
 
 // New returns an auditor for m.
 func New(m *machine.Machine) *Auditor {
-	return &Auditor{m: m, lazy: m.Nodes[0].Proto.Lazy()}
+	a := &Auditor{m: m, lazy: m.Nodes[0].Proto.Lazy()}
+	a.Reset()
+	return a
+}
+
+// Reset forgets the epochs and violations, for the machine's next run
+// after Machine.Reset.
+func (a *Auditor) Reset() {
+	a.violations, a.epochs = a.violations[:0], 0
 }
 
 // Epoch is the cycle interval between the epoch audits of a checked run:

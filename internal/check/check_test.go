@@ -90,6 +90,13 @@ func TestCatchesCorruptedDirectory(t *testing.T) {
 	if !strings.Contains(v.String(), "writers not a subset of sharers") {
 		t.Fatalf("violation lacks the structural detail: %s", v)
 	}
+
+	// Rewound, the machine has no entry and the auditor no record.
+	m.Reset()
+	a.Reset()
+	if a.Final(); a.Err() != nil {
+		t.Fatalf("violations on a rewound machine: %v", a.Err())
+	}
 }
 
 // TestCatchesStateWrittenBehindTheCounts: a State written around

@@ -90,7 +90,18 @@ type Directory struct {
 
 // New returns an empty directory for a machine with nprocs processors.
 func New(nprocs int, check bool) *Directory {
-	return &Directory{nprocs: nprocs, entries: make(map[uint64]*Entry), check: check}
+	d := &Directory{nprocs: nprocs, entries: make(map[uint64]*Entry), check: check}
+	d.Reset()
+	return d
+}
+
+// Reset forgets every entry and lease, as New returns the directory.
+func (d *Directory) Reset() {
+	clear(d.entries)
+	clear(d.leases)
+	d.counts = [4]int{}
+	clear(d.sorted)
+	d.sorted = d.sorted[:0]
 }
 
 // Entry returns the record for block, creating an Uncached entry on first

@@ -59,6 +59,8 @@ type Machine struct {
 	nextSyncID   uint64
 	nextSyncHome int
 	protoName    string
+	plan         *faults.Plan // Cfg.FaultPlan parsed, nil without one
+	cpuNames     []string     // the processor contexts' names
 }
 
 // New builds a machine running the named protocol (any of
@@ -82,8 +84,10 @@ func New(cfg config.Config, protoName string) (*Machine, error) {
 		Stats: st, Class: cl, protoName: protoName,
 	}
 	m.Nodes = make([]*protocol.Node, cfg.Procs)
+	m.cpuNames = make([]string, cfg.Procs)
 	for i := range m.Nodes {
 		m.Nodes[i] = protocol.NewNode(env, i, p)
+		m.cpuNames[i] = fmt.Sprintf("cpu%d", i)
 	}
 	env.Nodes = m.Nodes
 	if err := net.Finalize(); err != nil {
@@ -94,11 +98,43 @@ func New(cfg config.Config, protoName string) (*Machine, error) {
 		if err != nil {
 			return nil, err
 		}
-		if err := net.SetInjector(faults.NewInjector(cfg.Seed, plan)); err != nil {
+		if err := plan.Validate(); err != nil {
 			return nil, err
 		}
+		m.plan = &plan
 	}
+	m.reset()
 	return m, nil
+}
+
+// Reset rewinds the machine to what New returns, keeping its storage and
+// wiring: the model checker runs one machine per worker, schedule after
+// schedule (DESIGN.md §9). What a caller attached — a chooser, an
+// explorer, Env.Mem — stays attached; observers (EnableMetrics,
+// EnableSpans, EnablePerf) keep their records, so reset only a machine
+// that has none. Not during Run.
+func (m *Machine) Reset() {
+	m.Eng.Reset()
+	m.Net.Reset()
+	m.Env.Reset()
+	m.Stats.Reset()
+	m.Class.Reset()
+	m.reset()
+}
+
+// reset sets the machine's own state as New leaves it: no shared memory
+// allocated (what was is zeroed), sync objects numbered from the start,
+// and the fault plan armed with a fresh injector.
+func (m *Machine) reset() {
+	clear(m.backing[:m.brk])
+	m.brk = 0
+	m.nextSyncID, m.nextSyncHome = 0, 0
+	if m.plan != nil {
+		// New validated the plan and Net.Reset detached the last injector.
+		if err := m.Net.SetInjector(faults.NewInjector(m.Cfg.Seed, *m.plan)); err != nil {
+			panic(err)
+		}
+	}
 }
 
 // Protocol returns the protocol name this machine runs.
@@ -315,7 +351,7 @@ func (m *Machine) Run(worker func(p *Proc)) {
 	for i := range m.Nodes {
 		node := m.Nodes[i]
 		id := i
-		ctx := m.Eng.Spawn(fmt.Sprintf("cpu%d", id), func(c *sim.Context) {
+		ctx := m.Eng.Spawn(m.cpuNames[id], func(c *sim.Context) {
 			p := &Proc{m: m, node: node, ctx: c}
 			worker(p)
 			p.syncNow()

@@ -14,12 +14,26 @@ import (
 // would be most of it.
 func midRun(tb testing.TB, proto string) *Machine {
 	tb.Helper()
+	m := small(tb, proto)
+	stopMidway(tb, m)
+	return m
+}
+
+// small builds the 4-node machine midRun runs on.
+func small(tb testing.TB, proto string) *Machine {
+	tb.Helper()
 	cfg := config.Default(4)
 	cfg.CacheSize = 16 * cfg.LineSize
 	m, err := New(cfg, proto)
 	if err != nil {
 		tb.Fatal(err)
 	}
+	return m
+}
+
+// stopMidway runs midRun's program on m and stops it at cycle 3000.
+func stopMidway(tb testing.TB, m *Machine) {
+	tb.Helper()
 	idle := m.StateHash()
 	a := m.AllocI64(64) // four lines
 	l := m.NewLock()
@@ -37,9 +51,8 @@ func midRun(tb testing.TB, proto string) *Machine {
 		}
 	})
 	if m.Completed() || m.StateHash() == idle {
-		tb.Fatalf("%s: the run did not stop midway", proto)
+		tb.Fatalf("%s: the run did not stop midway", m.Protocol())
 	}
-	return m
 }
 
 // TestStateHashAllocatesNothing: the hash streams the machine's state

@@ -123,7 +123,7 @@ func Explore(t *Test, ec ExploreConfig) (*Report, error) {
 	frontier := newFrontier(t, ec.RunConfig)
 	defer frontier.close()
 	frontier.push([]int{})
-	oracle, err := SCOutcomes(t)
+	oracle, err := t.scOracle()
 	if err != nil {
 		return nil, err
 	}
@@ -164,7 +164,11 @@ func Explore(t *Test, ec ExploreConfig) (*Report, error) {
 			key := reasons[0]
 			if !seenReasons[key] && len(rep.Counterexamples) < maxCounterexamples {
 				seenReasons[key] = true
-				cx := minimize(t, ec, oracle, checkOutcome, res.Taken)
+				w, err := frontier.worker(&frontier.own)
+				if err != nil {
+					return nil, err
+				}
+				cx := minimize(w, ec, oracle, checkOutcome, res.Taken)
 				rep.Counterexamples = append(rep.Counterexamples, cx)
 			}
 		}
@@ -206,8 +210,8 @@ func sortOutcomeless(r *Report) {
 // still violates (everything beyond a prefix defaults to 0), then each
 // remaining nonzero choice is individually zeroed if the violation
 // survives. The result replays deterministically by construction — it is
-// re-executed, not edited.
-func minimize(t *Test, ec ExploreConfig, oracle *SCResult, checkOutcome bool, taken []int) Counterexample {
+// re-executed, on the committer's worker w, not edited.
+func minimize(w *worker, ec ExploreConfig, oracle *SCResult, checkOutcome bool, taken []int) Counterexample {
 	budget := ec.MinimizeBudget
 	if budget <= 0 {
 		budget = DefaultMinimizeBudget
@@ -217,10 +221,7 @@ func minimize(t *Test, ec ExploreConfig, oracle *SCResult, checkOutcome bool, ta
 			return nil, nil
 		}
 		budget--
-		res, err := RunOnce(t, ec.RunConfig, prefix)
-		if err != nil {
-			return nil, nil
-		}
+		res := w.run(prefix)
 		return res, judge(res, oracle, checkOutcome)
 	}
 

@@ -6,23 +6,24 @@ import (
 )
 
 // This file lets Explore run schedules on every core and still report
-// exactly what a one-core search reports. Two facts make that safe:
-// RunOnce is a pure function of (test, config, prefix), and every prefix
-// the search queues is run exactly once, in LIFO order, unless MaxRuns
-// stops the search. So a run may execute early, on any goroutine; only
-// its commit — counting it, judging it, queueing its siblings — must
-// happen in the order the sequential search runs it, and that stays the
-// one loop in Explore. The frontier is that loop's stack, shared with
-// GOMAXPROCS−1 helper goroutines, each of which runs the newest queued
-// prefix nobody has started: the one the committer pops next.
+// exactly what a one-core search reports. Two facts make that safe: a
+// run is a pure function of (test, config, prefix) — a worker's rewound
+// machine is a new one, bit for bit — and every prefix the search queues
+// is run exactly once, in LIFO order, unless MaxRuns stops the search. So
+// a run may execute early, on any goroutine; only its commit — counting
+// it, judging it, queueing its siblings — must happen in the order the
+// sequential search runs it, and that stays the one loop in Explore. The
+// frontier is that loop's stack, shared with GOMAXPROCS−1 helper
+// goroutines, each of which runs the newest queued prefix nobody has
+// started (the one the committer pops next) on a worker of its own.
 
-// A job is one queued prefix and, once run, what RunOnce made of it.
+// A job is one queued prefix and, once run, what a worker made of it.
 type job struct {
 	prefix   []int
 	state    uint8 // queued, running or ran
 	res      *RunResult
 	err      error
-	panicked any // a panic RunOnce did not recover, re-raised at commit
+	panicked any // a panic the run did not recover, re-raised at commit
 }
 
 const (
@@ -41,6 +42,7 @@ type frontier struct {
 	jobs    []*job
 	closed  bool
 	helpers sync.WaitGroup
+	own     *worker // the committer's: pop and minimize run on it
 }
 
 // newFrontier starts the helpers; close stops them.
@@ -66,11 +68,12 @@ func (f *frontier) close() {
 
 func (f *frontier) help() {
 	defer f.helpers.Done()
+	var w *worker
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	for !f.closed {
 		if j := f.unstarted(); j != nil {
-			f.run(j)
+			f.run(j, &w)
 		} else {
 			f.cond.Wait()
 		}
@@ -106,9 +109,9 @@ func (f *frontier) pop() ([]int, *RunResult, error) {
 	f.jobs = f.jobs[:len(f.jobs)-1]
 	for j.state != ran {
 		if j.state == queued {
-			f.run(j)
+			f.run(j, &f.own)
 		} else if o := f.unstarted(); o != nil {
-			f.run(o)
+			f.run(o, &f.own)
 		} else {
 			f.cond.Wait()
 		}
@@ -130,9 +133,9 @@ func (f *frontier) unstarted() *job {
 	return nil
 }
 
-// run executes j. mu is held on entry and on return, and released
-// meanwhile.
-func (f *frontier) run(j *job) {
+// run executes j on *w, building the worker first if it has none. mu is
+// held on entry and on return, and released meanwhile.
+func (f *frontier) run(j *job, w **worker) {
 	j.state = running
 	f.mu.Unlock()
 	defer func() {
@@ -141,5 +144,20 @@ func (f *frontier) run(j *job) {
 		j.state = ran
 		f.cond.Broadcast()
 	}()
-	j.res, j.err = RunOnce(f.t, f.rc, j.prefix)
+	var wk *worker
+	if wk, j.err = f.worker(w); j.err == nil {
+		j.res = wk.run(j.prefix)
+	}
+}
+
+// worker returns *w, building it if it is nil.
+func (f *frontier) worker(w **worker) (*worker, error) {
+	if *w == nil {
+		nw, err := newWorker(f.t, f.rc)
+		if err != nil {
+			return nil, err
+		}
+		*w = nw
+	}
+	return *w, nil
 }

@@ -126,7 +126,7 @@ func TestExploreLeavesNoGoroutine(t *testing.T) {
 		n := 0
 		for _, g := range strings.Split(string(buf[:runtime.Stack(buf, true)]), "\n\n") {
 			if strings.Contains(g, "mc.(*frontier).help(") &&
-				(strings.Contains(g, "sync.(*Cond).Wait(") || strings.Contains(g, "mc.RunOnce(")) {
+				(strings.Contains(g, "sync.(*Cond).Wait(") || strings.Contains(g, "mc.(*worker).run(")) {
 				n++
 			}
 		}
@@ -147,6 +147,41 @@ func TestExploreLeavesNoGoroutine(t *testing.T) {
 		}
 		if n := helpers(); n != 0 {
 			t.Errorf("%s: %d helpers still running after Explore returned", name, n)
+		}
+	}
+}
+
+// TestRecycledRunIsFresh: a worker's rewound machine is a new one, bit
+// for bit. For every corpus pair, the root schedule and every one-choice
+// deviation from it run in reverse order on one worker, and each result
+// must equal RunOnce's on a machine built for it alone — a field the
+// rewind forgets shows up as a moved outcome, choice, hash or violation.
+func TestRecycledRunIsFresh(t *testing.T) {
+	for _, p := range corpusPairs() {
+		rc := p.ec.RunConfig
+		root, err := RunOnce(p.tc, rc, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		prefixes := [][]int{{}}
+		for i, arity := range root.Arity {
+			for alt := 1; alt < arity; alt++ {
+				prefixes = append(prefixes, append(append([]int(nil), root.Taken[:i]...), alt))
+			}
+		}
+		w, err := newWorker(p.tc, rc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := len(prefixes) - 1; i >= 0; i-- {
+			want, err := RunOnce(p.tc, rc, prefixes[i])
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := w.run(prefixes[i]); !reflect.DeepEqual(got, want) {
+				t.Fatalf("%s/%s %s, prefix %v: recycled run %+v, fresh %+v",
+					rc.Proto, p.tc.Name, rc.Mutation, prefixes[i], got, want)
+			}
 		}
 	}
 }

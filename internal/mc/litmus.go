@@ -1,6 +1,9 @@
 package mc
 
-import "fmt"
+import (
+	"fmt"
+	"sync"
+)
 
 // This file defines the litmus-test language and the corpus. A litmus
 // test is a tiny program — 2–4 processors, a handful of shared variables
@@ -61,6 +64,12 @@ type Test struct {
 	// SC-allowed outcomes under every protocol, racy programs only under
 	// the SC protocol.
 	DRF bool
+
+	sc struct { // scOracle's memo
+		once sync.Once
+		res  *SCResult
+		err  error
+	}
 }
 
 func r(v int) Op           { return Op{Kind: OpRead, Var: v} }

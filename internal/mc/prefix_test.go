@@ -76,16 +76,29 @@ func TestRunOnceHashesFromThePrefixOn(t *testing.T) {
 }
 
 // BenchmarkRunOnce is one schedule of the first litmus test under lrc with
-// the per-choice audit on, no prefix: machine construction, the run, a
-// hash per choice point and the final audit.
+// the per-choice audit on, no prefix: a hash per choice point and the
+// final audit, on a machine built for the run (fresh: RunOnce, what replay
+// pays) or rewound after the last (recycled: what Explore's workers pay).
 //
 //	go test ./internal/mc -run '^$' -bench RunOnce -benchtime 100x
 func BenchmarkRunOnce(b *testing.B) {
 	rc := DefaultExplore("lrc").RunConfig
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, err := RunOnce(Tests()[0], rc, nil); err != nil {
+	b.Run("fresh", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, err := RunOnce(Tests()[0], rc, nil); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("recycled", func(b *testing.B) {
+		w, err := newWorker(Tests()[0], rc)
+		if err != nil {
 			b.Fatal(err)
 		}
-	}
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			w.run(nil)
+		}
+	})
 }

@@ -149,6 +149,36 @@ func varAddr(cfg config.Config, v Var) uint64 {
 // RunOnce executes t once under prefix (choices past the prefix default
 // to 0) and reports what happened.
 func RunOnce(t *Test, rc RunConfig, prefix []int) (*RunResult, error) {
+	w, err := newWorker(t, rc)
+	if err != nil {
+		return nil, err
+	}
+	return w.run(prefix), nil
+}
+
+// A worker runs t under one configuration on one litmus machine, with its
+// tracker and auditor, rewinding the lot between schedules instead of
+// building another (Machine.Reset). The explorer's committer and each
+// frontier helper own one for an Explore call; RunOnce is a worker used
+// once. Each run's RunResult is its own: the committer may hold it while
+// the worker runs the next.
+type worker struct {
+	t       *Test
+	cfg     config.Config
+	m       *machine.Machine
+	tracker *Tracker
+	aud     *check.Auditor
+	rec     recorder
+	used    bool // the machine has run: rewind it before the next
+	span    int  // bytes of shared memory the test's lines take
+	locks   []*machine.Lock
+	flags   []machine.Flag
+	regs    [][]uint64
+	done    []bool
+	body    func(*machine.Proc) // w.program, bound once
+}
+
+func newWorker(t *Test, rc RunConfig) (*worker, error) {
 	if err := validateTest(t); err != nil {
 		return nil, err
 	}
@@ -157,99 +187,124 @@ func RunOnce(t *Test, rc RunConfig, prefix []int) (*RunResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	tracker := NewTracker(cfg.WordsPerLine())
-	m.Env.Mem = tracker
+	w := &worker{
+		t: t, cfg: cfg, m: m, tracker: NewTracker(cfg.WordsPerLine()), aud: check.New(m),
+		locks: make([]*machine.Lock, t.Locks), flags: make([]machine.Flag, t.Flags),
+		regs: make([][]uint64, t.Procs), done: make([]bool, t.Procs),
+	}
+	m.Env.Mem = w.tracker
 
 	menu := rc.Menu
 	if len(menu) == 0 {
 		menu = DefaultMenu()
 	}
-	max := rc.MaxChoices
-	if max <= 0 {
-		max = DefaultMaxChoices
+	w.rec = recorder{m: m, max: rc.MaxChoices}
+	if w.rec.max <= 0 {
+		w.rec.max = DefaultMaxChoices
 	}
-	// The choice record is sized once, to the recorded-choice bound but no
-	// further than the default's: a schedule read from a file may claim
-	// any bound, and past this capacity append grows the record as the
-	// run actually needs it.
-	n := min(max, DefaultMaxChoices)
-	picks := make([]int, 2*n)
-	res := &RunResult{Taken: picks[:0:n], Arity: picks[n:n], Hashes: make([]uint64, 0, n)}
-	rec := &recorder{m: m, prefix: prefix, max: max, res: res}
-	aud := check.New(m)
 	if rc.Audit {
-		rec.aud = aud
+		w.rec.aud = w.aud
 	}
-	m.Eng.SetChooser(rec)
-	if err := m.Net.SetExplorer(meshFacet{rec}, menu); err != nil {
+	m.Eng.SetChooser(&w.rec)
+	if err := m.Net.SetExplorer(meshFacet{&w.rec}, menu); err != nil {
 		return nil, err
 	}
 
 	maxLine := 0
 	for _, v := range t.Vars {
-		if v.Line > maxLine {
-			maxLine = v.Line
-		}
+		maxLine = max(maxLine, v.Line)
 	}
-	m.Alloc((maxLine+1)*cfg.LineSize, true)
-	locks := make([]*machine.Lock, t.Locks)
-	for i := range locks {
-		locks[i] = m.NewLock()
+	w.span = (maxLine + 1) * cfg.LineSize
+	w.body = w.program
+	return w, nil
+}
+
+// run executes the test once under prefix on a machine as New built it.
+func (w *worker) run(prefix []int) *RunResult {
+	m := w.m
+	if w.used {
+		m.Reset()
+		w.tracker.Reset()
+		w.aud.Reset()
 	}
-	flags := m.NewFlags(t.Flags)
+	w.used = true
 
-	regs := make([][]uint64, t.Procs)
-	done := make([]bool, t.Procs)
+	// The choice record is sized once, to the recorded-choice bound but no
+	// further than the default's: a schedule read from a file may claim
+	// any bound, and past this capacity append grows the record as the
+	// run actually needs it.
+	n := min(w.rec.max, DefaultMaxChoices)
+	picks := make([]int, 2*n)
+	res := &RunResult{Taken: picks[:0:n], Arity: picks[n:n], Hashes: make([]uint64, 0, n)}
+	w.rec.prefix, w.rec.res = prefix, res
 
-	ranToCompletion := func() bool {
-		defer func() {
-			if r := recover(); r != nil {
-				res.Violations = append(res.Violations, fmt.Sprintf("panic: %v", r))
-			}
-		}()
-		m.Run(func(p *machine.Proc) {
-			id := p.ID()
-			for _, op := range t.Code[id] {
-				switch op.Kind {
-				case OpRead:
-					v := t.Vars[op.Var]
-					p.ReadI64(varAddr(cfg, v))
-					regs[id] = append(regs[id], tracker.Read(id, uint64(v.Line), v.Word))
-				case OpWrite:
-					v := t.Vars[op.Var]
-					tracker.StageWrite(id, uint64(v.Line), v.Word, op.Val)
-					p.WriteI64(varAddr(cfg, v), int64(op.Val))
-				case OpAcquire:
-					p.Acquire(locks[op.Obj])
-				case OpRelease:
-					p.Release(locks[op.Obj])
-				case OpSetFlag:
-					p.SetFlag(flags[op.Obj])
-				case OpWaitFlag:
-					p.WaitFlag(flags[op.Obj])
-				}
-			}
-			done[id] = true
-		})
-		return true
-	}()
+	m.Alloc(w.span, true)
+	for i := range w.locks {
+		w.locks[i] = m.NewLock()
+	}
+	for i := range w.flags {
+		w.flags[i] = m.NewFlag()
+	}
+	for i := range w.regs {
+		w.regs[i] = w.regs[i][:0]
+	}
+	clear(w.done)
 
-	if ranToCompletion {
-		for id, d := range done {
+	if w.execute(res) {
+		for id, d := range w.done {
 			if !d {
 				res.Violations = append(res.Violations,
 					fmt.Sprintf("deadlock: processor %d never finished its program", id))
 			}
 		}
 		if len(res.Violations) == 0 {
-			aud.Final()
-			for _, v := range aud.Violations() {
+			w.aud.Final()
+			for _, v := range w.aud.Violations() {
 				res.Violations = append(res.Violations, v.String())
 			}
 		}
 	}
 
-	res.Outcome = formatOutcome(regs)
+	res.Outcome = formatOutcome(w.regs)
 	res.FinalHash = m.StateHash()
-	return res, nil
+	return res
+}
+
+// execute runs the program on every processor and reports whether Run
+// returned; a panic out of it is recorded as res's violation.
+func (w *worker) execute(res *RunResult) (returned bool) {
+	defer func() {
+		if r := recover(); r != nil {
+			res.Violations = append(res.Violations, fmt.Sprintf("panic: %v", r))
+		}
+	}()
+	w.m.Run(w.body)
+	return true
+}
+
+// program is every processor's body: its code, each read's value in its
+// next register.
+func (w *worker) program(p *machine.Proc) {
+	t, id := w.t, p.ID()
+	for _, op := range t.Code[id] {
+		switch op.Kind {
+		case OpRead:
+			v := t.Vars[op.Var]
+			p.ReadI64(varAddr(w.cfg, v))
+			w.regs[id] = append(w.regs[id], w.tracker.Read(id, uint64(v.Line), v.Word))
+		case OpWrite:
+			v := t.Vars[op.Var]
+			w.tracker.StageWrite(id, uint64(v.Line), v.Word, op.Val)
+			p.WriteI64(varAddr(w.cfg, v), int64(op.Val))
+		case OpAcquire:
+			p.Acquire(w.locks[op.Obj])
+		case OpRelease:
+			p.Release(w.locks[op.Obj])
+		case OpSetFlag:
+			p.SetFlag(w.flags[op.Obj])
+		case OpWaitFlag:
+			p.WaitFlag(w.flags[op.Obj])
+		}
+	}
+	w.done[id] = true
 }

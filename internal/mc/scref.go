@@ -222,6 +222,13 @@ func (r *SCResult) AllowedOutcome(outcome string) bool {
 // exceeding it means a test is too large to serve as an oracle.
 const scStateCap = 2_000_000
 
+// scOracle is SCOutcomes(t), computed once per test: every Explore of t
+// consults it, and it is a pure function of t.
+func (t *Test) scOracle() (*SCResult, error) {
+	t.sc.once.Do(func() { t.sc.res, t.sc.err = SCOutcomes(t) })
+	return t.sc.res, t.sc.err
+}
+
 // SCOutcomes enumerates every sequentially consistent execution of t.
 func SCOutcomes(t *Test) (*SCResult, error) {
 	if err := validateTest(t); err != nil {

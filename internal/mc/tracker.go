@@ -37,12 +37,22 @@ type Tracker struct {
 
 // NewTracker returns a tracker for a machine with the given words-per-line.
 func NewTracker(wordsPerLine int) *Tracker {
-	return &Tracker{
+	t := &Tracker{
 		words:  wordsPerLine,
 		home:   make(map[uint64][]uint64),
 		copies: make(map[copyKey][]uint64),
 		staged: make(map[stageKey]uint64),
 	}
+	t.Reset()
+	return t
+}
+
+// Reset forgets every value, for the machine's next run after
+// Machine.Reset.
+func (t *Tracker) Reset() {
+	clear(t.home)
+	clear(t.copies)
+	clear(t.staged)
 }
 
 func (t *Tracker) homeLine(block uint64) []uint64 {

@@ -132,11 +132,30 @@ func New(eng *sim.Engine, cfg config.Config) *Network {
 		handlers: make([]func(Msg), cfg.Procs),
 	}
 	n.delivery = eng.Register(perf.PhaseMesh, n.deliver)
+	ports := make([]sim.Resource, 2*cfg.Procs)
 	for i := range n.in {
-		n.in[i] = new(sim.Resource)
-		n.out[i] = new(sim.Resource)
+		n.in[i], n.out[i] = &ports[i], &ports[cfg.Procs+i]
 	}
+	n.Reset()
 	return n
+}
+
+// Reset rewinds the network to what New returns: ports free at time
+// zero, no message in flight or held, every counter and per-channel
+// entry floor zero, no fault injector (its random stream belongs to the
+// run). The wiring — delivery kind, node handlers — stays, and so do an
+// attached explorer and observers.
+func (n *Network) Reset() {
+	for i := range n.in {
+		*n.in[i], *n.out[i] = sim.Resource{}, sim.Resource{}
+	}
+	n.flights.Reset()
+	n.sent, n.bytesSent = 0, 0
+	clear(n.byKind)
+	clear(n.lastEntry)
+	n.inj, n.tr = nil, nil
+	n.injReordered, n.injDelayed, n.injDuped, n.injDropped = 0, 0, 0, 0
+	n.flight = fold.Bag{}
 }
 
 // Handle registers the delivery handler for node id. Exactly one handler

@@ -301,10 +301,20 @@ type Sequencer struct {
 // NewSequencer returns a sequencer for arrivals from nprocs sources.
 func NewSequencer(nprocs int) *Sequencer {
 	s := &Sequencer{next: make([]uint64, nprocs), held: make([]map[uint64]Msg, nprocs)}
+	s.Reset()
+	return s
+}
+
+// Reset rewinds the sequencer to what NewSequencer returns: every source
+// expects sequence number 1, nothing is held, the counters are zero.
+func (s *Sequencer) Reset() {
 	for i := range s.next {
 		s.next[i] = 1
 	}
-	return s
+	for _, h := range s.held {
+		clear(h)
+	}
+	s.suppressed, s.parked = 0, 0
 }
 
 // Admit processes one arrival, invoking deliver zero or more times: once

@@ -219,11 +219,49 @@ func NewNode(env *Env, id int, proto Protocol) *Node {
 		handlers:    proto.handlers(),
 	}
 	n.sync.init()
+	n.reset()
 	env.Net.Handle(id, n.Deliver)
 	if env.contKind == 0 { // the machine's first node
 		env.contKind = env.Eng.Register(perf.PhaseProtocol, env.runCont)
 	}
 	return n
+}
+
+// Reset rewinds the protocol state of the machine to what NewNode left
+// it: no continuation parked, no page touched, and every node's parts
+// and own state as new. The engine, network and statistics are the
+// machine's to rewind; the wiring (handlers, event kind) stays.
+func (e *Env) Reset() {
+	e.conts.Reset()
+	e.pageHome = e.pageHome[:0]
+	for _, n := range e.Nodes {
+		n.Cache.Reset()
+		n.WB.Reset()
+		n.CB.Reset()
+		*n.PP, *n.Mem, *n.Bus = sim.Resource{}, sim.Resource{}, sim.Resource{}
+		n.Dir.Reset()
+		n.seq.Reset()
+		n.reset()
+	}
+}
+
+// reset sets the node's own state as NewNode leaves it, keeping storage:
+// maps are cleared, queues emptied and retired transaction records made
+// spare. The family's home state goes back to not allocated, which the
+// state hash tells apart from allocated and empty.
+func (n *Node) reset() {
+	n.CPU = nil
+	clear(n.outstanding)
+	n.nOutstanding, n.wtPending = 0, 0
+	n.reclaimTxns()
+	n.pendInv, n.delayed, n.posting = n.pendInv[:0], n.delayed[:0], n.posting[:0]
+	n.fanout = n.fanout[:0]
+	clear(n.pendInvSet)
+	clear(n.delayedSet)
+	n.releaseParked, n.wbParked = false, false
+	clear(n.home.q)
+	n.eagerHome, n.tardis = nil, nil
+	n.sync.reset()
 }
 
 // Deliver routes an arriving message to its handler in the family's

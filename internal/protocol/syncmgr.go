@@ -62,6 +62,14 @@ func (s *syncNode) init() {
 	s.flags = make(map[uint64]*flagState)
 }
 
+// reset forgets every object and the wait gate.
+func (s *syncNode) reset() {
+	clear(s.locks)
+	clear(s.bars)
+	clear(s.flags)
+	s.gate = nil
+}
+
 func (s *syncNode) lock(id uint64) *lockState {
 	l := s.locks[id]
 	if l == nil {

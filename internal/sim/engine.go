@@ -129,14 +129,31 @@ func (e *Engine) SetTaskTracer(t TaskTracer) { e.tracer = t }
 func (e *Engine) SetProfiler(p *perf.Profiler) { e.prof = p }
 
 // NewEngine returns an engine at time zero with an empty event queue: one
-// allocation, whose node slab and far heap grow on demand — the model
-// checker builds one per schedule for machines that queue a dozen events;
-// a 64-processor cell's 64–255 are a few doublings away.
+// allocation, whose node slab and far heap grow on demand — a litmus
+// machine queues a dozen events; a 64-processor cell's 64–255 are a few
+// doublings away.
 func NewEngine() *Engine {
 	e := &Engine{nkinds: builtinKinds}
 	e.kinds[kindResume].phase = perf.PhaseFrontend
 	e.kinds[kindTick].phase = perf.PhaseBackground
+	e.Reset()
 	return e
+}
+
+// Reset rewinds the engine to what NewEngine returns — time, sequence
+// number and event count zero, no event queued, no context, no ticker,
+// not stopped — keeping its wiring: the registered kinds and the attached
+// chooser, tracer and profiler. The model checker rewinds one engine per
+// worker between schedules; the queue's storage is kept. Not during Run.
+func (e *Engine) Reset() {
+	e.now, e.seq, e.nEvents, e.nbg, e.stopped = 0, 0, 0, 0, false
+	e.q.reset()
+	e.release() // a no-op after Run, which releases its contexts itself
+	clear(e.contexts)
+	e.contexts = e.contexts[:0]
+	e.nparked = 0
+	clear(e.tickers)
+	e.tickers = e.tickers[:0]
 }
 
 // Register adds an event kind, once, when its owner is wired to the engine:

@@ -7,8 +7,8 @@ import "math/bits"
 // schedules 94 % of its events < 256 cycles ahead, 99.6 % < 512 and
 // 99.9 % < 1 024 (trafficDeltas in bench_test.go). On BenchmarkEventQueue's
 // mix rows W = 512 is 2–4 ns per event ahead of 256 and level with 1 024,
-// cell_bare cannot tell the three apart, and the model checker pays for
-// the slot array once per explored schedule: hence the smallest.
+// cell_bare cannot tell the three apart, and the model checker clears the
+// slot array once per explored schedule: hence the smallest.
 const (
 	wheelSize  = 256
 	wheelMask  = wheelSize - 1
@@ -111,6 +111,13 @@ type eventQueue struct {
 }
 
 func (q *eventQueue) len() int { return q.near + len(q.far) }
+
+// reset empties the queue, keeping the node slab's and far heap's storage.
+func (q *eventQueue) reset() {
+	q.nodes.Reset()
+	clear(q.far)
+	*q = eventQueue{nodes: q.nodes, far: q.far[:0]}
+}
 
 // push queues ev, which must not be before the engine's clock.
 func (q *eventQueue) push(ev *event) {

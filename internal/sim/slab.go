@@ -23,7 +23,7 @@ func (s *Slab[T]) Alloc() uint32 {
 	}
 	if len(s.items) == 0 {
 		// Item 0 backs the "none" handle; 16 suit a litmus machine, whose
-		// slabs the model checker builds anew per schedule.
+		// slabs the model checker rewinds between schedules (Reset).
 		s.items = make([]T, 1, 16)
 	}
 	var zero T
@@ -39,4 +39,12 @@ func (s *Slab[T]) Free(h uint32) {
 	var zero T
 	s.items[h] = zero
 	s.free = append(s.free, h)
+}
+
+// Reset vacates every item, keeping the backing array: the next Alloc
+// hands out handle 1, as on a slab that was never used.
+func (s *Slab[T]) Reset() {
+	clear(s.items)
+	s.items = s.items[:min(len(s.items), 1)]
+	s.free = s.free[:0]
 }

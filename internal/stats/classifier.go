@@ -59,7 +59,16 @@ func (cp copyTrack) loss() LossReason { return LossReason(cp & lossMask >> lossS
 // NewClassifier returns a classifier for nprocs processors and
 // wordsPerLine-word coherence blocks.
 func NewClassifier(nprocs, wordsPerLine int) *Classifier {
-	return &Classifier{nprocs: nprocs, words: wordsPerLine}
+	c := &Classifier{nprocs: nprocs, words: wordsPerLine}
+	c.Reset()
+	return c
+}
+
+// Reset forgets every block's track, as NewClassifier returns it. The
+// arena's uncarved rest is still zero, and later tracks are carved from it.
+func (c *Classifier) Reset() {
+	clear(c.blocks)
+	c.blocks, c.nseen, c.ver = c.blocks[:0], 0, 0
 }
 
 func (c *Classifier) track(block uint64) *blockTrack {

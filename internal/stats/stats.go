@@ -117,7 +117,14 @@ type Machine struct {
 }
 
 // NewMachine returns statistics storage for n processors.
-func NewMachine(n int) *Machine { return &Machine{Procs: make([]Proc, n)} }
+func NewMachine(n int) *Machine {
+	m := &Machine{Procs: make([]Proc, n)}
+	m.Reset()
+	return m
+}
+
+// Reset zeroes every processor's statistics.
+func (m *Machine) Reset() { clear(m.Procs) }
 
 // Aggregate sums the cycle breakdown over all processors.
 func (m *Machine) Aggregate() (cpu, read, write, sync uint64) {
