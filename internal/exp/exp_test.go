@@ -515,7 +515,7 @@ func TestStoredStudiesRenderGolden(t *testing.T) {
 	}
 	for was, now := range map[string]string{
 		"  gauss                 1.036          0.965          0.919": "  gauss                 1.036          0.965         failed",
-		"  first touch            926718 cycles  (+91.9%)":            "  first touch    failed: verification: residual too large",
+		"  first touch            926573 cycles  (+92.1%)":            "  first touch    failed: verification: residual too large",
 		"  software coherence (no overlap)    0.934":                  "  software coherence (no overlap)    failed: verification: residual too large",
 		"      16         522461         460213    0.881":             "      16 failed: verification: residual too large",
 	} {

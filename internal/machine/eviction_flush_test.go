@@ -3,32 +3,28 @@ package machine
 import (
 	"testing"
 
+	"lazyrc/internal/causal"
 	"lazyrc/internal/config"
 	"lazyrc/internal/protocol"
-	"lazyrc/internal/sim"
 )
 
 // TestLazyExtEvictionFlushOrdering pins the write-notice flush path of
-// the lazier protocol at the event level: evicting a written block whose
-// notice was deferred must post that notice at eviction time ("wn-post"),
-// strictly before the writer's next release — the release may not be what
-// forces it out — and the home must then dispatch it to the other sharer
-// ("wn-send"). Companion to TestLazyExtEvictionPostsNotice, which checks
-// the same scenario's directory end-state.
+// the lazier protocol on the span record: evicting a written block whose
+// notice was deferred must post that notice (node 0's MsgWriteReq for the
+// block) at eviction time, strictly before the writer's next release —
+// the release may not be what forces it out — and the home, node 2, must
+// then dispatch it to the other sharer (a MsgNotice to node 1). The home
+// is a third node so that both messages cross the mesh. Companion to
+// TestLazyExtEvictionPostsNotice, which checks the same scenario's
+// directory end-state.
 func TestLazyExtEvictionFlushOrdering(t *testing.T) {
-	m := newTest(t, "lrc-ext", 2, func(c *config.Config) {
+	m := newTest(t, "lrc-ext", 3, func(c *config.Config) {
 		c.CacheSize = 2 * c.LineSize // two frames: easy to evict
 	})
-	type obs struct {
-		ev protocol.ProtEvent
-		at sim.Time
-	}
-	var events []obs
-	m.Env.Observe = func(ev protocol.ProtEvent) {
-		events = append(events, obs{ev, m.Eng.Now()})
-	}
+	tr := m.EnableSpans(true, 0)
 	words := m.Cfg.WordsPerLine()
-	a := m.AllocF64(4 * words) // blocks 0..3; 0 and 2 map to the same frame
+	m.Alloc(2*m.Cfg.PageSize, true) // pages 0 and 1: the array's page is node 2's
+	a := m.AllocF64(4 * words)      // blocks b..b+3; b and b+2 map to the same frame
 	block := a.At(0) / uint64(m.Cfg.LineSize)
 	f := m.NewFlag()
 	l := m.NewLock()
@@ -41,25 +37,27 @@ func TestLazyExtEvictionFlushOrdering(t *testing.T) {
 			p.WaitFlag(f)
 			p.ReadF64(a.At(0))         // fill RO
 			p.WriteF64(a.At(0), 1.0)   // silent upgrade, deferred notice
-			p.ReadF64(a.At(2 * words)) // conflicting block: evicts block 0
+			p.ReadF64(a.At(2 * words)) // conflicting block: evicts block b
 			p.Compute(5000)
 			p.Acquire(l)
 			p.Release(l)
 		}
 	})
-	var postAt, sendAt, releaseAt sim.Time
+	var postAt, sendAt, releaseAt uint64
 	var posted, sent, released bool
-	for _, o := range events {
+	for _, s := range tr.Spans() {
 		switch {
-		case o.ev.Kind == "wn-post" && o.ev.Node == 0 && o.ev.Block == block:
+		case s.Kind == causal.KindNet && protocol.MsgKind(s.MsgKind) == protocol.MsgWriteReq &&
+			s.Node == 0 && s.Block == block:
 			if posted {
 				t.Fatalf("deferred notice for block %d posted twice", block)
 			}
-			posted, postAt = true, o.at
-		case o.ev.Kind == "wn-send" && o.ev.Block == block && o.ev.Target == 1:
-			sent, sendAt = true, o.at
-		case o.ev.Kind == "release" && o.ev.Node == 0 && !released:
-			released, releaseAt = true, o.at
+			posted, postAt = true, s.Begin
+		case s.Kind == causal.KindNet && protocol.MsgKind(s.MsgKind) == protocol.MsgNotice &&
+			s.Node == 2 && s.Block == block && s.Peer == 1:
+			sent, sendAt = true, s.Begin
+		case s.Kind == causal.KindSync && s.Why == "lock-release" && s.Node == 0 && !released:
+			released, releaseAt = true, s.Begin
 		}
 	}
 	if !posted {
@@ -69,7 +67,7 @@ func TestLazyExtEvictionFlushOrdering(t *testing.T) {
 		t.Fatal("home never dispatched the flushed notice to the other sharer")
 	}
 	if !released {
-		t.Fatal("writer's release was never observed")
+		t.Fatal("writer's release was never recorded")
 	}
 	if postAt >= releaseAt {
 		t.Fatalf("notice posted at t=%d, not before the release at t=%d — flush was release-driven, not eviction-driven",

@@ -151,3 +151,28 @@ func TestReleaseWaitsForNoticeAcks(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestLazyRetireCommitsItsOwnWords: when the older of two buffered write
+// misses retires first, its line is dirty in exactly the words written to
+// it, not in those of the entry the write buffer shifts into its slot.
+func TestLazyRetireCommitsItsOwnWords(t *testing.T) {
+	m := newTest(t, "lrc", 2, nil)
+	words := m.Cfg.WordsPerLine()
+	a := m.AllocF64(2 * words) // two adjacent blocks with one home
+	line := uint64(m.Cfg.LineSize)
+	older, newer := a.At(0)/line, a.At(words)/line
+	var dirty [2]uint64
+	m.Run(func(p *Proc) {
+		if p.ID() != 0 {
+			return
+		}
+		p.WriteF64(a.At(0), 1)       // word 0 of the older block: a buffered miss
+		p.WriteF64(a.At(words+1), 2) // word 1 of the newer one, buffered behind it
+		p.Compute(5000)              // both fills land, the older first
+		dirty[0] = m.Nodes[0].Cache.Lookup(older).Dirty
+		dirty[1] = m.Nodes[0].Cache.Lookup(newer).Dirty
+	})
+	if dirty != [2]uint64{0b01, 0b10} {
+		t.Fatalf("dirty masks %02b and %02b, want 01 and 10", dirty[0], dirty[1])
+	}
+}

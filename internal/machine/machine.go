@@ -110,7 +110,7 @@ func New(cfg config.Config, protoName string) (*Machine, error) {
 // Reset rewinds the machine to what New returns, keeping its storage and
 // wiring: the model checker runs one machine per worker, schedule after
 // schedule (DESIGN.md §9). What a caller attached — a chooser, an
-// explorer, Env.Mem — stays attached; observers (EnableMetrics,
+// explorer, a value store — stays attached; observers (EnableMetrics,
 // EnableSpans, EnablePerf) keep their records, so reset only a machine
 // that has none. Not during Run.
 func (m *Machine) Reset() {
@@ -136,6 +136,14 @@ func (m *Machine) reset() {
 		}
 	}
 }
+
+// TrackValues attaches a value store (protocol.Values): from the next Run
+// on, each processor's loads return what the protocol delivered to it —
+// a stale copy reads stale — instead of the backing store's latest
+// value. The backing store still takes every write, so MemDigest and a
+// workload's Verify see the values the processors computed. Call it
+// before Run.
+func (m *Machine) TrackValues() { m.Env.Vals = protocol.NewValues(m.Cfg) }
 
 // Protocol returns the protocol name this machine runs.
 func (m *Machine) Protocol() string { return m.protoName }
@@ -365,6 +373,9 @@ func (m *Machine) Run(worker func(p *Proc)) {
 			panic(fmt.Sprintf("%v\n%s", r, m.DumpState()))
 		}
 	}()
+	if m.Env.Vals != nil {
+		m.Env.Vals.Seed(m.backing[:m.brk])
+	}
 	m.Perf.Begin()
 	m.Eng.Run()
 	// Closing telemetry sample at the final simulated cycle (a no-op when

@@ -65,23 +65,40 @@ func (p *Proc) blockWord(a Addr) (uint64, int) {
 	return a / ls, int(a % ls / 8)
 }
 
-// access plays one shared reference through the timing model.
-func (p *Proc) access(a Addr, write bool) {
+// read plays one shared load through the timing model and returns the
+// word it observes: the value store's (Machine.TrackValues) when one is
+// attached, else the backing store's.
+func (p *Proc) read(a Addr) uint64 {
 	n := p.node
 	n.PS.CPU++ // one cycle to issue the reference
 	p.ahead++
 	p.m.Env.TouchPage(a, n.ID)
 	block, word := p.blockWord(a)
 
-	if !write {
-		n.PS.Reads++
-		if n.Cache.Lookup(block) != nil && n.Proto.ReadHit(n, block) {
-			p.maybeSync()
-			return // read hit: the protocol accepts the cached copy
-		}
+	n.PS.Reads++
+	if n.Cache.Lookup(block) != nil && n.Proto.ReadHit(n, block) {
+		p.maybeSync() // read hit: the protocol accepts the cached copy
+	} else {
 		p.syncNow()
 		n.Proto.CPURead(n, block, word)
-		return
+	}
+	if v := p.m.Env.Vals; v != nil {
+		return v.Read(n.ID, block, word)
+	}
+	return p.m.loadU64(a)
+}
+
+// write stores x to the backing store, stages it in the value store when
+// one is attached, and plays the store through the timing model.
+func (p *Proc) write(a Addr, x uint64) {
+	p.m.storeU64(a, x)
+	n := p.node
+	n.PS.CPU++ // one cycle to issue the reference
+	p.ahead++
+	p.m.Env.TouchPage(a, n.ID)
+	block, word := p.blockWord(a)
+	if v := p.m.Env.Vals; v != nil {
+		v.Stage(n.ID, block, word, x)
 	}
 
 	n.PS.Writes++
@@ -94,28 +111,16 @@ func (p *Proc) access(a Addr, write bool) {
 }
 
 // ReadF64 loads a shared float64.
-func (p *Proc) ReadF64(a Addr) float64 {
-	p.access(a, false)
-	return math.Float64frombits(p.m.loadU64(a))
-}
+func (p *Proc) ReadF64(a Addr) float64 { return math.Float64frombits(p.read(a)) }
 
 // WriteF64 stores a shared float64.
-func (p *Proc) WriteF64(a Addr, v float64) {
-	p.m.storeU64(a, math.Float64bits(v))
-	p.access(a, true)
-}
+func (p *Proc) WriteF64(a Addr, v float64) { p.write(a, math.Float64bits(v)) }
 
 // ReadI64 loads a shared int64.
-func (p *Proc) ReadI64(a Addr) int64 {
-	p.access(a, false)
-	return int64(p.m.loadU64(a))
-}
+func (p *Proc) ReadI64(a Addr) int64 { return int64(p.read(a)) }
 
 // WriteI64 stores a shared int64.
-func (p *Proc) WriteI64(a Addr, v int64) {
-	p.m.storeU64(a, uint64(v))
-	p.access(a, true)
-}
+func (p *Proc) WriteI64(a Addr, v int64) { p.write(a, uint64(v)) }
 
 // Acquire acquires l with the protocol's acquire semantics.
 func (p *Proc) Acquire(l *Lock) {

@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"lazyrc/internal/machine"
 	"lazyrc/internal/protocol"
 )
 
@@ -256,49 +257,49 @@ func TestReplayIsDeterministic(t *testing.T) {
 	}
 }
 
-func TestTrackerSemantics(t *testing.T) {
-	tr := NewTracker(2)
-	if v := tr.Read(0, 5, 1); v != 0 {
-		t.Fatalf("fresh read = %d, want 0", v)
-	}
-	tr.StageWrite(0, 5, 1, 42)
-	if v := tr.Read(0, 5, 1); v != 42 {
-		t.Fatalf("store-to-load forwarding failed: %d", v)
-	}
-	if v := tr.Read(1, 5, 1); v != 0 {
-		t.Fatalf("staged store leaked to another node: %d", v)
-	}
-	tr.Commit(0, 5, 1)
-	if v := tr.Read(0, 5, 1); v != 42 {
-		t.Fatalf("committed value lost: %d", v)
-	}
-	// Home merge then a fill at node 1 picks up the merged line.
-	tr.MergeHome(5, []uint64{7, 42}, 0b10)
-	tr.Fill(1, 5, tr.HomeLine(5))
-	if v := tr.Read(1, 5, 1); v != 42 {
-		t.Fatalf("fill after merge = %d, want 42", v)
-	}
-	if v := tr.Read(1, 5, 0); v != 0 {
-		t.Fatalf("unmasked word merged: %d", v)
+// TestValidateRejectsMisplacedVars: a variable is a word of a litmus
+// line. Loads and stores go by address, so a word past its line would
+// silently alias the next line's first word.
+func TestValidateRejectsMisplacedVars(t *testing.T) {
+	for _, v := range []Var{
+		{Name: "past", Line: 0, Word: 2},
+		{Name: "before", Line: 1, Word: -1},
+		{Name: "negative", Line: -1, Word: 0},
+	} {
+		tc := &Test{
+			Name:  v.Name,
+			Procs: 2,
+			Vars:  []Var{{Name: "x", Line: 1, Word: 0}, v},
+			Code:  [][]Op{{w(0, 1)}, {r(1)}},
+		}
+		if err := validateTest(tc); err == nil || !strings.Contains(err.Error(), "is not a word of a 2-word line") {
+			t.Errorf("%+v: err = %v, want a misplaced-variable error", v, err)
+		}
 	}
 }
 
-// TestCPUSidePanicIsAViolation: a panic on a processor context (here the
-// harness's own load path indexing past the line; equally a protocol's
-// CPURead or Acquire) is a recorded violation of that schedule, like one
-// raised in a message handler — not the end of the exploration.
+// TestCPUSidePanicIsAViolation: a panic on a processor context (here a
+// worker body's own; equally a protocol's CPURead or Acquire) is a
+// recorded violation of that schedule, like one raised in a message
+// handler — not the end of the exploration.
 func TestCPUSidePanicIsAViolation(t *testing.T) {
-	tc := &Test{
-		Name:  "word-out-of-line",
-		Procs: 2,
-		Vars:  []Var{{Name: "x", Line: 0, Word: 0}, {Name: "oob", Line: 0, Word: 2}},
-		Code:  [][]Op{{w(0, 1)}, {r(0), r(1)}},
+	tc, err := FindTest("mp-flag")
+	if err != nil {
+		t.Fatal(err)
 	}
 	for _, proto := range []string{"sc", "lrc", "tardis"} {
-		res, err := RunOnce(tc, RunConfig{Proto: proto}, nil)
+		wk, err := newWorker(tc, RunConfig{Proto: proto})
 		if err != nil {
 			t.Fatal(err)
 		}
+		program := wk.body
+		wk.body = func(p *machine.Proc) {
+			program(p)
+			if p.ID() == 1 {
+				_ = wk.regs[p.NProcs()] // one register file per processor: out of range
+			}
+		}
+		res := wk.run(nil)
 		if len(res.Violations) != 1 || !strings.HasPrefix(res.Violations[0], "panic: runtime error: index out of range") {
 			t.Errorf("%s: violations = %q, want the CPU-side panic", proto, res.Violations)
 		}

@@ -113,6 +113,9 @@ type meshFacet struct{ r *recorder }
 
 func (f meshFacet) Choose(n int) int { return f.r.choose(n) }
 
+// lineWords is the words per cache line of the litmus machine.
+const lineWords = 2
+
 // litmusConfig builds the tiny machine the litmus corpus runs on: 2-word
 // cache lines so two variables can false-share, one line per page so
 // homes interleave per line, an 8-line cache, and single-cycle run-ahead
@@ -120,9 +123,9 @@ func (f meshFacet) Choose(n int) int { return f.r.choose(n) }
 func litmusConfig(t *Test, rc RunConfig) config.Config {
 	return config.Config{
 		Procs:           t.Procs,
-		LineSize:        2 * config.WordSize,
-		CacheSize:       8 * 2 * config.WordSize,
-		PageSize:        2 * config.WordSize,
+		LineSize:        lineWords * config.WordSize,
+		CacheSize:       8 * lineWords * config.WordSize,
+		PageSize:        lineWords * config.WordSize,
 		MemSetup:        1,
 		MemBW:           8,
 		BusBW:           8,
@@ -157,25 +160,24 @@ func RunOnce(t *Test, rc RunConfig, prefix []int) (*RunResult, error) {
 }
 
 // A worker runs t under one configuration on one litmus machine, with its
-// tracker and auditor, rewinding the lot between schedules instead of
+// value store and auditor, rewinding the lot between schedules instead of
 // building another (Machine.Reset). The explorer's committer and each
 // frontier helper own one for an Explore call; RunOnce is a worker used
 // once. Each run's RunResult is its own: the committer may hold it while
 // the worker runs the next.
 type worker struct {
-	t       *Test
-	cfg     config.Config
-	m       *machine.Machine
-	tracker *Tracker
-	aud     *check.Auditor
-	rec     recorder
-	used    bool // the machine has run: rewind it before the next
-	span    int  // bytes of shared memory the test's lines take
-	locks   []*machine.Lock
-	flags   []machine.Flag
-	regs    [][]uint64
-	done    []bool
-	body    func(*machine.Proc) // w.program, bound once
+	t     *Test
+	cfg   config.Config
+	m     *machine.Machine
+	aud   *check.Auditor
+	rec   recorder
+	used  bool // the machine has run: rewind it before the next
+	span  int  // bytes of shared memory the test's lines take
+	locks []*machine.Lock
+	flags []machine.Flag
+	regs  [][]uint64
+	done  []bool
+	body  func(*machine.Proc) // w.program, bound once
 }
 
 func newWorker(t *Test, rc RunConfig) (*worker, error) {
@@ -188,11 +190,11 @@ func newWorker(t *Test, rc RunConfig) (*worker, error) {
 		return nil, err
 	}
 	w := &worker{
-		t: t, cfg: cfg, m: m, tracker: NewTracker(cfg.WordsPerLine()), aud: check.New(m),
+		t: t, cfg: cfg, m: m, aud: check.New(m),
 		locks: make([]*machine.Lock, t.Locks), flags: make([]machine.Flag, t.Flags),
 		regs: make([][]uint64, t.Procs), done: make([]bool, t.Procs),
 	}
-	m.Env.Mem = w.tracker
+	m.TrackValues()
 
 	menu := rc.Menu
 	if len(menu) == 0 {
@@ -224,7 +226,6 @@ func (w *worker) run(prefix []int) *RunResult {
 	m := w.m
 	if w.used {
 		m.Reset()
-		w.tracker.Reset()
 		w.aud.Reset()
 	}
 	w.used = true
@@ -289,13 +290,9 @@ func (w *worker) program(p *machine.Proc) {
 	for _, op := range t.Code[id] {
 		switch op.Kind {
 		case OpRead:
-			v := t.Vars[op.Var]
-			p.ReadI64(varAddr(w.cfg, v))
-			w.regs[id] = append(w.regs[id], w.tracker.Read(id, uint64(v.Line), v.Word))
+			w.regs[id] = append(w.regs[id], uint64(p.ReadI64(varAddr(w.cfg, t.Vars[op.Var]))))
 		case OpWrite:
-			v := t.Vars[op.Var]
-			w.tracker.StageWrite(id, uint64(v.Line), v.Word, op.Val)
-			p.WriteI64(varAddr(w.cfg, v), int64(op.Val))
+			p.WriteI64(varAddr(w.cfg, t.Vars[op.Var]), int64(op.Val))
 		case OpAcquire:
 			p.Acquire(w.locks[op.Obj])
 		case OpRelease:

@@ -316,14 +316,18 @@ func validateTest(t *Test) error {
 	if len(t.Code) != t.Procs {
 		return fmt.Errorf("mc: test %q: %d programs for %d procs", t.Name, len(t.Code), t.Procs)
 	}
-	lineWords := map[[2]int]string{}
+	slots := map[[2]int]string{}
 	for _, v := range t.Vars {
+		if v.Line < 0 || v.Word < 0 || v.Word >= lineWords {
+			return fmt.Errorf("mc: test %q: var %q at line %d word %d is not a word of a %d-word line",
+				t.Name, v.Name, v.Line, v.Word, lineWords)
+		}
 		k := [2]int{v.Line, v.Word}
-		if prev, dup := lineWords[k]; dup {
+		if prev, dup := slots[k]; dup {
 			return fmt.Errorf("mc: test %q: vars %q and %q share line %d word %d",
 				t.Name, prev, v.Name, v.Line, v.Word)
 		}
-		lineWords[k] = v.Name
+		slots[k] = v.Name
 	}
 	for p, code := range t.Code {
 		for i, op := range code {

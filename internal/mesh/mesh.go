@@ -98,7 +98,7 @@ type Msg struct {
 	// Vals carries the data words of a payload-bearing message (a line's
 	// worth for fills and write-backs, masked by Arg for write-throughs).
 	// The timing model only charges for Size bytes; Vals exists so a value
-	// tracker can follow which write's data each copy actually holds.
+	// store can follow which write's data each copy actually holds.
 	Vals []uint64
 
 	// Seq is the reliable-transport sequence number on the message's

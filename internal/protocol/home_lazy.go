@@ -80,7 +80,6 @@ func lazyHomeReadDir(n *Node, m mesh.Msg, memEnd uint64) {
 			sendEnd = dspEnd
 			e.Notified.Add(writer)
 			e.PendingAcks++
-			n.observe("wn-send", m.Addr, 0, writer)
 			n.send(writer, MsgNotice, m.Addr, 0, 0, 0)
 		}
 	}
@@ -134,7 +133,6 @@ func lazyHomeWriteDir(n *Node, m mesh.Msg, memEnd uint64) {
 		for _, id := range targets {
 			e.Notified.Add(id)
 			e.PendingAcks++
-			n.observe("wn-send", m.Addr, 0, id)
 			n.send(id, MsgNotice, m.Addr, 0, 0, 0)
 		}
 	}
@@ -270,7 +268,6 @@ func lazyWriteDone(n *Node, m mesh.Msg) {
 func lazyNotice(n *Node, m mesh.Msg, _ uint64) {
 	n.PS.NoticesIn++
 	if n.Cache.Lookup(m.Addr) != nil || n.txn(m.Addr) != nil {
-		n.observe("wn-apply", m.Addr, 0, m.Src)
 		n.addPendInv(m.Addr)
 	}
 	n.send(m.Src, MsgNoticeAck, m.Addr, 0, 0, 0)
@@ -306,20 +303,17 @@ func applyWTWords(n *Node, block uint64, words uint64) {
 //   - absent: an invalidation landed first — restart the write miss when
 //     the current transaction fully completes.
 func lazyRetireWB(n *Node, block uint64) {
-	e := n.WB.Find(block)
-	if e == nil {
+	if n.WB.Find(block) == nil {
 		return
 	}
 	line := n.Cache.Lookup(block)
 	switch {
 	case line != nil && line.State == cache.ReadWrite:
-		n.WB.Retire(block)
-		applyWTWords(n, block, e.Words)
+		applyWTWords(n, block, n.WB.Retire(block).Words)
 		n.wbRetired()
 	case line != nil:
 		n.Cache.Upgrade(block)
-		words := n.WB.Retire(block).Words
-		applyWTWords(n, block, words)
+		applyWTWords(n, block, n.WB.Retire(block).Words)
 		n.wbRetired()
 		if n.Proto.(lazyNoticePolicy).EagerNotices() {
 			if n.txn(block) == nil {

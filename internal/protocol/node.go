@@ -22,15 +22,9 @@ type Env struct {
 	Class *stats.Classifier
 	Nodes []*Node
 
-	// Observe, when non-nil, receives protocol-level events (sync
-	// operations, the write-notice lifecycle) — debug tests and the model
-	// checker attach here. Purely passive; never alters timing.
-	Observe func(ProtEvent)
-
-	// Mem, when non-nil, shadows the data values each cache copy and home
-	// line actually holds, making memory-model outcomes observable. Nil
-	// for performance runs.
-	Mem DataMemory
+	// Vals, when non-nil, is the value store: what each cache copy and
+	// home line actually holds (values.go). Nil for performance runs.
+	Vals *Values
 
 	// Causal, when non-nil, records every coherence transaction, stall
 	// episode, and hardware service interval as causally-linked spans.
@@ -228,12 +222,15 @@ func NewNode(env *Env, id int, proto Protocol) *Node {
 }
 
 // Reset rewinds the protocol state of the machine to what NewNode left
-// it: no continuation parked, no page touched, and every node's parts
-// and own state as new. The engine, network and statistics are the
-// machine's to rewind; the wiring (handlers, event kind) stays.
+// it: no continuation parked, no page touched, no value held, and every
+// node's parts and own state as new. The engine, network and statistics
+// are the machine's to rewind; the wiring (handlers, event kind) stays.
 func (e *Env) Reset() {
 	e.conts.Reset()
 	e.pageHome = e.pageHome[:0]
+	if e.Vals != nil {
+		e.Vals.reset()
+	}
 	for _, n := range e.Nodes {
 		n.Cache.Reset()
 		n.WB.Reset()
@@ -300,7 +297,7 @@ func (n *Node) send(dst int, kind MsgKind, block uint64, size int, arg, aux uint
 }
 
 // sendData dispatches a payload-bearing message carrying a value snapshot
-// for the data tracker (vals is nil when no tracker is attached).
+// for the value store (vals is nil when no store is attached).
 func (n *Node) sendData(dst int, kind MsgKind, block uint64, size int, arg, aux uint64, vals []uint64) {
 	m := n.msg(dst, kind, block, size, arg, aux)
 	m.Vals = vals
@@ -499,8 +496,8 @@ func (n *Node) fillLine(m mesh.Msg, st cache.LineState, filled func(*Node, mesh.
 	if evicted {
 		n.evictVictim(victim)
 	}
-	if n.Env.Mem != nil && m.Vals != nil {
-		n.Env.Mem.Fill(n.ID, block, m.Vals)
+	if n.Env.Vals != nil && m.Vals != nil {
+		n.Env.Vals.fill(n.ID, block, m.Vals)
 	}
 	n.Env.Class.Fill(n.ID, block)
 	req := n.now()
@@ -573,8 +570,8 @@ func (n *Node) loseCopy(block uint64) bool {
 func (n *Node) commitWT(block uint64, word int) {
 	n.Cache.MarkDirty(block, word)
 	n.Env.Class.CommitWrite(n.ID, block, word)
-	if n.Env.Mem != nil {
-		n.Env.Mem.Commit(n.ID, block, word)
+	if n.Env.Vals != nil {
+		n.Env.Vals.commit(n.ID, block, word)
 	}
 	if e, drain := n.CB.Put(block, word); drain {
 		n.sendWriteThrough(e)
@@ -588,8 +585,8 @@ func (n *Node) commitWT(block uint64, word int) {
 func (n *Node) commitWB(block uint64, word int) {
 	n.Cache.MarkDirty(block, word)
 	n.Env.Class.CommitWrite(n.ID, block, word)
-	if n.Env.Mem != nil {
-		n.Env.Mem.Commit(n.ID, block, word)
+	if n.Env.Vals != nil {
+		n.Env.Vals.commit(n.ID, block, word)
 	}
 }
 
@@ -674,7 +671,6 @@ func (n *Node) processPendInv() sim.Time {
 			n.removeDelayed(block)
 			n.Env.Class.Lose(n.ID, block, stats.LossCoherence)
 			n.PS.InvalsAtAcquire++
-			n.observe("inv-acquire", block, 0, -1)
 			n.send(n.homeOf(block), MsgInvNotify, block, 0, 0, 0)
 			work++
 		}
@@ -733,7 +729,6 @@ func (n *Node) postNotice(block uint64) {
 	}
 	t := n.newTxn(block)
 	t.Data.Open() // no data will come
-	n.observe("wn-post", block, 0, -1)
 	n.send(n.homeOf(block), MsgWriteReq, block, 0, 0, 0)
 }
 

@@ -101,7 +101,6 @@ func (s *syncNode) flag(id uint64) *flagState {
 
 // LockAcquire performs an acquire on the lock with the given home and id.
 func (n *Node) LockAcquire(home int, id uint64) {
-	n.observe("acquire", 0, id, -1)
 	st, root := n.Env.Causal.BeginSync(n.ID, id, "lock-acquire", n.now())
 	n.Proto.AcquireBegin(n)
 	g := &sim.Gate{}
@@ -113,7 +112,6 @@ func (n *Node) LockAcquire(home int, id uint64) {
 
 // LockRelease performs a release on the lock.
 func (n *Node) LockRelease(home int, id uint64) {
-	n.observe("release", 0, id, -1)
 	_, root := n.Env.Causal.BeginSync(n.ID, id, "lock-release", n.now())
 	n.Proto.Release(n)
 	n.send(home, MsgLockFree, n.releaseTS(), 0, 0, id)
@@ -123,8 +121,6 @@ func (n *Node) LockRelease(home int, id uint64) {
 // BarrierWait joins a barrier of the given party count: arrival has
 // release semantics, departure acquire semantics.
 func (n *Node) BarrierWait(home int, id uint64, parties int) {
-	n.observe("release", 0, id, -1)
-	n.observe("acquire", 0, id, -1)
 	st, root := n.Env.Causal.BeginSync(n.ID, id, "barrier", n.now())
 	n.Proto.Release(n)
 	g := &sim.Gate{}
@@ -136,7 +132,6 @@ func (n *Node) BarrierWait(home int, id uint64, parties int) {
 
 // FlagSet sets a one-shot flag (release semantics), waking all waiters.
 func (n *Node) FlagSet(home int, id uint64) {
-	n.observe("release", 0, id, -1)
 	_, root := n.Env.Causal.BeginSync(n.ID, id, "flag-set", n.now())
 	n.Proto.Release(n)
 	n.send(home, MsgFlagSet, n.releaseTS(), 0, 0, id)
@@ -145,7 +140,6 @@ func (n *Node) FlagSet(home int, id uint64) {
 
 // FlagWait blocks until the flag has been set (acquire semantics).
 func (n *Node) FlagWait(home int, id uint64) {
-	n.observe("acquire", 0, id, -1)
 	st, root := n.Env.Causal.BeginSync(n.ID, id, "flag-wait", n.now())
 	n.Proto.AcquireBegin(n)
 	g := &sim.Gate{}

@@ -20,7 +20,6 @@ package protocol
 import (
 	"fmt"
 	"math/bits"
-	"sort"
 
 	"lazyrc/internal/cache"
 	"lazyrc/internal/causal"
@@ -91,21 +90,15 @@ func (n *Node) installLease(block uint64, l tsLease) {
 	if l.rts > td.bts+n.tsMaxDelta() {
 		newBase := l.rts - n.tsMaxDelta()
 		td.rebases++
-		var expired []uint64
 		for b, old := range td.leases {
 			if old.rts < newBase {
-				expired = append(expired, b)
+				delete(td.leases, b)
 				continue
 			}
 			if old.wts < newBase {
 				old.wts = newBase
 				td.leases[b] = old
 			}
-		}
-		sort.Slice(expired, func(i, j int) bool { return expired[i] < expired[j] })
-		for _, b := range expired {
-			delete(td.leases, b)
-			n.observe("lease-expire", b, td.pts, -1)
 		}
 		td.bts = newBase
 	}
@@ -240,7 +233,6 @@ func tardisComplete(n *Node, t *Txn) {
 func tardisRenewAck(n *Node, m mesh.Msg) {
 	t := n.mustTxn(m.Addr, "renew ack")
 	n.installLease(m.Addr, tsLease{wts: m.Arg, rts: m.Aux})
-	n.observe("lease-renew", m.Addr, m.Aux, m.Src)
 	tardisComplete(n, t)
 }
 
@@ -347,7 +339,6 @@ func tardisYieldOrNack(n *Node, m mesh.Msg, _ uint64) {
 	vals := n.copyVals(block)
 	n.loseCopy(block)
 	delete(td.leases, block)
-	n.observe("lease-expire", block, td.pts, m.Src)
 	n.sendData(m.Src, MsgTYield, block, n.lineBytes(), ^uint64(0), wts, vals)
 }
 
@@ -425,7 +416,6 @@ func (tsPaths) AcquireTS(n *Node, ts uint64) {
 	td := n.td()
 	if ts > td.pts {
 		td.pts = ts
-		n.observe("ts-bump", 0, ts, -1)
 	}
 }
 

@@ -10,8 +10,6 @@ package protocol
 // dropped on the spot — no notice traffic ever existed to process.
 
 import (
-	"sort"
-
 	"lazyrc/internal/cache"
 	"lazyrc/internal/causal"
 )
@@ -44,7 +42,7 @@ func (*Tardis2) AcquireEnd(n *Node, done func()) {
 		return
 	}
 	td := n.td()
-	var expired []uint64
+	expired := 0
 	for b, l := range td.leases {
 		if l.rts >= td.pts {
 			continue
@@ -53,21 +51,17 @@ func (*Tardis2) AcquireEnd(n *Node, done func()) {
 		if line == nil || line.State == cache.ReadWrite || n.txn(b) != nil {
 			continue
 		}
-		expired = append(expired, b)
-	}
-	if len(expired) == 0 {
-		done()
-		return
-	}
-	sort.Slice(expired, func(i, j int) bool { return expired[i] < expired[j] })
-	for _, b := range expired {
 		if n.loseCopy(b) {
 			n.PS.InvalsAtAcquire++
 		}
 		delete(td.leases, b)
-		n.observe("lease-expire", b, td.pts, -1)
+		expired++
 	}
-	end := n.ppAcquire(causal.KindNotice, 0, uint64(len(expired))*n.noticeCost())
+	if expired == 0 {
+		done()
+		return
+	}
+	end := n.ppAcquire(causal.KindNotice, 0, uint64(expired)*n.noticeCost())
 	n.Env.Eng.At(end, done)
 }
 

@@ -103,7 +103,6 @@ func tardisHomeRenewDir(n *Node, m mesh.Msg, _ uint64) {
 	l := n.Dir.Lease(m.Addr)
 	extendLease(l, m.Arg, n.Env.Cfg.LeaseLen)
 	n.Dir.CheckLease(m.Addr, l)
-	n.observe("lease-renew", m.Addr, l.Rts, m.Src)
 	n.send(m.Src, MsgTRenewAck, m.Addr, 0, l.Wts, l.Rts)
 	tardisHomeNext(n, m.Addr)
 }
