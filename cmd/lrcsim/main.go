@@ -7,10 +7,10 @@
 //
 //	lrcsim -app mp3d -proto lrc -procs 64 -scale small
 //
-// Every setting is a flag; a word after them is refused. Telemetry and
-// span tracing are collected when their files are named (-metrics-out,
-// -spans-out); the trace carries the telemetry series as counter tracks,
-// so spans and series share one cycle axis.
+// Every setting is a flag; a word after them is refused. The run's
+// telemetry and span digests are printed on stderr; -spans-out writes
+// the spans with the telemetry series as counter tracks, so spans and
+// series share one cycle axis.
 //
 // The run is the cell preset/app/protocol that paperbench and lrcsimd
 // name; to compare protocols on one application, name their cells to
@@ -43,7 +43,6 @@ import (
 	"lazyrc/internal/protocol"
 	"lazyrc/internal/runner"
 	"lazyrc/internal/stats"
-	"lazyrc/internal/telemetry"
 )
 
 // The flags. Each is listed under exactly one heading of flagGroups, which
@@ -55,13 +54,12 @@ var (
 	scale      = flag.String("scale", "small", "input scale: tiny, small, medium, paper; the per-processor cache co-scales with it (paper §3), as in paperbench and lrcsimd")
 	future     = flag.Bool("future", false, "use the §4.3 future-machine parameters (the \"future\" preset)")
 	contention = flag.Bool("contention", false, "print the per-resource contention report")
-	traffic    = flag.Bool("traffic", false, "print the per-message-kind traffic breakdown")
+	traffic    = flag.Bool("traffic", false, "print the per-message-kind traffic breakdown with its latency quantiles, and the write and coalescing buffers' residency")
 	seed       = flag.Uint64("seed", 1, "seed of the fault injector (-faults); the same seed replays the same schedule")
 	faultPlan  = flag.String("faults", "", "fault-injection plan for the interconnect, e.g. 'delay=0.05:1:64,dup=0.03:32,reorder=0.02:48' (see internal/faults.ParsePlan); the run is guarded and judged as the chaos soak's cells are")
 	cpuprofile = flag.String("cpuprofile", "", "write a CPU profile of the simulation to this file")
 	memprofile = flag.String("memprofile", "", "write a heap profile to this file at exit")
 	replayFile = flag.String("replay", "", "replay a model-checker counterexample schedule (JSON from lrccheck) instead of running an application")
-	metricsOut = flag.String("metrics-out", "", fmt.Sprintf("write the run's cycle-domain telemetry, sampled every %d cycles as for a stored cell (so the export hashes to its metrics_digest), to this file as JSONL", runner.MetricsInterval))
 	spansOut   = flag.String("spans-out", "", fmt.Sprintf("trace causal coherence-transaction spans and write them, with the telemetry series (sampled every %d cycles) as counter tracks, to this file as Perfetto/Chrome trace-event JSON", runner.MetricsInterval))
 	critPath   = flag.Int("critical-path", 0, "print the critical-path stall attribution table and the N longest stall episodes (implies span retention)")
 	validateS  = flag.String("validate-spans", "", "validate a Perfetto trace JSON export against the trace-event schema and exit")
@@ -76,7 +74,7 @@ var flagGroups = []struct {
 	flags   []string
 }{
 	{"Run", []string{"app", "proto", "procs", "scale", "future", "seed"}},
-	{"Observers", []string{"contention", "traffic", "metrics-out", "spans-out", "critical-path"}},
+	{"Observers", []string{"contention", "traffic", "spans-out", "critical-path"}},
 	{"Faults", []string{"faults"}},
 	{"Profiling", []string{"perf", "cpuprofile", "memprofile"}},
 	{"File tools", []string{"replay", "validate-spans"}},
@@ -178,12 +176,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 		fmt.Fprintln(stderr, verdict)
 	}
-	if *metricsOut != "" {
-		if err := perf.WriteFile(*metricsOut, m.Tel.Export); err != nil {
-			return fail(err)
-		}
-		fmt.Fprintf(stderr, "metrics: %d samples (%s) to %s\n", m.Tel.Samples(), telemetry.SchemaVersion, *metricsOut)
-	}
+	fmt.Fprintf(stderr, "metrics: %d samples (digest %s)\n", m.Tel.Samples(), res.MetricsDigest)
 	if d := m.Causal.Dropped(); d > 0 {
 		fmt.Fprintf(stderr, "warning: span store truncated: %d spans dropped\n", d)
 	}

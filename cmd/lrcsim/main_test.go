@@ -23,6 +23,7 @@ import (
 	"lazyrc/internal/protocol"
 	"lazyrc/internal/runner"
 	"lazyrc/internal/store"
+	"lazyrc/internal/telemetry"
 )
 
 func tinyRun(t *testing.T, metrics, spans bool) *machine.Machine {
@@ -51,9 +52,9 @@ func tinyRun(t *testing.T, metrics, spans bool) *machine.Machine {
 // it as the runner does: for one tiny cell per protocol (and one on the
 // future machine) of BENCH_baseline.json, and the soak's storm cell of
 // fft under lrc-ext from BENCH_chaos.json, the execution time equals the
-// committed run, the -metrics-out export hashes to its metrics_digest
-// and the printed span digest is its span_digest. The faulted run is
-// also judged as the soak judges it, against the fault-free cell.
+// committed run and the printed metrics and span digests are its
+// metrics_digest and span_digest. The faulted run is also judged as the
+// soak judges it, against the fault-free cell.
 func TestCellMatchesBaseline(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs simulations")
@@ -82,9 +83,9 @@ func TestCellMatchesBaseline(t *testing.T) {
 		"-scale", chaos.Scale, "-procs", fmt.Sprint(chaos.Procs), "-seed", "1", "-faults", storm}})
 
 	dir := t.TempDir()
-	metricsFile, traceFile := filepath.Join(dir, "m.jsonl"), filepath.Join(dir, "t.json")
+	traceFile := filepath.Join(dir, "t.json")
 	t.Cleanup(func() {
-		for _, name := range []string{"app", "proto", "future", "scale", "procs", "faults", "metrics-out", "spans-out"} {
+		for _, name := range []string{"app", "proto", "future", "scale", "procs", "faults", "spans-out"} {
 			flag.Set(name, flag.Lookup(name).DefValue)
 		}
 	})
@@ -98,19 +99,16 @@ func TestCellMatchesBaseline(t *testing.T) {
 			flag.Set(name, flag.Lookup(name).DefValue)
 		}
 		var stdout, stderr bytes.Buffer
-		code := run(append(c.args, "-metrics-out", metricsFile, "-spans-out", traceFile), &stdout, &stderr)
+		code := run(append(c.args, "-spans-out", traceFile), &stdout, &stderr)
 		if code != 0 {
 			t.Fatalf("%s: exit %d: %s", c.key, code, stderr.String())
 		}
 		if line := fmt.Sprintf("execution time %d cycles", w.ExecCycles); !strings.Contains(strings.Join(strings.Fields(stdout.String()), " "), line) {
 			t.Errorf("%s: lrcsim printed no %q:\n%s", c.key, line, stdout.String())
 		}
-		export, err := os.ReadFile(metricsFile)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if sum := fmt.Sprintf("%x", sha256.Sum256(export)); sum != w.MetricsDigest {
-			t.Errorf("%s: the -metrics-out export hashes to %s, the report's metrics_digest is %s", c.key, sum, w.MetricsDigest)
+		samples, _, _ := strings.Cut(w.MetricsDigest, "-")
+		if line := fmt.Sprintf("metrics: %s samples (digest %s)\n", samples, w.MetricsDigest); !strings.Contains(stderr.String(), line) {
+			t.Errorf("%s: lrcsim printed no %q: %s", c.key, line, stderr.String())
 		}
 		if digest := "(digest " + w.SpanDigest + ")"; !strings.Contains(stderr.String(), digest) {
 			t.Errorf("%s: lrcsim printed no span %s: %s", c.key, digest, stderr.String())
@@ -199,8 +197,8 @@ func TestEveryFlagInExactlyOneGroup(t *testing.T) {
 			t.Errorf("-%s is listed under %d headings, want exactly 1", f.Name, listed[f.Name])
 		}
 	})
-	if registered != 17 {
-		t.Errorf("%d flags registered, want 17: adding an option needs a reason (ROADMAP aim 2)", registered)
+	if registered != 16 {
+		t.Errorf("%d flags registered, want 16: adding an option needs a reason (ROADMAP aim 2)", registered)
 	}
 	var out bytes.Buffer
 	flag.CommandLine.SetOutput(&out)
@@ -292,7 +290,7 @@ func TestFailedRunKeepsItsProfiles(t *testing.T) {
 
 // TestOneTimeline: -spans-out writes one timeline, the spans and every
 // telemetry series of the run on one cycle axis. The trace validates;
-// each series of the -metrics-out export is exactly one counter track,
+// each series the cell's run retains is exactly one counter track,
 // which read back at the points' stamps (a level point at its sample, a
 // delta point at the start of its interval) gives every point; without
 // the counters and the machine process's name its events are the
@@ -303,15 +301,15 @@ func TestOneTimeline(t *testing.T) {
 		t.Skip("runs simulations")
 	}
 	t.Cleanup(func() {
-		for _, name := range []string{"app", "proto", "scale", "procs", "metrics-out", "spans-out", "validate-spans"} {
+		for _, name := range []string{"app", "proto", "scale", "procs", "spans-out", "validate-spans"} {
 			flag.Set(name, flag.Lookup(name).DefValue)
 		}
 	})
 	dir := t.TempDir()
-	traceFile, metricsFile := filepath.Join(dir, "t.json"), filepath.Join(dir, "m.jsonl")
+	traceFile := filepath.Join(dir, "t.json")
 	var stdout, stderr bytes.Buffer
 	if code := run([]string{"-app", "gauss", "-proto", "lrc", "-procs", "16", "-scale", "tiny",
-		"-spans-out", traceFile, "-metrics-out", metricsFile}, &stdout, &stderr); code != 0 {
+		"-spans-out", traceFile}, &stdout, &stderr); code != 0 {
 		t.Fatalf("exit %d: %s", code, stderr.String())
 	}
 	if code := run([]string{"-validate-spans", traceFile}, &stdout, &stderr); code != 0 {
@@ -322,32 +320,24 @@ func TestOneTimeline(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// The export: its sample times and series.
-	export, err := os.ReadFile(metricsFile)
-	if err != nil {
+	// The run's retained registry: its sample times and series.
+	e := exp.NewEvaluator(apps.Tiny, 16)
+	e.Seed = 1
+	m, res := runner.ExecTraced(e.Job("default", "gauss", "lrc"), true)
+	if err := res.Err(); err != nil {
 		t.Fatal(err)
 	}
-	var times []uint64
+	times := m.Tel.Times()
 	type series struct {
 		Name, Mode string
 		Points     []float64
 	}
 	var all []series
-	for _, line := range bytes.Split(bytes.TrimSpace(export), []byte("\n")) {
-		var l struct {
-			Kind   string
-			Cycles []uint64
-			series
-		}
-		if err := json.Unmarshal(line, &l); err != nil {
-			t.Fatal(err)
-		}
-		switch l.Kind {
-		case "times":
-			times = l.Cycles
-		case "series":
-			all = append(all, l.series)
-		}
+	m.Tel.VisitSeries(func(s *telemetry.Series) {
+		all = append(all, series{s.Name(), s.Mode().String(), s.Points()})
+	})
+	if len(all) == 0 || len(times) != m.Tel.Samples() {
+		t.Fatalf("%d series, %d of %d sample times retained", len(all), len(times), m.Tel.Samples())
 	}
 
 	// The trace: counter tracks by (pid, name, mode), the rest in order.

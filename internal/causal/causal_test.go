@@ -436,6 +436,7 @@ func seededTrace(w io.Writer, data []byte) error {
 	}
 	tr := New(0)
 	reg := telemetry.NewRegistry(16)
+	reg.Retain(true)
 	depth := make([]*telemetry.Series, nodes)
 	for i := range depth {
 		depth[i] = reg.Series(fmt.Sprintf("wb.depth.%03d", i), telemetry.Level)

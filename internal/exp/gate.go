@@ -105,11 +105,12 @@ func Gate(baseline, fresh Report, _ ...float64) []string {
 			return b != "" && f != "" && b != f
 		}
 		if changed("metrics", base.MetricsDigest, run.MetricsDigest) {
-			fail("%s: metrics digest changed: %.12s -> %.12s (telemetry shape drift)",
-				k, base.MetricsDigest, run.MetricsDigest)
+			fail("%s: metrics digest changed: %s", k, digestDelta("samples", base.MetricsDigest, run.MetricsDigest,
+				"the run's length moved", "telemetry shape drift"))
 		}
 		if changed("span", base.SpanDigest, run.SpanDigest) {
-			fail("%s: span digest changed: %s", k, spanDigestDelta(base.SpanDigest, run.SpanDigest))
+			fail("%s: span digest changed: %s", k, digestDelta("spans", base.SpanDigest, run.SpanDigest,
+				"spans appeared or vanished", "stamps or causes moved"))
 		}
 		if changed("memory", base.MemDigest, run.MemDigest) {
 			fail("%s: memory digest changed: %.12s -> %.12s (final memory image drift)",
@@ -122,16 +123,19 @@ func Gate(baseline, fresh Report, _ ...float64) []string {
 	return v
 }
 
-// spanDigestDelta words the difference between two "<count>-<hash>" span
-// digests: a moved count means spans appeared or vanished, the hash alone
-// that stamps or causes moved.
-func spanDigestDelta(base, fresh string) string {
-	bn, bh, _ := strings.Cut(base, "-")
-	fn, fh, _ := strings.Cut(fresh, "-")
-	if bn != fn {
-		return fmt.Sprintf("spans %s -> %s, hash %s -> %s (spans appeared or vanished)", bn, fn, bh, fh)
+// digestDelta words the difference between two "<count>-<hash>" digests
+// counting unit (spans, samples): a moved count says counted, a moved
+// hash alone says hashed. A digest of an older format is shown whole.
+func digestDelta(unit, base, fresh, counted, hashed string) string {
+	bn, bh, bok := strings.Cut(base, "-")
+	fn, fh, fok := strings.Cut(fresh, "-")
+	if !bok || !fok {
+		return fmt.Sprintf("%s -> %s (digest format changed)", base, fresh)
 	}
-	return fmt.Sprintf("%s spans, hash %s -> %s (stamps or causes moved)", bn, bh, fh)
+	if bn != fn {
+		return fmt.Sprintf("%s %s -> %s, hash %s -> %s (%s)", unit, bn, fn, bh, fh, counted)
+	}
+	return fmt.Sprintf("%s %s, hash %s -> %s (%s)", bn, unit, bh, fh, hashed)
 }
 
 func pctDelta(b, f uint64) float64 {

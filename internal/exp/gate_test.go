@@ -136,7 +136,7 @@ func TestGateDigests(t *testing.T) {
 		r.Runs[0].MetricsDigest, r.Runs[0].SpanDigest, r.Runs[0].MemDigest = metrics, span, mem
 		return r
 	}
-	const metrics, mem = "3f7a90c1d2e4b5a6978812345678", "b1946ac92492d2347c6235b4d261"
+	const metrics, mem = "44-0670af40a5e24c6f", "b1946ac92492d2347c6235b4d261"
 	base := withDigests(metrics, "1611295-9c0f3a5577aa01fe", mem)
 	if v := Gate(base, base); len(v) != 0 {
 		t.Fatalf("identical digests failed the gate: %v", v)
@@ -160,8 +160,12 @@ func TestGateDigests(t *testing.T) {
 		fresh Report
 		want  []string
 	}{
-		{"metrics", withDigests("00"+metrics[2:], base.Runs[0].SpanDigest, mem),
-			[]string{"metrics digest changed: 3f7a90c1d2e4 -> 007a90c1d2e4"}},
+		{"metrics hash", withDigests("44-0070af40a5e24c6f", base.Runs[0].SpanDigest, mem),
+			[]string{"metrics digest changed: 44 samples, hash 0670af40a5e24c6f -> 0070af40a5e24c6f", "telemetry shape drift"}},
+		{"metrics count", withDigests("45-0670af40a5e24c6f", base.Runs[0].SpanDigest, mem),
+			[]string{"samples 44 -> 45", "the run's length moved"}},
+		{"metrics format", withDigests("3f7a90c1d2e4b5a6", base.Runs[0].SpanDigest, mem),
+			[]string{"44-0670af40a5e24c6f -> 3f7a90c1d2e4b5a6 (digest format changed)"}},
 		{"memory", withDigests(metrics, base.Runs[0].SpanDigest, "00"+mem[2:]),
 			[]string{"memory digest changed: b1946ac92492 -> 00946ac92492"}},
 		{"span hash", withDigests(metrics, "1611295-9c0f3a5577aa01ff", mem),

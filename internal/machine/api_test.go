@@ -205,19 +205,35 @@ func TestContentionReport(t *testing.T) {
 	}
 }
 
+// TestTrafficReport: the report counts every kind the run sent and, with
+// metrics on, gives each kind's latency quantiles and the buffers'
+// residency.
 func TestTrafficReport(t *testing.T) {
-	m := newTest(t, "lrc", 4, nil)
-	a := m.AllocF64(4)
-	b := m.NewBarrier(4)
-	m.Run(func(p *Proc) {
-		p.WriteF64(a.At(p.ID()), 1)
-		p.Barrier(b)
-		p.ReadF64(a.At((p.ID() + 1) % 4))
-	})
-	rep := m.TrafficReport()
-	for _, want := range []string{"ReadReq", "WriteReq", "Notice", "BarArrive", "WriteThrough"} {
-		if !strings.Contains(rep, want) {
-			t.Fatalf("traffic report missing %q:\n%s", want, rep)
+	for _, metrics := range []bool{false, true} {
+		m := newTest(t, "lrc", 4, nil)
+		if metrics {
+			m.EnableMetrics(100)
+		}
+		a := m.AllocF64(4)
+		b := m.NewBarrier(4)
+		m.Run(func(p *Proc) {
+			p.WriteF64(a.At(p.ID()), 1)
+			p.Barrier(b)
+			p.ReadF64(a.At((p.ID() + 1) % 4))
+		})
+		rep := m.TrafficReport()
+		for _, want := range []string{"ReadReq", "WriteReq", "Notice", "BarArrive", "WriteThrough"} {
+			if !strings.Contains(rep, want) {
+				t.Fatalf("traffic report missing %q:\n%s", want, rep)
+			}
+		}
+		if quantiles := strings.Contains(rep, "p99") && strings.Contains(rep, "\ncb residency "); quantiles != metrics {
+			t.Fatalf("metrics %v, quantile columns and residency rows %v:\n%s", metrics, quantiles, rep)
+		}
+		for _, line := range strings.Split(strings.TrimSpace(rep), "\n")[1:] {
+			if n := len(strings.Fields(line)); metrics && n < 5 || !metrics && n != 2 {
+				t.Fatalf("row %q has %d fields:\n%s", line, n, rep)
+			}
 		}
 	}
 }

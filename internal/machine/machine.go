@@ -615,13 +615,34 @@ func (m *Machine) FaultReport() string {
 
 // TrafficReport renders the per-message-kind traffic of the run — the
 // lazy protocols' message-combining and notice batching show up directly
-// here, which is the software-DSM motivation the paper starts from.
+// here, which is the software-DSM motivation the paper starts from. With
+// metrics enabled, each kind carries the p50/p90/p99 of its send→deliver
+// latency (its net.lat histogram), and rows for the write and coalescing
+// buffers give their entries' residency the same way.
 func (m *Machine) TrafficReport() string {
-	s := fmt.Sprintf("%-14s %12s\n", "message kind", "count")
-	for k := 0; k < protocol.NumMsgKinds(); k++ {
-		if c := m.Net.KindCount(k); c > 0 {
-			s += fmt.Sprintf("%-14s %12d\n", protocol.MsgKind(k).String(), c)
+	hists := map[string]*telemetry.Histogram{}
+	m.Tel.VisitHistograms(func(h *telemetry.Histogram) { hists[h.Name()] = h })
+	s := fmt.Sprintf("%-14s %12s", "message kind", "count")
+	if m.Tel != nil {
+		s += fmt.Sprintf(" %9s %9s %9s", "p50", "p90", "p99")
+	}
+	row := func(name string, count uint64, h *telemetry.Histogram) {
+		s += fmt.Sprintf("\n%-14s %12d", name, count)
+		if m.Tel != nil {
+			s += fmt.Sprintf(" %9.1f %9.1f %9.1f", h.Quantile(0.50), h.Quantile(0.90), h.Quantile(0.99))
 		}
 	}
-	return s
+	for k := 0; k < protocol.NumMsgKinds(); k++ {
+		if c := m.Net.KindCount(k); c > 0 {
+			name := protocol.MsgKind(k).String()
+			row(name, c, hists["net.lat."+name])
+		}
+	}
+	if m.Tel != nil {
+		for _, buf := range [...]string{"wb", "cb"} {
+			h := hists[buf+".residency"]
+			row(buf+" residency", h.Count(), h)
+		}
+	}
+	return s + "\n"
 }

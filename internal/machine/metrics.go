@@ -40,8 +40,8 @@ import (
 //     plus outage and brownout losses), and receiver-side suppression;
 //     net.retx.{depth,lat} histograms record each recovered message's
 //     backoff depth and first-send→delivery latency. Registered only
-//     when the transport is active so the zero-fault export shape — and
-//     its pinned baseline digest — is untouched.
+//     when the transport is active so the zero-fault registry's shape —
+//     and its pinned baseline digest — is untouched.
 func (m *Machine) EnableMetrics(interval uint64) *telemetry.Registry {
 	reg := telemetry.NewRegistry(interval)
 	m.Tel = reg
@@ -75,7 +75,7 @@ func (m *Machine) EnableMetrics(interval uint64) *telemetry.Registry {
 
 	// Transport series exist only when the reliable-delivery transport is
 	// engaged (a fault injector is attached): the registry digest folds
-	// every registered instrument, so the zero-fault export — and its
+	// every registered instrument, so the zero-fault registry — and its
 	// pinned baseline digest — must not change shape.
 	var trRetx, trDropped, trSuppressed *telemetry.Series
 	if m.Net.TransportActive() {

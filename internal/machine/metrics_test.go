@@ -18,7 +18,7 @@ func runGauss(t *testing.T, proto string, metricsInterval uint64) *machine.Machi
 		t.Fatal(err)
 	}
 	if metricsInterval > 0 {
-		m.EnableMetrics(metricsInterval)
+		m.EnableMetrics(metricsInterval).Retain(true)
 	}
 	app := apps.NewGauss(apps.Tiny)
 	app.Setup(m)
@@ -115,5 +115,23 @@ func TestMetricsHistogramsPopulated(t *testing.T) {
 	}
 	if cb.Max() == 0 {
 		t.Fatal("cb.residency never saw a nonzero residency")
+	}
+}
+
+// TestTransportSeriesOnlyWhenFaulted: the transport's series are
+// registered only on a machine with a fault injector, so a fault-free
+// run's digest keeps its shape.
+func TestTransportSeriesOnlyWhenFaulted(t *testing.T) {
+	for _, plan := range []string{"", "delay=0.1:1:64"} {
+		cfg := config.Default(8)
+		cfg.FaultPlan = plan
+		m, err := machine.New(cfg, "lrc")
+		if err != nil {
+			t.Fatal(err)
+		}
+		m.EnableMetrics(1000)
+		if got := m.Tel.SeriesByName("net.retx") != nil; got != (plan != "") {
+			t.Errorf("plan %q: net.retx registered = %v", plan, got)
+		}
 	}
 }

@@ -8,7 +8,7 @@ import (
 
 // telemetrySink holds the mesh's instruments: one send→deliver latency
 // histogram per message kind, created lazily so only kinds actually used
-// appear in the export. A nil sink (telemetry disabled) costs the send
+// appear in the digest. A nil sink (telemetry disabled) costs the send
 // path a single nil check.
 type telemetrySink struct {
 	reg      *telemetry.Registry
@@ -16,7 +16,7 @@ type telemetrySink struct {
 	lat      []*telemetry.Histogram // indexed by message kind
 
 	// Reliable-transport instruments, created lazily on the first
-	// recovered loss — a run that never loses a message exports neither.
+	// recovered loss — a run that never loses a message registers neither.
 	retxDepth *telemetry.Histogram // backoff depth at delivery
 	retxLat   *telemetry.Histogram // first-send -> delivery latency
 }

@@ -36,7 +36,11 @@ import (
 // simulation did not, so a v4 result must never be served beside a v5 one.
 // v6: results grew the application's answer vector; cached v5 results
 // lack it and must be recomputed.
-const fingerprintVersion = "lazyrc-job-v6"
+// v7: metrics digest v2 — a fold of every sample as it is taken
+// ("<samples>-<hash>") instead of the SHA-256 of a JSONL export. Every
+// metrics_digest changed while the simulation did not, so a v6 result
+// must never be served beside a v7 one.
+const fingerprintVersion = "lazyrc-job-v7"
 
 // Job is one simulation to run: an application at a scale, a protocol,
 // and a fully materialized machine configuration. Two jobs with the same

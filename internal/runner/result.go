@@ -37,8 +37,9 @@ type Result struct {
 	Msgs  uint64 `json:"network_msgs"`
 	Bytes uint64 `json:"network_bytes"`
 
-	// MetricsDigest is the SHA-256 of the run's canonical telemetry
-	// export (fixed sampling interval; see MetricsInterval). Telemetry is
+	// MetricsDigest is the fold of the run's telemetry samples and
+	// histograms (telemetry.Registry.Digest, "<samples>-<hash>"; fixed
+	// sampling interval, see MetricsInterval). Telemetry is
 	// cycle-domain and engine-driven, so the digest is identical across
 	// worker counts and machines — the regression gate compares it to
 	// catch shape drift that end-of-run totals would miss.
@@ -130,8 +131,8 @@ func (r *Result) Err() error {
 }
 
 // MetricsInterval is the fixed telemetry sampling interval of every
-// execution, so lrcsim's export of a cell hashes to the cell's metrics
-// digest. Part of the result contract: changing it changes
+// execution, so the metrics digest lrcsim prints for a cell is the
+// cell's stored one. Part of the result contract: changing it changes
 // every metrics digest, so bump fingerprintVersion with it.
 const MetricsInterval = 4096
 
@@ -209,9 +210,10 @@ func canceledResult(fp string, j Job, cause error) *Result {
 }
 
 // simulate executes one job, fills in its measurements and returns the
-// finished machine. retain keeps every causal span for export; otherwise
-// the tracer keeps only the digest. It is a package variable so tests can
-// substitute a crashing body to exercise panic capture.
+// finished machine. retain keeps every causal span and telemetry point
+// for a trace; otherwise the tracer and the registry keep only digests.
+// It is a package variable so tests can substitute a crashing body to
+// exercise panic capture.
 var simulate = func(j Job, res *Result, hk hooks, retain bool) (*machine.Machine, error) {
 	app, err := apps.New(j.App, j.Scale)
 	if err != nil {
@@ -226,7 +228,7 @@ var simulate = func(j Job, res *Result, hk hooks, retain bool) (*machine.Machine
 		// MemStats reads plus clock reads in one event of perf.Stride,
 		// about 4 % of a bare run) feeds the runner's throughput meta —
 		// report provenance and /api/v1/stats, which bench/ reads.
-		m.EnableMetrics(MetricsInterval)
+		m.EnableMetrics(MetricsInterval).Retain(retain)
 		m.EnableSpans(retain, 0)
 		m.EnablePerf()
 		// Faulted jobs run guarded: a protocol-invariant auditor audits
@@ -300,13 +302,13 @@ func Exec(j Job) *Result {
 
 // ExecTraced runs a job as Exec does — the same observers, and the same
 // guards for a faulted job — and also returns the finished machine, for
-// what a result does not carry: the report lrcsim prints, the exports it
+// what a result does not carry: the report lrcsim prints, the trace it
 // writes, the daemon's trace download (Machine.WritePerfetto). retain
-// keeps every causal span (costly in memory, so the stored-result path
-// does not); the span digest is the same either way. The machine is nil
-// only when the run crashed or could not be built, and Result.Failure
-// says why; a verification failure still yields it (the trace is what
-// explains it).
+// keeps every causal span and telemetry point (costly in memory, so the
+// stored-result path does not); the digests are the same either way. The
+// machine is nil only when the run crashed or could not be built, and
+// Result.Failure says why; a verification failure still yields it (the
+// trace is what explains it).
 func ExecTraced(j Job, retain bool) (*machine.Machine, *Result) {
 	return execWith(j, hooks{}, retain)
 }

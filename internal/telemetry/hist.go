@@ -11,8 +11,9 @@
 //  2. Sampling is driven by the simulation engine, never the wall clock,
 //     so a run's time series is a pure function of the run — byte-
 //     identical across worker counts, machines, and reruns at a fixed
-//     seed. The export is canonical (sorted, versioned) and carries a
-//     SHA-256 digest the regression gate can compare.
+//     seed. Each tick is folded into the run's digest as it is taken, the
+//     value the regression gate compares; the points themselves are kept
+//     only for a trace.
 //  3. Collection is strictly passive: instruments only read simulation
 //     state; enabling metrics never changes a single simulated cycle.
 package telemetry
@@ -148,19 +149,4 @@ func (h *Histogram) Quantile(q float64) float64 {
 		cum = next
 	}
 	return float64(h.max)
-}
-
-// Buckets returns the non-empty buckets as (index, count) pairs in
-// ascending index order — the sparse form used by the JSONL export.
-func (h *Histogram) Buckets() [][2]uint64 {
-	if h == nil {
-		return nil
-	}
-	var out [][2]uint64
-	for i, c := range h.counts {
-		if c != 0 {
-			out = append(out, [2]uint64{uint64(i), c})
-		}
-	}
-	return out
 }

@@ -1,6 +1,12 @@
 package telemetry
 
-import "sort"
+import (
+	"fmt"
+	"math"
+	"sort"
+
+	"lazyrc/internal/fold"
+)
 
 // Mode selects how a Series turns its instantaneous value into points.
 type Mode uint8
@@ -15,7 +21,7 @@ const (
 	Delta
 )
 
-// String returns the mode mnemonic used in the JSONL export.
+// String returns the mode mnemonic, a trace counter's value key.
 func (m Mode) String() string {
 	if m == Delta {
 		return "delta"
@@ -24,9 +30,9 @@ func (m Mode) String() string {
 }
 
 // Series is one named time series. Sampler callbacks Set (or Add) its
-// current value; the registry appends one point per sampling tick. A nil
-// *Series discards updates, so sources need no enabled-check of their
-// own.
+// current value; the registry takes one point per sampling tick, folds it
+// into its digest and, when it retains, stores it. A nil *Series discards
+// updates, so sources need no enabled-check of their own.
 type Series struct {
 	name string
 	mode Mode
@@ -77,7 +83,8 @@ func (s *Series) Add(v float64) {
 	s.cur += v
 }
 
-// Points returns a copy of the sampled points (one per registry tick).
+// Points returns a copy of the stored points (one per registry tick; none
+// unless the registry retains).
 func (s *Series) Points() []float64 {
 	if s == nil || s.n == 0 {
 		return nil
@@ -89,14 +96,14 @@ func (s *Series) Points() []float64 {
 	return out
 }
 
-// sample appends the tick's point according to the series mode.
-func (s *Series) sample() {
+// point returns the tick's point according to the series mode.
+func (s *Series) point() float64 {
 	v := s.cur
 	if s.mode == Delta {
 		v -= s.prev
 		s.prev = s.cur
 	}
-	s.push(v)
+	return v
 }
 
 // push appends one point.
@@ -118,11 +125,20 @@ func (s *Series) push(v float64) {
 // The registry itself never schedules anything: the owner (the machine)
 // drives Sample from simulation-engine events, which is what makes the
 // series cycle-domain and deterministic.
+//
+// Every tick is folded into the registry's digest as it is taken; the
+// tick stamps and points are stored only by a retaining registry (Retain),
+// for the one reader that draws them, a trace (causal.WritePerfetto).
 type Registry struct {
 	interval uint64
 	meta     map[string]string
 
-	times    []uint64
+	retain bool
+	ticks  int
+	last   uint64   // the latest tick's stamp
+	fold   fold.Rec // every tick's stamp and points, in registration order
+	times  []uint64 // retained tick stamps
+
 	series   []*Series
 	byName   map[string]*Series
 	hists    []*Histogram
@@ -131,18 +147,30 @@ type Registry struct {
 }
 
 // NewRegistry returns an empty registry sampling every interval cycles
-// (the interval is recorded in the export header; the owner enforces it).
+// (the interval is folded into the digest; the owner enforces it). It
+// keeps the digest alone until Retain says otherwise.
 func NewRegistry(interval uint64) *Registry {
 	return &Registry{
 		interval: interval,
 		meta:     map[string]string{},
+		fold:     fold.Rec(fold.Seed),
 		byName:   map[string]*Series{},
 		histBy:   map[string]*Histogram{},
 	}
 }
 
+// Retain sets whether Sample stores each tick's stamp and points besides
+// folding them: on for a run whose trace will be written, off (the
+// default) for one that keeps only the digest. Call it before the first
+// Sample. Safe on a nil registry.
+func (r *Registry) Retain(on bool) {
+	if r != nil {
+		r.retain = on
+	}
+}
+
 // SetMeta records a run-metadata key (application, protocol, seed...)
-// for the export header. Safe on a nil registry.
+// for the digest. Safe on a nil registry.
 func (r *Registry) SetMeta(k, v string) {
 	if r == nil {
 		return
@@ -193,22 +221,30 @@ func (r *Registry) OnSample(fn func()) {
 }
 
 // Sample records one tick at simulated time now: sampler callbacks run,
-// then every series appends its point. A repeated Sample at the same
-// timestamp is ignored, so the owner can safely take a closing sample at
-// end of run even when the run ended exactly on a tick.
+// then the tick's stamp and every series' point, as float64 bits, are
+// folded into the digest (and stored, when the registry retains). A
+// repeated Sample at the same timestamp is ignored, so the owner can
+// safely take a closing sample at end of run even when the run ended
+// exactly on a tick.
 func (r *Registry) Sample(now uint64) {
-	if r == nil {
-		return
-	}
-	if n := len(r.times); n > 0 && r.times[n-1] == now {
+	if r == nil || r.ticks > 0 && r.last == now {
 		return
 	}
 	for _, fn := range r.samplers {
 		fn()
 	}
-	r.times = append(r.times, now)
+	r.ticks++
+	r.last = now
+	r.fold.Word(now)
+	if r.retain {
+		r.times = append(r.times, now)
+	}
 	for _, s := range r.series {
-		s.sample()
+		v := s.point()
+		r.fold.Word(math.Float64bits(v))
+		if r.retain {
+			s.push(v)
+		}
 	}
 }
 
@@ -217,10 +253,68 @@ func (r *Registry) Samples() int {
 	if r == nil {
 		return 0
 	}
-	return len(r.times)
+	return r.ticks
 }
 
-// Times returns the simulated timestamp of every tick.
+// Digest returns the run's telemetry fingerprint, "<samples>-<16 hex>":
+// the fold Sample kept, finished with what frames it — the meta pairs
+// sorted by key, the interval and the tick count, each series' name and
+// mode, and each histogram's name, buckets, count, sum, min and max. Two
+// runs with identical time series and histograms digest identically; any
+// drift in when cycles were spent or where traffic flowed changes it,
+// even when end-of-run totals happen to agree. The registry is not
+// changed, so Digest may be called again.
+func (r *Registry) Digest() string {
+	if r == nil {
+		return ""
+	}
+	h := r.fold
+	keys := make([]string, 0, len(r.meta))
+	for k := range r.meta {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	h.Word(uint64(len(keys)))
+	for _, k := range keys {
+		foldString(&h, k)
+		foldString(&h, r.meta[k])
+	}
+	h.Word(r.interval)
+	h.Word(uint64(r.ticks))
+	h.Word(uint64(len(r.series)))
+	for _, s := range r.series {
+		foldString(&h, s.name)
+		h.Word(uint64(s.mode))
+	}
+	hists := r.sortedHists()
+	h.Word(uint64(len(hists)))
+	for _, hist := range hists {
+		foldString(&h, hist.name)
+		for _, c := range hist.counts {
+			h.Word(c)
+		}
+		for _, w := range [...]uint64{hist.count, hist.sum, hist.min, hist.max} {
+			h.Word(w)
+		}
+	}
+	return fmt.Sprintf("%d-%016x", r.ticks, h.Sum())
+}
+
+// foldString folds s in as its length and then its bytes, eight to a word.
+func foldString(h *fold.Rec, s string) {
+	h.Word(uint64(len(s)))
+	var w uint64
+	for i := 0; i < len(s); i++ {
+		w = w<<8 | uint64(s[i])
+		if i%8 == 7 || i == len(s)-1 {
+			h.Word(w)
+			w = 0
+		}
+	}
+}
+
+// Times returns the simulated timestamp of every tick (none unless the
+// registry retains).
 func (r *Registry) Times() []uint64 {
 	if r == nil {
 		return nil
@@ -236,14 +330,6 @@ func (r *Registry) SeriesByName(name string) *Series {
 	return r.byName[name]
 }
 
-// sortedSeries returns the series sorted by name — the canonical export
-// order, independent of registration order.
-func (r *Registry) sortedSeries() []*Series {
-	out := append([]*Series(nil), r.series...)
-	sort.Slice(out, func(i, j int) bool { return out[i].name < out[j].name })
-	return out
-}
-
 // sortedHists returns the histograms sorted by name.
 func (r *Registry) sortedHists() []*Histogram {
 	out := append([]*Histogram(nil), r.hists...)
@@ -251,12 +337,14 @@ func (r *Registry) sortedHists() []*Histogram {
 	return out
 }
 
-// VisitSeries calls fn for every series in canonical (name) order.
+// VisitSeries calls fn for every series in name order.
 func (r *Registry) VisitSeries(fn func(*Series)) {
 	if r == nil {
 		return
 	}
-	for _, s := range r.sortedSeries() {
+	sorted := append([]*Series(nil), r.series...)
+	sort.Slice(sorted, func(i, j int) bool { return sorted[i].name < sorted[j].name })
+	for _, s := range sorted {
 		fn(s)
 	}
 }

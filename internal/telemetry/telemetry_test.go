@@ -1,8 +1,6 @@
 package telemetry
 
 import (
-	"bytes"
-	"encoding/json"
 	"fmt"
 	"math"
 	"strings"
@@ -81,6 +79,7 @@ func TestDisabledPathZeroAllocs(t *testing.T) {
 		h.Observe(42)
 		s.Set(1)
 		s.Add(2)
+		r.Retain(true)
 		r.Sample(100)
 		r.Histogram("x").Observe(1)
 		r.Series("y", Delta).Add(1)
@@ -92,6 +91,7 @@ func TestDisabledPathZeroAllocs(t *testing.T) {
 
 func TestSeriesLevelVsDelta(t *testing.T) {
 	r := NewRegistry(10)
+	r.Retain(true)
 	lvl := r.Series("depth", Level)
 	del := r.Series("msgs", Delta)
 
@@ -122,6 +122,7 @@ func TestSeriesLevelVsDelta(t *testing.T) {
 
 func TestRegistryOnSample(t *testing.T) {
 	r := NewRegistry(5)
+	r.Retain(true)
 	g := r.Series("gauge", Level)
 	v := 0.0
 	r.OnSample(func() { g.Set(v) })
@@ -147,72 +148,121 @@ func TestSeriesModeFirstRegistrationWins(t *testing.T) {
 	}
 }
 
-func buildRegistry() *Registry {
+// buildRegistry samples five ticks of a delta series, two level series
+// and a histogram; change, when not nil, runs before each tick is taken
+// and may alter what it records.
+func buildRegistry(retain bool, change func(r *Registry, tick int, stamp *uint64)) *Registry {
 	r := NewRegistry(100)
+	r.Retain(retain)
 	r.SetMeta("app", "gauss")
 	r.SetMeta("seed", "1")
 	s := r.Series("stall.cpu", Delta)
-	q := r.Series("wb.depth.000", Level)
+	q0 := r.Series("wb.depth.000", Level)
+	q1 := r.Series("wb.depth.001", Level)
 	h := r.Histogram("net.lat.RdReq")
 	for i := 1; i <= 5; i++ {
 		s.Add(float64(i * 10))
-		q.Set(float64(i % 3))
+		q0.Set(float64(i % 3))
+		q1.Set(float64(i % 4))
 		h.Observe(uint64(i * 7))
-		r.Sample(uint64(i * 100))
+		stamp := uint64(i * 100)
+		if change != nil {
+			change(r, i, &stamp)
+		}
+		r.Sample(stamp)
 	}
 	return r
 }
 
-func TestExportDigestDeterministic(t *testing.T) {
-	// The header line states the schema, the counts and the meta.
-	var buf bytes.Buffer
-	if err := buildRegistry().Export(&buf); err != nil {
-		t.Fatal(err)
+// TestRetainedAndDigestOnlyAgree: a registry that stores its points and
+// one that only folds them digest the same ticks identically, and Digest
+// leaves the registry as it was.
+func TestRetainedAndDigestOnlyAgree(t *testing.T) {
+	kept, folded := buildRegistry(true, nil), buildRegistry(false, nil)
+	d := folded.Digest()
+	if kept.Digest() != d || folded.Digest() != d {
+		t.Fatalf("digests %q (retained), %q then %q (digest-only)", kept.Digest(), d, folded.Digest())
 	}
-	line, _, _ := bytes.Cut(buf.Bytes(), []byte("\n"))
-	var hdr Header
-	if err := json.Unmarshal(line, &hdr); err != nil {
-		t.Fatalf("header: %v", err)
+	if hash, ok := strings.CutPrefix(d, "5-"); !ok || len(hash) != 16 {
+		t.Fatalf("digest %q is not <samples>-<16 hex>", d)
 	}
-	if hdr.Schema != SchemaVersion || hdr.Interval != 100 || hdr.Samples != 5 || hdr.Series != 2 || hdr.Hists != 1 ||
-		len(hdr.Meta) != 2 || hdr.Meta["app"] != "gauss" {
-		t.Fatalf("header = %+v", hdr)
+	if folded.Samples() != 5 || folded.Times() != nil || folded.SeriesByName("stall.cpu").Points() != nil {
+		t.Fatalf("digest-only registry: %d samples, stored %v and %v",
+			folded.Samples(), folded.Times(), folded.SeriesByName("stall.cpu").Points())
 	}
-
-	d1 := buildRegistry().Digest()
-	d2 := buildRegistry().Digest()
-	if d1 == "" || d1 != d2 {
-		t.Fatalf("digest not deterministic: %q vs %q", d1, d2)
-	}
-	// Registration order must not matter: build with names registered in a
-	// different order.
-	r := NewRegistry(100)
-	r.SetMeta("seed", "1")
-	r.SetMeta("app", "gauss")
-	h := r.Histogram("net.lat.RdReq")
-	q := r.Series("wb.depth.000", Level)
-	s := r.Series("stall.cpu", Delta)
-	for i := 1; i <= 5; i++ {
-		s.Add(float64(i * 10))
-		q.Set(float64(i % 3))
-		h.Observe(uint64(i * 7))
-		r.Sample(uint64(i * 100))
-	}
-	if d3 := r.Digest(); d3 != d1 {
-		t.Fatalf("digest depends on registration order: %q vs %q", d3, d1)
-	}
-	// And data changes must change it.
-	r2 := buildRegistry()
-	r2.Histogram("net.lat.RdReq").Observe(9999)
-	if r2.Digest() == d1 {
-		t.Fatal("digest unchanged after extra observation")
+	if len(kept.Times()) != 5 || len(kept.SeriesByName("wb.depth.001").Points()) != 5 {
+		t.Fatalf("retaining registry stored %v and %v", kept.Times(), kept.SeriesByName("wb.depth.001").Points())
 	}
 }
 
-// TestSeriesStorage: points sampled across several chunks come back in
-// order, -0 stays -0, and the series line is encoding/json's.
+// TestDigestSeesEveryChange: any one change to what a run samples or
+// observes changes its digest.
+func TestDigestSeesEveryChange(t *testing.T) {
+	base := buildRegistry(false, nil).Digest()
+	changes := map[string]func(r *Registry, tick int, stamp *uint64){
+		"one point": func(r *Registry, tick int, _ *uint64) {
+			if tick == 3 {
+				r.SeriesByName("wb.depth.000").Add(1)
+			}
+		},
+		"one tick stamp": func(_ *Registry, tick int, stamp *uint64) {
+			if tick == 4 {
+				*stamp++
+			}
+		},
+		"two series' values swapped": func(r *Registry, tick int, _ *uint64) {
+			if tick == 3 { // 0 and 3
+				r.SeriesByName("wb.depth.000").Set(3)
+				r.SeriesByName("wb.depth.001").Set(0)
+			}
+		},
+		"one meta value": func(r *Registry, tick int, _ *uint64) {
+			if tick == 5 {
+				r.SetMeta("seed", "2")
+			}
+		},
+		"one histogram observation": func(r *Registry, tick int, _ *uint64) {
+			if tick == 1 {
+				r.Histogram("net.lat.RdReq").Observe(7)
+			}
+		},
+	}
+	for name, change := range changes {
+		if d := buildRegistry(false, change).Digest(); d == base {
+			t.Errorf("%s: digest unchanged (%s)", name, d)
+		}
+	}
+}
+
+// TestSampleAllocatesNothing is the observer's memory budget as a test:
+// after its first tick, a digest-only registry of the 64-processor
+// machine's shape (332 series: five per node, twelve machine-wide) takes
+// a sample without allocating.
+func TestSampleAllocatesNothing(t *testing.T) {
+	r := NewRegistry(4096)
+	series := make([]*Series, 5*64+12)
+	for i := range series {
+		series[i] = r.Series(fmt.Sprintf("s.%03d", i), Mode(i%2))
+	}
+	now := uint64(0)
+	tick := func() {
+		now += 4096
+		for i, s := range series {
+			s.Set(float64(now) + float64(i))
+		}
+		r.Sample(now)
+	}
+	tick()
+	if allocs := testing.AllocsPerRun(100, tick); allocs != 0 {
+		t.Fatalf("Sample allocates %v times per tick", allocs)
+	}
+}
+
+// TestSeriesStorage: a retaining registry's points, sampled across
+// several chunks, come back in order, and -0 stays -0.
 func TestSeriesStorage(t *testing.T) {
 	r := NewRegistry(1)
+	r.Retain(true)
 	s := r.Series("x", Level)
 	var want []float64
 	for i := 0; i < 3000; i++ {
@@ -238,31 +288,12 @@ func TestSeriesStorage(t *testing.T) {
 			t.Fatalf("point %d = %v, want %v", i, got[i], want[i])
 		}
 	}
-	var a, b bytes.Buffer
-	if err := r.Export(&a); err != nil {
-		t.Fatal(err)
-	}
-	if err := refExport(r, &b); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(a.Bytes(), b.Bytes()) {
-		t.Fatal("Export differs from encoding/json's bytes")
-	}
 }
 
-// TestExportRefusesNonFinite: a point JSON cannot carry fails the export,
-// as it fails encoding/json.
-func TestExportRefusesNonFinite(t *testing.T) {
-	r := NewRegistry(1)
-	r.Series("x", Level).Set(math.Inf(1))
-	r.Sample(1)
-	if err := r.Export(&bytes.Buffer{}); err == nil {
-		t.Fatal("exported +Inf")
-	}
-}
-
-// FuzzAppendFloat: the series appender writes every finite float64 as
-// json.Marshal does.
+// FuzzAppendFloat: every float64 a tick appends to a series — zeros of
+// both signs, subnormals, extremes, NaN payloads — is stored bit for bit
+// by a retaining registry, folded to the same digest by a digest-only
+// one, and told apart from the value one bit away.
 func FuzzAppendFloat(f *testing.F) {
 	for _, v := range []float64{0, math.Copysign(0, -1), 5e-324, -5e-324, 2.2250738585072009e-308,
 		math.SmallestNonzeroFloat64, 1e-6, math.Nextafter(1e-6, 0), 1e-7, 9.99e-7, 1e21,
@@ -271,16 +302,22 @@ func FuzzAppendFloat(f *testing.F) {
 		f.Add(math.Float64bits(v))
 	}
 	f.Fuzz(func(t *testing.T, bits uint64) {
-		v := math.Float64frombits(bits)
-		if math.IsNaN(v) || math.IsInf(v, 0) {
-			return
+		sample := func(retain bool, bits uint64) *Registry {
+			r := NewRegistry(1)
+			r.Retain(retain)
+			r.Series("x", Level).Set(math.Float64frombits(bits))
+			r.Sample(1)
+			return r
 		}
-		want, err := json.Marshal(v)
-		if err != nil {
-			t.Fatal(err)
+		kept, folded := sample(true, bits), sample(false, bits)
+		if pts := kept.SeriesByName("x").Points(); len(pts) != 1 || math.Float64bits(pts[0]) != bits {
+			t.Fatalf("appended %#x, stored %v", bits, pts)
 		}
-		if got := appendFloat(nil, v); string(got) != string(want) {
-			t.Fatalf("appendFloat(%v) = %s, json.Marshal says %s", v, got, want)
+		if kept.Digest() != folded.Digest() {
+			t.Fatalf("%#x: digests %q (retained), %q (digest-only)", bits, kept.Digest(), folded.Digest())
+		}
+		if sample(false, bits^1).Digest() == folded.Digest() {
+			t.Fatalf("%#x and %#x digest alike", bits, bits^1)
 		}
 	})
 }
