@@ -229,3 +229,33 @@ func BenchmarkSimulatorThroughput(b *testing.B) {
 	}
 	b.ReportMetric(float64(cycles)/b.Elapsed().Seconds(), "sim_cycles/s")
 }
+
+// BenchmarkValueStore is the value store's tax on cell_bare's job, fft/lrc
+// at medium on 64 processors as paperbench builds it: plain loads read the
+// backing store, tracked ones what the protocol delivered
+// (Config.TrackValues). Both runs play the same events, so the ratio of
+// their ns/event is the tax.
+func BenchmarkValueStore(b *testing.B) {
+	for _, v := range []struct {
+		name  string
+		track bool
+	}{{"plain", false}, {"tracked", true}} {
+		b.Run(v.name, func(b *testing.B) {
+			job := exp.NewEvaluator(apps.Medium, 64).Job("default", "fft", "lrc")
+			job.Cfg.TrackValues = v.track
+			var events uint64
+			for i := 0; i < b.N; i++ {
+				app, err := apps.New(job.App, job.Scale)
+				if err != nil {
+					b.Fatal(err)
+				}
+				m, err := apps.Run(job.Cfg, job.Proto, app)
+				if err != nil {
+					b.Fatal(err)
+				}
+				events += m.Eng.Events()
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(events), "ns/event")
+		})
+	}
+}

@@ -88,7 +88,7 @@ func TestLocalAndRemoteShareOneTail(t *testing.T) {
 			t.Fatalf("local run did not print %q:\n%s", heading, localOut)
 		}
 	}
-	for _, cfg := range []string{"line=256", "storm", "stale-density"} {
+	for _, cfg := range []string{"line=256", "storm", "track-values"} {
 		if !bytes.Contains(read("local.json"), []byte(`"config": "`+cfg+`"`)) {
 			t.Fatalf("the baseline lacks the %s cells", cfg)
 		}

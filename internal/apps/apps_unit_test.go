@@ -1,7 +1,9 @@
 package apps
 
 import (
+	"fmt"
 	"math"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -273,13 +275,6 @@ func TestBarnesTreeMassConservation(t *testing.T) {
 	}
 }
 
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
 func TestMp3dVelocitySums(t *testing.T) {
 	w := NewMp3d(Tiny)
 	m := newMachine(t, 4)
@@ -363,6 +358,43 @@ func TestMp3dVerifyCatchesEscape(t *testing.T) {
 	w.x.Poke(0, -50)
 	if w.Verify() == nil {
 		t.Fatal("escaped particle passed verification")
+	}
+}
+
+// TestMp3dVerifyBoundsEachCell: a racy tally can lose updates but never
+// invents one, so Verify bounds each cell by the particles that end in
+// it, and a count moved from an occupied cell to an empty one fails
+// though the total stays put. With values tracked, lrc's lazy copies
+// really lose tallies, and the run verifies all the same.
+func TestMp3dVerifyBoundsEachCell(t *testing.T) {
+	w := NewMp3d(Tiny)
+	cfg := config.Default(16)
+	cfg.TrackValues = true
+	if _, err := Run(cfg, "lrc", w); err != nil {
+		t.Fatalf("tracked lrc run failed: %v", err)
+	}
+	var total int64
+	from, to := -1, -1
+	for c := 0; c < w.rows*w.cols; c++ {
+		v := w.cells.Peek(c * cellWords)
+		total += v
+		if v >= 2 && from < 0 {
+			from = c
+		}
+		if v == 0 && to < 0 {
+			to = c
+		}
+	}
+	if total >= int64(w.np) {
+		t.Fatalf("tracked lrc tallied %d of %d particles: its loads did not read the value store", total, w.np)
+	}
+	if from < 0 || to < 0 {
+		t.Fatalf("no cell tallies 2 or more (%d) or none tallies 0 (%d)", from, to)
+	}
+	w.cells.Poke(from*cellWords, w.cells.Peek(from*cellWords)-1)
+	w.cells.Poke(to*cellWords, 1)
+	if err := w.Verify(); err == nil || !strings.Contains(err.Error(), fmt.Sprintf("cell %d tallies 1, but 0 particles", to)) {
+		t.Fatalf("a count moved into empty cell %d: %v", to, err)
 	}
 }
 

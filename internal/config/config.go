@@ -106,11 +106,13 @@ type Config struct {
 	// acquisition".
 	NoAcquireOverlap bool
 
-	// StaleDensity is the §4.2 quality-of-solution emulation of lazily
-	// propagated data: mp3d's collision phase reads each cell's density as
-	// of the previous step instead of the current one. The other
-	// applications ignore it.
-	StaleDensity bool
+	// TrackValues attaches a value store (protocol.Values): each
+	// processor's loads return what the protocol delivered to it — a stale
+	// copy reads stale — not the backing store's latest value, which still
+	// takes every write (MemDigest and Verify see what was computed). The
+	// store moves no event; only a program that branches on a stale value
+	// runs differently. The litmus tests and the §4.2 cells set it.
+	TrackValues bool
 
 	// CheckInvariants enables continuous directory/protocol invariant
 	// checking (panics on violation). Intended for tests.

@@ -61,13 +61,13 @@ var claims = []block{
 			}
 			return judge(n == len(b.points)-1, last < first), read
 		}},
-	{title: "§4.2: mp3d's answer drifts within 6.7 % on X and 0.1 % on Y under stale densities",
+	{title: "§4.2: mp3d's answer drifts within 6.7 % on X and 0.1 % on Y under lazy RC",
 		points: quality[0].points, apps: quality[0].apps, protos: quality[0].protos,
 		check: func(v *View, b block) (string, string) {
 			const xWithin, yWithin = 6.7, 0.1
-			fresh, stale := v.cell(b.points[0].variant, "mp3d", "sc"), v.cell(b.points[1].variant, "mp3d", "sc")
-			x, _ := divergence(fresh, stale, 0)
-			y, _ := divergence(fresh, stale, 1)
+			sc, lazy := v.cell(b.points[0].variant, "mp3d", b.protos[0]), v.cell(b.points[0].variant, "mp3d", b.protos[1])
+			x, _ := divergence(sc, lazy, 0)
+			y, _ := divergence(sc, lazy, 1)
 			return judge(x <= xWithin && y <= yWithin, x > 0), fmt.Sprintf("X %.2f %%, Y %.2f %%", x, y)
 		}},
 	{title: "every protocol survives storm with its fault-free end state",

@@ -12,7 +12,7 @@ import (
 // which every claim holds: lazy misses less than eager everywhere, the
 // lazier protocol is slower everywhere but fft, the relaxed protocols never
 // stall on a write, each longer line lowers locusroute's lazy/eager ratio,
-// mp3d's stale answer moves 5 % on X and 0.02 % on Y, and every storm run
+// mp3d's lazy answer moves 5 % on X and 0.02 % on Y, and every storm run
 // ends in its fault-free memory image.
 func claimsReport() Report {
 	rep := Report{Scale: "tiny", Procs: 4}
@@ -21,9 +21,9 @@ func claimsReport() Report {
 		r := ReportRun{Config: c[0], App: c[1], Protocol: c[2], Verified: true, MemDigest: "m",
 			ExecCycles: 1000, CPUCycles: 1000, MissRatePct: 10}
 		switch {
-		case c[0] == "fresh-density":
+		case c[0] == "track-values" && c[2] == "sc":
 			r.Answer = []float64{100, 50}
-		case c[0] == "stale-density":
+		case c[0] == "track-values":
 			r.Answer = []float64{105, 50.01}
 		case c[2] == "lrc" && lines[c[0]] > 0:
 			r.ExecCycles = lines[c[0]]
@@ -77,8 +77,8 @@ func TestClaimVerdicts(t *testing.T) {
 		{3, set(func(r *ReportRun) { r.ExecCycles = 1200 }, "line=128/locusroute/lrc"), "holds in direction"},
 		{3, set(func(r *ReportRun) { r.ExecCycles = 1200 }, "line=256/locusroute/lrc"), "deviates"},
 		{4, nil, "holds"},
-		{4, set(func(r *ReportRun) { r.Answer[1] = 60 }, "stale-density/mp3d/sc"), "holds in direction"},
-		{4, set(func(r *ReportRun) { r.Answer[0] = 100 }, "stale-density/mp3d/sc"), "deviates"},
+		{4, set(func(r *ReportRun) { r.Answer[1] = 60 }, "track-values/mp3d/lrc"), "holds in direction"},
+		{4, set(func(r *ReportRun) { r.Answer[0] = 100 }, "track-values/mp3d/lrc"), "deviates"},
 		{5, nil, "holds"},
 		{5, set(func(r *ReportRun) { r.MemDigest = "x" }, "storm/fft/lrc"), "deviates"},
 	} {

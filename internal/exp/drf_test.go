@@ -15,7 +15,7 @@ import (
 // failed Verify.
 func runCell(app, proto, mutation string, track bool) (m *machine.Machine, err error) {
 	cfg := mustCell("default", 16, apps.Tiny, 1)
-	cfg.Mutation = mutation
+	cfg.Mutation, cfg.TrackValues = mutation, track
 	a, err := apps.New(app, apps.Tiny)
 	if err != nil {
 		return nil, err
@@ -25,18 +25,14 @@ func runCell(app, proto, mutation string, track bool) (m *machine.Machine, err e
 			err = fmt.Errorf("panic: %v", r)
 		}
 	}()
-	var attach []func(*machine.Machine)
-	if track {
-		attach = append(attach, (*machine.Machine).TrackValues)
-	}
-	return apps.Run(cfg, proto, a, attach...)
+	return apps.Run(cfg, proto, a)
 }
 
 // TestDRFWorkloadsReadNoStaleValue is the DRF oracle on the workloads: a
 // data-race-free program reads no stale copy under release consistency,
-// so with each load returning what the protocol delivered (TrackValues)
-// the run equals the untracked one — Verify passes, and the memory image
-// and the execution time are the same. mp3d and locusroute race by design
+// so with each load returning what the protocol delivered
+// (Config.TrackValues) the run equals the untracked one — Verify passes,
+// and the memory image and the execution time are the same. mp3d and locusroute race by design
 // (§4.2) and are left out. With the acquire-time invalidations or the
 // lease renewals skipped, the stale reads break Verify.
 func TestDRFWorkloadsReadNoStaleValue(t *testing.T) {

@@ -151,10 +151,15 @@ func TestSweepsAreWellFormed(t *testing.T) {
 	if len(sweeps) != 3 {
 		t.Fatalf("sweeps = %d, want 3 (latency, bandwidth, line size)", len(sweeps))
 	}
-	for _, sw := range append(slices.Clone(sweeps), quality...) { // §4.2 keeps §4.3's cache
+	for _, sw := range sweeps {
 		if len(sw.points) < 2 {
 			t.Errorf("%s: fewer than 2 points", sw.title)
 		}
+	}
+	if q := quality[0]; len(q.points) != 1 || len(q.protos) != 2 {
+		t.Errorf("§4.2 reads %d points under %v, want one under two protocols", len(q.points), q.protos)
+	}
+	for _, sw := range append(slices.Clone(sweeps), quality...) { // §4.2 keeps §4.3's cache
 		for _, p := range sw.points {
 			cfg := studyCell(t, sw, p)
 			if cfg.CacheSize != config.Default(4).CacheSize {
@@ -203,8 +208,8 @@ func studyCell(t *testing.T, b block, p point) config.Config {
 }
 
 // TestMp3dQualityReport: the §4.2 check is two cells of a report, mp3d
-// under SC on the paper's cache with fresh and with stale densities, and
-// renders from their answers; a workload without an answer reports none.
+// under SC and LRC on the paper's cache with values tracked, and renders
+// from their answers; a workload without an answer reports none.
 func TestMp3dQualityReport(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs simulations")
@@ -215,12 +220,13 @@ func TestMp3dQualityReport(t *testing.T) {
 	if err := rep.Err(); err != nil {
 		t.Fatal(err)
 	}
-	fresh, stale := rep.Runs[0], rep.Runs[1]
-	if fresh.Config != "fresh-density" || stale.Config != "stale-density" || len(fresh.Answer) != 2 || len(stale.Answer) != 2 {
-		t.Fatalf("quality cells %s and %s carry answers %v and %v", fresh.Config, stale.Config, fresh.Answer, stale.Answer)
+	lazy, sc := rep.Runs[0], rep.Runs[1]
+	if sc.Protocol != "sc" || lazy.Protocol != "lrc" || sc.Config != "track-values" || lazy.Config != "track-values" ||
+		len(sc.Answer) != 2 || len(lazy.Answer) != 2 {
+		t.Fatalf("quality cells %s/%s and %s/%s carry answers %v and %v", sc.Config, sc.Protocol, lazy.Config, lazy.Protocol, sc.Answer, lazy.Answer)
 	}
-	if fresh.Answer[0] == stale.Answer[0] {
-		t.Fatalf("stale densities left the answer unchanged: %v", fresh.Answer)
+	if sc.Answer[0] == lazy.Answer[0] {
+		t.Fatalf("lazy invalidation left the answer unchanged: %v", sc.Answer)
 	}
 	out, err := Render("mp3dquality", rep.View(), nil)
 	if err != nil || !strings.Contains(out, "X") || !strings.Contains(out, "divergence") || strings.Contains(out, "failed") {
@@ -457,7 +463,7 @@ func TestStoredReportRendersGolden(t *testing.T) {
 	if _, err := Render("table2", short.View(), nil); err != nil {
 		t.Fatalf("table2 does not read the missing cell: %v", err)
 	}
-	if _, err := Render("mp3dquality", short.View(), nil); err == nil || !strings.Contains(err.Error(), "fresh-density/mp3d/sc") {
+	if _, err := Render("mp3dquality", short.View(), nil); err == nil || !strings.Contains(err.Error(), "track-values/mp3d/") {
 		t.Fatalf("mp3dquality from a report without its cells: %v", err)
 	}
 }
@@ -466,9 +472,9 @@ func TestStoredReportRendersGolden(t *testing.T) {
 // studies: BENCH_studies.json re-renders, with no simulation, the bytes
 // `paperbench -scale tiny -q sweep ablate dsm scaling` printed before the
 // studies joined the report (testdata/paperbench_tiny_studies.golden was
-// captured from the four deleted study functions), and the §4.2 check from its two
-// cells. A study cell that did not
-// verify prints "failed" in its slot and fails the report.
+// captured from the four deleted study functions), and the §4.2 check
+// from its two cells. A study cell that did not verify prints "failed" in
+// its slot and fails the report.
 func TestStoredStudiesRenderGolden(t *testing.T) {
 	rep, err := LoadReport("../../BENCH_studies.json")
 	if err != nil {
@@ -485,12 +491,12 @@ func TestStoredStudiesRenderGolden(t *testing.T) {
 	if err := rep.Err(); err != nil {
 		t.Fatal(err)
 	}
-	// The §4.2 check re-renders what the deleted exp.Mp3dQuality printed
-	// for `paperbench -scale tiny -procs 64 -q mp3dquality`.
-	const quality = `mp3d quality of solution (cumulative velocity vector after tiny run)
-  axis   immediate        stale (lazy)     divergence
-  X       113.40002       120.69889        6.44%
-  Y       -29.97770       -33.45090       11.59%
+	// The §4.2 check re-renders what `paperbench -scale tiny -procs 64 -q
+	// mp3dquality` prints.
+	const quality = `mp3d quality of solution (cumulative velocity vector after tiny run, values tracked)
+  axis   sc               lrc              divergence
+  X       113.40002       113.67914        0.25%
+  Y       -29.97770       -30.16617        0.63%
 `
 	if got := renderAll(t, rep, []string{"mp3dquality"}); got != quality+"\n" {
 		t.Fatalf("mp3dquality from BENCH_studies.json drifted:\n%s", got)
@@ -575,7 +581,7 @@ func TestStoredSoakRendersGolden(t *testing.T) {
 		}
 	}
 	if want := []string{
-		"  fft          lrc      ok (368 faulted, 368 retx) ok (2044 faulted, 2044 retx) FAIL memory diverged    ",
+		"  fft          lrc      ok (368 faulted, 368 retx) ok (2054 faulted, 2054 retx) FAIL memory diverged    ",
 		"FAILED: 1 cell(s) diverged",
 		"  fft/lrc/storm: FAIL memory diverged",
 		"",

@@ -79,6 +79,9 @@ func New(cfg config.Config, protoName string) (*Machine, error) {
 	st := stats.NewMachine(cfg.Procs)
 	cl := stats.NewClassifier(cfg.Procs, cfg.WordsPerLine())
 	env := &protocol.Env{Eng: eng, Net: net, Cfg: cfg, Stats: st, Class: cl}
+	if cfg.TrackValues {
+		env.Vals = protocol.NewValues(cfg)
+	}
 	m := &Machine{
 		Eng: eng, Cfg: cfg, Net: net, Env: env,
 		Stats: st, Class: cl, protoName: protoName,
@@ -110,9 +113,9 @@ func New(cfg config.Config, protoName string) (*Machine, error) {
 // Reset rewinds the machine to what New returns, keeping its storage and
 // wiring: the model checker runs one machine per worker, schedule after
 // schedule (DESIGN.md §9). What a caller attached — a chooser, an
-// explorer, a value store — stays attached; observers (EnableMetrics,
-// EnableSpans, EnablePerf) keep their records, so reset only a machine
-// that has none. Not during Run.
+// explorer — stays attached, and a value store (Config.TrackValues) is
+// rewound; observers (EnableMetrics, EnableSpans, EnablePerf) keep their
+// records, so reset only a machine that has none. Not during Run.
 func (m *Machine) Reset() {
 	m.Eng.Reset()
 	m.Net.Reset()
@@ -136,14 +139,6 @@ func (m *Machine) reset() {
 		}
 	}
 }
-
-// TrackValues attaches a value store (protocol.Values): from the next Run
-// on, each processor's loads return what the protocol delivered to it —
-// a stale copy reads stale — instead of the backing store's latest
-// value. The backing store still takes every write, so MemDigest and a
-// workload's Verify see the values the processors computed. Call it
-// before Run.
-func (m *Machine) TrackValues() { m.Env.Vals = protocol.NewValues(m.Cfg) }
 
 // Protocol returns the protocol name this machine runs.
 func (m *Machine) Protocol() string { return m.protoName }

@@ -66,7 +66,7 @@ func (p *Proc) blockWord(a Addr) (uint64, int) {
 }
 
 // read plays one shared load through the timing model and returns the
-// word it observes: the value store's (Machine.TrackValues) when one is
+// word it observes: the value store's (Config.TrackValues) when one is
 // attached, else the backing store's.
 func (p *Proc) read(a Addr) uint64 {
 	n := p.node

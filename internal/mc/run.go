@@ -118,8 +118,9 @@ const lineWords = 2
 
 // litmusConfig builds the tiny machine the litmus corpus runs on: 2-word
 // cache lines so two variables can false-share, one line per page so
-// homes interleave per line, an 8-line cache, and single-cycle run-ahead
-// so every memory reference meets the global event loop.
+// homes interleave per line, an 8-line cache, single-cycle run-ahead so
+// every memory reference meets the global event loop, and a value store
+// so each load returns what the protocol delivered.
 func litmusConfig(t *Test, rc RunConfig) config.Config {
 	return config.Config{
 		Procs:           t.Procs,
@@ -141,6 +142,7 @@ func litmusConfig(t *Test, rc RunConfig) config.Config {
 		LeaseLen:        8,
 		TSDeltaBits:     20,
 		CheckInvariants: true,
+		TrackValues:     true,
 		Mutation:        rc.Mutation,
 	}
 }
@@ -194,7 +196,6 @@ func newWorker(t *Test, rc RunConfig) (*worker, error) {
 		locks: make([]*machine.Lock, t.Locks), flags: make([]machine.Flag, t.Flags),
 		regs: make([][]uint64, t.Procs), done: make([]bool, t.Procs),
 	}
-	m.TrackValues()
 
 	menu := rc.Menu
 	if len(menu) == 0 {

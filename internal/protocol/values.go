@@ -14,8 +14,8 @@ import (
 // into home memory. Payload-bearing messages carry a value snapshot
 // (mesh.Msg.Vals) taken when the message is sent, so a fill installs the
 // values the sender held at send time, not at arrival time. With a store
-// attached (Machine.TrackValues) a processor's loads return what the
-// protocol delivered to it; without one (every performance run) the
+// attached (Config.TrackValues) a processor's loads return what the
+// protocol delivered to it; without one (every cell but §4.2's) the
 // hooks below cost one nil check each.
 
 // Values is a machine's value store. Everything is dense: home memory is
