@@ -70,6 +70,8 @@ type Entry struct {
 	counts *[4]int
 }
 
+const maxEntryChunk = 64
+
 // Directory is the home-node side table for the blocks homed at one node.
 // Entries are created on first touch.
 type Directory struct {
@@ -83,6 +85,15 @@ type Directory struct {
 	counts [4]int
 	// sorted is what Entries returns, until entries grows past it.
 	sorted []BlockEntry
+	// arena is the storage the next entries and their set words are
+	// carved from, as many entries at a time as were ever carved (1 to
+	// maxEntryChunk). Its uncarved rest is still zero, so it survives
+	// Reset.
+	arena struct {
+		entries []Entry
+		words   []uint64
+		carved  int
+	}
 
 	// check enables invariant verification after mutations.
 	check bool
@@ -109,12 +120,17 @@ func (d *Directory) Reset() {
 func (d *Directory) Entry(block uint64) *Entry {
 	e := d.entries[block]
 	if e == nil {
-		e = &Entry{
-			Sharers:  NewProcSet(d.nprocs),
-			Writers:  NewProcSet(d.nprocs),
-			Notified: NewProcSet(d.nprocs),
-			counts:   &d.counts,
+		a, w := &d.arena, (d.nprocs+63)/64
+		if len(a.entries) == 0 {
+			chunk := min(max(a.carved, 1), maxEntryChunk)
+			a.entries, a.words = make([]Entry, chunk), make([]uint64, 3*w*chunk)
 		}
+		e, a.entries = &a.entries[0], a.entries[1:]
+		a.carved++
+		for _, s := range [...]*ProcSet{&e.Sharers, &e.Writers, &e.Notified} {
+			s.words, a.words = a.words[:w:w], a.words[w:]
+		}
+		e.counts = &d.counts
 		d.counts[Uncached]++
 		d.entries[block] = e
 	}

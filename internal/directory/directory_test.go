@@ -339,3 +339,39 @@ func TestDirectoryVisit(t *testing.T) {
 		t.Fatalf("listed %v, want [1 4 9]", got)
 	}
 }
+
+// TestEntryArenaAfterReset: entries carved after a Reset are new ones,
+// Uncached with empty sets and no collection, the listing holds only
+// them, and two entries of one chunk share no set words.
+func TestEntryArenaAfterReset(t *testing.T) {
+	d := New(70, true)
+	for b := uint64(0); b < 5; b++ {
+		e := d.Entry(b)
+		e.Sharers.Add(69)
+		e.Writers.Add(69)
+		e.Notified.Add(69)
+		e.Recompute()
+		e.PendingAcks = 2
+		e.WaitingWriters = append(e.WaitingWriters, 1)
+	}
+	d.Reset()
+	x, y := d.Entry(10), d.Entry(11)
+	for _, e := range []*Entry{x, y} {
+		if e.State != Uncached || e.Sharers.Len()+e.Writers.Len()+e.Notified.Len() != 0 ||
+			e.PendingAcks != 0 || e.WaitingWriters != nil {
+			t.Fatalf("entry after Reset: %+v", *e)
+		}
+		d.Check(0, e)
+	}
+	if got := d.Entries(); len(got) != 2 || got[0].Entry != x || got[1].Entry != y {
+		t.Fatalf("Entries after Reset lists %v", got)
+	}
+	x.Sharers.Add(0)
+	x.Sharers.Add(64)
+	if y.Sharers.Len() != 0 || y.Writers.Len() != 0 || y.Notified.Len() != 0 {
+		t.Fatal("two entries share set words")
+	}
+	if d.StateCounts() != [4]int{Uncached: 2} {
+		t.Fatalf("state counts %v after Reset", d.StateCounts())
+	}
+}

@@ -373,30 +373,16 @@ func (r *Registry) Snapshot() []Family {
 		}
 		f.mu.Lock()
 		keys := append([]string(nil), f.order...)
+		sort.Strings(keys)
 		children := make([]metric, len(keys))
 		for i, k := range keys {
 			children[i] = f.children[k]
 		}
 		f.mu.Unlock()
-		sort.Sort(byKey{keys, children})
 		for _, m := range children {
 			fam.Samples = append(fam.Samples, m.sample())
 		}
 		out = append(out, fam)
 	}
 	return out
-}
-
-// byKey sorts children by their label key, keeping the two slices
-// aligned.
-type byKey struct {
-	keys []string
-	ms   []metric
-}
-
-func (b byKey) Len() int           { return len(b.keys) }
-func (b byKey) Less(i, j int) bool { return b.keys[i] < b.keys[j] }
-func (b byKey) Swap(i, j int) {
-	b.keys[i], b.keys[j] = b.keys[j], b.keys[i]
-	b.ms[i], b.ms[j] = b.ms[j], b.ms[i]
 }

@@ -39,6 +39,9 @@ type Env struct {
 	// contKind carries the handle.
 	conts    sim.Slab[cont]
 	contKind sim.Kind
+
+	// labels caches each synchronization object's stall label (label).
+	labels map[syncKey]string
 }
 
 // cont is a parked continuation: the second half of a message handler,
@@ -217,6 +220,7 @@ func NewNode(env *Env, id int, proto Protocol) *Node {
 	env.Net.Handle(id, n.Deliver)
 	if env.contKind == 0 { // the machine's first node
 		env.contKind = env.Eng.Register(perf.PhaseProtocol, env.runCont)
+		env.labels = make(map[syncKey]string)
 	}
 	return n
 }
@@ -775,8 +779,8 @@ func (n *Node) PendingInvals() int { return len(n.pendInv) }
 func (n *Node) DelayedNotices() int { return len(n.delayed) }
 
 // SyncWaiting reports whether this node's CPU is currently blocked in a
-// synchronization acquire (lock or barrier wait gate open).
-func (n *Node) SyncWaiting() bool { return n.sync.gate != nil }
+// synchronization acquire, from its request to its grant.
+func (n *Node) SyncWaiting() bool { return n.sync.waiting }
 
 // DuplicatesIgnored returns how many duplicate or late-retransmitted
 // deliveries this node's sequencer discarded.

@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"lazyrc/internal/causal"
 	"lazyrc/internal/config"
 	"lazyrc/internal/directory"
 	"lazyrc/internal/mesh"
@@ -421,6 +422,70 @@ func TestMissAllocatesNothing(t *testing.T) {
 		// The first round, four warm-ups and AllocsPerRun's 51.
 		if delta != 2*56 {
 			t.Errorf("%s: %d misses counted over 56 rounds, want 112", c.proto, delta)
+		}
+	}
+}
+
+// TestSyncAllocatesNothing: a synchronization operation re-arms its
+// node's one wait gate, binds no grant callback, reads its stall label
+// from the machine's cache and keeps its object's queues, so once warm it
+// costs the allocator nothing. A round on node 1 is a lock acquire and
+// release, a one-party barrier, a wait on a flag already set and a fence,
+// each object homed at node 0.
+func TestSyncAllocatesNothing(t *testing.T) {
+	for _, proto := range Names() {
+		env := testEnv(t, 4, proto)
+		set := false
+		got := missRounds(t, env, func(n *Node) {
+			if !set {
+				n.FlagSet(0, 3)
+				set = true
+			}
+			n.LockAcquire(0, 1)
+			n.LockRelease(0, 1)
+			n.BarrierWait(0, 2, 1)
+			n.FlagWait(0, 3)
+			n.Fence()
+		})
+		if got != 0 {
+			t.Errorf("%s: a round of synchronization allocates %v objects, want 0", proto, got)
+		}
+	}
+}
+
+// TestSyncStallLabels: a CPU parked in a synchronization wait names the
+// object in the engine's deadlock report and in its causal stall span.
+func TestSyncStallLabels(t *testing.T) {
+	for _, c := range []struct {
+		why  string
+		wait func(n *Node)
+	}{
+		{"flag 7", func(n *Node) { n.FlagWait(0, 7) }},
+		{"barrier 5", func(n *Node) { n.BarrierWait(0, 5, 2) }},
+		{"lock 3 grant", func(n *Node) { n.LockAcquire(0, 3); n.LockAcquire(0, 3) }},
+	} {
+		for _, traced := range []bool{false, true} {
+			env := testEnv(t, 2, "lrc")
+			if traced {
+				env.Causal = causal.New(0)
+			}
+			n := env.Nodes[1]
+			n.CPU = env.Eng.Spawn("cpu1", func(*sim.Context) { c.wait(n) })
+			if !traced {
+				msg := func() (msg string) {
+					defer func() { msg, _ = recover().(string) }()
+					env.Eng.Run()
+					return ""
+				}()
+				if !strings.HasSuffix(msg, "\n  cpu1: waiting for "+c.why) {
+					t.Errorf("deadlock report %q does not name %q", msg, c.why)
+				}
+				continue
+			}
+			env.Eng.RunUntil(10_000)
+			if st := env.Causal.OpenStalls(); len(st) != 1 || st[0].Why != c.why {
+				t.Errorf("open stalls %+v, want one %q", st, c.why)
+			}
 		}
 	}
 }

@@ -47,18 +47,6 @@ func foldMsg(r *fold.Rec, m *mesh.Msg) {
 	r.Word(m.Aux)
 }
 
-// syncRec is the record of one synchronization object: its state word,
-// its timestamp and the nodes queued on it, in order.
-func syncRec(s fold.Section, id, state, ts uint64, waiting []int) fold.Rec {
-	r := fold.Record(s, id)
-	r.Word(state)
-	r.Word(ts)
-	for _, w := range waiting {
-		r.Word(uint64(w))
-	}
-	return r
-}
-
 // fold folds this node's protocol state and directory: what is ordered
 // into h, a record per key of every map into recs.
 func (n *Node) fold(h *fold.Rec, recs *fold.Bag) {
@@ -93,17 +81,19 @@ func (n *Node) fold(h *fold.Rec, recs *fold.Bag) {
 	// A family's home state is allocated at first use, and whether it
 	// exists yet is part of the state: the point of first use is visible
 	// to the search (TestExplorationGolden pins it).
-	h.Word(bit(n.releaseParked) | bit(n.wbParked)<<1 | bit(n.sync.gate != nil)<<2 |
+	h.Word(bit(n.releaseParked) | bit(n.wbParked)<<1 | bit(n.sync.waiting)<<2 |
 		bit(n.eagerHome != nil)<<3 | bit(n.tardis != nil)<<4)
 
-	for id, l := range n.sync.locks {
-		recs.Add(syncRec(fold.Lock, id, bit(l.held), l.ts, l.queue))
-	}
-	for id, b := range n.sync.bars {
-		recs.Add(syncRec(fold.Barrier, id, uint64(b.arrived), b.ts, b.waiting))
-	}
-	for id, f := range n.sync.flags {
-		recs.Add(syncRec(fold.Flag, id, bit(f.set), f.ts, f.waiters))
+	// A synchronization object's record: its state word, its timestamp
+	// and the nodes queued on it, in order.
+	for k, o := range n.sync.objs {
+		r := fold.Record(k.kind, k.id)
+		r.Word(o.state)
+		r.Word(o.ts)
+		for _, w := range o.queue {
+			r.Word(uint64(w))
+		}
+		recs.Add(r)
 	}
 
 	n.home.fold(recs)

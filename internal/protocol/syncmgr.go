@@ -2,8 +2,10 @@ package protocol
 
 import (
 	"fmt"
+	"slices"
 
 	"lazyrc/internal/causal"
+	"lazyrc/internal/fold"
 	"lazyrc/internal/mesh"
 	"lazyrc/internal/sim"
 )
@@ -25,76 +27,82 @@ import (
 // only notices that arrive in the intervening time are processed (by
 // AcquireEnd) after the grant.
 
-type lockState struct {
-	held  bool
-	queue []int
-	// ts is the maximum logical timestamp carried by any release of
-	// this lock (timestamp protocols; always 0 otherwise). Grants carry
-	// it back so the acquirer's clock passes every prior releaser's.
-	ts uint64
+// syncKey names a synchronization object at its home: the fold section
+// of its kind (fold.Lock, fold.Barrier or fold.Flag) and its id.
+type syncKey struct {
+	kind fold.Section
+	id   uint64
 }
 
-type barState struct {
-	arrived int
-	waiting []int
-	ts      uint64 // max release timestamp over all arrivals (monotonic)
+// syncObj is one synchronization object. state is a lock's held bit, a
+// barrier's arrival count or a flag's set bit; ts is the largest logical
+// timestamp any release of it carried (timestamp protocols; always 0
+// otherwise), which grants carry back so the acquirer's clock passes
+// every prior releaser's; queue holds the nodes waiting on it, in order.
+// going is the queue it last released: a barrier's fan-out targets, then
+// its next queue's storage.
+type syncObj struct {
+	state, ts    uint64
+	queue, going []int
 }
 
-type flagState struct {
-	set     bool
-	waiters []int
-	ts      uint64 // release timestamp of the setter
+// release empties the queue into going and returns it. The waiters leave
+// the object's record before the first go message is sent: a send is a
+// choice point at which the model checker hashes the state. A barrier's
+// fan-out reads going at its end; no arrival of the next episode comes
+// before that.
+func (o *syncObj) release() []int {
+	o.queue, o.going = o.going[:0], o.queue
+	return o.going
 }
 
-// syncNode is the per-node synchronization state: home-side object
-// tables plus the requester-side wait gate (each CPU has at most one
-// synchronization operation outstanding).
+// syncNode is the per-node synchronization state: the objects homed here
+// and the requester-side wait gate, re-armed by every wait (each CPU has
+// at most one synchronization operation outstanding). waiting is set from
+// a request to its grant; granted opens the gate, bound once. spare is the
+// queue storage of the flag set last, which the next new object takes.
 type syncNode struct {
-	locks map[uint64]*lockState
-	bars  map[uint64]*barState
-	flags map[uint64]*flagState
-	gate  *sim.Gate
+	objs    map[syncKey]*syncObj
+	spare   []int
+	gate    sim.Gate
+	waiting bool
+	granted func()
 }
 
 func (s *syncNode) init() {
-	s.locks = make(map[uint64]*lockState)
-	s.bars = make(map[uint64]*barState)
-	s.flags = make(map[uint64]*flagState)
+	s.objs = make(map[syncKey]*syncObj)
+	s.granted = s.gate.Open
 }
 
-// reset forgets every object and the wait gate.
+// reset forgets every object and the wait.
 func (s *syncNode) reset() {
-	clear(s.locks)
-	clear(s.bars)
-	clear(s.flags)
-	s.gate = nil
+	clear(s.objs)
+	s.gate, s.waiting = sim.Gate{}, false
 }
 
-func (s *syncNode) lock(id uint64) *lockState {
-	l := s.locks[id]
-	if l == nil {
-		l = &lockState{}
-		s.locks[id] = l
+// obj returns the object of the given kind and id, creating it at first
+// use.
+func (s *syncNode) obj(kind fold.Section, id uint64) *syncObj {
+	k := syncKey{kind, id}
+	o := s.objs[k]
+	if o == nil {
+		o = &syncObj{queue: s.spare}
+		s.objs[k], s.spare = o, nil
 	}
-	return l
+	return o
 }
 
-func (s *syncNode) bar(id uint64) *barState {
-	b := s.bars[id]
-	if b == nil {
-		b = &barState{}
-		s.bars[id] = b
-	}
-	return b
-}
+// syncLabels are the stall label formats, by kind of object.
+var syncLabels = [...]string{fold.Lock: "lock %d grant", fold.Barrier: "barrier %d", fold.Flag: "flag %d"}
 
-func (s *syncNode) flag(id uint64) *flagState {
-	f := s.flags[id]
-	if f == nil {
-		f = &flagState{}
-		s.flags[id] = f
+// label returns the stall label of a wait on k, formatted at the first.
+func (e *Env) label(k syncKey) string {
+	s, ok := e.labels[k]
+	if !ok {
+		s = fmt.Sprintf(syncLabels[k.kind], k.id)
+		e.labels[k] = s
 	}
-	return f
+	return s
 }
 
 // ---- CPU-side operations (run on the node's processor context) ----------
@@ -103,10 +111,7 @@ func (s *syncNode) flag(id uint64) *flagState {
 func (n *Node) LockAcquire(home int, id uint64) {
 	st, root := n.Env.Causal.BeginSync(n.ID, id, "lock-acquire", n.now())
 	n.Proto.AcquireBegin(n)
-	g := &sim.Gate{}
-	n.sync.gate = g
-	n.send(home, MsgLockReq, 0, 0, 0, id)
-	n.PS.SyncStall += n.waitStall(g, st, causal.StallSync, fmt.Sprintf("lock %d grant", id))
+	n.syncWait(st, home, MsgLockReq, 0, 0, syncKey{fold.Lock, id})
 	n.Env.Causal.EndSync(root, n.now())
 }
 
@@ -123,10 +128,7 @@ func (n *Node) LockRelease(home int, id uint64) {
 func (n *Node) BarrierWait(home int, id uint64, parties int) {
 	st, root := n.Env.Causal.BeginSync(n.ID, id, "barrier", n.now())
 	n.Proto.Release(n)
-	g := &sim.Gate{}
-	n.sync.gate = g
-	n.send(home, MsgBarArrive, n.releaseTS(), 0, uint64(parties), id)
-	n.PS.SyncStall += n.waitStall(g, st, causal.StallSync, fmt.Sprintf("barrier %d", id))
+	n.syncWait(st, home, MsgBarArrive, n.releaseTS(), uint64(parties), syncKey{fold.Barrier, id})
 	n.Env.Causal.EndSync(root, n.now())
 }
 
@@ -142,11 +144,17 @@ func (n *Node) FlagSet(home int, id uint64) {
 func (n *Node) FlagWait(home int, id uint64) {
 	st, root := n.Env.Causal.BeginSync(n.ID, id, "flag-wait", n.now())
 	n.Proto.AcquireBegin(n)
-	g := &sim.Gate{}
-	n.sync.gate = g
-	n.send(home, MsgFlagWait, 0, 0, 0, id)
-	n.PS.SyncStall += n.waitStall(g, st, causal.StallSync, fmt.Sprintf("flag %d", id))
+	n.syncWait(st, home, MsgFlagWait, 0, 0, syncKey{fold.Flag, id})
 	n.Env.Causal.EndSync(root, n.now())
+}
+
+// syncWait re-arms the wait gate, sends the request for k to its home and
+// stalls until the grant's AcquireEnd opens the gate. The waiting bit is
+// set before the send, which the model checker may hash the state at.
+func (n *Node) syncWait(st uint64, home int, kind MsgKind, ts, arg uint64, k syncKey) {
+	n.sync.gate, n.sync.waiting = sim.Gate{}, true
+	n.send(home, kind, ts, 0, arg, k.id)
+	n.PS.SyncStall += n.waitStall(&n.sync.gate, st, causal.StallSync, n.Env.label(k))
 }
 
 // Fence forces the protocol processor to process pending invalidations
@@ -158,9 +166,9 @@ func (n *Node) FlagWait(home int, id uint64) {
 // invalidation work has finished.
 func (n *Node) Fence() {
 	st, root := n.Env.Causal.BeginSync(n.ID, 0, "fence", n.now())
-	g := &sim.Gate{}
-	n.Proto.AcquireEnd(n, func() { g.Open() })
-	n.PS.SyncStall += n.waitStall(g, st, causal.StallSync, "fence")
+	n.sync.gate = sim.Gate{}
+	n.Proto.AcquireEnd(n, n.sync.granted)
+	n.PS.SyncStall += n.waitStall(&n.sync.gate, st, causal.StallSync, "fence")
 	n.Env.Causal.EndSync(root, n.now())
 }
 
@@ -187,82 +195,74 @@ func handleSync(n *Node, m mesh.Msg, _ uint64) {
 	id := m.Aux
 	switch MsgKind(m.Kind) {
 	case MsgLockReq:
-		l := n.sync.lock(id)
-		if !l.held {
-			l.held = true
+		l := n.sync.obj(fold.Lock, id)
+		if l.state == 0 {
+			l.state = 1
 			n.send(m.Src, MsgLockGrant, l.ts, 0, 0, id)
 		} else {
 			l.queue = append(l.queue, m.Src)
 		}
 
 	case MsgLockFree:
-		l := n.sync.lock(id)
-		if !l.held {
+		l := n.sync.obj(fold.Lock, id)
+		if l.state == 0 {
 			panic(fmt.Sprintf("protocol: node %d freeing un-held lock %d", n.ID, id))
 		}
-		if m.Addr > l.ts {
-			l.ts = m.Addr
-		}
+		l.ts = max(l.ts, m.Addr)
 		if len(l.queue) > 0 {
 			next := l.queue[0]
-			l.queue = l.queue[1:]
+			l.queue = slices.Delete(l.queue, 0, 1)
 			n.send(next, MsgLockGrant, l.ts, 0, 0, id)
 		} else {
-			l.held = false
+			l.state = 0
 		}
 
 	case MsgBarArrive:
-		b := n.sync.bar(id)
-		parties := int(m.Arg)
-		b.arrived++
-		b.waiting = append(b.waiting, m.Src)
-		if m.Addr > b.ts {
-			b.ts = m.Addr
-		}
-		if b.arrived == parties {
+		b := n.sync.obj(fold.Barrier, id)
+		b.state++
+		b.queue = append(b.queue, m.Src)
+		b.ts = max(b.ts, m.Addr)
+		if b.state == m.Arg {
 			// Dispatch the releases; the protocol processor pays per
 			// participant.
-			end := n.ppAcquire(causal.KindFanout, 0, uint64(parties)*n.noticeCost())
-			waiting := b.waiting
-			ts := b.ts
-			b.arrived = 0
-			b.waiting = nil
-			n.Env.Eng.At(end, func() {
-				for _, w := range waiting {
-					n.send(w, MsgBarGo, ts, 0, 0, id)
-				}
-			})
+			end := n.ppAcquire(causal.KindFanout, 0, m.Arg*n.noticeCost())
+			b.state = 0
+			b.release()
+			n.at(end, barrierGo, m, b.ts)
 		}
 
 	case MsgFlagSet:
-		f := n.sync.flag(id)
-		f.set = true
-		if m.Addr > f.ts {
-			f.ts = m.Addr
-		}
-		waiters := f.waiters
-		f.waiters = nil
-		for _, w := range waiters {
+		f := n.sync.obj(fold.Flag, id)
+		f.state = 1
+		f.ts = max(f.ts, m.Addr)
+		for _, w := range f.release() {
 			n.send(w, MsgFlagGo, f.ts, 0, 0, id)
 		}
+		n.sync.spare, f.going = f.going[:0], nil // a set flag queues no one
 
 	case MsgFlagWait:
-		f := n.sync.flag(id)
-		if f.set {
+		f := n.sync.obj(fold.Flag, id)
+		if f.state != 0 {
 			n.send(m.Src, MsgFlagGo, f.ts, 0, 0, id)
 		} else {
-			f.waiters = append(f.waiters, m.Src)
+			f.queue = append(f.queue, m.Src)
 		}
 
 	default: // MsgLockGrant, MsgBarGo, MsgFlagGo: the dispatch table routes only sync kinds here
-		g := n.sync.gate
-		if g == nil {
+		if !n.sync.waiting {
 			panic(fmt.Sprintf("protocol: node %d sync grant with no waiter", n.ID))
 		}
-		n.sync.gate = nil
+		n.sync.waiting = false
 		if at, ok := n.Proto.(acquireTimestamper); ok {
 			at.AcquireTS(n, m.Addr)
 		}
-		n.Proto.AcquireEnd(n, func() { g.Open() })
+		n.Proto.AcquireEnd(n, n.sync.granted)
+	}
+}
+
+// barrierGo sends the barrier m completed its go messages, stamped ts.
+func barrierGo(n *Node, m mesh.Msg, ts uint64) {
+	for _, w := range n.sync.obj(fold.Barrier, m.Aux).going {
+		n.send(w, MsgBarGo, ts, 0, 0, m.Aux)
 	}
 }
