@@ -73,7 +73,7 @@ func run(addr, storeDir string, workers int, grace time.Duration) error {
 		if n := st.Recovered(); n > 0 {
 			log.Printf("store: dropped %d corrupt line(s) in %s; affected results will re-simulate", n, storeDir)
 		}
-		log.Printf("store: %s (%d results)", storeDir, st.Len())
+		log.Printf("store: %s (%d results)", storeDir, st.Stats().Entries)
 	}
 
 	svc := api.NewService(workers, st, logger)

@@ -20,10 +20,8 @@ func fetchRemote(ctx context.Context, c *api.Client, spec exp.Spec, onEvent func
 		return rep, fmt.Errorf("submit: %w", err)
 	}
 	note("sweep %s: %d cell(s), state %s\n", st.ID[:16], st.Jobs, st.State)
-	if !st.Terminal() {
-		if st, err = c.WaitSweep(ctx, st.ID, onEvent); err != nil {
-			return rep, fmt.Errorf("wait: %w", err)
-		}
+	if st, err = c.WaitSweep(ctx, st.ID, onEvent); err != nil {
+		return rep, fmt.Errorf("wait: %w", err)
 	}
 	note("sweep %s: %s (%d executed, %d from cache, %d deduped, %d failed)\n",
 		st.ID[:16], st.State, st.Executed, st.FromCache, st.Deduped, st.Failed)

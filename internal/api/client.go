@@ -35,34 +35,46 @@ func (c *Client) url(path string) string {
 	return strings.TrimRight(c.Base, "/") + path
 }
 
-// do issues one JSON request; out, when non-nil, receives the decoded
-// response body.
-func (c *Client) do(ctx context.Context, method, path string, in, out any) error {
+// send issues one request with in, when non-nil, as its JSON body, and
+// returns the response to a 2xx answer; any other status is an error
+// quoting the start of the body. The caller closes the body.
+func (c *Client) send(ctx context.Context, method, path string, in any) (*http.Response, error) {
 	var body io.Reader
 	if in != nil {
 		b, err := json.Marshal(in)
 		if err != nil {
-			return err
+			return nil, err
 		}
 		body = bytes.NewReader(b)
 	}
 	req, err := http.NewRequestWithContext(ctx, method, c.url(path), body)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	if in != nil {
 		req.Header.Set("Content-Type", "application/json")
 	}
 	resp, err := c.hc().Do(req)
 	if err != nil {
+		return nil, err
+	}
+	if resp.StatusCode >= 300 {
+		defer resp.Body.Close()
+		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 4096))
+		return nil, fmt.Errorf("api: %s %s: %s: %s%s", method, path, resp.Status,
+			strings.TrimSpace(string(msg)), requestIDSuffix(resp))
+	}
+	return resp, nil
+}
+
+// do issues one JSON request; out, when non-nil, receives the decoded
+// response body.
+func (c *Client) do(ctx context.Context, method, path string, in, out any) error {
+	resp, err := c.send(ctx, method, path, in)
+	if err != nil {
 		return err
 	}
 	defer resp.Body.Close()
-	if resp.StatusCode >= 300 {
-		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 4096))
-		return fmt.Errorf("api: %s %s: %s: %s%s", method, path, resp.Status,
-			strings.TrimSpace(string(msg)), requestIDSuffix(resp))
-	}
 	if out == nil {
 		io.Copy(io.Discard, resp.Body)
 		return nil
@@ -148,19 +160,19 @@ func (c *Client) JobTrace(ctx context.Context, fp string) ([]byte, error) {
 }
 
 func (c *Client) raw(ctx context.Context, path string) ([]byte, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.url(path), nil)
-	if err != nil {
-		return nil, err
-	}
-	resp, err := c.hc().Do(req)
+	resp, err := c.send(ctx, http.MethodGet, path, nil)
 	if err != nil {
 		return nil, err
 	}
 	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 4096))
-		return nil, fmt.Errorf("api: GET %s: %s: %s%s", path, resp.Status,
-			strings.TrimSpace(string(msg)), requestIDSuffix(resp))
+	// A declared length (the report routes declare theirs) is read in
+	// one allocation, up to 64 MB; a larger claim is not trusted with one.
+	if n := resp.ContentLength; n >= 0 && n <= 64<<20 {
+		b := make([]byte, n)
+		if _, err := io.ReadFull(resp.Body, b); err != nil {
+			return nil, err
+		}
+		return b, nil
 	}
 	return io.ReadAll(resp.Body)
 }
@@ -183,20 +195,11 @@ func (c *Client) Stats(ctx context.Context) (StatsResponse, error) {
 // event arrives, forwarding each job event to onEvent (which may be
 // nil). It returns the sweep's terminal status.
 func (c *Client) WaitSweep(ctx context.Context, id string, onEvent func(runner.Event)) (SweepStatus, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.url("/api/v1/sweeps/"+id+"/events"), nil)
-	if err != nil {
-		return SweepStatus{}, err
-	}
-	req.Header.Set("Accept", "text/event-stream")
-	resp, err := c.hc().Do(req)
+	resp, err := c.send(ctx, http.MethodGet, "/api/v1/sweeps/"+id+"/events", nil)
 	if err != nil {
 		return SweepStatus{}, err
 	}
 	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 4096))
-		return SweepStatus{}, fmt.Errorf("api: sweep events: %s: %s", resp.Status, strings.TrimSpace(string(msg)))
-	}
 
 	var final *SweepStatus
 	err = readSSE(resp.Body, func(name string, data []byte) error {
@@ -233,7 +236,7 @@ func (c *Client) WaitSweep(ctx context.Context, id string, onEvent func(runner.E
 // nil at a clean end of stream, or handle's first error.
 func readSSE(r io.Reader, handle func(name string, data []byte) error) error {
 	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 64<<10), 16<<20)
+	sc.Buffer(nil, 16<<20) // starts at 4 KB; a status with many cells grows it
 	name := ""
 	var data []byte
 	flush := func() error {

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/pprof"
+	"strconv"
 
 	"lazyrc/internal/exp"
 	"lazyrc/internal/runner"
@@ -125,25 +126,8 @@ func NewServer(s *Service) http.Handler {
 		serveSweepEvents(s, w, r)
 	})
 
-	mux.HandleFunc("GET /api/v1/sweeps/{id}/report.json", func(w http.ResponseWriter, r *http.Request) {
-		b, err := s.SweepReport(r.PathValue("id"))
-		if err != nil {
-			httpError(w, err)
-			return
-		}
-		w.Header().Set("Content-Type", "application/json")
-		w.Write(b)
-	})
-
-	mux.HandleFunc("GET /api/v1/sweeps/{id}/report.html", func(w http.ResponseWriter, r *http.Request) {
-		b, err := s.SweepHTML(r.PathValue("id"))
-		if err != nil {
-			httpError(w, err)
-			return
-		}
-		w.Header().Set("Content-Type", "text/html; charset=utf-8")
-		w.Write(b)
-	})
+	mux.HandleFunc("GET /api/v1/sweeps/{id}/report.json", serveReport(s.SweepReport, "application/json"))
+	mux.HandleFunc("GET /api/v1/sweeps/{id}/report.html", serveReport(s.SweepHTML, "text/html; charset=utf-8"))
 
 	mux.HandleFunc("GET /api/v1/jobs/{fp}", func(w http.ResponseWriter, r *http.Request) {
 		res, err := s.Job(r.PathValue("fp"))
@@ -166,10 +150,26 @@ func NewServer(s *Service) http.Handler {
 	return s.httpm.Middleware(mux, route, s.log)
 }
 
+// serveReport answers a report route with the bytes fetch returns,
+// declaring their length so a client reads them in one allocation.
+func serveReport(fetch func(id string) ([]byte, error), contentType string) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		b, err := fetch(r.PathValue("id"))
+		if err != nil {
+			httpError(w, err)
+			return
+		}
+		w.Header().Set("Content-Type", contentType)
+		w.Header().Set("Content-Length", strconv.Itoa(len(b)))
+		w.Write(b)
+	}
+}
+
 // serveSweepEvents streams one sweep's job events (filtered from the
 // bus by the sweep's cell fingerprints) and finishes with a "sweep"
 // event carrying the terminal status. A subscriber arriving after the
-// sweep finished receives just the terminal event.
+// sweep finished receives just the terminal event, without attaching
+// to the bus.
 func serveSweepEvents(s *Service, w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	sw, err := s.lookup(id)
@@ -181,6 +181,14 @@ func serveSweepEvents(s *Service, w http.ResponseWriter, r *http.Request) {
 	fl, ok := sseStart(w)
 	if !ok {
 		return
+	}
+	select {
+	case <-sw.done:
+		if st, err := s.Sweep(id); err == nil {
+			sseEvent(w, fl, "sweep", st)
+		}
+		return
+	default:
 	}
 	// Subscribe before the first status read: events between the
 	// snapshot and the subscription would otherwise be lost.

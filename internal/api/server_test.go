@@ -6,6 +6,8 @@ import (
 	"go/ast"
 	"go/parser"
 	"go/token"
+	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"regexp"
@@ -15,6 +17,7 @@ import (
 	"sync"
 	"testing"
 
+	"lazyrc/internal/exp"
 	"lazyrc/internal/runner"
 )
 
@@ -178,4 +181,96 @@ func pprofAsOne(route string) string {
 		return "GET /debug/pprof/..."
 	}
 	return route
+}
+
+// TestFinishedSweepStreamSkipsBus: a stream opened on a finished sweep is
+// its terminal status alone — one "sweep" event — and never attaches to
+// the bus, so it costs no subscriber buffer.
+func TestFinishedSweepStreamSkipsBus(t *testing.T) {
+	svc := NewService(1, nil, nil)
+	defer svc.Close(context.Background())
+	sw := &sweepState{
+		status: SweepStatus{ID: "sw", State: StateDone},
+		jobs:   map[string]runner.Job{"A": {}},
+		done:   make(chan struct{}),
+	}
+	close(sw.done)
+	svc.mu.Lock()
+	svc.sweeps["sw"] = sw
+	svc.mu.Unlock()
+
+	w := &stallingWriter{ResponseRecorder: httptest.NewRecorder(),
+		stalled: make(chan struct{}), release: make(chan struct{})}
+	served := make(chan struct{})
+	go func() {
+		defer close(served)
+		NewServer(svc).ServeHTTP(w, httptest.NewRequest("GET", "/api/v1/sweeps/sw/events", nil))
+	}()
+	<-w.stalled // writing the first event
+	subs := svc.b.Stats().Subscribers
+	close(w.release)
+	<-served
+	if subs != 0 {
+		t.Fatalf("the stream of a finished sweep attached %d bus subscriber(s)", subs)
+	}
+	var st SweepStatus
+	var names []string
+	if err := readSSE(w.Body, func(name string, data []byte) error {
+		names = append(names, name)
+		return json.Unmarshal(data, &st)
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(names, []string{"sweep"}) || st.ID != "sw" || st.State != StateDone {
+		t.Fatalf("stream = %q ending in %+v, want one terminal sweep event", names, st)
+	}
+}
+
+// TestReportRoutesDeclareLength: both report routes send a Content-Length
+// equal to the body, so the client reads it in one allocation; a report
+// the encoder refuses (a NaN has no JSON form) answers its fetch with the
+// encoder's error instead of bytes.
+func TestReportRoutesDeclareLength(t *testing.T) {
+	svc := NewService(1, nil, nil)
+	defer svc.Close(context.Background())
+	ts := httptest.NewServer(NewServer(svc))
+	defer ts.Close()
+	finished := func(id string, rep exp.Report) {
+		sw := &sweepState{status: SweepStatus{ID: id, State: StateDone}, done: make(chan struct{}), rep: rep}
+		close(sw.done)
+		svc.mu.Lock()
+		svc.sweeps[id] = sw
+		svc.mu.Unlock()
+	}
+	// Enough runs that either form outgrows the server's response
+	// buffer, past which it would stream chunked unless told the length.
+	var runs []exp.ReportRun
+	for i := range 64 {
+		runs = append(runs, exp.ReportRun{Config: "default", App: "app" + strconv.Itoa(i), Protocol: "lrc", ExecCycles: 1234, Verified: true})
+	}
+	finished("ok", exp.Report{Scale: "tiny", Procs: 4, Runs: runs})
+	runs = slices.Clone(runs)
+	runs[0].Answer = []float64{math.NaN()}
+	finished("nan", exp.Report{Scale: "tiny", Procs: 4, Runs: runs})
+
+	for _, form := range []string{"report.json", "report.html"} {
+		resp, err := ts.Client().Get(ts.URL + "/api/v1/sweeps/ok/" + form)
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.StatusCode != http.StatusOK || len(body) < 8<<10 || resp.ContentLength != int64(len(body)) ||
+			resp.Header.Get("Content-Length") != strconv.Itoa(len(body)) || len(resp.TransferEncoding) != 0 {
+			t.Fatalf("%s: %s, Content-Length %q (%d), %v, for a %d-byte body",
+				form, resp.Status, resp.Header.Get("Content-Length"), resp.ContentLength, resp.TransferEncoding, len(body))
+		}
+	}
+	c := &Client{Base: ts.URL, HTTPClient: ts.Client()}
+	if b, err := c.SweepReport(context.Background(), "nan"); err == nil || !strings.Contains(err.Error(), "encoding report") {
+		t.Fatalf("an unencodable report was served as %q (%v)", b, err)
+	}
 }

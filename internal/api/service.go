@@ -60,9 +60,6 @@ type Service struct {
 	// contain: a job event is folded into these and no others, so its
 	// cost does not grow with the sweeps ever registered.
 	live map[string][]*sweepState
-	// saving serializes registry writes, so the last one to land carries
-	// every sweep registered before it.
-	saving sync.Mutex
 	// rates tracks per-fingerprint heartbeat progress of running jobs,
 	// feeding the lrcsimd_sim_cycles_per_second gauge. Wall-clock
 	// observability only.
@@ -79,7 +76,7 @@ type jobRate struct {
 
 // sweepState is one sweep's record. status is mutated under Service.mu;
 // done closes exactly once when the sweep reaches a terminal state, after
-// which reportJSON/reportHTML are immutable.
+// which rep is immutable until render turns it into the report bytes.
 type sweepState struct {
 	status SweepStatus
 	// reqID is the submitting request's ID, stamped into every
@@ -103,8 +100,14 @@ type sweepState struct {
 	// terminal status's wall-clock duration.
 	startedAt time.Time
 
+	// rep is the stable report, kept from completion until the first
+	// fetch: render encodes both forms once and drops it, so a sweep
+	// nobody fetches (one resurrected at boot) never pays for rendering.
+	rep        exp.Report
+	render     sync.Once
 	reportJSON []byte // stable report, indented JSON
 	reportHTML []byte // self-contained HTML rendering
+	renderErr  error  // what either encoder returned
 }
 
 // NewService builds a service executing on a pool of the given size,
@@ -142,17 +145,26 @@ func NewService(workers int, st *store.Store, logger *slog.Logger) *Service {
 		// Resurrection submissions carry a synthetic request ID so their
 		// lifecycle log lines are distinguishable from client traffic.
 		bootCtx := obs.WithRequestID(context.Background(), "boot")
-		loaded := st.Sweeps()
+		loaded, dropped := st.Sweeps()
 		for _, raw := range loaded {
 			var spec exp.Spec
 			if json.Unmarshal(raw, &spec) == nil { // schema drift: skip
 				s.submit(bootCtx, spec, false) // a spec that no longer validates is dropped
 			}
 		}
-		// The registry is rewritten only if resurrection changed it: a
-		// spec dropped, a duplicate merged, or a canonical form moved.
-		if !slices.EqualFunc(loaded, s.registry(), func(a, b json.RawMessage) bool { return bytes.Equal(a, b) }) {
-			s.persistSweeps()
+		// The registry is rewritten only if resurrection changed it (a torn
+		// or corrupt line, a spec dropped, a duplicate merged, a canonical
+		// form moved): whole lines only, so no append fuses with a torn tail.
+		s.mu.Lock()
+		kept := make([]json.RawMessage, len(s.order))
+		for i, id := range s.order {
+			kept[i] = s.sweeps[id].doc
+		}
+		s.mu.Unlock()
+		if dropped > 0 || !slices.EqualFunc(loaded, kept, func(a, b json.RawMessage) bool { return bytes.Equal(a, b) }) {
+			if err := st.SaveSweeps(kept); err != nil {
+				s.log.Warn("sweep registry not rewritten", "err", err)
+			}
 		}
 	}
 	return s
@@ -337,8 +349,8 @@ func (s *Service) SubmitSweep(submitCtx context.Context, spec exp.Spec) (SweepSt
 	return s.submit(submitCtx, spec, true)
 }
 
-// submit is SubmitSweep; persist false skips the registry write, which
-// boot resurrection makes once, after the loop, and only if it changed.
+// submit is SubmitSweep; persist false skips the registry append, which
+// boot resurrection replaces with at most one rewrite, after the loop.
 func (s *Service) submit(submitCtx context.Context, spec exp.Spec, persist bool) (SweepStatus, bool, error) {
 	norm, e, cells, err := spec.Expand()
 	if err != nil {
@@ -396,38 +408,16 @@ func (s *Service) submit(submitCtx context.Context, spec exp.Spec, persist bool)
 	s.mu.Unlock()
 
 	s.log.Info("sweep submitted", "sweep", id, "jobs", len(jobs), "request_id", reqID)
-	if persist {
-		s.persistSweeps()
+	if persist && s.st != nil {
+		// Best-effort: the sweep runs either way; only its resurrection
+		// after a restart is lost.
+		if err := s.st.AppendSweep(doc); err != nil {
+			s.log.Warn("sweep not registered", "sweep", id, "err", err, "request_id", reqID)
+		}
 	}
 	e.R, e.Ctx = s.rn, ctx
 	go s.runSweep(ctx, sw, e, cells)
 	return st, true, nil
-}
-
-// persistSweeps rewrites the store's sweep registry sidecar from the
-// current submission order, from the canonical documents the sweeps kept:
-// nothing is re-encoded. Best-effort: persistence failing must not fail
-// the submission that triggered it (the sweep still runs; only restart
-// recovery is degraded).
-func (s *Service) persistSweeps() {
-	if s.st == nil {
-		return
-	}
-	s.saving.Lock()
-	defer s.saving.Unlock()
-	_ = s.st.SaveSweeps(s.registry())
-}
-
-// registry lists the registered sweeps' canonical documents in
-// submission order.
-func (s *Service) registry() []json.RawMessage {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	docs := make([]json.RawMessage, len(s.order))
-	for i, id := range s.order {
-		docs[i] = s.sweeps[id].doc
-	}
-	return docs
 }
 
 // runSweep executes one sweep to a terminal state: the cells go to the
@@ -444,20 +434,14 @@ func (s *Service) runSweep(ctx context.Context, sw *sweepState, e *exp.Evaluator
 	e.Prefetch(cells)
 	canceled := ctx.Err() != nil
 
-	// Render both report forms now: clients fetch bytes, never
-	// recompute. The stable form drops the runner's volatile provenance,
-	// so a warm re-submission (or a re-submission after a daemon restart
-	// over the same store) serves bit-identical bytes.
-	var jsonBuf, htmlBuf bytes.Buffer
-	rep := e.Report().Stable()
-	firstFail := rep.Err()
-	jsonErr := exp.WriteReportJSON(&jsonBuf, rep)
-	htmlErr := exp.WriteHTML(&htmlBuf, rep)
+	// The stable form drops the runner's volatile provenance, so a warm
+	// re-submission (or a re-submission after a daemon restart over the
+	// same store) serves bit-identical bytes.
+	sw.rep = e.Report().Stable()
+	firstFail := sw.rep.Err()
 
 	s.mu.Lock()
 	s.retire(sw)
-	sw.reportJSON = jsonBuf.Bytes()
-	sw.reportHTML = htmlBuf.Bytes()
 	wall := time.Since(sw.startedAt)
 	sw.status.WallMS = wall.Milliseconds()
 	if secs := wall.Seconds(); secs > 0 {
@@ -470,9 +454,6 @@ func (s *Service) runSweep(ctx context.Context, sw *sweepState, e *exp.Evaluator
 	case sw.status.Failed > 0 && firstFail != nil:
 		sw.status.State = StateFailed
 		sw.status.Error = firstFail.Error()
-	case jsonErr != nil || htmlErr != nil:
-		sw.status.State = StateFailed
-		sw.status.Error = errors.Join(jsonErr, htmlErr).Error()
 	default:
 		sw.status.State = StateDone
 		if firstFail != nil {
@@ -575,6 +556,9 @@ func (s *Service) SweepHTML(id string) ([]byte, error) {
 	return s.sweepBytes(id, func(sw *sweepState) []byte { return sw.reportHTML })
 }
 
+// sweepBytes returns one form of a finished sweep's report, rendering
+// both on the first fetch of either. A report that cannot be encoded
+// answers every fetch with the encoder's error.
 func (s *Service) sweepBytes(id string, pick func(*sweepState) []byte) ([]byte, error) {
 	sw, err := s.lookup(id)
 	if err != nil {
@@ -585,11 +569,15 @@ func (s *Service) sweepBytes(id string, pick func(*sweepState) []byte) ([]byte, 
 	default:
 		return nil, fmt.Errorf("api: sweep %s has not finished", id)
 	}
-	b := pick(sw)
-	if len(b) == 0 {
-		return nil, fmt.Errorf("api: sweep %s produced no report", id)
+	sw.render.Do(func() {
+		var j, h bytes.Buffer
+		sw.renderErr = errors.Join(exp.WriteReportJSON(&j, sw.rep), exp.WriteHTML(&h, sw.rep))
+		sw.reportJSON, sw.reportHTML, sw.rep = j.Bytes(), h.Bytes(), exp.Report{}
+	})
+	if sw.renderErr != nil {
+		return nil, sw.renderErr
 	}
-	return b, nil
+	return pick(sw), nil
 }
 
 // Job returns the stored result of a fingerprint — whichever sweep,

@@ -9,6 +9,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -363,8 +364,9 @@ func (s *syncLogBuffer) String() string {
 // TestBootRegistryWrites: resurrection writes the sweep registry at most
 // once, and only when it changed. 500 registered sweeps come back with
 // the file untouched — same inode, same bytes — and a submission after
-// boot appends exactly its own spec. A registry with a duplicate, a spec
-// that no longer validates and a document that is no spec at all is
+// boot appends exactly its own line to the same file, leaving the
+// earlier bytes as they were. A registry with a duplicate, a spec that
+// no longer validates and a document that is no spec at all is
 // rewritten to the sweeps that came back.
 func TestBootRegistryWrites(t *testing.T) {
 	if testing.Short() {
@@ -386,18 +388,18 @@ func TestBootRegistryWrites(t *testing.T) {
 		docs[i] = specDoc(uint64(i + 1))
 	}
 	registry := func(docs []json.RawMessage) []byte {
-		b, err := json.Marshal(docs)
-		if err != nil {
-			t.Fatal(err)
+		var b []byte
+		for _, d := range docs {
+			b = append(append(b, d...), '\n')
 		}
-		return append(b, '\n')
+		return b
 	}
 	// boot starts a service over a registry file holding raw, checks it
 	// resurrected want sweeps, and returns the service, its store and
 	// whether the file was replaced.
 	boot := func(dir string, raw []byte, want int) (*Service, *store.Store, bool) {
 		t.Helper()
-		path := filepath.Join(dir, "sweeps.json")
+		path := filepath.Join(dir, "sweeps.jsonl")
 		if err := os.WriteFile(path, raw, 0o644); err != nil {
 			t.Fatal(err)
 		}
@@ -429,7 +431,7 @@ func TestBootRegistryWrites(t *testing.T) {
 	}
 	fileIs := func(dir string, want []byte) {
 		t.Helper()
-		got, err := os.ReadFile(filepath.Join(dir, "sweeps.json"))
+		got, err := os.ReadFile(filepath.Join(dir, "sweeps.jsonl"))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -444,11 +446,18 @@ func TestBootRegistryWrites(t *testing.T) {
 		t.Fatal("a boot that dropped nothing rewrote the registry")
 	}
 	fileIs(dir, registry(docs))
+	booted, err := os.Stat(filepath.Join(dir, "sweeps.jsonl"))
+	if err != nil {
+		t.Fatal(err)
+	}
 	extra := exp.Spec{Targets: []string{"default/gauss/sc"}, Scale: "tiny", Procs: 4, Seed: 9999}
 	if _, created, err := svc.SubmitSweep(context.Background(), extra); err != nil || !created {
 		t.Fatalf("submit after boot: created=%v err=%v", created, err)
 	}
-	fileIs(dir, registry(append(docs[:len(docs):len(docs)], specDoc(9999))))
+	fileIs(dir, append(registry(docs), registry([]json.RawMessage{specDoc(9999)})...))
+	if appended, err := os.Stat(filepath.Join(dir, "sweeps.jsonl")); err != nil || !os.SameFile(booted, appended) {
+		t.Fatalf("a submission replaced the registry file instead of appending to it (%v)", err)
+	}
 	shutdown(svc, st)
 
 	dir = t.TempDir()
@@ -460,4 +469,125 @@ func TestBootRegistryWrites(t *testing.T) {
 	}
 	fileIs(dir, registry(docs))
 	shutdown(svc, st)
+}
+
+// TestResurrectedReportsRenderOnFetch: a sweep resurrected at boot holds
+// its report unrendered until someone fetches it, and the first fetch —
+// of either form — serves the first incarnation's bytes.
+func TestResurrectedReportsRenderOnFetch(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs a simulation")
+	}
+	ctx := context.Background()
+	dir := t.TempDir()
+	d1 := startDaemon(t, dir, 1)
+	st, err := d1.c.SubmitSweep(ctx, exp.Spec{Targets: []string{"default/gauss/lrc"}, Scale: "tiny", Procs: 4, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st, err = d1.c.WaitSweep(ctx, st.ID, nil); err != nil || st.State != StateDone {
+		t.Fatalf("first incarnation: %+v, %v", st, err)
+	}
+	json1, err := d1.c.SweepReport(ctx, st.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	html1, err := d1.c.SweepHTML(ctx, st.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d1.stop(t)
+
+	d2 := startDaemon(t, dir, 1)
+	defer d2.stop(t)
+	sw, err := d2.svc.lookup(st.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	<-sw.done
+	if sw.reportJSON != nil || sw.reportHTML != nil || len(sw.rep.Runs) != 1 {
+		t.Fatalf("resurrected sweep rendered %d + %d bytes before any fetch, holding %d runs",
+			len(sw.reportJSON), len(sw.reportHTML), len(sw.rep.Runs))
+	}
+	html2, err := d2.c.SweepHTML(ctx, st.ID) // HTML first: one render serves both
+	if err != nil {
+		t.Fatal(err)
+	}
+	json2, err := d2.c.SweepReport(ctx, st.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(json1, json2) || !bytes.Equal(html1, html2) {
+		t.Fatal("the resurrected sweep's first fetch differs from the first incarnation's bytes")
+	}
+	sw.render.Do(func() {}) // orders this goroutine after the render
+	if sw.rep.Runs != nil {
+		t.Fatal("a rendered sweep still holds its report")
+	}
+}
+
+// TestRegistryTornTail is a crash point of the appended registry: a crash
+// during a new sweep's append leaves any prefix of its line. Truncated at
+// every byte offset of its last line, the registry reboots to exactly the
+// earlier sweeps — one line dropped and counted, no sweep invented — and
+// boot rewrites it to their whole lines, so the next append lands clean.
+func TestRegistryTornTail(t *testing.T) {
+	dir := t.TempDir()
+	st, err := store.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	svc := NewService(1, st, nil)
+	var ids []string
+	for seed := uint64(1); seed <= 3; seed++ {
+		s, _, err := svc.SubmitSweep(context.Background(), exp.Spec{Targets: []string{"default/gauss/sc"}, Scale: "tiny", Procs: 4, Seed: seed})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ids = append(ids, s.ID)
+	}
+	stop := func(svc *Service, st *store.Store) {
+		ctx, cancel := context.WithCancel(context.Background())
+		cancel() // the sweeps are not the point: stop them
+		svc.Close(ctx)
+		if err := st.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	stop(svc, st)
+	path := filepath.Join(dir, "sweeps.jsonl")
+	full, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := bytes.Count(full, []byte{'\n'}); n != 3 {
+		t.Fatalf("three submissions appended %d lines", n)
+	}
+	earlier := full[:bytes.LastIndexByte(full[:len(full)-1], '\n')+1]
+
+	for cut := len(earlier); cut < len(full); cut++ {
+		if err := os.WriteFile(path, full[:cut], 0o644); err != nil {
+			t.Fatal(err)
+		}
+		st, err := store.Open(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		svc := NewService(1, st, nil)
+		var got []string
+		for _, s := range svc.Sweeps() {
+			got = append(got, s.ID)
+		}
+		want, dropped := 1, st.Recovered()
+		if cut == len(earlier) {
+			want = 0 // the cut fell between lines: nothing torn
+		}
+		if !slices.Equal(got, ids[:2]) || dropped != want {
+			t.Fatalf("cut at %d of %d: resurrected %v with %d line(s) dropped, want %v with %d", cut, len(full), got, dropped, ids[:2], want)
+		}
+		if on, err := os.ReadFile(path); err != nil || !bytes.Equal(on, earlier) {
+			t.Fatalf("cut at %d: boot left the registry as %q (%v), want its whole lines %q", cut, on, err, earlier)
+		}
+		stop(svc, st)
+	}
 }

@@ -66,11 +66,6 @@ type SweepStatus struct {
 	CyclesPerSec float64 `json:"cycles_per_sec,omitempty"`
 }
 
-// Terminal reports whether the sweep has finished (in any way).
-func (s SweepStatus) Terminal() bool {
-	return s.State == StateDone || s.State == StateFailed || s.State == StateCanceled
-}
-
 // StatsResponse is the daemon's observability snapshot.
 type StatsResponse struct {
 	Runner runner.Meta  `json:"runner"`

@@ -377,13 +377,6 @@ func (s *Store) Compact() (Stats, error) {
 	return s.statsLocked(), nil
 }
 
-// Len reports the number of live entries.
-func (s *Store) Len() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.idx)
-}
-
 // Recovered reports how many corrupt lines were dropped at load,
 // satisfying runner.ResultStore (the runner surfaces it as
 // Meta.CacheRecovered).
@@ -421,15 +414,6 @@ type Stats struct {
 // DeadBytes is the compaction-trigger input: bytes a compaction pass
 // would reclaim (superseded duplicates, skipped garbage).
 func (st Stats) DeadBytes() int64 { return st.TotalBytes - st.LiveBytes }
-
-// DeadRatio is DeadBytes as a fraction of everything on disk (0 when
-// the store is empty) — the signal an age/size GC policy keys on.
-func (st Stats) DeadRatio() float64 {
-	if st.TotalBytes == 0 {
-		return 0
-	}
-	return float64(st.DeadBytes()) / float64(st.TotalBytes)
-}
 
 // Stats snapshots the store.
 func (s *Store) Stats() Stats {

@@ -159,8 +159,8 @@ func TestSegmentRotation(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s2.Close()
-	if s2.Len() != 20 {
-		t.Fatalf("reopened entries = %d, want 20", s2.Len())
+	if s2.Stats().Entries != 20 {
+		t.Fatalf("reopened entries = %d, want 20", s2.Stats().Entries)
 	}
 }
 
@@ -230,7 +230,7 @@ func TestGarbageRecoveryAndCompaction(t *testing.T) {
 	// compaction trigger would key on, plus the per-handle traffic
 	// counters (8 hits so far on this handle, 1 append, no misses).
 	pre := s2.Stats()
-	if pre.DeadBytes() <= 0 || pre.DeadRatio() <= 0 || pre.DeadRatio() >= 1 {
+	if pre.DeadBytes() <= 0 || pre.DeadBytes() >= pre.TotalBytes {
 		t.Fatalf("damaged store shows no dead bytes: %+v", pre)
 	}
 	if pre.Appends != 1 || pre.Lookups != 8 || pre.Misses != 0 {
@@ -244,7 +244,7 @@ func TestGarbageRecoveryAndCompaction(t *testing.T) {
 	if st.Segments != 1 || st.Entries != 9 || st.LiveBytes != st.TotalBytes || st.Compactions != 1 {
 		t.Fatalf("post-compaction stats: %+v", st)
 	}
-	if st.DeadBytes() != 0 || st.DeadRatio() != 0 {
+	if st.DeadBytes() != 0 {
 		t.Fatalf("compaction left dead bytes: %+v", st)
 	}
 	for fp, w := range want {
@@ -267,8 +267,8 @@ func TestGarbageRecoveryAndCompaction(t *testing.T) {
 	if got := s3.Recovered(); got != 0 {
 		t.Fatalf("compacted store dropped %d lines on reload", got)
 	}
-	if s3.Len() != 9 {
-		t.Fatalf("compacted entries = %d, want 9", s3.Len())
+	if s3.Stats().Entries != 9 {
+		t.Fatalf("compacted entries = %d, want 9", s3.Stats().Entries)
 	}
 	got, _ := s3.Get("fp-extra")
 	if !reflect.DeepEqual(got, extra) {
@@ -341,7 +341,7 @@ func TestOpenIgnoresAbandonedCompactionTemp(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s.Close()
-	if s.Len() != 0 || s.Recovered() != 0 {
+	if s.Stats().Entries != 0 || s.Recovered() != 0 {
 		t.Fatalf("temp file leaked into the store: %+v", s.Stats())
 	}
 	if _, err := os.Stat(filepath.Join(dir, tmpName)); !os.IsNotExist(err) {
@@ -361,8 +361,8 @@ func TestSweepRegistryRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := s.Sweeps(); len(got) != 0 {
-		t.Fatalf("fresh store has sweeps: %v", got)
+	if got, dropped := s.Sweeps(); len(got) != 0 || dropped != 0 {
+		t.Fatalf("fresh store has sweeps: %v, %d dropped", got, dropped)
 	}
 	specs := []json.RawMessage{
 		json.RawMessage(`{"apps":["gauss"],"scale":"tiny"}`),
@@ -375,6 +375,11 @@ func TestSweepRegistryRoundTrip(t *testing.T) {
 	if err := s.SaveSweeps(specs[:1]); err != nil {
 		t.Fatal(err)
 	}
+	// An append adds one line after the saved ones.
+	added := json.RawMessage(`{"seed":3}`)
+	if err := s.AppendSweep(added); err != nil {
+		t.Fatal(err)
+	}
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -384,9 +389,9 @@ func TestSweepRegistryRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s2.Close()
-	got := s2.Sweeps()
-	if len(got) != 1 || !reflect.DeepEqual(got[0], specs[0]) {
-		t.Fatalf("reloaded registry %s, want %s", got, specs[:1])
+	got, _ := s2.Sweeps()
+	if want := []json.RawMessage{specs[0], added}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("reloaded registry %s, want %s", got, want)
 	}
 	names, _ := os.ReadDir(dir)
 	for _, n := range names {
@@ -396,27 +401,44 @@ func TestSweepRegistryRoundTrip(t *testing.T) {
 	}
 }
 
+// TestSweepRegistryCorruptSidecarDropped: each line stands alone, so a
+// corrupt line costs only itself. A line that is not JSON and a torn
+// tail are dropped and counted; the whole lines around them load.
 func TestSweepRegistryCorruptSidecarDropped(t *testing.T) {
-	dir := t.TempDir()
-	if err := os.WriteFile(filepath.Join(dir, sweepsName), []byte("{torn"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	s, err := Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-	if got := s.Sweeps(); got != nil {
-		t.Fatalf("corrupt sidecar yielded sweeps: %v", got)
-	}
-	if s.Recovered() == 0 {
-		t.Fatal("corrupt sidecar not counted as recovered garbage")
+	for _, c := range []struct {
+		raw     string
+		want    []string
+		dropped int
+	}{
+		{"{torn", nil, 1},
+		{`{"a":1}` + "\n{torn\n" + `{"b":2}` + "\n{\"c\"", []string{`{"a":1}`, `{"b":2}`}, 2},
+	} {
+		dir := t.TempDir()
+		if err := os.WriteFile(filepath.Join(dir, sweepsName), []byte(c.raw), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		s, err := Open(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, dropped := s.Sweeps()
+		var docs []string
+		for _, d := range got {
+			docs = append(docs, string(d))
+		}
+		if !reflect.DeepEqual(docs, c.want) || dropped != c.dropped {
+			t.Fatalf("%q loaded %q with %d dropped, want %q with %d", c.raw, docs, dropped, c.want, c.dropped)
+		}
+		if s.Recovered() != c.dropped {
+			t.Fatalf("%q: %d recovered, want the %d dropped lines counted as recovered garbage", c.raw, s.Recovered(), c.dropped)
+		}
+		s.Close()
 	}
 }
 
-// TestSaveSweepsIsMarshal: the registry joins the documents it is given
-// without re-encoding them, and the file is still byte for byte what
-// json.Marshal of the list (plus a newline) was.
+// TestSaveSweepsIsMarshal: the registry writes the documents it is given
+// without re-encoding them, one per line, so each line is byte for byte
+// what json.Marshal of its spec was, and they load back as written.
 func TestSaveSweepsIsMarshal(t *testing.T) {
 	s, err := Open(t.TempDir())
 	if err != nil {
@@ -439,25 +461,31 @@ func TestSaveSweepsIsMarshal(t *testing.T) {
 		if err := s.SaveSweeps(specs); err != nil {
 			t.Fatal(err)
 		}
-		want := doc(append([]json.RawMessage{}, specs...))
+		var want []byte
+		for _, spec := range specs {
+			want = append(append(want, spec...), '\n')
+		}
 		got, err := os.ReadFile(filepath.Join(s.dir, sweepsName))
 		if err != nil {
 			t.Fatal(err)
 		}
-		if string(got) != string(want)+"\n" {
+		if string(got) != string(want) {
 			t.Fatalf("registry file %q, json.Marshal says %q", got, want)
+		}
+		if back, dropped := s.Sweeps(); len(back) != len(specs) || dropped != 0 || (len(specs) > 0 && !reflect.DeepEqual(back, specs)) {
+			t.Fatalf("registry loads back as %s (%d dropped), want %s", back, dropped, specs)
 		}
 	}
 }
 
 // TestLeftoverSweepsTmpIgnored: a crash between creating the registry's
-// temp file and renaming it leaves sweeps.json.tmp of any length behind;
+// temp file and renaming it leaves sweeps.jsonl.tmp of any length behind;
 // opening ignores it, the registry is the last one installed, and the
 // next save replaces the leftover.
 func TestLeftoverSweepsTmpIgnored(t *testing.T) {
 	for _, n := range []int{0, 1, 7, 4096} {
 		dir := t.TempDir()
-		installed := []byte(`[{"scale":"tiny"}]` + "\n")
+		installed := []byte(`{"scale":"tiny"}` + "\n")
 		if err := os.WriteFile(filepath.Join(dir, sweepsName), installed, 0o644); err != nil {
 			t.Fatal(err)
 		}
@@ -468,7 +496,7 @@ func TestLeftoverSweepsTmpIgnored(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got := s.Sweeps(); len(got) != 1 || string(got[0]) != `{"scale":"tiny"}` || s.Recovered() != 0 {
+		if got, _ := s.Sweeps(); len(got) != 1 || string(got[0]) != `{"scale":"tiny"}` || s.Recovered() != 0 {
 			t.Fatalf("%d-byte leftover: registry %s, %d recovered", n, got, s.Recovered())
 		}
 		if err := s.SaveSweeps(nil); err != nil {
