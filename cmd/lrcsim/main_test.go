@@ -7,6 +7,8 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
+	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
@@ -445,9 +447,14 @@ func TestOneTimeline(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	served, err := c.JobTrace(ctx, cells["default/gauss/lrc"])
+	resp, err := ts.Client().Get(ts.URL + "/api/v1/jobs/" + cells["default/gauss/lrc"] + "/trace")
 	if err != nil {
 		t.Fatal(err)
+	}
+	served, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil || resp.StatusCode != http.StatusOK {
+		t.Fatalf("trace route: %s, %v", resp.Status, err)
 	}
 	if !bytes.Equal(served, trace) {
 		t.Errorf("the daemon's trace of the cell (%d bytes) differs from -spans-out's (%d bytes)", len(served), len(trace))

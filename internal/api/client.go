@@ -92,22 +92,6 @@ func requestIDSuffix(resp *http.Response) string {
 	return ""
 }
 
-// Health probes the daemon's liveness endpoint.
-func (c *Client) Health(ctx context.Context) error {
-	return c.do(ctx, http.MethodGet, "/healthz", nil, nil)
-}
-
-// Readyz probes the daemon's readiness endpoint: an error means the
-// daemon is absent, starting, or draining — stop routing work to it.
-func (c *Client) Readyz(ctx context.Context) error {
-	return c.do(ctx, http.MethodGet, "/readyz", nil, nil)
-}
-
-// Metrics fetches the daemon's Prometheus text exposition.
-func (c *Client) Metrics(ctx context.Context) ([]byte, error) {
-	return c.raw(ctx, "/metrics")
-}
-
 // SubmitSweep submits a sweep spec (idempotent: an identical spec
 // returns the existing record).
 func (c *Client) SubmitSweep(ctx context.Context, spec exp.Spec) (SweepStatus, error) {
@@ -121,18 +105,6 @@ func (c *Client) Sweep(ctx context.Context, id string) (SweepStatus, error) {
 	var st SweepStatus
 	err := c.do(ctx, http.MethodGet, "/api/v1/sweeps/"+id, nil, &st)
 	return st, err
-}
-
-// Sweeps lists all sweeps.
-func (c *Client) Sweeps(ctx context.Context) ([]SweepStatus, error) {
-	var out []SweepStatus
-	err := c.do(ctx, http.MethodGet, "/api/v1/sweeps", nil, &out)
-	return out, err
-}
-
-// CancelSweep cancels a sweep.
-func (c *Client) CancelSweep(ctx context.Context, id string) error {
-	return c.do(ctx, http.MethodDelete, "/api/v1/sweeps/"+id, nil, nil)
 }
 
 // SweepReport fetches a finished sweep's stable report JSON.
@@ -151,12 +123,6 @@ func (c *Client) SweepCells(ctx context.Context, id string) (map[string]string, 
 	var cells map[string]string
 	err := c.do(ctx, http.MethodGet, "/api/v1/sweeps/"+id+"/cells", nil, &cells)
 	return cells, err
-}
-
-// JobTrace fetches the Perfetto trace of a cell some sweep names, by its
-// fingerprint (the daemon re-runs it with span retention).
-func (c *Client) JobTrace(ctx context.Context, fp string) ([]byte, error) {
-	return c.raw(ctx, "/api/v1/jobs/"+fp+"/trace")
 }
 
 func (c *Client) raw(ctx context.Context, path string) ([]byte, error) {

@@ -257,7 +257,7 @@ func serveTrace(s *Service, w http.ResponseWriter, r *http.Request) {
 	}
 	m, res := runner.ExecTraced(job, true)
 	if m == nil {
-		httpError(w, fmt.Errorf("api: trace run failed: %s", res.Failure))
+		httpError(w, serverFault{fmt.Errorf("api: trace run failed: %s", res.Failure)})
 		return
 	}
 	w.Header().Set("Content-Type", "application/json")
@@ -322,17 +322,23 @@ func writeJSON(w http.ResponseWriter, code int, v any) {
 	enc.Encode(v)
 }
 
-// httpError maps service errors onto status codes.
+// httpError maps service errors onto status codes: the request's fault
+// (400) unless the error says otherwise.
 func httpError(w http.ResponseWriter, err error) {
 	code := http.StatusBadRequest
 	var tooBig *http.MaxBytesError
+	var fault serverFault
 	switch {
 	case errors.As(err, &tooBig):
 		code = http.StatusRequestEntityTooLarge
 	case errors.Is(err, ErrNotFound):
 		code = http.StatusNotFound
+	case errors.Is(err, ErrNotFinished):
+		code = http.StatusConflict
 	case errors.Is(err, ErrDraining):
 		code = http.StatusServiceUnavailable
+	case errors.As(err, &fault):
+		code = http.StatusInternalServerError
 	}
 	http.Error(w, err.Error(), code)
 }

@@ -229,19 +229,21 @@ func TestFinishedSweepStreamSkipsBus(t *testing.T) {
 // TestReportRoutesDeclareLength: both report routes send a Content-Length
 // equal to the body, so the client reads it in one allocation; a report
 // the encoder refuses (a NaN has no JSON form) answers its fetch with the
-// encoder's error instead of bytes.
+// encoder's error and 500 instead of bytes, and a sweep still running
+// answers 409.
 func TestReportRoutesDeclareLength(t *testing.T) {
 	svc := NewService(1, nil, nil)
 	defer svc.Close(context.Background())
 	ts := httptest.NewServer(NewServer(svc))
 	defer ts.Close()
-	finished := func(id string, rep exp.Report) {
+	add := func(id string, rep exp.Report) *sweepState {
 		sw := &sweepState{status: SweepStatus{ID: id, State: StateDone}, done: make(chan struct{}), rep: rep}
-		close(sw.done)
 		svc.mu.Lock()
 		svc.sweeps[id] = sw
 		svc.mu.Unlock()
+		return sw
 	}
+	finished := func(id string, rep exp.Report) { close(add(id, rep).done) }
 	// Enough runs that either form outgrows the server's response
 	// buffer, past which it would stream chunked unless told the length.
 	var runs []exp.ReportRun
@@ -272,5 +274,18 @@ func TestReportRoutesDeclareLength(t *testing.T) {
 	c := &Client{Base: ts.URL, HTTPClient: ts.Client()}
 	if b, err := c.SweepReport(context.Background(), "nan"); err == nil || !strings.Contains(err.Error(), "encoding report") {
 		t.Fatalf("an unencodable report was served as %q (%v)", b, err)
+	}
+	add("running", exp.Report{})
+	for id, want := range map[string]int{"nan": http.StatusInternalServerError, "running": http.StatusConflict} {
+		for _, form := range []string{"report.json", "report.html"} {
+			resp, err := ts.Client().Get(ts.URL + "/api/v1/sweeps/" + id + "/" + form)
+			if err != nil {
+				t.Fatal(err)
+			}
+			resp.Body.Close()
+			if resp.StatusCode != want {
+				t.Errorf("%s of %s: %s, want %d", form, id, resp.Status, want)
+			}
+		}
 	}
 }

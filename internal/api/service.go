@@ -25,6 +25,13 @@ var ErrDraining = errors.New("api: daemon is draining")
 // ErrNotFound is returned for unknown sweep identities and fingerprints.
 var ErrNotFound = errors.New("api: not found")
 
+// ErrNotFinished is returned for the report of a sweep still running.
+var ErrNotFinished = errors.New("api: sweep has not finished")
+
+// serverFault marks an error that is the daemon's, not the request's: a
+// report the encoder refuses, a trace re-run that fails.
+type serverFault struct{ error }
+
 // Service is the daemon's core: it owns the runner pool, the persistent
 // result store, and the event bus, and it tracks every submitted sweep —
 // the one unit of submission: a single simulation is a sweep whose only
@@ -567,7 +574,7 @@ func (s *Service) sweepBytes(id string, pick func(*sweepState) []byte) ([]byte, 
 	select {
 	case <-sw.done:
 	default:
-		return nil, fmt.Errorf("api: sweep %s has not finished", id)
+		return nil, fmt.Errorf("%w: %s", ErrNotFinished, id)
 	}
 	sw.render.Do(func() {
 		var j, h bytes.Buffer
@@ -575,7 +582,7 @@ func (s *Service) sweepBytes(id string, pick func(*sweepState) []byte) ([]byte, 
 		sw.reportJSON, sw.reportHTML, sw.rep = j.Bytes(), h.Bytes(), exp.Report{}
 	})
 	if sw.renderErr != nil {
-		return nil, sw.renderErr
+		return nil, serverFault{sw.renderErr}
 	}
 	return pick(sw), nil
 }

@@ -21,6 +21,40 @@ import (
 	"lazyrc/internal/store"
 )
 
+// Health probes the daemon's liveness endpoint.
+func (c *Client) Health(ctx context.Context) error {
+	return c.do(ctx, http.MethodGet, "/healthz", nil, nil)
+}
+
+// Readyz probes the daemon's readiness endpoint: an error means the
+// daemon is absent, starting, or draining — stop routing work to it.
+func (c *Client) Readyz(ctx context.Context) error {
+	return c.do(ctx, http.MethodGet, "/readyz", nil, nil)
+}
+
+// JobTrace fetches the Perfetto trace of a cell some sweep names, by its
+// fingerprint (the daemon re-runs it with span retention).
+func (c *Client) JobTrace(ctx context.Context, fp string) ([]byte, error) {
+	return c.raw(ctx, "/api/v1/jobs/"+fp+"/trace")
+}
+
+// Sweeps lists all sweeps.
+func (c *Client) Sweeps(ctx context.Context) ([]SweepStatus, error) {
+	var out []SweepStatus
+	err := c.do(ctx, http.MethodGet, "/api/v1/sweeps", nil, &out)
+	return out, err
+}
+
+// CancelSweep cancels a sweep.
+func (c *Client) CancelSweep(ctx context.Context, id string) error {
+	return c.do(ctx, http.MethodDelete, "/api/v1/sweeps/"+id, nil, nil)
+}
+
+// Metrics fetches the daemon's Prometheus text exposition.
+func (c *Client) Metrics(ctx context.Context) ([]byte, error) {
+	return c.raw(ctx, "/metrics")
+}
+
 // tinySpec is the test sweep: fig4 over two applications at tiny scale
 // on a 4-processor machine — 6 unique cells (sc, erc, lrc × 2 apps).
 func tinySpec() exp.Spec {

@@ -177,3 +177,16 @@ func TestCoalescingBufferHas(t *testing.T) {
 		t.Fatal("Has wrong")
 	}
 }
+
+// Cap returns the entry capacity.
+func (w *WriteBuffer) Cap() int { return w.cap }
+
+// Stats returns stores presented, stores coalesced, and full stalls.
+func (w *WriteBuffer) Stats() (total, coalesced, stalls uint64) {
+	return w.total, w.coalesced, w.stalls
+}
+
+// Stats returns inserts, merges, and capacity drains.
+func (b *CoalescingBuffer) Stats() (inserts, merges, capDrains uint64) {
+	return b.inserts, b.merges, b.capDrains
+}

@@ -74,9 +74,6 @@ func (c *Cache) Reset() {
 	c.fills, c.evictions, c.invalidations = 0, 0, 0
 }
 
-// Lines returns the number of frames.
-func (c *Cache) Lines() int { return len(c.lines) }
-
 func (c *Cache) frame(block uint64) *Line { return &c.lines[block%c.nLines] }
 
 // Lookup returns the frame holding block, or nil on a miss (including
@@ -155,11 +152,6 @@ func (c *Cache) MarkDirty(block uint64, word int) {
 		panic(fmt.Sprintf("cache: MarkDirty on absent or non-RW block %d", block))
 	}
 	l.Dirty |= 1 << uint(word)
-}
-
-// Stats returns cumulative fills, conflict evictions, and invalidations.
-func (c *Cache) Stats() (fills, evictions, invalidations uint64) {
-	return c.fills, c.evictions, c.invalidations
 }
 
 // VisitValid calls fn for every valid line. Used by release-time flushes

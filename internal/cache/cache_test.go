@@ -165,3 +165,11 @@ func TestUpgradeAbsentPanics(t *testing.T) {
 	}()
 	c.Upgrade(7)
 }
+
+// Lines returns the number of frames.
+func (c *Cache) Lines() int { return len(c.lines) }
+
+// Stats returns cumulative fills, conflict evictions, and invalidations.
+func (c *Cache) Stats() (fills, evictions, invalidations uint64) {
+	return c.fills, c.evictions, c.invalidations
+}

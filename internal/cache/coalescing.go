@@ -157,8 +157,3 @@ func (b *CoalescingBuffer) DrainAll() []CBEntry {
 	}
 	return out
 }
-
-// Stats returns inserts, merges, and capacity drains.
-func (b *CoalescingBuffer) Stats() (inserts, merges, capDrains uint64) {
-	return b.inserts, b.merges, b.capDrains
-}

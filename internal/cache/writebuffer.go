@@ -58,9 +58,6 @@ func (w *WriteBuffer) EnableTelemetry(clock func() uint64, resid *telemetry.Hist
 	w.resid = resid
 }
 
-// Cap returns the entry capacity.
-func (w *WriteBuffer) Cap() int { return w.cap }
-
 // Len returns the number of occupied entries.
 func (w *WriteBuffer) Len() int { return len(w.entries) }
 
@@ -126,9 +123,4 @@ func (w *WriteBuffer) Visit(fn func(WBEntry)) {
 	for _, e := range w.entries {
 		fn(e)
 	}
-}
-
-// Stats returns stores presented, stores coalesced, and full stalls.
-func (w *WriteBuffer) Stats() (total, coalesced, stalls uint64) {
-	return w.total, w.coalesced, w.stalls
 }

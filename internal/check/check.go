@@ -103,9 +103,6 @@ const Epoch = 10000
 // alive. Call before Machine.Run.
 func (a *Auditor) Start(every uint64) { a.m.Eng.Every(every, a.Epoch) }
 
-// Epochs returns the number of epoch audits performed.
-func (a *Auditor) Epochs() uint64 { return a.epochs }
-
 // Violations returns the recorded violations in detection order.
 func (a *Auditor) Violations() []Violation { return a.violations }
 

@@ -33,13 +33,13 @@ func TestCleanRunHasNoViolations(t *testing.T) {
 				t.Fatal(err)
 			}
 			a.Final()
-			if a.Epochs() == 0 {
+			if a.epochs == 0 {
 				t.Fatal("no epoch audits ran")
 			}
 			if err := a.Err(); err != nil {
 				t.Fatalf("violations on a clean run:\n%v", err)
 			}
-			t.Logf("%s: %d epoch audits, 0 violations", proto, a.Epochs())
+			t.Logf("%s: %d epoch audits, 0 violations", proto, a.epochs)
 		})
 	}
 }

@@ -78,8 +78,10 @@ type Directory struct {
 	nprocs  int
 	entries map[uint64]*Entry
 	// leases is the timestamp protocols' home-side table (see lease.go);
-	// empty under the invalidation protocols.
+	// empty under the invalidation protocols. spare holds the records
+	// Reset forgot, for Lease to take first.
 	leases map[uint64]*Lease
+	spare  []*Lease
 	// counts[s] is the number of entries in state s, kept at the
 	// transitions (Entry.Recompute). Derived: not part of Fold.
 	counts [4]int
@@ -109,6 +111,9 @@ func New(nprocs int, check bool) *Directory {
 // Reset forgets every entry and lease, as New returns the directory.
 func (d *Directory) Reset() {
 	clear(d.entries)
+	for _, l := range d.leases {
+		d.spare = append(d.spare, l)
+	}
 	clear(d.leases)
 	d.counts = [4]int{}
 	clear(d.sorted)

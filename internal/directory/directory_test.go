@@ -6,6 +6,11 @@ import (
 	"testing/quick"
 )
 
+// NewProcSet returns an empty set sized for ids in [0, n).
+func NewProcSet(n int) ProcSet {
+	return ProcSet{words: make([]uint64, (n+63)/64)}
+}
+
 func TestProcSetBasics(t *testing.T) {
 	s := NewProcSet(130)
 	for _, id := range []int{0, 63, 64, 129} {

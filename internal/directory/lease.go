@@ -37,7 +37,12 @@ type Lease struct {
 func (d *Directory) Lease(block uint64) *Lease {
 	l := d.leases[block]
 	if l == nil {
-		l = &Lease{Owner: NoOwner}
+		if n := len(d.spare); n > 0 {
+			l, d.spare = d.spare[n-1], d.spare[:n-1]
+			*l = Lease{Owner: NoOwner}
+		} else {
+			l = &Lease{Owner: NoOwner}
+		}
 		if d.leases == nil {
 			d.leases = make(map[uint64]*Lease)
 		}
@@ -45,12 +50,6 @@ func (d *Directory) Lease(block uint64) *Lease {
 	}
 	return l
 }
-
-// PeekLease returns the lease record for block without creating it.
-func (d *Directory) PeekLease(block uint64) *Lease { return d.leases[block] }
-
-// LeaseCount returns the number of blocks with lease records.
-func (d *Directory) LeaseCount() int { return len(d.leases) }
 
 // VisitLeases iterates all lease records in unspecified order. Use only
 // for diagnostics and end-of-run sweeps, never for simulated behaviour.

@@ -163,10 +163,10 @@ func TestLeaseValidate(t *testing.T) {
 // snapshot being order-insensitive.
 func TestLeaseTableLifecycle(t *testing.T) {
 	d := New(2, true)
-	if d.PeekLease(9) != nil {
+	if d.leases[9] != nil {
 		t.Fatal("peek created a lease")
 	}
-	if d.LeaseCount() != 0 {
+	if len(d.leases) != 0 {
 		t.Fatal("fresh directory has leases")
 	}
 	a := d.Lease(9)
@@ -178,8 +178,8 @@ func TestLeaseTableLifecycle(t *testing.T) {
 	}
 	d.Lease(3).Wts = 1
 	d.Lease(3).Rts = 2
-	if d.LeaseCount() != 2 {
-		t.Fatalf("lease count = %d, want 2", d.LeaseCount())
+	if len(d.leases) != 2 {
+		t.Fatalf("lease count = %d, want 2", len(d.leases))
 	}
 
 	// The fold is canonical: two directories with the same records

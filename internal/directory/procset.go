@@ -10,11 +10,6 @@ type ProcSet struct {
 	words []uint64
 }
 
-// NewProcSet returns an empty set sized for ids in [0, n).
-func NewProcSet(n int) ProcSet {
-	return ProcSet{words: make([]uint64, (n+63)/64)}
-}
-
 // Add inserts id.
 func (s *ProcSet) Add(id int) { s.words[id/64] |= 1 << uint(id%64) }
 

@@ -143,11 +143,6 @@ type Plan struct {
 	Brownouts []Brownout
 }
 
-// Empty reports whether the plan injects nothing anywhere.
-func (p Plan) Empty() bool {
-	return p.Rule.Zero() && len(p.Outages) == 0 && len(p.Brownouts) == 0
-}
-
 // LinkDown reports whether the undirected link between adjacent nodes a
 // and b is inside an outage window at simulated time now.
 func (p Plan) LinkDown(a, b int, now uint64) bool {

@@ -260,3 +260,8 @@ func TestDecideIsSeedDeterministic(t *testing.T) {
 		t.Fatal("different seeds produced identical fault schedules")
 	}
 }
+
+// Empty reports whether the plan injects nothing anywhere.
+func (p Plan) Empty() bool {
+	return p.Rule.Zero() && len(p.Outages) == 0 && len(p.Brownouts) == 0
+}

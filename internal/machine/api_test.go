@@ -180,7 +180,7 @@ func TestMachineAccessors(t *testing.T) {
 		if p.NProcs() != 4 {
 			t.Errorf("NProcs = %d", p.NProcs())
 		}
-		if p.Machine() != m {
+		if p.m != m {
 			t.Error("Machine() mismatch")
 		}
 	})
@@ -237,3 +237,6 @@ func TestTrafficReport(t *testing.T) {
 		}
 	}
 }
+
+// Protocol returns the protocol name this machine runs.
+func (m *Machine) Protocol() string { return m.protoName }

@@ -60,7 +60,8 @@ type Machine struct {
 	nextSyncHome int
 	protoName    string
 	plan         *faults.Plan // Cfg.FaultPlan parsed, nil without one
-	cpuNames     []string     // the processor contexts' names
+	procs        []Proc       // one per node, each body bound once
+	worker       func(*Proc)  // what Run runs on every processor
 }
 
 // New builds a machine running the named protocol (any of
@@ -87,10 +88,12 @@ func New(cfg config.Config, protoName string) (*Machine, error) {
 		Stats: st, Class: cl, protoName: protoName,
 	}
 	m.Nodes = make([]*protocol.Node, cfg.Procs)
-	m.cpuNames = make([]string, cfg.Procs)
+	m.procs = make([]Proc, cfg.Procs)
 	for i := range m.Nodes {
 		m.Nodes[i] = protocol.NewNode(env, i, p)
-		m.cpuNames[i] = fmt.Sprintf("cpu%d", i)
+		pr := &m.procs[i]
+		*pr = Proc{m: m, node: m.Nodes[i], name: fmt.Sprintf("cpu%d", i)}
+		pr.body = pr.run
 	}
 	env.Nodes = m.Nodes
 	if err := net.Finalize(); err != nil {
@@ -139,9 +142,6 @@ func (m *Machine) reset() {
 		}
 	}
 }
-
-// Protocol returns the protocol name this machine runs.
-func (m *Machine) Protocol() string { return m.protoName }
 
 // ---- Shared address space -------------------------------------------------
 
@@ -351,17 +351,10 @@ func (m *Machine) NewFlags(n int) []Flag {
 // ends with an implicit release (flushing its write path) before its
 // finish time is recorded; Run returns after the machine fully quiesces.
 func (m *Machine) Run(worker func(p *Proc)) {
-	for i := range m.Nodes {
-		node := m.Nodes[i]
-		id := i
-		ctx := m.Eng.Spawn(m.cpuNames[id], func(c *sim.Context) {
-			p := &Proc{m: m, node: node, ctx: c}
-			worker(p)
-			p.syncNow()
-			node.Proto.Release(node)
-			node.PS.FinishTime = c.Now()
-		})
-		node.CPU = ctx
+	m.worker = worker
+	for i := range m.procs {
+		p := &m.procs[i]
+		p.node.CPU = m.Eng.Spawn(p.name, p.body)
 	}
 	defer func() {
 		if r := recover(); r != nil {

@@ -21,8 +21,20 @@ type Proc struct {
 	m    *Machine
 	node *protocol.Node
 	ctx  *sim.Context
+	name string               // its context's name
+	body func(c *sim.Context) // run, bound once
 
 	ahead uint64 // private cycles not yet reflected in engine time
+}
+
+// run is the processor's context body: the worker Run was given, then an
+// implicit release, then the finish time.
+func (p *Proc) run(c *sim.Context) {
+	p.ctx, p.ahead = c, 0
+	p.m.worker(p)
+	p.syncNow()
+	p.node.Proto.Release(p.node)
+	p.node.PS.FinishTime = c.Now()
 }
 
 // ID returns the processor number (0-based).
@@ -30,9 +42,6 @@ func (p *Proc) ID() int { return p.node.ID }
 
 // NProcs returns the machine's processor count.
 func (p *Proc) NProcs() int { return p.m.Cfg.Procs }
-
-// Machine returns the machine this processor belongs to.
-func (p *Proc) Machine() *Machine { return p.m }
 
 // Now returns the processor's current cycle (engine time plus run-ahead).
 func (p *Proc) Now() uint64 { return p.ctx.Now() + p.ahead }

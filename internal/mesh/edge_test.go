@@ -19,7 +19,7 @@ func TestNonSquareMeshDims(t *testing.T) {
 	} {
 		eng := sim.NewEngine()
 		n := New(eng, config.Default(tc.procs))
-		if w, h := n.Dims(); w != tc.w || h != tc.h {
+		if w, h := n.w, n.h; w != tc.w || h != tc.h {
 			t.Errorf("procs=%d: dims = %d×%d, want %d×%d", tc.procs, w, h, tc.w, tc.h)
 		}
 	}

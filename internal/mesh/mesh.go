@@ -36,9 +36,10 @@ type Network struct {
 
 	handlers []func(Msg)
 
-	// Messages in flight; a delivery event carries the handle of its own.
-	flights  sim.Slab[Msg]
-	delivery sim.Kind
+	// Messages in flight, and those an explorer holds before entry; a
+	// delivery or entry event carries the handle of its own.
+	flights         sim.Slab[Msg]
+	delivery, entry sim.Kind
 
 	sent      uint64
 	bytesSent uint64
@@ -132,6 +133,7 @@ func New(eng *sim.Engine, cfg config.Config) *Network {
 		handlers: make([]func(Msg), cfg.Procs),
 	}
 	n.delivery = eng.Register(perf.PhaseMesh, n.deliver)
+	n.entry = eng.Register(perf.PhaseDispatch, n.enter)
 	ports := make([]sim.Resource, 2*cfg.Procs)
 	for i := range n.in {
 		n.in[i], n.out[i] = &ports[i], &ports[cfg.Procs+i]
@@ -266,9 +268,6 @@ func (n *Network) Hops(a, b int) uint64 {
 	return uint64(dx + dy)
 }
 
-// Dims returns the mesh width and height.
-func (n *Network) Dims() (w, h int) { return n.w, n.h }
-
 // TransferCycles returns size/bandwidth rounded up — the serialization
 // time of a payload on a link, bus, or memory port at this network's
 // bandwidth.
@@ -323,11 +322,7 @@ func (n *Network) Send(m Msg) {
 			n.transmit(m, 0)
 			return
 		}
-		// The closure takes a copy: capturing m itself, which Send assigns
-		// to, would move the parameter to the heap on every call.
-		held := m
-		n.flightAdd(&held)
-		n.eng.At(entry, func() { n.flightRemove(&held); n.transmit(held, 0) })
+		n.post(entry, n.entry, &m)
 		return
 	}
 	if n.inj == nil {
@@ -401,11 +396,12 @@ func (n *Network) transmit(m Msg, extra uint64) {
 	n.sent++
 	n.bytesSent += uint64(m.Size)
 	if m.Kind >= len(n.byKind) {
-		n.byKind = append(n.byKind, make([]uint64, m.Kind+1-len(n.byKind))...)
+		// Twice the kind: the kinds above it need no second allocation.
+		n.byKind = append(n.byKind, make([]uint64, 2*(m.Kind+1)-len(n.byKind))...)
 	}
 	n.byKind[m.Kind]++
 	if m.Src == m.Dst {
-		n.post(n.eng.Now(), &m)
+		n.post(n.eng.Now(), n.delivery, &m)
 		return
 	}
 	ser := n.TransferCycles(m.Size)
@@ -419,27 +415,37 @@ func (n *Network) transmit(m Msg, extra uint64) {
 	n.tel.observe(m.Kind, deliver-n.eng.Now())
 	n.causal.Net(m.CT, m.Src, m.Dst, m.Kind, m.Addr,
 		n.eng.Now(), deliver, sendStart-n.eng.Now(), deliver-rawArrival)
-	n.post(deliver, &m)
+	n.post(deliver, n.delivery, &m)
 }
 
-// post parks m until its delivery event at time t.
-func (n *Network) post(t sim.Time, m *Msg) {
+// post parks m until its event of kind k (delivery or entry) at time t.
+func (n *Network) post(t sim.Time, k sim.Kind, m *Msg) {
 	n.flightAdd(m)
 	slot := n.flights.Alloc()
 	*n.flights.At(slot) = *m
-	n.eng.Post(t, n.delivery, slot)
+	n.eng.Post(t, k, slot)
 }
 
-// deliver is the delivery event of the message parked under slot, copied
-// out and freed before the handler runs: the handler may Send, and that
-// may grow the slab or reuse the slot. With the transport engaged, a
-// cross-node message arriving inside the destination's brownout window is
-// lost at the door, and a delivered one settles its ledger entry (the
-// implicit, zero-cost ack).
-func (n *Network) deliver(slot uint32) {
+// unpark copies out the message parked under slot and frees the slot
+// before its event acts on it: a handler may Send, and that may grow the
+// slab or reuse the slot.
+func (n *Network) unpark(slot uint32) Msg {
 	m := *n.flights.At(slot)
 	n.flights.Free(slot)
 	n.flightRemove(&m)
+	return m
+}
+
+// enter is the entry event of a message the explorer held: it goes on
+// the wire.
+func (n *Network) enter(slot uint32) { n.transmit(n.unpark(slot), 0) }
+
+// deliver is the delivery event of the message parked under slot. With
+// the transport engaged, a cross-node message arriving inside the
+// destination's brownout window is lost at the door, and a delivered one
+// settles its ledger entry (the implicit, zero-cost ack).
+func (n *Network) deliver(slot uint32) {
+	m := n.unpark(slot)
 	if n.tr != nil && m.Src != m.Dst {
 		if n.tr.plan.NodeBrowned(m.Dst, n.eng.Now()) {
 			n.tr.brownDrops++

@@ -19,7 +19,7 @@ func net64(t *testing.T) (*sim.Engine, *Network) {
 
 func TestHopsXYRouting(t *testing.T) {
 	_, n := net64(t)
-	if w, h := n.Dims(); w != 8 || h != 8 {
+	if w, h := n.w, n.h; w != 8 || h != 8 {
 		t.Fatalf("dims = %d×%d, want 8×8", w, h)
 	}
 	cases := []struct {

@@ -66,17 +66,25 @@ type eagerState struct {
 	spare [][]int
 }
 
-// eager returns the eager home state, allocating it when the home
-// resolves its first request. Node.fold folds in whether it exists,
-// so the point of first use is visible to the model checker's state
-// hash (TestExplorationGolden pins the resulting search).
+// eager returns the eager home state, set up when the home resolves its
+// first request: from the storage an earlier run left, emptied, or new.
+// Node.fold folds in whether it is set up, so the point of first use is
+// visible to the model checker's state hash (TestExplorationGolden pins
+// the resulting search).
 func (n *Node) eager() *eagerState {
 	if n.eagerHome == nil {
-		n.eagerHome = &eagerState{
-			grants: make(map[uint64]eagerGrant),
-			xfers:  make(map[uint64]mesh.Msg),
-			held:   make(map[uint64][]heldDrop),
+		if n.eagerSpare == nil {
+			n.eagerSpare = &eagerState{
+				grants: make(map[uint64]eagerGrant),
+				xfers:  make(map[uint64]mesh.Msg),
+				held:   make(map[uint64][]heldDrop),
+			}
 		}
+		es := n.eagerSpare
+		clear(es.grants)
+		clear(es.xfers)
+		clear(es.held)
+		n.eagerHome = es
 	}
 	return n.eagerHome
 }

@@ -195,6 +195,3 @@ func MsgName(kind int) string { return MsgKind(kind).String() }
 func init() {
 	faults.RegisterKindName(MsgName)
 }
-
-// IsSync reports whether the kind is synchronization traffic.
-func (k MsgKind) IsSync() bool { return k >= MsgLockReq && k <= MsgFlagGo }

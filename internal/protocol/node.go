@@ -185,9 +185,11 @@ type Node struct {
 	seq      *mesh.Sequencer // exactly-once in-order delivery under faults
 	handlers *dispatch       // the protocol family's message handlers
 
-	home      homeSerial  // per-block request serialization for blocks homed here
-	eagerHome *eagerState // lazily allocated eager-protocol home state
-	tardis    *tardisNode // lazily allocated timestamp-protocol state
+	home        homeSerial  // per-block request serialization for blocks homed here
+	eagerHome   *eagerState // lazily set-up eager-protocol home state
+	tardis      *tardisNode // lazily set-up timestamp-protocol state
+	eagerSpare  *eagerState // their storage, kept across resets
+	tardisSpare *tardisNode
 
 	sync syncNode
 }
@@ -248,8 +250,8 @@ func (e *Env) Reset() {
 
 // reset sets the node's own state as NewNode leaves it, keeping storage:
 // maps are cleared, queues emptied and retired transaction records made
-// spare. The family's home state goes back to not allocated, which the
-// state hash tells apart from allocated and empty.
+// spare. The family's home state goes back to not set up, which the
+// state hash tells apart from set up and empty.
 func (n *Node) reset() {
 	n.CPU = nil
 	clear(n.outstanding)

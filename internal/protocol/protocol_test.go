@@ -98,6 +98,9 @@ func TestNoticePolicy(t *testing.T) {
 	}
 }
 
+// IsSync reports whether the kind is synchronization traffic.
+func (k MsgKind) IsSync() bool { return k >= MsgLockReq && k <= MsgFlagGo }
+
 func TestMsgKindStrings(t *testing.T) {
 	for k := MsgKind(0); k < numMsgKinds; k++ {
 		s := k.String()

@@ -60,9 +60,11 @@ func (o *syncObj) release() []int {
 // and the requester-side wait gate, re-armed by every wait (each CPU has
 // at most one synchronization operation outstanding). waiting is set from
 // a request to its grant; granted opens the gate, bound once. spare is the
-// queue storage of the flag set last, which the next new object takes.
+// queue storage of the flag set last, which the next new object takes;
+// free holds the objects a reset forgot, emptied, for obj to take first.
 type syncNode struct {
 	objs    map[syncKey]*syncObj
+	free    []*syncObj
 	spare   []int
 	gate    sim.Gate
 	waiting bool
@@ -74,8 +76,12 @@ func (s *syncNode) init() {
 	s.granted = s.gate.Open
 }
 
-// reset forgets every object and the wait.
+// reset forgets every object, keeping it on the free list, and the wait.
 func (s *syncNode) reset() {
+	for _, o := range s.objs {
+		*o = syncObj{queue: o.queue[:0], going: o.going[:0]}
+		s.free = append(s.free, o)
+	}
 	clear(s.objs)
 	s.gate, s.waiting = sim.Gate{}, false
 }
@@ -86,8 +92,15 @@ func (s *syncNode) obj(kind fold.Section, id uint64) *syncObj {
 	k := syncKey{kind, id}
 	o := s.objs[k]
 	if o == nil {
-		o = &syncObj{queue: s.spare}
-		s.objs[k], s.spare = o, nil
+		if n := len(s.free); n > 0 {
+			o, s.free = s.free[n-1], s.free[:n-1]
+		} else {
+			o = new(syncObj)
+		}
+		if o.queue == nil {
+			o.queue, s.spare = s.spare, nil
+		}
+		s.objs[k] = o
 	}
 	return o
 }

@@ -35,8 +35,8 @@ type tsLease struct {
 
 // tardisNode bundles the per-node state of the timestamp protocols:
 // requester-side logical clock and lease cache, and the home's open
-// recall episodes for the blocks homed here. Allocated on first touch;
-// nil on nodes running invalidation protocols.
+// recall episodes for the blocks homed here. Set up on first touch; nil
+// on nodes running invalidation protocols.
 type tardisNode struct {
 	pts     uint64 // program timestamp
 	bts     uint64 // compression base: leases store deltas from here
@@ -46,7 +46,7 @@ type tardisNode struct {
 
 	// Home side: the block of an open recall is in service in n.home
 	// on the pending request's behalf.
-	recall map[uint64]*tardisRecall
+	recall map[uint64]tardisRecall
 }
 
 // tardisRecall is one open recall episode at a home: the owner has been
@@ -57,16 +57,24 @@ type tardisRecall struct {
 	pending mesh.Msg
 }
 
-// td returns the node's timestamp state, allocating it on first touch —
-// a load or store miss, a sync operation, or the first request served
-// as home. Node.fold folds in whether it exists, so the point of
-// first touch is visible to the model checker's state hash.
+// td returns the node's timestamp state, set up on first touch — a load
+// or store miss, a sync operation, or the first request served as home —
+// from the storage an earlier run left, emptied, or new. Node.fold folds
+// in whether it is set up, so the point of first touch is visible to the
+// model checker's state hash.
 func (n *Node) td() *tardisNode {
 	if n.tardis == nil {
-		n.tardis = &tardisNode{
-			leases: make(map[uint64]tsLease),
-			recall: make(map[uint64]*tardisRecall),
+		if n.tardisSpare == nil {
+			n.tardisSpare = &tardisNode{
+				leases: make(map[uint64]tsLease),
+				recall: make(map[uint64]tardisRecall),
+			}
 		}
+		td := n.tardisSpare
+		clear(td.leases)
+		clear(td.recall)
+		*td = tardisNode{leases: td.leases, recall: td.recall}
+		n.tardis = td
 	}
 	return n.tardis
 }

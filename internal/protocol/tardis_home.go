@@ -30,7 +30,7 @@ func tardisHomeService(n *Node, m mesh.Msg) {
 	td := n.td()
 	l := n.Dir.Lease(b)
 	if l.Owner != directory.NoOwner && l.Owner != m.Src {
-		td.recall[b] = &tardisRecall{owner: l.Owner, pending: m}
+		td.recall[b] = tardisRecall{owner: l.Owner, pending: m}
 		end := n.ppAcquire(causal.KindDir, b, n.dirCost())
 		n.replyAt(end, n.msg(l.Owner, MsgTRecall, b, 0, 0, 0))
 		return
@@ -165,7 +165,7 @@ func tardisAdoptOwnerCopy(n *Node, m mesh.Msg) {
 // the service slot).
 func tardisHomeEpisodeEnd(n *Node, m mesh.Msg, _ uint64) {
 	td := n.td()
-	if rc := td.recall[m.Addr]; rc != nil {
+	if rc, ok := td.recall[m.Addr]; ok {
 		delete(td.recall, m.Addr)
 		tardisHomeService(n, rc.pending)
 		return

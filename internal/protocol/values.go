@@ -30,6 +30,7 @@ type Values struct {
 	tags          []uint64 // node*frames + frame: 1 + the block held there, 0 for none
 	copies        []uint64 // (node*frames + frame)*words + word
 	staged        [][]stagedStore
+	snaps         []uint64 // the snapshot chunk: carved up to its length
 }
 
 // stagedStore is a CPU store the protocol has not yet committed.
@@ -52,6 +53,7 @@ func NewValues(cfg config.Config) *Values {
 // seeded afresh when the next run begins.
 func (v *Values) reset() {
 	clear(v.tags)
+	v.snaps = v.snaps[:0]
 	for i := range v.staged {
 		v.staged[i] = v.staged[i][:0]
 	}
@@ -155,13 +157,26 @@ func (v *Values) mergeHome(block uint64, vals []uint64, mask uint64) {
 	}
 }
 
+// snapshot returns a copy of line carved from the snapshot chunk, which
+// reset rewinds: no message outlives a run. A full chunk is left to the
+// messages holding it; the next has twice its lines, 1 to 64, so a
+// litmus machine's first run does not pay for a 64p cell's.
+func (v *Values) snapshot(line []uint64) []uint64 {
+	n := len(v.snaps)
+	if n+v.words > cap(v.snaps) {
+		v.snaps, n = make([]uint64, 0, min(max(2*cap(v.snaps), v.words), 64*v.words)), 0
+	}
+	v.snaps = append(v.snaps, line...)
+	return v.snaps[n : n+v.words : n+v.words]
+}
+
 // homeVals snapshots home memory's line for a data reply, or nil without
 // a value store.
 func (n *Node) homeVals(block uint64) []uint64 {
-	if n.Env.Vals == nil {
-		return nil
+	if v := n.Env.Vals; v != nil {
+		return v.snapshot(v.homeLine(block))
 	}
-	return append([]uint64(nil), n.Env.Vals.homeLine(block)...)
+	return nil
 }
 
 // copyVals snapshots this node's cached copy (home memory's line if it
@@ -176,7 +191,7 @@ func (n *Node) copyVals(block uint64) []uint64 {
 	if c == nil {
 		c = v.homeLine(block)
 	}
-	return append([]uint64(nil), c...)
+	return v.snapshot(c)
 }
 
 // mergeHome merges arriving write data into the value store's home

@@ -31,17 +31,20 @@ import (
 type Context struct {
 	eng    *Engine
 	id     uint32 // index in eng.contexts: the argument of a resume event
-	name   string
 	done   bool
 	parked bool
+	name   string
 	why    string // what the context is parked on; meaningful while parked
 
 	// The coroutine, as iter.Pull hands it out: next runs the body until
 	// it blocks or returns, yield blocks it (false once stop has been
-	// called), stop ends it wherever it is.
+	// called), stop ends it wherever it is. fn is the body Spawn was
+	// given; run, bound once, is the coroutine that runs it.
 	next  func() (struct{}, bool)
 	yield func(struct{}) bool
 	stop  func()
+	fn    func(*Context)
+	run   func(yield func(struct{}) bool)
 
 	// progress counts resumptions; the watchdog reads it to tell a
 	// context that is advancing from one that is wedged.
@@ -53,17 +56,28 @@ type Context struct {
 type released struct{}
 
 // Spawn creates a context executing fn, scheduled to start at the current
-// simulated time. The name appears in deadlock reports.
+// simulated time. The name appears in deadlock reports. A context a Reset
+// retired is taken again, in spawn order, rather than a new one made.
 func (e *Engine) Spawn(name string, fn func(*Context)) *Context {
-	c := &Context{eng: e, id: uint32(len(e.contexts)), name: name}
-	c.next, c.stop = iter.Pull(func(yield func(struct{}) bool) {
-		c.yield = yield
-		defer c.finish()
-		fn(c)
-	})
-	e.contexts = append(e.contexts, c)
+	n := len(e.contexts)
+	if n == cap(e.contexts) || e.contexts[:n+1][n] == nil {
+		c := &Context{id: uint32(n)}
+		c.run = c.body
+		e.contexts = append(e.contexts, c)
+	}
+	e.contexts = e.contexts[:n+1]
+	c := e.contexts[n]
+	*c = Context{eng: e, id: c.id, name: name, fn: fn, run: c.run}
+	c.next, c.stop = iter.Pull(c.run)
 	e.Post(e.now, kindResume, c.id)
 	return c
+}
+
+// body is the coroutine: it runs fn, marked done however it ends.
+func (c *Context) body(yield func(struct{}) bool) {
+	c.yield = yield
+	defer c.finish()
+	c.fn(c)
 }
 
 // finish runs deferred under the body: it marks the context done however
@@ -78,9 +92,6 @@ func (c *Context) finish() {
 
 // Name returns the context's diagnostic name.
 func (c *Context) Name() string { return c.name }
-
-// Engine returns the engine this context belongs to.
-func (c *Context) Engine() *Engine { return c.eng }
 
 // Now returns the current simulated time. Valid only while the context is
 // running.

@@ -144,12 +144,12 @@ func NewEngine() *Engine {
 // number and event count zero, no event queued, no context, no ticker,
 // not stopped — keeping its wiring: the registered kinds and the attached
 // chooser, tracer and profiler. The model checker rewinds one engine per
-// worker between schedules; the queue's storage is kept. Not during Run.
+// worker between schedules; the queue's storage and the contexts, which
+// Spawn takes again, are kept. Not during Run.
 func (e *Engine) Reset() {
 	e.now, e.seq, e.nEvents, e.nbg, e.stopped = 0, 0, 0, 0, false
 	e.q.reset()
 	e.release() // a no-op after Run, which releases its contexts itself
-	clear(e.contexts)
 	e.contexts = e.contexts[:0]
 	e.nparked = 0
 	clear(e.tickers)
@@ -238,9 +238,6 @@ func (e *Engine) SetChooser(c Chooser) { e.chooser = c }
 // abort a wedged simulation after dumping its report. Stopping is final:
 // Run releases the unfinished contexts on its way out.
 func (e *Engine) Stop() { e.stopped = true }
-
-// Stopped reports whether Stop has been called.
-func (e *Engine) Stopped() bool { return e.stopped }
 
 // Run executes events until the queue drains and every context has
 // finished. If the queue drains while contexts are still parked, the

@@ -287,8 +287,8 @@ func TestResourceFIFO(t *testing.T) {
 	if s != 300 || e != 305 {
 		t.Fatalf("third acquire = [%d,%d), want [300,305)", s, e)
 	}
-	if r.Busy() != 25 || r.Waited() != 5 || r.Uses() != 3 {
-		t.Fatalf("stats busy=%d waited=%d uses=%d", r.Busy(), r.Waited(), r.Uses())
+	if r.Busy() != 25 || r.Waited() != 5 || r.uses != 3 {
+		t.Fatalf("stats busy=%d waited=%d uses=%d", r.Busy(), r.Waited(), r.uses)
 	}
 }
 
@@ -360,7 +360,7 @@ func TestContextAccessors(t *testing.T) {
 	e := NewEngine()
 	var c *Context
 	c = e.Spawn("acc", func(ctx *Context) {
-		if ctx.Name() != "acc" || ctx.Engine() != e {
+		if ctx.Name() != "acc" || ctx.eng != e {
 			t.Error("context accessors wrong")
 		}
 		ctx.Sleep(5)

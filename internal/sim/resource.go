@@ -14,8 +14,8 @@ type Resource struct {
 	freeAt Time
 
 	// Busy accumulates total occupied cycles, Waited total queueing
-	// delay imposed on requesters, and Uses the request count. They are
-	// exported through accessor methods for contention reporting.
+	// delay imposed on requesters, and uses the request count. The first
+	// two are exported through accessor methods for contention reporting.
 	busy   uint64
 	waited uint64
 	uses   uint64
@@ -68,6 +68,3 @@ func (r *Resource) Busy() uint64 { return r.busy }
 
 // Waited returns total queueing delay imposed on requesters.
 func (r *Resource) Waited() uint64 { return r.waited }
-
-// Uses returns the number of Acquire/AcquireWindow calls.
-func (r *Resource) Uses() uint64 { return r.uses }

@@ -61,7 +61,7 @@ func TestWatchdogDetectsLockCycle(t *testing.T) {
 	if s := report.String(); !strings.Contains(s, "cpu0: waiting for lock A") {
 		t.Fatalf("rendered report lacks wait reasons:\n%s", s)
 	}
-	if !e.Stopped() {
+	if !e.stopped {
 		t.Fatal("Stop from the stall handler did not take effect")
 	}
 }

@@ -32,8 +32,8 @@ type blockTrack struct {
 	copies []copyTrack
 }
 
-// wordTrack is a word's last committed write: its version and its writer
-// (-1 none).
+// wordTrack is a word's last committed write: its version (0 none) and
+// its writer.
 type wordTrack struct {
 	ver    uint64
 	writer int32
@@ -64,11 +64,16 @@ func NewClassifier(nprocs, wordsPerLine int) *Classifier {
 	return c
 }
 
-// Reset forgets every block's track, as NewClassifier returns it. The
-// arena's uncarved rest is still zero, and later tracks are carved from it.
+// Reset forgets every block's history, as NewClassifier returns it: the
+// tracks stay, zeroed, for the same blocks to take again.
 func (c *Classifier) Reset() {
-	clear(c.blocks)
-	c.blocks, c.nseen, c.ver = c.blocks[:0], 0, 0
+	for _, b := range c.blocks {
+		if b != nil {
+			clear(b.words)
+			clear(b.copies)
+		}
+	}
+	c.ver = 0
 }
 
 func (c *Classifier) track(block uint64) *blockTrack {
@@ -97,9 +102,6 @@ func (c *Classifier) newTrack() *blockTrack {
 	a.tracks = a.tracks[1:]
 	b.words, a.words = a.words[:c.words:c.words], a.words[c.words:]
 	b.copies, a.copies = a.copies[:c.nprocs:c.nprocs], a.copies[c.nprocs:]
-	for i := range b.words {
-		b.words[i].writer = -1
-	}
 	return b
 }
 
@@ -156,6 +158,3 @@ func (c *Classifier) Classify(proc int, block uint64, word int, upgradeOnly bool
 		return Eviction
 	}
 }
-
-// Blocks returns how many distinct blocks the classifier has seen.
-func (c *Classifier) Blocks() int { return c.nseen }

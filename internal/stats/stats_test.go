@@ -217,12 +217,28 @@ func TestClassifierCategoriesAreTotalProperty(t *testing.T) {
 	}
 }
 
+// TestClassifierBlocks: the classifier counts the blocks it has seen, and
+// after a Reset their tracks are as new.
 func TestClassifierBlocks(t *testing.T) {
 	c := NewClassifier(2, wpl)
 	c.Fill(0, 1)
 	c.Fill(0, 2)
 	c.Fill(1, 1)
-	if c.Blocks() != 2 {
-		t.Fatalf("Blocks = %d, want 2", c.Blocks())
+	if c.nseen != 2 {
+		t.Fatalf("%d blocks seen, want 2", c.nseen)
+	}
+	c.CommitWrite(1, 2, 0)
+	c.Lose(0, 2, LossCoherence)
+	c.Reset()
+	for _, block := range []uint64{2, 1} {
+		if k := c.Classify(0, block, 0, false); k != Cold {
+			t.Fatalf("block %d after Reset: %v, want a cold miss", block, k)
+		}
+		if b := c.track(block); b.words[0] != (wordTrack{}) || b.copies[0] != 0 {
+			t.Fatalf("block %d after Reset: track %+v", block, b)
+		}
+	}
+	if c.nseen != 2 {
+		t.Fatalf("after Reset: %d tracks, want the 2 kept", c.nseen)
 	}
 }

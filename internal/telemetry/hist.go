@@ -73,22 +73,6 @@ func (h *Histogram) Count() uint64 {
 	return h.count
 }
 
-// Sum returns the sum of all observed samples.
-func (h *Histogram) Sum() uint64 {
-	if h == nil {
-		return 0
-	}
-	return h.sum
-}
-
-// Min returns the smallest observed sample (0 when empty).
-func (h *Histogram) Min() uint64 {
-	if h == nil {
-		return 0
-	}
-	return h.min
-}
-
 // Max returns the largest observed sample (0 when empty).
 func (h *Histogram) Max() uint64 {
 	if h == nil {

@@ -15,11 +15,11 @@ func TestHistogramBasics(t *testing.T) {
 	if h.Count() != 6 {
 		t.Fatalf("count = %d, want 6", h.Count())
 	}
-	if h.Sum() != 1106 {
-		t.Fatalf("sum = %d, want 1106", h.Sum())
+	if h.sum != 1106 {
+		t.Fatalf("sum = %d, want 1106", h.sum)
 	}
-	if h.Min() != 0 || h.Max() != 1000 {
-		t.Fatalf("min/max = %d/%d, want 0/1000", h.Min(), h.Max())
+	if h.min != 0 || h.Max() != 1000 {
+		t.Fatalf("min/max = %d/%d, want 0/1000", h.min, h.Max())
 	}
 }
 
