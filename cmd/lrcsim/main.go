@@ -16,7 +16,7 @@
 // name; to compare protocols on one application, name their cells to
 // paperbench, which prints them as one table:
 //
-//	paperbench -scale small default/gauss/lrc default/gauss/tardis
+//	paperbench -scale small default/gauss/erc default/gauss/lrc
 //
 // With -replay it instead re-executes a counterexample schedule written
 // by lrccheck, verifying the recorded outcome and final machine state

@@ -52,8 +52,9 @@ func tinyRun(t *testing.T, metrics, spans bool) *machine.Machine {
 // cell paperbench reports — cache co-scaled with -scale, -future = the
 // future preset, -faults = a soak plan's variant — and that lrcsim runs
 // it as the runner does: for one tiny cell per protocol (and one on the
-// future machine) of BENCH_baseline.json, and the soak's storm cell of
-// fft under lrc-ext from BENCH_chaos.json, the execution time equals the
+// future machine) of BENCH_baseline.json — of BENCH_chaos.json for tardis,
+// which only the soak runs — and the soak's storm cell of fft under
+// lrc-ext from BENCH_chaos.json, the execution time equals the
 // committed run and the printed metrics and span digests are its
 // metrics_digest and span_digest. The faulted run is also judged as the
 // soak judges it, against the fault-free cell.
@@ -71,18 +72,23 @@ func TestCellMatchesBaseline(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	at := []string{"-scale", base.Scale, "-procs", fmt.Sprint(base.Procs), "-seed", "1"}
-	cells = append(cells, cell{base, "future/gauss/lrc", append([]string{"-app", "gauss", "-proto", "lrc", "-future"}, at...)})
-	for _, p := range protocol.Names() {
-		cells = append(cells, cell{base, "default/gauss/" + p, append([]string{"-app", "gauss", "-proto", p}, at...)})
-	}
 	chaos, err := exp.LoadReport("../../BENCH_chaos.json")
 	if err != nil {
 		t.Fatal(err)
 	}
+	at := func(rep exp.Report, args ...string) []string {
+		return append(args, "-scale", rep.Scale, "-procs", fmt.Sprint(rep.Procs), "-seed", "1")
+	}
+	cells = append(cells, cell{base, "future/gauss/lrc", at(base, "-app", "gauss", "-proto", "lrc", "-future")})
+	for _, p := range protocol.Names() {
+		rep := base
+		if _, ok := base.View().Run("default", "gauss", p); !ok {
+			rep = chaos
+		}
+		cells = append(cells, cell{rep, "default/gauss/" + p, at(rep, "-app", "gauss", "-proto", p)})
+	}
 	const storm = "drop=0.1;down=0-1:20000:5000;brown=2:40000:3000" // the soak's storm plan
-	cells = append(cells, cell{chaos, "storm/fft/lrc-ext", []string{"-app", "fft", "-proto", "lrc-ext",
-		"-scale", chaos.Scale, "-procs", fmt.Sprint(chaos.Procs), "-seed", "1", "-faults", storm}})
+	cells = append(cells, cell{chaos, "storm/fft/lrc-ext", at(chaos, "-app", "fft", "-proto", "lrc-ext", "-faults", storm)})
 
 	dir := t.TempDir()
 	traceFile := filepath.Join(dir, "t.json")
@@ -217,7 +223,7 @@ func TestEveryFlagInExactlyOneGroup(t *testing.T) {
 }
 
 // TestOneNamePerProtocol: a protocol has one name, the one its cells
-// carry; the old alias "lrcext" is refused with the six that exist.
+// carry; the old alias "lrcext" is refused with the five that exist.
 func TestOneNamePerProtocol(t *testing.T) {
 	t.Cleanup(func() {
 		for _, name := range []string{"app", "proto", "scale", "procs"} {

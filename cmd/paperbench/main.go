@@ -28,16 +28,14 @@
 //	paperbench [-scale small] [-procs 64] [-j N] [-cache results.d]
 //	           [-baseline BENCH_baseline.json] [targets...]
 //
-// Targets: table1 table2 table3 fig4 fig5 fig6 fig7 fig8 fig9 tardis
-// sweep mp3dquality all (default: all); claims (the paper's conclusions
+// Targets: table1 table2 table3 fig4 fig5 fig6 fig7 fig8 fig9 sweep
+// mp3dquality all (default: all); claims (the paper's conclusions
 // as a Markdown table of verdicts); extensions: ablate, dsm, scaling,
 // chaos (the lossy-interconnect soak: every app × protocol under message
 // loss and link outages, gated on the end-state equivalence oracle); and
 // any cell by its key variant/app/protocol (default/gauss/lrc,
 // line=256/mp3d/erc), printed as one generic table. An unknown target is
-// refused. The tardis target compares the timestamp-coherence protocols
-// with the invalidation protocols; -protocols narrows the protocol set it
-// and the chaos soak cover.
+// refused. -protocols narrows the protocol set the chaos soak covers.
 package main
 
 import (
@@ -83,7 +81,7 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 		cpuprofile = fs.String("cpuprofile", "", "write a CPU profile to this file")
 		memprofile = fs.String("memprofile", "", "write a heap profile to this file at exit")
 		remote     = fs.String("remote", "", "have a running lrcsimd daemon at this base URL (e.g. http://127.0.0.1:7077) evaluate the targets instead of simulating locally; -j and -cache are the daemon's concern")
-		protoFlag  = fs.String("protocols", "all", "comma-separated protocol subset for the tardis target and the chaos soak (\"all\" = every protocol)")
+		protoFlag  = fs.String("protocols", "all", "comma-separated protocol subset for the chaos soak (\"all\" = every protocol)")
 	)
 	if err := fs.Parse(args); err != nil {
 		if errors.Is(err, flag.ErrHelp) {
@@ -171,12 +169,11 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 		// Fan the spec's cells out to the worker pool before any rendering:
 		// the report lists them in key order, so the output is
 		// deterministic while the simulations were not. A narrowed
-		// -protocols drops what only the tables it narrows read: the
-		// timestamp protocols' cells and the faulted machines'.
+		// -protocols drops what only the soak reads: the faulted
+		// machines' cells.
 		soak := exp.TargetCells([]string{"chaos"}, nil)
 		cells = slices.DeleteFunc(cells, func(c [3]string) bool {
-			narrowed := c[2] == "tardis" || c[2] == "tardis2" || c[0] != "default" && slices.Contains(soak, c)
-			return narrowed && !slices.Contains(protoList, c[2])
+			return c[0] != "default" && slices.Contains(soak, c) && !slices.Contains(protoList, c[2])
 		})
 		e.Prefetch(cells)
 		rep = e.Report()

@@ -83,7 +83,7 @@ func TestLocalAndRemoteShareOneTail(t *testing.T) {
 		t.Fatalf("remote run exited %d: %s", code, remoteErr)
 	}
 	for _, heading := range []string{"Table 1:", "Table 3:", "Figure 4:", "Sensitivity: cache line size", "mp3d quality of solution", "DSM contrast:",
-		"all 126 faulted runs matched", "| claim (tiny inputs, 4 procs) |", "Cells: tiny inputs, 4 procs", "line=256  gauss       lrc"} {
+		"all 105 faulted runs matched", "| claim (tiny inputs, 4 procs) |", "Cells: tiny inputs, 4 procs", "line=256  gauss       lrc"} {
 		if !strings.Contains(localOut, heading) {
 			t.Fatalf("local run did not print %q:\n%s", heading, localOut)
 		}

@@ -62,25 +62,6 @@ type Config struct {
 	// fidelity of contention interleaving at simulation-speed cost.
 	Quantum uint64
 
-	// LeaseLen is the logical-timestamp read-lease length granted by the
-	// timestamp protocols (tardis, tardis2). A read of a line at program
-	// timestamp pts extends the line's read lease to at least
-	// pts+LeaseLen; the copy self-expires — with no invalidation message
-	// — once the reader's own timestamp passes the lease end. Longer
-	// leases mean fewer renewals but staler tolerated copies (never
-	// affecting correctness, only renewal traffic). Ignored by the
-	// invalidation protocols.
-	LeaseLen uint64
-
-	// TSDeltaBits bounds the per-line timestamp storage of the timestamp
-	// protocols: each node stores lease timestamps as deltas from a
-	// per-node base, and rebases (Tardis's timestamp compression) when a
-	// delta would no longer fit in TSDeltaBits bits. Rebasing clamps
-	// stale lease write-timestamps upward, which can only expire leases
-	// early — safe by construction. Ignored by the invalidation
-	// protocols.
-	TSDeltaBits int
-
 	// FirstTouch places each shared page at the first processor that
 	// accesses it in simulated time, instead of round-robin interleaving
 	// — the locality optimization the paper's §6 expects to shrink (but
@@ -140,9 +121,8 @@ type Config struct {
 	//	write-notice invalidations at acquire, so stale cached copies
 	//	survive into the critical section.
 	//
-	//	skip-lease-renewal: the timestamp protocols treat every cached
-	//	lease as forever valid — reads never check expiry or renew, and
-	//	tardis2 skips its acquire-time expiry sweep — so a consumer can
+	//	skip-lease-renewal: tardis treats every cached lease as forever
+	//	valid — reads never check expiry or renew — so a consumer can
 	//	read a stale copy after an acquire that should have outrun its
 	//	lease.
 	Mutation string
@@ -154,24 +134,22 @@ func Mutations() []string { return []string{"skip-acquire-inval", "skip-lease-re
 // Default returns the Table 1 configuration of the paper for n processors.
 func Default(n int) Config {
 	return Config{
-		Procs:       n,
-		LineSize:    128,
-		CacheSize:   128 << 10,
-		PageSize:    4096,
-		MemSetup:    20,
-		MemBW:       2,
-		BusBW:       2,
-		NetBW:       2,
-		SwitchLat:   2,
-		WireLat:     1,
-		NoticeCost:  4,
-		DirCostLRC:  25,
-		DirCostERC:  15,
-		WBEntries:   4,
-		CBEntries:   16,
-		Quantum:     200,
-		LeaseLen:    8,
-		TSDeltaBits: 20,
+		Procs:      n,
+		LineSize:   128,
+		CacheSize:  128 << 10,
+		PageSize:   4096,
+		MemSetup:   20,
+		MemBW:      2,
+		BusBW:      2,
+		NetBW:      2,
+		SwitchLat:  2,
+		WireLat:    1,
+		NoticeCost: 4,
+		DirCostLRC: 25,
+		DirCostERC: 15,
+		WBEntries:  4,
+		CBEntries:  16,
+		Quantum:    200,
 	}
 }
 
@@ -227,10 +205,6 @@ func (c Config) Validate() error {
 		return errors.New("config: CBEntries must be >= 1")
 	case c.Quantum < 1:
 		return errors.New("config: Quantum must be >= 1")
-	case c.LeaseLen < 1:
-		return errors.New("config: LeaseLen must be >= 1")
-	case c.TSDeltaBits < 8 || c.TSDeltaBits > 63:
-		return fmt.Errorf("config: TSDeltaBits %d must be in [8, 63]", c.TSDeltaBits)
 	}
 	if w, h := MeshDims(c.Procs); w*h != c.Procs {
 		return fmt.Errorf("config: Procs %d cannot be arranged on a 2-D mesh (use 1,2,4,8,16,32,64,...)", c.Procs)

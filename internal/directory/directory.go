@@ -77,20 +77,21 @@ const maxEntryChunk = 64
 type Directory struct {
 	nprocs  int
 	entries map[uint64]*Entry
-	// leases is the timestamp protocols' home-side table (see lease.go);
-	// empty under the invalidation protocols. spare holds the records
-	// Reset forgot, for Lease to take first.
-	leases map[uint64]*Lease
-	spare  []*Lease
+	// leases is the timestamp protocol's home-side table (see lease.go);
+	// empty under the invalidation protocols. spare and spareEntries
+	// hold the records Reset forgot, for Lease and Entry to take first.
+	leases       map[uint64]*Lease
+	spare        []*Lease
+	spareEntries []*Entry
 	// counts[s] is the number of entries in state s, kept at the
 	// transitions (Entry.Recompute). Derived: not part of Fold.
 	counts [4]int
 	// sorted is what Entries returns, until entries grows past it.
 	sorted []BlockEntry
-	// arena is the storage the next entries and their set words are
-	// carved from, as many entries at a time as were ever carved (1 to
-	// maxEntryChunk). Its uncarved rest is still zero, so it survives
-	// Reset.
+	// arena is the storage new entries and their set words are carved
+	// from once spareEntries is empty, as many entries at a time as were
+	// ever carved (1 to maxEntryChunk). Its uncarved rest is still zero,
+	// so it survives Reset.
 	arena struct {
 		entries []Entry
 		words   []uint64
@@ -109,7 +110,16 @@ func New(nprocs int, check bool) *Directory {
 }
 
 // Reset forgets every entry and lease, as New returns the directory.
+// Each entry goes to the spare list zeroed, keeping its set words and
+// its waiting-writer capacity.
 func (d *Directory) Reset() {
+	for _, e := range d.entries {
+		e.Sharers.Clear()
+		e.Writers.Clear()
+		e.Notified.Clear()
+		*e = Entry{Sharers: e.Sharers, Writers: e.Writers, Notified: e.Notified, WaitingWriters: e.WaitingWriters[:0]}
+		d.spareEntries = append(d.spareEntries, e)
+	}
 	clear(d.entries)
 	for _, l := range d.leases {
 		d.spare = append(d.spare, l)
@@ -125,15 +135,19 @@ func (d *Directory) Reset() {
 func (d *Directory) Entry(block uint64) *Entry {
 	e := d.entries[block]
 	if e == nil {
-		a, w := &d.arena, (d.nprocs+63)/64
-		if len(a.entries) == 0 {
-			chunk := min(max(a.carved, 1), maxEntryChunk)
-			a.entries, a.words = make([]Entry, chunk), make([]uint64, 3*w*chunk)
-		}
-		e, a.entries = &a.entries[0], a.entries[1:]
-		a.carved++
-		for _, s := range [...]*ProcSet{&e.Sharers, &e.Writers, &e.Notified} {
-			s.words, a.words = a.words[:w:w], a.words[w:]
+		if n := len(d.spareEntries); n > 0 {
+			e, d.spareEntries = d.spareEntries[n-1], d.spareEntries[:n-1]
+		} else {
+			a, w := &d.arena, (d.nprocs+63)/64
+			if len(a.entries) == 0 {
+				chunk := min(max(a.carved, 1), maxEntryChunk)
+				a.entries, a.words = make([]Entry, chunk), make([]uint64, 3*w*chunk)
+			}
+			e, a.entries = &a.entries[0], a.entries[1:]
+			a.carved++
+			for _, s := range [...]*ProcSet{&e.Sharers, &e.Writers, &e.Notified} {
+				s.words, a.words = a.words[:w:w], a.words[w:]
+			}
 		}
 		e.counts = &d.counts
 		d.counts[Uncached]++

@@ -345,9 +345,9 @@ func TestDirectoryVisit(t *testing.T) {
 	}
 }
 
-// TestEntryArenaAfterReset: entries carved after a Reset are new ones,
-// Uncached with empty sets and no collection, the listing holds only
-// them, and two entries of one chunk share no set words.
+// TestEntryArenaAfterReset: entries taken after a Reset (the ones it
+// forgot) are Uncached with empty sets and no collection, the listing
+// holds only them, and two entries of one chunk share no set words.
 func TestEntryArenaAfterReset(t *testing.T) {
 	d := New(70, true)
 	for b := uint64(0); b < 5; b++ {
@@ -363,7 +363,7 @@ func TestEntryArenaAfterReset(t *testing.T) {
 	x, y := d.Entry(10), d.Entry(11)
 	for _, e := range []*Entry{x, y} {
 		if e.State != Uncached || e.Sharers.Len()+e.Writers.Len()+e.Notified.Len() != 0 ||
-			e.PendingAcks != 0 || e.WaitingWriters != nil {
+			e.PendingAcks != 0 || len(e.WaitingWriters) != 0 {
 			t.Fatalf("entry after Reset: %+v", *e)
 		}
 		d.Check(0, e)
@@ -378,5 +378,24 @@ func TestEntryArenaAfterReset(t *testing.T) {
 	}
 	if d.StateCounts() != [4]int{Uncached: 2} {
 		t.Fatalf("state counts %v after Reset", d.StateCounts())
+	}
+}
+
+// TestDirectoryResetCarvesNothing: a rewound directory takes its entries
+// from the ones Reset forgot, so touching as many blocks as the last run
+// did allocates nothing — no arena chunk, no set words.
+func TestDirectoryResetCarvesNothing(t *testing.T) {
+	d := New(70, true)
+	touch := func() {
+		for b := uint64(0); b < 64; b++ {
+			e := d.Entry(b)
+			e.Sharers.Add(int(b) % 70)
+			e.Recompute()
+		}
+		d.Reset()
+	}
+	touch()
+	if got := testing.AllocsPerRun(20, touch); got != 0 {
+		t.Fatalf("touching 64 blocks after a Reset allocates %v objects, want 0", got)
 	}
 }

@@ -2,8 +2,8 @@ package directory
 
 import "fmt"
 
-// This file holds the home-side state of the timestamp protocols
-// (tardis, tardis2). Where the invalidation protocols track *who* has a
+// This file holds the home-side state of the timestamp protocol
+// (tardis). Where the invalidation protocols track *who* has a
 // copy (sharer sets, fanned-out write notices), timestamp coherence
 // tracks *until when* copies are readable: a per-block write timestamp
 // and read-lease end, plus at most one exclusive owner. There is no
@@ -60,7 +60,7 @@ func (d *Directory) VisitLeases(fn func(block uint64, l *Lease)) {
 }
 
 // CheckLease verifies l's invariants if checking is enabled, panicking
-// with a description on violation. The timestamp protocols call it
+// with a description on violation. The timestamp protocol calls it
 // after each home-side transition.
 func (d *Directory) CheckLease(block uint64, l *Lease) {
 	if !d.check {

@@ -7,7 +7,7 @@ import (
 )
 
 // Table-driven coverage of the home-side lease state machine the
-// timestamp protocols (tardis, tardis2) drive: each transition is
+// timestamp protocol (tardis) drives: each transition is
 // expressed as the exact mutation the protocol performs on the Lease
 // record, then checked against the expected (Wts, Rts, Owner) triple and
 // the lease's structural invariants. The rules mirror the protocol

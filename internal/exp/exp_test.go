@@ -301,8 +301,8 @@ func TestTargetCells(t *testing.T) {
 		}
 		seen[c] = true
 	}
-	// Full matrix: 7 apps × (6 protocols on default + 4 on future).
-	if want := len(AppOrder) * 10; len(all) != want {
+	// Full matrix: 7 apps × (4 protocols on default + 4 on future).
+	if want := len(AppOrder) * 8; len(all) != want {
 		t.Fatalf("all target cells = %d, want %d", len(all), want)
 	}
 	// fig4 needs the SC baseline even though it only plots erc and lrc.
@@ -321,7 +321,7 @@ func TestTargetCells(t *testing.T) {
 	// × 3 apps × {erc, lrc}; fresh and stale mp3d under SC. Table 1 reads
 	// no cell. The claims read the default machine under every protocol and
 	// storm's, three line sizes of locusroute and the §4.2 pair.
-	for target, want := range map[string]int{"sweep": 60, "ablate": 16, "dsm": 4, "scaling": 18, "mp3dquality": 2, "table1": 0, "claims": 92} {
+	for target, want := range map[string]int{"sweep": 60, "ablate": 16, "dsm": 4, "scaling": 18, "mp3dquality": 2, "table1": 0, "claims": 78} {
 		if got := TargetCells([]string{target}, nil); len(got) != want {
 			t.Errorf("%s expands to %d cells, want %d", target, len(got), want)
 		}
@@ -434,7 +434,7 @@ func TestEvaluatorSharedStore(t *testing.T) {
 
 // TestStoredReportRendersGolden renders every matrix target from the
 // committed baseline report — no simulation — and compares the bytes with
-// what `paperbench -scale tiny -q table2 … tardis` printed when the
+// what `paperbench -scale tiny -q table2 … fig9` printed when the
 // baseline was current (testdata/paperbench_tiny.golden). It pins the
 // text renderings and that a stored report re-renders the paper's tables.
 func TestStoredReportRendersGolden(t *testing.T) {

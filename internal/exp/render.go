@@ -133,29 +133,3 @@ func figOverhead(preset, title string, plotted ...string) func(*View, block) str
 		return b.String()
 	}
 }
-
-// tardisTable renders the timestamp-coherence comparison (extension
-// beyond the paper): every protocol of its block on the default machine,
-// with normalized time, miss rate, and total interconnect traffic. The
-// traffic columns are the point — the timestamp protocols replace
-// invalidation and write-notice fan-out with leases that expire locally,
-// so their message counts isolate what coherence enforcement itself
-// costs on the wire.
-func tardisTable(v *View, t block) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "Timestamp coherence: invalidation vs. lease protocols (default machine)\n")
-	fmt.Fprintf(&b, "  %-12s %-8s %10s %9s %12s %14s\n",
-		"Application", "Protocol", "Normalized", "MissRate", "Messages", "Bytes")
-	for _, app := range AppOrder {
-		for i, p := range t.protos {
-			label := ""
-			if i == 0 {
-				label = app
-			}
-			r := v.cell("default", app, p)
-			fmt.Fprintf(&b, "  %-12s %-8s %10.3f %8.2f%% %12d %14d\n",
-				label, p, v.Normalized("default", app, p), r.MissRatePct, r.NetworkMsgs, r.NetworkBytes)
-		}
-	}
-	return b.String()
-}

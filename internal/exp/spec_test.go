@@ -28,11 +28,11 @@ func TestSpecNormalizeAndID(t *testing.T) {
 	}
 
 	// "all" stays the paper's matrix — stored sweep IDs and the benchmark's
-	// 70-job expansion depend on it — and absorbs the matrix targets named
+	// 56-job expansion depend on it — and absorbs the matrix targets named
 	// beside it, but not a study.
 	jobs, err := (Spec{Targets: []string{"all"}, Scale: "tiny"}).Jobs()
-	if err != nil || len(jobs) != 70 {
-		t.Fatalf(`"all" expands to %d jobs (%v), want the matrix's 70`, len(jobs), err)
+	if err != nil || len(jobs) != 56 {
+		t.Fatalf(`"all" expands to %d jobs (%v), want the matrix's 56`, len(jobs), err)
 	}
 	n, err = (Spec{Targets: []string{"sweep", "all", "fig4"}}).Normalize()
 	if err != nil || len(n.Targets) != 2 || n.Targets[0] != "all" || n.Targets[1] != "sweep" {
@@ -116,7 +116,7 @@ func FuzzSpecNormalize(f *testing.F) {
 		`{"targets":["fig4","fig6"],"scale":"tiny","procs":64,"seed":1}`,
 		`{"targets":["default/gauss/lrc"],"scale":"tiny","procs":4,"seed":7}`,
 		`{"targets":["all","sweep","fig4","fig4","line=256/mp3d/erc","procs=4/blu/lrc"],"apps":["fft","fft","gauss"]}`,
-		`{"targets":["chaos","storm/fft/tardis2"],"apps":["barnes-hut","blu","cholesky","fft","gauss","locusroute","mp3d"]}`,
+		`{"targets":["chaos","storm/fft/tardis"],"apps":["barnes-hut","blu","cholesky","fft","gauss","locusroute","mp3d"]}`,
 		`{"targets":["a/b","//","/gauss/lrc","default/gauss/lrc/"],"procs":-3}`,
 		`{"targets":["fig4"],"scale":"galactic"}`,
 		`{"targets":["fig4"],"scale":"tiny","procs":9223372036854775807,"seed":18446744073709551615}`,

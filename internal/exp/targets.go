@@ -75,7 +75,6 @@ var targets = []target{
 		"Figure 8: performance trends for lazy, lazier, and eager release consistency (future machine)", "erc", "lrc", "lrc-ext")},
 	{"fig9", true, matrix("future", "sc", "erc", "lrc", "lrc-ext"), figOverhead("future",
 		"Figure 9: performance trends, overhead analysis (future machine)", "lrc", "lrc-ext", "erc", "sc")},
-	{"tardis", true, matrix("default", "sc", "erc", "lrc", "lrc-ext", "tardis", "tardis2"), tardisTable},
 	{"sweep", false, sweeps, sweepTable},
 	{"mp3dquality", false, quality, qualityTable},
 	{"ablate", false, ablations, ablationTable},
@@ -173,10 +172,10 @@ func TargetCells(names, appNames []string) [][3]string {
 // Render renders one named target as text from a report view — the same
 // bytes whether the report was just evaluated, fetched from a daemon or
 // loaded from a file. A non-empty protos replaces the protocol set of the
-// tardis table and the chaos soak; every other target ignores it. A
-// report that lacks a cell the target reads is an error naming the cell,
-// never a table of zeros; a soak in which a faulted run diverged from its
-// fault-free reference is the rendered verdicts and an error.
+// chaos soak; every other target ignores it. A report that lacks a cell
+// the target reads is an error naming the cell, never a table of zeros; a
+// soak in which a faulted run diverged from its fault-free reference is
+// the rendered verdicts and an error.
 func Render(name string, v *View, protos []string) (string, error) {
 	for _, t := range targets {
 		if t.name != name {
@@ -185,7 +184,7 @@ func Render(name string, v *View, protos []string) (string, error) {
 		v.missing, v.failures = v.missing[:0], v.failures[:0]
 		tables := make([]string, len(t.blocks))
 		for i, b := range t.blocks {
-			if (name == "tardis" || name == "chaos") && len(protos) > 0 {
+			if name == "chaos" && len(protos) > 0 {
 				b.protos = protos
 			}
 			tables[i] = t.table(v, b)

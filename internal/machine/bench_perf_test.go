@@ -10,7 +10,7 @@ import (
 )
 
 // protocols is every coherence protocol, in evaluation order.
-var protocols = []string{"sc", "erc", "lrc", "lrc-ext", "tardis", "tardis2"}
+var protocols = []string{"sc", "erc", "lrc", "lrc-ext", "tardis"}
 
 // BenchmarkProtocolDispatch runs one full tiny gauss simulation per
 // iteration, once per protocol: the end-to-end cost of the per-access

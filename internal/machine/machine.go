@@ -65,7 +65,7 @@ type Machine struct {
 }
 
 // New builds a machine running the named protocol (any of
-// protocol.Names: "sc", "erc", "lrc", "lrc-ext", "tardis", "tardis2")
+// protocol.Names: "sc", "erc", "lrc", "lrc-ext", "tardis")
 // with the given configuration.
 func New(cfg config.Config, protoName string) (*Machine, error) {
 	if err := cfg.Validate(); err != nil {

@@ -38,7 +38,7 @@ func runGaussProfiled(t *testing.T, proto string, profiled bool) *machine.Machin
 // causal span digest must be identical with profiling on and off — for
 // every protocol, since each wires its own dispatch paths.
 func TestPerfIsPassive(t *testing.T) {
-	for _, proto := range []string{"sc", "erc", "lrc", "lrc-ext", "tardis", "tardis2"} {
+	for _, proto := range []string{"sc", "erc", "lrc", "lrc-ext", "tardis"} {
 		t.Run(proto, func(t *testing.T) {
 			off := runGaussProfiled(t, proto, false)
 			on := runGaussProfiled(t, proto, true)

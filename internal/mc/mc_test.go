@@ -78,8 +78,8 @@ func TestOracleValidatesDRFLabels(t *testing.T) {
 	}
 }
 
-// allProtos is the whole protocol table — sc, erc, lrc, lrc-ext, tardis,
-// tardis2 — so the conformance corpus covers every protocol.
+// allProtos is the whole protocol table — sc, erc, lrc, lrc-ext, tardis —
+// so the conformance corpus covers every protocol.
 var allProtos = protocol.Names()
 
 func exploreBudget(proto string) ExploreConfig {
@@ -151,43 +151,42 @@ func TestMutationCaught(t *testing.T) {
 }
 
 // TestLeaseMutationCaught: a timestamp protocol that never checks lease
-// expiry (and never sweeps at acquires) serves stale copies forever; the
-// checker must catch it on mp-stale within a bounded budget, and the
-// minimized counterexample must replay deterministically.
+// expiry serves stale copies forever; the checker must catch it on
+// mp-stale within a bounded budget, and the minimized counterexample must
+// replay deterministically.
 func TestLeaseMutationCaught(t *testing.T) {
 	tc, err := FindTest("mp-stale")
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, proto := range []string{"tardis", "tardis2"} {
-		ec := exploreBudget(proto)
-		ec.Mutation = "skip-lease-renewal"
-		rep, err := Explore(tc, ec)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !rep.Violating() {
-			t.Fatalf("%s: mutation skip-lease-renewal not caught", proto)
-		}
-		cx := rep.Counterexamples[0]
-		sched := NewSchedule(tc, ec, cx, rep.Allowed)
+	const proto = "tardis"
+	ec := exploreBudget(proto)
+	ec.Mutation = "skip-lease-renewal"
+	rep, err := Explore(tc, ec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !rep.Violating() {
+		t.Fatalf("%s: mutation skip-lease-renewal not caught", proto)
+	}
+	cx := rep.Counterexamples[0]
+	sched := NewSchedule(tc, ec, cx, rep.Allowed)
 
-		path := filepath.Join(t.TempDir(), "cx.json")
-		if err := sched.Save(path); err != nil {
-			t.Fatal(err)
-		}
-		loaded, err := LoadSchedule(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		res, err := Replay(loaded)
-		if err != nil {
-			t.Fatalf("%s: counterexample does not replay: %v", proto, err)
-		}
-		if res.Outcome != cx.Outcome || res.FinalHash != cx.FinalHash {
-			t.Fatalf("%s: replay mismatch: outcome %q hash %#x, want %q %#x",
-				proto, res.Outcome, res.FinalHash, cx.Outcome, cx.FinalHash)
-		}
+	path := filepath.Join(t.TempDir(), "cx.json")
+	if err := sched.Save(path); err != nil {
+		t.Fatal(err)
+	}
+	loaded, err := LoadSchedule(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := Replay(loaded)
+	if err != nil {
+		t.Fatalf("%s: counterexample does not replay: %v", proto, err)
+	}
+	if res.Outcome != cx.Outcome || res.FinalHash != cx.FinalHash {
+		t.Fatalf("%s: replay mismatch: outcome %q hash %#x, want %q %#x",
+			proto, res.Outcome, res.FinalHash, cx.Outcome, cx.FinalHash)
 	}
 }
 

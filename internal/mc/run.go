@@ -19,8 +19,8 @@ import (
 
 // RunConfig parameterizes a single checked run.
 type RunConfig struct {
-	// Proto is the protocol name: "sc", "erc", "lrc", "lrc-ext",
-	// "tardis", or "tardis2".
+	// Proto is the protocol name: "sc", "erc", "lrc", "lrc-ext" or
+	// "tardis".
 	Proto string
 	// Menu is the set of per-message delivery delays (cycles) the
 	// explorer may choose among. Empty means DefaultMenu.
@@ -139,8 +139,6 @@ func litmusConfig(t *Test, rc RunConfig) config.Config {
 		WBEntries:       4,
 		CBEntries:       4,
 		Quantum:         1,
-		LeaseLen:        8,
-		TSDeltaBits:     20,
 		CheckInvariants: true,
 		TrackValues:     true,
 		Mutation:        rc.Mutation,

@@ -2,16 +2,16 @@ package protocol
 
 import "lazyrc/internal/causal"
 
-// This file holds the processor-side access loops more than one family
-// runs: the invalidation protocols' blocking load, and the two store
-// disciplines — stall until performed (sc, tardis) and buffer and move
-// on (erc, tardis2). What differs per family — the write-hit fast path
-// and the ownership request — comes in through Protocol.WriteHit and the
-// request function. The lazy family's store path (lazyCPUWrite) shares
-// neither: a store to a read-only line proceeds at once.
+// This file holds the processor-side access loops: the invalidation
+// protocols' blocking load, and the two store disciplines — stall until
+// performed (sc, tardis) and buffer and move on (erc). What differs per
+// family — the write-hit fast path and the ownership request — comes in
+// through Protocol.WriteHit and the request function. The lazy family's
+// store path (lazyCPUWrite) shares neither: a store to a read-only line
+// proceeds at once.
 
 // invalCPURead is the blocking load path shared by the invalidation
-// protocols (the timestamp protocols use tardisCPURead):
+// protocols (tardis uses tardisCPURead):
 // miss, request, stall until the fill arrives (merging onto any
 // transaction already in flight for the block). An arriving fill
 // satisfies the load even if a racing invalidation dropped the copy in
@@ -78,11 +78,11 @@ func stallingStore(n *Node, block uint64, word int, request func(*Node, uint64) 
 	}
 }
 
-// bufferedStore performs a store the write buffer hides: it takes a
-// buffer entry, request asks for ownership in the background, and the
+// bufferedStore performs erc's store, which the write buffer hides: it
+// takes a buffer entry, asks for ownership in the background, and the
 // store commits from the reply handler's retirement when the grant
 // lands. The processor stalls only when the buffer is full.
-func bufferedStore(n *Node, block uint64, word int, request func(*Node, uint64) *Txn) {
+func bufferedStore(n *Node, block uint64, word int) {
 	n.reclaimTxns()
 	for {
 		if n.Proto.WriteHit(n, block, word) {
@@ -102,7 +102,7 @@ func bufferedStore(n *Node, block uint64, word int, request func(*Node, uint64) 
 			return
 		}
 		n.countMiss(block, word, n.Cache.Lookup(block) != nil)
-		request(n, block)
+		eagerSendWriteReq(n, block)
 		return
 	}
 }

@@ -18,7 +18,7 @@ func (*ERC) Name() string { return "erc" }
 // processor moves on; ownership acquisition and invalidations proceed in
 // the background. The processor stalls only when the buffer is full.
 func (*ERC) CPUWrite(n *Node, block uint64, word int) {
-	bufferedStore(n, block, word, eagerSendWriteReq)
+	bufferedStore(n, block, word)
 }
 
 // Release stalls until the write buffer has drained, every outstanding

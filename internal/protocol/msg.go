@@ -1,5 +1,5 @@
-// Package protocol implements six coherence protocols — the four of the
-// paper plus two timestamp protocols — on top of the simulated mesh,
+// Package protocol implements five coherence protocols — the four of the
+// paper plus a timestamp protocol — on top of the simulated mesh,
 // caches, and directories:
 //
 //   - SC: a sequentially consistent directory protocol (every access
@@ -17,8 +17,6 @@
 //   - Tardis: timestamp coherence — logical read leases instead of
 //     invalidation fan-out, with sequentially consistent stalling
 //     stores (see tardis.go).
-//   - Tardis2: the relaxed variant — buffered stores and an
-//     acquire-time lease-expiry sweep (see tardis2.go).
 //
 // The package also provides the synchronization managers (queue locks,
 // barriers, one-shot flags) whose acquire and release operations carry
@@ -104,7 +102,7 @@ const (
 
 	// MsgLockReq through MsgFlagGo are synchronization traffic handled
 	// by the sync managers. Aux carries the object id. Addr carries the
-	// logical timestamp of the timestamp protocols (0 otherwise).
+	// logical timestamp of the timestamp protocol (0 otherwise).
 	MsgLockReq
 	MsgLockGrant
 	MsgLockFree
@@ -114,8 +112,8 @@ const (
 	MsgFlagWait
 	MsgFlagGo
 
-	// The MsgT* kinds belong to the timestamp protocols (tardis,
-	// tardis2), which replace invalidation fan-out with logical leases.
+	// The MsgT* kinds belong to the timestamp protocol (tardis), which
+	// replaces invalidation fan-out with logical leases.
 	// They are appended after the sync block so every pre-existing kind
 	// keeps its number (fault plans and traffic tables stay stable).
 

@@ -601,7 +601,7 @@ func (n *Node) commitWB(block uint64, word int) {
 // processor may be running ahead on its private clock). It reports
 // whether the store was performed; on false the caller must sync to
 // engine time and take the full CPUWrite path. The behaviour is the
-// protocol's (the timestamp protocols also advance their logical clock
+// protocol's (the timestamp protocol also advances its logical clock
 // here).
 func (n *Node) FastWriteHit(block uint64, word int) bool {
 	return n.Proto.WriteHit(n, block, word)

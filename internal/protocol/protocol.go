@@ -16,7 +16,7 @@ import (
 // (event-handler) side.
 type Protocol interface {
 	// Name identifies the protocol ("sc", "erc", "lrc", "lrc-ext",
-	// "tardis", "tardis2").
+	// "tardis").
 	Name() string
 	// Lazy reports whether this is one of the lazy protocols, which pay
 	// the higher directory access cost of Table 1.
@@ -28,7 +28,7 @@ type Protocol interface {
 	// ReadHit runs on the load fast path when a valid line is cached; it
 	// returns whether the cached copy may satisfy the load. The
 	// invalidation protocols always hit (any valid copy satisfies a
-	// load); the timestamp protocols return false when the line's lease
+	// load); the timestamp protocol returns false when the line's lease
 	// has expired, sending the load down CPURead to renew. Runs on the
 	// processor's private clock, so it must not touch the engine or send
 	// messages.
@@ -96,7 +96,7 @@ func (d dispatch) withShared() *dispatch {
 
 // releaseTimestamper is implemented by protocols that piggyback a
 // logical timestamp on release-class synchronization messages (the
-// timestamp protocols' physiological time: an acquirer's clock must
+// timestamp protocol's physiological time: an acquirer's clock must
 // pass the releaser's so lease expiry is ordered after the release).
 type releaseTimestamper interface {
 	ReleaseTS(n *Node) uint64
@@ -171,7 +171,6 @@ var table = [...]struct {
 	{&LRC{}, false},
 	{&LRCExt{}, false},
 	{&Tardis{}, true},
-	{&Tardis2{}, false},
 }
 
 // New returns the protocol named name.

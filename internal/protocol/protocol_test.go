@@ -32,7 +32,7 @@ func TestRegistry(t *testing.T) {
 }
 
 func TestParse(t *testing.T) {
-	all := []string{"sc", "erc", "lrc", "lrc-ext", "tardis", "tardis2"}
+	all := []string{"sc", "erc", "lrc", "lrc-ext", "tardis"}
 	if !slices.Equal(Names(), all) {
 		t.Fatalf("Names() = %v, want %v", Names(), all)
 	}
@@ -44,7 +44,7 @@ func TestParse(t *testing.T) {
 		{"all", all},
 		{"lrc,all", all},
 		{"lrc,lrc, lrc", []string{"lrc"}},
-		{"tardis2,lrc,sc", []string{"sc", "lrc", "tardis2"}},
+		{"tardis,lrc,sc", []string{"sc", "lrc", "tardis"}},
 		{"lrc-ext, erc,,", []string{"erc", "lrc-ext"}},
 	} {
 		got, err := Parse(tc.spec)
@@ -402,7 +402,6 @@ func TestMissAllocatesNothing(t *testing.T) {
 		{"lrc", read},
 		{"lrc-ext", writeRelease},
 		{"tardis", read},
-		{"tardis2", writeRelease},
 	} {
 		env := testEnv(t, 4, c.proto)
 		blocks := [2]uint64{0, uint64(env.Cfg.Lines())}

@@ -36,7 +36,7 @@ type syncKey struct {
 
 // syncObj is one synchronization object. state is a lock's held bit, a
 // barrier's arrival count or a flag's set bit; ts is the largest logical
-// timestamp any release of it carried (timestamp protocols; always 0
+// timestamp any release of it carried (the timestamp protocol; always 0
 // otherwise), which grants carry back so the acquirer's clock passes
 // every prior releaser's; queue holds the nodes waiting on it, in order.
 // going is the queue it last released: a barrier's fan-out targets, then

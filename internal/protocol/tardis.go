@@ -10,10 +10,9 @@ package protocol
 // simply expire. Reading a copy drags pts forward to its wts
 // (physiological time), which is what makes the total order real.
 //
-// This file holds the machinery shared by both timestamp protocols (the
-// per-node clock, lease cache, compression/rebase, the requester-side
-// message paths) plus Tardis proper, the sequentially consistent flavor:
-// stores stall until ownership is granted, exactly like SC, so the only
+// This file holds the requester side (the per-node clock, lease cache,
+// compression/rebase and message paths; the home is tardis_home.go).
+// Stores stall until ownership is granted, exactly like SC, so the only
 // relaxation relative to SC is temporal (leases instead of
 // invalidations), not ordering.
 
@@ -27,13 +26,25 @@ import (
 	"lazyrc/internal/mesh"
 )
 
+const (
+	// leaseLen is the logical read-lease length the home grants: a read
+	// at program timestamp pts extends the line's lease to at least
+	// pts+leaseLen, and the copy self-expires — with no invalidation
+	// message — once the reader's own timestamp passes the lease end.
+	leaseLen = 8
+	// tsMaxDelta bounds the per-line timestamp storage: leases are held
+	// as 20-bit deltas from a per-node base, rebased (Tardis's timestamp
+	// compression) when a delta would no longer fit.
+	tsMaxDelta = 1<<20 - 1
+)
+
 // tsLease is a node-side cached lease for one line: the version's write
 // timestamp and the end of the read lease granted by the home.
 type tsLease struct {
 	wts, rts uint64
 }
 
-// tardisNode bundles the per-node state of the timestamp protocols:
+// tardisNode bundles the per-node state of the timestamp protocol:
 // requester-side logical clock and lease cache, and the home's open
 // recall episodes for the blocks homed here. Set up on first touch; nil
 // on nodes running invalidation protocols.
@@ -81,12 +92,6 @@ func (n *Node) td() *tardisNode {
 
 // ---- Lease cache and timestamp compression ------------------------------
 
-// tsMaxDelta returns the largest timestamp delta the node's bounded
-// lease storage can represent (the compression knob).
-func (n *Node) tsMaxDelta() uint64 {
-	return 1<<uint(n.Env.Cfg.TSDeltaBits) - 1
-}
-
 // installLease records a lease for block, rebasing the compression base
 // when the new lease's timestamps do not fit as deltas. A rebase clamps
 // surviving leases' wts up to the new base (only weakens the renewal
@@ -95,8 +100,8 @@ func (n *Node) tsMaxDelta() uint64 {
 // treated as stale, which is always safe).
 func (n *Node) installLease(block uint64, l tsLease) {
 	td := n.td()
-	if l.rts > td.bts+n.tsMaxDelta() {
-		newBase := l.rts - n.tsMaxDelta()
+	if l.rts > td.bts+tsMaxDelta {
+		newBase := l.rts - tsMaxDelta
 		td.rebases++
 		for b, old := range td.leases {
 			if old.rts < newBase {
@@ -126,11 +131,10 @@ func (n *Node) bumpPTS(ts uint64) {
 
 // ---- Fast paths ----------------------------------------------------------
 
-// tardisReadHit is both timestamp protocols' load fast path: an owned
-// line always satisfies the load; a read copy satisfies it while the
-// lease covers pts. Reading drags pts to the version's wts
-// (physiological time). Pure counter updates — runs on the processor's
-// private clock.
+// tardisReadHit is the load fast path: an owned line always satisfies
+// the load; a read copy satisfies it while the lease covers pts. Reading
+// drags pts to the version's wts (physiological time). Pure counter
+// updates — runs on the processor's private clock.
 func tardisReadHit(n *Node, block uint64) bool {
 	line := n.Cache.Lookup(block)
 	if line == nil {
@@ -396,38 +400,53 @@ func (td *tardisNode) fold(h *fold.Rec, recs *fold.Bag) {
 	}
 }
 
-// ---- Shared protocol plumbing -------------------------------------------
+// ---- Tardis ---------------------------------------------------------------
 
-// tsPaths is the timestamp family (tardis, tardis2): the fast paths,
-// eviction, the lease home of tardis_home.go, and sync timestamp
-// piggybacking. Acquires do no consistency work unless the protocol
-// overrides AcquireEnd (tardis2's lease sweep).
-type tsPaths struct{}
+// Tardis is the SC flavor of timestamp coherence: every store stalls
+// until ownership is granted, so the memory order is exactly SC's and
+// it differs from sc only in how readers learn about writes (lease
+// expiry vs invalidation). Acquires do no consistency work: the grant's
+// timestamp (AcquireTS) is all an acquirer needs.
+type Tardis struct{}
 
-func (tsPaths) Lazy() bool                      { return false }
-func (tsPaths) WriteBack() bool                 { return true }
-func (tsPaths) handlers() *dispatch             { return tsDispatch }
-func (tsPaths) AcquireBegin(n *Node)            {}
-func (tsPaths) AcquireEnd(n *Node, done func()) { done() }
+var _ Protocol = (*Tardis)(nil)
 
-func (tsPaths) ReadHit(n *Node, block uint64) bool            { return tardisReadHit(n, block) }
-func (tsPaths) WriteHit(n *Node, block uint64, word int) bool { return tardisWriteHit(n, block, word) }
-func (tsPaths) Evict(n *Node, v cache.Line)                   { tardisEvict(n, v) }
-func (tsPaths) CPURead(n *Node, block uint64, word int)       { tardisCPURead(n, block, word) }
+func (*Tardis) Name() string                                  { return "tardis" }
+func (*Tardis) Lazy() bool                                    { return false }
+func (*Tardis) WriteBack() bool                               { return true }
+func (*Tardis) handlers() *dispatch                           { return tsDispatch }
+func (*Tardis) AcquireBegin(n *Node)                          {}
+func (*Tardis) AcquireEnd(n *Node, done func())               { done() }
+func (*Tardis) ReadHit(n *Node, block uint64) bool            { return tardisReadHit(n, block) }
+func (*Tardis) WriteHit(n *Node, block uint64, word int) bool { return tardisWriteHit(n, block, word) }
+func (*Tardis) Evict(n *Node, v cache.Line)                   { tardisEvict(n, v) }
+func (*Tardis) CPURead(n *Node, block uint64, word int)       { tardisCPURead(n, block, word) }
+
+// CPUWrite performs a stalling store, mirroring SC: the write buffer is
+// a one-deep MSHR, and the CPU parks until the grant commits the store.
+func (*Tardis) CPUWrite(n *Node, block uint64, word int) {
+	stallingStore(n, block, word, tardisSendWriteReq, "prior transaction")
+}
+
+// Release is a no-op, as under SC: every store already performed before
+// the program moved past it. In-flight eviction write-backs are safe to
+// leave behind — the home defers requests for a recalled block until
+// the owner's (FIFO-ordered) data lands.
+func (*Tardis) Release(n *Node) {}
 
 // ReleaseTS stamps release-class sync messages with the releaser's
 // clock; AcquireTS folds a grant's stamp into the acquirer's clock
 // before AcquireEnd runs. Together they order lease expiry after the
 // releases the program observed (physiological time across sync).
-func (tsPaths) ReleaseTS(n *Node) uint64 { return n.td().pts }
-func (tsPaths) AcquireTS(n *Node, ts uint64) {
+func (*Tardis) ReleaseTS(n *Node) uint64 { return n.td().pts }
+func (*Tardis) AcquireTS(n *Node, ts uint64) {
 	td := n.td()
 	if ts > td.pts {
 		td.pts = ts
 	}
 }
 
-// tsDispatch is the timestamp family's message interface: home side
+// tsDispatch is the timestamp protocol's message interface: home side
 // first, then the requester's replies and the owner's recall.
 var tsDispatch = dispatch{
 	MsgTReadReq:  tardisHomeRequest,
@@ -442,24 +461,3 @@ var tsDispatch = dispatch{
 	MsgTWriteReply: tardisWriteReply,
 	MsgTRecall:     afterPP(causal.KindDir, (*Node).noticeCost, tardisYieldOrNack),
 }.withShared()
-
-// ---- Tardis (sequentially consistent flavor) -----------------------------
-
-// Tardis is the SC flavor: every store stalls until ownership is
-// granted, so the memory order is exactly SC's and the protocols differ
-// only in how readers learn about writes (lease expiry vs invalidation).
-type Tardis struct{ tsPaths }
-
-func (*Tardis) Name() string { return "tardis" }
-
-// CPUWrite performs a stalling store, mirroring SC: the write buffer is
-// a one-deep MSHR, and the CPU parks until the grant commits the store.
-func (*Tardis) CPUWrite(n *Node, block uint64, word int) {
-	stallingStore(n, block, word, tardisSendWriteReq, "prior transaction")
-}
-
-// Release is a no-op, as under SC: every store already performed before
-// the program moved past it. In-flight eviction write-backs are safe to
-// leave behind — the home defers requests for a recalled block until
-// the owner's (FIFO-ordered) data lands.
-func (*Tardis) Release(n *Node) {}

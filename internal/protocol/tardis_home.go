@@ -1,6 +1,6 @@
 package protocol
 
-// Home side of the timestamp protocols. The directory keeps one lease
+// Home side of the timestamp protocol. The directory keeps one lease
 // record per block — wts, rts, and at most one exclusive owner — and no
 // sharer vector at all: readers are never tracked, so nothing fans out
 // when a block is written. The home's only serialization duty is
@@ -58,8 +58,8 @@ func tardisHomeService(n *Node, m mesh.Msg) {
 }
 
 // extendLease grants a read lease covering the requester's clock:
-// rts' = max(rts, pts + LeaseLen, wts).
-func extendLease(l *directory.Lease, pts, leaseLen uint64) {
+// rts' = max(rts, pts + leaseLen, wts).
+func extendLease(l *directory.Lease, pts uint64) {
 	want := pts + leaseLen
 	if want < l.Wts {
 		want = l.Wts
@@ -78,7 +78,7 @@ func tardisHomeRead(n *Node, m mesh.Msg) {
 
 func tardisHomeReadDir(n *Node, m mesh.Msg, memEnd uint64) {
 	l := n.Dir.Lease(m.Addr)
-	extendLease(l, m.Arg, n.Env.Cfg.LeaseLen)
+	extendLease(l, m.Arg)
 	n.Dir.CheckLease(m.Addr, l)
 	n.at(max(n.now(), memEnd), tardisHomeReply,
 		n.msg(m.Src, MsgTReadReply, m.Addr, n.lineBytes(), l.Wts, l.Rts), 0)
@@ -101,7 +101,7 @@ func tardisHomeRenew(n *Node, m mesh.Msg) {
 
 func tardisHomeRenewDir(n *Node, m mesh.Msg, _ uint64) {
 	l := n.Dir.Lease(m.Addr)
-	extendLease(l, m.Arg, n.Env.Cfg.LeaseLen)
+	extendLease(l, m.Arg)
 	n.Dir.CheckLease(m.Addr, l)
 	n.send(m.Src, MsgTRenewAck, m.Addr, 0, l.Wts, l.Rts)
 	tardisHomeNext(n, m.Addr)

@@ -61,7 +61,7 @@ type Proc = machine.Proc
 type F64 = machine.F64
 
 // NewMachine builds a machine running the named protocol: "sc", "erc",
-// "lrc", "lrc-ext", "tardis", or "tardis2".
+// "lrc", "lrc-ext" or "tardis".
 func NewMachine(cfg Config, proto string) (*Machine, error) {
 	return machine.New(cfg, proto)
 }

@@ -27,10 +27,10 @@ func ExampleNewMachine() {
 	// Output: counter: 12
 }
 
-// ExampleProtocols lists the six protocols under evaluation.
+// ExampleProtocols lists the five protocols under evaluation.
 func ExampleProtocols() {
 	fmt.Println(lazyrc.Protocols())
-	// Output: [sc erc lrc lrc-ext tardis tardis2]
+	// Output: [sc erc lrc lrc-ext tardis]
 }
 
 // TestFacadeConfigs: the facade's configuration is the paper's Table 1
