@@ -36,14 +36,13 @@ func evaluator(b *testing.B) *exp.Evaluator {
 	return exp.NewEvaluator(benchScale, benchProcs)
 }
 
-// figure runs the bench applications under the given protocols plus the
-// SC run every figure normalizes to, and returns the report view the
-// figure's quantities are read from.
-func figure(b *testing.B, cfgName string, protos ...string) *exp.View {
+// runs runs the bench applications under the given protocols and returns
+// the report view the bench's quantities are read from.
+func runs(b *testing.B, cfgName string, protos ...string) *exp.View {
 	b.Helper()
 	var cells [][3]string
 	for _, app := range benchApps {
-		for _, proto := range append([]string{"sc"}, protos...) {
+		for _, proto := range protos {
 			cells = append(cells, [3]string{cfgName, app, proto})
 		}
 	}
@@ -56,13 +55,19 @@ func figure(b *testing.B, cfgName string, protos ...string) *exp.View {
 	return rep.View()
 }
 
+// figure is runs plus the SC run every figure normalizes to.
+func figure(b *testing.B, cfgName string, protos ...string) *exp.View {
+	b.Helper()
+	return runs(b, cfgName, append([]string{"sc"}, protos...)...)
+}
+
 func BenchmarkTable1Config(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		cfg := lazyrc.DefaultConfig(64)
 		if err := cfg.Validate(); err != nil {
 			b.Fatal(err)
 		}
-		if _, err := exp.Render("table1", exp.Report{Procs: cfg.Procs}.View(), nil); err != nil {
+		if _, err := exp.Render("table1", exp.Report{Procs: cfg.Procs}.View()); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -70,25 +75,22 @@ func BenchmarkTable1Config(b *testing.B) {
 
 func BenchmarkTable2MissClassification(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		e := evaluator(b)
+		v := runs(b, "default", "erc")
 		for _, app := range benchApps {
-			r := e.Get("default", app, "erc")
-			if err := r.Err(); err != nil {
-				b.Fatal(err)
-			}
-			b.ReportMetric(100*r.MissShares[stats.FalseShare], app+"_false_pct")
-			b.ReportMetric(100*r.MissShares[stats.Eviction], app+"_evict_pct")
+			r, _ := v.Run("default", app, "erc")
+			b.ReportMetric(r.MissShares[stats.FalseShare.String()], app+"_false_pct")
+			b.ReportMetric(r.MissShares[stats.Eviction.String()], app+"_evict_pct")
 		}
 	}
 }
 
 func BenchmarkTable3MissRates(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		e := evaluator(b)
+		v := runs(b, "default", "erc", "lrc", "lrc-ext")
 		for _, app := range benchApps {
 			for _, proto := range []string{"erc", "lrc", "lrc-ext"} {
-				r := e.Get("default", app, proto)
-				b.ReportMetric(100*r.MissRate, app+"_"+proto+"_missrate_pct")
+				r, _ := v.Run("default", app, proto)
+				b.ReportMetric(r.MissRatePct, app+"_"+proto+"_missrate_pct")
 			}
 		}
 	}
@@ -204,7 +206,7 @@ func BenchmarkMp3dQuality(b *testing.B) {
 		if err := rep.Err(); err != nil {
 			b.Fatal(err)
 		}
-		if out, err := exp.Render("mp3dquality", rep.View(), nil); err != nil || len(out) == 0 {
+		if out, err := exp.Render("mp3dquality", rep.View()); err != nil || len(out) == 0 {
 			b.Fatalf("quality report %q: %v", out, err)
 		}
 	}

@@ -216,7 +216,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 // through the reliable transport into application state. It returns the
 // verdict line, or the divergence as an error.
 func oracle(e *exp.Evaluator, preset string, faulted *runner.Result) (string, error) {
-	e.Get(preset, faulted.App, faulted.Proto)
+	e.Prefetch([][3]string{{preset, faulted.App, faulted.Proto}})
 	ref, _ := e.Report().View().Run(preset, faulted.App, faulted.Proto)
 	got := exp.ReportRun{MemDigest: faulted.MemDigest, Verified: true}
 	exact := !apps.TimingDependent(faulted.App)

@@ -19,9 +19,10 @@
 // and the chaos soak alike — and it does not matter where the report came
 // from: evaluated here, or — with -remote — by a running lrcsimd daemon,
 // from the same exp.Spec. From the report on, the two modes share one
-// tail (print, -json, -report, -write-baseline, -baseline). Only
-// -critical-path (the retained span store, up to 8 Mi spans a cell)
-// needs this process and stays outside the report; -remote refuses it.
+// tail (print, -json, -report, -write-baseline, -baseline), so what is
+// printed depends only on the spec and the report. Every flag shapes the
+// spec, chooses where the report is computed, or writes the output. A
+// cell's critical-path attribution is lrcsim -critical-path's.
 //
 // Usage:
 //
@@ -35,7 +36,7 @@
 // loss and link outages, gated on the end-state equivalence oracle); and
 // any cell by its key variant/app/protocol (default/gauss/lrc,
 // line=256/mp3d/erc), printed as one generic table. An unknown target is
-// refused. -protocols narrows the protocol set the chaos soak covers.
+// refused.
 package main
 
 import (
@@ -53,7 +54,6 @@ import (
 	"lazyrc/internal/api"
 	"lazyrc/internal/exp"
 	"lazyrc/internal/perf"
-	"lazyrc/internal/protocol"
 	"lazyrc/internal/runner"
 	"lazyrc/internal/store"
 )
@@ -77,11 +77,9 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 		baseline   = fs.String("baseline", "", "regression-gate baseline report (JSON); any drift exits non-zero")
 		writeBase  = fs.String("write-baseline", "", "write the canonical (provenance-free) report to this file, for committing as the gate baseline")
 		reportOut  = fs.String("report", "", "write a self-contained HTML report of the evaluation to this file")
-		critPath   = fs.Bool("critical-path", false, "also print the per-app per-protocol critical-path stall attribution table (runs span-traced simulations in this process, outside the result cache; not with -remote)")
 		cpuprofile = fs.String("cpuprofile", "", "write a CPU profile to this file")
 		memprofile = fs.String("memprofile", "", "write a heap profile to this file at exit")
 		remote     = fs.String("remote", "", "have a running lrcsimd daemon at this base URL (e.g. http://127.0.0.1:7077) evaluate the targets instead of simulating locally; -j and -cache are the daemon's concern")
-		protoFlag  = fs.String("protocols", "all", "comma-separated protocol subset for the chaos soak (\"all\" = every protocol)")
 	)
 	if err := fs.Parse(args); err != nil {
 		if errors.Is(err, flag.ErrHelp) {
@@ -104,10 +102,6 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 		progress = func(ev runner.Event) { printEvent(stderr, ev) }
 	}
 
-	protoList, err := protocol.Parse(*protoFlag)
-	if err != nil {
-		return fail(err)
-	}
 	// The targets. "all" is the paper's evaluation — Table 1, the matrix,
 	// the §4.3 sweeps and the §4.2 quality check; the extensions and cells
 	// are opt-in. They make up the spec, whose validation is theirs.
@@ -121,10 +115,6 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 	spec, e, cells, err := exp.Spec{Targets: named, Scale: *scaleFlag, Procs: *procs, Seed: *seed}.Expand()
 	if err != nil {
 		fmt.Fprintf(stderr, "paperbench: %v\n", err)
-		return 2
-	}
-	if *remote != "" && *critPath {
-		fmt.Fprintln(stderr, "paperbench: -remote cannot serve -critical-path: its span-traced runs stay in this process")
 		return 2
 	}
 	stopProfiles, err := perf.StartProfiles(*cpuprofile, *memprofile)
@@ -168,13 +158,7 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 		e.R.Emit = progress
 		// Fan the spec's cells out to the worker pool before any rendering:
 		// the report lists them in key order, so the output is
-		// deterministic while the simulations were not. A narrowed
-		// -protocols drops what only the soak reads: the faulted
-		// machines' cells.
-		soak := exp.TargetCells([]string{"chaos"}, nil)
-		cells = slices.DeleteFunc(cells, func(c [3]string) bool {
-			return c[0] != "default" && slices.Contains(soak, c) && !slices.Contains(protoList, c[2])
-		})
+		// deterministic while the simulations were not.
 		e.Prefetch(cells)
 		rep = e.Report()
 	}
@@ -195,14 +179,11 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 	}
 	for _, t := range exp.Targets {
 		if slices.Contains(named, t) || slices.Contains(named, "all") && slices.Contains(exp.MatrixTargets, t) {
-			render(exp.Render(t, view, protoList))
+			render(exp.Render(t, view))
 		}
 	}
 	if keys := slices.DeleteFunc(named, func(t string) bool { return !strings.Contains(t, "/") }); len(keys) > 0 {
 		render(exp.CellTable(view, exp.TargetCells(keys, nil)))
-	}
-	if *critPath {
-		render(e.CriticalPath())
 	}
 
 	// One tail: verdict, files, gate.

@@ -20,8 +20,9 @@ func paperbench(args ...string) (stdout, stderr string, code int) {
 	return out.String(), errOut.String(), code
 }
 
-// TestFlagCount pins the option surface: 15 flags, none of them the
-// deleted perf pass's.
+// TestFlagCount pins the option surface: 13 flags, none of them the
+// deleted perf pass's, and neither -critical-path nor -protocols, which
+// reshaped or bypassed the report.
 func TestFlagCount(t *testing.T) {
 	_, usage, code := paperbench("-h")
 	if code != 0 {
@@ -36,8 +37,14 @@ func TestFlagCount(t *testing.T) {
 			}
 		}
 	}
-	if n != 15 {
-		t.Errorf("%d flags registered, want 15: adding an option needs a reason (ROADMAP aim 2)\n%s", n, usage)
+	if n != 13 {
+		t.Errorf("%d flags registered, want 13: adding an option needs a reason (ROADMAP aim 2)\n%s", n, usage)
+	}
+	for _, gone := range []string{"-critical-path", "-protocols=lrc"} {
+		stdout, stderr, code := paperbench("-scale", "tiny", "-q", gone, "table1")
+		if name, _, _ := strings.Cut(gone, "="); code != 2 || stdout != "" || !strings.Contains(stderr, "flag provided but not defined: "+name) {
+			t.Errorf("%s exited %d, printed %q: %s", gone, code, stdout, stderr)
+		}
 	}
 }
 
@@ -124,16 +131,10 @@ func TestLocalAndRemoteShareOneTail(t *testing.T) {
 	}
 }
 
-// TestRemoteRefusesCriticalPath: -critical-path needs span-traced runs in
-// this process, so -remote refuses it before anything is submitted; every
-// target — Table 1, the §4.2 check, the soak and a cell key included — is
-// the daemon's.
-func TestRemoteRefusesCriticalPath(t *testing.T) {
-	const nobody = "http://127.0.0.1:1" // refused connections, were anything submitted
-	stdout, stderr, code := paperbench("-remote", nobody, "-scale", "tiny", "-q", "-critical-path", "fig4")
-	if code != 2 || stdout != "" || !strings.Contains(stderr, "-critical-path") || strings.Contains(stderr, "submit:") {
-		t.Errorf("-remote -critical-path exited %d, printed %q: %s", code, stdout, stderr)
-	}
+// TestRemoteSubmitsEveryTarget: every target — Table 1, the §4.2 check,
+// the soak and a cell key included — is the daemon's.
+func TestRemoteSubmitsEveryTarget(t *testing.T) {
+	const nobody = "http://127.0.0.1:1" // refused connections: a submission fails
 	for _, target := range []string{"table1", "mp3dquality", "ablate", "scaling", "chaos", "future/fft/erc", "all"} {
 		_, stderr, code := paperbench("-remote", nobody, "-scale", "tiny", "-q", target)
 		if code != 1 || !strings.Contains(stderr, "submit:") {

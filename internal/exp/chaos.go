@@ -2,6 +2,7 @@ package exp
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"lazyrc/internal/apps"
@@ -34,11 +35,19 @@ func faultPlan(variant, plan string) point {
 }
 
 // soakTable renders the soak as its end-state verdicts: every faulted run
-// against the fault-free run of its cell (the block's first point). A
+// against the fault-free run of its cell (the block's first point). Its
+// rows are the protocols the report holds a faulted run of, or every
+// protocol when it holds none, so that the missing cells are named. A
 // run that fails its verdict is recorded on the view, so Render returns
 // the table together with an error.
 func soakTable(v *View, b block) string {
 	ref, plans := b.points[0], b.points[1:]
+	protos := v.protocols(func(r *ReportRun) bool {
+		return slices.ContainsFunc(plans, func(p point) bool { return p.variant == r.Config })
+	})
+	if len(protos) == 0 {
+		protos = b.protos
+	}
 	var s strings.Builder
 	fmt.Fprintf(&s, "Chaos soak: %s inputs, %d procs\n"+
 		"oracle: completion + verification + invariant checks clean; bit-identical\n"+
@@ -52,7 +61,7 @@ func soakTable(v *View, b block) string {
 	}
 	s.WriteString("\n")
 	for _, app := range AppOrder {
-		for _, proto := range b.protos {
+		for _, proto := range protos {
 			fmt.Fprintf(&s, "  %-12s %-8s", app, proto)
 			for _, p := range plans {
 				verdict, ok := ChaosVerdict(v.cell(ref.variant, app, proto), v.cell(p.variant, app, proto), !apps.TimingDependent(app))
@@ -67,7 +76,7 @@ func soakTable(v *View, b block) string {
 	if n := len(v.failures); n > 0 {
 		fmt.Fprintf(&s, "FAILED: %d cell(s) diverged\n  %s\n", n, strings.Join(v.failures, "\n  "))
 	} else {
-		fmt.Fprintf(&s, "all %d faulted runs matched their fault-free end state\n", len(AppOrder)*len(b.protos)*len(plans))
+		fmt.Fprintf(&s, "all %d faulted runs matched their fault-free end state\n", len(AppOrder)*len(protos)*len(plans))
 	}
 	return s.String()
 }

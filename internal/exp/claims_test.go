@@ -86,7 +86,7 @@ func TestClaimVerdicts(t *testing.T) {
 		if tc.doctor != nil {
 			tc.doctor(v)
 		}
-		out, err := Render("claims", v, nil)
+		out, err := Render("claims", v)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -116,7 +116,7 @@ func TestClaimsNameAMissingCell(t *testing.T) {
 				short.Runs = append(short.Runs, r)
 			}
 		}
-		if out, err := Render("claims", short.View(), nil); err == nil || out != "" || !strings.Contains(err.Error(), lost) {
+		if out, err := Render("claims", short.View()); err == nil || out != "" || !strings.Contains(err.Error(), lost) {
 			t.Errorf("claims without %s: %v\n%s", lost, err, out)
 		}
 	}
@@ -141,7 +141,7 @@ func TestClaimsRenderGolden(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got, err := Render("claims", rep.View(), nil); err != nil || got != string(want) {
+	if got, err := Render("claims", rep.View()); err != nil || got != string(want) {
 		t.Fatalf("claims at tiny/4p drifted from testdata/paperbench_tiny_claims.golden (%v):\n%s", err, got)
 	}
 }

@@ -150,30 +150,15 @@ func (e *Evaluator) CellJob(variant, appName, proto string) runner.Job {
 	return j
 }
 
-// Get runs (or recalls) one experiment cell. A cell Prefetch already
-// resolved is served from the memo without touching the runner; any
-// other goes through runner.Do, which deduplicates by content
-// fingerprint and reuses a result store shared with previous processes.
-// A crashed run surfaces as a result whose Err carries the failure, not
-// as a panic of the whole evaluation.
-func (e *Evaluator) Get(variant, appName, proto string) *runner.Result {
-	key := cellKey(variant, appName, proto)
-	if m, ok := e.runs[key]; ok {
-		return m.res
-	}
-	res := e.engine().Do(e.ctx(), e.Job(variant, appName, proto))
-	e.runs[key] = memoRun{variant, res}
-	return res
-}
-
 // Prefetch simulates the given (variant, app, protocol) cells through
-// the runner's worker pool and memoizes what comes back, so the report
-// (and any Get) afterwards reads every cell from the memo: table and
-// figure order stays deterministic while the simulations themselves ran
-// concurrently, and no job is submitted to the runner twice — cells
-// whose variants derive the same machine (cb=16 is the default one) are
-// one job, whose result each of them reads, so a sweep's event stream
-// carries one lifecycle per fingerprint.
+// the runner's worker pool and memoizes what comes back — the one way a
+// cell enters the evaluator — so the report reads every cell from the
+// memo: table and figure order stays deterministic while the simulations
+// themselves ran concurrently. No job is submitted to the runner twice
+// in one call — cells whose variants derive the same machine (cb=16 is
+// the default one) are one job, whose result each of them reads, so a
+// sweep's event stream carries one lifecycle per fingerprint — and a
+// cell prefetched again is the runner's memo hit, not a second run.
 func (e *Evaluator) Prefetch(cells [][3]string) {
 	jobs := make([]runner.Job, 0, len(cells))
 	index := make(map[string]int, len(cells)) // fingerprint -> its job's index in jobs

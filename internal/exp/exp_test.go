@@ -24,28 +24,32 @@ func evaluatorOn(rn *runner.Runner) *Evaluator {
 	return e
 }
 
+// TestEvaluatorMemoizes: a cell prefetched twice, and twice in one call,
+// runs once and is one run of the report.
 func TestEvaluatorMemoizes(t *testing.T) {
 	e := tinyEvaluator()
-	r1 := e.Get("default", "gauss", "sc")
-	r2 := e.Get("default", "gauss", "sc")
-	if r1 != r2 {
-		t.Fatal("identical cell re-ran instead of memoizing")
-	}
-	if r1.ExecCycles == 0 {
-		t.Fatal("zero execution time")
-	}
+	cell := [3]string{"default", "gauss", "sc"}
+	e.Prefetch([][3]string{cell, cell})
+	e.Prefetch([][3]string{cell})
 	rep := e.Report()
 	if len(rep.Runs) != 1 {
 		t.Fatalf("runs = %d, want 1", len(rep.Runs))
+	}
+	if m := e.R.Meta(); m.Simulated != 1 {
+		t.Fatalf("identical cell simulated %d times instead of memoizing", m.Simulated)
+	}
+	if rep.Runs[0].ExecCycles == 0 {
+		t.Fatal("zero execution time")
 	}
 	if err := rep.Err(); err != nil {
 		t.Fatal(err)
 	}
 }
 
-// TestPrefetchFillsTheMemo: after Prefetch, reading a prefetched cell (and
-// assembling the report) must not go back to the runner — the counting
-// Emit sees exactly one queued event per cell, from the prefetch itself.
+// TestPrefetchFillsTheMemo: after Prefetch, reading the prefetched cells
+// (assembling the report and its view) must not go back to the runner —
+// the counting Emit sees exactly one queued event per cell, from the
+// prefetch itself.
 func TestPrefetchFillsTheMemo(t *testing.T) {
 	cells := TargetCells([]string{"table3"}, []string{"gauss"})
 	var mu sync.Mutex
@@ -60,12 +64,14 @@ func TestPrefetchFillsTheMemo(t *testing.T) {
 	}
 	e := evaluatorOn(rn)
 	e.Prefetch(cells)
+	rep := e.Report()
+	v := rep.View()
 	for _, c := range cells {
-		if e.Get(c[0], c[1], c[2]).ExecCycles == 0 {
+		if r, ok := v.Run(c[0], c[1], c[2]); !ok || r.ExecCycles == 0 {
 			t.Fatalf("cell %v: zero execution time", c)
 		}
 	}
-	if rep := e.Report(); len(rep.Runs) != len(cells) {
+	if len(rep.Runs) != len(cells) {
 		t.Fatalf("report has %d runs, want %d", len(rep.Runs), len(cells))
 	}
 	if queued != len(cells) {
@@ -88,7 +94,7 @@ func TestNormalizedBaselineIsOne(t *testing.T) {
 
 func TestOverheadSharesSumNearTotal(t *testing.T) {
 	e := tinyEvaluator()
-	e.Get("default", "gauss", "sc")
+	e.Prefetch([][3]string{{"default", "gauss", "sc"}})
 	v := e.Report().View()
 	cpu, rd, wr, sy, ok := v.OverheadShares("default", "gauss", "sc")
 	if !ok {
@@ -117,7 +123,7 @@ func TestCacheForScale(t *testing.T) {
 // TestTable1Rendering: Table 1 renders from a report that carries no
 // run — the constants of the report's default machine.
 func TestTable1Rendering(t *testing.T) {
-	out, err := Render("table1", Report{Scale: "tiny", Procs: 64}.View(), nil)
+	out, err := Render("table1", Report{Scale: "tiny", Procs: 64}.View())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -228,7 +234,7 @@ func TestMp3dQualityReport(t *testing.T) {
 	if sc.Answer[0] == lazy.Answer[0] {
 		t.Fatalf("lazy invalidation left the answer unchanged: %v", sc.Answer)
 	}
-	out, err := Render("mp3dquality", rep.View(), nil)
+	out, err := Render("mp3dquality", rep.View())
 	if err != nil || !strings.Contains(out, "X") || !strings.Contains(out, "divergence") || strings.Contains(out, "failed") {
 		t.Fatalf("quality report malformed (%v):\n%s", err, out)
 	}
@@ -340,7 +346,7 @@ func renderAll(t *testing.T, rep Report, targets []string) string {
 	var b strings.Builder
 	v := rep.View()
 	for _, target := range targets {
-		out, err := Render(target, v, nil)
+		out, err := Render(target, v)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -457,13 +463,13 @@ func TestStoredReportRendersGolden(t *testing.T) {
 			short.Runs = append(short.Runs, r)
 		}
 	}
-	if _, err := Render("fig4", short.View(), nil); err == nil || !strings.Contains(err.Error(), "default/gauss/sc") {
+	if _, err := Render("fig4", short.View()); err == nil || !strings.Contains(err.Error(), "default/gauss/sc") {
 		t.Fatalf("fig4 from a report without default/gauss/sc: %v", err)
 	}
-	if _, err := Render("table2", short.View(), nil); err != nil {
+	if _, err := Render("table2", short.View()); err != nil {
 		t.Fatalf("table2 does not read the missing cell: %v", err)
 	}
-	if _, err := Render("mp3dquality", short.View(), nil); err == nil || !strings.Contains(err.Error(), "track-values/mp3d/") {
+	if _, err := Render("mp3dquality", short.View()); err == nil || !strings.Contains(err.Error(), "track-values/mp3d/") {
 		t.Fatalf("mp3dquality from a report without its cells: %v", err)
 	}
 }
@@ -535,13 +541,18 @@ func TestStoredStudiesRenderGolden(t *testing.T) {
 }
 
 // TestStoredSoakRendersGolden is the same for the chaos soak, whose
-// rendering is a verdict: testdata/chaos_tiny4.json (`paperbench -scale
-// tiny -procs 4 -q -protocols lrc,tardis2 -write-baseline … chaos`)
-// re-renders, with no simulation, the table the deleted driver printed for
-// that invocation (testdata/paperbench_tiny_chaos.golden, less the seed
-// in its title, which a report does not carry). A faulted run whose
-// final memory differs from its fault-free reference fails its slot and
-// the rendering — unless the application folds timing into its result.
+// rendering is a verdict: testdata/chaos_tiny4.json re-renders, with no
+// simulation, the table the deleted driver printed for the same soak
+// (testdata/paperbench_tiny_chaos.golden, less the seed in its title,
+// which a report does not carry). The report was written by `paperbench
+// -scale tiny -procs 4 -q -protocols lrc,tardis2 -write-baseline … chaos`
+// when paperbench could still narrow the soak and the protocol set still
+// held tardis2: it has the fault-free cells of sc, erc, lrc, lrc-ext and
+// tardis2 and the faulted cells of lrc and tardis2 alone, so those two
+// are the soak's rows — a name outside protocol.Names() after the rest.
+// A faulted run whose final memory differs from its fault-free reference
+// fails its slot and the rendering — unless the application folds timing
+// into its result.
 func TestStoredSoakRendersGolden(t *testing.T) {
 	rep, err := LoadReport("testdata/chaos_tiny4.json")
 	if err != nil {
@@ -551,17 +562,28 @@ func TestStoredSoakRendersGolden(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	protos := []string{"lrc", "tardis2"}
-	got, err := Render("chaos", rep.View(), protos)
+	got, err := Render("chaos", rep.View())
 	if err != nil || got+"\n" != string(want) {
 		t.Fatalf("rendering of testdata/chaos_tiny4.json drifted from testdata/paperbench_tiny_chaos.golden (%v):\n%s", err, got)
 	}
 	if err := rep.Err(); err != nil {
 		t.Fatal(err)
 	}
-	// The stored report holds the protocols it was narrowed to.
-	if _, err := Render("chaos", rep.View(), nil); err == nil || !strings.Contains(err.Error(), "drop2/barnes-hut/sc") {
-		t.Fatalf("the unnarrowed soak from a narrowed report: %v", err)
+	// A faulted cell the report lacks is named, and so, when the report
+	// has no faulted cell at all, is the first of the full soak's.
+	for _, tc := range []struct {
+		lacks string
+		drop  func(ReportRun) bool
+		named string
+	}{
+		{"one faulted cell", func(r ReportRun) bool { return cellKey(r.Config, r.App, r.Protocol) == "drop10/gauss/tardis2" }, "drop10/gauss/tardis2"},
+		{"the soak", func(r ReportRun) bool { return r.Config != "default" }, "drop2/barnes-hut/sc"},
+	} {
+		short := rep
+		short.Runs = slices.DeleteFunc(slices.Clone(rep.Runs), tc.drop)
+		if _, err := Render("chaos", short.View()); err == nil || !strings.Contains(err.Error(), "reads cell "+tc.named+",") {
+			t.Errorf("the soak of a report without %s: %v", tc.lacks, err)
+		}
 	}
 
 	for i := range rep.Runs {
@@ -569,7 +591,7 @@ func TestStoredSoakRendersGolden(t *testing.T) {
 			r.MemDigest = "0000" + r.MemDigest[4:]
 		}
 	}
-	doctored, err := Render("chaos", rep.View(), protos)
+	doctored, err := Render("chaos", rep.View())
 	if err == nil || !strings.Contains(err.Error(), "1 cell(s) failed the end-state oracle (first: fft/lrc/storm: FAIL memory diverged)") {
 		t.Fatalf("a soak with a diverged memory image passes: %v", err)
 	}

@@ -20,16 +20,6 @@ import (
 // builder, so styling (palette slots, light/dark, chrome tokens) is
 // defined in exactly one place.
 
-// protoSlot is the categorical palette slot of a protocol, its place in
-// names, the evaluation order (which is also the column order): color
-// follows the protocol, never its rank.
-func protoSlot(names []string, proto string) int {
-	if i := slices.Index(names, proto); i >= 0 {
-		return i
-	}
-	return len(names)
-}
-
 // breakdownLabels names the four cycle categories in stack order.
 var breakdownLabels = [4]string{"busy", "read stall", "write stall", "sync stall"}
 
@@ -55,8 +45,9 @@ type columnGroup struct {
 // groupedColumns renders grouped (optionally stacked) columns: ≤24px
 // columns with a 4px-rounded data end and square baseline, 2px surface
 // gaps between stacked segments, hairline gridlines, hover titles, and a
-// backing data table.
-func groupedColumns(groups []columnGroup, segLabels []string, yUnit string) string {
+// backing data table. protos are the protocols the groups hold, in
+// column order: plain columns' legend keys and data-table columns.
+func groupedColumns(groups []columnGroup, protos, segLabels []string, yUnit string) string {
 	const (
 		w      = 900.0
 		h      = 260.0
@@ -181,9 +172,9 @@ func groupedColumns(groups []columnGroup, segLabels []string, yUnit string) stri
 				i+1, html.EscapeString(l))
 		}
 	} else {
-		for i, p := range names {
+		for _, p := range protos {
 			fmt.Fprintf(&b, `<span class="key"><span class="swatch" style="background:var(--s%d)"></span>%s</span>`,
-				i+1, html.EscapeString(p))
+				protoSlot(names, p)+1, html.EscapeString(p))
 		}
 	}
 	b.WriteString("</div>\n")
@@ -208,13 +199,13 @@ func groupedColumns(groups []columnGroup, segLabels []string, yUnit string) stri
 			}
 		}
 	} else {
-		for _, p := range names {
+		for _, p := range protos {
 			fmt.Fprintf(&b, "<th>%s</th>", html.EscapeString(p))
 		}
 		b.WriteString("</tr>\n")
 		for _, g := range groups {
 			b.WriteString("<tr><td>" + html.EscapeString(g.label) + "</td>")
-			for _, p := range names {
+			for _, p := range protos {
 				b.WriteString("<td>")
 				if ci := slices.Index(g.protos, p); ci >= 0 {
 					writeVal(&b, g.stacks[ci][0])
@@ -236,7 +227,7 @@ func WriteHTML(w io.Writer, rep Report) error {
 	doc := telemetry.NewHTMLDoc("Lazy release consistency · evaluation report", sub)
 
 	// The charts cover the default machine: one group per application
-	// present, one column per protocol present.
+	// present, one column per protocol present, in evaluation order.
 	v := rep.View()
 	var appNames []string
 	seen := map[string]bool{}
@@ -251,11 +242,11 @@ func WriteHTML(w io.Writer, rep Report) error {
 	// Normalized execution time (Figure 4's shape) and the cycle
 	// breakdown (Figure 5's), both relative to the app's SC run.
 	var normGroups, stackGroups []columnGroup
-	names := protocol.Names()
+	protos := v.protocols(func(r *ReportRun) bool { return r.Config == "default" })
 	for _, app := range appNames {
 		ng := columnGroup{label: app}
 		sg := columnGroup{label: app}
-		for _, p := range names {
+		for _, p := range protos {
 			if _, ok := v.Run("default", app, p); !ok {
 				continue
 			}
@@ -277,11 +268,11 @@ func WriteHTML(w io.Writer, rep Report) error {
 	}
 	if len(normGroups) > 0 {
 		doc.Section("Normalized execution time (SC = 1)",
-			groupedColumns(normGroups, []string{"normalized time"}, "× SC"))
+			groupedColumns(normGroups, protos, []string{"normalized time"}, "× SC"))
 	}
 	if len(stackGroups) > 0 {
 		doc.Section("Aggregate cycle breakdown, normalized to SC total",
-			groupedColumns(stackGroups, breakdownLabels[:], "share of SC cycles"))
+			groupedColumns(stackGroups, protos, breakdownLabels[:], "share of SC cycles"))
 	}
 
 	// Full measurements table, every config.

@@ -1,11 +1,15 @@
 package exp
 
 import (
+	"cmp"
 	"encoding/json"
 	"fmt"
 	"io"
+	"slices"
 	"sort"
+	"strings"
 
+	"lazyrc/internal/protocol"
 	"lazyrc/internal/runner"
 	"lazyrc/internal/stats"
 )
@@ -193,6 +197,34 @@ func (v *View) cell(cfgName, appName, proto string) ReportRun {
 		v.missing = append(v.missing, cellKey(cfgName, appName, proto))
 	}
 	return r
+}
+
+// protoSlot is a protocol's place in names, the evaluation order; any
+// other name comes after them all. It orders the protocols a rendering
+// shows and picks a chart's palette slot, so color follows the protocol,
+// never its rank.
+func protoSlot(names []string, proto string) int {
+	if i := slices.Index(names, proto); i >= 0 {
+		return i
+	}
+	return len(names)
+}
+
+// protocols lists the protocols of the runs keep accepts, in evaluation
+// order (protocol.Names()) and any other name after: the rows of the
+// soak and the columns of the HTML charts are what the report holds.
+func (v *View) protocols(keep func(*ReportRun) bool) []string {
+	var ps []string
+	for _, r := range v.runs {
+		if keep(r) && !slices.Contains(ps, r.Protocol) {
+			ps = append(ps, r.Protocol)
+		}
+	}
+	names := protocol.Names()
+	slices.SortFunc(ps, func(a, b string) int {
+		return cmp.Or(protoSlot(names, a)-protoSlot(names, b), strings.Compare(a, b))
+	})
+	return ps
 }
 
 // Normalized returns the run's execution time normalized to the

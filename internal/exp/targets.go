@@ -171,12 +171,11 @@ func TargetCells(names, appNames []string) [][3]string {
 
 // Render renders one named target as text from a report view — the same
 // bytes whether the report was just evaluated, fetched from a daemon or
-// loaded from a file. A non-empty protos replaces the protocol set of the
-// chaos soak; every other target ignores it. A report that lacks a cell
-// the target reads is an error naming the cell, never a table of zeros; a
-// soak in which a faulted run diverged from its fault-free reference is
-// the rendered verdicts and an error.
-func Render(name string, v *View, protos []string) (string, error) {
+// loaded from a file. A report that lacks a cell the target reads is an
+// error naming the cell, never a table of zeros; a soak in which a
+// faulted run diverged from its fault-free reference is the rendered
+// verdicts and an error.
+func Render(name string, v *View) (string, error) {
 	for _, t := range targets {
 		if t.name != name {
 			continue
@@ -184,9 +183,6 @@ func Render(name string, v *View, protos []string) (string, error) {
 		v.missing, v.failures = v.missing[:0], v.failures[:0]
 		tables := make([]string, len(t.blocks))
 		for i, b := range t.blocks {
-			if name == "chaos" && len(protos) > 0 {
-				b.protos = protos
-			}
 			tables[i] = t.table(v, b)
 		}
 		if len(v.missing) > 0 {

@@ -2,7 +2,6 @@ package protocol
 
 import (
 	"fmt"
-	"strings"
 
 	"lazyrc/internal/cache"
 	"lazyrc/internal/causal"
@@ -202,37 +201,4 @@ func SCStrict(name string) bool {
 		}
 	}
 	return true
-}
-
-// Parse resolves a comma-separated protocol list, "all" (or an empty
-// list) standing for every protocol. The names come back once each and
-// in evaluation order however the list ordered them, so the tables and
-// digests built from them do not depend on it; an unknown name is an
-// error.
-func Parse(spec string) ([]string, error) {
-	if spec == "" {
-		spec = "all"
-	}
-	want := map[string]bool{}
-	for _, raw := range strings.Split(spec, ",") {
-		switch name := strings.TrimSpace(raw); name {
-		case "all":
-			for _, n := range Names() {
-				want[n] = true
-			}
-		case "":
-		default:
-			if _, err := New(name); err != nil {
-				return nil, err
-			}
-			want[name] = true
-		}
-	}
-	var names []string
-	for _, n := range Names() {
-		if want[n] {
-			names = append(names, n)
-		}
-	}
-	return names, nil
 }

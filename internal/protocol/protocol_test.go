@@ -14,6 +14,9 @@ import (
 )
 
 func TestRegistry(t *testing.T) {
+	if all := []string{"sc", "erc", "lrc", "lrc-ext", "tardis"}; !slices.Equal(Names(), all) {
+		t.Fatalf("Names() = %v, want %v", Names(), all)
+	}
 	for _, name := range Names() {
 		p, err := New(name)
 		if err != nil {
@@ -27,41 +30,6 @@ func TestRegistry(t *testing.T) {
 	for _, name := range []string{"mesi", "lrcext", "LRC", ""} {
 		if p, err := New(name); err == nil {
 			t.Errorf("New(%q) = %s, want an error", name, p.Name())
-		}
-	}
-}
-
-func TestParse(t *testing.T) {
-	all := []string{"sc", "erc", "lrc", "lrc-ext", "tardis"}
-	if !slices.Equal(Names(), all) {
-		t.Fatalf("Names() = %v, want %v", Names(), all)
-	}
-	for _, tc := range []struct {
-		spec string
-		want []string
-	}{
-		{"", all},
-		{"all", all},
-		{"lrc,all", all},
-		{"lrc,lrc, lrc", []string{"lrc"}},
-		{"tardis,lrc,sc", []string{"sc", "lrc", "tardis"}},
-		{"lrc-ext, erc,,", []string{"erc", "lrc-ext"}},
-	} {
-		got, err := Parse(tc.spec)
-		if err != nil || !slices.Equal(got, tc.want) {
-			t.Errorf("Parse(%q) = %v, %v; want %v", tc.spec, got, err, tc.want)
-		}
-	}
-	for _, spec := range []string{"mesi", "lrc,lrcext", "all,Lrc"} {
-		_, err := Parse(spec)
-		if err == nil {
-			t.Errorf("Parse(%q) accepted an unknown protocol", spec)
-			continue
-		}
-		for _, name := range all {
-			if !strings.Contains(err.Error(), name) {
-				t.Errorf("Parse(%q): %q does not name %s", spec, err, name)
-			}
 		}
 	}
 }

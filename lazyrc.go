@@ -7,12 +7,11 @@
 //   - a deterministic execution-driven multiprocessor simulator — mesh
 //     interconnect, finite direct-mapped caches, write buffers,
 //     distributed directories, and contended memory modules;
-//   - six coherence protocols: sequential consistency (SC), eager
+//   - five coherence protocols: sequential consistency (SC), eager
 //     release consistency in the style of DASH (ERC), the paper's lazy
 //     release consistency (LRC), the lazier variant that defers write
-//     notices to release points (LRCExt), and two timestamp-based
-//     lease protocols with no invalidation traffic at all (Tardis and
-//     its relaxed Tardis 2.0 successor);
+//     notices to release points (LRCExt), and a timestamp-based lease
+//     protocol with no invalidation traffic at all (Tardis);
 //   - the paper's seven SPLASH-suite workloads re-implemented as real,
 //     verified computations over the simulated shared address space;
 //   - an experiment harness that regenerates every table and figure of
