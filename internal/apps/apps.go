@@ -15,6 +15,7 @@ package apps
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"lazyrc/internal/machine"
@@ -53,32 +54,20 @@ const (
 	Paper
 )
 
+var scaleNames = [...]string{"tiny", "small", "medium", "paper"}
+
 // String returns the scale mnemonic.
 func (s Scale) String() string {
-	switch s {
-	case Tiny:
-		return "tiny"
-	case Small:
-		return "small"
-	case Medium:
-		return "medium"
-	case Paper:
-		return "paper"
+	if uint(s) < uint(len(scaleNames)) {
+		return scaleNames[s]
 	}
 	return fmt.Sprintf("Scale(%d)", int(s))
 }
 
 // ParseScale converts a mnemonic to a Scale.
 func ParseScale(s string) (Scale, error) {
-	switch s {
-	case "tiny":
-		return Tiny, nil
-	case "small":
-		return Small, nil
-	case "medium":
-		return Medium, nil
-	case "paper":
-		return Paper, nil
+	if i := slices.Index(scaleNames[:], s); i >= 0 {
+		return Scale(i), nil
 	}
 	return 0, fmt.Errorf("apps: unknown scale %q (want tiny, small, medium, paper)", s)
 }

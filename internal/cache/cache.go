@@ -25,15 +25,12 @@ const (
 	ReadWrite
 )
 
+var lineStateNames = [...]string{"INV", "RO", "RW"}
+
 // String returns a short mnemonic for the state.
 func (s LineState) String() string {
-	switch s {
-	case Invalid:
-		return "INV"
-	case ReadOnly:
-		return "RO"
-	case ReadWrite:
-		return "RW"
+	if int(s) < len(lineStateNames) {
+		return lineStateNames[s]
 	}
 	return fmt.Sprintf("LineState(%d)", uint8(s))
 }

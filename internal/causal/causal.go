@@ -90,15 +90,12 @@ const (
 	NumStallClasses
 )
 
+var stallClassNames = [NumStallClasses]string{"read", "write", "sync"}
+
 // String returns the class name as used in the stats breakdown.
 func (c StallClass) String() string {
-	switch c {
-	case StallRead:
-		return "read"
-	case StallWrite:
-		return "write"
-	case StallSync:
-		return "sync"
+	if c < NumStallClasses {
+		return stallClassNames[c]
 	}
 	return fmt.Sprintf("StallClass(%d)", uint8(c))
 }

@@ -17,7 +17,6 @@ import (
 	"encoding/hex"
 	"fmt"
 	"math"
-	"strings"
 
 	"lazyrc/internal/causal"
 	"lazyrc/internal/config"
@@ -127,6 +126,10 @@ func (m *Machine) Reset() {
 	m.Class.Reset()
 	m.reset()
 }
+
+// Close ends the processor coroutines a rewound machine keeps between
+// runs (sim.Engine.Close); a machine that is never Reset keeps none.
+func (m *Machine) Close() { m.Eng.Close() }
 
 // reset sets the machine's own state as New leaves it: no shared memory
 // allocated (what was is zeroed), sync objects numbered from the start,
@@ -384,22 +387,18 @@ func (m *Machine) ContentionReport() string {
 		worstWaited  uint64
 	}
 	rows := []row{{name: "protocol processor"}, {name: "memory module"}, {name: "local bus"}, {name: "network ports"}}
+	add := func(r *row, node int, busy, waited uint64) {
+		r.busy += busy
+		r.waited += waited
+		if waited > r.worstWaited {
+			r.worstWaited, r.worstNode = waited, node
+		}
+	}
 	for _, n := range m.Nodes {
 		for i, r := range []*sim.Resource{n.PP, n.Mem, n.Bus} {
-			rows[i].busy += r.Busy()
-			rows[i].waited += r.Waited()
-			if r.Waited() > rows[i].worstWaited {
-				rows[i].worstWaited = r.Waited()
-				rows[i].worstNode = n.ID
-			}
+			add(&rows[i], n.ID, r.Busy(), r.Waited())
 		}
-		w := m.Net.PortWaited(n.ID)
-		rows[3].busy += m.Net.PortBusy(n.ID)
-		rows[3].waited += w
-		if w > rows[3].worstWaited {
-			rows[3].worstWaited = w
-			rows[3].worstNode = n.ID
-		}
+		add(&rows[3], n.ID, m.Net.PortBusy(n.ID), m.Net.PortWaited(n.ID))
 	}
 	s := fmt.Sprintf("%-20s %14s %14s   %s\n", "resource", "busy cycles", "queue delay", "hottest node")
 	for _, r := range rows {
@@ -575,16 +574,6 @@ func (m *Machine) DuplicatesIgnored() uint64 {
 	return n
 }
 
-// SeqParked sums the out-of-order arrivals every node's sequencer held
-// for gap fill (cumulative).
-func (m *Machine) SeqParked() uint64 {
-	var n uint64
-	for _, node := range m.Nodes {
-		n += node.SeqParked()
-	}
-	return n
-}
-
 // FaultReport renders the full fault-injection picture of a run —
 // injector decisions, transport recovery, and receiver-side suppression —
 // or "" when no injector is attached.
@@ -592,13 +581,12 @@ func (m *Machine) FaultReport() string {
 	if !m.Net.TransportActive() {
 		return ""
 	}
-	lines := []string{
-		m.Net.FaultSummary(),
-		m.Net.TransportSummary(),
-		fmt.Sprintf("delivery: %d duplicate(s) suppressed, %d arrival(s) resequenced",
-			m.DuplicatesIgnored(), m.SeqParked()),
+	var parked uint64 // out-of-order arrivals held for gap fill
+	for _, n := range m.Nodes {
+		parked += n.SeqParked()
 	}
-	return strings.Join(lines, "\n")
+	return fmt.Sprintf("%s\n%s\ndelivery: %d duplicate(s) suppressed, %d arrival(s) resequenced",
+		m.Net.FaultSummary(), m.Net.TransportSummary(), m.DuplicatesIgnored(), parked)
 }
 
 // TrafficReport renders the per-message-kind traffic of the run — the

@@ -122,7 +122,7 @@ func Explore(t *Test, ec ExploreConfig) (*Report, error) {
 	// helper runs it meanwhile.
 	frontier := newFrontier(t, ec.RunConfig)
 	defer frontier.close()
-	frontier.push([]int{})
+	frontier.push(nil, []int{})
 	oracle, err := t.scOracle()
 	if err != nil {
 		return nil, err
@@ -193,17 +193,12 @@ func Explore(t *Test, ec ExploreConfig) (*Report, error) {
 				siblings = append(siblings, branch)
 			}
 		}
-		frontier.push(siblings...)
+		frontier.push(res, siblings...)
 	}
 	rep.States = len(expanded)
-	sortOutcomeless(rep)
+	cxs := rep.Counterexamples
+	sort.Slice(cxs, func(i, j int) bool { return len(cxs[i].Schedule) < len(cxs[j].Schedule) })
 	return rep, nil
-}
-
-func sortOutcomeless(r *Report) {
-	sort.Slice(r.Counterexamples, func(i, j int) bool {
-		return len(r.Counterexamples[i].Schedule) < len(r.Counterexamples[j].Schedule)
-	})
 }
 
 // minimize shrinks a violating schedule: first the shortest prefix that
@@ -221,7 +216,7 @@ func minimize(w *worker, ec ExploreConfig, oracle *SCResult, checkOutcome bool, 
 			return nil, nil
 		}
 		budget--
-		res := w.run(prefix)
+		res := w.run(prefix, nil)
 		return res, judge(res, oracle, checkOutcome)
 	}
 
@@ -238,14 +233,12 @@ func minimize(w *worker, ec ExploreConfig, oracle *SCResult, checkOutcome bool, 
 	for len(best) > 0 && best[len(best)-1] == 0 {
 		best = best[:len(best)-1]
 	}
-	lo := 0
-	for lo < len(best) {
+	for lo := 0; lo < len(best); lo++ {
 		if res, reasons := run(best[:lo]); len(reasons) > 0 {
 			best = append([]int(nil), best[:lo]...)
 			bestRes, bestReasons = res, reasons
 			break
 		}
-		lo++
 	}
 
 	// Zero out individual choices where the violation survives.

@@ -42,7 +42,8 @@ type frontier struct {
 	jobs    []*job
 	closed  bool
 	helpers sync.WaitGroup
-	own     *worker // the committer's: pop and minimize run on it
+	own     *worker      // the committer's: pop and minimize run on it
+	free    []*RunResult // committed results, whose records runs reuse
 }
 
 // newFrontier starts the helpers; close stops them.
@@ -56,14 +57,18 @@ func newFrontier(t *Test, rc RunConfig) *frontier {
 	return f
 }
 
-// close returns once every helper has exited: a helper finishes the run
-// it is in and starts no other. Results nobody committed are dropped.
+// close returns once every helper has exited, and every worker's machine
+// is closed: a helper finishes the run it is in, starts no other and
+// closes its own. Results nobody committed are dropped.
 func (f *frontier) close() {
 	f.mu.Lock()
 	f.closed = true
 	f.mu.Unlock()
 	f.cond.Broadcast()
 	f.helpers.Wait()
+	if f.own != nil {
+		f.own.m.Close()
+	}
 }
 
 func (f *frontier) help() {
@@ -78,21 +83,28 @@ func (f *frontier) help() {
 			f.cond.Wait()
 		}
 	}
+	if w != nil {
+		w.m.Close()
+	}
 }
 
-// push queues prefixes; the last is popped first.
-func (f *frontier) push(prefixes ...[]int) {
-	if len(prefixes) == 0 {
-		return
-	}
+// push queues prefixes, the last popped first, and takes back done, a
+// committed result nobody reads any more (nil for none), for a later run
+// to record itself in.
+func (f *frontier) push(done *RunResult, prefixes ...[]int) {
 	js := make([]job, len(prefixes))
 	f.mu.Lock()
+	if done != nil {
+		f.free = append(f.free, done)
+	}
 	for i, p := range prefixes {
 		js[i].prefix = p
 		f.jobs = append(f.jobs, &js[i])
 	}
 	f.mu.Unlock()
-	f.cond.Broadcast()
+	if len(prefixes) > 0 {
+		f.cond.Broadcast()
+	}
 }
 
 // len is the number of queued jobs. Only the committer changes it, so it
@@ -137,6 +149,10 @@ func (f *frontier) unstarted() *job {
 // held on entry and on return, and released meanwhile.
 func (f *frontier) run(j *job, w **worker) {
 	j.state = running
+	var res *RunResult
+	if n := len(f.free); n > 0 {
+		res, f.free = f.free[n-1], f.free[:n-1]
+	}
 	f.mu.Unlock()
 	defer func() {
 		j.panicked = recover()
@@ -146,7 +162,7 @@ func (f *frontier) run(j *job, w **worker) {
 	}()
 	var wk *worker
 	if wk, j.err = f.worker(w); j.err == nil {
-		j.res = wk.run(j.prefix)
+		j.res = wk.run(j.prefix, res)
 	}
 }
 

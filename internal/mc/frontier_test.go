@@ -113,40 +113,63 @@ func TestExploreIgnoresCoreCount(t *testing.T) {
 	}
 }
 
-// TestExploreLeavesNoGoroutine: Explore's helpers have exited by the time
-// it returns — after a full search, after a truncated one, and after an
-// error. Helpers are told apart by their stacks, not by
-// runtime.NumGoroutine, which also counts whatever the previous test left
-// winding down; one that has marked itself done may not have returned
-// yet, but it no longer waits for a job or runs one.
+// TestExploreLeavesNoGoroutine: Explore's helpers have exited, and every
+// worker's machine is closed, by the time it returns — after a full
+// search, after a truncated one, after an error and after one that
+// minimizes a counterexample; and RunOnce closes the machine it builds. Goroutines are told apart by their
+// stacks, not by runtime.NumGoroutine, which also counts whatever the
+// previous test left winding down; a helper that has marked itself done
+// may not have returned yet, but it no longer waits for a job or runs one.
+// A processor coroutine a rewound machine keeps idles in sim's
+// Context.body; it is counted before and after, so a worker another test
+// left open does not count.
 func TestExploreLeavesNoGoroutine(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
-	helpers := func() int {
+	count := func() (helpers, coroutines int) {
 		buf := make([]byte, 1<<20)
-		n := 0
 		for _, g := range strings.Split(string(buf[:runtime.Stack(buf, true)]), "\n\n") {
 			if strings.Contains(g, "mc.(*frontier).help(") &&
 				(strings.Contains(g, "sync.(*Cond).Wait(") || strings.Contains(g, "mc.(*worker).run(")) {
-				n++
+				helpers++
+			}
+			if strings.Contains(g, "sim.(*Context).body(") {
+				coroutines++
 			}
 		}
-		return n
+		return helpers, coroutines
 	}
-	tc := Tests()[0]
+	tc, err := FindTest("mp-stale") // the lrc bug is caught on it
+	if err != nil {
+		t.Fatal(err)
+	}
 	truncated := DefaultExplore("lrc")
 	truncated.MaxRuns = 3
-	cases := map[string]ExploreConfig{
-		"complete":  DefaultExplore("lrc"),
-		"truncated": truncated,
-		"error":     DefaultExplore("no-such-protocol"),
-	}
-	for name, ec := range cases {
-		rep, err := Explore(tc, ec)
-		if (err != nil) != (name == "error") || (err == nil && rep.Truncated != (name == "truncated")) {
-			t.Fatalf("%s: report %+v, error %v", name, rep, err)
+	for _, c := range []struct {
+		name string
+		ec   ExploreConfig
+	}{
+		{"complete", DefaultExplore("lrc")},
+		{"truncated", truncated},
+		{"error", DefaultExplore("no-such-protocol")},
+		{"violating", withBug("lrc", "skip-acquire-inval")},
+		{"RunOnce", DefaultExplore("lrc")},
+	} {
+		_, before := count()
+		var err error
+		if c.name == "RunOnce" {
+			_, err = RunOnce(tc, c.ec.RunConfig, nil)
+		} else {
+			var rep *Report
+			rep, err = Explore(tc, c.ec)
+			if (err != nil) != (c.name == "error") || (err == nil && (rep.Truncated != (c.name == "truncated") || rep.Violating() != (c.name == "violating"))) {
+				t.Fatalf("%s: report %+v, error %v", c.name, rep, err)
+			}
 		}
-		if n := helpers(); n != 0 {
-			t.Errorf("%s: %d helpers still running after Explore returned", name, n)
+		if err != nil && c.name != "error" {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		if helpers, after := count(); helpers != 0 || after != before {
+			t.Errorf("%s: %d helpers still running and %d processor coroutines kept, %d before", c.name, helpers, after, before)
 		}
 	}
 }
@@ -173,12 +196,13 @@ func TestRecycledRunIsFresh(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		defer w.m.Close()
 		for i := len(prefixes) - 1; i >= 0; i-- {
 			want, err := RunOnce(p.tc, rc, prefixes[i])
 			if err != nil {
 				t.Fatal(err)
 			}
-			if got := w.run(prefixes[i]); !reflect.DeepEqual(got, want) {
+			if got := w.run(prefixes[i], nil); !reflect.DeepEqual(got, want) {
 				t.Fatalf("%s/%s %s, prefix %v: recycled run %+v, fresh %+v",
 					rc.Proto, p.tc.Name, rc.Mutation, prefixes[i], got, want)
 			}

@@ -298,7 +298,7 @@ func TestCPUSidePanicIsAViolation(t *testing.T) {
 				_ = wk.regs[p.NProcs()] // one register file per processor: out of range
 			}
 		}
-		res := wk.run(nil)
+		res := wk.run(nil, nil)
 		if len(res.Violations) != 1 || !strings.HasPrefix(res.Violations[0], "panic: runtime error: index out of range") {
 			t.Errorf("%s: violations = %q, want the CPU-side panic", proto, res.Violations)
 		}

@@ -96,9 +96,11 @@ func BenchmarkRunOnce(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
+		defer w.m.Close()
+		var res *RunResult
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			w.run(nil)
+			res = w.run(nil, res)
 		}
 	})
 }

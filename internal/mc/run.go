@@ -46,7 +46,7 @@ const DefaultMaxChoices = 64
 
 // RunResult is the outcome of one schedule.
 type RunResult struct {
-	// Outcome is the canonical register outcome (formatOutcome).
+	// Outcome is the canonical register outcome (appendOutcome).
 	Outcome string
 	// Taken, Arity, and Hashes describe the recorded choice points: the
 	// answer given, the number of alternatives, and the machine state
@@ -156,28 +156,31 @@ func RunOnce(t *Test, rc RunConfig, prefix []int) (*RunResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	return w.run(prefix), nil
+	defer w.m.Close()
+	return w.run(prefix, nil), nil
 }
 
 // A worker runs t under one configuration on one litmus machine, with its
 // value store and auditor, rewinding the lot between schedules instead of
 // building another (Machine.Reset). The explorer's committer and each
-// frontier helper own one for an Explore call; RunOnce is a worker used
-// once. Each run's RunResult is its own: the committer may hold it while
-// the worker runs the next.
+// frontier helper own one for an Explore call, and close its machine when
+// it ends; RunOnce is a worker used once, closed on return. Each run's
+// RunResult is its own until the committer hands it back: the committer
+// may hold it while the worker runs the next.
 type worker struct {
 	t     *Test
 	cfg   config.Config
 	m     *machine.Machine
 	aud   *check.Auditor
 	rec   recorder
-	used  bool // the machine has run: rewind it before the next
-	span  int  // bytes of shared memory the test's lines take
-	locks []*machine.Lock
+	span  int             // bytes of shared memory the test's lines take
+	locks []*machine.Lock // built once, with flags: a rewound machine numbers sync objects anew
 	flags []machine.Flag
 	regs  [][]uint64
 	done  []bool
 	body  func(*machine.Proc) // w.program, bound once
+	out   []byte              // the outcome being rendered
+	seen  map[string]string   // every outcome rendered so far, interned
 }
 
 func newWorker(t *Test, rc RunConfig) (*worker, error) {
@@ -190,10 +193,13 @@ func newWorker(t *Test, rc RunConfig) (*worker, error) {
 		return nil, err
 	}
 	w := &worker{
-		t: t, cfg: cfg, m: m, aud: check.New(m),
-		locks: make([]*machine.Lock, t.Locks), flags: make([]machine.Flag, t.Flags),
-		regs: make([][]uint64, t.Procs), done: make([]bool, t.Procs),
+		t: t, cfg: cfg, m: m, aud: check.New(m), locks: make([]*machine.Lock, t.Locks),
+		regs: make([][]uint64, t.Procs), done: make([]bool, t.Procs), seen: map[string]string{},
 	}
+	for i := range w.locks {
+		w.locks[i] = m.NewLock()
+	}
+	w.flags = m.NewFlags(t.Flags)
 
 	menu := rc.Menu
 	if len(menu) == 0 {
@@ -220,31 +226,27 @@ func newWorker(t *Test, rc RunConfig) (*worker, error) {
 	return w, nil
 }
 
-// run executes the test once under prefix on a machine as New built it.
-func (w *worker) run(prefix []int) *RunResult {
+// run executes the test once under prefix on a machine as New built it,
+// recording it in res, a committed result nobody reads any more, or in a
+// new record if res is nil.
+func (w *worker) run(prefix []int, res *RunResult) *RunResult {
 	m := w.m
-	if w.used {
-		m.Reset()
-		w.aud.Reset()
-	}
-	w.used = true
+	m.Reset() // a no-op on a new machine but for keeping its coroutines
+	w.aud.Reset()
 
-	// The choice record is sized once, to the recorded-choice bound but no
-	// further than the default's: a schedule read from a file may claim
-	// any bound, and past this capacity append grows the record as the
-	// run actually needs it.
-	n := min(w.rec.max, DefaultMaxChoices)
-	picks := make([]int, 2*n)
-	res := &RunResult{Taken: picks[:0:n], Arity: picks[n:n], Hashes: make([]uint64, 0, n)}
+	if res == nil {
+		// A new record is sized to the recorded-choice bound but no further
+		// than the default's: a schedule read from a file may claim any
+		// bound, and past this capacity append grows the record as the run
+		// actually needs it.
+		n := min(w.rec.max, DefaultMaxChoices)
+		picks := make([]int, 2*n)
+		res = &RunResult{Taken: picks[:0:n], Arity: picks[n:n], Hashes: make([]uint64, 0, n)}
+	}
+	*res = RunResult{Taken: res.Taken[:0], Arity: res.Arity[:0], Hashes: res.Hashes[:0], Violations: res.Violations[:0]}
 	w.rec.prefix, w.rec.res = prefix, res
 
 	m.Alloc(w.span, true)
-	for i := range w.locks {
-		w.locks[i] = m.NewLock()
-	}
-	for i := range w.flags {
-		w.flags[i] = m.NewFlag()
-	}
 	for i := range w.regs {
 		w.regs[i] = w.regs[i][:0]
 	}
@@ -265,7 +267,11 @@ func (w *worker) run(prefix []int) *RunResult {
 		}
 	}
 
-	res.Outcome = formatOutcome(w.regs)
+	w.out = appendOutcome(w.out[:0], w.regs)
+	if res.Outcome = w.seen[string(w.out)]; res.Outcome == "" {
+		res.Outcome = string(w.out)
+		w.seen[res.Outcome] = res.Outcome
+	}
 	res.FinalHash = m.StateHash()
 	return res
 }

@@ -5,7 +5,7 @@ import (
 	"fmt"
 	"slices"
 	"sort"
-	"strings"
+	"strconv"
 )
 
 // This file computes the litmus oracle: the exact set of register
@@ -199,7 +199,7 @@ func (s *scState) done() bool {
 
 // SCResult is the oracle for one litmus test.
 type SCResult struct {
-	// Allowed is the sorted set of outcomes (formatOutcome strings) some
+	// Allowed is the sorted set of outcomes (appendOutcome renderings) some
 	// SC interleaving produces.
 	Allowed []string
 	// Racy reports whether any SC interleaving contains a data race.
@@ -249,7 +249,7 @@ func SCOutcomes(t *Test) (*SCResult, error) {
 		}
 		visited[string(key)] = true
 		if s.done() {
-			outcomes[formatOutcome(s.regs)] = true
+			outcomes[string(appendOutcome(nil, s.regs))] = true
 			return nil
 		}
 		any := false
@@ -286,26 +286,25 @@ func SCOutcomes(t *Test) (*SCResult, error) {
 	return res, nil
 }
 
-// formatOutcome canonically renders the register values each processor's
-// reads observed, e.g. "p0=1;p1=0,1" (processors with no reads omitted).
-func formatOutcome(regs [][]uint64) string {
-	var b strings.Builder
+// appendOutcome appends the canonical rendering of the register values
+// each processor's reads observed to b, which is empty, e.g. "p0=1;p1=0,1"
+// (processors with no reads omitted).
+func appendOutcome(b []byte, regs [][]uint64) []byte {
 	for p, rs := range regs {
 		if len(rs) == 0 {
 			continue
 		}
-		if b.Len() > 0 {
-			b.WriteByte(';')
+		if len(b) > 0 {
+			b = append(b, ';')
 		}
-		fmt.Fprintf(&b, "p%d=", p)
-		for i, v := range rs {
-			if i > 0 {
-				b.WriteByte(',')
-			}
-			fmt.Fprintf(&b, "%d", v)
+		b = strconv.AppendInt(append(b, 'p'), int64(p), 10)
+		sep := byte('=')
+		for _, v := range rs {
+			b = strconv.AppendUint(append(b, sep), v, 10)
+			sep = ','
 		}
 	}
-	return b.String()
+	return b
 }
 
 // validateTest checks structural sanity of a litmus test.

@@ -183,13 +183,10 @@ const wantData = 1
 // NumMsgKinds returns the number of message kinds (for traffic reports).
 func NumMsgKinds() int { return int(numMsgKinds) }
 
-// MsgName returns the mnemonic for a raw message-kind integer — the form
-// error messages use.
-func MsgName(kind int) string { return MsgKind(kind).String() }
-
-// The faults package names message kinds in the transport's error
-// messages but cannot import this package (protocol imports mesh imports
-// faults); register the naming function with it instead.
+// The faults package names message kinds, as raw integers, in the
+// transport's error messages but cannot import this package (protocol
+// imports mesh imports faults); register the naming function with it
+// instead.
 func init() {
-	faults.RegisterKindName(MsgName)
+	faults.RegisterKindName(func(kind int) string { return MsgKind(kind).String() })
 }

@@ -26,8 +26,10 @@ import (
 // where it can be recovered like a handler's. And a body never outlives
 // its run: when Run returns or panics with a body unfinished (Stop, a
 // deadlock, a panic elsewhere), the body is unwound — its deferred calls
-// run, nothing after the Sleep or Park it was blocked in does — and its
-// stack is freed.
+// run, nothing after the Sleep or Park it was blocked in does. The
+// coroutine then ends, freeing its stack, unless the engine has been
+// rewound (Reset): there it idles until Spawn gives it the next body or
+// Close ends it, so a rewound run builds no coroutine.
 type Context struct {
 	eng    *Engine
 	id     uint32 // index in eng.contexts: the argument of a resume event
@@ -37,12 +39,12 @@ type Context struct {
 	why    string // what the context is parked on; meaningful while parked
 
 	// The coroutine, as iter.Pull hands it out: next runs the body until
-	// it blocks or returns, yield blocks it (false once stop has been
-	// called), stop ends it wherever it is. fn is the body Spawn was
-	// given; run, bound once, is the coroutine that runs it.
+	// it blocks or returns (nil once the coroutine has ended), yield
+	// blocks it. Resumed done, it unwinds the body, so no stop is kept.
+	// fn is the body Spawn was given; run, bound once, is the coroutine
+	// that runs it.
 	next  func() (struct{}, bool)
 	yield func(struct{}) bool
-	stop  func()
 	fn    func(*Context)
 	run   func(yield func(struct{}) bool)
 
@@ -51,43 +53,56 @@ type Context struct {
 	progress uint64
 }
 
-// released is the panic value that unwinds a body whose coroutine was
-// stopped while blocked; it never leaves the coroutine.
+// released is the panic value that unwinds a body released while
+// blocked; it never leaves the coroutine.
 type released struct{}
 
 // Spawn creates a context executing fn, scheduled to start at the current
 // simulated time. The name appears in deadlock reports. A context a Reset
-// retired is taken again, in spawn order, rather than a new one made.
+// retired is taken again, in spawn order, rather than a new one made, and
+// so is its coroutine if it is idle.
 func (e *Engine) Spawn(name string, fn func(*Context)) *Context {
 	n := len(e.contexts)
 	if n == cap(e.contexts) || e.contexts[:n+1][n] == nil {
-		c := &Context{id: uint32(n)}
+		c := &Context{eng: e, id: uint32(n)}
 		c.run = c.body
 		e.contexts = append(e.contexts, c)
 	}
 	e.contexts = e.contexts[:n+1]
 	c := e.contexts[n]
-	*c = Context{eng: e, id: c.id, name: name, fn: fn, run: c.run}
-	c.next, c.stop = iter.Pull(c.run)
+	c.name, c.fn, c.done, c.parked, c.progress = name, fn, false, false, 0
+	if c.next == nil {
+		c.next, _ = iter.Pull(c.run)
+	}
 	e.Post(e.now, kindResume, c.id)
 	return c
 }
 
-// body is the coroutine: it runs fn, marked done however it ends.
+// body is the coroutine: it runs each body it is given, unless released
+// before it started, marked done however it ends. On an engine that is
+// not rewound it then ends; on a rewound one it idles for the next.
 func (c *Context) body(yield func(struct{}) bool) {
 	c.yield = yield
-	defer c.finish()
-	c.fn(c)
+	for again := true; again; again = c.eng.retain && yield(struct{}{}) {
+		if !c.done {
+			c.call()
+		}
+	}
+	c.next = nil
 }
 
-// finish runs deferred under the body: it marks the context done however
-// the body ended, swallows the release unwind, and lets any other panic
-// continue into iter.Pull, which re-raises it in the engine.
-func (c *Context) finish() {
-	c.done = true
-	if p := recover(); p != nil && p != (released{}) {
-		panic(p)
-	}
+// call runs fn. Its deferred half marks the context done however fn
+// ended, swallows the release unwind, and lets any other panic end the
+// coroutine, which iter.Pull re-raises in the engine.
+func (c *Context) call() {
+	defer func() {
+		c.done = true
+		if p := recover(); p != nil && p != (released{}) {
+			c.next = nil
+			panic(p)
+		}
+	}()
+	c.fn(c)
 }
 
 // Name returns the context's diagnostic name.
@@ -111,9 +126,9 @@ func (c *Context) transfer() {
 
 // block switches back to the engine and returns when the context is next
 // resumed. It must run on the context's side. If the context is released
-// instead, block unwinds the body.
+// instead — resumed done — block unwinds the body.
 func (c *Context) block() {
-	if !c.yield(struct{}{}) {
+	if c.yield(struct{}{}); c.done {
 		panic(released{})
 	}
 }

@@ -94,6 +94,7 @@ type Engine struct {
 	nEvents uint64 // total events executed, for diagnostics
 	nbg     int    // background events (ticks) currently in the queue
 	stopped bool   // set by Stop; Run returns early
+	retain  bool   // set by Reset: a finished context's coroutine idles for the next Spawn
 
 	chooser Chooser // nil: deterministic seq-order tie-break
 
@@ -136,7 +137,6 @@ func NewEngine() *Engine {
 	e := &Engine{nkinds: builtinKinds}
 	e.kinds[kindResume].phase = perf.PhaseFrontend
 	e.kinds[kindTick].phase = perf.PhaseBackground
-	e.Reset()
 	return e
 }
 
@@ -145,8 +145,10 @@ func NewEngine() *Engine {
 // not stopped — keeping its wiring: the registered kinds and the attached
 // chooser, tracer and profiler. The model checker rewinds one engine per
 // worker between schedules; the queue's storage and the contexts, which
-// Spawn takes again, are kept. Not during Run.
+// Spawn takes again, are kept, and from here on so are their coroutines,
+// until Close. Not during Run.
 func (e *Engine) Reset() {
+	e.retain = true
 	e.now, e.seq, e.nEvents, e.nbg, e.stopped = 0, 0, 0, 0, false
 	e.q.reset()
 	e.release() // a no-op after Run, which releases its contexts itself
@@ -275,9 +277,7 @@ func (e *Engine) RunUntil(t Time) {
 		}
 		e.step()
 	}
-	if e.now < t {
-		e.now = t
-	}
+	e.now = max(e.now, t)
 }
 
 // step takes the next event off the queue, advances the clock to it and
@@ -339,12 +339,26 @@ func (e *Engine) call(ev *event) {
 }
 
 // release ends every context whose body has not returned — blocked in
-// Sleep or Park, or never started — and frees its stack.
+// Sleep or Park, or never started — by resuming it done: block unwinds a
+// started body, and an unstarted one is skipped.
 func (e *Engine) release() {
 	for _, c := range e.contexts {
 		if !c.done {
 			c.done = true
-			c.stop()
+			c.next()
+		}
+	}
+}
+
+// Close ends the coroutines a rewound engine keeps, freeing their stacks;
+// until the next Reset, a context's coroutine ends with its body again.
+// Not during Run.
+func (e *Engine) Close() {
+	e.retain = false
+	for _, c := range e.contexts[:cap(e.contexts)] {
+		if c != nil && c.next != nil {
+			c.done = true
+			c.next()
 		}
 	}
 }

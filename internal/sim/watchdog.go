@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 )
 
@@ -52,14 +53,8 @@ func (r StallReport) String() string {
 			s += fmt.Sprintf("\n  %s: runnable (progress %d)", c.Name, c.Progress)
 		}
 	}
-	for _, line := range r.StallCauses {
+	for _, line := range slices.Concat(r.StallCauses, r.Retransmits, r.Notes) {
 		s += "\n  " + line
-	}
-	for _, line := range r.Retransmits {
-		s += "\n  " + line
-	}
-	for _, n := range r.Notes {
-		s += "\n  " + n
 	}
 	return s
 }

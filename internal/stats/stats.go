@@ -29,19 +29,12 @@ const (
 	NumMissKinds
 )
 
+var missKindNames = [NumMissKinds]string{"Cold", "True", "False", "Eviction", "Write"}
+
 // String returns the category name as printed in Table 2.
 func (k MissKind) String() string {
-	switch k {
-	case Cold:
-		return "Cold"
-	case TrueShare:
-		return "True"
-	case FalseShare:
-		return "False"
-	case Eviction:
-		return "Eviction"
-	case WriteMiss:
-		return "Write"
+	if k < NumMissKinds {
+		return missKindNames[k]
 	}
 	return fmt.Sprintf("MissKind(%d)", uint8(k))
 }
