@@ -100,7 +100,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 	}
 
-	violations := 0
+	violations, covered, allowed := 0, 0, 0
 	for _, proto := range protos {
 		for _, t := range tests {
 			ec := mc.ExploreConfig{
@@ -121,6 +121,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 				return fail(2, "%v", err)
 			}
 			fmt.Fprintln(stdout, rep.Summary())
+			covered, allowed = covered+rep.Covered, allowed+len(rep.Allowed)
 			if *verbose {
 				outcomes := make([]string, 0, len(rep.Outcomes))
 				for o := range rep.Outcomes {
@@ -146,6 +147,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 			}
 		}
 	}
+	fmt.Fprintf(stdout, "SC-allowed outcomes observed: %d/%d\n", covered, allowed)
 	if violations > 0 {
 		return fail(1, "%d counterexample(s) found", violations)
 	}

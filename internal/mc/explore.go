@@ -72,6 +72,8 @@ type Report struct {
 	Outcomes map[string]int
 	// Allowed is the SC oracle's outcome set.
 	Allowed []string
+	// Covered counts the allowed outcomes some run observed.
+	Covered int
 	// Racy is the SC oracle's race verdict (== !Test.DRF, validated).
 	Racy bool
 	// OutcomeChecked reports whether outcomes were judged against the
@@ -97,8 +99,8 @@ func (r *Report) Summary() string {
 	} else if r.Truncated {
 		verdict = "ok (budget-truncated)"
 	}
-	return fmt.Sprintf("%-16s %-8s runs=%-5d states=%-6d outcomes=%-2d %s",
-		r.Test, r.Proto, r.Runs, r.States, len(r.Outcomes), verdict)
+	return fmt.Sprintf("%-16s %-8s runs=%-5d states=%-6d outcomes=%-2d covered=%d/%-2d %s",
+		r.Test, r.Proto, r.Runs, r.States, len(r.Outcomes), r.Covered, len(r.Allowed), verdict)
 }
 
 const maxCounterexamples = 4
@@ -122,7 +124,6 @@ func Explore(t *Test, ec ExploreConfig) (*Report, error) {
 	// helper runs it meanwhile.
 	frontier := newFrontier(t, ec.RunConfig)
 	defer frontier.close()
-	frontier.push(nil, []int{})
 	oracle, err := t.scOracle()
 	if err != nil {
 		return nil, err
@@ -144,16 +145,17 @@ func Explore(t *Test, ec ExploreConfig) (*Report, error) {
 		OutcomeChecked: checkOutcome,
 	}
 
-	expanded := map[uint64]bool{}
+	expanded := stateSets.Get().(map[uint64]bool)
+	defer func() { clear(expanded); stateSets.Put(expanded) }()
 	seenReasons := map[string]bool{}
-	var siblings [][]int
+	siblings := make([][2]int, 0, 2*DefaultMaxChoices) // (choice point, alternative)
 
-	for frontier.len() > 0 {
+	for len(frontier.jobs) > 0 { // only the committer changes it
 		if rep.Runs >= ec.MaxRuns {
 			rep.Truncated = true
 			break
 		}
-		prefix, res, err := frontier.pop()
+		n, res, err := frontier.pop()
 		if err != nil {
 			return nil, err
 		}
@@ -176,7 +178,7 @@ func Explore(t *Test, ec ExploreConfig) (*Report, error) {
 		// Queue sibling schedules at every unexpanded choice point this
 		// run passed through.
 		siblings = siblings[:0]
-		for i := len(prefix); i < len(res.Arity); i++ {
+		for i := n; i < len(res.Arity); i++ {
 			h := res.Hashes[i]
 			if expanded[h] {
 				continue
@@ -187,15 +189,15 @@ func Explore(t *Test, ec ExploreConfig) (*Report, error) {
 			}
 			expanded[h] = true
 			for alt := 1; alt < res.Arity[i]; alt++ {
-				branch := make([]int, i+1)
-				copy(branch, res.Taken[:i])
-				branch[i] = alt
-				siblings = append(siblings, branch)
+				siblings = append(siblings, [2]int{i, alt})
 			}
 		}
-		frontier.push(res, siblings...)
+		frontier.push(res, siblings)
 	}
 	rep.States = len(expanded)
+	for _, o := range oracle.Allowed {
+		rep.Covered += min(rep.Outcomes[o], 1)
+	}
 	cxs := rep.Counterexamples
 	sort.Slice(cxs, func(i, j int) bool { return len(cxs[i].Schedule) < len(cxs[j].Schedule) })
 	return rep, nil
@@ -211,18 +213,28 @@ func minimize(w *worker, ec ExploreConfig, oracle *SCResult, checkOutcome bool, 
 	if budget <= 0 {
 		budget = DefaultMinimizeBudget
 	}
-	run := func(prefix []int) (*RunResult, []string) {
+	var bestRes *RunResult
+	var bestReasons []string
+	// try runs prefix; a violating run becomes the best, the record not kept is recycled.
+	try := func(prefix []int) bool {
 		if budget <= 0 {
-			return nil, nil
+			return false
 		}
 		budget--
-		res := w.run(prefix, nil)
-		return res, judge(res, oracle, checkOutcome)
+		res, _ := records.Get().(*RunResult)
+		res = w.run(prefix, res)
+		reasons := judge(res, oracle, checkOutcome)
+		if len(reasons) > 0 {
+			res, bestRes, bestReasons = bestRes, res, reasons
+		}
+		if res != nil {
+			records.Put(res)
+		}
+		return len(reasons) > 0
 	}
 
 	best := append([]int(nil), taken...)
-	bestRes, bestReasons := run(best)
-	if len(bestReasons) == 0 {
+	if !try(best) {
 		// The full recorded schedule must reproduce; if not (budget
 		// exhausted at entry), fall back to reporting it unminimized.
 		return Counterexample{Schedule: best, Outcome: "", Reasons: []string{"unreproduced violation"}}
@@ -234,9 +246,8 @@ func minimize(w *worker, ec ExploreConfig, oracle *SCResult, checkOutcome bool, 
 		best = best[:len(best)-1]
 	}
 	for lo := 0; lo < len(best); lo++ {
-		if res, reasons := run(best[:lo]); len(reasons) > 0 {
+		if try(best[:lo]) {
 			best = append([]int(nil), best[:lo]...)
-			bestRes, bestReasons = res, reasons
 			break
 		}
 	}
@@ -248,9 +259,8 @@ func minimize(w *worker, ec ExploreConfig, oracle *SCResult, checkOutcome bool, 
 		}
 		trial := append([]int(nil), best...)
 		trial[i] = 0
-		if res, reasons := run(trial); len(reasons) > 0 {
+		if try(trial) {
 			best = trial
-			bestRes, bestReasons = res, reasons
 		}
 	}
 	for len(best) > 0 && best[len(best)-1] == 0 {
@@ -258,9 +268,8 @@ func minimize(w *worker, ec ExploreConfig, oracle *SCResult, checkOutcome bool, 
 	}
 	// Re-run the final schedule so Outcome/FinalHash/Reasons all describe
 	// exactly the schedule we report.
-	if res, reasons := run(best); len(reasons) > 0 {
-		bestRes, bestReasons = res, reasons
-	}
+	try(best)
+	defer records.Put(bestRes)
 	return Counterexample{
 		Schedule:  best,
 		Outcome:   bestRes.Outcome,

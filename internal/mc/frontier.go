@@ -18,6 +18,10 @@ import (
 // started (the one the committer pops next) on a worker of its own.
 
 // A job is one queued prefix and, once run, what a worker made of it.
+// Jobs, records and expanded-state sets outlive the Explore call that
+// used them: a popped job, a committed record and a finished search's set,
+// emptied, go back to a pool, and the next call, on any goroutine, reuses
+// them, so the search's DFS depth is paid for once.
 type job struct {
 	prefix   []int
 	state    uint8 // queued, running or ran
@@ -25,6 +29,12 @@ type job struct {
 	err      error
 	panicked any // a panic the run did not recover, re-raised at commit
 }
+
+var (
+	jobs      = sync.Pool{New: func() any { return &job{prefix: make([]int, 0, DefaultMaxChoices)} }}
+	records   sync.Pool // of *RunResult
+	stateSets = sync.Pool{New: func() any { return map[uint64]bool{} }}
+)
 
 const (
 	queued uint8 = iota
@@ -42,13 +52,12 @@ type frontier struct {
 	jobs    []*job
 	closed  bool
 	helpers sync.WaitGroup
-	own     *worker      // the committer's: pop and minimize run on it
-	free    []*RunResult // committed results, whose records runs reuse
+	own     *worker // the committer's: pop and minimize run on it
 }
 
-// newFrontier starts the helpers; close stops them.
+// newFrontier queues the root and starts the helpers; close stops them.
 func newFrontier(t *Test, rc RunConfig) *frontier {
-	f := &frontier{t: t, rc: rc}
+	f := &frontier{t: t, rc: rc, jobs: append(make([]*job, 0, 2*DefaultMaxChoices), jobs.Get().(*job))}
 	f.cond.L = &f.mu
 	for i := 1; i < runtime.GOMAXPROCS(0); i++ {
 		f.helpers.Add(1)
@@ -88,33 +97,27 @@ func (f *frontier) help() {
 	}
 }
 
-// push queues prefixes, the last popped first, and takes back done, a
-// committed result nobody reads any more (nil for none), for a later run
-// to record itself in.
-func (f *frontier) push(done *RunResult, prefixes ...[]int) {
-	js := make([]job, len(prefixes))
+// push queues, for each sibling (i, alt), the choices res took before
+// choice point i and then alt, the last popped first; then it hands the
+// committed res back to the pool for a later run to record itself in.
+func (f *frontier) push(res *RunResult, siblings [][2]int) {
 	f.mu.Lock()
-	if done != nil {
-		f.free = append(f.free, done)
-	}
-	for i, p := range prefixes {
-		js[i].prefix = p
-		f.jobs = append(f.jobs, &js[i])
+	for _, s := range siblings {
+		j := jobs.Get().(*job)
+		j.prefix = append(append(j.prefix, res.Taken[:s[0]]...), s[1])
+		f.jobs = append(f.jobs, j)
 	}
 	f.mu.Unlock()
-	if len(prefixes) > 0 {
+	records.Put(res)
+	if len(siblings) > 0 {
 		f.cond.Broadcast()
 	}
 }
 
-// len is the number of queued jobs. Only the committer changes it, so it
-// reads it without the lock.
-func (f *frontier) len() int { return len(f.jobs) }
-
-// pop takes the newest job and returns its prefix and result. It runs
-// the job itself if no helper has started it; while a helper still is,
-// it runs the newest unstarted job instead of waiting.
-func (f *frontier) pop() ([]int, *RunResult, error) {
+// pop recycles the newest job and returns its prefix's length and result.
+// It runs the job itself if no helper has started it; while a helper still
+// is, it runs the newest unstarted job instead of waiting.
+func (f *frontier) pop() (int, *RunResult, error) {
 	f.mu.Lock()
 	j := f.jobs[len(f.jobs)-1]
 	f.jobs[len(f.jobs)-1] = nil
@@ -132,7 +135,10 @@ func (f *frontier) pop() ([]int, *RunResult, error) {
 	if j.panicked != nil {
 		panic(j.panicked)
 	}
-	return j.prefix, j.res, j.err
+	n, res, err := len(j.prefix), j.res, j.err
+	*j = job{prefix: j.prefix[:0]}
+	jobs.Put(j)
+	return n, res, err
 }
 
 // unstarted returns the newest queued job nobody has started, or nil.
@@ -149,10 +155,7 @@ func (f *frontier) unstarted() *job {
 // held on entry and on return, and released meanwhile.
 func (f *frontier) run(j *job, w **worker) {
 	j.state = running
-	var res *RunResult
-	if n := len(f.free); n > 0 {
-		res, f.free = f.free[n-1], f.free[:n-1]
-	}
+	res, _ := records.Get().(*RunResult) // nil if the pool is empty
 	f.mu.Unlock()
 	defer func() {
 		j.panicked = recover()
@@ -167,13 +170,9 @@ func (f *frontier) run(j *job, w **worker) {
 }
 
 // worker returns *w, building it if it is nil.
-func (f *frontier) worker(w **worker) (*worker, error) {
+func (f *frontier) worker(w **worker) (_ *worker, err error) {
 	if *w == nil {
-		nw, err := newWorker(f.t, f.rc)
-		if err != nil {
-			return nil, err
-		}
-		*w = nw
+		*w, err = newWorker(f.t, f.rc)
 	}
-	return *w, nil
+	return *w, err
 }

@@ -209,3 +209,51 @@ func TestRecycledRunIsFresh(t *testing.T) {
 		}
 	}
 }
+
+// TestConcurrentExplores: Explore calls that run at once share the job,
+// record and state-set pools, so what one search hands back another
+// reuses — a record sized for 16 recorded choices included, and the
+// records a minimization runs through. Each report must equal the one
+// its pair makes explored alone. CI runs it under the race detector.
+func TestConcurrentExplores(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	iriw, err := FindTest("iriw-lock")
+	if err != nil {
+		t.Fatal(err)
+	}
+	stale, err := FindTest("mp-stale")
+	if err != nil {
+		t.Fatal(err)
+	}
+	short := DefaultExplore("sc")
+	short.MaxChoices = 16
+	pairs := []pair{{iriw, DefaultExplore("lrc")}, {stale, withBug("lrc", "skip-acquire-inval")}, {iriw, short}}
+	alone := make([]*Report, len(pairs))
+	for i, p := range pairs {
+		if alone[i], err = Explore(p.tc, p.ec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for round := 0; round < 3; round++ {
+		together := make([]*Report, len(pairs))
+		errs := make([]error, len(pairs))
+		var wg sync.WaitGroup
+		for i, p := range pairs {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				together[i], errs[i] = Explore(p.tc, p.ec)
+			}()
+		}
+		wg.Wait()
+		for i, p := range pairs {
+			if errs[i] != nil {
+				t.Fatal(errs[i])
+			}
+			if !reflect.DeepEqual(together[i], alone[i]) {
+				t.Errorf("round %d, %s/%s %s: explored beside others %+v, alone %+v",
+					round, p.ec.Proto, p.tc.Name, p.ec.Mutation, together[i], alone[i])
+			}
+		}
+	}
+}

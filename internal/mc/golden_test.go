@@ -48,9 +48,10 @@ func runsToCatch(t *testing.T, tc *Test, ec ExploreConfig) int {
 }
 
 // TestExplorationGolden pins the size of the search itself — schedules
-// run, states expanded, and choice points along the default schedule,
-// per litmus test and protocol at lrccheck's default budgets, where no
-// pair is truncated — plus how many schedules each injected bug survives. The state hash prunes the search,
+// run, states expanded, choice points along the default schedule and the
+// SC-allowed outcomes some run observed, per litmus test and protocol at
+// lrccheck's default budgets, where no pair is truncated — plus how many
+// schedules each injected bug survives. The state hash prunes the search,
 // so these counts move whenever the protocol-visible state encoding (or
 // the event structure of a handler) changes; a refactor must leave them
 // alone, and a deliberate change regenerates testdata/exploration.golden
@@ -69,7 +70,8 @@ func TestExplorationGolden(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s/%s: %v", p.ec.Proto, p.tc.Name, err)
 		}
-		fmt.Fprintf(&b, "%s %s runs=%d states=%d choices=%d\n", p.tc.Name, p.ec.Proto, reps[i].Runs, reps[i].States, first.Choices)
+		fmt.Fprintf(&b, "%s %s runs=%d states=%d choices=%d covered=%d/%d\n", p.tc.Name, p.ec.Proto,
+			reps[i].Runs, reps[i].States, first.Choices, reps[i].Covered, len(reps[i].Allowed))
 	}
 	// Each injected bug runs on the first protocol it breaks.
 	mutated := map[string]string{"skip-acquire-inval": "lrc", "skip-lease-renewal": "tardis"}

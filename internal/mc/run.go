@@ -44,6 +44,17 @@ func DefaultMenu() []uint64 { return []uint64{0, 3} }
 // DefaultMaxChoices is the default recorded-choice bound.
 const DefaultMaxChoices = 64
 
+// withDefaults is rc with an empty menu and bound replaced by the defaults.
+func (rc RunConfig) withDefaults() RunConfig {
+	if len(rc.Menu) == 0 {
+		rc.Menu = DefaultMenu()
+	}
+	if rc.MaxChoices <= 0 {
+		rc.MaxChoices = DefaultMaxChoices
+	}
+	return rc
+}
+
 // RunResult is the outcome of one schedule.
 type RunResult struct {
 	// Outcome is the canonical register outcome (appendOutcome).
@@ -201,19 +212,13 @@ func newWorker(t *Test, rc RunConfig) (*worker, error) {
 	}
 	w.flags = m.NewFlags(t.Flags)
 
-	menu := rc.Menu
-	if len(menu) == 0 {
-		menu = DefaultMenu()
-	}
-	w.rec = recorder{m: m, max: rc.MaxChoices}
-	if w.rec.max <= 0 {
-		w.rec.max = DefaultMaxChoices
-	}
+	d := rc.withDefaults() // not rc itself: rc escapes with the config, and its menu would too
+	w.rec = recorder{m: m, max: d.MaxChoices}
 	if rc.Audit {
 		w.rec.aud = w.aud
 	}
 	m.Eng.SetChooser(&w.rec)
-	if err := m.Net.SetExplorer(meshFacet{&w.rec}, menu); err != nil {
+	if err := m.Net.SetExplorer(meshFacet{&w.rec}, d.Menu); err != nil {
 		return nil, err
 	}
 
@@ -227,8 +232,8 @@ func newWorker(t *Test, rc RunConfig) (*worker, error) {
 }
 
 // run executes the test once under prefix on a machine as New built it,
-// recording it in res, a committed result nobody reads any more, or in a
-// new record if res is nil.
+// recording it in res, a result whose reader handed it back, or in a new
+// record if res is nil.
 func (w *worker) run(prefix []int, res *RunResult) *RunResult {
 	m := w.m
 	m.Reset() // a no-op on a new machine but for keeping its coroutines

@@ -36,20 +36,13 @@ type Schedule struct {
 
 // NewSchedule packages a counterexample for persistence.
 func NewSchedule(t *Test, ec ExploreConfig, cx Counterexample, allowed []string) *Schedule {
-	menu := ec.Menu
-	if len(menu) == 0 {
-		menu = DefaultMenu()
-	}
-	max := ec.MaxChoices
-	if max <= 0 {
-		max = DefaultMaxChoices
-	}
+	rc := ec.withDefaults()
 	return &Schedule{
 		Version:    ScheduleVersion,
 		Test:       t.Name,
 		Proto:      ec.Proto,
-		Menu:       menu,
-		MaxChoices: max,
+		Menu:       rc.Menu,
+		MaxChoices: rc.MaxChoices,
 		Mutation:   ec.Mutation,
 		Choices:    cx.Schedule,
 		Outcome:    cx.Outcome,

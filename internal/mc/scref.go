@@ -209,14 +209,7 @@ type SCResult struct {
 }
 
 // AllowedOutcome reports whether outcome is in the allowed set.
-func (r *SCResult) AllowedOutcome(outcome string) bool {
-	for _, a := range r.Allowed {
-		if a == outcome {
-			return true
-		}
-	}
-	return false
-}
+func (r *SCResult) AllowedOutcome(outcome string) bool { return slices.Contains(r.Allowed, outcome) }
 
 // scStateCap bounds the enumeration; the corpus stays far below it, and
 // exceeding it means a test is too large to serve as an oracle.
