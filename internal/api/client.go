@@ -31,10 +31,6 @@ func (c *Client) hc() *http.Client {
 	return http.DefaultClient
 }
 
-func (c *Client) url(path string) string {
-	return strings.TrimRight(c.Base, "/") + path
-}
-
 // send issues one request with in, when non-nil, as its JSON body, and
 // returns the response to a 2xx answer; any other status is an error
 // quoting the start of the body. The caller closes the body.
@@ -47,7 +43,7 @@ func (c *Client) send(ctx context.Context, method, path string, in any) (*http.R
 		}
 		body = bytes.NewReader(b)
 	}
-	req, err := http.NewRequestWithContext(ctx, method, c.url(path), body)
+	req, err := http.NewRequestWithContext(ctx, method, strings.TrimRight(c.Base, "/")+path, body)
 	if err != nil {
 		return nil, err
 	}

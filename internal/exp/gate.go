@@ -62,7 +62,7 @@ func Gate(baseline, fresh Report, _ ...float64) []string {
 		}
 		cycles := func(name string, b, f uint64) {
 			if b != f {
-				fail("%s: %s %d -> %d (%+.3f%%)", k, name, b, f, pctDelta(b, f))
+				fail("%s: %s %d -> %d (%+.3f%%)", k, name, b, f, 100*(float64(f)-float64(b))/float64(b))
 			}
 		}
 		cycles("exec_cycles", base.ExecCycles, run.ExecCycles)
@@ -136,10 +136,6 @@ func digestDelta(unit, base, fresh, counted, hashed string) string {
 		return fmt.Sprintf("%s %s -> %s, hash %s -> %s (%s)", unit, bn, fn, bh, fh, counted)
 	}
 	return fmt.Sprintf("%s %s, hash %s -> %s (%s)", bn, unit, bh, fh, hashed)
-}
-
-func pctDelta(b, f uint64) float64 {
-	return 100 * (float64(f) - float64(b)) / float64(b)
 }
 
 // LoadReport reads a Report from a JSON file (a paperbench -json output

@@ -31,6 +31,7 @@ type Proc struct {
 // implicit release, then the finish time.
 func (p *Proc) run(c *sim.Context) {
 	p.ctx, p.ahead = c, 0
+	p.node.Touch()
 	p.m.worker(p)
 	p.syncNow()
 	p.node.Proto.Release(p.node)
@@ -60,6 +61,7 @@ func (p *Proc) syncNow() {
 		d := p.ahead
 		p.ahead = 0
 		p.ctx.Sleep(d)
+		p.node.Touch()
 	}
 }
 
@@ -111,7 +113,7 @@ func (p *Proc) write(a Addr, x uint64) {
 	}
 
 	n.PS.Writes++
-	if n.FastWriteHit(block, word) {
+	if n.Proto.WriteHit(n, block, word) {
 		p.maybeSync()
 		return
 	}

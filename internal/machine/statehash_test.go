@@ -76,8 +76,9 @@ func TestStateHashAllocatesNothing(t *testing.T) {
 
 var hashSink uint64
 
-// BenchmarkStateHash is one hash of a 4-node lrc machine stopped mid-run:
-// what the model checker pays per new choice point.
+// BenchmarkStateHash is one hash of a 4-node lrc machine stopped mid-run,
+// hashed again: three nodes fold their kept digests, and the node the
+// last event ran on folds afresh, as at a choice point inside an event.
 //
 //	go test ./internal/machine -run '^$' -bench StateHash -benchtime 100x
 func BenchmarkStateHash(b *testing.B) {

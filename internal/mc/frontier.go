@@ -68,7 +68,8 @@ func newFrontier(t *Test, rc RunConfig) *frontier {
 
 // close returns once every helper has exited, and every worker's machine
 // is closed: a helper finishes the run it is in, starts no other and
-// closes its own. Results nobody committed are dropped.
+// closes its own. The jobs a cut search left queued, and the results
+// nobody committed, go back to their pools.
 func (f *frontier) close() {
 	f.mu.Lock()
 	f.closed = true
@@ -77,6 +78,13 @@ func (f *frontier) close() {
 	f.helpers.Wait()
 	if f.own != nil {
 		f.own.m.Close()
+	}
+	for _, j := range f.jobs {
+		if j.res != nil {
+			records.Put(j.res)
+		}
+		*j = job{prefix: j.prefix[:0]}
+		jobs.Put(j)
 	}
 }
 

@@ -257,3 +257,22 @@ func TestConcurrentExplores(t *testing.T) {
 		}
 	}
 }
+
+// TestDigestsMatchAFreshFold: the state hash folds a node afresh only if
+// an event ran on it since its last fold, and keeps its digest otherwise.
+// At every choice point of every corpus pair's search, both mutations'
+// included, the hash with the kept digests must equal the hash of every
+// node folded afresh: a write barrier missing on some path shows
+// up as a node that changed under a digest kept. The helpers hash at once,
+// each its own machine, so CI runs it under the race detector.
+func TestDigestsMatchAFreshFold(t *testing.T) {
+	if testing.Short() {
+		t.Skip("exploration corpus skipped in -short")
+	}
+	checked := checkDigests(t)
+	exploreCorpus(t, 4, 0)
+	if checked.Load() == 0 {
+		t.Fatal("no choice point was checked")
+	}
+	t.Logf("%d choice points checked", checked.Load())
+}

@@ -91,6 +91,7 @@ type recorder struct {
 }
 
 func (r *recorder) Choose(n int) int {
+	r.m.Env.EndEvent()
 	if r.aud != nil {
 		r.aud.Epoch()
 	}
@@ -98,6 +99,9 @@ func (r *recorder) Choose(n int) int {
 }
 
 func (r *recorder) choose(n int) int {
+	if testHookChoice != nil {
+		testHookChoice(r.m)
+	}
 	idx := r.res.Choices
 	r.res.Choices++
 	if idx >= r.max {
@@ -119,6 +123,9 @@ func (r *recorder) choose(n int) int {
 	r.res.Hashes = append(r.res.Hashes, hash)
 	return pick
 }
+
+// testHookChoice, set by tests, sees the machine at every choice point.
+var testHookChoice func(*machine.Machine)
 
 type meshFacet struct{ r *recorder }
 

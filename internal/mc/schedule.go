@@ -14,8 +14,9 @@ import (
 
 // ScheduleVersion is bumped whenever the machine construction, the choice
 // semantics or the state hash a schedule records change incompatibly
-// (2: the streaming fold of internal/fold replaced the FNV byte image).
-const ScheduleVersion = 2
+// (2: the streaming fold of internal/fold replaced the FNV byte image;
+// 3: each node goes into the hash as its own digest).
+const ScheduleVersion = 3
 
 // Schedule is the serialized form of a (usually violating) run.
 type Schedule struct {

@@ -2,6 +2,7 @@ package mc
 
 import (
 	"encoding/json"
+	"path/filepath"
 	"runtime"
 	"strings"
 	"testing"
@@ -51,6 +52,24 @@ func TestReplaySizesTheRecordByTheRun(t *testing.T) {
 	}
 	if bytes > replayAllocBound || len(res.Taken) != res.Choices {
 		t.Fatalf("replay recorded %d of %d choices in %d bytes", len(res.Taken), res.Choices, bytes)
+	}
+}
+
+// TestOldScheduleIsRefused: a version-2 schedule records a final hash
+// folded before each node went into the hash as its own digest, so this
+// build would replay it into a "diverged" verdict on a run that
+// reproduced. Loading it fails instead, naming the file and the version.
+func TestOldScheduleIsRefused(t *testing.T) {
+	s := mutantSchedule(t)
+	s.Version = 2
+	path := filepath.Join(t.TempDir(), "v2.json")
+	if err := s.Save(path); err != nil {
+		t.Fatal(err)
+	}
+	_, err := LoadSchedule(path)
+	if err == nil || !strings.Contains(err.Error(), path) || !strings.Contains(err.Error(), "version 2") ||
+		strings.Contains(err.Error(), "diverged") {
+		t.Fatalf("loading a version-2 schedule: %v", err)
 	}
 }
 

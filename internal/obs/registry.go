@@ -110,7 +110,7 @@ func (f *family) child(lvs []string) metric {
 	case KindGauge:
 		m = &Gauge{labels: zip(f.labels, lvs)}
 	case KindHistogram:
-		m = newHistogram(f.bkts, zip(f.labels, lvs))
+		m = &Histogram{labels: zip(f.labels, lvs), upper: f.bkts, counts: make([]uint64, len(f.bkts)+1)}
 	}
 	f.children[key] = m
 	f.order = append(f.order, key)
@@ -275,10 +275,6 @@ type Histogram struct {
 	counts []uint64 // per-bucket (non-cumulative), +Inf at the end
 	sum    float64
 	count  uint64
-}
-
-func newHistogram(upper []float64, labels []Label) *Histogram {
-	return &Histogram{labels: labels, upper: upper, counts: make([]uint64, len(upper)+1)}
 }
 
 // Observe records one value.

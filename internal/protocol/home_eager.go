@@ -591,24 +591,9 @@ func eagerRetireWB(n *Node, block uint64) {
 		}
 	default:
 		if t := n.txn(block); t != nil {
-			t.Done.Subscribe(func() { eagerRestartWrite(n, block) })
+			t.Done.Subscribe(func() { n.restartWrite(block, MsgWriteReq, wantData) })
 		} else {
-			eagerRestartWrite(n, block)
+			n.restartWrite(block, MsgWriteReq, wantData)
 		}
 	}
-}
-
-// eagerRestartWrite restarts a write miss whose previous fill was
-// invalidated in flight.
-func eagerRestartWrite(n *Node, block uint64) {
-	e := n.WB.Find(block)
-	if e == nil || n.txn(block) != nil {
-		return
-	}
-	word := bits.TrailingZeros64(e.Words)
-	n.countMiss(block, word, false)
-	t := n.newTxn(block)
-	t.ExpectData = true
-	t.IsWrite = true
-	n.send(n.homeOf(block), MsgWriteReq, block, 0, wantData, 0)
 }

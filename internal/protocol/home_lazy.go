@@ -164,8 +164,9 @@ func lazyHomeNoticeAck(n *Node, m mesh.Msg, _ uint64) {
 		panic(fmt.Sprintf("protocol: node %d negative pending acks for block %d", n.ID, m.Addr))
 	}
 	if e.PendingAcks == 0 {
+		// Emptied, storage kept, before the sends: each may hash it.
 		writers := e.WaitingWriters
-		e.WaitingWriters = nil
+		e.WaitingWriters = writers[:0]
 		st := uint64(e.State)
 		for _, w := range writers {
 			n.send(w, MsgWriteDone, m.Addr, 0, st, 0)
@@ -336,25 +337,12 @@ func lazyRetireWB(n *Node, block uint64) {
 	}
 }
 
-// lazyRestartWrite restarts a write miss for a still-buffered store whose
-// previous fill was invalidated in flight.
+// lazyRestartWrite restarts the write miss as the notice policy asks:
+// a write request, or a read whose write notice waits for the release.
 func lazyRestartWrite(n *Node, block uint64) {
-	e := n.WB.Find(block)
-	if e == nil {
-		return
-	}
-	if n.txn(block) != nil {
-		// Another transaction appeared (e.g. a read); ride it.
-		return
-	}
-	word := bits.TrailingZeros64(e.Words)
-	n.countMiss(block, word, false)
-	t := n.newTxn(block)
-	t.ExpectData = true
-	t.IsWrite = true
 	if n.Proto.(lazyNoticePolicy).EagerNotices() {
-		n.send(n.homeOf(block), MsgWriteReq, block, 0, wantData, 0)
+		n.restartWrite(block, MsgWriteReq, wantData)
 	} else {
-		n.send(n.homeOf(block), MsgReadReq, block, 0, 0, 0)
+		n.restartWrite(block, MsgReadReq, 0)
 	}
 }

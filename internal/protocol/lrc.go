@@ -92,8 +92,7 @@ func lazyCPUWrite(n *Node, block uint64, word int, eager bool) {
 			}
 			n.countMiss(block, word, false)
 			t := n.newTxn(block)
-			t.ExpectData = true
-			t.IsWrite = true
+			t.ExpectData, t.IsWrite = true, true
 			if eager {
 				n.send(n.homeOf(block), MsgWriteReq, block, 0, wantData, 0)
 				if n.Env.Cfg.SoftwareCoherence {

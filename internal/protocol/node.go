@@ -2,6 +2,7 @@ package protocol
 
 import (
 	"fmt"
+	"math/bits"
 
 	"lazyrc/internal/cache"
 	"lazyrc/internal/causal"
@@ -42,6 +43,8 @@ type Env struct {
 
 	// labels caches each synchronization object's stall label (label).
 	labels map[syncKey]string
+
+	running *Node // the node the running event runs on (Touch), or nil
 }
 
 // cont is a parked continuation: the second half of a message handler,
@@ -70,6 +73,7 @@ func (n *Node) at(t sim.Time, fn func(*Node, mesh.Msg, uint64), m mesh.Msg, x ui
 func (e *Env) runCont(slot uint32) {
 	c := *e.conts.At(slot)
 	e.conts.Free(slot)
+	c.n.Touch()
 	c.fn(c.n, c.m, c.x)
 }
 
@@ -191,7 +195,9 @@ type Node struct {
 	eagerSpare  *eagerState // their storage, kept across resets
 	tardisSpare *tardisNode
 
-	sync syncNode
+	sync   syncNode
+	digest uint64 // the state hash's fold of this node (snapshot.go)
+	stale  bool   // digest predates an event on the node
 }
 
 // NewNode builds a node; the machine package wires CPU contexts and
@@ -251,9 +257,9 @@ func (e *Env) Reset() {
 // reset sets the node's own state as NewNode leaves it, keeping storage:
 // maps are cleared, queues emptied and retired transaction records made
 // spare. The family's home state goes back to not set up, which the
-// state hash tells apart from set up and empty.
+// state hash tells apart from set up and empty; the digest is stale.
 func (n *Node) reset() {
-	n.CPU = nil
+	n.CPU, n.stale = nil, true
 	clear(n.outstanding)
 	n.nOutstanding, n.wtPending = 0, 0
 	n.reclaimTxns()
@@ -276,6 +282,7 @@ func (n *Node) reset() {
 // a single point that makes every protocol and sync handler idempotent
 // and order-safe under loss, duplication, and retransmission.
 func (n *Node) Deliver(m mesh.Msg) {
+	n.Touch()
 	n.seq.Admit(m, n.deliver)
 }
 
@@ -408,29 +415,20 @@ func (n *Node) reclaimTxns() {
 
 // ---- Causal-tracing brackets --------------------------------------------
 
-// waitStall brackets a gate wait with a causal stall span. Every
-// CPU-stall charge site goes through this (or parkStall), so the sum of
-// recorded stall-episode lengths equals the stats stall aggregate by
-// construction. tid is the transaction the CPU is stalled on when known.
-func (n *Node) waitStall(g *sim.Gate, tid uint64, class causal.StallClass, why string) uint64 {
+// waitStall brackets a CPU stall — a wait on g, or with g nil a raw
+// park — with a causal stall span. Every CPU-stall charge site goes
+// through this, so the sum of recorded stall-episode lengths equals the
+// stats stall aggregate by construction. tid is the transaction the CPU
+// is stalled on when known.
+func (n *Node) waitStall(g *sim.Gate, tid uint64, class causal.StallClass, why string) (w uint64) {
 	c := n.Env.Causal
-	if c == nil {
-		return g.Wait(n.CPU, why)
-	}
 	sid := c.BeginStall(n.ID, tid, class, why, n.now())
-	w := g.Wait(n.CPU, why)
-	c.EndStall(sid, n.now())
-	return w
-}
-
-// parkStall brackets a raw CPU park with a causal stall span.
-func (n *Node) parkStall(tid uint64, class causal.StallClass, why string) uint64 {
-	c := n.Env.Causal
-	if c == nil {
-		return n.CPU.Park(why)
+	if g != nil {
+		w = g.Wait(n.CPU, why)
+	} else {
+		w = n.CPU.Park(why)
 	}
-	sid := c.BeginStall(n.ID, tid, class, why, n.now())
-	w := n.CPU.Park(why)
+	n.Touch()
 	c.EndStall(sid, n.now())
 	return w
 }
@@ -470,7 +468,7 @@ func (n *Node) waitDrained() {
 		return
 	}
 	n.releaseParked = true
-	n.PS.SyncStall += n.parkStall(n.Env.Causal.Current(), causal.StallSync, "release drain")
+	n.PS.SyncStall += n.waitStall(nil, n.Env.Causal.Current(), causal.StallSync, "release drain")
 }
 
 // wbRetired wakes a CPU stalled on a full write buffer.
@@ -486,7 +484,7 @@ func (n *Node) wbRetired() {
 // charging WriteStall.
 func (n *Node) stallWBFull() {
 	n.wbParked = true
-	n.PS.WriteStall += n.parkStall(0, causal.StallWrite, "write buffer slot")
+	n.PS.WriteStall += n.waitStall(nil, 0, causal.StallWrite, "write buffer slot")
 }
 
 // ---- Cache fills and evictions -----------------------------------------
@@ -567,18 +565,27 @@ func (n *Node) loseCopy(block uint64) bool {
 	return ok
 }
 
+// restartWrite restarts the write miss of a store still buffered for
+// block whose fill was invalidated in flight, asking the home with kind
+// and arg, unless a transaction has since opened for the store to ride.
+func (n *Node) restartWrite(block uint64, kind MsgKind, arg uint64) {
+	e := n.WB.Find(block)
+	if e == nil || n.txn(block) != nil {
+		return
+	}
+	n.countMiss(block, bits.TrailingZeros64(e.Words), false)
+	t := n.newTxn(block)
+	t.ExpectData, t.IsWrite = true, true
+	n.send(n.homeOf(block), kind, block, 0, arg, 0)
+}
+
 // ---- Write-through path (lazy protocols) --------------------------------
 
 // commitWT performs a store on a resident read-write line under the
-// write-through protocols: per-word dirty bookkeeping, the classifier's
-// committed-write stream, and the coalescing buffer (possibly draining
-// its oldest entry on capacity pressure).
+// write-through protocols: commitWB's bookkeeping, then the coalescing
+// buffer (possibly draining its oldest entry on capacity pressure).
 func (n *Node) commitWT(block uint64, word int) {
-	n.Cache.MarkDirty(block, word)
-	n.Env.Class.CommitWrite(n.ID, block, word)
-	if n.Env.Vals != nil {
-		n.Env.Vals.commit(n.ID, block, word)
-	}
+	n.commitWB(block, word)
 	if e, drain := n.CB.Put(block, word); drain {
 		n.sendWriteThrough(e)
 	}
@@ -594,17 +601,6 @@ func (n *Node) commitWB(block uint64, word int) {
 	if n.Env.Vals != nil {
 		n.Env.Vals.commit(n.ID, block, word)
 	}
-}
-
-// FastWriteHit attempts the write-hit fast path: a store that requires
-// no messages and therefore no synchronization with the event loop (the
-// processor may be running ahead on its private clock). It reports
-// whether the store was performed; on false the caller must sync to
-// engine time and take the full CPUWrite path. The behaviour is the
-// protocol's (the timestamp protocol also advances its logical clock
-// here).
-func (n *Node) FastWriteHit(block uint64, word int) bool {
-	return n.Proto.WriteHit(n, block, word)
 }
 
 // writeHitInval is the invalidation protocols' shared write-hit fast

@@ -15,22 +15,48 @@ import (
 // folds as one record per key, which the hash gathers in no order, so
 // two nodes in the same logical state fold alike regardless of the path
 // that led there (map iteration never leaks into the hash) and a hash
-// sorts no keys and allocates nothing.
+// sorts no keys and allocates nothing. A node's fold is kept as its
+// digest and redone only when stale: no handler reaches another node's
+// state, so a node changes only in an event that runs on it — a delivery,
+// a continuation, its processor's resuming — and each of those calls
+// Touch first.
 
 // StateHash returns a fingerprint of the machine's canonical protocol
-// state: every node's, and the messages in flight. Simulated time is
-// deliberately excluded — the model checker uses the hash to recognize
+// state: every node's digest, and the messages in flight. Simulated time
+// is deliberately excluded — the model checker uses the hash to recognize
 // logically identical states reached along different schedules, a
-// (conservative-in-coverage) pruning heuristic.
+// (conservative-in-coverage) pruning heuristic. A hash taken inside an
+// event leaves the event's node stale, as the event may change it yet.
 func (e *Env) StateHash() uint64 {
 	h := fold.Rec(fold.Seed)
 	for _, n := range e.Nodes {
-		var recs fold.Bag
-		n.fold(&h, &recs)
-		h.Bag(recs)
+		if n.stale {
+			d := fold.Rec(fold.Seed)
+			var recs fold.Bag
+			n.fold(&d, &recs)
+			d.Bag(recs)
+			n.digest, n.stale = d.Sum(), n == e.running
+		}
+		h.Word(n.digest)
 	}
 	h.Bag(e.Net.InFlightDigest())
 	return h.Sum()
+}
+
+// Touch is the state hash's write barrier: the node's digest is stale,
+// and the event running runs on it.
+func (n *Node) Touch() { n.stale, n.Env.running = true, n }
+
+// EndEvent says no event is running, so the next hash folds the node the
+// last one ran on for good.
+func (e *Env) EndEvent() { e.running = nil }
+
+// ForgetDigests makes every node stale, so the next hash folds the whole
+// machine afresh, as the first after NewNode or Reset does.
+func (e *Env) ForgetDigests() {
+	for _, n := range e.Nodes {
+		n.stale = true
+	}
 }
 
 func bit(v bool) uint64 {
