@@ -49,7 +49,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		maxRuns    = fs.Int("max-runs", 2000, "schedule budget per (test, protocol) pair")
 		maxStates  = fs.Int("max-states", 100000, "expanded-state budget per (test, protocol) pair")
 		mutate     = fs.String("mutate", "", "inject a deliberate protocol bug ("+strings.Join(config.Mutations(), ", ")+") — the checker must catch it")
-		noAudit    = fs.Bool("no-audit", false, "skip per-choice-point invariant audits (outcome conformance only)")
 		outDir     = fs.String("out", "", "write counterexample schedules (JSON, replayable with 'lrcsim -replay') to this directory")
 		verbose    = fs.Bool("v", false, "print per-run outcome histograms")
 	)
@@ -109,7 +108,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 					Menu:       menu,
 					MaxChoices: *maxChoices,
 					Mutation:   *mutate,
-					Audit:      !*noAudit,
 				},
 				MaxRuns:   *maxRuns,
 				MaxStates: *maxStates,

@@ -3,135 +3,148 @@ package cache
 import (
 	"testing"
 	"testing/quick"
+
+	"lazyrc/internal/telemetry"
 )
 
-func TestWriteBufferCoalesceAndFill(t *testing.T) {
-	w := NewWriteBuffer(2)
-	if !w.Empty() || w.Full() {
-		t.Fatal("fresh buffer state wrong")
-	}
-	alloc, ok := w.Put(10, 0)
-	if !alloc || !ok {
-		t.Fatal("first put should allocate")
-	}
-	alloc, ok = w.Put(10, 3)
-	if alloc || !ok {
-		t.Fatal("same-line put should coalesce")
-	}
-	if e := w.Find(10); e == nil || e.Words != (1|1<<3) {
-		t.Fatalf("entry = %+v", e)
-	}
-	w.Put(11, 0)
-	if !w.Full() {
-		t.Fatal("buffer should be full at capacity")
-	}
-	if _, ok := w.Put(12, 0); ok {
-		t.Fatal("put into full buffer succeeded")
-	}
-	// Coalescing still works when full.
-	if _, ok := w.Put(11, 5); !ok {
-		t.Fatal("coalescing into full buffer failed")
-	}
-	total, coalesced, stalls := w.Stats()
-	if total != 4 || coalesced != 2 || stalls != 1 {
-		t.Fatalf("stats total=%d coalesced=%d stalls=%d", total, coalesced, stalls)
+// TestBufferPolicies drives a two-entry buffer as each protocol does when a
+// store to a new line finds it full: the write buffer's processor stalls
+// until an entry retires, then retries; the coalescing buffer drains its
+// oldest entry, then takes the store.
+func TestBufferPolicies(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		full    func(b *Buffer) (left Entry) // make room for one entry
+		left    []Entry                      // entries that left, in order
+		entries []Entry                      // what stays, oldest first
+	}{{
+		name: "stall and retry",
+		full: func(b *Buffer) Entry {
+			e, _ := b.Remove(11) // the younger line's permission lands first
+			return e
+		},
+		left:    []Entry{{Block: 11, Words: 1 | 1<<5}},
+		entries: []Entry{{Block: 10, Words: 1 | 1<<3}, {Block: 12, Words: 1 << 2}},
+	}, {
+		name:    "pop oldest then put",
+		full:    (*Buffer).PopOldest,
+		left:    []Entry{{Block: 10, Words: 1 | 1<<3}},
+		entries: []Entry{{Block: 11, Words: 1 | 1<<5}, {Block: 12, Words: 1 << 2}},
+	}} {
+		t.Run(tc.name, func(t *testing.T) {
+			b := NewBuffer(2)
+			if !b.Empty() || b.Full() {
+				t.Fatal("fresh buffer state wrong")
+			}
+			var left []Entry
+			for _, p := range []struct {
+				block uint64
+				word  int
+			}{{10, 0}, {10, 3}, {11, 0}, {11, 5}, {12, 2}} {
+				allocated, ok := b.Put(p.block, p.word)
+				if !ok {
+					if p.block != 12 || !b.Full() {
+						t.Fatalf("Put(%d, %d) found no room in %+v", p.block, p.word, b.Entries())
+					}
+					left = append(left, tc.full(b))
+					allocated, ok = b.Put(p.block, p.word)
+				}
+				if !ok || allocated != (p.word != 3 && p.word != 5) {
+					t.Fatalf("Put(%d, %d) = %v, %v", p.block, p.word, allocated, ok)
+				}
+				if b.Len() > 2 {
+					t.Fatalf("len %d over capacity 2", b.Len())
+				}
+			}
+			if !equal(left, tc.left) || !equal(b.Entries(), tc.entries) {
+				t.Fatalf("left %+v, kept %+v; want %+v, %+v", left, b.Entries(), tc.left, tc.entries)
+			}
+			if _, ok := b.Remove(99); ok {
+				t.Fatal("removing an absent line found an entry")
+			}
+			if all := b.DrainAll(); !equal(all, tc.entries) || !b.Empty() {
+				t.Fatalf("DrainAll = %+v, empty %v", all, b.Empty())
+			}
+		})
 	}
 }
 
-func TestWriteBufferRetireOrder(t *testing.T) {
-	w := NewWriteBuffer(4)
-	w.Put(1, 0)
-	w.Put(2, 0)
-	w.Put(3, 0)
-	if w.entries[0].Block != 1 {
-		t.Fatal("oldest wrong")
+func equal(a, b []Entry) bool {
+	if len(a) != len(b) {
+		return false
 	}
-	e := w.Retire(2)
-	if e.Block != 2 || w.Len() != 2 {
-		t.Fatalf("retire(2) = %+v len=%d", e, w.Len())
-	}
-	if w.Find(2) != nil {
-		t.Fatal("retired entry still present")
-	}
-}
-
-func TestWriteBufferRetireAbsentPanics(t *testing.T) {
-	w := NewWriteBuffer(2)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("retiring absent entry did not panic")
+	for i := range a {
+		if a[i].Block != b[i].Block || a[i].Words != b[i].Words {
+			return false
 		}
-	}()
-	w.Retire(99)
+	}
+	return true
 }
 
-func TestCoalescingBufferMergeAndCapacity(t *testing.T) {
-	b := NewCoalescingBuffer(2)
-	if _, drain := b.Put(1, 0); drain {
-		t.Fatal("drain from empty buffer")
-	}
-	if _, drain := b.Put(1, 7); drain {
-		t.Fatal("merge caused drain")
-	}
-	if _, drain := b.Put(2, 0); drain {
-		t.Fatal("second entry caused drain")
-	}
-	// Third distinct block pushes out the oldest (block 1).
-	drained, drain := b.Put(3, 1)
-	if !drain || drained.Block != 1 || drained.Words != (1|1<<7) {
-		t.Fatalf("drained = %+v drain=%v", drained, drain)
-	}
-	if b.Len() != 2 {
-		t.Fatalf("len = %d, want 2", b.Len())
-	}
-	ins, merges, capd := b.Stats()
-	if ins != 3 || merges != 1 || capd != 1 {
-		t.Fatalf("stats ins=%d merges=%d capd=%d", ins, merges, capd)
-	}
-}
-
-func TestCoalescingBufferRemoveAndDrainAll(t *testing.T) {
-	b := NewCoalescingBuffer(4)
-	b.Put(1, 0)
-	b.Put(2, 0)
-	b.Put(3, 0)
-	e, present := b.Remove(2)
-	if !present || e.Block != 2 {
-		t.Fatalf("remove(2) = %+v %v", e, present)
-	}
-	if _, present := b.Remove(2); present {
-		t.Fatal("double remove found entry")
-	}
-	all := b.DrainAll()
-	if len(all) != 2 || all[0].Block != 1 || all[1].Block != 3 {
-		t.Fatalf("drainAll = %+v", all)
-	}
-	if !b.Empty() {
-		t.Fatal("buffer not empty after DrainAll")
+// TestBufferObservesEveryRemoval: with telemetry on, each way out of the
+// buffer observes the leaving entry's residency exactly once.
+func TestBufferObservesEveryRemoval(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		remove func(b *Buffer) int // entries removed
+	}{
+		{"Remove", func(b *Buffer) int { b.Remove(2); return 1 }},
+		{"PopOldest", func(b *Buffer) int { b.PopOldest(); return 1 }},
+		{"DrainAll", func(b *Buffer) int { return len(b.DrainAll()) }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			reg := telemetry.NewRegistry(1)
+			resid := reg.Histogram("resid")
+			now := uint64(10)
+			b := NewBuffer(4)
+			b.EnableTelemetry(func() uint64 { return now }, resid)
+			b.Put(1, 0)
+			b.Put(2, 0)
+			b.Put(3, 0)
+			now = 17
+			n := tc.remove(b)
+			if got := resid.Count(); got != uint64(n) || n == 0 {
+				t.Fatalf("%d residencies observed for %d removed entries", got, n)
+			}
+			if got := resid.Max(); got != 7 {
+				t.Fatalf("longest residency %d, want 7", got)
+			}
+			b.Put(4, 0) // a store is not a removal
+			if got := resid.Count(); got != uint64(n) {
+				t.Fatalf("Put observed a residency: %d", got)
+			}
+		})
 	}
 }
 
-func TestCBEntryDirtyBytes(t *testing.T) {
-	e := CBEntry{Words: 1 | 1<<3 | 1<<15}
+func TestEntryDirtyBytes(t *testing.T) {
+	e := Entry{Words: 1 | 1<<3 | 1<<15}
 	if got := e.DirtyBytes(8); got != 24 {
 		t.Fatalf("DirtyBytes = %d, want 24", got)
 	}
-	if got := (CBEntry{}).DirtyBytes(8); got != 0 {
+	if got := (Entry{}).DirtyBytes(8); got != 0 {
 		t.Fatalf("empty DirtyBytes = %d, want 0", got)
 	}
 }
 
-func TestCoalescingBufferNeverExceedsCapProperty(t *testing.T) {
-	f := func(blocks []uint8) bool {
-		b := NewCoalescingBuffer(4)
-		for _, blk := range blocks {
-			b.Put(uint64(blk%16), int(blk%8))
-			if b.Len() > b.Cap() {
+// capBound checks that a four-entry buffer whose full-buffer policy is
+// makeRoom never holds more than its capacity, and that every entry's mask
+// holds its line's stores.
+func capBound(t *testing.T, makeRoom func(*Buffer)) {
+	f := func(ops []uint8) bool {
+		b := NewBuffer(4)
+		for _, o := range ops {
+			block, word := uint64(o%32), int(o%8)
+			if _, ok := b.Put(block, word); !ok {
+				makeRoom(b)
+				if _, ok := b.Put(block, word); !ok {
+					return false
+				}
+			}
+			if b.Len() > 4 || b.Find(block).Words&(1<<uint(word)) == 0 {
 				return false
 			}
 		}
-		// Word masks for a block must be the union of its writes since
-		// the last time it drained — at minimum, non-zero.
 		for _, e := range b.DrainAll() {
 			if e.Words == 0 {
 				return false
@@ -144,49 +157,13 @@ func TestCoalescingBufferNeverExceedsCapProperty(t *testing.T) {
 	}
 }
 
+// TestWriteBufferNeverExceedsCapProperty: the processor stalls until an
+// entry retires, here the oldest.
 func TestWriteBufferNeverExceedsCapProperty(t *testing.T) {
-	f := func(ops []uint8) bool {
-		w := NewWriteBuffer(4)
-		for _, o := range ops {
-			block := uint64(o % 32)
-			if _, ok := w.Put(block, int(o%8)); !ok {
-				// Full: retire the oldest to make room, as a protocol would.
-				w.Retire(w.entries[0].Block)
-				if _, ok := w.Put(block, int(o%8)); !ok {
-					return false
-				}
-			}
-			if w.Len() > w.Cap() {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
-		t.Fatal(err)
-	}
+	capBound(t, func(b *Buffer) { b.Remove(b.Entries()[0].Block) })
 }
 
-func TestCoalescingBufferHas(t *testing.T) {
-	b := NewCoalescingBuffer(2)
-	if b.Has(5) {
-		t.Fatal("empty buffer has entry")
-	}
-	b.Put(5, 0)
-	if !b.Has(5) || b.Has(6) {
-		t.Fatal("Has wrong")
-	}
-}
-
-// Cap returns the entry capacity.
-func (w *WriteBuffer) Cap() int { return w.cap }
-
-// Stats returns stores presented, stores coalesced, and full stalls.
-func (w *WriteBuffer) Stats() (total, coalesced, stalls uint64) {
-	return w.total, w.coalesced, w.stalls
-}
-
-// Stats returns inserts, merges, and capacity drains.
-func (b *CoalescingBuffer) Stats() (inserts, merges, capDrains uint64) {
-	return b.inserts, b.merges, b.capDrains
+// TestCoalescingBufferNeverExceedsCapProperty: the oldest entry drains.
+func TestCoalescingBufferNeverExceedsCapProperty(t *testing.T) {
+	capBound(t, func(b *Buffer) { b.PopOldest() })
 }

@@ -1,9 +1,9 @@
 // Package cache models the per-processor memory-side data structures of
 // the simulated nodes: a direct-mapped data cache with per-word dirty
-// bits, the small CPU-side write buffer used by the relaxed-consistency
-// protocols, and the coalescing write-through buffer that the lazy
-// protocols place between the cache and the memory system (§2 of the
-// paper, after Jouppi's coalescing buffer).
+// bits, and one store buffer type that serves as both the small CPU-side
+// write buffer of the relaxed-consistency protocols and the coalescing
+// write-through buffer the lazy protocols place between the cache and
+// the memory system (§2 of the paper, after Jouppi's coalescing buffer).
 //
 // These are pure state containers: all timing decisions (what a miss
 // costs, when a buffer drains) belong to the protocol layer.
@@ -50,8 +50,6 @@ type Line struct {
 type Cache struct {
 	nLines uint64
 	lines  []Line
-
-	fills, evictions, invalidations uint64
 }
 
 // New returns a direct-mapped cache with nLines frames.
@@ -59,17 +57,12 @@ func New(nLines int) *Cache {
 	if nLines < 1 {
 		panic("cache: need at least one line")
 	}
-	c := &Cache{nLines: uint64(nLines), lines: make([]Line, nLines)}
-	c.Reset()
-	return c
+	return &Cache{nLines: uint64(nLines), lines: make([]Line, nLines)}
 }
 
 // Reset empties the cache, as New returns it: every frame Invalid, the
-// counters zero.
-func (c *Cache) Reset() {
-	clear(c.lines) // Invalid is the zero state
-	c.fills, c.evictions, c.invalidations = 0, 0, 0
-}
+// zero state.
+func (c *Cache) Reset() { clear(c.lines) }
 
 func (c *Cache) frame(block uint64) *Line { return &c.lines[block%c.nLines] }
 
@@ -93,10 +86,8 @@ func (c *Cache) Fill(block uint64, st LineState) (victim Line, evicted bool) {
 	l := c.frame(block)
 	if l.State != Invalid && l.Block != block {
 		victim, evicted = *l, true
-		c.evictions++
 	}
 	if l.State == Invalid || l.Block != block {
-		c.fills++
 		l.Dirty = 0
 	}
 	l.Block = block
@@ -114,7 +105,6 @@ func (c *Cache) Invalidate(block uint64) (old Line, present bool) {
 	old = *l
 	l.State = Invalid
 	l.Dirty = 0
-	c.invalidations++
 	return old, true
 }
 

@@ -37,9 +37,14 @@ func TestDirectMappedHitMissEvict(t *testing.T) {
 	if c.Lookup(5) == nil || c.Lookup(2) == nil {
 		t.Fatal("resident blocks missing")
 	}
-	fills, evs, _ := c.Stats()
-	if fills != 3 || evs != 1 {
-		t.Fatalf("stats fills=%d evs=%d, want 3,1", fills, evs)
+	// The victim carries its dirty words out; the new line starts clean.
+	c.MarkDirty(5, 2)
+	victim, ev = c.Fill(1, ReadWrite)
+	if !ev || victim.Block != 5 || victim.State != ReadWrite || victim.Dirty != 1<<2 {
+		t.Fatalf("fill(1) victim = %+v ev=%v, want dirty block 5", victim, ev)
+	}
+	if l := c.Lookup(1); l == nil || l.Dirty != 0 {
+		t.Fatalf("refilled frame = %+v, want clean", l)
 	}
 }
 
@@ -53,9 +58,13 @@ func TestUpgradeInPlace(t *testing.T) {
 	if l := c.Lookup(3); l == nil || l.State != ReadWrite {
 		t.Fatal("upgrade lost the line")
 	}
-	fills, _, _ := c.Stats()
-	if fills != 1 {
-		t.Fatalf("upgrade counted as fill: %d", fills)
+	// Filling over the same block is not a new fill: dirty words stay.
+	c.MarkDirty(3, 4)
+	if victim, ev := c.Fill(3, ReadWrite); ev {
+		t.Fatalf("refill evicted %+v", victim)
+	}
+	if l := c.Lookup(3); l == nil || l.Dirty != 1<<4 {
+		t.Fatalf("refill lost the dirty words: %+v", l)
 	}
 }
 
@@ -168,8 +177,3 @@ func TestUpgradeAbsentPanics(t *testing.T) {
 
 // Lines returns the number of frames.
 func (c *Cache) Lines() int { return len(c.lines) }
-
-// Stats returns cumulative fills, conflict evictions, and invalidations.
-func (c *Cache) Stats() (fills, evictions, invalidations uint64) {
-	return c.fills, c.evictions, c.invalidations
-}

@@ -34,7 +34,7 @@ type ExploreConfig struct {
 // DefaultExplore returns the default budgets for proto.
 func DefaultExplore(proto string) ExploreConfig {
 	return ExploreConfig{
-		RunConfig: RunConfig{Proto: proto, MaxChoices: DefaultMaxChoices, Audit: true},
+		RunConfig: RunConfig{Proto: proto, MaxChoices: DefaultMaxChoices},
 		MaxRuns:   2000,
 		MaxStates: 100000,
 	}

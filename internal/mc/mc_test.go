@@ -237,7 +237,7 @@ func TestReplayIsDeterministic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rc := RunConfig{Proto: "lrc", Audit: true}
+	rc := RunConfig{Proto: "lrc"}
 	prefix := []int{1, 0, 1, 1}
 	a, err := RunOnce(tc, rc, prefix)
 	if err != nil {

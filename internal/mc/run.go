@@ -30,9 +30,6 @@ type RunConfig struct {
 	MaxChoices int
 	// Mutation names a deliberate protocol bug to inject (config.Mutations).
 	Mutation string
-	// Audit runs the protocol-invariant auditor at every scheduler choice
-	// point as well as at quiescence, where it always runs.
-	Audit bool
 }
 
 // DefaultMenu is the delivery-delay menu used when RunConfig.Menu is
@@ -79,9 +76,9 @@ type RunResult struct {
 }
 
 // recorder implements sim.Chooser for both choice sources. The engine
-// consults it between events (where running the invariant auditor is
-// safe); the mesh consults it mid-handler through meshFacet, which skips
-// the audit.
+// consults it between events, where it runs the invariant auditor; the
+// mesh consults it mid-handler through meshFacet, which skips the audit.
+// The auditor also runs at quiescence.
 type recorder struct {
 	m      *machine.Machine
 	aud    *check.Auditor
@@ -92,9 +89,7 @@ type recorder struct {
 
 func (r *recorder) Choose(n int) int {
 	r.m.Env.EndEvent()
-	if r.aud != nil {
-		r.aud.Epoch()
-	}
+	r.aud.Epoch()
 	return r.choose(n)
 }
 
@@ -220,10 +215,7 @@ func newWorker(t *Test, rc RunConfig) (*worker, error) {
 	w.flags = m.NewFlags(t.Flags)
 
 	d := rc.withDefaults() // not rc itself: rc escapes with the config, and its menu would too
-	w.rec = recorder{m: m, max: d.MaxChoices}
-	if rc.Audit {
-		w.rec.aud = w.aud
-	}
+	w.rec = recorder{m: m, aud: w.aud, max: d.MaxChoices}
 	m.Eng.SetChooser(&w.rec)
 	if err := m.Net.SetExplorer(meshFacet{&w.rec}, d.Menu); err != nil {
 		return nil, err

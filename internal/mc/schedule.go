@@ -102,7 +102,6 @@ func Replay(s *Schedule) (*RunResult, error) {
 		Menu:       s.Menu,
 		MaxChoices: s.MaxChoices,
 		Mutation:   s.Mutation,
-		Audit:      true,
 	}
 	res, err := RunOnce(t, rc, s.Choices)
 	if err != nil {

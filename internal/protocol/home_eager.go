@@ -2,7 +2,6 @@ package protocol
 
 import (
 	"fmt"
-	"math/bits"
 
 	"lazyrc/internal/cache"
 	"lazyrc/internal/causal"
@@ -572,18 +571,13 @@ func eagerWriteDone(n *Node, m mesh.Msg) {
 // upgrade if only data arrived, restart the miss if an invalidation won
 // the race.
 func eagerRetireWB(n *Node, block uint64) {
-	e := n.WB.Find(block)
-	if e == nil {
+	if n.WB.Find(block) == nil {
 		return
 	}
 	line := n.Cache.Lookup(block)
 	switch {
 	case line != nil && line.State == cache.ReadWrite:
-		words := n.WB.Retire(block).Words
-		for m := words; m != 0; m &= m - 1 {
-			n.commitWB(block, bits.TrailingZeros64(m))
-		}
-		n.wbRetired()
+		n.retireWB(block, (*Node).commitWB)
 	case line != nil:
 		// Data arrived read-only (merged read); request ownership.
 		if n.txn(block) == nil {

@@ -2,7 +2,6 @@ package protocol
 
 import (
 	"fmt"
-	"math/bits"
 
 	"lazyrc/internal/cache"
 	"lazyrc/internal/causal"
@@ -229,7 +228,7 @@ func lazyWriteFilled(n *Node, m mesh.Msg, _ uint64) {
 	t := n.mustTxn(m.Addr, "write fill")
 	t.Filled = true
 	if directory.State(m.Arg) == directory.Weak {
-		n.addPendInv(m.Addr)
+		n.pendInv.add(m.Addr)
 	}
 	inv := t.InvalidateOnFill
 	if m.Aux == 1 || t.DoneEarly {
@@ -254,7 +253,7 @@ func lazyWriteDone(n *Node, m mesh.Msg) {
 	// A writer of a weak block queues it for invalidation at its own
 	// next acquire: other writers' words may change under it.
 	if directory.State(m.Arg) == directory.Weak && n.Cache.Lookup(m.Addr) != nil {
-		n.addPendInv(m.Addr)
+		n.pendInv.add(m.Addr)
 	}
 	if t.ExpectData && !t.Data.IsOpen() {
 		t.DoneEarly = true
@@ -269,7 +268,7 @@ func lazyWriteDone(n *Node, m mesh.Msg) {
 func lazyNotice(n *Node, m mesh.Msg, _ uint64) {
 	n.PS.NoticesIn++
 	if n.Cache.Lookup(m.Addr) != nil || n.txn(m.Addr) != nil {
-		n.addPendInv(m.Addr)
+		n.pendInv.add(m.Addr)
 	}
 	n.send(m.Src, MsgNoticeAck, m.Addr, 0, 0, 0)
 }
@@ -281,17 +280,9 @@ func (n *Node) dropFilledCopy(block uint64) {
 		if e, ok := n.CB.Remove(block); ok {
 			n.sendWriteThrough(e)
 		}
-		n.removeDelayed(block)
+		n.delayed.remove(block)
 		n.Env.Class.Lose(n.ID, block, stats.LossCoherence)
 		n.send(n.homeOf(block), MsgInvNotify, block, 0, 0, 0)
-	}
-}
-
-// applyWTWords commits each buffered word of a retired write-buffer entry
-// through the write-through path.
-func applyWTWords(n *Node, block uint64, words uint64) {
-	for m := words; m != 0; m &= m - 1 {
-		n.commitWT(block, bits.TrailingZeros64(m))
 	}
 }
 
@@ -310,12 +301,10 @@ func lazyRetireWB(n *Node, block uint64) {
 	line := n.Cache.Lookup(block)
 	switch {
 	case line != nil && line.State == cache.ReadWrite:
-		applyWTWords(n, block, n.WB.Retire(block).Words)
-		n.wbRetired()
+		n.retireWB(block, (*Node).commitWT)
 	case line != nil:
 		n.Cache.Upgrade(block)
-		applyWTWords(n, block, n.WB.Retire(block).Words)
-		n.wbRetired()
+		n.retireWB(block, (*Node).commitWT)
 		if n.Proto.(lazyNoticePolicy).EagerNotices() {
 			if n.txn(block) == nil {
 				t := n.newTxn(block)
@@ -324,7 +313,7 @@ func lazyRetireWB(n *Node, block uint64) {
 				n.send(n.homeOf(block), MsgWriteReq, block, 0, 0, 0)
 			}
 		} else {
-			n.addDelayed(block)
+			n.delayed.add(block)
 		}
 	default:
 		// Invalidated while in flight: reissue once the transaction

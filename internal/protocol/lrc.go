@@ -64,7 +64,7 @@ func lazyCPUWrite(n *Node, block uint64, word int, eager bool) {
 					n.PS.WriteStall += n.waitStall(&t.Done, t.CT, causal.StallWrite, "software notice")
 				}
 			} else {
-				n.addDelayed(block)
+				n.delayed.add(block)
 			}
 			return
 

@@ -36,7 +36,7 @@ func (*LRCExt) CPUWrite(n *Node, block uint64, word int) {
 // where the lazier protocol pays: work LRC overlapped with computation
 // lands in the critical path of the release.
 func (*LRCExt) Release(n *Node) {
-	if blocks := n.takeDelayed(); len(blocks) > 0 {
+	if blocks := n.delayed.take(); len(blocks) > 0 {
 		// Posting occupies the protocol processor per notice.
 		n.ppAcquire(causal.KindFanout, 0, uint64(len(blocks))*n.noticeCost())
 		for _, b := range blocks {
@@ -46,12 +46,12 @@ func (*LRCExt) Release(n *Node) {
 	for {
 		n.flushCB()
 		n.waitDrained()
-		if n.CB.Empty() && len(n.delayed) == 0 {
+		if n.CB.Empty() && len(n.delayed.order) == 0 {
 			return
 		}
 		// Stores retiring during the drain may have deposited fresh
 		// coalesced words or deferred notices; post and flush again.
-		for _, b := range n.takeDelayed() {
+		for _, b := range n.delayed.take() {
 			n.postNotice(b)
 		}
 	}

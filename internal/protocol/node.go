@@ -157,8 +157,8 @@ type Node struct {
 	Proto Protocol
 
 	Cache *cache.Cache
-	WB    *cache.WriteBuffer
-	CB    *cache.CoalescingBuffer
+	WB    *cache.Buffer // the CPU's write buffer: stores stall when full
+	CB    *cache.Buffer // the coalescing buffer: full, it drains its oldest
 
 	PP  *sim.Resource // protocol processor occupancy
 	Mem *sim.Resource // local memory module
@@ -169,19 +169,14 @@ type Node struct {
 	CPU *sim.Context
 	PS  *stats.Proc
 
-	outstanding  map[uint64]*Txn
-	nOutstanding int
-	txnRetired   []*Txn // finished since the CPU entered its current access
-	txnSpare     []*Txn // finished before it: free for newTxn
-	wtPending    int    // write-throughs / write-backs awaiting memory acks
+	outstanding map[uint64]*Txn
+	txnRetired  []*Txn // finished since the CPU entered its current access
+	txnSpare    []*Txn // finished before it: free for newTxn
+	wtPending   int    // write-throughs / write-backs awaiting memory acks
 
-	pendInv    []uint64 // blocks to invalidate at the next acquire (FIFO)
-	pendInvSet map[uint64]bool
-
-	delayed    []uint64 // lazier protocol: unposted write notices (FIFO)
-	delayedSet map[uint64]bool
-	posting    []uint64 // the notices takeDelayed last handed out
-	fanout     []int    // a home's notice targets, storage for the next
+	pendInv blockQueue // blocks to invalidate at the next acquire
+	delayed blockQueue // lazier protocol: unposted write notices
+	fanout  []int      // a home's notice targets, storage for the next
 
 	releaseParked bool // CPU is parked in a release drain
 	wbParked      bool // CPU is parked on a full write buffer
@@ -209,8 +204,8 @@ func NewNode(env *Env, id int, proto Protocol) *Node {
 		Env:   env,
 		Proto: proto,
 		Cache: cache.New(cfg.Lines()),
-		WB:    cache.NewWriteBuffer(cfg.WBEntries),
-		CB:    cache.NewCoalescingBuffer(cfg.CBEntries),
+		WB:    cache.NewBuffer(cfg.WBEntries),
+		CB:    cache.NewBuffer(cfg.CBEntries),
 		PP:    new(sim.Resource),
 		Mem:   new(sim.Resource),
 		Bus:   new(sim.Resource),
@@ -218,8 +213,8 @@ func NewNode(env *Env, id int, proto Protocol) *Node {
 		PS:    &env.Stats.Procs[id],
 
 		outstanding: make(map[uint64]*Txn),
-		pendInvSet:  make(map[uint64]bool),
-		delayedSet:  make(map[uint64]bool),
+		pendInv:     blockQueue{in: make(map[uint64]bool)},
+		delayed:     blockQueue{in: make(map[uint64]bool)},
 		seq:         mesh.NewSequencer(cfg.Procs),
 		handlers:    proto.handlers(),
 	}
@@ -261,12 +256,11 @@ func (e *Env) Reset() {
 func (n *Node) reset() {
 	n.CPU, n.stale = nil, true
 	clear(n.outstanding)
-	n.nOutstanding, n.wtPending = 0, 0
+	n.wtPending = 0
 	n.reclaimTxns()
-	n.pendInv, n.delayed, n.posting = n.pendInv[:0], n.delayed[:0], n.posting[:0]
+	n.pendInv.reset()
+	n.delayed.reset()
 	n.fanout = n.fanout[:0]
-	clear(n.pendInvSet)
-	clear(n.delayedSet)
 	n.releaseParked, n.wbParked = false, false
 	clear(n.home.q)
 	n.eagerHome, n.tardis = nil, nil
@@ -379,7 +373,6 @@ func (n *Node) newTxn(block uint64) *Txn {
 	*t = Txn{Block: block}
 	t.CT, t.ctRoot = n.Env.Causal.BeginTxn(n.ID, block, n.now())
 	n.outstanding[block] = t
-	n.nOutstanding++
 	return t
 }
 
@@ -393,7 +386,6 @@ func (n *Node) finishTxn(t *Txn) {
 		panic(fmt.Sprintf("protocol: node %d finishing unknown txn for block %d", n.ID, t.Block))
 	}
 	delete(n.outstanding, t.Block)
-	n.nOutstanding--
 	n.Env.Causal.EndTxn(t.ctRoot, n.now())
 	if !t.Data.IsOpen() {
 		t.Data.Open()
@@ -450,7 +442,7 @@ func (n *Node) ppAcquire(kind causal.Kind, block uint64, cost uint64) uint64 {
 // acknowledged outstanding write-backs/write-throughs (§2's three release
 // conditions).
 func (n *Node) drained() bool {
-	return n.WB.Empty() && n.nOutstanding == 0 && n.wtPending == 0
+	return n.WB.Empty() && len(n.outstanding) == 0 && n.wtPending == 0
 }
 
 // checkDrain wakes a CPU parked in a release once the node drains.
@@ -469,6 +461,19 @@ func (n *Node) waitDrained() {
 	}
 	n.releaseParked = true
 	n.PS.SyncStall += n.waitStall(nil, n.Env.Causal.Current(), causal.StallSync, "release drain")
+}
+
+// retireWB removes block's write-buffer entry, performs each buffered
+// store with commit, and wakes the CPU if it stalled on the full buffer.
+func (n *Node) retireWB(block uint64, commit func(*Node, uint64, int)) {
+	e, ok := n.WB.Remove(block)
+	if !ok {
+		panic("protocol: retiring a write-buffer line that was never queued")
+	}
+	for m := e.Words; m != 0; m &= m - 1 {
+		commit(n, block, bits.TrailingZeros64(m))
+	}
+	n.wbRetired()
 }
 
 // wbRetired wakes a CPU stalled on a full write buffer.
@@ -518,24 +523,15 @@ func (n *Node) fillLine(m mesh.Msg, st cache.LineState, filled func(*Node, mesh.
 func (n *Node) evictVictim(v cache.Line) {
 	block := v.Block
 	n.Env.Class.Lose(n.ID, block, stats.LossEviction)
-	if n.pendInvSet[block] {
-		// The paper: no need to keep invalidate-set entries for lines
-		// dropped from the cache.
-		delete(n.pendInvSet, block)
-		for i, b := range n.pendInv {
-			if b == block {
-				n.pendInv = append(n.pendInv[:i], n.pendInv[i+1:]...)
-				break
-			}
-		}
-	}
+	// The paper: no need to keep invalidate-set entries for lines dropped
+	// from the cache.
+	n.pendInv.remove(block)
 	if e, ok := n.CB.Remove(block); ok {
 		n.sendWriteThrough(e)
 	}
-	if n.delayedSet[block] {
+	if n.delayed.remove(block) {
 		// Lazier protocol: a written block is being replaced; its
 		// deferred notice must be posted now, before the home forgets us.
-		n.removeDelayed(block)
 		n.postNotice(block)
 	}
 	n.Proto.Evict(n, v)
@@ -583,10 +579,13 @@ func (n *Node) restartWrite(block uint64, kind MsgKind, arg uint64) {
 
 // commitWT performs a store on a resident read-write line under the
 // write-through protocols: commitWB's bookkeeping, then the coalescing
-// buffer (possibly draining its oldest entry on capacity pressure).
+// buffer. A full one gives up its oldest entry, sent home after the store
+// is in: a send is a choice point that hashes the buffer.
 func (n *Node) commitWT(block uint64, word int) {
 	n.commitWB(block, word)
-	if e, drain := n.CB.Put(block, word); drain {
+	if _, ok := n.CB.Put(block, word); !ok {
+		e := n.CB.PopOldest()
+		n.CB.Put(block, word)
 		n.sendWriteThrough(e)
 	}
 }
@@ -614,7 +613,7 @@ func (n *Node) writeHitInval(block uint64, word int) bool {
 		n.commitWB(block, word)
 		return true
 	}
-	if n.CB.Len() >= n.CB.Cap() && !n.CB.Has(block) {
+	if n.CB.Full() && n.CB.Find(block) == nil {
 		return false // a coalescing-buffer drain would send a message
 	}
 	n.commitWT(block, word)
@@ -624,7 +623,7 @@ func (n *Node) writeHitInval(block uint64, word int) bool {
 // sendWriteThrough ships one coalescing-buffer entry to the block's home
 // memory and tracks the pending acknowledgement. The value snapshot
 // carries the whole line; the home merges only the words in the mask.
-func (n *Node) sendWriteThrough(e cache.CBEntry) {
+func (n *Node) sendWriteThrough(e cache.Entry) {
 	n.wtPending++
 	n.PS.WriteThroughs++
 	n.sendData(n.homeOf(e.Block), MsgWriteThrough, e.Block, e.DirtyBytes(config.WordSize), e.Words, 0, n.copyVals(e.Block))
@@ -637,15 +636,51 @@ func (n *Node) flushCB() {
 	}
 }
 
-// ---- Pending invalidations (lazy protocols) -----------------------------
+// ---- Pending invalidations and delayed notices (lazy protocols) ----------
 
-// addPendInv queues block for invalidation at the next acquire.
-func (n *Node) addPendInv(block uint64) {
-	if n.pendInvSet[block] {
-		return
+// blockQueue is a FIFO of distinct blocks: a block queued again keeps its
+// first place.
+type blockQueue struct {
+	order []uint64
+	in    map[uint64]bool
+}
+
+func (q *blockQueue) add(block uint64) {
+	if !q.in[block] {
+		q.in[block] = true
+		q.order = append(q.order, block)
 	}
-	n.pendInvSet[block] = true
-	n.pendInv = append(n.pendInv, block)
+}
+
+// remove drops block, reporting whether it was queued.
+func (q *blockQueue) remove(block uint64) bool {
+	if !q.in[block] {
+		return false
+	}
+	delete(q.in, block)
+	for i, b := range q.order {
+		if b == block {
+			q.order = append(q.order[:i], q.order[i+1:]...)
+			break
+		}
+	}
+	return true
+}
+
+// take empties the queue and returns its blocks in order; the slice is
+// good until the next add.
+func (q *blockQueue) take() []uint64 {
+	blocks := q.order
+	for _, b := range blocks {
+		delete(q.in, b)
+	}
+	q.order = blocks[:0]
+	return blocks
+}
+
+func (q *blockQueue) reset() {
+	q.order = q.order[:0]
+	clear(q.in)
 }
 
 // processPendInv invalidates every queued line: coalesced writes drain
@@ -660,8 +695,10 @@ func (n *Node) processPendInv() sim.Time {
 		return n.now()
 	}
 	work := 0
-	for _, block := range n.pendInv {
-		delete(n.pendInvSet, block)
+	// The queue empties after the loop: a send in it is a choice point,
+	// and the state hash taken there still holds every queued block.
+	for _, block := range n.pendInv.order {
+		delete(n.pendInv.in, block)
 		if t := n.txn(block); t != nil && !t.Data.IsOpen() {
 			t.InvalidateOnFill = true
 			continue
@@ -670,52 +707,18 @@ func (n *Node) processPendInv() sim.Time {
 			if e, ok := n.CB.Remove(block); ok {
 				n.sendWriteThrough(e)
 			}
-			n.removeDelayed(block)
+			n.delayed.remove(block)
 			n.Env.Class.Lose(n.ID, block, stats.LossCoherence)
 			n.PS.InvalsAtAcquire++
 			n.send(n.homeOf(block), MsgInvNotify, block, 0, 0, 0)
 			work++
 		}
 	}
-	n.pendInv = n.pendInv[:0]
+	n.pendInv.order = n.pendInv.order[:0]
 	if work == 0 {
 		return n.now()
 	}
 	return n.ppAcquire(causal.KindNotice, 0, uint64(work)*n.noticeCost())
-}
-
-// ---- Delayed notices (lazier protocol) ----------------------------------
-
-func (n *Node) addDelayed(block uint64) {
-	if n.delayedSet[block] {
-		return
-	}
-	n.delayedSet[block] = true
-	n.delayed = append(n.delayed, block)
-}
-
-// takeDelayed empties the deferred notices and returns them in order; the
-// slice is good until the next call, whose storage it becomes.
-func (n *Node) takeDelayed() []uint64 {
-	blocks := n.delayed
-	n.delayed, n.posting = n.posting[:0], blocks
-	for _, b := range blocks {
-		delete(n.delayedSet, b)
-	}
-	return blocks
-}
-
-func (n *Node) removeDelayed(block uint64) {
-	if !n.delayedSet[block] {
-		return
-	}
-	delete(n.delayedSet, block)
-	for i, b := range n.delayed {
-		if b == block {
-			n.delayed = append(n.delayed[:i], n.delayed[i+1:]...)
-			return
-		}
-	}
 }
 
 // postNotice sends the deferred write notice for block to its home,
@@ -757,7 +760,7 @@ func (n *Node) Debug() string {
 
 // OutstandingCount returns the number of coherence transactions this node
 // has in flight.
-func (n *Node) OutstandingCount() int { return n.nOutstanding }
+func (n *Node) OutstandingCount() int { return len(n.outstanding) }
 
 // HasTxn reports whether this node has an outstanding transaction for
 // block.
@@ -769,12 +772,12 @@ func (n *Node) WTPendingCount() int { return n.wtPending }
 
 // PendingInvals returns how many blocks are queued for invalidation at
 // this node's next acquire.
-func (n *Node) PendingInvals() int { return len(n.pendInv) }
+func (n *Node) PendingInvals() int { return len(n.pendInv.order) }
 
 // DelayedNotices returns how many write notices the lazier protocol is
 // holding unposted at this node (0 for protocols without delayed
 // notices).
-func (n *Node) DelayedNotices() int { return len(n.delayed) }
+func (n *Node) DelayedNotices() int { return len(n.delayed.order) }
 
 // SyncWaiting reports whether this node's CPU is currently blocked in a
 // synchronization acquire, from its request to its grant.

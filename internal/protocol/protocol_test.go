@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"lazyrc/internal/cache"
 	"lazyrc/internal/causal"
 	"lazyrc/internal/config"
 	"lazyrc/internal/directory"
@@ -242,28 +243,99 @@ func TestDirCostByFamily(t *testing.T) {
 func TestPendInvDedup(t *testing.T) {
 	env := testEnv(t, 1, "lrc")
 	n := env.Nodes[0]
-	n.addPendInv(3)
-	n.addPendInv(3)
-	n.addPendInv(4)
-	if len(n.pendInv) != 2 {
-		t.Fatalf("pendInv = %v, want 2 unique entries", n.pendInv)
+	n.pendInv.add(3)
+	n.pendInv.add(3)
+	n.pendInv.add(4)
+	if got := n.pendInv.order; len(got) != 2 || got[0] != 3 || got[1] != 4 {
+		t.Fatalf("pendInv = %v, want [3 4]", got)
+	}
+	if got := n.pendInv.take(); len(got) != 2 || n.PendingInvals() != 0 {
+		t.Fatalf("take = %v leaving %d", got, n.PendingInvals())
+	}
+	n.pendInv.add(3) // taken blocks may queue again
+	if n.PendingInvals() != 1 {
+		t.Fatalf("pendInv = %v after take, want [3]", n.pendInv.order)
 	}
 }
 
 func TestDelayedNoticeBookkeeping(t *testing.T) {
 	env := testEnv(t, 1, "lrc-ext")
 	n := env.Nodes[0]
-	n.addDelayed(8)
-	n.addDelayed(8)
-	n.addDelayed(9)
-	if len(n.delayed) != 2 {
-		t.Fatalf("delayed = %v, want 2 unique entries", n.delayed)
+	n.delayed.add(8)
+	n.delayed.add(8)
+	n.delayed.add(9)
+	if n.DelayedNotices() != 2 {
+		t.Fatalf("delayed = %v, want 2 unique entries", n.delayed.order)
 	}
-	n.removeDelayed(8)
-	if len(n.delayed) != 1 || n.delayed[0] != 9 {
-		t.Fatalf("delayed after remove = %v, want [9]", n.delayed)
+	if !n.delayed.remove(8) {
+		t.Fatal("removing a queued block reported it absent")
 	}
-	n.removeDelayed(8) // absent: no-op
+	if got := n.delayed.order; len(got) != 1 || got[0] != 9 {
+		t.Fatalf("delayed after remove = %v, want [9]", got)
+	}
+	if n.delayed.remove(8) { // absent: no-op
+		t.Fatal("removing an absent block reported it queued")
+	}
+}
+
+// choiceProbe is a mesh explorer that calls itself at every choice point,
+// where the model checker hashes the machine mid-event.
+type choiceProbe func()
+
+func (p choiceProbe) Choose(int) int { p(); return 0 }
+
+// TestWriteThroughLeavesAfterTheStore: a store that finds the coalescing
+// buffer full displaces its oldest entry, and the write-through carrying
+// that entry reaches the network's choice point only once the store is
+// buffered, so a state hash taken there includes the store.
+func TestWriteThroughLeavesAfterTheStore(t *testing.T) {
+	env := testEnv(t, 2, "lrc")
+	n := env.Nodes[1]
+	n.CB = cache.NewBuffer(1)
+	if env.HomeOf(0) == n.ID || env.HomeOf(1) == n.ID {
+		t.Fatal("blocks 0 and 1 must be homed away from the storing node")
+	}
+	var seen [][]cache.Entry
+	probe := choiceProbe(func() { seen = append(seen, slices.Clone(n.CB.Entries())) })
+	if err := env.Net.SetExplorer(probe, []uint64{0, 1}); err != nil {
+		t.Fatal(err)
+	}
+	for block := uint64(0); block < 2; block++ {
+		n.Cache.Fill(block, cache.ReadWrite)
+		n.commitWT(block, int(block)+2)
+	}
+	want := []cache.Entry{{Block: 1, Words: 1 << 3}}
+	if len(seen) != 1 || !slices.Equal(seen[0], want) {
+		t.Fatalf("buffer at the write-through's choice points = %v, want [%v]", seen, want)
+	}
+}
+
+// TestInvalidationsStayQueuedWhileSent: an acquire's invalidation batch
+// leaves its queue only once every notification is sent, so the state
+// hash at each send's choice point holds the whole batch.
+func TestInvalidationsStayQueuedWhileSent(t *testing.T) {
+	env := testEnv(t, 2, "lrc")
+	n := env.Nodes[1]
+	var seen [][]uint64
+	probe := choiceProbe(func() { seen = append(seen, slices.Clone(n.pendInv.order)) })
+	if err := env.Net.SetExplorer(probe, []uint64{0, 1}); err != nil {
+		t.Fatal(err)
+	}
+	for block := uint64(0); block < 2; block++ {
+		n.Cache.Fill(block, cache.ReadOnly)
+		n.pendInv.add(block)
+	}
+	n.processPendInv()
+	if len(seen) != 2 || !slices.Equal(seen[0], []uint64{0, 1}) || !slices.Equal(seen[1], []uint64{0, 1}) {
+		t.Fatalf("queue at the notifications' choice points = %v, want [[0 1] [0 1]]", seen)
+	}
+	if n.PendingInvals() != 0 || len(n.pendInv.in) != 0 {
+		t.Fatalf("queue after the batch = %v, want empty", n.pendInv.order)
+	}
+	n.pendInv.add(0) // processed blocks may queue again
+	if n.PendingInvals() != 1 {
+		t.Fatalf("queue = %v after re-adding, want [0]", n.pendInv.order)
+	}
 }
 
 func TestLockFreeWithoutHoldPanics(t *testing.T) {

@@ -85,10 +85,13 @@ func (n *Node) fold(h *fold.Rec, recs *fold.Bag) {
 	})
 	h.End()
 
-	n.WB.Visit(func(e cache.WBEntry) { h.Word(e.Block); h.Word(e.Words) })
-	h.End()
-	n.CB.Visit(func(e cache.CBEntry) { h.Word(e.Block); h.Word(e.Words) })
-	h.End()
+	for _, b := range [...]*cache.Buffer{n.WB, n.CB} {
+		for _, e := range b.Entries() {
+			h.Word(e.Block)
+			h.Word(e.Words)
+		}
+		h.End()
+	}
 
 	for blk, t := range n.outstanding {
 		r := fold.Record(fold.Txn, blk)
@@ -97,8 +100,8 @@ func (n *Node) fold(h *fold.Rec, recs *fold.Bag) {
 		recs.Add(r)
 	}
 
-	for _, q := range [...][]uint64{n.pendInv, n.delayed} {
-		for _, blk := range q {
+	for _, q := range [...]*blockQueue{&n.pendInv, &n.delayed} {
+		for _, blk := range q.order {
 			h.Word(blk)
 		}
 		h.End()

@@ -18,7 +18,6 @@ package protocol
 
 import (
 	"fmt"
-	"math/bits"
 
 	"lazyrc/internal/cache"
 	"lazyrc/internal/causal"
@@ -302,11 +301,7 @@ func tardisRetireWB(n *Node, block uint64) {
 	line := n.Cache.Lookup(block)
 	switch {
 	case line != nil && line.State == cache.ReadWrite:
-		words := n.WB.Retire(block).Words
-		for m := words; m != 0; m &= m - 1 {
-			tardisWriteHit(n, block, bits.TrailingZeros64(m))
-		}
-		n.wbRetired()
+		n.retireWB(block, func(n *Node, block uint64, word int) { tardisWriteHit(n, block, word) })
 	default:
 		if t := n.txn(block); t != nil {
 			t.Done.Subscribe(func() { tardisRetireWB(n, block) })
