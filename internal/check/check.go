@@ -14,7 +14,10 @@
 //
 // The auditor observes but never mutates simulation state, and its epochs
 // run as background events, so enabling it does not change the simulated
-// schedule and cannot keep a finished simulation alive.
+// schedule and cannot keep a finished simulation alive. An epoch audit
+// reports whether it found a violation, so a caller that keys states by
+// a hash of what the audit reads may skip the next audit of a state
+// found clean; Counts is the part such a hash leaves out.
 package check
 
 import (
@@ -73,7 +76,6 @@ type Auditor struct {
 	lazy bool
 
 	violations []Violation
-	epochs     uint64
 }
 
 // maxViolations bounds how many violations are recorded (the first one
@@ -88,11 +90,9 @@ func New(m *machine.Machine) *Auditor {
 	return a
 }
 
-// Reset forgets the epochs and violations, for the machine's next run
-// after Machine.Reset.
-func (a *Auditor) Reset() {
-	a.violations, a.epochs = a.violations[:0], 0
-}
+// Reset forgets the violations, for the machine's next run after
+// Machine.Reset.
+func (a *Auditor) Reset() { a.violations = a.violations[:0] }
 
 // Epoch is the cycle interval between the epoch audits of a checked run:
 // the runner's guarded faulted jobs'.
@@ -101,7 +101,7 @@ const Epoch = 10000
 // Start schedules an epoch audit every `every` cycles for the rest of the
 // run. Audits are background events: they never keep the simulation
 // alive. Call before Machine.Run.
-func (a *Auditor) Start(every uint64) { a.m.Eng.Every(every, a.Epoch) }
+func (a *Auditor) Start(every uint64) { a.m.Eng.Every(every, func() { a.Epoch() }) }
 
 // Violations returns the recorded violations in detection order.
 func (a *Auditor) Violations() []Violation { return a.violations }
@@ -135,11 +135,13 @@ func (a *Auditor) blockBusy(block uint64, home *protocol.Node) bool {
 }
 
 // Epoch performs one mid-run audit: every quiescent block's directory
-// entry must validate structurally and agree with the caches.
-func (a *Auditor) Epoch() {
-	a.epochs++
-	a.audit(false)
-}
+// entry must validate structurally and agree with the caches. It reports
+// whether it found a violation, recorded or past maxViolations.
+func (a *Auditor) Epoch() (found bool) { return a.audit(false, true) }
+
+// Counts is the part of Epoch that reads what the model checker's state
+// hash does not fold: each home's per-state counts against a recount.
+func (a *Auditor) Counts() (found bool) { return a.audit(false, false) }
 
 // Final is the one end-of-run audit, run after Machine.Run: exact
 // directory/cache agreement with no acknowledgement still being
@@ -148,37 +150,41 @@ func (a *Auditor) Epoch() {
 // parked or undelivered message, invalid lease or home still in service),
 // whose first breach is recorded as a violation like any other.
 func (a *Auditor) Final() {
-	a.audit(true)
+	a.audit(true, true)
 	if err := a.m.CheckQuiescent(); err != nil {
 		a.record(Violation{Time: a.m.Eng.Now(), Node: NoNode, Block: NoBlock, Final: true,
 			Invariant: "machine-quiescent", Detail: err.Error()})
 	}
 }
 
-// audit checks every home's entries — all of them at quiescence, the ones
-// not busy mid-run — and then the home's per-state counts (kept at the
-// transitions; what telemetry samples) against a recount of the entries,
-// busy ones included: a count moves with its entry's state.
-func (a *Auditor) audit(final bool) {
+// audit checks every home's entries, if asked — all of them at
+// quiescence, the ones not busy mid-run — and then the home's per-state
+// counts (kept at the transitions; what telemetry samples) against a
+// recount of the entries, busy ones included: a count moves with its
+// entry's state.
+func (a *Auditor) audit(final, entries bool) (found bool) {
 	now := a.m.Eng.Now()
 	for _, home := range a.m.Nodes {
 		var recount [4]int
 		for _, r := range home.Dir.Entries() {
 			recount[r.State]++
-			if final || !a.blockBusy(r.Block, home) {
-				a.checkEntry(now, home.ID, r.Block, r.Entry, final)
+			if entries && (final || !a.blockBusy(r.Block, home)) {
+				found = a.checkEntry(now, home.ID, r.Block, r.Entry, final) || found
 			}
 		}
 		if kept := home.Dir.StateCounts(); kept != recount {
+			found = true
 			a.record(Violation{Time: now, Node: home.ID, Block: NoBlock, Final: final, Invariant: "dir-state-counts",
 				Detail: fmt.Sprintf("directory keeps %v blocks per state, its entries recount to %v", kept, recount)})
 		}
 	}
+	return found
 }
 
 // checkEntry audits one directory entry against the machine's caches.
-func (a *Auditor) checkEntry(now uint64, homeID int, block uint64, e *directory.Entry, final bool) {
+func (a *Auditor) checkEntry(now uint64, homeID int, block uint64, e *directory.Entry, final bool) (found bool) {
 	v := func(invariant, detail string) {
+		found = true
 		a.record(Violation{Time: now, Node: homeID, Block: block, Invariant: invariant, Detail: detail, Final: final})
 	}
 	if err := e.Validate(); err != nil {
@@ -218,4 +224,5 @@ func (a *Auditor) checkEntry(now uint64, homeID int, block uint64, e *directory.
 	if !a.lazy && rw > 1 {
 		v("single-writer", fmt.Sprintf("%d writable copies of the block exist under an eager protocol", rw))
 	}
+	return found
 }

@@ -18,12 +18,14 @@ import (
 // started (the one the committer pops next) on a worker of its own.
 
 // A job is one queued prefix and, once run, what a worker made of it.
-// Jobs, records and expanded-state sets outlive the Explore call that
-// used them: a popped job, a committed record and a finished search's set,
-// emptied, go back to a pool, and the next call, on any goroutine, reuses
-// them, so the search's DFS depth is paid for once.
+// Jobs, records and state sets (a search's expanded states, a worker's
+// clean ones) outlive the Explore call that used them: a popped job, a
+// committed record and a finished search's or worker's set, emptied, go
+// back to a pool, and the next call, on any goroutine, reuses them, so the
+// search's DFS depth is paid for once.
 type job struct {
 	prefix   []int
+	clean    bool  // the run that recorded the prefix had no violation
 	state    uint8 // queued, running or ran
 	res      *RunResult
 	err      error
@@ -77,7 +79,7 @@ func (f *frontier) close() {
 	f.cond.Broadcast()
 	f.helpers.Wait()
 	if f.own != nil {
-		f.own.m.Close()
+		f.own.close()
 	}
 	for _, j := range f.jobs {
 		if j.res != nil {
@@ -101,18 +103,20 @@ func (f *frontier) help() {
 		}
 	}
 	if w != nil {
-		w.m.Close()
+		w.close()
 	}
 }
 
 // push queues, for each sibling (i, alt), the choices res took before
-// choice point i and then alt, the last popped first; then it hands the
-// committed res back to the pool for a later run to record itself in.
+// choice point i and then alt, the last popped first, marked clean if res
+// has no violation; then it hands the committed res back to the pool for
+// a later run to record itself in.
 func (f *frontier) push(res *RunResult, siblings [][2]int) {
 	f.mu.Lock()
 	for _, s := range siblings {
 		j := jobs.Get().(*job)
 		j.prefix = append(append(j.prefix, res.Taken[:s[0]]...), s[1])
+		j.clean = len(res.Violations) == 0
 		f.jobs = append(f.jobs, j)
 	}
 	f.mu.Unlock()
@@ -173,7 +177,9 @@ func (f *frontier) run(j *job, w **worker) {
 	}()
 	var wk *worker
 	if wk, j.err = f.worker(w); j.err == nil {
+		wk.rec.clean, wk.rec.cleanPrefix = wk.clean, j.clean
 		j.res = wk.run(j.prefix, res)
+		wk.rec.clean = nil
 	}
 }
 

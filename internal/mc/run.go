@@ -79,21 +79,38 @@ type RunResult struct {
 // consults it between events, where it runs the invariant auditor; the
 // mesh consults it mid-handler through meshFacet, which skips the audit.
 // The auditor also runs at quiescence.
+// An explored run audits each state once per worker (DESIGN §9): not in
+// a prefix whose recording run had no violation (cleanPrefix), and past
+// it, at a state audited clean before (clean), only what the hash does
+// not fold. Replay, RunOnce and minimize (clean nil) audit in full.
 type recorder struct {
-	m      *machine.Machine
-	aud    *check.Auditor
-	prefix []int
-	max    int
-	res    *RunResult // Taken, Arity, Hashes and Choices are the recorder's
+	m           *machine.Machine
+	aud         *check.Auditor
+	prefix      []int
+	max         int
+	res         *RunResult // Taken, Arity, Hashes and Choices are the recorder's
+	clean       map[uint64]bool
+	cleanPrefix bool
 }
 
 func (r *recorder) Choose(n int) int {
 	r.m.Env.EndEvent()
-	r.aud.Epoch()
-	return r.choose(n)
+	var hash uint64
+	if idx := r.res.Choices; r.clean == nil || idx >= r.max || idx < len(r.prefix) && !r.cleanPrefix {
+		r.aud.Epoch() // past the bound nothing is hashed
+	} else if idx >= len(r.prefix) {
+		if hash = r.m.StateHash(); r.clean[hash] {
+			r.aud.Counts()
+		} else if !r.aud.Epoch() {
+			r.clean[hash] = true
+		}
+	}
+	return r.choose(n, hash)
 }
 
-func (r *recorder) choose(n int) int {
+// choose answers and records a choice point, whose state hashes to hash
+// if the caller took it, else 0.
+func (r *recorder) choose(n int, hash uint64) int {
 	if testHookChoice != nil {
 		testHookChoice(r.m)
 	}
@@ -102,7 +119,7 @@ func (r *recorder) choose(n int) int {
 	if idx >= r.max {
 		return 0
 	}
-	pick, hash := 0, uint64(0)
+	pick := 0
 	if idx < len(r.prefix) {
 		pick = r.prefix[idx]
 		if pick < 0 || pick >= n {
@@ -110,7 +127,7 @@ func (r *recorder) choose(n int) int {
 			// run's arity; clamp and record what actually happened.
 			pick = 0
 		}
-	} else {
+	} else if hash == 0 {
 		hash = r.m.StateHash()
 	}
 	r.res.Taken = append(r.res.Taken, pick)
@@ -124,7 +141,7 @@ var testHookChoice func(*machine.Machine)
 
 type meshFacet struct{ r *recorder }
 
-func (f meshFacet) Choose(n int) int { return f.r.choose(n) }
+func (f meshFacet) Choose(n int) int { return f.r.choose(n, 0) }
 
 // lineWords is the words per cache line of the litmus machine.
 const lineWords = 2
@@ -169,8 +186,16 @@ func RunOnce(t *Test, rc RunConfig, prefix []int) (*RunResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	defer w.m.Close()
+	defer w.close()
 	return w.run(prefix, nil), nil
+}
+
+// close closes the worker's machine and empties its clean states into
+// the pool.
+func (w *worker) close() {
+	w.m.Close()
+	clear(w.clean)
+	stateSets.Put(w.clean)
 }
 
 // A worker runs t under one configuration on one litmus machine, with its
@@ -194,6 +219,7 @@ type worker struct {
 	body  func(*machine.Proc) // w.program, bound once
 	out   []byte              // the outcome being rendered
 	seen  map[string]string   // every outcome rendered so far, interned
+	clean map[uint64]bool     // the states audited clean (recorder)
 }
 
 func newWorker(t *Test, rc RunConfig) (*worker, error) {
@@ -208,6 +234,7 @@ func newWorker(t *Test, rc RunConfig) (*worker, error) {
 	w := &worker{
 		t: t, cfg: cfg, m: m, aud: check.New(m), locks: make([]*machine.Lock, t.Locks),
 		regs: make([][]uint64, t.Procs), done: make([]bool, t.Procs), seen: map[string]string{},
+		clean: stateSets.Get().(map[uint64]bool),
 	}
 	for i := range w.locks {
 		w.locks[i] = m.NewLock()

@@ -2,6 +2,7 @@ package protocol
 
 import (
 	"fmt"
+	"slices"
 
 	"lazyrc/internal/causal"
 	"lazyrc/internal/fold"
@@ -42,70 +43,74 @@ type pendingReq struct {
 //
 // The zero value is ready to use.
 type homeSerial struct {
-	// q has a key per block in service; the value is that block's
-	// waiters, oldest first.
-	q map[uint64][]pendingReq
-	// spare holds the emptied queues of blocks gone idle, storage the
-	// next block to enter service reuses.
-	spare [][]pendingReq
+	// q has an entry per block in service, in no order: a search of the
+	// few a home serves at once, which the state hash walks without a map.
+	q []serving
+}
+
+// serving is a block in service and its waiters, oldest first. The slots
+// past the end of q keep the queue storage of blocks gone idle, which the
+// next block to enter service reuses.
+type serving struct {
+	block   uint64
+	waiting []pendingReq
+}
+
+// find returns the index of block's entry in q, or -1 if it is idle.
+func (h *homeSerial) find(block uint64) int {
+	for i := range h.q {
+		if h.q[i].block == block {
+			return i
+		}
+	}
+	return -1
 }
 
 // enter claims p's block for p and reports true, or — the block being in
 // service — queues p behind the earlier arrivals and reports false.
 func (h *homeSerial) enter(p pendingReq) bool {
-	block := p.m.Addr
-	if q, inService := h.q[block]; inService {
-		h.q[block] = append(q, p)
+	if i := h.find(p.m.Addr); i >= 0 {
+		h.q[i].waiting = append(h.q[i].waiting, p)
 		return false
 	}
-	if h.q == nil {
-		h.q = make(map[uint64][]pendingReq)
-	}
-	var q []pendingReq
-	if k := len(h.spare); k > 0 {
-		q, h.spare = h.spare[k-1], h.spare[:k-1]
-	}
-	h.q[block] = q
+	h.q = slices.Grow(h.q, 1)[:len(h.q)+1]
+	s := &h.q[len(h.q)-1]
+	s.block, s.waiting = p.m.Addr, s.waiting[:0]
 	return true
 }
 
 // wait puts p at the back of its block's queue without contending for
 // service; the caller holds the block and is about to leave it.
 func (h *homeSerial) wait(p pendingReq) {
-	q, inService := h.q[p.m.Addr]
-	if !inService {
+	if h.enter(p) {
 		panic(fmt.Sprintf("protocol: home queues a request for block %d, which is not in service", p.m.Addr))
 	}
-	h.q[p.m.Addr] = append(q, p)
 }
 
 // leave ends the current request's service of block. The oldest waiter,
 // if any, is handed over with the block still held on its behalf;
 // otherwise the block goes idle.
 func (h *homeSerial) leave(block uint64) (next pendingReq, ok bool) {
-	q, inService := h.q[block]
-	if !inService {
+	i := h.find(block)
+	if i < 0 {
 		panic(fmt.Sprintf("protocol: home leaves block %d, which is not in service", block))
 	}
+	q := h.q[i].waiting
 	if len(q) == 0 {
-		delete(h.q, block)
-		if cap(q) > 0 {
-			h.spare = append(h.spare, q)
-		}
+		last := len(h.q) - 1
+		h.q[i], h.q[last] = h.q[last], h.q[i]
+		h.q = h.q[:last]
 		return pendingReq{}, false
 	}
 	next = q[0]
 	k := copy(q, q[1:])
 	q[k] = pendingReq{}
-	h.q[block] = q[:k]
+	h.q[i].waiting = q[:k]
 	return next, true
 }
 
 // inService reports whether block is held by a request.
-func (h *homeSerial) inService(block uint64) bool {
-	_, ok := h.q[block]
-	return ok
-}
+func (h *homeSerial) inService(block uint64) bool { return h.find(block) >= 0 }
 
 // Residual reports the blocks still in service at the end of a run: a
 // request was admitted and never finished.
@@ -120,18 +125,18 @@ func (h *homeSerial) Residual() error {
 // each, for stall diagnostics.
 func (h *homeSerial) Debug() string {
 	s := ""
-	for block, q := range h.q {
-		s += fmt.Sprintf(" serving{block %d waiting:%d}", block, len(q))
+	for _, b := range h.q {
+		s += fmt.Sprintf(" serving{block %d waiting:%d}", b.block, len(b.waiting))
 	}
 	return s
 }
 
 // fold adds a record per block in service, its queue in order.
 func (h *homeSerial) fold(recs *fold.Bag) {
-	for block, q := range h.q {
-		r := fold.Record(fold.Serving, block)
-		for i := range q {
-			foldMsg(&r, &q[i].m)
+	for _, b := range h.q {
+		r := fold.Record(fold.Serving, b.block)
+		for i := range b.waiting {
+			foldMsg(&r, &b.waiting[i].m)
 		}
 		recs.Add(r)
 	}
@@ -168,7 +173,7 @@ func (n *Node) HomeResidual() error {
 // returns its completion time.
 func (n *Node) memAccess(b int) uint64 {
 	req := n.now()
-	start, end := n.Mem.Acquire(req, n.memCycles(b))
+	start, end := n.Mem.Acquire(req, n.Env.Cfg.MemSetup+uint64((b+n.Env.Cfg.MemBW-1)/n.Env.Cfg.MemBW))
 	n.Env.Causal.Service(causal.KindMem, n.ID, 0, req, start, end)
 	return end
 }

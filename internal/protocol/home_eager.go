@@ -129,7 +129,7 @@ func (es *eagerState) fold(recs *fold.Bag) {
 
 // eagerDispatch is the eager family's message interface: home side
 // first, then the owner/sharer side, then the requester's replies.
-var eagerDispatch = dispatch{
+var eagerDispatch = handlers{
 	MsgReadReq:   eagerHomeRequest,
 	MsgWriteReq:  eagerHomeRequest,
 	MsgInvalAck:  afterPP(causal.KindAck, (*Node).noticeCost, eagerHomeInvalAck),
@@ -147,7 +147,7 @@ var eagerDispatch = dispatch{
 	MsgWriteData: eagerFill,
 	MsgOwnerData: eagerFill,
 	MsgWriteDone: eagerWriteDone,
-}.withShared()
+}.withShared(MsgReadReq, MsgWriteReq, MsgInvalAck, MsgSharingWB, MsgEvict, MsgFwdRead, MsgFwdWrite, MsgInval)
 
 // eagerHomeRequest receives a read or ownership request: the memory
 // access for the data it may need starts at once, overlapped with the

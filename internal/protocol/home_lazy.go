@@ -40,7 +40,7 @@ type lazyNoticePolicy interface {
 
 // lazyDispatch is the lazy family's message interface: home side first,
 // then the requester's replies and the sharer's notice.
-var lazyDispatch = dispatch{
+var lazyDispatch = handlers{
 	MsgReadReq:      lazyHomeRead,
 	MsgWriteReq:     lazyHomeWrite,
 	MsgNoticeAck:    afterPP(causal.KindAck, (*Node).noticeCost, lazyHomeNoticeAck),
@@ -52,7 +52,7 @@ var lazyDispatch = dispatch{
 	MsgWriteData: lazyWriteData,
 	MsgWriteDone: lazyWriteDone,
 	MsgNotice:    afterPP(causal.KindNotice, (*Node).noticeCost, lazyNotice),
-}.withShared()
+}.withShared(MsgReadReq, MsgWriteReq, MsgNoticeAck, MsgWriteThrough, MsgInvNotify, MsgEvict, MsgNotice)
 
 // lazyHomeRead serves a read request at the home: directory transition at
 // the protocol processor, memory fetch in parallel, data reply at

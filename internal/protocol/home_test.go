@@ -186,7 +186,15 @@ func (s *eagerScript) makeDirty(owner int) {
 	}
 }
 
-func (s *eagerScript) waiting() []pendingReq { return s.home.home.q[scriptBlock] }
+func (s *eagerScript) waiting() []pendingReq { return s.home.home.queued(scriptBlock) }
+
+// queued returns the requests waiting for block, oldest first.
+func (h *homeSerial) queued(block uint64) []pendingReq {
+	if i := h.find(block); i >= 0 {
+		return h.q[i].waiting
+	}
+	return nil
+}
 
 // TestEagerHeldDropAppliesAfterXferDone: a copy-drop from the requester
 // of an open transfer refers to the copy the transfer is about to

@@ -3,6 +3,7 @@ package protocol
 import (
 	"fmt"
 	"math/bits"
+	"slices"
 
 	"lazyrc/internal/cache"
 	"lazyrc/internal/causal"
@@ -48,24 +49,28 @@ type Env struct {
 }
 
 // cont is a parked continuation: the second half of a message handler,
-// due once the protocol processor, memory or bus has been occupied.
+// due once the protocol processor, memory or bus has been occupied. A
+// quiet one changes nothing of n that the state hash folds.
 type cont struct {
-	fn func(*Node, mesh.Msg, uint64)
-	n  *Node
-	m  mesh.Msg
-	x  uint64
+	fn    func(*Node, mesh.Msg, uint64)
+	n     *Node
+	m     mesh.Msg
+	x     uint64
+	quiet bool
 }
 
-// at schedules fn(n, m, x) for time t without allocating. fn is a
-// top-level function like the dispatch tables' handlers; m is usually the
-// message whose handling it continues and x the one scalar the first half
-// computed for it (when the memory access it started ends; 0 if none).
-func (n *Node) at(t sim.Time, fn func(*Node, mesh.Msg, uint64), m mesh.Msg, x uint64) {
+// at schedules fn(n, m, x) for time t without allocating, and returns the
+// parked continuation. fn is a top-level function like the dispatch
+// tables' handlers; m is usually the message whose handling it continues
+// and x the one scalar the first half computed for it (when the memory
+// access it started ends; 0 if none).
+func (n *Node) at(t sim.Time, fn func(*Node, mesh.Msg, uint64), m mesh.Msg, x uint64) *cont {
 	env := n.Env
 	slot := env.conts.Alloc()
 	c := env.conts.At(slot)
-	c.fn, c.n, c.m, c.x = fn, n, m, x
+	c.fn, c.n, c.m, c.x, c.quiet = fn, n, m, x, false
 	env.Eng.Post(t, env.contKind, slot)
+	return c
 }
 
 // runCont is the contKind event: it copies the continuation out and frees
@@ -73,7 +78,9 @@ func (n *Node) at(t sim.Time, fn func(*Node, mesh.Msg, uint64), m mesh.Msg, x ui
 func (e *Env) runCont(slot uint32) {
 	c := *e.conts.At(slot)
 	e.conts.Free(slot)
-	c.n.Touch()
+	if !c.quiet {
+		c.n.Touch()
+	}
 	c.fn(c.n, c.m, c.x)
 }
 
@@ -169,7 +176,7 @@ type Node struct {
 	CPU *sim.Context
 	PS  *stats.Proc
 
-	outstanding map[uint64]*Txn
+	outstanding []*Txn // open transactions, one per block at most, in no order
 	txnRetired  []*Txn // finished since the CPU entered its current access
 	txnSpare    []*Txn // finished before it: free for newTxn
 	wtPending   int    // write-throughs / write-backs awaiting memory acks
@@ -212,7 +219,7 @@ func NewNode(env *Env, id int, proto Protocol) *Node {
 		Dir:   directory.New(cfg.Procs, cfg.CheckInvariants),
 		PS:    &env.Stats.Procs[id],
 
-		outstanding: make(map[uint64]*Txn),
+		outstanding: make([]*Txn, 0, cfg.WBEntries+2),
 		pendInv:     blockQueue{in: make(map[uint64]bool)},
 		delayed:     blockQueue{in: make(map[uint64]bool)},
 		seq:         mesh.NewSequencer(cfg.Procs),
@@ -250,19 +257,18 @@ func (e *Env) Reset() {
 }
 
 // reset sets the node's own state as NewNode leaves it, keeping storage:
-// maps are cleared, queues emptied and retired transaction records made
-// spare. The family's home state goes back to not set up, which the
+// tables and queues emptied and retired transaction records made spare. The family's home state goes back to not set up, which the
 // state hash tells apart from set up and empty; the digest is stale.
 func (n *Node) reset() {
 	n.CPU, n.stale = nil, true
-	clear(n.outstanding)
+	n.outstanding = n.outstanding[:0]
 	n.wtPending = 0
 	n.reclaimTxns()
-	n.pendInv.reset()
-	n.delayed.reset()
+	n.pendInv.take()
+	n.delayed.take()
 	n.fanout = n.fanout[:0]
 	n.releaseParked, n.wbParked = false, false
-	clear(n.home.q)
+	n.home.q = n.home.q[:0]
 	n.eagerHome, n.tardis = nil, nil
 	n.sync.reset()
 }
@@ -275,14 +281,15 @@ func (n *Node) reset() {
 // retransmitted originals and holds early arrivals until the gap fills —
 // a single point that makes every protocol and sync handler idempotent
 // and order-safe under loss, duplication, and retransmission.
-func (n *Node) Deliver(m mesh.Msg) {
-	n.Touch()
-	n.seq.Admit(m, n.deliver)
-}
+func (n *Node) Deliver(m mesh.Msg) { n.seq.Admit(m, n.deliver) }
 
+// deliver runs m's handler, touching the node first unless it is quiet.
 func (n *Node) deliver(m mesh.Msg) {
-	if uint(m.Kind) < uint(len(n.handlers)) {
-		if h := n.handlers[m.Kind]; h != nil {
+	if uint(m.Kind) < uint(len(n.handlers.on)) {
+		if h := n.handlers.on[m.Kind]; h != nil {
+			if !n.handlers.quiet[m.Kind] {
+				n.Touch()
+			}
 			h(n, m)
 			return
 		}
@@ -312,8 +319,8 @@ func (n *Node) sendData(dst int, kind MsgKind, block uint64, size int, arg, aux 
 }
 
 // replyAt dispatches m, a home's reply built now, at time t; one with a
-// payload carries home memory's line as it is then.
-func (n *Node) replyAt(t sim.Time, m mesh.Msg) { n.at(t, sendReply, m, 0) }
+// payload carries home memory's line as it is then. Sending is quiet.
+func (n *Node) replyAt(t sim.Time, m mesh.Msg) { n.at(t, sendReply, m, 0).quiet = true }
 
 func sendReply(n *Node, m mesh.Msg, _ uint64) {
 	if m.Size > 0 {
@@ -335,22 +342,24 @@ func (n *Node) dirCost() uint64 {
 	}
 	return n.Env.Cfg.DirCostERC
 }
-func (n *Node) memCycles(b int) uint64 {
-	return n.Env.Cfg.MemSetup + uint64((b+n.Env.Cfg.MemBW-1)/n.Env.Cfg.MemBW)
-}
-func (n *Node) busCycles(b int) uint64 {
-	return uint64((b + n.Env.Cfg.BusBW - 1) / n.Env.Cfg.BusBW)
-}
 
 // ---- Outstanding transactions ----------------------------------------
 
-// txn returns the outstanding transaction for block, or nil.
-func (n *Node) txn(block uint64) *Txn { return n.outstanding[block] }
+// txn returns the outstanding transaction for block, or nil: a search of
+// the few a node has open, which the state hash walks without a map.
+func (n *Node) txn(block uint64) *Txn {
+	for _, t := range n.outstanding {
+		if t.Block == block {
+			return t
+		}
+	}
+	return nil
+}
 
 // mustTxn returns the outstanding transaction a reply of the given kind
 // completes; a reply nobody asked for is a protocol bug.
 func (n *Node) mustTxn(block uint64, reply string) *Txn {
-	t := n.outstanding[block]
+	t := n.txn(block)
 	if t == nil {
 		panic(fmt.Sprintf("protocol: node %d %s without txn (block %d)", n.ID, reply, block))
 	}
@@ -361,7 +370,7 @@ func (n *Node) mustTxn(block uint64, reply string) *Txn {
 // spare one when there is one. A second transaction for the same block is
 // a protocol bug.
 func (n *Node) newTxn(block uint64) *Txn {
-	if n.outstanding[block] != nil {
+	if n.txn(block) != nil {
 		panic(fmt.Sprintf("protocol: node %d duplicate txn for block %d", n.ID, block))
 	}
 	var t *Txn
@@ -372,7 +381,7 @@ func (n *Node) newTxn(block uint64) *Txn {
 	}
 	*t = Txn{Block: block}
 	t.CT, t.ctRoot = n.Env.Causal.BeginTxn(n.ID, block, n.now())
-	n.outstanding[block] = t
+	n.outstanding = append(n.outstanding, t)
 	return t
 }
 
@@ -382,10 +391,11 @@ func (n *Node) newTxn(block uint64) *Txn {
 // a Done subscriber may open a transaction before that load resumes — so
 // it becomes spare only once the CPU enters its next access (reclaimTxns).
 func (n *Node) finishTxn(t *Txn) {
-	if n.outstanding[t.Block] != t {
+	i := slices.Index(n.outstanding, t)
+	if i < 0 {
 		panic(fmt.Sprintf("protocol: node %d finishing unknown txn for block %d", n.ID, t.Block))
 	}
-	delete(n.outstanding, t.Block)
+	n.outstanding = slices.Delete(n.outstanding, i, i+1)
 	n.Env.Causal.EndTxn(t.ctRoot, n.now())
 	if !t.Data.IsOpen() {
 		t.Data.Open()
@@ -510,7 +520,7 @@ func (n *Node) fillLine(m mesh.Msg, st cache.LineState, filled func(*Node, mesh.
 	}
 	n.Env.Class.Fill(n.ID, block)
 	req := n.now()
-	start, end := n.Bus.Acquire(req, n.busCycles(n.lineBytes()))
+	start, end := n.Bus.Acquire(req, uint64((n.lineBytes()+n.Env.Cfg.BusBW-1)/n.Env.Cfg.BusBW))
 	n.Env.Causal.Service(causal.KindBus, n.ID, block, req, start, end)
 	m.Vals = nil
 	n.at(end, filled, m, 0)
@@ -658,12 +668,8 @@ func (q *blockQueue) remove(block uint64) bool {
 		return false
 	}
 	delete(q.in, block)
-	for i, b := range q.order {
-		if b == block {
-			q.order = append(q.order[:i], q.order[i+1:]...)
-			break
-		}
-	}
+	i := slices.Index(q.order, block)
+	q.order = slices.Delete(q.order, i, i+1)
 	return true
 }
 
@@ -671,16 +677,9 @@ func (q *blockQueue) remove(block uint64) bool {
 // good until the next add.
 func (q *blockQueue) take() []uint64 {
 	blocks := q.order
-	for _, b := range blocks {
-		delete(q.in, b)
-	}
+	clear(q.in)
 	q.order = blocks[:0]
 	return blocks
-}
-
-func (q *blockQueue) reset() {
-	q.order = q.order[:0]
-	clear(q.in)
 }
 
 // processPendInv invalidates every queued line: coalesced writes drain
@@ -698,7 +697,6 @@ func (n *Node) processPendInv() sim.Time {
 	// The queue empties after the loop: a send in it is a choice point,
 	// and the state hash taken there still holds every queued block.
 	for _, block := range n.pendInv.order {
-		delete(n.pendInv.in, block)
 		if t := n.txn(block); t != nil && !t.Data.IsOpen() {
 			t.InvalidateOnFill = true
 			continue
@@ -714,7 +712,7 @@ func (n *Node) processPendInv() sim.Time {
 			work++
 		}
 	}
-	n.pendInv.order = n.pendInv.order[:0]
+	n.pendInv.take()
 	if work == 0 {
 		return n.now()
 	}
@@ -743,8 +741,8 @@ func (n *Node) postNotice(block uint64) {
 // returns "" when the node has nothing outstanding.
 func (n *Node) Debug() string {
 	s := ""
-	for b, t := range n.outstanding {
-		s += fmt.Sprintf(" txn{block %d data:%v done:%v expect:%v}", b, t.Data.IsOpen(), t.Done.IsOpen(), t.ExpectData)
+	for _, t := range n.outstanding {
+		s += fmt.Sprintf(" txn{block %d data:%v done:%v expect:%v}", t.Block, t.Data.IsOpen(), t.Done.IsOpen(), t.ExpectData)
 	}
 	if !n.WB.Empty() {
 		s += fmt.Sprintf(" wb:%d", n.WB.Len())
@@ -764,7 +762,7 @@ func (n *Node) OutstandingCount() int { return len(n.outstanding) }
 
 // HasTxn reports whether this node has an outstanding transaction for
 // block.
-func (n *Node) HasTxn(block uint64) bool { return n.outstanding[block] != nil }
+func (n *Node) HasTxn(block uint64) bool { return n.txn(block) != nil }
 
 // WTPendingCount returns the write-throughs/write-backs awaiting memory
 // acknowledgement.

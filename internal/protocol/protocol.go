@@ -69,11 +69,20 @@ type Protocol interface {
 	handlers() *dispatch
 }
 
-// dispatch maps each message kind to the function that handles its
-// arrival at a node; a nil entry is a kind the family never sends. One
-// table per protocol family (eagerDispatch, lazyDispatch, tsDispatch) is
-// the whole of that family's message interface.
-type dispatch [numMsgKinds]func(*Node, mesh.Msg)
+// handlers maps each message kind to the function that handles its
+// arrival at a node; a nil entry is a kind the family never sends.
+type handlers [numMsgKinds]func(*Node, mesh.Msg)
+
+// dispatch is a protocol family's whole message interface (eagerDispatch,
+// lazyDispatch, tsDispatch): its handlers, and which are quiet — they
+// change nothing the state hash folds, only occupy the protocol processor
+// or memory, merge a payload into home memory's values and post a
+// continuation (afterPP, afterDir, deliverSync) — so a delivery to one
+// leaves the node's digest kept.
+type dispatch struct {
+	on    handlers
+	quiet [numMsgKinds]bool
+}
 
 // afterPP returns the handler of a message that first occupies the
 // protocol processor: cost(n) cycles of the given kind are charged for
@@ -82,15 +91,20 @@ func afterPP(kind causal.Kind, cost func(*Node) uint64, then func(*Node, mesh.Ms
 	return func(n *Node, m mesh.Msg) { n.at(n.ppAcquire(kind, m.Addr, cost(n)), then, m, 0) }
 }
 
-// withShared completes a family's table with the kinds every family
-// handles alike: synchronization traffic goes to the sync manager, and a
-// write-through or write-back acknowledgement retires at its sender.
-func (d dispatch) withShared() *dispatch {
+// withShared completes a family's handlers with the kinds every family
+// handles alike — synchronization traffic goes to the sync manager,
+// quietly, and a write-through or write-back acknowledgement retires at
+// its sender — and marks the family's quiet kinds.
+func (h handlers) withShared(quiet ...MsgKind) *dispatch {
+	d := &dispatch{on: h}
 	for k := MsgLockReq; k <= MsgFlagGo; k++ {
-		d[k] = (*Node).deliverSync
+		d.on[k], d.quiet[k] = (*Node).deliverSync, true
 	}
-	d[MsgWTAck] = wtAck
-	return &d
+	d.on[MsgWTAck] = wtAck
+	for _, k := range quiet {
+		d.quiet[k] = true
+	}
+	return d
 }
 
 // releaseTimestamper is implemented by protocols that piggyback a

@@ -566,7 +566,7 @@ func TestQueuedEagerHomeAllocatesNothing(t *testing.T) {
 	n.CPU.Wake()
 	for end := env.Eng.Now() + 10_000; env.Eng.Now() < end; {
 		env.Eng.RunUntil(env.Eng.Now() + 1)
-		queued = max(queued, len(home.home.q[block]))
+		queued = max(queued, len(home.home.queued(block)))
 	}
 	if queued != 1 {
 		t.Fatalf("%d requests queued behind the block in service, want 1", queued)

@@ -11,15 +11,15 @@ import (
 // cache frames, buffered writes, outstanding transactions, pending
 // invalidations, deferred notices, synchronization-object state, the
 // home's request serializer, the family's home machinery, and the
-// directory. Slices are queues and fold in order, as words; every map
-// folds as one record per key, which the hash gathers in no order, so
-// two nodes in the same logical state fold alike regardless of the path
-// that led there (map iteration never leaks into the hash) and a hash
-// sorts no keys and allocates nothing. A node's fold is kept as its
-// digest and redone only when stale: no handler reaches another node's
-// state, so a node changes only in an event that runs on it — a delivery,
-// a continuation, its processor's resuming — and each of those calls
-// Touch first.
+// directory. Queues fold in order, as words; every table — a map, or a
+// slice in no particular order — folds as one record per entry, which
+// the hash gathers in no order, so two nodes in the same logical state
+// fold alike regardless of the path that led there and a hash sorts no
+// keys and allocates nothing. A node's fold is kept as its digest and
+// redone only when stale: no handler reaches another node's state, so a
+// node changes only in an event that runs on it — a delivery, a
+// continuation, its processor's resuming — and each of those that can
+// change it calls Touch first.
 
 // StateHash returns a fingerprint of the machine's canonical protocol
 // state: every node's digest, and the messages in flight. Simulated time
@@ -93,8 +93,8 @@ func (n *Node) fold(h *fold.Rec, recs *fold.Bag) {
 		h.End()
 	}
 
-	for blk, t := range n.outstanding {
-		r := fold.Record(fold.Txn, blk)
+	for _, t := range n.outstanding {
+		r := fold.Record(fold.Txn, t.Block)
 		r.Word(bit(t.Data.IsOpen()) | bit(t.Done.IsOpen())<<1 | bit(t.InvalidateOnFill)<<2 |
 			bit(t.ExpectData)<<3 | bit(t.IsWrite)<<4 | bit(t.Filled)<<5 | bit(t.DoneEarly)<<6)
 		recs.Add(r)
@@ -115,8 +115,8 @@ func (n *Node) fold(h *fold.Rec, recs *fold.Bag) {
 
 	// A synchronization object's record: its state word, its timestamp
 	// and the nodes queued on it, in order.
-	for k, o := range n.sync.objs {
-		r := fold.Record(k.kind, k.id)
+	for _, o := range n.sync.objs {
+		r := fold.Record(o.key.kind, o.key.id)
 		r.Word(o.state)
 		r.Word(o.ts)
 		for _, w := range o.queue {

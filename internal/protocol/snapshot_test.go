@@ -58,3 +58,29 @@ func TestStateHashIgnoresInsertionOrder(t *testing.T) {
 		t.Error("hash ignores the order of two requests waiting on one block")
 	}
 }
+
+// TestQuietKindsLeaveTheFold: a delivery of a kind its family marks quiet
+// does not touch the node, so its handler must change nothing the state
+// hash folds — only occupy the protocol processor or memory and post a
+// continuation, which touches the node when it runs.
+func TestQuietKindsLeaveTheFold(t *testing.T) {
+	for _, proto := range Names() {
+		env := testEnv(t, 4, proto)
+		n, quiet := env.Nodes[0], 0
+		for k := MsgKind(0); k < numMsgKinds; k++ {
+			if !n.handlers.quiet[k] {
+				continue
+			}
+			quiet++
+			before := env.StateHash()
+			n.deliver(mesh.Msg{Src: 1, Dst: 0, Kind: int(k), Addr: 3, Arg: wantData})
+			env.ForgetDigests()
+			if after := env.StateHash(); after != before {
+				t.Errorf("%s: a quiet %v delivery moved the hash", proto, k)
+			}
+		}
+		if quiet == 0 {
+			t.Errorf("%s marks no kind quiet", proto)
+		}
+	}
+}

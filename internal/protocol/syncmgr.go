@@ -42,6 +42,7 @@ type syncKey struct {
 // going is the queue it last released: a barrier's fan-out targets, then
 // its next queue's storage.
 type syncObj struct {
+	key          syncKey
 	state, ts    uint64
 	queue, going []int
 }
@@ -56,14 +57,16 @@ func (o *syncObj) release() []int {
 	return o.going
 }
 
-// syncNode is the per-node synchronization state: the objects homed here
-// and the requester-side wait gate, re-armed by every wait (each CPU has
-// at most one synchronization operation outstanding). waiting is set from
-// a request to its grant; granted opens the gate, bound once. spare is the
-// queue storage of the flag set last, which the next new object takes;
-// free holds the objects a reset forgot, emptied, for obj to take first.
+// syncNode is the per-node synchronization state: the objects homed here,
+// in creation order — a home keeps a few, so a search finds one, and the
+// state hash walks them without a map — and the requester-side wait gate,
+// re-armed by every wait (each CPU has at most one synchronization
+// operation outstanding). waiting is set from a request to its grant;
+// granted opens the gate, bound once. spare is the queue storage of the
+// flag set last, which the next new object takes; free holds the objects
+// a reset forgot, emptied, for obj to take first.
 type syncNode struct {
-	objs    map[syncKey]*syncObj
+	objs    []*syncObj
 	free    []*syncObj
 	spare   []int
 	gate    sim.Gate
@@ -72,7 +75,7 @@ type syncNode struct {
 }
 
 func (s *syncNode) init() {
-	s.objs = make(map[syncKey]*syncObj)
+	s.objs = make([]*syncObj, 0, 4)
 	s.granted = s.gate.Open
 }
 
@@ -82,7 +85,7 @@ func (s *syncNode) reset() {
 		*o = syncObj{queue: o.queue[:0], going: o.going[:0]}
 		s.free = append(s.free, o)
 	}
-	clear(s.objs)
+	s.objs = s.objs[:0]
 	s.gate, s.waiting = sim.Gate{}, false
 }
 
@@ -90,18 +93,22 @@ func (s *syncNode) reset() {
 // use.
 func (s *syncNode) obj(kind fold.Section, id uint64) *syncObj {
 	k := syncKey{kind, id}
-	o := s.objs[k]
-	if o == nil {
-		if n := len(s.free); n > 0 {
-			o, s.free = s.free[n-1], s.free[:n-1]
-		} else {
-			o = new(syncObj)
+	for _, o := range s.objs {
+		if o.key == k {
+			return o
 		}
-		if o.queue == nil {
-			o.queue, s.spare = s.spare, nil
-		}
-		s.objs[k] = o
 	}
+	var o *syncObj
+	if n := len(s.free); n > 0 {
+		o, s.free = s.free[n-1], s.free[:n-1]
+	} else {
+		o = new(syncObj)
+	}
+	if o.queue == nil {
+		o.queue, s.spare = s.spare, nil
+	}
+	o.key = k
+	s.objs = append(s.objs, o)
 	return o
 }
 

@@ -443,7 +443,7 @@ func (*Tardis) AcquireTS(n *Node, ts uint64) {
 
 // tsDispatch is the timestamp protocol's message interface: home side
 // first, then the requester's replies and the owner's recall.
-var tsDispatch = dispatch{
+var tsDispatch = handlers{
 	MsgTReadReq:  tardisHomeRequest,
 	MsgTRenewReq: tardisHomeRequest,
 	MsgTWriteReq: tardisHomeRequest,
@@ -455,4 +455,4 @@ var tsDispatch = dispatch{
 	MsgTRenewAck:   tardisRenewAck,
 	MsgTWriteReply: tardisWriteReply,
 	MsgTRecall:     afterPP(causal.KindDir, (*Node).noticeCost, tardisYieldOrNack),
-}.withShared()
+}.withShared(MsgTRecall)
