@@ -278,6 +278,9 @@ func (d *Directory) Fold(recs *fold.Bag) {
 		}
 		recs.Add(r)
 	}
+	if len(d.leases) == 0 {
+		return // starting a walk of no leases costs as much as a record
+	}
 	for blk, l := range d.leases {
 		r := fold.Record(fold.DirLease, blk)
 		r.Word(l.Wts)

@@ -98,12 +98,12 @@ func (r *recorder) Choose(n int) int {
 	var hash uint64
 	if idx := r.res.Choices; r.clean == nil || idx >= r.max || idx < len(r.prefix) && !r.cleanPrefix {
 		r.aud.Epoch() // past the bound nothing is hashed
-	} else if idx >= len(r.prefix) {
-		if hash = r.m.StateHash(); r.clean[hash] {
-			r.aud.Counts()
-		} else if !r.aud.Epoch() {
-			r.clean[hash] = true
-		}
+	} else if idx < len(r.prefix) {
+		// The recording run audited this very state, counts included.
+	} else if hash = r.m.StateHash(); r.clean[hash] {
+		r.aud.Counts()
+	} else if !r.aud.Epoch() {
+		r.clean[hash] = true
 	}
 	return r.choose(n, hash)
 }

@@ -108,6 +108,9 @@ func (es *eagerState) debug(n *Node) string {
 }
 
 func (es *eagerState) fold(recs *fold.Bag) {
+	if len(es.grants)+len(es.xfers)+len(es.held) == 0 {
+		return // no episode open: skip three empty map walks
+	}
 	for blk, g := range es.grants {
 		r := fold.Record(fold.Grant, blk)
 		r.Word(uint64(g.writer)<<1 | bit(g.wantData))
