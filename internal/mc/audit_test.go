@@ -81,10 +81,10 @@ func corruptQuiescentEntry(m *machine.Machine) {
 // may move a verdict: every committed run's violations equal those of a
 // replay of its schedule that audits every state, for every corpus pair
 // (both mutations' included), and again with a quiescent directory entry
-// corrupted at one choice point in eight, so that every run that passes a
-// corrupted state must report it. The test fails if a worker remembers a
-// dirty state as clean, or if a prefix skips its audits after a parent
-// that violated.
+// corrupted after one choice point in eight until the next, where an
+// engine choice point's audit must report it in both searches. The test
+// fails if a worker remembers a dirty state as clean, or if a prefix
+// skips its audits after a parent that violated.
 func TestAuditOnceMatchesFullAudit(t *testing.T) {
 	if testing.Short() {
 		t.Skip("exploration corpus skipped in -short")
