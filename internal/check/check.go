@@ -85,9 +85,7 @@ const maxViolations = 16
 
 // New returns an auditor for m.
 func New(m *machine.Machine) *Auditor {
-	a := &Auditor{m: m, lazy: m.Nodes[0].Proto.Lazy()}
-	a.Reset()
-	return a
+	return &Auditor{m: m, lazy: m.Nodes[0].Proto.Lazy()}
 }
 
 // Reset forgets the violations, for the machine's next run after

@@ -37,7 +37,7 @@ func (r *Registry) Handler() http.Handler {
 
 func writeFamily(w *bufio.Writer, fam Family) error {
 	if fam.Help != "" {
-		if _, err := fmt.Fprintf(w, "# HELP %s %s\n", fam.Name, escapeHelp(fam.Help)); err != nil {
+		if _, err := fmt.Fprintf(w, "# HELP %s %s\n", fam.Name, helpEscaper.Replace(fam.Help)); err != nil {
 			return err
 		}
 	}
@@ -85,7 +85,7 @@ func writeSample(w *bufio.Writer, name string, labels []Label, v float64) error 
 			}
 			w.WriteString(l.Name)
 			w.WriteString(`="`)
-			w.WriteString(escapeLabel(l.Value))
+			w.WriteString(labelEscaper.Replace(l.Value))
 			w.WriteByte('"')
 		}
 		w.WriteByte('}')
@@ -109,6 +109,3 @@ func formatFloat(v float64) string {
 
 var labelEscaper = strings.NewReplacer(`\`, `\\`, `"`, `\"`, "\n", `\n`)
 var helpEscaper = strings.NewReplacer(`\`, `\\`, "\n", `\n`)
-
-func escapeLabel(s string) string { return labelEscaper.Replace(s) }
-func escapeHelp(s string) string  { return helpEscaper.Replace(s) }

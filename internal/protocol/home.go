@@ -48,12 +48,37 @@ type homeSerial struct {
 	q []serving
 }
 
-// serving is a block in service and its waiters, oldest first. The slots
-// past the end of q keep the queue storage of blocks gone idle, which the
-// next block to enter service reuses.
+// serving is a block in service and its waiters, oldest first, with the
+// eager family's episode open on it, if any: the ownership request whose
+// invalidations (invals, until sent) are being collected, or the request
+// whose forwarded service the owner has yet to confirm, and the copy drops
+// held until that transfer closes (eagerDropOrHold). The slots past the
+// end of q keep the storage of blocks gone idle, which the next block to
+// enter service reuses.
 type serving struct {
 	block   uint64
 	waiting []pendingReq
+	episode episode
+	req     mesh.Msg
+	invals  []int
+	held    []heldDrop
+}
+
+// episode is the eager family's episode open on a block in service.
+type episode uint8
+
+const (
+	noEpisode episode = iota
+	grantOpen         // req's invalidation acknowledgements are being collected
+	xferOpen          // the owner has yet to serve the forwarded req
+)
+
+// at returns block's entry, or nil if it is idle.
+func (h *homeSerial) at(block uint64) *serving {
+	if i := h.find(block); i >= 0 {
+		return &h.q[i]
+	}
+	return nil
 }
 
 // find returns the index of block's entry in q, or -1 if it is idle.
@@ -75,16 +100,18 @@ func (h *homeSerial) enter(p pendingReq) bool {
 	}
 	h.q = slices.Grow(h.q, 1)[:len(h.q)+1]
 	s := &h.q[len(h.q)-1]
-	s.block, s.waiting = p.m.Addr, s.waiting[:0]
+	*s = serving{block: p.m.Addr, waiting: s.waiting[:0], invals: s.invals[:0], held: s.held[:0]}
 	return true
 }
 
 // wait puts p at the back of its block's queue without contending for
 // service; the caller holds the block and is about to leave it.
 func (h *homeSerial) wait(p pendingReq) {
-	if h.enter(p) {
+	i := h.find(p.m.Addr)
+	if i < 0 {
 		panic(fmt.Sprintf("protocol: home queues a request for block %d, which is not in service", p.m.Addr))
 	}
+	h.q[i].waiting = append(h.q[i].waiting, p)
 }
 
 // leave ends the current request's service of block. The oldest waiter,
@@ -109,9 +136,6 @@ func (h *homeSerial) leave(block uint64) (next pendingReq, ok bool) {
 	return next, true
 }
 
-// inService reports whether block is held by a request.
-func (h *homeSerial) inService(block uint64) bool { return h.find(block) >= 0 }
-
 // Residual reports the blocks still in service at the end of a run: a
 // request was admitted and never finished.
 func (h *homeSerial) Residual() error {
@@ -121,24 +145,52 @@ func (h *homeSerial) Residual() error {
 	return nil
 }
 
-// Debug renders the blocks in service and how many requests wait behind
-// each, for stall diagnostics.
+// Debug renders the blocks in service, how many requests wait behind
+// each and their open episodes, for stall diagnostics.
 func (h *homeSerial) Debug() string {
 	s := ""
 	for _, b := range h.q {
 		s += fmt.Sprintf(" serving{block %d waiting:%d}", b.block, len(b.waiting))
+		switch b.episode {
+		case grantOpen:
+			s += fmt.Sprintf(" grant{block %d writer %d want:%v}", b.block, b.req.Src, b.req.Arg&wantData != 0)
+		case xferOpen:
+			s += fmt.Sprintf(" xfer{block %d req %d %v}", b.block, b.req.Src, MsgKind(b.req.Kind))
+		}
+		if len(b.held) > 0 {
+			s += fmt.Sprintf(" held{block %d n:%d}", b.block, len(b.held))
+		}
 	}
 	return s
 }
 
-// fold adds a record per block in service, its queue in order.
+// fold adds a record per block in service, its queue in order, and one
+// per open episode and per held-drop list.
 func (h *homeSerial) fold(recs *fold.Bag) {
-	for _, b := range h.q {
+	for i := range h.q {
+		b := &h.q[i]
 		r := fold.Record(fold.Serving, b.block)
 		for i := range b.waiting {
 			foldMsg(&r, &b.waiting[i].m)
 		}
 		recs.Add(r)
+		switch b.episode {
+		case grantOpen:
+			r := fold.Record(fold.Grant, b.block)
+			r.Word(uint64(b.req.Src)<<1 | bit(b.req.Arg&wantData != 0))
+			recs.Add(r)
+		case xferOpen:
+			r := fold.Record(fold.Xfer, b.block)
+			foldMsg(&r, &b.req)
+			recs.Add(r)
+		}
+		if len(b.held) > 0 {
+			r := fold.Record(fold.Held, b.block)
+			for _, d := range b.held {
+				r.Word(uint64(d.src)<<1 | bit(d.wb))
+			}
+			recs.Add(r)
+		}
 	}
 }
 
@@ -149,7 +201,7 @@ func (h *homeSerial) fold(recs *fold.Bag) {
 // directory state and remote caches may legitimately disagree, so
 // mid-run audits of the block must be skipped.
 func (n *Node) HomeBusy(block uint64) bool {
-	if n.home.inService(block) {
+	if n.home.find(block) >= 0 {
 		return true
 	}
 	e := n.Dir.Peek(block)
@@ -157,13 +209,13 @@ func (n *Node) HomeBusy(block uint64) bool {
 }
 
 // HomeResidual reports leftover home-side machinery at the end of a run:
-// a block still in service, or an episode its family left open (eager
-// grant, transfer or held copy-drop; timestamp recall).
+// a block still in service (an eager episode holds its block), or a
+// timestamp recall left open.
 func (n *Node) HomeResidual() error {
 	if err := n.home.Residual(); err != nil {
 		return err
 	}
-	if d := n.eagerHome.debug(n) + n.tardis.debug(); d != "" {
+	if d := n.tardis.debug(); d != "" {
 		return fmt.Errorf("home episode left open at end of run:%s", d)
 	}
 	return nil
@@ -173,7 +225,7 @@ func (n *Node) HomeResidual() error {
 // returns its completion time.
 func (n *Node) memAccess(b int) uint64 {
 	req := n.now()
-	start, end := n.Mem.Acquire(req, n.Env.Cfg.MemSetup+uint64((b+n.Env.Cfg.MemBW-1)/n.Env.Cfg.MemBW))
+	start, end := n.Mem.Acquire(req, n.memCycles(b))
 	n.Env.Causal.Service(causal.KindMem, n.ID, 0, req, start, end)
 	return end
 }

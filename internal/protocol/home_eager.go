@@ -6,7 +6,6 @@ import (
 	"lazyrc/internal/cache"
 	"lazyrc/internal/causal"
 	"lazyrc/internal/directory"
-	"lazyrc/internal/fold"
 	"lazyrc/internal/mesh"
 )
 
@@ -21,16 +20,13 @@ import (
 // other sharer immediately; the home collects the invalidation
 // acknowledgements and only then grants ownership. Requests that arrive
 // for a block whose collection (or forwarding) is still in progress wait
-// in the home's serializer (homeSerial) and are replayed afterwards.
-
-// eagerGrant records what the single waiting writer of a busy block is
-// owed when invalidation acknowledgements finish arriving.
-type eagerGrant struct {
-	writer   int
-	wantData bool
-	// invals lists the sharers to invalidate until the fan-out sends.
-	invals []int
-}
+// in the home's serializer (homeSerial) and are replayed afterwards. A
+// forwarded request's directory change commits only when the owner
+// confirms (XferDone) — a nacked transfer retries the original request
+// against then-current state — and the block's other requests wait
+// meanwhile: the DASH-style discipline that keeps two crossing ownership
+// transfers from deadlocking or losing a copy. The open episode of a
+// block lives in its serializer entry (serving).
 
 // heldDrop is a copy-drop notification (eviction hint or write-back)
 // that arrived for a block whose ownership transfer is still pending.
@@ -47,122 +43,33 @@ type heldDrop struct {
 	wb  bool // write-back (conditional owner removal) vs eviction hint
 }
 
-// eagerState is the per-node bookkeeping of the eager home's open
-// episodes; it lives on the Node but is only touched by these handlers.
-// A block with an open grant or xfer is in service in n.home throughout.
-type eagerState struct {
-	grants map[uint64]eagerGrant
-	// xfers holds each forwarded request whose service by the current
-	// owner is pending. The home does not commit the directory change
-	// until the owner confirms (XferDone) — a nacked transfer retries the
-	// original request against then-current state — and defers all other
-	// requests for the block meanwhile. This is the DASH-style discipline
-	// that keeps two crossing ownership transfers from deadlocking or
-	// losing a copy.
-	xfers map[uint64]mesh.Msg
-	held  map[uint64][]heldDrop
-	// spare holds sent fan-outs' target lists, storage for the next.
-	spare [][]int
-}
-
-// eager returns the eager home state, set up when the home resolves its
-// first request: from the storage an earlier run left, emptied, or new.
-// Node.fold folds in whether it is set up, so the point of first use is
-// visible to the model checker's state hash (TestExplorationGolden pins
-// the resulting search).
-func (n *Node) eager() *eagerState {
-	if n.eagerHome == nil {
-		if n.eagerSpare == nil {
-			n.eagerSpare = &eagerState{
-				grants: make(map[uint64]eagerGrant),
-				xfers:  make(map[uint64]mesh.Msg),
-				held:   make(map[uint64][]heldDrop),
-			}
-		}
-		es := n.eagerSpare
-		clear(es.grants)
-		clear(es.xfers)
-		clear(es.held)
-		n.eagerHome = es
-	}
-	return n.eagerHome
-}
-
-// debug renders the open episodes, for stall diagnostics and the
-// end-of-run check.
-func (es *eagerState) debug(n *Node) string {
-	if es == nil {
-		return ""
-	}
-	s := ""
-	for b, g := range es.grants {
-		s += fmt.Sprintf(" grant{block %d writer %d want:%v acks:%d}", b, g.writer, g.wantData, n.Dir.Peek(b).PendingAcks)
-	}
-	for b, x := range es.xfers {
-		s += fmt.Sprintf(" xfer{block %d req %d %v}", b, x.Src, MsgKind(x.Kind))
-	}
-	for b, drops := range es.held {
-		s += fmt.Sprintf(" held{block %d n:%d}", b, len(drops))
-	}
-	return s
-}
-
-func (es *eagerState) fold(recs *fold.Bag) {
-	if len(es.grants)+len(es.xfers)+len(es.held) == 0 {
-		return // no episode open: skip three empty map walks
-	}
-	for blk, g := range es.grants {
-		r := fold.Record(fold.Grant, blk)
-		r.Word(uint64(g.writer)<<1 | bit(g.wantData))
-		recs.Add(r)
-	}
-	for blk, x := range es.xfers {
-		r := fold.Record(fold.Xfer, blk)
-		foldMsg(&r, &x)
-		recs.Add(r)
-	}
-	for blk, drops := range es.held {
-		r := fold.Record(fold.Held, blk)
-		for _, d := range drops {
-			r.Word(uint64(d.src)<<1 | bit(d.wb))
-		}
-		recs.Add(r)
-	}
-}
-
 // eagerDispatch is the eager family's message interface: home side
 // first, then the owner/sharer side, then the requester's replies.
-var eagerDispatch = handlers{
-	MsgReadReq:   eagerHomeRequest,
-	MsgWriteReq:  eagerHomeRequest,
+var eagerDispatch = dispatch{
+	MsgReadReq:   homeRequest(eagerHomeAdmit),
+	MsgWriteReq:  homeRequest(eagerHomeAdmit),
 	MsgInvalAck:  afterPP(causal.KindAck, (*Node).noticeCost, eagerHomeInvalAck),
-	MsgWriteBack: eagerHomeWriteBack,
-	MsgSharingWB: eagerHomeSharingWB,
-	MsgXferDone:  eagerXferDone,
-	MsgFwdNack:   eagerFwdNack,
+	MsgWriteBack: on(eagerHomeWriteBack),
+	MsgSharingWB: quiet(eagerHomeSharingWB),
+	MsgXferDone:  on(eagerXferDone),
+	MsgFwdNack:   on(eagerFwdNack),
 	MsgEvict:     afterPP(causal.KindDir, (*Node).dirCost, eagerHomeDrop),
 
 	MsgFwdRead:  afterPP(causal.KindNotice, (*Node).noticeCost, eagerOwnerForward),
 	MsgFwdWrite: afterPP(causal.KindNotice, (*Node).noticeCost, eagerOwnerForward),
 	MsgInval:    afterPP(causal.KindNotice, (*Node).noticeCost, eagerInval),
 
-	MsgReadReply: eagerFill,
-	MsgWriteData: eagerFill,
-	MsgOwnerData: eagerFill,
-	MsgWriteDone: eagerWriteDone,
-}.withShared(MsgReadReq, MsgWriteReq, MsgInvalAck, MsgSharingWB, MsgEvict, MsgFwdRead, MsgFwdWrite, MsgInval)
+	MsgReadReply: on(eagerFill),
+	MsgWriteData: on(eagerFill),
+	MsgOwnerData: on(eagerFill),
+	MsgWriteDone: on(eagerWriteDone),
+}.withShared()
 
-// eagerHomeRequest receives a read or ownership request: the memory
-// access for the data it may need starts at once, overlapped with the
-// directory read. Then the request resolves against the directory if its
-// block is idle; everything else joins the back of the block's queue,
-// remembering its already-started memory access.
-func eagerHomeRequest(n *Node, m mesh.Msg) {
-	n.afterDir(m, MsgKind(m.Kind) == MsgReadReq || m.Arg&wantData != 0, eagerHomeAdmit)
-}
-
-// eagerHomeAdmit takes the request m, whose memory access (if any) ends
-// at memEnd, to the serializer once the directory has been read.
+// eagerHomeAdmit takes the read or ownership request m, whose memory
+// access (if any) ends at memEnd, to the serializer once the directory has
+// been read: it resolves against the directory if its block is idle;
+// everything else joins the back of the block's queue, remembering its
+// already-started memory access.
 func eagerHomeAdmit(n *Node, m mesh.Msg, memEnd uint64) {
 	if n.home.enter(pendingReq{m: m, memEnd: memEnd}) {
 		eagerProcess(n, m, memEnd)
@@ -211,7 +118,7 @@ func eagerGrantNow(n *Node, writer int, block uint64, wantsData bool, memEnd uin
 // directory state: memory supplies clean data; dirty blocks are forwarded
 // to their owner (the 3-hop transaction the lazy protocol eliminates).
 func eagerProcessRead(n *Node, m mesh.Msg, memEnd uint64) {
-	es := n.eager()
+	n.eagerUp = true
 	e := n.Dir.Entry(m.Addr)
 	switch e.State {
 	case directory.Dirty:
@@ -220,7 +127,8 @@ func eagerProcessRead(n *Node, m mesh.Msg, memEnd uint64) {
 			// Forward to the owner; it supplies the reader and writes
 			// the block back home concurrently. The directory commits
 			// when the owner confirms; the block is busy until then.
-			es.xfers[m.Addr] = m
+			s := n.home.at(m.Addr)
+			s.episode, s.req = xferOpen, m
 			n.send(owner, MsgFwdRead, m.Addr, 0, uint64(m.Src), 0)
 			return
 		}
@@ -245,7 +153,8 @@ func eagerProcessRead(n *Node, m mesh.Msg, memEnd uint64) {
 // the owner, and the requester becomes the sole owner.
 func eagerProcessWrite(n *Node, m mesh.Msg, memEnd uint64) {
 	wantsData := m.Arg&wantData != 0
-	es := n.eager()
+	n.eagerUp = true
+	s := n.home.at(m.Addr)
 	e := n.Dir.Entry(m.Addr)
 	switch e.State {
 	case directory.Dirty:
@@ -260,14 +169,11 @@ func eagerProcessWrite(n *Node, m mesh.Msg, memEnd uint64) {
 		// Transfer ownership through the current owner; the directory
 		// commits when the owner confirms, and the block is busy until
 		// then.
-		es.xfers[m.Addr] = m
+		s.episode, s.req = xferOpen, m
 		n.send(owner, MsgFwdWrite, m.Addr, 0, uint64(m.Src), 0)
 
 	case directory.Shared, directory.Uncached:
-		var others []int
-		if k := len(es.spare); k > 0 {
-			others, es.spare = es.spare[k-1], es.spare[:k-1]
-		}
+		others := s.invals[:0]
 		e.Sharers.Visit(func(id int) {
 			if id != m.Src {
 				others = append(others, id)
@@ -279,17 +185,15 @@ func eagerProcessWrite(n *Node, m mesh.Msg, memEnd uint64) {
 		e.Writers.Add(m.Src)
 		e.Recompute() // one sharer, writing: Dirty
 		n.Dir.Check(m.Addr, e)
+		s.invals = others
 		if len(others) == 0 {
-			if cap(others) > 0 {
-				es.spare = append(es.spare, others)
-			}
 			eagerGrantNow(n, m.Src, m.Addr, wantsData, memEnd)
 			return
 		}
 		// Invalidate every other sharer and collect acks here.
 		dspEnd := n.ppAcquire(causal.KindFanout, m.Addr, uint64(len(others))*n.noticeCost())
 		e.PendingAcks = len(others)
-		es.grants[m.Addr] = eagerGrant{writer: m.Src, wantData: wantsData, invals: others}
+		s.episode, s.req = grantOpen, m
 		n.at(dspEnd, eagerSendInvals, m, 0)
 
 	default:
@@ -301,14 +205,11 @@ func eagerProcessWrite(n *Node, m mesh.Msg, memEnd uint64) {
 // opened, once the protocol processor has dispatched them. No ack can
 // close the grant before they leave.
 func eagerSendInvals(n *Node, m mesh.Msg, _ uint64) {
-	es := n.eager()
-	g := es.grants[m.Addr]
-	for _, id := range g.invals {
+	s := n.home.at(m.Addr)
+	for _, id := range s.invals {
 		n.send(id, MsgInval, m.Addr, 0, 0, 0)
 	}
-	es.spare = append(es.spare, g.invals[:0])
-	g.invals = nil
-	es.grants[m.Addr] = g
+	s.invals = s.invals[:0]
 }
 
 // eagerHomeInvalAck counts one invalidation acknowledgement; the last one
@@ -322,16 +223,17 @@ func eagerHomeInvalAck(n *Node, m mesh.Msg, _ uint64) {
 	if e.PendingAcks > 0 {
 		return
 	}
-	g, ok := n.eager().grants[m.Addr]
-	if !ok {
+	s := n.home.at(m.Addr)
+	if s == nil || s.episode != grantOpen {
 		panic(fmt.Sprintf("protocol: node %d ack collection without grant for block %d", n.ID, m.Addr))
 	}
-	delete(n.eager().grants, m.Addr)
+	s.episode = noEpisode
+	writer, wantsData := s.req.Src, s.req.Arg&wantData != 0
 	var memEnd uint64
-	if g.wantData {
+	if wantsData {
 		memEnd = n.memAccess(n.lineBytes())
 	}
-	eagerGrantNow(n, g.writer, m.Addr, g.wantData, memEnd)
+	eagerGrantNow(n, writer, m.Addr, wantsData, memEnd)
 }
 
 // eagerHomeWriteBack absorbs a replaced dirty block. The owner check
@@ -377,9 +279,9 @@ func eagerHomeSharingWB(n *Node, m mesh.Msg) {
 // node touch only that node's directory membership, which the commit
 // does not dispute — they commute with it and apply immediately.
 func eagerDropOrHold(n *Node, block uint64, d heldDrop) {
-	es := n.eager()
-	if x, open := es.xfers[block]; open && x.Src == d.src {
-		es.held[block] = append(es.held[block], d)
+	n.eagerUp = true
+	if s := n.home.at(block); s != nil && s.episode == xferOpen && s.req.Src == d.src {
+		s.held = append(s.held, d)
 		return
 	}
 	eagerApplyDrop(n, block, d)
@@ -408,15 +310,11 @@ func eagerApplyDrop(n *Node, block uint64, d heldDrop) {
 // transfer's directory commit (or abort) and before deferred-queue
 // service, so replayed requests observe the drops.
 func eagerReleaseHeld(n *Node, block uint64) {
-	es := n.eager()
-	drops := es.held[block]
-	if len(drops) == 0 {
-		return
-	}
-	delete(es.held, block)
-	for _, d := range drops {
+	s := n.home.at(block)
+	for _, d := range s.held {
 		eagerApplyDrop(n, block, d)
 	}
+	s.held = s.held[:0]
 }
 
 // eagerOwnerForward handles a forwarded request at the current owner.
@@ -456,13 +354,12 @@ func eagerOwnerForward(n *Node, m mesh.Msg, _ uint64) {
 // eagerCloseXfer ends the transfer window the owner's reply m (XferDone
 // or FwdNack) answers and returns what was being transferred.
 func eagerCloseXfer(n *Node, m mesh.Msg) mesh.Msg {
-	es := n.eager()
-	x, ok := es.xfers[m.Addr]
-	if !ok {
+	s := n.home.at(m.Addr)
+	if s == nil || s.episode != xferOpen {
 		panic(fmt.Sprintf("protocol: node %d %v without pending transfer (block %d)", n.ID, MsgKind(m.Kind), m.Addr))
 	}
-	delete(es.xfers, m.Addr)
-	return x
+	s.episode = noEpisode
+	return s.req
 }
 
 // eagerXferDone commits a confirmed ownership transfer in the directory

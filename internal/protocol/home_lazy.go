@@ -7,7 +7,6 @@ import (
 	"lazyrc/internal/causal"
 	"lazyrc/internal/directory"
 	"lazyrc/internal/mesh"
-	"lazyrc/internal/stats"
 )
 
 // This file implements the message handling shared by the two lazy
@@ -40,31 +39,25 @@ type lazyNoticePolicy interface {
 
 // lazyDispatch is the lazy family's message interface: home side first,
 // then the requester's replies and the sharer's notice.
-var lazyDispatch = handlers{
-	MsgReadReq:      lazyHomeRead,
-	MsgWriteReq:     lazyHomeWrite,
+var lazyDispatch = dispatch{
+	MsgReadReq:      homeRequest(lazyHomeReadDir),
+	MsgWriteReq:     homeRequest(lazyHomeWriteDir),
 	MsgNoticeAck:    afterPP(causal.KindAck, (*Node).noticeCost, lazyHomeNoticeAck),
-	MsgWriteThrough: homeWriteThrough,
+	MsgWriteThrough: quiet(homeWriteThrough),
 	MsgInvNotify:    afterPP(causal.KindDir, (*Node).dirCost, homeDropCopy),
 	MsgEvict:        afterPP(causal.KindDir, (*Node).dirCost, homeDropCopy),
 
-	MsgReadReply: lazyReadReply,
-	MsgWriteData: lazyWriteData,
-	MsgWriteDone: lazyWriteDone,
+	MsgReadReply: on(lazyReadReply),
+	MsgWriteData: on(lazyWriteData),
+	MsgWriteDone: on(lazyWriteDone),
 	MsgNotice:    afterPP(causal.KindNotice, (*Node).noticeCost, lazyNotice),
-}.withShared(MsgReadReq, MsgWriteReq, MsgNoticeAck, MsgWriteThrough, MsgInvNotify, MsgEvict, MsgNotice)
+}.withShared()
 
-// lazyHomeRead serves a read request at the home: directory transition at
-// the protocol processor, memory fetch in parallel, data reply at
-// whichever finishes last. The reply carries the block's new global state
-// so a requester joining a weak block knows to invalidate it at its next
-// acquire.
-func lazyHomeRead(n *Node, m mesh.Msg) {
-	n.afterDir(m, true, lazyHomeReadDir)
-}
-
-// lazyHomeReadDir is the directory transition of the read request m,
-// whose memory fetch ends at memEnd.
+// lazyHomeReadDir serves the read request m at the home: directory
+// transition at the protocol processor, memory fetch (ending at memEnd) in
+// parallel, data reply at whichever finishes last. The reply carries the
+// block's new global state so a requester joining a weak block knows to
+// invalidate it at its next acquire.
 func lazyHomeReadDir(n *Node, m mesh.Msg, memEnd uint64) {
 	e := n.Dir.Entry(m.Addr)
 	was := e.State
@@ -96,16 +89,11 @@ func lazyHomeReadDir(n *Node, m mesh.Msg, memEnd uint64) {
 		n.msg(m.Src, MsgReadReply, m.Addr, n.lineBytes(), uint64(e.State), 0))
 }
 
-// lazyHomeWrite serves a write request: the requester becomes a writer;
-// sharers that have not heard about the weak transition get notices, whose
+// lazyHomeWriteDir serves the write request m (if it asked for data, the
+// memory fetch ends at memEnd): the requester becomes a writer; sharers
+// that have not heard about the weak transition get notices, whose
 // acknowledgements the home collects before declaring the write globally
 // performed.
-func lazyHomeWrite(n *Node, m mesh.Msg) {
-	n.afterDir(m, m.Arg&wantData != 0, lazyHomeWriteDir)
-}
-
-// lazyHomeWriteDir is the directory transition of the write request m;
-// if it asked for data, the memory fetch ends at memEnd.
 func lazyHomeWriteDir(n *Node, m mesh.Msg, memEnd uint64) {
 	e := n.Dir.Entry(m.Addr)
 	e.Sharers.Add(m.Src)
@@ -212,7 +200,7 @@ func lazyReadFilled(n *Node, m mesh.Msg, _ uint64) {
 	n.finishTxn(t) // reads complete at fill
 	lazyRetireWB(n, m.Addr)
 	if inv {
-		n.dropFilledCopy(m.Addr)
+		n.dropCopy(m.Addr) // the notice raced the data reply
 	}
 }
 
@@ -237,7 +225,7 @@ func lazyWriteFilled(n *Node, m mesh.Msg, _ uint64) {
 		t.Data.Open()
 	}
 	if inv {
-		n.dropFilledCopy(m.Addr)
+		n.dropCopy(m.Addr) // the notice raced the data reply
 	}
 	// The line may have been evicted by a conflicting fill (or
 	// dropped above) between data arrival and bus completion;
@@ -271,19 +259,6 @@ func lazyNotice(n *Node, m mesh.Msg, _ uint64) {
 		n.pendInv.add(m.Addr)
 	}
 	n.send(m.Src, MsgNoticeAck, m.Addr, 0, 0, 0)
-}
-
-// dropFilledCopy invalidates a copy the moment its (already stale) fill
-// lands — the notice raced the data reply.
-func (n *Node) dropFilledCopy(block uint64) {
-	if _, ok := n.Cache.Invalidate(block); ok {
-		if e, ok := n.CB.Remove(block); ok {
-			n.sendWriteThrough(e)
-		}
-		n.delayed.remove(block)
-		n.Env.Class.Lose(n.ID, block, stats.LossCoherence)
-		n.send(n.homeOf(block), MsgInvNotify, block, 0, 0, 0)
-	}
 }
 
 // lazyRetireWB resolves a write-buffer entry for block after data has

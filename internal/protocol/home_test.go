@@ -19,7 +19,7 @@ func req(src int, kind MsgKind, block uint64) pendingReq {
 // is one block's life plus a second block that must not interfere.
 func TestHomeSerial(t *testing.T) {
 	var h homeSerial
-	if h.inService(5) || h.Residual() != nil || h.Debug() != "" {
+	if h.find(5) >= 0 || h.Residual() != nil || h.Debug() != "" {
 		t.Fatal("zero homeSerial is not idle")
 	}
 	steps := []struct {
@@ -60,8 +60,8 @@ func TestHomeSerial(t *testing.T) {
 				t.Fatalf("step %d: leave handed over src %d, want %d", i, got, st.next)
 			}
 		}
-		if h.inService(5) != st.inService {
-			t.Fatalf("step %d (%s): block 5 in service = %v, want %v", i, st.op, h.inService(5), st.inService)
+		if (h.find(5) >= 0) != st.inService {
+			t.Fatalf("step %d (%s): block 5 in service = %v, want %v", i, st.op, (h.find(5) >= 0), st.inService)
 		}
 	}
 	// Block 6 was entered and never left.
@@ -190,8 +190,8 @@ func (s *eagerScript) waiting() []pendingReq { return s.home.home.queued(scriptB
 
 // queued returns the requests waiting for block, oldest first.
 func (h *homeSerial) queued(block uint64) []pendingReq {
-	if i := h.find(block); i >= 0 {
-		return h.q[i].waiting
+	if s := h.at(block); s != nil {
+		return s.waiting
 	}
 	return nil
 }
@@ -205,24 +205,23 @@ func TestEagerHeldDropAppliesAfterXferDone(t *testing.T) {
 	s.makeDirty(1)
 	s.send(2, MsgReadReq, 0)
 	s.expect("FwdRead>1")
-	before := foldSum(s.home.eagerHome.fold)
+	before := foldSum(s.home.home.fold)
 
 	s.send(2, MsgEvict, 0) // node 2 got the owner's data and already replaced it
 	s.expect()
-	es := s.home.eager()
-	if len(es.held[scriptBlock]) != 1 {
-		t.Fatalf("held = %v, want the requester's drop held", es.held)
+	if held := s.home.home.at(scriptBlock).held; len(held) != 1 {
+		t.Fatalf("held = %v, want the requester's drop held", held)
 	}
 	if d := s.home.Debug(); !strings.Contains(d, "held{block 0 n:1}") || !strings.Contains(d, "serving{block 0") {
 		t.Errorf("Debug = %q, want the held drop and the in-service mark", d)
 	}
-	if before == foldSum(s.home.eagerHome.fold) {
+	if before == foldSum(s.home.home.fold) {
 		t.Error("fold does not see the held drop")
 	}
 	s.send(3, MsgEvict, 0) // a third party's drop commutes with the commit: applied at once
 	s.expect()
-	if len(es.held[scriptBlock]) != 1 {
-		t.Fatalf("held = %v, want only the requester's drop", es.held)
+	if held := s.home.home.at(scriptBlock).held; len(held) != 1 {
+		t.Fatalf("held = %v, want only the requester's drop", held)
 	}
 
 	s.send(1, MsgXferDone, 0)

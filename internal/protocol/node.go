@@ -192,10 +192,9 @@ type Node struct {
 	handlers *dispatch       // the protocol family's message handlers
 
 	home        homeSerial  // per-block request serialization for blocks homed here
-	eagerHome   *eagerState // lazily set-up eager-protocol home state
+	eagerUp     bool        // the eager home has resolved a request or a copy drop (hashed)
 	tardis      *tardisNode // lazily set-up timestamp-protocol state
-	eagerSpare  *eagerState // their storage, kept across resets
-	tardisSpare *tardisNode
+	tardisSpare *tardisNode // its storage, kept across resets
 
 	sync   syncNode
 	digest uint64 // the state hash's fold of this node (snapshot.go)
@@ -220,8 +219,6 @@ func NewNode(env *Env, id int, proto Protocol) *Node {
 		PS:    &env.Stats.Procs[id],
 
 		outstanding: make([]*Txn, 0, cfg.WBEntries+2),
-		pendInv:     blockQueue{in: make(map[uint64]bool)},
-		delayed:     blockQueue{in: make(map[uint64]bool)},
 		seq:         mesh.NewSequencer(cfg.Procs),
 		handlers:    proto.handlers(),
 	}
@@ -257,7 +254,8 @@ func (e *Env) Reset() {
 }
 
 // reset sets the node's own state as NewNode leaves it, keeping storage:
-// tables and queues emptied and retired transaction records made spare. The family's home state goes back to not set up, which the
+// tables and queues emptied and retired transaction records made
+// spare. The family's home state goes back to not set up, which the
 // state hash tells apart from set up and empty; the digest is stale.
 func (n *Node) reset() {
 	n.CPU, n.stale = nil, true
@@ -269,7 +267,7 @@ func (n *Node) reset() {
 	n.fanout = n.fanout[:0]
 	n.releaseParked, n.wbParked = false, false
 	n.home.q = n.home.q[:0]
-	n.eagerHome, n.tardis = nil, nil
+	n.eagerUp, n.tardis = false, nil
 	n.sync.reset()
 }
 
@@ -285,12 +283,12 @@ func (n *Node) Deliver(m mesh.Msg) { n.seq.Admit(m, n.deliver) }
 
 // deliver runs m's handler, touching the node first unless it is quiet.
 func (n *Node) deliver(m mesh.Msg) {
-	if uint(m.Kind) < uint(len(n.handlers.on)) {
-		if h := n.handlers.on[m.Kind]; h != nil {
-			if !n.handlers.quiet[m.Kind] {
+	if uint(m.Kind) < uint(len(n.handlers)) {
+		if h := n.handlers[m.Kind]; h.fn != nil {
+			if !h.quiet {
 				n.Touch()
 			}
-			h(n, m)
+			h.fn(n, m)
 			return
 		}
 	}
@@ -341,6 +339,12 @@ func (n *Node) dirCost() uint64 {
 		return n.Env.Cfg.DirCostLRC
 	}
 	return n.Env.Cfg.DirCostERC
+}
+func (n *Node) memCycles(b int) uint64 {
+	return n.Env.Cfg.MemSetup + uint64((b+n.Env.Cfg.MemBW-1)/n.Env.Cfg.MemBW)
+}
+func (n *Node) busCycles(b int) uint64 {
+	return uint64((b + n.Env.Cfg.BusBW - 1) / n.Env.Cfg.BusBW)
 }
 
 // ---- Outstanding transactions ----------------------------------------
@@ -520,7 +524,7 @@ func (n *Node) fillLine(m mesh.Msg, st cache.LineState, filled func(*Node, mesh.
 	}
 	n.Env.Class.Fill(n.ID, block)
 	req := n.now()
-	start, end := n.Bus.Acquire(req, uint64((n.lineBytes()+n.Env.Cfg.BusBW-1)/n.Env.Cfg.BusBW))
+	start, end := n.Bus.Acquire(req, n.busCycles(n.lineBytes()))
 	n.Env.Causal.Service(causal.KindBus, n.ID, block, req, start, end)
 	m.Vals = nil
 	n.at(end, filled, m, 0)
@@ -650,25 +654,20 @@ func (n *Node) flushCB() {
 
 // blockQueue is a FIFO of distinct blocks: a block queued again keeps its
 // first place.
-type blockQueue struct {
-	order []uint64
-	in    map[uint64]bool
-}
+type blockQueue struct{ order []uint64 }
 
 func (q *blockQueue) add(block uint64) {
-	if !q.in[block] {
-		q.in[block] = true
+	if !slices.Contains(q.order, block) {
 		q.order = append(q.order, block)
 	}
 }
 
 // remove drops block, reporting whether it was queued.
 func (q *blockQueue) remove(block uint64) bool {
-	if !q.in[block] {
+	i := slices.Index(q.order, block)
+	if i < 0 {
 		return false
 	}
-	delete(q.in, block)
-	i := slices.Index(q.order, block)
 	q.order = slices.Delete(q.order, i, i+1)
 	return true
 }
@@ -677,14 +676,11 @@ func (q *blockQueue) remove(block uint64) bool {
 // good until the next add.
 func (q *blockQueue) take() []uint64 {
 	blocks := q.order
-	clear(q.in)
 	q.order = blocks[:0]
 	return blocks
 }
 
-// processPendInv invalidates every queued line: coalesced writes drain
-// first, the home is notified so the directory can revert the block's
-// state, and the classifier records a coherence loss. It returns the time
+// processPendInv invalidates every queued line (dropCopy). It returns the time
 // at which the protocol processor finishes the batch. In-flight fills are
 // flagged to invalidate on arrival.
 func (n *Node) processPendInv() sim.Time {
@@ -701,14 +697,8 @@ func (n *Node) processPendInv() sim.Time {
 			t.InvalidateOnFill = true
 			continue
 		}
-		if _, ok := n.Cache.Invalidate(block); ok {
-			if e, ok := n.CB.Remove(block); ok {
-				n.sendWriteThrough(e)
-			}
-			n.delayed.remove(block)
-			n.Env.Class.Lose(n.ID, block, stats.LossCoherence)
+		if n.dropCopy(block) {
 			n.PS.InvalsAtAcquire++
-			n.send(n.homeOf(block), MsgInvNotify, block, 0, 0, 0)
 			work++
 		}
 	}
@@ -717,6 +707,21 @@ func (n *Node) processPendInv() sim.Time {
 		return n.now()
 	}
 	return n.ppAcquire(causal.KindNotice, 0, uint64(work)*n.noticeCost())
+}
+
+// dropCopy is loseCopy under the lazy protocols: coalesced writes drain,
+// the deferred notice goes, and the home is notified so the directory can
+// revert the block's state.
+func (n *Node) dropCopy(block uint64) bool {
+	if !n.loseCopy(block) {
+		return false
+	}
+	if e, ok := n.CB.Remove(block); ok {
+		n.sendWriteThrough(e)
+	}
+	n.delayed.remove(block)
+	n.send(n.homeOf(block), MsgInvNotify, block, 0, 0, 0)
+	return true
 }
 
 // postNotice sends the deferred write notice for block to its home,
@@ -750,7 +755,7 @@ func (n *Node) Debug() string {
 	if n.wtPending > 0 {
 		s += fmt.Sprintf(" wt:%d", n.wtPending)
 	}
-	s += n.home.Debug() + n.eagerHome.debug(n) + n.tardis.debug()
+	s += n.home.Debug() + n.tardis.debug()
 	return s
 }
 

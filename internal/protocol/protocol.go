@@ -69,42 +69,53 @@ type Protocol interface {
 	handlers() *dispatch
 }
 
-// handlers maps each message kind to the function that handles its
-// arrival at a node; a nil entry is a kind the family never sends.
-type handlers [numMsgKinds]func(*Node, mesh.Msg)
+// dispatch maps each message kind to the handler of its arrival at a
+// node; a zero entry is a kind the family never sends. One table per
+// protocol family (eagerDispatch, lazyDispatch, tsDispatch) is the whole
+// of that family's message interface.
+type dispatch [numMsgKinds]handler
 
-// dispatch is a protocol family's whole message interface (eagerDispatch,
-// lazyDispatch, tsDispatch): its handlers, and which are quiet — they
-// change nothing the state hash folds, only occupy the protocol processor
-// or memory, merge a payload into home memory's values and post a
-// continuation (afterPP, afterDir, deliverSync) — so a delivery to one
-// leaves the node's digest kept.
-type dispatch struct {
-	on    handlers
-	quiet [numMsgKinds]bool
+// A handler is a dispatch table entry. A quiet one (quiet, afterPP,
+// homeRequest) changes nothing the state hash folds: it only occupies the
+// protocol processor or memory, merges a payload into home memory's
+// values and posts a continuation, which touches the node when it runs.
+// So a delivery to it leaves the node's digest kept.
+type handler struct {
+	fn    func(*Node, mesh.Msg)
+	quiet bool
 }
 
-// afterPP returns the handler of a message that first occupies the
+// on and quiet make fn a table entry, the second a quiet one.
+func on(fn func(*Node, mesh.Msg)) handler    { return handler{fn: fn} }
+func quiet(fn func(*Node, mesh.Msg)) handler { return handler{fn, true} }
+
+// afterPP returns the quiet handler of a message that first occupies the
 // protocol processor: cost(n) cycles of the given kind are charged for
 // its block on arrival, and then runs when they end.
-func afterPP(kind causal.Kind, cost func(*Node) uint64, then func(*Node, mesh.Msg, uint64)) func(*Node, mesh.Msg) {
-	return func(n *Node, m mesh.Msg) { n.at(n.ppAcquire(kind, m.Addr, cost(n)), then, m, 0) }
+func afterPP(kind causal.Kind, cost func(*Node) uint64, then func(*Node, mesh.Msg, uint64)) handler {
+	return quiet(func(n *Node, m mesh.Msg) { n.at(n.ppAcquire(kind, m.Addr, cost(n)), then, m, 0) })
 }
 
-// withShared completes a family's handlers with the kinds every family
-// handles alike — synchronization traffic goes to the sync manager,
+// homeRequest returns the quiet handler of a read or write request to an
+// invalidation family's home: the memory fetch for the data the reply may
+// carry (a read's, or a write's that asked for it) overlaps the directory
+// access, after which then runs (afterDir).
+func homeRequest(then func(*Node, mesh.Msg, uint64)) handler {
+	return quiet(func(n *Node, m mesh.Msg) {
+		n.afterDir(m, MsgKind(m.Kind) == MsgReadReq || m.Arg&wantData != 0, then)
+	})
+}
+
+// withShared completes a family's table with the kinds every family
+// handles alike: synchronization traffic goes to the sync manager,
 // quietly, and a write-through or write-back acknowledgement retires at
-// its sender — and marks the family's quiet kinds.
-func (h handlers) withShared(quiet ...MsgKind) *dispatch {
-	d := &dispatch{on: h}
+// its sender.
+func (d dispatch) withShared() *dispatch {
 	for k := MsgLockReq; k <= MsgFlagGo; k++ {
-		d.on[k], d.quiet[k] = (*Node).deliverSync, true
+		d[k] = quiet((*Node).deliverSync)
 	}
-	d.on[MsgWTAck] = wtAck
-	for _, k := range quiet {
-		d.quiet[k] = true
-	}
-	return d
+	d[MsgWTAck] = on(wtAck)
+	return &d
 }
 
 // releaseTimestamper is implemented by protocols that piggyback a

@@ -329,7 +329,7 @@ func TestInvalidationsStayQueuedWhileSent(t *testing.T) {
 	if len(seen) != 2 || !slices.Equal(seen[0], []uint64{0, 1}) || !slices.Equal(seen[1], []uint64{0, 1}) {
 		t.Fatalf("queue at the notifications' choice points = %v, want [[0 1] [0 1]]", seen)
 	}
-	if n.PendingInvals() != 0 || len(n.pendInv.in) != 0 {
+	if n.PendingInvals() != 0 {
 		t.Fatalf("queue after the batch = %v, want empty", n.pendInv.order)
 	}
 	n.pendInv.add(0) // processed blocks may queue again
@@ -383,7 +383,8 @@ func TestHomeResidualSeesEagerMachinery(t *testing.T) {
 	}
 
 	home = testEnv(t, 2, "erc").Nodes[0]
-	home.eager().held[6] = append(home.eager().held[6], heldDrop{src: 1})
+	home.home.enter(req(1, MsgReadReq, 6))
+	home.home.at(6).held = append(home.home.at(6).held, heldDrop{src: 1})
 	err = home.HomeResidual()
 	if err == nil || !strings.Contains(err.Error(), "block 6") || !strings.Contains(err.Error(), "held") {
 		t.Fatalf("held drop: HomeResidual = %v", err)

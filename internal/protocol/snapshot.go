@@ -111,7 +111,7 @@ func (n *Node) fold(h *fold.Rec, recs *fold.Bag) {
 	// exists yet is part of the state: the point of first use is visible
 	// to the search (TestExplorationGolden pins it).
 	h.Word(bit(n.releaseParked) | bit(n.wbParked)<<1 | bit(n.sync.waiting)<<2 |
-		bit(n.eagerHome != nil)<<3 | bit(n.tardis != nil)<<4)
+		bit(n.eagerUp)<<3 | bit(n.tardis != nil)<<4)
 
 	// A synchronization object's record: its state word, its timestamp
 	// and the nodes queued on it, in order.
@@ -126,9 +126,6 @@ func (n *Node) fold(h *fold.Rec, recs *fold.Bag) {
 	}
 
 	n.home.fold(recs)
-	if es := n.eagerHome; es != nil {
-		es.fold(recs)
-	}
 	if td := n.tardis; td != nil {
 		td.fold(h, recs)
 	}

@@ -68,7 +68,7 @@ func TestQuietKindsLeaveTheFold(t *testing.T) {
 		env := testEnv(t, 4, proto)
 		n, quiet := env.Nodes[0], 0
 		for k := MsgKind(0); k < numMsgKinds; k++ {
-			if !n.handlers.quiet[k] {
+			if !n.handlers[k].quiet {
 				continue
 			}
 			quiet++

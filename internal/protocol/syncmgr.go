@@ -63,11 +63,10 @@ func (o *syncObj) release() []int {
 // re-armed by every wait (each CPU has at most one synchronization
 // operation outstanding). waiting is set from a request to its grant;
 // granted opens the gate, bound once. spare is the queue storage of the
-// flag set last, which the next new object takes; free holds the objects
-// a reset forgot, emptied, for obj to take first.
+// flag set last, which the next new object takes. The slots past the end
+// of objs keep the objects a reset forgot, for obj to reuse.
 type syncNode struct {
 	objs    []*syncObj
-	free    []*syncObj
 	spare   []int
 	gate    sim.Gate
 	waiting bool
@@ -79,12 +78,8 @@ func (s *syncNode) init() {
 	s.granted = s.gate.Open
 }
 
-// reset forgets every object, keeping it on the free list, and the wait.
+// reset forgets every object, keeping its storage, and the wait.
 func (s *syncNode) reset() {
-	for _, o := range s.objs {
-		*o = syncObj{queue: o.queue[:0], going: o.going[:0]}
-		s.free = append(s.free, o)
-	}
 	s.objs = s.objs[:0]
 	s.gate, s.waiting = sim.Gate{}, false
 }
@@ -98,17 +93,16 @@ func (s *syncNode) obj(kind fold.Section, id uint64) *syncObj {
 			return o
 		}
 	}
-	var o *syncObj
-	if n := len(s.free); n > 0 {
-		o, s.free = s.free[n-1], s.free[:n-1]
-	} else {
+	s.objs = slices.Grow(s.objs, 1)[:len(s.objs)+1]
+	o := s.objs[len(s.objs)-1]
+	if o == nil {
 		o = new(syncObj)
+		s.objs[len(s.objs)-1] = o
 	}
+	*o = syncObj{key: k, queue: o.queue[:0], going: o.going[:0]}
 	if o.queue == nil {
 		o.queue, s.spare = s.spare, nil
 	}
-	o.key = k
-	s.objs = append(s.objs, o)
 	return o
 }
 

@@ -443,16 +443,16 @@ func (*Tardis) AcquireTS(n *Node, ts uint64) {
 
 // tsDispatch is the timestamp protocol's message interface: home side
 // first, then the requester's replies and the owner's recall.
-var tsDispatch = handlers{
-	MsgTReadReq:  tardisHomeRequest,
-	MsgTRenewReq: tardisHomeRequest,
-	MsgTWriteReq: tardisHomeRequest,
-	MsgTWB:       tardisHomeWB,
-	MsgTYield:    tardisHomeYield,
-	MsgTNack:     tardisHomeNack,
+var tsDispatch = dispatch{
+	MsgTReadReq:  on(tardisHomeRequest),
+	MsgTRenewReq: on(tardisHomeRequest),
+	MsgTWriteReq: on(tardisHomeRequest),
+	MsgTWB:       on(tardisHomeWB),
+	MsgTYield:    on(tardisHomeYield),
+	MsgTNack:     on(tardisHomeNack),
 
-	MsgTReadReply:  tardisReadReply,
-	MsgTRenewAck:   tardisRenewAck,
-	MsgTWriteReply: tardisWriteReply,
+	MsgTReadReply:  on(tardisReadReply),
+	MsgTRenewAck:   on(tardisRenewAck),
+	MsgTWriteReply: on(tardisWriteReply),
 	MsgTRecall:     afterPP(causal.KindDir, (*Node).noticeCost, tardisYieldOrNack),
-}.withShared(MsgTRecall)
+}.withShared()
