@@ -74,19 +74,26 @@ func TestHomeSerial(t *testing.T) {
 	}
 }
 
+// TestHomeSerialMisusePanics: misuse panics before changing anything, so
+// the model checker, which recovers the panic as a violation, hashes and
+// audits the state as it was.
 func TestHomeSerialMisusePanics(t *testing.T) {
 	for name, fn := range map[string]func(h *homeSerial){
 		"leave idle": func(h *homeSerial) { h.leave(3) },
 		"wait idle":  func(h *homeSerial) { h.wait(req(1, MsgReadReq, 3)) },
 	} {
+		var h homeSerial
 		func() {
 			defer func() {
 				if recover() == nil {
 					t.Errorf("%s did not panic", name)
 				}
 			}()
-			fn(&homeSerial{})
+			fn(&h)
 		}()
+		if len(h.q) != 0 {
+			t.Errorf("%s changed the serializer before panicking:%s", name, h.Debug())
+		}
 	}
 }
 
