@@ -139,20 +139,6 @@ func (c *Client) raw(ctx context.Context, path string) ([]byte, error) {
 	return io.ReadAll(resp.Body)
 }
 
-// Job fetches a stored result by fingerprint.
-func (c *Client) Job(ctx context.Context, fp string) (*runner.Result, error) {
-	var res runner.Result
-	err := c.do(ctx, http.MethodGet, "/api/v1/jobs/"+fp, nil, &res)
-	return &res, err
-}
-
-// Stats fetches the daemon's counters.
-func (c *Client) Stats(ctx context.Context) (StatsResponse, error) {
-	var st StatsResponse
-	err := c.do(ctx, http.MethodGet, "/api/v1/stats", nil, &st)
-	return st, err
-}
-
 // WaitSweep follows a sweep's SSE stream until the terminal "sweep"
 // event arrives, forwarding each job event to onEvent (which may be
 // nil). It returns the sweep's terminal status.

@@ -29,7 +29,7 @@ type daemon struct {
 	c   *Client
 }
 
-func startDaemon(t *testing.T, dir string, workers int) *daemon {
+func startDaemon(t testing.TB, dir string, workers int) *daemon {
 	t.Helper()
 	st, err := store.Open(dir)
 	if err != nil {
@@ -93,7 +93,7 @@ func jobsCounter(e exposition, kind string) float64 {
 
 // stop tears the incarnation down in daemon order: drain the service,
 // close the bus, close the HTTP server, close the store.
-func (d *daemon) stop(t *testing.T) {
+func (d *daemon) stop(t testing.TB) {
 	t.Helper()
 	if err := d.svc.Close(context.Background()); err != nil {
 		t.Fatalf("drain: %v", err)

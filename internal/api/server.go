@@ -122,9 +122,7 @@ func NewServer(s *Service) http.Handler {
 		answer(w, cells, err)
 	})
 
-	mux.HandleFunc("GET /api/v1/sweeps/{id}/events", func(w http.ResponseWriter, r *http.Request) {
-		serveSweepEvents(s, w, r)
-	})
+	mux.HandleFunc("GET /api/v1/sweeps/{id}/events", s.serveSweepEvents)
 
 	mux.HandleFunc("GET /api/v1/sweeps/{id}/report.json", serveReport(s.SweepReport, "application/json"))
 	mux.HandleFunc("GET /api/v1/sweeps/{id}/report.html", serveReport(s.SweepHTML, "text/html; charset=utf-8"))
@@ -134,9 +132,7 @@ func NewServer(s *Service) http.Handler {
 		answer(w, res, err)
 	})
 
-	mux.HandleFunc("GET /api/v1/jobs/{fp}/trace", func(w http.ResponseWriter, r *http.Request) {
-		serveTrace(s, w, r)
-	})
+	mux.HandleFunc("GET /api/v1/jobs/{fp}/trace", s.serveTrace)
 
 	// The middleware labels each request with the mux's route pattern
 	// ("GET /api/v1/sweeps/{id}"), not the raw path, so metric
@@ -170,7 +166,7 @@ func serveReport(fetch func(id string) ([]byte, error), contentType string) http
 // event carrying the terminal status. A subscriber arriving after the
 // sweep finished receives just the terminal event, without attaching
 // to the bus.
-func serveSweepEvents(s *Service, w http.ResponseWriter, r *http.Request) {
+func (s *Service) serveSweepEvents(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	sw, err := s.lookup(id)
 	if err != nil {
@@ -182,11 +178,14 @@ func serveSweepEvents(s *Service, w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	select {
-	case <-sw.done:
+	final := func() {
 		if st, err := s.Sweep(id); err == nil {
 			sseEvent(w, fl, "sweep", st)
 		}
+	}
+	select {
+	case <-sw.done:
+		final()
 		return
 	default:
 	}
@@ -215,26 +214,15 @@ func serveSweepEvents(s *Service, w http.ResponseWriter, r *http.Request) {
 				return
 			}
 		case <-sw.done:
-			// Drain what the bus already delivered, skipping other
-			// sweeps' events rather than stopping at the first, then
-			// finish with the terminal status.
-		drain:
-			for {
-				select {
-				case ev, ok := <-sub.C():
-					if !ok {
-						break drain
-					}
-					if mine(ev) {
-						sseEvent(w, fl, "job", ev)
-					}
-				default:
-					break drain
+			// Drain what the bus already delivered (this is its one
+			// reader), skipping other sweeps' events rather than stopping
+			// at the first, then finish with the terminal status.
+			for len(sub.C()) > 0 {
+				if ev := <-sub.C(); mine(ev) {
+					sseEvent(w, fl, "job", ev)
 				}
 			}
-			if st, err := s.Sweep(id); err == nil {
-				sseEvent(w, fl, "sweep", st)
-			}
+			final()
 			return
 		case <-r.Context().Done():
 			return
@@ -248,7 +236,7 @@ func serveSweepEvents(s *Service, w http.ResponseWriter, r *http.Request) {
 // cell. The observers are passive (results stay bit-identical), but
 // retaining spans costs memory, so traces are produced on demand rather
 // than stored.
-func serveTrace(s *Service, w http.ResponseWriter, r *http.Request) {
+func (s *Service) serveTrace(w http.ResponseWriter, r *http.Request) {
 	fp := r.PathValue("fp")
 	job, err := s.jobFor(fp)
 	if err != nil {
@@ -262,10 +250,7 @@ func serveTrace(s *Service, w http.ResponseWriter, r *http.Request) {
 	}
 	w.Header().Set("Content-Type", "application/json")
 	w.Header().Set("Content-Disposition", fmt.Sprintf("attachment; filename=%q", fp[:min(16, len(fp))]+".perfetto.json"))
-	if err := m.WritePerfetto(w); err != nil {
-		// Headers are gone; nothing to do but drop the connection.
-		return
-	}
+	m.WritePerfetto(w) // the headers are gone: a failed write can only drop the connection
 }
 
 const sseBuffer = 1024

@@ -51,9 +51,8 @@ type Service struct {
 	httpm *obs.HTTPMetrics
 	start time.Time
 
-	jobEvents  *obs.CounterVec // runner lifecycle events by kind
-	heartbeats *obs.Counter
-	simSpeed   *obs.GaugeVec // live cycles/sec of running jobs by (app, proto)
+	jobEvents map[runner.EventKind]*obs.Counter // each lifecycle event kind's counter
+	simSpeed  *obs.GaugeVec                     // live cycles/sec of running jobs by (app, proto)
 
 	runCtx context.Context // parent of every submission's context
 	cancel context.CancelFunc
@@ -71,14 +70,18 @@ type Service struct {
 	// feeding the lrcsimd_sim_cycles_per_second gauge. Wall-clock
 	// observability only.
 	rates map[string]*jobRate
+
+	// What all sweeps share: each cell's keyed job, fingerprinted once
+	// per daemon, and each run's report JSON, kept by result.
+	jobs  exp.CellJobs
+	frags exp.RunJSON
 }
 
 // jobRate is one running job's last observed heartbeat, for the live
 // throughput gauge: cycles/sec between consecutive heartbeats.
 type jobRate struct {
-	app, proto string
-	lastCycle  uint64
-	lastAt     time.Time
+	lastCycle uint64
+	lastAt    time.Time
 }
 
 // sweepState is one sweep's record. status is mutated under Service.mu;
@@ -186,19 +189,24 @@ func (s *Service) registerMetrics() {
 	obs.RegisterBuildInfo(s.reg, "lrcsimd")
 	s.httpm = obs.NewHTTPMetrics(s.reg, "lrcsimd")
 
-	s.jobEvents = s.reg.CounterVec("lrcsimd_jobs_total",
+	jobs := s.reg.CounterVec("lrcsimd_jobs_total",
 		"Job lifecycle events by kind: executed (fresh simulations), "+
 			"cache_hit (served from the persistent store), deduped (resolved "+
 			"by an identical in-flight or finished job), done, failed "+
 			"(panics and construction errors), canceled, queued.",
 		"kind")
-	// Pre-create every kind at zero: a warm daemon's executed=0 is a
-	// statement the exposition must make, not an absent series.
-	for _, kind := range []string{"queued", "executed", "cache_hit", "deduped", "done", "failed", "canceled"} {
-		s.jobEvents.With(kind)
+	// Every kind's series is created here, at zero (a warm daemon's
+	// executed=0 is a statement the exposition must make, not an absent
+	// series), and an event increments it without a label lookup.
+	s.jobEvents = map[runner.EventKind]*obs.Counter{runner.EventHeartbeat: s.reg.Counter(
+		"lrcsimd_job_heartbeats_total", "Progress heartbeats received from running simulations.")}
+	for _, k := range []struct {
+		kind  runner.EventKind
+		label string
+	}{{runner.EventQueued, "queued"}, {runner.EventRunning, "executed"}, {runner.EventCached, "cache_hit"},
+		{runner.EventDedup, "deduped"}, {runner.EventDone, "done"}, {runner.EventFailed, "failed"}, {runner.EventCanceled, "canceled"}} {
+		s.jobEvents[k.kind] = jobs.With(k.label)
 	}
-	s.heartbeats = s.reg.Counter("lrcsimd_job_heartbeats_total",
-		"Progress heartbeats received from running simulations.")
 	s.simSpeed = s.reg.GaugeVec("lrcsimd_sim_cycles_per_second",
 		"Live simulation speed of running jobs (simulated cycles per "+
 			"wall-clock second, measured between consecutive heartbeats; "+
@@ -267,23 +275,8 @@ func (s *Service) Subscribe(buffer int) *bus.Sub[runner.Event] {
 // event's fingerprint.
 func (s *Service) onEvent(ev runner.Event) {
 	s.b.Publish(ev)
-	switch ev.Kind {
-	case runner.EventQueued:
-		s.jobEvents.With("queued").Inc()
-	case runner.EventRunning:
-		s.jobEvents.With("executed").Inc()
-	case runner.EventCached:
-		s.jobEvents.With("cache_hit").Inc()
-	case runner.EventDedup:
-		s.jobEvents.With("deduped").Inc()
-	case runner.EventDone:
-		s.jobEvents.With("done").Inc()
-	case runner.EventFailed:
-		s.jobEvents.With("failed").Inc()
-	case runner.EventCanceled:
-		s.jobEvents.With("canceled").Inc()
-	case runner.EventHeartbeat:
-		s.heartbeats.Inc()
+	if c := s.jobEvents[ev.Kind]; c != nil {
+		c.Inc()
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -293,26 +286,22 @@ func (s *Service) onEvent(ev runner.Event) {
 			continue
 		}
 		switch ev.Kind {
+		case runner.EventQueued, runner.EventHeartbeat:
+			continue
 		case runner.EventRunning:
 			sw.status.Executed++
+			continue
 		case runner.EventCached:
 			sw.status.FromCache++
-			sw.doneFPs[ev.FP] = true
 		case runner.EventDedup:
 			sw.status.Deduped++
-			sw.doneFPs[ev.FP] = true
 		case runner.EventDone:
-			sw.doneFPs[ev.FP] = true
+			sw.status.SimCycles += ev.Cycle
 		case runner.EventFailed:
 			sw.status.Failed++
-			sw.doneFPs[ev.FP] = true
-		case runner.EventCanceled:
-			sw.doneFPs[ev.FP] = true
 		}
+		sw.doneFPs[ev.FP] = true // the rest are terminal
 		sw.status.Completed = len(sw.doneFPs)
-		if ev.Kind == runner.EventDone {
-			sw.status.SimCycles += ev.Cycle
-		}
 	}
 }
 
@@ -323,7 +312,7 @@ func (s *Service) onEvent(ev runner.Event) {
 func (s *Service) trackRate(ev runner.Event) {
 	switch ev.Kind {
 	case runner.EventRunning:
-		s.rates[ev.FP] = &jobRate{app: ev.App, proto: ev.Proto, lastAt: time.Now()}
+		s.rates[ev.FP] = &jobRate{lastAt: time.Now()}
 	case runner.EventHeartbeat:
 		jr, ok := s.rates[ev.FP]
 		if !ok {
@@ -367,8 +356,9 @@ func (s *Service) submit(submitCtx context.Context, spec exp.Spec, persist bool)
 	if st, err := s.Sweep(id); err == nil {
 		return st, false, nil // a resubmission costs no fingerprint
 	}
-	// Each cell is fingerprinted here, once: the keyed jobs carry their
-	// fingerprints into the runner through the evaluator's Prefetch.
+	// Each cell is fingerprinted once per daemon: the keyed jobs carry
+	// their fingerprints into the runner through the evaluator's Prefetch.
+	e.Jobs = &s.jobs
 	fps := make([]string, len(cells))
 	jobs := make(map[string]runner.Job, len(cells))
 	for i, c := range cells {
@@ -564,8 +554,9 @@ func (s *Service) SweepHTML(id string) ([]byte, error) {
 }
 
 // sweepBytes returns one form of a finished sweep's report, rendering
-// both on the first fetch of either. A report that cannot be encoded
-// answers every fetch with the encoder's error.
+// both on the first fetch of either; the JSON reuses every run's fragment
+// an earlier report kept. A report that cannot be encoded answers every
+// fetch with the encoder's error.
 func (s *Service) sweepBytes(id string, pick func(*sweepState) []byte) ([]byte, error) {
 	sw, err := s.lookup(id)
 	if err != nil {
@@ -577,9 +568,8 @@ func (s *Service) sweepBytes(id string, pick func(*sweepState) []byte) ([]byte, 
 		return nil, fmt.Errorf("%w: %s", ErrNotFinished, id)
 	}
 	sw.render.Do(func() {
-		var j, h bytes.Buffer
-		sw.renderErr = errors.Join(exp.WriteReportJSON(&j, sw.rep), exp.WriteHTML(&h, sw.rep))
-		sw.reportJSON, sw.reportHTML, sw.rep = j.Bytes(), h.Bytes(), exp.Report{}
+		sw.reportJSON, sw.renderErr = s.frags.AppendReport(nil, sw.rep)
+		sw.reportHTML, sw.rep = exp.AppendHTML(nil, sw.rep), exp.Report{}
 	})
 	if sw.renderErr != nil {
 		return nil, serverFault{sw.renderErr}

@@ -55,6 +55,20 @@ func (c *Client) Metrics(ctx context.Context) ([]byte, error) {
 	return c.raw(ctx, "/metrics")
 }
 
+// Job fetches a stored result by fingerprint.
+func (c *Client) Job(ctx context.Context, fp string) (*runner.Result, error) {
+	var res runner.Result
+	err := c.do(ctx, http.MethodGet, "/api/v1/jobs/"+fp, nil, &res)
+	return &res, err
+}
+
+// Stats fetches the daemon's counters.
+func (c *Client) Stats(ctx context.Context) (StatsResponse, error) {
+	var st StatsResponse
+	err := c.do(ctx, http.MethodGet, "/api/v1/stats", nil, &st)
+	return st, err
+}
+
 // tinySpec is the test sweep: fig4 over two applications at tiny scale
 // on a 4-processor machine — 6 unique cells (sc, erc, lrc × 2 apps).
 func tinySpec() exp.Spec {
@@ -256,13 +270,13 @@ func TestSweepCountersAreTruthful(t *testing.T) {
 		}
 		return st
 	}
-	counter := func(kind string) int { return int(svc.jobEvents.With(kind).Value()) }
+	counter := func(kind runner.EventKind) int { return int(svc.jobEvents[kind].Value()) }
 
 	cold := run("fig4") // gauss under sc, erc, lrc
 	if cold.Jobs != 3 || cold.Executed != 3 || cold.Deduped != 0 || cold.Completed != 3 {
 		t.Fatalf("lone cold sweep: %+v", cold)
 	}
-	if q, d := counter("queued"), counter("deduped"); q != cold.Jobs || d != 0 {
+	if q, d := counter(runner.EventQueued), counter(runner.EventDedup); q != cold.Jobs || d != 0 {
 		t.Fatalf("lone cold sweep of %d jobs: queued=%d deduped=%d, want %d and 0", cold.Jobs, q, d, cold.Jobs)
 	}
 
@@ -270,7 +284,7 @@ func TestSweepCountersAreTruthful(t *testing.T) {
 	if over.Jobs != 3 || over.Executed != 1 || over.Deduped != 2 || over.Completed != 3 {
 		t.Fatalf("overlapping sweep: %+v", over)
 	}
-	if q, d := counter("queued"), counter("deduped"); q != 6 || d != 2 {
+	if q, d := counter(runner.EventQueued), counter(runner.EventDedup); q != 6 || d != 2 {
 		t.Fatalf("after the overlapping sweep: queued=%d deduped=%d, want 6 and 2", q, d)
 	}
 	// A finished sweep leaves the event fan-out index.

@@ -9,6 +9,7 @@ package exp
 import (
 	"context"
 	"fmt"
+	"sync"
 
 	"lazyrc/internal/apps"
 	"lazyrc/internal/config"
@@ -35,9 +36,23 @@ type Evaluator struct {
 	// lrcsimd daemon sets it to the sweep's submission context so a
 	// cancelled sweep stops simulating promptly. Nil means Background.
 	Ctx context.Context
+	// Jobs memoizes the keyed jobs CellJob returns. NewEvaluator makes
+	// one per evaluator; a daemon shares one among its sweeps' evaluators.
+	Jobs *CellJobs
 
-	runs map[string]memoRun    // by cellKey
-	jobs map[string]runner.Job // keyed jobs (CellJob) by cellKey
+	runs map[string]memoRun // by cellKey
+}
+
+// CellJobs holds keyed jobs (runner.Job.Keyed) by all one derives from:
+// the evaluator's scale, processors and seed, and the cell key. Evaluators
+// sharing one fingerprint a cell once among them. Safe for concurrent use.
+type CellJobs struct{ memo[cellJob, runner.Job] }
+
+type cellJob struct {
+	scale apps.Scale
+	procs int
+	seed  uint64
+	cell  [3]string
 }
 
 // memoRun is one memoized cell: the result and the variant name it ran
@@ -57,24 +72,7 @@ func cellKey(variant, appName, proto string) string {
 // (the paper evaluates 64 processors). Runs execute serially; set R to
 // share a worker pool and result cache.
 func NewEvaluator(scale apps.Scale, procs int) *Evaluator {
-	return &Evaluator{Scale: scale, Procs: procs, runs: make(map[string]memoRun), jobs: make(map[string]runner.Job)}
-}
-
-// engine returns the evaluator's runner, creating a serial one on first
-// use so the zero configuration keeps its historical behaviour.
-func (e *Evaluator) engine() *runner.Runner {
-	if e.R == nil {
-		e.R = runner.New(1, nil)
-	}
-	return e.R
-}
-
-// ctx returns the evaluator's submission context.
-func (e *Evaluator) ctx() context.Context {
-	if e.Ctx != nil {
-		return e.Ctx
-	}
-	return context.Background()
+	return &Evaluator{Scale: scale, Procs: procs, Jobs: new(CellJobs), runs: make(map[string]memoRun)}
 }
 
 // CellConfig derives the machine configuration of one evaluation cell
@@ -136,18 +134,30 @@ func (e *Evaluator) Job(variant, appName, proto string) runner.Job {
 	return runner.Job{App: appName, Scale: e.Scale, Proto: proto, Cfg: mustCell(variant, e.Procs, e.Scale, e.Seed)}
 }
 
-// CellJob is Job keyed (runner.Job.Keyed) and memoized: a cell is
-// fingerprinted on its first request, so a submitter listing a sweep's
+// CellJob is Job keyed (runner.Job.Keyed) and memoized in e.Jobs: a cell
+// is fingerprinted on its first request, so a submitter listing a sweep's
 // fingerprints and the Prefetch that runs it hash each cell once between
-// them.
+// them, and a daemon's later sweeps naming the cell hash it no more.
 func (e *Evaluator) CellJob(variant, appName, proto string) runner.Job {
-	key := cellKey(variant, appName, proto)
-	j, ok := e.jobs[key]
-	if !ok {
-		j = e.Job(variant, appName, proto).Keyed()
-		e.jobs[key] = j
-	}
+	k := cellJob{e.Scale, e.Procs, e.Seed, [3]string{variant, appName, proto}}
+	j, _ := e.Jobs.get(k, func() (runner.Job, error) { return e.Job(variant, appName, proto).Keyed(), nil })
 	return j
+}
+
+// memo is a map filled on demand, safe for concurrent use; a value whose
+// computation fails is not kept. Its keys are written once and read many
+// times, what sync.Map is for.
+type memo[K comparable, V any] struct{ m sync.Map }
+
+func (c *memo[K, V]) get(k K, fill func() (V, error)) (V, error) {
+	if v, ok := c.m.Load(k); ok {
+		return v.(V), nil
+	}
+	v, err := fill()
+	if err == nil {
+		c.m.Store(k, v)
+	}
+	return v, err
 }
 
 // Prefetch simulates the given (variant, app, protocol) cells through
@@ -173,7 +183,14 @@ func (e *Evaluator) Prefetch(cells [][3]string) {
 		}
 		slot[i] = k
 	}
-	results := e.engine().DoAll(e.ctx(), jobs)
+	if e.R == nil {
+		e.R = runner.New(1, nil) // the zero configuration: serial, no store
+	}
+	ctx := e.Ctx
+	if ctx == nil {
+		ctx = context.Background()
+	}
+	results := e.R.DoAll(ctx, jobs)
 	for i, c := range cells {
 		e.runs[cellKey(c[0], c[1], c[2])] = memoRun{c[0], results[slot[i]]}
 	}

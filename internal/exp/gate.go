@@ -33,15 +33,7 @@ func Gate(baseline, fresh Report, _ ...float64) []string {
 		return v
 	}
 
-	key := func(r ReportRun) string { return cellKey(r.Config, r.App, r.Protocol) }
-	freshBy := map[string]ReportRun{}
-	for _, r := range fresh.Runs {
-		freshBy[key(r)] = r
-	}
-	baseBy := map[string]ReportRun{}
-	for _, r := range baseline.Runs {
-		baseBy[key(r)] = r
-	}
+	freshBy, baseBy := fresh.View().runs, baseline.View().runs
 	var extra []string
 	for k := range freshBy {
 		if _, ok := baseBy[k]; !ok {
@@ -54,7 +46,7 @@ func Gate(baseline, fresh Report, _ ...float64) []string {
 	}
 
 	for _, base := range baseline.Runs {
-		k := key(base)
+		k := cellKey(base.Config, base.App, base.Protocol)
 		run, ok := freshBy[k]
 		if !ok {
 			fail("%s: run missing from fresh report", k)

@@ -7,7 +7,6 @@ import (
 	"slices"
 	"sort"
 	"strconv"
-	"strings"
 
 	"lazyrc/internal/protocol"
 	"lazyrc/internal/telemetry"
@@ -16,38 +15,46 @@ import (
 // This file renders the evaluation as a self-contained HTML report
 // (paperbench -report): normalized execution time as grouped columns,
 // the cycle-breakdown stack per protocol, and the full measurements
-// table with telemetry digests. It reuses the telemetry package's doc
-// builder, so styling (palette slots, light/dark, chrome tokens) is
-// defined in exactly one place.
+// table with telemetry digests, appended to one buffer. It reuses the
+// telemetry package's page shell, so styling (palette slots, light/dark,
+// chrome tokens) is defined in exactly one place.
+
+// A page is at most about htmlHeadBytes of head, stylesheet and chart
+// frames, htmlColumnBytes per default-machine run (its two chart columns
+// and data-table rows) and htmlRowBytes per run (its row of the table of
+// all runs), so one allocation fits most pages.
+const htmlHeadBytes, htmlColumnBytes, htmlRowBytes = 6 << 10, 1024, 160
 
 // breakdownLabels names the four cycle categories in stack order.
 var breakdownLabels = [4]string{"busy", "read stall", "write stall", "sync stall"}
 
-func writeVal(b *strings.Builder, v float64) {
+func appendVal(b []byte, v float64) []byte {
 	switch {
 	case v == 0:
-		b.WriteByte('0')
+		return append(b, '0')
 	case v >= 100:
-		telemetry.Fixedf(b, "%.0f", v)
+		return telemetry.AppendFixed(b, v, 0)
 	default:
-		telemetry.Fixedf(b, "%.2f", v)
+		return telemetry.AppendFixed(b, v, 2)
 	}
 }
 
-// columnGroup is one x-axis group (an application) with one value per
-// column (a protocol): either a plain value or a 4-segment stack.
+// columnGroup is one x-axis group (an application) with one column per
+// protocol: vals holds each column's segments in turn, one (a plain
+// value) or four (a breakdown) per column.
 type columnGroup struct {
 	label  string
-	stacks [][]float64 // per column: 1 segment (plain) or 4 (breakdown)
+	vals   []float64
 	protos []string
 }
 
-// groupedColumns renders grouped (optionally stacked) columns: ≤24px
+// appendColumns appends grouped (optionally stacked) columns: ≤24px
 // columns with a 4px-rounded data end and square baseline, 2px surface
 // gaps between stacked segments, hairline gridlines, hover titles, and a
 // backing data table. protos are the protocols the groups hold, in
-// column order: plain columns' legend keys and data-table columns.
-func groupedColumns(groups []columnGroup, protos, segLabels []string, yUnit string) string {
+// column order: plain columns' legend keys and data-table columns; each
+// column has a segment per label of segLabels.
+func appendColumns(b []byte, groups []columnGroup, protos, segLabels []string, yUnit string) []byte {
 	const (
 		w      = 900.0
 		h      = 260.0
@@ -59,11 +66,12 @@ func groupedColumns(groups []columnGroup, protos, segLabels []string, yUnit stri
 	)
 	plotW, plotH := w-padL-padR, h-padT-padB
 	names := protocol.Names()
+	nseg := len(segLabels)
 	ymax := 0.0
 	for _, g := range groups {
-		for _, st := range g.stacks {
+		for c := 0; c < len(g.vals); c += nseg {
 			sum := 0.0
-			for _, v := range st {
+			for _, v := range g.vals[c : c+nseg] {
 				sum += v
 			}
 			if sum > ymax {
@@ -77,35 +85,32 @@ func groupedColumns(groups []columnGroup, protos, segLabels []string, yUnit stri
 	// Clean axis max.
 	step := ymax / 4
 	yTop := ymax * 1.05
-	var b strings.Builder
-	fmt.Fprintf(&b, `<svg viewBox="0 0 %g %g" width="100%%" role="img">`+"\n", w, h)
+	b = telemetry.Fixedf(b, `<svg viewBox="0 0 %.0f %.0f" width="100%" role="img">`+"\n", w, h)
 	for g := 0; g <= 4; g++ {
 		v := step * float64(g)
 		y := padT + plotH*(1-v/yTop)
 		if g > 0 {
-			telemetry.Fixedf(&b, `<line x1="%.1f" y1="%.1f" x2="%.1f" y2="%.1f" stroke="var(--grid)" stroke-width="1"/>`+"\n",
+			b = telemetry.Fixedf(b, `<line x1="%.1f" y1="%.1f" x2="%.1f" y2="%.1f" stroke="var(--grid)" stroke-width="1"/>`+"\n",
 				padL, y, padL+plotW, y)
 		}
-		telemetry.Fixedf(&b, `<text x="%.1f" y="%.1f" font-size="11" fill="var(--text-muted)" text-anchor="end">`, padL-6, y+4)
-		writeVal(&b, v)
-		b.WriteString("</text>\n")
+		b = telemetry.Fixedf(b, `<text x="%.1f" y="%.1f" font-size="11" fill="var(--text-muted)" text-anchor="end">`, padL-6, y+4)
+		b = append(appendVal(b, v), "</text>\n"...)
 	}
-	telemetry.Fixedf(&b, `<line x1="%.1f" y1="%.1f" x2="%.1f" y2="%.1f" stroke="var(--baseline)" stroke-width="1"/>`+"\n",
+	b = telemetry.Fixedf(b, `<line x1="%.1f" y1="%.1f" x2="%.1f" y2="%.1f" stroke="var(--baseline)" stroke-width="1"/>`+"\n",
 		padL, padT+plotH, padL+plotW, padT+plotH)
-	if yUnit != "" {
-		telemetry.Fixedf(&b, `<text x="%.1f" y="%.1f" font-size="11" fill="var(--text-muted)">`, padL, padT-2)
-		b.WriteString(html.EscapeString(yUnit) + "</text>\n")
-	}
+	b = telemetry.Fixedf(b, `<text x="%.1f" y="%.1f" font-size="11" fill="var(--text-muted)">`, padL, padT-2)
+	b = append(append(b, html.EscapeString(yUnit)...), "</text>\n"...)
 
 	groupW := plotW / float64(len(groups))
 	for gi, g := range groups {
-		ncol := len(g.stacks)
+		ncol := len(g.protos)
 		colW := colMax
 		if avail := (groupW - 8) / float64(ncol); avail < colW {
 			colW = avail
 		}
 		x0 := padL + float64(gi)*groupW + (groupW-colW*float64(ncol))/2
-		for ci, st := range g.stacks {
+		for ci := range g.protos {
+			st := g.vals[ci*nseg : (ci+1)*nseg]
 			x := x0 + float64(ci)*colW
 			yBase := padT + plotH
 			total := 0.0
@@ -120,7 +125,7 @@ func groupedColumns(groups []columnGroup, protos, segLabels []string, yUnit stri
 				segH := plotH * v / yTop
 				yTopSeg := yBase - plotH*(cum+v)/yTop
 				slot := si + 1
-				if len(st) == 1 {
+				if nseg == 1 {
 					slot = protoSlot(names, g.protos[ci]) + 1
 				}
 				// Only the stack's top edge gets the 4px rounded data end;
@@ -134,97 +139,99 @@ func groupedColumns(groups []columnGroup, protos, segLabels []string, yUnit stri
 				if isTop && gapH > 4 {
 					r := 4.0
 					cw := colW - 2
-					telemetry.Fixedf(&b, `<path d="M%.1f %.1f L%.1f %.1f Q%.1f %.1f %.1f %.1f L%.1f %.1f Q%.1f %.1f %.1f %.1f L%.1f %.1f Z" fill="var(--s`,
+					b = telemetry.Fixedf(b, `<path d="M%.1f %.1f L%.1f %.1f Q%.1f %.1f %.1f %.1f L%.1f %.1f Q%.1f %.1f %.1f %.1f L%.1f %.1f Z" fill="var(--s`,
 						x, yTopSeg+gapH, x, yTopSeg+r, x, yTopSeg, x+r, yTopSeg,
 						x+cw-r, yTopSeg, x+cw, yTopSeg, x+cw, yTopSeg+r, x+cw, yTopSeg+gapH)
 					end = "</title></path>\n"
 				} else {
-					telemetry.Fixedf(&b, `<rect x="%.1f" y="%.1f" width="%.1f" height="%.1f" fill="var(--s`,
+					b = telemetry.Fixedf(b, `<rect x="%.1f" y="%.1f" width="%.1f" height="%.1f" fill="var(--s`,
 						x, yTopSeg, colW-2, gapH)
 				}
 				// The hover title: app · protocol[ segment]: value.
-				b.WriteString(strconv.Itoa(slot))
-				b.WriteString(`)"><title>`)
-				b.WriteString(html.EscapeString(g.label))
-				b.WriteString(" · ")
-				b.WriteString(html.EscapeString(g.protos[ci]))
-				if len(st) > 1 {
-					b.WriteString(" ")
-					b.WriteString(html.EscapeString(segLabels[si]))
+				b = append(strconv.AppendInt(b, int64(slot), 10), `)"><title>`...)
+				b = append(append(b, html.EscapeString(g.label)...), " · "...)
+				b = append(b, html.EscapeString(g.protos[ci])...)
+				if nseg > 1 {
+					b = append(append(b, ' '), html.EscapeString(segLabels[si])...)
 				}
-				b.WriteString(": ")
-				writeVal(&b, v)
-				b.WriteString(end)
+				b = append(appendVal(append(b, ": "...), v), end...)
 				cum += v
 			}
 		}
-		telemetry.Fixedf(&b, `<text x="%.1f" y="%.1f" font-size="11" fill="var(--text-secondary)" text-anchor="middle">`,
+		b = telemetry.Fixedf(b, `<text x="%.1f" y="%.1f" font-size="11" fill="var(--text-secondary)" text-anchor="middle">`,
 			padL+float64(gi)*groupW+groupW/2, h-10)
-		b.WriteString(html.EscapeString(g.label) + "</text>\n")
+		b = append(append(b, html.EscapeString(g.label)...), "</text>\n"...)
 	}
-	b.WriteString("</svg>\n")
+	b = append(b, "</svg>\n"...)
 
 	// Legend: protocols for plain columns, categories for stacks.
-	b.WriteString(`<div class="legend">`)
-	if len(segLabels) > 1 {
-		for i, l := range segLabels {
-			fmt.Fprintf(&b, `<span class="key"><span class="swatch" style="background:var(--s%d)"></span>%s</span>`,
-				i+1, html.EscapeString(l))
-		}
-	} else {
-		for _, p := range protos {
-			fmt.Fprintf(&b, `<span class="key"><span class="swatch" style="background:var(--s%d)"></span>%s</span>`,
-				protoSlot(names, p)+1, html.EscapeString(p))
-		}
+	b = append(b, `<div class="legend">`...)
+	keys, slot := segLabels, func(i int) int { return i + 1 }
+	if nseg == 1 {
+		keys, slot = protos, func(i int) int { return protoSlot(names, protos[i]) + 1 }
 	}
-	b.WriteString("</div>\n")
+	for i, k := range keys {
+		b = strconv.AppendInt(append(b, `<span class="key"><span class="swatch" style="background:var(--s`...), int64(slot(i)), 10)
+		b = append(append(append(b, `)"></span>`...), html.EscapeString(k)...), "</span>"...)
+	}
+	b = append(b, "</div>\n"...)
 
 	// Data table.
-	b.WriteString("<details><summary>Data table</summary><table><tr><th>app</th>")
-	if len(segLabels) > 1 {
-		b.WriteString("<th>protocol</th>")
+	cell := func(tag, s string) {
+		b = append(append(append(b, "<"+tag+">"...), html.EscapeString(s)...), "</"+tag+">"...)
+	}
+	b = append(b, "<details><summary>Data table</summary><table><tr><th>app</th>"...)
+	if nseg > 1 {
+		b = append(b, "<th>protocol</th>"...)
 		for _, l := range segLabels {
-			fmt.Fprintf(&b, "<th>%s</th>", html.EscapeString(l))
+			cell("th", l)
 		}
-		b.WriteString("</tr>\n")
+		b = append(b, "</tr>\n"...)
 		for _, g := range groups {
-			for ci, st := range g.stacks {
-				b.WriteString("<tr><td>" + html.EscapeString(g.label) + "</td><td>" + html.EscapeString(g.protos[ci]) + "</td>")
-				for _, v := range st {
-					b.WriteString("<td>")
-					writeVal(&b, v)
-					b.WriteString("</td>")
+			for ci, p := range g.protos {
+				b = append(b, "<tr>"...)
+				cell("td", g.label)
+				cell("td", p)
+				for _, v := range g.vals[ci*nseg : (ci+1)*nseg] {
+					b = append(appendVal(append(b, "<td>"...), v), "</td>"...)
 				}
-				b.WriteString("</tr>\n")
+				b = append(b, "</tr>\n"...)
 			}
 		}
 	} else {
 		for _, p := range protos {
-			fmt.Fprintf(&b, "<th>%s</th>", html.EscapeString(p))
+			cell("th", p)
 		}
-		b.WriteString("</tr>\n")
+		b = append(b, "</tr>\n"...)
 		for _, g := range groups {
-			b.WriteString("<tr><td>" + html.EscapeString(g.label) + "</td>")
+			b = append(b, "<tr>"...)
+			cell("td", g.label)
 			for _, p := range protos {
-				b.WriteString("<td>")
+				b = append(b, "<td>"...)
 				if ci := slices.Index(g.protos, p); ci >= 0 {
-					writeVal(&b, g.stacks[ci][0])
+					b = appendVal(b, g.vals[ci])
 				} else {
-					b.WriteString("–")
+					b = append(b, "–"...)
 				}
-				b.WriteString("</td>")
+				b = append(b, "</td>"...)
 			}
-			b.WriteString("</tr>\n")
+			b = append(b, "</tr>\n"...)
 		}
 	}
-	b.WriteString("</table></details>\n")
-	return b.String()
+	return append(b, "</table></details>\n"...)
 }
 
 // WriteHTML renders the evaluation report as a self-contained HTML page.
 func WriteHTML(w io.Writer, rep Report) error {
-	sub := fmt.Sprintf("scale %s · %d processors · %d runs", rep.Scale, rep.Procs, len(rep.Runs))
-	doc := telemetry.NewHTMLDoc("Lazy release consistency · evaluation report", sub)
+	_, err := w.Write(AppendHTML(nil, rep))
+	return err
+}
+
+// AppendHTML appends the page WriteHTML writes to dst: charts, sections
+// and the table append to one buffer, grown once to a size that fits
+// most pages.
+func AppendHTML(dst []byte, rep Report) []byte {
+	sub := "scale " + rep.Scale + " · " + strconv.Itoa(rep.Procs) + " processors · " + strconv.Itoa(len(rep.Runs)) + " runs"
 
 	// The charts cover the default machine: one group per application
 	// present, one column per protocol present, in evaluation order.
@@ -242,6 +249,7 @@ func WriteHTML(w io.Writer, rep Report) error {
 	// Normalized execution time (Figure 4's shape) and the cycle
 	// breakdown (Figure 5's), both relative to the app's SC run.
 	var normGroups, stackGroups []columnGroup
+	size := htmlHeadBytes + htmlRowBytes*len(rep.Runs)
 	protos := v.protocols(func(r *ReportRun) bool { return r.Config == "default" })
 	for _, app := range appNames {
 		ng := columnGroup{label: app}
@@ -250,57 +258,53 @@ func WriteHTML(w io.Writer, rep Report) error {
 			if _, ok := v.Run("default", app, p); !ok {
 				continue
 			}
-			ng.stacks = append(ng.stacks, []float64{v.Normalized("default", app, p)})
+			ng.vals = append(ng.vals, v.Normalized("default", app, p))
 			ng.protos = append(ng.protos, p)
+			size += htmlColumnBytes
 			cpu, rd, wr, sy, ok := v.OverheadShares("default", app, p)
 			if !ok {
 				continue
 			}
-			sg.stacks = append(sg.stacks, []float64{cpu, rd, wr, sy})
+			sg.vals = append(sg.vals, cpu, rd, wr, sy)
 			sg.protos = append(sg.protos, p)
 		}
-		if len(ng.stacks) > 0 {
-			normGroups = append(normGroups, ng)
-		}
-		if len(sg.stacks) > 0 {
+		normGroups = append(normGroups, ng) // the app has a default run
+		if len(sg.protos) > 0 {
 			stackGroups = append(stackGroups, sg)
 		}
 	}
-	if len(normGroups) > 0 {
-		doc.Section("Normalized execution time (SC = 1)",
-			groupedColumns(normGroups, protos, []string{"normalized time"}, "× SC"))
-	}
-	if len(stackGroups) > 0 {
-		doc.Section("Aggregate cycle breakdown, normalized to SC total",
-			groupedColumns(stackGroups, protos, breakdownLabels[:], "share of SC cycles"))
-	}
-
-	// Full measurements table, every config.
-	var b strings.Builder
-	b.WriteString("<table><tr><th>config</th><th>app</th><th>protocol</th><th>exec cycles</th><th>msgs</th><th>bytes</th><th>miss %</th><th>verified</th><th>metrics digest</th></tr>\n")
-	var num [20]byte
-	for _, r := range rep.Runs {
-		ok := "yes"
-		if !r.Verified {
-			ok = "NO"
+	dst = slices.Grow(dst, size)
+	return telemetry.AppendHTMLPage(dst, "Lazy release consistency · evaluation report", sub, func(b []byte) []byte {
+		if len(normGroups) > 0 {
+			b = telemetry.AppendSection(b, "Normalized execution time (SC = 1)", func(b []byte) []byte {
+				return appendColumns(b, normGroups, protos, []string{"normalized time"}, "× SC")
+			})
 		}
-		b.WriteString("<tr>")
-		for _, s := range [...]string{r.Config, r.App, r.Protocol} {
-			b.WriteString("<td>")
-			b.WriteString(html.EscapeString(s))
-			b.WriteString("</td>")
+		if len(stackGroups) > 0 {
+			b = telemetry.AppendSection(b, "Aggregate cycle breakdown, normalized to SC total", func(b []byte) []byte {
+				return appendColumns(b, stackGroups, protos, breakdownLabels[:], "share of SC cycles")
+			})
 		}
-		for _, n := range [...]uint64{r.ExecCycles, r.NetworkMsgs, r.NetworkBytes} {
-			b.WriteString("<td>")
-			b.Write(strconv.AppendUint(num[:0], n, 10))
-			b.WriteString("</td>")
-		}
-		telemetry.Fixedf(&b, "<td>%.3f</td><td>", r.MissRatePct)
-		b.WriteString(ok)
-		fmt.Fprintf(&b, "</td><td>%.12s</td></tr>\n", html.EscapeString(r.MetricsDigest))
-	}
-	b.WriteString("</table>\n")
-	doc.Section("All runs", b.String())
-
-	return doc.Render(w)
+		// Full measurements table, every config.
+		return telemetry.AppendSection(b, "All runs", func(b []byte) []byte {
+			b = append(b, "<table><tr><th>config</th><th>app</th><th>protocol</th><th>exec cycles</th><th>msgs</th><th>bytes</th><th>miss %</th><th>verified</th><th>metrics digest</th></tr>\n"...)
+			for _, r := range rep.Runs {
+				b = append(b, "<tr>"...)
+				for _, s := range [...]string{r.Config, r.App, r.Protocol} {
+					b = append(append(append(b, "<td>"...), html.EscapeString(s)...), "</td>"...)
+				}
+				for _, n := range [...]uint64{r.ExecCycles, r.NetworkMsgs, r.NetworkBytes} {
+					b = append(strconv.AppendUint(append(b, "<td>"...), n, 10), "</td>"...)
+				}
+				b = telemetry.Fixedf(b, "<td>%.3f</td><td>", r.MissRatePct)
+				if r.Verified {
+					b = append(b, "yes"...)
+				} else {
+					b = append(b, "NO"...)
+				}
+				b = fmt.Appendf(b, "</td><td>%.12s</td></tr>\n", html.EscapeString(r.MetricsDigest))
+			}
+			return append(b, "</table>\n"...)
+		})
+	})
 }

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"slices"
 	"sort"
 	"strings"
@@ -89,6 +90,10 @@ type ReportRun struct {
 	// unfinished.
 	Verified bool   `json:"verified"`
 	Error    string `json:"error,omitempty"`
+
+	// res is the result Evaluator.Report assembled the run from (nil for
+	// a run loaded or built by hand): its identity keys the run's JSON.
+	res *runner.Result
 }
 
 // Report assembles the report of every memoized run, in cell-key order,
@@ -125,6 +130,7 @@ func (e *Evaluator) Report() Report {
 			MissShares:    map[string]float64{},
 			MemDigest:     res.MemDigest, FaultsInjected: res.FaultsInjected, Retransmits: res.Retransmits,
 			Answer: res.Answer,
+			res:    res,
 		}
 		if err := res.Err(); err != nil {
 			rr.Error = err.Error()
@@ -258,10 +264,57 @@ func (v *View) OverheadShares(cfgName, appName, proto string) (cpu, read, write,
 // used for -json output and committed baselines, so the two are
 // byte-comparable.
 func WriteReportJSON(w io.Writer, r Report) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(r); err != nil {
-		return fmt.Errorf("exp: encoding report: %w", err)
+	b, err := (*RunJSON)(nil).AppendReport(nil, r)
+	if err == nil {
+		_, err = w.Write(b)
 	}
-	return nil
+	return err
+}
+
+// RunJSON keeps report runs' indented JSON by what a run is a function
+// of: its result (the runner's memoized one, so sweeps sharing a cell
+// share it), variant and normalized time. A run without a result, one of
+// a canceled result (never memoized: the cell runs again) and one the
+// encoder refuses are not kept. Safe for concurrent use.
+type RunJSON struct{ memo[runKey, []byte] }
+
+type runKey struct {
+	res        *runner.Result
+	variant    string
+	normalized uint64 // math.Float64bits
+}
+
+// AppendReport appends r as encoding/json's encoder indents it by two
+// spaces: the report without its runs, then each run's fragment, the run
+// indented at its depth, kept or encoded now, in a buffer the fragments'
+// lengths size. A nil RunJSON keeps nothing.
+func (c *RunJSON) AppendReport(dst []byte, r Report) ([]byte, error) {
+	runs := r.Runs
+	r.Runs = runs[:0] // null stays null
+	head, err := json.MarshalIndent(r, "", "  ")
+	frags := make([][]byte, len(runs))
+	n := len(head) + 8
+	for i := 0; i < len(runs) && err == nil; i++ {
+		run := &runs[i]
+		enc := func() ([]byte, error) { return json.MarshalIndent(run, "    ", "  ") }
+		if c == nil || run.res == nil || run.res.Canceled {
+			frags[i], err = enc()
+		} else {
+			frags[i], err = c.get(runKey{run.res, run.Config, math.Float64bits(run.Normalized)}, enc)
+		}
+		n += len(frags[i]) + 6
+	}
+	if err != nil {
+		return dst, fmt.Errorf("exp: encoding report: %w", err)
+	}
+	if len(runs) == 0 {
+		return append(append(dst, head...), '\n'), nil
+	}
+	dst = append(slices.Grow(dst, n), head[:len(head)-len("[]\n}")]...)
+	sep := "[\n    "
+	for _, f := range frags {
+		dst = append(append(dst, sep...), f...)
+		sep = ",\n    "
+	}
+	return append(dst, "\n  ]\n}\n"...), nil
 }

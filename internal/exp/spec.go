@@ -6,7 +6,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"slices"
-	"sort"
 
 	"lazyrc/internal/apps"
 	"lazyrc/internal/protocol"
@@ -118,16 +117,9 @@ func (s Spec) Normalize() (Spec, error) {
 }
 
 func dedupSorted(in []string) []string {
-	seen := map[string]bool{}
-	var out []string
-	for _, s := range in {
-		if !seen[s] {
-			seen[s] = true
-			out = append(out, s)
-		}
-	}
-	sort.Strings(out)
-	return out
+	out := slices.Clone(in)
+	slices.Sort(out)
+	return slices.Compact(out)
 }
 
 // ID is the sweep's content identity: the hex SHA-256 of the normalized

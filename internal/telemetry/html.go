@@ -1,9 +1,7 @@
 package telemetry
 
 import (
-	"fmt"
 	"html"
-	"io"
 	"math"
 	"strconv"
 	"strings"
@@ -74,47 +72,23 @@ const reportCSS = `
 .viz-root .meta td { text-align: left; }
 `
 
-// HTMLDoc accumulates report sections and writes one self-contained page.
-type HTMLDoc struct {
-	title    string
-	subtitle string
-	body     strings.Builder
+// AppendHTMLPage appends one self-contained page to dst: the head, what
+// body appends (its sections, AppendSection) and the tail, in the one
+// buffer.
+func AppendHTMLPage(dst []byte, title, subtitle string, body func([]byte) []byte) []byte {
+	title = html.EscapeString(title)
+	dst = append(dst, "<!DOCTYPE html>\n<html lang=\"en\">\n<head>\n<meta charset=\"utf-8\">\n"+
+		"<meta name=\"viewport\" content=\"width=device-width, initial-scale=1\">\n<title>"...)
+	dst = append(append(dst, title...), "</title>\n<style>"+reportCSS+"</style>\n</head>\n<body class=\"viz-root\">\n<h1>"...)
+	dst = append(append(dst, title...), "</h1>\n"...)
+	dst = append(append(append(dst, "<p class=\"sub\">"...), html.EscapeString(subtitle)...), "</p>\n"...)
+	return append(body(dst), "</body>\n</html>\n"...)
 }
 
-// NewHTMLDoc starts a report page with the given title and subtitle.
-func NewHTMLDoc(title, subtitle string) *HTMLDoc {
-	return &HTMLDoc{title: title, subtitle: subtitle}
-}
-
-// Section appends a heading followed by pre-rendered card content.
-func (d *HTMLDoc) Section(heading, inner string) {
-	if heading != "" {
-		fmt.Fprintf(&d.body, "<h2>%s</h2>\n", html.EscapeString(heading))
-	}
-	d.body.WriteString(`<div class="card">` + "\n")
-	d.body.WriteString(inner)
-	d.body.WriteString("\n</div>\n")
-}
-
-// Render writes the complete page.
-func (d *HTMLDoc) Render(w io.Writer) error {
-	var b strings.Builder
-	b.WriteString("<!DOCTYPE html>\n<html lang=\"en\">\n<head>\n<meta charset=\"utf-8\">\n")
-	b.WriteString("<meta name=\"viewport\" content=\"width=device-width, initial-scale=1\">\n")
-	fmt.Fprintf(&b, "<title>%s</title>\n", html.EscapeString(d.title))
-	b.WriteString("<style>" + reportCSS + "</style>\n</head>\n<body class=\"viz-root\">\n")
-	fmt.Fprintf(&b, "<h1>%s</h1>\n", html.EscapeString(d.title))
-	if d.subtitle != "" {
-		fmt.Fprintf(&b, "<p class=\"sub\">%s</p>\n", html.EscapeString(d.subtitle))
-	}
-	// Head, body and tail go out as they are: the body is most of the
-	// page, and copying it into one string first would double the bytes.
-	for _, part := range [...]string{b.String(), d.body.String(), "</body>\n</html>\n"} {
-		if _, err := io.WriteString(w, part); err != nil {
-			return err
-		}
-	}
-	return nil
+// AppendSection appends a heading and a card holding what inner appends.
+func AppendSection(dst []byte, heading string, inner func([]byte) []byte) []byte {
+	dst = append(append(append(dst, "<h2>"...), html.EscapeString(heading)...), "</h2>\n"...)
+	return append(inner(append(dst, "<div class=\"card\">\n"...)), "\n</div>\n"...)
 }
 
 // fixedScale holds the powers of ten AppendFixed rounds at in float64.
@@ -155,16 +129,15 @@ func AppendFixed(dst []byte, v float64, prec int) []byte {
 	return dst
 }
 
-// Fixedf writes format to b with its %.Nf verbs (N one digit) replaced,
-// in order, by vs through AppendFixed: what fmt.Fprintf prints for float
-// arguments, without boxing them. format must hold a verb per value.
-func Fixedf(b *strings.Builder, format string, vs ...float64) {
-	var num [32]byte
+// Fixedf appends format to dst with its %.Nf verbs (N one digit)
+// replaced, in order, by vs through AppendFixed: what fmt.Appendf prints
+// for float arguments, without boxing them. format must hold a verb per
+// value.
+func Fixedf(dst []byte, format string, vs ...float64) []byte {
 	for _, v := range vs {
 		i := strings.Index(format, "%.")
-		b.WriteString(format[:i])
-		b.Write(AppendFixed(num[:0], v, int(format[i+2]-'0')))
+		dst = AppendFixed(append(dst, format[:i]...), v, int(format[i+2]-'0'))
 		format = format[i+4:]
 	}
-	b.WriteString(format)
+	return append(dst, format...)
 }

@@ -360,14 +360,13 @@ func FuzzFixed(f *testing.F) {
 // coordinate grid in tenths and hundredths, each nudged onto and off its
 // .5 ties — through Fixedf against fmt.Sprintf.
 func TestFixedMatchesFmt(t *testing.T) {
-	var b strings.Builder
+	var b []byte
 	for i := -20000; i <= 20000; i++ {
 		for _, v := range []float64{float64(i) / 100, float64(i)/100 + 0.005, float64(i)/1000 + 0.0005, float64(i) * 48.37} {
 			for _, w := range []float64{v, math.Nextafter(v, math.Inf(1)), math.Nextafter(v, math.Inf(-1))} {
-				b.Reset()
-				Fixedf(&b, "x%.0f %.1f,%.2f|%.3f", w, w, w, w)
-				if want := fmt.Sprintf("x%.0f %.1f,%.2f|%.3f", w, w, w, w); b.String() != want {
-					t.Fatalf("Fixedf(%v) = %q, fmt says %q", w, b.String(), want)
+				b = Fixedf(b[:0], "x%.0f %.1f,%.2f|%.3f", w, w, w, w)
+				if want := fmt.Sprintf("x%.0f %.1f,%.2f|%.3f", w, w, w, w); string(b) != want {
+					t.Fatalf("Fixedf(%v) = %q, fmt says %q", w, b, want)
 				}
 			}
 		}
